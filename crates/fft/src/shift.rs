@@ -4,9 +4,28 @@
 //! puts DC at the center pixel (`grid_size/2`). The adder/splitter and the
 //! imaging cycle therefore shuttle subgrids and grids through these
 //! permutations. For even sizes (the paper's 24 and 2048) the two shifts
-//! coincide; the odd-size case is kept correct for generality.
+//! coincide and are a swap of diagonally opposite quadrants, done in
+//! place; the odd-size case is kept correct for generality through a
+//! generic roll.
 
 use idg_types::{Complex, Float};
+
+/// Swap diagonally opposite quadrants of an even-sized plane in place:
+/// the circular shift by `n/2` on both axes, without a temporary plane.
+fn swap_quadrants<T: Float>(data: &mut [Complex<T>], n: usize) {
+    assert_eq!(data.len(), n * n);
+    if n == 0 {
+        return;
+    }
+    let h = n / 2;
+    let (top, bottom) = data.split_at_mut(h * n);
+    for (upper, lower) in top.chunks_exact_mut(n).zip(bottom.chunks_exact_mut(n)) {
+        let (upper_left, upper_right) = upper.split_at_mut(h);
+        let (lower_left, lower_right) = lower.split_at_mut(h);
+        upper_left.swap_with_slice(lower_right);
+        upper_right.swap_with_slice(lower_left);
+    }
+}
 
 /// Circularly shift a row-major `n × n` plane by `(sy, sx)` pixels.
 fn roll2d<T: Float>(data: &mut [Complex<T>], n: usize, sy: usize, sx: usize) {
@@ -25,14 +44,24 @@ fn roll2d<T: Float>(data: &mut [Complex<T>], n: usize, sy: usize, sx: usize) {
     data.copy_from_slice(&tmp);
 }
 
+/// Shift both axes by `odd_shift`, which for even `n` is `n/2` whichever
+/// way it was rounded: the in-place quadrant swap.
+fn shift2d<T: Float>(data: &mut [Complex<T>], n: usize, odd_shift: usize) {
+    if n.is_multiple_of(2) {
+        swap_quadrants(data, n);
+    } else {
+        roll2d(data, n, odd_shift, odd_shift);
+    }
+}
+
 /// Move DC from index (0,0) to the center `(n/2, n/2)`.
 pub fn fftshift2d<T: Float>(data: &mut [Complex<T>], n: usize) {
-    roll2d(data, n, n / 2, n / 2);
+    shift2d(data, n, n / 2);
 }
 
 /// Inverse of [`fftshift2d`] (distinct from it only for odd `n`).
 pub fn ifftshift2d<T: Float>(data: &mut [Complex<T>], n: usize) {
-    roll2d(data, n, n.div_ceil(2), n.div_ceil(2));
+    shift2d(data, n, n.div_ceil(2));
 }
 
 /// The fftshift *index map* without moving data: source index that lands
@@ -77,6 +106,20 @@ mod tests {
         fftshift2d(&mut d, n);
         fftshift2d(&mut d, n);
         assert_eq!(d, orig);
+    }
+
+    #[test]
+    fn even_shifts_match_the_generic_roll() {
+        for n in [2usize, 4, 24, 30, 64, 250] {
+            let mut rolled = plane(n);
+            roll2d(&mut rolled, n, n / 2, n / 2);
+            let mut shifted = plane(n);
+            fftshift2d(&mut shifted, n);
+            assert_eq!(shifted, rolled, "fftshift, n = {n}");
+            let mut unshifted = plane(n);
+            ifftshift2d(&mut unshifted, n);
+            assert_eq!(unshifted, rolled, "ifftshift, n = {n}");
+        }
     }
 
     #[test]

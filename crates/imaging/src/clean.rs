@@ -35,19 +35,22 @@ impl Default for CleanParams {
     }
 }
 
-/// Find the absolute-maximum pixel within the clean window.
-fn peak_within(image: &Image, border: usize) -> (usize, usize, f32) {
-    let size = image.size();
-    let mut best = (border, border, 0.0f32);
-    for y in border..size - border {
-        for x in border..size - border {
-            let v = image.at(y, x);
-            if v.abs() > best.2.abs() {
-                best = (x, y, v);
-            }
+/// Largest `|v|` of a row slice — the vectorizable half of the peak
+/// search: independent lane maxima instead of one serial compare chain
+/// (float max is not reassociated by the compiler on its own). NaNs
+/// never win a comparison, as in a scalar scan.
+fn row_abs_max(row: &[f32]) -> f32 {
+    const LANES: usize = 16;
+    let larger = |best: f32, v: &f32| if v.abs() > best { v.abs() } else { best };
+    let mut lanes = [0.0f32; LANES];
+    let mut chunks = row.chunks_exact(LANES);
+    for chunk in &mut chunks {
+        for (lane, v) in lanes.iter_mut().zip(chunk) {
+            *lane = larger(*lane, v);
         }
     }
-    best
+    let tail = chunks.remainder().iter().fold(0.0, larger);
+    lanes.iter().fold(tail, larger)
 }
 
 /// One extracted CLEAN component.
@@ -65,6 +68,14 @@ pub struct CleanComponent {
 ///
 /// `psf` must be the same size as `residual`, peaking at its center
 /// pixel with value ≈ 1 (see [`crate::image::psf_image`]).
+///
+/// Each iteration streams the residual once: `flux·PSF` is subtracted
+/// over the rectangle where the shifted PSF overlaps the image, as
+/// contiguous row slices, and every clean-window row it touches has its
+/// `max |v|` refreshed while still in cache. The next peak is then the
+/// first row holding the largest row maximum and the first pixel
+/// attaining it there — the row-major, first-strictly-greater rule of a
+/// pixel-by-pixel scan.
 pub fn hogbom_clean(
     residual: &mut Image,
     psf: &Image,
@@ -74,27 +85,47 @@ pub fn hogbom_clean(
     let size = residual.size();
     let center = size / 2;
     let border = ((size as f32 * params.search_border) as usize).min(size / 2 - 1);
+    let window = border..size - border;
     let mut components = Vec::new();
 
+    let residual = residual.as_mut_slice();
+    let psf = psf.as_slice();
+    let mut row_peaks: Vec<f32> = window
+        .clone()
+        .map(|y| row_abs_max(&residual[y * size..][window.clone()]))
+        .collect();
+
     for _ in 0..params.max_iterations {
-        let (px, py, peak) = peak_within(residual, border);
-        if peak.abs() <= params.threshold || peak == 0.0 {
+        let (mut peak_row, mut peak_abs) = (0, 0.0f32);
+        for (row, &row_peak) in row_peaks.iter().enumerate() {
+            if row_peak > peak_abs {
+                (peak_row, peak_abs) = (row, row_peak);
+            }
+        }
+        if peak_abs <= params.threshold || peak_abs == 0.0 {
             break;
         }
-        let flux = params.gain * peak;
+        let py = border + peak_row;
+        // pixels before the first one attaining the row's maximum
+        let px = border
+            + residual[py * size..][window.clone()]
+                .iter()
+                .take_while(|v| v.abs() != peak_abs)
+                .count();
+        let flux = params.gain * residual[py * size + px];
 
-        // subtract flux × PSF shifted to (px, py)
-        for y in 0..size {
-            let psf_y = y as i64 - py as i64 + center as i64;
-            if !(0..size as i64).contains(&psf_y) {
-                continue;
+        // subtract flux × PSF shifted to (px, py): image pixel (y, x)
+        // sees PSF pixel (y − py + center, x − px + center)
+        let (y0, y1) = (py.saturating_sub(center), (py + size - center).min(size));
+        let (x0, x1) = (px.saturating_sub(center), (px + size - center).min(size));
+        for y in y0..y1 {
+            let row = &mut residual[y * size..][..size];
+            let psf_row = &psf[(y + center - py) * size..][x0 + center - px..][..x1 - x0];
+            for (r, p) in row[x0..x1].iter_mut().zip(psf_row) {
+                *r -= flux * p;
             }
-            for x in 0..size {
-                let psf_x = x as i64 - px as i64 + center as i64;
-                if !(0..size as i64).contains(&psf_x) {
-                    continue;
-                }
-                *residual.at_mut(y, x) -= flux * psf.at(psf_y as usize, psf_x as usize);
+            if window.contains(&y) {
+                row_peaks[y - border] = row_abs_max(&row[window.clone()]);
             }
         }
 
@@ -166,6 +197,66 @@ mod tests {
         }
     }
 
+    /// The pixel-by-pixel Högbom loop that [`hogbom_clean`] must
+    /// reproduce bit for bit: a guarded scalar scan for the peak and a
+    /// bounds-checked scalar subtraction over the whole image.
+    fn hogbom_clean_scalar(
+        residual: &mut Image,
+        psf: &Image,
+        params: &CleanParams,
+    ) -> Vec<CleanComponent> {
+        let size = residual.size();
+        let center = size / 2;
+        let border = ((size as f32 * params.search_border) as usize).min(size / 2 - 1);
+        let mut components: Vec<CleanComponent> = Vec::new();
+
+        for _ in 0..params.max_iterations {
+            let (mut px, mut py, mut peak) = (border, border, 0.0f32);
+            for y in border..size - border {
+                for x in border..size - border {
+                    let v = residual.at(y, x);
+                    if v.abs() > peak.abs() {
+                        (px, py, peak) = (x, y, v);
+                    }
+                }
+            }
+            if peak.abs() <= params.threshold || peak == 0.0 {
+                break;
+            }
+            let flux = params.gain * peak;
+            for y in 0..size {
+                let psf_y = y as i64 - py as i64 + center as i64;
+                if !(0..size as i64).contains(&psf_y) {
+                    continue;
+                }
+                for x in 0..size {
+                    let psf_x = x as i64 - px as i64 + center as i64;
+                    if !(0..size as i64).contains(&psf_x) {
+                        continue;
+                    }
+                    *residual.at_mut(y, x) -= flux * psf.at(psf_y as usize, psf_x as usize);
+                }
+            }
+            if let Some(existing) = components.iter_mut().find(|c| c.x == px && c.y == py) {
+                existing.flux += flux;
+            } else {
+                components.push(CleanComponent { x: px, y: py, flux });
+            }
+        }
+        components
+    }
+
+    /// Run [`hogbom_clean`] on `dirty` and require the scalar oracle's
+    /// components *and* residual, exactly.
+    fn clean_checked(dirty: &mut Image, psf: &Image, params: &CleanParams) -> Vec<CleanComponent> {
+        let mut expect = dirty.clone();
+        let want = hogbom_clean_scalar(&mut expect, psf, params);
+        let got = hogbom_clean(dirty, psf, params);
+        assert_eq!(got, want, "components differ from the scalar loop");
+        assert!(*dirty == expect, "residual differs from the scalar loop");
+        got
+    }
+
     #[test]
     fn clean_recovers_a_single_source() {
         let psf = synthetic_psf(64);
@@ -178,7 +269,7 @@ mod tests {
             threshold: 0.01,
             search_border: 0.05,
         };
-        let comps = hogbom_clean(&mut dirty, &psf, &params);
+        let comps = clean_checked(&mut dirty, &psf, &params);
 
         assert!(!comps.is_empty());
         // dominant component at the source pixel
@@ -206,7 +297,7 @@ mod tests {
             threshold: 0.02,
             search_border: 0.05,
         };
-        let comps = hogbom_clean(&mut dirty, &psf, &params);
+        let comps = clean_checked(&mut dirty, &psf, &params);
         let near = |cx: usize, cy: usize| {
             comps
                 .iter()
@@ -237,7 +328,7 @@ mod tests {
             threshold: 0.5,
             search_border: 0.05,
         };
-        let comps = hogbom_clean(&mut dirty, &psf, &params);
+        let comps = clean_checked(&mut dirty, &psf, &params);
         assert!(comps.len() <= 2, "stops once peak < threshold");
         assert!(dirty.peak().2.abs() <= 0.5);
     }
@@ -254,7 +345,7 @@ mod tests {
             search_border: 0.05,
         };
         let before = dirty.peak().2;
-        let comps = hogbom_clean(&mut dirty, &psf, &params);
+        let comps = clean_checked(&mut dirty, &psf, &params);
         // components merge per pixel, so count ≤ iterations
         assert!(total_component_flux(&comps) > 0.0);
         assert!(comps.len() <= 7);
@@ -272,7 +363,7 @@ mod tests {
             threshold: 0.05,
             search_border: 0.05,
         };
-        let comps = hogbom_clean(&mut dirty, &psf, &params);
+        let comps = clean_checked(&mut dirty, &psf, &params);
         let flux = total_component_flux(&comps);
         assert!((flux + 2.0).abs() < 0.2, "negative flux recovered: {flux}");
     }
@@ -281,8 +372,110 @@ mod tests {
     fn empty_image_yields_no_components() {
         let psf = synthetic_psf(16);
         let mut dirty = Image::new(16);
-        let comps = hogbom_clean(&mut dirty, &psf, &CleanParams::default());
+        let comps = clean_checked(&mut dirty, &psf, &CleanParams::default());
         assert!(comps.is_empty());
+    }
+
+    #[test]
+    fn window_corner_peaks_clip_the_psf_on_every_side() {
+        let size = 64;
+        let psf = synthetic_psf(size);
+        // 0.25: the overlap rectangle covers the window exactly;
+        // 0.05: window rows outside the overlap keep their cached maxima
+        for search_border in [0.25f32, 0.05] {
+            let lo = (size as f32 * search_border) as usize;
+            let hi = size - lo - 1;
+            let params = CleanParams {
+                gain: 0.2,
+                max_iterations: 60,
+                threshold: 0.01,
+                search_border,
+            };
+            let corners = [
+                (lo, lo, 2.0f32),
+                (hi, lo, -1.5),
+                (lo, hi, 1.0),
+                (hi, hi, 0.5),
+            ];
+            for (x, y, flux) in corners {
+                let mut dirty = Image::new(size);
+                add_source(&mut dirty, &psf, x, y, flux);
+                let comps = clean_checked(&mut dirty, &psf, &params);
+                assert_eq!((comps[0].x, comps[0].y), (x, y));
+            }
+            let mut dirty = Image::new(size);
+            for (x, y, flux) in corners {
+                add_source(&mut dirty, &psf, x, y, flux);
+            }
+            let comps = clean_checked(&mut dirty, &psf, &params);
+            assert!(comps.len() >= 4);
+        }
+    }
+
+    #[test]
+    fn equal_peaks_resolve_row_major_first() {
+        let psf = synthetic_psf(32);
+        let params = CleanParams {
+            gain: 0.3,
+            max_iterations: 5,
+            threshold: 0.0,
+            search_border: 0.1,
+        };
+        // same row: lower x first; different rows: lower y first, also
+        // when the later one has the opposite sign
+        for (first, second, sign) in [
+            ((10, 20), (25, 20), 1.0f32),
+            ((25, 12), (8, 19), 1.0),
+            ((25, 12), (8, 19), -1.0),
+        ] {
+            let mut dirty = Image::new(32);
+            *dirty.at_mut(first.1, first.0) = 1.25;
+            *dirty.at_mut(second.1, second.0) = 1.25 * sign;
+            let comps = clean_checked(&mut dirty, &psf, &params);
+            assert_eq!((comps[0].x, comps[0].y), first);
+            assert_eq!((comps[1].x, comps[1].y), second);
+        }
+    }
+
+    #[test]
+    fn search_border_clamps_to_a_two_pixel_window() {
+        let size = 64;
+        let psf = synthetic_psf(size);
+        let mut dirty = Image::new(size);
+        add_source(&mut dirty, &psf, 32, 31, 1.0);
+        add_source(&mut dirty, &psf, 10, 12, 5.0); // outside the window
+        let params = CleanParams {
+            gain: 0.2,
+            max_iterations: 40,
+            threshold: 0.0,
+            search_border: 0.9,
+        };
+        let comps = clean_checked(&mut dirty, &psf, &params);
+        assert!(!comps.is_empty());
+        let window = size / 2 - 1..size / 2 + 1;
+        assert!(comps
+            .iter()
+            .all(|c| window.contains(&c.x) && window.contains(&c.y)));
+    }
+
+    #[test]
+    fn major_cycle_shape_matches_the_scalar_loop() {
+        // the benchmark's `major_cycle` minor-cycle settings at 256²
+        let size = 256;
+        let psf = synthetic_psf(size);
+        let mut dirty = Image::new(size);
+        add_source(&mut dirty, &psf, 100, 150, 3.0);
+        add_source(&mut dirty, &psf, 171, 88, 2.0);
+        add_source(&mut dirty, &psf, 130, 131, 1.0);
+        let params = CleanParams {
+            gain: 0.2,
+            max_iterations: 300,
+            threshold: 0.05,
+            ..CleanParams::default()
+        };
+        let comps = clean_checked(&mut dirty, &psf, &params);
+        let flux = total_component_flux(&comps);
+        assert!((flux - 6.0).abs() < 0.4, "recovered {flux}");
     }
 
     #[test]

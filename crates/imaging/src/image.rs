@@ -109,20 +109,15 @@ impl Image {
     }
 }
 
-/// The grid-scale taper the gridder imposed: `ψ(η_x)·ψ(η_y)` with
-/// `η = 2(X − G/2)/G`, clamped below `floor` to avoid blowing up the
+/// One axis of the grid-scale taper the gridder imposed. The taper is
+/// separable — `ψ(η_y)·ψ(η_x)` with `η = 2(X − G/2)/G` — so callers
+/// multiply two axis values per pixel instead of tabulating `G²` of
+/// them, and clamp the product below a floor to avoid blowing up the
 /// (astronomically uninteresting) image edge.
-fn grid_taper(size: usize, floor: f32) -> Vec<f32> {
-    let axis: Vec<f32> = (0..size)
+fn taper_axis(size: usize) -> Vec<f32> {
+    (0..size)
         .map(|i| spheroidal_eta(2.0 * (i as f64 - size as f64 / 2.0) / size as f64) as f32)
-        .collect();
-    let mut out = Vec::with_capacity(size * size);
-    for y in 0..size {
-        for x in 0..size {
-            out.push((axis[y] * axis[x]).max(floor));
-        }
-    }
-    out
+        .collect()
 }
 
 /// One polarization plane of the grid to the image domain:
@@ -176,24 +171,27 @@ pub fn finalize_dirty(raw: Vec<f32>, obs: &Observation, weight_sum: usize) -> Im
     finalize(raw, obs, weight_sum, true)
 }
 
-fn finalize(raw: Vec<f32>, obs: &Observation, weight_sum: usize, mask_edge: bool) -> Image {
+fn finalize(mut raw: Vec<f32>, obs: &Observation, weight_sum: usize, mask_edge: bool) -> Image {
     assert!(weight_sum > 0, "cannot normalize an empty grid");
     let size = obs.grid_size;
     assert_eq!(raw.len(), size * size);
-    let taper = grid_taper(size, 1e-2);
+    let axis = taper_axis(size);
     let scale = (size * size) as f32 / weight_sum as f32;
-    let mut image = Image::new(size);
-    for i in 0..size * size {
-        // Near the taper edge the correction divides by small values,
-        // amplifying the percent-level aliasing of the subgrid-sampled
-        // taper. Production imagers avoid this zone by padding the grid
-        // and keeping the inner fraction; science images mask it.
-        if mask_edge && taper[i] < EDGE_MASK {
-            continue;
+    for (row, taper_y) in raw.chunks_exact_mut(size).zip(&axis) {
+        for (v, taper_x) in row.iter_mut().zip(&axis) {
+            let taper = (taper_y * taper_x).max(1e-2);
+            // Near the taper edge the correction divides by small values,
+            // amplifying the percent-level aliasing of the subgrid-sampled
+            // taper. Production imagers avoid this zone by padding the grid
+            // and keeping the inner fraction; science images mask it.
+            *v = if mask_edge && taper < EDGE_MASK {
+                0.0
+            } else {
+                *v * scale / taper
+            };
         }
-        image.data[i] = raw[i] * scale / taper[i];
     }
-    image
+    Image { size, data: raw }
 }
 
 /// Taper level below which dirty-image pixels are masked to zero
@@ -284,22 +282,25 @@ pub fn beam_weight_image(aterms: &idg::telescope::ATerms, obs: &Observation, flo
 pub fn model_grid_from_image(model: &Image, obs: &Observation) -> Grid<f32> {
     assert_eq!(model.size(), obs.grid_size);
     let size = model.size();
-    let taper = grid_taper(size, 1e-3);
+    let axis = taper_axis(size);
 
-    let mut plane: Vec<Cf32> = model
-        .as_slice()
-        .iter()
-        .zip(taper.iter())
-        .map(|(v, t)| Cf32::new(v / t, 0.0))
-        .collect();
-    ifftshift2d(&mut plane, size);
-    let fft = Fft2d::<f32>::new(size);
-    fft.process_grid(&mut plane, Direction::Forward);
-    fftshift2d(&mut plane, size);
-
+    // transform in place in the XX plane, then duplicate it into YY
     let mut grid = Grid::<f32>::new(size);
-    grid.plane_mut(0).copy_from_slice(&plane);
-    grid.plane_mut(3).copy_from_slice(&plane);
+    let plane = grid.plane_mut(0);
+    let rows = plane
+        .chunks_exact_mut(size)
+        .zip(model.as_slice().chunks_exact(size));
+    for ((out, values), taper_y) in rows.zip(&axis) {
+        for ((o, v), taper_x) in out.iter_mut().zip(values).zip(&axis) {
+            *o = Cf32::new(v / (taper_y * taper_x).max(1e-3), 0.0);
+        }
+    }
+    ifftshift2d(plane, size);
+    let fft = Fft2d::<f32>::new(size);
+    fft.process_grid(plane, Direction::Forward);
+    fftshift2d(plane, size);
+    grid.as_mut_slice()
+        .copy_within(0..size * size, 3 * size * size);
     grid
 }
 

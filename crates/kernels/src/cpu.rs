@@ -218,6 +218,9 @@ pub fn gridder_cpu(
         .iter()
         .map(|f| f32::from_f64(KernelGeometry::phase_scale(*f)))
         .collect();
+    // one decision per pass: identity cubes skip the epilogue's Jones
+    // sandwich
+    let identity_aterms = data.aterms.is_identity();
 
     items
         .par_iter()
@@ -255,7 +258,6 @@ pub fn gridder_cpu(
             let uvw = &data.uvw[base..base + item.nr_timesteps];
             let ap_plane = data.aterms.plane(item.aterm_index, item.baseline.station1);
             let aq_plane = data.aterms.plane(item.aterm_index, item.baseline.station2);
-            let identity_aterms = data.aterms.is_identity();
             // both station planes are fetched even when identity
             tally.dram_bytes += (ap_plane.len() + aq_plane.len()) as u64 * BYTES_POL4;
 

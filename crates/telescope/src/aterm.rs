@@ -122,6 +122,10 @@ pub struct ATerms {
     nr_stations: usize,
     nr_intervals: usize,
     subgrid_size: usize,
+    /// Every matrix in `data` is the identity. Decided once by
+    /// [`ATerms::from_raw`], which every constructor goes through;
+    /// `data` is private and never mutated, so it cannot go stale.
+    identity: bool,
 }
 
 impl ATerms {
@@ -152,12 +156,7 @@ impl ATerms {
                 }
             }
         }
-        Self {
-            data,
-            nr_stations,
-            nr_intervals,
-            subgrid_size: n,
-        }
+        Self::from_raw(data, nr_stations, nr_intervals, n)
     }
 
     /// Rebuild from raw storage (deserialization); `data` must hold
@@ -174,11 +173,14 @@ impl ATerms {
             nr_intervals * nr_stations * subgrid_size * subgrid_size,
             "raw A-term buffer has the wrong shape"
         );
+        let id: Jones<f32> = Jones::identity();
+        let identity = data.iter().all(|j| *j == id);
         Self {
             data,
             nr_stations,
             nr_intervals,
             subgrid_size,
+            identity,
         }
     }
 
@@ -186,12 +188,12 @@ impl ATerms {
     pub fn identity(obs: &Observation) -> Self {
         let n = obs.subgrid_size;
         let count = obs.nr_aterm_intervals() * obs.nr_stations * n * n;
-        Self {
-            data: vec![Jones::identity(); count],
-            nr_stations: obs.nr_stations,
-            nr_intervals: obs.nr_aterm_intervals(),
-            subgrid_size: n,
-        }
+        Self::from_raw(
+            vec![Jones::identity(); count],
+            obs.nr_stations,
+            obs.nr_aterm_intervals(),
+            n,
+        )
     }
 
     /// The `Ñ × Ñ` Jones plane of `station` during `interval` (row-major).
@@ -225,10 +227,11 @@ impl ATerms {
     }
 
     /// True when every sampled matrix is the identity (lets kernels take
-    /// the cheap path the paper uses for its benchmark).
+    /// the cheap path the paper uses for its benchmark). O(1): the cube
+    /// is scanned once, at construction.
+    #[inline]
     pub fn is_identity(&self) -> bool {
-        let id: Jones<f32> = Jones::identity();
-        self.data.iter().all(|j| *j == id)
+        self.identity
     }
 }
 
@@ -281,6 +284,35 @@ mod tests {
         assert_eq!(sampled.nr_intervals(), obs.nr_aterm_intervals());
         assert_eq!(sampled.plane(0, 0).len(), 64);
         assert_eq!(fast.data.len(), sampled.data.len());
+    }
+
+    #[test]
+    fn identity_flag_is_decided_at_construction() {
+        let obs = small_obs();
+        let n = obs.subgrid_size;
+        let shape = (obs.nr_stations, obs.nr_aterm_intervals(), n);
+        let cube = vec![Jones::<f32>::identity(); shape.0 * shape.1 * n * n];
+
+        assert!(ATerms::identity(&obs).is_identity());
+        assert!(ATerms::from_raw(cube.clone(), shape.0, shape.1, n).is_identity());
+
+        // a single off pixel anywhere in the cube (first, middle, last)
+        // clears the flag
+        for at in [0, cube.len() / 2, cube.len() - 1] {
+            let mut off = cube.clone();
+            off[at].xy = Complex::new(1e-3, 0.0);
+            assert!(
+                !ATerms::from_raw(off, shape.0, shape.1, n).is_identity(),
+                "off pixel at {at}"
+            );
+        }
+        let reloaded = ATerms::from_raw(
+            ATerms::sample(&GaussianBeam::new(&obs, 0.5, 1), &obs).data,
+            shape.0,
+            shape.1,
+            n,
+        );
+        assert!(!reloaded.is_identity());
     }
 
     #[test]
