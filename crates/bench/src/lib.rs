@@ -594,8 +594,7 @@ pub fn fig12_rows(host_iterations: u64) -> Vec<FigRow> {
 ///
 /// Deterministic columns (`scale`, `visibilities`) pin the workload the
 /// timing belongs to; every timing column carries the `_wall` suffix so
-/// the golden suite masks it (wall-clock is machine-specific) while
-/// committed baselines keep the real values for the regression guard.
+/// the golden suite masks it (wall-clock is machine-specific).
 pub fn bench_pass_row(label: &str, scale: usize, report: &ExecutionReport) -> FigRow {
     FigRow {
         label: label.to_string(),

@@ -73,11 +73,12 @@ fn fig10_throughput_json_matches_golden_snapshot() {
 }
 
 #[test]
-fn bench_guard_json_matches_golden_snapshot() {
-    // The BENCH_*.json schema the wall-clock guard exports: the masked
-    // form pins the deterministic columns (scale, visibility count —
-    // these change only when the workload itself changes) while the
-    // `_wall` timing columns are machine-specific and masked out. The
+fn bench_pass_rows_json_matches_golden_snapshot() {
+    // The one-shot BENCH_*.json row schema (a measured host pass next
+    // to a modeled fleet pass): the masked form pins the deterministic
+    // columns (scale, visibility count — these change only when the
+    // workload itself changes) while the `_wall` timing columns are
+    // machine-specific and masked out. The
     // `fleet` row is entirely modeled, so all of its columns —
     // including the degradation-step count its injected OOM forces —
     // are pinned exactly.
@@ -139,30 +140,6 @@ fn stream_bench_json_matches_golden_snapshot() {
         assert!(bench_row_value(&masked, label, GOLDEN_SCALE, "makespan_s").is_some());
     }
     check_golden("BENCH_stream.json", &masked);
-}
-
-#[test]
-fn committed_baselines_parse_and_carry_the_speedup_contract() {
-    // The committed scale-15 baselines must stay parseable and must
-    // document a >= 1.2x kernel-cache improvement over the seed row —
-    // the acceptance criterion of the kernel-cache change.
-    for pass in ["gridder", "degridder"] {
-        let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-            .join("baselines")
-            .join(format!("BENCH_{pass}.json"));
-        let baseline = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("missing baseline {}: {e}", path.display()));
-        validate_json(&baseline).unwrap_or_else(|e| panic!("{pass} baseline invalid: {e}"));
-        let seed = bench_row_value(&baseline, "seed", 15, "total_s_wall")
-            .unwrap_or_else(|| panic!("{pass} baseline lacks a seed row at scale 15"));
-        let cached = bench_row_value(&baseline, "kernel-cache", 15, "total_s_wall")
-            .unwrap_or_else(|| panic!("{pass} baseline lacks a kernel-cache row at scale 15"));
-        assert!(
-            seed / cached >= 1.2,
-            "{pass}: committed speedup {:.2}x below the 1.2x acceptance floor",
-            seed / cached
-        );
-    }
 }
 
 #[test]

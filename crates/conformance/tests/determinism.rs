@@ -282,6 +282,28 @@ fn streamed_degrid_entry_points_reject_degenerate_parameters_typed() {
             "{what}: degrid_streamed_observed must reject with InvalidParameter, got {err:?}"
         );
     }
+
+    // a NaN model grid is rejected the same way, on the streamed entry
+    // points and on the staged one alike
+    let config = StreamConfig::new(ChunkPolicy::by_timesteps(8), 2, 2);
+    let mut nan_model = model.clone();
+    nan_model.as_mut_slice()[5].im = f32::NAN;
+    for err in [
+        proxy
+            .degrid_streamed(&config, &nan_model, &ds.uvw, &ds.aterms)
+            .expect_err("NaN model grid, degrid_streamed"),
+        proxy
+            .degrid_streamed_observed(&config, &nan_model, &ds.uvw, &ds.aterms)
+            .expect_err("NaN model grid, degrid_streamed_observed"),
+        proxy
+            .degrid_stages(&plan, &nan_model, &ds.uvw, &ds.aterms)
+            .expect_err("NaN model grid, degrid_stages"),
+    ] {
+        assert!(
+            matches!(err, IdgError::InvalidParameter(_)),
+            "NaN model grid must reject with InvalidParameter, got {err:?}"
+        );
+    }
 }
 
 #[test]

@@ -8,18 +8,22 @@
 
 use crate::report::{ExecutionReport, FleetStats};
 use idg_fft::Direction;
+use idg_gpusim::kernels::{degridder_gpu, gridder_gpu};
 use idg_gpusim::{
-    BreakerConfig, Device, FaultConfig, FleetExecutor, GpuExecutor, JobFailure, RetryPolicy,
+    BreakerConfig, Device, FaultConfig, FleetExecutor, FleetRunReport, GpuExecutor, GpuRunReport,
+    JobFailure, PassTotals, RetryPolicy,
 };
 use idg_kernels::{
     add_subgrids, degridder_cpu, degridder_reference, fft_subgrids, gridder_cpu, gridder_reference,
     split_subgrids, FftNorm, KernelCache, KernelData, SubgridArray,
 };
 use idg_math::Accuracy;
-use idg_perf::{degridder_counts, gridder_counts};
-use idg_plan::Plan;
+use idg_obs::MetricsSnapshot;
+use idg_perf::{degridder_counts, gridder_counts, OpCounts};
+use idg_plan::{Plan, WorkItem};
 use idg_telescope::ATerms;
 use idg_types::{Grid, IdgError, Observation, Uvw, Visibility};
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -215,7 +219,7 @@ impl Proxy {
         Plan::create(&self.obs, uvw)
     }
 
-    pub(crate) fn device(&self) -> Result<Device, IdgError> {
+    fn device(&self) -> Result<Device, IdgError> {
         match self.backend {
             Backend::GpuPascal => Ok(Device::pascal()),
             Backend::GpuFiji => Ok(Device::fiji()),
@@ -271,16 +275,182 @@ impl Proxy {
             .is_some_and(|c| !c.member_faults.is_empty())
     }
 
-    /// Graceful degradation after a device pass: re-execute the
-    /// persistently failed jobs' work items on the CPU reference
-    /// kernels and merge their subgrids into `grid`. Errors with the
-    /// first failure's classified error when the fallback is disabled.
-    fn fallback_grid(
+    /// The kernel inputs of a pass over this proxy's observation,
+    /// shape-checked.
+    pub(crate) fn kernel_data<'a>(
+        &'a self,
+        uvw: &'a [Uvw],
+        visibilities: &'a [Visibility<f32>],
+        aterms: &'a ATerms,
+    ) -> Result<KernelData<'a>, IdgError> {
+        let data = KernelData {
+            obs: &self.obs,
+            uvw,
+            visibilities,
+            aterms,
+            taper: &self.taper,
+        };
+        data.validate()?;
+        Ok(data)
+    }
+
+    /// The one model-grid check of every degridding entry point: the
+    /// grid must have the observation's size, and a single NaN/Inf
+    /// sample would silently poison every visibility its subgrids
+    /// touch, so the error must be typed and early.
+    pub(crate) fn check_model_grid(&self, grid: &Grid<f32>) -> Result<(), IdgError> {
+        if grid.size() != self.obs.grid_size {
+            return Err(IdgError::ShapeMismatch {
+                what: "grid",
+                expected: self.obs.grid_size,
+                actual: grid.size(),
+            });
+        }
+        if grid
+            .as_slice()
+            .iter()
+            .any(|c| !c.re.is_finite() || !c.im.is_finite())
+        {
+            return Err(IdgError::InvalidParameter(
+                "model grid contains non-finite (NaN/Inf) samples".into(),
+            ));
+        }
+        Ok(())
+    }
+
+    /// Launch the back-end's gridder kernel over `items`.
+    pub(crate) fn launch_gridder(
         &self,
         data: &KernelData<'_>,
+        items: &[WorkItem],
+        subgrids: &mut SubgridArray,
+    ) -> Result<(), IdgError> {
+        match self.backend {
+            Backend::CpuReference => gridder_reference(data, items, subgrids),
+            Backend::CpuOptimized => {
+                gridder_cpu(data, items, subgrids, Accuracy::Medium, &self.cache)
+            }
+            Backend::GpuPascal | Backend::GpuFiji => {
+                gridder_gpu(data, items, subgrids, &self.device()?, &self.cache).map(|_| ())
+            }
+        }
+    }
+
+    /// Launch the back-end's degridder kernel over `items`.
+    pub(crate) fn launch_degridder(
+        &self,
+        data: &KernelData<'_>,
+        items: &[WorkItem],
+        subgrids: &SubgridArray,
+        vis: &mut [Visibility<f32>],
+    ) -> Result<(), IdgError> {
+        match self.backend {
+            Backend::CpuReference => degridder_reference(data, items, subgrids, vis),
+            Backend::CpuOptimized => {
+                degridder_cpu(data, items, subgrids, vis, Accuracy::Medium, &self.cache)
+            }
+            Backend::GpuPascal | Backend::GpuFiji => {
+                degridder_gpu(data, items, subgrids, vis, &self.device()?, &self.cache).map(|_| ())
+            }
+        }
+    }
+
+    /// The host gridding chain up to the commit: gridder → subgrid FFT
+    /// over `items`, wall-clocked. Returns the Fourier-domain subgrids
+    /// and `[kernel, fft]` seconds; `tag` labels the stage spans (the
+    /// chunk index of a streamed pass).
+    fn host_grid_chain(
+        &self,
+        data: &KernelData<'_>,
+        items: &[WorkItem],
+        tag: Option<u32>,
+    ) -> Result<(SubgridArray, [f64; 2]), IdgError> {
+        let t0 = Instant::now();
+        let mut subgrids = SubgridArray::new(items.len(), self.obs.subgrid_size);
+        {
+            let _span = idg_obs::wall_span("gridder", "stage", tag);
+            self.launch_gridder(data, items, &mut subgrids)?;
+        }
+        let t1 = Instant::now();
+        {
+            let _span = idg_obs::wall_span("subgrid_fft", "stage", tag);
+            fft_subgrids(&mut subgrids, Direction::Forward, FftNorm::None);
+        }
+        let seconds = [(t1 - t0).as_secs_f64(), t1.elapsed().as_secs_f64()];
+        Ok((subgrids, seconds))
+    }
+
+    /// The host degridding chain: splitter → inverse subgrid FFT →
+    /// degridder over `items`, wall-clocked. Returns the predicted
+    /// visibilities (full observation extent) and `[kernel, fft,
+    /// splitter]` seconds.
+    fn host_degrid_chain(
+        &self,
+        data: &KernelData<'_>,
+        items: &[WorkItem],
+        grid: &Grid<f32>,
+        tag: Option<u32>,
+    ) -> Result<(Vec<Visibility<f32>>, [f64; 3]), IdgError> {
+        let t0 = Instant::now();
+        let mut subgrids = SubgridArray::new(items.len(), self.obs.subgrid_size);
+        {
+            let _span = idg_obs::wall_span("splitter", "stage", tag);
+            split_subgrids(grid, items, &mut subgrids, &self.cache)?;
+        }
+        let t1 = Instant::now();
+        {
+            let _span = idg_obs::wall_span("subgrid_ifft", "stage", tag);
+            fft_subgrids(&mut subgrids, Direction::Inverse, FftNorm::None);
+        }
+        let t2 = Instant::now();
+        let mut vis = vec![Visibility::<f32>::zero(); self.obs.nr_visibilities()];
+        {
+            let _span = idg_obs::wall_span("degridder", "stage", tag);
+            self.launch_degridder(data, items, &subgrids, &mut vis)?;
+        }
+        let seconds = [
+            t2.elapsed().as_secs_f64(),
+            (t2 - t1).as_secs_f64(),
+            (t1 - t0).as_secs_f64(),
+        ];
+        Ok((vis, seconds))
+    }
+
+    /// Run one device pass on whichever executor the proxy is
+    /// configured for — the single device, or the fleet — and split
+    /// the result into output, shared totals and (fleet only) the
+    /// multi-device statistics.
+    fn on_device<T>(
+        &self,
+        single: impl FnOnce(&GpuExecutor) -> Result<(T, GpuRunReport), IdgError>,
+        fleet: impl FnOnce(&FleetExecutor) -> Result<(T, FleetRunReport), IdgError>,
+    ) -> Result<(T, PassTotals, Option<FleetStats>), IdgError> {
+        let Some(config) = &self.fleet else {
+            let (out, report) = single(&self.executor()?)?;
+            return Ok((out, report.totals, None));
+        };
+        let (out, report) = fleet(&self.fleet_executor(config)?)?;
+        let stats = FleetStats {
+            nr_devices: config.nr_devices,
+            redispatched_jobs: report.redispatched_jobs,
+            degradation_steps: report.degradation_steps,
+            breaker_trips: report.breaker_trips,
+            per_device: report.per_device,
+        };
+        Ok((out, report.totals, Some(stats)))
+    }
+
+    /// Graceful degradation after a device pass: hand every
+    /// persistently failed job's `plan.items` range and work items to
+    /// `redo`, which re-executes them on the CPU reference kernels and
+    /// merges the result. Returns the jobs that fell back; errors with
+    /// the first failure's classified error when the fallback is
+    /// disabled.
+    fn cpu_fallback(
+        &self,
         plan: &Plan,
-        grid: &mut Grid<f32>,
         failed_jobs: &[JobFailure],
+        mut redo: impl FnMut(Range<usize>, &[WorkItem]) -> Result<(), IdgError>,
     ) -> Result<Vec<JobFailure>, IdgError> {
         if failed_jobs.is_empty() {
             return Ok(Vec::new());
@@ -290,42 +460,98 @@ impl Proxy {
         }
         idg_obs::add_fallback_jobs(failed_jobs.len() as u64);
         for failure in failed_jobs {
-            let _span = idg_obs::wall_span("cpu_fallback", "job", Some(failure.job as u32));
-            let items = &plan.items[failure.first_item..failure.first_item + failure.nr_items];
-            let mut subgrids = SubgridArray::new(items.len(), self.obs.subgrid_size);
-            gridder_reference(data, items, &mut subgrids)?;
-            fft_subgrids(&mut subgrids, Direction::Forward, FftNorm::None);
-            add_subgrids(grid, items, &subgrids, &self.cache)?;
+            let _span = idg_obs::wall_span("cpu_fallback", "job", u32::try_from(failure.job).ok());
+            let range = failure.first_item..failure.first_item + failure.nr_items;
+            redo(range.clone(), &plan.items[range])?;
         }
         Ok(failed_jobs.to_vec())
     }
 
-    /// Degridding counterpart of [`Proxy::fallback_grid`]: predict the
-    /// failed jobs' visibilities with the CPU reference kernels.
-    fn fallback_degrid(
+    /// The gridding half of a CPU fallback: `items`' Fourier-domain
+    /// subgrids from the reference gridder.
+    fn reference_subgrids(
         &self,
         data: &KernelData<'_>,
-        plan: &Plan,
+        items: &[WorkItem],
+    ) -> Result<SubgridArray, IdgError> {
+        let mut subgrids = SubgridArray::new(items.len(), self.obs.subgrid_size);
+        gridder_reference(data, items, &mut subgrids)?;
+        fft_subgrids(&mut subgrids, Direction::Forward, FftNorm::None);
+        Ok(subgrids)
+    }
+
+    /// The degridding half of a CPU fallback: predict `items`'
+    /// visibilities into `vis` with the reference degridder.
+    fn reference_predict(
+        &self,
+        data: &KernelData<'_>,
+        items: &[WorkItem],
         grid: &Grid<f32>,
         vis: &mut [Visibility<f32>],
-        failed_jobs: &[JobFailure],
-    ) -> Result<Vec<JobFailure>, IdgError> {
-        if failed_jobs.is_empty() {
-            return Ok(Vec::new());
+    ) -> Result<(), IdgError> {
+        let mut subgrids = SubgridArray::new(items.len(), self.obs.subgrid_size);
+        split_subgrids(grid, items, &mut subgrids, &self.cache)?;
+        fft_subgrids(&mut subgrids, Direction::Inverse, FftNorm::None);
+        degridder_reference(data, items, &subgrids, vis)
+    }
+
+    /// The report of a pass measured on the host: `[kernel, fft,
+    /// adder/splitter]` wall-clock seconds, run back to back.
+    fn measured_report(
+        &self,
+        pass: &'static str,
+        counts: OpCounts,
+        [kernel_seconds, fft_seconds, adder_seconds]: [f64; 3],
+    ) -> ExecutionReport {
+        ExecutionReport {
+            backend: self.backend.label().into(),
+            pass,
+            modeled: false,
+            kernel_seconds,
+            fft_seconds,
+            adder_seconds,
+            transfer_seconds: 0.0,
+            total_seconds: kernel_seconds + fft_seconds + adder_seconds,
+            counts,
+            device_energy_j: None,
+            host_energy_j: None,
+            nr_retries: 0,
+            backoff_seconds: 0.0,
+            fallback_jobs: Vec::new(),
+            fleet: None,
+            metrics: None,
+            stream: None,
         }
-        if !self.cpu_fallback {
-            return Err(failed_jobs[0].error.clone());
+    }
+
+    /// The report of a pass modeled on the device executors, from the
+    /// totals both executors share.
+    fn device_report(
+        &self,
+        totals: PassTotals,
+        fallback_jobs: Vec<JobFailure>,
+        fleet: Option<FleetStats>,
+    ) -> ExecutionReport {
+        ExecutionReport {
+            modeled: true,
+            transfer_seconds: totals.htod_seconds + totals.dtoh_seconds,
+            total_seconds: totals.makespan,
+            device_energy_j: Some(totals.device_energy_j),
+            host_energy_j: Some(totals.host_energy_j),
+            nr_retries: totals.nr_retries,
+            backoff_seconds: totals.backoff_seconds,
+            fallback_jobs,
+            fleet,
+            ..self.measured_report(
+                totals.pass,
+                totals.counts,
+                [
+                    totals.kernel_seconds,
+                    totals.fft_seconds,
+                    totals.adder_seconds,
+                ],
+            )
         }
-        idg_obs::add_fallback_jobs(failed_jobs.len() as u64);
-        for failure in failed_jobs {
-            let _span = idg_obs::wall_span("cpu_fallback", "job", Some(failure.job as u32));
-            let items = &plan.items[failure.first_item..failure.first_item + failure.nr_items];
-            let mut subgrids = SubgridArray::new(items.len(), self.obs.subgrid_size);
-            split_subgrids(grid, items, &mut subgrids, &self.cache)?;
-            fft_subgrids(&mut subgrids, Direction::Inverse, FftNorm::None);
-            degridder_reference(data, items, &subgrids, vis)?;
-        }
-        Ok(failed_jobs.to_vec())
     }
 
     /// Grid visibilities onto a new grid.
@@ -336,134 +562,55 @@ impl Proxy {
         visibilities: &[Visibility<f32>],
         aterms: &ATerms,
     ) -> Result<(Grid<f32>, ExecutionReport), IdgError> {
-        let data = KernelData {
-            obs: &self.obs,
-            uvw,
-            visibilities,
-            aterms,
-            taper: &self.taper,
-        };
-        data.validate()?;
+        let data = self.kernel_data(uvw, visibilities, aterms)?;
         check_finite_vis(visibilities)?;
         check_finite_uvw(uvw)?;
 
         match self.backend {
             Backend::CpuReference | Backend::CpuOptimized => {
-                let mut subgrids = SubgridArray::new(plan.nr_subgrids(), self.obs.subgrid_size);
-                let t0 = Instant::now();
-                {
-                    let _span = idg_obs::wall_span("gridder", "stage", None);
-                    match self.backend {
-                        Backend::CpuReference => {
-                            gridder_reference(&data, &plan.items, &mut subgrids)?;
-                        }
-                        _ => gridder_cpu(
-                            &data,
-                            &plan.items,
-                            &mut subgrids,
-                            Accuracy::Medium,
-                            &self.cache,
-                        )?,
-                    }
-                }
-                let t1 = Instant::now();
-                {
-                    let _span = idg_obs::wall_span("subgrid_fft", "stage", None);
-                    fft_subgrids(&mut subgrids, Direction::Forward, FftNorm::None);
-                }
-                let t2 = Instant::now();
+                let (subgrids, [kernel, fft]) = self.host_grid_chain(&data, &plan.items, None)?;
+                let t = Instant::now();
                 let mut grid = Grid::<f32>::new(self.obs.grid_size);
                 {
                     let _span = idg_obs::wall_span("adder", "stage", None);
                     add_subgrids(&mut grid, &plan.items, &subgrids, &self.cache)?;
                 }
-                let t3 = Instant::now();
-
+                let adder = t.elapsed().as_secs_f64();
                 let counts = gridder_counts(&plan.items, self.obs.subgrid_size);
                 Ok((
                     grid,
-                    ExecutionReport {
-                        backend: self.backend.label().into(),
-                        pass: "gridding",
-                        modeled: false,
-                        kernel_seconds: (t1 - t0).as_secs_f64(),
-                        fft_seconds: (t2 - t1).as_secs_f64(),
-                        adder_seconds: (t3 - t2).as_secs_f64(),
-                        transfer_seconds: 0.0,
-                        total_seconds: (t3 - t0).as_secs_f64(),
-                        counts,
-                        device_energy_j: None,
-                        host_energy_j: None,
-                        nr_retries: 0,
-                        backoff_seconds: 0.0,
-                        fallback_jobs: Vec::new(),
-                        fleet: None,
-                        metrics: None,
-                        stream: None,
-                    },
+                    self.measured_report("gridding", counts, [kernel, fft, adder]),
                 ))
             }
             Backend::GpuPascal | Backend::GpuFiji => {
-                if let Some(config) = self.fleet.clone() {
-                    let (mut grid, report) = self.fleet_executor(&config)?.grid(&data, plan)?;
-                    let fallback_jobs =
-                        self.fallback_grid(&data, plan, &mut grid, &report.failed_jobs)?;
-                    return Ok((
-                        grid,
-                        ExecutionReport {
-                            backend: self.backend.label().into(),
-                            pass: "gridding",
-                            modeled: true,
-                            kernel_seconds: report.kernel_seconds,
-                            fft_seconds: report.fft_seconds,
-                            adder_seconds: report.adder_seconds,
-                            transfer_seconds: report.htod_seconds + report.dtoh_seconds,
-                            total_seconds: report.makespan,
-                            counts: report.counts,
-                            device_energy_j: Some(report.device_energy_j),
-                            host_energy_j: Some(report.host_energy_j),
-                            nr_retries: report.nr_retries,
-                            backoff_seconds: report.backoff_seconds,
-                            fallback_jobs,
-                            fleet: Some(FleetStats {
-                                nr_devices: config.nr_devices,
-                                redispatched_jobs: report.redispatched_jobs,
-                                degradation_steps: report.degradation_steps,
-                                breaker_trips: report.breaker_trips,
-                                per_device: report.per_device,
-                            }),
-                            metrics: None,
-                            stream: None,
-                        },
-                    ));
-                }
-                let (mut grid, report) = self.executor()?.grid(&data, plan)?;
-                let fallback_jobs =
-                    self.fallback_grid(&data, plan, &mut grid, &report.failed_jobs)?;
-                Ok((
-                    grid,
-                    ExecutionReport {
-                        backend: self.backend.label().into(),
-                        pass: "gridding",
-                        modeled: true,
-                        kernel_seconds: report.kernel_seconds,
-                        fft_seconds: report.fft_seconds,
-                        adder_seconds: report.adder_seconds,
-                        transfer_seconds: report.htod_seconds + report.dtoh_seconds,
-                        total_seconds: report.makespan,
-                        counts: report.counts,
-                        device_energy_j: Some(report.device_energy_j),
-                        host_energy_j: Some(report.host_energy_j),
-                        nr_retries: report.nr_retries,
-                        backoff_seconds: report.backoff_seconds,
-                        fallback_jobs,
-                        fleet: None,
-                        metrics: None,
-                        stream: None,
-                    },
-                ))
+                let (mut grid, totals, fleet) =
+                    self.on_device(|e| e.grid(&data, plan), |f| f.grid(&data, plan))?;
+                let fallback_jobs = self.cpu_fallback(plan, &totals.failed_jobs, |_, items| {
+                    let subgrids = self.reference_subgrids(&data, items)?;
+                    add_subgrids(&mut grid, items, &subgrids, &self.cache)
+                })?;
+                Ok((grid, self.device_report(totals, fallback_jobs, fleet)))
             }
         }
+    }
+
+    /// Run `pass` under an observability session named `name`, attach
+    /// the measured counter snapshot to its report, and self-validate
+    /// it with `validate` (the `*_observed` entry points differ only in
+    /// the pass they run and the cadence they expect).
+    fn observed<T>(
+        &self,
+        name: &str,
+        pass: impl FnOnce() -> Result<(T, ExecutionReport), IdgError>,
+        validate: impl FnOnce(&ExecutionReport) -> Result<(), IdgError>,
+    ) -> Result<(T, ExecutionReport, idg_obs::Trace), IdgError> {
+        let session = idg_obs::Session::begin(name);
+        let result = pass();
+        let trace = session.finish();
+        let (out, mut report) = result?;
+        report.metrics = Some(trace.metrics.clone());
+        validate(&report)?;
+        Ok((out, report, trace))
     }
 
     /// Run [`Proxy::grid`] under an observability session.
@@ -484,13 +631,11 @@ impl Proxy {
         visibilities: &[Visibility<f32>],
         aterms: &ATerms,
     ) -> Result<(Grid<f32>, ExecutionReport, idg_obs::Trace), IdgError> {
-        let session = idg_obs::Session::begin("gridding");
-        let result = self.grid(plan, uvw, visibilities, aterms);
-        let trace = session.finish();
-        let (grid, mut report) = result?;
-        report.metrics = Some(trace.metrics.clone());
-        self.validate_measured(&report, plan)?;
-        Ok((grid, report, trace))
+        self.observed(
+            "gridding",
+            || self.grid(plan, uvw, visibilities, aterms),
+            |report| self.validate_measured(report, plan),
+        )
     }
 
     /// Run [`Proxy::degrid`] under an observability session (see
@@ -502,43 +647,43 @@ impl Proxy {
         uvw: &[Uvw],
         aterms: &ATerms,
     ) -> Result<(Vec<Visibility<f32>>, ExecutionReport, idg_obs::Trace), IdgError> {
-        let session = idg_obs::Session::begin("degridding");
-        let result = self.degrid(plan, grid, uvw, aterms);
-        let trace = session.finish();
-        let (vis, mut report) = result?;
-        report.metrics = Some(trace.metrics.clone());
-        self.validate_measured(&report, plan)?;
-        Ok((vis, report, trace))
+        self.observed(
+            "degridding",
+            || self.degrid(plan, grid, uvw, aterms),
+            |report| self.validate_measured(report, plan),
+        )
     }
 
-    /// Cross-validate an observed pass's measured counters against the
-    /// analytic model — exact integer equality, field by field. Skipped
-    /// for runs where kernels legitimately execute more than once per
-    /// work item: retries and CPU fallbacks re-run them, and fault
-    /// injection may re-run the compute phase for checksum staging.
-    fn validate_measured(&self, report: &ExecutionReport, plan: &Plan) -> Result<(), IdgError> {
-        // Fleet runs self-validate too, but only when nothing perturbed
-        // the per-job kernel/cache cadence: member faults, breaker
-        // re-dispatches and degraded (chunked) jobs all change how often
-        // kernels and cache lookups run per work item.
+    /// The measured counters of an observed pass, when they can be
+    /// held to the analytic model. `None` for unobserved passes and for
+    /// runs where kernels legitimately execute more than once per work
+    /// item: retries and CPU fallbacks re-run them, fault injection may
+    /// re-run the compute phase for checksum staging, and on a fleet
+    /// member faults, breaker re-dispatches and degraded (chunked) jobs
+    /// all change how often kernels and cache lookups run per item.
+    fn validated_metrics<'r>(&self, report: &'r ExecutionReport) -> Option<&'r MetricsSnapshot> {
         let fleet_perturbed = self.fleet_has_faults()
             || report.fleet.as_ref().is_some_and(|f| {
                 f.redispatched_jobs > 0 || f.degradation_steps > 0 || f.breaker_trips > 0
             });
-        if self.fault_config.is_some()
+        let perturbed = self.fault_config.is_some()
             || report.nr_retries > 0
             || !report.fallback_jobs.is_empty()
-            || fleet_perturbed
-        {
-            return Ok(());
-        }
-        let Some(metrics) = &report.metrics else {
-            return Ok(());
-        };
-        let analytic = match report.pass {
-            "gridding" => gridder_counts(&plan.items, self.obs.subgrid_size),
-            _ => degridder_counts(&plan.items, self.obs.subgrid_size),
-        };
+            || fleet_perturbed;
+        report.metrics.as_ref().filter(|_| !perturbed)
+    }
+
+    /// Hold `metrics` to the analytic model — exact integer equality,
+    /// field by field — and to the expected kernel-cache lookup count
+    /// (as deterministic as the op counts). `what` names the pass in
+    /// the error.
+    fn check_measured(
+        what: &str,
+        metrics: &MetricsSnapshot,
+        analytic: &OpCounts,
+        nr_items: u64,
+        expected_lookups: u64,
+    ) -> Result<(), IdgError> {
         let k = metrics.pass_kernel();
         let checks = [
             ("visibilities", k.visibilities, analytic.visibilities),
@@ -546,24 +691,45 @@ impl Proxy {
             ("fmas", k.fmas, analytic.fmas),
             ("dram_bytes", k.dram_bytes, analytic.dram_bytes),
             ("shared_bytes", k.shared_bytes, analytic.shared_bytes),
-            ("invocations", k.invocations, plan.items.len() as u64),
+            ("invocations", k.invocations, nr_items),
         ];
         for (name, measured, predicted) in checks {
             if measured != predicted {
                 return Err(IdgError::Internal(format!(
-                    "observability self-validation failed: {} {name} measured {measured} \
-                     != analytic {predicted}",
-                    report.pass
+                    "observability self-validation failed: {what} {name} measured {measured} \
+                     != analytic {predicted}"
                 )));
             }
         }
-        // Kernel-cache lookups are as deterministic as the op counts:
-        // the reference path consults the cache once per pass (the
-        // adder/splitter phasor tables), the optimized CPU path twice
-        // (geometry planes + phasor tables) and the GPU path twice per
-        // work group (each job's compute and commit phases look up
-        // independently).
         let lookups = metrics.cache_hits + metrics.cache_misses;
+        if lookups != expected_lookups {
+            return Err(IdgError::Internal(format!(
+                "observability self-validation failed: {what} cache lookups measured {lookups} \
+                 != expected {expected_lookups}"
+            )));
+        }
+        Ok(())
+    }
+
+    /// The analytic main-kernel counts of `pass` over `items`.
+    fn analytic_counts(&self, pass: &str, items: &[WorkItem]) -> OpCounts {
+        match pass {
+            "gridding" => gridder_counts(items, self.obs.subgrid_size),
+            _ => degridder_counts(items, self.obs.subgrid_size),
+        }
+    }
+
+    /// Cross-validate an observed one-shot pass (see
+    /// [`Proxy::validated_metrics`] for when it applies).
+    fn validate_measured(&self, report: &ExecutionReport, plan: &Plan) -> Result<(), IdgError> {
+        let Some(metrics) = self.validated_metrics(report) else {
+            return Ok(());
+        };
+        // Cache cadence: the reference path consults the cache once per
+        // pass (the adder/splitter phasor tables), the optimized CPU
+        // path twice (geometry planes + phasor tables) and the GPU path
+        // twice per work group (each job's compute and commit phases
+        // look up independently).
         let expected_lookups = match self.backend {
             Backend::CpuReference => 1,
             Backend::CpuOptimized => 2,
@@ -571,21 +737,16 @@ impl Proxy {
                 2 * plan.work_groups(self.work_group_size).count() as u64
             }
         };
-        if lookups != expected_lookups {
-            return Err(IdgError::Internal(format!(
-                "observability self-validation failed: {} cache lookups measured {lookups} \
-                 != expected {expected_lookups}",
-                report.pass
-            )));
-        }
-        Ok(())
+        Self::check_measured(
+            report.pass,
+            metrics,
+            &self.analytic_counts(report.pass, &plan.items),
+            plan.items.len() as u64,
+            expected_lookups,
+        )
     }
 
     /// Predict visibilities from a model grid.
-    ///
-    /// The `visibilities` input only supplies the buffer shape (the
-    /// degridder overwrites covered slots); pass the observed data or a
-    /// zero buffer.
     pub fn degrid(
         &self,
         plan: &Plan,
@@ -593,152 +754,28 @@ impl Proxy {
         uvw: &[Uvw],
         aterms: &ATerms,
     ) -> Result<(Vec<Visibility<f32>>, ExecutionReport), IdgError> {
+        // the degridder overwrites the slots it covers; the input
+        // buffer only supplies the shape
         let zeros = vec![Visibility::<f32>::zero(); self.obs.nr_visibilities()];
-        let data = KernelData {
-            obs: &self.obs,
-            uvw,
-            visibilities: &zeros,
-            aterms,
-            taper: &self.taper,
-        };
-        data.validate()?;
+        let data = self.kernel_data(uvw, &zeros, aterms)?;
         check_finite_uvw(uvw)?;
-        if grid
-            .as_slice()
-            .iter()
-            .any(|c| !c.re.is_finite() || !c.im.is_finite())
-        {
-            return Err(IdgError::InvalidParameter(
-                "model grid contains non-finite (NaN/Inf) samples".into(),
-            ));
-        }
-        if grid.size() != self.obs.grid_size {
-            return Err(IdgError::ShapeMismatch {
-                what: "grid",
-                expected: self.obs.grid_size,
-                actual: grid.size(),
-            });
-        }
+        self.check_model_grid(grid)?;
 
         match self.backend {
             Backend::CpuReference | Backend::CpuOptimized => {
-                let mut subgrids = SubgridArray::new(plan.nr_subgrids(), self.obs.subgrid_size);
-                let t0 = Instant::now();
-                {
-                    let _span = idg_obs::wall_span("splitter", "stage", None);
-                    split_subgrids(grid, &plan.items, &mut subgrids, &self.cache)?;
-                }
-                let t1 = Instant::now();
-                {
-                    let _span = idg_obs::wall_span("subgrid_ifft", "stage", None);
-                    fft_subgrids(&mut subgrids, Direction::Inverse, FftNorm::None);
-                }
-                let t2 = Instant::now();
-                let mut vis = vec![Visibility::<f32>::zero(); self.obs.nr_visibilities()];
-                {
-                    let _span = idg_obs::wall_span("degridder", "stage", None);
-                    match self.backend {
-                        Backend::CpuReference => {
-                            degridder_reference(&data, &plan.items, &subgrids, &mut vis)?;
-                        }
-                        _ => {
-                            degridder_cpu(
-                                &data,
-                                &plan.items,
-                                &subgrids,
-                                &mut vis,
-                                Accuracy::Medium,
-                                &self.cache,
-                            )?;
-                        }
-                    }
-                }
-                let t3 = Instant::now();
-
+                let (vis, seconds) = self.host_degrid_chain(&data, &plan.items, grid, None)?;
                 let counts = degridder_counts(&plan.items, self.obs.subgrid_size);
-                Ok((
-                    vis,
-                    ExecutionReport {
-                        backend: self.backend.label().into(),
-                        pass: "degridding",
-                        modeled: false,
-                        kernel_seconds: (t3 - t2).as_secs_f64(),
-                        fft_seconds: (t2 - t1).as_secs_f64(),
-                        adder_seconds: (t1 - t0).as_secs_f64(),
-                        transfer_seconds: 0.0,
-                        total_seconds: (t3 - t0).as_secs_f64(),
-                        counts,
-                        device_energy_j: None,
-                        host_energy_j: None,
-                        nr_retries: 0,
-                        backoff_seconds: 0.0,
-                        fallback_jobs: Vec::new(),
-                        fleet: None,
-                        metrics: None,
-                        stream: None,
-                    },
-                ))
+                Ok((vis, self.measured_report("degridding", counts, seconds)))
             }
             Backend::GpuPascal | Backend::GpuFiji => {
-                if let Some(config) = self.fleet.clone() {
-                    let (mut vis, report) =
-                        self.fleet_executor(&config)?.degrid(&data, plan, grid)?;
-                    let fallback_jobs =
-                        self.fallback_degrid(&data, plan, grid, &mut vis, &report.failed_jobs)?;
-                    return Ok((
-                        vis,
-                        ExecutionReport {
-                            backend: self.backend.label().into(),
-                            pass: "degridding",
-                            modeled: true,
-                            kernel_seconds: report.kernel_seconds,
-                            fft_seconds: report.fft_seconds,
-                            adder_seconds: report.adder_seconds,
-                            transfer_seconds: report.htod_seconds + report.dtoh_seconds,
-                            total_seconds: report.makespan,
-                            counts: report.counts,
-                            device_energy_j: Some(report.device_energy_j),
-                            host_energy_j: Some(report.host_energy_j),
-                            nr_retries: report.nr_retries,
-                            backoff_seconds: report.backoff_seconds,
-                            fallback_jobs,
-                            fleet: Some(FleetStats {
-                                nr_devices: config.nr_devices,
-                                redispatched_jobs: report.redispatched_jobs,
-                                degradation_steps: report.degradation_steps,
-                                breaker_trips: report.breaker_trips,
-                                per_device: report.per_device,
-                            }),
-                            metrics: None,
-                            stream: None,
-                        },
-                    ));
-                }
-                let (mut vis, report) = self.executor()?.degrid(&data, plan, grid)?;
-                let fallback_jobs =
-                    self.fallback_degrid(&data, plan, grid, &mut vis, &report.failed_jobs)?;
-                Ok((
-                    vis,
-                    ExecutionReport {
-                        backend: self.backend.label().into(),
-                        pass: "degridding",
-                        modeled: true,
-                        kernel_seconds: report.kernel_seconds,
-                        fft_seconds: report.fft_seconds,
-                        adder_seconds: report.adder_seconds,
-                        transfer_seconds: report.htod_seconds + report.dtoh_seconds,
-                        total_seconds: report.makespan,
-                        counts: report.counts,
-                        device_energy_j: Some(report.device_energy_j),
-                        host_energy_j: Some(report.host_energy_j),
-                        nr_retries: report.nr_retries,
-                        backoff_seconds: report.backoff_seconds,
-                        fallback_jobs,
-                        fleet: None,
-                        metrics: None,
-                        stream: None,
-                    },
-                ))
+                let (mut vis, totals, fleet) = self.on_device(
+                    |e| e.degrid(&data, plan, grid),
+                    |f| f.degrid(&data, plan, grid),
+                )?;
+                let fallback_jobs = self.cpu_fallback(plan, &totals.failed_jobs, |_, items| {
+                    self.reference_predict(&data, items, grid, &mut vis)
+                })?;
+                Ok((vis, self.device_report(totals, fallback_jobs, fleet)))
             }
         }
     }
@@ -906,10 +943,20 @@ mod tests {
             Err(IdgError::InvalidParameter(_))
         ));
 
+        // one model-grid check behind every degridding entry point
         let mut bad_grid = grid.clone();
         bad_grid.as_mut_slice()[11].re = f32::NAN;
         assert!(matches!(
             proxy.degrid(&plan, &bad_grid, &ds.uvw, &ds.aterms),
+            Err(IdgError::InvalidParameter(_))
+        ));
+        assert!(matches!(
+            proxy.degrid_stages(&plan, &bad_grid, &ds.uvw, &ds.aterms),
+            Err(IdgError::InvalidParameter(_))
+        ));
+        let config = StreamConfig::new(idg_stream::ChunkPolicy::by_timesteps(8), 2, 2);
+        assert!(matches!(
+            proxy.degrid_streamed(&config, &bad_grid, &ds.uvw, &ds.aterms),
             Err(IdgError::InvalidParameter(_))
         ));
     }

@@ -36,19 +36,14 @@
 //! commit-order argument.
 
 use super::{check_finite_uvw, check_finite_vis, Backend, Proxy};
-use crate::report::{ExecutionReport, FleetStats};
-use idg_fft::Direction;
-use idg_gpusim::{DeferredSubgrids, DeferredVis, JobFailure};
-use idg_kernels::{
-    add_subgrids, degridder_cpu, degridder_reference, fft_subgrids, gridder_cpu, gridder_reference,
-    split_subgrids, FftNorm, KernelData, SubgridArray,
-};
-use idg_math::Accuracy;
+use crate::report::ExecutionReport;
+use idg_gpusim::{DeferredSubgrids, DeferredVis};
+use idg_kernels::{add_subgrids, KernelData, SubgridArray};
 use idg_perf::{degridder_counts, gridder_counts, OpCounts};
 use idg_plan::{Plan, UvExtents, WorkItem};
 use idg_stream::{
-    plan_chunk, Chunk, ChunkPolicy, ChunkedDataset, CommitLedger, StreamDirection, StreamRun,
-    StreamScheduler,
+    plan_chunk, ChunkPolicy, ChunkedDataset, CommitLedger, StreamDirection, StreamRun,
+    StreamScheduler, StreamStats,
 };
 use idg_telescope::ATerms;
 use idg_types::{Grid, IdgError, Uvw, Visibility};
@@ -93,28 +88,60 @@ impl StreamConfig {
 }
 
 /// Everything one chunk's pass produced, pending the final commit.
-struct ChunkOutput {
+struct ChunkOutput<P> {
     /// The chunk-local plan's work items (global time offsets).
     items: Vec<WorkItem>,
-    /// Computed subgrids as ranges into `items` (job granularity on the
-    /// GPU paths, one whole-chunk range on the CPU paths).
-    pending: DeferredSubgrids,
-    /// Jobs re-executed on the CPU reference kernels, with chunk-local
-    /// indices (remapped to stream-global ones during aggregation).
-    fallback_jobs: Vec<JobFailure>,
-    counts: OpCounts,
-    kernel_seconds: f64,
-    fft_seconds: f64,
-    transfer_seconds: f64,
-    /// Modeled end-to-end chunk time (GPU) or measured wall (CPU).
-    makespan: f64,
-    device_energy_j: f64,
-    host_energy_j: f64,
-    nr_retries: usize,
-    backoff_seconds: f64,
-    redispatched_jobs: usize,
-    degradation_steps: usize,
-    breaker_trips: u64,
+    /// What the commit consumes. Gridding: computed subgrids as ranges
+    /// into `items` ([`DeferredSubgrids`]: job granularity on the GPU
+    /// paths, one whole-chunk range on the CPU paths). Degridding: the
+    /// chunk-local predicted visibilities with the covered `items`
+    /// ranges ([`DeferredVis`]). CPU-fallback ranges are appended last.
+    payload: P,
+    /// The chunk pass's own report: modeled end-to-end time (GPU) or
+    /// measured wall (CPU) in `total_seconds`, fallback jobs with
+    /// chunk-local indices.
+    report: ExecutionReport,
+}
+
+/// Every chunk's work items and pending payload, in ingestion order.
+type GatheredChunks<P> = Vec<(Vec<WorkItem>, P)>;
+
+/// The accounting of one stream's chunk passes, pending the commit.
+struct StreamTotals {
+    /// The chunk reports summed (fallback indices remapped to
+    /// stream-global ones); sealed by [`StreamTotals::seal`].
+    report: ExecutionReport,
+    /// Per-chunk end-to-end times, in ingestion order.
+    makespans: Vec<f64>,
+    stats: StreamStats,
+    started: Instant,
+}
+
+impl StreamTotals {
+    /// Seal the summed report after the final commit: the commit joins
+    /// the adder/splitter column — its modeled host-bandwidth cost on
+    /// modeled back-ends, its measured wall time otherwise — and the
+    /// total is the list-scheduled chunk makespans plus the commit
+    /// (modeled) or the wall clock since the stream started.
+    fn seal(self, config: &StreamConfig, commit_wall: f64, commit_model: f64) -> ExecutionReport {
+        let mut report = self.report;
+        if report.modeled {
+            let lanes = config.workers.min(config.max_inflight);
+            report.adder_seconds += commit_model;
+            report.total_seconds = stream_makespan(&self.makespans, lanes) + commit_model;
+        } else {
+            report.adder_seconds += commit_wall;
+            report.total_seconds = self.started.elapsed().as_secs_f64();
+        }
+        // per-chunk device breakdowns are not aggregated across the
+        // stream (each chunk ran its own fleet pass); only the scalar
+        // fault-tolerance counters are summed
+        if let Some(fleet) = &mut report.fleet {
+            fleet.per_device.clear();
+        }
+        report.stream = Some(self.stats);
+        report
+    }
 }
 
 /// Deterministic makespan model of the concurrent chunk passes: greedy
@@ -136,43 +163,41 @@ fn stream_makespan(chunk_makespans: &[f64], lanes: usize) -> f64 {
     lane_busy.iter().fold(0.0f64, |a, &b| a.max(b))
 }
 
+/// Add chunk report `b` onto the running stream report `a`: stage
+/// seconds, counters, energies and the scalar fault-tolerance counters
+/// are additive across chunk passes; `total_seconds` is not (chunks
+/// overlap) and is set when the stream report is sealed.
+fn sum_reports(mut a: ExecutionReport, b: ExecutionReport) -> ExecutionReport {
+    a.counts.add(&b.counts);
+    a.kernel_seconds += b.kernel_seconds;
+    a.fft_seconds += b.fft_seconds;
+    a.adder_seconds += b.adder_seconds;
+    a.transfer_seconds += b.transfer_seconds;
+    a.device_energy_j = a.device_energy_j.zip(b.device_energy_j).map(|(x, y)| x + y);
+    a.host_energy_j = a.host_energy_j.zip(b.host_energy_j).map(|(x, y)| x + y);
+    a.nr_retries += b.nr_retries;
+    a.backoff_seconds += b.backoff_seconds;
+    a.fallback_jobs.extend(b.fallback_jobs);
+    if let (Some(fleet), Some(other)) = (&mut a.fleet, b.fleet) {
+        fleet.redispatched_jobs += other.redispatched_jobs;
+        fleet.degradation_steps += other.degradation_steps;
+        fleet.breaker_trips += other.breaker_trips;
+    }
+    a
+}
+
+/// The one-shot plan's item order: sorting the streamed work items by
+/// `(baseline, channel group, time)` recovers it exactly.
+fn plan_order(item: &WorkItem) -> (usize, usize, usize) {
+    (item.baseline_index, item.channel_offset, item.time_offset)
+}
+
 /// One committed subgrid: its work item, and where its pixels live in
 /// the per-chunk pending arrays.
 struct CommitSlot {
     item: WorkItem,
     src: usize,
     plane: usize,
-}
-
-/// Everything one chunk's degrid pass produced, pending the final
-/// exactly-once visibility commit.
-struct DegridChunkOutput {
-    /// The chunk-local plan's work items (global time offsets).
-    items: Vec<WorkItem>,
-    /// Completed `items` ranges in job order (one whole-chunk range on
-    /// the CPU paths); CPU-fallback ranges are appended after.
-    ranges: Vec<std::ops::Range<usize>>,
-    /// Chunk-local predicted visibilities (full observation extent,
-    /// zeros outside the covered slots — slots are globally indexed).
-    vis: Vec<Visibility<f32>>,
-    /// Jobs re-executed on the CPU reference kernels, with chunk-local
-    /// indices (remapped to stream-global ones during aggregation).
-    fallback_jobs: Vec<JobFailure>,
-    counts: OpCounts,
-    kernel_seconds: f64,
-    fft_seconds: f64,
-    /// Splitter time: measured wall (CPU) or modeled device time (GPU).
-    splitter_seconds: f64,
-    transfer_seconds: f64,
-    /// Modeled end-to-end chunk time (GPU) or measured wall (CPU).
-    makespan: f64,
-    device_energy_j: f64,
-    host_energy_j: f64,
-    nr_retries: usize,
-    backoff_seconds: f64,
-    redispatched_jobs: usize,
-    degradation_steps: usize,
-    breaker_trips: u64,
 }
 
 /// One committed work item of a streamed degrid pass: the item whose
@@ -184,6 +209,63 @@ struct DegridCommitSlot {
 }
 
 impl Proxy {
+    /// Drive the observation's chunks through `pass` — one chunk-local
+    /// plan each, against the shared whole-observation uv extents — on
+    /// the bounded-window scheduler. Returns every chunk's work items
+    /// and pending payload in ingestion order, and the summed reports.
+    fn stream_chunks<P: Send>(
+        &self,
+        config: &StreamConfig,
+        uvw: &[Uvw],
+        direction: StreamDirection,
+        pass: impl Fn(Plan, Option<u32>) -> Result<ChunkOutput<P>, IdgError> + Sync,
+    ) -> Result<(GatheredChunks<P>, StreamTotals), IdgError> {
+        config.validate()?;
+        let scheduler = StreamScheduler::new(config.workers, config.max_inflight)?;
+        let chunks = ChunkedDataset::split(&self.obs, &config.policy)?;
+        let extents = UvExtents::compute(&self.obs, uvw)?;
+
+        let started = Instant::now();
+        let StreamRun { results, mut stats } = scheduler.run_stream(chunks.chunks(), |chunk| {
+            let plan = plan_chunk(&self.obs, uvw, &extents, chunk)?;
+            pass(plan, u32::try_from(chunk.index).ok())
+        })?;
+        stats.direction = direction;
+
+        let mut gathered = Vec::with_capacity(results.len());
+        let mut makespans = Vec::with_capacity(results.len());
+        let mut summed: Option<ExecutionReport> = None;
+        let (mut item_base, mut job_base) = (0, 0);
+        for result in results {
+            let ChunkOutput {
+                items,
+                payload,
+                mut report,
+            } = result?;
+            for failure in &mut report.fallback_jobs {
+                failure.job += job_base;
+                failure.first_item += item_base;
+            }
+            item_base += items.len();
+            job_base += items.len().div_ceil(self.work_group_size);
+            makespans.push(report.total_seconds);
+            summed = Some(match summed {
+                Some(sum) => sum_reports(sum, report),
+                None => report,
+            });
+            gathered.push((items, payload));
+        }
+        let report =
+            summed.ok_or_else(|| IdgError::Internal("stream produced no chunks".into()))?;
+        let totals = StreamTotals {
+            report,
+            makespans,
+            stats,
+            started,
+        };
+        Ok((gathered, totals))
+    }
+
     /// Grid visibilities through the streaming front-end: chunked
     /// ingestion, a concurrent bounded-window pass scheduler, and a
     /// single deferred in-order commit.
@@ -199,92 +281,41 @@ impl Proxy {
         visibilities: &[Visibility<f32>],
         aterms: &ATerms,
     ) -> Result<(Grid<f32>, ExecutionReport), IdgError> {
-        let data = KernelData {
-            obs: &self.obs,
-            uvw,
-            visibilities,
-            aterms,
-            taper: &self.taper,
-        };
-        data.validate()?;
+        let data = self.kernel_data(uvw, visibilities, aterms)?;
         check_finite_vis(visibilities)?;
         check_finite_uvw(uvw)?;
-        config.validate()?;
-        let scheduler = StreamScheduler::new(config.workers, config.max_inflight)?;
-        let chunks = ChunkedDataset::split(&self.obs, &config.policy)?;
-        let extents = UvExtents::compute(&self.obs, uvw)?;
+        let (chunks, totals) =
+            self.stream_chunks(config, uvw, StreamDirection::Gridding, |plan, tag| {
+                self.run_chunk(&data, plan, tag)
+            })?;
 
-        let t_start = Instant::now();
-        let StreamRun { results, stats } = scheduler.run_stream(chunks.chunks(), |chunk| {
-            self.run_chunk(&data, &extents, chunk)
-        })?;
-        let mut outputs = Vec::with_capacity(results.len());
-        for result in results {
-            outputs.push(result?);
-        }
-
-        // aggregate: gather every pending subgrid behind a commit slot,
-        // remap fallback indices to stream-global ones, sum the timing
+        // gather every pending subgrid behind a commit slot
         let mut arrays: Vec<SubgridArray> = Vec::new();
         let mut slots: Vec<CommitSlot> = Vec::new();
-        let mut fallback_jobs: Vec<JobFailure> = Vec::new();
-        let mut counts = OpCounts::default();
-        let (mut kernel_seconds, mut fft_seconds, mut transfer_seconds) = (0.0, 0.0, 0.0);
-        let (mut device_energy, mut host_energy, mut backoff_seconds) = (0.0, 0.0, 0.0);
-        let mut nr_retries = 0usize;
-        let (mut redispatched, mut degradation, mut trips) = (0usize, 0usize, 0u64);
-        let mut makespans = Vec::with_capacity(outputs.len());
-        let mut item_base = 0usize;
-        let mut job_base = 0usize;
-        for out in outputs {
-            for (range, subgrids) in out.pending {
+        let mut nr_items = 0;
+        for (items, pending) in chunks {
+            nr_items += items.len();
+            for (range, subgrids) in pending {
                 let src = arrays.len();
                 for (plane, idx) in range.enumerate() {
                     slots.push(CommitSlot {
-                        item: out.items[idx],
+                        item: items[idx],
                         src,
                         plane,
                     });
                 }
                 arrays.push(subgrids);
             }
-            for mut failure in out.fallback_jobs {
-                failure.job += job_base;
-                failure.first_item += item_base;
-                fallback_jobs.push(failure);
-            }
-            counts.add(&out.counts);
-            kernel_seconds += out.kernel_seconds;
-            fft_seconds += out.fft_seconds;
-            transfer_seconds += out.transfer_seconds;
-            device_energy += out.device_energy_j;
-            host_energy += out.host_energy_j;
-            nr_retries += out.nr_retries;
-            backoff_seconds += out.backoff_seconds;
-            redispatched += out.redispatched_jobs;
-            degradation += out.degradation_steps;
-            trips += out.breaker_trips;
-            makespans.push(out.makespan);
-            item_base += out.items.len();
-            job_base += out.items.len().div_ceil(self.work_group_size);
         }
-        if slots.len() != item_base {
+        if slots.len() != nr_items {
             return Err(IdgError::Internal(format!(
-                "streamed commit covers {} of {} work items",
-                slots.len(),
-                item_base
+                "streamed commit covers {} of {nr_items} work items",
+                slots.len()
             )));
         }
 
-        // the single in-order commit: sorting by (baseline, channel
-        // group, time) recovers exactly the one-shot plan's item order
-        slots.sort_by_key(|s| {
-            (
-                s.item.baseline_index,
-                s.item.channel_offset,
-                s.item.time_offset,
-            )
-        });
+        // the single in-order commit
+        slots.sort_by_key(|s| plan_order(&s.item));
         let n = self.obs.subgrid_size;
         let mut combined = SubgridArray::new(slots.len(), n);
         let mut items: Vec<WorkItem> = Vec::with_capacity(slots.len());
@@ -300,56 +331,9 @@ impl Proxy {
             let _span = idg_obs::wall_span("adder", "stage", None);
             add_subgrids(&mut grid, &items, &combined, &self.cache)?;
         }
-        let commit_seconds = t_commit.elapsed().as_secs_f64();
-
-        let modeled = matches!(self.backend, Backend::GpuPascal | Backend::GpuFiji);
-        let adder_seconds = if modeled {
-            (slots.len() * 4 * n * n * 8) as f64 / HOST_ADDER_BW
-        } else {
-            commit_seconds
-        };
-        let total_seconds = if modeled {
-            stream_makespan(&makespans, config.workers.min(config.max_inflight)) + adder_seconds
-        } else {
-            t_start.elapsed().as_secs_f64()
-        };
-        // per-chunk device breakdowns are not aggregated across the
-        // stream (each chunk ran its own fleet pass); only the scalar
-        // fault-tolerance counters are summed
-        let fleet = if modeled {
-            self.fleet.as_ref().map(|c| FleetStats {
-                nr_devices: c.nr_devices,
-                redispatched_jobs: redispatched,
-                degradation_steps: degradation,
-                breaker_trips: trips,
-                per_device: Vec::new(),
-            })
-        } else {
-            None
-        };
-
-        Ok((
-            grid,
-            ExecutionReport {
-                backend: self.backend.label().into(),
-                pass: "gridding",
-                modeled,
-                kernel_seconds,
-                fft_seconds,
-                adder_seconds,
-                transfer_seconds,
-                total_seconds,
-                counts,
-                device_energy_j: modeled.then_some(device_energy),
-                host_energy_j: modeled.then_some(host_energy),
-                nr_retries,
-                backoff_seconds,
-                fallback_jobs,
-                fleet,
-                metrics: None,
-                stream: Some(stats),
-            },
-        ))
+        let commit_wall = t_commit.elapsed().as_secs_f64();
+        let commit_model = (slots.len() * 4 * n * n * 8) as f64 / HOST_ADDER_BW;
+        Ok((grid, totals.seal(config, commit_wall, commit_model)))
     }
 
     /// Run [`Proxy::grid_streamed`] under an observability session (the
@@ -362,13 +346,11 @@ impl Proxy {
         visibilities: &[Visibility<f32>],
         aterms: &ATerms,
     ) -> Result<(Grid<f32>, ExecutionReport, idg_obs::Trace), IdgError> {
-        let session = idg_obs::Session::begin("gridding");
-        let result = self.grid_streamed(config, uvw, visibilities, aterms);
-        let trace = session.finish();
-        let (grid, mut report) = result?;
-        report.metrics = Some(trace.metrics.clone());
-        self.validate_streamed(config, uvw, &report)?;
-        Ok((grid, report, trace))
+        self.observed(
+            "gridding",
+            || self.grid_streamed(config, uvw, visibilities, aterms),
+            |report| self.validate_streamed(config, uvw, report),
+        )
     }
 
     /// Predict visibilities from a model grid through the streaming
@@ -395,113 +377,42 @@ impl Proxy {
         aterms: &ATerms,
     ) -> Result<(Vec<Visibility<f32>>, ExecutionReport), IdgError> {
         let zeros = vec![Visibility::<f32>::zero(); self.obs.nr_visibilities()];
-        let data = KernelData {
-            obs: &self.obs,
-            uvw,
-            visibilities: &zeros,
-            aterms,
-            taper: &self.taper,
-        };
-        data.validate()?;
+        let data = self.kernel_data(uvw, &zeros, aterms)?;
         check_finite_uvw(uvw)?;
-        if grid
-            .as_slice()
-            .iter()
-            .any(|c| !c.re.is_finite() || !c.im.is_finite())
-        {
-            return Err(IdgError::InvalidParameter(
-                "model grid contains non-finite (NaN/Inf) samples".into(),
-            ));
-        }
-        if grid.size() != self.obs.grid_size {
-            return Err(IdgError::ShapeMismatch {
-                what: "grid",
-                expected: self.obs.grid_size,
-                actual: grid.size(),
-            });
-        }
-        config.validate()?;
-        let scheduler = StreamScheduler::new(config.workers, config.max_inflight)?;
-        let chunks = ChunkedDataset::split(&self.obs, &config.policy)?;
-        let extents = UvExtents::compute(&self.obs, uvw)?;
+        self.check_model_grid(grid)?;
+        let (chunks, totals) =
+            self.stream_chunks(config, uvw, StreamDirection::Degridding, |plan, tag| {
+                self.run_degrid_chunk(&data, plan, grid, tag)
+            })?;
 
-        let t_start = Instant::now();
-        let StreamRun { results, mut stats } = scheduler.run_stream(chunks.chunks(), |chunk| {
-            self.run_degrid_chunk(&data, &extents, grid, chunk)
-        })?;
-        stats.direction = StreamDirection::Degridding;
-        let mut outputs = Vec::with_capacity(results.len());
-        for result in results {
-            outputs.push(result?);
-        }
-
-        // aggregate: gather every covered work item behind a commit
-        // slot, remap fallback indices, sum the timing; the ledger
-        // pins the exactly-once-per-chunk commit discipline
-        let mut chunk_vis: Vec<Vec<Visibility<f32>>> = Vec::with_capacity(outputs.len());
+        // gather every covered work item behind a commit slot; the
+        // ledger pins the exactly-once-per-chunk commit discipline
+        let mut chunk_vis: Vec<Vec<Visibility<f32>>> = Vec::with_capacity(chunks.len());
         let mut slots: Vec<DegridCommitSlot> = Vec::new();
-        let mut fallback_jobs: Vec<JobFailure> = Vec::new();
-        let mut counts = OpCounts::default();
-        let (mut kernel_seconds, mut fft_seconds, mut transfer_seconds) = (0.0, 0.0, 0.0);
-        let mut splitter_seconds = 0.0;
-        let (mut device_energy, mut host_energy, mut backoff_seconds) = (0.0, 0.0, 0.0);
-        let mut nr_retries = 0usize;
-        let (mut redispatched, mut degradation, mut trips) = (0usize, 0usize, 0u64);
-        let mut makespans = Vec::with_capacity(outputs.len());
-        let mut item_base = 0usize;
-        let mut job_base = 0usize;
-        let mut ledger = CommitLedger::new(outputs.len());
-        for (src, out) in outputs.into_iter().enumerate() {
+        let mut nr_items = 0;
+        let mut ledger = CommitLedger::new(chunks.len());
+        for (src, (items, deferred)) in chunks.into_iter().enumerate() {
             ledger.commit(src)?;
-            for range in &out.ranges {
-                for idx in range.clone() {
-                    slots.push(DegridCommitSlot {
-                        item: out.items[idx],
-                        src,
-                    });
-                }
+            nr_items += items.len();
+            for idx in deferred.ranges.into_iter().flatten() {
+                slots.push(DegridCommitSlot {
+                    item: items[idx],
+                    src,
+                });
             }
-            for mut failure in out.fallback_jobs {
-                failure.job += job_base;
-                failure.first_item += item_base;
-                fallback_jobs.push(failure);
-            }
-            counts.add(&out.counts);
-            kernel_seconds += out.kernel_seconds;
-            fft_seconds += out.fft_seconds;
-            splitter_seconds += out.splitter_seconds;
-            transfer_seconds += out.transfer_seconds;
-            device_energy += out.device_energy_j;
-            host_energy += out.host_energy_j;
-            nr_retries += out.nr_retries;
-            backoff_seconds += out.backoff_seconds;
-            redispatched += out.redispatched_jobs;
-            degradation += out.degradation_steps;
-            trips += out.breaker_trips;
-            makespans.push(out.makespan);
-            item_base += out.items.len();
-            job_base += out.items.len().div_ceil(self.work_group_size);
-            chunk_vis.push(out.vis);
+            chunk_vis.push(deferred.vis);
         }
         ledger.finish()?;
-        if slots.len() != item_base {
+        if slots.len() != nr_items {
             return Err(IdgError::Internal(format!(
-                "streamed degrid commit covers {} of {} work items",
-                slots.len(),
-                item_base
+                "streamed degrid commit covers {} of {nr_items} work items",
+                slots.len()
             )));
         }
 
-        // the exactly-once in-order commit: sorting by (baseline,
-        // channel group, time) recovers the one-shot plan's item
-        // order; each item's rows are plain copies of disjoint slots
-        slots.sort_by_key(|s| {
-            (
-                s.item.baseline_index,
-                s.item.channel_offset,
-                s.item.time_offset,
-            )
-        });
+        // the exactly-once in-order commit: each item's rows are plain
+        // copies of disjoint slots
+        slots.sort_by_key(|s| plan_order(&s.item));
         let nr_time = self.obs.nr_timesteps;
         let nr_chan = self.obs.nr_channels();
         let mut vis = vec![Visibility::<f32>::zero(); self.obs.nr_visibilities()];
@@ -521,56 +432,10 @@ impl Proxy {
                 committed_vis += (item.nr_timesteps * item.nr_channels) as u64;
             }
         }
-        let commit_seconds = t_commit.elapsed().as_secs_f64();
-
-        let modeled = matches!(self.backend, Backend::GpuPascal | Backend::GpuFiji);
+        let commit_wall = t_commit.elapsed().as_secs_f64();
         // each committed visibility is one 4-pol read + write (32 B)
         let commit_model = (committed_vis * 2 * 32) as f64 / HOST_ADDER_BW;
-        let adder_seconds = splitter_seconds
-            + if modeled {
-                commit_model
-            } else {
-                commit_seconds
-            };
-        let total_seconds = if modeled {
-            stream_makespan(&makespans, config.workers.min(config.max_inflight)) + commit_model
-        } else {
-            t_start.elapsed().as_secs_f64()
-        };
-        let fleet = if modeled {
-            self.fleet.as_ref().map(|c| FleetStats {
-                nr_devices: c.nr_devices,
-                redispatched_jobs: redispatched,
-                degradation_steps: degradation,
-                breaker_trips: trips,
-                per_device: Vec::new(),
-            })
-        } else {
-            None
-        };
-
-        Ok((
-            vis,
-            ExecutionReport {
-                backend: self.backend.label().into(),
-                pass: "degridding",
-                modeled,
-                kernel_seconds,
-                fft_seconds,
-                adder_seconds,
-                transfer_seconds,
-                total_seconds,
-                counts,
-                device_energy_j: modeled.then_some(device_energy),
-                host_energy_j: modeled.then_some(host_energy),
-                nr_retries,
-                backoff_seconds,
-                fallback_jobs,
-                fleet,
-                metrics: None,
-                stream: Some(stats),
-            },
-        ))
+        Ok((vis, totals.seal(config, commit_wall, commit_model)))
     }
 
     /// Run [`Proxy::degrid_streamed`] under an observability session
@@ -583,337 +448,114 @@ impl Proxy {
         uvw: &[Uvw],
         aterms: &ATerms,
     ) -> Result<(Vec<Visibility<f32>>, ExecutionReport, idg_obs::Trace), IdgError> {
-        let session = idg_obs::Session::begin("degridding");
-        let result = self.degrid_streamed(config, grid, uvw, aterms);
-        let trace = session.finish();
-        let (vis, mut report) = result?;
-        report.metrics = Some(trace.metrics.clone());
-        self.validate_streamed(config, uvw, &report)?;
-        Ok((vis, report, trace))
+        self.observed(
+            "degridding",
+            || self.degrid_streamed(config, grid, uvw, aterms),
+            |report| self.validate_streamed(config, uvw, report),
+        )
     }
 
-    /// One chunk's pass: plan against the shared uv extents, then run
-    /// the back-end's gridder + subgrid FFT, leaving the commit to the
-    /// caller. Runs on a scheduler worker thread.
+    /// One chunk's gridding pass over its chunk-local `plan`: the
+    /// back-end's gridder + subgrid FFT, leaving the commit to the
+    /// caller. On the device paths, persistently failed jobs are
+    /// recomputed on the CPU reference kernels and appended to the
+    /// pending set, so they join the same single in-order commit as the
+    /// device-produced subgrids (the one-shot fallback instead adds
+    /// them after the device pass committed). Runs on a scheduler
+    /// worker thread.
     fn run_chunk(
         &self,
         data: &KernelData<'_>,
-        extents: &UvExtents,
-        chunk: &Chunk,
-    ) -> Result<ChunkOutput, IdgError> {
-        let plan = plan_chunk(&self.obs, data.uvw, extents, chunk)?;
-        let n = self.obs.subgrid_size;
-        let tag = u32::try_from(chunk.index).ok();
-        match self.backend {
+        plan: Plan,
+        tag: Option<u32>,
+    ) -> Result<ChunkOutput<DeferredSubgrids>, IdgError> {
+        let (payload, report) = match self.backend {
             Backend::CpuReference | Backend::CpuOptimized => {
-                let t0 = Instant::now();
-                let mut subgrids = SubgridArray::new(plan.nr_subgrids(), n);
-                {
-                    let _span = idg_obs::wall_span("gridder", "stage", tag);
-                    match self.backend {
-                        Backend::CpuReference => {
-                            gridder_reference(data, &plan.items, &mut subgrids)?;
-                        }
-                        _ => gridder_cpu(
-                            data,
-                            &plan.items,
-                            &mut subgrids,
-                            Accuracy::Medium,
-                            &self.cache,
-                        )?,
-                    }
-                }
-                let t1 = Instant::now();
-                {
-                    let _span = idg_obs::wall_span("subgrid_fft", "stage", tag);
-                    fft_subgrids(&mut subgrids, Direction::Forward, FftNorm::None);
-                }
-                let t2 = Instant::now();
-                let counts = gridder_counts(&plan.items, n);
-                let nr_items = plan.items.len();
-                Ok(ChunkOutput {
-                    items: plan.items,
-                    pending: vec![(0..nr_items, subgrids)],
-                    fallback_jobs: Vec::new(),
-                    counts,
-                    kernel_seconds: (t1 - t0).as_secs_f64(),
-                    fft_seconds: (t2 - t1).as_secs_f64(),
-                    transfer_seconds: 0.0,
-                    makespan: (t2 - t0).as_secs_f64(),
-                    device_energy_j: 0.0,
-                    host_energy_j: 0.0,
-                    nr_retries: 0,
-                    backoff_seconds: 0.0,
-                    redispatched_jobs: 0,
-                    degradation_steps: 0,
-                    breaker_trips: 0,
-                })
+                let (subgrids, [kernel, fft]) = self.host_grid_chain(data, &plan.items, tag)?;
+                let counts = gridder_counts(&plan.items, self.obs.subgrid_size);
+                (
+                    vec![(0..plan.items.len(), subgrids)],
+                    self.measured_report("gridding", counts, [kernel, fft, 0.0]),
+                )
             }
             Backend::GpuPascal | Backend::GpuFiji => {
-                if let Some(fconfig) = self.fleet.clone() {
-                    let (pending, report) =
-                        self.fleet_executor(&fconfig)?.grid_deferred(data, &plan)?;
-                    let (pending, fallback_jobs) =
-                        self.fallback_pending(data, &plan, pending, &report.failed_jobs)?;
-                    return Ok(ChunkOutput {
-                        items: plan.items,
-                        pending,
-                        fallback_jobs,
-                        counts: report.counts,
-                        kernel_seconds: report.kernel_seconds,
-                        fft_seconds: report.fft_seconds,
-                        transfer_seconds: report.htod_seconds + report.dtoh_seconds,
-                        makespan: report.makespan,
-                        device_energy_j: report.device_energy_j,
-                        host_energy_j: report.host_energy_j,
-                        nr_retries: report.nr_retries,
-                        backoff_seconds: report.backoff_seconds,
-                        redispatched_jobs: report.redispatched_jobs,
-                        degradation_steps: report.degradation_steps,
-                        breaker_trips: report.breaker_trips,
-                    });
-                }
-                let (pending, report) = self.executor()?.grid_deferred(data, &plan)?;
-                let (pending, fallback_jobs) =
-                    self.fallback_pending(data, &plan, pending, &report.failed_jobs)?;
-                Ok(ChunkOutput {
-                    items: plan.items,
-                    pending,
-                    fallback_jobs,
-                    counts: report.counts,
-                    kernel_seconds: report.kernel_seconds,
-                    fft_seconds: report.fft_seconds,
-                    transfer_seconds: report.htod_seconds + report.dtoh_seconds,
-                    makespan: report.makespan,
-                    device_energy_j: report.device_energy_j,
-                    host_energy_j: report.host_energy_j,
-                    nr_retries: report.nr_retries,
-                    backoff_seconds: report.backoff_seconds,
-                    redispatched_jobs: 0,
-                    degradation_steps: 0,
-                    breaker_trips: 0,
-                })
+                let (mut pending, totals, fleet) = self.on_device(
+                    |e| e.grid_deferred(data, &plan),
+                    |f| f.grid_deferred(data, &plan),
+                )?;
+                let fallback_jobs =
+                    self.cpu_fallback(&plan, &totals.failed_jobs, |range, items| {
+                        pending.push((range, self.reference_subgrids(data, items)?));
+                        Ok(())
+                    })?;
+                (pending, self.device_report(totals, fallback_jobs, fleet))
             }
-        }
+        };
+        Ok(ChunkOutput {
+            items: plan.items,
+            payload,
+            report,
+        })
     }
 
-    /// Graceful degradation for the deferred-commit path: compute the
-    /// persistently failed jobs' subgrids on the CPU reference kernels
-    /// and append them to the pending set, so they join the same single
-    /// in-order commit as the device-produced subgrids (the one-shot
-    /// fallback instead adds them after the device pass committed).
-    fn fallback_pending(
-        &self,
-        data: &KernelData<'_>,
-        plan: &Plan,
-        mut pending: DeferredSubgrids,
-        failed_jobs: &[JobFailure],
-    ) -> Result<(DeferredSubgrids, Vec<JobFailure>), IdgError> {
-        if failed_jobs.is_empty() {
-            return Ok((pending, Vec::new()));
-        }
-        if !self.cpu_fallback {
-            return Err(failed_jobs[0].error.clone());
-        }
-        idg_obs::add_fallback_jobs(failed_jobs.len() as u64);
-        for failure in failed_jobs {
-            let _span = idg_obs::wall_span("cpu_fallback", "job", u32::try_from(failure.job).ok());
-            let range = failure.first_item..failure.first_item + failure.nr_items;
-            let items = &plan.items[range.clone()];
-            let mut subgrids = SubgridArray::new(items.len(), self.obs.subgrid_size);
-            gridder_reference(data, items, &mut subgrids)?;
-            fft_subgrids(&mut subgrids, Direction::Forward, FftNorm::None);
-            pending.push((range, subgrids));
-        }
-        Ok((pending, failed_jobs.to_vec()))
-    }
-
-    /// One chunk's degrid pass: plan against the shared uv extents,
-    /// split the chunk's subgrids out of the model grid, and predict
-    /// its visibilities into a chunk-local buffer, leaving the commit
-    /// to the caller. Runs on a scheduler worker thread.
+    /// One chunk's degrid pass over its chunk-local `plan`: split the
+    /// chunk's subgrids out of the model grid and predict its
+    /// visibilities into a chunk-local buffer, leaving the commit to
+    /// the caller. On the device paths, persistently failed jobs are
+    /// re-predicted with the CPU reference kernels into the same buffer
+    /// (the executor already zeroed their slots) and their ranges
+    /// appended, so they join the same exactly-once commit. Runs on a
+    /// scheduler worker thread.
     fn run_degrid_chunk(
         &self,
         data: &KernelData<'_>,
-        extents: &UvExtents,
+        plan: Plan,
         grid: &Grid<f32>,
-        chunk: &Chunk,
-    ) -> Result<DegridChunkOutput, IdgError> {
-        let plan = plan_chunk(&self.obs, data.uvw, extents, chunk)?;
-        let n = self.obs.subgrid_size;
-        let tag = u32::try_from(chunk.index).ok();
-        match self.backend {
+        tag: Option<u32>,
+    ) -> Result<ChunkOutput<DeferredVis>, IdgError> {
+        let (payload, report) = match self.backend {
             Backend::CpuReference | Backend::CpuOptimized => {
-                let t0 = Instant::now();
-                let mut subgrids = SubgridArray::new(plan.nr_subgrids(), n);
-                {
-                    let _span = idg_obs::wall_span("splitter", "stage", tag);
-                    split_subgrids(grid, &plan.items, &mut subgrids, &self.cache)?;
-                }
-                let t1 = Instant::now();
-                {
-                    let _span = idg_obs::wall_span("subgrid_ifft", "stage", tag);
-                    fft_subgrids(&mut subgrids, Direction::Inverse, FftNorm::None);
-                }
-                let t2 = Instant::now();
-                let mut vis = vec![Visibility::<f32>::zero(); self.obs.nr_visibilities()];
-                {
-                    let _span = idg_obs::wall_span("degridder", "stage", tag);
-                    match self.backend {
-                        Backend::CpuReference => {
-                            degridder_reference(data, &plan.items, &subgrids, &mut vis)?;
-                        }
-                        _ => degridder_cpu(
-                            data,
-                            &plan.items,
-                            &subgrids,
-                            &mut vis,
-                            Accuracy::Medium,
-                            &self.cache,
-                        )?,
-                    }
-                }
-                let t3 = Instant::now();
-                let counts = degridder_counts(&plan.items, n);
+                let (vis, seconds) = self.host_degrid_chain(data, &plan.items, grid, tag)?;
+                let counts = degridder_counts(&plan.items, self.obs.subgrid_size);
                 // one covering range: the whole chunk is one CPU "job"
-                let ranges: Vec<std::ops::Range<usize>> =
-                    std::iter::once(0..plan.items.len()).collect();
-                Ok(DegridChunkOutput {
-                    items: plan.items,
-                    ranges,
-                    vis,
-                    fallback_jobs: Vec::new(),
-                    counts,
-                    kernel_seconds: (t3 - t2).as_secs_f64(),
-                    fft_seconds: (t2 - t1).as_secs_f64(),
-                    splitter_seconds: (t1 - t0).as_secs_f64(),
-                    transfer_seconds: 0.0,
-                    makespan: (t3 - t0).as_secs_f64(),
-                    device_energy_j: 0.0,
-                    host_energy_j: 0.0,
-                    nr_retries: 0,
-                    backoff_seconds: 0.0,
-                    redispatched_jobs: 0,
-                    degradation_steps: 0,
-                    breaker_trips: 0,
-                })
+                let ranges = std::iter::once(0..plan.items.len()).collect();
+                (
+                    DeferredVis { ranges, vis },
+                    self.measured_report("degridding", counts, seconds),
+                )
             }
             Backend::GpuPascal | Backend::GpuFiji => {
-                if let Some(fconfig) = self.fleet.clone() {
-                    let (deferred, report) = self
-                        .fleet_executor(&fconfig)?
-                        .split_deferred(data, &plan, grid)?;
-                    let (deferred, fallback_jobs) = self.fallback_pending_degrid(
-                        data,
-                        &plan,
-                        grid,
-                        deferred,
-                        &report.failed_jobs,
-                    )?;
-                    return Ok(DegridChunkOutput {
-                        items: plan.items,
-                        ranges: deferred.ranges,
-                        vis: deferred.vis,
-                        fallback_jobs,
-                        counts: report.counts,
-                        kernel_seconds: report.kernel_seconds,
-                        fft_seconds: report.fft_seconds,
-                        splitter_seconds: report.adder_seconds,
-                        transfer_seconds: report.htod_seconds + report.dtoh_seconds,
-                        makespan: report.makespan,
-                        device_energy_j: report.device_energy_j,
-                        host_energy_j: report.host_energy_j,
-                        nr_retries: report.nr_retries,
-                        backoff_seconds: report.backoff_seconds,
-                        redispatched_jobs: report.redispatched_jobs,
-                        degradation_steps: report.degradation_steps,
-                        breaker_trips: report.breaker_trips,
-                    });
-                }
-                let (deferred, report) = self.executor()?.split_deferred(data, &plan, grid)?;
-                let (deferred, fallback_jobs) =
-                    self.fallback_pending_degrid(data, &plan, grid, deferred, &report.failed_jobs)?;
-                Ok(DegridChunkOutput {
-                    items: plan.items,
-                    ranges: deferred.ranges,
-                    vis: deferred.vis,
-                    fallback_jobs,
-                    counts: report.counts,
-                    kernel_seconds: report.kernel_seconds,
-                    fft_seconds: report.fft_seconds,
-                    splitter_seconds: report.adder_seconds,
-                    transfer_seconds: report.htod_seconds + report.dtoh_seconds,
-                    makespan: report.makespan,
-                    device_energy_j: report.device_energy_j,
-                    host_energy_j: report.host_energy_j,
-                    nr_retries: report.nr_retries,
-                    backoff_seconds: report.backoff_seconds,
-                    redispatched_jobs: 0,
-                    degradation_steps: 0,
-                    breaker_trips: 0,
-                })
+                let (mut deferred, totals, fleet) = self.on_device(
+                    |e| e.split_deferred(data, &plan, grid),
+                    |f| f.split_deferred(data, &plan, grid),
+                )?;
+                let fallback_jobs =
+                    self.cpu_fallback(&plan, &totals.failed_jobs, |range, items| {
+                        deferred.ranges.push(range);
+                        self.reference_predict(data, items, grid, &mut deferred.vis)
+                    })?;
+                (deferred, self.device_report(totals, fallback_jobs, fleet))
             }
-        }
-    }
-
-    /// Graceful degradation for the deferred-split path: re-predict
-    /// the persistently failed jobs' visibilities with the CPU
-    /// reference kernels into the same chunk-local buffer (the
-    /// executor already zeroed their slots) and append their ranges,
-    /// so they join the same exactly-once commit as the
-    /// device-produced slots.
-    fn fallback_pending_degrid(
-        &self,
-        data: &KernelData<'_>,
-        plan: &Plan,
-        grid: &Grid<f32>,
-        mut deferred: DeferredVis,
-        failed_jobs: &[JobFailure],
-    ) -> Result<(DeferredVis, Vec<JobFailure>), IdgError> {
-        if failed_jobs.is_empty() {
-            return Ok((deferred, Vec::new()));
-        }
-        if !self.cpu_fallback {
-            return Err(failed_jobs[0].error.clone());
-        }
-        idg_obs::add_fallback_jobs(failed_jobs.len() as u64);
-        for failure in failed_jobs {
-            let _span = idg_obs::wall_span("cpu_fallback", "job", u32::try_from(failure.job).ok());
-            let range = failure.first_item..failure.first_item + failure.nr_items;
-            let items = &plan.items[range.clone()];
-            let mut subgrids = SubgridArray::new(items.len(), self.obs.subgrid_size);
-            split_subgrids(grid, items, &mut subgrids, &self.cache)?;
-            fft_subgrids(&mut subgrids, Direction::Inverse, FftNorm::None);
-            degridder_reference(data, items, &subgrids, &mut deferred.vis)?;
-            deferred.ranges.push(range);
-        }
-        Ok((deferred, failed_jobs.to_vec()))
+        };
+        Ok(ChunkOutput {
+            items: plan.items,
+            payload,
+            report,
+        })
     }
 
     /// Cross-validate an observed streamed pass (see
     /// [`Proxy::grid_observed`] for the contract). The chunk-local
     /// plans are re-derived here — planning is cheap next to the
     /// kernels — to get the analytic counts, total item count and
-    /// per-chunk job counts the expectations need. Skipped whenever
-    /// kernels may legitimately run more than once per work item.
+    /// per-chunk job counts the expectations need.
     fn validate_streamed(
         &self,
         config: &StreamConfig,
         uvw: &[Uvw],
         report: &ExecutionReport,
     ) -> Result<(), IdgError> {
-        let fleet_perturbed = self.fleet_has_faults()
-            || report.fleet.as_ref().is_some_and(|f| {
-                f.redispatched_jobs > 0 || f.degradation_steps > 0 || f.breaker_trips > 0
-            });
-        if self.fault_config.is_some()
-            || report.nr_retries > 0
-            || !report.fallback_jobs.is_empty()
-            || fleet_perturbed
-        {
-            return Ok(());
-        }
-        let Some(metrics) = &report.metrics else {
+        let Some(metrics) = self.validated_metrics(report) else {
             return Ok(());
         };
         let gridding = report.pass == "gridding";
@@ -924,31 +566,9 @@ impl Proxy {
         let mut nr_jobs = 0u64;
         for chunk in chunks.chunks() {
             let plan = plan_chunk(&self.obs, uvw, &extents, chunk)?;
-            analytic.add(&if gridding {
-                gridder_counts(&plan.items, self.obs.subgrid_size)
-            } else {
-                degridder_counts(&plan.items, self.obs.subgrid_size)
-            });
+            analytic.add(&self.analytic_counts(report.pass, &plan.items));
             nr_items += plan.items.len() as u64;
             nr_jobs += plan.work_groups(self.work_group_size).count() as u64;
-        }
-        let k = metrics.pass_kernel();
-        let checks = [
-            ("visibilities", k.visibilities, analytic.visibilities),
-            ("sincos_pairs", k.sincos_pairs, analytic.sincos_pairs),
-            ("fmas", k.fmas, analytic.fmas),
-            ("dram_bytes", k.dram_bytes, analytic.dram_bytes),
-            ("shared_bytes", k.shared_bytes, analytic.shared_bytes),
-            ("invocations", k.invocations, nr_items),
-        ];
-        for (name, measured, predicted) in checks {
-            if measured != predicted {
-                return Err(IdgError::Internal(format!(
-                    "observability self-validation failed: streamed {} {name} \
-                     measured {measured} != analytic {predicted}",
-                    report.pass
-                )));
-            }
         }
         // Streamed cache cadence. Gridding: the reference path looks
         // up once (the final commit's phasor tables); the optimized
@@ -958,7 +578,6 @@ impl Proxy {
         // chunk (reference) or per job (GPU), the degridder adds a
         // geometry lookup per chunk (optimized CPU) or per job (GPU),
         // and the final visibility commit is plain copies — no lookup.
-        let lookups = metrics.cache_hits + metrics.cache_misses;
         let expected_lookups = match (self.backend, gridding) {
             (Backend::CpuReference, true) => 1,
             (Backend::CpuOptimized, true) => chunks.len() as u64 + 1,
@@ -967,14 +586,13 @@ impl Proxy {
             (Backend::CpuOptimized, false) => 2 * chunks.len() as u64,
             (Backend::GpuPascal | Backend::GpuFiji, false) => 2 * nr_jobs,
         };
-        if lookups != expected_lookups {
-            return Err(IdgError::Internal(format!(
-                "observability self-validation failed: streamed {} cache lookups \
-                 measured {lookups} != expected {expected_lookups}",
-                report.pass
-            )));
-        }
-        Ok(())
+        Self::check_measured(
+            &format!("streamed {}", report.pass),
+            metrics,
+            &analytic,
+            nr_items,
+            expected_lookups,
+        )
     }
 }
 

@@ -17,14 +17,9 @@
 //! of [`idg_gpusim::GpuExecutor`], which partition work items purely
 //! for the performance model).
 
-use crate::proxy::{Backend, Proxy};
+use crate::proxy::Proxy;
 use idg_fft::Direction;
-use idg_gpusim::kernels::{degridder_gpu, gridder_gpu};
-use idg_kernels::{
-    add_subgrids, degridder_cpu, degridder_reference, fft_subgrids, gridder_cpu, gridder_reference,
-    split_subgrids, FftNorm, KernelData, SubgridArray,
-};
-use idg_math::Accuracy;
+use idg_kernels::{add_subgrids, fft_subgrids, split_subgrids, FftNorm, SubgridArray};
 use idg_plan::Plan;
 use idg_telescope::ATerms;
 use idg_types::{Grid, IdgError, Uvw, Visibility};
@@ -63,37 +58,10 @@ impl Proxy {
         visibilities: &[Visibility<f32>],
         aterms: &ATerms,
     ) -> Result<GridStages, IdgError> {
-        let data = KernelData {
-            obs: self.observation(),
-            uvw,
-            visibilities,
-            aterms,
-            taper: self.taper(),
-        };
-        data.validate()?;
+        let data = self.kernel_data(uvw, visibilities, aterms)?;
 
         let mut subgrids = SubgridArray::new(plan.nr_subgrids(), self.observation().subgrid_size);
-        match self.backend() {
-            Backend::CpuReference => gridder_reference(&data, &plan.items, &mut subgrids)?,
-            Backend::CpuOptimized => {
-                gridder_cpu(
-                    &data,
-                    &plan.items,
-                    &mut subgrids,
-                    Accuracy::Medium,
-                    self.kernel_cache(),
-                )?;
-            }
-            Backend::GpuPascal | Backend::GpuFiji => {
-                gridder_gpu(
-                    &data,
-                    &plan.items,
-                    &mut subgrids,
-                    &self.device()?,
-                    self.kernel_cache(),
-                )?;
-            }
-        }
+        self.launch_gridder(&data, &plan.items, &mut subgrids)?;
         let gridder_subgrids = subgrids.clone();
 
         fft_subgrids(&mut subgrids, Direction::Forward, FftNorm::None);
@@ -118,21 +86,8 @@ impl Proxy {
         aterms: &ATerms,
     ) -> Result<DegridStages, IdgError> {
         let zeros = vec![Visibility::<f32>::zero(); self.observation().nr_visibilities()];
-        let data = KernelData {
-            obs: self.observation(),
-            uvw,
-            visibilities: &zeros,
-            aterms,
-            taper: self.taper(),
-        };
-        data.validate()?;
-        if grid.size() != self.observation().grid_size {
-            return Err(IdgError::ShapeMismatch {
-                what: "grid",
-                expected: self.observation().grid_size,
-                actual: grid.size(),
-            });
-        }
+        let data = self.kernel_data(uvw, &zeros, aterms)?;
+        self.check_model_grid(grid)?;
 
         let mut subgrids = SubgridArray::new(plan.nr_subgrids(), self.observation().subgrid_size);
         split_subgrids(grid, &plan.items, &mut subgrids, self.kernel_cache())?;
@@ -142,29 +97,7 @@ impl Proxy {
         let ifft_snapshot = subgrids.clone();
 
         let mut vis = vec![Visibility::<f32>::zero(); self.observation().nr_visibilities()];
-        match self.backend() {
-            Backend::CpuReference => degridder_reference(&data, &plan.items, &subgrids, &mut vis)?,
-            Backend::CpuOptimized => {
-                degridder_cpu(
-                    &data,
-                    &plan.items,
-                    &subgrids,
-                    &mut vis,
-                    Accuracy::Medium,
-                    self.kernel_cache(),
-                )?;
-            }
-            Backend::GpuPascal | Backend::GpuFiji => {
-                degridder_gpu(
-                    &data,
-                    &plan.items,
-                    &subgrids,
-                    &mut vis,
-                    &self.device()?,
-                    self.kernel_cache(),
-                )?;
-            }
-        }
+        self.launch_degridder(&data, &plan.items, &subgrids, &mut vis)?;
 
         Ok(DegridStages {
             split_subgrids: split_snapshot,
@@ -177,6 +110,7 @@ impl Proxy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Backend;
     use idg_telescope::{Dataset, Layout, SkyModel};
     use idg_types::Observation;
 

@@ -7,6 +7,10 @@
 //! Table I machine parameters — the substitution documented in
 //! DESIGN.md.
 //!
+//! The pass itself — job model, kernel back-end, retry loop, report —
+//! lives in the shared pass engine (`pass.rs`); this module is the
+//! sequential single-device dispatcher over it.
+//!
 //! ## Fault tolerance
 //!
 //! When a [`FaultConfig`] is attached ([`GpuExecutor::with_faults`]),
@@ -20,22 +24,17 @@
 //!   the [`RetryPolicy`]'s capped exponential backoff — both the faulted
 //!   attempts and the backoff gaps are modeled into the makespan;
 //! * persistent faults (device OOM, or a transient fault that exhausts
-//!   `max_attempts`) land the job in [`GpuRunReport::failed_jobs`] with
+//!   `max_attempts`) land the job in [`PassTotals::failed_jobs`] with
 //!   its classified [`IdgError`]; the pass itself still succeeds, and
 //!   the proxy layer re-executes exactly those jobs on the CPU.
 
 use crate::device::Device;
-use crate::fault::{checksum_bytes, FaultConfig, FaultInjector, FaultKind, RetryPolicy};
-use crate::kernels::{degridder_gpu, gridder_gpu};
-use crate::stream::{Engine, FaultPoint, OpStatus, PipelineSim, TraceEntry};
-use crate::timing::{adder_time, kernel_time, subgrid_fft_time, transfer_time};
-use idg_fft::Direction;
-use idg_kernels::{
-    add_subgrids, fft_subgrids, split_subgrids, FftNorm, KernelCache, KernelData, SubgridArray,
-};
-use idg_perf::{degridder_counts, gridder_counts, EnergyModel, OpCounts};
-use idg_plan::{Plan, WorkItem};
-use idg_types::{FaultSite, Grid, IdgError, Visibility};
+use crate::fault::{FaultConfig, RetryPolicy};
+use crate::pass::{DeviceSlot, Direction, JobRun, Pass, PassTotals, Sink};
+use crate::stream::TraceEntry;
+use idg_kernels::{KernelCache, KernelData, SubgridArray};
+use idg_plan::Plan;
+use idg_types::{Grid, IdgError, Visibility};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -77,352 +76,12 @@ pub struct JobFailure {
 /// Outcome of one executor pass.
 #[derive(Clone, Debug)]
 pub struct GpuRunReport {
-    /// "gridding" or "degridding".
-    pub pass: &'static str,
-    /// Aggregate gridder/degridder operation counters (successful jobs).
-    pub counts: OpCounts,
-    /// Modeled main-kernel busy time, s (including faulted attempts).
-    pub kernel_seconds: f64,
-    /// Modeled subgrid-FFT time, s.
-    pub fft_seconds: f64,
-    /// Modeled adder/splitter time, s.
-    pub adder_seconds: f64,
-    /// Modeled host-to-device transfer time, s (including faulted
-    /// attempts).
-    pub htod_seconds: f64,
-    /// Modeled device-to-host transfer time, s (including faulted
-    /// attempts).
-    pub dtoh_seconds: f64,
-    /// Pipeline makespan with triple buffering, s.
-    pub makespan: f64,
+    /// Counters, modeled stage times, makespan, energy, retries and
+    /// persistently failed jobs.
+    pub totals: PassTotals,
     /// The per-operation timeline (Fig. 7 material). Faulted attempts
     /// appear with `OpStatus::Faulted`; retries carry `attempt > 0`.
     pub timeline: Vec<TraceEntry>,
-    /// Modeled device energy over the makespan, J.
-    pub device_energy_j: f64,
-    /// Modeled host (package + DRAM) energy over the makespan, J.
-    pub host_energy_j: f64,
-    /// Number of re-enqueued attempts across all jobs.
-    pub nr_retries: usize,
-    /// Total modeled backoff delay inserted before retries, s.
-    pub backoff_seconds: f64,
-    /// Jobs that failed persistently (their work is *not* in the
-    /// result); empty on a fault-free pass.
-    pub failed_jobs: Vec<JobFailure>,
-}
-
-impl GpuRunReport {
-    /// Achieved operation rate over kernel busy time, TOps/s — the
-    /// quantity plotted in Fig. 11. Zero (not NaN) for empty passes.
-    pub fn kernel_tops(&self) -> f64 {
-        if self.kernel_seconds <= 0.0 {
-            return 0.0;
-        }
-        self.counts.total_ops() as f64 / self.kernel_seconds / 1e12
-    }
-
-    /// Visibility throughput over the whole pass, MVisibilities/s — the
-    /// Fig. 10 metric. Zero (not NaN) for empty passes.
-    pub fn mvis_per_sec(&self) -> f64 {
-        if self.makespan <= 0.0 {
-            return 0.0;
-        }
-        self.counts.visibilities as f64 / self.makespan / 1e6
-    }
-
-    /// Energy efficiency of the main kernel, GFlops/W (Fig. 15).
-    pub fn gflops_per_watt(&self, model: &EnergyModel) -> f64 {
-        model.gflops_per_watt(&self.counts, self.kernel_seconds, 1.0)
-    }
-
-    /// Whether every job's outputs made it into the result.
-    pub fn complete(&self) -> bool {
-        self.failed_jobs.is_empty()
-    }
-}
-
-/// Engine time consumed by faulted attempts plus retry bookkeeping.
-#[derive(Default)]
-pub(crate) struct RetryStats {
-    pub(crate) nr_retries: usize,
-    pub(crate) backoff_seconds: f64,
-    pub(crate) htod_seconds: f64,
-    pub(crate) kernel_seconds: f64,
-    pub(crate) dtoh_seconds: f64,
-}
-
-/// What the retry loop asks the pass-specific backend to do. `Stage*`
-/// return a copy of the transfer payload's raw bytes (checksummed to
-/// detect injected corruption); `Compute` runs the real kernels (and
-/// must be idempotent — a retry re-runs it from scratch); `Commit`
-/// merges the computed outputs into the pass result.
-pub(crate) enum JobOp {
-    StageInput,
-    Compute,
-    StageOutput,
-    Commit,
-}
-
-/// How one trip through the fault/retry loop ended: the job either
-/// completed (after `attempts` tries) or exhausted its chances on a
-/// classified error. Every failure carries an [`IdgError`]; the
-/// attempt count rides alongside so callers can account retries.
-pub(crate) enum JobRun {
-    Done { attempts: u32 },
-    Failed { error: IdgError, attempts: u32 },
-}
-
-/// Run one job through the fault/retry loop.
-///
-/// `start` is `(first_attempt, not_before)`: the single-device executor
-/// always passes `(0, 0.0)`, while the fleet resumes a job past an
-/// OOM-degraded attempt (so the same injected fault is not re-drawn)
-/// and delays jobs that waited out a breaker cooldown.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_job(
-    pipeline: &mut PipelineSim,
-    injector: Option<&FaultInjector>,
-    retry: &RetryPolicy,
-    stats: &mut RetryStats,
-    job: usize,
-    times: (f64, f64, f64),
-    start: (u32, f64),
-    run: &mut dyn FnMut(JobOp) -> Result<Vec<u8>, IdgError>,
-) -> JobRun {
-    match run_job_inner(pipeline, injector, retry, stats, job, times, start, run) {
-        Ok(attempts) => JobRun::Done { attempts },
-        Err((error, attempts)) => JobRun::Failed { error, attempts },
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_job_inner(
-    pipeline: &mut PipelineSim,
-    injector: Option<&FaultInjector>,
-    retry: &RetryPolicy,
-    stats: &mut RetryStats,
-    job: usize,
-    times: (f64, f64, f64),
-    start: (u32, f64),
-    run: &mut dyn FnMut(JobOp) -> Result<Vec<u8>, IdgError>,
-) -> Result<u32, (IdgError, u32)> {
-    let (t_in, t_compute, t_out) = times;
-    let (mut attempt, mut not_before) = start;
-    loop {
-        let hard = |e: IdgError| (e, attempt + 1);
-        // what does the injector throw at this attempt? (sites probed
-        // in chain order; DtoH only exists when the job transfers out)
-        let mut fault = injector.and_then(|inj| {
-            [
-                FaultSite::Alloc,
-                FaultSite::HtoD,
-                FaultSite::Kernel,
-                FaultSite::DtoH,
-            ]
-            .into_iter()
-            .filter(|&s| s != FaultSite::DtoH || t_out > 0.0)
-            .find_map(|s| inj.fault_at(job, attempt, s).map(|k| (inj, s, k)))
-        });
-        // transfer corruption is *detected*, never assumed: checksum a
-        // staged copy of the payload, flip one bit, compare hashes
-        if let Some((inj, site, FaultKind::TransferCorruption)) = fault {
-            let mut staged = match site {
-                FaultSite::HtoD => run(JobOp::StageInput).map_err(hard)?,
-                _ => {
-                    run(JobOp::Compute).map_err(hard)?;
-                    run(JobOp::StageOutput).map_err(hard)?
-                }
-            };
-            let want = checksum_bytes(&staged);
-            inj.corrupt_bytes(&mut staged, job, attempt);
-            if checksum_bytes(&staged) == want {
-                fault = None; // undetectable flip: delivered as clean
-            }
-        }
-        match fault {
-            None => {
-                run(JobOp::Compute).map_err(hard)?;
-                pipeline.submit_attempt(job, attempt, not_before, t_in, t_compute, t_out, None);
-                run(JobOp::Commit).map_err(hard)?;
-                return Ok(attempt + 1);
-            }
-            // allocation faults never reach the stream engines and
-            // retrying the same allocation cannot succeed: persistent
-            Some((_, FaultSite::Alloc, kind)) => {
-                return Err((kind.to_error(job, FaultSite::Alloc, 0.0), attempt + 1));
-            }
-            Some((inj, site, kind)) => {
-                let extra = if kind == FaultKind::StreamStall {
-                    inj.stall_seconds()
-                } else {
-                    0.0
-                };
-                let engine = match site {
-                    FaultSite::HtoD => Engine::HtoD,
-                    FaultSite::Kernel => Engine::Compute,
-                    FaultSite::DtoH => Engine::DtoH,
-                    // alloc faults take the persistent-failure return
-                    // above; classify an escapee as an internal error
-                    // rather than panicking mid-pass
-                    FaultSite::Alloc => {
-                        return Err((
-                            IdgError::Internal(
-                                "allocation fault reached the stream path".to_string(),
-                            ),
-                            attempt + 1,
-                        ));
-                    }
-                };
-                let outcome = pipeline.submit_attempt(
-                    job,
-                    attempt,
-                    not_before,
-                    t_in,
-                    t_compute,
-                    t_out,
-                    Some(FaultPoint {
-                        engine,
-                        extra_seconds: extra,
-                    }),
-                );
-                // the chain truncates at the faulting engine; charge
-                // the engine time the faulted attempt actually held
-                match engine {
-                    Engine::HtoD => stats.htod_seconds += t_in + extra,
-                    Engine::Compute => {
-                        stats.htod_seconds += t_in;
-                        stats.kernel_seconds += t_compute + extra;
-                    }
-                    Engine::DtoH => {
-                        stats.htod_seconds += t_in;
-                        stats.kernel_seconds += t_compute;
-                        stats.dtoh_seconds += t_out + extra;
-                    }
-                }
-                let err = kind.to_error(job, site, extra);
-                attempt += 1;
-                if !err.is_transient() || attempt >= retry.max_attempts {
-                    return Err((err, attempt));
-                }
-                stats.nr_retries += 1;
-                let backoff = retry.backoff_before(attempt);
-                stats.backoff_seconds += backoff;
-                not_before = outcome.end + backoff;
-            }
-        }
-    }
-}
-
-/// Replay the pipeline timeline into the active observability session
-/// as modeled spans: one `job` span per job covering all of its
-/// operations, one `stage` span per scheduled operation (faulted
-/// attempts keep their engine name but carry a `!` suffix), and
-/// `kernel` sub-spans subdividing each *completed* Compute interval
-/// into its constituent kernels. `parts[job]` lists `(name, seconds)`
-/// in execution order and sums to the job's compute time; it is empty
-/// when the session was inactive while the pass ran.
-///
-/// `base_lane` offsets every lane: the single-device executor replays
-/// into lanes 0–3, the fleet replays device `d` into lanes
-/// `4d .. 4d + 3` so per-device timelines render side by side.
-pub(crate) fn emit_modeled_spans(
-    timeline: &[TraceEntry],
-    parts: &[Vec<(&'static str, f64)>],
-    base_lane: u32,
-) {
-    if !idg_obs::is_active() {
-        return;
-    }
-    let nr_jobs = timeline.iter().map(|e| e.job + 1).max().unwrap_or(0);
-    let mut extents: Vec<Option<(f64, f64)>> = vec![None; nr_jobs];
-    for e in timeline {
-        let ext = extents[e.job].get_or_insert((e.start, e.end));
-        ext.0 = ext.0.min(e.start);
-        ext.1 = ext.1.max(e.end);
-    }
-    for (job, ext) in extents.iter().enumerate() {
-        if let Some((start, end)) = ext {
-            idg_obs::modeled_span(
-                "job",
-                "job",
-                Some(job as u32),
-                base_lane,
-                *start,
-                end - start,
-            );
-        }
-    }
-    for e in timeline {
-        let (name, faulted_name, lane) = match e.engine {
-            Engine::HtoD => ("HtoD", "HtoD!", base_lane + 1),
-            Engine::Compute => ("Compute", "Compute!", base_lane + 2),
-            Engine::DtoH => ("DtoH", "DtoH!", base_lane + 3),
-        };
-        let completed = e.status == OpStatus::Completed;
-        idg_obs::modeled_span(
-            if completed { name } else { faulted_name },
-            "stage",
-            Some(e.job as u32),
-            lane,
-            e.start,
-            e.end - e.start,
-        );
-        if e.engine == Engine::Compute && completed {
-            let mut t = e.start;
-            for (kernel, dur) in parts.get(e.job).map_or(&[] as &[_], Vec::as_slice) {
-                idg_obs::modeled_span(kernel, "kernel", Some(e.job as u32), lane, t, *dur);
-                t += dur;
-            }
-        }
-    }
-}
-
-/// Raw bytes of the visibilities a group transfers (HtoD payload of a
-/// gridding job, DtoH payload of a degridding job).
-pub(crate) fn staged_vis_bytes(
-    vis: &[Visibility<f32>],
-    nr_timesteps: usize,
-    nr_channels: usize,
-    group: &[WorkItem],
-) -> Vec<u8> {
-    let mut out = Vec::new();
-    for item in group {
-        for dt in 0..item.nr_timesteps {
-            let row = (item.baseline_index * nr_timesteps + item.time_offset + dt) * nr_channels;
-            for c in item.channel_offset..item.channel_offset + item.nr_channels {
-                for p in &vis[row + c].pols {
-                    out.extend_from_slice(&p.re.to_le_bytes());
-                    out.extend_from_slice(&p.im.to_le_bytes());
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Raw bytes of the uvw coordinates a group transfers (degridding HtoD).
-pub(crate) fn staged_uvw_bytes(data: &KernelData<'_>, group: &[WorkItem]) -> Vec<u8> {
-    let nr_time = data.obs.nr_timesteps;
-    let mut out = Vec::new();
-    for item in group {
-        let base = item.baseline_index * nr_time + item.time_offset;
-        for uvw in &data.uvw[base..base + item.nr_timesteps] {
-            for f in [uvw.u, uvw.v, uvw.w] {
-                out.extend_from_slice(&f.to_le_bytes());
-            }
-        }
-    }
-    out
-}
-
-/// Raw bytes of a subgrid buffer (DtoH payload of host-adder gridding).
-pub(crate) fn staged_subgrid_bytes(subgrids: &SubgridArray) -> Vec<u8> {
-    let mut out = Vec::with_capacity(subgrids.as_slice().len() * 8);
-    for c in subgrids.as_slice() {
-        out.extend_from_slice(&c.re.to_le_bytes());
-        out.extend_from_slice(&c.im.to_le_bytes());
-    }
-    out
 }
 
 /// Drives gridding / degridding passes on a modeled device.
@@ -474,173 +133,46 @@ impl GpuExecutor {
         self
     }
 
-    /// Model the device-resident allocations of a pass. Preferred: grid +
-    /// three buffer sets resident on the device. When the grid alone no
-    /// longer fits ("when dealing with large images that no longer fit
-    /// into GPU device memory", Sec. V-C e), fall back to the paper's
-    /// option (2): keep only the buffers on the device, copy subgrids to
-    /// the host and run the adder there. Returns
-    /// `(reserved_bytes, host_adder)`; errors only when even the buffer
-    /// sets do not fit.
-    fn reserve_memory(&self, device: &mut Device, plan: &Plan) -> Result<(u64, bool), IdgError> {
-        let n = plan.subgrid_size();
-        let grid_bytes = (4 * plan.grid_size() * plan.grid_size() * 8) as u64;
-        let subgrid_bytes = (self.work_group_size * 4 * n * n * 8) as u64;
-        let io_bytes = (self.work_group_size * 512 * 44) as u64; // vis+uvw staging
-        let buffers = 3 * (subgrid_bytes + io_bytes);
-        if device.allocate(grid_bytes + buffers).is_ok() {
-            return Ok((grid_bytes + buffers, false));
+    /// The sequential dispatcher: reserve the full triple-buffered
+    /// shape once (no degradation ladder — a reservation that does not
+    /// fit fails the pass), run every job in order on the one device,
+    /// and give up on a job the moment the device does.
+    fn run<'a>(
+        &'a self,
+        data: &'a KernelData<'a>,
+        plan: &'a Plan,
+        direction: Direction<'a>,
+        sink: Sink,
+    ) -> Result<(Pass<'a>, GpuRunReport), IdgError> {
+        let w = self.work_group_size;
+        let mut pass = Pass::new(data, plan, direction, sink, w, &self.cache, &self.retry);
+        let mut slot = DeviceSlot::new(self.device.clone(), self.faults.clone(), &pass);
+        slot.reserve(&pass, w, 3)?;
+        for job in 0..pass.nr_jobs() {
+            if let JobRun::Failed { error, attempts } = pass.run_job_on(&mut slot, job, (0, 0.0))? {
+                pass.fail_job(job, error, attempts);
+            }
         }
-        device.allocate(buffers)?;
-        Ok((buffers, true))
+        let totals = pass.seal([&mut slot]);
+        let timeline = slot.pipeline.timeline;
+        Ok((pass, GpuRunReport { totals, timeline }))
     }
 
     /// Run a full gridding pass: visibilities → grid.
     ///
     /// Jobs that fail persistently are reported in
-    /// [`GpuRunReport::failed_jobs`] and their subgrids are absent from
+    /// [`PassTotals::failed_jobs`] and their subgrids are absent from
     /// the returned grid; only whole-pass setup failures (e.g. the
-    /// buffer sets not fitting in device memory) error out.
+    /// buffer sets not fitting in device memory) error out. Each job's
+    /// subgrids are added as the job completes, so peak memory stays at
+    /// one job's subgrids.
     pub fn grid(
         &self,
         data: &KernelData<'_>,
         plan: &Plan,
     ) -> Result<(Grid<f32>, GpuRunReport), IdgError> {
-        let mut device = self.device.clone();
-        let (reserved, host_adder) = self.reserve_memory(&mut device, plan)?;
-        // host-side adder: subgrids stream back over PCI-e and the host
-        // memory system (~40 GB/s effective) performs the row-parallel add
-        let host_adder_bw = 40e9;
-        let injector = self.faults.clone().map(FaultInjector::new);
-
-        let n = plan.subgrid_size();
-        let nr_chan = data.obs.nr_channels();
-        let nr_time = data.obs.nr_timesteps;
-        let mut grid = Grid::<f32>::new(plan.grid_size());
-        let mut pipeline = PipelineSim::new(3);
-        let mut counts = OpCounts::default();
-        let mut kernel_seconds = 0.0;
-        let mut fft_seconds = 0.0;
-        let mut adder_seconds = 0.0;
-        let mut htod_seconds = 0.0;
-        let mut dtoh_seconds = 0.0;
-        let mut stats = RetryStats::default();
-        let mut failed_jobs = Vec::new();
-        let observing = idg_obs::is_active();
-        let mut compute_parts: Vec<Vec<(&'static str, f64)>> = Vec::new();
-
-        for (job, group) in plan.work_groups(self.work_group_size).enumerate() {
-            let group_counts = gridder_counts(group, n);
-            let in_bytes = group
-                .iter()
-                .map(|i| (i.nr_timesteps * (nr_chan * 32 + 12)) as u64)
-                .sum::<u64>();
-            let t_in = transfer_time(&device, in_bytes);
-            let t_kernel = kernel_time(&device, &group_counts);
-            let t_fft = subgrid_fft_time(&device, group.len(), n);
-            let subgrid_bytes = (group.len() * 4 * n * n * 8) as u64;
-            let (t_compute, t_out, t_add) = if host_adder {
-                // option (2): subgrids stream to the host (DtoH engine)
-                // and the host adds them while the GPU computes on
-                let t_out = transfer_time(&device, subgrid_bytes);
-                (
-                    t_kernel + t_fft,
-                    t_out,
-                    2.0 * subgrid_bytes as f64 / host_adder_bw,
-                )
-            } else {
-                // option (1): atomic adder on the device
-                let t_add = adder_time(&device, group.len(), n);
-                (t_kernel + t_fft + t_add, 0.0, t_add)
-            };
-            if observing {
-                let mut breakdown = vec![("gridder", t_kernel), ("subgrid_fft", t_fft)];
-                if !host_adder {
-                    breakdown.push(("adder", t_add));
-                }
-                compute_parts.push(breakdown);
-            }
-
-            let mut subgrids = SubgridArray::new(group.len(), n);
-            let grid_ref = &mut grid;
-            let mut backend = |op: JobOp| -> Result<Vec<u8>, IdgError> {
-                match op {
-                    JobOp::StageInput => {
-                        Ok(staged_vis_bytes(data.visibilities, nr_time, nr_chan, group))
-                    }
-                    JobOp::Compute => {
-                        subgrids = SubgridArray::new(group.len(), n);
-                        gridder_gpu(data, group, &mut subgrids, &device, &self.cache)?;
-                        fft_subgrids(&mut subgrids, Direction::Forward, FftNorm::None);
-                        Ok(Vec::new())
-                    }
-                    JobOp::StageOutput => Ok(staged_subgrid_bytes(&subgrids)),
-                    JobOp::Commit => {
-                        add_subgrids(grid_ref, group, &subgrids, &self.cache)?;
-                        Ok(Vec::new())
-                    }
-                }
-            };
-            match run_job(
-                &mut pipeline,
-                injector.as_ref(),
-                &self.retry,
-                &mut stats,
-                job,
-                (t_in, t_compute, t_out),
-                (0, 0.0),
-                &mut backend,
-            ) {
-                JobRun::Done { .. } => {
-                    counts.add(&group_counts);
-                    kernel_seconds += t_kernel;
-                    fft_seconds += t_fft;
-                    adder_seconds += t_add;
-                    htod_seconds += t_in;
-                    dtoh_seconds += t_out;
-                }
-                JobRun::Failed { error, attempts } => failed_jobs.push(JobFailure {
-                    job,
-                    first_item: job * self.work_group_size,
-                    nr_items: group.len(),
-                    error,
-                    attempts,
-                }),
-            }
-        }
-        htod_seconds += stats.htod_seconds;
-        kernel_seconds += stats.kernel_seconds;
-        dtoh_seconds += stats.dtoh_seconds;
-        idg_obs::add_retries(stats.nr_retries as u64);
-        emit_modeled_spans(&pipeline.timeline, &compute_parts, 0);
-
-        device.free(reserved);
-        let makespan = pipeline.makespan();
-        let energy = EnergyModel::new(device.arch.clone());
-        let busy = pipeline.compute_busy();
-        let device_energy_j =
-            energy.device_energy(busy, 1.0) + energy.device_energy((makespan - busy).max(0.0), 0.0);
-        let host_energy_j = energy.host_energy(makespan);
-
-        Ok((
-            grid,
-            GpuRunReport {
-                pass: "gridding",
-                counts,
-                kernel_seconds,
-                fft_seconds,
-                adder_seconds,
-                htod_seconds,
-                dtoh_seconds,
-                makespan,
-                timeline: pipeline.timeline,
-                device_energy_j,
-                host_energy_j,
-                nr_retries: stats.nr_retries,
-                backoff_seconds: stats.backoff_seconds,
-                failed_jobs,
-            },
-        ))
+        let (pass, report) = self.run(data, plan, Direction::Grid, Sink::AddNow)?;
+        Ok((pass.into_grid()?, report))
     }
 
     /// Run a gridding pass with *deferred* commits: compute and FFT
@@ -667,269 +199,22 @@ impl GpuExecutor {
         data: &KernelData<'_>,
         plan: &Plan,
     ) -> Result<(DeferredSubgrids, GpuRunReport), IdgError> {
-        let mut device = self.device.clone();
-        let n = plan.subgrid_size();
-        // buffers only: the grid never lives on the device here
-        let subgrid_bytes_rsv = (self.work_group_size * 4 * n * n * 8) as u64;
-        let io_bytes = (self.work_group_size * 512 * 44) as u64;
-        let reserved = 3 * (subgrid_bytes_rsv + io_bytes);
-        device.allocate(reserved)?;
-        let injector = self.faults.clone().map(FaultInjector::new);
-
-        let nr_chan = data.obs.nr_channels();
-        let nr_time = data.obs.nr_timesteps;
-        let mut pending: Vec<(Range<usize>, SubgridArray)> = Vec::new();
-        let mut pipeline = PipelineSim::new(3);
-        let mut counts = OpCounts::default();
-        let mut kernel_seconds = 0.0;
-        let mut fft_seconds = 0.0;
-        let mut htod_seconds = 0.0;
-        let mut dtoh_seconds = 0.0;
-        let mut stats = RetryStats::default();
-        let mut failed_jobs = Vec::new();
-        let observing = idg_obs::is_active();
-        let mut compute_parts: Vec<Vec<(&'static str, f64)>> = Vec::new();
-
-        for (job, group) in plan.work_groups(self.work_group_size).enumerate() {
-            let group_counts = gridder_counts(group, n);
-            let in_bytes = group
-                .iter()
-                .map(|i| (i.nr_timesteps * (nr_chan * 32 + 12)) as u64)
-                .sum::<u64>();
-            let t_in = transfer_time(&device, in_bytes);
-            let t_kernel = kernel_time(&device, &group_counts);
-            let t_fft = subgrid_fft_time(&device, group.len(), n);
-            let subgrid_bytes = (group.len() * 4 * n * n * 8) as u64;
-            let t_out = transfer_time(&device, subgrid_bytes);
-            if observing {
-                compute_parts.push(vec![("gridder", t_kernel), ("subgrid_fft", t_fft)]);
-            }
-
-            let mut subgrids = SubgridArray::new(group.len(), n);
-            let mut backend = |op: JobOp| -> Result<Vec<u8>, IdgError> {
-                match op {
-                    JobOp::StageInput => {
-                        Ok(staged_vis_bytes(data.visibilities, nr_time, nr_chan, group))
-                    }
-                    JobOp::Compute => {
-                        subgrids = SubgridArray::new(group.len(), n);
-                        gridder_gpu(data, group, &mut subgrids, &device, &self.cache)?;
-                        fft_subgrids(&mut subgrids, Direction::Forward, FftNorm::None);
-                        Ok(Vec::new())
-                    }
-                    JobOp::StageOutput => Ok(staged_subgrid_bytes(&subgrids)),
-                    // committed later, by the caller, in plan order
-                    JobOp::Commit => Ok(Vec::new()),
-                }
-            };
-            match run_job(
-                &mut pipeline,
-                injector.as_ref(),
-                &self.retry,
-                &mut stats,
-                job,
-                (t_in, t_kernel + t_fft, t_out),
-                (0, 0.0),
-                &mut backend,
-            ) {
-                JobRun::Done { .. } => {
-                    counts.add(&group_counts);
-                    kernel_seconds += t_kernel;
-                    fft_seconds += t_fft;
-                    htod_seconds += t_in;
-                    dtoh_seconds += t_out;
-                    let first = job * self.work_group_size;
-                    pending.push((first..first + group.len(), subgrids));
-                }
-                JobRun::Failed { error, attempts } => failed_jobs.push(JobFailure {
-                    job,
-                    first_item: job * self.work_group_size,
-                    nr_items: group.len(),
-                    error,
-                    attempts,
-                }),
-            }
-        }
-        htod_seconds += stats.htod_seconds;
-        kernel_seconds += stats.kernel_seconds;
-        dtoh_seconds += stats.dtoh_seconds;
-        idg_obs::add_retries(stats.nr_retries as u64);
-        emit_modeled_spans(&pipeline.timeline, &compute_parts, 0);
-
-        device.free(reserved);
-        let makespan = pipeline.makespan();
-        let energy = EnergyModel::new(device.arch.clone());
-        let busy = pipeline.compute_busy();
-        let device_energy_j =
-            energy.device_energy(busy, 1.0) + energy.device_energy((makespan - busy).max(0.0), 0.0);
-        let host_energy_j = energy.host_energy(makespan);
-
-        Ok((
-            pending,
-            GpuRunReport {
-                pass: "gridding",
-                counts,
-                kernel_seconds,
-                fft_seconds,
-                adder_seconds: 0.0,
-                htod_seconds,
-                dtoh_seconds,
-                makespan,
-                timeline: pipeline.timeline,
-                device_energy_j,
-                host_energy_j,
-                nr_retries: stats.nr_retries,
-                backoff_seconds: stats.backoff_seconds,
-                failed_jobs,
-            },
-        ))
+        let (pass, report) = self.run(data, plan, Direction::Grid, Sink::Defer)?;
+        Ok((pass.into_deferred_subgrids(), report))
     }
 
     /// Run a full degridding pass: grid → predicted visibilities.
     ///
     /// Visibility slots belonging to persistently failed jobs are left
-    /// zero (see [`GpuRunReport::failed_jobs`]).
+    /// zero (see [`PassTotals::failed_jobs`]).
     pub fn degrid(
         &self,
         data: &KernelData<'_>,
         plan: &Plan,
         grid: &Grid<f32>,
     ) -> Result<(Vec<Visibility<f32>>, GpuRunReport), IdgError> {
-        let mut device = self.device.clone();
-        let (reserved, host_splitter) = self.reserve_memory(&mut device, plan)?;
-        let _ = host_splitter; // splitter reads are modeled identically
-        let injector = self.faults.clone().map(FaultInjector::new);
-
-        let n = plan.subgrid_size();
-        let nr_chan = data.obs.nr_channels();
-        let nr_time = data.obs.nr_timesteps;
-        let mut vis_out = vec![Visibility::<f32>::zero(); data.obs.nr_visibilities()];
-        let mut pipeline = PipelineSim::new(3);
-        let mut counts = OpCounts::default();
-        let mut kernel_seconds = 0.0;
-        let mut fft_seconds = 0.0;
-        let mut adder_seconds = 0.0;
-        let mut htod_seconds = 0.0;
-        let mut dtoh_seconds = 0.0;
-        let mut stats = RetryStats::default();
-        let mut failed_jobs = Vec::new();
-        let observing = idg_obs::is_active();
-        let mut compute_parts: Vec<Vec<(&'static str, f64)>> = Vec::new();
-
-        for (job, group) in plan.work_groups(self.work_group_size).enumerate() {
-            let group_counts = degridder_counts(group, n);
-            let uvw_bytes = group
-                .iter()
-                .map(|i| (i.nr_timesteps * 12) as u64)
-                .sum::<u64>();
-            let out_bytes = group
-                .iter()
-                .map(|i| (i.nr_timesteps * nr_chan * 32) as u64)
-                .sum::<u64>();
-            let t_in = transfer_time(&device, uvw_bytes);
-            let t_split = adder_time(&device, group.len(), n);
-            let t_fft = subgrid_fft_time(&device, group.len(), n);
-            let t_kernel = kernel_time(&device, &group_counts);
-            let t_out = transfer_time(&device, out_bytes);
-            if observing {
-                compute_parts.push(vec![
-                    ("splitter", t_split),
-                    ("subgrid_ifft", t_fft),
-                    ("degridder", t_kernel),
-                ]);
-            }
-
-            let mut subgrids = SubgridArray::new(group.len(), n);
-            let vis_ref = &mut vis_out;
-            let mut backend = |op: JobOp| -> Result<Vec<u8>, IdgError> {
-                match op {
-                    JobOp::StageInput => Ok(staged_uvw_bytes(data, group)),
-                    JobOp::Compute => {
-                        subgrids = SubgridArray::new(group.len(), n);
-                        split_subgrids(grid, group, &mut subgrids, &self.cache)?;
-                        fft_subgrids(&mut subgrids, Direction::Inverse, FftNorm::None);
-                        degridder_gpu(data, group, &subgrids, vis_ref, &device, &self.cache)?;
-                        Ok(Vec::new())
-                    }
-                    JobOp::StageOutput => Ok(staged_vis_bytes(vis_ref, nr_time, nr_chan, group)),
-                    // the degridder writes its slots of `vis_out` in
-                    // place; a completed chain needs no extra merge
-                    JobOp::Commit => Ok(Vec::new()),
-                }
-            };
-            match run_job(
-                &mut pipeline,
-                injector.as_ref(),
-                &self.retry,
-                &mut stats,
-                job,
-                (t_in, t_split + t_fft + t_kernel, t_out),
-                (0, 0.0),
-                &mut backend,
-            ) {
-                JobRun::Done { .. } => {
-                    counts.add(&group_counts);
-                    kernel_seconds += t_kernel;
-                    fft_seconds += t_fft;
-                    adder_seconds += t_split;
-                    htod_seconds += t_in;
-                    dtoh_seconds += t_out;
-                }
-                JobRun::Failed { error, attempts } => {
-                    // a faulted attempt may have computed these slots
-                    // before the chain died — failed jobs leave zeros
-                    for item in group {
-                        for dt in 0..item.nr_timesteps {
-                            let row =
-                                (item.baseline_index * nr_time + item.time_offset + dt) * nr_chan;
-                            for c in item.channel_offset..item.channel_offset + item.nr_channels {
-                                vis_out[row + c] = Visibility::zero();
-                            }
-                        }
-                    }
-                    failed_jobs.push(JobFailure {
-                        job,
-                        first_item: job * self.work_group_size,
-                        nr_items: group.len(),
-                        error,
-                        attempts,
-                    });
-                }
-            }
-        }
-        htod_seconds += stats.htod_seconds;
-        kernel_seconds += stats.kernel_seconds;
-        dtoh_seconds += stats.dtoh_seconds;
-        idg_obs::add_retries(stats.nr_retries as u64);
-        emit_modeled_spans(&pipeline.timeline, &compute_parts, 0);
-
-        device.free(reserved);
-        let makespan = pipeline.makespan();
-        let energy = EnergyModel::new(device.arch.clone());
-        let busy = pipeline.compute_busy();
-        let device_energy_j =
-            energy.device_energy(busy, 1.0) + energy.device_energy((makespan - busy).max(0.0), 0.0);
-        let host_energy_j = energy.host_energy(makespan);
-
-        Ok((
-            vis_out,
-            GpuRunReport {
-                pass: "degridding",
-                counts,
-                kernel_seconds,
-                fft_seconds,
-                adder_seconds,
-                htod_seconds,
-                dtoh_seconds,
-                makespan,
-                timeline: pipeline.timeline,
-                device_energy_j,
-                host_energy_j,
-                nr_retries: stats.nr_retries,
-                backoff_seconds: stats.backoff_seconds,
-                failed_jobs,
-            },
-        ))
+        let (pass, report) = self.run(data, plan, Direction::Degrid(grid), Sink::AddNow)?;
+        Ok((pass.into_vis(), report))
     }
 
     /// Streamed-degrid twin of [`GpuExecutor::grid_deferred`]: run the
@@ -949,160 +234,21 @@ impl GpuExecutor {
         plan: &Plan,
         grid: &Grid<f32>,
     ) -> Result<(DeferredVis, GpuRunReport), IdgError> {
-        let mut device = self.device.clone();
-        let n = plan.subgrid_size();
-        // buffers only: the model grid stays on the host
-        let subgrid_bytes_rsv = (self.work_group_size * 4 * n * n * 8) as u64;
-        let io_bytes = (self.work_group_size * 512 * 44) as u64;
-        let reserved = 3 * (subgrid_bytes_rsv + io_bytes);
-        device.allocate(reserved)?;
-        let injector = self.faults.clone().map(FaultInjector::new);
-
-        let nr_chan = data.obs.nr_channels();
-        let nr_time = data.obs.nr_timesteps;
-        let mut vis_out = vec![Visibility::<f32>::zero(); data.obs.nr_visibilities()];
-        let mut ranges: Vec<Range<usize>> = Vec::new();
-        let mut pipeline = PipelineSim::new(3);
-        let mut counts = OpCounts::default();
-        let mut kernel_seconds = 0.0;
-        let mut fft_seconds = 0.0;
-        let mut adder_seconds = 0.0;
-        let mut htod_seconds = 0.0;
-        let mut dtoh_seconds = 0.0;
-        let mut stats = RetryStats::default();
-        let mut failed_jobs = Vec::new();
-        let observing = idg_obs::is_active();
-        let mut compute_parts: Vec<Vec<(&'static str, f64)>> = Vec::new();
-
-        for (job, group) in plan.work_groups(self.work_group_size).enumerate() {
-            let group_counts = degridder_counts(group, n);
-            let uvw_bytes = group
-                .iter()
-                .map(|i| (i.nr_timesteps * 12) as u64)
-                .sum::<u64>();
-            let out_bytes = group
-                .iter()
-                .map(|i| (i.nr_timesteps * nr_chan * 32) as u64)
-                .sum::<u64>();
-            let t_in = transfer_time(&device, uvw_bytes);
-            let t_split = adder_time(&device, group.len(), n);
-            let t_fft = subgrid_fft_time(&device, group.len(), n);
-            let t_kernel = kernel_time(&device, &group_counts);
-            let t_out = transfer_time(&device, out_bytes);
-            if observing {
-                compute_parts.push(vec![
-                    ("splitter", t_split),
-                    ("subgrid_ifft", t_fft),
-                    ("degridder", t_kernel),
-                ]);
-            }
-
-            let mut subgrids = SubgridArray::new(group.len(), n);
-            let vis_ref = &mut vis_out;
-            let mut backend = |op: JobOp| -> Result<Vec<u8>, IdgError> {
-                match op {
-                    JobOp::StageInput => Ok(staged_uvw_bytes(data, group)),
-                    JobOp::Compute => {
-                        subgrids = SubgridArray::new(group.len(), n);
-                        split_subgrids(grid, group, &mut subgrids, &self.cache)?;
-                        fft_subgrids(&mut subgrids, Direction::Inverse, FftNorm::None);
-                        degridder_gpu(data, group, &subgrids, vis_ref, &device, &self.cache)?;
-                        Ok(Vec::new())
-                    }
-                    JobOp::StageOutput => Ok(staged_vis_bytes(vis_ref, nr_time, nr_chan, group)),
-                    // committed later, by the caller, in plan order
-                    JobOp::Commit => Ok(Vec::new()),
-                }
-            };
-            match run_job(
-                &mut pipeline,
-                injector.as_ref(),
-                &self.retry,
-                &mut stats,
-                job,
-                (t_in, t_split + t_fft + t_kernel, t_out),
-                (0, 0.0),
-                &mut backend,
-            ) {
-                JobRun::Done { .. } => {
-                    counts.add(&group_counts);
-                    kernel_seconds += t_kernel;
-                    fft_seconds += t_fft;
-                    adder_seconds += t_split;
-                    htod_seconds += t_in;
-                    dtoh_seconds += t_out;
-                    let first = job * self.work_group_size;
-                    ranges.push(first..first + group.len());
-                }
-                JobRun::Failed { error, attempts } => {
-                    // a faulted attempt may have computed these slots
-                    // before the chain died — failed jobs leave zeros
-                    for item in group {
-                        for dt in 0..item.nr_timesteps {
-                            let row =
-                                (item.baseline_index * nr_time + item.time_offset + dt) * nr_chan;
-                            for c in item.channel_offset..item.channel_offset + item.nr_channels {
-                                vis_out[row + c] = Visibility::zero();
-                            }
-                        }
-                    }
-                    failed_jobs.push(JobFailure {
-                        job,
-                        first_item: job * self.work_group_size,
-                        nr_items: group.len(),
-                        error,
-                        attempts,
-                    });
-                }
-            }
-        }
-        htod_seconds += stats.htod_seconds;
-        kernel_seconds += stats.kernel_seconds;
-        dtoh_seconds += stats.dtoh_seconds;
-        idg_obs::add_retries(stats.nr_retries as u64);
-        emit_modeled_spans(&pipeline.timeline, &compute_parts, 0);
-
-        device.free(reserved);
-        let makespan = pipeline.makespan();
-        let energy = EnergyModel::new(device.arch.clone());
-        let busy = pipeline.compute_busy();
-        let device_energy_j =
-            energy.device_energy(busy, 1.0) + energy.device_energy((makespan - busy).max(0.0), 0.0);
-        let host_energy_j = energy.host_energy(makespan);
-
-        Ok((
-            DeferredVis {
-                ranges,
-                vis: vis_out,
-            },
-            GpuRunReport {
-                pass: "degridding",
-                counts,
-                kernel_seconds,
-                fft_seconds,
-                adder_seconds,
-                htod_seconds,
-                dtoh_seconds,
-                makespan,
-                timeline: pipeline.timeline,
-                device_energy_j,
-                host_energy_j,
-                nr_retries: stats.nr_retries,
-                backoff_seconds: stats.backoff_seconds,
-                failed_jobs,
-            },
-        ))
+        let (pass, report) = self.run(data, plan, Direction::Degrid(grid), Sink::Defer)?;
+        Ok((pass.into_deferred_vis(), report))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::TargetedFault;
+    use crate::fault::{FaultKind, TargetedFault};
     use crate::stream::OpStatus;
-    use idg_plan::Plan;
+    use idg_fft::Direction as FftDirection;
+    use idg_kernels::{add_subgrids, fft_subgrids, split_subgrids, FftNorm};
+    use idg_perf::gridder_counts;
     use idg_telescope::{Dataset, IdentityATerm, Layout, SkyModel};
-    use idg_types::Observation;
+    use idg_types::{FaultSite, Observation};
 
     fn dataset() -> Dataset {
         // Realistic per-item occupancy (many timesteps × channels per
@@ -1143,20 +289,23 @@ mod tests {
         let exec = GpuExecutor::new(Device::pascal(), 8);
         let (grid, report) = exec.grid(&data, &plan).unwrap();
         assert!(grid.power() > 0.0, "grid received energy");
-        assert!(report.makespan > 0.0);
-        assert!(report.kernel_seconds > 0.0);
+        assert!(report.totals.makespan > 0.0);
+        assert!(report.totals.kernel_seconds > 0.0);
         assert_eq!(
-            report.counts.visibilities as usize,
+            report.totals.counts.visibilities as usize,
             plan.nr_gridded_visibilities()
         );
         // kernel dominates the modeled runtime (Fig. 9 shape)
-        assert!(report.kernel_seconds > 5.0 * (report.fft_seconds + report.adder_seconds));
+        assert!(
+            report.totals.kernel_seconds
+                > 5.0 * (report.totals.fft_seconds + report.totals.adder_seconds)
+        );
         // throughput metric is finite and positive
-        assert!(report.mvis_per_sec() > 0.0);
+        assert!(report.totals.mvis_per_sec() > 0.0);
         // fault-free pass: nothing retried, nothing failed
-        assert_eq!(report.nr_retries, 0);
-        assert_eq!(report.backoff_seconds, 0.0);
-        assert!(report.complete());
+        assert_eq!(report.totals.nr_retries, 0);
+        assert_eq!(report.totals.backoff_seconds, 0.0);
+        assert!(report.totals.complete());
     }
 
     #[test]
@@ -1172,7 +321,7 @@ mod tests {
 
         let mut subgrids = SubgridArray::new(plan.nr_subgrids(), ds.obs.subgrid_size);
         idg_kernels::gridder_reference(&data, &plan.items, &mut subgrids).expect("kernel run");
-        fft_subgrids(&mut subgrids, Direction::Forward, FftNorm::None);
+        fft_subgrids(&mut subgrids, FftDirection::Forward, FftNorm::None);
         let mut cpu_grid = Grid::<f32>::new(ds.obs.grid_size);
         add_subgrids(&mut cpu_grid, &plan.items, &subgrids, &KernelCache::new()).unwrap();
 
@@ -1199,12 +348,12 @@ mod tests {
         let exec = GpuExecutor::new(Device::fiji(), 4);
         let (grid, _) = exec.grid(&data, &plan).unwrap();
         let (pred, report) = exec.degrid(&data, &plan, &grid).unwrap();
-        assert_eq!(report.pass, "degridding");
-        assert!(report.dtoh_seconds > 0.0);
+        assert_eq!(report.totals.pass, "degridding");
+        assert!(report.totals.dtoh_seconds > 0.0);
 
         let mut subgrids = SubgridArray::new(plan.nr_subgrids(), ds.obs.subgrid_size);
         split_subgrids(&grid, &plan.items, &mut subgrids, &KernelCache::new()).unwrap();
-        fft_subgrids(&mut subgrids, Direction::Inverse, FftNorm::None);
+        fft_subgrids(&mut subgrids, FftDirection::Inverse, FftNorm::None);
         let mut gold = vec![Visibility::<f32>::zero(); ds.obs.nr_visibilities()];
         idg_kernels::degridder_reference(&data, &plan.items, &subgrids, &mut gold)
             .expect("kernel run");
@@ -1240,7 +389,10 @@ mod tests {
         device.arch.mem_size_gb = Some(0.001); // 1 MB device
         let exec_small = GpuExecutor::new(device, 8);
         let (grid_fallback, report) = exec_small.grid(&data, &plan).unwrap();
-        assert!(report.dtoh_seconds > 0.0, "subgrids streamed to the host");
+        assert!(
+            report.totals.dtoh_seconds > 0.0,
+            "subgrids streamed to the host"
+        );
 
         let exec_full = GpuExecutor::new(Device::fiji(), 8);
         let (grid_resident, _) = exec_full.grid(&data, &plan).unwrap();
@@ -1275,10 +427,10 @@ mod tests {
             .grid(&data, &plan)
             .unwrap();
         assert!(
-            rp.kernel_seconds < rf.kernel_seconds,
+            rp.totals.kernel_seconds < rf.totals.kernel_seconds,
             "pascal {} vs fiji {}",
-            rp.kernel_seconds,
-            rf.kernel_seconds
+            rp.totals.kernel_seconds,
+            rf.totals.kernel_seconds
         );
     }
 
@@ -1321,11 +473,11 @@ mod tests {
         let (grid, report) = exec.grid(&data, &plan).unwrap();
 
         assert_eq!(grid.as_slice(), gold.as_slice(), "recovery is exact");
-        assert!(report.complete());
-        assert_eq!(report.nr_retries, 3);
-        assert!(report.backoff_seconds > 0.0);
+        assert!(report.totals.complete());
+        assert_eq!(report.totals.nr_retries, 3);
+        assert!(report.totals.backoff_seconds > 0.0);
         assert!(
-            report.makespan > gold_report.makespan,
+            report.totals.makespan > gold_report.totals.makespan,
             "recovery costs time"
         );
         let faulted: Vec<_> = report
@@ -1369,18 +521,21 @@ mod tests {
             .with_retry_policy(retry);
         let (grid, report) = exec.grid(&data, &plan).unwrap();
 
-        assert_eq!(report.failed_jobs.len(), 1);
-        let failure = &report.failed_jobs[0];
+        assert_eq!(report.totals.failed_jobs.len(), 1);
+        let failure = &report.totals.failed_jobs[0];
         assert_eq!(failure.job, 1);
         assert_eq!(failure.first_item, m);
         assert_eq!(failure.attempts, 3);
         assert!(matches!(failure.error, IdgError::KernelFault { job: 1 }));
-        assert_eq!(report.nr_retries, 2, "two re-enqueues before giving up");
+        assert_eq!(
+            report.totals.nr_retries, 2,
+            "two re-enqueues before giving up"
+        );
 
         // the failed job's visibilities are not counted and its
         // subgrids are absent from the grid
         let full = gridder_counts(&plan.items, plan.subgrid_size());
-        assert!(report.counts.visibilities < full.visibilities);
+        assert!(report.totals.counts.visibilities < full.visibilities);
         let (gold, _) = GpuExecutor::new(Device::pascal(), m)
             .grid(&data, &plan)
             .unwrap();
@@ -1402,10 +557,10 @@ mod tests {
         }]);
         let exec = GpuExecutor::new(Device::pascal(), 4).with_faults(faults);
         let (_, report) = exec.grid(&data, &plan).unwrap();
-        assert_eq!(report.nr_retries, 0, "OOM is not retried");
-        assert_eq!(report.failed_jobs.len(), 1);
-        assert_eq!(report.failed_jobs[0].attempts, 1);
-        assert!(!report.failed_jobs[0].error.is_transient());
+        assert_eq!(report.totals.nr_retries, 0, "OOM is not retried");
+        assert_eq!(report.totals.failed_jobs.len(), 1);
+        assert_eq!(report.totals.failed_jobs[0].attempts, 1);
+        assert!(!report.totals.failed_jobs[0].error.is_transient());
     }
 
     #[test]
@@ -1435,8 +590,8 @@ mod tests {
         ]);
         let faulty = GpuExecutor::new(Device::pascal(), 4).with_faults(faults);
         let (pred, report) = faulty.degrid(&data, &plan, &grid).unwrap();
-        assert!(report.complete());
-        assert_eq!(report.nr_retries, 2);
+        assert!(report.totals.complete());
+        assert_eq!(report.totals.nr_retries, 2);
         assert_eq!(pred, gold, "recovered visibilities are bit-identical");
     }
 
@@ -1447,43 +602,64 @@ mod tests {
         let taper = idg_math::spheroidal_2d(ds.obs.subgrid_size);
         let data = kernel_data(&ds, &taper);
         let exec = GpuExecutor::new(Device::pascal(), 8);
-
-        let session = idg_obs::Session::begin("gridding");
-        let (_, report) = exec.grid(&data, &plan).unwrap();
-        let trace = session.finish();
-
+        let (model, _) = exec.grid(&data, &plan).unwrap();
         let nr_jobs = plan.work_groups(8).count();
         assert!(nr_jobs > 1, "want a multi-job schedule");
-        assert!(report.complete());
-        for job in 0..nr_jobs as u32 {
-            let stages: Vec<_> = trace
-                .spans
-                .iter()
-                .filter(|s| s.cat == "stage" && s.job == Some(job))
-                .collect();
-            assert_eq!(stages.len(), 3, "HtoD/Compute/DtoH spans for job {job}");
-            let jobs: Vec<_> = trace
-                .spans
-                .iter()
-                .filter(|s| s.cat == "job" && s.job == Some(job))
-                .collect();
-            assert_eq!(jobs.len(), 1);
-            // the job span encloses its stage spans
-            for s in &stages {
-                assert!(jobs[0].start_us <= s.start_us);
-                assert!(s.end_us() <= jobs[0].end_us());
+
+        // the four pass kinds and how each one's Compute interval
+        // subdivides: the device adder keeps one-shot gridding on the
+        // GPU, deferred gridding ends at the FFT (the caller adds), and
+        // both degrid kinds run the reverse chain
+        let reverse = ["splitter", "subgrid_ifft", "degridder"];
+        let kinds: [(&str, &[&str]); 4] = [
+            ("grid", &["gridder", "subgrid_fft", "adder"]),
+            ("grid_deferred", &["gridder", "subgrid_fft"]),
+            ("degrid", &reverse),
+            ("split_deferred", &reverse),
+        ];
+        for (kind, expected_kernels) in kinds {
+            let session = idg_obs::Session::begin(kind);
+            let totals = match kind {
+                "grid" => exec.grid(&data, &plan).unwrap().1.totals,
+                "grid_deferred" => exec.grid_deferred(&data, &plan).unwrap().1.totals,
+                "degrid" => exec.degrid(&data, &plan, &model).unwrap().1.totals,
+                _ => exec.split_deferred(&data, &plan, &model).unwrap().1.totals,
+            };
+            let trace = session.finish();
+
+            assert!(totals.complete(), "{kind}");
+            for job in 0..nr_jobs as u32 {
+                let stages: Vec<_> = trace
+                    .spans
+                    .iter()
+                    .filter(|s| s.cat == "stage" && s.job == Some(job))
+                    .collect();
+                assert_eq!(
+                    stages.len(),
+                    3,
+                    "{kind}: HtoD/Compute/DtoH spans for job {job}"
+                );
+                let jobs: Vec<_> = trace
+                    .spans
+                    .iter()
+                    .filter(|s| s.cat == "job" && s.job == Some(job))
+                    .collect();
+                assert_eq!(jobs.len(), 1, "{kind}");
+                // the job span encloses its stage spans
+                for s in &stages {
+                    assert!(jobs[0].start_us <= s.start_us);
+                    assert!(s.end_us() <= jobs[0].end_us());
+                }
+                let kernels: Vec<_> = trace
+                    .spans
+                    .iter()
+                    .filter(|s| s.cat == "kernel" && s.job == Some(job))
+                    .map(|s| s.name.as_str())
+                    .collect();
+                assert_eq!(kernels, expected_kernels, "{kind} job {job}");
             }
-            // the device adder keeps everything on the GPU: the Compute
-            // interval subdivides into gridder / subgrid_fft / adder
-            let kernels: Vec<_> = trace
-                .spans
-                .iter()
-                .filter(|s| s.cat == "kernel" && s.job == Some(job))
-                .map(|s| s.name.as_str())
-                .collect();
-            assert_eq!(kernels, ["gridder", "subgrid_fft", "adder"]);
+            assert_eq!(trace.metrics.nr_retries, 0);
         }
-        assert_eq!(trace.metrics.nr_retries, 0);
     }
 
     #[test]
@@ -1499,9 +675,12 @@ mod tests {
         let (gold, _) = exec.degrid(&data, &plan, &grid).unwrap();
         let (deferred, report) = exec.split_deferred(&data, &plan, &grid).unwrap();
 
-        assert!(report.complete());
-        assert_eq!(report.pass, "degridding");
-        assert!(report.adder_seconds > 0.0, "splitter time is accounted");
+        assert!(report.totals.complete());
+        assert_eq!(report.totals.pass, "degridding");
+        assert!(
+            report.totals.adder_seconds > 0.0,
+            "splitter time is accounted"
+        );
         // completed ranges tile plan.items in job order
         let covered: usize = deferred.ranges.iter().map(|r| r.len()).sum();
         assert_eq!(covered, plan.items.len());
@@ -1542,8 +721,8 @@ mod tests {
         let failing = GpuExecutor::new(Device::pascal(), 8).with_faults(faults);
         let (deferred, report) = failing.split_deferred(&data, &plan, &grid).unwrap();
 
-        assert_eq!(report.failed_jobs.len(), 1);
-        let failure = &report.failed_jobs[0];
+        assert_eq!(report.totals.failed_jobs.len(), 1);
+        let failure = &report.totals.failed_jobs[0];
         assert_eq!(failure.job, 1);
         // the failed job's slots are zero and its range is absent
         assert!(!deferred
@@ -1567,23 +746,22 @@ mod tests {
 
     #[test]
     fn empty_plan_reports_zero_throughput_not_nan() {
-        let report = GpuRunReport {
+        let totals = PassTotals {
             pass: "gridding",
-            counts: OpCounts::default(),
+            counts: idg_perf::OpCounts::default(),
             kernel_seconds: 0.0,
             fft_seconds: 0.0,
             adder_seconds: 0.0,
             htod_seconds: 0.0,
             dtoh_seconds: 0.0,
             makespan: 0.0,
-            timeline: Vec::new(),
             device_energy_j: 0.0,
             host_energy_j: 0.0,
             nr_retries: 0,
             backoff_seconds: 0.0,
             failed_jobs: Vec::new(),
         };
-        assert_eq!(report.kernel_tops(), 0.0);
-        assert_eq!(report.mvis_per_sec(), 0.0);
+        assert_eq!(totals.kernel_tops(), 0.0);
+        assert_eq!(totals.mvis_per_sec(), 0.0);
     }
 }

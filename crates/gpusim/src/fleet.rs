@@ -27,37 +27,23 @@
 //!   fleet run bit-identical to the sequential single-device
 //!   reference whatever the fault schedule did to the scheduling.
 //!
-//! Everything is measured on the modeled [`PipelineSim`] clocks
+//! Everything is measured on the modeled [`crate::PipelineSim`] clocks
 //! (per-device); no wall time enters any decision, so a chaos run
 //! with a given seed and fleet shape replays byte-identically.
 
 use crate::device::Device;
-use crate::executor::{
-    emit_modeled_spans, run_job, staged_subgrid_bytes, staged_uvw_bytes, staged_vis_bytes,
-    DeferredSubgrids, DeferredVis, JobFailure, JobOp, JobRun, RetryStats,
-};
-use crate::fault::{FaultConfig, FaultInjector, RetryPolicy};
+use crate::executor::{DeferredSubgrids, DeferredVis};
+use crate::fault::{FaultConfig, RetryPolicy};
 use crate::health::{BreakerConfig, DeviceHealth, JobOutcome};
-use crate::kernels::{degridder_gpu, gridder_gpu};
-use crate::stream::PipelineSim;
-use crate::timing::{adder_time, kernel_time, subgrid_fft_time, transfer_time};
-use idg_fft::Direction;
-use idg_kernels::{
-    add_subgrids, fft_subgrids, split_subgrids, FftNorm, KernelCache, KernelData, SubgridArray,
-};
-use idg_perf::{degridder_counts, gridder_counts, EnergyModel, OpCounts};
-use idg_plan::{Plan, WorkItem};
+use crate::pass::{DeviceSlot, Direction, JobRun, Pass, PassTotals, Sink};
+use idg_kernels::{KernelCache, KernelData};
+use idg_plan::Plan;
 use idg_types::{Grid, IdgError, Visibility};
 use std::collections::VecDeque;
-use std::ops::Range;
 use std::sync::Arc;
 
 /// Deepest rung of the OOM degradation ladder (see [`level_shape`]).
 const MAX_DEGRADATION_LEVEL: usize = 2;
-
-/// One gridding job's computed-but-uncommitted output: the subgrids of
-/// each staged chunk, keyed by the chunk's item range within the group.
-type PendingChunks = Vec<(Range<usize>, SubgridArray)>;
 
 /// The staging shape at one degradation-ladder rung: `(items staged
 /// per buffer set, number of buffer sets)`.
@@ -111,30 +97,11 @@ pub struct DeviceReport {
 /// Outcome of one fleet pass.
 #[derive(Clone, Debug)]
 pub struct FleetRunReport {
-    /// "gridding" or "degridding".
-    pub pass: &'static str,
-    /// Aggregate operation counters (successful jobs).
-    pub counts: OpCounts,
-    /// Modeled main-kernel busy time summed over devices, s.
-    pub kernel_seconds: f64,
-    /// Modeled subgrid-FFT time summed over devices, s.
-    pub fft_seconds: f64,
-    /// Modeled adder/splitter time summed over devices, s.
-    pub adder_seconds: f64,
-    /// Modeled host-to-device transfer time summed over devices, s.
-    pub htod_seconds: f64,
-    /// Modeled device-to-host transfer time summed over devices, s.
-    pub dtoh_seconds: f64,
-    /// Fleet makespan: the slowest device's pipeline makespan, s.
-    pub makespan: f64,
-    /// Modeled device energy summed over devices, J.
-    pub device_energy_j: f64,
-    /// Modeled host energy over the fleet makespan, J.
-    pub host_energy_j: f64,
-    /// Transient-fault retries summed over devices.
-    pub nr_retries: usize,
-    /// Total modeled backoff delay inserted before retries, s.
-    pub backoff_seconds: f64,
+    /// Counters, modeled stage times and energy summed over devices,
+    /// the fleet makespan (the slowest device's), retries, and the jobs
+    /// no device could complete — the proxy's per-job CPU fallback is
+    /// the last rung.
+    pub totals: PassTotals,
     /// Dispatches that did not land on the job's preferred device
     /// (breaker refusals, dead devices, and post-failure re-queues).
     pub redispatched_jobs: usize,
@@ -144,55 +111,23 @@ pub struct FleetRunReport {
     pub breaker_trips: u64,
     /// Per-device breakdown.
     pub per_device: Vec<DeviceReport>,
-    /// Jobs no device could complete (their work is *not* in the
-    /// result); the proxy's per-job CPU fallback is the last rung.
-    pub failed_jobs: Vec<JobFailure>,
 }
 
-impl FleetRunReport {
-    /// Whether every job's outputs made it into the result.
-    pub fn complete(&self) -> bool {
-        self.failed_jobs.is_empty()
-    }
-}
-
-/// Mutable per-device execution state during one pass.
+/// One member's execution state during a pass: its engine slot plus
+/// what only the fleet tracks — health, ladder rung, liveness.
 struct DeviceState {
-    device: Device,
-    injector: Option<FaultInjector>,
-    pipeline: PipelineSim,
+    slot: DeviceSlot,
     health: DeviceHealth,
     level: usize,
-    reserved: u64,
-    host_adder: bool,
     alive: bool,
-    jobs_completed: usize,
-    nr_retries: usize,
-    /// Kernel breakdown per global job, for span replay.
-    compute_parts: Vec<Vec<(&'static str, f64)>>,
 }
 
-/// Model the device-resident allocations of a pass at one ladder rung
-/// (same layout as the single-device executor's reservation: grid +
-/// buffer sets, falling back to host-side adding when the grid alone
-/// no longer fits). Returns `(reserved_bytes, host_adder)`.
-fn reserve_at_level(
-    device: &mut Device,
-    plan: &Plan,
-    work_group_size: usize,
-    level: usize,
-) -> Result<(u64, bool), IdgError> {
-    let (w_eff, nr_buffers) = level_shape(work_group_size, level);
-    let n = plan.subgrid_size();
-    let grid_bytes = (4 * plan.grid_size() * plan.grid_size() * 8) as u64;
-    let subgrid_bytes = (w_eff * 4 * n * n * 8) as u64;
-    let io_bytes = (w_eff * 512 * 44) as u64; // vis+uvw staging
-    let buffers = nr_buffers as u64 * (subgrid_bytes + io_bytes);
-    if device.allocate(grid_bytes + buffers).is_ok() {
-        return Ok((grid_bytes + buffers, false));
+impl DeviceState {
+    /// Move the slot's reservation to the shape of the current rung.
+    fn reserve(&mut self, pass: &Pass<'_>, work_group_size: usize) -> Result<(), IdgError> {
+        let (staged_items, nr_buffers) = level_shape(work_group_size, self.level);
+        self.slot.reserve(pass, staged_items, nr_buffers)
     }
-    device.allocate(buffers)?;
-    Ok((buffers, true))
 }
 
 /// Drives gridding / degridding passes across a fleet of modeled
@@ -269,12 +204,7 @@ impl FleetExecutor {
     /// Set up per-device state, walking each device down the
     /// degradation ladder until its reservation fits (a device that
     /// cannot fit even one buffer set starts the pass dead).
-    fn setup(
-        &self,
-        plan: &Plan,
-        nr_jobs: usize,
-        degradation_steps: &mut usize,
-    ) -> Result<Vec<DeviceState>, IdgError> {
+    fn setup(&self, pass: &Pass<'_>) -> Result<Vec<DeviceState>, IdgError> {
         if self.members.is_empty() {
             return Err(IdgError::InvalidParameter(
                 "a fleet needs at least one device".into(),
@@ -283,38 +213,21 @@ impl FleetExecutor {
         self.breaker.validate()?;
         let mut states = Vec::with_capacity(self.members.len());
         for member in &self.members {
-            let mut device = member.device.clone();
-            let mut level = 0;
-            let mut placed = None;
-            loop {
-                match reserve_at_level(&mut device, plan, self.work_group_size, level) {
-                    Ok(ok) => {
-                        placed = Some(ok);
-                        break;
-                    }
-                    Err(_) if level < MAX_DEGRADATION_LEVEL => {
-                        level += 1;
-                        *degradation_steps += 1;
-                        idg_obs::add_degradation_steps(1);
-                    }
-                    Err(_) => break,
-                }
-            }
-            let (reserved, host_adder) = placed.unwrap_or((0, false));
-            let (_, nr_buffers) = level_shape(self.work_group_size, level);
-            states.push(DeviceState {
-                device,
-                injector: member.faults.clone().map(FaultInjector::new),
-                pipeline: PipelineSim::new(nr_buffers),
+            let mut state = DeviceState {
+                slot: DeviceSlot::new(member.device.clone(), member.faults.clone(), pass),
                 health: DeviceHealth::new(self.breaker)?,
-                level,
-                reserved,
-                host_adder,
-                alive: placed.is_some(),
-                jobs_completed: 0,
-                nr_retries: 0,
-                compute_parts: vec![Vec::new(); nr_jobs],
-            });
+                level: 0,
+                alive: true,
+            };
+            while state.reserve(pass, self.work_group_size).is_err() {
+                if state.level == MAX_DEGRADATION_LEVEL {
+                    state.alive = false;
+                    break;
+                }
+                state.level += 1;
+                idg_obs::add_degradation_steps(1);
+            }
+            states.push(state);
         }
         Ok(states)
     }
@@ -335,7 +248,7 @@ impl FleetExecutor {
             if !states[d].alive || tried.contains(&d) {
                 continue;
             }
-            let now = states[d].pipeline.makespan();
+            let now = states[d].slot.pipeline.makespan();
             if states[d].health.admit(now) {
                 return Some((d, 0.0));
             }
@@ -365,51 +278,128 @@ impl FleetExecutor {
     /// Walk one device down the degradation ladder after an OOM.
     /// Returns whether a deeper rung fit; a device that exhausts the
     /// ladder is dead (its pending job re-enters the fleet queue).
-    fn degrade_device(
-        state: &mut DeviceState,
-        plan: &Plan,
-        work_group_size: usize,
-        degradation_steps: &mut usize,
-    ) -> bool {
+    fn degrade_device(state: &mut DeviceState, pass: &Pass<'_>, work_group_size: usize) -> bool {
         while state.level < MAX_DEGRADATION_LEVEL {
             state.level += 1;
-            *degradation_steps += 1;
             idg_obs::add_degradation_steps(1);
-            state.device.free(state.reserved);
-            state.reserved = 0;
-            if let Ok((reserved, host_adder)) =
-                reserve_at_level(&mut state.device, plan, work_group_size, state.level)
-            {
-                state.reserved = reserved;
-                state.host_adder = host_adder;
-                let (_, nr_buffers) = level_shape(work_group_size, state.level);
-                state.pipeline.set_nr_buffers(nr_buffers);
+            if state.reserve(pass, work_group_size).is_ok() {
                 return true;
             }
         }
-        state.device.free(state.reserved);
-        state.reserved = 0;
+        state.slot.release();
         state.alive = false;
         false
     }
 
-    /// Split a group into the chunks the device's current rung can
-    /// stage at once (one chunk at full strength).
-    fn chunk_ranges(group_len: usize, w_eff: usize) -> Vec<Range<usize>> {
-        let mut out = Vec::new();
-        let mut lo = 0;
-        while lo < group_len {
-            let hi = (lo + w_eff).min(group_len);
-            out.push(lo..hi);
-            lo = hi;
+    /// The health-gated dispatch loop shared by every pass: offer each
+    /// job to the devices round-robin, resume OOM-degraded jobs on the
+    /// same device one ladder rung down, re-queue a job a device gave
+    /// up on for the peers that have not yet rejected it, and only fail
+    /// it once nobody is left. Returns the number of re-dispatches.
+    fn dispatch(&self, states: &mut [DeviceState], pass: &mut Pass<'_>) -> Result<usize, IdgError> {
+        let nr_jobs = pass.nr_jobs();
+        let nr_members = states.len();
+        // Each job may be offered to every device once, plus ladder
+        // headroom; the cap is a deadlock backstop, not a tunable.
+        let dispatch_cap = (2 * nr_members).max(4) as u32;
+        let mut queue: VecDeque<usize> = (0..nr_jobs).collect();
+        let mut tried: Vec<Vec<usize>> = vec![Vec::new(); nr_jobs];
+        let mut dispatches: Vec<u32> = vec![0; nr_jobs];
+        let mut attempts_total: Vec<u32> = vec![0; nr_jobs];
+        let mut last_error: Vec<Option<IdgError>> = vec![None; nr_jobs];
+        let mut redispatched_jobs = 0;
+
+        while let Some(job) = queue.pop_front() {
+            let eligible = Self::choose_device(states, job, &tried[job]);
+            let exhausted = dispatches[job] >= dispatch_cap;
+            let Some((d, wait_until)) = eligible.filter(|_| !exhausted) else {
+                let error = last_error[job].take().unwrap_or(IdgError::Internal(
+                    "no fleet device available for job".to_string(),
+                ));
+                pass.fail_job(job, error, attempts_total[job]);
+                continue;
+            };
+            dispatches[job] += 1;
+            if d != job % nr_members || dispatches[job] > 1 {
+                redispatched_jobs += 1;
+                idg_obs::add_redispatched_jobs(1);
+            }
+
+            // Ladder loop: an OOM-degraded device resumes the same job
+            // past the faulted attempt instead of re-drawing it.
+            let st = &mut states[d];
+            let mut resume = (0u32, wait_until);
+            loop {
+                let result = pass.run_job_on(&mut st.slot, job, resume)?;
+                let now = st.slot.pipeline.makespan();
+                match result {
+                    JobRun::Done { attempts } => {
+                        attempts_total[job] += attempts - resume.0;
+                        st.health
+                            .record_outcome(JobOutcome::classify(attempts - 1, None), now);
+                        break;
+                    }
+                    JobRun::Failed { error, attempts } => {
+                        attempts_total[job] += attempts - resume.0;
+                        if error.is_degradable()
+                            && Self::degrade_device(st, pass, self.work_group_size)
+                        {
+                            resume = (attempts, resume.1);
+                            continue;
+                        }
+                        st.health.record_outcome(JobOutcome::Failed, now);
+                        last_error[job] = Some(error);
+                        tried[job].push(d);
+                        queue.push_back(job);
+                        break;
+                    }
+                }
+            }
         }
-        out
+        Ok(redispatched_jobs)
+    }
+
+    /// Run one pass across the fleet: set the members up, dispatch
+    /// every job, and fold the per-device state into the report.
+    fn run<'a>(
+        &'a self,
+        data: &'a KernelData<'a>,
+        plan: &'a Plan,
+        direction: Direction<'a>,
+        sink: Sink,
+    ) -> Result<(Pass<'a>, FleetRunReport), IdgError> {
+        let w = self.work_group_size;
+        let mut pass = Pass::new(data, plan, direction, sink, w, &self.cache, &self.retry);
+        let mut states = self.setup(&pass)?;
+        let redispatched_jobs = self.dispatch(&mut states, &mut pass)?;
+        let totals = pass.seal(states.iter_mut().map(|s| &mut s.slot));
+        let per_device: Vec<DeviceReport> = states
+            .iter()
+            .map(|s| DeviceReport {
+                nickname: s.slot.device.arch.nickname,
+                jobs_completed: s.slot.jobs_completed,
+                nr_retries: s.slot.nr_retries,
+                breaker_trips: s.health.trips(),
+                degradation_level: s.level,
+                makespan: s.slot.pipeline.makespan(),
+                alive: s.alive,
+            })
+            .collect();
+        let report = FleetRunReport {
+            totals,
+            redispatched_jobs,
+            // every rung a device took moved its level by one
+            degradation_steps: per_device.iter().map(|d| d.degradation_level).sum(),
+            breaker_trips: per_device.iter().map(|d| d.breaker_trips).sum(),
+            per_device,
+        };
+        Ok((pass, report))
     }
 
     /// Run a full gridding pass: visibilities → grid.
     ///
     /// Jobs the whole fleet failed are reported in
-    /// [`FleetRunReport::failed_jobs`]; their subgrids are absent from
+    /// [`PassTotals::failed_jobs`]; their subgrids are absent from
     /// the returned grid. The grid itself is **bit-identical** to a
     /// fault-free single-device pass over the completed jobs, because
     /// commits happen in global job order regardless of which device
@@ -419,116 +409,8 @@ impl FleetExecutor {
         data: &KernelData<'_>,
         plan: &Plan,
     ) -> Result<(Grid<f32>, FleetRunReport), IdgError> {
-        let groups: Vec<&[WorkItem]> = plan.work_groups(self.work_group_size).collect();
-        let nr_jobs = groups.len();
-        let mut report = self.report_skeleton("gridding");
-        let mut states = self.setup(plan, nr_jobs, &mut report.degradation_steps)?;
-
-        let n = plan.subgrid_size();
-        let nr_chan = data.obs.nr_channels();
-        let nr_time = data.obs.nr_timesteps;
-        let host_adder_bw = 40e9;
-        let mut grid = Grid::<f32>::new(plan.grid_size());
-        let observing = idg_obs::is_active();
-        // computed (chunk range, subgrids) per job, committed in job
-        // order after dispatch so f32 accumulation order matches the
-        // sequential single-device reference
-        let mut pending: Vec<Option<PendingChunks>> = vec![None; nr_jobs];
-        let group_lens: Vec<usize> = groups.iter().map(|g| g.len()).collect();
-
-        self.dispatch(
-            &mut states,
-            plan,
-            &group_lens,
-            &mut report,
-            |st, job, stats| {
-                let group = groups[job];
-                let (w_eff, _) = level_shape(self.work_group_size, st.level);
-                let chunks = Self::chunk_ranges(group.len(), w_eff);
-                let group_counts = gridder_counts(group, n);
-                let in_bytes = group
-                    .iter()
-                    .map(|i| (i.nr_timesteps * (nr_chan * 32 + 12)) as u64)
-                    .sum::<u64>();
-                let t_in = transfer_time(&st.device, in_bytes);
-                let t_kernel = kernel_time(&st.device, &group_counts);
-                let t_fft = subgrid_fft_time(&st.device, group.len(), n);
-                let subgrid_bytes = (group.len() * 4 * n * n * 8) as u64;
-                let (t_compute, t_out, t_add) = if st.host_adder {
-                    let t_out = transfer_time(&st.device, subgrid_bytes);
-                    (
-                        t_kernel + t_fft,
-                        t_out,
-                        2.0 * subgrid_bytes as f64 / host_adder_bw,
-                    )
-                } else {
-                    let t_add = adder_time(&st.device, group.len(), n);
-                    (t_kernel + t_fft + t_add, 0.0, t_add)
-                };
-                if observing {
-                    let mut breakdown = vec![("gridder", t_kernel), ("subgrid_fft", t_fft)];
-                    if !st.host_adder {
-                        breakdown.push(("adder", t_add));
-                    }
-                    st.compute_parts[job] = breakdown;
-                }
-
-                let mut computed: Vec<(Range<usize>, SubgridArray)> = Vec::new();
-                let device = &st.device;
-                let cache = &self.cache;
-                let mut backend = |op: JobOp| -> Result<Vec<u8>, IdgError> {
-                    match op {
-                        JobOp::StageInput => {
-                            Ok(staged_vis_bytes(data.visibilities, nr_time, nr_chan, group))
-                        }
-                        JobOp::Compute => {
-                            computed.clear();
-                            for r in &chunks {
-                                let mut subgrids = SubgridArray::new(r.len(), n);
-                                gridder_gpu(data, &group[r.clone()], &mut subgrids, device, cache)?;
-                                fft_subgrids(&mut subgrids, Direction::Forward, FftNorm::None);
-                                computed.push((r.clone(), subgrids));
-                            }
-                            Ok(Vec::new())
-                        }
-                        JobOp::StageOutput => {
-                            let mut out = Vec::new();
-                            for (_, subgrids) in &computed {
-                                out.extend_from_slice(&staged_subgrid_bytes(subgrids));
-                            }
-                            Ok(out)
-                        }
-                        // committed later, in global job order
-                        JobOp::Commit => Ok(Vec::new()),
-                    }
-                };
-                let result = run_job(
-                    &mut st.pipeline,
-                    st.injector.as_ref(),
-                    &self.retry,
-                    stats.0,
-                    job,
-                    (t_in, t_compute, t_out),
-                    stats.1,
-                    &mut backend,
-                );
-                if matches!(result, JobRun::Done { .. }) {
-                    pending[job] = Some(computed);
-                }
-                (result, group_counts, [t_kernel, t_fft, t_add, t_in, t_out])
-            },
-        )?;
-
-        // ordered merge: same add_subgrids sequence as one device
-        for (job, slot) in pending.iter_mut().enumerate() {
-            if let Some(chunks) = slot.take() {
-                for (r, subgrids) in &chunks {
-                    add_subgrids(&mut grid, &groups[job][r.clone()], subgrids, &self.cache)?;
-                }
-            }
-        }
-        self.seal_report(&mut states, &mut report);
-        Ok((grid, report))
+        let (pass, report) = self.run(data, plan, Direction::Grid, Sink::AddInOrder)?;
+        Ok((pass.into_grid()?, report))
     }
 
     /// Run a gridding pass across the fleet with *deferred* commits:
@@ -544,114 +426,8 @@ impl FleetExecutor {
         data: &KernelData<'_>,
         plan: &Plan,
     ) -> Result<(DeferredSubgrids, FleetRunReport), IdgError> {
-        let groups: Vec<&[WorkItem]> = plan.work_groups(self.work_group_size).collect();
-        let nr_jobs = groups.len();
-        let mut report = self.report_skeleton("gridding");
-        let mut states = self.setup(plan, nr_jobs, &mut report.degradation_steps)?;
-
-        let n = plan.subgrid_size();
-        let nr_chan = data.obs.nr_channels();
-        let nr_time = data.obs.nr_timesteps;
-        let host_adder_bw = 40e9;
-        let observing = idg_obs::is_active();
-        let mut pending: Vec<Option<PendingChunks>> = vec![None; nr_jobs];
-        let group_lens: Vec<usize> = groups.iter().map(|g| g.len()).collect();
-
-        self.dispatch(
-            &mut states,
-            plan,
-            &group_lens,
-            &mut report,
-            |st, job, stats| {
-                let group = groups[job];
-                let (w_eff, _) = level_shape(self.work_group_size, st.level);
-                let chunks = Self::chunk_ranges(group.len(), w_eff);
-                let group_counts = gridder_counts(group, n);
-                let in_bytes = group
-                    .iter()
-                    .map(|i| (i.nr_timesteps * (nr_chan * 32 + 12)) as u64)
-                    .sum::<u64>();
-                let t_in = transfer_time(&st.device, in_bytes);
-                let t_kernel = kernel_time(&st.device, &group_counts);
-                let t_fft = subgrid_fft_time(&st.device, group.len(), n);
-                let subgrid_bytes = (group.len() * 4 * n * n * 8) as u64;
-                let (t_compute, t_out, t_add) = if st.host_adder {
-                    let t_out = transfer_time(&st.device, subgrid_bytes);
-                    (
-                        t_kernel + t_fft,
-                        t_out,
-                        2.0 * subgrid_bytes as f64 / host_adder_bw,
-                    )
-                } else {
-                    let t_add = adder_time(&st.device, group.len(), n);
-                    (t_kernel + t_fft + t_add, 0.0, t_add)
-                };
-                if observing {
-                    let mut breakdown = vec![("gridder", t_kernel), ("subgrid_fft", t_fft)];
-                    if !st.host_adder {
-                        breakdown.push(("adder", t_add));
-                    }
-                    st.compute_parts[job] = breakdown;
-                }
-
-                let mut computed: Vec<(Range<usize>, SubgridArray)> = Vec::new();
-                let device = &st.device;
-                let cache = &self.cache;
-                let mut backend = |op: JobOp| -> Result<Vec<u8>, IdgError> {
-                    match op {
-                        JobOp::StageInput => {
-                            Ok(staged_vis_bytes(data.visibilities, nr_time, nr_chan, group))
-                        }
-                        JobOp::Compute => {
-                            computed.clear();
-                            for r in &chunks {
-                                let mut subgrids = SubgridArray::new(r.len(), n);
-                                gridder_gpu(data, &group[r.clone()], &mut subgrids, device, cache)?;
-                                fft_subgrids(&mut subgrids, Direction::Forward, FftNorm::None);
-                                computed.push((r.clone(), subgrids));
-                            }
-                            Ok(Vec::new())
-                        }
-                        JobOp::StageOutput => {
-                            let mut out = Vec::new();
-                            for (_, subgrids) in &computed {
-                                out.extend_from_slice(&staged_subgrid_bytes(subgrids));
-                            }
-                            Ok(out)
-                        }
-                        // committed later, by the caller, in plan order
-                        JobOp::Commit => Ok(Vec::new()),
-                    }
-                };
-                let result = run_job(
-                    &mut st.pipeline,
-                    st.injector.as_ref(),
-                    &self.retry,
-                    stats.0,
-                    job,
-                    (t_in, t_compute, t_out),
-                    stats.1,
-                    &mut backend,
-                );
-                if matches!(result, JobRun::Done { .. }) {
-                    pending[job] = Some(computed);
-                }
-                (result, group_counts, [t_kernel, t_fft, t_add, t_in, t_out])
-            },
-        )?;
-
-        // flatten to global `plan.items` ranges, in global job order
-        let mut out: Vec<(Range<usize>, SubgridArray)> = Vec::new();
-        for (job, slot) in pending.iter_mut().enumerate() {
-            let first = job * self.work_group_size;
-            if let Some(chunks) = slot.take() {
-                for (r, subgrids) in chunks {
-                    out.push((first + r.start..first + r.end, subgrids));
-                }
-            }
-        }
-        self.seal_report(&mut states, &mut report);
-        Ok((out, report))
+        let (pass, report) = self.run(data, plan, Direction::Grid, Sink::Defer)?;
+        Ok((pass.into_deferred_subgrids(), report))
     }
 
     /// Run a full degridding pass: grid → predicted visibilities.
@@ -666,103 +442,8 @@ impl FleetExecutor {
         plan: &Plan,
         grid: &Grid<f32>,
     ) -> Result<(Vec<Visibility<f32>>, FleetRunReport), IdgError> {
-        let groups: Vec<&[WorkItem]> = plan.work_groups(self.work_group_size).collect();
-        let nr_jobs = groups.len();
-        let mut report = self.report_skeleton("degridding");
-        let mut states = self.setup(plan, nr_jobs, &mut report.degradation_steps)?;
-
-        let n = plan.subgrid_size();
-        let nr_chan = data.obs.nr_channels();
-        let nr_time = data.obs.nr_timesteps;
-        let mut vis_out = vec![Visibility::<f32>::zero(); data.obs.nr_visibilities()];
-        let observing = idg_obs::is_active();
-        let group_lens: Vec<usize> = groups.iter().map(|g| g.len()).collect();
-
-        self.dispatch(
-            &mut states,
-            plan,
-            &group_lens,
-            &mut report,
-            |st, job, stats| {
-                let group = groups[job];
-                let (w_eff, _) = level_shape(self.work_group_size, st.level);
-                let chunks = Self::chunk_ranges(group.len(), w_eff);
-                let group_counts = degridder_counts(group, n);
-                let uvw_bytes = group
-                    .iter()
-                    .map(|i| (i.nr_timesteps * 12) as u64)
-                    .sum::<u64>();
-                let out_bytes = group
-                    .iter()
-                    .map(|i| (i.nr_timesteps * nr_chan * 32) as u64)
-                    .sum::<u64>();
-                let t_in = transfer_time(&st.device, uvw_bytes);
-                let t_split = adder_time(&st.device, group.len(), n);
-                let t_fft = subgrid_fft_time(&st.device, group.len(), n);
-                let t_kernel = kernel_time(&st.device, &group_counts);
-                let t_out = transfer_time(&st.device, out_bytes);
-                if observing {
-                    st.compute_parts[job] = vec![
-                        ("splitter", t_split),
-                        ("subgrid_ifft", t_fft),
-                        ("degridder", t_kernel),
-                    ];
-                }
-
-                let device = &st.device;
-                let cache = &self.cache;
-                let vis_ref = &mut vis_out;
-                let mut backend = |op: JobOp| -> Result<Vec<u8>, IdgError> {
-                    match op {
-                        JobOp::StageInput => Ok(staged_uvw_bytes(data, group)),
-                        JobOp::Compute => {
-                            for r in &chunks {
-                                let chunk = &group[r.clone()];
-                                let mut subgrids = SubgridArray::new(r.len(), n);
-                                split_subgrids(grid, chunk, &mut subgrids, cache)?;
-                                fft_subgrids(&mut subgrids, Direction::Inverse, FftNorm::None);
-                                degridder_gpu(data, chunk, &subgrids, vis_ref, device, cache)?;
-                            }
-                            Ok(Vec::new())
-                        }
-                        JobOp::StageOutput => {
-                            Ok(staged_vis_bytes(vis_ref, nr_time, nr_chan, group))
-                        }
-                        JobOp::Commit => Ok(Vec::new()),
-                    }
-                };
-                let result = run_job(
-                    &mut st.pipeline,
-                    st.injector.as_ref(),
-                    &self.retry,
-                    stats.0,
-                    job,
-                    (t_in, t_split + t_fft + t_kernel, t_out),
-                    stats.1,
-                    &mut backend,
-                );
-                (
-                    result,
-                    group_counts,
-                    [t_kernel, t_fft, t_split, t_in, t_out],
-                )
-            },
-        )?;
-
-        // zero the slots of jobs nobody completed (a faulted attempt
-        // may have written them before its chain died)
-        for failure in &report.failed_jobs {
-            for item in groups[failure.job] {
-                for dt in 0..item.nr_timesteps {
-                    let row = (item.baseline_index * nr_time + item.time_offset + dt) * nr_chan;
-                    for c in item.channel_offset..item.channel_offset + item.nr_channels {
-                        vis_out[row + c] = Visibility::zero();
-                    }
-                }
-            }
-        }
-        self.seal_report(&mut states, &mut report);
-        Ok((vis_out, report))
+        let (pass, report) = self.run(data, plan, Direction::Degrid(grid), Sink::AddInOrder)?;
+        Ok((pass.into_vis(), report))
     }
 
     /// Streamed-degrid twin of [`FleetExecutor::grid_deferred`]: the
@@ -779,280 +460,8 @@ impl FleetExecutor {
         plan: &Plan,
         grid: &Grid<f32>,
     ) -> Result<(DeferredVis, FleetRunReport), IdgError> {
-        let groups: Vec<&[WorkItem]> = plan.work_groups(self.work_group_size).collect();
-        let nr_jobs = groups.len();
-        let mut report = self.report_skeleton("degridding");
-        let mut states = self.setup(plan, nr_jobs, &mut report.degradation_steps)?;
-
-        let n = plan.subgrid_size();
-        let nr_chan = data.obs.nr_channels();
-        let nr_time = data.obs.nr_timesteps;
-        let mut vis_out = vec![Visibility::<f32>::zero(); data.obs.nr_visibilities()];
-        let observing = idg_obs::is_active();
-        let group_lens: Vec<usize> = groups.iter().map(|g| g.len()).collect();
-
-        self.dispatch(
-            &mut states,
-            plan,
-            &group_lens,
-            &mut report,
-            |st, job, stats| {
-                let group = groups[job];
-                let (w_eff, _) = level_shape(self.work_group_size, st.level);
-                let chunks = Self::chunk_ranges(group.len(), w_eff);
-                let group_counts = degridder_counts(group, n);
-                let uvw_bytes = group
-                    .iter()
-                    .map(|i| (i.nr_timesteps * 12) as u64)
-                    .sum::<u64>();
-                let out_bytes = group
-                    .iter()
-                    .map(|i| (i.nr_timesteps * nr_chan * 32) as u64)
-                    .sum::<u64>();
-                let t_in = transfer_time(&st.device, uvw_bytes);
-                let t_split = adder_time(&st.device, group.len(), n);
-                let t_fft = subgrid_fft_time(&st.device, group.len(), n);
-                let t_kernel = kernel_time(&st.device, &group_counts);
-                let t_out = transfer_time(&st.device, out_bytes);
-                if observing {
-                    st.compute_parts[job] = vec![
-                        ("splitter", t_split),
-                        ("subgrid_ifft", t_fft),
-                        ("degridder", t_kernel),
-                    ];
-                }
-
-                let device = &st.device;
-                let cache = &self.cache;
-                let vis_ref = &mut vis_out;
-                let mut backend = |op: JobOp| -> Result<Vec<u8>, IdgError> {
-                    match op {
-                        JobOp::StageInput => Ok(staged_uvw_bytes(data, group)),
-                        JobOp::Compute => {
-                            for r in &chunks {
-                                let chunk = &group[r.clone()];
-                                let mut subgrids = SubgridArray::new(r.len(), n);
-                                split_subgrids(grid, chunk, &mut subgrids, cache)?;
-                                fft_subgrids(&mut subgrids, Direction::Inverse, FftNorm::None);
-                                degridder_gpu(data, chunk, &subgrids, vis_ref, device, cache)?;
-                            }
-                            Ok(Vec::new())
-                        }
-                        JobOp::StageOutput => {
-                            Ok(staged_vis_bytes(vis_ref, nr_time, nr_chan, group))
-                        }
-                        // committed later, by the caller, in plan order
-                        JobOp::Commit => Ok(Vec::new()),
-                    }
-                };
-                let result = run_job(
-                    &mut st.pipeline,
-                    st.injector.as_ref(),
-                    &self.retry,
-                    stats.0,
-                    job,
-                    (t_in, t_split + t_fft + t_kernel, t_out),
-                    stats.1,
-                    &mut backend,
-                );
-                (
-                    result,
-                    group_counts,
-                    [t_kernel, t_fft, t_split, t_in, t_out],
-                )
-            },
-        )?;
-
-        // zero the slots of jobs nobody completed (a faulted attempt
-        // may have written them before its chain died)
-        for failure in &report.failed_jobs {
-            for item in groups[failure.job] {
-                for dt in 0..item.nr_timesteps {
-                    let row = (item.baseline_index * nr_time + item.time_offset + dt) * nr_chan;
-                    for c in item.channel_offset..item.channel_offset + item.nr_channels {
-                        vis_out[row + c] = Visibility::zero();
-                    }
-                }
-            }
-        }
-        // completed jobs' item ranges, in global job order
-        // (`failed_jobs` is sealed in job order by `dispatch`)
-        let mut ranges: Vec<Range<usize>> = Vec::new();
-        for job in 0..nr_jobs {
-            if report.failed_jobs.iter().any(|f| f.job == job) {
-                continue;
-            }
-            let first = job * self.work_group_size;
-            ranges.push(first..first + group_lens[job]);
-        }
-        self.seal_report(&mut states, &mut report);
-        Ok((
-            DeferredVis {
-                ranges,
-                vis: vis_out,
-            },
-            report,
-        ))
-    }
-
-    /// An all-zero report for one pass.
-    fn report_skeleton(&self, pass: &'static str) -> FleetRunReport {
-        FleetRunReport {
-            pass,
-            counts: OpCounts::default(),
-            kernel_seconds: 0.0,
-            fft_seconds: 0.0,
-            adder_seconds: 0.0,
-            htod_seconds: 0.0,
-            dtoh_seconds: 0.0,
-            makespan: 0.0,
-            device_energy_j: 0.0,
-            host_energy_j: 0.0,
-            nr_retries: 0,
-            backoff_seconds: 0.0,
-            redispatched_jobs: 0,
-            degradation_steps: 0,
-            breaker_trips: 0,
-            per_device: Vec::new(),
-            failed_jobs: Vec::new(),
-        }
-    }
-
-    /// The health-gated dispatch loop shared by both passes.
-    ///
-    /// `execute` runs one job on one device and returns the retry-loop
-    /// result, the job's operation counts, and its modeled stage times
-    /// `[kernel, fft, adder, htod, dtoh]` (charged to the report only
-    /// on success; faulted-attempt engine time is charged via
-    /// [`RetryStats`] as in the single-device executor). The second
-    /// element of the `stats` pair is the `(first_attempt,
-    /// not_before)` resume point for [`run_job`].
-    #[allow(clippy::type_complexity)]
-    fn dispatch(
-        &self,
-        states: &mut [DeviceState],
-        plan: &Plan,
-        group_lens: &[usize],
-        report: &mut FleetRunReport,
-        mut execute: impl FnMut(
-            &mut DeviceState,
-            usize,
-            (&mut RetryStats, (u32, f64)),
-        ) -> (JobRun, OpCounts, [f64; 5]),
-    ) -> Result<(), IdgError> {
-        let nr_jobs = group_lens.len();
-        let nr_members = states.len();
-        // Each job may be offered to every device once, plus ladder
-        // headroom; the cap is a deadlock backstop, not a tunable.
-        let dispatch_cap = (2 * nr_members).max(4) as u32;
-        let mut queue: VecDeque<usize> = (0..nr_jobs).collect();
-        let mut tried: Vec<Vec<usize>> = vec![Vec::new(); nr_jobs];
-        let mut dispatches: Vec<u32> = vec![0; nr_jobs];
-        let mut attempts_total: Vec<u32> = vec![0; nr_jobs];
-        let mut last_error: Vec<Option<IdgError>> = vec![None; nr_jobs];
-
-        while let Some(job) = queue.pop_front() {
-            let eligible = Self::choose_device(states, job, &tried[job]);
-            let exhausted = dispatches[job] >= dispatch_cap;
-            let Some((d, wait_until)) = eligible.filter(|_| !exhausted) else {
-                report.failed_jobs.push(JobFailure {
-                    job,
-                    first_item: job * self.work_group_size,
-                    nr_items: group_lens[job],
-                    error: last_error[job].clone().unwrap_or(IdgError::Internal(
-                        "no fleet device available for job".to_string(),
-                    )),
-                    attempts: attempts_total[job],
-                });
-                continue;
-            };
-            dispatches[job] += 1;
-            if d != job % nr_members || dispatches[job] > 1 {
-                report.redispatched_jobs += 1;
-                idg_obs::add_redispatched_jobs(1);
-            }
-
-            // Ladder loop: an OOM-degraded device resumes the same job
-            // past the faulted attempt instead of re-drawing it.
-            let mut resume = (0u32, wait_until);
-            loop {
-                let mut stats = RetryStats::default();
-                let st = &mut states[d];
-                let (result, counts, times) = execute(st, job, (&mut stats, resume));
-                let now = st.pipeline.makespan();
-                st.nr_retries += stats.nr_retries;
-                report.nr_retries += stats.nr_retries;
-                report.backoff_seconds += stats.backoff_seconds;
-                report.htod_seconds += stats.htod_seconds;
-                report.kernel_seconds += stats.kernel_seconds;
-                report.dtoh_seconds += stats.dtoh_seconds;
-                match result {
-                    JobRun::Done { attempts } => {
-                        attempts_total[job] += attempts - resume.0;
-                        st.jobs_completed += 1;
-                        st.health
-                            .record_outcome(JobOutcome::classify(attempts - 1, None), now);
-                        report.counts.add(&counts);
-                        report.kernel_seconds += times[0];
-                        report.fft_seconds += times[1];
-                        report.adder_seconds += times[2];
-                        report.htod_seconds += times[3];
-                        report.dtoh_seconds += times[4];
-                        break;
-                    }
-                    JobRun::Failed { error, attempts } => {
-                        attempts_total[job] += attempts - resume.0;
-                        if error.is_degradable()
-                            && Self::degrade_device(
-                                st,
-                                plan,
-                                self.work_group_size,
-                                &mut report.degradation_steps,
-                            )
-                        {
-                            resume = (attempts, resume.1);
-                            continue;
-                        }
-                        st.health.record_outcome(JobOutcome::Failed, now);
-                        last_error[job] = Some(error);
-                        tried[job].push(d);
-                        queue.push_back(job);
-                        break;
-                    }
-                }
-            }
-        }
-        report.failed_jobs.sort_by_key(|f| f.job);
-        Ok(())
-    }
-
-    /// Fold per-device state into the report: makespans, energies,
-    /// breaker totals, span replay.
-    fn seal_report(&self, states: &mut [DeviceState], report: &mut FleetRunReport) {
-        idg_obs::add_retries(report.nr_retries as u64);
-        for (d, st) in states.iter_mut().enumerate() {
-            emit_modeled_spans(&st.pipeline.timeline, &st.compute_parts, 4 * d as u32);
-            let makespan = st.pipeline.makespan();
-            let energy = EnergyModel::new(st.device.arch.clone());
-            let busy = st.pipeline.compute_busy();
-            report.device_energy_j += energy.device_energy(busy, 1.0)
-                + energy.device_energy((makespan - busy).max(0.0), 0.0);
-            report.makespan = report.makespan.max(makespan);
-            report.breaker_trips += st.health.trips();
-            st.device.free(st.reserved);
-            st.reserved = 0;
-            report.per_device.push(DeviceReport {
-                nickname: st.device.arch.nickname,
-                jobs_completed: st.jobs_completed,
-                nr_retries: st.nr_retries,
-                breaker_trips: st.health.trips(),
-                degradation_level: st.level,
-                makespan,
-                alive: st.alive,
-            });
-        }
-        let host_arch = self.members[0].device.arch.clone();
-        report.host_energy_j = EnergyModel::new(host_arch).host_energy(report.makespan);
+        let (pass, report) = self.run(data, plan, Direction::Degrid(grid), Sink::Defer)?;
+        Ok((pass.into_deferred_vis(), report))
     }
 }
 
@@ -1125,6 +534,104 @@ mod tests {
         }
     }
 
+    /// The four pass kinds every executor offers.
+    const PASS_KINDS: [&str; 4] = ["grid", "grid_deferred", "degrid", "split_deferred"];
+
+    fn complex_bits<'c>(
+        samples: impl IntoIterator<Item = &'c idg_types::Complex<f32>>,
+    ) -> Vec<u32> {
+        samples
+            .into_iter()
+            .flat_map(|c| [c.re.to_bits(), c.im.to_bits()])
+            .collect()
+    }
+
+    /// The output bits of a deferred gridding pass: every work item's
+    /// `plan.items` index followed by its subgrid, in commit order (a
+    /// degraded job hands its subgrids back in half-chunk ranges, which
+    /// cover the same items in the same order).
+    fn deferred_subgrid_bits(pending: &DeferredSubgrids) -> Vec<u32> {
+        let mut bits = Vec::new();
+        for (range, subgrids) in pending {
+            for (plane, item) in range.clone().enumerate() {
+                bits.push(item as u32);
+                bits.extend(complex_bits(subgrids.subgrid(plane)));
+            }
+        }
+        bits
+    }
+
+    /// The output bits of a deferred degridding pass: the completed
+    /// jobs' item ranges, then the chunk-local visibility buffer.
+    fn deferred_vis_bits(deferred: &DeferredVis) -> Vec<u32> {
+        let ranges = deferred.ranges.iter();
+        let mut bits: Vec<u32> = ranges
+            .flat_map(|r| [r.start as u32, r.end as u32])
+            .collect();
+        bits.extend(complex_bits(deferred.vis.iter().flat_map(|v| &v.pols)));
+        bits
+    }
+
+    /// Run one pass kind on the single-device executor; the output is
+    /// flattened to its exact bit pattern.
+    fn run_single(
+        exec: &GpuExecutor,
+        kind: &str,
+        data: &KernelData<'_>,
+        plan: &Plan,
+        model: &Grid<f32>,
+    ) -> (Vec<u32>, PassTotals) {
+        match kind {
+            "grid" => {
+                let (grid, report) = exec.grid(data, plan).unwrap();
+                (complex_bits(grid.as_slice()), report.totals)
+            }
+            "grid_deferred" => {
+                let (pending, report) = exec.grid_deferred(data, plan).unwrap();
+                (deferred_subgrid_bits(&pending), report.totals)
+            }
+            "degrid" => {
+                let (vis, report) = exec.degrid(data, plan, model).unwrap();
+                (
+                    complex_bits(vis.iter().flat_map(|v| &v.pols)),
+                    report.totals,
+                )
+            }
+            _ => {
+                let (deferred, report) = exec.split_deferred(data, plan, model).unwrap();
+                (deferred_vis_bits(&deferred), report.totals)
+            }
+        }
+    }
+
+    /// [`run_single`] for a fleet.
+    fn run_fleet(
+        fleet: &FleetExecutor,
+        kind: &str,
+        data: &KernelData<'_>,
+        plan: &Plan,
+        model: &Grid<f32>,
+    ) -> (Vec<u32>, FleetRunReport) {
+        match kind {
+            "grid" => {
+                let (grid, report) = fleet.grid(data, plan).unwrap();
+                (complex_bits(grid.as_slice()), report)
+            }
+            "grid_deferred" => {
+                let (pending, report) = fleet.grid_deferred(data, plan).unwrap();
+                (deferred_subgrid_bits(&pending), report)
+            }
+            "degrid" => {
+                let (vis, report) = fleet.degrid(data, plan, model).unwrap();
+                (complex_bits(vis.iter().flat_map(|v| &v.pols)), report)
+            }
+            _ => {
+                let (deferred, report) = fleet.split_deferred(data, plan, model).unwrap();
+                (deferred_vis_bits(&deferred), report)
+            }
+        }
+    }
+
     #[test]
     fn single_member_fleet_matches_the_single_device_executor() {
         let ds = dataset();
@@ -1133,21 +640,44 @@ mod tests {
         let data = kernel_data(&ds, &taper);
 
         let single = GpuExecutor::new(Device::pascal(), 4);
-        let (gold, gold_report) = single.grid(&data, &plan).unwrap();
         let fleet = FleetExecutor::uniform(Device::pascal(), 1, 4);
-        let (grid, report) = fleet.grid(&data, &plan).unwrap();
+        let (model, _) = single.grid(&data, &plan).unwrap();
+        for kind in PASS_KINDS {
+            let (gold, gold_totals) = run_single(&single, kind, &data, &plan, &model);
+            let (out, report) = run_fleet(&fleet, kind, &data, &plan, &model);
 
-        assert_bit_identical(&grid, &gold);
-        assert!(report.complete());
-        assert_eq!(report.counts.visibilities, gold_report.counts.visibilities);
-        assert!((report.makespan - gold_report.makespan).abs() < 1e-12);
-        assert_eq!(report.breaker_trips, 0);
-        assert_eq!(report.redispatched_jobs, 0);
-        assert_eq!(report.per_device.len(), 1);
-        assert_eq!(
-            report.per_device[0].jobs_completed,
-            plan.work_groups(4).count()
-        );
+            // one job model: outputs AND modeled accounting agree to
+            // the last bit, whatever the sink
+            assert_eq!(out, gold, "{kind}: output bits");
+            let totals = &report.totals;
+            assert!(totals.complete(), "{kind}");
+            assert_eq!(totals.counts, gold_totals.counts, "{kind}");
+            assert_eq!(totals.makespan, gold_totals.makespan, "{kind}: makespan");
+            assert_eq!(
+                totals.htod_seconds, gold_totals.htod_seconds,
+                "{kind}: HtoD"
+            );
+            assert_eq!(
+                totals.dtoh_seconds, gold_totals.dtoh_seconds,
+                "{kind}: DtoH"
+            );
+            assert_eq!(
+                totals.kernel_seconds, gold_totals.kernel_seconds,
+                "{kind}: kernel"
+            );
+            assert_eq!(totals.fft_seconds, gold_totals.fft_seconds, "{kind}: fft");
+            assert_eq!(
+                totals.adder_seconds, gold_totals.adder_seconds,
+                "{kind}: adder"
+            );
+            assert_eq!(report.breaker_trips, 0);
+            assert_eq!(report.redispatched_jobs, 0);
+            assert_eq!(report.per_device.len(), 1);
+            assert_eq!(
+                report.per_device[0].jobs_completed,
+                plan.work_groups(4).count()
+            );
+        }
     }
 
     #[test]
@@ -1165,11 +695,11 @@ mod tests {
         // f32 accumulation order is pinned by the ordered commit, so
         // splitting work across devices must not move a single bit
         assert_bit_identical(&grid, &gold);
-        assert!(report.complete());
+        assert!(report.totals.complete());
         // jobs spread round-robin across all members
         assert!(report.per_device.iter().all(|d| d.jobs_completed > 0));
         // devices overlap in (modeled) time: the fleet finishes faster
-        assert!(report.makespan < gold_report.makespan);
+        assert!(report.totals.makespan < gold_report.totals.makespan);
     }
 
     #[test]
@@ -1185,7 +715,7 @@ mod tests {
         let fleet = FleetExecutor::uniform(Device::pascal(), 3, 4);
         let (vis, report) = fleet.degrid(&data, &plan, &grid).unwrap();
 
-        assert!(report.complete());
+        assert!(report.totals.complete());
         assert_eq!(vis.len(), gold.len());
         for (a, b) in vis.iter().zip(&gold) {
             for (pa, pb) in a.pols.iter().zip(&b.pols) {
@@ -1211,7 +741,11 @@ mod tests {
         let (grid, report) = fleet.grid(&data, &plan).unwrap();
 
         assert_bit_identical(&grid, &gold);
-        assert!(report.complete(), "failures: {:?}", report.failed_jobs);
+        assert!(
+            report.totals.complete(),
+            "failures: {:?}",
+            report.totals.failed_jobs
+        );
         assert!(
             report.breaker_trips > 0,
             "a ~35% fault rate must trip the lemon's breaker"
@@ -1230,9 +764,8 @@ mod tests {
         let taper = vec![1.0f32; ds.obs.subgrid_size * ds.obs.subgrid_size];
         let data = kernel_data(&ds, &taper);
 
-        let (gold, _) = GpuExecutor::new(Device::pascal(), 4)
-            .grid(&data, &plan)
-            .unwrap();
+        let single = GpuExecutor::new(Device::pascal(), 4);
+        let (model, _) = single.grid(&data, &plan).unwrap();
         let oom = FaultConfig::targeted(vec![TargetedFault {
             job: 0,
             attempt: 0,
@@ -1240,15 +773,22 @@ mod tests {
             kind: FaultKind::OutOfMemory,
         }]);
         let fleet = FleetExecutor::uniform(Device::pascal(), 2, 4).with_member_faults(0, oom);
-        let (grid, report) = fleet.grid(&data, &plan).unwrap();
+        // every pass kind resumes the job in half-chunks one rung down
+        for kind in PASS_KINDS {
+            let (gold, _) = run_single(&single, kind, &data, &plan, &model);
+            let (out, report) = run_fleet(&fleet, kind, &data, &plan, &model);
 
-        assert_bit_identical(&grid, &gold);
-        assert!(report.complete(), "OOM must degrade, not fail the job");
-        assert!(report.degradation_steps >= 1);
-        assert!(report.per_device[0].degradation_level >= 1);
-        assert!(report.per_device[0].alive);
-        // the degraded job resumed on the same device: no re-dispatch
-        assert_eq!(report.redispatched_jobs, 0);
+            assert_eq!(out, gold, "{kind}: output bits");
+            assert!(
+                report.totals.complete(),
+                "{kind}: OOM must degrade, not fail the job"
+            );
+            assert!(report.degradation_steps >= 1, "{kind}");
+            assert!(report.per_device[0].degradation_level >= 1, "{kind}");
+            assert!(report.per_device[0].alive, "{kind}");
+            // the degraded job resumed on the same device: no re-dispatch
+            assert_eq!(report.redispatched_jobs, 0, "{kind}");
+        }
     }
 
     #[test]
@@ -1280,7 +820,7 @@ mod tests {
         );
         let (grid, report) = fleet.grid(&data, &plan).unwrap();
         assert_bit_identical(&grid, &gold);
-        assert!(report.complete());
+        assert!(report.totals.complete());
         assert!(report.degradation_steps >= 1);
         assert!(report.per_device[0].degradation_level >= 1);
     }

@@ -24,9 +24,11 @@
 //! * **the host/device pipeline** — [`stream`] is a discrete-event
 //!   simulator of CUDA streams with three-deep buffering, reproducing
 //!   the overlap behaviour of Fig. 7;
-//! * **the executor** — [`executor`] drives whole gridding/degridding
-//!   passes: real numerical results (produced by the simulated kernels)
-//!   plus a modeled execution/energy report;
+//! * **the executors** — one pass engine (job model, kernel back-end,
+//!   retry loop, report) under two dispatchers: [`executor`] drives
+//!   whole gridding/degridding passes on one device, [`fleet`] across
+//!   several — real numerical results (produced by the simulated
+//!   kernels) plus a modeled execution/energy report;
 //! * **the fault layer** — [`fault`] deterministically injects the
 //!   faults real devices throw (transfer bit flips caught by buffer
 //!   checksums, device OOM, kernel faults, stream stalls), and the
@@ -46,6 +48,7 @@ pub mod fleet;
 pub mod health;
 pub mod kernels;
 pub mod occupancy;
+mod pass;
 pub mod stream;
 pub mod timing;
 
@@ -55,5 +58,6 @@ pub use fault::{FaultConfig, FaultInjector, FaultKind, RetryPolicy, TargetedFaul
 pub use fleet::{DeviceReport, FleetExecutor, FleetMember, FleetRunReport};
 pub use health::{BreakerConfig, BreakerState, DeviceHealth, JobOutcome};
 pub use occupancy::{occupancy, KernelResources, Occupancy};
+pub use pass::PassTotals;
 pub use stream::{AttemptOutcome, Engine, FaultPoint, OpStatus, PipelineSim, TraceEntry};
 pub use timing::{kernel_time, transfer_time};

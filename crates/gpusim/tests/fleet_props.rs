@@ -91,13 +91,13 @@ proptest! {
         // Exactly-once accounting: completed on some device XOR failed.
         let completed: usize = report.per_device.iter().map(|d| d.jobs_completed).sum();
         prop_assert!(
-            completed + report.failed_jobs.len() == nr_jobs,
+            completed + report.totals.failed_jobs.len() == nr_jobs,
             "jobs lost or duplicated: {} completed + {} failed != {} total",
             completed,
-            report.failed_jobs.len(),
+            report.totals.failed_jobs.len(),
             nr_jobs
         );
-        let mut failed: Vec<usize> = report.failed_jobs.iter().map(|f| f.job).collect();
+        let mut failed: Vec<usize> = report.totals.failed_jobs.iter().map(|f| f.job).collect();
         let before = failed.len();
         failed.sort_unstable();
         failed.dedup();
@@ -107,7 +107,7 @@ proptest! {
         // Exactly-once numerically: a complete pass is bit-identical
         // to the fault-free single-device reference — one double-add
         // or dropped commit would move bits.
-        if report.complete() {
+        if report.totals.complete() {
             let (gold, _) = GpuExecutor::new(Device::pascal(), wgs)
                 .grid(&data, plan)
                 .unwrap();
