@@ -11,6 +11,9 @@
 use idg::gpusim::{BreakerConfig, FaultConfig};
 use idg::{Backend, FleetConfig, Proxy};
 use idg_conformance::standard_cases;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc;
+use std::time::Duration;
 
 const WORK_GROUP_SIZE: usize = 4;
 
@@ -116,15 +119,14 @@ fn same_seed_fleet_runs_are_observationally_deterministic() {
     }
 }
 
-/// One observed *streamed* fleet gridding pass → metrics JSON only.
+/// One observed *streamed* fleet gridding pass → (metrics JSON,
+/// normalized trace).
 ///
-/// Unlike the one-shot runs above, the trace event sequence is *not*
-/// compared: which worker thread claims which chunk is a legitimate
-/// scheduling race, so the wall-span interleaving may differ between
-/// same-seed runs. The counter registers (chunk/backpressure counters,
-/// retries, modeled numbers) are deterministic by construction and
-/// must still snapshot byte-identically.
-fn observed_streamed_run(seed: u64) -> String {
+/// Which worker thread claims which chunk is a legitimate scheduling
+/// race, so the order spans are *recorded* in differs between same-seed
+/// runs; `normalized_events` orders them by deterministic fields only,
+/// so the sequence must repeat like the counter registers do.
+fn observed_streamed_run(seed: u64) -> (String, Vec<String>) {
     let case = &standard_cases().expect("standard cases build")[2];
     let ds = case.dataset();
     let mut proxy = Proxy::new(Backend::GpuPascal, case.obs.clone()).unwrap();
@@ -148,21 +150,25 @@ fn observed_streamed_run(seed: u64) -> String {
         2,
         2,
     );
-    let (_, report, _) = proxy
+    let (_, report, trace) = proxy
         .grid_streamed_observed(&config, &ds.uvw, &ds.visibilities, &ds.aterms)
         .unwrap();
     let metrics = report.metrics.expect("observed run must attach metrics");
-    metrics.to_json()
+    (metrics.to_json(), idg_obs::normalized_events(&trace))
 }
 
 #[test]
 fn same_seed_streamed_runs_have_byte_identical_metrics() {
     for seed in [4242, 17] {
-        let metrics_a = observed_streamed_run(seed);
-        let metrics_b = observed_streamed_run(seed);
+        let (metrics_a, events_a) = observed_streamed_run(seed);
+        let (metrics_b, events_b) = observed_streamed_run(seed);
         assert_eq!(
             metrics_a, metrics_b,
             "seed {seed}: streamed metrics snapshots must be byte-identical"
+        );
+        assert_eq!(
+            events_a, events_b,
+            "seed {seed}: streamed normalized trace event sequences must match"
         );
         assert!(
             metrics_a.contains("\"chunks_ingested\""),
@@ -316,4 +322,145 @@ fn different_seeds_produce_observably_different_schedules() {
         events_a, events_b,
         "fault schedules must depend on the seed"
     );
+}
+
+/// Run `observed` — which must self-validate — until one of its calls
+/// provably overlapped a whole *unobserved* grid + degrid pass of a
+/// different size through the same back-end's kernels on another
+/// thread: two completions counted inside one call's window mean the
+/// second pass began and ended inside it.
+fn beside_an_unobserved_pass(backend: Backend, mut observed: impl FnMut()) {
+    struct StopOnDrop<'a>(&'a AtomicBool);
+    impl Drop for StopOnDrop<'_> {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::SeqCst);
+        }
+    }
+
+    let case = &standard_cases().expect("standard cases build")[2];
+    let ds = case.dataset();
+    let proxy = Proxy::new(backend, case.obs.clone()).unwrap();
+    let plan = proxy.plan(&ds.uvw).unwrap();
+    let (passes, stop) = (AtomicUsize::new(0), AtomicBool::new(false));
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            while !stop.load(Ordering::SeqCst) {
+                let (grid, _) = proxy
+                    .grid(&plan, &ds.uvw, &ds.visibilities, &ds.aterms)
+                    .unwrap();
+                proxy.degrid(&plan, &grid, &ds.uvw, &ds.aterms).unwrap();
+                passes.fetch_add(1, Ordering::SeqCst);
+            }
+        });
+        // a failing `observed` must still release the other thread
+        let _stop = StopOnDrop(&stop);
+        let overlapped = (0..500).any(|_| {
+            let before = passes.load(Ordering::SeqCst);
+            observed();
+            passes.load(Ordering::SeqCst) >= before + 2
+        });
+        assert!(
+            overlapped,
+            "{backend:?}: no observed pass overlapped an unobserved one"
+        );
+    });
+}
+
+#[test]
+fn observed_passes_self_validate_beside_an_unobserved_pass_on_every_backend() {
+    let case = &standard_cases().expect("standard cases build")[0];
+    let ds = case.dataset();
+    let config = idg::StreamConfig::new(
+        idg::stream::ChunkPolicy::by_timesteps(case.obs.aterm_interval),
+        2,
+        2,
+    );
+    for backend in Backend::all() {
+        let mut proxy = Proxy::new(backend, case.obs.clone()).unwrap();
+        proxy.work_group_size = WORK_GROUP_SIZE;
+        let plan = proxy.plan(&ds.uvw).unwrap();
+        let (model, _) = proxy
+            .grid(&plan, &ds.uvw, &ds.visibilities, &ds.aterms)
+            .unwrap();
+        beside_an_unobserved_pass(backend, || {
+            proxy
+                .grid_observed(&plan, &ds.uvw, &ds.visibilities, &ds.aterms)
+                .unwrap_or_else(|e| panic!("{backend:?} grid_observed: {e}"));
+        });
+        beside_an_unobserved_pass(backend, || {
+            proxy
+                .degrid_observed(&plan, &model, &ds.uvw, &ds.aterms)
+                .unwrap_or_else(|e| panic!("{backend:?} degrid_observed: {e}"));
+        });
+        beside_an_unobserved_pass(backend, || {
+            proxy
+                .grid_streamed_observed(&config, &ds.uvw, &ds.visibilities, &ds.aterms)
+                .unwrap_or_else(|e| panic!("{backend:?} grid_streamed_observed: {e}"));
+        });
+    }
+}
+
+#[test]
+fn two_sessions_open_at_once_each_hold_exactly_their_own_pass() {
+    let cases = standard_cases().expect("standard cases build");
+    let runs = [
+        (Backend::GpuPascal, &cases[0]),
+        (Backend::CpuOptimized, &cases[2]),
+    ];
+
+    // what each pass records when it is the only one in the process
+    let solo: Vec<(String, Vec<String>)> = runs
+        .iter()
+        .map(|(backend, case)| {
+            let ds = case.dataset();
+            let proxy = Proxy::new(*backend, case.obs.clone()).unwrap();
+            let plan = proxy.plan(&ds.uvw).unwrap();
+            let (_, report, trace) = proxy
+                .grid_observed(&plan, &ds.uvw, &ds.visibilities, &ds.aterms)
+                .unwrap();
+            let metrics = report.metrics.expect("observed run must attach metrics");
+            (metrics.to_json(), idg_obs::normalized_events(&trace))
+        })
+        .collect();
+
+    // Both sessions are open before either pass starts and until both
+    // have ended: each thread tells its peer when it has begun and when
+    // its pass is done, and waits for the peer's word both times. (A
+    // session that had to wait for the other to finish would time out
+    // here instead of deadlocking.)
+    let (to_b, from_a) = mpsc::channel::<()>();
+    let (to_a, from_b) = mpsc::channel::<()>();
+    let mut links = [Some((to_b, from_b)), Some((to_a, from_a))];
+    let concurrent: Vec<(String, Vec<String>)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = runs
+            .iter()
+            .zip(&mut links)
+            .map(|((backend, case), link)| {
+                let (tell, hear) = link.take().expect("one link per thread");
+                scope.spawn(move || {
+                    let ds = case.dataset();
+                    let proxy = Proxy::new(*backend, case.obs.clone()).unwrap();
+                    let plan = proxy.plan(&ds.uvw).unwrap();
+                    let rendezvous = |what: &str| {
+                        tell.send(()).expect("peer is alive");
+                        hear.recv_timeout(Duration::from_secs(20))
+                            .unwrap_or_else(|e| panic!("{backend:?}: peer never {what}: {e}"));
+                    };
+                    let session = idg::obs::Session::begin("gridding");
+                    rendezvous("began its session");
+                    proxy
+                        .grid(&plan, &ds.uvw, &ds.visibilities, &ds.aterms)
+                        .unwrap();
+                    rendezvous("ended its pass");
+                    let trace = session.finish();
+                    (trace.metrics.to_json(), idg_obs::normalized_events(&trace))
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("observed thread panicked"))
+            .collect()
+    });
+    assert_eq!(concurrent, solo);
 }

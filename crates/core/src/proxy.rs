@@ -18,7 +18,6 @@ use idg_kernels::{
     split_subgrids, FftNorm, KernelCache, KernelData, SubgridArray,
 };
 use idg_math::Accuracy;
-use idg_obs::MetricsSnapshot;
 use idg_perf::{degridder_counts, gridder_counts, OpCounts};
 use idg_plan::{Plan, WorkItem};
 use idg_telescope::ATerms;
@@ -124,6 +123,15 @@ impl FleetConfig {
             breaker: None,
         }
     }
+}
+
+/// What a pass launched, which its measured counters are held to: work
+/// items (one kernel invocation each) and device jobs (work groups; a
+/// stream cuts each chunk plan into its own, so they sum per chunk).
+#[derive(Copy, Clone, Default)]
+struct Launches {
+    items: usize,
+    jobs: usize,
 }
 
 /// A configured IDG instance for one observation.
@@ -265,14 +273,6 @@ impl Proxy {
             fleet = fleet.with_breaker(breaker);
         }
         Ok(fleet)
-    }
-
-    /// Whether the fleet path can perturb measured counters: any fault
-    /// schedule on any member makes retries/degradation possible.
-    fn fleet_has_faults(&self) -> bool {
-        self.fleet
-            .as_ref()
-            .is_some_and(|c| !c.member_faults.is_empty())
     }
 
     /// The kernel inputs of a pass over this proxy's observation,
@@ -595,21 +595,20 @@ impl Proxy {
     }
 
     /// Run `pass` under an observability session named `name`, attach
-    /// the measured counter snapshot to its report, and self-validate
-    /// it with `validate` (the `*_observed` entry points differ only in
-    /// the pass they run and the cadence they expect).
+    /// the measured counter snapshot to its report, and hold it to the
+    /// launches the pass reports (the `*_observed` entry points differ
+    /// only in the pass they run).
     fn observed<T>(
         &self,
         name: &str,
-        pass: impl FnOnce() -> Result<(T, ExecutionReport), IdgError>,
-        validate: impl FnOnce(&ExecutionReport) -> Result<(), IdgError>,
+        pass: impl FnOnce() -> Result<(T, ExecutionReport, Launches), IdgError>,
     ) -> Result<(T, ExecutionReport, idg_obs::Trace), IdgError> {
         let session = idg_obs::Session::begin(name);
         let result = pass();
         let trace = session.finish();
-        let (out, mut report) = result?;
+        let (out, mut report, launched) = result?;
         report.metrics = Some(trace.metrics.clone());
-        validate(&report)?;
+        self.validate_measured(&report, launched)?;
         Ok((out, report, trace))
     }
 
@@ -631,11 +630,10 @@ impl Proxy {
         visibilities: &[Visibility<f32>],
         aterms: &ATerms,
     ) -> Result<(Grid<f32>, ExecutionReport, idg_obs::Trace), IdgError> {
-        self.observed(
-            "gridding",
-            || self.grid(plan, uvw, visibilities, aterms),
-            |report| self.validate_measured(report, plan),
-        )
+        self.observed("gridding", || {
+            let (grid, report) = self.grid(plan, uvw, visibilities, aterms)?;
+            Ok((grid, report, self.launches(&plan.items)))
+        })
     }
 
     /// Run [`Proxy::degrid`] under an observability session (see
@@ -647,103 +645,96 @@ impl Proxy {
         uvw: &[Uvw],
         aterms: &ATerms,
     ) -> Result<(Vec<Visibility<f32>>, ExecutionReport, idg_obs::Trace), IdgError> {
-        self.observed(
-            "degridding",
-            || self.degrid(plan, grid, uvw, aterms),
-            |report| self.validate_measured(report, plan),
-        )
+        self.observed("degridding", || {
+            let (vis, report) = self.degrid(plan, grid, uvw, aterms)?;
+            Ok((vis, report, self.launches(&plan.items)))
+        })
     }
 
-    /// The measured counters of an observed pass, when they can be
-    /// held to the analytic model. `None` for unobserved passes and for
-    /// runs where kernels legitimately execute more than once per work
-    /// item: retries and CPU fallbacks re-run them, fault injection may
-    /// re-run the compute phase for checksum staging, and on a fleet
-    /// member faults, breaker re-dispatches and degraded (chunked) jobs
-    /// all change how often kernels and cache lookups run per item.
-    fn validated_metrics<'r>(&self, report: &'r ExecutionReport) -> Option<&'r MetricsSnapshot> {
-        let fleet_perturbed = self.fleet_has_faults()
-            || report.fleet.as_ref().is_some_and(|f| {
-                f.redispatched_jobs > 0 || f.degradation_steps > 0 || f.breaker_trips > 0
-            });
+    /// The launches of a pass over `items`.
+    fn launches(&self, items: &[WorkItem]) -> Launches {
+        Launches {
+            items: items.len(),
+            jobs: items.len().div_ceil(self.work_group_size),
+        }
+    }
+
+    /// Cross-validate an observed pass, one-shot or streamed: hold its
+    /// measured kernel counters to the analytic model the report
+    /// already carries — exact integer equality, field by field — and
+    /// its kernel-cache lookups to the expected cadence (as
+    /// deterministic as the op counts).
+    ///
+    /// Skipped for runs where kernels legitimately execute more than
+    /// once per work item: retries and CPU fallbacks re-run them, fault
+    /// injection may re-run the compute phase for checksum staging, and
+    /// on a fleet member faults, breaker re-dispatches and degraded
+    /// (chunked) jobs all change how often kernels and cache lookups
+    /// run per item.
+    fn validate_measured(
+        &self,
+        report: &ExecutionReport,
+        launched: Launches,
+    ) -> Result<(), IdgError> {
+        let fleet_perturbed = |f: &FleetStats| {
+            f.redispatched_jobs > 0 || f.degradation_steps > 0 || f.breaker_trips > 0
+        };
+        let member_faults = self
+            .fleet
+            .as_ref()
+            .is_some_and(|c| !c.member_faults.is_empty());
         let perturbed = self.fault_config.is_some()
+            || member_faults
             || report.nr_retries > 0
             || !report.fallback_jobs.is_empty()
-            || fleet_perturbed;
-        report.metrics.as_ref().filter(|_| !perturbed)
-    }
+            || report.fleet.as_ref().is_some_and(fleet_perturbed);
+        let Some(metrics) = report.metrics.as_ref().filter(|_| !perturbed) else {
+            return Ok(());
+        };
+        let (items, jobs) = (launched.items as u64, launched.jobs as u64);
+        // a one-shot pass is the one-chunk row of the table below
+        let chunks = report.stream.as_ref().map_or(1, |s| s.nr_chunks as u64);
+        // Cache cadence. Phasor tables are looked up by whoever runs
+        // the adder/splitter, geometry planes by the optimized and GPU
+        // kernels. Gridding commits on the host once (one phasor
+        // lookup) on every path but one: the one-shot GPU pass adds
+        // per job, so each job looks phasors up itself — the only row
+        // where one-shot and streamed truly differ, because a stream
+        // defers every job's subgrids to the single final commit.
+        // Degridding splits where it predicts (per chunk on the CPU,
+        // per job on the GPU) and its final visibility commit is plain
+        // copies — no lookup.
+        let streamed = report.stream.is_some();
+        let expected_lookups = match (self.backend, report.pass == "gridding") {
+            (Backend::CpuReference, true) => 1,
+            (Backend::CpuReference, false) => chunks,
+            (Backend::CpuOptimized, true) => chunks + 1,
+            (Backend::CpuOptimized, false) => 2 * chunks,
+            (Backend::GpuPascal | Backend::GpuFiji, true) if streamed => jobs + 1,
+            (Backend::GpuPascal | Backend::GpuFiji, _) => 2 * jobs,
+        };
 
-    /// Hold `metrics` to the analytic model — exact integer equality,
-    /// field by field — and to the expected kernel-cache lookup count
-    /// (as deterministic as the op counts). `what` names the pass in
-    /// the error.
-    fn check_measured(
-        what: &str,
-        metrics: &MetricsSnapshot,
-        analytic: &OpCounts,
-        nr_items: u64,
-        expected_lookups: u64,
-    ) -> Result<(), IdgError> {
-        let k = metrics.pass_kernel();
+        let (k, analytic) = (metrics.pass_kernel(), &report.counts);
+        let lookups = metrics.cache_hits + metrics.cache_misses;
         let checks = [
             ("visibilities", k.visibilities, analytic.visibilities),
             ("sincos_pairs", k.sincos_pairs, analytic.sincos_pairs),
             ("fmas", k.fmas, analytic.fmas),
             ("dram_bytes", k.dram_bytes, analytic.dram_bytes),
             ("shared_bytes", k.shared_bytes, analytic.shared_bytes),
-            ("invocations", k.invocations, nr_items),
+            ("invocations", k.invocations, items),
+            ("cache lookups", lookups, expected_lookups),
         ];
         for (name, measured, predicted) in checks {
             if measured != predicted {
                 return Err(IdgError::Internal(format!(
-                    "observability self-validation failed: {what} {name} measured {measured} \
-                     != analytic {predicted}"
+                    "observability self-validation failed: {} {name} measured {measured} \
+                     != expected {predicted}",
+                    report.pass
                 )));
             }
         }
-        let lookups = metrics.cache_hits + metrics.cache_misses;
-        if lookups != expected_lookups {
-            return Err(IdgError::Internal(format!(
-                "observability self-validation failed: {what} cache lookups measured {lookups} \
-                 != expected {expected_lookups}"
-            )));
-        }
         Ok(())
-    }
-
-    /// The analytic main-kernel counts of `pass` over `items`.
-    fn analytic_counts(&self, pass: &str, items: &[WorkItem]) -> OpCounts {
-        match pass {
-            "gridding" => gridder_counts(items, self.obs.subgrid_size),
-            _ => degridder_counts(items, self.obs.subgrid_size),
-        }
-    }
-
-    /// Cross-validate an observed one-shot pass (see
-    /// [`Proxy::validated_metrics`] for when it applies).
-    fn validate_measured(&self, report: &ExecutionReport, plan: &Plan) -> Result<(), IdgError> {
-        let Some(metrics) = self.validated_metrics(report) else {
-            return Ok(());
-        };
-        // Cache cadence: the reference path consults the cache once per
-        // pass (the adder/splitter phasor tables), the optimized CPU
-        // path twice (geometry planes + phasor tables) and the GPU path
-        // twice per work group (each job's compute and commit phases
-        // look up independently).
-        let expected_lookups = match self.backend {
-            Backend::CpuReference => 1,
-            Backend::CpuOptimized => 2,
-            Backend::GpuPascal | Backend::GpuFiji => {
-                2 * plan.work_groups(self.work_group_size).count() as u64
-            }
-        };
-        Self::check_measured(
-            report.pass,
-            metrics,
-            &self.analytic_counts(report.pass, &plan.items),
-            plan.items.len() as u64,
-            expected_lookups,
-        )
     }
 
     /// Predict visibilities from a model grid.

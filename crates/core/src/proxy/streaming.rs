@@ -35,11 +35,11 @@
 //! worker count and fault schedule; see DESIGN.md §12 for the
 //! commit-order argument.
 
-use super::{check_finite_uvw, check_finite_vis, Backend, Proxy};
+use super::{check_finite_uvw, check_finite_vis, Backend, Launches, Proxy};
 use crate::report::ExecutionReport;
 use idg_gpusim::{DeferredSubgrids, DeferredVis};
 use idg_kernels::{add_subgrids, KernelData, SubgridArray};
-use idg_perf::{degridder_counts, gridder_counts, OpCounts};
+use idg_perf::{degridder_counts, gridder_counts};
 use idg_plan::{Plan, UvExtents, WorkItem};
 use idg_stream::{
     plan_chunk, ChunkPolicy, ChunkedDataset, CommitLedger, StreamDirection, StreamRun,
@@ -113,6 +113,8 @@ struct StreamTotals {
     report: ExecutionReport,
     /// Per-chunk end-to-end times, in ingestion order.
     makespans: Vec<f64>,
+    /// Work items and device jobs summed over the chunk passes.
+    launched: Launches,
     stats: StreamStats,
     started: Instant,
 }
@@ -235,7 +237,7 @@ impl Proxy {
         let mut gathered = Vec::with_capacity(results.len());
         let mut makespans = Vec::with_capacity(results.len());
         let mut summed: Option<ExecutionReport> = None;
-        let (mut item_base, mut job_base) = (0, 0);
+        let mut launched = Launches::default();
         for result in results {
             let ChunkOutput {
                 items,
@@ -243,11 +245,12 @@ impl Proxy {
                 mut report,
             } = result?;
             for failure in &mut report.fallback_jobs {
-                failure.job += job_base;
-                failure.first_item += item_base;
+                failure.job += launched.jobs;
+                failure.first_item += launched.items;
             }
-            item_base += items.len();
-            job_base += items.len().div_ceil(self.work_group_size);
+            let chunk = self.launches(&items);
+            launched.items += chunk.items;
+            launched.jobs += chunk.jobs;
             makespans.push(report.total_seconds);
             summed = Some(match summed {
                 Some(sum) => sum_reports(sum, report),
@@ -260,6 +263,7 @@ impl Proxy {
         let totals = StreamTotals {
             report,
             makespans,
+            launched,
             stats,
             started,
         };
@@ -281,6 +285,19 @@ impl Proxy {
         visibilities: &[Visibility<f32>],
         aterms: &ATerms,
     ) -> Result<(Grid<f32>, ExecutionReport), IdgError> {
+        self.stream_grid(config, uvw, visibilities, aterms)
+            .map(|(grid, report, _)| (grid, report))
+    }
+
+    /// [`Proxy::grid_streamed`], also returning what the chunk passes
+    /// launched.
+    fn stream_grid(
+        &self,
+        config: &StreamConfig,
+        uvw: &[Uvw],
+        visibilities: &[Visibility<f32>],
+        aterms: &ATerms,
+    ) -> Result<(Grid<f32>, ExecutionReport, Launches), IdgError> {
         let data = self.kernel_data(uvw, visibilities, aterms)?;
         check_finite_vis(visibilities)?;
         check_finite_uvw(uvw)?;
@@ -333,7 +350,9 @@ impl Proxy {
         }
         let commit_wall = t_commit.elapsed().as_secs_f64();
         let commit_model = (slots.len() * 4 * n * n * 8) as f64 / HOST_ADDER_BW;
-        Ok((grid, totals.seal(config, commit_wall, commit_model)))
+        let launched = totals.launched;
+        let report = totals.seal(config, commit_wall, commit_model);
+        Ok((grid, report, launched))
     }
 
     /// Run [`Proxy::grid_streamed`] under an observability session (the
@@ -346,11 +365,9 @@ impl Proxy {
         visibilities: &[Visibility<f32>],
         aterms: &ATerms,
     ) -> Result<(Grid<f32>, ExecutionReport, idg_obs::Trace), IdgError> {
-        self.observed(
-            "gridding",
-            || self.grid_streamed(config, uvw, visibilities, aterms),
-            |report| self.validate_streamed(config, uvw, report),
-        )
+        self.observed("gridding", || {
+            self.stream_grid(config, uvw, visibilities, aterms)
+        })
     }
 
     /// Predict visibilities from a model grid through the streaming
@@ -376,6 +393,19 @@ impl Proxy {
         uvw: &[Uvw],
         aterms: &ATerms,
     ) -> Result<(Vec<Visibility<f32>>, ExecutionReport), IdgError> {
+        self.stream_degrid(config, grid, uvw, aterms)
+            .map(|(vis, report, _)| (vis, report))
+    }
+
+    /// [`Proxy::degrid_streamed`], also returning what the chunk passes
+    /// launched.
+    fn stream_degrid(
+        &self,
+        config: &StreamConfig,
+        grid: &Grid<f32>,
+        uvw: &[Uvw],
+        aterms: &ATerms,
+    ) -> Result<(Vec<Visibility<f32>>, ExecutionReport, Launches), IdgError> {
         let zeros = vec![Visibility::<f32>::zero(); self.obs.nr_visibilities()];
         let data = self.kernel_data(uvw, &zeros, aterms)?;
         check_finite_uvw(uvw)?;
@@ -435,7 +465,9 @@ impl Proxy {
         let commit_wall = t_commit.elapsed().as_secs_f64();
         // each committed visibility is one 4-pol read + write (32 B)
         let commit_model = (committed_vis * 2 * 32) as f64 / HOST_ADDER_BW;
-        Ok((vis, totals.seal(config, commit_wall, commit_model)))
+        let launched = totals.launched;
+        let report = totals.seal(config, commit_wall, commit_model);
+        Ok((vis, report, launched))
     }
 
     /// Run [`Proxy::degrid_streamed`] under an observability session
@@ -448,11 +480,9 @@ impl Proxy {
         uvw: &[Uvw],
         aterms: &ATerms,
     ) -> Result<(Vec<Visibility<f32>>, ExecutionReport, idg_obs::Trace), IdgError> {
-        self.observed(
-            "degridding",
-            || self.degrid_streamed(config, grid, uvw, aterms),
-            |report| self.validate_streamed(config, uvw, report),
-        )
+        self.observed("degridding", || {
+            self.stream_degrid(config, grid, uvw, aterms)
+        })
     }
 
     /// One chunk's gridding pass over its chunk-local `plan`: the
@@ -542,57 +572,6 @@ impl Proxy {
             payload,
             report,
         })
-    }
-
-    /// Cross-validate an observed streamed pass (see
-    /// [`Proxy::grid_observed`] for the contract). The chunk-local
-    /// plans are re-derived here — planning is cheap next to the
-    /// kernels — to get the analytic counts, total item count and
-    /// per-chunk job counts the expectations need.
-    fn validate_streamed(
-        &self,
-        config: &StreamConfig,
-        uvw: &[Uvw],
-        report: &ExecutionReport,
-    ) -> Result<(), IdgError> {
-        let Some(metrics) = self.validated_metrics(report) else {
-            return Ok(());
-        };
-        let gridding = report.pass == "gridding";
-        let chunks = ChunkedDataset::split(&self.obs, &config.policy)?;
-        let extents = UvExtents::compute(&self.obs, uvw)?;
-        let mut analytic = OpCounts::default();
-        let mut nr_items = 0u64;
-        let mut nr_jobs = 0u64;
-        for chunk in chunks.chunks() {
-            let plan = plan_chunk(&self.obs, uvw, &extents, chunk)?;
-            analytic.add(&self.analytic_counts(report.pass, &plan.items));
-            nr_items += plan.items.len() as u64;
-            nr_jobs += plan.work_groups(self.work_group_size).count() as u64;
-        }
-        // Streamed cache cadence. Gridding: the reference path looks
-        // up once (the final commit's phasor tables); the optimized
-        // CPU path once per chunk (geometry planes) plus the commit;
-        // the GPU paths once per device job (compute phases) plus the
-        // commit. Degridding: the splitter looks up phasors once per
-        // chunk (reference) or per job (GPU), the degridder adds a
-        // geometry lookup per chunk (optimized CPU) or per job (GPU),
-        // and the final visibility commit is plain copies — no lookup.
-        let expected_lookups = match (self.backend, gridding) {
-            (Backend::CpuReference, true) => 1,
-            (Backend::CpuOptimized, true) => chunks.len() as u64 + 1,
-            (Backend::GpuPascal | Backend::GpuFiji, true) => nr_jobs + 1,
-            (Backend::CpuReference, false) => chunks.len() as u64,
-            (Backend::CpuOptimized, false) => 2 * chunks.len() as u64,
-            (Backend::GpuPascal | Backend::GpuFiji, false) => 2 * nr_jobs,
-        };
-        Self::check_measured(
-            &format!("streamed {}", report.pass),
-            metrics,
-            &analytic,
-            nr_items,
-            expected_lookups,
-        )
     }
 }
 

@@ -98,16 +98,18 @@ pub fn gridder_gpu(
         .collect();
 
     // one thread block per work item; blocks are independent
+    let mut tallies = vec![KernelCounters::default(); items.len()];
     items
         .par_iter()
         .zip(subgrids.as_mut_slice().par_chunks_exact_mut(4 * n2))
+        .zip(tallies.par_iter_mut())
         .for_each_init(
             || GridderScratch {
                 regs: Vec::new(),
                 offs: Vec::new(),
                 shared: Vec::new(),
             },
-            |scr, (item, subgrid)| {
+            |scr, ((item, subgrid), tally_slot)| {
                 let (u0, v0, w0) = geom.subgrid_center_uvw(item);
                 let base = item.baseline_index * nr_time + item.time_offset;
                 let item_chan = item.nr_channels;
@@ -116,6 +118,8 @@ pub fn gridder_gpu(
                 // Measured op tally for this block, incremented beside the
                 // staging and inner sincos/accumulate loops with their real
                 // trip counts; the uvw track is read once per timestep.
+                // Stored per block and recorded once per launch (rayon
+                // workers have no session to record into).
                 let mut tally = KernelCounters {
                     invocations: 1,
                     dram_bytes: item.nr_timesteps as u64 * BYTES_UVW,
@@ -201,9 +205,10 @@ pub fn gridder_gpu(
                     }
                     tally.dram_bytes += BYTES_POL4; // output pixel written once
                 }
-                idg_obs::add_kernel(KernelStage::Gridder, &tally);
+                *tally_slot = tally;
             },
         );
+    idg_obs::add_kernel(KernelStage::Gridder, &tallies.iter().sum());
 
     Ok(gridder_counts(items, n))
 }
@@ -250,16 +255,18 @@ pub fn degridder_gpu(
         .map(|f| KernelGeometry::phase_scale(*f) as f32)
         .collect();
 
+    let mut tallies = vec![KernelCounters::default(); items.len()];
     let results: Vec<(&WorkItem, Vec<Visibility<f32>>)> = items
         .par_iter()
         .enumerate()
+        .zip(tallies.par_iter_mut())
         .map_init(
             || DegridderScratch {
                 regs: Vec::new(),
                 sh_pix: Vec::new(),
                 sh_geo: Vec::new(),
             },
-            |scr, (s_idx, item)| {
+            |scr, ((s_idx, item), tally_slot)| {
                 let subgrid = subgrids.subgrid(s_idx);
                 let (u0, v0, w0) = geom.subgrid_center_uvw(item);
                 let base = item.baseline_index * nr_time + item.time_offset;
@@ -343,16 +350,17 @@ pub fn degridder_gpu(
                 // every register accumulator becomes one predicted visibility
                 tally.visibilities += tc as u64;
                 tally.dram_bytes += tc as u64 * BYTES_POL4;
-                idg_obs::add_kernel(KernelStage::Degridder, &tally);
 
                 let out: Vec<Visibility<f32>> = scr.regs[..tc]
                     .iter()
                     .map(|pols| Visibility { pols: *pols })
                     .collect();
+                *tally_slot = tally;
                 (item, out)
             },
         )
         .collect();
+    idg_obs::add_kernel(KernelStage::Degridder, &tallies.iter().sum());
 
     // scatter per (timestep, channel-group) — blocks are disjoint
     for (item, block) in results {

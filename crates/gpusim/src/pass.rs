@@ -316,14 +316,14 @@ fn run_job_inner(
     }
 }
 
-/// Replay the pipeline timeline into the active observability session
-/// as modeled spans: one `job` span per job covering all of its
+/// Replay the pipeline timeline into the calling thread's observability
+/// session as modeled spans: one `job` span per job covering all of its
 /// operations, one `stage` span per scheduled operation (faulted
 /// attempts keep their engine name but carry a `!` suffix), and
 /// `kernel` sub-spans subdividing each *completed* Compute interval
 /// into its constituent kernels. `parts[job]` lists `(name, seconds)`
 /// in execution order and sums to the job's compute time; it is empty
-/// when the session was inactive while the pass ran.
+/// when the pass ran unobserved.
 ///
 /// `base_lane` offsets every lane: device `d` of a pass replays into
 /// lanes `4d .. 4d + 3` so per-device timelines render side by side.
@@ -467,8 +467,8 @@ pub(crate) struct DeviceSlot {
     /// Whether the grid lives in device memory (device adder) or only
     /// the buffer sets do (subgrids stream to the host).
     grid_resident: bool,
-    /// Kernel breakdown per job, for span replay (empty unless the
-    /// pass is observed).
+    /// Kernel breakdown per job, for span replay (each empty unless
+    /// the pass is observed).
     compute_parts: Vec<Vec<(&'static str, f64)>>,
 }
 
@@ -484,11 +484,7 @@ impl DeviceSlot {
             staged_items: 0,
             reserved: 0,
             grid_resident: false,
-            compute_parts: if pass.observing {
-                vec![Vec::new(); pass.nr_jobs()]
-            } else {
-                Vec::new()
-            },
+            compute_parts: vec![Vec::new(); pass.nr_jobs()],
         }
     }
 
@@ -545,7 +541,6 @@ pub(crate) struct Pass<'a> {
     groups: Vec<&'a [WorkItem]>,
     cache: &'a KernelCache,
     retry: &'a RetryPolicy,
-    observing: bool,
     /// The grid of an [`Sink::AddNow`] gridding pass.
     grid: Option<Grid<f32>>,
     /// Held subgrids per job of a gridding pass with a holding sink.
@@ -589,7 +584,6 @@ impl<'a> Pass<'a> {
             groups,
             cache,
             retry,
-            observing: idg_obs::is_active(),
             grid,
             held,
             vis,
@@ -629,7 +623,7 @@ impl<'a> Pass<'a> {
         let t_fft = subgrid_fft_time(device, group.len(), n);
         // kernel sub-spans are only kept while a session records them
         let parts = |parts: &[(&'static str, f64)]| {
-            if self.observing {
+            if idg_obs::is_active() {
                 parts.to_vec()
             } else {
                 Vec::new()
@@ -713,9 +707,7 @@ impl<'a> Pass<'a> {
             charged,
             parts,
         } = self.job_model(slot, group);
-        if self.observing {
-            slot.compute_parts[job] = parts;
-        }
+        slot.compute_parts[job] = parts;
 
         let (data, cache, direction) = (self.data, self.cache, &self.direction);
         let n = self.plan.subgrid_size();

@@ -222,17 +222,20 @@ pub fn gridder_cpu(
     // sandwich
     let identity_aterms = data.aterms.is_identity();
 
+    let mut tallies = vec![KernelCounters::default(); items.len()];
     items
         .par_iter()
         .zip(subgrids.as_mut_slice().par_chunks_exact_mut(4 * n2))
-        .for_each_init(Scratch::new, |scr, (item, subgrid)| {
+        .zip(tallies.par_iter_mut())
+        .for_each_init(Scratch::new, |scr, ((item, subgrid), slot)| {
             let item_chan = item.nr_channels;
             let tc = item.nr_timesteps * item_chan;
             scr.resize(tc.max(n2));
 
             // Measured op tally, incremented beside the staging loops
             // and batched-math call sites with their actual lengths;
-            // flushed once per item (no-op without an active session).
+            // stored per item and recorded once per launch (rayon
+            // workers have no session to record into).
             let mut tally = KernelCounters {
                 invocations: 1,
                 ..KernelCounters::default()
@@ -351,8 +354,9 @@ pub fn gridder_cpu(
                     tally.dram_bytes += BYTES_POL4; // output pixel written once
                 }
             }
-            idg_obs::add_kernel(KernelStage::Gridder, &tally);
+            *slot = tally;
         });
+    idg_obs::add_kernel(KernelStage::Gridder, &tallies.iter().sum());
     Ok(())
 }
 
@@ -419,11 +423,13 @@ pub fn degridder_cpu(
         cursor = dst + items[idx].nr_channels;
     }
 
+    let mut tallies = vec![KernelCounters::default(); items.len()];
     items
         .par_iter()
         .enumerate()
         .zip(bundles.into_par_iter())
-        .for_each_init(Scratch::new, |scr, ((s_idx, item), mut rows)| {
+        .zip(tallies.par_iter_mut())
+        .for_each_init(Scratch::new, |scr, (((s_idx, item), mut rows), slot)| {
             scr.resize(n2);
             let subgrid = subgrids.subgrid(s_idx);
             let ap_plane = data.aterms.plane(item.aterm_index, item.baseline.station1);
@@ -506,8 +512,9 @@ pub fn degridder_cpu(
                     };
                 }
             }
-            idg_obs::add_kernel(KernelStage::Degridder, &tally);
+            *slot = tally;
         });
+    idg_obs::add_kernel(KernelStage::Degridder, &tallies.iter().sum());
     Ok(())
 }
 

@@ -8,12 +8,12 @@
 //!
 //! ```toml
 //! [[class]]
-//! name = "session-gate"
-//! idents = ["SESSION_GATE"]
+//! name = "gate"
+//! idents = ["GATE"]
 //!
 //! [[class]]
-//! name = "collector"
-//! idents = ["COLLECTOR", "lock_collector"]
+//! name = "table"
+//! idents = ["TABLE", "lock_table"]
 //! ```
 //!
 //! A lock in a *later* class may be acquired while one from an

@@ -255,10 +255,20 @@ fn workspace_root() -> std::path::PathBuf {
         .expect("workspace root above crates/lint")
 }
 
-/// The committed policy plus the committed lock-order hierarchy — what
-/// `run_check` lints the live workspace with.
-fn full_cfg() -> Config {
-    idg_lint::workspace_config(&workspace_root()).expect("lock order parses")
+/// The committed policy plus the fixture's two-class hierarchy, parsed
+/// the way `run_check` parses the committed `tools/lock-order.toml`.
+fn ordered_cfg() -> Config {
+    let mut cfg = Config::workspace();
+    cfg.lock_classes =
+        idg_lint::lockorder::parse_lock_order(include_str!("fixtures/l6_order.toml"))
+            .expect("fixture hierarchy parses");
+    cfg
+}
+
+#[test]
+fn committed_lock_order_parses_and_declares_no_cross_lock_protocol() {
+    let cfg = idg_lint::workspace_config(&workspace_root()).expect("lock order parses");
+    assert_eq!(cfg.lock_classes, vec![]);
 }
 
 #[test]
@@ -311,7 +321,7 @@ fn l6_fires_on_out_of_order_acquisitions() {
     let diags = lint_source(
         "crates/obs/src/fixture.rs",
         include_str!("fixtures/l6_order_violating.rs"),
-        &full_cfg(),
+        &ordered_cfg(),
     )
     .expect("fixture parses");
     assert_eq!(spans(&diags, Rule::L6), vec![(7, 13), (13, 13)]);
@@ -326,7 +336,7 @@ fn l6_order_clean_fixture_passes() {
     let diags = lint_source(
         "crates/obs/src/fixture.rs",
         include_str!("fixtures/l6_order_clean.rs"),
-        &full_cfg(),
+        &ordered_cfg(),
     )
     .expect("fixture parses");
     assert_eq!(diags, vec![]);

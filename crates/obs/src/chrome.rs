@@ -54,14 +54,20 @@ pub fn chrome_trace_json(trace: &Trace) -> String {
 /// Wall-clock timestamps differ between repetitions of the same run,
 /// so they are dropped; modeled timestamps are deterministic and kept.
 /// Two traces of the same seeded run must produce identical vectors —
-/// the determinism suite asserts exactly that. Spans are sorted by
-/// (start, lane, name) first so rayon completion order cannot leak in.
+/// the determinism suite asserts exactly that. The order is a function
+/// of deterministic fields only — (clock, lane, modeled start, cat,
+/// name, job, modeled duration), wall spans sorting as if at time 0 —
+/// so neither recording order nor a wall timestamp can leak in.
 pub fn normalized_events(trace: &Trace) -> Vec<String> {
+    fn key(s: &Span) -> (&str, u32, u64, &str, &str, Option<u32>, u64) {
+        let (ts, dur) = match s.clock {
+            Clock::Modeled => (s.start_us, s.dur_us),
+            Clock::Wall => (0, 0),
+        };
+        (s.clock.label(), s.lane, ts, &s.cat, &s.name, s.job, dur)
+    }
     let mut spans: Vec<&Span> = trace.spans.iter().collect();
-    spans.sort_by(|a, b| {
-        (a.start_us, a.lane, &a.name, a.job, a.dur_us)
-            .cmp(&(b.start_us, b.lane, &b.name, b.job, b.dur_us))
-    });
+    spans.sort_by(|a, b| key(a).cmp(&key(b)));
     spans
         .iter()
         .map(|s| {
@@ -307,6 +313,24 @@ mod tests {
         assert_eq!(sigs.len(), 2);
         assert!(sigs[0].contains("/ts=0/dur=100"), "{}", sigs[0]);
         assert!(!sigs[1].contains("/ts="), "{}", sigs[1]);
+    }
+
+    #[test]
+    fn normalized_order_ignores_wall_timestamps_and_recording_order() {
+        let wall = |name: &str, start_us| Span {
+            name: name.to_string(),
+            cat: "stage".to_string(),
+            job: None,
+            lane: 0,
+            clock: Clock::Wall,
+            start_us,
+            dur_us: 5,
+        };
+        let mut a = sample_trace();
+        a.spans.extend([wall("plan", 3), wall("chunk", 900)]);
+        let mut b = sample_trace();
+        b.spans.splice(0..0, [wall("chunk", 2), wall("plan", 40)]);
+        assert_eq!(normalized_events(&a), normalized_events(&b));
     }
 
     #[test]

@@ -68,6 +68,17 @@ impl KernelCounters {
     }
 }
 
+impl<'a> std::iter::Sum<&'a KernelCounters> for KernelCounters {
+    /// Reduce per-work-item tallies to one launch tally.
+    fn sum<I: Iterator<Item = &'a KernelCounters>>(tallies: I) -> KernelCounters {
+        let mut total = KernelCounters::default();
+        for tally in tallies {
+            total.add(tally);
+        }
+        total
+    }
+}
+
 /// Flat, all-integer snapshot of every counter a session collected.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct MetricsSnapshot {

@@ -1,16 +1,35 @@
 //! Observability layer for the IDG pipeline: structured spans and
 //! self-validating operation counters.
 //!
-//! The layer is **zero-cost when disabled** (the default). Every
-//! recording site in `kernels`, `plan`, `core` and `gpusim` first
-//! checks a single relaxed atomic flag and returns immediately when no
-//! [`Session`] is active, so uninstrumented runs never take a lock,
-//! never allocate, and — critically — never perturb the numerical
-//! pipeline: observability only *reads* loop trip counts, it does not
-//! change execution order.
+//! A [`Session`] owns a recorder, and "observed" is a property of the
+//! threads working for that session, not a mode of the process.
+//! [`Session::begin`] makes the new recorder the calling thread's
+//! *current* one; [`Session::finish`] (or dropping the session)
+//! restores the one that was current before. The recording sites
+//! (`add_*`, [`wall_span`], [`modeled_span`]) are free functions that
+//! record into the calling thread's current recorder and return after
+//! one thread-local read — no lock — when it has none. So:
 //!
-//! A [`Session`] activates a process-global collector. While it is
-//! alive, the instrumented call sites accumulate:
+//! - **who records into a session**: the thread that began it and
+//!   every thread that entered its [`Recorder`], nothing else. A pass
+//!   running unobserved, or under another session, on another thread
+//!   cannot add to it; sessions nest, run concurrently and never wait
+//!   for one another.
+//! - **how the handle crosses a thread boundary**: explicitly. The
+//!   spawning side captures [`current`] and each spawned thread holds
+//!   the guard of [`Recorder::enter`] while it works for the session
+//!   (`idg_stream::StreamScheduler::run_stream`, the one spawn site
+//!   that records, does this for its workers).
+//! - **what a kernel does inside a parallel region**: it does not
+//!   record there — rayon workers have no current recorder. It tallies
+//!   [`KernelCounters`] per work item beside its real loops, reduces
+//!   them, and calls [`add_kernel`] once per launch on the calling
+//!   thread (lint L3 checks the call is there).
+//!
+//! Observability only *reads* loop trip counts; it never changes what
+//! the numerical pipeline computes or in which order.
+//!
+//! A session accumulates:
 //!
 //! - **spans** — hierarchical intervals (`pass` → `job` → `stage` →
 //!   `kernel`) carrying either wall-clock time (CPU back-ends, measured
@@ -27,10 +46,6 @@
 //! against the analytic `perf::ops` model (exact integer equality on
 //! fault-free runs), and [`chrome::chrome_trace_json`] exports the
 //! spans as a Chrome `trace_event` timeline for `chrome://tracing`.
-//!
-//! Only one session can be active per process; concurrent
-//! [`Session::begin`] calls (e.g. parallel instrumented tests)
-//! serialize on an internal gate mutex.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -43,14 +58,14 @@ pub use chrome::{chrome_trace_json, normalized_events, validate_json};
 pub use counters::{KernelCounters, KernelStage, MetricsSnapshot};
 pub use span::{Clock, Span};
 
-use idg_sync::{Mutex, MutexGuard};
-use std::sync::atomic::{AtomicBool, Ordering};
+use idg_sync::Mutex;
+use std::cell::RefCell;
+use std::marker::PhantomData;
+use std::sync::Arc;
 use std::time::Instant;
 
-/// Everything one active session accumulates.
-#[derive(Debug)]
+/// Everything one session accumulates.
 struct Collector {
-    pass: String,
     start: Instant,
     spans: Vec<Span>,
     metrics: MetricsSnapshot,
@@ -62,119 +77,134 @@ struct Collector {
 pub struct Trace {
     /// Label of the pass that was traced (e.g. `"gridding"`).
     pub pass: String,
-    /// All recorded spans, in completion order.
+    /// All recorded spans in recording order, the closing `pass` span
+    /// last. The order varies between runs wherever several threads
+    /// record; [`normalized_events`] imposes a deterministic one.
     pub spans: Vec<Span>,
     /// Flat per-stage counter snapshot.
     pub metrics: MetricsSnapshot,
 }
 
-static ACTIVE: AtomicBool = AtomicBool::new(false);
-static COLLECTOR: Mutex<Option<Collector>> = Mutex::new(None);
-static SESSION_GATE: Mutex<()> = Mutex::new(());
+/// A handle to one session's recorder: cheap to clone, and the only
+/// thing that has to cross a thread boundary for the other side to
+/// record into the session (see [`current`] and [`Recorder::enter`]).
+#[derive(Clone)]
+pub struct Recorder(Arc<Mutex<Collector>>);
 
-/// Whether an observability session is currently active.
-///
-/// This is the single check every recording site performs first; a
-/// relaxed atomic load, so disabled-mode overhead is one predictable
-/// branch.
+thread_local! {
+    /// The recorder this thread records into, if any. Per-thread
+    /// *routing*, not session state: the state lives behind the handle
+    /// and is owned by the [`Session`].
+    static CURRENT: RefCell<Option<Recorder>> = const { RefCell::new(None) };
+}
+
+/// The calling thread's current recorder — what a spawn site captures
+/// so its threads can [`Recorder::enter`] it.
+pub fn current() -> Option<Recorder> {
+    CURRENT.try_with(|c| c.borrow().clone()).ok().flatten()
+}
+
+/// Whether the calling thread records into a session — the check every
+/// recording site performs first: one thread-local read, no lock.
 #[inline]
 pub fn is_active() -> bool {
-    ACTIVE.load(Ordering::Relaxed)
+    CURRENT.try_with(|c| c.borrow().is_some()).unwrap_or(false)
 }
 
-fn lock_collector() -> MutexGuard<'static, Option<Collector>> {
-    COLLECTOR.lock()
-}
-
-/// An active observability session.
-///
-/// Holds the process-wide session gate for its lifetime, so two
-/// sessions never interleave their counters. Dropping the session
-/// without calling [`Session::finish`] deactivates recording and
-/// discards the collected data.
-pub struct Session {
-    _gate: MutexGuard<'static, ()>,
-}
-
-impl Session {
-    /// Activate recording under the given pass label.
-    ///
-    /// Blocks until any other active session finishes.
-    pub fn begin(pass: &str) -> Session {
-        // Lock order (tools/lock-order.toml): session gate strictly
-        // before collector.
-        let gate = SESSION_GATE.lock();
-        *lock_collector() = Some(Collector {
-            pass: pass.to_string(),
-            start: Instant::now(),
-            spans: Vec::new(),
-            metrics: MetricsSnapshot::new(pass),
-        });
-        ACTIVE.store(true, Ordering::SeqCst);
-        Session { _gate: gate }
-    }
-
-    /// Deactivate recording and return everything that was collected.
-    ///
-    /// A closing `pass`-category wall span covering the whole session
-    /// is appended before the trace is sealed.
-    pub fn finish(self) -> Trace {
-        ACTIVE.store(false, Ordering::SeqCst);
-        let collector = lock_collector().take();
-        match collector {
-            Some(c) => {
-                let mut spans = c.spans;
-                spans.push(Span {
-                    name: c.pass.clone(),
-                    cat: "pass".to_string(),
-                    job: None,
-                    lane: 0,
-                    clock: Clock::Wall,
-                    start_us: 0,
-                    dur_us: c.start.elapsed().as_micros() as u64,
-                });
-                Trace {
-                    pass: c.pass,
-                    spans,
-                    metrics: c.metrics,
-                }
-            }
-            // Unreachable in practice (the gate guarantees exclusivity)
-            // but degrade gracefully rather than panic.
-            None => Trace {
-                pass: String::new(),
-                spans: Vec::new(),
-                metrics: MetricsSnapshot::new(""),
-            },
+impl Recorder {
+    /// Make this the calling thread's current recorder until the
+    /// returned guard is dropped, which restores the previous one.
+    /// Guards nest; drop them in reverse order of creation.
+    pub fn enter(&self) -> Entered {
+        let previous = CURRENT.with(|c| c.replace(Some(self.clone())));
+        Entered {
+            previous,
+            _this_thread: PhantomData,
         }
     }
 }
 
-impl Drop for Session {
+/// Guard of [`Recorder::enter`]; restores the thread's previous
+/// recorder on drop. Not `Send`: it must be dropped on the thread that
+/// created it.
+#[must_use = "the recorder is current until the guard is dropped"]
+pub struct Entered {
+    previous: Option<Recorder>,
+    _this_thread: PhantomData<*const ()>,
+}
+
+impl Drop for Entered {
     fn drop(&mut self) {
-        // `finish` consumes self before Drop runs only via ManuallyDrop
-        // semantics of move; a plain drop (early return / error path)
-        // lands here and must deactivate recording.
-        if is_active() {
-            ACTIVE.store(false, Ordering::SeqCst);
-            *lock_collector() = None;
+        let previous = self.previous.take();
+        let _ = CURRENT.try_with(|c| *c.borrow_mut() = previous);
+    }
+}
+
+/// An observability session: owns a recorder, which is current on the
+/// thread that began it for as long as the session lives. Dropping it
+/// without calling [`Session::finish`] restores the thread's previous
+/// recorder and discards the collected data.
+pub struct Session {
+    recorder: Recorder,
+    entered: Entered,
+}
+
+impl Session {
+    /// Begin recording under the given pass label on the calling
+    /// thread. Never blocks: sessions on other threads, and an outer
+    /// session on this one, are unaffected.
+    pub fn begin(pass: &str) -> Session {
+        let recorder = Recorder(Arc::new(Mutex::new(Collector {
+            start: Instant::now(),
+            spans: Vec::new(),
+            metrics: MetricsSnapshot::new(pass),
+        })));
+        Session {
+            entered: recorder.enter(),
+            recorder,
+        }
+    }
+
+    /// Stop recording on this thread (the previous recorder becomes
+    /// current again) and return everything that was collected, plus a
+    /// closing `pass`-category wall span covering the whole session.
+    pub fn finish(self) -> Trace {
+        let Session { recorder, entered } = self;
+        drop(entered);
+        // taken, not unwrapped: a thread that entered the recorder may
+        // still hold a clone of the handle
+        let mut c = recorder.0.lock();
+        let metrics = std::mem::take(&mut c.metrics);
+        let mut spans = std::mem::take(&mut c.spans);
+        spans.push(Span {
+            name: metrics.pass.clone(),
+            cat: "pass".to_string(),
+            job: None,
+            lane: 0,
+            clock: Clock::Wall,
+            start_us: 0,
+            dur_us: c.start.elapsed().as_micros() as u64,
+        });
+        Trace {
+            pass: metrics.pass.clone(),
+            spans,
+            metrics,
         }
     }
 }
 
 fn with_collector(f: impl FnOnce(&mut Collector)) {
-    if !is_active() {
-        return;
-    }
-    if let Some(c) = lock_collector().as_mut() {
-        f(c);
-    }
+    let _ = CURRENT.try_with(|c| {
+        if let Some(recorder) = c.borrow().as_ref() {
+            f(&mut recorder.0.lock());
+        }
+    });
 }
 
-/// Merge a kernel tally (accumulated locally inside a kernel at its
-/// real call sites) into the active session's counters. No-op when
-/// disabled. u64 addition is commutative, so concurrent flushes from
-/// rayon workers produce order-independent totals.
+/// Merge a kernel launch's tally (accumulated at the kernel's real
+/// call sites, reduced over its work items) into the current session's
+/// counters. No-op without one. Call it on the launching thread, after
+/// any parallel region: the region's workers have no current recorder.
 pub fn add_kernel(stage: KernelStage, tally: &KernelCounters) {
     with_collector(|c| c.metrics.kernel_mut(stage).add(tally));
 }
@@ -286,18 +316,15 @@ pub fn modeled_span(name: &str, cat: &str, job: Option<u32>, lane: u32, start_s:
     });
 }
 
-/// Start a wall-clock span; the span is recorded when the returned
-/// guard is dropped. Returns a no-op guard when disabled.
+/// Start a wall-clock span in the current session; the span is
+/// recorded — into that session, whatever is current by then — when the
+/// returned guard is dropped. Returns a no-op guard without a session.
 pub fn wall_span(name: &'static str, cat: &'static str, job: Option<u32>) -> WallSpanGuard {
     WallSpanGuard {
         name,
         cat,
         job,
-        begun: if is_active() {
-            Some(Instant::now())
-        } else {
-            None
-        },
+        begun: current().map(|recorder| (recorder, Instant::now())),
     }
 }
 
@@ -307,24 +334,25 @@ pub struct WallSpanGuard {
     name: &'static str,
     cat: &'static str,
     job: Option<u32>,
-    begun: Option<Instant>,
+    begun: Option<(Recorder, Instant)>,
 }
 
 impl Drop for WallSpanGuard {
     fn drop(&mut self) {
-        let Some(begun) = self.begun else { return };
-        let (name, cat, job) = (self.name, self.cat, self.job);
-        with_collector(|c| {
-            c.spans.push(Span {
-                name: name.to_string(),
-                cat: cat.to_string(),
-                job,
-                lane: 0,
-                clock: Clock::Wall,
-                start_us: begun.duration_since(c.start).as_micros() as u64,
-                dur_us: begun.elapsed().as_micros() as u64,
-            });
-        });
+        let Some((recorder, begun)) = self.begun.take() else {
+            return;
+        };
+        let mut c = recorder.0.lock();
+        let span = Span {
+            name: self.name.to_string(),
+            cat: self.cat.to_string(),
+            job: self.job,
+            lane: 0,
+            clock: Clock::Wall,
+            start_us: begun.duration_since(c.start).as_micros() as u64,
+            dur_us: begun.elapsed().as_micros() as u64,
+        };
+        c.spans.push(span);
     }
 }
 
@@ -384,5 +412,51 @@ mod tests {
         assert!(!is_active());
         let t = Session::begin("next").finish();
         assert_eq!(t.pass, "next");
+    }
+
+    #[test]
+    fn nested_sessions_restore_the_outer_recorder_on_finish_and_on_drop() {
+        let outer = Session::begin("outer");
+        add_retries(1);
+        let inner = Session::begin("inner");
+        add_retries(10);
+        let inner = inner.finish();
+        add_retries(100);
+        let abandoned = Session::begin("abandoned");
+        add_retries(1_000);
+        drop(abandoned);
+        add_retries(10_000);
+        drop(wall_span("outer-span", "stage", None));
+        let outer = outer.finish();
+        assert_eq!(
+            (inner.pass.as_str(), inner.metrics.nr_retries),
+            ("inner", 10)
+        );
+        assert_eq!(inner.spans.len(), 1);
+        assert_eq!(outer.metrics.nr_retries, 10_101);
+        assert_eq!(outer.spans.len(), 2);
+        assert!(!is_active());
+    }
+
+    #[test]
+    fn only_threads_that_entered_the_recorder_record_into_the_session() {
+        let session = Session::begin("scoped");
+        let recorder = current();
+        idg_sync::thread::scope(|scope| {
+            scope.spawn(|| {
+                assert!(!is_active());
+                add_retries(1);
+                drop(wall_span("stray", "stage", None));
+            });
+            scope.spawn(|| {
+                let _entered = recorder.as_ref().map(Recorder::enter);
+                add_retries(10);
+                drop(wall_span("worker", "stage", None));
+            });
+        });
+        let t = session.finish();
+        assert_eq!(t.metrics.nr_retries, 10);
+        let names: Vec<_> = t.spans.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(names, ["worker", "scoped"]);
     }
 }

@@ -333,33 +333,39 @@ impl StreamScheduler {
         let cond_space = Condvar::new();
         let slots: Vec<Mutex<Option<Result<T, IdgError>>>> =
             (0..n).map(|_| Mutex::new(None)).collect();
+        // the workers work for the producer's session, if it has one
+        let recorder = idg_obs::current();
 
         thread::scope(|scope| {
             for _ in 0..self.workers {
-                scope.spawn(|| loop {
-                    let job = {
-                        let mut st = state.lock();
-                        loop {
-                            if st.started {
-                                if let Some(j) = st.queue.pop_front() {
-                                    break Some(j);
+                scope.spawn(|| {
+                    let _entered = recorder.as_ref().map(idg_obs::Recorder::enter);
+                    loop {
+                        let job = {
+                            let mut st = state.lock();
+                            loop {
+                                if st.started {
+                                    if let Some(j) = st.queue.pop_front() {
+                                        break Some(j);
+                                    }
+                                    if st.producer_done {
+                                        break None;
+                                    }
                                 }
-                                if st.producer_done {
-                                    break None;
-                                }
+                                st = cond_work.wait(st);
                             }
-                            st = cond_work.wait(st);
-                        }
-                    };
-                    let Some(job) = job else { return };
-                    let out = {
-                        let _span = idg_obs::wall_span("chunk", "stage", u32::try_from(job).ok());
-                        exec(&chunks[job])
-                    };
-                    *slots[job].lock() = Some(out);
-                    let mut st = state.lock();
-                    st.completed += 1;
-                    cond_space.notify_all();
+                        };
+                        let Some(job) = job else { return };
+                        let out = {
+                            let _span =
+                                idg_obs::wall_span("chunk", "stage", u32::try_from(job).ok());
+                            exec(&chunks[job])
+                        };
+                        *slots[job].lock() = Some(out);
+                        let mut st = state.lock();
+                        st.completed += 1;
+                        cond_space.notify_all();
+                    }
                 });
             }
 
@@ -719,5 +725,65 @@ impl StreamScheduler {
             },
             results,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use idg_obs::{KernelCounters, KernelStage, Session};
+    use std::sync::Barrier;
+
+    #[test]
+    fn workers_record_into_the_producers_session_and_no_other_thread_does() {
+        let chunks: Vec<Chunk> = (0..4)
+            .map(|i| Chunk {
+                index: i,
+                time_range: i..i + 1,
+            })
+            .collect();
+        let scheduler = StreamScheduler::new(2, 2).expect("positive parameters");
+        let tally = KernelCounters {
+            invocations: 1,
+            sincos_pairs: 7,
+            ..KernelCounters::default()
+        };
+        // chunk 0's pass holds the session open around the stray
+        // thread's recording, so the two provably overlap
+        let meet = Barrier::new(2);
+
+        let trace = thread::scope(|scope| {
+            scope.spawn(|| {
+                meet.wait();
+                idg_obs::add_kernel(KernelStage::Gridder, &tally);
+                drop(idg_obs::wall_span("chunk", "stage", Some(9)));
+                meet.wait();
+            });
+            let session = Session::begin("gridding");
+            let run = scheduler
+                .run_stream(&chunks, |chunk| {
+                    if chunk.index == 0 {
+                        meet.wait();
+                        meet.wait();
+                    }
+                    idg_obs::add_kernel(KernelStage::Gridder, &tally);
+                    Ok(chunk.index)
+                })
+                .expect("stream runs");
+            assert_eq!(run.stats.completed_chunks, 4);
+            session.finish()
+        });
+
+        assert_eq!(trace.metrics.gridder.invocations, 4);
+        assert_eq!(trace.metrics.gridder.sincos_pairs, 28);
+        assert_eq!(trace.metrics.chunks_ingested, 4);
+        let mut chunk_spans: Vec<Option<u32>> = trace
+            .spans
+            .iter()
+            .filter(|s| s.name == "chunk")
+            .map(|s| s.job)
+            .collect();
+        chunk_spans.sort();
+        assert_eq!(chunk_spans, [Some(0), Some(1), Some(2), Some(3)]);
     }
 }
