@@ -69,6 +69,7 @@ fn main() {
     };
     let plan = idg::Plan::create(&obs, &ds.uvw).expect("plan");
 
+    // the reference image; also the warm-up pass of the timed kernels
     let (reference, _) = image_for(&data, &plan, &obs, None);
     let peak = reference.peak().2.abs() as f64;
 

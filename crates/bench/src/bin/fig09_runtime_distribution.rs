@@ -7,8 +7,7 @@
 //! complete the cycle almost an order of magnitude faster than HASWELL.
 
 use idg_bench::{
-    ascii_stacked_bars, bench_scale, benchmark_dataset, full_scale_runs, host_measured_run,
-    write_csv,
+    ascii_stacked_bars, bench_scale, benchmark_dataset, full_scale_runs, host_cpu_run, write_csv,
 };
 
 fn main() {
@@ -21,7 +20,7 @@ fn main() {
         ds.obs.nr_channels()
     );
 
-    let mut runs = vec![host_measured_run(&ds)];
+    let mut runs = vec![host_cpu_run(&ds)];
     runs.extend(full_scale_runs(&ds));
     let mut bars = Vec::new();
     let mut rows = Vec::new();

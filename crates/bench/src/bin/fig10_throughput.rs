@@ -3,10 +3,10 @@
 //! Shape to reproduce: both GPUs an order of magnitude above the
 //! HASWELL model, gridding slightly faster than degridding on PASCAL.
 //!
-//! The host row runs under an observability session, so its throughput
-//! comes from the *measured* kernel counter snapshot (self-validated
-//! against the analytic model) rather than a recomputation. Emits both
-//! the CSV table and the JSON export the golden-file suite snapshots.
+//! The host row is a plain warmed `Proxy::grid`/`degrid` on the
+//! optimized CPU kernels (wall clock); every other row is modeled.
+//! Emits both the CSV table and the JSON export the golden-file suite
+//! snapshots.
 
 use idg_bench::{bench_scale, benchmark_dataset, fig10_rows, fig_json, write_csv, write_results};
 

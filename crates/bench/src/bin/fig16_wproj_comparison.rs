@@ -140,6 +140,8 @@ fn main() {
         // WPG measured (512² grid keeps the per-thread partial grids cheap)
         let kernels = WKernelCache::build(nw, 8, 200.0, 400.0, ds.obs.image_size);
         let mut grid = idg::Grid::<f32>::new(512);
+        // one untimed warm-up pass per side, then the timed one
+        wpg_grid(&mut grid, &samples, &kernels, ds.obs.image_size / 4.0);
         let start = Instant::now();
         wpg_grid(&mut grid, &samples, &kernels, ds.obs.image_size / 4.0);
         let wpg_rate = samples.len() as f64 / start.elapsed().as_secs_f64() / 1e6;
@@ -160,6 +162,9 @@ fn main() {
         let proxy = Proxy::new(Backend::CpuOptimized, obs.clone()).expect("proxy");
         let plan = proxy.plan(&ds.uvw).expect("plan");
         let aterms = ATerms::identity(&obs);
+        proxy
+            .grid(&plan, &ds.uvw, &ds.visibilities, &aterms)
+            .expect("warm-up grid");
         let start = Instant::now();
         let (_, report) = proxy
             .grid(&plan, &ds.uvw, &ds.visibilities, &aterms)

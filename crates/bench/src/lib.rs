@@ -1,9 +1,11 @@
 //! # idg-bench — the benchmark harness
 //!
 //! One binary per table/figure of the paper's evaluation section (see
-//! DESIGN.md §4 for the index) plus criterion micro-benchmarks for the
-//! individual kernels. The binaries print the same rows/series the
-//! paper reports and write CSV files under `results/`.
+//! DESIGN.md §4 for the index). The binaries print the same rows/series
+//! the paper reports and write CSV files under `results/`. Wall-clock
+//! numbers for their own sake come from the repo benchmark
+//! (`benchmark/`), not from here: the only timings in this crate are
+//! the measured host cells the figures print beside the model.
 //!
 //! The workload is the paper's benchmark data set (Sec. VI-A: SKA1-low
 //! layout, 24² subgrids on a 2048² grid, 16 channels, A-terms every 256
@@ -76,6 +78,8 @@ pub fn model_cpu_report(
         transfer_seconds: 0.0,
         total_seconds: total,
         counts,
+        launched_items: nr_subgrids,
+        launched_jobs: 1,
         device_energy_j: Some(energy.device_energy(total, 1.0)),
         host_energy_j: Some(0.0),
         nr_retries: 0,
@@ -87,95 +91,28 @@ pub fn model_cpu_report(
     }
 }
 
-/// Run gridding + degridding on every comparison row: the three paper
-/// architectures (HASWELL modeled, FIJI modeled, PASCAL modeled) plus
-/// the measured host CPU. Executed rows run *observed* (an `idg-obs`
-/// session), so their reports carry the measured [`MetricsSnapshot`]
-/// and the self-validation against the analytic model has already
-/// passed by the time a row is returned.
-pub fn collect_backend_runs(ds: &Dataset) -> Vec<BackendRun> {
-    let mut runs = Vec::new();
-    let obs = &ds.obs;
-
-    // measured host row (optimized CPU kernels)
-    let proxy = Proxy::new(Backend::CpuOptimized, obs.clone()).expect("proxy");
-    let plan = proxy.plan(&ds.uvw).expect("plan");
-    let (grid, g, _) = proxy
-        .grid_observed(&plan, &ds.uvw, &ds.visibilities, &ds.aterms)
-        .expect("grid");
-    let (_, d, _) = proxy
-        .degrid_observed(&plan, &grid, &ds.uvw, &ds.aterms)
-        .expect("degrid");
-    runs.push(BackendRun {
-        name: "host CPU (measured)".into(),
-        gridding: g,
-        degridding: d,
-        arch: None,
-    });
-
-    // HASWELL modeled from the same counts
-    let haswell = Architecture::haswell();
-    let gc = gridder_counts(&plan.items, obs.subgrid_size);
-    let dc = degridder_counts(&plan.items, obs.subgrid_size);
-    runs.push(BackendRun {
-        name: "HASWELL (modeled)".into(),
-        gridding: model_cpu_report(
-            &haswell,
-            gc,
-            plan.nr_subgrids(),
-            obs.subgrid_size,
-            "gridding",
-        ),
-        degridding: model_cpu_report(
-            &haswell,
-            dc,
-            plan.nr_subgrids(),
-            obs.subgrid_size,
-            "degridding",
-        ),
-        arch: Some(haswell),
-    });
-
-    // GPU device models; split the work into enough groups that the
-    // triple-buffered pipeline can overlap transfers with kernels
-    // (a single launch has nothing to overlap with).
-    for (backend, arch) in [
-        (Backend::GpuFiji, Architecture::fiji()),
-        (Backend::GpuPascal, Architecture::pascal()),
-    ] {
-        let mut proxy = Proxy::new(backend, obs.clone()).expect("proxy");
-        proxy.work_group_size = (plan.nr_subgrids() / 16).clamp(1, 256);
-        let (grid, g, _) = proxy
-            .grid_observed(&plan, &ds.uvw, &ds.visibilities, &ds.aterms)
-            .expect("grid");
-        let (_, d, _) = proxy
-            .degrid_observed(&plan, &grid, &ds.uvw, &ds.aterms)
-            .expect("degrid");
-        runs.push(BackendRun {
-            name: format!("{} (modeled)", arch.nickname),
-            gridding: g,
-            degridding: d,
-            arch: Some(arch),
-        });
-    }
-    runs
-}
-
-/// Run the measured host-CPU pass only (one row of grounding data next
-/// to the modeled paper architectures).
-pub fn host_measured_run(ds: &Dataset) -> BackendRun {
+/// The measured host-CPU row printed beside the modeled paper
+/// architectures: one untimed warm-up cycle (kernel cache, first-touch
+/// page faults), then a plain [`Proxy::grid`] + [`Proxy::degrid`] whose
+/// reports carry the wall clock of the optimized CPU kernels.
+pub fn host_cpu_run(ds: &Dataset) -> BackendRun {
     let proxy = Proxy::new(Backend::CpuOptimized, ds.obs.clone()).expect("proxy");
     let plan = proxy.plan(&ds.uvw).expect("plan");
-    let (grid, g, _) = proxy
-        .grid_observed(&plan, &ds.uvw, &ds.visibilities, &ds.aterms)
-        .expect("grid");
-    let (_, d, _) = proxy
-        .degrid_observed(&plan, &grid, &ds.uvw, &ds.aterms)
-        .expect("degrid");
+    let cycle = || {
+        let (grid, g) = proxy
+            .grid(&plan, &ds.uvw, &ds.visibilities, &ds.aterms)
+            .expect("grid");
+        let (_, d) = proxy
+            .degrid(&plan, &grid, &ds.uvw, &ds.aterms)
+            .expect("degrid");
+        (g, d)
+    };
+    cycle();
+    let (gridding, degridding) = cycle();
     BackendRun {
         name: "host CPU (measured)".into(),
-        gridding: g,
-        degridding: d,
+        gridding,
+        degridding,
         arch: None,
     }
 }
@@ -221,9 +158,9 @@ pub fn fleet_chaos_run(ds: &Dataset) -> BackendRun {
 }
 
 /// The `fleet` row of a BENCH_*.json export: fleet shape and
-/// degraded-mode accounting next to the wall-clock rows. Every column
-/// is modeled (deterministic), so none carries the `_wall` mask
-/// suffix; `makespan_s` is the merged modeled makespan across devices.
+/// degraded-mode accounting. Every column is modeled (deterministic),
+/// so none carries the `_wall` mask suffix; `makespan_s` is the merged
+/// modeled makespan across devices.
 pub fn fleet_bench_row(scale: usize, report: &ExecutionReport) -> FigRow {
     let stats = report
         .fleet
@@ -447,6 +384,8 @@ pub fn full_scale_runs(ds: &Dataset) -> Vec<BackendRun> {
                     * nr_groups as f64,
                 total_seconds: makespan,
                 counts: *counts,
+                launched_items: nr_subgrids,
+                launched_jobs: nr_groups,
                 device_energy_j: Some(
                     energy.device_energy(busy, 1.0) + energy.device_energy(makespan - busy, 0.0),
                 ),
@@ -539,11 +478,10 @@ pub fn fig_json(figure: &str, rows: &[FigRow], mask_wall_clock: bool) -> String 
 }
 
 /// The Fig. 10 throughput rows (MVis/s per backend), shared by the
-/// `fig10_throughput` binary and the golden-file suite. Throughputs are
-/// derived from [`ExecutionReport::effective_counts`], i.e. from the
-/// *measured* counter snapshot on the observed host row.
+/// `fig10_throughput` binary and the golden-file suite: the measured
+/// host row ([`host_cpu_run`]) above the modeled paper architectures.
 pub fn fig10_rows(ds: &Dataset) -> Vec<FigRow> {
-    let mut runs = vec![host_measured_run(ds)];
+    let mut runs = vec![host_cpu_run(ds)];
     runs.extend(full_scale_runs(ds));
     runs.iter()
         .map(|run| FigRow {
@@ -567,6 +505,10 @@ pub fn fig12_rows(host_iterations: u64) -> Vec<FigRow> {
     use idg_perf::attainable_ops_per_sec;
     use idg_perf::mix::{measure_host_mix, standard_rhos};
     let archs = Architecture::all();
+    if host_iterations > 0 {
+        // untimed warm-up, so the first ρ does not pay the clock ramp
+        measure_host_mix(idg_perf::IDG_RHO as u32, host_iterations);
+    }
     standard_rhos()
         .iter()
         .map(|&r| {
@@ -588,27 +530,6 @@ pub fn fig12_rows(host_iterations: u64) -> Vec<FigRow> {
             }
         })
         .collect()
-}
-
-/// One BENCH_*.json row from one pass of a measured host run.
-///
-/// Deterministic columns (`scale`, `visibilities`) pin the workload the
-/// timing belongs to; every timing column carries the `_wall` suffix so
-/// the golden suite masks it (wall-clock is machine-specific).
-pub fn bench_pass_row(label: &str, scale: usize, report: &ExecutionReport) -> FigRow {
-    FigRow {
-        label: label.to_string(),
-        wall_clock: false,
-        values: vec![
-            ("scale", scale as f64),
-            ("visibilities", report.counts.visibilities as f64),
-            ("kernel_s_wall", report.kernel_seconds),
-            ("fft_s_wall", report.fft_seconds),
-            ("adder_s_wall", report.adder_seconds),
-            ("total_s_wall", report.total_seconds),
-            ("mvis_s_wall", report.mvis_per_sec()),
-        ],
-    }
 }
 
 /// Serialize one pass's BENCH rows (`pass` is `"gridder"` or
@@ -764,32 +685,16 @@ mod tests {
 
     #[test]
     fn bench_rows_round_trip_through_the_hand_rolled_parser() {
-        let report = ExecutionReport {
-            backend: "cpu-optimized".into(),
-            pass: "gridding",
-            modeled: false,
-            kernel_seconds: 0.125,
-            fft_seconds: 0.5,
-            adder_seconds: 0.25,
-            transfer_seconds: 0.0,
-            total_seconds: 0.875,
-            counts: OpCounts {
-                visibilities: 1000,
-                ..OpCounts::default()
-            },
-            device_energy_j: None,
-            host_energy_j: None,
-            nr_retries: 0,
-            backoff_seconds: 0.0,
-            fallback_jobs: Vec::new(),
-            fleet: None,
-            metrics: None,
-            stream: None,
+        let row = |label: &str| FigRow {
+            label: label.to_string(),
+            wall_clock: false,
+            values: vec![
+                ("scale", 15.0),
+                ("visibilities", 1000.0),
+                ("total_s_wall", 0.875),
+            ],
         };
-        let rows = vec![
-            bench_pass_row("seed", 15, &report),
-            bench_pass_row("kernel-cache", 15, &report),
-        ];
+        let rows = vec![row("seed"), row("kernel-cache")];
         let json = bench_json("gridder", &rows, false);
         idg_obs::validate_json(&json).expect("bench json is valid");
         assert!(json.contains("\"figure\": \"BENCH_gridder\""));

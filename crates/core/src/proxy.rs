@@ -125,15 +125,6 @@ impl FleetConfig {
     }
 }
 
-/// What a pass launched, which its measured counters are held to: work
-/// items (one kernel invocation each) and device jobs (work groups; a
-/// stream cuts each chunk plan into its own, so they sum per chunk).
-#[derive(Copy, Clone, Default)]
-struct Launches {
-    items: usize,
-    jobs: usize,
-}
-
 /// A configured IDG instance for one observation.
 pub struct Proxy {
     backend: Backend,
@@ -277,7 +268,7 @@ impl Proxy {
 
     /// The kernel inputs of a pass over this proxy's observation,
     /// shape-checked.
-    pub(crate) fn kernel_data<'a>(
+    fn kernel_data<'a>(
         &'a self,
         uvw: &'a [Uvw],
         visibilities: &'a [Visibility<f32>],
@@ -294,11 +285,43 @@ impl Proxy {
         Ok(data)
     }
 
-    /// The one model-grid check of every degridding entry point: the
-    /// grid must have the observation's size, and a single NaN/Inf
-    /// sample would silently poison every visibility its subgrids
-    /// touch, so the error must be typed and early.
-    pub(crate) fn check_model_grid(&self, grid: &Grid<f32>) -> Result<(), IdgError> {
+    /// The one input check of every gridding entry point — one-shot,
+    /// streamed and staged: buffer shapes, then finite visibilities,
+    /// then finite uvw. Returns the kernel inputs of the pass.
+    pub(crate) fn gridding_input<'a>(
+        &'a self,
+        uvw: &'a [Uvw],
+        visibilities: &'a [Visibility<f32>],
+        aterms: &'a ATerms,
+    ) -> Result<KernelData<'a>, IdgError> {
+        let data = self.kernel_data(uvw, visibilities, aterms)?;
+        check_finite_vis(visibilities)?;
+        check_finite_uvw(uvw)?;
+        Ok(data)
+    }
+
+    /// The one input check of every degridding entry point — one-shot,
+    /// streamed and staged: buffer shapes, then finite uvw, then the
+    /// model grid. `shape` is a zeroed visibility buffer of the
+    /// observation's extent: the degridder overwrites the slots it
+    /// covers, the input buffer only supplies the shape.
+    pub(crate) fn degridding_input<'a>(
+        &'a self,
+        grid: &Grid<f32>,
+        uvw: &'a [Uvw],
+        shape: &'a [Visibility<f32>],
+        aterms: &'a ATerms,
+    ) -> Result<KernelData<'a>, IdgError> {
+        let data = self.kernel_data(uvw, shape, aterms)?;
+        check_finite_uvw(uvw)?;
+        self.check_model_grid(grid)?;
+        Ok(data)
+    }
+
+    /// The model grid must have the observation's size, and a single
+    /// NaN/Inf sample would silently poison every visibility its
+    /// subgrids touch, so the error must be typed and early.
+    fn check_model_grid(&self, grid: &Grid<f32>) -> Result<(), IdgError> {
         if grid.size() != self.obs.grid_size {
             return Err(IdgError::ShapeMismatch {
                 what: "grid",
@@ -318,7 +341,9 @@ impl Proxy {
         Ok(())
     }
 
-    /// Launch the back-end's gridder kernel over `items`.
+    /// Launch the back-end's gridder kernel over `items`. The GPU arm
+    /// serves `stages.rs` only: the one-shot and streamed device passes
+    /// launch through the executors.
     pub(crate) fn launch_gridder(
         &self,
         data: &KernelData<'_>,
@@ -336,7 +361,8 @@ impl Proxy {
         }
     }
 
-    /// Launch the back-end's degridder kernel over `items`.
+    /// Launch the back-end's degridder kernel over `items` (GPU arm:
+    /// `stages.rs` only, as for [`Proxy::launch_gridder`]).
     pub(crate) fn launch_degridder(
         &self,
         data: &KernelData<'_>,
@@ -495,12 +521,14 @@ impl Proxy {
         degridder_reference(data, items, &subgrids, vis)
     }
 
-    /// The report of a pass measured on the host: `[kernel, fft,
-    /// adder/splitter]` wall-clock seconds, run back to back.
+    /// The report of a pass over `nr_items` work items measured on the
+    /// host: `[kernel, fft, adder/splitter]` wall-clock seconds, run
+    /// back to back as one launch.
     fn measured_report(
         &self,
         pass: &'static str,
         counts: OpCounts,
+        nr_items: usize,
         [kernel_seconds, fft_seconds, adder_seconds]: [f64; 3],
     ) -> ExecutionReport {
         ExecutionReport {
@@ -513,6 +541,8 @@ impl Proxy {
             transfer_seconds: 0.0,
             total_seconds: kernel_seconds + fft_seconds + adder_seconds,
             counts,
+            launched_items: nr_items,
+            launched_jobs: 1,
             device_energy_j: None,
             host_energy_j: None,
             nr_retries: 0,
@@ -524,16 +554,18 @@ impl Proxy {
         }
     }
 
-    /// The report of a pass modeled on the device executors, from the
-    /// totals both executors share.
+    /// The report of a pass over `nr_items` work items modeled on the
+    /// device executors, from the totals both executors share.
     fn device_report(
         &self,
         totals: PassTotals,
+        nr_items: usize,
         fallback_jobs: Vec<JobFailure>,
         fleet: Option<FleetStats>,
     ) -> ExecutionReport {
         ExecutionReport {
             modeled: true,
+            launched_jobs: nr_items.div_ceil(self.work_group_size),
             transfer_seconds: totals.htod_seconds + totals.dtoh_seconds,
             total_seconds: totals.makespan,
             device_energy_j: Some(totals.device_energy_j),
@@ -545,6 +577,7 @@ impl Proxy {
             ..self.measured_report(
                 totals.pass,
                 totals.counts,
+                nr_items,
                 [
                     totals.kernel_seconds,
                     totals.fft_seconds,
@@ -562,10 +595,8 @@ impl Proxy {
         visibilities: &[Visibility<f32>],
         aterms: &ATerms,
     ) -> Result<(Grid<f32>, ExecutionReport), IdgError> {
-        let data = self.kernel_data(uvw, visibilities, aterms)?;
-        check_finite_vis(visibilities)?;
-        check_finite_uvw(uvw)?;
-
+        let data = self.gridding_input(uvw, visibilities, aterms)?;
+        let nr_items = plan.items.len();
         match self.backend {
             Backend::CpuReference | Backend::CpuOptimized => {
                 let (subgrids, [kernel, fft]) = self.host_grid_chain(&data, &plan.items, None)?;
@@ -579,7 +610,7 @@ impl Proxy {
                 let counts = gridder_counts(&plan.items, self.obs.subgrid_size);
                 Ok((
                     grid,
-                    self.measured_report("gridding", counts, [kernel, fft, adder]),
+                    self.measured_report("gridding", counts, nr_items, [kernel, fft, adder]),
                 ))
             }
             Backend::GpuPascal | Backend::GpuFiji => {
@@ -589,26 +620,27 @@ impl Proxy {
                     let subgrids = self.reference_subgrids(&data, items)?;
                     add_subgrids(&mut grid, items, &subgrids, &self.cache)
                 })?;
-                Ok((grid, self.device_report(totals, fallback_jobs, fleet)))
+                let report = self.device_report(totals, nr_items, fallback_jobs, fleet);
+                Ok((grid, report))
             }
         }
     }
 
     /// Run `pass` under an observability session named `name`, attach
     /// the measured counter snapshot to its report, and hold it to the
-    /// launches the pass reports (the `*_observed` entry points differ
-    /// only in the pass they run).
+    /// launches the report carries (the `*_observed` entry points
+    /// differ only in the public entry point they run).
     fn observed<T>(
         &self,
         name: &str,
-        pass: impl FnOnce() -> Result<(T, ExecutionReport, Launches), IdgError>,
+        pass: impl FnOnce() -> Result<(T, ExecutionReport), IdgError>,
     ) -> Result<(T, ExecutionReport, idg_obs::Trace), IdgError> {
         let session = idg_obs::Session::begin(name);
         let result = pass();
         let trace = session.finish();
-        let (out, mut report, launched) = result?;
+        let (out, mut report) = result?;
         report.metrics = Some(trace.metrics.clone());
-        self.validate_measured(&report, launched)?;
+        self.validate_measured(&report)?;
         Ok((out, report, trace))
     }
 
@@ -630,10 +662,7 @@ impl Proxy {
         visibilities: &[Visibility<f32>],
         aterms: &ATerms,
     ) -> Result<(Grid<f32>, ExecutionReport, idg_obs::Trace), IdgError> {
-        self.observed("gridding", || {
-            let (grid, report) = self.grid(plan, uvw, visibilities, aterms)?;
-            Ok((grid, report, self.launches(&plan.items)))
-        })
+        self.observed("gridding", || self.grid(plan, uvw, visibilities, aterms))
     }
 
     /// Run [`Proxy::degrid`] under an observability session (see
@@ -645,18 +674,7 @@ impl Proxy {
         uvw: &[Uvw],
         aterms: &ATerms,
     ) -> Result<(Vec<Visibility<f32>>, ExecutionReport, idg_obs::Trace), IdgError> {
-        self.observed("degridding", || {
-            let (vis, report) = self.degrid(plan, grid, uvw, aterms)?;
-            Ok((vis, report, self.launches(&plan.items)))
-        })
-    }
-
-    /// The launches of a pass over `items`.
-    fn launches(&self, items: &[WorkItem]) -> Launches {
-        Launches {
-            items: items.len(),
-            jobs: items.len().div_ceil(self.work_group_size),
-        }
+        self.observed("degridding", || self.degrid(plan, grid, uvw, aterms))
     }
 
     /// Cross-validate an observed pass, one-shot or streamed: hold its
@@ -671,11 +689,7 @@ impl Proxy {
     /// on a fleet member faults, breaker re-dispatches and degraded
     /// (chunked) jobs all change how often kernels and cache lookups
     /// run per item.
-    fn validate_measured(
-        &self,
-        report: &ExecutionReport,
-        launched: Launches,
-    ) -> Result<(), IdgError> {
+    fn validate_measured(&self, report: &ExecutionReport) -> Result<(), IdgError> {
         let fleet_perturbed = |f: &FleetStats| {
             f.redispatched_jobs > 0 || f.degradation_steps > 0 || f.breaker_trips > 0
         };
@@ -691,7 +705,7 @@ impl Proxy {
         let Some(metrics) = report.metrics.as_ref().filter(|_| !perturbed) else {
             return Ok(());
         };
-        let (items, jobs) = (launched.items as u64, launched.jobs as u64);
+        let (items, jobs) = (report.launched_items as u64, report.launched_jobs as u64);
         // a one-shot pass is the one-chunk row of the table below
         let chunks = report.stream.as_ref().map_or(1, |s| s.nr_chunks as u64);
         // Cache cadence. Phasor tables are looked up by whoever runs
@@ -745,18 +759,15 @@ impl Proxy {
         uvw: &[Uvw],
         aterms: &ATerms,
     ) -> Result<(Vec<Visibility<f32>>, ExecutionReport), IdgError> {
-        // the degridder overwrites the slots it covers; the input
-        // buffer only supplies the shape
         let zeros = vec![Visibility::<f32>::zero(); self.obs.nr_visibilities()];
-        let data = self.kernel_data(uvw, &zeros, aterms)?;
-        check_finite_uvw(uvw)?;
-        self.check_model_grid(grid)?;
-
+        let data = self.degridding_input(grid, uvw, &zeros, aterms)?;
+        let nr_items = plan.items.len();
         match self.backend {
             Backend::CpuReference | Backend::CpuOptimized => {
                 let (vis, seconds) = self.host_degrid_chain(&data, &plan.items, grid, None)?;
                 let counts = degridder_counts(&plan.items, self.obs.subgrid_size);
-                Ok((vis, self.measured_report("degridding", counts, seconds)))
+                let report = self.measured_report("degridding", counts, nr_items, seconds);
+                Ok((vis, report))
             }
             Backend::GpuPascal | Backend::GpuFiji => {
                 let (mut vis, totals, fleet) = self.on_device(
@@ -766,7 +777,8 @@ impl Proxy {
                 let fallback_jobs = self.cpu_fallback(plan, &totals.failed_jobs, |_, items| {
                     self.reference_predict(&data, items, grid, &mut vis)
                 })?;
-                Ok((vis, self.device_report(totals, fallback_jobs, fleet)))
+                let report = self.device_report(totals, nr_items, fallback_jobs, fleet);
+                Ok((vis, report))
             }
         }
     }
@@ -912,6 +924,10 @@ mod tests {
             proxy.grid(&plan, &ds.uvw, &bad_vis, &ds.aterms),
             Err(IdgError::InvalidParameter(msg)) if msg.contains("visibility 7")
         ));
+        assert!(matches!(
+            proxy.grid_stages(&plan, &ds.uvw, &bad_vis, &ds.aterms),
+            Err(IdgError::InvalidParameter(msg)) if msg.contains("visibility 7")
+        ));
 
         let mut bad_vis = ds.visibilities.clone();
         bad_vis[0].pols[0].re = f32::INFINITY;
@@ -926,12 +942,20 @@ mod tests {
             proxy.grid(&plan, &bad_uvw, &ds.visibilities, &ds.aterms),
             Err(IdgError::InvalidParameter(msg)) if msg.contains("uvw coordinate 3")
         ));
+        assert!(matches!(
+            proxy.grid_stages(&plan, &bad_uvw, &ds.visibilities, &ds.aterms),
+            Err(IdgError::InvalidParameter(msg)) if msg.contains("uvw coordinate 3")
+        ));
         let (grid, _) = proxy
             .grid(&plan, &ds.uvw, &ds.visibilities, &ds.aterms)
             .unwrap();
         assert!(matches!(
             proxy.degrid(&plan, &grid, &bad_uvw, &ds.aterms),
             Err(IdgError::InvalidParameter(_))
+        ));
+        assert!(matches!(
+            proxy.degrid_stages(&plan, &grid, &bad_uvw, &ds.aterms),
+            Err(IdgError::InvalidParameter(msg)) if msg.contains("uvw coordinate 3")
         ));
 
         // one model-grid check behind every degridding entry point
@@ -1064,6 +1088,7 @@ mod tests {
             assert!(grid.power() > 0.0);
             let analytic = gridder_counts(&plan.items, ds.obs.subgrid_size);
             assert_eq!(report.effective_counts(), analytic, "{backend:?} gridding");
+            assert_eq!(report.launched_items, plan.items.len(), "{backend:?}");
             assert_eq!(trace.metrics.pass, "gridding");
             assert_eq!(trace.metrics.planned_items, 0, "plan made outside session");
             let json = idg_obs::chrome_trace_json(&trace);

@@ -34,10 +34,16 @@
 //! reproduce [`Proxy::degrid`] bit for bit on every back-end, policy,
 //! worker count and fault schedule; see DESIGN.md §12 for the
 //! commit-order argument.
+//!
+//! One-shot is deliberately *not* the one-chunk stream (DESIGN.md §12):
+//! the commit's `combined` copy of every subgrid would add 8.6 MB to
+//! `ska_dense`'s 80.8 MB peak RSS, and the one-shot GPU pass models the
+//! paper's device-resident grid and device adder (Sec. V-C e,
+//! `Sink::AddNow`), not a deferred host commit.
 
-use super::{check_finite_uvw, check_finite_vis, Backend, Launches, Proxy};
+use super::{Backend, Proxy};
 use crate::report::ExecutionReport;
-use idg_gpusim::{DeferredSubgrids, DeferredVis};
+use idg_gpusim::{DeferredSubgrids, DeferredVis, HOST_ADDER_BW};
 use idg_kernels::{add_subgrids, KernelData, SubgridArray};
 use idg_perf::{degridder_counts, gridder_counts};
 use idg_plan::{Plan, UvExtents, WorkItem};
@@ -48,11 +54,6 @@ use idg_stream::{
 use idg_telescope::ATerms;
 use idg_types::{Grid, IdgError, Uvw, Visibility};
 use std::time::Instant;
-
-/// Modeled host bandwidth of the final streamed commit — the figure
-/// the gpusim host-adder shape uses, so modeled streamed totals stay
-/// comparable to one-shot modeled totals.
-const HOST_ADDER_BW: f64 = 40e9;
 
 /// Configuration of a streamed gridding pass.
 #[derive(Copy, Clone, Debug)]
@@ -113,8 +114,6 @@ struct StreamTotals {
     report: ExecutionReport,
     /// Per-chunk end-to-end times, in ingestion order.
     makespans: Vec<f64>,
-    /// Work items and device jobs summed over the chunk passes.
-    launched: Launches,
     stats: StreamStats,
     started: Instant,
 }
@@ -166,11 +165,18 @@ fn stream_makespan(chunk_makespans: &[f64], lanes: usize) -> f64 {
 }
 
 /// Add chunk report `b` onto the running stream report `a`: stage
-/// seconds, counters, energies and the scalar fault-tolerance counters
-/// are additive across chunk passes; `total_seconds` is not (chunks
-/// overlap) and is set when the stream report is sealed.
-fn sum_reports(mut a: ExecutionReport, b: ExecutionReport) -> ExecutionReport {
+/// seconds, counters, launches, energies and the scalar fault-tolerance
+/// counters are additive across chunk passes; `total_seconds` is not
+/// (chunks overlap) and is set when the stream report is sealed. `b`'s
+/// chunk-local fallback indices become stream-global ones.
+fn sum_reports(mut a: ExecutionReport, mut b: ExecutionReport) -> ExecutionReport {
+    for failure in &mut b.fallback_jobs {
+        failure.job += a.launched_jobs;
+        failure.first_item += a.launched_items;
+    }
     a.counts.add(&b.counts);
+    a.launched_items += b.launched_items;
+    a.launched_jobs += b.launched_jobs;
     a.kernel_seconds += b.kernel_seconds;
     a.fft_seconds += b.fft_seconds;
     a.adder_seconds += b.adder_seconds;
@@ -222,7 +228,7 @@ impl Proxy {
         direction: StreamDirection,
         pass: impl Fn(Plan, Option<u32>) -> Result<ChunkOutput<P>, IdgError> + Sync,
     ) -> Result<(GatheredChunks<P>, StreamTotals), IdgError> {
-        config.validate()?;
+        config.policy.validate()?;
         let scheduler = StreamScheduler::new(config.workers, config.max_inflight)?;
         let chunks = ChunkedDataset::split(&self.obs, &config.policy)?;
         let extents = UvExtents::compute(&self.obs, uvw)?;
@@ -237,20 +243,12 @@ impl Proxy {
         let mut gathered = Vec::with_capacity(results.len());
         let mut makespans = Vec::with_capacity(results.len());
         let mut summed: Option<ExecutionReport> = None;
-        let mut launched = Launches::default();
         for result in results {
             let ChunkOutput {
                 items,
                 payload,
-                mut report,
+                report,
             } = result?;
-            for failure in &mut report.fallback_jobs {
-                failure.job += launched.jobs;
-                failure.first_item += launched.items;
-            }
-            let chunk = self.launches(&items);
-            launched.items += chunk.items;
-            launched.jobs += chunk.jobs;
             makespans.push(report.total_seconds);
             summed = Some(match summed {
                 Some(sum) => sum_reports(sum, report),
@@ -263,7 +261,6 @@ impl Proxy {
         let totals = StreamTotals {
             report,
             makespans,
-            launched,
             stats,
             started,
         };
@@ -285,22 +282,7 @@ impl Proxy {
         visibilities: &[Visibility<f32>],
         aterms: &ATerms,
     ) -> Result<(Grid<f32>, ExecutionReport), IdgError> {
-        self.stream_grid(config, uvw, visibilities, aterms)
-            .map(|(grid, report, _)| (grid, report))
-    }
-
-    /// [`Proxy::grid_streamed`], also returning what the chunk passes
-    /// launched.
-    fn stream_grid(
-        &self,
-        config: &StreamConfig,
-        uvw: &[Uvw],
-        visibilities: &[Visibility<f32>],
-        aterms: &ATerms,
-    ) -> Result<(Grid<f32>, ExecutionReport, Launches), IdgError> {
-        let data = self.kernel_data(uvw, visibilities, aterms)?;
-        check_finite_vis(visibilities)?;
-        check_finite_uvw(uvw)?;
+        let data = self.gridding_input(uvw, visibilities, aterms)?;
         let (chunks, totals) =
             self.stream_chunks(config, uvw, StreamDirection::Gridding, |plan, tag| {
                 self.run_chunk(&data, plan, tag)
@@ -350,9 +332,7 @@ impl Proxy {
         }
         let commit_wall = t_commit.elapsed().as_secs_f64();
         let commit_model = (slots.len() * 4 * n * n * 8) as f64 / HOST_ADDER_BW;
-        let launched = totals.launched;
-        let report = totals.seal(config, commit_wall, commit_model);
-        Ok((grid, report, launched))
+        Ok((grid, totals.seal(config, commit_wall, commit_model)))
     }
 
     /// Run [`Proxy::grid_streamed`] under an observability session (the
@@ -366,7 +346,7 @@ impl Proxy {
         aterms: &ATerms,
     ) -> Result<(Grid<f32>, ExecutionReport, idg_obs::Trace), IdgError> {
         self.observed("gridding", || {
-            self.stream_grid(config, uvw, visibilities, aterms)
+            self.grid_streamed(config, uvw, visibilities, aterms)
         })
     }
 
@@ -393,23 +373,8 @@ impl Proxy {
         uvw: &[Uvw],
         aterms: &ATerms,
     ) -> Result<(Vec<Visibility<f32>>, ExecutionReport), IdgError> {
-        self.stream_degrid(config, grid, uvw, aterms)
-            .map(|(vis, report, _)| (vis, report))
-    }
-
-    /// [`Proxy::degrid_streamed`], also returning what the chunk passes
-    /// launched.
-    fn stream_degrid(
-        &self,
-        config: &StreamConfig,
-        grid: &Grid<f32>,
-        uvw: &[Uvw],
-        aterms: &ATerms,
-    ) -> Result<(Vec<Visibility<f32>>, ExecutionReport, Launches), IdgError> {
         let zeros = vec![Visibility::<f32>::zero(); self.obs.nr_visibilities()];
-        let data = self.kernel_data(uvw, &zeros, aterms)?;
-        check_finite_uvw(uvw)?;
-        self.check_model_grid(grid)?;
+        let data = self.degridding_input(grid, uvw, &zeros, aterms)?;
         let (chunks, totals) =
             self.stream_chunks(config, uvw, StreamDirection::Degridding, |plan, tag| {
                 self.run_degrid_chunk(&data, plan, grid, tag)
@@ -465,9 +430,7 @@ impl Proxy {
         let commit_wall = t_commit.elapsed().as_secs_f64();
         // each committed visibility is one 4-pol read + write (32 B)
         let commit_model = (committed_vis * 2 * 32) as f64 / HOST_ADDER_BW;
-        let launched = totals.launched;
-        let report = totals.seal(config, commit_wall, commit_model);
-        Ok((vis, report, launched))
+        Ok((vis, totals.seal(config, commit_wall, commit_model)))
     }
 
     /// Run [`Proxy::degrid_streamed`] under an observability session
@@ -481,7 +444,7 @@ impl Proxy {
         aterms: &ATerms,
     ) -> Result<(Vec<Visibility<f32>>, ExecutionReport, idg_obs::Trace), IdgError> {
         self.observed("degridding", || {
-            self.stream_degrid(config, grid, uvw, aterms)
+            self.degrid_streamed(config, grid, uvw, aterms)
         })
     }
 
@@ -505,7 +468,7 @@ impl Proxy {
                 let counts = gridder_counts(&plan.items, self.obs.subgrid_size);
                 (
                     vec![(0..plan.items.len(), subgrids)],
-                    self.measured_report("gridding", counts, [kernel, fft, 0.0]),
+                    self.measured_report("gridding", counts, plan.items.len(), [kernel, fft, 0.0]),
                 )
             }
             Backend::GpuPascal | Backend::GpuFiji => {
@@ -518,7 +481,8 @@ impl Proxy {
                         pending.push((range, self.reference_subgrids(data, items)?));
                         Ok(())
                     })?;
-                (pending, self.device_report(totals, fallback_jobs, fleet))
+                let report = self.device_report(totals, plan.items.len(), fallback_jobs, fleet);
+                (pending, report)
             }
         };
         Ok(ChunkOutput {
@@ -551,7 +515,7 @@ impl Proxy {
                 let ranges = std::iter::once(0..plan.items.len()).collect();
                 (
                     DeferredVis { ranges, vis },
-                    self.measured_report("degridding", counts, seconds),
+                    self.measured_report("degridding", counts, plan.items.len(), seconds),
                 )
             }
             Backend::GpuPascal | Backend::GpuFiji => {
@@ -564,7 +528,8 @@ impl Proxy {
                         deferred.ranges.push(range);
                         self.reference_predict(data, items, grid, &mut deferred.vis)
                     })?;
-                (deferred, self.device_report(totals, fallback_jobs, fleet))
+                let report = self.device_report(totals, plan.items.len(), fallback_jobs, fleet);
+                (deferred, report)
             }
         };
         Ok(ChunkOutput {
@@ -673,6 +638,9 @@ mod tests {
             let (_, report, trace) = proxy
                 .grid_streamed_observed(&config, &ds.uvw, &ds.visibilities, &ds.aterms)
                 .unwrap();
+            // the chunk plans partition the one-shot plan's items
+            let plan = proxy.plan(&ds.uvw).unwrap();
+            assert_eq!(report.launched_items, plan.items.len(), "{backend:?}");
             let metrics = report.metrics.expect("observed run attaches metrics");
             assert_eq!(metrics.chunks_ingested, 3, "{backend:?}");
             assert_eq!(metrics.passes_inflight_max, 3);

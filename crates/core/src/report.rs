@@ -55,6 +55,14 @@ pub struct ExecutionReport {
     pub total_seconds: f64,
     /// Operation/byte counters of the main kernel.
     pub counts: OpCounts,
+    /// Work items the pass launched (one kernel invocation each);
+    /// summed over the chunk passes of a stream.
+    pub launched_items: usize,
+    /// Launches the items were cut into: one per host chain, one per
+    /// device job (a work group of [`crate::Proxy::work_group_size`]
+    /// items) on GPU back-ends. A stream cuts each chunk plan into its
+    /// own, so they sum per chunk.
+    pub launched_jobs: usize,
     /// Modeled device energy, J (modeled back-ends only).
     pub device_energy_j: Option<f64>,
     /// Modeled host energy while driving the device, J.
@@ -236,6 +244,8 @@ mod tests {
                 shared_bytes: 44_000_000,
                 visibilities: 10_000,
             },
+            launched_items: 16,
+            launched_jobs: 1,
             device_energy_j: Some(100.0),
             host_energy_j: Some(20.0),
             nr_retries: 0,

@@ -11,6 +11,10 @@
 //! suite (`crates/conformance`) can compare back-ends stage by stage
 //! against the scalar reference.
 //!
+//! They stay a separate driver on purpose: this is the conformance
+//! hook, and its snapshots need clones of every intermediate that the
+//! production chain must not pay for.
+//!
 //! These methods are *functional* only: no timing, no execution report,
 //! no pipeline modeling. GPU back-ends execute their kernels in a
 //! single launch group (numerically identical to the grouped launches
@@ -58,7 +62,7 @@ impl Proxy {
         visibilities: &[Visibility<f32>],
         aterms: &ATerms,
     ) -> Result<GridStages, IdgError> {
-        let data = self.kernel_data(uvw, visibilities, aterms)?;
+        let data = self.gridding_input(uvw, visibilities, aterms)?;
 
         let mut subgrids = SubgridArray::new(plan.nr_subgrids(), self.observation().subgrid_size);
         self.launch_gridder(&data, &plan.items, &mut subgrids)?;
@@ -86,8 +90,7 @@ impl Proxy {
         aterms: &ATerms,
     ) -> Result<DegridStages, IdgError> {
         let zeros = vec![Visibility::<f32>::zero(); self.observation().nr_visibilities()];
-        let data = self.kernel_data(uvw, &zeros, aterms)?;
-        self.check_model_grid(grid)?;
+        let data = self.degridding_input(grid, uvw, &zeros, aterms)?;
 
         let mut subgrids = SubgridArray::new(plan.nr_subgrids(), self.observation().subgrid_size);
         split_subgrids(grid, &plan.items, &mut subgrids, self.kernel_cache())?;

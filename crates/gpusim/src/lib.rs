@@ -58,6 +58,6 @@ pub use fault::{FaultConfig, FaultInjector, FaultKind, RetryPolicy, TargetedFaul
 pub use fleet::{DeviceReport, FleetExecutor, FleetMember, FleetRunReport};
 pub use health::{BreakerConfig, BreakerState, DeviceHealth, JobOutcome};
 pub use occupancy::{occupancy, KernelResources, Occupancy};
-pub use pass::PassTotals;
+pub use pass::{PassTotals, HOST_ADDER_BW};
 pub use stream::{AttemptOutcome, Engine, FaultPoint, OpStatus, PipelineSim, TraceEntry};
 pub use timing::{kernel_time, transfer_time};

@@ -27,10 +27,8 @@
 //! * **L5 — `#![forbid(unsafe_code)]`** in every library crate root.
 //! * **L6 — lock discipline**: `Condvar::wait` only directly inside a
 //!   `while`/`loop` body where its predicate is re-checked; no raw
-//!   poison-panicking `.lock().unwrap()`-style acquisitions; the
-//!   declared lock-order hierarchy (`tools/lock-order.toml`) respected;
-//!   and no kernel entry point launched while a lock guard binding is
-//!   live.
+//!   poison-panicking `.lock().unwrap()`-style acquisitions; and no
+//!   kernel entry point launched while a lock guard binding is live.
 //! * **L7 — sync facade**: concurrency primitives (`Mutex`, `Condvar`,
 //!   `RwLock`, `thread::scope`) come from the `idg-sync` facade, never
 //!   `std::sync`/`std::thread` directly — the facade is what lets the
@@ -47,7 +45,6 @@
 #![forbid(unsafe_code)]
 
 pub mod allowlist;
-pub mod lockorder;
 pub mod model;
 pub mod rules;
 pub mod walk;
@@ -160,13 +157,6 @@ pub enum LintError {
         /// Parse error description.
         message: String,
     },
-    /// The committed lock-order hierarchy is malformed.
-    LockOrder {
-        /// 1-based line in `tools/lock-order.toml`.
-        line: usize,
-        /// Parse error description.
-        message: String,
-    },
 }
 
 impl std::fmt::Display for LintError {
@@ -181,9 +171,6 @@ impl std::fmt::Display for LintError {
             } => write!(f, "{path}:{line}:{column}: parse error: {message}"),
             LintError::Allowlist { line, message } => {
                 write!(f, "tools/lint-allowlist.toml:{line}: {message}")
-            }
-            LintError::LockOrder { line, message } => {
-                write!(f, "tools/lock-order.toml:{line}: {message}")
             }
         }
     }
@@ -209,15 +196,10 @@ pub struct Config {
     /// Crates exempt from L6/L7: the sync facade and the model checker
     /// are the sanctioned home of the raw std primitives.
     pub sync_exempt_crates: Vec<String>,
-    /// The declared lock-order hierarchy for L6 sub-rule (c),
-    /// outermost-first (loaded from `tools/lock-order.toml`).
-    pub lock_classes: Vec<lockorder::LockClass>,
 }
 
 impl Config {
-    /// The committed workspace policy. The lock-order hierarchy is
-    /// file-borne config, not code: [`run_check`]/[`run_update`] load
-    /// it from [`LOCK_ORDER_PATH`] on top of this.
+    /// The committed workspace policy.
     pub fn workspace() -> Self {
         Config {
             boundary_index_files: vec!["crates/telescope/src/io.rs".to_string()],
@@ -237,7 +219,6 @@ impl Config {
             // API, where join's error *is* the panic payload.
             l4_exempt_crates: vec!["lint".to_string(), "mc".to_string()],
             sync_exempt_crates: vec!["sync".to_string(), "mc".to_string()],
-            lock_classes: Vec::new(),
         }
     }
 }
@@ -343,30 +324,6 @@ pub fn check_against_allowlist(diags: &[Diagnostic], allow: &Allowlist) -> Repor
 /// Path of the committed allowlist below the workspace root.
 pub const ALLOWLIST_PATH: &str = "tools/lint-allowlist.toml";
 
-/// Path of the committed lock-order hierarchy below the workspace root.
-pub const LOCK_ORDER_PATH: &str = "tools/lock-order.toml";
-
-/// Load the committed lock-order hierarchy (absent file = no declared
-/// hierarchy, so L6 sub-rule (c) has nothing to enforce).
-pub fn load_lock_order(root: &Path) -> Result<Vec<lockorder::LockClass>, LintError> {
-    let path = root.join(LOCK_ORDER_PATH);
-    if !path.exists() {
-        return Ok(Vec::new());
-    }
-    let text = std::fs::read_to_string(&path).map_err(|e| LintError::Io {
-        path: LOCK_ORDER_PATH.to_string(),
-        message: e.to_string(),
-    })?;
-    lockorder::parse_lock_order(&text)
-}
-
-/// The committed policy plus the file-borne lock-order hierarchy.
-pub fn workspace_config(root: &Path) -> Result<Config, LintError> {
-    let mut cfg = Config::workspace();
-    cfg.lock_classes = load_lock_order(root)?;
-    Ok(cfg)
-}
-
 /// Load the committed allowlist (absent file = empty budgets).
 pub fn load_allowlist(root: &Path) -> Result<Allowlist, LintError> {
     let path = root.join(ALLOWLIST_PATH);
@@ -382,14 +339,14 @@ pub fn load_allowlist(root: &Path) -> Result<Allowlist, LintError> {
 
 /// The full CI-mode run: lint, compare, report.
 pub fn run_check(root: &Path) -> Result<Report, LintError> {
-    let diags = lint_workspace(root, &workspace_config(root)?)?;
+    let diags = lint_workspace(root, &Config::workspace())?;
     let allow = load_allowlist(root)?;
     Ok(check_against_allowlist(&diags, &allow))
 }
 
 /// Regenerate the allowlist from the current workspace state.
 pub fn run_update(root: &Path) -> Result<Report, LintError> {
-    let diags = lint_workspace(root, &workspace_config(root)?)?;
+    let diags = lint_workspace(root, &Config::workspace())?;
     let allow = Allowlist::from_counts(&count_by_key(&diags));
     let path = root.join(ALLOWLIST_PATH);
     std::fs::write(&path, allow.to_toml()).map_err(|e| LintError::Io {

@@ -48,14 +48,7 @@ fn main() -> ExitCode {
     };
 
     if list {
-        let cfg = match idg_lint::workspace_config(&root) {
-            Ok(c) => c,
-            Err(e) => {
-                eprintln!("idg-lint: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        return match idg_lint::lint_workspace(&root, &cfg) {
+        return match idg_lint::lint_workspace(&root, &idg_lint::Config::workspace()) {
             Ok(diags) => {
                 for d in &diags {
                     println!("{d}");

@@ -7,7 +7,6 @@
 //! `#![cfg(test)]` — the exemption the old grep ratchet approximated by
 //! truncating files at the first `#[cfg(test)]` line.
 
-use crate::lockorder::LockClass;
 use crate::model::{collect_fns, contains_ident, for_each_token, Cx, FnItem};
 use crate::{Config, Diagnostic, Rule};
 use syn::{Delimiter, LitKind, TokenTree};
@@ -38,7 +37,6 @@ pub fn lint_file(path: &str, file: &syn::File, cfg: &Config) -> Vec<Diagnostic> 
     if !cfg.sync_exempt_crates.iter().any(|c| c == krate) {
         l6_wait_in_loop(path, file, &mut diags);
         l6_raw_acquisition(path, file, &mut diags);
-        l6_lock_order(path, &fns, cfg, &mut diags);
         l6_guard_liveness(path, &fns, &mut diags);
         l7_sync_facade(path, file, &mut diags);
     }
@@ -634,119 +632,6 @@ fn l6_raw_acquisition(path: &str, file: &syn::File, diags: &mut Vec<Diagnostic>)
             ));
         }
     });
-}
-
-/// Sub-rule (c): the declared lock-order hierarchy. Within one function
-/// body, once a lock of some class is acquired, no lock of an *earlier*
-/// (outer) class may be acquired after it — lexical order in the body
-/// stands in for hold order, which matches how the workspace's
-/// straight-line acquisition sites are written.
-fn l6_lock_order(path: &str, fns: &[FnItem], cfg: &Config, diags: &mut Vec<Diagnostic>) {
-    if cfg.lock_classes.is_empty() {
-        return;
-    }
-    for f in fns {
-        if f.in_test {
-            continue;
-        }
-        let Some(body) = &f.body else { continue };
-        let mut acqs = Vec::new();
-        collect_acquisitions(&body.tokens, &cfg.lock_classes, &mut acqs);
-        // Deepest class acquired so far; an acquisition that goes back
-        // *up* the hierarchy is out of order.
-        let mut deepest: Option<(usize, String)> = None;
-        for (rank, line, column, ident) in acqs {
-            if let Some((held_rank, held_ident)) = &deepest {
-                if rank < *held_rank {
-                    diags.push(Diagnostic {
-                        rule: Rule::L6,
-                        path: path.to_string(),
-                        line,
-                        column: column + 1,
-                        message: format!(
-                            "lock-order violation in `{}`: `{}` (class `{}`) acquired after \
-                             `{}` (class `{}`) — tools/lock-order.toml declares the opposite \
-                             order",
-                            f.name,
-                            ident,
-                            cfg.lock_classes[rank].name,
-                            held_ident,
-                            cfg.lock_classes[*held_rank].name
-                        ),
-                    });
-                }
-            }
-            if deepest.as_ref().is_none_or(|(r, _)| rank > *r) {
-                deepest = Some((rank, ident));
-            }
-        }
-    }
-}
-
-/// Lexically ordered `(rank, line, column, ident)` acquisition sites of
-/// declared lock classes in a body: `IDENT.lock()` (or
-/// `.read()`/`.write()`) and helper calls `ident()` listed in a class.
-/// Nested `fn` bodies are skipped — they are scanned as their own items.
-fn collect_acquisitions(
-    toks: &[TokenTree],
-    classes: &[LockClass],
-    out: &mut Vec<(usize, usize, usize, String)>,
-) {
-    let mut skip_fn_body = false;
-    let mut i = 0usize;
-    while i < toks.len() {
-        match &toks[i] {
-            TokenTree::Ident(id) if id.text == "fn" => {
-                skip_fn_body = true;
-                i += 1;
-            }
-            TokenTree::Punct(p) if p.ch == ';' => {
-                skip_fn_body = false;
-                i += 1;
-            }
-            TokenTree::Group(g) => {
-                if g.delimiter == Delimiter::Brace && skip_fn_body {
-                    skip_fn_body = false;
-                } else {
-                    collect_acquisitions(&g.tokens, classes, out);
-                }
-                i += 1;
-            }
-            TokenTree::Ident(id) => {
-                if let Some(rank) = classes
-                    .iter()
-                    .position(|c| c.idents.iter().any(|n| n == &id.text))
-                {
-                    let declared = matches!(toks.get(i.wrapping_sub(1)), Some(TokenTree::Ident(p)) if p.text == "fn");
-                    let helper_call = matches!(
-                        toks.get(i + 1),
-                        Some(TokenTree::Group(g)) if g.delimiter == Delimiter::Parenthesis
-                    );
-                    let method_acquire = matches!(
-                        toks.get(i + 1),
-                        Some(TokenTree::Punct(p)) if p.ch == '.'
-                    ) && matches!(
-                        toks.get(i + 2),
-                        Some(TokenTree::Ident(m)) if ACQUIRE_METHODS.contains(&m.text.as_str())
-                    ) && matches!(
-                        toks.get(i + 3),
-                        Some(TokenTree::Group(g)) if g.delimiter == Delimiter::Parenthesis
-                    );
-                    if !declared && (helper_call || method_acquire) {
-                        let span = toks[i].span();
-                        out.push((
-                            rank,
-                            span.start().line,
-                            span.start().column,
-                            id.text.clone(),
-                        ));
-                    }
-                }
-                i += 1;
-            }
-            _ => i += 1,
-        }
-    }
 }
 
 /// Sub-rule (d): guard liveness across kernel launches. A `let` binding

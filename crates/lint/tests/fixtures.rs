@@ -255,22 +255,6 @@ fn workspace_root() -> std::path::PathBuf {
         .expect("workspace root above crates/lint")
 }
 
-/// The committed policy plus the fixture's two-class hierarchy, parsed
-/// the way `run_check` parses the committed `tools/lock-order.toml`.
-fn ordered_cfg() -> Config {
-    let mut cfg = Config::workspace();
-    cfg.lock_classes =
-        idg_lint::lockorder::parse_lock_order(include_str!("fixtures/l6_order.toml"))
-            .expect("fixture hierarchy parses");
-    cfg
-}
-
-#[test]
-fn committed_lock_order_parses_and_declares_no_cross_lock_protocol() {
-    let cfg = idg_lint::workspace_config(&workspace_root()).expect("lock order parses");
-    assert_eq!(cfg.lock_classes, vec![]);
-}
-
 #[test]
 fn l6_fires_on_bare_if_guarded_and_block_hidden_waits() {
     let diags = lint(
@@ -312,43 +296,6 @@ fn l6_raw_clean_fixture_passes() {
     let diags = lint(
         "crates/stream/src/fixture.rs",
         include_str!("fixtures/l6_raw_clean.rs"),
-    );
-    assert_eq!(diags, vec![]);
-}
-
-#[test]
-fn l6_fires_on_out_of_order_acquisitions() {
-    let diags = lint_source(
-        "crates/obs/src/fixture.rs",
-        include_str!("fixtures/l6_order_violating.rs"),
-        &ordered_cfg(),
-    )
-    .expect("fixture parses");
-    assert_eq!(spans(&diags, Rule::L6), vec![(7, 13), (13, 13)]);
-    assert_eq!(diags.len(), 2);
-    assert!(diags[0].message.contains("lock-order violation"));
-    assert!(diags[0].message.contains("session-gate"));
-    assert!(diags[0].message.contains("collector"));
-}
-
-#[test]
-fn l6_order_clean_fixture_passes() {
-    let diags = lint_source(
-        "crates/obs/src/fixture.rs",
-        include_str!("fixtures/l6_order_clean.rs"),
-        &ordered_cfg(),
-    )
-    .expect("fixture parses");
-    assert_eq!(diags, vec![]);
-}
-
-#[test]
-fn l6_order_needs_a_declared_hierarchy() {
-    // Without lock classes (fixture-default config) sub-rule (c) has
-    // nothing to enforce — the policy is file-borne, not hard-coded.
-    let diags = lint(
-        "crates/obs/src/fixture.rs",
-        include_str!("fixtures/l6_order_violating.rs"),
     );
     assert_eq!(diags, vec![]);
 }
