@@ -790,9 +790,13 @@ mod tests {
     use idg_telescope::{Dataset, GaussianBeam, Layout, SkyModel};
 
     fn dataset() -> Dataset {
+        dataset_of(32)
+    }
+
+    fn dataset_of(timesteps: usize) -> Dataset {
         let obs = Observation::builder()
             .stations(6)
-            .timesteps(32)
+            .timesteps(timesteps)
             .channels(4, 150e6, 2e6)
             .grid_size(256)
             .subgrid_size(16)
@@ -974,6 +978,71 @@ mod tests {
             proxy.degrid_streamed(&config, &bad_grid, &ds.uvw, &ds.aterms),
             Err(IdgError::InvalidParameter(_))
         ));
+    }
+
+    #[test]
+    fn plans_foreign_to_the_observation_are_rejected_with_a_typed_error() {
+        // `Plan.items` and `WorkItem`'s fields are public: a plan made
+        // for another observation, or edited by hand, must come back as
+        // a typed error from every back-end's launch check — it used to
+        // panic inside the kernels' rayon workers.
+        let ds = dataset();
+        let longer = dataset_of(64);
+        let plan = Plan::create(&ds.obs, &ds.uvw).unwrap();
+
+        let foreign = Plan::create(&longer.obs, &longer.uvw).unwrap();
+        let mut duplicated = plan.clone();
+        duplicated.items.insert(1, duplicated.items[0]);
+        let mut out_of_band = plan.clone();
+        out_of_band.items[2].channel_offset = ds.obs.nr_channels();
+        let cases = [
+            ("foreign plan", &foreign, "time_offset + nr_timesteps"),
+            ("duplicated item", &duplicated, "both cover visibility"),
+            (
+                "channel_offset past the band",
+                &out_of_band,
+                "channel_offset + nr_channels",
+            ),
+        ];
+
+        let model = Grid::<f32>::new(ds.obs.grid_size);
+        for backend in [
+            Backend::CpuOptimized,
+            Backend::CpuReference,
+            Backend::GpuPascal,
+        ] {
+            let proxy = Proxy::new(backend, ds.obs.clone()).unwrap();
+            for (what, bad_plan, field) in cases {
+                let gridded = proxy.grid(bad_plan, &ds.uvw, &ds.visibilities, &ds.aterms);
+                assert!(
+                    matches!(&gridded, Err(IdgError::InvalidParameter(msg)) if msg.contains(field)),
+                    "{backend:?} grid, {what}: {:?}",
+                    gridded.err()
+                );
+                let predicted = proxy.degrid(bad_plan, &model, &ds.uvw, &ds.aterms);
+                assert!(
+                    matches!(&predicted, Err(IdgError::InvalidParameter(msg)) if msg.contains(field)),
+                    "{backend:?} degrid, {what}: {:?}",
+                    predicted.err()
+                );
+                // the staged entry points launch the back-end's kernels
+                // directly (no device pass in front of the GPU ones)
+                assert!(
+                    matches!(
+                        proxy.grid_stages(bad_plan, &ds.uvw, &ds.visibilities, &ds.aterms),
+                        Err(IdgError::InvalidParameter(_))
+                    ),
+                    "{backend:?} grid_stages, {what}"
+                );
+                assert!(
+                    matches!(
+                        proxy.degrid_stages(bad_plan, &model, &ds.uvw, &ds.aterms),
+                        Err(IdgError::InvalidParameter(_))
+                    ),
+                    "{backend:?} degrid_stages, {what}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -145,7 +145,7 @@ impl GpuExecutor {
         sink: Sink,
     ) -> Result<(Pass<'a>, GpuRunReport), IdgError> {
         let w = self.work_group_size;
-        let mut pass = Pass::new(data, plan, direction, sink, w, &self.cache, &self.retry);
+        let mut pass = Pass::new(data, plan, direction, sink, w, &self.cache, &self.retry)?;
         let mut slot = DeviceSlot::new(self.device.clone(), self.faults.clone(), &pass);
         slot.reserve(&pass, w, 3)?;
         for job in 0..pass.nr_jobs() {

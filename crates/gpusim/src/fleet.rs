@@ -369,7 +369,7 @@ impl FleetExecutor {
         sink: Sink,
     ) -> Result<(Pass<'a>, FleetRunReport), IdgError> {
         let w = self.work_group_size;
-        let mut pass = Pass::new(data, plan, direction, sink, w, &self.cache, &self.retry);
+        let mut pass = Pass::new(data, plan, direction, sink, w, &self.cache, &self.retry)?;
         let mut states = self.setup(&pass)?;
         let redispatched_jobs = self.dispatch(&mut states, &mut pass)?;
         let totals = pass.seal(states.iter_mut().map(|s| &mut s.slot));

@@ -73,14 +73,7 @@ pub fn gridder_gpu(
     device: &Device,
     cache: &KernelCache,
 ) -> Result<OpCounts, IdgError> {
-    if subgrids.count() != items.len() {
-        return Err(IdgError::ShapeMismatch {
-            what: "subgrids (one per work item)",
-            expected: items.len(),
-            actual: subgrids.count(),
-        });
-    }
-    data.validate()?;
+    idg_kernels::check_launch(data, items, Some(subgrids))?;
 
     let geom = KernelGeometry::new(data.obs);
     let n = geom.subgrid_size;
@@ -224,13 +217,7 @@ pub fn degridder_gpu(
     device: &Device,
     cache: &KernelCache,
 ) -> Result<OpCounts, IdgError> {
-    if subgrids.count() != items.len() {
-        return Err(IdgError::ShapeMismatch {
-            what: "subgrids (one per work item)",
-            expected: items.len(),
-            actual: subgrids.count(),
-        });
-    }
+    idg_kernels::check_launch(data, items, Some(subgrids))?;
     if vis_out.len() != data.obs.nr_visibilities() {
         return Err(IdgError::ShapeMismatch {
             what: "visibility output buffer",
@@ -238,7 +225,6 @@ pub fn degridder_gpu(
             actual: vis_out.len(),
         });
     }
-    data.validate()?;
 
     let geom = KernelGeometry::new(data.obs);
     let n = geom.subgrid_size;

@@ -557,7 +557,10 @@ pub(crate) struct Pass<'a> {
 impl<'a> Pass<'a> {
     /// Set up a pass over `plan`'s work groups of `work_group_size`
     /// items (nothing runs until a dispatcher calls
-    /// [`Pass::run_job_on`]).
+    /// [`Pass::run_job_on`]). The whole plan is held to the observation
+    /// here, once: staging and failed-job zeroing index the buffers by
+    /// its items outside any kernel's own launch check, and jobs are
+    /// separate launches, so only this walk sees an item two jobs share.
     pub(crate) fn new(
         data: &'a KernelData<'a>,
         plan: &'a Plan,
@@ -566,7 +569,8 @@ impl<'a> Pass<'a> {
         work_group_size: usize,
         cache: &'a KernelCache,
         retry: &'a RetryPolicy,
-    ) -> Self {
+    ) -> Result<Self, IdgError> {
+        idg_kernels::check_launch(data, &plan.items, None)?;
         let groups: Vec<&[WorkItem]> = plan.work_groups(work_group_size).collect();
         let gridding = matches!(direction, Direction::Grid);
         let (grid, held, vis) = match (gridding, sink) {
@@ -577,7 +581,7 @@ impl<'a> Pass<'a> {
                 (None, Vec::new(), vis)
             }
         };
-        Self {
+        Ok(Self {
             data,
             plan,
             direction,
@@ -605,7 +609,7 @@ impl<'a> Pass<'a> {
                 backoff_seconds: 0.0,
                 failed_jobs: Vec::new(),
             },
-        }
+        })
     }
 
     /// Number of jobs (work groups) in the pass.

@@ -74,10 +74,10 @@ pub fn add_subgrids(
     let tables = cache.phasors(PhasorKey::new(n));
 
     // Row index: which (item, j_y) pairs touch each grid row.
-    let mut rows: Vec<Vec<(u32, u16)>> = vec![Vec::new(); gsize];
+    let mut rows: Vec<Vec<(usize, usize)>> = vec![Vec::new(); gsize];
     for (i, item) in items.iter().enumerate() {
         for jy in 0..n {
-            rows[item.coord_y + jy].push((i as u32, jy as u16));
+            rows[item.coord_y + jy].push((i, jy));
         }
     }
 
@@ -90,9 +90,8 @@ pub fn add_subgrids(
             let y = row_idx % gsize;
             debug_assert!(pol < NR_POLARIZATIONS);
             for &(item_idx, jy) in &rows[y] {
-                let item = &items[item_idx as usize];
-                let sub = subgrids.subgrid(item_idx as usize);
-                let jy = jy as usize;
+                let item = &items[item_idx];
+                let sub = subgrids.subgrid(item_idx);
                 let sy = tables.shift[jy];
                 let factors = &tables.add[jy * n..jy * n + n];
                 let sub_row = &sub[(pol * n + sy) * n..(pol * n + sy) * n + n];

@@ -9,14 +9,20 @@
 //! 2. **Batched phasors** — all `T̃·C̃` phases of a pixel are computed
 //!    first, then evaluated with one `sincos_batch` call (`idg-math`'s
 //!    SVML/VML analogue, medium accuracy).
-//! 3. **Vectorized reductions** — the gridder reduces over channels
-//!    (Listing 1: 16 FMAs per iteration across 8 accumulators), the
-//!    degridder over pixels; both loops are written as straight-line
-//!    mul_adds over slices so LLVM emits packed FMA code.
+//! 3. **One vectorized reduction** — the gridder reduces over a batch
+//!    of visibilities, the degridder over pixels, both through
+//!    `reduce_4pol`: Listing 1's sweep, 16 FMAs per element across 8
+//!    accumulators (re/im × 4 polarisations), every sin/cos load shared
+//!    by all four polarisations. The phase loops in front of it zip
+//!    slices cut once per item (`check_launch` validated the ranges),
+//!    so they carry no per-element bounds check and vectorize too.
+//!    The reduction's summation order is a contract — it, `VIS_BATCH`
+//!    and `LANES` decide the output's bits (see `reduce_4pol`; the
+//!    tests pin output hashes taken before the loops were fused).
 //! 4. **Thread-level parallelism** — work items are distributed over
 //!    cores with rayon (the OpenMP `parallel for` analogue). Gridder
 //!    threads own disjoint subgrids; degridder threads own disjoint
-//!    visibility blocks, reassembled after the parallel section.
+//!    rows of the output buffer, carved before the parallel section.
 
 use crate::buffers::SubgridArray;
 use crate::cache::{GeometryKey, KernelCache};
@@ -85,111 +91,93 @@ impl Scratch {
 /// (phases, sin, cos, 8 SoA planes) stay L1-resident.
 const VIS_BATCH: usize = 512;
 
-/// [`reduce_4pol`] over `soa[offset..offset+len]` paired with
-/// `sin/cos[..len]` (the trig planes are batch-local, the visibility SoA
-/// planes are item-global).
-#[inline]
-fn reduce_4pol_offset(
-    sin: &[f32],
-    cos: &[f32],
-    re: &[Vec<f32>; 4],
-    im: &[Vec<f32>; 4],
-    offset: usize,
-    len: usize,
-) -> [(f32, f32); 4] {
-    let re_slices = [
-        &re[0][offset..],
-        &re[1][offset..],
-        &re[2][offset..],
-        &re[3][offset..],
-    ];
-    let im_slices = [
-        &im[0][offset..],
-        &im[1][offset..],
-        &im[2][offset..],
-        &im[3][offset..],
-    ];
-    reduce_4pol_slices(sin, cos, &re_slices, &im_slices, len)
-}
+/// Partial sums per accumulator of [`reduce_4pol`]: one 512-bit or two
+/// 256-bit vectors of f32.
+const LANES: usize = 16;
 
-/// The channel-reduction of Listing 1, generalized to reduce over any
-/// contiguous index range: 16 FMAs per element across 8 accumulators.
+/// The reduction of Listing 1 over one staged batch: for each of the
+/// four polarisations, `Σₖ (re[p][k] + i·im[p][k]) · (cos[k] + i·sin[k])`
+/// over `k < sin.len()` — 16 FMAs per element across 8 accumulators.
+/// `cos` and the eight planes must be at least as long as `sin`.
 ///
 /// Strict-FP reductions cannot be auto-vectorized (the compiler may not
-/// reassociate float adds), so the accumulators are split into `LANES`
-/// independent partial sums — each maps onto one SIMD lane and the loop
-/// compiles to packed FMAs, the effect of Listing 1\'s
-/// `#pragma omp simd reduction`.
+/// reassociate float adds), so each accumulator is split into [`LANES`]
+/// independent partial sums — one SIMD lane each, the effect of
+/// Listing 1's `#pragma omp simd reduction`. All four polarisations
+/// share one sweep, so a sin/cos chunk is loaded once for its 16 FMAs
+/// and eight independent dependency chains hide the FMA latency.
+///
+/// **Summation order (part of the output's bits).** Per polarisation,
+/// lane `l` accumulates the elements `k ≡ l (mod LANES)` of the full
+/// chunks in increasing `k`, each as `vr·c`, then `−vi·s` (real) and
+/// `vr·s`, then `vi·c` (imaginary); the lanes fold `0 → 15`; the
+/// `len % LANES` tail elements follow in increasing `k`. The callers
+/// add the result to their accumulator once per batch, which makes
+/// [`VIS_BATCH`] and [`LANES`] part of the contract too. A batch
+/// shorter than one chunk never touches the lane arrays: their fold
+/// would contribute `+0.0`, which is what the tail starts from.
 #[inline]
-fn reduce_4pol(
-    sin: &[f32],
-    cos: &[f32],
-    re: &[Vec<f32>; 4],
-    im: &[Vec<f32>; 4],
-    len: usize,
-) -> [(f32, f32); 4] {
-    let re_slices = [
-        re[0].as_slice(),
-        re[1].as_slice(),
-        re[2].as_slice(),
-        re[3].as_slice(),
-    ];
-    let im_slices = [
-        im[0].as_slice(),
-        im[1].as_slice(),
-        im[2].as_slice(),
-        im[3].as_slice(),
-    ];
-    reduce_4pol_slices(sin, cos, &re_slices, &im_slices, len)
-}
+fn reduce_4pol(sin: &[f32], cos: &[f32], re: [&[f32]; 4], im: [&[f32]; 4]) -> [(f32, f32); 4] {
+    /// `pixel += vis · (cos + i·sin)` on one accumulator pair.
+    #[inline(always)]
+    fn cmac(ar: &mut f32, ai: &mut f32, vr: f32, vi: f32, s: f32, c: f32) {
+        *ar = vr.mul_add(c, *ar);
+        *ar = (-vi).mul_add(s, *ar);
+        *ai = vr.mul_add(s, *ai);
+        *ai = vi.mul_add(c, *ai);
+    }
 
-#[inline]
-fn reduce_4pol_slices(
-    sin: &[f32],
-    cos: &[f32],
-    re: &[&[f32]; 4],
-    im: &[&[f32]; 4],
-    len: usize,
-) -> [(f32, f32); 4] {
-    const LANES: usize = 16;
+    /// `plane[..len]` as (full chunks, tail), cut to lengths the caller
+    /// shares between planes so its loops index without bounds checks.
+    #[inline(always)]
+    fn cut(plane: &[f32], len: usize) -> (&[[f32; LANES]], &[f32]) {
+        let (chunks, tail) = plane[..len].as_chunks::<LANES>();
+        (&chunks[..len / LANES], &tail[..len % LANES])
+    }
+
+    let len = sin.len();
+    let (nch, ntail) = (len / LANES, len % LANES);
+    let ((s, s_tail), (c, c_tail)) = (cut(sin, len), cut(cos, len));
+    // (spelled out: `re.map(..)` leaves an out-of-line `array::try_map`
+    // call behind whose returned lengths the optimizer cannot see)
+    let ((r0, r0_tail), (i0, i0_tail)) = (cut(re[0], len), cut(im[0], len));
+    let ((r1, r1_tail), (i1, i1_tail)) = (cut(re[1], len), cut(im[1], len));
+    let ((r2, r2_tail), (i2, i2_tail)) = (cut(re[2], len), cut(im[2], len));
+    let ((r3, r3_tail), (i3, i3_tail)) = (cut(re[3], len), cut(im[3], len));
+
     let mut acc = [(0.0f32, 0.0f32); 4];
-    let full = len - len % LANES;
-
-    for p in 0..4 {
-        let (vr, vi) = (&re[p][..len], &im[p][..len]);
-        let (s, c) = (&sin[..len], &cos[..len]);
-
-        let mut ar = [0.0f32; LANES];
-        let mut ai = [0.0f32; LANES];
-        // chunks_exact (rather than a manually indexed `while`) lets LLVM
-        // prove the accumulator arrays never alias the inputs, so they live
-        // in vector registers across the whole loop instead of round-tripping
-        // through the stack every iteration (~7× on this reduction).
-        for (((vr_c, vi_c), s_c), c_c) in vr[..full]
-            .chunks_exact(LANES)
-            .zip(vi[..full].chunks_exact(LANES))
-            .zip(s[..full].chunks_exact(LANES))
-            .zip(c[..full].chunks_exact(LANES))
-        {
-            for lane in 0..LANES {
-                // pixel += vis * (cos + i*sin):
-                ar[lane] = vr_c[lane].mul_add(c_c[lane], ar[lane]);
-                ar[lane] = (-vi_c[lane]).mul_add(s_c[lane], ar[lane]);
-                ai[lane] = vr_c[lane].mul_add(s_c[lane], ai[lane]);
-                ai[lane] = vi_c[lane].mul_add(c_c[lane], ai[lane]);
+    if nch > 0 {
+        // Eight named arrays (not `[[f32; LANES]; 8]`: an indexed 2-D
+        // accumulator round-trips through the stack, EXPERIMENTS.md).
+        let (mut a0r, mut a0i) = ([0.0f32; LANES], [0.0f32; LANES]);
+        let (mut a1r, mut a1i) = ([0.0f32; LANES], [0.0f32; LANES]);
+        let (mut a2r, mut a2i) = ([0.0f32; LANES], [0.0f32; LANES]);
+        let (mut a3r, mut a3i) = ([0.0f32; LANES], [0.0f32; LANES]);
+        for k in 0..nch {
+            for l in 0..LANES {
+                let (sl, cl) = (s[k][l], c[k][l]);
+                cmac(&mut a0r[l], &mut a0i[l], r0[k][l], i0[k][l], sl, cl);
+                cmac(&mut a1r[l], &mut a1i[l], r1[k][l], i1[k][l], sl, cl);
+                cmac(&mut a2r[l], &mut a2i[l], r2[k][l], i2[k][l], sl, cl);
+                cmac(&mut a3r[l], &mut a3i[l], r3[k][l], i3[k][l], sl, cl);
             }
         }
-        let mut ar_sum: f32 = ar.iter().sum();
-        let mut ai_sum: f32 = ai.iter().sum();
-        for k in full..len {
-            ar_sum = vr[k].mul_add(c[k], ar_sum);
-            ar_sum = (-vi[k]).mul_add(s[k], ar_sum);
-            ai_sum = vr[k].mul_add(s[k], ai_sum);
-            ai_sum = vi[k].mul_add(c[k], ai_sum);
-        }
-        acc[p] = (ar_sum, ai_sum);
+        acc = [
+            (a0r.iter().sum(), a0i.iter().sum()),
+            (a1r.iter().sum(), a1i.iter().sum()),
+            (a2r.iter().sum(), a2i.iter().sum()),
+            (a3r.iter().sum(), a3i.iter().sum()),
+        ];
     }
-    acc
+    let [(mut a0r, mut a0i), (mut a1r, mut a1i), (mut a2r, mut a2i), (mut a3r, mut a3i)] = acc;
+    for k in 0..ntail {
+        let (sk, ck) = (s_tail[k], c_tail[k]);
+        cmac(&mut a0r, &mut a0i, r0_tail[k], i0_tail[k], sk, ck);
+        cmac(&mut a1r, &mut a1i, r1_tail[k], i1_tail[k], sk, ck);
+        cmac(&mut a2r, &mut a2i, r2_tail[k], i2_tail[k], sk, ck);
+        cmac(&mut a3r, &mut a3i, r3_tail[k], i3_tail[k], sk, ck);
+    }
+    [(a0r, a0i), (a1r, a1i), (a2r, a2i), (a3r, a3i)]
 }
 
 /// Optimized gridder: Algorithm 1 over all work items, parallelized with
@@ -201,7 +189,7 @@ pub fn gridder_cpu(
     accuracy: Accuracy,
     cache: &KernelCache,
 ) -> Result<(), IdgError> {
-    crate::check_launch(data, items, subgrids)?;
+    crate::check_launch(data, items, Some(subgrids))?;
 
     let geom = KernelGeometry::new(data.obs);
     let n = geom.subgrid_size;
@@ -259,6 +247,9 @@ pub fn gridder_cpu(
 
             let (u0, v0, w0) = geom.subgrid_center_uvw(item);
             let uvw = &data.uvw[base..base + item.nr_timesteps];
+            // sliced once per item (`check_launch` validated the range),
+            // so the phase loop below zips instead of indexing
+            let item_scales = &scales[item.channel_offset..][..item_chan];
             let ap_plane = data.aterms.plane(item.aterm_index, item.baseline.station1);
             let aq_plane = data.aterms.plane(item.aterm_index, item.baseline.station2);
             // both station planes are fetched even when identity
@@ -273,11 +264,11 @@ pub fn gridder_cpu(
                 );
             }
 
-            // Batch-outer / pixel-inner, the paper\'s Sec. V-B
-            // optimization 1 (T_B × C_B batching): one batch\'s SoA
+            // Batch-outer / pixel-inner, the paper's Sec. V-B
+            // optimization 1 (T_B × C_B batching): one batch's SoA
             // planes (≤ VIS_BATCH elements) and the trig staging stay
             // L1-resident while *every* pixel consumes them; the pixel
-            // accumulators persist across batches like the GPU kernel\'s
+            // accumulators persist across batches like the GPU kernel's
             // registers.
             scr.pix[..n2].fill([(0.0, 0.0); 4]);
             let batch_t = (VIS_BATCH / item_chan).max(1);
@@ -286,16 +277,19 @@ pub fn gridder_cpu(
                 let t1 = (t0 + batch_t).min(item.nr_timesteps);
                 let len = (t1 - t0) * item_chan;
                 let off = t0 * item_chan;
+                let batch_re: [&[f32]; 4] = std::array::from_fn(|p| &scr.re[p][off..off + len]);
+                let batch_im: [&[f32]; 4] = std::array::from_fn(|p| &scr.im[p][off..off + len]);
 
                 for (i, acc) in scr.pix[..n2].iter_mut().enumerate() {
                     let (lf, mf, nf, phase_offset) =
                         (planes.lf[i], planes.mf[i], planes.nf[i], scr.d[i]);
-                    for (bt, uvw_m) in uvw[t0..t1].iter().enumerate() {
+                    for (row, uvw_m) in scr.phases[..len]
+                        .chunks_exact_mut(item_chan)
+                        .zip(&uvw[t0..t1])
+                    {
                         let phase_index = uvw_m.u.mul_add(lf, uvw_m.v.mul_add(mf, uvw_m.w * nf));
-                        let row = &mut scr.phases[bt * item_chan..(bt + 1) * item_chan];
-                        for (ci, ph) in row.iter_mut().enumerate() {
-                            *ph = scales[item.channel_offset + ci]
-                                .mul_add(phase_index, -phase_offset);
+                        for (ph, scale) in row.iter_mut().zip(item_scales) {
+                            *ph = scale.mul_add(phase_index, -phase_offset);
                         }
                     }
                     // one batched sincos call per (pixel, batch) — the
@@ -305,8 +299,7 @@ pub fn gridder_cpu(
                     tally.fmas += len as u64; // phase mul_add per element
 
                     // Listing 1: vectorized 4-pol reduction over the batch
-                    let partial =
-                        reduce_4pol_offset(&scr.sin, &scr.cos, &scr.re, &scr.im, off, len);
+                    let partial = reduce_4pol(&scr.sin[..len], &scr.cos, batch_re, batch_im);
                     tally.fmas += 16 * len as u64; // 4 pols × 4 mul_adds
                     tally.shared_bytes += len as u64 * (BYTES_POL4 + BYTES_UVW);
                     for p in 0..4 {
@@ -374,7 +367,7 @@ pub fn degridder_cpu(
     accuracy: Accuracy,
     cache: &KernelCache,
 ) -> Result<(), IdgError> {
-    crate::check_launch(data, items, subgrids)?;
+    let row_order = crate::checked_rows(data, items, Some(subgrids))?;
     if vis_out.len() != data.obs.nr_visibilities() {
         return Err(IdgError::ShapeMismatch {
             what: "visibility output buffer",
@@ -387,7 +380,6 @@ pub fn degridder_cpu(
     let n = geom.subgrid_size;
     let n2 = n * n;
     let nr_time = data.obs.nr_timesteps;
-    let nr_chan = data.obs.nr_channels();
     let planes = cache.geometry(GeometryKey::new(n, geom.image_size));
     let scales: Vec<f32> = data
         .obs
@@ -397,18 +389,9 @@ pub fn degridder_cpu(
         .collect();
 
     // Carve vis_out into one mutable row slice per (item, timestep),
-    // bundled per item. Rows are sorted by destination offset so the
-    // buffer can be split left-to-right with `split_at_mut`; a malformed
-    // (overlapping) plan underflows `dst - cursor` and panics, the same
-    // failure mode the old overlapping-scatter copy had.
-    let mut row_order: Vec<(usize, usize)> = Vec::new();
-    for (idx, item) in items.iter().enumerate() {
-        let base = item.baseline_index * nr_time + item.time_offset;
-        for dt in 0..item.nr_timesteps {
-            row_order.push(((base + dt) * nr_chan + item.channel_offset, idx));
-        }
-    }
-    row_order.sort_unstable();
+    // bundled per item: `row_order` is sorted by destination offset and
+    // checked disjoint, so the buffer splits left-to-right with
+    // `split_at_mut` and `dst - cursor` cannot underflow.
     let mut bundles: Vec<Vec<&mut [Visibility<f32>]>> = items
         .iter()
         .map(|item| Vec::with_capacity(item.nr_timesteps))
@@ -474,41 +457,41 @@ pub fn degridder_cpu(
 
             let base = item.baseline_index * nr_time + item.time_offset;
             let uvw = &data.uvw[base..base + item.nr_timesteps];
-            let item_chan = item.nr_channels;
+            let item_scales = &scales[item.channel_offset..][..item.nr_channels];
+            let pixel_re: [&[f32]; 4] = std::array::from_fn(|p| &scr.re[p][..n2]);
+            let pixel_im: [&[f32]; 4] = std::array::from_fn(|p| &scr.im[p][..n2]);
 
-            for (dt, uvw_m) in uvw.iter().enumerate() {
+            for (uvw_m, out_row) in uvw.iter().zip(rows.iter_mut()) {
                 tally.dram_bytes += BYTES_UVW;
                 // per-pixel meter-valued phase index (3 FMAs each)
-                for i in 0..n2 {
-                    scr.phases[i] = uvw_m.u.mul_add(
-                        planes.lf[i],
-                        uvw_m.v.mul_add(planes.mf[i], uvw_m.w * planes.nf[i]),
-                    );
+                for ((ph, lf), (mf, nf)) in scr.phases[..n2]
+                    .iter_mut()
+                    .zip(&planes.lf[..n2])
+                    .zip(planes.mf[..n2].iter().zip(&planes.nf[..n2]))
+                {
+                    *ph = uvw_m.u.mul_add(*lf, uvw_m.v.mul_add(*mf, uvw_m.w * nf));
                 }
-                let out_row = &mut rows[dt];
-                for ci in 0..item_chan {
+                for (scale, out) in item_scales.iter().zip(out_row.iter_mut()) {
                     // degridding phase = −(scale·index − offset)
-                    let scale = scales[item.channel_offset + ci];
-                    for i in 0..n2 {
-                        scr.chan_phases[i] = (-scale).mul_add(scr.phases[i], scr.d[i]);
+                    for ((cp, ph), offset) in scr.chan_phases[..n2]
+                        .iter_mut()
+                        .zip(&scr.phases[..n2])
+                        .zip(&scr.d[..n2])
+                    {
+                        *cp = (-scale).mul_add(*ph, *offset);
                     }
                     sincos_batch(&scr.chan_phases[..n2], &mut scr.sin, &mut scr.cos, accuracy);
                     tally.sincos_pairs += n2 as u64;
                     tally.fmas += n2 as u64; // phase mul_add per pixel
-                    let acc = reduce_4pol(&scr.sin, &scr.cos, &scr.re, &scr.im, n2);
+                    let acc = reduce_4pol(&scr.sin[..n2], &scr.cos, pixel_re, pixel_im);
                     // 4 pols × 4 mul_adds, then staged pixel + geometry +
                     // accumulator traffic
                     tally.fmas += 16 * n2 as u64;
                     tally.shared_bytes += n2 as u64 * (BYTES_POL4 + 16 + BYTES_UVW);
                     tally.visibilities += 1;
                     tally.dram_bytes += BYTES_POL4; // predicted vis written once
-                    out_row[ci] = Visibility {
-                        pols: [
-                            idg_types::Cf32::new(acc[0].0, acc[0].1),
-                            idg_types::Cf32::new(acc[1].0, acc[1].1),
-                            idg_types::Cf32::new(acc[2].0, acc[2].1),
-                            idg_types::Cf32::new(acc[3].0, acc[3].1),
-                        ],
+                    *out = Visibility {
+                        pols: acc.map(|(re, im)| idg_types::Cf32::new(re, im)),
                     };
                 }
             }
@@ -785,12 +768,11 @@ mod tests {
         }
     }
 
-    #[test]
-    fn tails_shorter_than_a_simd_lane_match_reference() {
-        // 5 timesteps × 3 channels = 15 visibilities per work item:
-        // smaller than LANES (16), so the FMA reduction runs entirely
-        // in its scalar tail loop, and far below VIS_BATCH, so the
-        // batched-sincos path sees a single partial batch.
+    /// 5 timesteps × 3 channels = 15 visibilities per work item:
+    /// smaller than LANES (16), so the FMA reduction runs entirely
+    /// in its scalar tail loop, and far below VIS_BATCH, so the
+    /// batched-sincos path sees a single partial batch.
+    fn sub_lane_dataset() -> Dataset {
         let obs = Observation::builder()
             .stations(3)
             .timesteps(5)
@@ -802,19 +784,18 @@ mod tests {
             .image_size(0.04)
             .build()
             .unwrap();
-        assert!(obs.aterm_interval * obs.nr_channels() < 16);
+        assert!(obs.aterm_interval * obs.nr_channels() < LANES);
         let layout = Layout::uniform(3, 700.0, 53);
         let sky = SkyModel::random(&obs, 3, 0.5, 59);
         let beam = GaussianBeam::new(&obs, 0.8, 61);
-        assert_tail_conformance(&Dataset::simulate(obs, &layout, sky, &beam));
+        Dataset::simulate(obs, &layout, sky, &beam)
     }
 
-    #[test]
-    fn items_straddling_vis_batch_match_reference() {
-        // 120 timesteps × 5 channels = 600 visibilities per work item:
-        // the batch loop runs one full VIS_BATCH chunk (102 timesteps ×
-        // 5 channels = 510) plus a ragged 18-timestep remainder, and
-        // 600 % LANES = 8 leaves a sub-lane tail in every reduction.
+    /// 120 timesteps × 5 channels = 600 visibilities per work item:
+    /// the batch loop runs one full VIS_BATCH chunk (102 timesteps ×
+    /// 5 channels = 510) plus a ragged 18-timestep remainder, and
+    /// 600 % LANES = 8 leaves a sub-lane tail in every reduction.
+    fn straddling_dataset() -> Dataset {
         let obs = Observation::builder()
             .stations(3)
             .timesteps(120)
@@ -828,9 +809,237 @@ mod tests {
             .unwrap();
         let vis_per_item = obs.aterm_interval * obs.nr_channels();
         assert!(vis_per_item > VIS_BATCH && !vis_per_item.is_multiple_of(VIS_BATCH));
-        assert!(!vis_per_item.is_multiple_of(16));
+        assert!(!vis_per_item.is_multiple_of(LANES));
         let layout = Layout::uniform(3, 900.0, 67);
         let sky = SkyModel::random(&obs, 4, 0.6, 71);
-        assert_tail_conformance(&Dataset::simulate(obs, &layout, sky, &IdentityATerm));
+        Dataset::simulate(obs, &layout, sky, &IdentityATerm)
+    }
+
+    /// 1 channel × 8 timesteps = 8 visibilities per work item (the
+    /// `sparse_snapshot` shape): every gridder reduction takes the
+    /// `len < LANES` path.
+    fn eight_visibility_dataset() -> Dataset {
+        let obs = Observation::builder()
+            .stations(4)
+            .timesteps(16)
+            .channels(1, 150e6, 1e6)
+            .grid_size(256)
+            .subgrid_size(16)
+            .kernel_size(5)
+            .aterm_interval(8)
+            .image_size(0.05)
+            .build()
+            .unwrap();
+        let layout = Layout::uniform(4, 900.0, 83);
+        let sky = SkyModel::random(&obs, 3, 0.6, 89);
+        Dataset::simulate(obs, &layout, sky, &IdentityATerm)
+    }
+
+    #[test]
+    fn tails_shorter_than_a_simd_lane_match_reference() {
+        assert_tail_conformance(&sub_lane_dataset());
+    }
+
+    #[test]
+    fn items_straddling_vis_batch_match_reference() {
+        assert_tail_conformance(&straddling_dataset());
+    }
+
+    /// The per-polarisation reduction `reduce_4pol` replaced, kept as its
+    /// oracle: polarisations outside the sweep, two lane arrays each.
+    fn reduce_4pol_per_pol(
+        sin: &[f32],
+        cos: &[f32],
+        re: [&[f32]; 4],
+        im: [&[f32]; 4],
+    ) -> [(f32, f32); 4] {
+        let len = sin.len();
+        let mut acc = [(0.0f32, 0.0f32); 4];
+        let full = len - len % LANES;
+        for p in 0..4 {
+            let (vr, vi) = (&re[p][..len], &im[p][..len]);
+            let (s, c) = (&sin[..len], &cos[..len]);
+            let mut ar = [0.0f32; LANES];
+            let mut ai = [0.0f32; LANES];
+            for (((vr_c, vi_c), s_c), c_c) in vr[..full]
+                .chunks_exact(LANES)
+                .zip(vi[..full].chunks_exact(LANES))
+                .zip(s[..full].chunks_exact(LANES))
+                .zip(c[..full].chunks_exact(LANES))
+            {
+                for lane in 0..LANES {
+                    ar[lane] = vr_c[lane].mul_add(c_c[lane], ar[lane]);
+                    ar[lane] = (-vi_c[lane]).mul_add(s_c[lane], ar[lane]);
+                    ai[lane] = vr_c[lane].mul_add(s_c[lane], ai[lane]);
+                    ai[lane] = vi_c[lane].mul_add(c_c[lane], ai[lane]);
+                }
+            }
+            let mut ar_sum: f32 = ar.iter().sum();
+            let mut ai_sum: f32 = ai.iter().sum();
+            for k in full..len {
+                ar_sum = vr[k].mul_add(c[k], ar_sum);
+                ar_sum = (-vi[k]).mul_add(s[k], ar_sum);
+                ai_sum = vr[k].mul_add(s[k], ai_sum);
+                ai_sum = vi[k].mul_add(c[k], ai_sum);
+            }
+            acc[p] = (ar_sum, ai_sum);
+        }
+        acc
+    }
+
+    #[test]
+    fn fused_reduction_is_bit_identical_to_the_per_polarisation_one() {
+        // seeded planes in [-1, 1) salted with signed zeros (a sum's
+        // sign of zero depends on the order it was formed in)
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut plane = |len: usize| -> Vec<f32> {
+            (0..len)
+                .map(|_| {
+                    state = state
+                        .wrapping_mul(6_364_136_223_846_793_005)
+                        .wrapping_add(1_442_695_040_888_963_407);
+                    match state >> 61 {
+                        0 => -0.0,
+                        1 => 0.0,
+                        _ => ((state >> 40) as f32 / (1u64 << 23) as f32) - 1.0,
+                    }
+                })
+                .collect()
+        };
+        const MAX: usize = 600 + 7;
+        let (sin, cos) = (plane(MAX), plane(MAX));
+        let re: [Vec<f32>; 4] = std::array::from_fn(|_| plane(MAX));
+        let im: [Vec<f32>; 4] = std::array::from_fn(|_| plane(MAX));
+        let bits = |acc: [(f32, f32); 4]| acc.map(|(re, im)| (re.to_bits(), im.to_bits()));
+
+        for len in (0..=40).chain([255, 256, 500, 511, 512, 513, 576, 600]) {
+            for off in [0, 7] {
+                let window = off..off + len;
+                let re: [&[f32]; 4] = std::array::from_fn(|p| &re[p][window.clone()]);
+                let im: [&[f32]; 4] = std::array::from_fn(|p| &im[p][window.clone()]);
+                let (sin, cos) = (&sin[window.clone()], &cos[window.clone()]);
+                assert_eq!(
+                    bits(reduce_4pol(sin, cos, re, im)),
+                    bits(reduce_4pol_per_pol(sin, cos, re, im)),
+                    "len {len}, offset {off}"
+                );
+            }
+        }
+        // an all-negative-zero batch shorter than a chunk: the lane
+        // arrays the short path skips would have folded to +0.0
+        let (neg, pos) = ([-0.0f32; 8], [0.0f32; 8]);
+        let acc = reduce_4pol(&pos, &pos, [&neg; 4], [&pos; 4]);
+        assert_eq!(
+            bits(acc),
+            bits(reduce_4pol_per_pol(&pos, &pos, [&neg; 4], [&pos; 4]))
+        );
+    }
+
+    /// FNV-1a over the bit patterns of a complex buffer.
+    fn fnv(values: impl Iterator<Item = idg_types::Cf32>) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for v in values {
+            for byte in [v.re, v.im]
+                .into_iter()
+                .flat_map(|f| f.to_bits().to_le_bytes())
+            {
+                h = (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    /// Output hashes of one shape: `gridder_cpu`'s subgrid array, then
+    /// `degridder_cpu`'s visibility buffer predicted from the
+    /// *reference* gridder's subgrids (so a gridder change cannot hide
+    /// behind a degridder one).
+    fn output_hashes(ds: &Dataset, accuracy: Accuracy) -> [u64; 2] {
+        let plan = Plan::create(&ds.obs, &ds.uvw).unwrap();
+        let tp = taper(ds.obs.subgrid_size);
+        let data = KernelData {
+            obs: &ds.obs,
+            uvw: &ds.uvw,
+            visibilities: &ds.visibilities,
+            aterms: &ds.aterms,
+            taper: &tp,
+        };
+        let cache = KernelCache::new();
+        let mut gridded = SubgridArray::new(plan.nr_subgrids(), ds.obs.subgrid_size);
+        gridder_cpu(&data, &plan.items, &mut gridded, accuracy, &cache).expect("kernel run");
+        let mut gold = SubgridArray::new(plan.nr_subgrids(), ds.obs.subgrid_size);
+        gridder_reference(&data, &plan.items, &mut gold).expect("kernel run");
+        let mut predicted = vec![Visibility::<f32>::zero(); ds.obs.nr_visibilities()];
+        degridder_cpu(&data, &plan.items, &gold, &mut predicted, accuracy, &cache)
+            .expect("kernel run");
+        [
+            fnv(gridded.as_slice().iter().copied()),
+            fnv(predicted.iter().flat_map(|v| v.pols)),
+        ]
+    }
+
+    #[test]
+    fn kernel_outputs_are_pinned_to_the_bit() {
+        // [gridder, degridder] hashes at Medium, then at Fast. The
+        // constants were computed on the parent commit (3435907, the
+        // per-polarisation reduction and indexed phase loops) before the
+        // inner loops were rewritten: a tolerance test cannot see a
+        // changed summation order, these can.
+        let cases: [(&str, Dataset, [u64; 4]); 5] = [
+            (
+                "identity",
+                dataset(0),
+                [
+                    0x52c3_ec46_fe2b_8b95,
+                    0xf7b5_90d7_ce06_48b5,
+                    0x52c3_ec46_fe2b_8b95,
+                    0xf7b5_90d7_ce06_48b5,
+                ],
+            ),
+            (
+                "beam",
+                dataset(1),
+                [
+                    0x6c2b_f52e_edbe_0215,
+                    0xd5e7_0554_76df_28b1,
+                    0x6c2b_f52e_edbe_0215,
+                    0xd5e7_0554_76df_28b1,
+                ],
+            ),
+            (
+                "15-visibility items",
+                sub_lane_dataset(),
+                [
+                    0x919a_c119_75d5_dc11,
+                    0x3149_0f7c_5d31_62c1,
+                    0x919a_c119_75d5_dc11,
+                    0x3149_0f7c_5d31_62c1,
+                ],
+            ),
+            (
+                "600-visibility items",
+                straddling_dataset(),
+                [
+                    0x2881_cd7c_74a1_3f05,
+                    0xf62e_0614_f6de_8139,
+                    0x2881_cd7c_74a1_3f05,
+                    0xf62e_0614_f6de_8139,
+                ],
+            ),
+            (
+                "8-visibility items",
+                eight_visibility_dataset(),
+                [
+                    0xd255_8170_56be_d59d,
+                    0x0e8b_57be_885d_a5a1,
+                    0xd255_8170_56be_d59d,
+                    0x0e8b_57be_885d_a5a1,
+                ],
+            ),
+        ];
+        for (name, ds, pinned) in &cases {
+            let [gm, dm] = output_hashes(ds, Accuracy::Medium);
+            let [gf, df] = output_hashes(ds, Accuracy::Fast);
+            assert_eq!([gm, dm, gf, df], *pinned, "{name}");
+        }
     }
 }

@@ -115,28 +115,110 @@ impl<'a> KernelData<'a> {
     }
 }
 
-/// Launch-time shape checks shared by the gridder/degridder entry
-/// points: inputs consistent with the observation, one subgrid per work
-/// item, subgrids sized to the observation.
-pub(crate) fn check_launch(
+/// The launch check of every gridder/degridder entry point, host and
+/// device model alike: inputs consistent with the observation, one
+/// observation-sized subgrid per work item, and every item *of* this
+/// observation — [`WorkItem`](idg_plan::WorkItem)'s fields are public,
+/// so a plan made for another observation (or edited by hand) reaches
+/// the kernels from safe code. An item whose baseline, time range,
+/// channel range, A-term slot or stations fall outside the observation
+/// or the A-term cube, or two items that cover the same visibility, are
+/// an [`IdgError::InvalidParameter`](idg_types::IdgError) naming the
+/// item and the field. The kernels slice per item on the strength of
+/// this check instead of bounds-checking per element.
+///
+/// `subgrids` is the launch's subgrid array; a device pass, which
+/// allocates its subgrids job by job, checks its whole plan up front
+/// with `None`.
+pub fn check_launch(
     data: &KernelData<'_>,
     items: &[idg_plan::WorkItem],
-    subgrids: &SubgridArray,
+    subgrids: Option<&SubgridArray>,
 ) -> Result<(), idg_types::IdgError> {
+    checked_rows(data, items, subgrids).map(drop)
+}
+
+/// [`check_launch`], handing back what its overlap test sorted: the
+/// `(first visibility index, item index)` of every (item, timestep)
+/// row, in buffer order and pairwise disjoint. The optimized degridder
+/// carves its output buffer along them.
+pub(crate) fn checked_rows(
+    data: &KernelData<'_>,
+    items: &[idg_plan::WorkItem],
+    subgrids: Option<&SubgridArray>,
+) -> Result<Vec<(usize, usize)>, idg_types::IdgError> {
+    use idg_types::IdgError;
+
     data.validate()?;
-    if subgrids.count() != items.len() {
-        return Err(idg_types::IdgError::ShapeMismatch {
-            what: "subgrid count",
-            expected: items.len(),
-            actual: subgrids.count(),
-        });
+    if let Some(subgrids) = subgrids {
+        if subgrids.count() != items.len() {
+            return Err(IdgError::ShapeMismatch {
+                what: "subgrid count",
+                expected: items.len(),
+                actual: subgrids.count(),
+            });
+        }
+        if subgrids.size() != data.obs.subgrid_size {
+            return Err(IdgError::ShapeMismatch {
+                what: "subgrid size",
+                expected: data.obs.subgrid_size,
+                actual: subgrids.size(),
+            });
+        }
     }
-    if subgrids.size() != data.obs.subgrid_size {
-        return Err(idg_types::IdgError::ShapeMismatch {
-            what: "subgrid size",
-            expected: data.obs.subgrid_size,
-            actual: subgrids.size(),
-        });
+
+    let (nr_time, nr_chan) = (data.obs.nr_timesteps, data.obs.nr_channels());
+    let nr_baselines = data.obs.nr_baselines();
+    let (nr_slots, nr_stations) = (data.aterms.nr_intervals(), data.aterms.nr_stations());
+    let mut rows = Vec::new();
+    for (idx, item) in items.iter().enumerate() {
+        // (field, first, count, limit): `first + count` must not pass
+        // `limit`; an index is a range of one
+        let (t, c, b) = (item.nr_timesteps, item.nr_channels, item.baseline);
+        let ranges = [
+            ("baseline_index", item.baseline_index, 1, nr_baselines),
+            ("time_offset + nr_timesteps", item.time_offset, t, nr_time),
+            (
+                "channel_offset + nr_channels",
+                item.channel_offset,
+                c,
+                nr_chan,
+            ),
+            ("aterm_index", item.aterm_index, 1, nr_slots),
+            ("baseline.station1", b.station1, 1, nr_stations),
+            ("baseline.station2", b.station2, 1, nr_stations),
+        ];
+        for (field, first, count, limit) in ranges {
+            if first.checked_add(count).is_none_or(|end| end > limit) {
+                return Err(IdgError::InvalidParameter(format!(
+                    "work item {idx}: {field} out of range ({first} + {count} > {limit}); \
+                     was the plan made for this observation?"
+                )));
+            }
+        }
+        if item.nr_channels == 0 {
+            return Err(IdgError::InvalidParameter(format!(
+                "work item {idx}: nr_channels must be at least 1"
+            )));
+        }
+        let base = item.baseline_index * nr_time + item.time_offset;
+        rows.extend(
+            (0..item.nr_timesteps).map(|dt| ((base + dt) * nr_chan + item.channel_offset, idx)),
+        );
     }
-    Ok(())
+
+    // Rows are channel runs inside one (baseline, timestep), so two
+    // overlap iff their index ranges do, and after sorting some
+    // overlapping pair is adjacent.
+    rows.sort_unstable();
+    if let Some(w) = rows
+        .windows(2)
+        .find(|w| w[0].0 + items[w[0].1].nr_channels > w[1].0)
+    {
+        return Err(IdgError::InvalidParameter(format!(
+            "work items {} and {} both cover visibility {}",
+            w[0].1, w[1].1, w[1].0
+        )));
+    }
+    Ok(rows)
 }

@@ -39,7 +39,7 @@ pub fn gridder_reference(
     items: &[WorkItem],
     subgrids: &mut SubgridArray,
 ) -> Result<(), IdgError> {
-    crate::check_launch(data, items, subgrids)?;
+    crate::check_launch(data, items, Some(subgrids))?;
 
     let geom = KernelGeometry::new(data.obs);
     let n = geom.subgrid_size;
@@ -128,7 +128,7 @@ pub fn degridder_reference(
     subgrids: &SubgridArray,
     vis_out: &mut [Visibility<f32>],
 ) -> Result<(), IdgError> {
-    crate::check_launch(data, items, subgrids)?;
+    crate::check_launch(data, items, Some(subgrids))?;
     if vis_out.len() != data.obs.nr_visibilities() {
         return Err(IdgError::ShapeMismatch {
             what: "visibility output buffer",
@@ -499,5 +499,60 @@ mod tests {
                 ..
             }
         ));
+    }
+
+    #[test]
+    fn launch_check_names_the_item_and_the_field() {
+        let ds = small_dataset();
+        let plan = Plan::create(&ds.obs, &ds.uvw).unwrap();
+        let taper = flat_taper(ds.obs.subgrid_size);
+        let data = KernelData {
+            obs: &ds.obs,
+            uvw: &ds.uvw,
+            visibilities: &ds.visibilities,
+            aterms: &ds.aterms,
+            taper: &taper,
+        };
+        assert!(crate::check_launch(&data, &plan.items, None).is_ok());
+
+        // one field of item 3 pushed past the observation (5 stations,
+        // 16 steps in 2 A-term slots, 3 channels) at a time;
+        // `usize::MAX` would wrap an unchecked `offset + count`
+        type Edit = fn(&mut WorkItem);
+        let edits: [(&str, Edit); 8] = [
+            ("baseline_index", |i| i.baseline_index = 10),
+            ("time_offset + nr_timesteps", |i| i.time_offset = 9),
+            ("time_offset + nr_timesteps", |i| i.time_offset = usize::MAX),
+            ("channel_offset + nr_channels", |i| i.channel_offset = 1),
+            ("aterm_index", |i| i.aterm_index = 2),
+            ("baseline.station1", |i| i.baseline.station1 = 5),
+            ("baseline.station2", |i| i.baseline.station2 = 5),
+            ("nr_channels must be at least 1", |i| i.nr_channels = 0),
+        ];
+        for (field, edit) in edits {
+            let mut items = plan.items.clone();
+            edit(&mut items[3]);
+            let err = crate::check_launch(&data, &items, None).expect_err(field);
+            assert!(
+                matches!(&err, IdgError::InvalidParameter(msg)
+                    if msg.contains("work item 3") && msg.contains(field)),
+                "{field}: {err:?}"
+            );
+        }
+
+        // a partial overlap, not only an exact duplicate: item 0 again,
+        // shifted by one timestep
+        let mut items = plan.items.clone();
+        let mut shifted = items[0];
+        shifted.time_offset += 1;
+        shifted.nr_timesteps -= 1;
+        items.push(shifted);
+        let last = items.len() - 1;
+        let err = crate::check_launch(&data, &items, None).expect_err("overlap");
+        assert!(
+            matches!(&err, IdgError::InvalidParameter(msg)
+                if msg.contains(&format!("work items 0 and {last} both cover"))),
+            "{err:?}"
+        );
     }
 }

@@ -201,8 +201,9 @@ pub fn sincos_batch(xs: &[f32], sin_out: &mut [f32], cos_out: &mut [f32], accura
 /// Used by the accuracy tests to verify the paper-quoted error bounds
 /// (4 ulp medium, looser fast path).
 pub fn ulp_error(a: f32, exact: f64) -> f64 {
-    if exact == 0.0 {
-        return if a == 0.0 {
+    // ±0 by bit pattern: everything but the sign bit clear
+    if exact.to_bits() << 1 == 0 {
+        return if a.to_bits() << 1 == 0 {
             0.0
         } else {
             (a.abs() / f32::MIN_POSITIVE) as f64
