@@ -30,6 +30,7 @@
 
 use crate::device::Device;
 use crate::fault::{FaultConfig, RetryPolicy};
+use crate::kernels::check_device;
 use crate::pass::{DeviceSlot, Direction, JobRun, Pass, PassTotals, Sink};
 use crate::stream::TraceEntry;
 use idg_kernels::{KernelCache, KernelData, SubgridArray};
@@ -145,6 +146,8 @@ impl GpuExecutor {
         sink: Sink,
     ) -> Result<(Pass<'a>, GpuRunReport), IdgError> {
         let w = self.work_group_size;
+        // a device that can launch no kernel fails the pass, not every job
+        check_device(&self.device, matches!(direction, Direction::Grid))?;
         let mut pass = Pass::new(data, plan, direction, sink, w, &self.cache, &self.retry)?;
         let mut slot = DeviceSlot::new(self.device.clone(), self.faults.clone(), &pass);
         slot.reserve(&pass, w, 3)?;
@@ -162,8 +165,9 @@ impl GpuExecutor {
     ///
     /// Jobs that fail persistently are reported in
     /// [`PassTotals::failed_jobs`] and their subgrids are absent from
-    /// the returned grid; only whole-pass setup failures (e.g. the
-    /// buffer sets not fitting in device memory) error out. Each job's
+    /// the returned grid; only whole-pass setup failures (the buffer
+    /// sets not fitting in device memory, a launch configuration no
+    /// kernel can run with) error out. Each job's
     /// subgrids are added as the job completes, so peak memory stays at
     /// one job's subgrids.
     pub fn grid(

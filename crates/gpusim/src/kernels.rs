@@ -15,9 +15,35 @@
 //!   thread folds the staged batch into its visibility's register
 //!   accumulators; the role switch repeats per pixel batch.
 //!
-//! Arithmetic uses `Accuracy::Fast` — the `--use_fast_math` analogue —
-//! and accumulates in the same order as the reference kernels, so the
-//! results are directly comparable (tests assert closeness to
+//! **Lanes are threads.** A GPU runs the threads of a block a warp at a
+//! time, in lockstep: one instruction, [`WARP`] threads. The host does
+//! the same with SIMD: a warp here is [`WARP`] consecutive threads whose
+//! registers are the lanes of `[f32; WARP]` arrays — pixels in the
+//! gridder, visibilities in the degridder. A warp loads its eight
+//! accumulator planes (re/im × 4 polarisations), steps through the staged
+//! batch broadcasting one shared-memory element at a time to all lanes
+//! (phase, `sincos`, four complex FMAs per lane), and stores them back.
+//! The last warp of a block may be partial; its dead lanes compute on
+//! zeros, are never read back and count nothing.
+//!
+//! **The chain-order contracts (part of the output's bits).** Every
+//! thread owns one accumulation chain and no two chains ever meet:
+//!
+//! * a gridder thread folds *all* visibilities of its work item into its
+//!   pixel, in (timestep, channel) order;
+//! * a degridder thread folds *all* pixels of the subgrid into its
+//!   visibility, in row-major pixel order;
+//!
+//! each step as `phase_index = u·l + (v·m + w·n)` and the phase `mul_add`
+//! nested as written below, `sincos(phase, Accuracy::Fast)` — the
+//! `--use_fast_math` analogue — then the four FMAs of `Cf32::mul_acc` per
+//! polarisation in its order. Batch size only cuts a chain into
+//! consecutive pieces that continue from the same register; block size
+//! and warp width only decide which chains run side by side. So no launch
+//! configuration, and no order of visiting warps, can move a bit — the
+//! tests pin output hashes taken while threads still ran one at a time
+//! and check them equal across devices. The results stay directly
+//! comparable to the reference kernels (tests assert closeness to
 //! `idg-kernels`' reference output).
 
 use crate::device::Device;
@@ -37,35 +63,90 @@ const BYTES_POL4: u64 = 32;
 /// Bytes of one staged uvw coordinate (3 × f32).
 const BYTES_UVW: u64 = 12;
 
+/// Threads that run in lockstep, one per SIMD lane. Not a launch
+/// parameter and not part of the bits (see the module doc); 8, 16 and 32
+/// measure alike in both kernels (EXPERIMENTS.md "Device-model kernels").
+const WARP: usize = 16;
+
+/// `N` registers of one warp: one f32 per lane each.
+type WarpRegs<const N: usize> = [[f32; WARP]; N];
+
 /// One staged visibility in the gridder's shared buffer.
 #[derive(Copy, Clone)]
 struct SharedVis {
     uvw: Uvw,
     freq_scale: f32,
     pols: [Cf32; 4],
-    phase_ref: f32, // reserved: per-channel φ-offset base (unused; offsets are per-pixel)
 }
 
-/// Per-thread gridder state, reused across work items (`for_each_init`):
-/// register accumulators, per-item phase offsets and the shared-memory
-/// staging buffer.
+/// Per-worker gridder state, reused across work items (`for_each_init`).
 struct GridderScratch {
-    regs: Vec<[Cf32; 4]>,
-    offs: Vec<f32>,
+    /// Per warp of pixels: the accumulators (re, im of each polarisation),
+    /// held across batches.
+    regs: Vec<WarpRegs<8>>,
+    /// Per warp of pixels: l, m, n and the item's phase offset φ₀.
+    geo: Vec<WarpRegs<4>>,
+    /// The shared-memory staging buffer.
     shared: Vec<SharedVis>,
 }
 
-/// Per-thread degridder state, reused across work items: register
-/// accumulators plus the shared-memory pixel/geometry batch.
+/// Per-worker degridder state, reused across work items.
 struct DegridderScratch {
-    regs: Vec<[Cf32; 4]>,
+    /// Per warp of visibilities: the accumulators, held across batches.
+    regs: Vec<WarpRegs<8>>,
+    /// Per warp of visibilities: u, v, w and the channel's phase scale.
+    vis: Vec<WarpRegs<4>>,
+    /// Shared memory: one batch of corrected pixels and their geometry.
     sh_pix: Vec<[Cf32; 4]>,
     sh_geo: Vec<(f32, f32, f32, f32)>,
+}
+
+/// A launch needs a thread to run and shared memory for one staged
+/// element: a zero block size would compute nothing and still report the
+/// work done, a zero batch would never advance the staging loop.
+pub(crate) fn check_device(device: &Device, gridding: bool) -> Result<(), IdgError> {
+    let (block_field, block_size, staged, batch_size) = if gridding {
+        let (block, batch) = (device.gridder_block_size, device.gridder_batch_size());
+        ("gridder_block_size", block, "visibility", batch)
+    } else {
+        let (block, batch) = (device.degridder_block_size, device.degridder_batch_size());
+        ("degridder_block_size", block, "pixel", batch)
+    };
+    if block_size == 0 {
+        return Err(IdgError::InvalidParameter(format!(
+            "device {block_field} is zero: a thread block needs a thread"
+        )));
+    }
+    if batch_size == 0 {
+        return Err(IdgError::InvalidParameter(format!(
+            "device shared_mem_per_block = {} bytes is too small for one staged {staged}",
+            device.shared_mem_per_block
+        )));
+    }
+    Ok(())
+}
+
+/// `acc += phasor · q` on one lane's accumulator pair: [`Cf32::mul_acc`],
+/// whose four FMAs and their order are part of the chain contract.
+#[inline(always)]
+fn cmac(ar: &mut f32, ai: &mut f32, phasor: Cf32, q: Cf32) {
+    let mut acc = Cf32::new(*ar, *ai);
+    acc.mul_acc(phasor, q);
+    (*ar, *ai) = (acc.re, acc.im);
+}
+
+/// The four polarisations thread `t` holds in its accumulators.
+fn thread_pols(regs: &[WarpRegs<8>], t: usize) -> [Cf32; 4] {
+    let (warp, lane) = (&regs[t / WARP], t % WARP);
+    std::array::from_fn(|p| Cf32::new(warp[2 * p][lane], warp[2 * p + 1][lane]))
 }
 
 /// Execute the gridder with the GPU thread-block mapping; returns the
 /// operation counters of the launch, or a typed error when the launch
 /// configuration is inconsistent with its inputs.
+///
+/// Each pixel's value is one chain over all visibilities of its work
+/// item in (timestep, channel) order — see the module doc.
 pub fn gridder_gpu(
     data: &KernelData<'_>,
     items: &[WorkItem],
@@ -74,13 +155,14 @@ pub fn gridder_gpu(
     cache: &KernelCache,
 ) -> Result<OpCounts, IdgError> {
     idg_kernels::check_launch(data, items, Some(subgrids))?;
+    check_device(device, true)?;
 
     let geom = KernelGeometry::new(data.obs);
     let n = geom.subgrid_size;
     let n2 = n * n;
+    let nr_warps = n2.div_ceil(WARP);
     let nr_time = data.obs.nr_timesteps;
     let nr_chan = data.obs.nr_channels();
-    let block_size = device.gridder_block_size;
     let batch_size = device.gridder_batch_size();
     let planes = cache.geometry(GeometryKey::new(n, geom.image_size));
     let scales: Vec<f32> = data
@@ -99,7 +181,7 @@ pub fn gridder_gpu(
         .for_each_init(
             || GridderScratch {
                 regs: Vec::new(),
-                offs: Vec::new(),
+                geo: Vec::new(),
                 shared: Vec::new(),
             },
             |scr, ((item, subgrid), tally_slot)| {
@@ -120,15 +202,22 @@ pub fn gridder_gpu(
                 };
 
                 // "registers": per-pixel accumulators held across batches
-                scr.regs.resize(n2, [Cf32::zero(); 4]);
-                scr.regs[..n2].fill([Cf32::zero(); 4]);
-                // per-item phase offsets (l/m/n come from the cached planes)
-                scr.offs.resize(n2, 0.0);
+                scr.regs.clear();
+                scr.regs.resize(nr_warps, [[0.0; WARP]; 8]);
+                // each thread's pixel geometry: l/m/n from the cached
+                // planes, the phase offset per item; dead lanes stay zero
+                scr.geo.clear();
+                scr.geo.resize(nr_warps, [[0.0; WARP]; 4]);
                 for i in 0..n2 {
-                    scr.offs[i] = (2.0
+                    let off = (2.0
                         * std::f64::consts::PI
                         * (u0 * planes.l[i] + v0 * planes.m[i] + w0 * planes.n_term[i]))
                         as f32;
+                    let (geo, lane) = (&mut scr.geo[i / WARP], i % WARP);
+                    geo[0][lane] = planes.lf[i];
+                    geo[1][lane] = planes.mf[i];
+                    geo[2][lane] = planes.nf[i];
+                    geo[3][lane] = off;
                 }
 
                 // shared-memory staging buffer, capacity-limited
@@ -148,35 +237,41 @@ pub fn gridder_gpu(
                             uvw: data.uvw[base + dt],
                             freq_scale: scales[c],
                             pols: data.visibilities[(base + dt) * nr_chan + c].pols,
-                            phase_ref: 0.0,
                         });
                     }
                     // each visibility is staged exactly once across batches
                     tally.visibilities += shared.len() as u64;
                     tally.dram_bytes += shared.len() as u64 * BYTES_POL4;
 
-                    // __syncthreads(); threads iterate the staged batch
-                    for tid in 0..block_size {
-                        let mut i = tid;
-                        while i < n2 {
-                            let (l, m, nt, off) =
-                                (planes.lf[i], planes.mf[i], planes.nf[i], scr.offs[i]);
-                            let acc = &mut scr.regs[i];
-                            for sv in shared.iter() {
+                    // __syncthreads(); every warp of threads iterates the
+                    // staged batch, one broadcast element per step
+                    for (warp, (regs, geo)) in scr.regs.iter_mut().zip(&scr.geo).enumerate() {
+                        let [l, m, nt, off] = geo;
+                        // eight named arrays, as in `reduce_4pol`: staying in
+                        // registers must not hang on an index loop unrolling
+                        let [mut a0r, mut a0i, mut a1r, mut a1i, mut a2r, mut a2i, mut a3r, mut a3i] =
+                            *regs;
+                        for sv in shared.iter() {
+                            let (u, v, w, scale) = (sv.uvw.u, sv.uvw.v, sv.uvw.w, sv.freq_scale);
+                            let [q0, q1, q2, q3] = sv.pols;
+                            for lane in 0..WARP {
                                 let phase_index =
-                                    sv.uvw.u.mul_add(l, sv.uvw.v.mul_add(m, sv.uvw.w * nt));
-                                let phase = sv.freq_scale.mul_add(phase_index, -off) + sv.phase_ref;
+                                    u.mul_add(l[lane], v.mul_add(m[lane], w * nt[lane]));
+                                let phase = scale.mul_add(phase_index, -off[lane]);
                                 let (s, c) = sincos(phase, Accuracy::Fast);
                                 let phasor = Cf32::new(c, s);
-                                for p in 0..4 {
-                                    acc[p].mul_acc(phasor, sv.pols[p]);
-                                }
+                                cmac(&mut a0r[lane], &mut a0i[lane], phasor, q0);
+                                cmac(&mut a1r[lane], &mut a1i[lane], phasor, q1);
+                                cmac(&mut a2r[lane], &mut a2i[lane], phasor, q2);
+                                cmac(&mut a3r[lane], &mut a3i[lane], phasor, q3);
                             }
-                            tally.sincos_pairs += shared.len() as u64;
-                            tally.fmas += 17 * shared.len() as u64; // phase + 4 cmul-acc
-                            tally.shared_bytes += shared.len() as u64 * (BYTES_POL4 + BYTES_UVW);
-                            i += block_size;
                         }
+                        *regs = [a0r, a0i, a1r, a1i, a2r, a2i, a3r, a3i];
+                        // the threads that exist, each over the whole batch
+                        let pairs = (WARP.min(n2 - warp * WARP) * shared.len()) as u64;
+                        tally.sincos_pairs += pairs;
+                        tally.fmas += 17 * pairs; // phase + 4 cmul-acc
+                        tally.shared_bytes += pairs * (BYTES_POL4 + BYTES_UVW);
                     }
                     k0 = k1;
                 }
@@ -187,7 +282,7 @@ pub fn gridder_gpu(
                 tally.dram_bytes += (ap_plane.len() + aq_plane.len()) as u64 * BYTES_POL4;
                 for i in 0..n2 {
                     let (y, x) = (i / n, i % n);
-                    let pix = Jones::from_pols(scr.regs[i]);
+                    let pix = Jones::from_pols(thread_pols(&scr.regs, i));
                     let corrected = ap_plane[i]
                         .hermitian()
                         .mul(pix)
@@ -209,6 +304,9 @@ pub fn gridder_gpu(
 /// Execute the degridder with the dual-role GPU mapping; returns the
 /// operation counters of the launch, or a typed error when the launch
 /// configuration is inconsistent with its inputs.
+///
+/// Each visibility's value is one chain over all pixels of its subgrid
+/// in row-major order — see the module doc.
 pub fn degridder_gpu(
     data: &KernelData<'_>,
     items: &[WorkItem],
@@ -218,6 +316,7 @@ pub fn degridder_gpu(
     cache: &KernelCache,
 ) -> Result<OpCounts, IdgError> {
     idg_kernels::check_launch(data, items, Some(subgrids))?;
+    check_device(device, false)?;
     if vis_out.len() != data.obs.nr_visibilities() {
         return Err(IdgError::ShapeMismatch {
             what: "visibility output buffer",
@@ -231,7 +330,6 @@ pub fn degridder_gpu(
     let n2 = n * n;
     let nr_time = data.obs.nr_timesteps;
     let nr_chan = data.obs.nr_channels();
-    let block_size = device.degridder_block_size;
     let batch_size = device.degridder_batch_size().min(n2);
     let planes = cache.geometry(GeometryKey::new(n, geom.image_size));
     let scales: Vec<f32> = data
@@ -249,6 +347,7 @@ pub fn degridder_gpu(
         .map_init(
             || DegridderScratch {
                 regs: Vec::new(),
+                vis: Vec::new(),
                 sh_pix: Vec::new(),
                 sh_geo: Vec::new(),
             },
@@ -258,6 +357,7 @@ pub fn degridder_gpu(
                 let base = item.baseline_index * nr_time + item.time_offset;
                 let item_chan = item.nr_channels;
                 let tc = item.nr_timesteps * item_chan;
+                let nr_warps = tc.div_ceil(WARP);
                 let ap_plane = data.aterms.plane(item.aterm_index, item.baseline.station1);
                 let aq_plane = data.aterms.plane(item.aterm_index, item.baseline.station2);
 
@@ -271,8 +371,21 @@ pub fn degridder_gpu(
                 };
 
                 // "registers": per-visibility accumulators across batches
-                scr.regs.resize(tc, [Cf32::zero(); 4]);
-                scr.regs[..tc].fill([Cf32::zero(); 4]);
+                scr.regs.clear();
+                scr.regs.resize(nr_warps, [[0.0; WARP]; 8]);
+                // each thread's visibility coordinates, loaded once per
+                // item; dead lanes stay zero
+                scr.vis.clear();
+                scr.vis.resize(nr_warps, [[0.0; WARP]; 4]);
+                for k in 0..tc {
+                    let (dt, ci) = (k / item_chan, k % item_chan);
+                    let uvw_m = data.uvw[base + dt];
+                    let (vis, lane) = (&mut scr.vis[k / WARP], k % WARP);
+                    vis[0][lane] = uvw_m.u;
+                    vis[1][lane] = uvw_m.v;
+                    vis[2][lane] = uvw_m.w;
+                    vis[3][lane] = scales[item.channel_offset + ci];
+                }
                 // shared memory: one batch of corrected pixels + geometry
                 scr.sh_pix.resize(batch_size, [Cf32::zero(); 4]);
                 scr.sh_geo.resize(batch_size, (0.0, 0.0, 0.0, 0.0));
@@ -304,31 +417,34 @@ pub fn degridder_gpu(
                     // each pixel is staged exactly once across batches
                     tally.dram_bytes += (i1 - i0) as u64 * BYTES_POL4;
 
-                    // __syncthreads(); visibility role: each thread folds the
-                    // batch into its visibilities (first mapping)
-                    for tid in 0..block_size {
-                        let mut k = tid;
-                        while k < tc {
-                            let (dt, ci) = (k / item_chan, k % item_chan);
-                            let uvw_m = data.uvw[base + dt];
-                            let scale = scales[item.channel_offset + ci];
-                            let acc = &mut scr.regs[k];
-                            for slot in 0..(i1 - i0) {
-                                let (l, m, nt, off) = scr.sh_geo[slot];
+                    // __syncthreads(); visibility role: every warp of
+                    // threads folds the batch into its visibilities (first
+                    // mapping), one broadcast pixel per step
+                    let (sh_geo, sh_pix) = (&scr.sh_geo[..i1 - i0], &scr.sh_pix[..i1 - i0]);
+                    for (warp, (regs, vis)) in scr.regs.iter_mut().zip(&scr.vis).enumerate() {
+                        let [u, v, w, scale] = vis;
+                        // eight named arrays (see gridder_gpu)
+                        let [mut a0r, mut a0i, mut a1r, mut a1i, mut a2r, mut a2i, mut a3r, mut a3i] =
+                            *regs;
+                        for (&(l, m, nt, off), &[q0, q1, q2, q3]) in sh_geo.iter().zip(sh_pix) {
+                            for lane in 0..WARP {
                                 let phase_index =
-                                    uvw_m.u.mul_add(l, uvw_m.v.mul_add(m, uvw_m.w * nt));
-                                let phase = (-scale).mul_add(phase_index, off);
-                                let (s, cc) = sincos(phase, Accuracy::Fast);
-                                let phasor = Cf32::new(cc, s);
-                                for p in 0..4 {
-                                    acc[p].mul_acc(phasor, scr.sh_pix[slot][p]);
-                                }
+                                    u[lane].mul_add(l, v[lane].mul_add(m, w[lane] * nt));
+                                let phase = (-scale[lane]).mul_add(phase_index, off);
+                                let (s, c) = sincos(phase, Accuracy::Fast);
+                                let phasor = Cf32::new(c, s);
+                                cmac(&mut a0r[lane], &mut a0i[lane], phasor, q0);
+                                cmac(&mut a1r[lane], &mut a1i[lane], phasor, q1);
+                                cmac(&mut a2r[lane], &mut a2i[lane], phasor, q2);
+                                cmac(&mut a3r[lane], &mut a3i[lane], phasor, q3);
                             }
-                            tally.sincos_pairs += (i1 - i0) as u64;
-                            tally.fmas += 17 * (i1 - i0) as u64; // phase + 4 cmul-acc
-                            tally.shared_bytes += (i1 - i0) as u64 * (BYTES_POL4 + 16 + BYTES_UVW);
-                            k += block_size;
                         }
+                        *regs = [a0r, a0i, a1r, a1i, a2r, a2i, a3r, a3i];
+                        // the threads that exist, each over the whole batch
+                        let pairs = (WARP.min(tc - warp * WARP) * (i1 - i0)) as u64;
+                        tally.sincos_pairs += pairs;
+                        tally.fmas += 17 * pairs; // phase + 4 cmul-acc
+                        tally.shared_bytes += pairs * (BYTES_POL4 + 16 + BYTES_UVW);
                     }
                     i0 = i1;
                 }
@@ -337,9 +453,10 @@ pub fn degridder_gpu(
                 tally.visibilities += tc as u64;
                 tally.dram_bytes += tc as u64 * BYTES_POL4;
 
-                let out: Vec<Visibility<f32>> = scr.regs[..tc]
-                    .iter()
-                    .map(|pols| Visibility { pols: *pols })
+                let out: Vec<Visibility<f32>> = (0..tc)
+                    .map(|k| Visibility {
+                        pols: thread_pols(&scr.regs, k),
+                    })
                     .collect();
                 *tally_slot = tally;
                 (item, out)
@@ -577,5 +694,235 @@ mod tests {
         assert_eq!(d.dram_bytes, d_expect.dram_bytes);
         assert_eq!(d.shared_bytes, d_expect.shared_bytes);
         assert_eq!(d.visibilities, d_expect.visibilities);
+    }
+
+    /// `Device`'s launch fields are public, so a launch that cannot run
+    /// must come back as a typed error naming the field: a zero batch used
+    /// to spin in the staging loop forever, a zero block size to return
+    /// all-zero output as done. On a helper thread under a deadline, so a
+    /// regression fails instead of hanging the suite.
+    #[test]
+    fn a_device_that_cannot_launch_is_rejected_not_run() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let handle = std::thread::spawn(move || {
+            let ds = dataset(false);
+            let plan = Plan::create(&ds.obs, &ds.uvw).unwrap();
+            let n = ds.obs.subgrid_size;
+            let taper = idg_math::spheroidal_2d(n);
+            let data = KernelData {
+                obs: &ds.obs,
+                uvw: &ds.uvw,
+                visibilities: &ds.visibilities,
+                aterms: &ds.aterms,
+                taper: &taper,
+            };
+            // a PASCAL with (shared memory, gridder block, degridder block)
+            let pascal_with = |shared, gridder_block, degridder_block| {
+                let mut device = Device::pascal();
+                device.shared_mem_per_block = shared;
+                device.gridder_block_size = gridder_block;
+                device.degridder_block_size = degridder_block;
+                device
+            };
+            // (the field the error names, the device, refused by the
+            // gridder, refused by the degridder): 180 bytes hold one
+            // staged visibility (176) but not one staged pixel (192)
+            let cases = [
+                (
+                    "shared_mem_per_block",
+                    pascal_with(128, 192, 128),
+                    true,
+                    true,
+                ),
+                (
+                    "shared_mem_per_block",
+                    pascal_with(180, 192, 128),
+                    false,
+                    true,
+                ),
+                (
+                    "gridder_block_size",
+                    pascal_with(48 << 10, 0, 128),
+                    true,
+                    false,
+                ),
+                (
+                    "degridder_block_size",
+                    pascal_with(48 << 10, 192, 0),
+                    false,
+                    true,
+                ),
+            ];
+            let cache = KernelCache::new();
+            let model = idg_types::Grid::<f32>::new(ds.obs.grid_size);
+            for (field, device, no_gridder, no_degridder) in cases {
+                let exec = crate::GpuExecutor::new(device.clone(), 4);
+                let mut subgrids = SubgridArray::new(plan.nr_subgrids(), n);
+                let mut vis = vec![Visibility::<f32>::zero(); ds.obs.nr_visibilities()];
+                let gridder = gridder_gpu(&data, &plan.items, &mut subgrids, &device, &cache);
+                let degridder =
+                    degridder_gpu(&data, &plan.items, &subgrids, &mut vis, &device, &cache);
+                for (what, result, refused) in [
+                    ("gridder_gpu", gridder.map(drop), no_gridder),
+                    (
+                        "GpuExecutor::grid",
+                        exec.grid(&data, &plan).map(drop),
+                        no_gridder,
+                    ),
+                    ("degridder_gpu", degridder.map(drop), no_degridder),
+                    (
+                        "GpuExecutor::degrid",
+                        exec.degrid(&data, &plan, &model).map(drop),
+                        no_degridder,
+                    ),
+                ] {
+                    match result {
+                        Err(IdgError::InvalidParameter(msg)) if refused => {
+                            assert!(msg.contains(field), "{what}: {msg} does not name {field}");
+                        }
+                        Ok(()) if !refused => {}
+                        other => panic!("{what} with a degenerate {field}: {other:?}"),
+                    }
+                }
+            }
+            let _ = tx.send(());
+        });
+        let done = rx.recv_timeout(std::time::Duration::from_secs(60));
+        assert_ne!(
+            done,
+            Err(std::sync::mpsc::RecvTimeoutError::Timeout),
+            "a degenerate device hung the launch"
+        );
+        handle.join().expect("rejection checks panicked");
+    }
+
+    /// A seeded 6-station observation with `channels` channels and one
+    /// A-term slot per `slot` of its `2·slot` (at least 16) timesteps, so
+    /// a work item stages at most `slot · channels` visibilities.
+    fn shaped(channels: usize, slot: usize, subgrid: usize, with_beam: bool) -> Dataset {
+        let obs = Observation::builder()
+            .stations(6)
+            .timesteps((2 * slot).max(16))
+            .channels(channels, 150e6, 2e6)
+            .grid_size(256)
+            .subgrid_size(subgrid)
+            .kernel_size(5)
+            .aterm_interval(slot)
+            .image_size(0.05)
+            .build()
+            .unwrap();
+        let layout = Layout::uniform(6, 900.0, 17 + channels as u64);
+        let sky = SkyModel::random(&obs, 5, 0.6, 23 + subgrid as u64);
+        if with_beam {
+            let beam = GaussianBeam::new(&obs, 0.8, 31);
+            Dataset::simulate(obs, &layout, sky, &beam)
+        } else {
+            Dataset::simulate(obs, &layout, sky, &IdentityATerm)
+        }
+    }
+
+    /// The shapes the bit pins run on. Between them: Gaussian-beam and
+    /// identity A-terms; pixel counts that are and are not a multiple of
+    /// a warp (18² = 324); visibility counts per item that are not
+    /// (5 × 13, 7 × 13, 3 × 13) and one below a single warp (1 × 8).
+    fn pinned_shapes() -> [(&'static str, Dataset); 6] {
+        [
+            ("beam, 4 ch x 8 steps, 16^2", shaped(4, 8, 16, true)),
+            ("identity, 5 ch x 13 steps, 18^2", shaped(5, 13, 18, false)),
+            ("beam, 8 ch x 12 steps, 20^2", shaped(8, 12, 20, true)),
+            ("identity, 3 ch x 13 steps, 24^2", shaped(3, 13, 24, false)),
+            ("identity, 1 ch x 8 steps, 16^2", shaped(1, 8, 16, false)),
+            ("beam, 7 ch x 13 steps, 18^2", shaped(7, 13, 18, true)),
+        ]
+    }
+
+    /// The paper's two launch configurations plus a PASCAL whose shared
+    /// memory holds five staged visibilities or pixels, so every item
+    /// runs many batches.
+    fn launch_configurations() -> [Device; 3] {
+        let mut tiny = Device::pascal();
+        tiny.shared_mem_per_block = 1024;
+        assert_eq!(tiny.gridder_batch_size(), 5);
+        assert_eq!(tiny.degridder_batch_size(), 5);
+        [Device::pascal(), Device::fiji(), tiny]
+    }
+
+    /// FNV-1a over the bit patterns of a complex buffer.
+    fn fnv(values: impl Iterator<Item = Cf32>) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for v in values {
+            for byte in [v.re, v.im]
+                .into_iter()
+                .flat_map(|f| f.to_bits().to_le_bytes())
+            {
+                h = (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    /// Output hashes of one shape on one device: `gridder_gpu`'s subgrid
+    /// array, then `degridder_gpu`'s visibility buffer predicted from the
+    /// *reference* gridder's subgrids (so a gridder change cannot hide
+    /// behind a degridder one).
+    fn output_hashes(ds: &Dataset, device: &Device) -> [u64; 2] {
+        let plan = Plan::create(&ds.obs, &ds.uvw).unwrap();
+        let n = ds.obs.subgrid_size;
+        let taper = idg_math::spheroidal_2d(n);
+        let data = KernelData {
+            obs: &ds.obs,
+            uvw: &ds.uvw,
+            visibilities: &ds.visibilities,
+            aterms: &ds.aterms,
+            taper: &taper,
+        };
+        let cache = KernelCache::new();
+        let mut gridded = SubgridArray::new(plan.nr_subgrids(), n);
+        gridder_gpu(&data, &plan.items, &mut gridded, device, &cache).unwrap();
+        let mut gold = SubgridArray::new(plan.nr_subgrids(), n);
+        gridder_reference(&data, &plan.items, &mut gold).expect("kernel run");
+        let mut predicted = vec![Visibility::<f32>::zero(); ds.obs.nr_visibilities()];
+        degridder_gpu(&data, &plan.items, &gold, &mut predicted, device, &cache).unwrap();
+        [
+            fnv(gridded.as_slice().iter().copied()),
+            fnv(predicted.iter().flat_map(|v| v.pols)),
+        ]
+    }
+
+    #[test]
+    fn device_kernel_outputs_are_pinned_to_the_bit() {
+        // [gridder, degridder] hashes per shape. The constants were
+        // computed on the parent commit (4c1abf0, one thread at a time,
+        // scalar sincos, AoS accumulators) before the inner loops were
+        // rewritten to run a warp in lockstep: a tolerance test cannot see
+        // a changed summation order, these can. One batch per item
+        // (PASCAL) and many (five staged elements) must both hit them.
+        let pinned: [[u64; 2]; 6] = [
+            [0x0c43_7c7a_f317_0fc1, 0x54d3_ed09_aa9c_9965],
+            [0x8f6d_7ad3_e734_9e55, 0x1cd2_33a1_fcef_3629],
+            [0x06f3_b2ea_131c_a435, 0x2ac5_52dd_356e_d779],
+            [0xbfdf_423d_e8bb_2995, 0xa999_cdec_51fc_7e81],
+            [0x428f_0a66_209c_a6cd, 0x159b_f22c_1f45_834d],
+            [0xce46_0676_236c_7c49, 0x6e7a_3c3b_8042_4f6d],
+        ];
+        let [pascal, _, tiny] = launch_configurations();
+        for ((name, ds), want) in pinned_shapes().iter().zip(pinned) {
+            assert_eq!(output_hashes(ds, &pascal), want, "{name}, one batch");
+            assert_eq!(output_hashes(ds, &tiny), want, "{name}, many batches");
+        }
+    }
+
+    /// Batch and block size only regroup chains that never meet — each
+    /// pixel's sum over the item's visibilities, each visibility's sum
+    /// over the subgrid's pixels — so no launch configuration can move a
+    /// bit. This is the property that lets a warp run in lockstep.
+    #[test]
+    fn output_bits_do_not_depend_on_the_launch_configuration() {
+        let [pascal, fiji, tiny] = launch_configurations();
+        for (name, ds) in &pinned_shapes() {
+            let want = output_hashes(ds, &pascal);
+            assert_eq!(output_hashes(ds, &fiji), want, "{name}: FIJI");
+            assert_eq!(output_hashes(ds, &tiny), want, "{name}: 1 KiB shared");
+        }
     }
 }
