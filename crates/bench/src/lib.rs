@@ -13,7 +13,6 @@
 //! count (default 10 → 15 stations; 1 = the full 150-station,
 //! 8192-time-step set, which needs a large machine).
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 use idg::telescope::Dataset;

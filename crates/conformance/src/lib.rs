@@ -30,7 +30,6 @@
 //! max-abs of the reference. A stage whose reference output is
 //! identically zero only conforms if the candidate is zero too.
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 use idg::telescope::{Dataset, GaussianBeam, IdentityATerm, Layout, SkyModel};

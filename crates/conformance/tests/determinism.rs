@@ -8,6 +8,10 @@
 //! timestamps kept) — must repeat exactly. This is what makes a trace
 //! attached to a bug report replayable.
 
+// The concurrent-session tests below want plain OS threads; lint L7
+// (the `idg-sync` facade, `clippy.toml`) is a rule for library code.
+#![allow(clippy::disallowed_methods)]
+
 use idg::gpusim::{BreakerConfig, FaultConfig};
 use idg::{Backend, FleetConfig, Proxy};
 use idg_conformance::standard_cases;

@@ -34,7 +34,6 @@
 //! back-ends additionally report Table-I-derived times and energies,
 //! which is the substitution DESIGN.md documents.
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod proxy;

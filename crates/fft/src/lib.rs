@@ -25,8 +25,10 @@
 //! `inverse` applies the conjugate transform scaled by `1/N`, so
 //! `inverse(forward(x)) == x`.
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
+// Lint L2, numeric core: no silently narrowing `as` (f64 → f32, u64 →
+// u32, …) in library code; narrow through `Float::from_f64`/`cast`.
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
 
 pub mod bluestein;
 pub mod dft;

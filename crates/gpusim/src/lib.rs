@@ -37,7 +37,6 @@
 //!   failures surface as classified [`idg_types::IdgError`]s so the
 //!   proxy layer can re-execute the failed jobs on the CPU.
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![allow(clippy::needless_range_loop)] // index loops mirror the paper's kernels
 

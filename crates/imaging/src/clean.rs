@@ -106,7 +106,10 @@ pub fn hogbom_clean(
             break;
         }
         let py = border + peak_row;
-        // pixels before the first one attaining the row's maximum
+        // pixels before the first one attaining the row's maximum:
+        // `peak_abs` is one of these `abs()` values, copied, so the
+        // compare is exact by construction
+        #[allow(clippy::float_cmp)]
         let px = border
             + residual[py * size..][window.clone()]
                 .iter()

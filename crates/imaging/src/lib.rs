@@ -12,7 +12,6 @@
 //!   extract components, predict them via degridding, subtract, repeat
 //!   until the sky model converges.
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod clean;

@@ -42,23 +42,38 @@ pub struct MfsReport {
 /// visibility-count weighting.
 ///
 /// All subbands must share the grid geometry (`grid_size`,
-/// `image_size`); frequencies may differ arbitrarily.
+/// `image_size`); frequencies may differ arbitrarily. An empty
+/// `subbands` or a geometry mismatch is an
+/// [`IdgError::InvalidParameter`] naming the argument.
 pub fn mfs_dirty_image(subbands: &[Subband<'_>]) -> Result<(Image, MfsReport), IdgError> {
-    assert!(!subbands.is_empty(), "at least one subband");
-    let obs0 = subbands[0].proxy.observation();
+    let Some(first) = subbands.first() else {
+        return Err(IdgError::InvalidParameter(
+            "subbands: at least one subband is needed".into(),
+        ));
+    };
+    let obs0 = first.proxy.observation();
     let size = obs0.grid_size;
+    for (i, sb) in subbands.iter().enumerate() {
+        let obs = sb.proxy.observation();
+        if obs.grid_size != size {
+            return Err(IdgError::InvalidParameter(format!(
+                "subbands[{i}]: grid_size {} differs from subbands[0]'s {size}",
+                obs.grid_size
+            )));
+        }
+        if (obs.image_size - obs0.image_size).abs() >= 1e-12 {
+            return Err(IdgError::InvalidParameter(format!(
+                "subbands[{i}]: image_size {} differs from subbands[0]'s {}",
+                obs.image_size, obs0.image_size
+            )));
+        }
+    }
 
     let mut acc = vec![0.0f32; size * size];
     let mut reports = Vec::new();
     let mut total_weight = 0usize;
 
     for sb in subbands {
-        let obs = sb.proxy.observation();
-        assert_eq!(obs.grid_size, size, "subbands must share the grid size");
-        assert!(
-            (obs.image_size - obs0.image_size).abs() < 1e-12,
-            "subbands must share the field of view"
-        );
         let (grid, report) = sb.proxy.grid(sb.plan, sb.uvw, sb.visibilities, sb.aterms)?;
         reports.push(report);
         total_weight += sb.plan.nr_gridded_visibilities();
@@ -191,8 +206,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "share the grid size")]
-    fn mismatched_grids_panic() {
+    fn misuse_is_a_typed_error_naming_the_argument() {
+        let empty = mfs_dirty_image(&[]).expect_err("no subbands");
+        assert!(
+            matches!(&empty, IdgError::InvalidParameter(m) if m.contains("subbands")),
+            "{empty}"
+        );
+
         let layout = Layout::uniform(8, 1000.0, 803);
         let ds1 = Dataset::simulate(
             obs_with_band(150e6, 2),
@@ -200,29 +220,39 @@ mod tests {
             SkyModel::empty(),
             &IdentityATerm,
         );
-        let mut obs2 = obs_with_band(160e6, 2);
-        obs2.grid_size = 128;
-        let ds2 = Dataset::simulate(obs2, &layout, SkyModel::empty(), &IdentityATerm);
-
         let p1 = Proxy::new(Backend::CpuOptimized, ds1.obs.clone()).unwrap();
-        let p2 = Proxy::new(Backend::CpuOptimized, ds2.obs.clone()).unwrap();
         let plan1 = p1.plan(&ds1.uvw).unwrap();
-        let plan2 = p2.plan(&ds2.uvw).unwrap();
-        let _ = mfs_dirty_image(&[
-            Subband {
-                proxy: &p1,
-                plan: &plan1,
-                uvw: &ds1.uvw,
-                visibilities: &ds1.visibilities,
-                aterms: &ds1.aterms,
-            },
-            Subband {
-                proxy: &p2,
-                plan: &plan2,
-                uvw: &ds2.uvw,
-                visibilities: &ds2.visibilities,
-                aterms: &ds2.aterms,
-            },
-        ]);
+
+        // (what the second subband gets wrong, the argument the error names)
+        let mut other_grid = obs_with_band(160e6, 2);
+        other_grid.grid_size = 128;
+        let mut other_fov = obs_with_band(160e6, 2);
+        other_fov.image_size = 0.04;
+        for (obs2, named) in [(other_grid, "grid_size"), (other_fov, "image_size")] {
+            let ds2 = Dataset::simulate(obs2, &layout, SkyModel::empty(), &IdentityATerm);
+            let p2 = Proxy::new(Backend::CpuOptimized, ds2.obs.clone()).unwrap();
+            let plan2 = p2.plan(&ds2.uvw).unwrap();
+            let err = mfs_dirty_image(&[
+                Subband {
+                    proxy: &p1,
+                    plan: &plan1,
+                    uvw: &ds1.uvw,
+                    visibilities: &ds1.visibilities,
+                    aterms: &ds1.aterms,
+                },
+                Subband {
+                    proxy: &p2,
+                    plan: &plan2,
+                    uvw: &ds2.uvw,
+                    visibilities: &ds2.visibilities,
+                    aterms: &ds2.aterms,
+                },
+            ])
+            .expect_err(named);
+            assert!(
+                matches!(&err, IdgError::InvalidParameter(m) if m.contains(named)),
+                "{named}: {err}"
+            );
+        }
     }
 }

@@ -38,7 +38,8 @@ pub struct WStackReport {
 /// Requires a plan built with `obs.w_step > 0` (each work item already
 /// carries its plane index and the kernels already remove the plane
 /// offset from the phases — this routine supplies the per-plane grids
-/// and the image-domain screens the single-grid path lacks).
+/// and the image-domain screens the single-grid path lacks); a proxy
+/// whose `w_step` is not positive is an [`IdgError::InvalidParameter`].
 pub fn wstack_dirty_image(
     proxy: &Proxy,
     plan: &Plan,
@@ -47,7 +48,12 @@ pub fn wstack_dirty_image(
     aterms: &ATerms,
 ) -> Result<(Image, WStackReport), IdgError> {
     let obs = proxy.observation();
-    assert!(obs.w_step > 0.0, "w-stacking needs obs.w_step > 0");
+    if obs.w_step <= 0.0 {
+        return Err(IdgError::InvalidParameter(format!(
+            "w-stacking needs obs.w_step > 0, got {}",
+            obs.w_step
+        )));
+    }
     let planes = plan.w_planes();
     let size = obs.grid_size;
     let weight = plan.nr_gridded_visibilities();
@@ -199,12 +205,16 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "w-stacking needs obs.w_step > 0")]
     fn requires_w_step() {
         let layout = Layout::uniform(8, 800.0, 403);
         let ds = Dataset::simulate(obs(0.0), &layout, SkyModel::empty(), &IdentityATerm);
         let proxy = Proxy::new(Backend::CpuOptimized, ds.obs.clone()).unwrap();
         let plan = proxy.plan(&ds.uvw).unwrap();
-        let _ = wstack_dirty_image(&proxy, &plan, &ds.uvw, &ds.visibilities, &ds.aterms);
+        let err = wstack_dirty_image(&proxy, &plan, &ds.uvw, &ds.visibilities, &ds.aterms)
+            .expect_err("a single-grid plan is a caller error, not a panic");
+        assert!(
+            matches!(&err, IdgError::InvalidParameter(m) if m.contains("w_step")),
+            "{err}"
+        );
     }
 }

@@ -26,7 +26,11 @@ pub fn fft_subgrids(array: &mut SubgridArray, direction: Direction, norm: FftNor
     if array.count() == 0 {
         return;
     }
-    record_fft(array.count(), direction);
+    let count = array.count() as u64;
+    match direction {
+        Direction::Forward => idg_obs::add_subgrids_fft(count),
+        Direction::Inverse => idg_obs::add_subgrids_ifft(count),
+    }
     let fft = Fft2d::<f32>::new(n);
     fft.process_batch(array.as_mut_slice(), direction);
     if norm == FftNorm::ByPixelCount {
@@ -34,29 +38,6 @@ pub fn fft_subgrids(array: &mut SubgridArray, direction: Direction, norm: FftNor
         for v in array.as_mut_slice() {
             *v = v.scale(scale);
         }
-    }
-}
-
-/// Transform all subgrids with a caller-supplied plan (avoids re-planning
-/// per call in hot loops; the plan must match the subgrid size).
-pub fn fft_subgrids_with_plan(array: &mut SubgridArray, fft: &Fft2d<f32>, direction: Direction) {
-    assert_eq!(
-        fft.size(),
-        array.size(),
-        "plan size must match subgrid size"
-    );
-    if array.count() == 0 {
-        return;
-    }
-    record_fft(array.count(), direction);
-    fft.process_batch(array.as_mut_slice(), direction);
-}
-
-/// Count a subgrid FFT batch against the active obs session (if any).
-fn record_fft(count: usize, direction: Direction) {
-    match direction {
-        Direction::Forward => idg_obs::add_subgrids_fft(count as u64),
-        Direction::Inverse => idg_obs::add_subgrids_ifft(count as u64),
     }
 }
 
@@ -115,27 +96,9 @@ mod tests {
     }
 
     #[test]
-    fn with_plan_matches_adhoc() {
-        let mut a = filled(2, 24);
-        let mut b = a.clone();
-        fft_subgrids(&mut a, Direction::Forward, FftNorm::None);
-        let plan = idg_fft::Fft2d::<f32>::new(24);
-        fft_subgrids_with_plan(&mut b, &plan, Direction::Forward);
-        assert_eq!(a.as_slice(), b.as_slice());
-    }
-
-    #[test]
     fn empty_batch_is_noop() {
         let mut arr = SubgridArray::new(0, 24);
         fft_subgrids(&mut arr, Direction::Forward, FftNorm::None);
         assert_eq!(arr.count(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "plan size must match")]
-    fn plan_size_mismatch_panics() {
-        let mut arr = SubgridArray::new(1, 24);
-        let plan = idg_fft::Fft2d::<f32>::new(16);
-        fft_subgrids_with_plan(&mut arr, &plan, Direction::Forward);
     }
 }

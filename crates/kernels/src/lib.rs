@@ -36,8 +36,10 @@
 //!   FFT runs unshifted and the adder/splitter fold the fftshift and the
 //!   half-pixel phase ramp into their index/phase arithmetic.
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
+// Lint L2, numeric core: no silently narrowing `as` (f64 → f32, u64 →
+// u32, …) in library code; narrow through `Float::from_f64`/`cast`.
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
 #![allow(clippy::needless_range_loop)] // index loops mirror the paper's kernels
 
 pub mod adder;

@@ -1,22 +1,17 @@
-//! # idg-lint — workspace static analysis with span-level invariant ratchets
+//! # idg-lint — the three workspace invariants no standard tool can state
 //!
 //! The paper's headline claims rest on numerical discipline (the f32
 //! kernels must track the f64 reference) and on operation accounting
 //! that the observability layer (DESIGN.md §8) validates *at runtime*.
-//! This crate is the *static* half of that contract: a `syn`-based pass
-//! over every library source file enforcing five domain invariants with
-//! `file:line:col` diagnostics and a committed, shrink-only allowlist
-//! (`tools/lint-allowlist.toml`):
+//! The *static* half of that contract is seven rules, L1–L7 (DESIGN.md
+//! §9). Four of them are rustc and clippy lints and are switched on
+//! where those tools read their configuration — L1 panic freedom, L2
+//! numeric discipline and L7 the sync facade in the `cargo lint` alias
+//! (`.cargo/config.toml`, `clippy.toml`), L5 as `unsafe_code = "forbid"`
+//! in `[workspace.lints]`. This crate is a `syn`-based pass over every
+//! library source file for the three that are about *this* code base,
+//! with `file:line:col` diagnostics:
 //!
-//! * **L1 — panic freedom**: no `.unwrap()` / `.expect()` /
-//!   `panic!`-family macros in library code, and no unchecked indexing
-//!   in input-boundary modules; fallible paths return typed
-//!   [`IdgError`](../idg_types) values. Subsumes the old
-//!   `tools/panic_audit.sh` grep ratchet, now comment-, string- and
-//!   test-module-aware via the token tree.
-//! * **L2 — numeric discipline**: no float `==`/`!=` against literals,
-//!   and no precision-losing `as` casts in the numeric-core crates
-//!   outside named narrowing helpers.
 //! * **L3 — kernel ↔ observability contract**: every kernel entry point
 //!   in `crates/kernels`/`crates/gpusim` must increment its `idg-obs`
 //!   counter, so the analytic≡measured validation cannot rot when a new
@@ -24,82 +19,39 @@
 //! * **L4 — typed fallibility**: `pub fn`s that fail do so through
 //!   `Result<_, IdgError>` — no foreign error types, no
 //!   `Option`/`bool`-as-error on fallibly-named functions.
-//! * **L5 — `#![forbid(unsafe_code)]`** in every library crate root.
-//! * **L6 — lock discipline**: `Condvar::wait` only directly inside a
-//!   `while`/`loop` body where its predicate is re-checked; no raw
-//!   poison-panicking `.lock().unwrap()`-style acquisitions; and no
+//! * **L6 — lock discipline**: (a) `Condvar::wait` only directly inside
+//!   a `while`/`loop` body where its predicate is re-checked; (d) no
 //!   kernel entry point launched while a lock guard binding is live.
-//! * **L7 — sync facade**: concurrency primitives (`Mutex`, `Condvar`,
-//!   `RwLock`, `thread::scope`) come from the `idg-sync` facade, never
-//!   `std::sync`/`std::thread` directly — the facade is what lets the
-//!   model checker (`idg-mc`) take over every primitive under
-//!   `--cfg idg_model_check`. The facade crates themselves (`sync`,
-//!   `mc`) are the one sanctioned home of the std primitives and are
-//!   exempt.
+//!   (Sub-rule (b), raw `.lock().unwrap()` acquisitions, is
+//!   `clippy::unwrap_used`; (c), lock order, lost its subject in PR 15.)
 //!
-//! Run as `cargo run -p idg-lint` (CI mode; non-zero on any drift in
-//! either direction) or `cargo run -p idg-lint -- --update-allowlist`
-//! after shrinking the residue. L6/L7 launched with a zero-entry
-//! allowlist budget: no residual sites existed, so none may appear.
+//! Run as `cargo run -p idg-lint`: exit 1 on any diagnostic. There is
+//! no allowlist; a site that must stay is rewritten or the rule is.
 
-#![forbid(unsafe_code)]
-
-pub mod allowlist;
 pub mod model;
 pub mod rules;
 pub mod walk;
 
-use allowlist::Allowlist;
-use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::path::Path;
 
 /// Identifier of one lint rule.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Rule {
-    /// Panic freedom in library code.
-    L1,
-    /// Numeric discipline (float equality, narrowing casts).
-    L2,
     /// Kernel ↔ observability counter contract.
     L3,
     /// Typed fallibility (`Result<_, IdgError>`).
     L4,
-    /// `#![forbid(unsafe_code)]` in crate roots.
-    L5,
-    /// Lock discipline (wait-in-loop, facade acquisition, lock order,
-    /// guard liveness across kernel launches).
+    /// Lock discipline (wait-in-loop, guard liveness across kernel
+    /// launches).
     L6,
-    /// Sync facade: concurrency primitives from `idg-sync`, not std.
-    L7,
-}
-
-impl Rule {
-    /// Parse a rule name as serialized in the allowlist.
-    pub fn parse(s: &str) -> Option<Rule> {
-        match s {
-            "L1" => Some(Rule::L1),
-            "L2" => Some(Rule::L2),
-            "L3" => Some(Rule::L3),
-            "L4" => Some(Rule::L4),
-            "L5" => Some(Rule::L5),
-            "L6" => Some(Rule::L6),
-            "L7" => Some(Rule::L7),
-            _ => None,
-        }
-    }
 }
 
 impl std::fmt::Display for Rule {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
-            Rule::L1 => "L1",
-            Rule::L2 => "L2",
             Rule::L3 => "L3",
             Rule::L4 => "L4",
-            Rule::L5 => "L5",
             Rule::L6 => "L6",
-            Rule::L7 => "L7",
         })
     }
 }
@@ -150,13 +102,6 @@ pub enum LintError {
         /// Lexer error description.
         message: String,
     },
-    /// The committed allowlist is malformed.
-    Allowlist {
-        /// 1-based line in `tools/lint-allowlist.toml`.
-        line: usize,
-        /// Parse error description.
-        message: String,
-    },
 }
 
 impl std::fmt::Display for LintError {
@@ -169,9 +114,6 @@ impl std::fmt::Display for LintError {
                 column,
                 message,
             } => write!(f, "{path}:{line}:{column}: parse error: {message}"),
-            LintError::Allowlist { line, message } => {
-                write!(f, "tools/lint-allowlist.toml:{line}: {message}")
-            }
         }
     }
 }
@@ -182,19 +124,12 @@ impl std::error::Error for LintError {}
 /// policy; fixture tests construct narrower ones.
 #[derive(Clone, Debug)]
 pub struct Config {
-    /// Files where L1 additionally flags unchecked indexing (modules
-    /// that parse externally-controlled bytes).
-    pub boundary_index_files: Vec<String>,
-    /// Crates whose narrowing `as` casts L2 polices (the numeric core).
-    pub l2_cast_crates: Vec<String>,
-    /// Function names allowed to narrow (the named helpers).
-    pub narrowing_helpers: Vec<String>,
     /// Crates under the L3 kernel-counter contract.
     pub l3_crates: Vec<String>,
     /// Crates exempt from L4 (dev tooling with its own error type).
     pub l4_exempt_crates: Vec<String>,
-    /// Crates exempt from L6/L7: the sync facade and the model checker
-    /// are the sanctioned home of the raw std primitives.
+    /// Crates exempt from L6: the sync facade and the model checker
+    /// implement `wait` on top of the raw std primitives.
     pub sync_exempt_crates: Vec<String>,
 }
 
@@ -202,14 +137,6 @@ impl Config {
     /// The committed workspace policy.
     pub fn workspace() -> Self {
         Config {
-            boundary_index_files: vec!["crates/telescope/src/io.rs".to_string()],
-            l2_cast_crates: vec!["kernels".to_string(), "fft".to_string(), "math".to_string()],
-            narrowing_helpers: vec![
-                "from_f64".to_string(),
-                "from_usize".to_string(),
-                "cast".to_string(),
-                "narrow_f32".to_string(),
-            ],
             l3_crates: vec![
                 "kernels".to_string(),
                 "gpusim".to_string(),
@@ -224,7 +151,7 @@ impl Config {
 }
 
 /// Lint one source file. `path` is the repo-relative path used for
-/// scoping (which crate, boundary file, crate root) and diagnostics.
+/// scoping (which crate) and diagnostics.
 pub fn lint_source(path: &str, src: &str, cfg: &Config) -> Result<Vec<Diagnostic>, LintError> {
     let file = syn::parse_file(src).map_err(|e| LintError::Parse {
         path: path.to_string(),
@@ -251,116 +178,6 @@ pub fn lint_workspace(root: &Path, cfg: &Config) -> Result<Vec<Diagnostic>, Lint
         (&a.path, a.line, a.column, a.rule).cmp(&(&b.path, b.line, b.column, b.rule))
     });
     Ok(diags)
-}
-
-/// Aggregate diagnostics into per-`(path, rule)` counts.
-pub fn count_by_key(diags: &[Diagnostic]) -> BTreeMap<allowlist::Key, usize> {
-    let mut counts: BTreeMap<allowlist::Key, usize> = BTreeMap::new();
-    for d in diags {
-        *counts.entry((d.path.clone(), d.rule)).or_insert(0) += 1;
-    }
-    counts
-}
-
-/// Outcome of a CI-mode run: the report text and the process exit code.
-#[derive(Clone, Debug)]
-pub struct Report {
-    /// Human-readable report (diagnostics + summary), deterministic.
-    pub text: String,
-    /// 0 = clean (modulo allowlist), 1 = drift in either direction.
-    pub status: i32,
-}
-
-/// Compare workspace diagnostics against the committed allowlist.
-///
-/// Both directions fail: counts above budget list every offending span;
-/// counts below budget demand a ratchet update so the fix is locked in.
-pub fn check_against_allowlist(diags: &[Diagnostic], allow: &Allowlist) -> Report {
-    let counts = count_by_key(diags);
-    let mut text = String::new();
-    let mut status = 0;
-    // Over-budget keys, in (path, rule) order with every span listed.
-    for (key, &actual) in &counts {
-        let budget = allow.budgets.get(key).copied().unwrap_or(0);
-        if actual > budget {
-            status = 1;
-            for d in diags
-                .iter()
-                .filter(|d| (&d.path, d.rule) == (&key.0, key.1))
-            {
-                let _ = writeln!(text, "{d}");
-            }
-            let _ = writeln!(
-                text,
-                "idg-lint: {}: {} {} site(s), allowlisted {}",
-                key.0, actual, key.1, budget
-            );
-        }
-    }
-    // Under-budget keys: the ratchet must shrink.
-    for (key, &budget) in &allow.budgets {
-        let actual = counts.get(key).copied().unwrap_or(0);
-        if actual < budget {
-            status = 1;
-            let _ = writeln!(
-                text,
-                "idg-lint: {}: allowlist grants {} {} site(s) but only {} remain — run \
-                 `cargo run -p idg-lint -- --update-allowlist` to ratchet down",
-                key.0, budget, key.1, actual
-            );
-        }
-    }
-    if status == 0 {
-        let _ = writeln!(
-            text,
-            "idg-lint: ok ({} residual site(s) within the {}-entry allowlist)",
-            counts.values().sum::<usize>(),
-            allow.budgets.len()
-        );
-    }
-    Report { text, status }
-}
-
-/// Path of the committed allowlist below the workspace root.
-pub const ALLOWLIST_PATH: &str = "tools/lint-allowlist.toml";
-
-/// Load the committed allowlist (absent file = empty budgets).
-pub fn load_allowlist(root: &Path) -> Result<Allowlist, LintError> {
-    let path = root.join(ALLOWLIST_PATH);
-    if !path.exists() {
-        return Ok(Allowlist::default());
-    }
-    let text = std::fs::read_to_string(&path).map_err(|e| LintError::Io {
-        path: ALLOWLIST_PATH.to_string(),
-        message: e.to_string(),
-    })?;
-    Allowlist::parse(&text)
-}
-
-/// The full CI-mode run: lint, compare, report.
-pub fn run_check(root: &Path) -> Result<Report, LintError> {
-    let diags = lint_workspace(root, &Config::workspace())?;
-    let allow = load_allowlist(root)?;
-    Ok(check_against_allowlist(&diags, &allow))
-}
-
-/// Regenerate the allowlist from the current workspace state.
-pub fn run_update(root: &Path) -> Result<Report, LintError> {
-    let diags = lint_workspace(root, &Config::workspace())?;
-    let allow = Allowlist::from_counts(&count_by_key(&diags));
-    let path = root.join(ALLOWLIST_PATH);
-    std::fs::write(&path, allow.to_toml()).map_err(|e| LintError::Io {
-        path: ALLOWLIST_PATH.to_string(),
-        message: e.to_string(),
-    })?;
-    Ok(Report {
-        text: format!(
-            "idg-lint: allowlist regenerated ({} entries, {} residual sites)\n",
-            allow.budgets.len(),
-            allow.total()
-        ),
-        status: 0,
-    })
 }
 
 /// Locate the workspace root: the nearest ancestor of `start` whose

@@ -1,30 +1,25 @@
-//! `idg-lint` CLI: the workspace static-analysis gate.
+//! `idg-lint` CLI: the workspace static-analysis gate (rules L3, L4,
+//! L6; the other four rules of DESIGN.md §9 are `cargo lint` and rustc).
 //!
 //! ```text
-//! cargo run -p idg-lint                         # CI mode: exit 1 on drift
-//! cargo run -p idg-lint -- --update-allowlist   # regenerate the ratchet
-//! cargo run -p idg-lint -- --list               # print every diagnostic
+//! cargo run -p idg-lint             # CI mode: exit 1 on any diagnostic
+//! cargo run -p idg-lint -- --list   # print every diagnostic, exit 0
 //! ```
 //!
-//! Exit codes: 0 clean (modulo allowlist), 1 rule drift in either
-//! direction, 2 the pass itself failed (unreadable file, parse error,
-//! malformed allowlist).
-
-#![forbid(unsafe_code)]
+//! Exit codes: 0 clean, 1 at least one diagnostic, 2 the pass itself
+//! failed (unreadable file, parse error).
 
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    let mut update = false;
     let mut list = false;
     for arg in std::env::args().skip(1) {
         match arg.as_str() {
-            "--update-allowlist" => update = true,
             "--list" => list = true,
             "--help" | "-h" => {
                 println!(
-                    "idg-lint — workspace static analysis (rules L1–L7, DESIGN.md §9, §13)\n\n\
-                     USAGE: cargo run -p idg-lint [-- --update-allowlist | --list]"
+                    "idg-lint — workspace static analysis (rules L3, L4, L6; DESIGN.md §9, §13)\n\n\
+                     USAGE: cargo run -p idg-lint [-- --list]"
                 );
                 return ExitCode::SUCCESS;
             }
@@ -47,31 +42,13 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     };
 
-    if list {
-        return match idg_lint::lint_workspace(&root, &idg_lint::Config::workspace()) {
-            Ok(diags) => {
-                for d in &diags {
-                    println!("{d}");
-                }
-                println!("idg-lint: {} diagnostic(s)", diags.len());
-                ExitCode::SUCCESS
+    match idg_lint::lint_workspace(&root, &idg_lint::Config::workspace()) {
+        Ok(diags) => {
+            for d in &diags {
+                println!("{d}");
             }
-            Err(e) => {
-                eprintln!("idg-lint: {e}");
-                ExitCode::from(2)
-            }
-        };
-    }
-
-    let result = if update {
-        idg_lint::run_update(&root)
-    } else {
-        idg_lint::run_check(&root)
-    };
-    match result {
-        Ok(report) => {
-            print!("{}", report.text);
-            if report.status == 0 {
+            println!("idg-lint: {} diagnostic(s)", diags.len());
+            if list || diags.is_empty() {
                 ExitCode::SUCCESS
             } else {
                 ExitCode::from(1)

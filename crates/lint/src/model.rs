@@ -10,8 +10,7 @@
 //!   never fire inside tests;
 //! * **function items** — every `fn` with its name, visibility,
 //!   signature/return-type token runs and body group, so the contract
-//!   rules (L3/L4) and the named-narrowing-helper exemption (L2) can
-//!   reason per function.
+//!   rules (L3/L4) and guard liveness (L6) can reason per function.
 //!
 //! Attribute groups themselves (`#[derive(...)]`, `#[doc = "..."]`) are
 //! *not* walked as expressions: their tokens are metadata, not code.
@@ -23,8 +22,6 @@ use syn::{Delimiter, Group, TokenTree};
 pub struct Cx {
     /// Inside test-exempt code (`#[cfg(test)]` module, `#[test]` fn, …).
     pub in_test: bool,
-    /// Names of the enclosing functions, innermost last.
-    pub fn_stack: Vec<String>,
     /// The innermost enclosing brace group is the body of a
     /// `while`/`loop` — the only position where a `Condvar::wait` gets
     /// its predicate re-checked (L6 sub-rule (a)). An `if` body, a
@@ -37,14 +34,8 @@ impl Cx {
     fn root() -> Self {
         Cx {
             in_test: false,
-            fn_stack: Vec::new(),
             wait_ok: false,
         }
-    }
-
-    /// The innermost enclosing function name, if any.
-    pub fn current_fn(&self) -> Option<&str> {
-        self.fn_stack.last().map(String::as_str)
     }
 }
 
@@ -100,8 +91,6 @@ where
     // attribute; it covers every token up to (and including) the item's
     // brace-group body, or up to `;` for body-less items.
     let mut pending_test = false;
-    // Name of a `fn` whose body group is still ahead at this level.
-    let mut pending_fn: Option<String> = None;
     // A `while`/`loop` keyword whose body brace is still ahead: that
     // brace is a loop body, the one place `Condvar::wait` may live.
     let mut pending_loop = false;
@@ -131,14 +120,6 @@ where
                 visit(tokens, i, &cx_here);
                 i += 1;
             }
-            TokenTree::Ident(id) if id.text == "fn" => {
-                visit(tokens, i, &cx_here);
-                if let Some(TokenTree::Ident(name)) = tokens.get(i + 1) {
-                    pending_fn = Some(name.text.clone());
-                }
-                pending_loop = false;
-                i += 1;
-            }
             TokenTree::Ident(id) if id.text == "loop" || id.text == "while" => {
                 visit(tokens, i, &cx_here);
                 pending_loop = true;
@@ -147,7 +128,6 @@ where
             TokenTree::Punct(p) if p.ch == ';' => {
                 visit(tokens, i, &cx_here);
                 pending_test = false;
-                pending_fn = None;
                 pending_loop = false;
                 i += 1;
             }
@@ -156,9 +136,6 @@ where
                 let mut sub = cx_here.clone();
                 sub.in_test |= pending_test;
                 if g.delimiter == Delimiter::Brace {
-                    if let Some(name) = pending_fn.take() {
-                        sub.fn_stack.push(name);
-                    }
                     // The brace is a loop body iff a `while`/`loop`
                     // introduced it; any other brace (fn body, `if`,
                     // `match`, plain block) resets wait-position.
@@ -169,11 +146,9 @@ where
                     pending_test = false;
                 } else {
                     // Args/index/tuple groups between an attribute (or a
-                    // fn keyword, or a loop condition) and the body
-                    // inherit the pending flags but do not consume them.
-                    let keep_fn = pending_fn.clone();
+                    // loop condition) and the body inherit the pending
+                    // flags but do not consume them.
                     walk_level(&g.tokens, &sub, visit);
-                    pending_fn = keep_fn;
                 }
                 i += 1;
             }

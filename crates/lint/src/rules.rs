@@ -1,52 +1,35 @@
-//! The seven workspace invariants (L1–L7).
+//! The workspace invariants this crate enforces: L3, L4 and L6 (a)/(d).
 //!
 //! Each rule is a pure function from a parsed file (plus the scope
 //! [`Config`](crate::Config)) to diagnostics. All rules are
 //! test-module-aware: nothing fires inside `#[cfg(test)]` items,
 //! `#[test]`/`#[should_panic]` functions, or after an inner
-//! `#![cfg(test)]` — the exemption the old grep ratchet approximated by
-//! truncating files at the first `#[cfg(test)]` line.
+//! `#![cfg(test)]`.
 
 use crate::model::{collect_fns, contains_ident, for_each_token, Cx, FnItem};
 use crate::{Config, Diagnostic, Rule};
-use syn::{Delimiter, LitKind, TokenTree};
+use syn::{Delimiter, TokenTree};
 
 /// Run every applicable rule on one parsed file.
 pub fn lint_file(path: &str, file: &syn::File, cfg: &Config) -> Vec<Diagnostic> {
     let krate = crate_of(path);
     let mut diags = Vec::new();
     let fns = collect_fns(&file.tokens);
-    // L1, L2 float-equality and L4 cover every walked crate by default,
-    // so a freshly added crate is in scope before anyone remembers it.
-    l1_panic_freedom(path, file, cfg, &mut diags);
-    l2_float_eq(path, file, &mut diags);
-    if cfg.l2_cast_crates.iter().any(|c| c == krate) {
-        l2_narrowing_casts(path, file, cfg, &mut diags);
-    }
     if cfg.l3_crates.iter().any(|c| c == krate) {
         l3_kernel_counters(path, &fns, cfg, &mut diags);
     }
+    // L4 covers every walked crate by default, so a freshly added
+    // crate is in scope before anyone remembers it.
     if !cfg.l4_exempt_crates.iter().any(|c| c == krate) {
         l4_typed_errors(path, &fns, cfg, &mut diags);
     }
-    if is_crate_root(path) {
-        l5_forbid_unsafe(path, file, &mut diags);
-    }
-    // L6/L7 everywhere except the facade crates: `idg-sync` and
-    // `idg-mc` are the one sanctioned home of the std primitives.
+    // L6 everywhere except the facade crates: `idg-sync` and `idg-mc`
+    // are where `wait` itself is implemented.
     if !cfg.sync_exempt_crates.iter().any(|c| c == krate) {
         l6_wait_in_loop(path, file, &mut diags);
-        l6_raw_acquisition(path, file, &mut diags);
         l6_guard_liveness(path, &fns, &mut diags);
-        l7_sync_facade(path, file, &mut diags);
     }
     diags
-}
-
-/// Is this path a library crate root (`src/lib.rs` of the root package
-/// or of any `crates/*` member)?
-pub fn is_crate_root(path: &str) -> bool {
-    path == "src/lib.rs" || (path.starts_with("crates/") && path.ends_with("/src/lib.rs"))
 }
 
 /// The crate directory name a repo-relative source path belongs to
@@ -69,179 +52,6 @@ fn diag(path: &str, t: &TokenTree, rule: Rule, message: String) -> Diagnostic {
         column: span.start().column + 1,
         message,
     }
-}
-
-// ---------------------------------------------------------------------------
-// L1 — panic freedom
-// ---------------------------------------------------------------------------
-
-/// Macros whose expansion is an unconditional panic.
-const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
-
-/// Keywords that put a following `[...]` group in pattern/type position
-/// rather than index position.
-const NON_INDEX_KEYWORDS: &[&str] = &[
-    "let", "mut", "ref", "in", "as", "return", "if", "else", "match", "where", "impl", "dyn",
-    "move", "pub", "fn", "use", "mod", "crate", "super", "static", "const", "type", "struct",
-    "enum", "union", "break", "continue", "while", "loop", "for", "unsafe", "await", "yield",
-];
-
-fn l1_panic_freedom(path: &str, file: &syn::File, cfg: &Config, diags: &mut Vec<Diagnostic>) {
-    let boundary = cfg.boundary_index_files.iter().any(|p| p == path);
-    for_each_token(&file.tokens, &mut |toks: &[TokenTree], i, cx: &Cx| {
-        if cx.in_test {
-            return;
-        }
-        match &toks[i] {
-            TokenTree::Ident(id) if id.text == "unwrap" || id.text == "expect" => {
-                let after_dot =
-                    matches!(toks.get(i.wrapping_sub(1)), Some(TokenTree::Punct(p)) if p.ch == '.');
-                let called = matches!(
-                    toks.get(i + 1),
-                    Some(TokenTree::Group(g)) if g.delimiter == Delimiter::Parenthesis
-                );
-                if after_dot && called {
-                    diags.push(diag(
-                        path,
-                        &toks[i],
-                        Rule::L1,
-                        format!(
-                            ".{}() in library code — return a typed IdgError instead (DESIGN.md §9)",
-                            id.text
-                        ),
-                    ));
-                }
-            }
-            TokenTree::Ident(id) if PANIC_MACROS.contains(&id.text.as_str()) => {
-                if matches!(toks.get(i + 1), Some(TokenTree::Punct(p)) if p.ch == '!') {
-                    diags.push(diag(
-                        path,
-                        &toks[i],
-                        Rule::L1,
-                        format!(
-                            "{}! in library code — return a typed IdgError instead (DESIGN.md §9)",
-                            id.text
-                        ),
-                    ));
-                }
-            }
-            TokenTree::Group(g) if boundary && g.delimiter == Delimiter::Bracket => {
-                // Index expression on externally-controlled data: a
-                // bracket group directly following an expression.
-                let indexes = match toks.get(i.wrapping_sub(1)) {
-                    Some(TokenTree::Ident(prev)) => {
-                        !NON_INDEX_KEYWORDS.contains(&prev.text.as_str())
-                    }
-                    Some(TokenTree::Group(prev)) => prev.delimiter != Delimiter::Brace,
-                    _ => false,
-                };
-                if indexes && !g.tokens.is_empty() {
-                    diags.push(diag(
-                        path,
-                        &toks[i],
-                        Rule::L1,
-                        "unchecked indexing in an input-boundary module — use .get() and return \
-                         a typed IdgError on miss"
-                            .to_string(),
-                    ));
-                }
-            }
-            _ => {}
-        }
-    });
-}
-
-// ---------------------------------------------------------------------------
-// L2 — numeric discipline
-// ---------------------------------------------------------------------------
-
-fn l2_float_eq(path: &str, file: &syn::File, diags: &mut Vec<Diagnostic>) {
-    for_each_token(&file.tokens, &mut |toks: &[TokenTree], i, cx: &Cx| {
-        if cx.in_test {
-            return;
-        }
-        let TokenTree::Punct(p) = &toks[i] else {
-            return;
-        };
-        // `==` is ('=' joint, '='); `!=` is ('!' joint, '='). Detect at
-        // the first character so the second never double-reports; a
-        // preceding joint punct would make this the tail of `<=`, `+=`…
-        let op = match (p.ch, p.joint, toks.get(i + 1)) {
-            ('=', true, Some(TokenTree::Punct(q))) if q.ch == '=' => {
-                let prev_joint = matches!(
-                    toks.get(i.wrapping_sub(1)),
-                    Some(TokenTree::Punct(r)) if r.joint
-                );
-                // `x === y` is not Rust; `a <== b` neither. The only
-                // legal joint-prev case is `!=`, handled below.
-                if prev_joint {
-                    return;
-                }
-                "=="
-            }
-            ('!', true, Some(TokenTree::Punct(q))) if q.ch == '=' => "!=",
-            _ => return,
-        };
-        let float_lhs = matches!(
-            toks.get(i.wrapping_sub(1)),
-            Some(TokenTree::Literal(l)) if l.kind == LitKind::Float
-        );
-        let float_rhs = matches!(
-            toks.get(i + 2),
-            Some(TokenTree::Literal(l)) if l.kind == LitKind::Float
-        );
-        if float_lhs || float_rhs {
-            diags.push(diag(
-                path,
-                &toks[i],
-                Rule::L2,
-                format!(
-                    "float `{op}` against a literal — compare with an explicit tolerance \
-                     or bit-pattern (DESIGN.md §6)"
-                ),
-            ));
-        }
-    });
-}
-
-/// Cast targets that lose precision from the workspace's working types
-/// (`f64`, `usize`, `u64`, `i64`).
-const NARROW_TARGETS: &[&str] = &["f32", "u32", "u16", "u8", "i32", "i16", "i8"];
-
-fn l2_narrowing_casts(path: &str, file: &syn::File, cfg: &Config, diags: &mut Vec<Diagnostic>) {
-    for_each_token(&file.tokens, &mut |toks: &[TokenTree], i, cx: &Cx| {
-        if cx.in_test {
-            return;
-        }
-        let TokenTree::Ident(id) = &toks[i] else {
-            return;
-        };
-        if id.text != "as" {
-            return;
-        }
-        let Some(TokenTree::Ident(target)) = toks.get(i + 1) else {
-            return;
-        };
-        if !NARROW_TARGETS.contains(&target.text.as_str()) {
-            return;
-        }
-        if let Some(f) = cx.current_fn() {
-            if cfg.narrowing_helpers.iter().any(|h| h == f) {
-                return;
-            }
-        }
-        diags.push(diag(
-            path,
-            &toks[i + 1],
-            Rule::L2,
-            format!(
-                "precision-losing `as {}` outside a named narrowing helper — go through \
-                 one of [{}] (DESIGN.md §9)",
-                target.text,
-                cfg.narrowing_helpers.join(", ")
-            ),
-        ));
-    });
 }
 
 // ---------------------------------------------------------------------------
@@ -343,7 +153,7 @@ fn l3_kernel_counters(path: &str, fns: &[FnItem], _cfg: &Config, diags: &mut Vec
             .iter()
             .any(|r| contains_ident(&body.tokens, r));
         // One level of delegation: the body calls a sibling fn in this
-        // file that performs the increment (e.g. a shared `record_fft`).
+        // file that performs the increment (e.g. a shared `record_*` helper).
         let delegated = !direct
             && fns.iter().any(|g| {
                 g.name != f.name
@@ -505,39 +315,6 @@ fn outer_type(ret: &[TokenTree]) -> Outer {
 }
 
 // ---------------------------------------------------------------------------
-// L5 — forbid(unsafe_code) in crate roots
-// ---------------------------------------------------------------------------
-
-fn l5_forbid_unsafe(path: &str, file: &syn::File, diags: &mut Vec<Diagnostic>) {
-    let toks = &file.tokens;
-    let mut found = false;
-    for i in 0..toks.len() {
-        if let (Some(TokenTree::Punct(h)), Some(TokenTree::Punct(b)), Some(TokenTree::Group(g))) =
-            (toks.get(i), toks.get(i + 1), toks.get(i + 2))
-        {
-            if h.ch == '#'
-                && b.ch == '!'
-                && g.delimiter == Delimiter::Bracket
-                && contains_ident(&g.tokens, "forbid")
-                && contains_ident(&g.tokens, "unsafe_code")
-            {
-                found = true;
-                break;
-            }
-        }
-    }
-    if !found {
-        diags.push(Diagnostic {
-            rule: Rule::L5,
-            path: path.to_string(),
-            line: 1,
-            column: 1,
-            message: "library crate root lacks `#![forbid(unsafe_code)]`".to_string(),
-        });
-    }
-}
-
-// ---------------------------------------------------------------------------
 // L6 — lock discipline
 // ---------------------------------------------------------------------------
 
@@ -588,47 +365,6 @@ fn l6_wait_in_loop(path: &str, file: &syn::File, diags: &mut Vec<Diagnostic>) {
                 "Condvar::wait outside a while/loop predicate re-check — an if-guarded or \
                  bare wait loses wakeups (DESIGN.md §13)"
                     .to_string(),
-            ));
-        }
-    });
-}
-
-/// Sub-rule (b): no raw poison-panicking acquisitions. The facade's
-/// `lock()`/`read()`/`write()`/`wait()` return guards directly and
-/// recover from poisoning; a `.unwrap()`/`.expect()` chained onto an
-/// acquisition is the std::sync idiom that turns one panicked thread
-/// into a cascade.
-fn l6_raw_acquisition(path: &str, file: &syn::File, diags: &mut Vec<Diagnostic>) {
-    for_each_token(&file.tokens, &mut |toks: &[TokenTree], i, cx: &Cx| {
-        if cx.in_test {
-            return;
-        }
-        let TokenTree::Ident(id) = &toks[i] else {
-            return;
-        };
-        let acquires = ACQUIRE_METHODS.contains(&id.text.as_str()) || id.text == "wait";
-        if !acquires || !is_method_call(toks, i) {
-            return;
-        }
-        let chained_dot = matches!(toks.get(i + 2), Some(TokenTree::Punct(p)) if p.ch == '.');
-        let unwraps = matches!(
-            toks.get(i + 3),
-            Some(TokenTree::Ident(u)) if u.text == "unwrap" || u.text == "expect"
-        );
-        let called = matches!(
-            toks.get(i + 4),
-            Some(TokenTree::Group(g)) if g.delimiter == Delimiter::Parenthesis
-        );
-        if chained_dot && unwraps && called {
-            diags.push(diag(
-                path,
-                &toks[i],
-                Rule::L6,
-                format!(
-                    "raw `.{}().unwrap()`-style acquisition — poison recovery belongs to \
-                     the idg-sync facade; acquire through it (DESIGN.md §13)",
-                    id.text
-                ),
             ));
         }
     });
@@ -748,111 +484,6 @@ fn scan_guard_scope(
                 i += 1;
             }
             _ => i += 1,
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// L7 — sync facade
-// ---------------------------------------------------------------------------
-
-/// `std::sync` items that must come from the `idg-sync` facade instead.
-/// Atomics, `Arc`, `OnceLock`, and `mpsc` stay fair game: the model
-/// checker interposes on blocking primitives only.
-const L7_BANNED_SYNC: &[&str] = &[
-    "Mutex",
-    "Condvar",
-    "RwLock",
-    "MutexGuard",
-    "RwLockReadGuard",
-    "RwLockWriteGuard",
-];
-
-/// Is `toks[i..i+2]` a `::` path separator?
-fn path_sep(toks: &[TokenTree], i: usize) -> bool {
-    matches!(toks.get(i), Some(TokenTree::Punct(p)) if p.ch == ':' && p.joint)
-        && matches!(toks.get(i + 1), Some(TokenTree::Punct(p)) if p.ch == ':')
-}
-
-/// L7: every `std::sync::{Mutex,Condvar,RwLock,…}` and
-/// `std::thread::scope` mention — import or inline qualified path —
-/// must go through `idg-sync`, whose `--cfg idg_model_check` build
-/// routes the primitive through the `idg-mc` cooperative scheduler.
-fn l7_sync_facade(path: &str, file: &syn::File, diags: &mut Vec<Diagnostic>) {
-    for_each_token(&file.tokens, &mut |toks: &[TokenTree], i, cx: &Cx| {
-        if cx.in_test {
-            return;
-        }
-        let TokenTree::Ident(id) = &toks[i] else {
-            return;
-        };
-        if id.text != "std" || !path_sep(toks, i + 1) {
-            return;
-        }
-        let Some(TokenTree::Ident(module)) = toks.get(i + 3) else {
-            return;
-        };
-        let banned: &[&str] = match module.text.as_str() {
-            "sync" => L7_BANNED_SYNC,
-            "thread" => &["scope"],
-            _ => return,
-        };
-        if !path_sep(toks, i + 4) {
-            return;
-        }
-        match toks.get(i + 6) {
-            Some(TokenTree::Ident(item)) if banned.contains(&item.text.as_str()) => {
-                diags.push(diag(
-                    path,
-                    &toks[i + 6],
-                    Rule::L7,
-                    format!(
-                        "`{}` taken from std::{} — import it from the idg-sync facade so \
-                         the model checker can interpose (DESIGN.md §13)",
-                        item.text, module.text
-                    ),
-                ));
-            }
-            Some(TokenTree::Group(g)) if g.delimiter == Delimiter::Brace => {
-                flag_banned_in_tree(&g.tokens, banned, &module.text, path, diags);
-            }
-            _ => {}
-        }
-    });
-}
-
-/// Flag every banned identifier in a `use`-tree group, span-precisely.
-/// `Banned as Alias` flags the source name once; an alias that happens
-/// to spell a banned name is not a std import and is skipped.
-fn flag_banned_in_tree(
-    toks: &[TokenTree],
-    banned: &[&str],
-    module: &str,
-    path: &str,
-    diags: &mut Vec<Diagnostic>,
-) {
-    for (j, t) in toks.iter().enumerate() {
-        match t {
-            TokenTree::Ident(item) if banned.contains(&item.text.as_str()) => {
-                let is_alias = matches!(
-                    toks.get(j.wrapping_sub(1)),
-                    Some(TokenTree::Ident(a)) if a.text == "as"
-                );
-                if !is_alias {
-                    diags.push(diag(
-                        path,
-                        t,
-                        Rule::L7,
-                        format!(
-                            "`{}` taken from std::{} — import it from the idg-sync facade \
-                             so the model checker can interpose (DESIGN.md §13)",
-                            item.text, module
-                        ),
-                    ));
-                }
-            }
-            TokenTree::Group(g) => flag_banned_in_tree(&g.tokens, banned, module, path, diags),
-            _ => {}
         }
     }
 }

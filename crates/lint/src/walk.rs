@@ -1,12 +1,13 @@
 //! Workspace source discovery.
 //!
 //! The lint scope is every *library* source file: `crates/*/src/**/*.rs`
-//! plus the root package's `src/**/*.rs`. Exempt by policy (as under the
-//! old `tools/panic_audit.sh` ratchet):
+//! plus the root package's `src/**/*.rs`. Exempt by policy:
 //!
-//! * `crates/bench` — the figure/bench harness (binaries, not library);
-//! * `shims/*` — offline stand-ins for external dependencies (you don't
-//!   lint your dependencies);
+//! * `crates/bench` — the figure/bench harness (binaries, not library;
+//!   also the one package the `cargo lint` alias excludes);
+//! * `shims/*` — offline stand-ins for external dependencies: L3, L4
+//!   and L6 are about this code base's kernels, errors and locks (the
+//!   clippy half of DESIGN.md §9 does cover the shims);
 //! * `tests/`, `benches/`, `examples/` everywhere.
 
 use crate::LintError;

@@ -15,8 +15,10 @@
 //! * [`mix`] — the FMA/sincos instruction-mix microkernel behind the
 //!   paper's Fig. 12 (throughput as a function of ρ = #FMA / #sincos).
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
+// Lint L2, numeric core: no silently narrowing `as` (f64 → f32, u64 →
+// u32, …) in library code; narrow through `Float::from_f64`/`cast`.
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
 
 pub mod kahan;
 pub mod mix;

@@ -47,7 +47,6 @@
 //! fault-free runs), and [`chrome::chrome_trace_json`] exports the
 //! spans as a Chrome `trace_event` timeline for `chrome://tracing`.
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod chrome;

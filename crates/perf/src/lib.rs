@@ -21,7 +21,6 @@
 //! * [`energy`] — the TDP-based energy model behind **Figs. 14 and 15**
 //!   (joules per kernel, GFlops/W).
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod arch;

@@ -13,7 +13,6 @@
 //! `m ≤ n` work items yields the *work groups* in which the kernels
 //! process them (Fig. 6).
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod stats;

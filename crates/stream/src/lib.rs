@@ -35,7 +35,6 @@
 //! pinned at `min(max_inflight, nr_chunks)` because workers only
 //! start once the admission window is pre-filled.
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 use idg_plan::{Plan, UvExtents};

@@ -3,14 +3,15 @@
 //! Every library crate in the workspace takes its concurrency
 //! primitives (`Mutex`, `Condvar`, `RwLock`, `thread::scope`) from
 //! here instead of `std::sync` / `std::thread` — enforced by lint L7
-//! (DESIGN.md §13). Two builds share one API:
+//! (clippy's `disallowed_types`/`disallowed_methods` over the root
+//! `clippy.toml`; DESIGN.md §9, §13). Two builds share one API:
 //!
 //! - **Normal builds**: zero-cost newtypes over `std::sync` whose only
 //!   behavioral change is *poison recovery* — `lock()` returns the
 //!   guard directly, absorbing [`std::sync::PoisonError`], which also
 //!   deduplicates the ad-hoc `lock().unwrap_or_else(..)` helpers the
-//!   scheduler and kernel cache used to carry (lint L6 now bans those
-//!   at the call site).
+//!   scheduler and kernel cache used to carry (`clippy::unwrap_used`
+//!   now bans those at the call site).
 //! - **`--cfg idg_model_check` builds**: straight re-exports of the
 //!   [`idg-mc`](idg_mc) cooperative primitives, so the same library
 //!   code becomes deterministically schedulable and every interleaving
@@ -26,8 +27,11 @@
 //! sibling workers from deadlocking behind a poisoned mutex while the
 //! panic unwinds.
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
+// Lint L7's exemption: this crate is where the std primitives are
+// wrapped, so it is one of the two that may name them (`crates/mc` is
+// the other).
+#![allow(clippy::disallowed_types, clippy::disallowed_methods)]
 
 #[cfg(idg_model_check)]
 pub use idg_mc::sync::{Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -47,5 +51,15 @@ pub use plain::{Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWrite
 /// Scoped threads (plain `std::thread` in normal builds).
 #[cfg(not(idg_model_check))]
 pub mod thread {
-    pub use std::thread::{scope, Scope, ScopedJoinHandle};
+    pub use std::thread::{Scope, ScopedJoinHandle};
+
+    /// [`std::thread::scope`] as an item of the facade: a re-export
+    /// would resolve to the std function, and lint L7 could not tell a
+    /// call through the facade from one that bypasses it.
+    pub fn scope<'env, F, T>(f: F) -> T
+    where
+        F: for<'scope> FnOnce(&'scope Scope<'scope, 'env>) -> T,
+    {
+        std::thread::scope(f)
+    }
 }

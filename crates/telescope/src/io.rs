@@ -19,6 +19,10 @@
 //! sky                nr_sources × 3 f64
 //! ```
 
+// Lint L1, input-boundary half: these bytes come from outside the
+// program, so a miss is a typed `IdgError`, never an index panic.
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
+
 use crate::aterm::ATerms;
 use crate::dataset::Dataset;
 use crate::sky::{PointSource, SkyModel};

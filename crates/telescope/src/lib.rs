@@ -21,7 +21,6 @@
 //! * [`dataset`] — ties everything together into the in-memory
 //!   visibility set consumed by the gridders.
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod aterm;

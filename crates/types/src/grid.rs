@@ -1,12 +1,13 @@
-//! Grid and subgrid containers.
+//! The grid container.
 //!
 //! The *grid* is the discrete Fourier transform of the sky image: a
 //! `grid_size × grid_size` plane per polarization (4 planes). *Subgrids*
 //! are the small `N × N` tiles at the heart of IDG (24×24 in the paper's
 //! benchmark), onto which neighbouring visibilities are accumulated before
-//! being Fourier-transformed and added to the grid.
+//! being Fourier-transformed and added to the grid; a pass's subgrids
+//! live in one batch, `idg_kernels::SubgridArray`.
 //!
-//! Both containers use planar polarization layout `[pol][y][x]`: the adder
+//! Both use planar polarization layout `[pol][y][x]`: the adder
 //! parallelizes over grid rows (Sec. V-B d) and the FFT transforms each
 //! polarization plane independently, so planar storage gives both unit
 //! stride.
@@ -135,114 +136,6 @@ impl<T: Float> Grid<T> {
     }
 }
 
-/// A small `N × N` subgrid tile with the same planar layout as [`Grid`].
-#[derive(Clone, Debug, PartialEq)]
-pub struct Subgrid<T> {
-    size: usize,
-    data: Vec<Complex<T>>,
-}
-
-impl<T: Float> Subgrid<T> {
-    /// Allocate a zeroed `size × size` subgrid.
-    pub fn new(size: usize) -> Self {
-        Self {
-            size,
-            data: vec![Complex::zero(); NR_POLARIZATIONS * size * size],
-        }
-    }
-
-    /// Subgrid edge length in pixels.
-    #[inline(always)]
-    pub fn size(&self) -> usize {
-        self.size
-    }
-
-    #[inline(always)]
-    fn index(&self, pol: usize, y: usize, x: usize) -> usize {
-        (pol * self.size + y) * self.size + x
-    }
-
-    /// Read one pixel.
-    #[inline(always)]
-    pub fn at(&self, pol: usize, y: usize, x: usize) -> Complex<T> {
-        debug_assert!(pol < NR_POLARIZATIONS && y < self.size && x < self.size);
-        self.data[self.index(pol, y, x)]
-    }
-
-    /// Mutable access to one pixel.
-    #[inline(always)]
-    pub fn at_mut(&mut self, pol: usize, y: usize, x: usize) -> &mut Complex<T> {
-        debug_assert!(pol < NR_POLARIZATIONS && y < self.size && x < self.size);
-        let i = self.index(pol, y, x);
-        &mut self.data[i]
-    }
-
-    /// Read all four polarizations of one pixel.
-    #[inline(always)]
-    pub fn pixel(&self, y: usize, x: usize) -> [Complex<T>; 4] {
-        [
-            self.at(0, y, x),
-            self.at(1, y, x),
-            self.at(2, y, x),
-            self.at(3, y, x),
-        ]
-    }
-
-    /// Write all four polarizations of one pixel.
-    #[inline(always)]
-    pub fn set_pixel(&mut self, y: usize, x: usize, pols: [Complex<T>; 4]) {
-        for (pol, value) in pols.into_iter().enumerate() {
-            *self.at_mut(pol, y, x) = value;
-        }
-    }
-
-    /// One polarization plane (row-major `size × size`).
-    #[inline]
-    pub fn plane(&self, pol: usize) -> &[Complex<T>] {
-        let n = self.size * self.size;
-        &self.data[pol * n..(pol + 1) * n]
-    }
-
-    /// One polarization plane, mutable.
-    #[inline]
-    pub fn plane_mut(&mut self, pol: usize) -> &mut [Complex<T>] {
-        let n = self.size * self.size;
-        &mut self.data[pol * n..(pol + 1) * n]
-    }
-
-    /// Raw backing store.
-    #[inline]
-    pub fn as_slice(&self) -> &[Complex<T>] {
-        &self.data
-    }
-
-    /// Raw backing store, mutable.
-    #[inline]
-    pub fn as_mut_slice(&mut self) -> &mut [Complex<T>] {
-        &mut self.data
-    }
-
-    /// Reset all pixels to zero.
-    pub fn clear(&mut self) {
-        self.data.fill(Complex::zero());
-    }
-
-    /// Sum of `|pixel|²`.
-    pub fn power(&self) -> f64 {
-        self.data.iter().map(|c| c.norm_sqr().to_f64()).sum()
-    }
-
-    /// Maximum absolute difference to another subgrid (accuracy tests).
-    pub fn max_abs_diff(&self, other: &Subgrid<T>) -> f64 {
-        assert_eq!(self.size, other.size);
-        self.data
-            .iter()
-            .zip(other.data.iter())
-            .map(|(a, b)| (*a - *b).abs().to_f64())
-            .fold(0.0, f64::max)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -322,35 +215,5 @@ mod tests {
         *g.at_mut(0, 0, 0) = Cf32::new(5.0, 5.0);
         g.clear();
         assert_eq!(g.power(), 0.0);
-    }
-
-    #[test]
-    fn subgrid_pixel_round_trip() {
-        let mut s = Subgrid::<f32>::new(24);
-        let pols = [
-            Cf32::new(1.0, 0.0),
-            Cf32::new(0.0, 1.0),
-            Cf32::new(-1.0, 0.0),
-            Cf32::new(0.0, -1.0),
-        ];
-        s.set_pixel(10, 20, pols);
-        assert_eq!(s.pixel(10, 20), pols);
-        assert_eq!(s.pixel(20, 10), [Cf32::zero(); 4]);
-    }
-
-    #[test]
-    fn subgrid_max_abs_diff() {
-        let mut a = Subgrid::<f32>::new(8);
-        let b = Subgrid::<f32>::new(8);
-        assert_eq!(a.max_abs_diff(&b), 0.0);
-        *a.at_mut(0, 0, 0) = Cf32::new(3.0, 4.0);
-        assert!((a.max_abs_diff(&b) - 5.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn subgrid_planes_sized_correctly() {
-        let s = Subgrid::<f32>::new(24);
-        assert_eq!(s.plane(3).len(), 576);
-        assert_eq!(s.as_slice().len(), 4 * 576);
     }
 }

@@ -11,7 +11,6 @@
 //! can be audited down to primitive operations — important for a paper
 //! reproduction whose headline analysis is about *operation counts*.
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![allow(clippy::should_implement_trait)] // add/sub/mul/div methods on math types are deliberate
 
@@ -26,7 +25,7 @@ pub mod vis;
 pub use complex::{Cf32, Cf64, Complex};
 pub use error::{FaultSite, IdgError};
 pub use float::Float;
-pub use grid::{Grid, Subgrid, NR_POLARIZATIONS};
+pub use grid::{Grid, NR_POLARIZATIONS};
 pub use jones::Jones;
 pub use params::{Observation, ObservationBuilder, SPEED_OF_LIGHT};
 pub use vis::{Baseline, Uvw, Visibility};

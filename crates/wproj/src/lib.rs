@@ -21,7 +21,6 @@
 //! be precomputed, stored and streamed — exactly the overhead Fig. 16
 //! quantifies.
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![allow(clippy::needless_range_loop)] // index loops mirror the classic gridder
 

@@ -7,7 +7,5 @@
 //! Start with `examples/quickstart.rs`, the README, or the
 //! per-experiment index in DESIGN.md.
 
-#![forbid(unsafe_code)]
-
 pub use idg;
 pub use idg_imaging as imaging;
