@@ -74,40 +74,53 @@ impl<T: Float> BluesteinPlan<T> {
         }
     }
 
-    /// Scratch length required by [`Self::forward`].
+    /// Scratch length required by [`Self::forward`], per lane.
     pub fn scratch_len(&self) -> usize {
         // one m-length work buffer + the inner plan's scratch
         self.m + self.inner.scratch_len()
     }
 
-    /// Forward transform of `data` (length `n`), unscaled.
-    pub fn forward(&self, data: &mut [Complex<T>], scratch: &mut [Complex<T>]) {
-        assert_eq!(data.len(), self.n);
-        let (work, inner_scratch) = scratch.split_at_mut(self.m);
+    /// Forward transform, unscaled, of `lanes` interleaved sequences of
+    /// length `n` (`data[j·lanes + x]`, as [`FftPlan::process_lanes`]):
+    /// the chirp and the point-wise products act on each lane alone and
+    /// the two convolution FFTs are lane-interleaved Stockham transforms.
+    pub fn forward(&self, data: &mut [Complex<T>], scratch: &mut [Complex<T>], lanes: usize) {
+        assert_eq!(data.len(), self.n * lanes);
+        let (work, inner_scratch) = scratch.split_at_mut(self.m * lanes);
+        let (head, tail) = work.split_at_mut(data.len());
 
         // a[j] = w[j]·x[j], zero-padded to m
-        for j in 0..self.n {
-            work[j] = data[j] * self.chirp[j];
+        for ((a, x), w) in head
+            .chunks_exact_mut(lanes)
+            .zip(data.chunks_exact(lanes))
+            .zip(&self.chirp)
+        {
+            for (a, x) in a.iter_mut().zip(x) {
+                *a = *x * *w;
+            }
         }
-        for v in &mut work[self.n..] {
-            *v = Complex::zero();
-        }
+        tail.fill(Complex::zero());
 
         self.inner
-            .process_with_scratch(work, inner_scratch, Direction::Forward);
-        // pointwise multiply by the precomputed (1/m)·FFT(b)
-        for (a, b) in work.iter_mut().zip(self.b_fft.iter()) {
-            *a *= *b;
-        }
+            .process_lanes(work, inner_scratch, lanes, Direction::Forward);
+        // pointwise multiply by the precomputed (1/m)·FFT(b), then
         // inverse FFT without scaling: conj→forward→conj (the 1/m is
         // already folded into b_fft)
-        for v in work.iter_mut() {
-            *v = v.conj();
+        for (a, b) in work.chunks_exact_mut(lanes).zip(&self.b_fft) {
+            for a in a {
+                *a = (*a * *b).conj();
+            }
         }
         self.inner
-            .process_with_scratch(work, inner_scratch, Direction::Forward);
-        for j in 0..self.n {
-            data[j] = work[j].conj() * self.chirp[j];
+            .process_lanes(work, inner_scratch, lanes, Direction::Forward);
+        for ((x, a), w) in data
+            .chunks_exact_mut(lanes)
+            .zip(work.chunks_exact(lanes))
+            .zip(&self.chirp)
+        {
+            for (x, a) in x.iter_mut().zip(a) {
+                *x = a.conj() * *w;
+            }
         }
     }
 }
@@ -137,7 +150,7 @@ mod tests {
                 .collect();
             let mut got = x.clone();
             let mut scratch = vec![Cf64::zero(); plan.scratch_len()];
-            plan.forward(&mut got, &mut scratch);
+            plan.forward(&mut got, &mut scratch, 1);
             let expect = dft(&x, Direction::Forward);
             for (a, b) in got.iter().zip(&expect) {
                 assert!((*a - *b).abs() < 1e-10, "n={n}");
@@ -154,7 +167,7 @@ mod tests {
             .collect();
         let mut got = x.clone();
         let mut scratch = vec![Cf64::zero(); plan.scratch_len()];
-        plan.forward(&mut got, &mut scratch);
+        plan.forward(&mut got, &mut scratch, 1);
         let expect = dft(&x, Direction::Forward);
         let scale = expect.iter().map(|c| c.abs()).fold(1.0, f64::max);
         for (a, b) in got.iter().zip(&expect) {

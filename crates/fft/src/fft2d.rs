@@ -4,13 +4,27 @@
 //! `Ñ × Ñ`) between the image and Fourier domains — step (2) of the
 //! algorithm — and the imaging cycle transforms the full `N × N` grid
 //! once per gridding/degridding pass. Both are row-column decompositions
-//! of the 1-D plans; the batched entry point parallelizes over planes
-//! with rayon, matching the paper's observation that the subgrid FFTs are
-//! embarrassingly parallel.
+//! on one kernel, [`FftPlan::process_lanes`]: a row-major plane *is* the
+//! lane-interleaved form of its columns (lane = `x`), so the column
+//! pass needs no gather. Two drivers sit on it, bit-identical to each
+//! other and to row-by-row, column-by-column 1-D transforms:
+//!
+//! * *plane in cache* ([`Fft2d::process_with_scratch`], batched over
+//!   planes with rayon by [`Fft2d::process_batch`] — the subgrid FFTs are
+//!   embarrassingly parallel): transpose, all rows as `n` lanes,
+//!   transpose back, all columns as `n` lanes;
+//! * *banded* ([`Fft2d::process_grid`]): rows as 1-D transforms, columns
+//!   in bands of [`BAND`] lanes, parallel inside one plane.
 
 use crate::plan::{Direction, FftPlan};
 use idg_types::{Complex, Float};
 use rayon::prelude::*;
+
+/// Columns per band of the grid FFT's column pass: 16 f32 complex values
+/// are 128-byte row segments (two cache lines per strided access instead
+/// of a fraction of one), and a band plus its stage scratch — `2·16·n`
+/// values, 512 KB at `n` = 2048 in f32 — stays in a worker's L2.
+const BAND: usize = 16;
 
 /// A 2-D FFT plan for square `n × n` arrays.
 pub struct Fft2d<T> {
@@ -35,8 +49,8 @@ impl<T: Float> Fft2d<T> {
 
     /// Scratch length required per worker by the `_with_scratch` variants.
     pub fn scratch_len(&self) -> usize {
-        // column gather buffer + 1-D scratch
-        self.n + self.plan.scratch_len()
+        // the transposed plane + the n-lane transform's scratch
+        self.n * (self.n + self.plan.scratch_len())
     }
 
     /// Transform one row-major `n × n` plane in place using caller scratch.
@@ -48,26 +62,20 @@ impl<T: Float> Fft2d<T> {
     ) {
         let n = self.n;
         assert_eq!(data.len(), n * n, "plane must be n*n");
-        assert!(scratch.len() >= self.scratch_len());
-        let (col, fft_scratch) = scratch.split_at_mut(n);
+        assert!(scratch.len() >= self.scratch_len(), "scratch too short");
+        let (transposed, fft_scratch) = scratch.split_at_mut(n * n);
 
-        // rows: contiguous
-        for row in data.chunks_exact_mut(n) {
-            self.plan.process_with_scratch(row, fft_scratch, dir);
-        }
-        // columns: gather / transform / scatter
-        for x in 0..n {
-            for y in 0..n {
-                col[y] = data[y * n + x];
-            }
-            self.plan.process_with_scratch(col, fft_scratch, dir);
-            for y in 0..n {
-                data[y * n + x] = col[y];
-            }
-        }
+        // Rows first, as the 1-D row-column form has it (the two orders
+        // round differently): the transposed plane is the rows' lane form.
+        transpose(data, transposed, n);
+        self.plan.process_lanes(transposed, fft_scratch, n, dir);
+        transpose(transposed, data, n);
+        // columns: the row-major plane is already their lane form
+        self.plan.process_lanes(data, fft_scratch, n, dir);
     }
 
-    /// Transform one plane, allocating scratch internally.
+    /// Transform one plane serially, allocating scratch internally (a
+    /// grid-sized plane belongs to [`Fft2d::process_grid`]).
     pub fn process(&self, data: &mut [Complex<T>], dir: Direction) {
         let mut scratch = vec![Complex::zero(); self.scratch_len()];
         self.process_with_scratch(data, &mut scratch, dir);
@@ -88,62 +96,62 @@ impl<T: Float> Fft2d<T> {
 
     /// Transform the full grid in parallel — the one big grid FFT of the
     /// imaging cycle, where per-plane parallelism (4 planes) is too
-    /// coarse. Rows of every plane first; then, per plane, the column
-    /// pass as *row* transforms of the transposed plane: bands of
-    /// [`TILE`] columns are transposed tile by tile into an `n²` scratch
-    /// and transformed while still cache-hot, and a second blocked
-    /// transpose writes them back. The transposes only move data and
-    /// each column sees the same 1-D plan as in [`Fft2d::process`], so
-    /// the result is bit-identical to the per-plane path.
+    /// coarse and a plane is far larger than any cache. Rows of every
+    /// plane first; then, per plane, the columns in bands of [`BAND`]:
+    /// a band's row segments are copied into an `[n][BAND]` chunk of an
+    /// `n²` scratch, transformed there as `BAND` lanes while cache-hot,
+    /// and a second pass copies the chunks back by rows. The copies only
+    /// move data and each column sees the same 1-D plan as in
+    /// [`Fft2d::process_with_scratch`], so the result is bit-identical to
+    /// the per-plane path.
     pub fn process_grid(&self, planes: &mut [Complex<T>], dir: Direction) {
         let n = self.n;
         let n2 = n * n;
         assert_eq!(planes.len() % n2, 0, "grid must be whole planes");
-        let fft_scratch = || vec![Complex::zero(); self.plan.scratch_len()];
 
         // rows of every plane, in parallel
-        planes
-            .par_chunks_exact_mut(n)
-            .for_each_init(fft_scratch, |scratch, row| {
-                self.plan.process_with_scratch(row, scratch, dir);
-            });
+        planes.par_chunks_exact_mut(n).for_each_init(
+            || vec![Complex::zero(); self.plan.scratch_len()],
+            |scratch, row| self.plan.process_with_scratch(row, scratch, dir),
+        );
 
-        // columns, one plane at a time through the shared scratch
-        let mut transposed = vec![Complex::zero(); n2];
+        // columns, one plane at a time through the shared scratch; the
+        // last band is narrower when BAND does not divide n
+        let mut bands = vec![Complex::zero(); n2];
         for plane in planes.chunks_exact_mut(n2) {
             let src = &*plane;
-            transposed
-                .par_chunks_mut(TILE * n)
+            bands.par_chunks_mut(BAND * n).enumerate().for_each_init(
+                || vec![Complex::zero(); BAND * self.plan.scratch_len()],
+                |scratch, (b, band)| {
+                    let lanes = band.len() / n;
+                    for (segment, row) in band.chunks_exact_mut(lanes).zip(src.chunks_exact(n)) {
+                        segment.copy_from_slice(&row[b * BAND..][..lanes]);
+                    }
+                    self.plan.process_lanes(band, scratch, lanes, dir);
+                },
+            );
+            plane
+                .par_chunks_mut(BAND * n)
                 .enumerate()
-                .for_each_init(fft_scratch, |scratch, (band, cols)| {
-                    transpose_band(src, cols, n, band * TILE);
-                    for col in cols.chunks_exact_mut(n) {
-                        self.plan.process_with_scratch(col, scratch, dir);
+                .for_each(|(group, rows)| {
+                    for (b, band) in bands.chunks(BAND * n).enumerate() {
+                        let lanes = band.len() / n;
+                        let segments = band[group * BAND * lanes..].chunks_exact(lanes);
+                        for (row, segment) in rows.chunks_exact_mut(n).zip(segments) {
+                            row[b * BAND..][..lanes].copy_from_slice(segment);
+                        }
                     }
                 });
-            plane
-                .par_chunks_mut(TILE * n)
-                .enumerate()
-                .for_each(|(band, rows)| transpose_band(&transposed, rows, n, band * TILE));
         }
     }
 }
 
-/// Edge of the square tiles the grid FFT transposes by: 32 × 32 complex
-/// values keep a source and a destination tile L1-resident in f32 and
-/// f64 alike.
-const TILE: usize = 32;
-
-/// Write rows `first..first + band.len() / n` of the transpose of the
-/// row-major `n × n` plane `src` into `band`, tile by tile so the strided
-/// reads of one tile stay in cache until its rows are complete.
-fn transpose_band<T: Float>(src: &[Complex<T>], band: &mut [Complex<T>], n: usize, first: usize) {
-    for c0 in (0..n).step_by(TILE) {
-        let c1 = (c0 + TILE).min(n);
-        for (r, row) in band.chunks_exact_mut(n).enumerate() {
-            for (c, out) in row[c0..c1].iter_mut().enumerate() {
-                *out = src[(c0 + c) * n + first + r];
-            }
+/// `dst` = transpose of the row-major `n × n` plane `src` (cache-sized
+/// planes only: no tiling).
+fn transpose<T: Float>(src: &[Complex<T>], dst: &mut [Complex<T>], n: usize) {
+    for (y, row) in src.chunks_exact(n).enumerate() {
+        for (x, v) in row.iter().enumerate() {
+            dst[x * n + y] = *v;
         }
     }
 }
@@ -169,7 +177,7 @@ mod tests {
 
     #[test]
     fn matches_direct_2d_dft() {
-        for n in [4usize, 6, 8, 12, 24] {
+        for n in [4usize, 6, 8, 12, 16, 24, 32, 64] {
             let fft = Fft2d::<f64>::new(n);
             let x = signal2d(n);
             let mut got = x.clone();
@@ -205,14 +213,14 @@ mod tests {
         let mut eb = plane_b;
         fft.process(&mut ea, Direction::Forward);
         fft.process(&mut eb, Direction::Forward);
-        assert_close(&batch[..n * n], &ea, 1e-12);
-        assert_close(&batch[n * n..], &eb, 1e-12);
+        assert!(batch[..n * n] == ea);
+        assert!(batch[n * n..] == eb);
     }
 
     /// `process_grid` must equal `process` on every plane bit for bit:
-    /// the blocked transposes only move data. Sizes cover Stockham and
-    /// Bluestein (28) plans, edges that are not a multiple of the tile
-    /// (24, 28, 30, 250) and the benchmark's 1024.
+    /// the band copies only move data. Sizes cover Stockham and
+    /// Bluestein (28) plans, a ragged last band (24, 28, 30, 250: not a
+    /// multiple of 16) and the benchmark's 1024.
     fn grid_path_equals_plane_path<T: Float>() {
         for n in [24usize, 28, 30, 64, 250, 1024] {
             let fft = Fft2d::<T>::new(n);
@@ -249,6 +257,40 @@ mod tests {
         grid_path_equals_plane_path::<f64>();
     }
 
+    /// Both drivers against the form they replace: every row, then every
+    /// column gathered out, through the 1-D plan — exact equality.
+    #[test]
+    fn both_drivers_equal_row_column_1d_transforms() {
+        for n in [16usize, 24, 28, 30, 32, 64, 250] {
+            let fft = Fft2d::<f32>::new(n);
+            let x: Vec<Complex<f32>> = signal2d(n).iter().map(|c| c.cast()).collect();
+            for dir in [Direction::Forward, Direction::Inverse] {
+                let mut expect = x.clone();
+                let mut scratch = vec![Complex::zero(); fft.plan.scratch_len()];
+                for row in expect.chunks_exact_mut(n) {
+                    fft.plan.process_with_scratch(row, &mut scratch, dir);
+                }
+                let mut col = vec![Complex::zero(); n];
+                for x in 0..n {
+                    for y in 0..n {
+                        col[y] = expect[y * n + x];
+                    }
+                    fft.plan.process_with_scratch(&mut col, &mut scratch, dir);
+                    for y in 0..n {
+                        expect[y * n + x] = col[y];
+                    }
+                }
+                let mut plane = x.clone();
+                let mut scratch = vec![Complex::zero(); fft.scratch_len()];
+                fft.process_with_scratch(&mut plane, &mut scratch, dir);
+                assert!(plane == expect, "plane driver, n = {n}, {dir:?}");
+                let mut banded = x.clone();
+                fft.process_grid(&mut banded, dir);
+                assert!(banded == expect, "banded driver, n = {n}, {dir:?}");
+            }
+        }
+    }
+
     #[test]
     fn dc_component_is_plane_sum() {
         let n = 12;
@@ -266,5 +308,14 @@ mod tests {
         let fft = Fft2d::<f64>::new(8);
         let mut data = vec![Cf64::zero(); 60];
         fft.process(&mut data, Direction::Forward);
+    }
+
+    #[test]
+    #[should_panic(expected = "scratch too short")]
+    fn short_scratch_panics() {
+        let fft = Fft2d::<f64>::new(8);
+        let mut data = vec![Cf64::zero(); 64];
+        let mut scratch = vec![Cf64::zero(); fft.scratch_len() - 1];
+        fft.process_with_scratch(&mut data, &mut scratch, Direction::Forward);
     }
 }

@@ -13,10 +13,14 @@
 //! * [`FftPlan`] — a 1-D plan using the *Stockham autosort* mixed-radix
 //!   algorithm (radices 4, 2, 3, 5) with precomputed per-stage twiddle
 //!   tables; arbitrary remaining factors fall back to Bluestein's
-//!   chirp-z algorithm, so every size is supported.
+//!   chirp-z algorithm, so every size is supported. Its one kernel
+//!   transforms `lanes` interleaved sequences at once
+//!   ([`FftPlan::process_lanes`]; a lone transform is one lane), which is
+//!   where the SIMD width comes from.
 //! * [`Fft2d`] — row-column 2-D transforms over the planar polarization
-//!   layout of `idg-types`, with a rayon-parallel batched entry point
-//!   (the subgrid FFTs are "embarrassingly parallel", Sec. V-B c).
+//!   layout of `idg-types`: a row-major plane is the lane form of its
+//!   columns, so both the batched subgrid FFTs ("embarrassingly
+//!   parallel", Sec. V-B c) and the banded grid FFT run on that kernel.
 //! * [`shift`] — `fftshift`/`ifftshift` index permutations used when
 //!   moving subgrids between image and Fourier domains.
 //! * [`dft`] — an O(N²) direct transform, the correctness oracle.

@@ -2,9 +2,16 @@
 //!
 //! The Stockham autosort formulation is used instead of the textbook
 //! bit-reversal Cooley-Tukey because it (a) handles mixed radices
-//! uniformly — the subgrid size 24 = 4·3·2 of the paper's benchmark is
-//! not a power of two — and (b) accesses both buffers with unit stride in
-//! the inner loop, which is what lets LLVM vectorize the butterflies.
+//! uniformly — the subgrid size 24 = 4·2·3 of the paper's benchmark is
+//! not a power of two — and (b) its inner loop runs over `q ∈ [0, s)`,
+//! a pure batch index: `s` sub-transforms, each seeing the same
+//! butterfly and twiddle, with unit stride in both buffers. That loop
+//! is what LLVM vectorizes — but `s` is the product of the radices
+//! already done, so the first stage of a lone 1-D transform has `s = 1`
+//! and runs scalar. [`FftPlan::process_lanes`] therefore starts `s` at
+//! the number of interleaved transforms: every stage of every lane then
+//! has an inner loop at least `lanes` long, with no shuffles, and a lone
+//! transform is simply `lanes = 1`.
 //!
 //! A plan is immutable after construction (`Send + Sync`), so one plan is
 //! shared by all worker threads of the batched subgrid FFTs.
@@ -143,7 +150,8 @@ impl<T: Float> FftPlan<T> {
         matches!(self.backend, Backend::Bluestein(_))
     }
 
-    /// Scratch length required by [`Self::process_with_scratch`].
+    /// Scratch length required by [`Self::process_with_scratch`], and
+    /// per lane by [`Self::process_lanes`].
     pub fn scratch_len(&self) -> usize {
         match &self.backend {
             Backend::Identity => 0,
@@ -153,23 +161,47 @@ impl<T: Float> FftPlan<T> {
     }
 
     /// In-place transform using caller-provided scratch (hot path:
-    /// lets the batched subgrid FFTs reuse one scratch per worker).
+    /// lets the batched row FFTs reuse one scratch per worker).
     pub fn process_with_scratch(
         &self,
         data: &mut [Complex<T>],
         scratch: &mut [Complex<T>],
         dir: Direction,
     ) {
-        assert_eq!(data.len(), self.n, "data length must equal plan length");
-        assert!(scratch.len() >= self.scratch_len(), "scratch too short");
+        self.process_lanes(data, scratch, 1, dir);
+    }
+
+    /// `lanes` independent transforms at once, in place: transform `x`
+    /// is the strided sequence `data[k·lanes + x]`, `k ∈ [0, n)`. Every
+    /// lane sees the butterflies and twiddles of the 1-D transform in
+    /// the same order (`lanes = 1` *is* the 1-D transform), so each
+    /// lane's output equals its own [`Self::process_with_scratch`] bit
+    /// for bit. `scratch` holds at least `lanes · scratch_len()` values.
+    pub fn process_lanes(
+        &self,
+        data: &mut [Complex<T>],
+        scratch: &mut [Complex<T>],
+        lanes: usize,
+        dir: Direction,
+    ) {
+        assert!(lanes >= 1, "at least one lane");
+        assert_eq!(
+            data.len(),
+            self.n * lanes,
+            "data length must equal plan length times lanes"
+        );
+        assert!(
+            scratch.len() >= self.scratch_len() * lanes,
+            "scratch too short"
+        );
         match dir {
-            Direction::Forward => self.forward_inner(data, scratch),
+            Direction::Forward => self.forward_inner(data, scratch, lanes),
             Direction::Inverse => {
                 // inverse(x) = conj(forward(conj(x))) / n
                 for v in data.iter_mut() {
                     *v = v.conj();
                 }
-                self.forward_inner(data, scratch);
+                self.forward_inner(data, scratch, lanes);
                 let scale = T::ONE / T::from_usize(self.n);
                 for v in data.iter_mut() {
                     *v = v.conj().scale(scale);
@@ -194,25 +226,29 @@ impl<T: Float> FftPlan<T> {
         self.process(data, Direction::Inverse);
     }
 
-    fn forward_inner(&self, data: &mut [Complex<T>], scratch: &mut [Complex<T>]) {
+    fn forward_inner(&self, data: &mut [Complex<T>], scratch: &mut [Complex<T>], lanes: usize) {
         match &self.backend {
             Backend::Identity => {}
-            Backend::Bluestein(b) => b.forward(data, scratch),
+            Backend::Bluestein(b) => b.forward(data, scratch, lanes),
             Backend::Stockham(stages) => {
-                let mut s = 1usize; // stride (number of completed sub-transforms)
+                let scratch = &mut scratch[..data.len()];
+                // The stride counts completed sub-transforms; it is a pure
+                // batch index of every stage, so starting it at `lanes`
+                // instead of 1 runs `lanes` interleaved transforms.
+                let mut s = lanes;
                 let mut in_data = true; // current source buffer is `data`
                 for stage in stages {
-                    {
-                        let (src, dst): (&[Complex<T>], &mut [Complex<T>]) = if in_data {
-                            (&*data, &mut *scratch)
-                        } else {
-                            (&*scratch, &mut *data)
-                        };
-                        match stage.radix {
-                            2 => stage_radix2(src, dst, stage, s),
-                            4 => stage_radix4(src, dst, stage, s),
-                            _ => stage_generic(src, dst, stage, s, &stage.table),
-                        }
+                    let (src, dst): (&[Complex<T>], &mut [Complex<T>]) = if in_data {
+                        (&*data, &mut *scratch)
+                    } else {
+                        (&*scratch, &mut *data)
+                    };
+                    // `factorize` yields radices 4, 2, 3 and 5 only
+                    match stage.radix {
+                        2 => stage_radix2(src, dst, stage, s),
+                        4 => stage_radix4(src, dst, stage, s),
+                        3 => stage_generic::<T, 3>(src, dst, stage, s),
+                        _ => stage_generic::<T, 5>(src, dst, stage, s),
                     }
                     s *= stage.radix;
                     in_data = !in_data;
@@ -225,14 +261,18 @@ impl<T: Float> FftPlan<T> {
     }
 }
 
+// The stages index through sub-slices of length `s` cut once per `p`:
+// the `q` loops then carry no bounds checks and vectorise whenever
+// `s > 1`, with unit stride in every source and destination.
+
 /// Radix-2 Stockham stage: `dst[q + s(2p+j)] = (a ± b)·ω^{pj}`.
 fn stage_radix2<T: Float>(src: &[Complex<T>], dst: &mut [Complex<T>], st: &Stage<T>, s: usize) {
     let m = st.m;
     for p in 0..m {
         let w = st.twiddles[p * 2 + 1]; // ω^{p·1}; j=0 twiddle is 1
-        let src_a = &src[s * p..s * p + s];
-        let src_b = &src[s * (p + m)..s * (p + m) + s];
-        let (d0, d1) = dst[s * 2 * p..s * (2 * p + 2)].split_at_mut(s);
+        let src_a = &src[s * p..][..s];
+        let src_b = &src[s * (p + m)..][..s];
+        let (d0, d1) = dst[s * 2 * p..][..2 * s].split_at_mut(s);
         for q in 0..s {
             let a = src_a[q];
             let b = src_b[q];
@@ -250,43 +290,47 @@ fn stage_radix4<T: Float>(src: &[Complex<T>], dst: &mut [Complex<T>], st: &Stage
         let w1 = st.twiddles[p * 4 + 1];
         let w2 = st.twiddles[p * 4 + 2];
         let w3 = st.twiddles[p * 4 + 3];
+        let src_a = &src[s * p..][..s];
+        let src_b = &src[s * (p + m)..][..s];
+        let src_c = &src[s * (p + 2 * m)..][..s];
+        let src_d = &src[s * (p + 3 * m)..][..s];
+        let (d0, rest) = dst[s * 4 * p..][..4 * s].split_at_mut(s);
+        let (d1, rest) = rest.split_at_mut(s);
+        let (d2, d3) = rest.split_at_mut(s);
         for q in 0..s {
-            let a = src[q + s * p];
-            let b = src[q + s * (p + m)];
-            let c = src[q + s * (p + 2 * m)];
-            let d = src[q + s * (p + 3 * m)];
+            let (a, b, c, d) = (src_a[q], src_b[q], src_c[q], src_d[q]);
             let apc = a + c;
             let amc = a - c;
             let bpd = b + d;
             let jbmd = (b - d).mul_i(); // i·(b−d)
                                         // forward DFT-4: X1 uses −i, X3 uses +i
-            dst[q + s * (4 * p)] = apc + bpd;
-            dst[q + s * (4 * p + 1)] = (amc - jbmd) * w1;
-            dst[q + s * (4 * p + 2)] = (apc - bpd) * w2;
-            dst[q + s * (4 * p + 3)] = (amc + jbmd) * w3;
+            d0[q] = apc + bpd;
+            d1[q] = (amc - jbmd) * w1;
+            d2[q] = (apc - bpd) * w2;
+            d3[q] = (amc + jbmd) * w3;
         }
     }
 }
 
-/// Table-driven stage for radices 3 and 5.
-fn stage_generic<T: Float>(
+/// Table-driven stage for the odd radices `R` ∈ {3, 5}.
+fn stage_generic<T: Float, const R: usize>(
     src: &[Complex<T>],
     dst: &mut [Complex<T>],
     st: &Stage<T>,
     s: usize,
-    table: &[Complex<T>],
 ) {
-    let r = st.radix;
     let m = st.m;
     for p in 0..m {
-        for j in 0..r {
-            let w = st.twiddles[p * r + j];
-            for q in 0..s {
+        let srcs: [&[Complex<T>]; R] = std::array::from_fn(|k| &src[s * (p + k * m)..][..s]);
+        for (j, out) in dst[s * R * p..][..R * s].chunks_exact_mut(s).enumerate() {
+            let w = st.twiddles[p * R + j];
+            let row = &st.table[j * R..][..R];
+            for (q, o) in out.iter_mut().enumerate() {
                 let mut acc = Complex::zero();
-                for k in 0..r {
-                    acc.mul_acc(src[q + s * (p + k * m)], table[j * r + k]);
+                for k in 0..R {
+                    acc.mul_acc(srcs[k][q], row[k]);
                 }
-                dst[q + s * (r * p + j)] = acc * w;
+                *o = acc * w;
             }
         }
     }
@@ -462,6 +506,55 @@ mod tests {
         plan.process_with_scratch(&mut a, &mut scratch, Direction::Forward);
         plan.process_with_scratch(&mut b, &mut scratch, Direction::Forward);
         assert_eq!(a, b);
+    }
+
+    /// The lane-interleaved transform against what it replaces: lane `x`
+    /// gathered out, run through the 1-D call and scattered back — the
+    /// reference every 2-D path is held to. Sizes cover the first-stage
+    /// radices, Bluestein (28) and the grid edges; equality is exact.
+    fn lanes_equal_separate_transforms<T: Float>() {
+        for n in [16usize, 24, 28, 30, 32, 64, 250, 1024] {
+            let plan = FftPlan::<T>::new(n);
+            for lanes in [1usize, 3, 16, 24] {
+                let x: Vec<Complex<T>> = (0..n * lanes)
+                    .map(|i| {
+                        let t = i as f64;
+                        Complex::new(
+                            T::from_f64((t * 0.13).sin()),
+                            T::from_f64((t * 0.07).cos() * 0.5),
+                        )
+                    })
+                    .collect();
+                for dir in [Direction::Forward, Direction::Inverse] {
+                    let mut expect = x.clone();
+                    let mut scratch = vec![Complex::zero(); plan.scratch_len()];
+                    let mut lane = vec![Complex::zero(); n];
+                    for l in 0..lanes {
+                        for k in 0..n {
+                            lane[k] = expect[k * lanes + l];
+                        }
+                        plan.process_with_scratch(&mut lane, &mut scratch, dir);
+                        for k in 0..n {
+                            expect[k * lanes + l] = lane[k];
+                        }
+                    }
+                    let mut got = x.clone();
+                    let mut scratch = vec![Complex::zero(); lanes * plan.scratch_len()];
+                    plan.process_lanes(&mut got, &mut scratch, lanes, dir);
+                    assert!(got == expect, "n = {n}, {lanes} lanes, {dir:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lanes_equal_separate_transforms_f32() {
+        lanes_equal_separate_transforms::<f32>();
+    }
+
+    #[test]
+    fn lanes_equal_separate_transforms_f64() {
+        lanes_equal_separate_transforms::<f64>();
     }
 
     #[test]

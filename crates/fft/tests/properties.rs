@@ -119,6 +119,29 @@ proptest! {
     }
 
     #[test]
+    fn lane_of_interleaved_transform_is_its_1d_transform(
+        twos in 0u32..6,
+        threes in 0u32..3,
+        fives in 0u32..2,
+        lanes in 1usize..20,
+        seed in 0u64..1_000_000,
+    ) {
+        // random smooth n = 2^a·3^b·5^c ≤ 1440, random lane count
+        let n = 2usize.pow(twos) * 3usize.pow(threes) * 5usize.pow(fives);
+        let plan = FftPlan::<f64>::new(n);
+        let x = signal(n * lanes, seed);
+        let mut got = x.clone();
+        let mut scratch = vec![Cf64::zero(); lanes * plan.scratch_len()];
+        plan.process_lanes(&mut got, &mut scratch, lanes, Direction::Forward);
+        for lane in 0..lanes {
+            let mut expect: Vec<Cf64> = (0..n).map(|k| x[k * lanes + lane]).collect();
+            plan.forward(&mut expect);
+            let got_lane: Vec<Cf64> = (0..n).map(|k| got[k * lanes + lane]).collect();
+            prop_assert!(got_lane == expect, "n={n} lanes={lanes} lane={lane}");
+        }
+    }
+
+    #[test]
     fn fftshift_involution_even_sizes(half in 1usize..24, seed in 0u64..1_000_000) {
         let n = half * 2;
         let orig = signal(n * n, seed);

@@ -123,7 +123,7 @@ impl WStack {
         for (p, grid) in self.planes.iter().enumerate() {
             let mut plane: Vec<Cf32> = grid.plane(0).to_vec();
             ifftshift2d(&mut plane, gsize);
-            fft.process(&mut plane, Direction::Inverse);
+            fft.process_grid(&mut plane, Direction::Inverse);
             fftshift2d(&mut plane, gsize);
             let w_p = self.centers[p];
             for y in 0..gsize {
