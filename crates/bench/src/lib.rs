@@ -212,12 +212,12 @@ pub fn streamed_benchmark_dataset(scale: usize) -> Dataset {
 }
 
 /// Run the streamed-ingestion gridding pass on the modeled Pascal
-/// device: one chunk per A-term interval, two workers, an admission
-/// window of two. Every timing in the report is modeled (the chunk
+/// device: one chunk per A-term interval, two workers, at most two
+/// passes at once. Every timing in the report is modeled (the chunk
 /// makespans come from the pipeline clock, the stream makespan from
-/// deterministic list scheduling), and both backpressure metrics are
-/// deterministic by construction, so the whole `stream` row is pinned
-/// exactly by the golden suite.
+/// deterministic list scheduling), and `inflight_max` and
+/// `backpressure_waits` are functions of the configuration, so the
+/// whole `stream` row is pinned exactly by the golden suite.
 pub fn stream_run(ds: &Dataset) -> ExecutionReport {
     use idg::{ChunkPolicy, StreamConfig};
 
@@ -230,7 +230,7 @@ pub fn stream_run(ds: &Dataset) -> ExecutionReport {
 }
 
 /// The `stream` row of a BENCH_*.json export: chunk/worker shape and
-/// the scheduler's backpressure accounting next to the one-shot rows.
+/// the two `max_inflight` stats next to the one-shot rows.
 /// Every column is deterministic, so none carries the `_wall` mask
 /// suffix; `makespan_s` is the modeled streamed makespan (overlapped
 /// chunks + the final commit).
@@ -276,9 +276,9 @@ pub fn stream_degrid_run(ds: &Dataset) -> ExecutionReport {
 }
 
 /// The `stream_degrid` row of a BENCH_*.json export: the duplex
-/// direction's chunk/worker shape and backpressure accounting. Like
+/// direction's chunk/worker shape and `max_inflight` stats. Like
 /// the `stream` row, every column is deterministic (modeled makespan,
-/// closed-form scheduler metrics), so none carries the `_wall` mask.
+/// closed-form scheduler stats), so none carries the `_wall` mask.
 pub fn stream_degrid_bench_row(scale: usize, report: &ExecutionReport) -> FigRow {
     let stats = report
         .stream

@@ -2,9 +2,9 @@
 //!
 //! [`Proxy::grid_streamed`] consumes the observation as a sequence of
 //! bounded time-axis chunks (split by `idg_stream`), plans and executes
-//! each chunk independently across a concurrent worker pool with a
-//! bounded admission window, and commits every chunk's subgrids in a
-//! single in-order pass at the end. The streamed grid is **bit
+//! each chunk independently on `min(workers, max_inflight)` concurrent
+//! lanes, and commits every chunk's subgrids in a single in-order pass
+//! at the end. The streamed grid is **bit
 //! identical** to the one-shot [`Proxy::grid`] result for every chunk
 //! policy and worker count, because:
 //!
@@ -62,8 +62,9 @@ pub struct StreamConfig {
     pub policy: ChunkPolicy,
     /// Worker threads executing chunk passes concurrently.
     pub workers: usize,
-    /// Admission window: the producer blocks once this many admitted
-    /// chunks remain uncompleted (backpressure).
+    /// Cap on chunk passes running at once (`lanes = min(workers,
+    /// max_inflight)`). It bounds concurrency, not memory: every
+    /// chunk's output is held until the commit after the stream drains.
     pub max_inflight: usize,
 }
 
@@ -80,8 +81,8 @@ impl StreamConfig {
     }
 
     /// Typed rejection of degenerate configurations: zero-sized chunk
-    /// bounds, zero workers or a zero admission window would all stall
-    /// the stream forever.
+    /// bounds, zero workers or a zero `max_inflight` would each leave
+    /// the stream unable to make progress.
     pub fn validate(&self) -> Result<(), IdgError> {
         self.policy.validate()?;
         StreamScheduler::new(self.workers, self.max_inflight).map(|_| ())
@@ -147,9 +148,8 @@ impl StreamTotals {
 
 /// Deterministic makespan model of the concurrent chunk passes: greedy
 /// list scheduling of the chunk makespans, in ingestion order, onto
-/// `lanes` modeled workers. The effective concurrency is bounded by
-/// both the worker pool and the admission window, so the caller passes
-/// `min(workers, max_inflight)`.
+/// `lanes` modeled workers — `min(workers, max_inflight)`, the number
+/// of threads the scheduler runs.
 fn stream_makespan(chunk_makespans: &[f64], lanes: usize) -> f64 {
     let mut lane_busy = vec![0.0f64; lanes.max(1)];
     for &m in chunk_makespans {
@@ -219,7 +219,7 @@ struct DegridCommitSlot {
 impl Proxy {
     /// Drive the observation's chunks through `pass` — one chunk-local
     /// plan each, against the shared whole-observation uv extents — on
-    /// the bounded-window scheduler. Returns every chunk's work items
+    /// the stream scheduler. Returns every chunk's work items
     /// and pending payload in ingestion order, and the summed reports.
     fn stream_chunks<P: Send>(
         &self,
@@ -268,8 +268,8 @@ impl Proxy {
     }
 
     /// Grid visibilities through the streaming front-end: chunked
-    /// ingestion, a concurrent bounded-window pass scheduler, and a
-    /// single deferred in-order commit.
+    /// ingestion, a concurrent pass scheduler, and a single deferred
+    /// in-order commit.
     ///
     /// The returned grid is bit-identical to [`Proxy::grid`] over the
     /// same inputs, for every chunk policy, worker count and completion
@@ -353,8 +353,8 @@ impl Proxy {
     /// Predict visibilities from a model grid through the streaming
     /// front-end — the duplex twin of [`Proxy::grid_streamed`]: a
     /// deferred splitter stage extracts each chunk's subgrids, the
-    /// chunk-local degrid passes run across the same bounded-window
-    /// scheduler, and every chunk's predicted visibilities are
+    /// chunk-local degrid passes run across the same scheduler, and
+    /// every chunk's predicted visibilities are
     /// committed into the output buffer exactly once, in one-shot plan
     /// order.
     ///

@@ -86,7 +86,7 @@ pub struct ExecutionReport {
     pub metrics: Option<MetricsSnapshot>,
     /// Chunked-ingestion summary when the pass was streamed
     /// ([`crate::Proxy::grid_streamed`]): chunk/worker counts and the
-    /// scheduler's backpressure accounting. `None` for one-shot passes.
+    /// two `max_inflight` stats. `None` for one-shot passes.
     pub stream: Option<StreamStats>,
 }
 

@@ -19,10 +19,11 @@
 //! * **L4 — typed fallibility**: `pub fn`s that fail do so through
 //!   `Result<_, IdgError>` — no foreign error types, no
 //!   `Option`/`bool`-as-error on fallibly-named functions.
-//! * **L6 — lock discipline**: (a) `Condvar::wait` only directly inside
-//!   a `while`/`loop` body where its predicate is re-checked; (d) no
-//!   kernel entry point launched while a lock guard binding is live.
-//!   (Sub-rule (b), raw `.lock().unwrap()` acquisitions, is
+//! * **L6 — lock discipline**: (d) no kernel entry point launched
+//!   while a lock guard binding is live. (Sub-rule (a), `Condvar::wait`
+//!   only inside a predicate re-check loop, lost its subject in PR 23:
+//!   the `idg-sync` facade has no condvar and `clippy.toml` bans the
+//!   std one; (b), raw `.lock().unwrap()` acquisitions, is
 //!   `clippy::unwrap_used`; (c), lock order, lost its subject in PR 15.)
 //!
 //! Run as `cargo run -p idg-lint`: exit 1 on any diagnostic. There is
@@ -41,8 +42,8 @@ pub enum Rule {
     L3,
     /// Typed fallibility (`Result<_, IdgError>`).
     L4,
-    /// Lock discipline (wait-in-loop, guard liveness across kernel
-    /// launches).
+    /// Lock discipline, sub-rule (d): guard liveness across kernel
+    /// launches.
     L6,
 }
 
@@ -128,9 +129,6 @@ pub struct Config {
     pub l3_crates: Vec<String>,
     /// Crates exempt from L4 (dev tooling with its own error type).
     pub l4_exempt_crates: Vec<String>,
-    /// Crates exempt from L6: the sync facade and the model checker
-    /// implement `wait` on top of the raw std primitives.
-    pub sync_exempt_crates: Vec<String>,
 }
 
 impl Config {
@@ -145,7 +143,6 @@ impl Config {
             // lint has its own error type; mc mirrors std::thread's
             // API, where join's error *is* the panic payload.
             l4_exempt_crates: vec!["lint".to_string(), "mc".to_string()],
-            sync_exempt_crates: vec!["sync".to_string(), "mc".to_string()],
         }
     }
 }

@@ -4,10 +4,9 @@
 //! `shims/syn`); this module rebuilds the two structural facts the rules
 //! need on top of it:
 //!
-//! * **test exemption** — which regions of a file are test code
-//!   (`#[cfg(test)]` items, `#[test]`/`#[should_panic]` functions, and
-//!   everything after an inner `#![cfg(test)]`), so library-only rules
-//!   never fire inside tests;
+//! * **test exemption** — which items of a file are test code
+//!   (`#[cfg(test)]` items and `#[test]`/`#[should_panic]` functions),
+//!   so library-only rules never fire inside tests;
 //! * **function items** — every `fn` with its name, visibility,
 //!   signature/return-type token runs and body group, so the contract
 //!   rules (L3/L4) and guard liveness (L6) can reason per function.
@@ -17,45 +16,16 @@
 
 use syn::{Delimiter, Group, TokenTree};
 
-/// Context handed to every token visit.
-#[derive(Clone, Debug)]
-pub struct Cx {
-    /// Inside test-exempt code (`#[cfg(test)]` module, `#[test]` fn, …).
-    pub in_test: bool,
-    /// The innermost enclosing brace group is the body of a
-    /// `while`/`loop` — the only position where a `Condvar::wait` gets
-    /// its predicate re-checked (L6 sub-rule (a)). An `if` body, a
-    /// plain block, or a function body resets this: a wait there is
-    /// if-guarded or bare even when an outer loop exists.
-    pub wait_ok: bool,
-}
-
-impl Cx {
-    fn root() -> Self {
-        Cx {
-            in_test: false,
-            wait_ok: false,
-        }
-    }
-}
-
 /// Does an attribute token run (the tokens *inside* the `[...]` of an
 /// attribute) mark the annotated item as lint-exempt?
 ///
 /// Recognized: `test`, `should_panic`, `cfg(test)`, and `cfg(...)` whose
 /// argument list mentions `test` anywhere (covers `cfg(any(test, ...))`).
-/// `cfg(idg_model_check)` is exempt on the same footing: it gates
-/// model-check-only scaffolding (seeded concurrency mutants, schedule
-/// harness hooks) that is verification code, not library code — the
-/// mutants exist precisely to violate the concurrency rules so the
-/// dynamic checker can demonstrate the failure.
 fn attr_is_test(attr_tokens: &[TokenTree]) -> bool {
     match attr_tokens.first() {
         Some(TokenTree::Ident(i)) if i.text == "test" || i.text == "should_panic" => true,
         Some(TokenTree::Ident(i)) if i.text == "cfg" => attr_tokens.iter().any(|t| match t {
-            TokenTree::Group(g) => {
-                contains_ident(&g.tokens, "test") || contains_ident(&g.tokens, "idg_model_check")
-            }
+            TokenTree::Group(g) => contains_ident(&g.tokens, "test"),
             _ => false,
         }),
         _ => false,
@@ -69,95 +39,6 @@ pub fn contains_ident(tokens: &[TokenTree], name: &str) -> bool {
         TokenTree::Group(g) => contains_ident(&g.tokens, name),
         _ => false,
     })
-}
-
-/// Walk every token of `tokens` depth-first, calling
-/// `visit(level_tokens, index, cx)` once per token with the sibling
-/// slice it lives in (so rules can pattern-match neighborhoods).
-/// Attribute groups are skipped; test regions carry `cx.in_test`.
-pub fn for_each_token<F>(tokens: &[TokenTree], visit: &mut F)
-where
-    F: FnMut(&[TokenTree], usize, &Cx),
-{
-    walk_level(tokens, &Cx::root(), visit);
-}
-
-fn walk_level<F>(tokens: &[TokenTree], cx: &Cx, visit: &mut F)
-where
-    F: FnMut(&[TokenTree], usize, &Cx),
-{
-    let mut cx_here = cx.clone();
-    // `pending_test` marks the item introduced by a preceding test
-    // attribute; it covers every token up to (and including) the item's
-    // brace-group body, or up to `;` for body-less items.
-    let mut pending_test = false;
-    // A `while`/`loop` keyword whose body brace is still ahead: that
-    // brace is a loop body, the one place `Condvar::wait` may live.
-    let mut pending_loop = false;
-    let mut i = 0usize;
-    while i < tokens.len() {
-        match &tokens[i] {
-            TokenTree::Punct(p) if p.ch == '#' => {
-                // Attribute: `#[...]` (outer) or `#![...]` (inner).
-                let inner = matches!(&tokens.get(i + 1), Some(TokenTree::Punct(q)) if q.ch == '!');
-                let group_idx = if inner { i + 2 } else { i + 1 };
-                if let Some(TokenTree::Group(g)) = tokens.get(group_idx) {
-                    if g.delimiter == Delimiter::Bracket {
-                        if attr_is_test(&g.tokens) {
-                            if inner {
-                                // `#![cfg(test)]`: the rest of this level
-                                // is test code.
-                                cx_here.in_test = true;
-                            } else {
-                                pending_test = true;
-                            }
-                        }
-                        // Attribute tokens are metadata — do not visit.
-                        i = group_idx + 1;
-                        continue;
-                    }
-                }
-                visit(tokens, i, &cx_here);
-                i += 1;
-            }
-            TokenTree::Ident(id) if id.text == "loop" || id.text == "while" => {
-                visit(tokens, i, &cx_here);
-                pending_loop = true;
-                i += 1;
-            }
-            TokenTree::Punct(p) if p.ch == ';' => {
-                visit(tokens, i, &cx_here);
-                pending_test = false;
-                pending_loop = false;
-                i += 1;
-            }
-            TokenTree::Group(g) => {
-                visit(tokens, i, &cx_here);
-                let mut sub = cx_here.clone();
-                sub.in_test |= pending_test;
-                if g.delimiter == Delimiter::Brace {
-                    // The brace is a loop body iff a `while`/`loop`
-                    // introduced it; any other brace (fn body, `if`,
-                    // `match`, plain block) resets wait-position.
-                    sub.wait_ok = pending_loop;
-                    pending_loop = false;
-                    // A brace group closes the pending item.
-                    walk_level(&g.tokens, &sub, visit);
-                    pending_test = false;
-                } else {
-                    // Args/index/tuple groups between an attribute (or a
-                    // loop condition) and the body inherit the pending
-                    // flags but do not consume them.
-                    walk_level(&g.tokens, &sub, visit);
-                }
-                i += 1;
-            }
-            _ => {
-                visit(tokens, i, &cx_here);
-                i += 1;
-            }
-        }
-    }
 }
 
 /// A recognized `fn` item.

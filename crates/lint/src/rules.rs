@@ -1,12 +1,11 @@
-//! The workspace invariants this crate enforces: L3, L4 and L6 (a)/(d).
+//! The workspace invariants this crate enforces: L3, L4 and L6 (d).
 //!
 //! Each rule is a pure function from a parsed file (plus the scope
 //! [`Config`](crate::Config)) to diagnostics. All rules are
-//! test-module-aware: nothing fires inside `#[cfg(test)]` items,
-//! `#[test]`/`#[should_panic]` functions, or after an inner
-//! `#![cfg(test)]`.
+//! test-module-aware: nothing fires inside `#[cfg(test)]` items or
+//! `#[test]`/`#[should_panic]` functions.
 
-use crate::model::{collect_fns, contains_ident, for_each_token, Cx, FnItem};
+use crate::model::{collect_fns, contains_ident, FnItem};
 use crate::{Config, Diagnostic, Rule};
 use syn::{Delimiter, TokenTree};
 
@@ -23,12 +22,7 @@ pub fn lint_file(path: &str, file: &syn::File, cfg: &Config) -> Vec<Diagnostic> 
     if !cfg.l4_exempt_crates.iter().any(|c| c == krate) {
         l4_typed_errors(path, &fns, cfg, &mut diags);
     }
-    // L6 everywhere except the facade crates: `idg-sync` and `idg-mc`
-    // are where `wait` itself is implemented.
-    if !cfg.sync_exempt_crates.iter().any(|c| c == krate) {
-        l6_wait_in_loop(path, file, &mut diags);
-        l6_guard_liveness(path, &fns, &mut diags);
-    }
+    l6_guard_liveness(path, &fns, &mut diags);
     diags
 }
 
@@ -119,9 +113,8 @@ pub const KERNEL_CONTRACTS: &[KernelContract] = &[
         signature_marker: "JobOutcome",
         required_any: &["add_health_outcomes", "add_breaker_trips"],
     },
-    // the streaming scheduler: every chunk it ingests (and every
-    // window-constrained admission) must surface in the stream
-    // counters, or the soak suite's backpressure assertions go blind
+    // the streaming scheduler: every chunk it runs must surface in
+    // the stream counters, or the soak suite's assertions go blind
     KernelContract {
         name_prefix: "run_stream",
         signature_marker: "Chunk",
@@ -341,33 +334,6 @@ fn is_method_call(toks: &[TokenTree], i: usize) -> bool {
             toks.get(i + 1),
             Some(TokenTree::Group(g)) if g.delimiter == Delimiter::Parenthesis
         )
-}
-
-/// Sub-rule (a): `Condvar::wait` only *directly* inside a `while`/`loop`
-/// body, where the loop re-checks the predicate around it. An
-/// if-guarded or bare wait admits lost wakeups — the seeded stream
-/// mutant demonstrates the failing schedule under the model checker —
-/// and an extra block between the wait and its loop hides the re-check,
-/// so it is flagged the same way.
-fn l6_wait_in_loop(path: &str, file: &syn::File, diags: &mut Vec<Diagnostic>) {
-    for_each_token(&file.tokens, &mut |toks: &[TokenTree], i, cx: &Cx| {
-        if cx.in_test {
-            return;
-        }
-        let TokenTree::Ident(id) = &toks[i] else {
-            return;
-        };
-        if id.text == "wait" && is_method_call(toks, i) && !cx.wait_ok {
-            diags.push(diag(
-                path,
-                &toks[i],
-                Rule::L6,
-                "Condvar::wait outside a while/loop predicate re-check — an if-guarded or \
-                 bare wait loses wakeups (DESIGN.md §13)"
-                    .to_string(),
-            ));
-        }
-    });
 }
 
 /// Sub-rule (d): guard liveness across kernel launches. A `let` binding

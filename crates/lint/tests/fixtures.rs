@@ -1,9 +1,8 @@
 //! Fixture coverage for the rules `idg-lint` carries (L3, L4, L6): one
-//! violating and one clean file per rule (and per L6 sub-rule), asserted
-//! down to the exact `line:column` spans, plus the scoping behavior
-//! (L3/L4 crate lists, the L6 facade-crate exemption), the
-//! live-workspace meta-check that mirrors the CI gate, and the manifest
-//! check that keeps every crate under `[workspace.lints]`.
+//! violating and one clean file per rule, asserted down to the exact
+//! `line:column` spans, plus the scoping behavior (L3/L4 crate lists),
+//! the live-workspace meta-check that mirrors the CI gate, and the
+//! manifest check that keeps every crate under `[workspace.lints]`.
 
 use idg_lint::{lint_source, Config, Diagnostic, Rule};
 
@@ -148,26 +147,6 @@ fn workspace_root() -> std::path::PathBuf {
 }
 
 #[test]
-fn l6_fires_on_bare_if_guarded_and_block_hidden_waits() {
-    let diags = lint(
-        "crates/stream/src/fixture.rs",
-        include_str!("fixtures/l6_wait_violating.rs"),
-    );
-    assert_eq!(spans(&diags, Rule::L6), vec![(8, 12), (15, 16), (24, 20)]);
-    assert_eq!(diags.len(), 3, "only L6(a) fires here: {diags:?}");
-    assert!(diags[0].message.contains("predicate re-check"));
-}
-
-#[test]
-fn l6_wait_clean_fixture_passes() {
-    let diags = lint(
-        "crates/stream/src/fixture.rs",
-        include_str!("fixtures/l6_wait_clean.rs"),
-    );
-    assert_eq!(diags, vec![], "waits directly in loop bodies are legal");
-}
-
-#[test]
 fn l6_fires_on_kernel_launch_under_live_guard() {
     let diags = lint(
         "crates/kernels/src/fixture.rs",
@@ -191,27 +170,6 @@ fn l6_guard_clean_fixture_passes() {
         vec![],
         "drop/scope-released guards and obs counter calls are legal"
     );
-}
-
-#[test]
-fn l6_exempts_the_facade_crates() {
-    // `idg-sync` and `idg-mc` implement `wait` on the std primitives;
-    // the rule for its callers must not fire there.
-    for path in ["crates/sync/src/fixture.rs", "crates/mc/src/fixture.rs"] {
-        let diags = lint(path, include_str!("fixtures/l6_wait_violating.rs"));
-        assert_eq!(spans(&diags, Rule::L6), vec![], "{path}");
-    }
-}
-
-#[test]
-fn model_check_gated_code_is_lint_exempt() {
-    // `#[cfg(idg_model_check)]` gates verification scaffolding — the
-    // seeded mutants violate L6 on purpose so the model checker can
-    // demonstrate the failure, and must not trip the static rule.
-    let src = "#[cfg(idg_model_check)]\nimpl S {\n    pub fn mutant(&self) {\n        \
-               let mut g = self.m.lock();\n        g = self.cv.wait(g);\n    }\n}\n";
-    let diags = lint("crates/stream/src/fixture.rs", src);
-    assert_eq!(diags, vec![]);
 }
 
 // ---------------------------------------------------------------------------

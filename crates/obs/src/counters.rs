@@ -116,13 +116,13 @@ pub struct MetricsSnapshot {
     pub degradation_steps: u64,
     /// Jobs re-dispatched from a tripped device to a healthy peer.
     pub redispatched_jobs: u64,
-    /// Chunks admitted by the streaming front-end's scheduler.
+    /// Chunks run by the streaming front-end's scheduler.
     pub chunks_ingested: u64,
-    /// Window-constrained admissions in the streaming scheduler (the
-    /// producer had to wait for an in-flight pass to complete).
+    /// `max(0, nr_chunks − max_inflight)` summed over the session's
+    /// scheduler runs: a function of the stream configuration.
     pub backpressure_waits: u64,
-    /// Peak admitted-but-uncompleted streamed passes (max-merged, not
-    /// summed, across scheduler runs in the session).
+    /// `min(max_inflight, nr_chunks)` of a scheduler run (max-merged,
+    /// not summed, across the runs in the session).
     pub passes_inflight_max: u64,
 }
 

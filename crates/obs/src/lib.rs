@@ -19,7 +19,7 @@
 //!   spawning side captures [`current`] and each spawned thread holds
 //!   the guard of [`Recorder::enter`] while it works for the session
 //!   (`idg_stream::StreamScheduler::run_stream`, the one spawn site
-//!   that records, does this for its workers).
+//!   that records, does this for its lanes).
 //! - **what a kernel does inside a parallel region**: it does not
 //!   record there — rayon workers have no current recorder. It tallies
 //!   [`KernelCounters`] per work item beside its real loops, reduces
@@ -278,18 +278,20 @@ pub fn add_redispatched_jobs(n: u64) {
     with_collector(|c| c.metrics.redispatched_jobs += n);
 }
 
-/// Record `n` chunks admitted by the streaming scheduler.
+/// Record `n` chunks run by the streaming scheduler.
 pub fn add_chunks_ingested(n: u64) {
     with_collector(|c| c.metrics.chunks_ingested += n);
 }
 
-/// Record `n` window-constrained admissions (streaming backpressure).
+/// Record a scheduler run's `max(0, nr_chunks − max_inflight)` (see
+/// `idg_stream::StreamStats::backpressure_waits`).
 pub fn add_backpressure_waits(n: u64) {
     with_collector(|c| c.metrics.backpressure_waits += n);
 }
 
-/// Record a scheduler run's peak in-flight pass count (max-merged:
-/// the snapshot keeps the largest peak seen in the session).
+/// Record a scheduler run's `min(max_inflight, nr_chunks)` (see
+/// `idg_stream::StreamStats::inflight_max`; max-merged: the snapshot
+/// keeps the largest seen in the session).
 pub fn record_passes_inflight(n: u64) {
     with_collector(|c| c.metrics.passes_inflight_max = c.metrics.passes_inflight_max.max(n));
 }

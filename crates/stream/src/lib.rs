@@ -10,11 +10,11 @@
 //!   accumulation never crosses an A-term boundary — so a chunk-local
 //!   plan started on one reproduces exactly the work items the
 //!   one-shot plan emits there (see [`idg_plan::Plan::create_windowed`]).
-//! - [`StreamScheduler::run_stream`] drives the chunks through a
-//!   bounded submission queue with backpressure: the producer admits
-//!   at most `max_inflight` un-completed chunks, worker threads
-//!   execute them concurrently, and every chunk's result lands in its
-//!   own slot exactly once, whatever order completions arrive in.
+//! - [`StreamScheduler::run_stream`] runs the chunk passes on
+//!   `lanes = min(workers, max_inflight)` threads that each take the
+//!   next chunk index from one shared counter; every chunk's result
+//!   lands in its own slot exactly once, whatever order the passes
+//!   finish in.
 //!
 //! The scheduler is deliberately generic over the per-chunk pass
 //! (`Fn(&Chunk) -> Result<T, IdgError>`): the proxy plugs in CPU
@@ -26,21 +26,19 @@
 //! (f32 addition is order-sensitive and `0.0 + (-0.0)` even flips a
 //! sign bit).
 //!
-//! Both backpressure metrics are deterministic by construction, so
-//! same-seed soak runs snapshot byte-identically:
-//! `backpressure_waits` counts *window-constrained admissions* (chunk
-//! `k` with `k ≥ max_inflight` must wait for completion `k −
-//! max_inflight`, whether or not the wait blocks), which is
-//! `max(0, nr_chunks − max_inflight)`; `passes_inflight_max` is
-//! pinned at `min(max_inflight, nr_chunks)` because workers only
-//! start once the admission window is pre-filled.
+//! `max_inflight` caps how many chunk passes run at once (`lanes =
+//! min(workers, max_inflight)`) and nothing else: the dataset is
+//! complete in memory and every chunk's output stays in its slot until
+//! the stream drains, so there is no memory for a window to bound.
+//! `inflight_max = min(max_inflight, n)` and `backpressure_waits =
+//! max(0, n − max_inflight)` are functions of the configuration, kept
+//! because reports, goldens and the benchmark name them.
 
 #![deny(missing_docs)]
 
 use idg_plan::{Plan, UvExtents};
-use idg_sync::{thread, Condvar, Mutex};
+use idg_sync::{thread, Mutex};
 use idg_types::{IdgError, Observation, Uvw};
-use std::collections::VecDeque;
 use std::ops::Range;
 
 /// How to bound one ingestion chunk along the time axis.
@@ -223,13 +221,14 @@ pub struct StreamStats {
     pub nr_chunks: usize,
     /// Worker threads the scheduler ran.
     pub nr_workers: usize,
-    /// Admission-window bound (backpressure threshold).
+    /// Cap on chunk passes running at once (`lanes = min(nr_workers,
+    /// max_inflight)`).
     pub max_inflight: usize,
-    /// Peak admitted-but-uncompleted chunks observed
-    /// (`min(max_inflight, nr_chunks)` by construction).
+    /// `min(max_inflight, nr_chunks)`: a function of the configuration,
+    /// kept because reports, goldens and the benchmark name it.
     pub inflight_max: usize,
-    /// Window-constrained admissions (`max(0, nr_chunks −
-    /// max_inflight)` by construction).
+    /// `max(0, nr_chunks − max_inflight)`: a function of the
+    /// configuration, kept for the same reason.
     pub backpressure_waits: u64,
     /// Chunks whose pass returned `Ok`.
     pub completed_chunks: usize,
@@ -248,30 +247,17 @@ pub struct StreamRun<T> {
     pub stats: StreamStats,
 }
 
-/// Bounded concurrent pass scheduler: a producer admits chunks into a
-/// queue capped at `max_inflight`, `workers` threads drain it.
+/// Concurrent pass scheduler: `min(workers, max_inflight)` threads
+/// share one next-chunk counter.
 #[derive(Copy, Clone, Debug)]
 pub struct StreamScheduler {
     workers: usize,
     max_inflight: usize,
 }
 
-/// Producer/worker shared state behind the scheduler's mutex.
-struct SchedState {
-    queue: VecDeque<usize>,
-    admitted: usize,
-    completed: usize,
-    inflight_max: usize,
-    waits: u64,
-    /// Workers hold off until the admission window is pre-filled, so
-    /// the observed `inflight_max` is deterministic.
-    started: bool,
-    producer_done: bool,
-}
-
 impl StreamScheduler {
-    /// A scheduler with `workers` threads and an admission window of
-    /// `max_inflight` chunks. Both must be positive.
+    /// A scheduler with `workers` threads, of which at most
+    /// `max_inflight` run a chunk pass at once. Both must be positive.
     pub fn new(workers: usize, max_inflight: usize) -> Result<StreamScheduler, IdgError> {
         if workers == 0 {
             return Err(IdgError::InvalidParameter(
@@ -294,21 +280,22 @@ impl StreamScheduler {
         self.workers
     }
 
-    /// Admission-window bound.
+    /// Cap on chunk passes running at once.
     pub fn max_inflight(&self) -> usize {
         self.max_inflight
     }
 
-    /// Drive every chunk through `exec` across the worker pool, under
-    /// the bounded admission window.
+    /// Drive every chunk through `exec` on `min(workers, max_inflight,
+    /// chunks.len())` threads.
     ///
-    /// The calling thread is the producer: it admits chunk `k` only
-    /// once fewer than `max_inflight` admitted chunks remain
-    /// uncompleted, counting each window-constrained admission in
-    /// `backpressure_waits`. Results are delivered exactly once per
-    /// chunk, in per-chunk slots — completion order never reorders
+    /// Each thread takes the next chunk index from a shared counter
+    /// until the chunks run out, so results are delivered exactly once
+    /// per chunk, in per-chunk slots — completion order never reorders
     /// them. A chunk whose pass fails does not abort the stream; its
-    /// error is returned in its slot.
+    /// error is returned in its slot. A pass that panics takes its
+    /// thread with it, not the stream: that chunk's slot (and, once no
+    /// thread is left, every chunk not yet started) reports a typed
+    /// [`IdgError::Internal`].
     pub fn run_stream<T, F>(&self, chunks: &[Chunk], exec: F) -> Result<StreamRun<T>, IdgError>
     where
         T: Send,
@@ -316,96 +303,61 @@ impl StreamScheduler {
     {
         let n = chunks.len();
         let cap = self.max_inflight;
-        let prefill = cap.min(n);
+        let lanes = self.workers.min(cap).min(n);
+        let inflight_max = cap.min(n);
+        let waits = n.saturating_sub(cap) as u64;
         idg_obs::add_chunks_ingested(n as u64);
-
-        let state = Mutex::new(SchedState {
-            queue: VecDeque::new(),
-            admitted: 0,
-            completed: 0,
-            inflight_max: 0,
-            waits: 0,
-            started: n == 0,
-            producer_done: false,
-        });
-        let cond_work = Condvar::new();
-        let cond_space = Condvar::new();
-        let slots: Vec<Mutex<Option<Result<T, IdgError>>>> =
-            (0..n).map(|_| Mutex::new(None)).collect();
-        // the workers work for the producer's session, if it has one
-        let recorder = idg_obs::current();
-
-        thread::scope(|scope| {
-            for _ in 0..self.workers {
-                scope.spawn(|| {
-                    let _entered = recorder.as_ref().map(idg_obs::Recorder::enter);
-                    loop {
-                        let job = {
-                            let mut st = state.lock();
-                            loop {
-                                if st.started {
-                                    if let Some(j) = st.queue.pop_front() {
-                                        break Some(j);
-                                    }
-                                    if st.producer_done {
-                                        break None;
-                                    }
-                                }
-                                st = cond_work.wait(st);
-                            }
-                        };
-                        let Some(job) = job else { return };
-                        let out = {
-                            let _span =
-                                idg_obs::wall_span("chunk", "stage", u32::try_from(job).ok());
-                            exec(&chunks[job])
-                        };
-                        *slots[job].lock() = Some(out);
-                        let mut st = state.lock();
-                        st.completed += 1;
-                        cond_space.notify_all();
-                    }
-                });
-            }
-
-            // producer: bounded-window admission on the calling thread
-            for k in 0..n {
-                let mut st = state.lock();
-                if k >= cap {
-                    st.waits += 1;
-                    while st.completed + cap < k + 1 {
-                        st = cond_space.wait(st);
-                    }
-                }
-                st.queue.push_back(k);
-                st.admitted = k + 1;
-                let inflight = st.admitted - st.completed;
-                st.inflight_max = st.inflight_max.max(inflight);
-                if st.admitted == prefill {
-                    st.started = true;
-                }
-                if st.started {
-                    cond_work.notify_all();
-                }
-            }
-            let mut st = state.lock();
-            st.producer_done = true;
-            cond_work.notify_all();
-        });
-
-        let (inflight_max, waits) = {
-            let st = state.lock();
-            (st.inflight_max, st.waits)
-        };
         idg_obs::record_passes_inflight(inflight_max as u64);
         idg_obs::add_backpressure_waits(waits);
 
+        // a facade mutex, not an atomic: taking a chunk is then a
+        // decision point the model checker interleaves (DESIGN.md §13)
+        let next = Mutex::new(0usize);
+        let slots: Vec<Mutex<Option<Result<T, IdgError>>>> =
+            (0..n).map(|_| Mutex::new(None)).collect();
+        // the lanes work for the caller's session, if it has one
+        let recorder = idg_obs::current();
+
+        thread::scope(|scope| {
+            let handles: Vec<_> = (0..lanes)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let _entered = recorder.as_ref().map(idg_obs::Recorder::enter);
+                        loop {
+                            let job = {
+                                let mut next = next.lock();
+                                let job = *next;
+                                *next += 1;
+                                job
+                            };
+                            if job >= n {
+                                return;
+                            }
+                            let out = {
+                                let _span =
+                                    idg_obs::wall_span("chunk", "stage", u32::try_from(job).ok());
+                                exec(&chunks[job])
+                            };
+                            *slots[job].lock() = Some(out);
+                        }
+                    })
+                })
+                .collect();
+            // An explicit join hands a lane's panic back as `Err` where
+            // the scope's implicit one would re-raise it; the dead
+            // lane's chunk is reported from its empty slot below.
+            for handle in handles {
+                let _ = handle.join();
+            }
+        });
+
         let mut results = Vec::with_capacity(n);
-        for slot in slots {
+        for (job, slot) in slots.into_iter().enumerate() {
             let out = slot.into_inner().unwrap_or_else(|| {
-                Err(IdgError::Internal(
-                    "stream scheduler lost a chunk result".into(),
-                ))
+                Err(IdgError::Internal(format!(
+                    "stream scheduler: chunk {job} has no result (its pass panicked, or \
+                     no lane outlived an earlier panic to run it)"
+                )))
             });
             results.push(out);
         }
@@ -433,9 +385,7 @@ impl StreamScheduler {
 /// deferred output into the shared result exactly once, in chunk
 /// order. The ledger turns any violation of that discipline — a chunk
 /// committed twice, an unknown chunk index, or a chunk never
-/// committed at all — into a typed [`IdgError::Internal`], which the
-/// model-check suite relies on to catch a seeded double-commit mutant
-/// on every interleaving.
+/// committed at all — into a typed [`IdgError::Internal`].
 ///
 /// Plain data with no interior synchronization: the production commit
 /// loop runs single-threaded after the stream joins, and the model
@@ -482,251 +432,6 @@ impl CommitLedger {
     }
 }
 
-/// Seeded concurrency mutant, compiled only for model-check builds and
-/// never part of the public API: [`StreamScheduler::run_stream`] with
-/// the worker's predicate re-check loop around `Condvar::wait`
-/// collapsed to a single unguarded wait — the exact shape lint L6
-/// sub-rule (a) bans. A worker that reaches the wait after the
-/// producer's notifications have already fired parks forever while the
-/// producer parks on backpressure behind it; the model-check
-/// regression suite proves the explorer reports this schedule as a
-/// lost wakeup, demonstrating the static rule and the dynamic checker
-/// guard the same invariant.
-#[cfg(idg_model_check)]
-impl StreamScheduler {
-    #[doc(hidden)]
-    pub fn run_stream_unguarded_wait_mutant<T, F>(
-        &self,
-        chunks: &[Chunk],
-        exec: F,
-    ) -> Result<StreamRun<T>, IdgError>
-    where
-        T: Send,
-        F: Fn(&Chunk) -> Result<T, IdgError> + Sync,
-    {
-        let n = chunks.len();
-        let cap = self.max_inflight;
-        let prefill = cap.min(n);
-
-        let state = Mutex::new(SchedState {
-            queue: VecDeque::new(),
-            admitted: 0,
-            completed: 0,
-            inflight_max: 0,
-            waits: 0,
-            started: n == 0,
-            producer_done: false,
-        });
-        let cond_work = Condvar::new();
-        let cond_space = Condvar::new();
-        let slots: Vec<Mutex<Option<Result<T, IdgError>>>> =
-            (0..n).map(|_| Mutex::new(None)).collect();
-
-        thread::scope(|scope| {
-            for _ in 0..self.workers {
-                scope.spawn(|| loop {
-                    let job = {
-                        let mut st = state.lock();
-                        // MUTANT: the re-check loop is gone — wait
-                        // first, check once. A notification sent
-                        // before this wait began is lost for good.
-                        st = cond_work.wait(st);
-                        if st.started {
-                            st.queue.pop_front()
-                        } else {
-                            None
-                        }
-                    };
-                    let Some(job) = job else { return };
-                    let out = exec(&chunks[job]);
-                    *slots[job].lock() = Some(out);
-                    let mut st = state.lock();
-                    st.completed += 1;
-                    cond_space.notify_all();
-                });
-            }
-
-            for k in 0..n {
-                let mut st = state.lock();
-                if k >= cap {
-                    st.waits += 1;
-                    while st.completed + cap < k + 1 {
-                        st = cond_space.wait(st);
-                    }
-                }
-                st.queue.push_back(k);
-                st.admitted = k + 1;
-                let inflight = st.admitted - st.completed;
-                st.inflight_max = st.inflight_max.max(inflight);
-                if st.admitted == prefill {
-                    st.started = true;
-                }
-                if st.started {
-                    cond_work.notify_all();
-                }
-            }
-            let mut st = state.lock();
-            st.producer_done = true;
-            cond_work.notify_all();
-        });
-
-        let (inflight_max, waits) = {
-            let st = state.lock();
-            (st.inflight_max, st.waits)
-        };
-        let mut results = Vec::with_capacity(n);
-        for slot in slots {
-            let out = slot.into_inner().unwrap_or_else(|| {
-                Err(IdgError::Internal(
-                    "stream scheduler lost a chunk result".into(),
-                ))
-            });
-            results.push(out);
-        }
-        let completed_chunks = results.iter().filter(|r| r.is_ok()).count();
-        Ok(StreamRun {
-            stats: StreamStats {
-                direction: StreamDirection::Gridding,
-                nr_chunks: n,
-                nr_workers: self.workers,
-                max_inflight: cap,
-                inflight_max,
-                backpressure_waits: waits,
-                completed_chunks,
-                failed_chunks: n - completed_chunks,
-            },
-            results,
-        })
-    }
-
-    /// Seeded delivery mutant for the degrid direction: identical to
-    /// [`StreamScheduler::run_stream`], except the first worker to
-    /// finish chunk 0 re-enqueues it once, so the chunk's pass — and
-    /// therefore the caller's commit — runs twice. A commit loop
-    /// guarded by a [`CommitLedger`] must reject the redelivery on
-    /// every schedule; the model-check regression suite proves the
-    /// explorer reports it (as a panic from the ledger's typed error)
-    /// and replays the failing schedule byte-identically.
-    #[doc(hidden)]
-    pub fn run_stream_double_commit_mutant<T, F>(
-        &self,
-        chunks: &[Chunk],
-        exec: F,
-    ) -> Result<StreamRun<T>, IdgError>
-    where
-        T: Send,
-        F: Fn(&Chunk) -> Result<T, IdgError> + Sync,
-    {
-        let n = chunks.len();
-        let cap = self.max_inflight;
-        let prefill = cap.min(n);
-
-        let state = Mutex::new(SchedState {
-            queue: VecDeque::new(),
-            admitted: 0,
-            completed: 0,
-            inflight_max: 0,
-            waits: 0,
-            started: n == 0,
-            producer_done: false,
-        });
-        let cond_work = Condvar::new();
-        let cond_space = Condvar::new();
-        let redelivered = Mutex::new(false);
-        let slots: Vec<Mutex<Option<Result<T, IdgError>>>> =
-            (0..n).map(|_| Mutex::new(None)).collect();
-
-        thread::scope(|scope| {
-            for _ in 0..self.workers {
-                scope.spawn(|| loop {
-                    let job = {
-                        let mut st = state.lock();
-                        loop {
-                            if st.started {
-                                if let Some(j) = st.queue.pop_front() {
-                                    break Some(j);
-                                }
-                                if st.producer_done {
-                                    break None;
-                                }
-                            }
-                            st = cond_work.wait(st);
-                        }
-                    };
-                    let Some(job) = job else { return };
-                    let out = exec(&chunks[job]);
-                    *slots[job].lock() = Some(out);
-                    let mut st = state.lock();
-                    st.completed += 1;
-                    // MUTANT: chunk 0 is fed back into the queue once
-                    // after its first completion — a duplicate
-                    // delivery the exactly-once commit must reject.
-                    if job == 0 {
-                        let mut seen = redelivered.lock();
-                        if !*seen {
-                            *seen = true;
-                            st.queue.push_back(0);
-                            cond_work.notify_all();
-                        }
-                    }
-                    cond_space.notify_all();
-                });
-            }
-
-            for k in 0..n {
-                let mut st = state.lock();
-                if k >= cap {
-                    st.waits += 1;
-                    while st.completed + cap < k + 1 {
-                        st = cond_space.wait(st);
-                    }
-                }
-                st.queue.push_back(k);
-                st.admitted = k + 1;
-                let inflight = st.admitted - st.completed;
-                st.inflight_max = st.inflight_max.max(inflight);
-                if st.admitted == prefill {
-                    st.started = true;
-                }
-                if st.started {
-                    cond_work.notify_all();
-                }
-            }
-            let mut st = state.lock();
-            st.producer_done = true;
-            cond_work.notify_all();
-        });
-
-        let (inflight_max, waits) = {
-            let st = state.lock();
-            (st.inflight_max, st.waits)
-        };
-        let mut results = Vec::with_capacity(n);
-        for slot in slots {
-            let out = slot.into_inner().unwrap_or_else(|| {
-                Err(IdgError::Internal(
-                    "stream scheduler lost a chunk result".into(),
-                ))
-            });
-            results.push(out);
-        }
-        let completed_chunks = results.iter().filter(|r| r.is_ok()).count();
-        Ok(StreamRun {
-            stats: StreamStats {
-                direction: StreamDirection::Gridding,
-                nr_chunks: n,
-                nr_workers: self.workers,
-                max_inflight: cap,
-                inflight_max,
-                backpressure_waits: waits,
-                completed_chunks,
-                failed_chunks: n - completed_chunks,
-            },
-            results,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -734,7 +439,7 @@ mod tests {
     use std::sync::Barrier;
 
     #[test]
-    fn workers_record_into_the_producers_session_and_no_other_thread_does() {
+    fn workers_record_into_the_callers_session_and_no_other_thread_does() {
         let chunks: Vec<Chunk> = (0..4)
             .map(|i| Chunk {
                 index: i,
@@ -784,5 +489,36 @@ mod tests {
             .collect();
         chunk_spans.sort();
         assert_eq!(chunk_spans, [Some(0), Some(1), Some(2), Some(3)]);
+    }
+
+    fn internal_message(result: Result<(), IdgError>) -> String {
+        match result {
+            Err(IdgError::Internal(message)) => message,
+            other => panic!("expected IdgError::Internal, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn ledger_rejects_a_second_commit_of_the_same_chunk() {
+        let mut ledger = CommitLedger::new(2);
+        ledger.commit(1).expect("first commit of chunk 1");
+        assert!(internal_message(ledger.commit(1)).contains("chunk 1 committed twice"));
+        // the rejected commit changed nothing: chunk 0 is still owed
+        ledger.commit(0).expect("first commit of chunk 0");
+        ledger.finish().expect("both chunks committed once");
+    }
+
+    #[test]
+    fn ledger_rejects_an_out_of_range_chunk() {
+        let mut ledger = CommitLedger::new(2);
+        assert!(internal_message(ledger.commit(2)).contains("chunk 2 out of range (2 chunks)"));
+    }
+
+    #[test]
+    fn ledger_finish_names_the_first_missing_chunk() {
+        let mut ledger = CommitLedger::new(3);
+        ledger.commit(0).expect("first commit of chunk 0");
+        ledger.commit(2).expect("first commit of chunk 2");
+        assert!(internal_message(ledger.finish()).contains("chunk 1 was never committed"));
     }
 }

@@ -8,10 +8,11 @@
 //! bit-identity argument in `idg::proxy::streaming` rests on.
 //!
 //! **Scheduler exactly-once.** For random chunk counts, worker counts
-//! and admission windows, every chunk's pass runs exactly once, its
+//! and `max_inflight` caps, every chunk's pass runs exactly once, its
 //! result (success or failure) lands in its own slot, failures never
-//! abort the stream, and the backpressure metrics take the
-//! deterministic closed-form values the crate docs promise.
+//! abort the stream, no more than `min(workers, max_inflight)` passes
+//! are ever observed running at once, and the two configuration stats
+//! take the closed-form values the crate docs promise.
 
 use idg_stream::{Chunk, ChunkPolicy, ChunkedDataset, StreamScheduler};
 use idg_types::{IdgError, Observation};
@@ -99,14 +100,20 @@ proptest! {
         let scheduler = StreamScheduler::new(workers, max_inflight)
             .map_err(|e| proptest::test_runner::TestCaseError::Fail(e.to_string()))?;
         let executions = AtomicUsize::new(0);
+        let inflight = AtomicUsize::new(0);
+        let inflight_peak = AtomicUsize::new(0);
         let run = scheduler
             .run_stream(&chunks, |chunk| {
                 executions.fetch_add(1, Ordering::SeqCst);
-                if chunk.index % fail_stride == 0 {
+                let now = inflight.fetch_add(1, Ordering::SeqCst) + 1;
+                inflight_peak.fetch_max(now, Ordering::SeqCst);
+                let out = if chunk.index % fail_stride == 0 {
                     Err(IdgError::Internal(format!("injected on {}", chunk.index)))
                 } else {
                     Ok(chunk.index)
-                }
+                };
+                inflight.fetch_sub(1, Ordering::SeqCst);
+                out
             })
             .map_err(|e| proptest::test_runner::TestCaseError::Fail(e.to_string()))?;
 
@@ -138,7 +145,10 @@ proptest! {
         prop_assert_eq!(stats.completed_chunks + stats.failed_chunks, nr_chunks);
         prop_assert_eq!(stats.failed_chunks, nr_chunks.div_ceil(fail_stride));
 
-        // deterministic backpressure metrics (crate-doc contract)
+        // the cap holds for the passes actually observed in flight
+        prop_assert!(inflight_peak.load(Ordering::SeqCst) <= workers.min(max_inflight));
+
+        // the two stats that are functions of the configuration
         prop_assert_eq!(stats.nr_workers, workers);
         prop_assert_eq!(stats.max_inflight, max_inflight);
         prop_assert_eq!(stats.inflight_max, max_inflight.min(nr_chunks));

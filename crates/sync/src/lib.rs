@@ -1,9 +1,9 @@
 //! # idg-sync — the workspace concurrency facade
 //!
 //! Every library crate in the workspace takes its concurrency
-//! primitives (`Mutex`, `Condvar`, `RwLock`, `thread::scope`) from
-//! here instead of `std::sync` / `std::thread` — enforced by lint L7
-//! (clippy's `disallowed_types`/`disallowed_methods` over the root
+//! primitives (`Mutex`, `RwLock`, `thread::scope`) from here instead
+//! of `std::sync` / `std::thread` — enforced by lint L7 (clippy's
+//! `disallowed_types`/`disallowed_methods` over the root
 //! `clippy.toml`; DESIGN.md §9, §13). Two builds share one API:
 //!
 //! - **Normal builds**: zero-cost newtypes over `std::sync` whose only
@@ -21,11 +21,16 @@
 //!
 //! The poison-recovery contract is deliberate, not cavalier: every
 //! protected structure in this workspace stays consistent across a
-//! panicking critical section (counters may undercount; queues may
-//! hold an orphaned index), and the panic itself still propagates
-//! through the owning thread scope — recovering the lock merely keeps
-//! sibling workers from deadlocking behind a poisoned mutex while the
-//! panic unwinds.
+//! panicking critical section (counters may undercount), and the panic
+//! itself still reaches whoever joins the thread — its scope, or an
+//! explicit `join` — recovering the lock merely keeps sibling workers
+//! from deadlocking behind a poisoned mutex while the panic unwinds.
+//!
+//! There is deliberately no `Condvar`: no library code waits on a
+//! predicate, and `clippy.toml` bans the std one, so a lost wakeup
+//! cannot be written rather than being linted for. Code that comes to
+//! need a blocking wait brings it back as `wait_while` only — the
+//! re-check stated by the type (DESIGN.md §13, ROADMAP item 3 (b)).
 
 #![deny(missing_docs)]
 // Lint L7's exemption: this crate is where the std primitives are
@@ -34,7 +39,7 @@
 #![allow(clippy::disallowed_types, clippy::disallowed_methods)]
 
 #[cfg(idg_model_check)]
-pub use idg_mc::sync::{Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
+pub use idg_mc::sync::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Scoped threads routed through the model checker.
 #[cfg(idg_model_check)]
@@ -46,7 +51,7 @@ pub mod thread {
 mod plain;
 
 #[cfg(not(idg_model_check))]
-pub use plain::{Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
+pub use plain::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Scoped threads (plain `std::thread` in normal builds).
 #[cfg(not(idg_model_check))]

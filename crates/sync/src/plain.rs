@@ -62,45 +62,6 @@ impl<T: ?Sized> std::ops::DerefMut for MutexGuard<'_, T> {
     }
 }
 
-/// A condition variable paired with the facade [`Mutex`].
-pub struct Condvar(std::sync::Condvar);
-
-impl Condvar {
-    /// A new condvar (usable in `static` items).
-    pub const fn new() -> Condvar {
-        Condvar(std::sync::Condvar::new())
-    }
-
-    /// Release the guard's lock, park until notified (or spuriously
-    /// woken — always re-check the predicate under a `while`; lint L6
-    /// enforces this), then re-acquire. Poison-recovering.
-    pub fn wait<'a, T>(&self, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
-        MutexGuard(self.0.wait(guard.0).unwrap_or_else(PoisonError::into_inner))
-    }
-
-    /// Wake one waiter.
-    pub fn notify_one(&self) {
-        self.0.notify_one();
-    }
-
-    /// Wake every waiter.
-    pub fn notify_all(&self) {
-        self.0.notify_all();
-    }
-}
-
-impl Default for Condvar {
-    fn default() -> Condvar {
-        Condvar::new()
-    }
-}
-
-impl std::fmt::Debug for Condvar {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("Condvar")
-    }
-}
-
 /// A reader-writer lock whose acquisitions recover from poisoning.
 pub struct RwLock<T: ?Sized>(std::sync::RwLock<T>);
 
