@@ -223,8 +223,8 @@ impl Case {
 ///   w-plane and the kernels evaluate per-pixel w-phases;
 /// * `ragged-tails` — deliberately awkward sizes: odd time/channel
 ///   counts and a short A-term interval make every work item's
-///   visibility count miss the optimized kernels' `VIS_BATCH` and SIMD
-///   `LANES` boundaries, pinning the tail-handling paths.
+///   visibility count miss the optimized kernels' batch and SIMD-lane
+///   boundaries, pinning the tail-handling paths.
 pub fn standard_cases() -> Result<Vec<Case>, IdgError> {
     let nominal = Observation::builder()
         .stations(6)

@@ -24,11 +24,14 @@
 //! entry points and the streamed duplex pipeline (CPU reference
 //! back-end — the f64 gold standard the other back-ends are budgeted
 //! against), with a per-case relative tolerance budget covering f32
-//! kernel rounding.
+//! kernel rounding — and, on the optimized CPU back-end, on the two
+//! extreme work-item shapes the benchmark runs: there the oracle is the
+//! optimized degridder, which shares no inner loop with the optimized
+//! gridder.
 
-use idg::telescope::{Dataset, GaussianBeam, Layout, SkyModel};
+use idg::telescope::{Dataset, GaussianBeam, IdentityATerm, Layout, SkyModel};
 use idg::types::{Observation, Visibility};
-use idg::{Backend, ChunkPolicy, Grid, Proxy, StreamConfig};
+use idg::{Backend, ChunkPolicy, Grid, Plan, Proxy, StreamConfig};
 use idg_conformance::standard_cases;
 
 /// Relative tolerance of the identity: both sides are f64-accumulated
@@ -71,15 +74,7 @@ fn assert_adjoint_identity(name: &str, ds: &Dataset, streamed: Option<&StreamCon
     let plan = proxy.plan(&ds.uvw).expect("plan builds");
 
     let (grid_v, predicted) = match streamed {
-        None => {
-            let (grid_v, _) = proxy
-                .grid(&plan, &ds.uvw, &ds.visibilities, &ds.aterms)
-                .expect("one-shot gridding runs");
-            let (predicted, _) = proxy
-                .degrid(&plan, &grid_v, &ds.uvw, &ds.aterms)
-                .expect("one-shot degridding runs");
-            (grid_v, predicted)
-        }
+        None => one_shot_pair(&proxy, &plan, ds),
         Some(config) => {
             let (grid_v, _) = proxy
                 .grid_streamed(config, &ds.uvw, &ds.visibilities, &ds.aterms)
@@ -95,10 +90,35 @@ fn assert_adjoint_identity(name: &str, ds: &Dataset, streamed: Option<&StreamCon
             (grid_v, predicted)
         }
     };
+    let mode = if streamed.is_some() {
+        "streamed"
+    } else {
+        "one-shot"
+    };
+    assert_defect_in_budget(name, mode, ds, &grid_v, &predicted);
+}
 
-    // lhs = ⟨Grid(v), g⟩ with g = grid_v; rhs = ⟨v, Degrid(g)⟩
-    let (lhs_re, lhs_im) = grid_inner(&grid_v, &grid_v);
-    let (rhs_re, rhs_im) = vis_inner(&ds.visibilities, &predicted);
+/// `(Grid(v), Degrid(Grid(v)))` through the one-shot entry points.
+fn one_shot_pair(proxy: &Proxy, plan: &Plan, ds: &Dataset) -> (Grid<f32>, Vec<Visibility<f32>>) {
+    let (grid_v, _) = proxy
+        .grid(plan, &ds.uvw, &ds.visibilities, &ds.aterms)
+        .expect("one-shot gridding runs");
+    let (predicted, _) = proxy
+        .degrid(plan, &grid_v, &ds.uvw, &ds.aterms)
+        .expect("one-shot degridding runs");
+    (grid_v, predicted)
+}
+
+/// lhs = ⟨Grid(v), g⟩ with g = `grid_v`; rhs = ⟨v, Degrid(g)⟩.
+fn assert_defect_in_budget(
+    name: &str,
+    mode: &str,
+    ds: &Dataset,
+    grid_v: &Grid<f32>,
+    predicted: &[Visibility<f32>],
+) {
+    let (lhs_re, lhs_im) = grid_inner(grid_v, grid_v);
+    let (rhs_re, rhs_im) = vis_inner(&ds.visibilities, predicted);
 
     let scale = lhs_re.hypot(lhs_im);
     assert!(
@@ -106,11 +126,6 @@ fn assert_adjoint_identity(name: &str, ds: &Dataset, streamed: Option<&StreamCon
         "{name}: degenerate case — the gridded energy is zero"
     );
     let defect = (lhs_re - rhs_re).hypot(lhs_im - rhs_im) / scale;
-    let mode = if streamed.is_some() {
-        "streamed"
-    } else {
-        "one-shot"
-    };
     println!(
         "{name:>14} / {mode:<8} ⟨G(v),g⟩ = {lhs_re:.6e}{lhs_im:+.6e}i   \
          ⟨v,G†(g)⟩ = {rhs_re:.6e}{rhs_im:+.6e}i   defect {defect:.3e}"
@@ -192,5 +207,47 @@ fn adjoint_identity_holds_on_random_observation_shapes() {
         assert_adjoint_identity(&name, &ds, None);
         let config = StreamConfig::new(ChunkPolicy::by_timesteps(ds.obs.aterm_interval), 3, 2);
         assert_adjoint_identity(&name, &ds, Some(&config));
+    }
+}
+
+/// The two ends of the work-item range, which the standard and random
+/// cases (tens to a few hundred visibilities per item) sit between: the
+/// 8-visibility items of `sparse_snapshot` (one channel, an A-term slot
+/// every 8 steps) and the ≈ 1 200-visibility items of `ska_dense`
+/// (every seventh item: a plan's items are independent, and a
+/// visibility outside the plan contributes zero to both sides). On
+/// `CpuOptimized` the two sides of the identity come from two different
+/// inner loops — the gridder's lanes are pixels folding visibilities,
+/// the degridder reduces over pixels per visibility — so neither can
+/// hide the other's error.
+#[test]
+fn adjoint_identity_holds_on_the_extreme_item_shapes_of_the_optimized_kernels() {
+    let obs = Observation::builder()
+        .stations(10)
+        .timesteps(32)
+        .channels(1, 150e6, 1e6)
+        .grid_size(512)
+        .subgrid_size(24)
+        .aterm_interval(8)
+        .image_size(0.05)
+        .build()
+        .expect("sparse shape builds");
+    let layout = Layout::uniform(10, 1500.0, 97);
+    let sky = SkyModel::random(&obs, 8, 0.7, 101);
+    let sparse = Dataset::simulate(obs, &layout, sky, &IdentityATerm);
+    let dense = Dataset::representative(7, 42).expect("dense shape builds");
+    for (name, ds, stride, vis_per_item) in [
+        ("8 vis/item", sparse, 1, 8..=8),
+        ("1200 vis/item", dense, 7, 1100..=1300),
+    ] {
+        let proxy = Proxy::new(Backend::CpuOptimized, ds.obs.clone()).expect("proxy builds");
+        let mut plan = proxy.plan(&ds.uvw).expect("plan builds");
+        plan.items = plan.items.iter().step_by(stride).copied().collect();
+        assert!(
+            vis_per_item.contains(&(plan.nr_gridded_visibilities() / plan.items.len())),
+            "{name}: not the shape this case is for"
+        );
+        let (grid_v, predicted) = one_shot_pair(&proxy, &plan, &ds);
+        assert_defect_in_budget(name, "one-shot", &ds, &grid_v, &predicted);
     }
 }

@@ -196,11 +196,6 @@ impl FleetExecutor {
         self
     }
 
-    /// Whether any member carries a fault schedule.
-    pub fn any_faults(&self) -> bool {
-        self.members.iter().any(|m| m.faults.is_some())
-    }
-
     /// Set up per-device state, walking each device down the
     /// degradation ladder until its reservation fits (a device that
     /// cannot fit even one buffer set starts the pass dead).

@@ -8,7 +8,9 @@
 //!   onto pixels (collapsed y/x loops); the visibility batch is staged
 //!   into a shared-memory buffer bounded by the device's per-block
 //!   shared capacity; every thread accumulates its pixel's four
-//!   polarizations in registers and writes once at the end (coalesced);
+//!   polarizations in registers and writes once at the end (coalesced).
+//!   This is `idg-kernels`' one gridder body, [`pixel_lane_gridder`] —
+//!   the host's `gridder_cpu` runs the same code at another batch length;
 //! * **degridder** — threads take two roles: in the *pixel role* they
 //!   cooperatively produce a batch of corrected pixels (A-term sandwich,
 //!   taper, geometry) in shared memory; in the *visibility role* each
@@ -16,9 +18,9 @@
 //!   accumulators; the role switch repeats per pixel batch.
 //!
 //! **Lanes are threads.** A GPU runs the threads of a block a warp at a
-//! time, in lockstep: one instruction, [`WARP`] threads. The host does
-//! the same with SIMD: a warp here is [`WARP`] consecutive threads whose
-//! registers are the lanes of `[f32; WARP]` arrays — pixels in the
+//! time, in lockstep: one instruction, [`LANES`] threads. The host does
+//! the same with SIMD: a warp here is [`LANES`] consecutive threads whose
+//! registers are the lanes of `[f32; LANES]` arrays — pixels in the
 //! gridder, visibilities in the degridder. A warp loads its eight
 //! accumulator planes (re/im × 4 polarisations), steps through the staged
 //! batch broadcasting one shared-memory element at a time to all lanes
@@ -30,7 +32,7 @@
 //! thread owns one accumulation chain and no two chains ever meet:
 //!
 //! * a gridder thread folds *all* visibilities of its work item into its
-//!   pixel, in (timestep, channel) order;
+//!   pixel, in (timestep, channel) order (`idg_kernels::gridder`);
 //! * a degridder thread folds *all* pixels of the subgrid into its
 //!   visibility, in row-major pixel order;
 //!
@@ -50,52 +52,22 @@ use crate::device::Device;
 use idg_kernels::buffers::{pixel_index, SubgridArray};
 use idg_kernels::cache::{GeometryKey, KernelCache};
 use idg_kernels::geometry::KernelGeometry;
-use idg_kernels::KernelData;
+use idg_kernels::gridder::{cmac, pixel_lane_gridder, thread_pols, LaneRegs, LANES};
+use idg_kernels::{KernelData, BYTES_POL4, BYTES_UVW};
 use idg_math::{sincos, Accuracy};
 use idg_obs::{KernelCounters, KernelStage};
 use idg_perf::{degridder_counts, gridder_counts, OpCounts};
 use idg_plan::WorkItem;
-use idg_types::{Cf32, IdgError, Jones, Uvw, Visibility};
+use idg_types::{Cf32, IdgError, Jones, Visibility};
 use rayon::prelude::*;
 
-/// Bytes of one 4-pol complex-f32 quantity (visibility or pixel).
-const BYTES_POL4: u64 = 32;
-/// Bytes of one staged uvw coordinate (3 × f32).
-const BYTES_UVW: u64 = 12;
-
-/// Threads that run in lockstep, one per SIMD lane. Not a launch
-/// parameter and not part of the bits (see the module doc); 8, 16 and 32
-/// measure alike in both kernels (EXPERIMENTS.md "Device-model kernels").
-const WARP: usize = 16;
-
-/// `N` registers of one warp: one f32 per lane each.
-type WarpRegs<const N: usize> = [[f32; WARP]; N];
-
-/// One staged visibility in the gridder's shared buffer.
-#[derive(Copy, Clone)]
-struct SharedVis {
-    uvw: Uvw,
-    freq_scale: f32,
-    pols: [Cf32; 4],
-}
-
-/// Per-worker gridder state, reused across work items (`for_each_init`).
-struct GridderScratch {
-    /// Per warp of pixels: the accumulators (re, im of each polarisation),
-    /// held across batches.
-    regs: Vec<WarpRegs<8>>,
-    /// Per warp of pixels: l, m, n and the item's phase offset φ₀.
-    geo: Vec<WarpRegs<4>>,
-    /// The shared-memory staging buffer.
-    shared: Vec<SharedVis>,
-}
-
 /// Per-worker degridder state, reused across work items.
+#[derive(Default)]
 struct DegridderScratch {
     /// Per warp of visibilities: the accumulators, held across batches.
-    regs: Vec<WarpRegs<8>>,
+    regs: Vec<LaneRegs<8>>,
     /// Per warp of visibilities: u, v, w and the channel's phase scale.
-    vis: Vec<WarpRegs<4>>,
+    vis: Vec<LaneRegs<4>>,
     /// Shared memory: one batch of corrected pixels and their geometry.
     sh_pix: Vec<[Cf32; 4]>,
     sh_geo: Vec<(f32, f32, f32, f32)>,
@@ -126,27 +98,11 @@ pub(crate) fn check_device(device: &Device, gridding: bool) -> Result<(), IdgErr
     Ok(())
 }
 
-/// `acc += phasor · q` on one lane's accumulator pair: [`Cf32::mul_acc`],
-/// whose four FMAs and their order are part of the chain contract.
-#[inline(always)]
-fn cmac(ar: &mut f32, ai: &mut f32, phasor: Cf32, q: Cf32) {
-    let mut acc = Cf32::new(*ar, *ai);
-    acc.mul_acc(phasor, q);
-    (*ar, *ai) = (acc.re, acc.im);
-}
-
-/// The four polarisations thread `t` holds in its accumulators.
-fn thread_pols(regs: &[WarpRegs<8>], t: usize) -> [Cf32; 4] {
-    let (warp, lane) = (&regs[t / WARP], t % WARP);
-    std::array::from_fn(|p| Cf32::new(warp[2 * p][lane], warp[2 * p + 1][lane]))
-}
-
-/// Execute the gridder with the GPU thread-block mapping; returns the
-/// operation counters of the launch, or a typed error when the launch
-/// configuration is inconsistent with its inputs.
-///
-/// Each pixel's value is one chain over all visibilities of its work
-/// item in (timestep, channel) order — see the module doc.
+/// Execute the gridder with the GPU thread-block mapping —
+/// [`pixel_lane_gridder`] staging what the device's shared memory holds,
+/// at the fast-math sincos; returns the operation counters of the launch,
+/// or a typed error when the launch configuration is inconsistent with
+/// its inputs.
 pub fn gridder_gpu(
     data: &KernelData<'_>,
     items: &[WorkItem],
@@ -154,151 +110,11 @@ pub fn gridder_gpu(
     device: &Device,
     cache: &KernelCache,
 ) -> Result<OpCounts, IdgError> {
-    idg_kernels::check_launch(data, items, Some(subgrids))?;
     check_device(device, true)?;
-
-    let geom = KernelGeometry::new(data.obs);
-    let n = geom.subgrid_size;
-    let n2 = n * n;
-    let nr_warps = n2.div_ceil(WARP);
-    let nr_time = data.obs.nr_timesteps;
-    let nr_chan = data.obs.nr_channels();
     let batch_size = device.gridder_batch_size();
-    let planes = cache.geometry(GeometryKey::new(n, geom.image_size));
-    let scales: Vec<f32> = data
-        .obs
-        .frequencies
-        .iter()
-        .map(|f| KernelGeometry::phase_scale(*f) as f32)
-        .collect();
-
-    // one thread block per work item; blocks are independent
-    let mut tallies = vec![KernelCounters::default(); items.len()];
-    items
-        .par_iter()
-        .zip(subgrids.as_mut_slice().par_chunks_exact_mut(4 * n2))
-        .zip(tallies.par_iter_mut())
-        .for_each_init(
-            || GridderScratch {
-                regs: Vec::new(),
-                geo: Vec::new(),
-                shared: Vec::new(),
-            },
-            |scr, ((item, subgrid), tally_slot)| {
-                let (u0, v0, w0) = geom.subgrid_center_uvw(item);
-                let base = item.baseline_index * nr_time + item.time_offset;
-                let item_chan = item.nr_channels;
-                let tc = item.nr_timesteps * item_chan;
-
-                // Measured op tally for this block, incremented beside the
-                // staging and inner sincos/accumulate loops with their real
-                // trip counts; the uvw track is read once per timestep.
-                // Stored per block and recorded once per launch (rayon
-                // workers have no session to record into).
-                let mut tally = KernelCounters {
-                    invocations: 1,
-                    dram_bytes: item.nr_timesteps as u64 * BYTES_UVW,
-                    ..KernelCounters::default()
-                };
-
-                // "registers": per-pixel accumulators held across batches
-                scr.regs.clear();
-                scr.regs.resize(nr_warps, [[0.0; WARP]; 8]);
-                // each thread's pixel geometry: l/m/n from the cached
-                // planes, the phase offset per item; dead lanes stay zero
-                scr.geo.clear();
-                scr.geo.resize(nr_warps, [[0.0; WARP]; 4]);
-                for i in 0..n2 {
-                    let off = (2.0
-                        * std::f64::consts::PI
-                        * (u0 * planes.l[i] + v0 * planes.m[i] + w0 * planes.n_term[i]))
-                        as f32;
-                    let (geo, lane) = (&mut scr.geo[i / WARP], i % WARP);
-                    geo[0][lane] = planes.lf[i];
-                    geo[1][lane] = planes.mf[i];
-                    geo[2][lane] = planes.nf[i];
-                    geo[3][lane] = off;
-                }
-
-                // shared-memory staging buffer, capacity-limited
-                let shared = &mut scr.shared;
-                shared.clear();
-                shared.reserve(batch_size.min(tc));
-
-                let mut k0 = 0usize;
-                while k0 < tc {
-                    let k1 = (k0 + batch_size).min(tc);
-                    // cooperative load + transpose into shared memory
-                    shared.clear();
-                    for k in k0..k1 {
-                        let (dt, ci) = (k / item_chan, k % item_chan);
-                        let c = item.channel_offset + ci;
-                        shared.push(SharedVis {
-                            uvw: data.uvw[base + dt],
-                            freq_scale: scales[c],
-                            pols: data.visibilities[(base + dt) * nr_chan + c].pols,
-                        });
-                    }
-                    // each visibility is staged exactly once across batches
-                    tally.visibilities += shared.len() as u64;
-                    tally.dram_bytes += shared.len() as u64 * BYTES_POL4;
-
-                    // __syncthreads(); every warp of threads iterates the
-                    // staged batch, one broadcast element per step
-                    for (warp, (regs, geo)) in scr.regs.iter_mut().zip(&scr.geo).enumerate() {
-                        let [l, m, nt, off] = geo;
-                        // eight named arrays, as in `reduce_4pol`: staying in
-                        // registers must not hang on an index loop unrolling
-                        let [mut a0r, mut a0i, mut a1r, mut a1i, mut a2r, mut a2i, mut a3r, mut a3i] =
-                            *regs;
-                        for sv in shared.iter() {
-                            let (u, v, w, scale) = (sv.uvw.u, sv.uvw.v, sv.uvw.w, sv.freq_scale);
-                            let [q0, q1, q2, q3] = sv.pols;
-                            for lane in 0..WARP {
-                                let phase_index =
-                                    u.mul_add(l[lane], v.mul_add(m[lane], w * nt[lane]));
-                                let phase = scale.mul_add(phase_index, -off[lane]);
-                                let (s, c) = sincos(phase, Accuracy::Fast);
-                                let phasor = Cf32::new(c, s);
-                                cmac(&mut a0r[lane], &mut a0i[lane], phasor, q0);
-                                cmac(&mut a1r[lane], &mut a1i[lane], phasor, q1);
-                                cmac(&mut a2r[lane], &mut a2i[lane], phasor, q2);
-                                cmac(&mut a3r[lane], &mut a3i[lane], phasor, q3);
-                            }
-                        }
-                        *regs = [a0r, a0i, a1r, a1i, a2r, a2i, a3r, a3i];
-                        // the threads that exist, each over the whole batch
-                        let pairs = (WARP.min(n2 - warp * WARP) * shared.len()) as u64;
-                        tally.sincos_pairs += pairs;
-                        tally.fmas += 17 * pairs; // phase + 4 cmul-acc
-                        tally.shared_bytes += pairs * (BYTES_POL4 + BYTES_UVW);
-                    }
-                    k0 = k1;
-                }
-
-                // epilogue: A-term sandwich + taper, coalesced store
-                let ap_plane = data.aterms.plane(item.aterm_index, item.baseline.station1);
-                let aq_plane = data.aterms.plane(item.aterm_index, item.baseline.station2);
-                tally.dram_bytes += (ap_plane.len() + aq_plane.len()) as u64 * BYTES_POL4;
-                for i in 0..n2 {
-                    let (y, x) = (i / n, i % n);
-                    let pix = Jones::from_pols(thread_pols(&scr.regs, i));
-                    let corrected = ap_plane[i]
-                        .hermitian()
-                        .mul(pix)
-                        .mul(aq_plane[i])
-                        .scale(data.taper[i]);
-                    for (p, v) in corrected.to_pols().into_iter().enumerate() {
-                        subgrid[pixel_index(n, p, y, x)] = v;
-                    }
-                    tally.dram_bytes += BYTES_POL4; // output pixel written once
-                }
-                *tally_slot = tally;
-            },
-        );
-    idg_obs::add_kernel(KernelStage::Gridder, &tallies.iter().sum());
-
-    Ok(gridder_counts(items, n))
+    let tally = pixel_lane_gridder(data, items, subgrids, batch_size, Accuracy::Fast, cache)?;
+    idg_obs::add_kernel(KernelStage::Gridder, &tally);
+    Ok(gridder_counts(items, data.obs.subgrid_size))
 }
 
 /// Execute the degridder with the dual-role GPU mapping; returns the
@@ -345,23 +161,18 @@ pub fn degridder_gpu(
         .enumerate()
         .zip(tallies.par_iter_mut())
         .map_init(
-            || DegridderScratch {
-                regs: Vec::new(),
-                vis: Vec::new(),
-                sh_pix: Vec::new(),
-                sh_geo: Vec::new(),
-            },
+            DegridderScratch::default,
             |scr, ((s_idx, item), tally_slot)| {
                 let subgrid = subgrids.subgrid(s_idx);
                 let (u0, v0, w0) = geom.subgrid_center_uvw(item);
                 let base = item.baseline_index * nr_time + item.time_offset;
                 let item_chan = item.nr_channels;
                 let tc = item.nr_timesteps * item_chan;
-                let nr_warps = tc.div_ceil(WARP);
+                let nr_warps = tc.div_ceil(LANES);
                 let ap_plane = data.aterms.plane(item.aterm_index, item.baseline.station1);
                 let aq_plane = data.aterms.plane(item.aterm_index, item.baseline.station2);
 
-                // Measured op tally (see gridder_gpu). The uvw track and
+                // Measured op tally (see `pixel_lane_gridder`). The uvw track and
                 // both A-term planes are read once per item.
                 let mut tally = KernelCounters {
                     invocations: 1,
@@ -372,15 +183,15 @@ pub fn degridder_gpu(
 
                 // "registers": per-visibility accumulators across batches
                 scr.regs.clear();
-                scr.regs.resize(nr_warps, [[0.0; WARP]; 8]);
+                scr.regs.resize(nr_warps, [[0.0; LANES]; 8]);
                 // each thread's visibility coordinates, loaded once per
                 // item; dead lanes stay zero
                 scr.vis.clear();
-                scr.vis.resize(nr_warps, [[0.0; WARP]; 4]);
+                scr.vis.resize(nr_warps, [[0.0; LANES]; 4]);
                 for k in 0..tc {
                     let (dt, ci) = (k / item_chan, k % item_chan);
                     let uvw_m = data.uvw[base + dt];
-                    let (vis, lane) = (&mut scr.vis[k / WARP], k % WARP);
+                    let (vis, lane) = (&mut scr.vis[k / LANES], k % LANES);
                     vis[0][lane] = uvw_m.u;
                     vis[1][lane] = uvw_m.v;
                     vis[2][lane] = uvw_m.w;
@@ -423,11 +234,11 @@ pub fn degridder_gpu(
                     let (sh_geo, sh_pix) = (&scr.sh_geo[..i1 - i0], &scr.sh_pix[..i1 - i0]);
                     for (warp, (regs, vis)) in scr.regs.iter_mut().zip(&scr.vis).enumerate() {
                         let [u, v, w, scale] = vis;
-                        // eight named arrays (see gridder_gpu)
+                        // eight named arrays (see `idg_kernels::gridder`)
                         let [mut a0r, mut a0i, mut a1r, mut a1i, mut a2r, mut a2i, mut a3r, mut a3i] =
                             *regs;
                         for (&(l, m, nt, off), &[q0, q1, q2, q3]) in sh_geo.iter().zip(sh_pix) {
-                            for lane in 0..WARP {
+                            for lane in 0..LANES {
                                 let phase_index =
                                     u[lane].mul_add(l, v[lane].mul_add(m, w[lane] * nt));
                                 let phase = (-scale[lane]).mul_add(phase_index, off);
@@ -441,7 +252,7 @@ pub fn degridder_gpu(
                         }
                         *regs = [a0r, a0i, a1r, a1i, a2r, a2i, a3r, a3i];
                         // the threads that exist, each over the whole batch
-                        let pairs = (WARP.min(tc - warp * WARP) * (i1 - i0)) as u64;
+                        let pairs = (LANES.min(tc - warp * LANES) * (i1 - i0)) as u64;
                         tally.sincos_pairs += pairs;
                         tally.fmas += 17 * pairs; // phase + 4 cmul-acc
                         tally.shared_bytes += pairs * (BYTES_POL4 + 16 + BYTES_UVW);
@@ -909,6 +720,40 @@ mod tests {
         for ((name, ds), want) in pinned_shapes().iter().zip(pinned) {
             assert_eq!(output_hashes(ds, &pascal), want, "{name}, one batch");
             assert_eq!(output_hashes(ds, &tiny), want, "{name}, many batches");
+        }
+    }
+
+    /// One gridder body under both wrappers: the host's `gridder_cpu` at
+    /// the device's sincos accuracy equals `gridder_gpu` bit for bit on
+    /// every launch configuration — the staged-batch length (512 on the
+    /// host; 279, 372 and 5 here) does not reach the bits through either.
+    #[test]
+    fn host_and_device_gridders_are_one_body() {
+        for (name, ds) in &pinned_shapes() {
+            let plan = Plan::create(&ds.obs, &ds.uvw).unwrap();
+            let n = ds.obs.subgrid_size;
+            let taper = idg_math::spheroidal_2d(n);
+            let data = KernelData {
+                obs: &ds.obs,
+                uvw: &ds.uvw,
+                visibilities: &ds.visibilities,
+                aterms: &ds.aterms,
+                taper: &taper,
+            };
+            let cache = KernelCache::new();
+            let mut host = SubgridArray::new(plan.nr_subgrids(), n);
+            idg_kernels::gridder_cpu(&data, &plan.items, &mut host, Accuracy::Fast, &cache)
+                .expect("kernel run");
+            for device in launch_configurations() {
+                let mut sim = SubgridArray::new(plan.nr_subgrids(), n);
+                gridder_gpu(&data, &plan.items, &mut sim, &device, &cache).unwrap();
+                assert_eq!(
+                    fnv(host.as_slice().iter().copied()),
+                    fnv(sim.as_slice().iter().copied()),
+                    "{name}: batch of {}",
+                    device.gridder_batch_size()
+                );
+            }
         }
     }
 

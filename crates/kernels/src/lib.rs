@@ -5,12 +5,13 @@
 //!
 //! * [`mod@reference`] — scalar double-precision gridder/degridder, the gold
 //!   standard every optimized path is validated against;
+//! * [`gridder`] — the one optimized gridder body, a warp of pixels in
+//!   lockstep (Sec. V-C b), shared by [`cpu`] and the device model;
 //! * [`cpu`] — the optimized CPU kernels of Sec. V-B: single precision,
-//!   per-work-item SoA staging of visibilities, batched phasor
-//!   (sincos) evaluation via `idg-math` (the SVML/VML analogue),
-//!   channel-vectorized gridder reduction (Listing 1), pixel-vectorized
-//!   degridder, thread-level parallelism over work items with rayon
-//!   (the OpenMP analogue);
+//!   the shared gridder at an L1-sized batch, a pixel-vectorized
+//!   degridder (SoA staging, batched sincos via `idg-math` — the
+//!   SVML/VML analogue — and Listing 1's reduction), thread-level
+//!   parallelism over work items with rayon (the OpenMP analogue);
 //! * [`adder`] — the adder (parallel over grid rows, Sec. V-B d) and the
 //!   splitter (parallel over subgrids), including the half-pixel phase
 //!   correction that accompanies the `x + 0.5` pixel-center convention;
@@ -48,6 +49,7 @@ pub mod cache;
 pub mod cpu;
 pub mod fft;
 pub mod geometry;
+pub mod gridder;
 pub mod reference;
 
 pub use adder::{add_subgrids, split_subgrids};
@@ -60,6 +62,12 @@ pub use reference::{degridder_reference, gridder_reference};
 
 use idg_telescope::ATerms;
 use idg_types::{Observation, Uvw, Visibility};
+
+/// Bytes of one 4-polarization complex-f32 quantity (visibility sample
+/// or subgrid pixel) in the kernels' measured op tallies: 4 × 2 × 4 bytes.
+pub const BYTES_POL4: u64 = 32;
+/// Bytes of one staged uvw coordinate (3 × f32).
+pub const BYTES_UVW: u64 = 12;
 
 /// Borrowed inputs shared by the gridder and degridder kernels.
 ///

@@ -8,16 +8,10 @@
 
 use crate::buffers::{pixel_index, SubgridArray};
 use crate::geometry::KernelGeometry;
-use crate::KernelData;
+use crate::{KernelData, BYTES_POL4, BYTES_UVW};
 use idg_obs::{KernelCounters, KernelStage};
 use idg_plan::WorkItem;
 use idg_types::{Cf64, IdgError, Jones, Visibility};
-
-/// Bytes of one 4-polarization complex-f32 quantity (visibility sample
-/// or subgrid pixel): 4 × 2 × 4 bytes.
-const BYTES_POL4: u64 = 32;
-/// Bytes of one staged uvw coordinate (3 × f32).
-const BYTES_UVW: u64 = 12;
 
 /// Convert a sampled f32 Jones matrix to f64.
 fn jones64(j: Jones<f32>) -> Jones<f64> {

@@ -108,8 +108,10 @@ fn notify_before_wait_is_caught_as_lost_wakeup() {
 fn if_guarded_wait_is_caught_by_spurious_wakeups() {
     // The `if`-instead-of-`while` bug: a spurious wakeup resumes the
     // waiter without the predicate holding and the assertion fires.
-    // L6 bans this shape statically; this is the dynamic proof that
-    // the ban is load-bearing.
+    // Nothing bans this shape statically any more (lint L6(a) went in
+    // PR 23 with the facade's condvar, and `clippy.toml` bans
+    // `std::sync::Condvar` outright); this is the dynamic proof that a
+    // returning `wait_while` must keep the re-check in its type.
     let cfg = Config {
         spurious_wakeups: 1,
         ..Config::default()

@@ -12,7 +12,7 @@
 //! both views derived from one model is what makes the A-term round-trip
 //! testable.
 
-use idg_types::{Cf32, Complex, Jones, Observation};
+use idg_types::{Complex, Jones, Observation};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -233,21 +233,6 @@ impl ATerms {
     pub fn is_identity(&self) -> bool {
         self.identity
     }
-}
-
-/// Convert a sampled f32 Jones to f64 (for reference kernels).
-pub fn jones_to_f64(j: Jones<f32>) -> Jones<f64> {
-    Jones {
-        xx: j.xx.cast(),
-        xy: j.xy.cast(),
-        yx: j.yx.cast(),
-        yy: j.yy.cast(),
-    }
-}
-
-/// Check two Cf32 are close (test helper shared by downstream crates).
-pub fn cf32_close(a: Cf32, b: Cf32, tol: f32) -> bool {
-    (a - b).abs() <= tol * (1.0 + a.abs().max(b.abs()))
 }
 
 #[cfg(test)]

@@ -108,13 +108,6 @@ impl Dataset {
         self.visibilities[(baseline_index * self.obs.nr_timesteps + timestep) * nr_chan + channel]
     }
 
-    /// Replace the visibility buffer (e.g. with residuals); lengths must
-    /// match.
-    pub fn set_visibilities(&mut self, vis: Vec<Visibility<f32>>) {
-        assert_eq!(vis.len(), self.visibilities.len());
-        self.visibilities = vis;
-    }
-
     /// Total number of visibilities.
     pub fn nr_visibilities(&self) -> usize {
         self.visibilities.len()
