@@ -6,15 +6,19 @@
 //! once per gridding/degridding pass. Both are row-column decompositions
 //! on one kernel, [`FftPlan::process_lanes`]: a row-major plane *is* the
 //! lane-interleaved form of its columns (lane = `x`), so the column
-//! pass needs no gather. Two drivers sit on it, bit-identical to each
-//! other and to row-by-row, column-by-column 1-D transforms:
+//! pass needs no gather. Three drivers sit on it; the first two are
+//! bit-identical to each other and to row-by-row, column-by-column 1-D
+//! transforms:
 //!
 //! * *plane in cache* ([`Fft2d::process_with_scratch`], batched over
 //!   planes with rayon by [`Fft2d::process_batch`] — the subgrid FFTs are
 //!   embarrassingly parallel): transpose, all rows as `n` lanes,
 //!   transpose back, all columns as `n` lanes;
 //! * *banded* ([`Fft2d::process_grid`]): rows as 1-D transforms, columns
-//!   in bands of [`BAND`] lanes, parallel inside one plane.
+//!   in bands of [`BAND`] lanes, parallel inside one plane;
+//! * *real output* ([`Fft2d::inverse_real`]): the real part of an inverse
+//!   transform — a dirty image — through the Hermitian half of the
+//!   spectrum, banded like `process_grid` at about half its work.
 
 use crate::plan::{Direction, FftPlan};
 use idg_types::{Complex, Float};
@@ -143,6 +147,109 @@ impl<T: Float> Fft2d<T> {
                     }
                 });
         }
+    }
+
+    /// The real part of the inverse 2-D transform of the `n × n`
+    /// spectrum `spectrum(ky, kx)` (any spectrum, Hermitian or not),
+    /// row-major: `Re F⁻¹S`, the one transform a real image needs.
+    ///
+    /// `Re F⁻¹S = F⁻¹H` with `H(k) = ½(S(k) + conj S(−k mod n))`, and `H`
+    /// is Hermitian, so half of each pass is redundant:
+    ///
+    /// * rows: only rows `0 ..= n/2` of `H` are built (reading `S` by
+    ///   index, so the caller's shifts and sums cost no plane copy) and
+    ///   transformed; row `n − ky` of the result is the conjugate of row
+    ///   `ky`;
+    /// * columns: every column is the inverse of a Hermitian sequence, so
+    ///   real, and columns `2j` and `2j + 1` share one complex transform
+    ///   as its real and imaginary parts — a lone last column (odd `n`)
+    ///   is paired with zero. The pairs run in bands of [`BAND`] lanes as
+    ///   in [`Fft2d::process_grid`], and a band's `[n][lanes]` complex
+    ///   chunk is already its `2·lanes` real columns, row by row.
+    ///
+    /// Every `n`, Bluestein sizes included, takes this path. Not
+    /// bit-identical to the real part of `process_grid` (the inputs are
+    /// combined before the transform); `tests` hold it to the direct DFT.
+    pub fn inverse_real<S>(&self, spectrum: S) -> Vec<T>
+    where
+        S: Fn(usize, usize) -> Complex<T> + Sync,
+    {
+        let n = self.n;
+        let dir = Direction::Inverse;
+
+        // rows 0 ..= n/2 of H, each transformed as soon as it is built
+        let half = n / 2 + 1;
+        let mut rows = vec![Complex::zero(); half * n];
+        rows.par_chunks_exact_mut(n).enumerate().for_each_init(
+            || vec![Complex::zero(); self.plan.scratch_len()],
+            |scratch, (ky, row)| {
+                let my = if ky == 0 { 0 } else { n - ky };
+                let h = |kx, mx| (spectrum(ky, kx) + spectrum(my, mx).conj()).scale(T::HALF);
+                row[0] = h(0, 0);
+                for (kx, v) in row.iter_mut().enumerate().skip(1) {
+                    *v = h(kx, n - kx);
+                }
+                self.plan.process_with_scratch(row, scratch, dir);
+            },
+        );
+
+        // column pairs: Z = G(·, 2j) + i·G(·, 2j+1), G(n − ky) = conj G(ky)
+        let mut bands = vec![Complex::zero(); n.div_ceil(2) * n];
+        bands.par_chunks_mut(BAND * n).enumerate().for_each_init(
+            || vec![Complex::zero(); BAND * self.plan.scratch_len()],
+            |scratch, (b, band)| {
+                let lanes = band.len() / n;
+                let x0 = 2 * b * BAND;
+                for (ky, segment) in band.chunks_exact_mut(lanes).enumerate() {
+                    let (src, mirrored) = if ky < half {
+                        (ky, false)
+                    } else {
+                        (n - ky, true)
+                    };
+                    let row = &rows[src * n..][..n];
+                    let pair = |a: Complex<T>, b: Complex<T>| {
+                        let (a, b) = if mirrored {
+                            (a.conj(), b.conj())
+                        } else {
+                            (a, b)
+                        };
+                        a + b.mul_i()
+                    };
+                    let columns = row[x0..(x0 + 2 * lanes).min(n)].chunks_exact(2);
+                    if let [lone] = columns.remainder() {
+                        segment[lanes - 1] = pair(*lone, Complex::zero());
+                    }
+                    for (z, ab) in segment.iter_mut().zip(columns) {
+                        *z = pair(ab[0], ab[1]);
+                    }
+                }
+                self.plan.process_lanes(band, scratch, lanes, dir);
+            },
+        );
+        drop(rows);
+
+        // bands back to row-major real columns, BAND rows at a time
+        let mut out = vec![T::ZERO; n * n];
+        out.par_chunks_mut(BAND * n)
+            .enumerate()
+            .for_each(|(group, out_rows)| {
+                for (b, band) in bands.chunks(BAND * n).enumerate() {
+                    let lanes = band.len() / n;
+                    let x0 = 2 * b * BAND;
+                    let segments = band[group * BAND * lanes..].chunks_exact(lanes);
+                    for (row, segment) in out_rows.chunks_exact_mut(n).zip(segments) {
+                        let mut columns = row[x0..(x0 + 2 * lanes).min(n)].chunks_exact_mut(2);
+                        for (re_im, z) in columns.by_ref().zip(segment) {
+                            re_im[0] = z.re;
+                            re_im[1] = z.im;
+                        }
+                        if let [lone] = columns.into_remainder() {
+                            *lone = segment[lanes - 1].re;
+                        }
+                    }
+                }
+            });
+        out
     }
 }
 
@@ -288,6 +395,62 @@ mod tests {
                 fft.process_grid(&mut banded, dir);
                 assert!(banded == expect, "banded driver, n = {n}, {dir:?}");
             }
+        }
+    }
+
+    /// A seeded non-Hermitian `n × n` spectrum: the real part of its
+    /// inverse is not the whole inverse, so both halves of the identity
+    /// `inverse_real` rests on are exercised.
+    fn random_spectrum(n: usize, seed: u64) -> Vec<Cf64> {
+        use rand::{rngs::StdRng, RngExt, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..n * n)
+            .map(|_| Cf64::new(rng.random_range(-1.0..1.0), rng.random_range(-1.0..1.0)))
+            .collect()
+    }
+
+    /// `max |got − expect| / max |expect|`.
+    fn max_rel_diff(got: &[f64], expect: &[f64]) -> f64 {
+        let peak = expect.iter().fold(0.0, |m: f64, v| m.max(v.abs()));
+        let diff = got
+            .iter()
+            .zip(expect)
+            .fold(0.0, |m: f64, (a, b)| m.max((a - b).abs()));
+        diff / peak
+    }
+
+    /// Against the direct-summation oracle, which shares no code with
+    /// the plans: odd, even, Stockham and Bluestein (7, 28) sizes, a
+    /// ragged last band (24, 28, 30) and the lone last column of odd `n`.
+    #[test]
+    fn inverse_real_is_real_part_of_direct_dft() {
+        for n in [1usize, 2, 3, 5, 7, 8, 16, 24, 28, 30] {
+            let s = random_spectrum(n, n as u64);
+            let got = Fft2d::<f64>::new(n).inverse_real(|ky, kx| s[ky * n + kx]);
+            let expect: Vec<f64> = dft2d(&s, n, Direction::Inverse)
+                .iter()
+                .map(|c| c.re)
+                .collect();
+            let err = max_rel_diff(&got, &expect);
+            assert!(err < 1e-12, "n = {n}: {err:e}");
+        }
+    }
+
+    /// Against the real part of the complex banded driver in f32, at the
+    /// sizes where the bands matter: ragged (250), Bluestein and odd
+    /// (251), and the benchmark's 1024.
+    #[test]
+    fn inverse_real_is_real_part_of_process_grid_f32() {
+        for n in [250usize, 251, 1024] {
+            let s: Vec<Complex<f32>> = random_spectrum(n, 7).iter().map(|c| c.cast()).collect();
+            let fft = Fft2d::<f32>::new(n);
+            let got = fft.inverse_real(|ky, kx| s[ky * n + kx]);
+            let mut full = s.clone();
+            fft.process_grid(&mut full, Direction::Inverse);
+            let got: Vec<f64> = got.iter().map(|v| f64::from(*v)).collect();
+            let expect: Vec<f64> = full.iter().map(|c| f64::from(c.re)).collect();
+            let err = max_rel_diff(&got, &expect);
+            assert!(err < 1e-6, "n = {n}: {err:e}");
         }
     }
 

@@ -2,7 +2,7 @@
 //! (smooth and prime) sizes, checked against the mathematical
 //! invariants and the O(N²) DFT oracle.
 
-use idg_fft::dft::dft;
+use idg_fft::dft::{dft, dft2d};
 use idg_fft::{Direction, Fft2d, FftPlan};
 use idg_types::Cf64;
 use proptest::prelude::*;
@@ -116,6 +116,16 @@ proptest! {
         fft.process(&mut got, Direction::Forward);
         fft.process(&mut got, Direction::Inverse);
         prop_assert!(max_rel_err(&got, &x) < 1e-10, "n={n}");
+    }
+
+    #[test]
+    fn inverse_real_is_real_part_of_dft2d(n in 1usize..41, seed in 0u64..1_000_000) {
+        let s = signal(n * n, seed);
+        let got = Fft2d::<f64>::new(n).inverse_real(|ky, kx| s[ky * n + kx]);
+        let expect = dft2d(&s, n, Direction::Inverse);
+        let peak = expect.iter().fold(0.0, |m: f64, c| m.max(c.re.abs()));
+        let err = got.iter().zip(&expect).fold(0.0, |m: f64, (a, b)| m.max((a - b.re).abs()));
+        prop_assert!(err <= 1e-11 * peak, "n={n}: {err:e} of {peak:e}");
     }
 
     #[test]

@@ -82,7 +82,9 @@ impl<'a> ImagingCycle<'a> {
         }
     }
 
-    /// Run `nr_major_cycles` against the observed `visibilities`.
+    /// Run `nr_major_cycles` against the observed `visibilities`. A plan
+    /// that grids no visibility is an [`IdgError::InvalidParameter`]
+    /// (from [`psf_image`], before any major cycle).
     pub fn run(
         &self,
         visibilities: &[Visibility<f32>],
@@ -241,6 +243,24 @@ mod tests {
         let report = cycle.run(&ds.visibilities, 3, &clean).unwrap();
         assert!(report.components.is_empty());
         assert!(report.model_flux() == 0.0);
+    }
+
+    #[test]
+    fn plan_that_grids_nothing_is_an_error() {
+        let mut ds = dataset(SkyModel::single_center(1.0));
+        for uvw in &mut ds.uvw {
+            (uvw.u, uvw.v) = (1e9, 1e9);
+        }
+        let proxy = Proxy::new(Backend::CpuOptimized, ds.obs.clone()).unwrap();
+        let plan = proxy.plan(&ds.uvw).unwrap();
+        let cycle = ImagingCycle::new(&proxy, &plan, &ds.uvw, &ds.aterms);
+        let err = cycle
+            .run(&ds.visibilities, 1, &CleanParams::default())
+            .expect_err("nothing gridded");
+        assert!(
+            matches!(&err, IdgError::InvalidParameter(m) if m.contains("no gridded visibilities")),
+            "{err}"
+        );
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!   the direct measurement-equation visibilities of the model.
 
 use idg::fft::{fftshift2d, ifftshift2d, Direction, Fft2d};
-use idg::types::{Cf32, Grid, Observation};
+use idg::types::{Cf32, Grid, IdgError, Observation};
 use idg_math::spheroidal_eta;
 
 /// A real-valued Stokes-I image.
@@ -120,78 +120,95 @@ fn taper_axis(size: usize) -> Vec<f32> {
         .collect()
 }
 
-/// One polarization plane of the grid to the image domain:
-/// ifftshift → inverse FFT → fftshift.
-fn plane_to_image(plane: &[Cf32], size: usize) -> Vec<Cf32> {
-    let mut data = plane.to_vec();
-    ifftshift2d(&mut data, size);
-    let fft = Fft2d::<f32>::new(size);
-    fft.process_grid(&mut data, Direction::Inverse);
-    fftshift2d(&mut data, size);
-    data
+/// The Stokes-I spectrum of a grid, `½(XX + YY)`, read at the
+/// ifftshifted index — the input of every image transform, with the
+/// shift folded into the read instead of a plane copy.
+pub(crate) fn stokes_i(grid: &Grid<f32>) -> impl Fn(usize, usize) -> Cf32 + Sync + '_ {
+    let n = grid.size();
+    let (xx, yy) = (grid.plane(0), grid.plane(3));
+    // ifftshift: index k of the transform input is grid index (k + n/2) mod n
+    let source = move |k: usize| {
+        if k + n / 2 < n {
+            k + n / 2
+        } else {
+            k + n / 2 - n
+        }
+    };
+    move |ky, kx| {
+        let i = source(ky) * n + source(kx);
+        (xx[i] + yy[i]).scale(0.5)
+    }
+}
+
+/// The raw Stokes-I image of a grid, `Re F⁻¹(½(XX + YY))`, un-normalized
+/// and *not* fftshifted (image pixel `(y, x)` sits at raw index
+/// `fftshift_source(n, y, x)`; [`finalize`] reads it there).
+pub(crate) fn raw_image(grid: &Grid<f32>) -> Vec<f32> {
+    Fft2d::<f32>::new(grid.size()).inverse_real(stokes_i(grid))
 }
 
 /// Produce the Stokes-I dirty image from a gridded visibility grid.
 ///
 /// `weight_sum` is the number of visibilities that were gridded (the
-/// plan's `nr_gridded_visibilities()`).
+/// plan's `nr_gridded_visibilities()`); zero panics.
 pub fn dirty_image(grid: &Grid<f32>, obs: &Observation, weight_sum: usize) -> Image {
-    image_from_grid(grid, obs, weight_sum, true)
+    finalize(raw_image(grid), obs, weight_sum, true)
 }
 
-/// Shared grid→image pipeline; `mask_edge` zeroes the low-sensitivity
-/// rim (wanted for science images, NOT for the PSF, whose sidelobe
-/// values must stay available at every offset so CLEAN can subtract
-/// them).
-fn image_from_grid(
-    grid: &Grid<f32>,
-    obs: &Observation,
-    weight_sum: usize,
-    mask_edge: bool,
-) -> Image {
-    let (xx, yy) = dirty_image_planes(grid);
-    let raw: Vec<f32> = (0..xx.len()).map(|i| 0.5 * (xx[i].re + yy[i].re)).collect();
-    finalize(raw, obs, weight_sum, mask_edge)
+/// `weight`, the gridded-visibility count an image is normalized by, or
+/// the error a plan that gridded nothing is (before any pass runs).
+pub(crate) fn nonzero_weight(weight: usize) -> Result<usize, IdgError> {
+    if weight == 0 {
+        return Err(IdgError::InvalidParameter(
+            "plan: the plan has no gridded visibilities, so there is no image to normalize".into(),
+        ));
+    }
+    Ok(weight)
 }
 
-/// The raw (un-normalized, complex) image-domain XX and YY planes of a
-/// grid — the building block W-stacking combines with per-plane screens
-/// before normalization.
-pub fn dirty_image_planes(grid: &Grid<f32>) -> (Vec<Cf32>, Vec<Cf32>) {
-    let size = grid.size();
-    (
-        plane_to_image(grid.plane(0), size),
-        plane_to_image(grid.plane(3), size),
-    )
-}
-
-/// Normalize and taper-correct an accumulated raw Stokes-I plane into a
-/// science image (see [`dirty_image`] for the conventions).
-pub fn finalize_dirty(raw: Vec<f32>, obs: &Observation, weight_sum: usize) -> Image {
+/// Normalize and taper-correct an accumulated raw Stokes-I plane (the
+/// layout of [`raw_image`]) into a science image (see [`dirty_image`]
+/// for the conventions).
+pub(crate) fn finalize_dirty(raw: Vec<f32>, obs: &Observation, weight_sum: usize) -> Image {
     finalize(raw, obs, weight_sum, true)
 }
 
-fn finalize(mut raw: Vec<f32>, obs: &Observation, weight_sum: usize, mask_edge: bool) -> Image {
+/// Normalize, taper-correct and fftshift a raw plane into an image.
+/// `mask_edge` zeroes the low-sensitivity rim (wanted for science
+/// images, NOT for the PSF, whose sidelobe values must stay available
+/// at every offset so CLEAN can subtract them).
+fn finalize(raw: Vec<f32>, obs: &Observation, weight_sum: usize, mask_edge: bool) -> Image {
     assert!(weight_sum > 0, "cannot normalize an empty grid");
     let size = obs.grid_size;
     assert_eq!(raw.len(), size * size);
     let axis = taper_axis(size);
     let scale = (size * size) as f32 / weight_sum as f32;
-    for (row, taper_y) in raw.chunks_exact_mut(size).zip(&axis) {
-        for (v, taper_x) in row.iter_mut().zip(&axis) {
-            let taper = (taper_y * taper_x).max(1e-2);
-            // Near the taper edge the correction divides by small values,
-            // amplifying the percent-level aliasing of the subgrid-sampled
-            // taper. Production imagers avoid this zone by padding the grid
-            // and keeping the inner fraction; science images mask it.
-            *v = if mask_edge && taper < EDGE_MASK {
-                0.0
-            } else {
-                *v * scale / taper
-            };
+    // fftshift as a read index: image pixel (y, x) is raw pixel
+    // ((y + h) mod n, (x + h) mod n), so each image row is the raw row's
+    // two halves swapped
+    let h = size - size / 2;
+    let mut image = Image::new(size);
+    for (y, (row, taper_y)) in image.data.chunks_exact_mut(size).zip(&axis).enumerate() {
+        let src = &raw[(y + h) % size * size..][..size];
+        let (left, right) = row.split_at_mut(size - h);
+        let (axis_left, axis_right) = axis.split_at(size - h);
+        for (dst, src, axis) in [(left, &src[h..], axis_left), (right, &src[..h], axis_right)] {
+            for ((v, r), taper_x) in dst.iter_mut().zip(src).zip(axis) {
+                let taper = (taper_y * taper_x).max(1e-2);
+                // Near the taper edge the correction divides by small
+                // values, amplifying the percent-level aliasing of the
+                // subgrid-sampled taper. Production imagers avoid this zone
+                // by padding the grid and keeping the inner fraction;
+                // science images mask it.
+                *v = if mask_edge && taper < EDGE_MASK {
+                    0.0
+                } else {
+                    r * scale / taper
+                };
+            }
         }
     }
-    Image { size, data: raw }
+    image
 }
 
 /// Taper level below which dirty-image pixels are masked to zero
@@ -200,23 +217,25 @@ const EDGE_MASK: f32 = 0.05;
 
 /// Synthesize the point-spread function: the dirty image of unit
 /// visibilities on the same uv sampling, *unmasked* so sidelobe values
-/// exist at every offset CLEAN may need.
+/// exist at every offset CLEAN may need. A plan that grids no
+/// visibility is an [`IdgError::InvalidParameter`].
 pub fn psf_image(
     proxy: &idg::Proxy,
     plan: &idg::Plan,
     uvw: &[idg::Uvw],
     aterms: &idg::telescope::ATerms,
-) -> Result<Image, idg::types::IdgError> {
+) -> Result<Image, IdgError> {
+    let weight = nonzero_weight(plan.nr_gridded_visibilities())?;
     let one = Cf32::new(1.0, 0.0);
     let unit = idg::Visibility {
         pols: [one, Cf32::zero(), Cf32::zero(), one],
     };
     let vis = vec![unit; proxy.observation().nr_visibilities()];
     let (grid, _) = proxy.grid(plan, uvw, &vis, aterms)?;
-    Ok(image_from_grid(
-        &grid,
+    Ok(finalize(
+        raw_image(&grid),
         proxy.observation(),
-        plan.nr_gridded_visibilities(),
+        weight,
         false,
     ))
 }
@@ -304,11 +323,59 @@ pub fn model_grid_from_image(model: &Image, obs: &Observation) -> Grid<f32> {
     grid
 }
 
+/// The image-domain XX and YY planes the way the tree made them before
+/// `Fft2d::inverse_real`: each plane through ifftshift → complex inverse
+/// `process_grid` → fftshift. Test oracle only.
+#[cfg(test)]
+pub(crate) fn two_transform_planes(grid: &Grid<f32>) -> [Vec<Cf32>; 2] {
+    let size = grid.size();
+    [0, 3].map(|p| {
+        let mut data = grid.plane(p).to_vec();
+        ifftshift2d(&mut data, size);
+        Fft2d::<f32>::new(size).process_grid(&mut data, Direction::Inverse);
+        fftshift2d(&mut data, size);
+        data
+    })
+}
+
+/// The grid→image pipeline before `Fft2d::inverse_real`, kept whole as
+/// the oracle of the one-transform path: two complex transforms, the
+/// real part of their mean, then normalization in place on the shifted
+/// plane — no code shared with [`raw_image`] or [`finalize`].
+#[cfg(test)]
+fn image_from_grid(
+    grid: &Grid<f32>,
+    obs: &Observation,
+    weight_sum: usize,
+    mask_edge: bool,
+) -> Image {
+    let [xx, yy] = two_transform_planes(grid);
+    let size = obs.grid_size;
+    let mut data: Vec<f32> = xx
+        .iter()
+        .zip(&yy)
+        .map(|(a, b)| 0.5 * (a.re + b.re))
+        .collect();
+    let axis = taper_axis(size);
+    let scale = (size * size) as f32 / weight_sum as f32;
+    for (row, taper_y) in data.chunks_exact_mut(size).zip(&axis) {
+        for (v, taper_x) in row.iter_mut().zip(&axis) {
+            let taper = (taper_y * taper_x).max(1e-2);
+            *v = if mask_edge && taper < EDGE_MASK {
+                0.0
+            } else {
+                *v * scale / taper
+            };
+        }
+    }
+    Image { size, data }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use idg::{Backend, Proxy};
-    use idg_telescope::{Dataset, IdentityATerm, Layout, PointSource, SkyModel};
+    use idg_telescope::{Dataset, GaussianBeam, IdentityATerm, Layout, PointSource, SkyModel};
 
     fn obs() -> Observation {
         Observation::builder()
@@ -401,6 +468,103 @@ mod tests {
         let (px, py, peak) = psf.peak();
         assert_eq!((px, py), (128, 128));
         assert!((peak - 1.0).abs() < 0.05, "psf peak {peak}");
+    }
+
+    /// `|got − expect| ≤ 1e-6 · max |expect|` at every pixel *before* the
+    /// taper correction — i.e. scaled back by the factor `finalize`
+    /// divided that pixel by. After it, the rim's 1/taper (up to 20×
+    /// masked, 100× unmasked) amplifies any f32 transform's rounding: the
+    /// oracle itself is up to 4.9e-6 × peak from an f64 transform there
+    /// (EXPERIMENTS.md "One real-output transform").
+    fn assert_matches_oracle(got: &Image, expect: &Image, what: &str) {
+        let axis = taper_axis(expect.size());
+        let peak = expect.as_slice().iter().fold(0.0f32, |m, v| m.max(v.abs()));
+        assert!(peak > 0.0, "{what}: empty oracle image");
+        let rows = got.as_slice().chunks_exact(got.size());
+        let rows = rows.zip(expect.as_slice().chunks_exact(expect.size()));
+        let mut worst = 0.0f32;
+        for ((got, expect), taper_y) in rows.zip(&axis) {
+            for ((a, b), taper_x) in got.iter().zip(expect).zip(&axis) {
+                worst = worst.max((a - b).abs() * (taper_y * taper_x).max(1e-2));
+            }
+        }
+        assert!(worst <= 1e-6 * peak, "{what}: {worst:e} of peak {peak:e}");
+    }
+
+    /// A grid with XX ≠ YY and XY ≠ 0: a random sky under a Gaussian
+    /// beam, its visibilities given Stokes Q, U and V.
+    fn polarized_grid(n: usize) -> (Proxy, idg::Plan, Dataset, Grid<f32>) {
+        let mut o = obs();
+        o.grid_size = n;
+        let beam = GaussianBeam::new(&o, 0.6, 11);
+        let sky = SkyModel::random(&o, 6, 0.5, 12);
+        let layout = Layout::uniform(o.nr_stations, 1200.0, 97);
+        let mut ds = Dataset::simulate(o, &layout, sky, &beam);
+        for v in &mut ds.visibilities {
+            let i = v.pols[0];
+            let (xy, yx) = (Cf32::new(0.2, 0.3), Cf32::new(0.2, -0.3));
+            v.pols = [i.scale(1.3), i * xy, i * yx, i.scale(0.7)];
+        }
+        let proxy = Proxy::new(Backend::CpuOptimized, ds.obs.clone()).unwrap();
+        let plan = proxy.plan(&ds.uvw).unwrap();
+        let (grid, _) = proxy
+            .grid(&plan, &ds.uvw, &ds.visibilities, &ds.aterms)
+            .unwrap();
+        assert!(grid.plane(0) != grid.plane(3), "XX ≠ YY");
+        assert!(grid.plane(1).iter().any(|v| v.abs() > 0.0), "XY ≠ 0");
+        (proxy, plan, ds, grid)
+    }
+
+    /// The one real-output transform against the two complex transforms
+    /// it replaced, odd and even `n`, edge mask on (dirty image) and off
+    /// (the PSF's normalization, on the polarized grid and on the PSF).
+    #[test]
+    fn images_match_the_two_transform_oracle() {
+        for n in [255usize, 256] {
+            let (proxy, plan, ds, grid) = polarized_grid(n);
+            let weight = plan.nr_gridded_visibilities();
+            assert_matches_oracle(
+                &dirty_image(&grid, &ds.obs, weight),
+                &image_from_grid(&grid, &ds.obs, weight, true),
+                &format!("dirty image, n = {n}"),
+            );
+            assert_matches_oracle(
+                &finalize(raw_image(&grid), &ds.obs, weight, false),
+                &image_from_grid(&grid, &ds.obs, weight, false),
+                &format!("unmasked image, n = {n}"),
+            );
+
+            let one = Cf32::new(1.0, 0.0);
+            let unit = idg::Visibility {
+                pols: [one, Cf32::zero(), Cf32::zero(), one],
+            };
+            let vis = vec![unit; ds.obs.nr_visibilities()];
+            let (psf_grid, _) = proxy.grid(&plan, &ds.uvw, &vis, &ds.aterms).unwrap();
+            assert_matches_oracle(
+                &psf_image(&proxy, &plan, &ds.uvw, &ds.aterms).unwrap(),
+                &image_from_grid(&psf_grid, &ds.obs, weight, false),
+                &format!("psf, n = {n}"),
+            );
+        }
+    }
+
+    /// Every visibility far outside the grid: the plan is valid and
+    /// grids nothing, so there is no PSF to normalize — an error, not
+    /// `finalize`'s panic.
+    #[test]
+    fn psf_of_a_plan_that_grids_nothing_is_an_error() {
+        let mut ds = dataset(SkyModel::empty());
+        for uvw in &mut ds.uvw {
+            (uvw.u, uvw.v) = (1e9, 1e9);
+        }
+        let proxy = Proxy::new(Backend::CpuOptimized, ds.obs.clone()).unwrap();
+        let plan = proxy.plan(&ds.uvw).unwrap();
+        assert_eq!(plan.nr_gridded_visibilities(), 0);
+        let err = psf_image(&proxy, &plan, &ds.uvw, &ds.aterms).expect_err("nothing gridded");
+        assert!(
+            matches!(&err, IdgError::InvalidParameter(m) if m.contains("no gridded visibilities")),
+            "{err}"
+        );
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! multi-frequency synthesis, which also improves uv-coverage because
 //! every baseline samples a different |uv| per subband.
 
-use crate::image::{dirty_image_planes, finalize_dirty, Image};
+use crate::image::{finalize_dirty, nonzero_weight, raw_image, Image};
 use idg::telescope::ATerms;
 use idg::{ExecutionReport, IdgError, Plan, Proxy, Uvw, Visibility};
 
@@ -43,8 +43,8 @@ pub struct MfsReport {
 ///
 /// All subbands must share the grid geometry (`grid_size`,
 /// `image_size`); frequencies may differ arbitrarily. An empty
-/// `subbands` or a geometry mismatch is an
-/// [`IdgError::InvalidParameter`] naming the argument.
+/// `subbands`, a geometry mismatch or plans that together grid no
+/// visibility is an [`IdgError::InvalidParameter`] naming the argument.
 pub fn mfs_dirty_image(subbands: &[Subband<'_>]) -> Result<(Image, MfsReport), IdgError> {
     let Some(first) = subbands.first() else {
         return Err(IdgError::InvalidParameter(
@@ -69,18 +69,20 @@ pub fn mfs_dirty_image(subbands: &[Subband<'_>]) -> Result<(Image, MfsReport), I
         }
     }
 
+    let total_weight = nonzero_weight(
+        subbands
+            .iter()
+            .map(|sb| sb.plan.nr_gridded_visibilities())
+            .sum(),
+    )?;
     let mut acc = vec![0.0f32; size * size];
     let mut reports = Vec::new();
-    let mut total_weight = 0usize;
 
     for sb in subbands {
         let (grid, report) = sb.proxy.grid(sb.plan, sb.uvw, sb.visibilities, sb.aterms)?;
         reports.push(report);
-        total_weight += sb.plan.nr_gridded_visibilities();
-
-        let (xx, yy) = dirty_image_planes(&grid);
-        for i in 0..size * size {
-            acc[i] += 0.5 * (xx[i].re + yy[i].re);
+        for (a, v) in acc.iter_mut().zip(raw_image(&grid)) {
+            *a += v;
         }
     }
 
@@ -203,6 +205,34 @@ mod tests {
         for (a, b) in mfs_img.as_slice().iter().zip(plain.as_slice()) {
             assert!((a - b).abs() < 1e-6);
         }
+    }
+
+    #[test]
+    fn plans_that_grid_nothing_are_an_error() {
+        let layout = Layout::uniform(8, 1000.0, 804);
+        let mut ds = Dataset::simulate(
+            obs_with_band(150e6, 2),
+            &layout,
+            SkyModel::empty(),
+            &IdentityATerm,
+        );
+        for uvw in &mut ds.uvw {
+            (uvw.u, uvw.v) = (1e9, 1e9);
+        }
+        let proxy = Proxy::new(Backend::CpuOptimized, ds.obs.clone()).unwrap();
+        let plan = proxy.plan(&ds.uvw).unwrap();
+        let err = mfs_dirty_image(&[Subband {
+            proxy: &proxy,
+            plan: &plan,
+            uvw: &ds.uvw,
+            visibilities: &ds.visibilities,
+            aterms: &ds.aterms,
+        }])
+        .expect_err("nothing gridded");
+        assert!(
+            matches!(&err, IdgError::InvalidParameter(m) if m.contains("no gridded visibilities")),
+            "{err}"
+        );
     }
 
     #[test]

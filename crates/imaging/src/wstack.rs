@@ -16,8 +16,10 @@
 //! W-stacking to dramatically limit the number of required W-planes" —
 //! the `ablation_wstacking` bench quantifies that trade.
 
-use crate::image::{dirty_image_planes, finalize_dirty, Image};
+use crate::image::{finalize_dirty, nonzero_weight, stokes_i, Image};
+use idg::fft::{Direction, Fft2d};
 use idg::telescope::ATerms;
+use idg::types::{Cf32, Grid};
 use idg::{ExecutionReport, IdgError, Plan, Proxy, Uvw, Visibility};
 
 /// Result of a W-stacked imaging pass.
@@ -32,6 +34,17 @@ pub struct WStackReport {
     pub grid_bytes_per_plane: usize,
 }
 
+/// The complex Stokes-I image `F⁻¹(½(XX + YY))` of one w-plane's grid,
+/// un-normalized and not fftshifted: its imaginary part matters here,
+/// because the w screen rotates it into the real image.
+fn stokes_i_image(grid: &Grid<f32>) -> Vec<Cf32> {
+    let n = grid.size();
+    let spectrum = stokes_i(grid);
+    let mut plane: Vec<Cf32> = (0..n * n).map(|i| spectrum(i / n, i % n)).collect();
+    Fft2d::<f32>::new(n).process_grid(&mut plane, Direction::Inverse);
+    plane
+}
+
 /// Grid and image an observation with W-stacking: one gridding pass and
 /// one FFT per w-plane, merged with the per-plane w screens.
 ///
@@ -39,7 +52,8 @@ pub struct WStackReport {
 /// carries its plane index and the kernels already remove the plane
 /// offset from the phases — this routine supplies the per-plane grids
 /// and the image-domain screens the single-grid path lacks); a proxy
-/// whose `w_step` is not positive is an [`IdgError::InvalidParameter`].
+/// whose `w_step` is not positive, or a plan that grids no visibility,
+/// is an [`IdgError::InvalidParameter`].
 pub fn wstack_dirty_image(
     proxy: &Proxy,
     plan: &Plan,
@@ -56,7 +70,7 @@ pub fn wstack_dirty_image(
     }
     let planes = plan.w_planes();
     let size = obs.grid_size;
-    let weight = plan.nr_gridded_visibilities();
+    let weight = nonzero_weight(plan.nr_gridded_visibilities())?;
 
     let mut acc = vec![0.0f32; size * size];
     let mut reports = Vec::new();
@@ -66,24 +80,23 @@ pub fn wstack_dirty_image(
         let (grid, report) = proxy.grid(&sub_plan, uvw, visibilities, aterms)?;
         reports.push(report);
 
-        // per-plane image (complex Stokes-I plane, un-normalized)
-        let (xx, yy) = dirty_image_planes(&grid);
-
-        // apply the plane's w screen and accumulate
+        // apply the plane's w screen and accumulate, in the unshifted
+        // layout `finalize_dirty` reads: raw row/column k is image
+        // pixel (k + size/2) mod size
+        let image = stokes_i_image(&grid);
+        let pixel_lm = |k: usize| Image::pixel_to_lm(obs, (k + size / 2) % size);
         let w0 = p as f64 * obs.w_step;
-        for y in 0..size {
-            let m = Image::pixel_to_lm(obs, y);
-            for x in 0..size {
-                let l = Image::pixel_to_lm(obs, x);
+        let rows = acc.chunks_exact_mut(size).zip(image.chunks_exact(size));
+        for (y, (acc_row, row)) in rows.enumerate() {
+            let m = pixel_lm(y);
+            for (x, (a, v)) in acc_row.iter_mut().zip(row).enumerate() {
+                let l = pixel_lm(x);
                 let r2 = l * l + m * m;
                 let n = r2 / (1.0 + (1.0 - r2).sqrt());
                 let phase = 2.0 * std::f64::consts::PI * w0 * n;
                 let (s, c) = (phase.sin() as f32, phase.cos() as f32);
-                let i = y * size + x;
-                // Re[(xx+yy)/2 · e^{iφ}]
-                let re = 0.5 * (xx[i].re + yy[i].re);
-                let im = 0.5 * (xx[i].im + yy[i].im);
-                acc[i] += re * c - im * s;
+                // Re[v · e^{iφ}]
+                *a += v.re * c - v.im * s;
             }
         }
     }
@@ -188,6 +201,65 @@ mod tests {
             max_diff = max_diff.max((img0.as_slice()[i] - img1.as_slice()[i]).abs());
         }
         assert!(max_diff < 0.1 * p0.2.abs(), "max image diff {max_diff}");
+    }
+
+    /// The summed plane's one complex transform against the mean of the
+    /// two per-polarization transforms it replaced, both parts, on a grid
+    /// with XX ≠ YY, odd and even `n`.
+    #[test]
+    fn stokes_i_image_matches_the_two_transform_oracle() {
+        for n in [255usize, 256] {
+            let mut o = obs(25.0);
+            o.grid_size = n;
+            let layout = Layout::uniform(8, 1500.0, 404);
+            let sky = SkyModel::random(&o, 5, 0.5, 405);
+            let mut ds = Dataset::simulate(o, &layout, sky, &IdentityATerm);
+            for v in &mut ds.visibilities {
+                v.pols[3] = v.pols[3].scale(0.6);
+            }
+            let proxy = Proxy::new(Backend::CpuOptimized, ds.obs.clone()).unwrap();
+            let plan = proxy.plan(&ds.uvw).unwrap();
+            let (grid, _) = proxy
+                .grid(&plan, &ds.uvw, &ds.visibilities, &ds.aterms)
+                .unwrap();
+
+            let mut got = stokes_i_image(&grid);
+            idg::fft::fftshift2d(&mut got, n);
+            let [xx, yy] = crate::image::two_transform_planes(&grid);
+            let expect: Vec<Cf32> = xx
+                .iter()
+                .zip(&yy)
+                .map(|(a, b)| (*a + *b).scale(0.5))
+                .collect();
+            let peak = expect
+                .iter()
+                .fold(0.0f32, |m, v| m.max(v.re.abs()).max(v.im.abs()));
+            let (re, im) = got
+                .iter()
+                .zip(&expect)
+                .fold((0.0f32, 0.0f32), |(re, im), (a, b)| {
+                    (re.max((a.re - b.re).abs()), im.max((a.im - b.im).abs()))
+                });
+            assert!(re <= 1e-6 * peak, "n = {n}, re: {re:e} of {peak:e}");
+            assert!(im <= 1e-6 * peak, "n = {n}, im: {im:e} of {peak:e}");
+        }
+    }
+
+    #[test]
+    fn plan_that_grids_nothing_is_an_error() {
+        let layout = Layout::uniform(8, 800.0, 406);
+        let mut ds = Dataset::simulate(obs(20.0), &layout, SkyModel::empty(), &IdentityATerm);
+        for uvw in &mut ds.uvw {
+            (uvw.u, uvw.v) = (1e9, 1e9);
+        }
+        let proxy = Proxy::new(Backend::CpuOptimized, ds.obs.clone()).unwrap();
+        let plan = proxy.plan(&ds.uvw).unwrap();
+        let err = wstack_dirty_image(&proxy, &plan, &ds.uvw, &ds.visibilities, &ds.aterms)
+            .expect_err("nothing gridded");
+        assert!(
+            matches!(&err, IdgError::InvalidParameter(m) if m.contains("no gridded visibilities")),
+            "{err}"
+        );
     }
 
     #[test]
