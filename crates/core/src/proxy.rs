@@ -319,10 +319,8 @@ impl Proxy {
         Ok(data)
     }
 
-    /// The model grid must have the observation's size, and a single
-    /// NaN/Inf sample would silently poison every visibility its
-    /// subgrids touch, so the error must be typed and early.
-    fn check_model_grid(&self, grid: &Grid<f32>) -> Result<(), IdgError> {
+    /// A grid a pass reads or adds onto must have the observation's size.
+    fn check_grid_size(&self, grid: &Grid<f32>) -> Result<(), IdgError> {
         if grid.size() != self.obs.grid_size {
             return Err(IdgError::ShapeMismatch {
                 what: "grid",
@@ -330,6 +328,14 @@ impl Proxy {
                 actual: grid.size(),
             });
         }
+        Ok(())
+    }
+
+    /// The model grid must have the observation's size, and a single
+    /// NaN/Inf sample would silently poison every visibility its
+    /// subgrids touch, so the error must be typed and early.
+    fn check_model_grid(&self, grid: &Grid<f32>) -> Result<(), IdgError> {
+        self.check_grid_size(grid)?;
         // A 2048² grid is 134 MB in front of every degrid pass: fold each
         // block without a branch (a short-circuit `any` does not
         // vectorise), blocks in parallel — every sample is still inspected.
@@ -456,17 +462,20 @@ impl Proxy {
     /// Run one device pass on whichever executor the proxy is
     /// configured for — the single device, or the fleet — and split
     /// the result into output, shared totals and (fleet only) the
-    /// multi-device statistics.
-    fn on_device<T>(
+    /// multi-device statistics. `grid` is handed to the executor that
+    /// runs: the model grid a degrid pass reads, the grid a gridding
+    /// pass adds onto.
+    fn on_device<G, T>(
         &self,
-        single: impl FnOnce(&GpuExecutor) -> Result<(T, GpuRunReport), IdgError>,
-        fleet: impl FnOnce(&FleetExecutor) -> Result<(T, FleetRunReport), IdgError>,
+        grid: G,
+        single: impl FnOnce(&GpuExecutor, G) -> Result<(T, GpuRunReport), IdgError>,
+        fleet: impl FnOnce(&FleetExecutor, G) -> Result<(T, FleetRunReport), IdgError>,
     ) -> Result<(T, PassTotals, Option<FleetStats>), IdgError> {
         let Some(config) = &self.fleet else {
-            let (out, report) = single(&self.executor()?)?;
+            let (out, report) = single(&self.executor()?, grid)?;
             return Ok((out, report.totals, None));
         };
-        let (out, report) = fleet(&self.fleet_executor(config)?)?;
+        let (out, report) = fleet(&self.fleet_executor(config)?, grid)?;
         let stats = FleetStats {
             nr_devices: config.nr_devices,
             redispatched_jobs: report.redispatched_jobs,
@@ -606,33 +615,56 @@ impl Proxy {
         visibilities: &[Visibility<f32>],
         aterms: &ATerms,
     ) -> Result<(Grid<f32>, ExecutionReport), IdgError> {
+        let mut grid = Grid::<f32>::new(self.obs.grid_size);
+        let report = self.grid_into(&mut grid, plan, uvw, visibilities, aterms)?;
+        Ok((grid, report))
+    }
+
+    /// Grid visibilities and **add** the pass onto `grid`, which the
+    /// caller owns: [`Proxy::grid`] is this onto a fresh zeroed grid,
+    /// bit for bit. Reusing one grid across passes (`clear`, then
+    /// `grid_into`) saves mapping, faulting and unmapping a fresh
+    /// grid-sized buffer per pass.
+    ///
+    /// A grid of the wrong size is an [`IdgError::ShapeMismatch`]; it
+    /// and every input error [`Proxy::grid`] returns (non-finite
+    /// samples, a plan foreign to the observation) leave `grid`
+    /// untouched. A device pass that fails part-way with the CPU
+    /// fallback disabled has already added its completed jobs.
+    pub fn grid_into(
+        &self,
+        grid: &mut Grid<f32>,
+        plan: &Plan,
+        uvw: &[Uvw],
+        visibilities: &[Visibility<f32>],
+        aterms: &ATerms,
+    ) -> Result<ExecutionReport, IdgError> {
         let data = self.gridding_input(uvw, visibilities, aterms)?;
+        self.check_grid_size(grid)?;
         let nr_items = plan.items.len();
         match self.backend {
             Backend::CpuReference | Backend::CpuOptimized => {
                 let (subgrids, [kernel, fft]) = self.host_grid_chain(&data, &plan.items, None)?;
                 let t = Instant::now();
-                let mut grid = Grid::<f32>::new(self.obs.grid_size);
                 {
                     let _span = idg_obs::wall_span("adder", "stage", None);
-                    add_subgrids(&mut grid, &plan.items, &subgrids, &self.cache)?;
+                    add_subgrids(grid, &plan.items, &subgrids, &self.cache)?;
                 }
                 let adder = t.elapsed().as_secs_f64();
                 let counts = gridder_counts(&plan.items, self.obs.subgrid_size);
-                Ok((
-                    grid,
-                    self.measured_report("gridding", counts, nr_items, [kernel, fft, adder]),
-                ))
+                Ok(self.measured_report("gridding", counts, nr_items, [kernel, fft, adder]))
             }
             Backend::GpuPascal | Backend::GpuFiji => {
-                let (mut grid, totals, fleet) =
-                    self.on_device(|e| e.grid(&data, plan), |f| f.grid(&data, plan))?;
+                let ((), totals, fleet) = self.on_device(
+                    &mut *grid,
+                    |e, grid| e.grid(&data, plan, grid).map(|report| ((), report)),
+                    |f, grid| f.grid(&data, plan, grid).map(|report| ((), report)),
+                )?;
                 let fallback_jobs = self.cpu_fallback(plan, &totals.failed_jobs, |_, items| {
                     let subgrids = self.reference_subgrids(&data, items)?;
-                    add_subgrids(&mut grid, items, &subgrids, &self.cache)
+                    add_subgrids(grid, items, &subgrids, &self.cache)
                 })?;
-                let report = self.device_report(totals, nr_items, fallback_jobs, fleet);
-                Ok((grid, report))
+                Ok(self.device_report(totals, nr_items, fallback_jobs, fleet))
             }
         }
     }
@@ -782,8 +814,9 @@ impl Proxy {
             }
             Backend::GpuPascal | Backend::GpuFiji => {
                 let (mut vis, totals, fleet) = self.on_device(
-                    |e| e.degrid(&data, plan, grid),
-                    |f| f.degrid(&data, plan, grid),
+                    grid,
+                    |e, grid| e.degrid(&data, plan, grid),
+                    |f, grid| f.degrid(&data, plan, grid),
                 )?;
                 let fallback_jobs = self.cpu_fallback(plan, &totals.failed_jobs, |_, items| {
                     self.reference_predict(&data, items, grid, &mut vis)
@@ -822,21 +855,95 @@ mod tests {
         Dataset::simulate(obs, &layout, sky, &beam)
     }
 
+    /// Every back-end, then `GpuPascal` on a 2-device fleet, labelled.
+    fn proxies(obs: &Observation) -> Vec<(String, Proxy)> {
+        let mut proxies: Vec<(String, Proxy)> = Backend::all()
+            .into_iter()
+            .map(|b| (b.label().to_string(), Proxy::new(b, obs.clone()).unwrap()))
+            .collect();
+        let fleet = Proxy::new(Backend::GpuPascal, obs.clone()).unwrap();
+        proxies.push(("gpu-pascal ×2".into(), fleet.with_fleet(2)));
+        proxies
+    }
+
+    /// A grid with every sample non-zero: a fixed pattern of `± scale`
+    /// multiples.
+    fn pattern_grid(size: usize, scale: f32) -> Grid<f32> {
+        let mut grid = Grid::new(size);
+        for (i, c) in grid.as_mut_slice().iter_mut().enumerate() {
+            let (re, im) = ((i % 7) as f32 - 3.5, (i % 5) as f32 - 2.5);
+            *c = Complex::new(re * scale, im * scale);
+        }
+        grid
+    }
+
+    fn bits(grid: &Grid<f32>) -> Vec<u32> {
+        let samples = grid.as_slice().iter();
+        samples
+            .flat_map(|c| [c.re.to_bits(), c.im.to_bits()])
+            .collect()
+    }
+
     #[test]
     fn all_backends_produce_equivalent_grids() {
         let ds = dataset();
         let mut grids = Vec::new();
-        for backend in Backend::all() {
-            let proxy = Proxy::new(backend, ds.obs.clone()).unwrap();
+        for (label, proxy) in proxies(&ds.obs) {
             let plan = proxy.plan(&ds.uvw).unwrap();
             let (grid, report) = proxy
                 .grid(&plan, &ds.uvw, &ds.visibilities, &ds.aterms)
                 .unwrap();
-            assert!(grid.power() > 0.0, "{backend:?}");
+            assert!(grid.power() > 0.0, "{label}");
             assert_eq!(report.pass, "gridding");
             assert_eq!(
                 report.modeled,
-                matches!(backend, Backend::GpuPascal | Backend::GpuFiji)
+                matches!(proxy.backend(), Backend::GpuPascal | Backend::GpuFiji)
+            );
+
+            // grid_into adds the same pass onto the caller's grid: onto
+            // a zeroed one it is `grid`, bit for bit ...
+            let pass = |onto: &mut Grid<f32>| {
+                proxy.grid_into(onto, &plan, &ds.uvw, &ds.visibilities, &ds.aterms)
+            };
+            let mut zeroed = Grid::new(ds.obs.grid_size);
+            let into_report = pass(&mut zeroed).unwrap();
+            assert!(bits(&zeroed) == bits(&grid), "{label}: grid_into ≡ grid");
+            assert_eq!(into_report.counts, report.counts, "{label}");
+            // ... onto a non-zero G0 it is G0 + grid, up to the rounding
+            // of adding each subgrid onto G0 rather than onto zero ...
+            let scale = grid.as_slice().iter().map(|c| c.abs()).fold(0.0, f32::max);
+            let g0 = pattern_grid(ds.obs.grid_size, scale);
+            let mut sum = g0.clone();
+            pass(&mut sum).unwrap();
+            let expected: Vec<_> = g0
+                .as_slice()
+                .iter()
+                .zip(grid.as_slice())
+                .map(|(a, b)| *a + *b)
+                .collect();
+            let peak = expected.iter().map(|c| c.abs()).fold(0.0, f32::max);
+            let worst = sum
+                .as_slice()
+                .iter()
+                .zip(&expected)
+                .map(|(a, b)| (*a - *b).abs())
+                .fold(0.0, f32::max);
+            assert!(
+                worst <= 1e-6 * peak,
+                "{label}: G0 + grid off by {worst:e} of {peak:e}"
+            );
+            // ... and a grid of another size is a typed error
+            let mut wrong = Grid::new(ds.obs.grid_size / 2);
+            assert!(
+                matches!(
+                    pass(&mut wrong),
+                    Err(IdgError::ShapeMismatch {
+                        what: "grid",
+                        expected: 256,
+                        actual: 128
+                    })
+                ),
+                "{label}"
             );
             grids.push(grid);
         }
@@ -1022,6 +1129,27 @@ mod tests {
         assert!(proxy
             .degrid_streamed(&config, &grid, &ds.uvw, &ds.aterms)
             .is_ok());
+
+        // grid_into rejects what grid rejects, with the same typed
+        // error, before it touches the caller's grid
+        let mut nan_vis = ds.visibilities.clone();
+        nan_vis[7].pols[2].im = f32::NAN;
+        let mut nan_uvw = ds.uvw.clone();
+        nan_uvw[3].w = f32::NAN;
+        let g0 = pattern_grid(ds.obs.grid_size, 1.0);
+        for (label, proxy) in proxies(&ds.obs) {
+            for (what, uvw, vis) in [
+                ("NaN visibility", &ds.uvw, &nan_vis),
+                ("NaN uvw", &nan_uvw, &ds.visibilities),
+            ] {
+                let expected = proxy.grid(&plan, uvw, vis, &ds.aterms).err();
+                assert!(expected.is_some(), "{label}, {what}");
+                let mut onto = g0.clone();
+                let got = proxy.grid_into(&mut onto, &plan, uvw, vis, &ds.aterms);
+                assert_eq!(got.err(), expected, "{label}, {what}");
+                assert!(bits(&onto) == bits(&g0), "{label}, {what}: grid touched");
+            }
+        }
     }
 
     #[test]
@@ -1050,23 +1178,28 @@ mod tests {
         ];
 
         let model = Grid::<f32>::new(ds.obs.grid_size);
-        for backend in [
-            Backend::CpuOptimized,
-            Backend::CpuReference,
-            Backend::GpuPascal,
-        ] {
-            let proxy = Proxy::new(backend, ds.obs.clone()).unwrap();
+        let g0 = pattern_grid(ds.obs.grid_size, 1.0);
+        for (label, proxy) in proxies(&ds.obs) {
             for (what, bad_plan, field) in cases {
                 let gridded = proxy.grid(bad_plan, &ds.uvw, &ds.visibilities, &ds.aterms);
                 assert!(
                     matches!(&gridded, Err(IdgError::InvalidParameter(msg)) if msg.contains(field)),
-                    "{backend:?} grid, {what}: {:?}",
+                    "{label} grid, {what}: {:?}",
                     gridded.err()
+                );
+                // grid_into: the same error, and the caller's grid untouched
+                let mut onto = g0.clone();
+                let into =
+                    proxy.grid_into(&mut onto, bad_plan, &ds.uvw, &ds.visibilities, &ds.aterms);
+                assert_eq!(into.err(), gridded.err(), "{label} grid_into, {what}");
+                assert!(
+                    bits(&onto) == bits(&g0),
+                    "{label} grid_into, {what}: grid touched"
                 );
                 let predicted = proxy.degrid(bad_plan, &model, &ds.uvw, &ds.aterms);
                 assert!(
                     matches!(&predicted, Err(IdgError::InvalidParameter(msg)) if msg.contains(field)),
-                    "{backend:?} degrid, {what}: {:?}",
+                    "{label} degrid, {what}: {:?}",
                     predicted.err()
                 );
                 // the staged entry points launch the back-end's kernels
@@ -1076,14 +1209,14 @@ mod tests {
                         proxy.grid_stages(bad_plan, &ds.uvw, &ds.visibilities, &ds.aterms),
                         Err(IdgError::InvalidParameter(_))
                     ),
-                    "{backend:?} grid_stages, {what}"
+                    "{label} grid_stages, {what}"
                 );
                 assert!(
                     matches!(
                         proxy.degrid_stages(bad_plan, &model, &ds.uvw, &ds.aterms),
                         Err(IdgError::InvalidParameter(_))
                     ),
-                    "{backend:?} degrid_stages, {what}"
+                    "{label} degrid_stages, {what}"
                 );
             }
         }

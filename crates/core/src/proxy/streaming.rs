@@ -39,7 +39,7 @@
 //! the commit's `combined` copy of every subgrid would add 8.6 MB to
 //! `ska_dense`'s 80.8 MB peak RSS, and the one-shot GPU pass models the
 //! paper's device-resident grid and device adder (Sec. V-C e,
-//! `Sink::AddNow`), not a deferred host commit.
+//! `Sink::Commit`), not a deferred host commit.
 
 use super::{Backend, Proxy};
 use crate::report::ExecutionReport;
@@ -473,8 +473,9 @@ impl Proxy {
             }
             Backend::GpuPascal | Backend::GpuFiji => {
                 let (mut pending, totals, fleet) = self.on_device(
-                    |e| e.grid_deferred(data, &plan),
-                    |f| f.grid_deferred(data, &plan),
+                    (),
+                    |e, ()| e.grid_deferred(data, &plan),
+                    |f, ()| f.grid_deferred(data, &plan),
                 )?;
                 let fallback_jobs =
                     self.cpu_fallback(&plan, &totals.failed_jobs, |range, items| {
@@ -520,8 +521,9 @@ impl Proxy {
             }
             Backend::GpuPascal | Backend::GpuFiji => {
                 let (mut deferred, totals, fleet) = self.on_device(
-                    |e| e.split_deferred(data, &plan, grid),
-                    |f| f.split_deferred(data, &plan, grid),
+                    grid,
+                    |e, grid| e.split_deferred(data, &plan, grid),
+                    |f, grid| f.split_deferred(data, &plan, grid),
                 )?;
                 let fallback_jobs =
                     self.cpu_fallback(&plan, &totals.failed_jobs, |range, items| {

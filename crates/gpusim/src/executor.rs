@@ -137,13 +137,16 @@ impl GpuExecutor {
     /// The sequential dispatcher: reserve the full triple-buffered
     /// shape once (no degradation ladder — a reservation that does not
     /// fit fails the pass), run every job in order on the one device,
-    /// and give up on a job the moment the device does.
+    /// give up on a job the moment the device does, and add each
+    /// completed gridding job onto `grid` as it completes (jobs complete
+    /// in job order here, so peak memory stays at one job's subgrids).
     fn run<'a>(
         &'a self,
         data: &'a KernelData<'a>,
         plan: &'a Plan,
         direction: Direction<'a>,
         sink: Sink,
+        mut grid: Option<&mut Grid<f32>>,
     ) -> Result<(Pass<'a>, GpuRunReport), IdgError> {
         let w = self.work_group_size;
         // a device that can launch no kernel fails the pass, not every job
@@ -152,8 +155,13 @@ impl GpuExecutor {
         let mut slot = DeviceSlot::new(self.device.clone(), self.faults.clone(), &pass);
         slot.reserve(&pass, w, 3)?;
         for job in 0..pass.nr_jobs() {
-            if let JobRun::Failed { error, attempts } = pass.run_job_on(&mut slot, job, (0, 0.0))? {
-                pass.fail_job(job, error, attempts);
+            match pass.run_job_on(&mut slot, job, (0, 0.0)) {
+                JobRun::Done { .. } => {
+                    if let Some(grid) = grid.as_deref_mut() {
+                        pass.commit(job, grid)?;
+                    }
+                }
+                JobRun::Failed { error, attempts } => pass.fail_job(job, error, attempts),
             }
         }
         let totals = pass.seal([&mut slot]);
@@ -161,22 +169,24 @@ impl GpuExecutor {
         Ok((pass, GpuRunReport { totals, timeline }))
     }
 
-    /// Run a full gridding pass: visibilities → grid.
+    /// Run a full gridding pass: visibilities → subgrids, **added
+    /// onto** `grid` (the caller zeroes it for a fresh grid).
     ///
     /// Jobs that fail persistently are reported in
     /// [`PassTotals::failed_jobs`] and their subgrids are absent from
-    /// the returned grid; only whole-pass setup failures (the buffer
-    /// sets not fitting in device memory, a launch configuration no
-    /// kernel can run with) error out. Each job's
+    /// `grid`; only whole-pass setup failures (the buffer sets not
+    /// fitting in device memory, a launch configuration no kernel can
+    /// run with) error out, before `grid` is touched. Each job's
     /// subgrids are added as the job completes, so peak memory stays at
     /// one job's subgrids.
     pub fn grid(
         &self,
         data: &KernelData<'_>,
         plan: &Plan,
-    ) -> Result<(Grid<f32>, GpuRunReport), IdgError> {
-        let (pass, report) = self.run(data, plan, Direction::Grid, Sink::AddNow)?;
-        Ok((pass.into_grid()?, report))
+        grid: &mut Grid<f32>,
+    ) -> Result<GpuRunReport, IdgError> {
+        let (_, report) = self.run(data, plan, Direction::Grid, Sink::Commit, Some(grid))?;
+        Ok(report)
     }
 
     /// Run a gridding pass with *deferred* commits: compute and FFT
@@ -203,7 +213,7 @@ impl GpuExecutor {
         data: &KernelData<'_>,
         plan: &Plan,
     ) -> Result<(DeferredSubgrids, GpuRunReport), IdgError> {
-        let (pass, report) = self.run(data, plan, Direction::Grid, Sink::Defer)?;
+        let (pass, report) = self.run(data, plan, Direction::Grid, Sink::Defer, None)?;
         Ok((pass.into_deferred_subgrids(), report))
     }
 
@@ -217,7 +227,7 @@ impl GpuExecutor {
         plan: &Plan,
         grid: &Grid<f32>,
     ) -> Result<(Vec<Visibility<f32>>, GpuRunReport), IdgError> {
-        let (pass, report) = self.run(data, plan, Direction::Degrid(grid), Sink::AddNow)?;
+        let (pass, report) = self.run(data, plan, Direction::Degrid(grid), Sink::Commit, None)?;
         Ok((pass.into_vis(), report))
     }
 
@@ -238,7 +248,7 @@ impl GpuExecutor {
         plan: &Plan,
         grid: &Grid<f32>,
     ) -> Result<(DeferredVis, GpuRunReport), IdgError> {
-        let (pass, report) = self.run(data, plan, Direction::Degrid(grid), Sink::Defer)?;
+        let (pass, report) = self.run(data, plan, Direction::Degrid(grid), Sink::Defer, None)?;
         Ok((pass.into_deferred_vis(), report))
     }
 }
@@ -274,6 +284,16 @@ mod tests {
         Dataset::simulate(obs, &layout, sky, &IdentityATerm)
     }
 
+    /// A fresh grid with the gridding pass `pass` added onto it.
+    fn fresh_grid<R>(
+        plan: &Plan,
+        pass: impl FnOnce(&mut Grid<f32>) -> Result<R, IdgError>,
+    ) -> Result<(Grid<f32>, R), IdgError> {
+        let mut grid = Grid::new(plan.grid_size());
+        let report = pass(&mut grid)?;
+        Ok((grid, report))
+    }
+
     fn kernel_data<'a>(ds: &'a Dataset, taper: &'a [f32]) -> KernelData<'a> {
         KernelData {
             obs: &ds.obs,
@@ -291,7 +311,7 @@ mod tests {
         let taper = idg_math::spheroidal_2d(ds.obs.subgrid_size);
         let data = kernel_data(&ds, &taper);
         let exec = GpuExecutor::new(Device::pascal(), 8);
-        let (grid, report) = exec.grid(&data, &plan).unwrap();
+        let (grid, report) = fresh_grid(&plan, |g| exec.grid(&data, &plan, g)).unwrap();
         assert!(grid.power() > 0.0, "grid received energy");
         assert!(report.totals.makespan > 0.0);
         assert!(report.totals.kernel_seconds > 0.0);
@@ -321,7 +341,7 @@ mod tests {
         let data = kernel_data(&ds, &taper);
 
         let exec = GpuExecutor::new(Device::pascal(), 4);
-        let (gpu_grid, _) = exec.grid(&data, &plan).unwrap();
+        let (gpu_grid, _) = fresh_grid(&plan, |g| exec.grid(&data, &plan, g)).unwrap();
 
         let mut subgrids = SubgridArray::new(plan.nr_subgrids(), ds.obs.subgrid_size);
         idg_kernels::gridder_reference(&data, &plan.items, &mut subgrids).expect("kernel run");
@@ -350,7 +370,7 @@ mod tests {
         let data = kernel_data(&ds, &taper);
         // build a model grid by gridding the data first
         let exec = GpuExecutor::new(Device::fiji(), 4);
-        let (grid, _) = exec.grid(&data, &plan).unwrap();
+        let (grid, _) = fresh_grid(&plan, |g| exec.grid(&data, &plan, g)).unwrap();
         let (pred, report) = exec.degrid(&data, &plan, &grid).unwrap();
         assert_eq!(report.totals.pass, "degridding");
         assert!(report.totals.dtoh_seconds > 0.0);
@@ -392,14 +412,15 @@ mod tests {
         let mut device = Device::fiji();
         device.arch.mem_size_gb = Some(0.001); // 1 MB device
         let exec_small = GpuExecutor::new(device, 8);
-        let (grid_fallback, report) = exec_small.grid(&data, &plan).unwrap();
+        let (grid_fallback, report) =
+            fresh_grid(&plan, |g| exec_small.grid(&data, &plan, g)).unwrap();
         assert!(
             report.totals.dtoh_seconds > 0.0,
             "subgrids streamed to the host"
         );
 
         let exec_full = GpuExecutor::new(Device::fiji(), 8);
-        let (grid_resident, _) = exec_full.grid(&data, &plan).unwrap();
+        let (grid_resident, _) = fresh_grid(&plan, |g| exec_full.grid(&data, &plan, g)).unwrap();
         assert_eq!(grid_fallback.as_slice(), grid_resident.as_slice());
     }
 
@@ -413,7 +434,7 @@ mod tests {
         device.arch.mem_size_gb = Some(0.0001); // 100 kB device
         let exec = GpuExecutor::new(device, 8);
         assert!(matches!(
-            exec.grid(&data, &plan),
+            fresh_grid(&plan, |g| exec.grid(&data, &plan, g)),
             Err(IdgError::DeviceOutOfMemory { .. })
         ));
     }
@@ -424,12 +445,14 @@ mod tests {
         let plan = Plan::create(&ds.obs, &ds.uvw).unwrap();
         let taper = idg_math::spheroidal_2d(ds.obs.subgrid_size);
         let data = kernel_data(&ds, &taper);
-        let (_, rp) = GpuExecutor::new(Device::pascal(), 8)
-            .grid(&data, &plan)
-            .unwrap();
-        let (_, rf) = GpuExecutor::new(Device::fiji(), 8)
-            .grid(&data, &plan)
-            .unwrap();
+        let (_, rp) = fresh_grid(&plan, |g| {
+            GpuExecutor::new(Device::pascal(), 8).grid(&data, &plan, g)
+        })
+        .unwrap();
+        let (_, rf) = fresh_grid(&plan, |g| {
+            GpuExecutor::new(Device::fiji(), 8).grid(&data, &plan, g)
+        })
+        .unwrap();
         assert!(
             rp.totals.kernel_seconds < rf.totals.kernel_seconds,
             "pascal {} vs fiji {}",
@@ -449,9 +472,10 @@ mod tests {
         let taper = idg_math::spheroidal_2d(ds.obs.subgrid_size);
         let data = kernel_data(&ds, &taper);
 
-        let (gold, gold_report) = GpuExecutor::new(Device::pascal(), 4)
-            .grid(&data, &plan)
-            .unwrap();
+        let (gold, gold_report) = fresh_grid(&plan, |g| {
+            GpuExecutor::new(Device::pascal(), 4).grid(&data, &plan, g)
+        })
+        .unwrap();
 
         let faults = FaultConfig::targeted(vec![
             TargetedFault {
@@ -474,7 +498,7 @@ mod tests {
             },
         ]);
         let exec = GpuExecutor::new(Device::pascal(), 4).with_faults(faults);
-        let (grid, report) = exec.grid(&data, &plan).unwrap();
+        let (grid, report) = fresh_grid(&plan, |g| exec.grid(&data, &plan, g)).unwrap();
 
         assert_eq!(grid.as_slice(), gold.as_slice(), "recovery is exact");
         assert!(report.totals.complete());
@@ -523,7 +547,7 @@ mod tests {
         let exec = GpuExecutor::new(Device::pascal(), m)
             .with_faults(faults)
             .with_retry_policy(retry);
-        let (grid, report) = exec.grid(&data, &plan).unwrap();
+        let (grid, report) = fresh_grid(&plan, |g| exec.grid(&data, &plan, g)).unwrap();
 
         assert_eq!(report.totals.failed_jobs.len(), 1);
         let failure = &report.totals.failed_jobs[0];
@@ -540,9 +564,10 @@ mod tests {
         // subgrids are absent from the grid
         let full = gridder_counts(&plan.items, plan.subgrid_size());
         assert!(report.totals.counts.visibilities < full.visibilities);
-        let (gold, _) = GpuExecutor::new(Device::pascal(), m)
-            .grid(&data, &plan)
-            .unwrap();
+        let (gold, _) = fresh_grid(&plan, |g| {
+            GpuExecutor::new(Device::pascal(), m).grid(&data, &plan, g)
+        })
+        .unwrap();
         assert_ne!(grid.as_slice(), gold.as_slice());
     }
 
@@ -560,7 +585,7 @@ mod tests {
             kind: FaultKind::OutOfMemory,
         }]);
         let exec = GpuExecutor::new(Device::pascal(), 4).with_faults(faults);
-        let (_, report) = exec.grid(&data, &plan).unwrap();
+        let (_, report) = fresh_grid(&plan, |g| exec.grid(&data, &plan, g)).unwrap();
         assert_eq!(report.totals.nr_retries, 0, "OOM is not retried");
         assert_eq!(report.totals.failed_jobs.len(), 1);
         assert_eq!(report.totals.failed_jobs[0].attempts, 1);
@@ -574,7 +599,7 @@ mod tests {
         let taper = idg_math::spheroidal_2d(ds.obs.subgrid_size);
         let data = kernel_data(&ds, &taper);
         let exec = GpuExecutor::new(Device::pascal(), 4);
-        let (grid, _) = exec.grid(&data, &plan).unwrap();
+        let (grid, _) = fresh_grid(&plan, |g| exec.grid(&data, &plan, g)).unwrap();
         let (gold, _) = exec.degrid(&data, &plan, &grid).unwrap();
 
         // corrupt the DtoH transfer of job 0 and stall job 2's kernel
@@ -606,7 +631,7 @@ mod tests {
         let taper = idg_math::spheroidal_2d(ds.obs.subgrid_size);
         let data = kernel_data(&ds, &taper);
         let exec = GpuExecutor::new(Device::pascal(), 8);
-        let (model, _) = exec.grid(&data, &plan).unwrap();
+        let (model, _) = fresh_grid(&plan, |g| exec.grid(&data, &plan, g)).unwrap();
         let nr_jobs = plan.work_groups(8).count();
         assert!(nr_jobs > 1, "want a multi-job schedule");
 
@@ -624,7 +649,12 @@ mod tests {
         for (kind, expected_kernels) in kinds {
             let session = idg_obs::Session::begin(kind);
             let totals = match kind {
-                "grid" => exec.grid(&data, &plan).unwrap().1.totals,
+                "grid" => {
+                    fresh_grid(&plan, |g| exec.grid(&data, &plan, g))
+                        .unwrap()
+                        .1
+                        .totals
+                }
                 "grid_deferred" => exec.grid_deferred(&data, &plan).unwrap().1.totals,
                 "degrid" => exec.degrid(&data, &plan, &model).unwrap().1.totals,
                 _ => exec.split_deferred(&data, &plan, &model).unwrap().1.totals,
@@ -675,7 +705,7 @@ mod tests {
         let exec = GpuExecutor::new(Device::pascal(), 8);
 
         // grid first so the model grid carries energy to predict from
-        let (grid, _) = exec.grid(&data, &plan).unwrap();
+        let (grid, _) = fresh_grid(&plan, |g| exec.grid(&data, &plan, g)).unwrap();
         let (gold, _) = exec.degrid(&data, &plan, &grid).unwrap();
         let (deferred, report) = exec.split_deferred(&data, &plan, &grid).unwrap();
 
@@ -709,7 +739,7 @@ mod tests {
         let taper = idg_math::spheroidal_2d(ds.obs.subgrid_size);
         let data = kernel_data(&ds, &taper);
         let exec = GpuExecutor::new(Device::pascal(), 8);
-        let (grid, _) = exec.grid(&data, &plan).unwrap();
+        let (grid, _) = fresh_grid(&plan, |g| exec.grid(&data, &plan, g)).unwrap();
 
         // job 1 faults on every attempt and is given up on
         let faults = FaultConfig::targeted(

@@ -325,7 +325,7 @@ impl FleetExecutor {
             let st = &mut states[d];
             let mut resume = (0u32, wait_until);
             loop {
-                let result = pass.run_job_on(&mut st.slot, job, resume)?;
+                let result = pass.run_job_on(&mut st.slot, job, resume);
                 let now = st.slot.pipeline.makespan();
                 match result {
                     JobRun::Done { attempts } => {
@@ -391,21 +391,27 @@ impl FleetExecutor {
         Ok((pass, report))
     }
 
-    /// Run a full gridding pass: visibilities → grid.
+    /// Run a full gridding pass: visibilities → subgrids, **added
+    /// onto** `grid` (the caller zeroes it for a fresh grid).
     ///
     /// Jobs the whole fleet failed are reported in
     /// [`PassTotals::failed_jobs`]; their subgrids are absent from
-    /// the returned grid. The grid itself is **bit-identical** to a
-    /// fault-free single-device pass over the completed jobs, because
-    /// commits happen in global job order regardless of which device
-    /// computed what.
+    /// `grid`. What is added is **bit-identical** to a fault-free
+    /// single-device pass over the completed jobs, because every job's
+    /// subgrids are held until dispatch ends and then committed in
+    /// global job order, regardless of which device computed what. A
+    /// dispatch error leaves `grid` untouched.
     pub fn grid(
         &self,
         data: &KernelData<'_>,
         plan: &Plan,
-    ) -> Result<(Grid<f32>, FleetRunReport), IdgError> {
-        let (pass, report) = self.run(data, plan, Direction::Grid, Sink::AddInOrder)?;
-        Ok((pass.into_grid()?, report))
+        grid: &mut Grid<f32>,
+    ) -> Result<FleetRunReport, IdgError> {
+        let (mut pass, report) = self.run(data, plan, Direction::Grid, Sink::Commit)?;
+        for job in 0..pass.nr_jobs() {
+            pass.commit(job, grid)?;
+        }
+        Ok(report)
     }
 
     /// Run a gridding pass across the fleet with *deferred* commits:
@@ -437,7 +443,7 @@ impl FleetExecutor {
         plan: &Plan,
         grid: &Grid<f32>,
     ) -> Result<(Vec<Visibility<f32>>, FleetRunReport), IdgError> {
-        let (pass, report) = self.run(data, plan, Direction::Degrid(grid), Sink::AddInOrder)?;
+        let (pass, report) = self.run(data, plan, Direction::Degrid(grid), Sink::Commit)?;
         Ok((pass.into_vis(), report))
     }
 
@@ -494,6 +500,16 @@ mod tests {
             aterms: &ds.aterms,
             taper,
         }
+    }
+
+    /// A fresh grid with the gridding pass `pass` added onto it.
+    fn fresh_grid<R>(
+        plan: &Plan,
+        pass: impl FnOnce(&mut Grid<f32>) -> Result<R, IdgError>,
+    ) -> Result<(Grid<f32>, R), IdgError> {
+        let mut grid = Grid::new(plan.grid_size());
+        let report = pass(&mut grid)?;
+        Ok((grid, report))
     }
 
     fn assert_bit_identical(a: &Grid<f32>, b: &Grid<f32>) {
@@ -578,7 +594,7 @@ mod tests {
     ) -> (Vec<u32>, PassTotals) {
         match kind {
             "grid" => {
-                let (grid, report) = exec.grid(data, plan).unwrap();
+                let (grid, report) = fresh_grid(plan, |g| exec.grid(data, plan, g)).unwrap();
                 (complex_bits(grid.as_slice()), report.totals)
             }
             "grid_deferred" => {
@@ -609,7 +625,7 @@ mod tests {
     ) -> (Vec<u32>, FleetRunReport) {
         match kind {
             "grid" => {
-                let (grid, report) = fleet.grid(data, plan).unwrap();
+                let (grid, report) = fresh_grid(plan, |g| fleet.grid(data, plan, g)).unwrap();
                 (complex_bits(grid.as_slice()), report)
             }
             "grid_deferred" => {
@@ -636,7 +652,7 @@ mod tests {
 
         let single = GpuExecutor::new(Device::pascal(), 4);
         let fleet = FleetExecutor::uniform(Device::pascal(), 1, 4);
-        let (model, _) = single.grid(&data, &plan).unwrap();
+        let (model, _) = fresh_grid(&plan, |g| single.grid(&data, &plan, g)).unwrap();
         for kind in PASS_KINDS {
             let (gold, gold_totals) = run_single(&single, kind, &data, &plan, &model);
             let (out, report) = run_fleet(&fleet, kind, &data, &plan, &model);
@@ -683,9 +699,9 @@ mod tests {
         let data = kernel_data(&ds, &taper);
 
         let single = GpuExecutor::new(Device::pascal(), 4);
-        let (gold, gold_report) = single.grid(&data, &plan).unwrap();
+        let (gold, gold_report) = fresh_grid(&plan, |g| single.grid(&data, &plan, g)).unwrap();
         let fleet = FleetExecutor::uniform(Device::pascal(), 3, 4);
-        let (grid, report) = fleet.grid(&data, &plan).unwrap();
+        let (grid, report) = fresh_grid(&plan, |g| fleet.grid(&data, &plan, g)).unwrap();
 
         // f32 accumulation order is pinned by the ordered commit, so
         // splitting work across devices must not move a single bit
@@ -704,7 +720,7 @@ mod tests {
         let taper = vec![1.0f32; ds.obs.subgrid_size * ds.obs.subgrid_size];
         let data = kernel_data(&ds, &taper);
         let single = GpuExecutor::new(Device::pascal(), 4);
-        let (grid, _) = single.grid(&data, &plan).unwrap();
+        let (grid, _) = fresh_grid(&plan, |g| single.grid(&data, &plan, g)).unwrap();
 
         let (gold, _) = single.degrid(&data, &plan, &grid).unwrap();
         let fleet = FleetExecutor::uniform(Device::pascal(), 3, 4);
@@ -727,13 +743,14 @@ mod tests {
         let taper = vec![1.0f32; ds.obs.subgrid_size * ds.obs.subgrid_size];
         let data = kernel_data(&ds, &taper);
 
-        let (gold, _) = GpuExecutor::new(Device::pascal(), 1)
-            .grid(&data, &plan)
-            .unwrap();
+        let (gold, _) = fresh_grid(&plan, |g| {
+            GpuExecutor::new(Device::pascal(), 1).grid(&data, &plan, g)
+        })
+        .unwrap();
         let fleet = FleetExecutor::uniform(Device::pascal(), 4, 1)
             .with_member_faults(1, lemon_faults(8))
             .with_breaker(test_breaker());
-        let (grid, report) = fleet.grid(&data, &plan).unwrap();
+        let (grid, report) = fresh_grid(&plan, |g| fleet.grid(&data, &plan, g)).unwrap();
 
         assert_bit_identical(&grid, &gold);
         assert!(
@@ -760,7 +777,7 @@ mod tests {
         let data = kernel_data(&ds, &taper);
 
         let single = GpuExecutor::new(Device::pascal(), 4);
-        let (model, _) = single.grid(&data, &plan).unwrap();
+        let (model, _) = fresh_grid(&plan, |g| single.grid(&data, &plan, g)).unwrap();
         let oom = FaultConfig::targeted(vec![TargetedFault {
             job: 0,
             attempt: 0,
@@ -793,9 +810,10 @@ mod tests {
         let taper = vec![1.0f32; ds.obs.subgrid_size * ds.obs.subgrid_size];
         let data = kernel_data(&ds, &taper);
 
-        let (gold, _) = GpuExecutor::new(Device::pascal(), 4)
-            .grid(&data, &plan)
-            .unwrap();
+        let (gold, _) = fresh_grid(&plan, |g| {
+            GpuExecutor::new(Device::pascal(), 4).grid(&data, &plan, g)
+        })
+        .unwrap();
         // Enough for half-batch buffers (~184 kB at wgs 4) but not the
         // full-strength buffer sets (~369 kB), let alone the grid.
         let mut starved = Device::pascal();
@@ -813,7 +831,7 @@ mod tests {
             ],
             4,
         );
-        let (grid, report) = fleet.grid(&data, &plan).unwrap();
+        let (grid, report) = fresh_grid(&plan, |g| fleet.grid(&data, &plan, g)).unwrap();
         assert_bit_identical(&grid, &gold);
         assert!(report.totals.complete());
         assert!(report.degradation_steps >= 1);
@@ -828,7 +846,7 @@ mod tests {
         let data = kernel_data(&ds, &taper);
         let fleet = FleetExecutor::new(Vec::new(), 4);
         assert!(matches!(
-            fleet.grid(&data, &plan),
+            fresh_grid(&plan, |g| fleet.grid(&data, &plan, g)),
             Err(IdgError::InvalidParameter(_))
         ));
     }

@@ -577,7 +577,7 @@ mod tests {
                     ("gridder_gpu", gridder.map(drop), no_gridder),
                     (
                         "GpuExecutor::grid",
-                        exec.grid(&data, &plan).map(drop),
+                        exec.grid(&data, &plan, &mut model.clone()).map(drop),
                         no_gridder,
                     ),
                     ("degridder_gpu", degridder.map(drop), no_degridder),

@@ -5,10 +5,10 @@
 //! job chain (Sec. V-C, Fig. 7) run in two directions. A [`Pass`] is
 //! that chain parameterized by a [`Direction`] and a [`Sink`]:
 //!
-//! | direction × sink | `AddNow` | `AddInOrder` | `Defer` |
-//! |---|---|---|---|
-//! | `Grid` | `GpuExecutor::grid` | `FleetExecutor::grid` | `grid_deferred` (both) |
-//! | `Degrid` | `GpuExecutor::degrid` | `FleetExecutor::degrid` | `split_deferred` (both) |
+//! | direction × sink | `Commit` | `Defer` |
+//! |---|---|---|
+//! | `Grid` | `grid` (both executors) | `grid_deferred` (both) |
+//! | `Degrid` | `degrid` (both) | `split_deferred` (both) |
 //!
 //! The engine owns the **job model** ([`Pass::job_model`], the only
 //! caller of the [`crate::timing`] formulas), the reservation formula
@@ -16,12 +16,16 @@
 //! one kernel back-end over staged chunks ([`Pass::run_job_on`]), the
 //! failed-slot zeroing ([`Pass::fail_job`]) and the report seal
 //! ([`Pass::seal`]). What it does *not* own is dispatch: which device a
-//! job runs on, in which order, and what happens to a job a device gave
-//! up on. `GpuExecutor` walks the jobs sequentially over one
-//! [`DeviceSlot`]; `FleetExecutor` wraps each slot in a health tracker
-//! and a degradation-ladder rung and re-queues failures. A single
-//! device is the one-chunk case of the fleet's ladder chunks, not a
-//! fleet of one: it has no breaker, no ladder and no re-dispatch.
+//! job runs on, in which order, what happens to a job a device gave up
+//! on, and when a gridding job's subgrids are added onto the caller's
+//! grid ([`Pass::commit`]). The pass allocates no grid: a gridding pass
+//! adds onto the one its caller hands the executor. `GpuExecutor` walks
+//! the jobs sequentially over one [`DeviceSlot`] and commits each job
+//! as it completes; `FleetExecutor` wraps each slot in a health tracker
+//! and a degradation-ladder rung, re-queues failures, and commits every
+//! job in job order after dispatch. A single device is the one-chunk
+//! case of the fleet's ladder chunks, not a fleet of one: it has no
+//! breaker, no ladder and no re-dispatch.
 
 use crate::device::Device;
 use crate::executor::{DeferredSubgrids, DeferredVis, JobFailure};
@@ -53,22 +57,20 @@ pub(crate) enum Direction<'a> {
     Degrid(&'a Grid<f32>),
 }
 
-/// What a finished job's output does.
+/// What a finished job's output is for.
 ///
 /// Degridding writes disjoint visibility slots in place, so its sinks
 /// differ only in what the caller receives (`Defer` also hands back the
-/// completed jobs' item ranges); for gridding the sink decides when the
-/// non-associative f32 accumulation happens.
+/// completed jobs' item ranges). A gridding job's subgrids are held
+/// until the dispatcher commits them or the caller takes them.
 #[derive(Copy, Clone, PartialEq, Eq)]
 pub(crate) enum Sink {
-    /// Add each job's subgrids to the grid as the job completes. Only
-    /// sound when jobs complete in job order (one device, sequential
-    /// dispatch); keeps peak memory at one job's subgrids.
-    AddNow,
-    /// Hold every job's subgrids and add them in global job order after
-    /// dispatch, so the accumulation order matches the sequential
-    /// single-device reference whichever device finished what, when.
-    AddInOrder,
+    /// The pass ends in the executor's caller's output: the predicted
+    /// visibilities, or the caller's grid, onto which the dispatcher
+    /// adds each gridding job's subgrids in global job order
+    /// ([`Pass::commit`]). A device-resident grid is modeled where it
+    /// fits.
+    Commit,
     /// Hold every job's output and hand it to the caller, who commits
     /// all chunks of a stream in one-shot plan order. No device-resident
     /// grid is modeled: buffers-only reservation, gridded subgrids
@@ -543,9 +545,8 @@ pub(crate) struct Pass<'a> {
     groups: Vec<&'a [WorkItem]>,
     cache: &'a KernelCache,
     retry: &'a RetryPolicy,
-    /// The grid of an [`Sink::AddNow`] gridding pass.
-    grid: Option<Grid<f32>>,
-    /// Held subgrids per job of a gridding pass with a holding sink.
+    /// Computed subgrids per job of a gridding pass, until committed
+    /// or handed to the caller.
     held: Vec<Option<PendingChunks>>,
     /// Predicted visibilities of a degridding pass (full observation
     /// extent; jobs write their own disjoint slots in place).
@@ -573,13 +574,13 @@ impl<'a> Pass<'a> {
         idg_kernels::check_launch(data, &plan.items, None)?;
         let groups: Vec<&[WorkItem]> = plan.work_groups(work_group_size).collect();
         let gridding = matches!(direction, Direction::Grid);
-        let (grid, held, vis) = match (gridding, sink) {
-            (true, Sink::AddNow) => (Some(Grid::new(plan.grid_size())), Vec::new(), Vec::new()),
-            (true, _) => (None, vec![None; groups.len()], Vec::new()),
-            (false, _) => {
-                let vis = vec![Visibility::zero(); data.obs.nr_visibilities()];
-                (None, Vec::new(), vis)
-            }
+        let (held, vis) = if gridding {
+            (vec![None; groups.len()], Vec::new())
+        } else {
+            (
+                Vec::new(),
+                vec![Visibility::zero(); data.obs.nr_visibilities()],
+            )
         };
         Ok(Self {
             data,
@@ -590,7 +591,6 @@ impl<'a> Pass<'a> {
             groups,
             cache,
             retry,
-            grid,
             held,
             vis,
             retried: RetryStats::default(),
@@ -693,19 +693,19 @@ impl<'a> Pass<'a> {
     }
 
     /// Run `job` on `slot` through the fault/retry loop and, when it
-    /// completes, charge it to the totals and hand its output to the
-    /// sink. `resume` is [`run_job`]'s `(first_attempt, not_before)`.
+    /// completes, charge it to the totals and keep its output (a
+    /// gridding job's subgrids are held for [`Pass::commit`]). `resume`
+    /// is [`run_job`]'s `(first_attempt, not_before)`.
     ///
     /// A job the device gave up on comes back as [`JobRun::Failed`] and
     /// leaves no trace in the output; the dispatcher decides whether to
-    /// offer it elsewhere or to [`Pass::fail_job`] it. `Err` is a
-    /// whole-pass failure (the commit itself broke).
+    /// offer it elsewhere or to [`Pass::fail_job`] it.
     pub(crate) fn run_job_on(
         &mut self,
         slot: &mut DeviceSlot,
         job: usize,
         resume: (u32, f64),
-    ) -> Result<JobRun, IdgError> {
+    ) -> JobRun {
         let group = self.groups[job];
         let JobModel {
             counts,
@@ -785,18 +785,24 @@ impl<'a> Pass<'a> {
             totals.adder_seconds += adder;
             totals.htod_seconds += htod;
             totals.dtoh_seconds += dtoh;
-            match &mut self.grid {
-                Some(grid) => {
-                    for (r, subgrids) in &computed {
-                        add_subgrids(grid, &group[r.clone()], subgrids, cache)?;
-                    }
-                }
-                None if matches!(direction, Direction::Grid) => self.held[job] = Some(computed),
-                // the degridder wrote its slots of `vis` in place
-                None => {}
+            // the degridder wrote its slots of `vis` in place
+            if matches!(direction, Direction::Grid) {
+                self.held[job] = Some(computed);
             }
         }
-        Ok(result)
+        result
+    }
+
+    /// Add `job`'s held subgrids onto `grid` and free them; a failed
+    /// job holds none. Committing the jobs in job order is the
+    /// `add_subgrids` sequence of one sequential device, whichever
+    /// device computed what, when — f32 addition is not associative.
+    pub(crate) fn commit(&mut self, job: usize, grid: &mut Grid<f32>) -> Result<(), IdgError> {
+        let group = self.groups[job];
+        for (r, subgrids) in self.held[job].take().into_iter().flatten() {
+            add_subgrids(grid, &group[r], &subgrids, self.cache)?;
+        }
+        Ok(())
     }
 
     /// Record that no device could complete `job`: its work is absent
@@ -854,22 +860,6 @@ impl<'a> Pass<'a> {
             totals.host_energy_j = host.host_energy(totals.makespan);
         }
         totals.clone()
-    }
-
-    /// The grid of a one-shot gridding pass: the [`Sink::AddNow`] grid,
-    /// or the held subgrids added in global job order — the same
-    /// `add_subgrids` sequence as one sequential device.
-    pub(crate) fn into_grid(self) -> Result<Grid<f32>, IdgError> {
-        let mut grid = match self.grid {
-            Some(grid) => grid,
-            None => Grid::new(self.plan.grid_size()),
-        };
-        for (group, chunks) in self.groups.iter().zip(&self.held) {
-            for (r, subgrids) in chunks.iter().flatten() {
-                add_subgrids(&mut grid, &group[r.clone()], subgrids, self.cache)?;
-            }
-        }
-        Ok(grid)
     }
 
     /// The held subgrids of a [`Sink::Defer`] gridding pass, flattened

@@ -13,7 +13,7 @@ use idg_gpusim::{
 use idg_kernels::KernelData;
 use idg_plan::Plan;
 use idg_telescope::{Dataset, IdentityATerm, Layout, SkyModel};
-use idg_types::Observation;
+use idg_types::{Grid, Observation};
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
@@ -85,7 +85,8 @@ proptest! {
                 cooldown_seconds: 0.25,
                 half_open_probes: 1,
             });
-        let (grid, report) = fleet.grid(&data, plan).unwrap();
+        let mut grid = Grid::new(plan.grid_size());
+        let report = fleet.grid(&data, plan, &mut grid).unwrap();
         let nr_jobs = plan.work_groups(wgs).count();
 
         // Exactly-once accounting: completed on some device XOR failed.
@@ -108,8 +109,9 @@ proptest! {
         // to the fault-free single-device reference — one double-add
         // or dropped commit would move bits.
         if report.totals.complete() {
-            let (gold, _) = GpuExecutor::new(Device::pascal(), wgs)
-                .grid(&data, plan)
+            let mut gold = Grid::new(plan.grid_size());
+            GpuExecutor::new(Device::pascal(), wgs)
+                .grid(&data, plan, &mut gold)
                 .unwrap();
             for (x, y) in grid.as_slice().iter().zip(gold.as_slice()) {
                 prop_assert_eq!(x.re.to_bits(), y.re.to_bits());

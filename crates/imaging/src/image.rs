@@ -225,15 +225,28 @@ pub fn psf_image(
     uvw: &[idg::Uvw],
     aterms: &idg::telescope::ATerms,
 ) -> Result<Image, IdgError> {
+    let mut grid = Grid::<f32>::new(proxy.observation().grid_size);
+    psf_image_into(&mut grid, proxy, plan, uvw, aterms)
+}
+
+/// [`psf_image`], gridding the unit visibilities onto `grid`, which
+/// must be zero; `grid` holds the PSF's grid afterwards.
+pub(crate) fn psf_image_into(
+    grid: &mut Grid<f32>,
+    proxy: &idg::Proxy,
+    plan: &idg::Plan,
+    uvw: &[idg::Uvw],
+    aterms: &idg::telescope::ATerms,
+) -> Result<Image, IdgError> {
     let weight = nonzero_weight(plan.nr_gridded_visibilities())?;
     let one = Cf32::new(1.0, 0.0);
     let unit = idg::Visibility {
         pols: [one, Cf32::zero(), Cf32::zero(), one],
     };
     let vis = vec![unit; proxy.observation().nr_visibilities()];
-    let (grid, _) = proxy.grid(plan, uvw, &vis, aterms)?;
+    proxy.grid_into(grid, plan, uvw, &vis, aterms)?;
     Ok(finalize(
-        raw_image(&grid),
+        raw_image(grid),
         proxy.observation(),
         weight,
         false,
@@ -299,12 +312,21 @@ pub fn beam_weight_image(aterms: &idg::telescope::ATerms, obs: &Observation, flo
 /// measurement-equation visibilities of `model` (a Stokes-I image of
 /// point-source fluxes): `grid = F(model/taper)` on XX and YY.
 pub fn model_grid_from_image(model: &Image, obs: &Observation) -> Grid<f32> {
+    let mut grid = Grid::<f32>::new(obs.grid_size);
+    model_grid_into(&mut grid, model, obs);
+    grid
+}
+
+/// [`model_grid_from_image`], built in place over whatever `grid` held:
+/// every pixel of every polarization is overwritten.
+pub(crate) fn model_grid_into(grid: &mut Grid<f32>, model: &Image, obs: &Observation) {
     assert_eq!(model.size(), obs.grid_size);
+    assert_eq!(grid.size(), obs.grid_size);
     let size = model.size();
     let axis = taper_axis(size);
 
-    // transform in place in the XX plane, then duplicate it into YY
-    let mut grid = Grid::<f32>::new(size);
+    // transform in place in the XX plane, duplicate it into YY, and zero
+    // XY and YX
     let plane = grid.plane_mut(0);
     let rows = plane
         .chunks_exact_mut(size)
@@ -318,9 +340,9 @@ pub fn model_grid_from_image(model: &Image, obs: &Observation) -> Grid<f32> {
     let fft = Fft2d::<f32>::new(size);
     fft.process_grid(plane, Direction::Forward);
     fftshift2d(plane, size);
-    grid.as_mut_slice()
-        .copy_within(0..size * size, 3 * size * size);
-    grid
+    let planes = grid.as_mut_slice();
+    planes[size * size..3 * size * size].fill(Cf32::zero());
+    planes.copy_within(0..size * size, 3 * size * size);
 }
 
 /// The image-domain XX and YY planes the way the tree made them before
@@ -605,6 +627,26 @@ mod tests {
         }
         let rel = err_acc / mag_acc;
         assert!(rel < 0.02, "mean relative prediction error {rel}");
+    }
+
+    /// Built in place over a polarized grid — every plane non-zero —
+    /// the model grid is the freshly allocated one, bit for bit.
+    #[test]
+    fn model_grid_into_a_used_grid_equals_a_fresh_one() {
+        let (_, _, ds, mut grid) = polarized_grid(256);
+        assert!((0..4).all(|p| grid.plane(p).iter().any(|v| v.abs() > 0.0)));
+        let mut model = Image::new(ds.obs.grid_size);
+        *model.at_mut(110, 150) = 1.8;
+        *model.at_mut(131, 97) = -0.4;
+        model_grid_into(&mut grid, &model, &ds.obs);
+        let bits = |g: &Grid<f32>| -> Vec<u32> {
+            let samples = g.as_slice().iter();
+            samples
+                .flat_map(|c| [c.re.to_bits(), c.im.to_bits()])
+                .collect()
+        };
+        let fresh = model_grid_from_image(&model, &ds.obs);
+        assert!(bits(&grid) == bits(&fresh));
     }
 
     #[test]

@@ -10,6 +10,7 @@
 
 use crate::image::{finalize_dirty, nonzero_weight, raw_image, Image};
 use idg::telescope::ATerms;
+use idg::types::Grid;
 use idg::{ExecutionReport, IdgError, Plan, Proxy, Uvw, Visibility};
 
 /// One subband's inputs: its own proxy/plan (per-subband frequencies)
@@ -78,8 +79,12 @@ pub fn mfs_dirty_image(subbands: &[Subband<'_>]) -> Result<(Image, MfsReport), I
     let mut acc = vec![0.0f32; size * size];
     let mut reports = Vec::new();
 
+    let mut grid = Grid::<f32>::new(size);
     for sb in subbands {
-        let (grid, report) = sb.proxy.grid(sb.plan, sb.uvw, sb.visibilities, sb.aterms)?;
+        grid.clear();
+        let report = sb
+            .proxy
+            .grid_into(&mut grid, sb.plan, sb.uvw, sb.visibilities, sb.aterms)?;
         reports.push(report);
         for (a, v) in acc.iter_mut().zip(raw_image(&grid)) {
             *a += v;

@@ -75,10 +75,11 @@ pub fn wstack_dirty_image(
     let mut acc = vec![0.0f32; size * size];
     let mut reports = Vec::new();
 
+    let mut grid = Grid::<f32>::new(size);
     for &p in &planes {
         let sub_plan = plan.subset_for_w_plane(p);
-        let (grid, report) = proxy.grid(&sub_plan, uvw, visibilities, aterms)?;
-        reports.push(report);
+        grid.clear();
+        reports.push(proxy.grid_into(&mut grid, &sub_plan, uvw, visibilities, aterms)?);
 
         // apply the plane's w screen and accumulate, in the unshifted
         // layout `finalize_dirty` reads: raw row/column k is image

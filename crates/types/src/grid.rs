@@ -126,8 +126,8 @@ impl<T: Float> Grid<T> {
         nz as f64 / plane.len() as f64
     }
 
-    /// Element-wise accumulate another grid of the same size
-    /// (used by W-stacking to merge per-plane grids).
+    /// Element-wise accumulate another grid of the same size (used by
+    /// `idg-wproj`'s gridder to merge its per-thread partial grids).
     pub fn accumulate(&mut self, other: &Grid<T>) {
         assert_eq!(self.size, other.size, "grid size mismatch");
         for (dst, src) in self.data.iter_mut().zip(other.data.iter()) {
