@@ -14,8 +14,8 @@ use idg_gpusim::{
     JobFailure, PassTotals, RetryPolicy,
 };
 use idg_kernels::{
-    add_subgrids, degridder_cpu, degridder_reference, fft_subgrids, gridder_cpu, gridder_reference,
-    split_subgrids, FftNorm, KernelCache, KernelData, SubgridArray,
+    add_subgrids, check_launch, check_placement, degridder_cpu, degridder_reference, fft_subgrids,
+    gridder_cpu, gridder_reference, split_subgrids, FftNorm, KernelCache, KernelData, SubgridArray,
 };
 use idg_math::Accuracy;
 use idg_perf::{degridder_counts, gridder_counts, OpCounts};
@@ -131,7 +131,10 @@ pub struct Proxy {
     backend: Backend,
     obs: Observation,
     taper: Vec<f32>,
-    /// Work items per (modeled) kernel launch on GPU back-ends.
+    /// Work items per job (Fig. 6's work group) on every back-end: a
+    /// device pass transfers and launches one job at a time, a host
+    /// pass runs each job through its whole kernel chain in one reused
+    /// job-sized subgrid buffer. `0` is taken as `1`.
     pub work_group_size: usize,
     /// Optional device fault-injection schedule (GPU back-ends).
     pub fault_config: Option<FaultConfig>,
@@ -230,8 +233,14 @@ impl Proxy {
         }
     }
 
+    /// Work items per job: [`Proxy::work_group_size`], at least one. The
+    /// one reading of the field — host job loop, executors and reports.
+    fn job_size(&self) -> usize {
+        self.work_group_size.max(1)
+    }
+
     fn executor(&self) -> Result<GpuExecutor, IdgError> {
-        let executor = GpuExecutor::new(self.device()?, self.work_group_size)
+        let executor = GpuExecutor::new(self.device()?, self.job_size())
             .with_retry_policy(self.retry_policy)
             .with_cache(Arc::clone(&self.cache));
         Ok(match &self.fault_config {
@@ -243,10 +252,9 @@ impl Proxy {
     /// Build the fleet executor for `config`, sharing the proxy's
     /// kernel cache across all members.
     fn fleet_executor(&self, config: &FleetConfig) -> Result<FleetExecutor, IdgError> {
-        let mut fleet =
-            FleetExecutor::uniform(self.device()?, config.nr_devices, self.work_group_size)
-                .with_retry_policy(self.retry_policy)
-                .with_cache(Arc::clone(&self.cache));
+        let mut fleet = FleetExecutor::uniform(self.device()?, config.nr_devices, self.job_size())
+            .with_retry_policy(self.retry_policy)
+            .with_cache(Arc::clone(&self.cache));
         if let Some(f) = &self.fault_config {
             for member in 0..config.nr_devices {
                 fleet = fleet.with_member_faults(member, f.clone());
@@ -398,64 +406,101 @@ impl Proxy {
         }
     }
 
-    /// The host gridding chain up to the commit: gridder → subgrid FFT
-    /// over `items`, wall-clocked. Returns the Fourier-domain subgrids
-    /// and `[kernel, fft]` seconds; `tag` labels the stage spans (the
-    /// chunk index of a streamed pass).
-    fn host_grid_chain(
-        &self,
-        data: &KernelData<'_>,
-        items: &[WorkItem],
-        tag: Option<u32>,
-    ) -> Result<(SubgridArray, [f64; 2]), IdgError> {
-        let t0 = Instant::now();
-        let mut subgrids = SubgridArray::new(items.len(), self.obs.subgrid_size);
-        {
-            let _span = idg_obs::wall_span("gridder", "stage", tag);
-            self.launch_gridder(data, items, &mut subgrids)?;
-        }
-        let t1 = Instant::now();
-        {
-            let _span = idg_obs::wall_span("subgrid_fft", "stage", tag);
-            fft_subgrids(&mut subgrids, Direction::Forward, FftNorm::None);
-        }
-        let seconds = [(t1 - t0).as_secs_f64(), t1.elapsed().as_secs_f64()];
-        Ok((subgrids, seconds))
+    /// The whole-plan launch check of a host pass, run before its first
+    /// job, as the device pass runs it: [`check_launch`] over every item
+    /// (jobs are separate launches, so only this walk sees an item two
+    /// jobs share) and every subgrid footprint inside the grid. An input
+    /// error thus fails the pass before any job has added onto a grid.
+    fn check_plan(&self, data: &KernelData<'_>, plan: &Plan) -> Result<(), IdgError> {
+        check_launch(data, &plan.items, None)?;
+        check_placement(self.obs.grid_size, self.obs.subgrid_size, &plan.items)
     }
 
-    /// The host degridding chain: splitter → inverse subgrid FFT →
-    /// degridder over `items`, wall-clocked. Returns the predicted
-    /// visibilities (full observation extent) and `[kernel, fft,
-    /// splitter]` seconds.
-    fn host_degrid_chain(
+    /// The host gridding chain, job by job: each work group of
+    /// [`Proxy::job_size`] items of `plan` runs gridder → subgrid FFT,
+    /// then `commit` takes the job's `plan.items` range and its
+    /// Fourier-domain subgrids. A commit that hands the buffer back has
+    /// it reused by the next job (truncated for the tail job, never
+    /// re-zeroed: the gridder overwrites every sample); one that keeps
+    /// it leaves the next job a fresh buffer. Returns `[kernel, fft]`
+    /// wall-clock seconds; `tag` labels the stage spans (the chunk index
+    /// of a streamed pass).
+    fn host_grid_jobs(
         &self,
         data: &KernelData<'_>,
-        items: &[WorkItem],
+        plan: &Plan,
+        tag: Option<u32>,
+        mut commit: impl FnMut(Range<usize>, SubgridArray) -> Result<Option<SubgridArray>, IdgError>,
+    ) -> Result<[f64; 2], IdgError> {
+        self.check_plan(data, plan)?;
+        let mut spare: Option<SubgridArray> = None;
+        let mut seconds = [0.0; 2];
+        let mut first = 0;
+        for items in plan.work_groups(self.job_size()) {
+            let t0 = Instant::now();
+            let mut subgrids = match spare.take() {
+                Some(mut reused) => {
+                    reused.truncate(items.len());
+                    reused
+                }
+                None => SubgridArray::new(items.len(), self.obs.subgrid_size),
+            };
+            {
+                let _span = idg_obs::wall_span("gridder", "stage", tag);
+                self.launch_gridder(data, items, &mut subgrids)?;
+            }
+            let t1 = Instant::now();
+            {
+                let _span = idg_obs::wall_span("subgrid_fft", "stage", tag);
+                fft_subgrids(&mut subgrids, Direction::Forward, FftNorm::None);
+            }
+            seconds[0] += (t1 - t0).as_secs_f64();
+            seconds[1] += t1.elapsed().as_secs_f64();
+            spare = commit(first..first + items.len(), subgrids)?;
+            first += items.len();
+        }
+        Ok(seconds)
+    }
+
+    /// The host degridding chain, job by job: each work group of
+    /// [`Proxy::job_size`] items of `plan` runs splitter → inverse
+    /// subgrid FFT → degridder through one reused job-sized subgrid
+    /// buffer (the splitter overwrites every sample). Returns the
+    /// predicted visibilities (full observation extent) and `[kernel,
+    /// fft, splitter]` wall-clock seconds.
+    fn host_degrid_jobs(
+        &self,
+        data: &KernelData<'_>,
+        plan: &Plan,
         grid: &Grid<f32>,
         tag: Option<u32>,
     ) -> Result<(Vec<Visibility<f32>>, [f64; 3]), IdgError> {
-        let t0 = Instant::now();
-        let mut subgrids = SubgridArray::new(items.len(), self.obs.subgrid_size);
-        {
-            let _span = idg_obs::wall_span("splitter", "stage", tag);
-            split_subgrids(grid, items, &mut subgrids, &self.cache)?;
-        }
-        let t1 = Instant::now();
-        {
-            let _span = idg_obs::wall_span("subgrid_ifft", "stage", tag);
-            fft_subgrids(&mut subgrids, Direction::Inverse, FftNorm::None);
-        }
-        let t2 = Instant::now();
+        self.check_plan(data, plan)?;
+        let job_size = self.job_size();
+        let mut subgrids = SubgridArray::new(plan.items.len().min(job_size), self.obs.subgrid_size);
         let mut vis = vec![Visibility::<f32>::zero(); self.obs.nr_visibilities()];
-        {
-            let _span = idg_obs::wall_span("degridder", "stage", tag);
-            self.launch_degridder(data, items, &subgrids, &mut vis)?;
+        let mut seconds = [0.0; 3];
+        for items in plan.work_groups(job_size) {
+            let t0 = Instant::now();
+            subgrids.truncate(items.len());
+            {
+                let _span = idg_obs::wall_span("splitter", "stage", tag);
+                split_subgrids(grid, items, &mut subgrids, &self.cache)?;
+            }
+            let t1 = Instant::now();
+            {
+                let _span = idg_obs::wall_span("subgrid_ifft", "stage", tag);
+                fft_subgrids(&mut subgrids, Direction::Inverse, FftNorm::None);
+            }
+            let t2 = Instant::now();
+            {
+                let _span = idg_obs::wall_span("degridder", "stage", tag);
+                self.launch_degridder(data, items, &subgrids, &mut vis)?;
+            }
+            seconds[0] += t2.elapsed().as_secs_f64();
+            seconds[1] += (t2 - t1).as_secs_f64();
+            seconds[2] += (t1 - t0).as_secs_f64();
         }
-        let seconds = [
-            t2.elapsed().as_secs_f64(),
-            (t2 - t1).as_secs_f64(),
-            (t1 - t0).as_secs_f64(),
-        ];
         Ok((vis, seconds))
     }
 
@@ -542,8 +587,8 @@ impl Proxy {
     }
 
     /// The report of a pass over `nr_items` work items measured on the
-    /// host: `[kernel, fft, adder/splitter]` wall-clock seconds, run
-    /// back to back as one launch.
+    /// host: `[kernel, fft, adder/splitter]` wall-clock seconds, summed
+    /// over its jobs of [`Proxy::job_size`] items.
     fn measured_report(
         &self,
         pass: &'static str,
@@ -562,7 +607,7 @@ impl Proxy {
             total_seconds: kernel_seconds + fft_seconds + adder_seconds,
             counts,
             launched_items: nr_items,
-            launched_jobs: 1,
+            launched_jobs: nr_items.div_ceil(self.job_size()),
             device_energy_j: None,
             host_energy_j: None,
             nr_retries: 0,
@@ -585,7 +630,6 @@ impl Proxy {
     ) -> ExecutionReport {
         ExecutionReport {
             modeled: true,
-            launched_jobs: nr_items.div_ceil(self.work_group_size),
             transfer_seconds: totals.htod_seconds + totals.dtoh_seconds,
             total_seconds: totals.makespan,
             device_energy_j: Some(totals.device_energy_j),
@@ -629,8 +673,11 @@ impl Proxy {
     /// A grid of the wrong size is an [`IdgError::ShapeMismatch`]; it
     /// and every input error [`Proxy::grid`] returns (non-finite
     /// samples, a plan foreign to the observation) leave `grid`
-    /// untouched. A device pass that fails part-way with the CPU
-    /// fallback disabled has already added its completed jobs.
+    /// untouched. A host pass adds job by job but checks its whole plan
+    /// first, so a subgrid off the grid leaves it untouched too. A
+    /// device pass checks footprints per job: one that fails part-way
+    /// (that, or a device fault with the CPU fallback disabled) has
+    /// already added its completed jobs.
     pub fn grid_into(
         &self,
         grid: &mut Grid<f32>,
@@ -644,13 +691,16 @@ impl Proxy {
         let nr_items = plan.items.len();
         match self.backend {
             Backend::CpuReference | Backend::CpuOptimized => {
-                let (subgrids, [kernel, fft]) = self.host_grid_chain(&data, &plan.items, None)?;
-                let t = Instant::now();
-                {
-                    let _span = idg_obs::wall_span("adder", "stage", None);
-                    add_subgrids(grid, &plan.items, &subgrids, &self.cache)?;
-                }
-                let adder = t.elapsed().as_secs_f64();
+                let mut adder = 0.0;
+                let [kernel, fft] = self.host_grid_jobs(&data, plan, None, |range, subgrids| {
+                    let t = Instant::now();
+                    {
+                        let _span = idg_obs::wall_span("adder", "stage", None);
+                        add_subgrids(grid, &plan.items[range], &subgrids, &self.cache)?;
+                    }
+                    adder += t.elapsed().as_secs_f64();
+                    Ok(Some(subgrids))
+                })?;
                 let counts = gridder_counts(&plan.items, self.obs.subgrid_size);
                 Ok(self.measured_report("gridding", counts, nr_items, [kernel, fft, adder]))
             }
@@ -749,26 +799,19 @@ impl Proxy {
             return Ok(());
         };
         let (items, jobs) = (report.launched_items as u64, report.launched_jobs as u64);
-        // a one-shot pass is the one-chunk row of the table below
-        let chunks = report.stream.as_ref().map_or(1, |s| s.nr_chunks as u64);
-        // Cache cadence. Phasor tables are looked up by whoever runs
-        // the adder/splitter, geometry planes by the optimized and GPU
-        // kernels. Gridding commits on the host once (one phasor
-        // lookup) on every path but one: the one-shot GPU pass adds
-        // per job, so each job looks phasors up itself — the only row
-        // where one-shot and streamed truly differ, because a stream
-        // defers every job's subgrids to the single final commit.
-        // Degridding splits where it predicts (per chunk on the CPU,
-        // per job on the GPU) and its final visibility commit is plain
-        // copies — no lookup.
-        let streamed = report.stream.is_some();
-        let expected_lookups = match (self.backend, report.pass == "gridding") {
+        // Cache cadence, per job on every back-end. Each job looks its
+        // phasor tables up in the adder/splitter, and its geometry
+        // planes in the kernel on every back-end but the reference one.
+        // The one exception is streamed gridding: a stream defers every
+        // job's subgrids to the single final commit, one phasor lookup.
+        // Degridding splits where it predicts, and a stream's final
+        // visibility commit is plain copies — no lookup.
+        let streamed_gridding = report.stream.is_some() && report.pass == "gridding";
+        let expected_lookups = match (self.backend, streamed_gridding) {
             (Backend::CpuReference, true) => 1,
-            (Backend::CpuReference, false) => chunks,
-            (Backend::CpuOptimized, true) => chunks + 1,
-            (Backend::CpuOptimized, false) => 2 * chunks,
-            (Backend::GpuPascal | Backend::GpuFiji, true) if streamed => jobs + 1,
-            (Backend::GpuPascal | Backend::GpuFiji, _) => 2 * jobs,
+            (Backend::CpuReference, false) => jobs,
+            (_, true) => jobs + 1,
+            (_, false) => 2 * jobs,
         };
 
         let (k, analytic) = (metrics.pass_kernel(), &report.counts);
@@ -807,7 +850,7 @@ impl Proxy {
         let nr_items = plan.items.len();
         match self.backend {
             Backend::CpuReference | Backend::CpuOptimized => {
-                let (vis, seconds) = self.host_degrid_chain(&data, &plan.items, grid, None)?;
+                let (vis, seconds) = self.host_degrid_jobs(&data, plan, grid, None)?;
                 let counts = degridder_counts(&plan.items, self.obs.subgrid_size);
                 let report = self.measured_report("degridding", counts, nr_items, seconds);
                 Ok((vis, report))
@@ -1152,6 +1195,16 @@ mod tests {
         }
     }
 
+    /// The typed error a rejected input expects: an invalid parameter
+    /// naming `field`, or a shape mismatch of `field`.
+    fn is_typed(err: Option<&IdgError>, field: &str) -> bool {
+        match err {
+            Some(IdgError::InvalidParameter(msg)) => msg.contains(field),
+            Some(IdgError::ShapeMismatch { what, .. }) => what.contains(field),
+            _ => false,
+        }
+    }
+
     #[test]
     fn plans_foreign_to_the_observation_are_rejected_with_a_typed_error() {
         // `Plan.items` and `WorkItem`'s fields are public: a plan made
@@ -1167,6 +1220,9 @@ mod tests {
         duplicated.items.insert(1, duplicated.items[0]);
         let mut out_of_band = plan.clone();
         out_of_band.items[2].channel_offset = ds.obs.nr_channels();
+        let mut off_grid = plan.clone();
+        let last = off_grid.items.len() - 1;
+        off_grid.items[last].coord_x = ds.obs.grid_size - ds.obs.subgrid_size + 1;
         let cases = [
             ("foreign plan", &foreign, "time_offset + nr_timesteps"),
             ("duplicated item", &duplicated, "both cover visibility"),
@@ -1175,50 +1231,155 @@ mod tests {
                 &out_of_band,
                 "channel_offset + nr_channels",
             ),
+            (
+                "footprint past the grid edge",
+                &off_grid,
+                "footprint beyond grid edge",
+            ),
         ];
 
+        // A host pass runs job by job: in one-item jobs the duplicate
+        // and the off-grid item sit in later jobs than the items before
+        // them, and must still fail the pass before its first job.
+        let mut runs = proxies(&ds.obs);
+        for backend in [Backend::CpuReference, Backend::CpuOptimized] {
+            let mut proxy = Proxy::new(backend, ds.obs.clone()).unwrap();
+            proxy.work_group_size = 1;
+            runs.push((format!("{} in 1-item jobs", backend.label()), proxy));
+        }
         let model = Grid::<f32>::new(ds.obs.grid_size);
         let g0 = pattern_grid(ds.obs.grid_size, 1.0);
-        for (label, proxy) in proxies(&ds.obs) {
+        for (label, proxy) in runs {
             for (what, bad_plan, field) in cases {
-                let gridded = proxy.grid(bad_plan, &ds.uvw, &ds.visibilities, &ds.aterms);
+                let gridded = proxy
+                    .grid(bad_plan, &ds.uvw, &ds.visibilities, &ds.aterms)
+                    .err();
                 assert!(
-                    matches!(&gridded, Err(IdgError::InvalidParameter(msg)) if msg.contains(field)),
-                    "{label} grid, {what}: {:?}",
-                    gridded.err()
+                    is_typed(gridded.as_ref(), field),
+                    "{label} grid, {what}: {gridded:?}"
                 );
                 // grid_into: the same error, and the caller's grid untouched
                 let mut onto = g0.clone();
                 let into =
                     proxy.grid_into(&mut onto, bad_plan, &ds.uvw, &ds.visibilities, &ds.aterms);
-                assert_eq!(into.err(), gridded.err(), "{label} grid_into, {what}");
+                assert_eq!(into.err(), gridded, "{label} grid_into, {what}");
                 assert!(
                     bits(&onto) == bits(&g0),
                     "{label} grid_into, {what}: grid touched"
                 );
-                let predicted = proxy.degrid(bad_plan, &model, &ds.uvw, &ds.aterms);
+                let predicted = proxy.degrid(bad_plan, &model, &ds.uvw, &ds.aterms).err();
                 assert!(
-                    matches!(&predicted, Err(IdgError::InvalidParameter(msg)) if msg.contains(field)),
-                    "{label} degrid, {what}: {:?}",
-                    predicted.err()
+                    is_typed(predicted.as_ref(), field),
+                    "{label} degrid, {what}: {predicted:?}"
                 );
                 // the staged entry points launch the back-end's kernels
-                // directly (no device pass in front of the GPU ones)
-                assert!(
-                    matches!(
-                        proxy.grid_stages(bad_plan, &ds.uvw, &ds.visibilities, &ds.aterms),
-                        Err(IdgError::InvalidParameter(_))
-                    ),
+                // directly, over the whole plan (no device pass in front
+                // of the GPU ones): the same error
+                assert_eq!(
+                    proxy
+                        .grid_stages(bad_plan, &ds.uvw, &ds.visibilities, &ds.aterms)
+                        .err(),
+                    gridded,
                     "{label} grid_stages, {what}"
                 );
-                assert!(
-                    matches!(
-                        proxy.degrid_stages(bad_plan, &model, &ds.uvw, &ds.aterms),
-                        Err(IdgError::InvalidParameter(_))
-                    ),
+                assert_eq!(
+                    proxy
+                        .degrid_stages(bad_plan, &model, &ds.uvw, &ds.aterms)
+                        .err(),
+                    predicted,
                     "{label} degrid_stages, {what}"
                 );
             }
+        }
+    }
+
+    fn vis_bits(vis: &[Visibility<f32>]) -> Vec<u32> {
+        let samples = vis.iter().flat_map(|v| v.pols.iter());
+        samples
+            .flat_map(|c| [c.re.to_bits(), c.im.to_bits()])
+            .collect()
+    }
+
+    #[test]
+    fn work_group_size_zero_runs_in_one_item_jobs() {
+        // 0 runs as 1 everywhere the size is read: the host job loop,
+        // the executors and both report constructors (a job count).
+        let ds = dataset();
+        for (label, mut proxy) in proxies(&ds.obs) {
+            let plan = proxy.plan(&ds.uvw).unwrap();
+            let mut run = |size| {
+                proxy.work_group_size = size;
+                let (grid, report) = proxy
+                    .grid(&plan, &ds.uvw, &ds.visibilities, &ds.aterms)
+                    .unwrap();
+                let (vis, dreport) = proxy.degrid(&plan, &grid, &ds.uvw, &ds.aterms).unwrap();
+                assert_eq!(
+                    report.launched_jobs,
+                    plan.items.len(),
+                    "{label}, size {size}"
+                );
+                assert_eq!(
+                    dreport.launched_jobs,
+                    plan.items.len(),
+                    "{label}, size {size}"
+                );
+                (bits(&grid), vis_bits(&vis))
+            };
+            let zero = run(0);
+            assert!(zero == run(1), "{label}: size 0 ≡ size 1, bit for bit");
+        }
+    }
+
+    #[test]
+    fn observed_multi_job_host_passes_self_validate() {
+        // A host pass runs job by job: its report counts the jobs, and
+        // its kernel-cache lookups come once per job and table, as on the
+        // device (validate_measured holds every observed run to both).
+        let ds = dataset();
+        let config = StreamConfig::new(idg_stream::ChunkPolicy::by_timesteps(16), 2, 2);
+        let lookups =
+            |trace: &idg_obs::Trace| trace.metrics.cache_hits + trace.metrics.cache_misses;
+        for backend in [Backend::CpuReference, Backend::CpuOptimized] {
+            let mut proxy = Proxy::new(backend, ds.obs.clone()).unwrap();
+            proxy.work_group_size = 7;
+            let plan = proxy.plan(&ds.uvw).unwrap();
+            let jobs = plan.items.len().div_ceil(7);
+            assert!(
+                jobs > 2 && !plan.items.len().is_multiple_of(7),
+                "with a short tail job"
+            );
+            // the reference kernels look no geometry planes up
+            let per_job = if backend == Backend::CpuReference {
+                1
+            } else {
+                2
+            };
+
+            let (grid, report, trace) = proxy
+                .grid_observed(&plan, &ds.uvw, &ds.visibilities, &ds.aterms)
+                .unwrap();
+            assert_eq!(report.launched_jobs, jobs, "{backend:?}");
+            assert_eq!(lookups(&trace), per_job * jobs as u64, "{backend:?}");
+            let (_, report, trace) = proxy
+                .degrid_observed(&plan, &grid, &ds.uvw, &ds.aterms)
+                .unwrap();
+            assert_eq!(report.launched_jobs, jobs, "{backend:?}");
+            assert_eq!(lookups(&trace), per_job * jobs as u64, "{backend:?}");
+
+            // a stream cuts each chunk plan into jobs of its own and
+            // defers every gridding job to one commit
+            let (_, report, trace) = proxy
+                .grid_streamed_observed(&config, &ds.uvw, &ds.visibilities, &ds.aterms)
+                .unwrap();
+            let stream_jobs = report.launched_jobs as u64;
+            assert!(stream_jobs >= jobs as u64, "{backend:?}");
+            let kernel_lookups = (per_job - 1) * stream_jobs;
+            assert_eq!(lookups(&trace), kernel_lookups + 1, "{backend:?}");
+            let (_, report, trace) = proxy
+                .degrid_streamed_observed(&config, &grid, &ds.uvw, &ds.aterms)
+                .unwrap();
+            assert_eq!(report.launched_jobs as u64, stream_jobs, "{backend:?}");
+            assert_eq!(lookups(&trace), per_job * stream_jobs, "{backend:?}");
         }
     }
 

@@ -94,10 +94,10 @@ struct ChunkOutput<P> {
     /// The chunk-local plan's work items (global time offsets).
     items: Vec<WorkItem>,
     /// What the commit consumes. Gridding: computed subgrids as ranges
-    /// into `items` ([`DeferredSubgrids`]: job granularity on the GPU
-    /// paths, one whole-chunk range on the CPU paths). Degridding: the
-    /// chunk-local predicted visibilities with the covered `items`
-    /// ranges ([`DeferredVis`]). CPU-fallback ranges are appended last.
+    /// into `items` ([`DeferredSubgrids`], one entry per job on every
+    /// back-end). Degridding: the chunk-local predicted visibilities
+    /// with the covered `items` ranges ([`DeferredVis`]). CPU-fallback
+    /// ranges are appended last.
     payload: P,
     /// The chunk pass's own report: modeled end-to-end time (GPU) or
     /// measured wall (CPU) in `total_seconds`, fallback jobs with
@@ -464,10 +464,14 @@ impl Proxy {
     ) -> Result<ChunkOutput<DeferredSubgrids>, IdgError> {
         let (payload, report) = match self.backend {
             Backend::CpuReference | Backend::CpuOptimized => {
-                let (subgrids, [kernel, fft]) = self.host_grid_chain(data, &plan.items, tag)?;
+                let mut pending = DeferredSubgrids::new();
+                let [kernel, fft] = self.host_grid_jobs(data, &plan, tag, |range, subgrids| {
+                    pending.push((range, subgrids));
+                    Ok(None)
+                })?;
                 let counts = gridder_counts(&plan.items, self.obs.subgrid_size);
                 (
-                    vec![(0..plan.items.len(), subgrids)],
+                    pending,
                     self.measured_report("gridding", counts, plan.items.len(), [kernel, fft, 0.0]),
                 )
             }
@@ -510,9 +514,9 @@ impl Proxy {
     ) -> Result<ChunkOutput<DeferredVis>, IdgError> {
         let (payload, report) = match self.backend {
             Backend::CpuReference | Backend::CpuOptimized => {
-                let (vis, seconds) = self.host_degrid_chain(data, &plan.items, grid, tag)?;
+                let (vis, seconds) = self.host_degrid_jobs(data, &plan, grid, tag)?;
                 let counts = degridder_counts(&plan.items, self.obs.subgrid_size);
-                // one covering range: the whole chunk is one CPU "job"
+                // one covering range: the jobs predicted every item
                 let ranges = std::iter::once(0..plan.items.len()).collect();
                 (
                     DeferredVis { ranges, vis },

@@ -58,10 +58,9 @@ pub struct ExecutionReport {
     /// Work items the pass launched (one kernel invocation each);
     /// summed over the chunk passes of a stream.
     pub launched_items: usize,
-    /// Launches the items were cut into: one per host chain, one per
-    /// device job (a work group of [`crate::Proxy::work_group_size`]
-    /// items) on GPU back-ends. A stream cuts each chunk plan into its
-    /// own, so they sum per chunk.
+    /// Jobs the items were cut into, work groups of
+    /// [`crate::Proxy::work_group_size`] items on every back-end. A
+    /// stream cuts each chunk plan into its own, so they sum per chunk.
     pub launched_jobs: usize,
     /// Modeled device energy, J (modeled back-ends only).
     pub device_energy_j: Option<f64>,

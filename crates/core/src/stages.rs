@@ -113,44 +113,94 @@ impl Proxy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Backend;
+    use crate::{Backend, StreamConfig};
+    use idg_stream::ChunkPolicy;
     use idg_telescope::{Dataset, Layout, SkyModel};
     use idg_types::Observation;
 
+    fn grid_bits(grid: &Grid<f32>) -> Vec<u32> {
+        let samples = grid.as_slice().iter();
+        samples
+            .flat_map(|c| [c.re.to_bits(), c.im.to_bits()])
+            .collect()
+    }
+
+    fn vis_bits(vis: &[Visibility<f32>]) -> Vec<u32> {
+        let samples = vis.iter().flat_map(|v| v.pols.iter());
+        samples
+            .flat_map(|c| [c.re.to_bits(), c.im.to_bits()])
+            .collect()
+    }
+
+    /// The staged passes stay whole-plan: they are the oracle every
+    /// job size of the production passes must reproduce bit for bit.
     #[test]
     fn stages_agree_with_the_monolithic_pass() {
         let obs = Observation::builder()
-            .stations(4)
+            .stations(5)
             .timesteps(16)
             .channels(2, 150e6, 2e6)
             .grid_size(128)
             .subgrid_size(16)
             .kernel_size(5)
-            .aterm_interval(16)
+            .aterm_interval(8)
             .image_size(0.05)
             .build()
             .unwrap();
-        let layout = Layout::uniform(4, 700.0, 41);
+        let layout = Layout::uniform(5, 700.0, 41);
         let sky = SkyModel::random(&obs, 3, 0.5, 43);
         let ds = Dataset::simulate(obs, &layout, sky, &idg_telescope::IdentityATerm);
+        // two chunks of one A-term interval each
+        let config = StreamConfig::new(ChunkPolicy::by_timesteps(8), 2, 2);
 
         for backend in Backend::all() {
-            let proxy = Proxy::new(backend, ds.obs.clone()).unwrap();
-            let plan = proxy.plan(&ds.uvw).unwrap();
+            for job_size in [1, 3, 256] {
+                let mut proxy = Proxy::new(backend, ds.obs.clone()).unwrap();
+                proxy.work_group_size = job_size;
+                let plan = proxy.plan(&ds.uvw).unwrap();
+                assert!(
+                    !plan.items.len().is_multiple_of(3),
+                    "size 3 leaves a short tail job"
+                );
+                assert!(plan.items.len() < 256, "size 256 is one job");
+                let case = format!("{backend:?} in {job_size}-item jobs");
 
-            let (grid, _) = proxy
-                .grid(&plan, &ds.uvw, &ds.visibilities, &ds.aterms)
-                .unwrap();
-            let stages = proxy
-                .grid_stages(&plan, &ds.uvw, &ds.visibilities, &ds.aterms)
-                .unwrap();
-            assert_eq!(grid.as_slice(), stages.grid.as_slice(), "{backend:?} grid");
+                let (grid, report) = proxy
+                    .grid(&plan, &ds.uvw, &ds.visibilities, &ds.aterms)
+                    .unwrap();
+                assert_eq!(report.launched_jobs, plan.items.len().div_ceil(job_size));
+                let stages = proxy
+                    .grid_stages(&plan, &ds.uvw, &ds.visibilities, &ds.aterms)
+                    .unwrap();
+                let oracle = grid_bits(&stages.grid);
+                assert!(grid_bits(&grid) == oracle, "{case}: grid");
 
-            let (vis, _) = proxy.degrid(&plan, &grid, &ds.uvw, &ds.aterms).unwrap();
-            let dstages = proxy
-                .degrid_stages(&plan, &grid, &ds.uvw, &ds.aterms)
-                .unwrap();
-            assert_eq!(vis, dstages.visibilities, "{backend:?} visibilities");
+                let (vis, _) = proxy.degrid(&plan, &grid, &ds.uvw, &ds.aterms).unwrap();
+                let dstages = proxy
+                    .degrid_stages(&plan, &grid, &ds.uvw, &ds.aterms)
+                    .unwrap();
+                let doracle = vis_bits(&dstages.visibilities);
+                assert!(vis_bits(&vis) == doracle, "{case}: visibilities");
+
+                if !matches!(backend, Backend::CpuReference | Backend::CpuOptimized) {
+                    continue;
+                }
+                // the host job loop serves grid_into and both streamed
+                // passes too
+                let mut onto = Grid::new(ds.obs.grid_size);
+                proxy
+                    .grid_into(&mut onto, &plan, &ds.uvw, &ds.visibilities, &ds.aterms)
+                    .unwrap();
+                assert!(grid_bits(&onto) == oracle, "{case}: grid_into");
+                let (streamed, _) = proxy
+                    .grid_streamed(&config, &ds.uvw, &ds.visibilities, &ds.aterms)
+                    .unwrap();
+                assert!(grid_bits(&streamed) == oracle, "{case}: grid_streamed");
+                let (streamed, _) = proxy
+                    .degrid_streamed(&config, &grid, &ds.uvw, &ds.aterms)
+                    .unwrap();
+                assert!(vis_bits(&streamed) == doracle, "{case}: degrid_streamed");
+            }
         }
     }
 }

@@ -29,7 +29,7 @@ use rayon::prelude::*;
 /// Launch-time shape validation shared by the adder and splitter
 /// (`check_launch`-style: typed errors, no entry-point panics): one
 /// subgrid per work item, and every item's footprint inside the grid.
-fn check_placement(
+fn check_subgrids(
     grid_size: usize,
     items: &[WorkItem],
     subgrids: &SubgridArray,
@@ -41,7 +41,19 @@ fn check_placement(
             actual: subgrids.count(),
         });
     }
-    let n = subgrids.size();
+    check_placement(grid_size, subgrids.size(), items)
+}
+
+/// The footprint half of the adder/splitter launch check: every item's
+/// `n × n` subgrid inside a `grid_size` grid. A pass that adds or splits
+/// job by job checks its whole plan with it before the first job, so an
+/// item off the grid fails the pass before any job has run.
+///
+/// # Errors
+/// [`IdgError::ShapeMismatch`] with the grid size and the far edge of
+/// the first item, in `items` order, whose footprint passes the grid
+/// edge.
+pub fn check_placement(grid_size: usize, n: usize, items: &[WorkItem]) -> Result<(), IdgError> {
     for item in items {
         if item.coord_x + n > grid_size || item.coord_y + n > grid_size {
             return Err(IdgError::ShapeMismatch {
@@ -69,7 +81,7 @@ pub fn add_subgrids(
     cache: &KernelCache,
 ) -> Result<(), IdgError> {
     let gsize = grid.size();
-    check_placement(gsize, items, subgrids)?;
+    check_subgrids(gsize, items, subgrids)?;
     let n = subgrids.size();
     let tables = cache.phasors(PhasorKey::new(n));
 
@@ -119,7 +131,7 @@ pub fn split_subgrids(
     subgrids: &mut SubgridArray,
     cache: &KernelCache,
 ) -> Result<(), IdgError> {
-    check_placement(grid.size(), items, subgrids)?;
+    check_subgrids(grid.size(), items, subgrids)?;
     let n = subgrids.size();
     let tables = cache.phasors(PhasorKey::new(n));
 

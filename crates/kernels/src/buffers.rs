@@ -88,6 +88,18 @@ impl SubgridArray {
         self.data.fill(Complex::zero());
     }
 
+    /// Keep the first `count` subgrids, as they are (no-op when `count`
+    /// is not smaller): a job-sized buffer reused for a shorter tail job
+    /// is not re-zeroed, since the gridder and the splitter overwrite
+    /// every sample of every subgrid they are given.
+    pub fn truncate(&mut self, count: usize) {
+        if count < self.count {
+            self.count = count;
+            self.data
+                .truncate(count * NR_POLARIZATIONS * self.size * self.size);
+        }
+    }
+
     /// Sum of |pixel|² across the whole batch.
     pub fn power(&self) -> f64 {
         self.data.iter().map(|c| c.norm_sqr() as f64).sum()
@@ -137,5 +149,20 @@ mod tests {
         assert!((arr.power() - 25.0).abs() < 1e-6);
         arr.clear();
         assert_eq!(arr.power(), 0.0);
+    }
+
+    #[test]
+    fn truncate_keeps_the_leading_subgrids() {
+        let mut arr = SubgridArray::new(3, 4);
+        for (i, sg) in arr.subgrids_mut().enumerate() {
+            sg.fill(Cf32::new(i as f32 + 1.0, 0.0));
+        }
+        arr.truncate(5);
+        assert_eq!(arr.count(), 3, "never grows");
+        arr.truncate(2);
+        assert_eq!(arr.count(), 2);
+        assert_eq!(arr.as_slice().len(), 2 * 4 * 16);
+        assert_eq!(arr.subgrids().count(), 2);
+        assert_eq!(arr.at(1, 3, 3, 3), Cf32::new(2.0, 0.0), "not re-zeroed");
     }
 }

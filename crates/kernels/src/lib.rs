@@ -52,7 +52,7 @@ pub mod geometry;
 pub mod gridder;
 pub mod reference;
 
-pub use adder::{add_subgrids, split_subgrids};
+pub use adder::{add_subgrids, check_placement, split_subgrids};
 pub use buffers::SubgridArray;
 pub use cache::{GeometryKey, KernelCache, PhasorKey};
 pub use cpu::{degridder_cpu, gridder_cpu};
@@ -137,9 +137,9 @@ impl<'a> KernelData<'a> {
 /// item and the field. The kernels slice per item on the strength of
 /// this check instead of bounds-checking per element.
 ///
-/// `subgrids` is the launch's subgrid array; a device pass, which
-/// allocates its subgrids job by job, checks its whole plan up front
-/// with `None`.
+/// `subgrids` is the launch's subgrid array; a pass that allocates its
+/// subgrids job by job — device or host — checks its whole plan up
+/// front with `None`.
 pub fn check_launch(
     data: &KernelData<'_>,
     items: &[idg_plan::WorkItem],
