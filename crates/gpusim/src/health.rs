@@ -294,6 +294,21 @@ mod tests {
         assert_eq!(h.state(), BreakerState::Closed);
         assert_eq!(h.trips(), 0);
         assert_eq!(h.outcomes(), 20);
+
+        // one unhealthy outcome stays under the threshold in either order
+        for pair in [
+            [JobOutcome::Clean, JobOutcome::Failed],
+            [JobOutcome::Failed, JobOutcome::Clean],
+        ] {
+            let mut h = DeviceHealth::new(config()).unwrap();
+            for outcome in pair {
+                h.record_outcome(outcome, 0.0);
+            }
+            assert_eq!(h.state(), BreakerState::Closed);
+            assert_eq!(h.trips(), 0);
+            assert_eq!(h.unhealthy_in_window(), 1);
+            assert!(h.admit(0.1));
+        }
     }
 
     #[test]

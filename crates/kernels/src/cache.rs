@@ -17,7 +17,7 @@
 
 use crate::geometry::KernelGeometry;
 use idg_fft::shift::fftshift_source;
-use idg_sync::RwLock;
+use idg_sync::Mutex;
 use idg_types::{Cf32, Complex, Float};
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -180,36 +180,28 @@ impl PhasorTables {
 /// self-validation pins the exact number of lookups a pass performs.
 #[derive(Debug, Default)]
 pub struct KernelCache {
-    geometry: RwLock<HashMap<GeometryKey, Arc<GeometryPlanes>>>,
-    phasors: RwLock<HashMap<PhasorKey, Arc<PhasorTables>>>,
+    geometry: Mutex<HashMap<GeometryKey, Arc<GeometryPlanes>>>,
+    phasors: Mutex<HashMap<PhasorKey, Arc<PhasorTables>>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
 
-/// Read-mostly lookup: warm passes take only the shared read lock, so
-/// concurrent workers never serialize on a hit; the write lock is
-/// taken on miss alone, with the key re-checked under it (another
-/// worker may have built the table between the two acquisitions — the
-/// loser of that race counts as a hit and shares the winner's `Arc`,
-/// so a key is only ever built once).
-fn lookup<K: Eq + Hash + Copy, V>(
-    map: &RwLock<HashMap<K, Arc<V>>>,
+/// One critical section: get the entry, or build and insert it under
+/// the same lock, so a key is built exactly once however many threads
+/// race for it. A pass makes at most two lookups per job, so the lock
+/// is short and uncontended.
+fn lookup<K: Eq + Hash, V>(
+    map: &Mutex<HashMap<K, Arc<V>>>,
     key: K,
     build: impl FnOnce() -> V,
 ) -> (Arc<V>, bool) {
-    {
-        let read = map.read();
-        if let Some(v) = read.get(&key) {
-            return (Arc::clone(v), true);
-        }
-    }
-    let mut write = map.write();
-    if let Some(v) = write.get(&key) {
-        return (Arc::clone(v), true);
-    }
-    let v = Arc::new(build());
-    write.insert(key, Arc::clone(&v));
-    (v, false)
+    let mut map = map.lock();
+    let mut hit = true;
+    let v = map.entry(key).or_insert_with(|| {
+        hit = false;
+        Arc::new(build())
+    });
+    (Arc::clone(v), hit)
 }
 
 impl KernelCache {
@@ -256,6 +248,7 @@ impl KernelCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Barrier;
 
     #[test]
     fn geometry_planes_match_inline_formulas() {
@@ -325,5 +318,47 @@ mod tests {
         let a = cache.phasors(PhasorKey::new(16));
         let b = cache.phasors(PhasorKey::new(16));
         assert!(Arc::ptr_eq(&a, &b));
+    }
+
+    /// Four threads released together on one cold key: whatever the
+    /// interleaving, one of them builds the table and the other three
+    /// share it. `lookup` is one critical section, so this holds in
+    /// every round, not just in the likely ones.
+    #[test]
+    fn racing_lookups_build_each_key_once() {
+        const THREADS: usize = 4;
+        for _ in 0..200 {
+            let cache = KernelCache::new();
+            let start = Barrier::new(THREADS);
+            let tables: Vec<Arc<PhasorTables>> = std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..THREADS)
+                    .map(|_| {
+                        scope.spawn(|| {
+                            start.wait();
+                            cache.phasors(PhasorKey::new(2))
+                        })
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("lookup does not panic"))
+                    .collect()
+            });
+            assert!(tables.iter().all(|t| Arc::ptr_eq(t, &tables[0])));
+            assert_eq!((cache.misses(), cache.hits()), (1, THREADS as u64 - 1));
+
+            let cache = KernelCache::new();
+            let start = Barrier::new(2);
+            std::thread::scope(|scope| {
+                for image_size in [0.1, 0.2] {
+                    let (cache, start) = (&cache, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        cache.geometry(GeometryKey::new(2, image_size))
+                    });
+                }
+            });
+            assert_eq!((cache.misses(), cache.hits()), (2, 0));
+        }
     }
 }

@@ -140,9 +140,8 @@ impl Config {
                 "gpusim".to_string(),
                 "stream".to_string(),
             ],
-            // lint has its own error type; mc mirrors std::thread's
-            // API, where join's error *is* the panic payload.
-            l4_exempt_crates: vec!["lint".to_string(), "mc".to_string()],
+            // lint has its own error type
+            l4_exempt_crates: vec!["lint".to_string()],
         }
     }
 }

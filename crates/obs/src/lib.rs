@@ -443,7 +443,7 @@ mod tests {
     fn only_threads_that_entered_the_recorder_record_into_the_session() {
         let session = Session::begin("scoped");
         let recorder = current();
-        idg_sync::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             scope.spawn(|| {
                 assert!(!is_active());
                 add_retries(1);

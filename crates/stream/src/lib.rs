@@ -37,9 +37,10 @@
 #![deny(missing_docs)]
 
 use idg_plan::{Plan, UvExtents};
-use idg_sync::{thread, Mutex};
+use idg_sync::Mutex;
 use idg_types::{IdgError, Observation, Uvw};
 use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// How to bound one ingestion chunk along the time axis.
 ///
@@ -310,26 +311,23 @@ impl StreamScheduler {
         idg_obs::record_passes_inflight(inflight_max as u64);
         idg_obs::add_backpressure_waits(waits);
 
-        // a facade mutex, not an atomic: taking a chunk is then a
-        // decision point the model checker interleaves (DESIGN.md §13)
-        let next = Mutex::new(0usize);
+        // `fetch_add` hands out each chunk index exactly once, and a
+        // slot is written once, by the lane that took its index.
+        // `Relaxed` suffices: the index publishes no data; the slots'
+        // locks and the scope's join order the results.
+        let next = AtomicUsize::new(0);
         let slots: Vec<Mutex<Option<Result<T, IdgError>>>> =
             (0..n).map(|_| Mutex::new(None)).collect();
         // the lanes work for the caller's session, if it has one
         let recorder = idg_obs::current();
 
-        thread::scope(|scope| {
+        std::thread::scope(|scope| {
             let handles: Vec<_> = (0..lanes)
                 .map(|_| {
                     scope.spawn(|| {
                         let _entered = recorder.as_ref().map(idg_obs::Recorder::enter);
                         loop {
-                            let job = {
-                                let mut next = next.lock();
-                                let job = *next;
-                                *next += 1;
-                                job
-                            };
+                            let job = next.fetch_add(1, Ordering::Relaxed);
                             if job >= n {
                                 return;
                             }
@@ -387,9 +385,8 @@ impl StreamScheduler {
 /// committed twice, an unknown chunk index, or a chunk never
 /// committed at all — into a typed [`IdgError::Internal`].
 ///
-/// Plain data with no interior synchronization: the production commit
-/// loop runs single-threaded after the stream joins, and the model
-/// tests wrap it in an `idg_sync` mutex where they need to share it.
+/// Plain data with no interior synchronization: the commit loop runs
+/// single-threaded after the stream joins.
 #[derive(Clone, Debug)]
 pub struct CommitLedger {
     committed: Vec<bool>,
@@ -456,7 +453,7 @@ mod tests {
         // thread's recording, so the two provably overlap
         let meet = Barrier::new(2);
 
-        let trace = thread::scope(|scope| {
+        let trace = std::thread::scope(|scope| {
             scope.spawn(|| {
                 meet.wait();
                 idg_obs::add_kernel(KernelStage::Gridder, &tally);

@@ -94,67 +94,96 @@ proptest! {
         max_inflight in 1usize..8,
         fail_stride in 2usize..9,
     ) {
-        let chunks: Vec<Chunk> = (0..nr_chunks)
-            .map(|i| Chunk { index: i, time_range: i..i + 1 })
-            .collect();
-        let scheduler = StreamScheduler::new(workers, max_inflight)
-            .map_err(|e| proptest::test_runner::TestCaseError::Fail(e.to_string()))?;
-        let executions = AtomicUsize::new(0);
-        let inflight = AtomicUsize::new(0);
-        let inflight_peak = AtomicUsize::new(0);
-        let run = scheduler
-            .run_stream(&chunks, |chunk| {
-                executions.fetch_add(1, Ordering::SeqCst);
-                let now = inflight.fetch_add(1, Ordering::SeqCst) + 1;
-                inflight_peak.fetch_max(now, Ordering::SeqCst);
-                let out = if chunk.index % fail_stride == 0 {
-                    Err(IdgError::Internal(format!("injected on {}", chunk.index)))
-                } else {
-                    Ok(chunk.index)
-                };
-                inflight.fetch_sub(1, Ordering::SeqCst);
-                out
-            })
-            .map_err(|e| proptest::test_runner::TestCaseError::Fail(e.to_string()))?;
+        check_scheduler_contract(nr_chunks, workers, max_inflight, fail_stride)?;
+    }
+}
 
-        // exactly once: one execution and one slot per chunk, each
-        // slot holding its own chunk's outcome
-        prop_assert_eq!(executions.load(Ordering::SeqCst), nr_chunks);
-        prop_assert_eq!(run.results.len(), nr_chunks);
-        for (i, result) in run.results.iter().enumerate() {
-            match result {
-                Ok(v) => {
-                    prop_assert!(i % fail_stride != 0);
-                    prop_assert_eq!(*v, i);
-                }
-                Err(IdgError::Internal(msg)) => {
-                    prop_assert!(i % fail_stride == 0);
-                    prop_assert_eq!(msg.clone(), format!("injected on {i}"));
-                }
-                Err(other) => {
-                    return Err(proptest::test_runner::TestCaseError::Fail(format!(
-                        "unexpected error kind in slot {i}: {other}"
-                    )));
-                }
+/// The small shapes worth naming: one lane, two lanes, a window
+/// narrower than the workers (one lane runs every chunk) and more
+/// workers than the window (the window sets the lanes). A stride of
+/// `nr_chunks` fails chunk 0 alone.
+#[test]
+fn scheduler_contract_holds_on_the_pinned_shapes() {
+    for (workers, max_inflight, nr_chunks) in [(1, 1, 2), (2, 2, 3), (2, 1, 3), (3, 2, 4)] {
+        if let Err(e) = check_scheduler_contract(nr_chunks, workers, max_inflight, nr_chunks) {
+            panic!("workers {workers}, max_inflight {max_inflight}, {nr_chunks} chunks: {e:?}");
+        }
+    }
+}
+
+/// Stream `nr_chunks` chunks on `StreamScheduler::new(workers,
+/// max_inflight)`, failing every chunk whose index is a multiple of
+/// `fail_stride`, and check the scheduler's whole contract.
+fn check_scheduler_contract(
+    nr_chunks: usize,
+    workers: usize,
+    max_inflight: usize,
+    fail_stride: usize,
+) -> Result<(), proptest::test_runner::TestCaseError> {
+    let chunks: Vec<Chunk> = (0..nr_chunks)
+        .map(|i| Chunk {
+            index: i,
+            time_range: i..i + 1,
+        })
+        .collect();
+    let scheduler = StreamScheduler::new(workers, max_inflight)
+        .map_err(|e| proptest::test_runner::TestCaseError::Fail(e.to_string()))?;
+    let executions = AtomicUsize::new(0);
+    let inflight = AtomicUsize::new(0);
+    let inflight_peak = AtomicUsize::new(0);
+    let run = scheduler
+        .run_stream(&chunks, |chunk| {
+            executions.fetch_add(1, Ordering::SeqCst);
+            let now = inflight.fetch_add(1, Ordering::SeqCst) + 1;
+            inflight_peak.fetch_max(now, Ordering::SeqCst);
+            let out = if chunk.index % fail_stride == 0 {
+                Err(IdgError::Internal(format!("injected on {}", chunk.index)))
+            } else {
+                Ok(chunk.index)
+            };
+            inflight.fetch_sub(1, Ordering::SeqCst);
+            out
+        })
+        .map_err(|e| proptest::test_runner::TestCaseError::Fail(e.to_string()))?;
+
+    // exactly once: one execution and one slot per chunk, each
+    // slot holding its own chunk's outcome
+    prop_assert_eq!(executions.load(Ordering::SeqCst), nr_chunks);
+    prop_assert_eq!(run.results.len(), nr_chunks);
+    for (i, result) in run.results.iter().enumerate() {
+        match result {
+            Ok(v) => {
+                prop_assert!(i % fail_stride != 0);
+                prop_assert_eq!(*v, i);
+            }
+            Err(IdgError::Internal(msg)) => {
+                prop_assert!(i % fail_stride == 0);
+                prop_assert_eq!(msg.clone(), format!("injected on {i}"));
+            }
+            Err(other) => {
+                return Err(proptest::test_runner::TestCaseError::Fail(format!(
+                    "unexpected error kind in slot {i}: {other}"
+                )));
             }
         }
-
-        // failures never abort the stream, and the stats partition it
-        let stats = run.stats;
-        prop_assert_eq!(stats.nr_chunks, nr_chunks);
-        prop_assert_eq!(stats.completed_chunks + stats.failed_chunks, nr_chunks);
-        prop_assert_eq!(stats.failed_chunks, nr_chunks.div_ceil(fail_stride));
-
-        // the cap holds for the passes actually observed in flight
-        prop_assert!(inflight_peak.load(Ordering::SeqCst) <= workers.min(max_inflight));
-
-        // the two stats that are functions of the configuration
-        prop_assert_eq!(stats.nr_workers, workers);
-        prop_assert_eq!(stats.max_inflight, max_inflight);
-        prop_assert_eq!(stats.inflight_max, max_inflight.min(nr_chunks));
-        prop_assert_eq!(
-            stats.backpressure_waits,
-            nr_chunks.saturating_sub(max_inflight) as u64
-        );
     }
+
+    // failures never abort the stream, and the stats partition it
+    let stats = run.stats;
+    prop_assert_eq!(stats.nr_chunks, nr_chunks);
+    prop_assert_eq!(stats.completed_chunks + stats.failed_chunks, nr_chunks);
+    prop_assert_eq!(stats.failed_chunks, nr_chunks.div_ceil(fail_stride));
+
+    // the cap holds for the passes actually observed in flight
+    prop_assert!(inflight_peak.load(Ordering::SeqCst) <= workers.min(max_inflight));
+
+    // the two stats that are functions of the configuration
+    prop_assert_eq!(stats.nr_workers, workers);
+    prop_assert_eq!(stats.max_inflight, max_inflight);
+    prop_assert_eq!(stats.inflight_max, max_inflight.min(nr_chunks));
+    prop_assert_eq!(
+        stats.backpressure_waits,
+        nr_chunks.saturating_sub(max_inflight) as u64
+    );
+    Ok(())
 }

@@ -1,7 +1,5 @@
-//! Normal-build facade: zero-cost newtypes over `std::sync` with
-//! poison recovery baked into every acquisition. API-identical to
-//! [`idg_mc::sync`] so the `--cfg idg_model_check` build is a drop-in
-//! swap.
+//! A zero-cost newtype over `std::sync::Mutex` with poison recovery
+//! baked into every acquisition.
 
 use std::sync::PoisonError;
 
@@ -57,76 +55,6 @@ impl<T: ?Sized> std::ops::Deref for MutexGuard<'_, T> {
 }
 
 impl<T: ?Sized> std::ops::DerefMut for MutexGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        &mut self.0
-    }
-}
-
-/// A reader-writer lock whose acquisitions recover from poisoning.
-pub struct RwLock<T: ?Sized>(std::sync::RwLock<T>);
-
-impl<T> RwLock<T> {
-    /// A new unlocked lock (usable in `static` items).
-    pub const fn new(value: T) -> RwLock<T> {
-        RwLock(std::sync::RwLock::new(value))
-    }
-
-    /// Consume the lock, returning the value (poison absorbed).
-    pub fn into_inner(self) -> T {
-        self.0.into_inner().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-impl<T: ?Sized> RwLock<T> {
-    /// Acquire shared read access, recovering from poisoning.
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        RwLockReadGuard(self.0.read().unwrap_or_else(PoisonError::into_inner))
-    }
-
-    /// Acquire exclusive write access, recovering from poisoning.
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        RwLockWriteGuard(self.0.write().unwrap_or_else(PoisonError::into_inner))
-    }
-
-    /// Mutable access without locking (the borrow proves exclusivity).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.0.get_mut().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-impl<T: Default> Default for RwLock<T> {
-    fn default() -> RwLock<T> {
-        RwLock::new(T::default())
-    }
-}
-
-impl<T: ?Sized + std::fmt::Debug> std::fmt::Debug for RwLock<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        self.0.fmt(f)
-    }
-}
-
-/// RAII guard for [`RwLock::read`].
-pub struct RwLockReadGuard<'a, T: ?Sized>(std::sync::RwLockReadGuard<'a, T>);
-
-impl<T: ?Sized> std::ops::Deref for RwLockReadGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.0
-    }
-}
-
-/// RAII guard for [`RwLock::write`].
-pub struct RwLockWriteGuard<'a, T: ?Sized>(std::sync::RwLockWriteGuard<'a, T>);
-
-impl<T: ?Sized> std::ops::Deref for RwLockWriteGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.0
-    }
-}
-
-impl<T: ?Sized> std::ops::DerefMut for RwLockWriteGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
         &mut self.0
     }

@@ -16,14 +16,10 @@
 //! guarantees for indexed parallel iterators.
 
 // `cargo lint` (DESIGN.md §9) covers the shims too. This one stands in
-// for an external dependency below the `idg-sync` facade (the real
-// rayon's pool is not model-checked either), and its `lock().unwrap()`
-// fails only after a worker panic that the thread scope re-raises.
-#![allow(
-    clippy::disallowed_types,
-    clippy::disallowed_methods,
-    clippy::unwrap_used
-)]
+// for an external dependency below the `idg-sync` facade, and its
+// `lock().unwrap()` fails only after a worker panic that the thread
+// scope re-raises.
+#![allow(clippy::disallowed_types, clippy::unwrap_used)]
 
 use std::sync::Mutex;
 
