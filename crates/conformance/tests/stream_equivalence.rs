@@ -141,6 +141,80 @@ fn streamed_degrid_visibilities_are_bit_identical_across_backends_cases_policies
 }
 
 #[test]
+fn streamed_degrid_on_uneven_chunks_under_persistent_device_faults_is_bit_identical() {
+    // A degrid chunk runs over its own window of the observation and
+    // predicts into its own rows. Pin that on the shapes most likely to
+    // break it: a last chunk shorter than the others, and device jobs
+    // that fail persistently — a DtoH corruption on every attempt lets
+    // the degridder write a job's chunk-local rows before the pass gives
+    // up, `Pass::fail_job` zeroes them and the CPU fallback re-predicts
+    // into them. The one-shot pass on the same proxy falls back on every
+    // job too, so both are the reference kernels' prediction; CPU
+    // back-ends ignore the fault schedule.
+    use idg::gpusim::{FaultConfig, FaultKind, RetryPolicy, TargetedFault};
+    use idg::stream::ChunkedDataset;
+    use idg::types::FaultSite;
+
+    let mut uneven_cases = 0;
+    for case in standard_cases().expect("standard cases build") {
+        let policy = ChunkPolicy::by_timesteps(2 * case.obs.aterm_interval);
+        let chunks = ChunkedDataset::split(&case.obs, &policy).unwrap();
+        let steps: Vec<usize> = chunks.chunks().iter().map(|c| c.nr_timesteps()).collect();
+        if steps.len() < 2 || steps[steps.len() - 1] >= steps[0] {
+            continue; // a single A-term interval cannot leave a short tail
+        }
+        uneven_cases += 1;
+        let ds = case.dataset();
+        for backend in Backend::all() {
+            let clean = Proxy::new(backend, case.obs.clone()).unwrap();
+            let plan = clean.plan(&ds.uvw).unwrap();
+            let (model, _) = clean
+                .grid(&plan, &ds.uvw, &ds.visibilities, &ds.aterms)
+                .unwrap();
+            let attempts = RetryPolicy::default().max_attempts;
+            let every_attempt_of_every_job = (0..plan.items.len())
+                .flat_map(|job| {
+                    (0..attempts).map(move |attempt| TargetedFault {
+                        job,
+                        attempt,
+                        site: FaultSite::DtoH,
+                        kind: FaultKind::TransferCorruption,
+                    })
+                })
+                .collect();
+            let mut failing = Proxy::new(backend, case.obs.clone()).unwrap();
+            failing.work_group_size = 2;
+            let failing = failing.with_faults(FaultConfig::targeted(every_attempt_of_every_job));
+            let on_device = matches!(backend, Backend::GpuPascal | Backend::GpuFiji);
+
+            for (schedule, proxy) in [("fault-free", clean), ("persistent faults", failing)] {
+                let (reference, one_shot) =
+                    proxy.degrid(&plan, &model, &ds.uvw, &ds.aterms).unwrap();
+                let config = StreamConfig::new(policy, 2, 2);
+                let (streamed, report) = proxy
+                    .degrid_streamed(&config, &model, &ds.uvw, &ds.aterms)
+                    .unwrap();
+                let what = format!(
+                    "degrid {} / {backend:?} / uneven chunks {steps:?} / {schedule}",
+                    case.name
+                );
+                assert_vis_bit_identical(&reference, &streamed, &what);
+                let all_fell_back = |r: &idg::ExecutionReport| {
+                    r.fallback_jobs.len() == r.launched_jobs && r.launched_jobs > 0
+                };
+                if on_device && schedule == "persistent faults" {
+                    assert!(all_fell_back(&one_shot), "{what}: one-shot");
+                    assert!(all_fell_back(&report), "{what}: streamed");
+                } else {
+                    assert!(report.fallback_jobs.is_empty(), "{what}");
+                }
+            }
+        }
+    }
+    assert!(uneven_cases >= 2, "the matrix must hold uneven chunks");
+}
+
+#[test]
 fn visibility_bounded_policies_stream_bit_identically_too() {
     // the same equivalence through the other ChunkPolicy axis: a
     // visibility budget of two A-term intervals' worth per chunk

@@ -295,8 +295,9 @@ impl Proxy {
     }
 
     /// The one input check of every gridding entry point — one-shot,
-    /// streamed and staged: buffer shapes, then finite visibilities,
-    /// then finite uvw. Returns the kernel inputs of the pass.
+    /// streamed and staged: buffer shapes (visibilities included), then
+    /// finite visibilities, then finite uvw. Returns the kernel inputs
+    /// of the pass.
     pub(crate) fn gridding_input<'a>(
         &'a self,
         uvw: &'a [Uvw],
@@ -304,6 +305,7 @@ impl Proxy {
         aterms: &'a ATerms,
     ) -> Result<KernelData<'a>, IdgError> {
         let data = self.kernel_data(uvw, visibilities, aterms)?;
+        data.validate_visibilities()?;
         check_finite_vis(visibilities)?;
         check_finite_uvw(uvw)?;
         Ok(data)
@@ -311,17 +313,16 @@ impl Proxy {
 
     /// The one input check of every degridding entry point — one-shot,
     /// streamed and staged: buffer shapes, then finite uvw, then the
-    /// model grid. `shape` is a zeroed visibility buffer of the
-    /// observation's extent: the degridder overwrites the slots it
-    /// covers, the input buffer only supplies the shape.
+    /// model grid. Returns the kernel inputs of the pass, which carry no
+    /// visibilities: the degridders write into the pass's one output
+    /// buffer and read none.
     pub(crate) fn degridding_input<'a>(
         &'a self,
         grid: &Grid<f32>,
         uvw: &'a [Uvw],
-        shape: &'a [Visibility<f32>],
         aterms: &'a ATerms,
     ) -> Result<KernelData<'a>, IdgError> {
-        let data = self.kernel_data(uvw, shape, aterms)?;
+        let data = self.kernel_data(uvw, &[], aterms)?;
         check_finite_uvw(uvw)?;
         self.check_model_grid(grid)?;
         Ok(data)
@@ -466,8 +467,9 @@ impl Proxy {
     /// [`Proxy::job_size`] items of `plan` runs splitter → inverse
     /// subgrid FFT → degridder through one reused job-sized subgrid
     /// buffer (the splitter overwrites every sample). Returns the
-    /// predicted visibilities (full observation extent) and `[kernel,
-    /// fft, splitter]` wall-clock seconds.
+    /// predicted visibilities, in the extent of `data.obs` (a streamed
+    /// chunk's window, or the observation), and `[kernel, fft,
+    /// splitter]` wall-clock seconds.
     fn host_degrid_jobs(
         &self,
         data: &KernelData<'_>,
@@ -478,7 +480,7 @@ impl Proxy {
         self.check_plan(data, plan)?;
         let job_size = self.job_size();
         let mut subgrids = SubgridArray::new(plan.items.len().min(job_size), self.obs.subgrid_size);
-        let mut vis = vec![Visibility::<f32>::zero(); self.obs.nr_visibilities()];
+        let mut vis = vec![Visibility::<f32>::zero(); data.obs.nr_visibilities()];
         let mut seconds = [0.0; 3];
         for items in plan.work_groups(job_size) {
             let t0 = Instant::now();
@@ -837,7 +839,8 @@ impl Proxy {
         Ok(())
     }
 
-    /// Predict visibilities from a model grid.
+    /// Predict visibilities from a model grid. The pass allocates one
+    /// observation-sized visibility buffer, the one it returns.
     pub fn degrid(
         &self,
         plan: &Plan,
@@ -845,8 +848,7 @@ impl Proxy {
         uvw: &[Uvw],
         aterms: &ATerms,
     ) -> Result<(Vec<Visibility<f32>>, ExecutionReport), IdgError> {
-        let zeros = vec![Visibility::<f32>::zero(); self.obs.nr_visibilities()];
-        let data = self.degridding_input(grid, uvw, &zeros, aterms)?;
+        let data = self.degridding_input(grid, uvw, aterms)?;
         let nr_items = plan.items.len();
         match self.backend {
             Backend::CpuReference | Backend::CpuOptimized => {
@@ -1191,6 +1193,40 @@ mod tests {
                 let got = proxy.grid_into(&mut onto, &plan, uvw, vis, &ds.aterms);
                 assert_eq!(got.err(), expected, "{label}, {what}");
                 assert!(bits(&onto) == bits(&g0), "{label}, {what}: grid touched");
+            }
+        }
+    }
+
+    #[test]
+    fn visibility_buffers_of_the_wrong_length_are_a_typed_error() {
+        // degrid launches carry no visibilities, so the length check
+        // lives where they are read: every gridding entry point still
+        // rejects a short, long or empty buffer, before it touches the
+        // caller's grid
+        let ds = dataset();
+        let config = StreamConfig::new(idg_stream::ChunkPolicy::by_timesteps(16), 2, 2);
+        let mut long = ds.visibilities.clone();
+        long.push(Visibility::zero());
+        let g0 = pattern_grid(ds.obs.grid_size, 1.0);
+        for (label, proxy) in proxies(&ds.obs) {
+            let plan = proxy.plan(&ds.uvw).unwrap();
+            for vis in [&ds.visibilities[1..], &long[..], &[][..]] {
+                let expected = Some(IdgError::ShapeMismatch {
+                    what: "visibilities",
+                    expected: ds.obs.nr_visibilities(),
+                    actual: vis.len(),
+                });
+                let case = format!("{label}, {} visibilities", vis.len());
+                let grid = proxy.grid(&plan, &ds.uvw, vis, &ds.aterms);
+                assert_eq!(grid.err(), expected, "grid, {case}");
+                let mut onto = g0.clone();
+                let into = proxy.grid_into(&mut onto, &plan, &ds.uvw, vis, &ds.aterms);
+                assert_eq!(into.err(), expected, "grid_into, {case}");
+                assert!(bits(&onto) == bits(&g0), "grid_into, {case}: grid touched");
+                let streamed = proxy.grid_streamed(&config, &ds.uvw, vis, &ds.aterms);
+                assert_eq!(streamed.err(), expected, "grid_streamed, {case}");
+                let stages = proxy.grid_stages(&plan, &ds.uvw, vis, &ds.aterms);
+                assert_eq!(stages.err(), expected, "grid_stages, {case}");
             }
         }
     }

@@ -18,41 +18,49 @@
 //!    same full input buffers (items carry global time offsets);
 //! 3. the commit sorts all items by
 //!    `(baseline_index, channel_offset, time_offset)` — recovering the
-//!    one-shot plan order — and performs **one** `add_subgrids` call,
-//!    so every f32 accumulation happens in the one-shot order. Summing
-//!    per-chunk grids instead would reorder additions (f32 addition is
-//!    not associative, and `0.0 + (-0.0)` even flips a sign bit).
+//!    one-shot plan order — and performs **one** adder call straight
+//!    over the chunks' own subgrid arrays, so every f32 accumulation
+//!    happens in the one-shot order. Summing per-chunk grids instead
+//!    would reorder additions (f32 addition is not associative, and
+//!    `0.0 + (-0.0)` even flips a sign bit).
 //!
 //! [`Proxy::degrid_streamed`] is the duplex twin: a deferred
 //! **splitter** stage (`split_deferred` on the executors) extracts
 //! each chunk's subgrids from the model grid, the chunk-local degrid
 //! passes flow through the same scheduler, and each chunk's predicted
 //! visibilities are committed into the caller's buffer exactly once —
-//! guarded by a [`CommitLedger`] — in one-shot plan order. Because the
+//! guarded by a [`CommitLedger`] — in one-shot plan order. A degrid
+//! chunk runs against its own window of the observation (its timesteps
+//! of `uvw`, its items re-based onto them), so every buffer it
+//! allocates — host job loop, device pass, CPU fallback — holds only
+//! its own rows, and the commit maps each row back. Because the
 //! degridder *overwrites* disjoint per-item visibility slots (no
-//! accumulation anywhere on the read side), the plain in-order copies
-//! reproduce [`Proxy::degrid`] bit for bit on every back-end, policy,
-//! worker count and fault schedule; see DESIGN.md §12 for the
-//! commit-order argument.
+//! accumulation anywhere on the read side), and no kernel reads a time
+//! offset except to index `uvw`, the plain in-order copies reproduce
+//! [`Proxy::degrid`] bit for bit on every back-end, policy, worker
+//! count and fault schedule; see DESIGN.md §12 for the commit-order
+//! argument.
 //!
 //! One-shot is deliberately *not* the one-chunk stream (DESIGN.md §12):
-//! the commit's `combined` copy of every subgrid would add 8.6 MB to
-//! `ska_dense`'s 80.8 MB peak RSS, and the one-shot GPU pass models the
-//! paper's device-resident grid and device adder (Sec. V-C e,
-//! `Sink::Commit`), not a deferred host commit.
+//! a stream holds every job's subgrids until it drains — all 8.6 MB of
+//! them on `ska_dense`, where the one-shot host pass holds one job's —
+//! and the one-shot GPU pass models the paper's device-resident grid
+//! and device adder (Sec. V-C e, `Sink::Commit`), not a deferred host
+//! commit.
 
 use super::{Backend, Proxy};
 use crate::report::ExecutionReport;
 use idg_gpusim::{DeferredSubgrids, DeferredVis, HOST_ADDER_BW};
-use idg_kernels::{add_subgrids, KernelData, SubgridArray};
+use idg_kernels::{add_subgrids_from_slices, KernelData};
 use idg_perf::{degridder_counts, gridder_counts};
 use idg_plan::{Plan, UvExtents, WorkItem};
 use idg_stream::{
-    plan_chunk, ChunkPolicy, ChunkedDataset, CommitLedger, StreamDirection, StreamRun,
+    plan_chunk, Chunk, ChunkPolicy, ChunkedDataset, CommitLedger, StreamDirection, StreamRun,
     StreamScheduler, StreamStats,
 };
 use idg_telescope::ATerms;
-use idg_types::{Grid, IdgError, Uvw, Visibility};
+use idg_types::{Cf32, Grid, IdgError, Observation, Uvw, Visibility};
+use std::ops::Range;
 use std::time::Instant;
 
 /// Configuration of a streamed gridding pass.
@@ -64,7 +72,8 @@ pub struct StreamConfig {
     pub workers: usize,
     /// Cap on chunk passes running at once (`lanes = min(workers,
     /// max_inflight)`). It bounds concurrency, not memory: every
-    /// chunk's output is held until the commit after the stream drains.
+    /// chunk's output — its subgrids, or its own visibility rows — is
+    /// held until the commit after the stream drains.
     pub max_inflight: usize,
 }
 
@@ -95,8 +104,9 @@ struct ChunkOutput<P> {
     items: Vec<WorkItem>,
     /// What the commit consumes. Gridding: computed subgrids as ranges
     /// into `items` ([`DeferredSubgrids`], one entry per job on every
-    /// back-end). Degridding: the chunk-local predicted visibilities
-    /// with the covered `items` ranges ([`DeferredVis`]). CPU-fallback
+    /// back-end). Degridding: the chunk's time range, and its predicted
+    /// visibility rows with the covered `items` ranges ([`DeferredVis`],
+    /// in the extent of the chunk's [`ChunkWindow`]). CPU-fallback
     /// ranges are appended last.
     payload: P,
     /// The chunk pass's own report: modeled end-to-end time (GPU) or
@@ -200,20 +210,53 @@ fn plan_order(item: &WorkItem) -> (usize, usize, usize) {
     (item.baseline_index, item.channel_offset, item.time_offset)
 }
 
-/// One committed subgrid: its work item, and where its pixels live in
-/// the per-chunk pending arrays.
-struct CommitSlot {
-    item: WorkItem,
-    src: usize,
-    plane: usize,
+/// One streamed degrid chunk's window of the observation: the chunk's
+/// timesteps as an observation of their own, its rows of `uvw`, and its
+/// plan with every item's time offset re-based onto the window. A pass
+/// over the window allocates and indexes only the chunk's visibility
+/// rows, through the same code as a whole-observation pass. Nothing
+/// else moves: items keep their baselines, channel groups, A-term slots
+/// (the A-term cube is shared, read-only) and subgrid placements, and
+/// no kernel reads a time offset except to index `uvw`.
+struct ChunkWindow {
+    obs: Observation,
+    uvw: Vec<Uvw>,
+    plan: Plan,
 }
 
-/// One committed work item of a streamed degrid pass: the item whose
-/// visibility rows are copied, and which chunk's local buffer holds
-/// them.
-struct DegridCommitSlot {
-    item: WorkItem,
-    src: usize,
+impl ChunkWindow {
+    /// The window of `time` over `obs`/`uvw`, for `plan`, a chunk-local
+    /// plan of that time range (global time offsets).
+    fn new(obs: &Observation, uvw: &[Uvw], time: &Range<usize>, plan: &Plan) -> Self {
+        let nr_time = obs.nr_timesteps;
+        let uvw = (0..obs.nr_baselines())
+            .flat_map(|b| &uvw[b * nr_time + time.start..b * nr_time + time.end])
+            .copied()
+            .collect();
+        let mut plan = plan.clone();
+        for item in &mut plan.items {
+            item.time_offset -= time.start;
+        }
+        Self {
+            obs: Observation {
+                nr_timesteps: time.len(),
+                ..obs.clone()
+            },
+            uvw,
+            plan,
+        }
+    }
+
+    /// The kernel inputs of a degrid pass over the window.
+    fn data<'a>(&'a self, whole: &KernelData<'a>) -> KernelData<'a> {
+        KernelData {
+            obs: &self.obs,
+            uvw: &self.uvw,
+            visibilities: &[],
+            aterms: whole.aterms,
+            taper: whole.taper,
+        }
+    }
 }
 
 impl Proxy {
@@ -226,7 +269,7 @@ impl Proxy {
         config: &StreamConfig,
         uvw: &[Uvw],
         direction: StreamDirection,
-        pass: impl Fn(Plan, Option<u32>) -> Result<ChunkOutput<P>, IdgError> + Sync,
+        pass: impl Fn(&Chunk, Plan) -> Result<ChunkOutput<P>, IdgError> + Sync,
     ) -> Result<(GatheredChunks<P>, StreamTotals), IdgError> {
         config.policy.validate()?;
         let scheduler = StreamScheduler::new(config.workers, config.max_inflight)?;
@@ -235,8 +278,7 @@ impl Proxy {
 
         let started = Instant::now();
         let StreamRun { results, mut stats } = scheduler.run_stream(chunks.chunks(), |chunk| {
-            let plan = plan_chunk(&self.obs, uvw, &extents, chunk)?;
-            pass(plan, u32::try_from(chunk.index).ok())
+            pass(chunk, plan_chunk(&self.obs, uvw, &extents, chunk)?)
         })?;
         stats.direction = direction;
 
@@ -284,26 +326,23 @@ impl Proxy {
     ) -> Result<(Grid<f32>, ExecutionReport), IdgError> {
         let data = self.gridding_input(uvw, visibilities, aterms)?;
         let (chunks, totals) =
-            self.stream_chunks(config, uvw, StreamDirection::Gridding, |plan, tag| {
-                self.run_chunk(&data, plan, tag)
+            self.stream_chunks(config, uvw, StreamDirection::Gridding, |chunk, plan| {
+                self.run_chunk(&data, chunk, plan)
             })?;
 
-        // gather every pending subgrid behind a commit slot
-        let mut arrays: Vec<SubgridArray> = Vec::new();
-        let mut slots: Vec<CommitSlot> = Vec::new();
+        // every pending subgrid, where its chunk pass left it, beside
+        // its work item
+        let mut slots: Vec<(WorkItem, &[Cf32])> = Vec::new();
         let mut nr_items = 0;
-        for (items, pending) in chunks {
+        for (items, pending) in &chunks {
             nr_items += items.len();
             for (range, subgrids) in pending {
-                let src = arrays.len();
-                for (plane, idx) in range.enumerate() {
-                    slots.push(CommitSlot {
-                        item: items[idx],
-                        src,
-                        plane,
-                    });
-                }
-                arrays.push(subgrids);
+                slots.extend(
+                    range
+                        .clone()
+                        .zip(subgrids.subgrids())
+                        .map(|(idx, s)| (items[idx], s)),
+                );
             }
         }
         if slots.len() != nr_items {
@@ -314,24 +353,17 @@ impl Proxy {
         }
 
         // the single in-order commit
-        slots.sort_by_key(|s| plan_order(&s.item));
+        slots.sort_by_key(|(item, _)| plan_order(item));
+        let (items, subgrids): (Vec<WorkItem>, Vec<&[Cf32]>) = slots.into_iter().unzip();
         let n = self.obs.subgrid_size;
-        let mut combined = SubgridArray::new(slots.len(), n);
-        let mut items: Vec<WorkItem> = Vec::with_capacity(slots.len());
-        for (i, slot) in slots.iter().enumerate() {
-            combined
-                .subgrid_mut(i)
-                .copy_from_slice(arrays[slot.src].subgrid(slot.plane));
-            items.push(slot.item);
-        }
         let mut grid = Grid::<f32>::new(self.obs.grid_size);
         let t_commit = Instant::now();
         {
             let _span = idg_obs::wall_span("adder", "stage", None);
-            add_subgrids(&mut grid, &items, &combined, &self.cache)?;
+            add_subgrids_from_slices(&mut grid, &items, &subgrids, n, &self.cache)?;
         }
         let commit_wall = t_commit.elapsed().as_secs_f64();
-        let commit_model = (slots.len() * 4 * n * n * 8) as f64 / HOST_ADDER_BW;
+        let commit_model = (items.len() * 4 * n * n * 8) as f64 / HOST_ADDER_BW;
         Ok((grid, totals.seal(config, commit_wall, commit_model)))
     }
 
@@ -361,11 +393,14 @@ impl Proxy {
     /// The returned visibilities are bit-identical to
     /// [`Proxy::degrid`] over the same inputs, for every chunk policy,
     /// worker count, completion order and fault schedule: the chunk
-    /// plans partition the one-shot plan's items verbatim, the
-    /// degridder overwrites disjoint per-item slots (no accumulation
-    /// on the read side), and the commit copies each item's rows from
-    /// its chunk's buffer — guarded by a [`CommitLedger`] so each
-    /// chunk commits exactly once.
+    /// plans partition the one-shot plan's items verbatim, each chunk
+    /// runs them over its own window of the observation, the degridder
+    /// overwrites disjoint per-item slots (no accumulation on the read
+    /// side), and the commit copies each item's rows from its chunk's
+    /// rows to their place in the observation — guarded by a
+    /// [`CommitLedger`] so each chunk commits exactly once. The
+    /// returned buffer is the only observation-sized one the pass
+    /// allocates.
     pub fn degrid_streamed(
         &self,
         config: &StreamConfig,
@@ -373,29 +408,28 @@ impl Proxy {
         uvw: &[Uvw],
         aterms: &ATerms,
     ) -> Result<(Vec<Visibility<f32>>, ExecutionReport), IdgError> {
-        let zeros = vec![Visibility::<f32>::zero(); self.obs.nr_visibilities()];
-        let data = self.degridding_input(grid, uvw, &zeros, aterms)?;
+        let data = self.degridding_input(grid, uvw, aterms)?;
         let (chunks, totals) =
-            self.stream_chunks(config, uvw, StreamDirection::Degridding, |plan, tag| {
-                self.run_degrid_chunk(&data, plan, grid, tag)
+            self.stream_chunks(config, uvw, StreamDirection::Degridding, |chunk, plan| {
+                self.run_degrid_chunk(&data, chunk, plan, grid)
             })?;
 
-        // gather every covered work item behind a commit slot; the
-        // ledger pins the exactly-once-per-chunk commit discipline
-        let mut chunk_vis: Vec<Vec<Visibility<f32>>> = Vec::with_capacity(chunks.len());
-        let mut slots: Vec<DegridCommitSlot> = Vec::new();
+        // gather every covered work item beside its chunk; the ledger
+        // pins the exactly-once-per-chunk commit discipline
+        let mut slots: Vec<(WorkItem, usize)> = Vec::new();
         let mut nr_items = 0;
         let mut ledger = CommitLedger::new(chunks.len());
-        for (src, (items, deferred)) in chunks.into_iter().enumerate() {
+        for (src, (items, (_, deferred))) in chunks.iter().enumerate() {
             ledger.commit(src)?;
             nr_items += items.len();
-            for idx in deferred.ranges.into_iter().flatten() {
-                slots.push(DegridCommitSlot {
-                    item: items[idx],
-                    src,
-                });
-            }
-            chunk_vis.push(deferred.vis);
+            slots.extend(
+                deferred
+                    .ranges
+                    .iter()
+                    .cloned()
+                    .flatten()
+                    .map(|idx| (items[idx], src)),
+            );
         }
         ledger.finish()?;
         if slots.len() != nr_items {
@@ -406,8 +440,9 @@ impl Proxy {
         }
 
         // the exactly-once in-order commit: each item's rows are plain
-        // copies of disjoint slots
-        slots.sort_by_key(|s| plan_order(&s.item));
+        // copies of disjoint slots, from its chunk's window to their
+        // place in the observation
+        slots.sort_by_key(|(item, _)| plan_order(item));
         let nr_time = self.obs.nr_timesteps;
         let nr_chan = self.obs.nr_channels();
         let mut vis = vec![Visibility::<f32>::zero(); self.obs.nr_visibilities()];
@@ -415,16 +450,16 @@ impl Proxy {
         let t_commit = Instant::now();
         {
             let _span = idg_obs::wall_span("vis_commit", "stage", None);
-            for slot in &slots {
-                let item = &slot.item;
-                let src = &chunk_vis[slot.src];
-                for dt in 0..item.nr_timesteps {
-                    let row = (item.baseline_index * nr_time + item.time_offset + dt) * nr_chan;
-                    let cols =
-                        row + item.channel_offset..row + item.channel_offset + item.nr_channels;
-                    vis[cols.clone()].copy_from_slice(&src[cols]);
+            for (item, src) in &slots {
+                let (_, (time, deferred)) = &chunks[*src];
+                let (first, cols) = (item.channel_offset, item.nr_channels);
+                for t in item.time_offset..item.time_offset + item.nr_timesteps {
+                    let row = (item.baseline_index * nr_time + t) * nr_chan + first;
+                    let local =
+                        (item.baseline_index * time.len() + t - time.start) * nr_chan + first;
+                    vis[row..row + cols].copy_from_slice(&deferred.vis[local..local + cols]);
                 }
-                committed_vis += (item.nr_timesteps * item.nr_channels) as u64;
+                committed_vis += (item.nr_timesteps * cols) as u64;
             }
         }
         let commit_wall = t_commit.elapsed().as_secs_f64();
@@ -459,9 +494,10 @@ impl Proxy {
     fn run_chunk(
         &self,
         data: &KernelData<'_>,
+        chunk: &Chunk,
         plan: Plan,
-        tag: Option<u32>,
     ) -> Result<ChunkOutput<DeferredSubgrids>, IdgError> {
+        let tag = u32::try_from(chunk.index).ok();
         let (payload, report) = match self.backend {
             Backend::CpuReference | Backend::CpuOptimized => {
                 let mut pending = DeferredSubgrids::new();
@@ -499,48 +535,51 @@ impl Proxy {
 
     /// One chunk's degrid pass over its chunk-local `plan`: split the
     /// chunk's subgrids out of the model grid and predict its
-    /// visibilities into a chunk-local buffer, leaving the commit to
-    /// the caller. On the device paths, persistently failed jobs are
-    /// re-predicted with the CPU reference kernels into the same buffer
-    /// (the executor already zeroed their slots) and their ranges
-    /// appended, so they join the same exactly-once commit. Runs on a
-    /// scheduler worker thread.
+    /// visibilities over the chunk's [`ChunkWindow`], into the chunk's
+    /// own rows, leaving the commit to the caller. On the device paths,
+    /// persistently failed jobs are re-predicted with the CPU reference
+    /// kernels into the same rows (the executor already zeroed their
+    /// slots) and their ranges appended, so they join the same
+    /// exactly-once commit. Runs on a scheduler worker thread.
     fn run_degrid_chunk(
         &self,
         data: &KernelData<'_>,
+        chunk: &Chunk,
         plan: Plan,
         grid: &Grid<f32>,
-        tag: Option<u32>,
-    ) -> Result<ChunkOutput<DeferredVis>, IdgError> {
+    ) -> Result<ChunkOutput<(Range<usize>, DeferredVis)>, IdgError> {
+        let tag = u32::try_from(chunk.index).ok();
+        let window = ChunkWindow::new(data.obs, data.uvw, &chunk.time_range, &plan);
+        let (data, local) = (window.data(data), &window.plan);
         let (payload, report) = match self.backend {
             Backend::CpuReference | Backend::CpuOptimized => {
-                let (vis, seconds) = self.host_degrid_jobs(data, &plan, grid, tag)?;
-                let counts = degridder_counts(&plan.items, self.obs.subgrid_size);
+                let (vis, seconds) = self.host_degrid_jobs(&data, local, grid, tag)?;
+                let counts = degridder_counts(&local.items, self.obs.subgrid_size);
                 // one covering range: the jobs predicted every item
-                let ranges = std::iter::once(0..plan.items.len()).collect();
+                let ranges = std::iter::once(0..local.items.len()).collect();
                 (
                     DeferredVis { ranges, vis },
-                    self.measured_report("degridding", counts, plan.items.len(), seconds),
+                    self.measured_report("degridding", counts, local.items.len(), seconds),
                 )
             }
             Backend::GpuPascal | Backend::GpuFiji => {
                 let (mut deferred, totals, fleet) = self.on_device(
                     grid,
-                    |e, grid| e.split_deferred(data, &plan, grid),
-                    |f, grid| f.split_deferred(data, &plan, grid),
+                    |e, grid| e.split_deferred(&data, local, grid),
+                    |f, grid| f.split_deferred(&data, local, grid),
                 )?;
                 let fallback_jobs =
-                    self.cpu_fallback(&plan, &totals.failed_jobs, |range, items| {
+                    self.cpu_fallback(local, &totals.failed_jobs, |range, items| {
                         deferred.ranges.push(range);
-                        self.reference_predict(data, items, grid, &mut deferred.vis)
+                        self.reference_predict(&data, items, grid, &mut deferred.vis)
                     })?;
-                let report = self.device_report(totals, plan.items.len(), fallback_jobs, fleet);
+                let report = self.device_report(totals, local.items.len(), fallback_jobs, fleet);
                 (deferred, report)
             }
         };
         Ok(ChunkOutput {
             items: plan.items,
-            payload,
+            payload: (chunk.time_range.clone(), payload),
             report,
         })
     }
@@ -550,7 +589,6 @@ impl Proxy {
 mod tests {
     use super::*;
     use idg_telescope::{Dataset, GaussianBeam, Layout, SkyModel};
-    use idg_types::Observation;
 
     fn dataset() -> Dataset {
         let obs = Observation::builder()
@@ -690,6 +728,37 @@ mod tests {
             assert_eq!(stats.failed_chunks, 0);
             assert_eq!(stats.inflight_max, 2);
             assert_eq!(stats.backpressure_waits, 4);
+        }
+    }
+
+    #[test]
+    fn streamed_degrid_chunks_hold_only_their_own_rows() {
+        // two chunks, the second shorter: each chunk pass predicts into
+        // a buffer of exactly its own visibility count, on every back-end
+        let ds = dataset();
+        let config = StreamConfig::new(ChunkPolicy::by_timesteps(32), 2, 2);
+        let per_step = ds.obs.nr_baselines() * ds.obs.nr_channels();
+        for backend in Backend::all() {
+            let proxy = Proxy::new(backend, ds.obs.clone()).unwrap();
+            let plan = proxy.plan(&ds.uvw).unwrap();
+            let (model, _) = proxy
+                .grid(&plan, &ds.uvw, &ds.visibilities, &ds.aterms)
+                .unwrap();
+            let data = proxy.degridding_input(&model, &ds.uvw, &ds.aterms).unwrap();
+            let (chunks, _) = proxy
+                .stream_chunks(
+                    &config,
+                    &ds.uvw,
+                    StreamDirection::Degridding,
+                    |chunk, plan| proxy.run_degrid_chunk(&data, chunk, plan, &model),
+                )
+                .unwrap();
+            let mut times = Vec::new();
+            for (_, (time, deferred)) in chunks {
+                assert_eq!(deferred.vis.len(), time.len() * per_step, "{backend:?}");
+                times.push(time);
+            }
+            assert_eq!(times, [0..32, 32..48], "{backend:?}");
         }
     }
 

@@ -89,8 +89,7 @@ impl Proxy {
         uvw: &[Uvw],
         aterms: &ATerms,
     ) -> Result<DegridStages, IdgError> {
-        let zeros = vec![Visibility::<f32>::zero(); self.observation().nr_visibilities()];
-        let data = self.degridding_input(grid, uvw, &zeros, aterms)?;
+        let data = self.degridding_input(grid, uvw, aterms)?;
 
         let mut subgrids = SubgridArray::new(plan.nr_subgrids(), self.observation().subgrid_size);
         split_subgrids(grid, &plan.items, &mut subgrids, self.kernel_cache())?;

@@ -45,16 +45,18 @@ use std::sync::Arc;
 pub type DeferredSubgrids = Vec<(Range<usize>, SubgridArray)>;
 
 /// Deferred-commit payload of a streamed degrid chunk pass: the
-/// chunk-local predicted visibilities plus the `plan.items` ranges the
-/// completed jobs covered, in job order. The caller copies each item's
-/// rows into the full observation buffer in one-shot plan order, so
-/// the streamed result stays bit-identical to the one-shot pass.
+/// predicted visibilities plus the `plan.items` ranges the completed
+/// jobs covered, in job order. The caller copies each item's rows into
+/// the full observation buffer in one-shot plan order, so the streamed
+/// result stays bit-identical to the one-shot pass.
 #[derive(Clone, Debug)]
 pub struct DeferredVis {
     /// `plan.items` ranges of the jobs that completed, in job order.
     pub ranges: Vec<Range<usize>>,
-    /// Chunk-local visibility buffer (full observation extent, zeros
-    /// outside the completed items' slots).
+    /// The pass's visibility buffer, in the extent of the observation
+    /// its `KernelData` carries — a streamed chunk passes its own time
+    /// window, so chunk-sized — with zeros outside the completed items'
+    /// slots.
     pub vis: Vec<Visibility<f32>>,
 }
 
@@ -776,6 +778,36 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn gridding_pass_checks_the_visibilities_before_staging_them() {
+        // an HtoD fault stages job 0's visibilities before any kernel
+        // runs its own launch check: a short buffer must be the pass's
+        // typed error, not an index panic in the staging copy
+        let ds = dataset();
+        let plan = Plan::create(&ds.obs, &ds.uvw).unwrap();
+        let taper = idg_math::spheroidal_2d(ds.obs.subgrid_size);
+        let data = KernelData {
+            visibilities: &ds.visibilities[..ds.visibilities.len() / 2],
+            ..kernel_data(&ds, &taper)
+        };
+        let faults = FaultConfig::targeted(vec![TargetedFault {
+            job: 0,
+            attempt: 0,
+            site: FaultSite::HtoD,
+            kind: FaultKind::TransferCorruption,
+        }]);
+        let exec = GpuExecutor::new(Device::pascal(), 4).with_faults(faults);
+        let mut grid = Grid::new(plan.grid_size());
+        assert!(matches!(
+            exec.grid(&data, &plan, &mut grid),
+            Err(IdgError::ShapeMismatch {
+                what: "visibilities",
+                ..
+            })
+        ));
+        assert_eq!(grid.power(), 0.0, "grid untouched");
     }
 
     #[test]

@@ -402,6 +402,83 @@ mod tests {
     }
 
     #[test]
+    fn gpu_degridder_reads_no_visibilities() {
+        // a degrid launch carries an empty visibility slice: the same
+        // bits as with a full zero buffer
+        let ds = dataset(true);
+        let plan = Plan::create(&ds.obs, &ds.uvw).unwrap();
+        let taper = idg_math::spheroidal_2d(ds.obs.subgrid_size);
+        let full = KernelData {
+            obs: &ds.obs,
+            uvw: &ds.uvw,
+            visibilities: &ds.visibilities,
+            aterms: &ds.aterms,
+            taper: &taper,
+        };
+        let mut subgrids = SubgridArray::new(plan.nr_subgrids(), ds.obs.subgrid_size);
+        gridder_reference(&full, &plan.items, &mut subgrids).expect("kernel run");
+        let zeros = vec![Visibility::<f32>::zero(); ds.obs.nr_visibilities()];
+        let launch = |visibilities: &[Visibility<f32>]| {
+            let data = KernelData {
+                visibilities,
+                ..full
+            };
+            let mut vis = vec![Visibility::<f32>::zero(); ds.obs.nr_visibilities()];
+            let cache = KernelCache::new();
+            degridder_gpu(
+                &data,
+                &plan.items,
+                &subgrids,
+                &mut vis,
+                &Device::pascal(),
+                &cache,
+            )
+            .unwrap();
+            vis.iter()
+                .flat_map(|v| v.pols)
+                .flat_map(|c| [c.re.to_bits(), c.im.to_bits()])
+                .collect::<Vec<u32>>()
+        };
+        assert!(launch(&[]) == launch(&zeros));
+    }
+
+    #[test]
+    fn gpu_gridder_rejects_a_visibility_buffer_of_the_wrong_length() {
+        let ds = dataset(false);
+        let plan = Plan::create(&ds.obs, &ds.uvw).unwrap();
+        let taper = idg_math::spheroidal_2d(ds.obs.subgrid_size);
+        let mut long = ds.visibilities.clone();
+        long.push(Visibility::zero());
+        for vis in [&ds.visibilities[1..], &long[..], &[][..]] {
+            let data = KernelData {
+                obs: &ds.obs,
+                uvw: &ds.uvw,
+                visibilities: vis,
+                aterms: &ds.aterms,
+                taper: &taper,
+            };
+            let mut sg = SubgridArray::new(plan.nr_subgrids(), ds.obs.subgrid_size);
+            let err = gridder_gpu(
+                &data,
+                &plan.items,
+                &mut sg,
+                &Device::pascal(),
+                &KernelCache::new(),
+            );
+            assert_eq!(
+                err.err(),
+                Some(IdgError::ShapeMismatch {
+                    what: "visibilities",
+                    expected: ds.obs.nr_visibilities(),
+                    actual: vis.len(),
+                }),
+                "{} visibilities",
+                vis.len()
+            );
+        }
+    }
+
+    #[test]
     fn small_shared_memory_still_correct() {
         // Force multiple batches per work item: shrink shared memory so
         // the staging loop runs several rounds.

@@ -548,8 +548,8 @@ pub(crate) struct Pass<'a> {
     /// Computed subgrids per job of a gridding pass, until committed
     /// or handed to the caller.
     held: Vec<Option<PendingChunks>>,
-    /// Predicted visibilities of a degridding pass (full observation
-    /// extent; jobs write their own disjoint slots in place).
+    /// Predicted visibilities of a degridding pass (the extent of
+    /// `data.obs`; jobs write their own disjoint slots in place).
     vis: Vec<Visibility<f32>>,
     retried: RetryStats,
     totals: PassTotals,
@@ -562,6 +562,8 @@ impl<'a> Pass<'a> {
     /// here, once: staging and failed-job zeroing index the buffers by
     /// its items outside any kernel's own launch check, and jobs are
     /// separate launches, so only this walk sees an item two jobs share.
+    /// A degridding pass allocates its one visibility buffer here, the
+    /// extent of `data.obs`.
     pub(crate) fn new(
         data: &'a KernelData<'a>,
         plan: &'a Plan,
@@ -574,6 +576,9 @@ impl<'a> Pass<'a> {
         idg_kernels::check_launch(data, &plan.items, None)?;
         let groups: Vec<&[WorkItem]> = plan.work_groups(work_group_size).collect();
         let gridding = matches!(direction, Direction::Grid);
+        if gridding {
+            data.validate_visibilities()?;
+        }
         let (held, vis) = if gridding {
             (vec![None; groups.len()], Vec::new())
         } else {

@@ -23,12 +23,13 @@
 use crate::buffers::SubgridArray;
 use crate::cache::{KernelCache, PhasorKey};
 use idg_plan::WorkItem;
-use idg_types::{Grid, IdgError, NR_POLARIZATIONS};
+use idg_types::{Cf32, Grid, IdgError, NR_POLARIZATIONS};
 use rayon::prelude::*;
 
-/// Launch-time shape validation shared by the adder and splitter
-/// (`check_launch`-style: typed errors, no entry-point panics): one
-/// subgrid per work item, and every item's footprint inside the grid.
+/// The splitter's launch-time shape validation (`check_launch`-style:
+/// typed errors, no entry-point panics; the adder body checks the same
+/// on its slices): one subgrid per work item, and every item's
+/// footprint inside the grid.
 fn check_subgrids(
     grid_size: usize,
     items: &[WorkItem],
@@ -69,7 +70,8 @@ pub fn check_placement(grid_size: usize, n: usize, items: &[WorkItem]) -> Result
 /// Add Fourier-domain subgrids into the grid (parallel over grid rows).
 ///
 /// `subgrids` must contain the *forward-FFT* of the image-domain subgrids
-/// produced by the gridder, one per work item.
+/// produced by the gridder, one per work item. The adder body is
+/// [`add_subgrids_from_slices`] over the array's subgrids.
 ///
 /// # Errors
 /// [`IdgError::ShapeMismatch`] when the subgrid count does not match the
@@ -80,9 +82,44 @@ pub fn add_subgrids(
     subgrids: &SubgridArray,
     cache: &KernelCache,
 ) -> Result<(), IdgError> {
+    let slices: Vec<&[Cf32]> = subgrids.subgrids().collect();
+    add_subgrids_from_slices(grid, items, &slices, subgrids.size(), cache)
+}
+
+/// The adder body: add `subgrids[i]`, the `4·n²` Fourier-domain pixels
+/// of `items[i]` wherever they live, into the grid (parallel over grid
+/// rows). Each grid row adds its subgrid rows in `items` order, so the
+/// grid's bits depend on that order and on the values only — a streamed
+/// commit adds straight from its chunks' arrays in plan order.
+///
+/// # Errors
+/// [`IdgError::ShapeMismatch`] when the subgrid count does not match the
+/// work items, a subgrid is not `4·n²` pixels long, or a footprint falls
+/// outside the grid.
+pub fn add_subgrids_from_slices(
+    grid: &mut Grid<f32>,
+    items: &[WorkItem],
+    subgrids: &[&[Cf32]],
+    n: usize,
+    cache: &KernelCache,
+) -> Result<(), IdgError> {
     let gsize = grid.size();
-    check_subgrids(gsize, items, subgrids)?;
-    let n = subgrids.size();
+    if items.len() != subgrids.len() {
+        return Err(IdgError::ShapeMismatch {
+            what: "subgrid count (one per work item)",
+            expected: items.len(),
+            actual: subgrids.len(),
+        });
+    }
+    let pixels = NR_POLARIZATIONS * n * n;
+    if let Some(wrong) = subgrids.iter().find(|s| s.len() != pixels) {
+        return Err(IdgError::ShapeMismatch {
+            what: "subgrid pixels (4 planes of n²)",
+            expected: pixels,
+            actual: wrong.len(),
+        });
+    }
+    check_placement(gsize, n, items)?;
     let tables = cache.phasors(PhasorKey::new(n));
 
     // Row index: which (item, j_y) pairs touch each grid row.
@@ -103,7 +140,7 @@ pub fn add_subgrids(
             debug_assert!(pol < NR_POLARIZATIONS);
             for &(item_idx, jy) in &rows[y] {
                 let item = &items[item_idx];
-                let sub = subgrids.subgrid(item_idx);
+                let sub = subgrids[item_idx];
                 let sy = tables.shift[jy];
                 let factors = &tables.add[jy * n..jy * n + n];
                 let sub_row = &sub[(pol * n + sy) * n..(pol * n + sy) * n + n];

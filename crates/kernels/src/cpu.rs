@@ -659,6 +659,91 @@ mod tests {
         Dataset::simulate(obs, &layout, sky, &IdentityATerm)
     }
 
+    fn vis_bits(vis: &[Visibility<f32>]) -> Vec<u32> {
+        let samples = vis.iter().flat_map(|v| v.pols);
+        samples
+            .flat_map(|c| [c.re.to_bits(), c.im.to_bits()])
+            .collect()
+    }
+
+    #[test]
+    fn degridders_read_no_visibilities() {
+        // a degrid launch carries an empty visibility slice: both host
+        // degridders predict the same bits as with a full zero buffer
+        let ds = dataset(1);
+        let plan = Plan::create(&ds.obs, &ds.uvw).unwrap();
+        let tp = taper(ds.obs.subgrid_size);
+        let full = KernelData {
+            obs: &ds.obs,
+            uvw: &ds.uvw,
+            visibilities: &ds.visibilities,
+            aterms: &ds.aterms,
+            taper: &tp,
+        };
+        let mut subgrids = SubgridArray::new(plan.nr_subgrids(), ds.obs.subgrid_size);
+        gridder_reference(&full, &plan.items, &mut subgrids).expect("kernel run");
+        let zeros = vec![Visibility::<f32>::zero(); ds.obs.nr_visibilities()];
+        let launch = |visibilities: &[Visibility<f32>]| {
+            let data = KernelData {
+                visibilities,
+                ..full
+            };
+            let mut fast = vec![Visibility::<f32>::zero(); ds.obs.nr_visibilities()];
+            let mut gold = fast.clone();
+            let cache = KernelCache::new();
+            degridder_cpu(
+                &data,
+                &plan.items,
+                &subgrids,
+                &mut fast,
+                Accuracy::Medium,
+                &cache,
+            )
+            .expect("kernel run");
+            degridder_reference(&data, &plan.items, &subgrids, &mut gold).expect("kernel run");
+            [vis_bits(&fast), vis_bits(&gold)]
+        };
+        let ([fast, gold], [fast_zeros, gold_zeros]) = (launch(&[]), launch(&zeros));
+        assert!(fast == fast_zeros, "degridder_cpu");
+        assert!(gold == gold_zeros, "degridder_reference");
+    }
+
+    #[test]
+    fn gridders_reject_a_visibility_buffer_of_the_wrong_length() {
+        let ds = dataset(0);
+        let plan = Plan::create(&ds.obs, &ds.uvw).unwrap();
+        let tp = taper(ds.obs.subgrid_size);
+        let expected = ds.obs.nr_visibilities();
+        let mut long = ds.visibilities.clone();
+        long.push(Visibility::zero());
+        for (what, vis) in [
+            ("short", &ds.visibilities[1..]),
+            ("long", &long[..]),
+            ("empty", &[][..]),
+        ] {
+            let data = KernelData {
+                obs: &ds.obs,
+                uvw: &ds.uvw,
+                visibilities: vis,
+                aterms: &ds.aterms,
+                taper: &tp,
+            };
+            let is_typed = |r: Result<(), IdgError>| {
+                r == Err(IdgError::ShapeMismatch {
+                    what: "visibilities",
+                    expected,
+                    actual: vis.len(),
+                })
+            };
+            let mut subgrids = SubgridArray::new(plan.nr_subgrids(), ds.obs.subgrid_size);
+            let cache = KernelCache::new();
+            let cpu = gridder_cpu(&data, &plan.items, &mut subgrids, Accuracy::Medium, &cache);
+            assert!(is_typed(cpu), "gridder_cpu, {what}");
+            let reference = gridder_reference(&data, &plan.items, &mut subgrids);
+            assert!(is_typed(reference), "gridder_reference, {what}");
+        }
+    }
+
     #[test]
     fn tails_shorter_than_a_simd_lane_match_reference() {
         assert_tail_conformance(&sub_lane_dataset());

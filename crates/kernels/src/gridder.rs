@@ -127,6 +127,7 @@ pub fn pixel_lane_gridder(
     cache: &KernelCache,
 ) -> Result<KernelCounters, IdgError> {
     crate::check_launch(data, items, Some(subgrids))?;
+    data.validate_visibilities()?;
     if batch_len == 0 {
         // would never advance the staging loop
         return Err(IdgError::InvalidParameter(

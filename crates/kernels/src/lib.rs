@@ -52,7 +52,7 @@ pub mod geometry;
 pub mod gridder;
 pub mod reference;
 
-pub use adder::{add_subgrids, check_placement, split_subgrids};
+pub use adder::{add_subgrids, add_subgrids_from_slices, check_placement, split_subgrids};
 pub use buffers::SubgridArray;
 pub use cache::{GeometryKey, KernelCache, PhasorKey};
 pub use cpu::{degridder_cpu, gridder_cpu};
@@ -79,7 +79,9 @@ pub struct KernelData<'a> {
     pub obs: &'a Observation,
     /// uvw coordinates (meters).
     pub uvw: &'a [Uvw],
-    /// Visibilities (input for gridding, output target for degridding).
+    /// Visibilities: gridding input only. A degridder writes into the
+    /// output buffer it is handed and reads none, so degrid launches
+    /// carry an empty slice.
     pub visibilities: &'a [Visibility<f32>],
     /// Sampled A-terms.
     pub aterms: &'a ATerms,
@@ -88,7 +90,10 @@ pub struct KernelData<'a> {
 }
 
 impl<'a> KernelData<'a> {
-    /// Validate buffer shapes against the observation.
+    /// Validate the shapes every launch reads against the observation:
+    /// uvw, taper and A-terms. The visibilities are gridding input only
+    /// and are checked where they are read
+    /// ([`KernelData::validate_visibilities`]).
     pub fn validate(&self) -> Result<(), idg_types::IdgError> {
         let expect_uvw = self.obs.nr_baselines() * self.obs.nr_timesteps;
         if self.uvw.len() != expect_uvw {
@@ -96,14 +101,6 @@ impl<'a> KernelData<'a> {
                 what: "uvw",
                 expected: expect_uvw,
                 actual: self.uvw.len(),
-            });
-        }
-        let expect_vis = self.obs.nr_visibilities();
-        if self.visibilities.len() != expect_vis {
-            return Err(idg_types::IdgError::ShapeMismatch {
-                what: "visibilities",
-                expected: expect_vis,
-                actual: self.visibilities.len(),
             });
         }
         let n2 = self.obs.subgrid_size * self.obs.subgrid_size;
@@ -119,6 +116,21 @@ impl<'a> KernelData<'a> {
                 what: "aterms subgrid size",
                 expected: self.obs.subgrid_size,
                 actual: self.aterms.subgrid_size(),
+            });
+        }
+        Ok(())
+    }
+
+    /// The check of every reader of `visibilities` — the gridders, a
+    /// device gridding pass's staging, the proxy's gridding input: one
+    /// visibility per (baseline, timestep, channel) of the observation.
+    pub fn validate_visibilities(&self) -> Result<(), idg_types::IdgError> {
+        let expected = self.obs.nr_visibilities();
+        if self.visibilities.len() != expected {
+            return Err(idg_types::IdgError::ShapeMismatch {
+                what: "visibilities",
+                expected,
+                actual: self.visibilities.len(),
             });
         }
         Ok(())

@@ -34,6 +34,7 @@ pub fn gridder_reference(
     subgrids: &mut SubgridArray,
 ) -> Result<(), IdgError> {
     crate::check_launch(data, items, Some(subgrids))?;
+    data.validate_visibilities()?;
 
     let geom = KernelGeometry::new(data.obs);
     let n = geom.subgrid_size;

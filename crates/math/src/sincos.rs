@@ -56,25 +56,17 @@ const PIO2_HI: f64 = std::f64::consts::FRAC_PI_2;
 /// reduction stays exact to f32 level even for quadrant counts ≈ 10⁴.
 const PIO2_LO: f64 = 6.123_233_995_736_766e-17;
 
-/// 1.5·2⁵²: adding it to a double of magnitude < 2⁵¹ pins the exponent,
+/// 1.5·2²³: adding it to an f32 of magnitude < 2²² pins the exponent,
 /// leaving the integer value (two's complement) in the low mantissa bits.
-const QUADRANT_MAGIC: f64 = 6_755_399_441_055_744.0;
-/// 1.5·2²³, the f32 analogue (valid for |k| < 2²²).
 const QUADRANT_MAGIC_F32: f32 = 12_582_912.0;
 
 /// Low two bits of the already-rounded quadrant count `k`, extracted via
 /// the magic-constant bit trick instead of a `k as i64` cast: the
-/// saturating float→int conversion lowers to a *scalar* `cvttsd2si` +
+/// saturating float→int conversion lowers to a *scalar* `cvttss2si` +
 /// compare/cmov chain per lane, which serializes the otherwise fully
 /// vectorized batch loops (~3× on the whole sincos). Value-identical to
-/// `k as i64 & 3` for every |k| < 2⁵¹ — far beyond the documented
-/// |x| < 10⁹ argument range (see `magic_quadrant_matches_integer_cast`).
-#[inline(always)]
-fn quadrant_of(k: f64) -> u64 {
-    (k + QUADRANT_MAGIC).to_bits() & 3
-}
-
-/// f32 variant of [`quadrant_of`] for the fast path (|k| < 2²²).
+/// `k as i64 & 3` for every |k| < 2²² (see
+/// `magic_quadrant_matches_integer_cast`), i.e. |x| < 2²²·π/2 ≈ 6.6·10⁶.
 #[inline(always)]
 fn quadrant_of_f32(k: f32) -> u64 {
     u64::from((k + QUADRANT_MAGIC_F32).to_bits() & 3)
@@ -82,13 +74,16 @@ fn quadrant_of_f32(k: f32) -> u64 {
 
 /// Reduce `x` to `(quadrant, r)` with `r ∈ [−π/4, π/4]` and
 /// `x = quadrant·π/2 + r`, using a two-part π/2 (Cody-Waite in f64).
+/// The quadrant is read off `k` narrowed to f32 — exact, since `k` is
+/// an integer of magnitude < 2²² — where the f32 bit trick runs at
+/// twice the f64 one's SIMD width.
 #[inline(always)]
 fn reduce(x: f32) -> (u64, f32) {
     let xd = x.to_f64();
     let k = (xd * FRAC_2_PI).round();
     let r = k.mul_add(-PIO2_HI, xd);
     let r = k.mul_add(-PIO2_LO, r);
-    (quadrant_of(k), f32::from_f64(r))
+    (quadrant_of_f32(f32::from_f64(k)), f32::from_f64(r))
 }
 
 /// Cheap all-f32 Cody-Waite reduction used by the fast path. Splits π/2
@@ -154,9 +149,9 @@ fn combine(quadrant: u64, s: f32, c: f32) -> (f32, f32) {
 /// Evaluate `(sin x, cos x)` at the requested accuracy.
 ///
 /// Arguments are expected in the paper's benchmark range (|x| ≲ 10⁴ —
-/// phases are products of uv-lengths and image coordinates); reduction
-/// stays accurate far beyond that (≲ 2⁵²·π/2 in principle, practically
-/// |x| < 10⁹ before `f64` reduction error becomes visible at f32 level).
+/// phases are products of uv-lengths and image coordinates). Both
+/// reductions read the quadrant off an f32 count, which holds for
+/// |x| < 2²²·π/2 ≈ 6.6·10⁶: the supported range.
 #[inline]
 pub fn sincos(x: f32, accuracy: Accuracy) -> (f32, f32) {
     match accuracy {
@@ -334,17 +329,49 @@ mod tests {
     #[test]
     fn magic_quadrant_matches_integer_cast() {
         // The magic-constant extraction must reproduce `(k as i64 & 3)`
-        // bit-for-bit for every quadrant count the reductions can produce.
-        for i in -200_000i64..200_000 {
-            let k = i as f64;
-            assert_eq!(quadrant_of(k), (k as i64 & 3) as u64, "f64 k={k}");
-        }
-        for big in [1e9f64, 1e12, 2.0f64.powi(50), -(2.0f64.powi(50))] {
-            assert_eq!(quadrant_of(big), (big as i64 & 3) as u64);
-        }
-        for i in -70_000i64..70_000 {
+        // for every quadrant count of the supported range, |k| < 2²².
+        for i in -(1i64 << 22) + 1..1 << 22 {
             let k = i as f32;
-            assert_eq!(quadrant_of_f32(k), (k as i64 & 3) as u64, "f32 k={k}");
+            assert_eq!(quadrant_of_f32(k), (i & 3) as u64, "k={k}");
+        }
+    }
+
+    /// The Medium reduction before its quadrant moved to f32, kept as
+    /// its oracle: the quadrant is the f64 count's integer cast.
+    fn reduce_f64_quadrant(x: f32) -> (u64, f32) {
+        let xd = x.to_f64();
+        let k = (xd * FRAC_2_PI).round();
+        let r = k.mul_add(-PIO2_HI, xd);
+        let r = k.mul_add(-PIO2_LO, r);
+        ((k as i64 & 3) as u64, f32::from_f64(r))
+    }
+
+    #[test]
+    fn medium_reduction_is_bit_identical_to_the_f64_quadrant_one() {
+        let bits = |(s, c): (f32, f32)| (s.to_bits(), c.to_bits());
+        let oracle = |x: f32| {
+            let (q, r) = reduce_f64_quadrant(x);
+            bits(combine(q, poly_sin(r), poly_cos(r)))
+        };
+        // a dense sweep of the kernels' phase range, ±10⁴ ...
+        let n = 4_000_000;
+        for i in 0..=n {
+            let x = -1e4 + 2e4 * (i as f32 / n as f32);
+            assert_eq!(bits(sincos(x, Accuracy::Medium)), oracle(x), "x={x}");
+        }
+        // ... and spot values out to the edge of the supported range,
+        // odd multiples of π/4 (quadrant boundaries) among them
+        let mut spots = vec![6e6f32, -6e6];
+        for e in 4..=6 {
+            for m in [1.0f32, 2.5, 5.0] {
+                let x = m * 10f32.powi(e);
+                let quarter = (x / std::f32::consts::FRAC_PI_2).floor() + 0.5;
+                let edge = quarter * std::f32::consts::FRAC_PI_2;
+                spots.extend([x, -x, edge, -edge, f32::from_bits(edge.to_bits() + 1)]);
+            }
+        }
+        for x in spots {
+            assert_eq!(bits(sincos(x, Accuracy::Medium)), oracle(x), "x={x}");
         }
     }
 
