@@ -119,7 +119,7 @@ impl FleetConfig {
     /// A fault-free homogeneous fleet of `nr_devices` members.
     pub fn new(nr_devices: usize) -> Self {
         Self {
-            nr_devices: nr_devices.max(1),
+            nr_devices,
             member_faults: Vec::new(),
             breaker: None,
         }
@@ -252,22 +252,18 @@ impl Proxy {
     /// Build the fleet executor for `config`, sharing the proxy's
     /// kernel cache across all members.
     fn fleet_executor(&self, config: &FleetConfig) -> Result<FleetExecutor, IdgError> {
+        // `uniform` is the one clamp of the member count: everything
+        // below reads the fleet's own members
         let mut fleet = FleetExecutor::uniform(self.device()?, config.nr_devices, self.job_size())
             .with_retry_policy(self.retry_policy)
             .with_cache(Arc::clone(&self.cache));
         if let Some(f) = &self.fault_config {
-            for member in 0..config.nr_devices {
-                fleet = fleet.with_member_faults(member, f.clone());
+            for member in &mut fleet.members {
+                member.faults = Some(f.clone());
             }
         }
         for (member, faults) in &config.member_faults {
-            if *member >= config.nr_devices {
-                return Err(IdgError::InvalidParameter(format!(
-                    "fleet member fault index {member} out of range (fleet has {} devices)",
-                    config.nr_devices
-                )));
-            }
-            fleet = fleet.with_member_faults(*member, faults.clone());
+            fleet = fleet.with_member_faults(*member, faults.clone())?;
         }
         if let Some(breaker) = config.breaker {
             fleet = fleet.with_breaker(breaker);
@@ -524,7 +520,7 @@ impl Proxy {
         };
         let (out, report) = fleet(&self.fleet_executor(config)?, grid)?;
         let stats = FleetStats {
-            nr_devices: config.nr_devices,
+            nr_devices: report.per_device.len(),
             redispatched_jobs: report.redispatched_jobs,
             degradation_steps: report.degradation_steps,
             breaker_trips: report.breaker_trips,
@@ -849,10 +845,28 @@ impl Proxy {
         aterms: &ATerms,
     ) -> Result<(Vec<Visibility<f32>>, ExecutionReport), IdgError> {
         let data = self.degridding_input(grid, uvw, aterms)?;
+        self.degrid_pass(&data, plan, grid, None)
+    }
+
+    /// The one degrid body, behind [`Proxy::degrid`] and every streamed
+    /// degrid chunk: the back-end's splitter → inverse subgrid FFT →
+    /// degridder over `plan`, into one visibility buffer in the extent
+    /// of `data.obs` (the observation, or a chunk's window). On the
+    /// device paths, persistently failed jobs are re-predicted with the
+    /// CPU reference kernels into the same buffer (the executor zeroed
+    /// their slots). `tag` labels the host stage spans (the chunk index
+    /// of a streamed pass).
+    fn degrid_pass(
+        &self,
+        data: &KernelData<'_>,
+        plan: &Plan,
+        grid: &Grid<f32>,
+        tag: Option<u32>,
+    ) -> Result<(Vec<Visibility<f32>>, ExecutionReport), IdgError> {
         let nr_items = plan.items.len();
         match self.backend {
             Backend::CpuReference | Backend::CpuOptimized => {
-                let (vis, seconds) = self.host_degrid_jobs(&data, plan, grid, None)?;
+                let (vis, seconds) = self.host_degrid_jobs(data, plan, grid, tag)?;
                 let counts = degridder_counts(&plan.items, self.obs.subgrid_size);
                 let report = self.measured_report("degridding", counts, nr_items, seconds);
                 Ok((vis, report))
@@ -860,11 +874,11 @@ impl Proxy {
             Backend::GpuPascal | Backend::GpuFiji => {
                 let (mut vis, totals, fleet) = self.on_device(
                     grid,
-                    |e, grid| e.degrid(&data, plan, grid),
-                    |f, grid| f.degrid(&data, plan, grid),
+                    |e, grid| e.degrid(data, plan, grid),
+                    |f, grid| f.degrid(data, plan, grid),
                 )?;
                 let fallback_jobs = self.cpu_fallback(plan, &totals.failed_jobs, |_, items| {
-                    self.reference_predict(&data, items, grid, &mut vis)
+                    self.reference_predict(data, items, grid, &mut vis)
                 })?;
                 let report = self.device_report(totals, nr_items, fallback_jobs, fleet);
                 Ok((vis, report))
@@ -1778,6 +1792,44 @@ mod tests {
             proxy.grid(&plan, &ds.uvw, &ds.visibilities, &ds.aterms),
             Err(IdgError::InvalidParameter(msg)) if msg.contains("out of range")
         ));
+    }
+
+    #[test]
+    fn a_fleet_of_zero_devices_runs_as_one_faulted_member() {
+        use idg_gpusim::{FaultKind, TargetedFault};
+        use idg_types::FaultSite;
+
+        // the member count is clamped once: the proxy-wide schedule, the
+        // report and a member-fault index all see the one member
+        let ds = dataset();
+        let kernel_fault = FaultConfig::targeted(vec![TargetedFault {
+            job: 0,
+            attempt: 0,
+            site: FaultSite::Kernel,
+            kind: FaultKind::KernelFault,
+        }]);
+        let fleet = |member_faults| FleetConfig {
+            nr_devices: 0,
+            member_faults,
+            breaker: None,
+        };
+        let proxy_wide = Proxy::new(Backend::GpuPascal, ds.obs.clone())
+            .unwrap()
+            .with_faults(kernel_fault.clone())
+            .with_fleet_config(fleet(Vec::new()));
+        let per_member = Proxy::new(Backend::GpuPascal, ds.obs.clone())
+            .unwrap()
+            .with_fleet_config(fleet(vec![(0, kernel_fault)]));
+        let plan = proxy_wide.plan(&ds.uvw).unwrap();
+        for proxy in [proxy_wide, per_member] {
+            let (_, report) = proxy
+                .grid(&plan, &ds.uvw, &ds.visibilities, &ds.aterms)
+                .unwrap();
+            assert_eq!(report.nr_retries, 1, "the one member is faulted");
+            let stats = report.fleet.as_ref().unwrap();
+            assert_eq!(stats.nr_devices, 1);
+            assert_eq!(stats.per_device.len(), 1);
+        }
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Streamed gridding: chunked ingestion driving the batch pipeline.
+//! Streamed gridding and degridding: chunked ingestion driving the
+//! batch pipeline.
 //!
 //! [`Proxy::grid_streamed`] consumes the observation as a sequence of
 //! bounded time-axis chunks (split by `idg_stream`), plans and executes
@@ -24,22 +25,21 @@
 //!    would reorder additions (f32 addition is not associative, and
 //!    `0.0 + (-0.0)` even flips a sign bit).
 //!
-//! [`Proxy::degrid_streamed`] is the duplex twin: a deferred
-//! **splitter** stage (`split_deferred` on the executors) extracts
-//! each chunk's subgrids from the model grid, the chunk-local degrid
-//! passes flow through the same scheduler, and each chunk's predicted
-//! visibilities are committed into the caller's buffer exactly once —
-//! guarded by a [`CommitLedger`] — in one-shot plan order. A degrid
-//! chunk runs against its own window of the observation (its timesteps
-//! of `uvw`, its items re-based onto them), so every buffer it
-//! allocates — host job loop, device pass, CPU fallback — holds only
-//! its own rows, and the commit maps each row back. Because the
-//! degridder *overwrites* disjoint per-item visibility slots (no
-//! accumulation anywhere on the read side), and no kernel reads a time
-//! offset except to index `uvw`, the plain in-order copies reproduce
-//! [`Proxy::degrid`] bit for bit on every back-end, policy, worker
-//! count and fault schedule; see DESIGN.md §12 for the commit-order
-//! argument.
+//! [`Proxy::degrid_streamed`] is the duplex twin. A degrid chunk is
+//! the one-shot degrid pass (the body behind [`Proxy::degrid`]) run
+//! over the chunk's own window of the observation — its timesteps of
+//! `uvw`, its items re-based onto them — so every buffer it allocates
+//! (host job loop, device pass, CPU fallback) holds only its own rows.
+//! The chunk passes flow through the same scheduler, and each chunk's
+//! rows are committed into the caller's buffer exactly once — guarded
+//! by a [`CommitLedger`] — as one contiguous block per baseline.
+//! Because the degridder *overwrites* disjoint per-item visibility
+//! slots (no accumulation anywhere on the read side), chunks cover
+//! disjoint time ranges, no kernel reads a time offset except to index
+//! `uvw`, and a row no work item predicts is zero in the window as in
+//! the one-shot output, the block copies reproduce [`Proxy::degrid`]
+//! bit for bit on every back-end, policy, worker count and fault
+//! schedule, in any order; see DESIGN.md §12.
 //!
 //! One-shot is deliberately *not* the one-chunk stream (DESIGN.md §12):
 //! a stream holds every job's subgrids until it drains — all 8.6 MB of
@@ -50,9 +50,9 @@
 
 use super::{Backend, Proxy};
 use crate::report::ExecutionReport;
-use idg_gpusim::{DeferredSubgrids, DeferredVis, HOST_ADDER_BW};
+use idg_gpusim::{DeferredSubgrids, HOST_ADDER_BW};
 use idg_kernels::{add_subgrids_from_slices, KernelData};
-use idg_perf::{degridder_counts, gridder_counts};
+use idg_perf::gridder_counts;
 use idg_plan::{Plan, UvExtents, WorkItem};
 use idg_stream::{
     plan_chunk, Chunk, ChunkPolicy, ChunkedDataset, CommitLedger, StreamDirection, StreamRun,
@@ -63,7 +63,7 @@ use idg_types::{Cf32, Grid, IdgError, Observation, Uvw, Visibility};
 use std::ops::Range;
 use std::time::Instant;
 
-/// Configuration of a streamed gridding pass.
+/// Configuration of a streamed pass, gridding or degridding.
 #[derive(Copy, Clone, Debug)]
 pub struct StreamConfig {
     /// Time-axis chunking bounds (A-term snapping applies on top).
@@ -79,7 +79,8 @@ pub struct StreamConfig {
 
 impl StreamConfig {
     /// A streamed-pass configuration; parameters are validated by
-    /// [`Proxy::grid_streamed`] (or eagerly via
+    /// either streamed entry point, [`Proxy::grid_streamed`] or
+    /// [`Proxy::degrid_streamed`] (or eagerly via
     /// [`StreamConfig::validate`]).
     pub fn new(policy: ChunkPolicy, workers: usize, max_inflight: usize) -> Self {
         Self {
@@ -104,16 +105,19 @@ struct ChunkOutput<P> {
     items: Vec<WorkItem>,
     /// What the commit consumes. Gridding: computed subgrids as ranges
     /// into `items` ([`DeferredSubgrids`], one entry per job on every
-    /// back-end). Degridding: the chunk's time range, and its predicted
-    /// visibility rows with the covered `items` ranges ([`DeferredVis`],
-    /// in the extent of the chunk's [`ChunkWindow`]). CPU-fallback
-    /// ranges are appended last.
+    /// back-end; CPU-fallback ranges are appended last). Degridding:
+    /// the chunk's time range and its predicted visibility rows, in the
+    /// extent of the chunk's [`ChunkWindow`].
     payload: P,
     /// The chunk pass's own report: modeled end-to-end time (GPU) or
     /// measured wall (CPU) in `total_seconds`, fallback jobs with
     /// chunk-local indices.
     report: ExecutionReport,
 }
+
+/// A degrid chunk's payload: its time range and its predicted rows, in
+/// the extent of its [`ChunkWindow`].
+type ChunkRows = (Range<usize>, Vec<Visibility<f32>>);
 
 /// Every chunk's work items and pending payload, in ingestion order.
 type GatheredChunks<P> = Vec<(Vec<WorkItem>, P)>;
@@ -383,24 +387,22 @@ impl Proxy {
     }
 
     /// Predict visibilities from a model grid through the streaming
-    /// front-end — the duplex twin of [`Proxy::grid_streamed`]: a
-    /// deferred splitter stage extracts each chunk's subgrids, the
-    /// chunk-local degrid passes run across the same scheduler, and
-    /// every chunk's predicted visibilities are
-    /// committed into the output buffer exactly once, in one-shot plan
-    /// order.
+    /// front-end — the duplex twin of [`Proxy::grid_streamed`]: each
+    /// chunk runs the one-shot degrid pass over its own window of the
+    /// observation, the chunk passes run across the same scheduler, and
+    /// every chunk's predicted rows are committed into the output
+    /// buffer exactly once.
     ///
     /// The returned visibilities are bit-identical to
     /// [`Proxy::degrid`] over the same inputs, for every chunk policy,
     /// worker count, completion order and fault schedule: the chunk
-    /// plans partition the one-shot plan's items verbatim, each chunk
-    /// runs them over its own window of the observation, the degridder
-    /// overwrites disjoint per-item slots (no accumulation on the read
-    /// side), and the commit copies each item's rows from its chunk's
-    /// rows to their place in the observation — guarded by a
-    /// [`CommitLedger`] so each chunk commits exactly once. The
-    /// returned buffer is the only observation-sized one the pass
-    /// allocates.
+    /// plans partition the one-shot plan's items verbatim, the
+    /// degridder overwrites disjoint per-item slots (no accumulation on
+    /// the read side), and the commit copies each chunk's rows of each
+    /// baseline to their place in the observation as one block —
+    /// guarded by a [`CommitLedger`] so each chunk commits exactly
+    /// once. The returned buffer is the only observation-sized one the
+    /// pass allocates.
     pub fn degrid_streamed(
         &self,
         config: &StreamConfig,
@@ -414,56 +416,32 @@ impl Proxy {
                 self.run_degrid_chunk(&data, chunk, plan, grid)
             })?;
 
-        // gather every covered work item beside its chunk; the ledger
-        // pins the exactly-once-per-chunk commit discipline
-        let mut slots: Vec<(WorkItem, usize)> = Vec::new();
-        let mut nr_items = 0;
-        let mut ledger = CommitLedger::new(chunks.len());
-        for (src, (items, (_, deferred))) in chunks.iter().enumerate() {
-            ledger.commit(src)?;
-            nr_items += items.len();
-            slots.extend(
-                deferred
-                    .ranges
-                    .iter()
-                    .cloned()
-                    .flatten()
-                    .map(|idx| (items[idx], src)),
-            );
-        }
-        ledger.finish()?;
-        if slots.len() != nr_items {
-            return Err(IdgError::Internal(format!(
-                "streamed degrid commit covers {} of {nr_items} work items",
-                slots.len()
-            )));
-        }
-
-        // the exactly-once in-order commit: each item's rows are plain
-        // copies of disjoint slots, from its chunk's window to their
-        // place in the observation
-        slots.sort_by_key(|(item, _)| plan_order(item));
-        let nr_time = self.obs.nr_timesteps;
+        // the exactly-once commit: a chunk's window holds each baseline's
+        // rows of its time range contiguously, as the observation does
         let nr_chan = self.obs.nr_channels();
+        let per_baseline = self.obs.nr_timesteps * nr_chan;
         let mut vis = vec![Visibility::<f32>::zero(); self.obs.nr_visibilities()];
-        let mut committed_vis = 0u64;
+        let mut ledger = CommitLedger::new(chunks.len());
+        let mut committed_vis = 0;
         let t_commit = Instant::now();
         {
             let _span = idg_obs::wall_span("vis_commit", "stage", None);
-            for (item, src) in &slots {
-                let (_, (time, deferred)) = &chunks[*src];
-                let (first, cols) = (item.channel_offset, item.nr_channels);
-                for t in item.time_offset..item.time_offset + item.nr_timesteps {
-                    let row = (item.baseline_index * nr_time + t) * nr_chan + first;
-                    let local =
-                        (item.baseline_index * time.len() + t - time.start) * nr_chan + first;
-                    vis[row..row + cols].copy_from_slice(&deferred.vis[local..local + cols]);
+            for (index, (items, (time, rows))) in chunks.iter().enumerate() {
+                ledger.commit(index)?;
+                let block = time.start * nr_chan..time.end * nr_chan;
+                let baselines = vis.chunks_exact_mut(per_baseline);
+                for (dst, src) in baselines.zip(rows.chunks_exact(block.len())) {
+                    dst[block.clone()].copy_from_slice(src);
                 }
-                committed_vis += (item.nr_timesteps * cols) as u64;
+                committed_vis += items
+                    .iter()
+                    .map(|i| i.nr_timesteps * i.nr_channels)
+                    .sum::<usize>();
             }
         }
+        ledger.finish()?;
         let commit_wall = t_commit.elapsed().as_secs_f64();
-        // each committed visibility is one 4-pol read + write (32 B)
+        // each predicted visibility is one 4-pol read + write (32 B)
         let commit_model = (committed_vis * 2 * 32) as f64 / HOST_ADDER_BW;
         Ok((vis, totals.seal(config, commit_wall, commit_model)))
     }
@@ -533,53 +511,23 @@ impl Proxy {
         })
     }
 
-    /// One chunk's degrid pass over its chunk-local `plan`: split the
-    /// chunk's subgrids out of the model grid and predict its
-    /// visibilities over the chunk's [`ChunkWindow`], into the chunk's
-    /// own rows, leaving the commit to the caller. On the device paths,
-    /// persistently failed jobs are re-predicted with the CPU reference
-    /// kernels into the same rows (the executor already zeroed their
-    /// slots) and their ranges appended, so they join the same
-    /// exactly-once commit. Runs on a scheduler worker thread.
+    /// One chunk's degrid pass over its chunk-local `plan`: the
+    /// one-shot degrid body run over the chunk's [`ChunkWindow`], into
+    /// the chunk's own rows, leaving the commit to the caller. Runs on a
+    /// scheduler worker thread.
     fn run_degrid_chunk(
         &self,
         data: &KernelData<'_>,
         chunk: &Chunk,
         plan: Plan,
         grid: &Grid<f32>,
-    ) -> Result<ChunkOutput<(Range<usize>, DeferredVis)>, IdgError> {
+    ) -> Result<ChunkOutput<ChunkRows>, IdgError> {
         let tag = u32::try_from(chunk.index).ok();
         let window = ChunkWindow::new(data.obs, data.uvw, &chunk.time_range, &plan);
-        let (data, local) = (window.data(data), &window.plan);
-        let (payload, report) = match self.backend {
-            Backend::CpuReference | Backend::CpuOptimized => {
-                let (vis, seconds) = self.host_degrid_jobs(&data, local, grid, tag)?;
-                let counts = degridder_counts(&local.items, self.obs.subgrid_size);
-                // one covering range: the jobs predicted every item
-                let ranges = std::iter::once(0..local.items.len()).collect();
-                (
-                    DeferredVis { ranges, vis },
-                    self.measured_report("degridding", counts, local.items.len(), seconds),
-                )
-            }
-            Backend::GpuPascal | Backend::GpuFiji => {
-                let (mut deferred, totals, fleet) = self.on_device(
-                    grid,
-                    |e, grid| e.split_deferred(&data, local, grid),
-                    |f, grid| f.split_deferred(&data, local, grid),
-                )?;
-                let fallback_jobs =
-                    self.cpu_fallback(local, &totals.failed_jobs, |range, items| {
-                        deferred.ranges.push(range);
-                        self.reference_predict(&data, items, grid, &mut deferred.vis)
-                    })?;
-                let report = self.device_report(totals, local.items.len(), fallback_jobs, fleet);
-                (deferred, report)
-            }
-        };
+        let (rows, report) = self.degrid_pass(&window.data(data), &window.plan, grid, tag)?;
         Ok(ChunkOutput {
             items: plan.items,
-            payload: (chunk.time_range.clone(), payload),
+            payload: (chunk.time_range.clone(), rows),
             report,
         })
     }
@@ -707,8 +655,21 @@ mod tests {
 
     #[test]
     fn streamed_degrid_is_bit_identical_to_one_shot_on_every_backend() {
+        // the second input moves baseline 1 far off the grid: the plan
+        // skips its rows, and the block commit copies them from the chunk
+        // windows all the same — they must read zero
         let ds = dataset();
-        for backend in Backend::all() {
+        let mut off_grid = dataset();
+        let nr_time = ds.obs.nr_timesteps;
+        for c in &mut off_grid.uvw[nr_time..2 * nr_time] {
+            (c.u, c.v) = (1e9, 1e9);
+        }
+        let per_baseline = nr_time * ds.obs.nr_channels();
+        let inputs = [(ds, 0..0), (off_grid, per_baseline..2 * per_baseline)];
+        for ((ds, skipped), backend) in inputs
+            .iter()
+            .flat_map(|input| Backend::all().map(|b| (input, b)))
+        {
             let proxy = Proxy::new(backend, ds.obs.clone()).unwrap();
             let plan = proxy.plan(&ds.uvw).unwrap();
             let (model, _) = proxy
@@ -720,6 +681,8 @@ mod tests {
                 .degrid_streamed(&config, &model, &ds.uvw, &ds.aterms)
                 .unwrap();
             assert_vis_bit_identical(&reference, &streamed);
+            let zero = |v: &Visibility<f32>| *v == Visibility::zero();
+            assert!(streamed[skipped.clone()].iter().all(zero), "{backend:?}");
             assert_eq!(report.pass, "degridding");
             let stats = report.stream.expect("streamed pass reports stream stats");
             assert_eq!(stats.direction, idg_stream::StreamDirection::Degridding);
@@ -754,8 +717,8 @@ mod tests {
                 )
                 .unwrap();
             let mut times = Vec::new();
-            for (_, (time, deferred)) in chunks {
-                assert_eq!(deferred.vis.len(), time.len() * per_step, "{backend:?}");
+            for (_, (time, rows)) in chunks {
+                assert_eq!(rows.len(), time.len() * per_step, "{backend:?}");
                 times.push(time);
             }
             assert_eq!(times, [0..32, 32..48], "{backend:?}");

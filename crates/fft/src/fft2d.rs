@@ -15,7 +15,7 @@
 //!   embarrassingly parallel): transpose, all rows as `n` lanes,
 //!   transpose back, all columns as `n` lanes;
 //! * *banded* ([`Fft2d::process_grid`]): rows as 1-D transforms, columns
-//!   in bands of [`BAND`] lanes, parallel inside one plane;
+//!   in bands of `BAND` lanes, parallel inside one plane;
 //! * *real output* ([`Fft2d::inverse_real`]): the real part of an inverse
 //!   transform — a dirty image — through the Hermitian half of the
 //!   spectrum, banded like `process_grid` at about half its work.
@@ -101,7 +101,7 @@ impl<T: Float> Fft2d<T> {
     /// Transform the full grid in parallel — the one big grid FFT of the
     /// imaging cycle, where per-plane parallelism (4 planes) is too
     /// coarse and a plane is far larger than any cache. Rows of every
-    /// plane first; then, per plane, the columns in bands of [`BAND`]:
+    /// plane first; then, per plane, the columns in bands of `BAND`:
     /// a band's row segments are copied into an `[n][BAND]` chunk of an
     /// `n²` scratch, transformed there as `BAND` lanes while cache-hot,
     /// and a second pass copies the chunks back by rows. The copies only
@@ -163,7 +163,7 @@ impl<T: Float> Fft2d<T> {
     /// * columns: every column is the inverse of a Hermitian sequence, so
     ///   real, and columns `2j` and `2j + 1` share one complex transform
     ///   as its real and imaginary parts — a lone last column (odd `n`)
-    ///   is paired with zero. The pairs run in bands of [`BAND`] lanes as
+    ///   is paired with zero. The pairs run in bands of `BAND` lanes as
     ///   in [`Fft2d::process_grid`], and a band's `[n][lanes]` complex
     ///   chunk is already its `2·lanes` real columns, row by row.
     ///

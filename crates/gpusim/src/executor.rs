@@ -44,22 +44,6 @@ use std::sync::Arc;
 /// order, ready for the caller's single in-order adder commit.
 pub type DeferredSubgrids = Vec<(Range<usize>, SubgridArray)>;
 
-/// Deferred-commit payload of a streamed degrid chunk pass: the
-/// predicted visibilities plus the `plan.items` ranges the completed
-/// jobs covered, in job order. The caller copies each item's rows into
-/// the full observation buffer in one-shot plan order, so the streamed
-/// result stays bit-identical to the one-shot pass.
-#[derive(Clone, Debug)]
-pub struct DeferredVis {
-    /// `plan.items` ranges of the jobs that completed, in job order.
-    pub ranges: Vec<Range<usize>>,
-    /// The pass's visibility buffer, in the extent of the observation
-    /// its `KernelData` carries — a streamed chunk passes its own time
-    /// window, so chunk-sized — with zeros outside the completed items'
-    /// slots.
-    pub vis: Vec<Visibility<f32>>,
-}
-
 /// A job that failed persistently: its outputs are absent from the pass
 /// result and the proxy layer may re-execute it on the CPU backend.
 #[derive(Clone, Debug, PartialEq)]
@@ -147,13 +131,12 @@ impl GpuExecutor {
         data: &'a KernelData<'a>,
         plan: &'a Plan,
         direction: Direction<'a>,
-        sink: Sink,
         mut grid: Option<&mut Grid<f32>>,
     ) -> Result<(Pass<'a>, GpuRunReport), IdgError> {
         let w = self.work_group_size;
         // a device that can launch no kernel fails the pass, not every job
-        check_device(&self.device, matches!(direction, Direction::Grid))?;
-        let mut pass = Pass::new(data, plan, direction, sink, w, &self.cache, &self.retry)?;
+        check_device(&self.device, matches!(direction, Direction::Grid(_)))?;
+        let mut pass = Pass::new(data, plan, direction, w, &self.cache, &self.retry)?;
         let mut slot = DeviceSlot::new(self.device.clone(), self.faults.clone(), &pass);
         slot.reserve(&pass, w, 3)?;
         for job in 0..pass.nr_jobs() {
@@ -187,7 +170,7 @@ impl GpuExecutor {
         plan: &Plan,
         grid: &mut Grid<f32>,
     ) -> Result<GpuRunReport, IdgError> {
-        let (_, report) = self.run(data, plan, Direction::Grid, Sink::Commit, Some(grid))?;
+        let (_, report) = self.run(data, plan, Direction::Grid(Sink::Commit), Some(grid))?;
         Ok(report)
     }
 
@@ -215,43 +198,26 @@ impl GpuExecutor {
         data: &KernelData<'_>,
         plan: &Plan,
     ) -> Result<(DeferredSubgrids, GpuRunReport), IdgError> {
-        let (pass, report) = self.run(data, plan, Direction::Grid, Sink::Defer, None)?;
+        let (pass, report) = self.run(data, plan, Direction::Grid(Sink::Defer), None)?;
         Ok((pass.into_deferred_subgrids(), report))
     }
 
-    /// Run a full degridding pass: grid → predicted visibilities.
+    /// Run a full degridding pass: grid → predicted visibilities, in
+    /// the extent of `data.obs` (a streamed chunk passes its own time
+    /// window, so its buffer holds only its own rows).
     ///
     /// Visibility slots belonging to persistently failed jobs are left
-    /// zero (see [`PassTotals::failed_jobs`]).
+    /// zero (see [`PassTotals::failed_jobs`]). No device-resident grid
+    /// enters the job model: splitter reads are modeled identically
+    /// wherever the grid lives.
     pub fn degrid(
         &self,
         data: &KernelData<'_>,
         plan: &Plan,
         grid: &Grid<f32>,
     ) -> Result<(Vec<Visibility<f32>>, GpuRunReport), IdgError> {
-        let (pass, report) = self.run(data, plan, Direction::Degrid(grid), Sink::Commit, None)?;
+        let (pass, report) = self.run(data, plan, Direction::Degrid(grid), None)?;
         Ok((pass.into_vis(), report))
-    }
-
-    /// Streamed-degrid twin of [`GpuExecutor::grid_deferred`]: run the
-    /// splitter → inverse FFT → degridder chain for every job, but
-    /// leave the predicted visibilities in a chunk-local buffer for
-    /// the caller to commit in one-shot plan order. The degridder
-    /// writes disjoint per-item slots and never accumulates, so the
-    /// caller's plain copies preserve bit-identity with
-    /// [`GpuExecutor::degrid`].
-    ///
-    /// Like `grid_deferred`, no device-resident grid is modeled — the
-    /// reservation covers triple-buffered subgrid and I/O staging
-    /// only, and the host-side commit is accounted by the caller.
-    pub fn split_deferred(
-        &self,
-        data: &KernelData<'_>,
-        plan: &Plan,
-        grid: &Grid<f32>,
-    ) -> Result<(DeferredVis, GpuRunReport), IdgError> {
-        let (pass, report) = self.run(data, plan, Direction::Degrid(grid), Sink::Defer, None)?;
-        Ok((pass.into_deferred_vis(), report))
     }
 }
 
@@ -637,16 +603,14 @@ mod tests {
         let nr_jobs = plan.work_groups(8).count();
         assert!(nr_jobs > 1, "want a multi-job schedule");
 
-        // the four pass kinds and how each one's Compute interval
+        // the three pass kinds and how each one's Compute interval
         // subdivides: the device adder keeps one-shot gridding on the
         // GPU, deferred gridding ends at the FFT (the caller adds), and
-        // both degrid kinds run the reverse chain
-        let reverse = ["splitter", "subgrid_ifft", "degridder"];
-        let kinds: [(&str, &[&str]); 4] = [
+        // degridding runs the reverse chain
+        let kinds: [(&str, &[&str]); 3] = [
             ("grid", &["gridder", "subgrid_fft", "adder"]),
             ("grid_deferred", &["gridder", "subgrid_fft"]),
-            ("degrid", &reverse),
-            ("split_deferred", &reverse),
+            ("degrid", &["splitter", "subgrid_ifft", "degridder"]),
         ];
         for (kind, expected_kernels) in kinds {
             let session = idg_obs::Session::begin(kind);
@@ -658,8 +622,7 @@ mod tests {
                         .totals
                 }
                 "grid_deferred" => exec.grid_deferred(&data, &plan).unwrap().1.totals,
-                "degrid" => exec.degrid(&data, &plan, &model).unwrap().1.totals,
-                _ => exec.split_deferred(&data, &plan, &model).unwrap().1.totals,
+                _ => exec.degrid(&data, &plan, &model).unwrap().1.totals,
             };
             let trace = session.finish();
 
@@ -699,43 +662,7 @@ mod tests {
     }
 
     #[test]
-    fn split_deferred_matches_one_shot_degrid_bit_for_bit() {
-        let ds = dataset();
-        let plan = Plan::create(&ds.obs, &ds.uvw).unwrap();
-        let taper = idg_math::spheroidal_2d(ds.obs.subgrid_size);
-        let data = kernel_data(&ds, &taper);
-        let exec = GpuExecutor::new(Device::pascal(), 8);
-
-        // grid first so the model grid carries energy to predict from
-        let (grid, _) = fresh_grid(&plan, |g| exec.grid(&data, &plan, g)).unwrap();
-        let (gold, _) = exec.degrid(&data, &plan, &grid).unwrap();
-        let (deferred, report) = exec.split_deferred(&data, &plan, &grid).unwrap();
-
-        assert!(report.totals.complete());
-        assert_eq!(report.totals.pass, "degridding");
-        assert!(
-            report.totals.adder_seconds > 0.0,
-            "splitter time is accounted"
-        );
-        // completed ranges tile plan.items in job order
-        let covered: usize = deferred.ranges.iter().map(|r| r.len()).sum();
-        assert_eq!(covered, plan.items.len());
-        let mut next = 0;
-        for r in &deferred.ranges {
-            assert_eq!(r.start, next, "ranges are contiguous in job order");
-            next = r.end;
-        }
-        // the deferred buffer is bit-identical to the one-shot pass
-        assert_eq!(deferred.vis.len(), gold.len());
-        for (a, b) in deferred.vis.iter().zip(gold.iter()) {
-            for (x, y) in a.pols.iter().zip(b.pols.iter()) {
-                assert!(x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn split_deferred_zeroes_and_reports_exhausted_jobs() {
+    fn degrid_zeroes_and_reports_exhausted_jobs() {
         let ds = dataset();
         let plan = Plan::create(&ds.obs, &ds.uvw).unwrap();
         let taper = idg_math::spheroidal_2d(ds.obs.subgrid_size);
@@ -755,23 +682,19 @@ mod tests {
                 .collect(),
         );
         let failing = GpuExecutor::new(Device::pascal(), 8).with_faults(faults);
-        let (deferred, report) = failing.split_deferred(&data, &plan, &grid).unwrap();
+        let (vis, report) = failing.degrid(&data, &plan, &grid).unwrap();
 
         assert_eq!(report.totals.failed_jobs.len(), 1);
         let failure = &report.totals.failed_jobs[0];
         assert_eq!(failure.job, 1);
-        // the failed job's slots are zero and its range is absent
-        assert!(!deferred
-            .ranges
-            .iter()
-            .any(|r| r.start == failure.first_item));
+        // the failed job's slots are zero
         let nr_time = ds.obs.nr_timesteps;
         let nr_chan = ds.obs.nr_channels();
         for item in &plan.items[failure.first_item..failure.first_item + failure.nr_items] {
             for dt in 0..item.nr_timesteps {
                 let row = (item.baseline_index * nr_time + item.time_offset + dt) * nr_chan;
                 for c in item.channel_offset..item.channel_offset + item.nr_channels {
-                    for p in deferred.vis[row + c].pols {
+                    for p in vis[row + c].pols {
                         assert_eq!(p.re, 0.0);
                         assert_eq!(p.im, 0.0);
                     }

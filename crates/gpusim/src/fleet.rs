@@ -32,7 +32,7 @@
 //! with a given seed and fleet shape replays byte-identically.
 
 use crate::device::Device;
-use crate::executor::{DeferredSubgrids, DeferredVis};
+use crate::executor::DeferredSubgrids;
 use crate::fault::{FaultConfig, RetryPolicy};
 use crate::health::{BreakerConfig, DeviceHealth, JobOutcome};
 use crate::pass::{DeviceSlot, Direction, JobRun, Pass, PassTotals, Sink};
@@ -170,12 +170,21 @@ impl FleetExecutor {
         Self::new(members, work_group_size)
     }
 
-    /// Attach a fault schedule to one member (e.g. the chaos lemon).
-    pub fn with_member_faults(mut self, member: usize, faults: FaultConfig) -> Self {
-        if let Some(m) = self.members.get_mut(member) {
-            m.faults = Some(faults);
-        }
-        self
+    /// Attach a fault schedule to one member (e.g. the chaos lemon). An
+    /// index past the last member is an [`IdgError::InvalidParameter`].
+    pub fn with_member_faults(
+        mut self,
+        member: usize,
+        faults: FaultConfig,
+    ) -> Result<Self, IdgError> {
+        let nr_devices = self.members.len();
+        let Some(m) = self.members.get_mut(member) else {
+            return Err(IdgError::InvalidParameter(format!(
+                "fleet member fault index {member} out of range (fleet has {nr_devices} devices)"
+            )));
+        };
+        m.faults = Some(faults);
+        Ok(self)
     }
 
     /// Override the circuit-breaker tuning.
@@ -361,10 +370,9 @@ impl FleetExecutor {
         data: &'a KernelData<'a>,
         plan: &'a Plan,
         direction: Direction<'a>,
-        sink: Sink,
     ) -> Result<(Pass<'a>, FleetRunReport), IdgError> {
         let w = self.work_group_size;
-        let mut pass = Pass::new(data, plan, direction, sink, w, &self.cache, &self.retry)?;
+        let mut pass = Pass::new(data, plan, direction, w, &self.cache, &self.retry)?;
         let mut states = self.setup(&pass)?;
         let redispatched_jobs = self.dispatch(&mut states, &mut pass)?;
         let totals = pass.seal(states.iter_mut().map(|s| &mut s.slot));
@@ -407,7 +415,7 @@ impl FleetExecutor {
         plan: &Plan,
         grid: &mut Grid<f32>,
     ) -> Result<FleetRunReport, IdgError> {
-        let (mut pass, report) = self.run(data, plan, Direction::Grid, Sink::Commit)?;
+        let (mut pass, report) = self.run(data, plan, Direction::Grid(Sink::Commit))?;
         for job in 0..pass.nr_jobs() {
             pass.commit(job, grid)?;
         }
@@ -427,42 +435,26 @@ impl FleetExecutor {
         data: &KernelData<'_>,
         plan: &Plan,
     ) -> Result<(DeferredSubgrids, FleetRunReport), IdgError> {
-        let (pass, report) = self.run(data, plan, Direction::Grid, Sink::Defer)?;
+        let (pass, report) = self.run(data, plan, Direction::Grid(Sink::Defer))?;
         Ok((pass.into_deferred_subgrids(), report))
     }
 
-    /// Run a full degridding pass: grid → predicted visibilities.
+    /// Run a full degridding pass: grid → predicted visibilities, in
+    /// the extent of `data.obs` (a streamed chunk passes its own time
+    /// window).
     ///
     /// Visibility slots belonging to fleet-failed jobs are left zero.
     /// Slots are disjoint per job, so no ordered merge is needed: a
     /// re-dispatched job simply overwrites its slots with the same
-    /// deterministic values.
+    /// deterministic values, whichever device ran it.
     pub fn degrid(
         &self,
         data: &KernelData<'_>,
         plan: &Plan,
         grid: &Grid<f32>,
     ) -> Result<(Vec<Visibility<f32>>, FleetRunReport), IdgError> {
-        let (pass, report) = self.run(data, plan, Direction::Degrid(grid), Sink::Commit)?;
+        let (pass, report) = self.run(data, plan, Direction::Degrid(grid))?;
         Ok((pass.into_vis(), report))
-    }
-
-    /// Streamed-degrid twin of [`FleetExecutor::grid_deferred`]: the
-    /// degrid dispatch loop, but the predicted visibilities stay in a
-    /// chunk-local buffer with the completed jobs' `plan.items` ranges
-    /// recorded in global job order for the caller's in-order commit.
-    ///
-    /// The degridder's values depend only on the plan and inputs, not
-    /// on which device ran the job, so health-gated re-dispatch keeps
-    /// the buffer bit-identical to a fault-free single-device pass.
-    pub fn split_deferred(
-        &self,
-        data: &KernelData<'_>,
-        plan: &Plan,
-        grid: &Grid<f32>,
-    ) -> Result<(DeferredVis, FleetRunReport), IdgError> {
-        let (pass, report) = self.run(data, plan, Direction::Degrid(grid), Sink::Defer)?;
-        Ok((pass.into_deferred_vis(), report))
     }
 }
 
@@ -545,8 +537,8 @@ mod tests {
         }
     }
 
-    /// The four pass kinds every executor offers.
-    const PASS_KINDS: [&str; 4] = ["grid", "grid_deferred", "degrid", "split_deferred"];
+    /// The three pass kinds every executor offers.
+    const PASS_KINDS: [&str; 3] = ["grid", "grid_deferred", "degrid"];
 
     fn complex_bits<'c>(
         samples: impl IntoIterator<Item = &'c idg_types::Complex<f32>>,
@@ -572,17 +564,6 @@ mod tests {
         bits
     }
 
-    /// The output bits of a deferred degridding pass: the completed
-    /// jobs' item ranges, then the chunk-local visibility buffer.
-    fn deferred_vis_bits(deferred: &DeferredVis) -> Vec<u32> {
-        let ranges = deferred.ranges.iter();
-        let mut bits: Vec<u32> = ranges
-            .flat_map(|r| [r.start as u32, r.end as u32])
-            .collect();
-        bits.extend(complex_bits(deferred.vis.iter().flat_map(|v| &v.pols)));
-        bits
-    }
-
     /// Run one pass kind on the single-device executor; the output is
     /// flattened to its exact bit pattern.
     fn run_single(
@@ -601,16 +582,12 @@ mod tests {
                 let (pending, report) = exec.grid_deferred(data, plan).unwrap();
                 (deferred_subgrid_bits(&pending), report.totals)
             }
-            "degrid" => {
+            _ => {
                 let (vis, report) = exec.degrid(data, plan, model).unwrap();
                 (
                     complex_bits(vis.iter().flat_map(|v| &v.pols)),
                     report.totals,
                 )
-            }
-            _ => {
-                let (deferred, report) = exec.split_deferred(data, plan, model).unwrap();
-                (deferred_vis_bits(&deferred), report.totals)
             }
         }
     }
@@ -632,13 +609,9 @@ mod tests {
                 let (pending, report) = fleet.grid_deferred(data, plan).unwrap();
                 (deferred_subgrid_bits(&pending), report)
             }
-            "degrid" => {
+            _ => {
                 let (vis, report) = fleet.degrid(data, plan, model).unwrap();
                 (complex_bits(vis.iter().flat_map(|v| &v.pols)), report)
-            }
-            _ => {
-                let (deferred, report) = fleet.split_deferred(data, plan, model).unwrap();
-                (deferred_vis_bits(&deferred), report)
             }
         }
     }
@@ -749,6 +722,7 @@ mod tests {
         .unwrap();
         let fleet = FleetExecutor::uniform(Device::pascal(), 4, 1)
             .with_member_faults(1, lemon_faults(8))
+            .unwrap()
             .with_breaker(test_breaker());
         let (grid, report) = fresh_grid(&plan, |g| fleet.grid(&data, &plan, g)).unwrap();
 
@@ -784,7 +758,9 @@ mod tests {
             site: FaultSite::Alloc,
             kind: FaultKind::OutOfMemory,
         }]);
-        let fleet = FleetExecutor::uniform(Device::pascal(), 2, 4).with_member_faults(0, oom);
+        let fleet = FleetExecutor::uniform(Device::pascal(), 2, 4)
+            .with_member_faults(0, oom)
+            .unwrap();
         // every pass kind resumes the job in half-chunks one rung down
         for kind in PASS_KINDS {
             let (gold, _) = run_single(&single, kind, &data, &plan, &model);
@@ -836,6 +812,16 @@ mod tests {
         assert!(report.totals.complete());
         assert!(report.degradation_steps >= 1);
         assert!(report.per_device[0].degradation_level >= 1);
+    }
+
+    #[test]
+    fn member_fault_index_out_of_range_is_rejected() {
+        let fleet = FleetExecutor::uniform(Device::pascal(), 2, 4);
+        assert!(matches!(
+            fleet.with_member_faults(2, lemon_faults(1)),
+            Err(IdgError::InvalidParameter(msg))
+                if msg == "fleet member fault index 2 out of range (fleet has 2 devices)"
+        ));
     }
 
     #[test]

@@ -3,12 +3,18 @@
 //!
 //! The paper's host code is one triple-buffered HtoD → kernels → DtoH
 //! job chain (Sec. V-C, Fig. 7) run in two directions. A [`Pass`] is
-//! that chain parameterized by a [`Direction`] and a [`Sink`]:
+//! that chain parameterized by a [`Direction`]; a gridding pass also
+//! takes a [`Sink`], three cells in all:
 //!
-//! | direction × sink | `Commit` | `Defer` |
-//! |---|---|---|
-//! | `Grid` | `grid` (both executors) | `grid_deferred` (both) |
-//! | `Degrid` | `degrid` (both) | `split_deferred` (both) |
+//! | direction | pass (both executors) |
+//! |---|---|
+//! | `Grid(Commit)` | `grid` |
+//! | `Grid(Defer)` | `grid_deferred` |
+//! | `Degrid(&grid)` | `degrid` |
+//!
+//! A degrid pass needs no sink: its jobs write disjoint visibility
+//! slots of one buffer in place, so a streamed degrid chunk is the same
+//! `degrid` pass run over the chunk's own window of the observation.
 //!
 //! The engine owns the **job model** ([`Pass::job_model`], the only
 //! caller of the [`crate::timing`] formulas), the reservation formula
@@ -28,7 +34,7 @@
 //! breaker, no ladder and no re-dispatch.
 
 use crate::device::Device;
-use crate::executor::{DeferredSubgrids, DeferredVis, JobFailure};
+use crate::executor::{DeferredSubgrids, JobFailure};
 use crate::fault::{checksum_bytes, FaultConfig, FaultInjector, FaultKind, RetryPolicy};
 use crate::kernels::{degridder_gpu, gridder_gpu};
 use crate::stream::{Engine, FaultPoint, OpStatus, PipelineSim, TraceEntry};
@@ -51,25 +57,20 @@ pub const HOST_ADDER_BW: f64 = 40e9;
 
 /// Which way the job chain runs.
 pub(crate) enum Direction<'a> {
-    /// Visibilities → subgrids (→ grid).
-    Grid,
-    /// Model grid → subgrids → predicted visibilities.
+    /// Visibilities → subgrids (→ grid), ending in the given sink.
+    Grid(Sink),
+    /// Model grid → subgrids → predicted visibilities, written in place
+    /// into the pass's one visibility buffer.
     Degrid(&'a Grid<f32>),
 }
 
-/// What a finished job's output is for.
-///
-/// Degridding writes disjoint visibility slots in place, so its sinks
-/// differ only in what the caller receives (`Defer` also hands back the
-/// completed jobs' item ranges). A gridding job's subgrids are held
+/// What a finished gridding job's subgrids are for: they are held
 /// until the dispatcher commits them or the caller takes them.
 #[derive(Copy, Clone, PartialEq, Eq)]
 pub(crate) enum Sink {
-    /// The pass ends in the executor's caller's output: the predicted
-    /// visibilities, or the caller's grid, onto which the dispatcher
-    /// adds each gridding job's subgrids in global job order
-    /// ([`Pass::commit`]). A device-resident grid is modeled where it
-    /// fits.
+    /// The pass ends in the caller's grid, onto which the dispatcher
+    /// adds each job's subgrids in global job order ([`Pass::commit`]).
+    /// A device-resident grid is modeled where it fits.
     Commit,
     /// Hold every job's output and hand it to the caller, who commits
     /// all chunks of a stream in one-shot plan order. No device-resident
@@ -497,8 +498,8 @@ impl DeviceSlot {
     /// sets, replacing any earlier reservation. Preferred: grid + buffer
     /// sets resident on the device. When the grid no longer fits ("when
     /// dealing with large images that no longer fit into GPU device
-    /// memory", Sec. V-C e) — or the pass defers its commits and never
-    /// holds a grid — fall back to the paper's option (2): keep only
+    /// memory", Sec. V-C e) — or a gridding pass defers its commits and
+    /// never holds a grid — fall back to the paper's option (2): keep only
     /// the buffers on the device and copy subgrids to the host. Errors
     /// only when even the buffer sets do not fit; the slot then holds
     /// no reservation.
@@ -514,8 +515,8 @@ impl DeviceSlot {
         let subgrid_bytes = (staged_items * 4 * n * n * 8) as u64;
         let io_bytes = (staged_items * 512 * 44) as u64; // vis+uvw staging
         let buffers = nr_buffers as u64 * (subgrid_bytes + io_bytes);
-        self.grid_resident =
-            pass.sink != Sink::Defer && self.device.allocate(grid_bytes + buffers).is_ok();
+        let deferred = matches!(pass.direction, Direction::Grid(Sink::Defer));
+        self.grid_resident = !deferred && self.device.allocate(grid_bytes + buffers).is_ok();
         if self.grid_resident {
             self.reserved = grid_bytes + buffers;
         } else {
@@ -534,13 +535,12 @@ impl DeviceSlot {
     }
 }
 
-/// One gridding or degridding pass in flight: inputs, direction and
-/// sink, the outputs computed so far and the running totals.
+/// One gridding or degridding pass in flight: inputs, direction, the
+/// outputs computed so far and the running totals.
 pub(crate) struct Pass<'a> {
     data: &'a KernelData<'a>,
     plan: &'a Plan,
     direction: Direction<'a>,
-    sink: Sink,
     work_group_size: usize,
     groups: Vec<&'a [WorkItem]>,
     cache: &'a KernelCache,
@@ -568,14 +568,13 @@ impl<'a> Pass<'a> {
         data: &'a KernelData<'a>,
         plan: &'a Plan,
         direction: Direction<'a>,
-        sink: Sink,
         work_group_size: usize,
         cache: &'a KernelCache,
         retry: &'a RetryPolicy,
     ) -> Result<Self, IdgError> {
         idg_kernels::check_launch(data, &plan.items, None)?;
         let groups: Vec<&[WorkItem]> = plan.work_groups(work_group_size).collect();
-        let gridding = matches!(direction, Direction::Grid);
+        let gridding = matches!(direction, Direction::Grid(_));
         if gridding {
             data.validate_visibilities()?;
         }
@@ -591,7 +590,6 @@ impl<'a> Pass<'a> {
             data,
             plan,
             direction,
-            sink,
             work_group_size,
             groups,
             cache,
@@ -641,7 +639,7 @@ impl<'a> Pass<'a> {
             }
         };
         match self.direction {
-            Direction::Grid => {
+            Direction::Grid(sink) => {
                 let counts = gridder_counts(group, n);
                 let t_in = transfer_time(device, vis_bytes + uvw_bytes);
                 let t_kernel = kernel_time(device, &counts);
@@ -664,9 +662,9 @@ impl<'a> Pass<'a> {
                 // caller commits them itself
                 let subgrid_bytes = (group.len() * 4 * n * n * 8) as u64;
                 let t_out = transfer_time(device, subgrid_bytes);
-                let t_add = match self.sink {
+                let t_add = match sink {
                     Sink::Defer => 0.0,
-                    _ => 2.0 * subgrid_bytes as f64 / HOST_ADDER_BW,
+                    Sink::Commit => 2.0 * subgrid_bytes as f64 / HOST_ADDER_BW,
                 };
                 JobModel {
                     counts,
@@ -737,11 +735,11 @@ impl<'a> Pass<'a> {
         let mut computed = PendingChunks::new();
         let mut backend = |op: JobOp| -> Result<Vec<u8>, IdgError> {
             match (op, direction) {
-                (JobOp::StageInput, Direction::Grid) => {
+                (JobOp::StageInput, Direction::Grid(_)) => {
                     Ok(staged_vis_bytes(data.visibilities, nr_time, nr_chan, group))
                 }
                 (JobOp::StageInput, Direction::Degrid(_)) => Ok(staged_uvw_bytes(data, group)),
-                (JobOp::Compute, Direction::Grid) => {
+                (JobOp::Compute, Direction::Grid(_)) => {
                     computed.clear();
                     for r in chunks() {
                         let mut subgrids = SubgridArray::new(r.len(), n);
@@ -761,7 +759,7 @@ impl<'a> Pass<'a> {
                     }
                     Ok(Vec::new())
                 }
-                (JobOp::StageOutput, Direction::Grid) => Ok(staged_subgrid_bytes(&computed)),
+                (JobOp::StageOutput, Direction::Grid(_)) => Ok(staged_subgrid_bytes(&computed)),
                 (JobOp::StageOutput, Direction::Degrid(_)) => {
                     Ok(staged_vis_bytes(vis, nr_time, nr_chan, group))
                 }
@@ -791,7 +789,7 @@ impl<'a> Pass<'a> {
             totals.htod_seconds += htod;
             totals.dtoh_seconds += dtoh;
             // the degridder wrote its slots of `vis` in place
-            if matches!(direction, Direction::Grid) {
+            if matches!(direction, Direction::Grid(_)) {
                 self.held[job] = Some(computed);
             }
         }
@@ -884,24 +882,5 @@ impl<'a> Pass<'a> {
     /// slots are zero).
     pub(crate) fn into_vis(self) -> Vec<Visibility<f32>> {
         self.vis
-    }
-
-    /// The chunk-local visibilities of a [`Sink::Defer`] degridding
-    /// pass plus the completed jobs' `plan.items` ranges, in global job
-    /// order (sealed `failed_jobs` are sorted by job).
-    pub(crate) fn into_deferred_vis(self) -> DeferredVis {
-        let mut failed = self.totals.failed_jobs.iter().map(|f| f.job).peekable();
-        let mut ranges = Vec::new();
-        for (job, group) in self.groups.iter().enumerate() {
-            if failed.next_if_eq(&job).is_some() {
-                continue;
-            }
-            let first = job * self.work_group_size;
-            ranges.push(first..first + group.len());
-        }
-        DeferredVis {
-            ranges,
-            vis: self.vis,
-        }
     }
 }

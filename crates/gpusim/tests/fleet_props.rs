@@ -79,6 +79,7 @@ proptest! {
         };
         let fleet = FleetExecutor::uniform(Device::pascal(), nr_devices, wgs)
             .with_member_faults(lemon_slot % nr_devices, faults)
+            .unwrap()
             .with_breaker(BreakerConfig {
                 window: 4,
                 trip_unhealthy: 2,

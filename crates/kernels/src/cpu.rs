@@ -166,7 +166,7 @@ fn reduce_4pol(sin: &[f32], cos: &[f32], re: [&[f32]; 4], im: [&[f32]; 4]) -> [(
     [(a0r, a0i), (a1r, a1i), (a2r, a2i), (a3r, a3i)]
 }
 
-/// Optimized gridder: [`pixel_lane_gridder`] staging [`VIS_BATCH`]
+/// Optimized gridder: [`pixel_lane_gridder`] staging `VIS_BATCH`
 /// visibilities at a time, at the caller's sincos accuracy; numerically
 /// validated against [`crate::gridder_reference`].
 pub fn gridder_cpu(

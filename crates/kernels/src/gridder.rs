@@ -19,7 +19,7 @@
 //! owns one accumulation chain over *all* visibilities of its work item,
 //! in (timestep, channel) order, and no two chains ever meet: each step
 //! is `phase_index = u·l + (v·m + w·n)` and the phase `mul_add` nested as
-//! written in [`fold_batch`], `sincos(phase, accuracy)`, then the four
+//! written in `fold_batch`, `sincos(phase, accuracy)`, then the four
 //! FMAs of `Cf32::mul_acc` per polarisation in its order. The batch
 //! length only cuts a chain into consecutive pieces that continue from
 //! the same register, and the lane width only decides which chains run

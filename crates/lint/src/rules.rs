@@ -1,7 +1,7 @@
 //! The workspace invariants this crate enforces: L3, L4 and L6 (d).
 //!
 //! Each rule is a pure function from a parsed file (plus the scope
-//! [`Config`](crate::Config)) to diagnostics. All rules are
+//! [`Config`]) to diagnostics. All rules are
 //! test-module-aware: nothing fires inside `#[cfg(test)]` items or
 //! `#[test]`/`#[should_panic]` functions.
 
