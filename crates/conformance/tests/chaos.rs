@@ -14,6 +14,9 @@
 //!   equivalence envelope, and the fallback is flagged in the report;
 //! * with the fallback disabled, persistent faults surface as
 //!   **typed** classified errors;
+//! * an input error a job meets mid-pass (a NaN model-grid sample the
+//!   splitter reads) fails the pass at once: it is neither re-dispatched
+//!   nor re-run on the CPU;
 //! * no schedule — however hostile — panics.
 
 use idg::gpusim::{FaultConfig, RetryPolicy};
@@ -224,4 +227,39 @@ fn total_kernel_failure_still_produces_the_full_grid_via_fallback() {
     let nr_jobs = plan.items.chunks(WORK_GROUP_SIZE).count();
     assert_eq!(report.fallback_jobs.len(), nr_jobs);
     assert_eq!(grid.as_slice(), gold.as_slice());
+}
+
+#[test]
+fn a_non_finite_sample_the_splitter_reads_fails_the_device_pass_at_once() {
+    // an input error found inside a device job is not a device fault:
+    // neither dispatcher may hand the job to a peer or to the CPU
+    // fallback, which would run the same splitter on the same sample
+    let case = &standard_cases().expect("standard cases build")[2];
+    let ds = case.dataset();
+    let gold_proxy = proxy(Backend::GpuPascal, case);
+    let plan = gold_proxy.plan(&ds.uvw).unwrap();
+    let (mut model, _) = gold_proxy
+        .grid(&plan, &ds.uvw, &ds.visibilities, &ds.aterms)
+        .unwrap();
+    let (first, n) = (plan.items[0], case.obs.subgrid_size);
+    model
+        .at_mut(0, first.coord_y + n / 2, first.coord_x + n / 2)
+        .re = f32::NAN;
+
+    for nr_devices in [1, 2] {
+        let mut chaotic = proxy(Backend::GpuPascal, case).with_faults(transient_chaos(7));
+        if nr_devices > 1 {
+            chaotic = chaotic.with_fleet(nr_devices);
+        }
+        assert!(chaotic.cpu_fallback);
+        let session = idg::obs::Session::begin("degridding");
+        let err = chaotic.degrid(&plan, &model, &ds.uvw, &ds.aterms).err();
+        let metrics = session.finish().metrics;
+        assert!(
+            matches!(err, Some(IdgError::InvalidParameter(_))),
+            "{nr_devices} device(s): {err:?}"
+        );
+        assert_eq!(metrics.redispatched_jobs, 0, "{nr_devices} device(s)");
+        assert_eq!(metrics.fallback_jobs, 0, "{nr_devices} device(s)");
+    }
 }

@@ -289,11 +289,15 @@ fn streamed_degrid_entry_points_reject_degenerate_parameters_typed() {
         );
     }
 
-    // a NaN model grid is rejected the same way, on the streamed entry
-    // points and on the staged one alike
+    // a NaN the splitter reads (the centre of the first item's footprint)
+    // is rejected the same way, on the streamed entry points and on the
+    // staged one alike
     let config = StreamConfig::new(ChunkPolicy::by_timesteps(8), 2, 2);
+    let (first, n) = (plan.items[0], case.obs.subgrid_size);
     let mut nan_model = model.clone();
-    nan_model.as_mut_slice()[5].im = f32::NAN;
+    nan_model
+        .at_mut(0, first.coord_y + n / 2, first.coord_x + n / 2)
+        .im = f32::NAN;
     for err in [
         proxy
             .degrid_streamed(&config, &nan_model, &ds.uvw, &ds.aterms)

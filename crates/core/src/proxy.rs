@@ -21,8 +21,7 @@ use idg_math::Accuracy;
 use idg_perf::{degridder_counts, gridder_counts, OpCounts};
 use idg_plan::{Plan, WorkItem};
 use idg_telescope::ATerms;
-use idg_types::{Complex, Grid, IdgError, Observation, Uvw, Visibility};
-use rayon::prelude::*;
+use idg_types::{Grid, IdgError, Observation, Uvw, Visibility};
 use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
@@ -309,9 +308,12 @@ impl Proxy {
 
     /// The one input check of every degridding entry point — one-shot,
     /// streamed and staged: buffer shapes, then finite uvw, then the
-    /// model grid. Returns the kernel inputs of the pass, which carry no
-    /// visibilities: the degridders write into the pass's one output
-    /// buffer and read none.
+    /// model grid's size. Returns the kernel inputs of the pass, which
+    /// carry no visibilities: the degridders write into the pass's one
+    /// output buffer and read none. The grid's samples are checked where
+    /// they are read: the splitter rejects a non-finite sample in any
+    /// footprint ([`split_subgrids`]), so a pass reads no sample it does
+    /// not use.
     pub(crate) fn degridding_input<'a>(
         &'a self,
         grid: &Grid<f32>,
@@ -320,7 +322,7 @@ impl Proxy {
     ) -> Result<KernelData<'a>, IdgError> {
         let data = self.kernel_data(uvw, &[], aterms)?;
         check_finite_uvw(uvw)?;
-        self.check_model_grid(grid)?;
+        self.check_grid_size(grid)?;
         Ok(data)
     }
 
@@ -332,33 +334,6 @@ impl Proxy {
                 expected: self.obs.grid_size,
                 actual: grid.size(),
             });
-        }
-        Ok(())
-    }
-
-    /// The model grid must have the observation's size, and a single
-    /// NaN/Inf sample would silently poison every visibility its
-    /// subgrids touch, so the error must be typed and early.
-    fn check_model_grid(&self, grid: &Grid<f32>) -> Result<(), IdgError> {
-        self.check_grid_size(grid)?;
-        // A 2048² grid is 134 MB in front of every degrid pass: fold each
-        // block without a branch (a short-circuit `any` does not
-        // vectorise), blocks in parallel — every sample is still inspected.
-        const BLOCK: usize = 1 << 16;
-        let block_is_finite = |block: &[Complex<f32>]| {
-            block
-                .iter()
-                .fold(true, |ok, c| ok & c.re.is_finite() & c.im.is_finite())
-        };
-        let finite: Vec<bool> = grid
-            .as_slice()
-            .par_chunks(BLOCK)
-            .map(block_is_finite)
-            .collect();
-        if finite.contains(&false) {
-            return Err(IdgError::InvalidParameter(
-                "model grid contains non-finite (NaN/Inf) samples".into(),
-            ));
         }
         Ok(())
     }
@@ -837,6 +812,19 @@ impl Proxy {
 
     /// Predict visibilities from a model grid. The pass allocates one
     /// observation-sized visibility buffer, the one it returns.
+    ///
+    /// # Errors
+    /// - [`IdgError::ShapeMismatch`] or [`IdgError::InvalidParameter`]
+    ///   for inputs that do not fit the observation: a grid of another
+    ///   size, wrong buffer shapes, a plan item outside the observation
+    ///   or off the grid.
+    /// - [`IdgError::InvalidParameter`] for a non-finite uvw coordinate,
+    ///   or a non-finite (NaN/Inf) model-grid sample inside a subgrid
+    ///   footprint of `plan`. The splitter checks the samples it reads,
+    ///   so one that no footprint reads reaches no visibility and fails
+    ///   nothing.
+    /// - On a GPU back-end with `cpu_fallback` off, the classified device
+    ///   error of the first job that failed for good.
     pub fn degrid(
         &self,
         plan: &Plan,
@@ -891,6 +879,7 @@ impl Proxy {
 mod tests {
     use super::*;
     use idg_telescope::{Dataset, GaussianBeam, Layout, SkyModel};
+    use idg_types::Complex;
 
     fn dataset() -> Dataset {
         dataset_of(32)
@@ -1139,24 +1128,24 @@ mod tests {
             Err(IdgError::InvalidParameter(msg)) if msg.contains("uvw coordinate 3")
         ));
 
-        // One model-grid check behind every degridding entry point, and
-        // it sees every sample: the check folds 64 Ki-sample blocks (this
-        // grid has four), so poison the first and last sample and both
-        // sides of a block boundary, in either component.
+        // Every degridding entry point rejects a non-finite sample its
+        // splitter reads: poison the first item's footprint at its corner
+        // and at its centre (another plane), in either component.
         let config = StreamConfig::new(idg_stream::ChunkPolicy::by_timesteps(8), 2, 2);
-        let last = grid.as_slice().len() - 1;
-        assert!(last > 2 * 65_536);
-        for index in [0, 65_535, 65_536, last] {
+        let (first, n) = (plan.items[0], ds.obs.subgrid_size);
+        let corner = (0, first.coord_y, first.coord_x);
+        let centre = (3, first.coord_y + n / 2, first.coord_x + n / 2);
+        for (pol, y, x) in [corner, centre] {
             for poison in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
                 for in_re in [true, false] {
                     let mut bad_grid = grid.clone();
-                    let sample = &mut bad_grid.as_mut_slice()[index];
+                    let sample = bad_grid.at_mut(pol, y, x);
                     *(if in_re {
                         &mut sample.re
                     } else {
                         &mut sample.im
                     }) = poison;
-                    let case = format!("{poison} at {index}, re: {in_re}");
+                    let case = format!("{poison} at ({pol}, {y}, {x}), re: {in_re}");
                     assert!(
                         matches!(
                             proxy.degrid(&plan, &bad_grid, &ds.uvw, &ds.aterms),
@@ -1208,6 +1197,55 @@ mod tests {
                 assert_eq!(got.err(), expected, "{label}, {what}");
                 assert!(bits(&onto) == bits(&g0), "{label}, {what}: grid touched");
             }
+        }
+    }
+
+    #[test]
+    fn a_non_finite_sample_no_footprint_reads_moves_no_output_bit() {
+        // the splitter checks the samples it reads and no others: NaN/Inf
+        // outside every subgrid footprint reaches no visibility, so no
+        // degridding entry point fails or moves a bit
+        let ds = dataset();
+        let (size, n) = (ds.obs.grid_size, ds.obs.subgrid_size);
+        let config = StreamConfig::new(idg_stream::ChunkPolicy::by_timesteps(8), 2, 2);
+        let plan = Plan::create(&ds.obs, &ds.uvw).unwrap();
+        let read = |y: usize, x: usize| {
+            plan.items.iter().any(|item| {
+                (item.coord_y..item.coord_y + n).contains(&y)
+                    && (item.coord_x..item.coord_x + n).contains(&x)
+            })
+        };
+        let (y, x) = (0..size * size)
+            .map(|p| (p / size, p % size))
+            .find(|&(y, x)| !read(y, x))
+            .expect("a pixel outside every footprint");
+        let clean = pattern_grid(size, 1.0);
+        let mut poisoned = clean.clone();
+        for pol in 0..4 {
+            *poisoned.at_mut(pol, y, x) = Complex::new(f32::NAN, f32::INFINITY);
+        }
+        for (label, proxy) in proxies(&ds.obs) {
+            let degrid = |grid: &Grid<f32>| {
+                let (vis, _) = proxy.degrid(&plan, grid, &ds.uvw, &ds.aterms).unwrap();
+                vis_bits(&vis)
+            };
+            let streamed = |grid: &Grid<f32>| {
+                let streamed = proxy.degrid_streamed(&config, grid, &ds.uvw, &ds.aterms);
+                vis_bits(&streamed.unwrap().0)
+            };
+            let staged = |grid: &Grid<f32>| {
+                let stages = proxy.degrid_stages(&plan, grid, &ds.uvw, &ds.aterms);
+                vis_bits(&stages.unwrap().visibilities)
+            };
+            assert!(degrid(&poisoned) == degrid(&clean), "{label}: degrid");
+            assert!(
+                streamed(&poisoned) == streamed(&clean),
+                "{label}: degrid_streamed"
+            );
+            assert!(
+                staged(&poisoned) == staged(&clean),
+                "{label}: degrid_stages"
+            );
         }
     }
 

@@ -403,6 +403,13 @@ impl Proxy {
     /// guarded by a [`CommitLedger`] so each chunk commits exactly
     /// once. The returned buffer is the only observation-sized one the
     /// pass allocates.
+    ///
+    /// # Errors
+    /// Every error of [`Proxy::degrid`], from the chunk pass that meets
+    /// it: a non-finite model-grid sample fails the pass only if a
+    /// chunk's footprints read it. [`IdgError::InvalidParameter`] for a
+    /// degenerate [`StreamConfig`]: a zero chunk bound, worker count or
+    /// admission window.
     pub fn degrid_streamed(
         &self,
         config: &StreamConfig,

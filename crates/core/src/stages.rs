@@ -82,6 +82,12 @@ impl Proxy {
     }
 
     /// Run the degridding pass, snapshotting each stage.
+    ///
+    /// # Errors
+    /// The input errors of [`Proxy::degrid`]. The splitter runs over the
+    /// whole plan in one launch, so a non-finite model-grid sample is
+    /// reported for the first item in plan order whose footprint holds
+    /// one. No device pass runs, so there is no device error.
     pub fn degrid_stages(
         &self,
         plan: &Plan,

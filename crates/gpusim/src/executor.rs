@@ -123,9 +123,12 @@ impl GpuExecutor {
     /// The sequential dispatcher: reserve the full triple-buffered
     /// shape once (no degradation ladder — a reservation that does not
     /// fit fails the pass), run every job in order on the one device,
-    /// give up on a job the moment the device does, and add each
-    /// completed gridding job onto `grid` as it completes (jobs complete
-    /// in job order here, so peak memory stays at one job's subgrids).
+    /// give up on a job the moment the device does, fail the pass on an
+    /// input error a job's kernels return (an error with no fault site,
+    /// such as a non-finite model-grid sample the splitter reads), and
+    /// add each completed gridding job onto `grid` as it completes (jobs
+    /// complete in job order here, so peak memory stays at one job's
+    /// subgrids).
     fn run<'a>(
         &'a self,
         data: &'a KernelData<'a>,
@@ -146,6 +149,7 @@ impl GpuExecutor {
                         pass.commit(job, grid)?;
                     }
                 }
+                JobRun::Failed { error, .. } if error.fault_site().is_none() => return Err(error),
                 JobRun::Failed { error, attempts } => pass.fail_job(job, error, attempts),
             }
         }

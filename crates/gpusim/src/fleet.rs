@@ -299,7 +299,10 @@ impl FleetExecutor {
     /// job to the devices round-robin, resume OOM-degraded jobs on the
     /// same device one ladder rung down, re-queue a job a device gave
     /// up on for the peers that have not yet rejected it, and only fail
-    /// it once nobody is left. Returns the number of re-dispatches.
+    /// it once nobody is left. An input error a job's kernels return (an
+    /// error with no fault site) is no device's failure: it fails the
+    /// pass at once, with no breaker outcome and no re-dispatch. Returns
+    /// the number of re-dispatches.
     fn dispatch(&self, states: &mut [DeviceState], pass: &mut Pass<'_>) -> Result<usize, IdgError> {
         let nr_jobs = pass.nr_jobs();
         let nr_members = states.len();
@@ -342,6 +345,9 @@ impl FleetExecutor {
                         st.health
                             .record_outcome(JobOutcome::classify(attempts - 1, None), now);
                         break;
+                    }
+                    JobRun::Failed { error, .. } if error.fault_site().is_none() => {
+                        return Err(error);
                     }
                     JobRun::Failed { error, attempts } => {
                         attempts_total[job] += attempts - resume.0;

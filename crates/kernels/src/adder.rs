@@ -19,6 +19,12 @@
 //!
 //! plus the `1/Ñ²` normalization that makes gridding and degridding exact
 //! inverses through the unscaled forward FFT.
+//!
+//! Along a row the fftshift is a rotation: `PhasorTables::shift[j]` is
+//! `(j + h) % n` with `h = n − n/2`. So both kernels move each subgrid
+//! row as two contiguous runs, split at `n − h`, rather than through the
+//! index table per pixel: the same multiply per sample (the same bits),
+//! in loops that vectorise.
 
 use crate::buffers::SubgridArray;
 use crate::cache::{KernelCache, PhasorKey};
@@ -65,6 +71,27 @@ pub fn check_placement(grid_size: usize, n: usize, items: &[WorkItem]) -> Result
         }
     }
     Ok(())
+}
+
+/// `dst[k] += src[k]·factors[k]`: one contiguous run of an adder row.
+#[inline(always)]
+fn add_run(dst: &mut [Cf32], src: &[Cf32], factors: &[Cf32]) {
+    for ((d, s), f) in dst.iter_mut().zip(src).zip(factors) {
+        *d += *s * *f;
+    }
+}
+
+/// `dst[k] = src[k]·factors[k]`: one contiguous run of a splitter row.
+/// Returns whether every `src` sample is finite, folded without a branch
+/// (a short-circuit test would not vectorise).
+#[inline(always)]
+fn split_run(dst: &mut [Cf32], src: &[Cf32], factors: &[Cf32]) -> bool {
+    let mut finite = true;
+    for ((d, s), f) in dst.iter_mut().zip(src).zip(factors) {
+        *d = *s * *f;
+        finite &= s.re.is_finite() & s.im.is_finite();
+    }
+    finite
 }
 
 /// Add Fourier-domain subgrids into the grid (parallel over grid rows).
@@ -121,6 +148,7 @@ pub fn add_subgrids_from_slices(
     }
     check_placement(gsize, n, items)?;
     let tables = cache.phasors(PhasorKey::new(n));
+    let h = n - n / 2;
 
     // Row index: which (item, j_y) pairs touch each grid row.
     let mut rows: Vec<Vec<(usize, usize)>> = vec![Vec::new(); gsize];
@@ -145,9 +173,11 @@ pub fn add_subgrids_from_slices(
                 let factors = &tables.add[jy * n..jy * n + n];
                 let sub_row = &sub[(pol * n + sy) * n..(pol * n + sy) * n + n];
                 let dst = &mut grid_row[item.coord_x..item.coord_x + n];
-                for jx in 0..n {
-                    dst[jx] += sub_row[tables.shift[jx]] * factors[jx];
-                }
+                // dst[jx] += sub_row[shift[jx]]·factors[jx]
+                let (dst_lo, dst_hi) = dst.split_at_mut(n - h);
+                let (f_lo, f_hi) = factors.split_at(n - h);
+                add_run(dst_lo, &sub_row[h..], f_lo);
+                add_run(dst_hi, &sub_row[..h], f_hi);
             }
         });
     Ok(())
@@ -159,9 +189,19 @@ pub fn add_subgrids_from_slices(
 /// Overlapping reads are safe — the grid is read-only here, which is why
 /// the splitter can parallelize over subgrids where the adder cannot
 /// (Sec. V-B d).
+///
+/// The splitter reads only the items' footprints, and it is where a
+/// degrid pass checks its model grid: a single NaN/Inf sample would
+/// silently poison every visibility its subgrids touch, so each gathered
+/// sample is tested for finiteness on the way. A sample outside every
+/// footprint reaches no visibility and is never read.
+///
 /// # Errors
 /// [`IdgError::ShapeMismatch`] when the subgrid count does not match the
-/// work items or a subgrid footprint falls outside the grid.
+/// work items or a subgrid footprint falls outside the grid;
+/// [`IdgError::InvalidParameter`] when a footprint holds a non-finite
+/// sample, naming the first such item in `items` order, so the same one
+/// whatever the thread schedule (`subgrids` is written all the same).
 pub fn split_subgrids(
     grid: &Grid<f32>,
     items: &[WorkItem],
@@ -171,36 +211,50 @@ pub fn split_subgrids(
     check_subgrids(grid.size(), items, subgrids)?;
     let n = subgrids.size();
     let tables = cache.phasors(PhasorKey::new(n));
+    let h = n - n / 2;
 
     idg_obs::add_subgrids_split(items.len() as u64);
-    items
+    let finite: Vec<bool> = items
         .par_iter()
         .zip(
             subgrids
                 .as_mut_slice()
                 .par_chunks_exact_mut(NR_POLARIZATIONS * n * n),
         )
-        .for_each(|(item, sub)| {
-            for pol in 0..NR_POLARIZATIONS {
+        .map(|(item, sub)| {
+            let mut finite = true;
+            for (pol, plane) in sub.chunks_exact_mut(n * n).enumerate() {
                 for jy in 0..n {
                     let sy = tables.shift[jy];
                     let grid_row = grid.row(pol, item.coord_y + jy);
+                    let src = &grid_row[item.coord_x..item.coord_x + n];
                     let factors = &tables.split[jy * n..jy * n + n];
-                    for jx in 0..n {
-                        sub[(pol * n + sy) * n + tables.shift[jx]] =
-                            grid_row[item.coord_x + jx] * factors[jx];
-                    }
+                    // plane[sy][shift[jx]] = src[jx]·factors[jx]
+                    let (dst_lo, dst_hi) = plane[sy * n..sy * n + n].split_at_mut(h);
+                    let (src_lo, src_hi) = src.split_at(n - h);
+                    let (f_lo, f_hi) = factors.split_at(n - h);
+                    finite &= split_run(dst_hi, src_lo, f_lo);
+                    finite &= split_run(dst_lo, src_hi, f_hi);
                 }
             }
-        });
-    Ok(())
+            finite
+        })
+        .collect();
+    match items.iter().zip(&finite).find(|&(_, &ok)| !ok) {
+        Some((item, _)) => Err(IdgError::InvalidParameter(format!(
+            "model grid has a non-finite (NaN/Inf) sample in the footprint of the subgrid at \
+             ({}, {})",
+            item.coord_x, item.coord_y
+        ))),
+        None => Ok(()),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::buffers::pixel_index;
-    use crate::cache::phase_correction;
+    use crate::cache::{phase_correction, PhasorTables};
     use crate::fft::{fft_subgrids, FftNorm};
     use crate::reference::{degridder_reference, gridder_reference};
     use crate::KernelData;
@@ -236,7 +290,9 @@ mod tests {
         Uvw::new((u_lambda * to_m) as f32, (v_lambda * to_m) as f32, 0.0)
     }
 
-    fn item_covering(obs: &Observation, px: usize, py: usize) -> WorkItem {
+    /// A one-visibility work item whose subgrid's corner sits at grid
+    /// pixel `(coord_x, coord_y)`.
+    fn item_at(coord_x: usize, coord_y: usize) -> WorkItem {
         WorkItem {
             baseline_index: 0,
             baseline: Baseline::new(0, 1),
@@ -245,10 +301,14 @@ mod tests {
             channel_offset: 0,
             nr_channels: 1,
             aterm_index: 0,
-            coord_x: px - obs.subgrid_size / 2,
-            coord_y: py - obs.subgrid_size / 2,
+            coord_x,
+            coord_y,
             w_plane: 0,
         }
+    }
+
+    fn item_covering(obs: &Observation, px: usize, py: usize) -> WorkItem {
+        item_at(px - obs.subgrid_size / 2, py - obs.subgrid_size / 2)
     }
 
     /// The full forward chain on one exactly-on-pixel visibility must put
@@ -347,32 +407,7 @@ mod tests {
     fn overlapping_subgrids_accumulate() {
         let obs = unit_obs();
         let n = obs.subgrid_size;
-        let items = [
-            WorkItem {
-                baseline_index: 0,
-                baseline: Baseline::new(0, 1),
-                time_offset: 0,
-                nr_timesteps: 1,
-                channel_offset: 0,
-                nr_channels: 1,
-                aterm_index: 0,
-                coord_x: 50,
-                coord_y: 50,
-                w_plane: 0,
-            },
-            WorkItem {
-                baseline_index: 0,
-                baseline: Baseline::new(0, 1),
-                time_offset: 0,
-                nr_timesteps: 1,
-                channel_offset: 0,
-                nr_channels: 1,
-                aterm_index: 0,
-                coord_x: 54,
-                coord_y: 52,
-                w_plane: 0,
-            },
-        ];
+        let items = [item_at(50, 50), item_at(54, 52)];
         // Fill both subgrids with a DC-only Fourier content: set every
         // bin so that the result is easy to sum — simplest is to compare
         // against sequential addition on a second grid.
@@ -437,6 +472,150 @@ mod tests {
         let n2 = (n * n) as f32;
         for (a, b) in recovered.as_slice().iter().zip(subgrids.as_slice()) {
             assert!((a.scale(n2) - *b).abs() < 1e-3, "{a} vs {b}");
+        }
+    }
+
+    /// The splitter's per-pixel shift-table scatter, the loop the two-run
+    /// body replaced: its bit-for-bit oracle.
+    fn split_scalar(
+        grid: &Grid<f32>,
+        items: &[WorkItem],
+        n: usize,
+        tables: &PhasorTables,
+    ) -> Vec<Cf32> {
+        let mut out = vec![Cf32::zero(); items.len() * NR_POLARIZATIONS * n * n];
+        for (item, sub) in items
+            .iter()
+            .zip(out.chunks_exact_mut(NR_POLARIZATIONS * n * n))
+        {
+            for pol in 0..NR_POLARIZATIONS {
+                for jy in 0..n {
+                    let sy = tables.shift[jy];
+                    let grid_row = grid.row(pol, item.coord_y + jy);
+                    let factors = &tables.split[jy * n..jy * n + n];
+                    for jx in 0..n {
+                        sub[(pol * n + sy) * n + tables.shift[jx]] =
+                            grid_row[item.coord_x + jx] * factors[jx];
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// The adder's per-pixel shift-table gather, the loop the two-run body
+    /// replaced, item by item: its bit-for-bit oracle (every pixel still
+    /// adds its items in `items` order).
+    fn add_scalar(
+        grid: &mut Grid<f32>,
+        items: &[WorkItem],
+        subgrids: &SubgridArray,
+        tables: &PhasorTables,
+    ) {
+        let n = subgrids.size();
+        for (item, sub) in items.iter().zip(subgrids.subgrids()) {
+            for pol in 0..NR_POLARIZATIONS {
+                for jy in 0..n {
+                    let sy = tables.shift[jy];
+                    let factors = &tables.add[jy * n..jy * n + n];
+                    let sub_row = &sub[(pol * n + sy) * n..(pol * n + sy) * n + n];
+                    for jx in 0..n {
+                        *grid.at_mut(pol, item.coord_y + jy, item.coord_x + jx) +=
+                            sub_row[tables.shift[jx]] * factors[jx];
+                    }
+                }
+            }
+        }
+    }
+
+    fn sample_bits(samples: &[Cf32]) -> Vec<u32> {
+        samples
+            .iter()
+            .flat_map(|c| [c.re.to_bits(), c.im.to_bits()])
+            .collect()
+    }
+
+    /// A 64² grid with every sample non-zero and few repeats.
+    fn pattern_grid() -> Grid<f32> {
+        let mut grid = Grid::<f32>::new(64);
+        for (i, c) in grid.as_mut_slice().iter_mut().enumerate() {
+            *c = Cf32::new(
+                (i % 101) as f32 * 0.013 - 0.61,
+                (i % 89) as f32 * -0.021 + 0.93,
+            );
+        }
+        grid
+    }
+
+    /// Five overlapping `n × n` footprints on a `grid_size` grid, two of
+    /// them on the far column and two on the far row.
+    fn footprints(grid_size: usize, n: usize) -> Vec<WorkItem> {
+        let far = grid_size - n;
+        vec![
+            item_at(0, 0),
+            item_at(3, 5),
+            item_at(far, 11),
+            item_at(17, far),
+            item_at(far, far),
+        ]
+    }
+
+    #[test]
+    fn contiguous_runs_equal_the_shift_table_loops_bit_for_bit() {
+        let grid = pattern_grid();
+        let cache = KernelCache::new();
+        // even sizes, and an odd one, whose two runs differ in length
+        for n in [8, 16, 24, 32, 7] {
+            let tables = cache.phasors(PhasorKey::new(n));
+            let items = footprints(grid.size(), n);
+            let mut split = SubgridArray::new(items.len(), n);
+            split_subgrids(&grid, &items, &mut split, &cache).expect("splitter run");
+            let oracle = split_scalar(&grid, &items, n, &tables);
+            assert!(
+                sample_bits(split.as_slice()) == sample_bits(&oracle),
+                "splitter, n = {n}"
+            );
+
+            let mut added = grid.clone();
+            add_subgrids(&mut added, &items, &split, &cache).expect("adder run");
+            let mut oracle = grid.clone();
+            add_scalar(&mut oracle, &items, &split, &tables);
+            assert!(
+                sample_bits(added.as_slice()) == sample_bits(oracle.as_slice()),
+                "adder, n = {n}"
+            );
+        }
+    }
+
+    #[test]
+    fn the_splitter_rejects_the_non_finite_samples_it_reads_and_only_those() {
+        let clean = pattern_grid();
+        let (n, far) = (8, clean.size() - 1);
+        let cache = KernelCache::new();
+        let items = footprints(clean.size(), n);
+        let split = |grid: &Grid<f32>| {
+            let mut subgrids = SubgridArray::new(items.len(), n);
+            split_subgrids(grid, &items, &mut subgrids, &cache).map(|()| subgrids)
+        };
+        let expected = split(&clean).expect("clean grid");
+
+        // outside every footprint: never read, so no error and no bit moves
+        let mut unread = clean.clone();
+        *unread.at_mut(2, 40, 40) = Cf32::new(f32::NAN, f32::INFINITY);
+        let got = split(&unread).expect("a sample no footprint reads");
+        assert!(sample_bits(got.as_slice()) == sample_bits(expected.as_slice()));
+
+        // in item 4's footprint only, and in item 2's only: whichever
+        // worker meets its sample first, the error names item 2
+        for poison in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let mut bad = clean.clone();
+            bad.at_mut(3, far, far).im = poison;
+            bad.at_mut(0, 11, far).re = poison;
+            let err = split(&bad).err();
+            assert!(
+                matches!(&err, Some(IdgError::InvalidParameter(msg)) if msg.contains("at (56, 11)")),
+                "{poison}: {err:?}"
+            );
         }
     }
 

@@ -16,7 +16,10 @@
 #
 # Printed per workload x end-to-end metric (names, directions and bounds
 # read from BENCHMARK.json): both medians with quartiles, the change of
-# the median, pairs won, the bound and a verdict:
+# the median, the median of the per-pair ratios change / parent, pairs
+# won, the bound and a verdict. The two runs of a pair are neighbours in
+# time, so a switch of the host's speed moves both: the ratio column
+# stays steady where the quartiles widen. It does not enter the verdict:
 #   gain        change better in >= 9/10 of the pairs (ties count for
 #               neither side) and the medians differ by more than the
 #               distance between the parent's quartiles
@@ -100,8 +103,8 @@ for side in parent change; do
     side_run "$side" --list > /dev/null
 done
 
-printf '%-16s %-18s %30s %30s %8s %6s %6s  %s\n' workload metric \
-    "parent median (q1-q3)" "change median (q1-q3)" change wins bound verdict
+printf '%-16s %-18s %30s %30s %8s %7s %6s %6s  %s\n' workload metric \
+    "parent median (q1-q3)" "change median (q1-q3)" change ratio wins bound verdict
 status=0
 for w in $workloads; do
     for ((p = 1; p <= pairs; p++)); do
@@ -153,12 +156,14 @@ for w in $workloads; do
         }
         {
             name = $1; lower = ($2 == "lower"); bound = $3 + 0
-            wins = 0
+            wins = 0; nr = 0
             for (i = 1; i <= n; i++) {
                 a[i] = value(praw[i], name); b[i] = value(craw[i], name)
                 if (lower ? b[i] < a[i] : b[i] > a[i]) wins++
+                if (a[i] + 0 != 0) r[++nr] = b[i] / a[i]   # change / parent, one pair
             }
-            sorted(a, n, sa); sorted(b, n, sb)
+            sorted(a, n, sa); sorted(b, n, sb); sorted(r, nr, sr)
+            ratio = nr ? quart(sr, nr, 2) : 0
             am = quart(sa, n, 2); bm = quart(sb, n, 2)
             aiqr = quart(sa, n, 3) - quart(sa, n, 1); biqr = quart(sb, n, 3) - quart(sb, n, 1)
             better = lower ? am - bm : bm - am          # > 0: change better
@@ -172,9 +177,9 @@ for w in $workloads; do
             else if (worse_by > bound) verdict = "regression"
             else verdict = "flat"
             if (verdict == "regression") bad = 1
-            printf "%-16s %-18s %12.4g (%7.4g-%-7.4g) %12.4g (%7.4g-%-7.4g) %+7.1f%% %3d/%-2d %6.2f  %s\n",
+            printf "%-16s %-18s %12.4g (%7.4g-%-7.4g) %12.4g (%7.4g-%-7.4g) %+7.1f%% %7.4f %3d/%-2d %6.2f  %s\n",
                 w, name, am, quart(sa, n, 1), quart(sa, n, 3), bm, quart(sb, n, 1), quart(sb, n, 3),
-                am != 0 ? 100 * (bm - am) / am : 0, wins, n, bound, verdict
+                am != 0 ? 100 * (bm - am) / am : 0, ratio, wins, n, bound, verdict
         }
         END { exit bad }' || status=1
 done
