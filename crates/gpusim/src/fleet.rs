@@ -35,6 +35,7 @@ use crate::device::Device;
 use crate::executor::DeferredSubgrids;
 use crate::fault::{FaultConfig, RetryPolicy};
 use crate::health::{BreakerConfig, DeviceHealth, JobOutcome};
+use crate::kernels::check_device;
 use crate::pass::{DeviceSlot, Direction, JobRun, Pass, PassTotals, Sink};
 use idg_kernels::{KernelCache, KernelData};
 use idg_plan::Plan;
@@ -206,9 +207,11 @@ impl FleetExecutor {
     }
 
     /// Set up per-device state, walking each device down the
-    /// degradation ladder until its reservation fits (a device that
-    /// cannot fit even one buffer set starts the pass dead).
-    fn setup(&self, pass: &Pass<'_>) -> Result<Vec<DeviceState>, IdgError> {
+    /// degradation ladder until its reservation fits. A device that
+    /// cannot fit even one buffer set, or whose launch configuration can
+    /// run no kernel of this pass, starts the pass dead: its jobs flow to
+    /// its peers.
+    fn setup(&self, pass: &Pass<'_>, gridding: bool) -> Result<Vec<DeviceState>, IdgError> {
         if self.members.is_empty() {
             return Err(IdgError::InvalidParameter(
                 "a fleet needs at least one device".into(),
@@ -221,9 +224,9 @@ impl FleetExecutor {
                 slot: DeviceSlot::new(member.device.clone(), member.faults.clone(), pass),
                 health: DeviceHealth::new(self.breaker)?,
                 level: 0,
-                alive: true,
+                alive: check_device(&member.device, gridding).is_ok(),
             };
-            while state.reserve(pass, self.work_group_size).is_err() {
+            while state.alive && state.reserve(pass, self.work_group_size).is_err() {
                 if state.level == MAX_DEGRADATION_LEVEL {
                     state.alive = false;
                     break;
@@ -299,10 +302,12 @@ impl FleetExecutor {
     /// job to the devices round-robin, resume OOM-degraded jobs on the
     /// same device one ladder rung down, re-queue a job a device gave
     /// up on for the peers that have not yet rejected it, and only fail
-    /// it once nobody is left. An input error a job's kernels return (an
-    /// error with no fault site) is no device's failure: it fails the
-    /// pass at once, with no breaker outcome and no re-dispatch. Returns
-    /// the number of re-dispatches.
+    /// it once nobody is left. [`FleetExecutor::setup`] has killed every
+    /// member that can launch no kernel, so an error with no fault site
+    /// is an input error a job's kernels return (such as a non-finite
+    /// model-grid sample the splitter reads): no device's failure, it
+    /// fails the pass at once, with no breaker outcome and no
+    /// re-dispatch. Returns the number of re-dispatches.
     fn dispatch(&self, states: &mut [DeviceState], pass: &mut Pass<'_>) -> Result<usize, IdgError> {
         let nr_jobs = pass.nr_jobs();
         let nr_members = states.len();
@@ -378,8 +383,9 @@ impl FleetExecutor {
         direction: Direction<'a>,
     ) -> Result<(Pass<'a>, FleetRunReport), IdgError> {
         let w = self.work_group_size;
+        let gridding = matches!(direction, Direction::Grid(_));
         let mut pass = Pass::new(data, plan, direction, w, &self.cache, &self.retry)?;
-        let mut states = self.setup(&pass)?;
+        let mut states = self.setup(&pass, gridding)?;
         let redispatched_jobs = self.dispatch(&mut states, &mut pass)?;
         let totals = pass.seal(states.iter_mut().map(|s| &mut s.slot));
         let per_device: Vec<DeviceReport> = states
@@ -818,6 +824,49 @@ mod tests {
         assert!(report.totals.complete());
         assert!(report.degradation_steps >= 1);
         assert!(report.per_device[0].degradation_level >= 1);
+    }
+
+    #[test]
+    fn a_member_that_can_launch_no_kernel_starts_dead_and_its_peer_runs_its_jobs() {
+        let ds = dataset();
+        let plan = Plan::create(&ds.obs, &ds.uvw).unwrap();
+        let taper = vec![1.0f32; ds.obs.subgrid_size * ds.obs.subgrid_size];
+        let data = kernel_data(&ds, &taper);
+
+        let single = GpuExecutor::new(Device::pascal(), 4);
+        let (model, _) = fresh_grid(&plan, |g| single.grid(&data, &plan, g)).unwrap();
+        let (gold, _) = run_single(&single, "degrid", &data, &plan, &model);
+        let mut broken = Device::pascal();
+        broken.degridder_block_size = 0;
+        let fleet = FleetExecutor::new(
+            vec![
+                FleetMember {
+                    device: broken,
+                    faults: None,
+                },
+                FleetMember {
+                    device: Device::pascal(),
+                    faults: None,
+                },
+            ],
+            4,
+        );
+        let (out, report) = run_fleet(&fleet, "degrid", &data, &plan, &model);
+
+        assert_eq!(out, gold, "output bits");
+        assert!(report.totals.complete());
+        assert!(!report.per_device[0].alive);
+        assert_eq!(report.per_device[0].jobs_completed, 0);
+        assert_eq!(
+            report.per_device[1].jobs_completed,
+            plan.work_groups(4).count()
+        );
+        // every job member 0 would have taken went to its peer
+        assert_eq!(
+            report.redispatched_jobs,
+            plan.work_groups(4).count().div_ceil(2)
+        );
+        assert_eq!(report.breaker_trips, 0);
     }
 
     #[test]

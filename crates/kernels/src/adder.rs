@@ -21,10 +21,11 @@
 //! inverses through the unscaled forward FFT.
 //!
 //! Along a row the fftshift is a rotation: `PhasorTables::shift[j]` is
-//! `(j + h) % n` with `h = n − n/2`. So both kernels move each subgrid
-//! row as two contiguous runs, split at `n − h`, rather than through the
-//! index table per pixel: the same multiply per sample (the same bits),
-//! in loops that vectorise.
+//! `(j + h) % n`, so `h = shift[0]` (`n − n/2` for `n ≥ 2`). Both kernels
+//! read `h` from the table and move each subgrid row as two contiguous
+//! runs, split at `n − h`, rather than through the index table per
+//! pixel: the same multiply per sample (the same bits), in loops that
+//! vectorise.
 
 use crate::buffers::SubgridArray;
 use crate::cache::{KernelCache, PhasorKey};
@@ -148,7 +149,7 @@ pub fn add_subgrids_from_slices(
     }
     check_placement(gsize, n, items)?;
     let tables = cache.phasors(PhasorKey::new(n));
-    let h = n - n / 2;
+    let h = tables.shift.first().copied().unwrap_or(0); // the fftshift's rotation
 
     // Row index: which (item, j_y) pairs touch each grid row.
     let mut rows: Vec<Vec<(usize, usize)>> = vec![Vec::new(); gsize];
@@ -211,7 +212,7 @@ pub fn split_subgrids(
     check_subgrids(grid.size(), items, subgrids)?;
     let n = subgrids.size();
     let tables = cache.phasors(PhasorKey::new(n));
-    let h = n - n / 2;
+    let h = tables.shift.first().copied().unwrap_or(0); // the fftshift's rotation
 
     idg_obs::add_subgrids_split(items.len() as u64);
     let finite: Vec<bool> = items
