@@ -451,7 +451,7 @@ impl Proxy {
         self.check_plan(data, plan)?;
         let job_size = self.job_size();
         let mut subgrids = SubgridArray::new(plan.items.len().min(job_size), self.obs.subgrid_size);
-        let mut vis = vec![Visibility::<f32>::zero(); data.obs.nr_visibilities()];
+        let mut vis = Visibility::<f32>::zeroed_vec(data.obs.nr_visibilities());
         let mut seconds = [0.0; 3];
         for items in plan.work_groups(job_size) {
             let t0 = Instant::now();

@@ -427,7 +427,7 @@ impl Proxy {
         // rows of its time range contiguously, as the observation does
         let nr_chan = self.obs.nr_channels();
         let per_baseline = self.obs.nr_timesteps * nr_chan;
-        let mut vis = vec![Visibility::<f32>::zero(); self.obs.nr_visibilities()];
+        let mut vis = Visibility::<f32>::zeroed_vec(self.obs.nr_visibilities());
         let mut ledger = CommitLedger::new(chunks.len());
         let mut committed_vis = 0;
         let t_commit = Instant::now();

@@ -104,7 +104,7 @@ impl Proxy {
         fft_subgrids(&mut subgrids, Direction::Inverse, FftNorm::None);
         let ifft_snapshot = subgrids.clone();
 
-        let mut vis = vec![Visibility::<f32>::zero(); self.observation().nr_visibilities()];
+        let mut vis = Visibility::<f32>::zeroed_vec(self.observation().nr_visibilities());
         self.launch_degridder(&data, &plan.items, &subgrids, &mut vis)?;
 
         Ok(DegridStages {

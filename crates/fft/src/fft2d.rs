@@ -121,7 +121,7 @@ impl<T: Float> Fft2d<T> {
 
         // columns, one plane at a time through the shared scratch; the
         // last band is narrower when BAND does not divide n
-        let mut bands = vec![Complex::zero(); n2];
+        let mut bands = Complex::zeroed_vec(n2);
         for plane in planes.chunks_exact_mut(n2) {
             let src = &*plane;
             bands.par_chunks_mut(BAND * n).enumerate().for_each_init(
@@ -159,7 +159,10 @@ impl<T: Float> Fft2d<T> {
     /// * rows: only rows `0 ..= n/2` of `H` are built (reading `S` by
     ///   index, so the caller's shifts and sums cost no plane copy) and
     ///   transformed; row `n − ky` of the result is the conjugate of row
-    ///   `ky`;
+    ///   `ky`. A built row whose every sample is zero is not transformed
+    ///   (its transform is zero): a sparse grid pays the row pass only
+    ///   for the rows some footprint reached, and a NaN row, which is not
+    ///   zero, still propagates;
     /// * columns: every column is the inverse of a Hermitian sequence, so
     ///   real, and columns `2j` and `2j + 1` share one complex transform
     ///   as its real and imaginary parts — a lone last column (odd `n`)
@@ -174,27 +177,33 @@ impl<T: Float> Fft2d<T> {
     where
         S: Fn(usize, usize) -> Complex<T> + Sync,
     {
-        let n = self.n;
-        let dir = Direction::Inverse;
-
         // rows 0 ..= n/2 of H, each transformed as soon as it is built
-        let half = n / 2 + 1;
-        let mut rows = vec![Complex::zero(); half * n];
+        // unless it is all zero (the test is on H, not on S: H(ky) mixes
+        // S(ky) with conj S(n − ky))
+        let n = self.n;
+        let mut rows = Complex::zeroed_vec((n / 2 + 1) * n);
         rows.par_chunks_exact_mut(n).enumerate().for_each_init(
             || vec![Complex::zero(); self.plan.scratch_len()],
             |scratch, (ky, row)| {
-                let my = if ky == 0 { 0 } else { n - ky };
-                let h = |kx, mx| (spectrum(ky, kx) + spectrum(my, mx).conj()).scale(T::HALF);
-                row[0] = h(0, 0);
-                for (kx, v) in row.iter_mut().enumerate().skip(1) {
-                    *v = h(kx, n - kx);
+                hermitian_row(&spectrum, ky, row);
+                if row.iter().any(|v| v.re != T::ZERO || v.im != T::ZERO) {
+                    self.plan
+                        .process_with_scratch(row, scratch, Direction::Inverse);
                 }
-                self.plan.process_with_scratch(row, scratch, dir);
             },
         );
+        self.real_columns(rows)
+    }
+
+    /// The column pass of [`Fft2d::inverse_real`] over its transformed
+    /// Hermitian rows `0 ..= n/2`, and the row-major real image.
+    fn real_columns(&self, rows: Vec<Complex<T>>) -> Vec<T> {
+        let n = self.n;
+        let half = n / 2 + 1;
+        let dir = Direction::Inverse;
 
         // column pairs: Z = G(·, 2j) + i·G(·, 2j+1), G(n − ky) = conj G(ky)
-        let mut bands = vec![Complex::zero(); n.div_ceil(2) * n];
+        let mut bands = Complex::zeroed_vec(n.div_ceil(2) * n);
         bands.par_chunks_mut(BAND * n).enumerate().for_each_init(
             || vec![Complex::zero(); BAND * self.plan.scratch_len()],
             |scratch, (b, band)| {
@@ -250,6 +259,21 @@ impl<T: Float> Fft2d<T> {
                 }
             });
         out
+    }
+}
+
+/// Row `ky` of `H(k) = ½(S(k) + conj S(−k mod n))` into `row`.
+fn hermitian_row<T, S>(spectrum: &S, ky: usize, row: &mut [Complex<T>])
+where
+    T: Float,
+    S: Fn(usize, usize) -> Complex<T>,
+{
+    let n = row.len();
+    let my = if ky == 0 { 0 } else { n - ky };
+    let h = |kx, mx| (spectrum(ky, kx) + spectrum(my, mx).conj()).scale(T::HALF);
+    row[0] = h(0, 0);
+    for (kx, v) in row.iter_mut().enumerate().skip(1) {
+        *v = h(kx, n - kx);
     }
 }
 
@@ -452,6 +476,78 @@ mod tests {
             let err = max_rel_diff(&got, &expect);
             assert!(err < 1e-6, "n = {n}: {err:e}");
         }
+    }
+
+    /// `inverse_real` before the zero-row skip: every built row of `H`
+    /// is transformed, one after the other.
+    fn inverse_real_every_row<T: Float>(fft: &Fft2d<T>, s: &[Complex<T>]) -> Vec<T> {
+        let n = fft.n;
+        let mut rows = vec![Complex::zero(); (n / 2 + 1) * n];
+        let mut scratch = vec![Complex::zero(); fft.plan.scratch_len()];
+        for (ky, row) in rows.chunks_exact_mut(n).enumerate() {
+            hermitian_row(&|ky, kx| s[ky * n + kx], ky, row);
+            fft.plan
+                .process_with_scratch(row, &mut scratch, Direction::Inverse);
+        }
+        fft.real_columns(rows)
+    }
+
+    /// Skipping the all-zero rows of `H` moves no output bit, on spectra
+    /// whose rows are mostly zero: only row 0; only row n/2; only row
+    /// n − 3, so `H(3)` is non-zero while `S(3)` is zero; one NaN in an
+    /// otherwise zero spectrum, which must reach the image; and all
+    /// zero. Sizes: even and odd Stockham (16, 25, 64) and Bluestein
+    /// (28; 251, also odd).
+    fn zero_row_skip_is_bit_identical<T: Float>() {
+        for n in [16usize, 25, 28, 64, 251] {
+            let fft = Fft2d::<T>::new(n);
+            let full: Vec<Complex<T>> = random_spectrum(n, 11)
+                .iter()
+                .map(|c| Complex::new(T::from_f64(c.re), T::from_f64(c.im)))
+                .collect();
+            let only_rows = |keep: &[usize]| -> Vec<Complex<T>> {
+                let mut s = full.clone();
+                for (ky, row) in s.chunks_exact_mut(n).enumerate() {
+                    if !keep.contains(&ky) {
+                        row.fill(Complex::zero());
+                    }
+                }
+                s
+            };
+            let mut nan = only_rows(&[]);
+            nan[5 * n + 7] = Complex::new(T::from_f64(f64::NAN), T::ZERO);
+            let cases = [
+                ("row 0", only_rows(&[0])),
+                ("row n/2", only_rows(&[n / 2])),
+                ("row n - 3", only_rows(&[n - 3])),
+                ("one NaN", nan),
+                ("all zero", only_rows(&[])),
+            ];
+            for (case, s) in cases {
+                let got = fft.inverse_real(|ky, kx| s[ky * n + kx]);
+                let expect = inverse_real_every_row(&fft, &s);
+                let bits = |v: &[T]| v.iter().map(|x| x.to_f64().to_bits()).collect::<Vec<_>>();
+                assert!(bits(&got) == bits(&expect), "n = {n}, {case}");
+                if case == "one NaN" {
+                    assert!(got.iter().any(|x| x.to_f64().is_nan()), "n = {n}: NaN lost");
+                } else if case != "all zero" {
+                    assert!(
+                        got.iter().any(|x| x.to_f64().abs() > 0.0),
+                        "n = {n}, {case}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn zero_row_skip_is_bit_identical_f32() {
+        zero_row_skip_is_bit_identical::<f32>();
+    }
+
+    #[test]
+    fn zero_row_skip_is_bit_identical_f64() {
+        zero_row_skip_is_bit_identical::<f64>();
     }
 
     #[test]

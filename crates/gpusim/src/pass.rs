@@ -583,7 +583,7 @@ impl<'a> Pass<'a> {
         } else {
             (
                 Vec::new(),
-                vec![Visibility::zero(); data.obs.nr_visibilities()],
+                Visibility::zeroed_vec(data.obs.nr_visibilities()),
             )
         };
         Ok(Self {

@@ -45,6 +45,22 @@ impl<T: Float> Complex<T> {
         Self { re, im }
     }
 
+    /// `len` complex zeros, allocated lazily where the allocator can.
+    ///
+    /// std allocates a vector of an all-zero-bits element type (a float
+    /// array) as zeroed memory, which a large allocation gets from the
+    /// kernel untouched; `Complex` is `#[repr(C)]` with the layout of
+    /// `[T; 2]`, so the collect reuses that allocation in place. In a
+    /// release build the identity loop folds away and no page is faulted
+    /// in until it is first read or written; a debug build runs the loop
+    /// and touches every page.
+    pub fn zeroed_vec(len: usize) -> Vec<Self> {
+        vec![[T::ZERO; 2]; len]
+            .into_iter()
+            .map(|[re, im]| Self::new(re, im))
+            .collect()
+    }
+
     /// The multiplicative identity `1 + 0i`.
     #[inline(always)]
     pub fn one() -> Self {

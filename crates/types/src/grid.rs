@@ -27,10 +27,15 @@ pub struct Grid<T> {
 
 impl<T: Float> Grid<T> {
     /// Allocate a zeroed grid of `size × size` pixels per polarization.
+    ///
+    /// The storage comes from [`Complex::zeroed_vec`]: in a release build
+    /// a large grid costs nothing until it is touched, and a pass pays
+    /// only for the pages its subgrids land on; a debug build writes
+    /// every sample.
     pub fn new(size: usize) -> Self {
         Self {
             size,
-            data: vec![Complex::zero(); NR_POLARIZATIONS * size * size],
+            data: Complex::zeroed_vec(NR_POLARIZATIONS * size * size),
         }
     }
 

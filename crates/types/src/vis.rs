@@ -124,6 +124,18 @@ impl<T: Float> Visibility<T> {
         }
     }
 
+    /// `len` zero visibilities, allocated lazily where the allocator can
+    /// (as [`Complex::zeroed_vec`]: `Visibility` is `#[repr(C)]` over four
+    /// `Complex`, the layout of `[[T; 2]; 4]`).
+    pub fn zeroed_vec(len: usize) -> Vec<Self> {
+        vec![[[T::ZERO; 2]; 4]; len]
+            .into_iter()
+            .map(|pols| Self {
+                pols: pols.map(|[re, im]| Complex::new(re, im)),
+            })
+            .collect()
+    }
+
     /// An unpolarized point-source visibility of given amplitude and phase:
     /// power split over xx and yy, cross-hands zero.
     #[inline]

@@ -4,6 +4,7 @@
 #
 #   tools/bench_pairs.sh <parent-rev> [--pairs 10] [--seconds 20]
 #                        [--seed 42] [--workloads "ska_dense major_cycle"]
+#                        [--record FILE]
 #
 # "parent" is <parent-rev>, exported with `git archive`; "change" is the
 # working tree this script is run from (commit or not, as it stands).
@@ -31,25 +32,30 @@
 #               the bound
 #   flat        otherwise
 # (no verdict under five pairs; a claim needs ten).
+# With --record FILE, every printed row is also appended to FILE as one
+# JSON line: workload, metric, parent and change revs (the change rev
+# ends "+dirty" when the working tree differs from HEAD), seed, seconds,
+# pairs, both medians and quartiles, ratio, wins and verdict.
 # Exit status: 0, or 1 if any run was not `correct` or any row reads
 # `regression`.
 set -euo pipefail
 
 usage() {
-    sed -n '2,8p' "${BASH_SOURCE[0]}" | sed 's/^# \{0,1\}//'
+    sed -n '2,9p' "${BASH_SOURCE[0]}" | sed 's/^# \{0,1\}//'
     exit 2
 }
 
 [[ $# -ge 1 && $1 != -* ]] || usage
 parent_rev=$1
 shift
-pairs=10 seconds=20 seed=42 workloads=""
+pairs=10 seconds=20 seed=42 workloads="" record=""
 while [[ $# -gt 0 ]]; do
     case $1 in
         --pairs) pairs=$2 ;;
         --seconds) seconds=$2 ;;
         --seed) seed=$2 ;;
         --workloads) workloads=$2 ;;
+        --record) record=$(realpath -m "$2") ;;
         *) usage ;;
     esac
     shift 2
@@ -58,6 +64,8 @@ done
 repo=$(git -C "$(dirname "${BASH_SOURCE[0]}")" rev-parse --show-toplevel)
 cd "$repo"
 rev=$(git rev-parse --short=12 "${parent_rev}^{commit}")
+change_rev=$(git rev-parse --short=12 HEAD)
+git diff --quiet HEAD || change_rev+="+dirty"
 root="$repo/target/bench_pairs"
 parent_src="$root/parent-$rev"
 runs="$root/runs/$(date +%Y%m%dT%H%M%S)-$rev-seed$seed"
@@ -96,7 +104,7 @@ side_run() { # side_run <side> <args...> : that side's run.sh, its own target di
     CARGO_TARGET_DIR="$root/target-$side" bash "$(side_src "$side")/benchmark/run.sh" "$@"
 }
 
-echo "parent $rev, change = working tree of $(git rev-parse --short=12 HEAD); nproc $(nproc)"
+echo "parent $rev, change = working tree of $change_rev; nproc $(nproc)"
 echo "pairs $pairs, --seconds $seconds, --seed $seed; raw lines in ${runs#"$repo"/}"
 for side in parent change; do
     echo "building $side ..."
@@ -125,7 +133,8 @@ for w in $workloads; do
         fi
     done
 
-    echo "$metrics" | awk -v w="$w" -v pf="$runs/$w.parent.jsonl" -v cf="$runs/$w.change.jsonl" '
+    echo "$metrics" | awk -v w="$w" -v pf="$runs/$w.parent.jsonl" -v cf="$runs/$w.change.jsonl" \
+        -v rec="$record" -v prev="$rev" -v crev="$change_rev" -v seed="$seed" -v secs="$seconds" '
         function value(line, name,    s) {
             s = line
             if (!sub(".*\"" name "\": \\{\"value\": ", "", s)) return "nan"
@@ -180,6 +189,14 @@ for w in $workloads; do
             printf "%-16s %-18s %12.4g (%7.4g-%-7.4g) %12.4g (%7.4g-%-7.4g) %+7.1f%% %7.4f %3d/%-2d %6.2f  %s\n",
                 w, name, am, quart(sa, n, 1), quart(sa, n, 3), bm, quart(sb, n, 1), quart(sb, n, 3),
                 am != 0 ? 100 * (bm - am) / am : 0, ratio, wins, n, bound, verdict
+            if (rec != "")
+                printf "{\"workload\": \"%s\", \"metric\": \"%s\", \"parent_rev\": \"%s\", " \
+                    "\"change_rev\": \"%s\", \"seed\": %d, \"seconds\": %g, \"pairs\": %d, " \
+                    "\"parent\": {\"median\": %.6g, \"q1\": %.6g, \"q3\": %.6g}, " \
+                    "\"change\": {\"median\": %.6g, \"q1\": %.6g, \"q3\": %.6g}, " \
+                    "\"ratio\": %.6g, \"wins\": %d, \"bound\": %g, \"verdict\": \"%s\"}\n",
+                    w, name, prev, crev, seed, secs, n, am, quart(sa, n, 1), quart(sa, n, 3),
+                    bm, quart(sb, n, 1), quart(sb, n, 3), ratio, wins, bound, verdict >> rec
         }
         END { exit bad }' || status=1
 done
