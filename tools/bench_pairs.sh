@@ -65,7 +65,8 @@ repo=$(git -C "$(dirname "${BASH_SOURCE[0]}")" rev-parse --show-toplevel)
 cd "$repo"
 rev=$(git rev-parse --short=12 "${parent_rev}^{commit}")
 change_rev=$(git rev-parse --short=12 HEAD)
-git diff --quiet HEAD || change_rev+="+dirty"
+# (the benchmark build rewrites its own lock file; that is not a change)
+git diff --quiet HEAD -- ':!benchmark/Cargo.lock' || change_rev+="+dirty"
 root="$repo/target/bench_pairs"
 parent_src="$root/parent-$rev"
 runs="$root/runs/$(date +%Y%m%dT%H%M%S)-$rev-seed$seed"
