@@ -746,8 +746,10 @@ impl Proxy {
     /// Cross-validate an observed pass, one-shot or streamed: hold its
     /// measured kernel counters to the analytic model the report
     /// already carries — exact integer equality, field by field — and
-    /// its kernel-cache lookups to the expected cadence (as
-    /// deterministic as the op counts).
+    /// its kernel-cache lookups, subgrid FFT/adder/splitter calls,
+    /// fleet health outcomes and stream chunks to their closed forms in
+    /// the launched items, jobs and chunks (as deterministic as the op
+    /// counts).
     ///
     /// Skipped for runs where kernels legitimately execute more than
     /// once per work item: retries and CPU fallbacks re-run them, fault
@@ -787,6 +789,18 @@ impl Proxy {
             (_, false) => 2 * jobs,
         };
 
+        // Every launched item takes one subgrid FFT and one adder call
+        // when gridding, one splitter call and one inverse FFT when
+        // degridding; a fleet records one health outcome per job, and
+        // a stream ingests each of its chunks once.
+        let (forward, inverse) = if report.pass == "gridding" {
+            (items, 0)
+        } else {
+            (0, items)
+        };
+        let outcomes = if report.fleet.is_some() { jobs } else { 0 };
+        let chunks = report.stream.as_ref().map_or(0, |s| s.nr_chunks as u64);
+
         let (k, analytic) = (metrics.pass_kernel(), &report.counts);
         let lookups = metrics.cache_hits + metrics.cache_misses;
         let checks = [
@@ -797,6 +811,12 @@ impl Proxy {
             ("shared_bytes", k.shared_bytes, analytic.shared_bytes),
             ("invocations", k.invocations, items),
             ("cache lookups", lookups, expected_lookups),
+            ("subgrids_fft", metrics.subgrids_fft, forward),
+            ("subgrids_added", metrics.subgrids_added, forward),
+            ("subgrids_ifft", metrics.subgrids_ifft, inverse),
+            ("subgrids_split", metrics.subgrids_split, inverse),
+            ("health_outcomes", metrics.health_outcomes, outcomes),
+            ("chunks_ingested", metrics.chunks_ingested, chunks),
         ];
         for (name, measured, predicted) in checks {
             if measured != predicted {
@@ -1772,6 +1792,60 @@ mod tests {
         let analytic = gridder_counts(&plan.items, ds.obs.subgrid_size);
         assert_eq!(report.effective_counts(), analytic);
         assert_eq!(trace.metrics.breaker_trips, 0);
+    }
+
+    #[test]
+    fn a_counter_off_its_closed_form_fails_validation_by_name() {
+        // One clean observed report of each kind: every counter
+        // validate_measured holds to a closed form in the launched
+        // items, jobs or chunks fails it when one off, by name.
+        let ds = dataset();
+        let host = Proxy::new(Backend::CpuOptimized, ds.obs.clone()).unwrap();
+        let mut fleet = Proxy::new(Backend::GpuPascal, ds.obs.clone()).unwrap();
+        fleet.work_group_size = 4;
+        let fleet = fleet.with_fleet(2);
+        let config = StreamConfig::new(idg_stream::ChunkPolicy::by_timesteps(16), 2, 2);
+        let plan = host.plan(&ds.uvw).unwrap();
+        let (grid, one_shot, _) = host
+            .grid_observed(&plan, &ds.uvw, &ds.visibilities, &ds.aterms)
+            .unwrap();
+        let (_, fleet_pass, _) = fleet
+            .grid_observed(&plan, &ds.uvw, &ds.visibilities, &ds.aterms)
+            .unwrap();
+        let (_, streamed_grid, _) = host
+            .grid_streamed_observed(&config, &ds.uvw, &ds.visibilities, &ds.aterms)
+            .unwrap();
+        let (_, streamed_degrid, _) = host
+            .degrid_streamed_observed(&config, &grid, &ds.uvw, &ds.aterms)
+            .unwrap();
+
+        type Counter = fn(&mut idg_obs::MetricsSnapshot) -> &mut u64;
+        let counters: [(&str, Counter); 6] = [
+            ("subgrids_fft", |m| &mut m.subgrids_fft),
+            ("subgrids_added", |m| &mut m.subgrids_added),
+            ("subgrids_ifft", |m| &mut m.subgrids_ifft),
+            ("subgrids_split", |m| &mut m.subgrids_split),
+            ("health_outcomes", |m| &mut m.health_outcomes),
+            ("chunks_ingested", |m| &mut m.chunks_ingested),
+        ];
+        let reports = [
+            ("host one-shot", &host, one_shot),
+            ("fleet", &fleet, fleet_pass),
+            ("streamed grid", &host, streamed_grid),
+            ("streamed degrid", &host, streamed_degrid),
+        ];
+        for (kind, proxy, report) in reports {
+            proxy.validate_measured(&report).unwrap();
+            for (name, counter) in counters {
+                let mut raised = report.clone();
+                *counter(raised.metrics.as_mut().unwrap()) += 1;
+                let err = proxy.validate_measured(&raised).unwrap_err();
+                assert!(
+                    matches!(&err, IdgError::Internal(m) if m.contains(name)),
+                    "{kind} {name}: {err:?}"
+                );
+            }
+        }
     }
 
     #[test]

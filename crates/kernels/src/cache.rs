@@ -17,12 +17,11 @@
 
 use crate::geometry::KernelGeometry;
 use idg_fft::shift::fftshift_source;
-use idg_sync::Mutex;
 use idg_types::{Cf32, Complex, Float};
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Per-axis phase-correction table: `corr[j] = e^{iπ(j−Ñ/2)(Ñ−1)/Ñ}` —
 /// the half-pixel ramp that compensates the `x + 0.5` pixel-center
@@ -189,13 +188,14 @@ pub struct KernelCache {
 /// One critical section: get the entry, or build and insert it under
 /// the same lock, so a key is built exactly once however many threads
 /// race for it. A pass makes at most two lookups per job, so the lock
-/// is short and uncontended.
+/// is short and uncontended. Poisoning is recovered: a build that
+/// panics inserts nothing.
 fn lookup<K: Eq + Hash, V>(
     map: &Mutex<HashMap<K, Arc<V>>>,
     key: K,
     build: impl FnOnce() -> V,
 ) -> (Arc<V>, bool) {
-    let mut map = map.lock();
+    let mut map = map.lock().unwrap_or_else(PoisonError::into_inner);
     let mut hit = true;
     let v = map.entry(key).or_insert_with(|| {
         hit = false;

@@ -1,30 +1,29 @@
-//! # idg-lint — the three workspace invariants no standard tool can state
+//! # idg-lint — the two workspace invariants no standard tool can state
 //!
 //! The paper's headline claims rest on numerical discipline (the f32
 //! kernels must track the f64 reference) and on operation accounting
-//! that the observability layer (DESIGN.md §8) validates *at runtime*.
-//! The *static* half of that contract is seven rules, L1–L7 (DESIGN.md
-//! §9). Four of them are rustc and clippy lints and are switched on
-//! where those tools read their configuration — L1 panic freedom, L2
-//! numeric discipline and L7 the sync facade in the `cargo lint` alias
-//! (`.cargo/config.toml`, `clippy.toml`), L5 as `unsafe_code = "forbid"`
-//! in `[workspace.lints]`. This crate is a `syn`-based pass over every
-//! library source file for the three that are about *this* code base,
+//! that the observability layer (DESIGN.md §8) validates *at runtime*,
+//! on every clean observed pass. The *static* half is the rules of
+//! DESIGN.md §9 (L3, the kernel↔counter contract, is retired: the
+//! runtime check catches a missing counter call). Four of them are
+//! rustc and clippy lints and are switched on where those tools read
+//! their configuration — L1
+//! panic freedom, L2 numeric discipline and L7 the banned std lock
+//! types in the `cargo lint` alias (`.cargo/config.toml`,
+//! `clippy.toml`), L5 as `unsafe_code = "forbid"` in
+//! `[workspace.lints]`. This crate is a `syn`-based pass over every
+//! library source file for the two that are about *this* code base,
 //! with `file:line:col` diagnostics:
 //!
-//! * **L3 — kernel ↔ observability contract**: every kernel entry point
-//!   in `crates/kernels`/`crates/gpusim` must increment its `idg-obs`
-//!   counter, so the analytic≡measured validation cannot rot when a new
-//!   kernel is added.
 //! * **L4 — typed fallibility**: `pub fn`s that fail do so through
 //!   `Result<_, IdgError>` — no foreign error types, no
 //!   `Option`/`bool`-as-error on fallibly-named functions.
 //! * **L6 — lock discipline**: (d) no kernel entry point launched
 //!   while a lock guard binding is live. (Sub-rule (a), `Condvar::wait`
-//!   only inside a predicate re-check loop, lost its subject in PR 23:
-//!   the `idg-sync` facade has no condvar and `clippy.toml` bans the
-//!   std one; (b), raw `.lock().unwrap()` acquisitions, is
-//!   `clippy::unwrap_used`; (c), lock order, lost its subject in PR 15.)
+//!   only inside a predicate re-check loop, has no subject:
+//!   `clippy.toml` bans the std condvar; (b), raw `.lock().unwrap()`
+//!   acquisitions, is `clippy::unwrap_used`; (c), lock order, went
+//!   with the last pair of nested locks.)
 //!
 //! Run as `cargo run -p idg-lint`: exit 1 on any diagnostic. There is
 //! no allowlist; a site that must stay is rewritten or the rule is.
@@ -38,8 +37,6 @@ use std::path::Path;
 /// Identifier of one lint rule.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Rule {
-    /// Kernel ↔ observability counter contract.
-    L3,
     /// Typed fallibility (`Result<_, IdgError>`).
     L4,
     /// Lock discipline, sub-rule (d): guard liveness across kernel
@@ -50,7 +47,6 @@ pub enum Rule {
 impl std::fmt::Display for Rule {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
-            Rule::L3 => "L3",
             Rule::L4 => "L4",
             Rule::L6 => "L6",
         })
@@ -121,46 +117,21 @@ impl std::fmt::Display for LintError {
 
 impl std::error::Error for LintError {}
 
-/// Rule scoping for a workspace. [`Config::workspace`] is the committed
-/// policy; fixture tests construct narrower ones.
-#[derive(Clone, Debug)]
-pub struct Config {
-    /// Crates under the L3 kernel-counter contract.
-    pub l3_crates: Vec<String>,
-    /// Crates exempt from L4 (dev tooling with its own error type).
-    pub l4_exempt_crates: Vec<String>,
-}
-
-impl Config {
-    /// The committed workspace policy.
-    pub fn workspace() -> Self {
-        Config {
-            l3_crates: vec![
-                "kernels".to_string(),
-                "gpusim".to_string(),
-                "stream".to_string(),
-            ],
-            // lint has its own error type
-            l4_exempt_crates: vec!["lint".to_string()],
-        }
-    }
-}
-
 /// Lint one source file. `path` is the repo-relative path used for
 /// scoping (which crate) and diagnostics.
-pub fn lint_source(path: &str, src: &str, cfg: &Config) -> Result<Vec<Diagnostic>, LintError> {
+pub fn lint_source(path: &str, src: &str) -> Result<Vec<Diagnostic>, LintError> {
     let file = syn::parse_file(src).map_err(|e| LintError::Parse {
         path: path.to_string(),
         line: e.span.line,
         column: e.span.column + 1,
         message: e.message,
     })?;
-    Ok(rules::lint_file(path, &file, cfg))
+    Ok(rules::lint_file(path, &file))
 }
 
 /// Lint every library source under `root`. Diagnostics come back sorted
 /// by path, then line, then column, then rule — deterministically.
-pub fn lint_workspace(root: &Path, cfg: &Config) -> Result<Vec<Diagnostic>, LintError> {
+pub fn lint_workspace(root: &Path) -> Result<Vec<Diagnostic>, LintError> {
     let mut diags = Vec::new();
     for rel in walk::workspace_sources(root)? {
         let full = root.join(&rel);
@@ -168,7 +139,7 @@ pub fn lint_workspace(root: &Path, cfg: &Config) -> Result<Vec<Diagnostic>, Lint
             path: rel.clone(),
             message: e.to_string(),
         })?;
-        diags.extend(lint_source(&rel, &src, cfg)?);
+        diags.extend(lint_source(&rel, &src)?);
     }
     diags.sort_by(|a, b| {
         (&a.path, a.line, a.column, a.rule).cmp(&(&b.path, b.line, b.column, b.rule))

@@ -8,8 +8,8 @@
 //!   (`#[cfg(test)]` items and `#[test]`/`#[should_panic]` functions),
 //!   so library-only rules never fire inside tests;
 //! * **function items** — every `fn` with its name, visibility,
-//!   signature/return-type token runs and body group, so the contract
-//!   rules (L3/L4) and guard liveness (L6) can reason per function.
+//!   signature/return-type token runs and body group, so typed
+//!   fallibility (L4) and guard liveness (L6) can reason per function.
 //!
 //! Attribute groups themselves (`#[derive(...)]`, `#[doc = "..."]`) are
 //! *not* walked as expressions: their tokens are metadata, not code.

@@ -1,26 +1,24 @@
-//! The workspace invariants this crate enforces: L3, L4 and L6 (d).
+//! The workspace invariants this crate enforces: L4 and L6 (d).
 //!
-//! Each rule is a pure function from a parsed file (plus the scope
-//! [`Config`]) to diagnostics. All rules are
-//! test-module-aware: nothing fires inside `#[cfg(test)]` items or
-//! `#[test]`/`#[should_panic]` functions.
+//! Each rule is a pure function from a parsed file to diagnostics. All
+//! rules are test-module-aware: nothing fires inside `#[cfg(test)]`
+//! items or `#[test]`/`#[should_panic]` functions.
 
-use crate::model::{collect_fns, contains_ident, FnItem};
-use crate::{Config, Diagnostic, Rule};
+use crate::model::{collect_fns, FnItem};
+use crate::{Diagnostic, Rule};
 use syn::{Delimiter, TokenTree};
 
+/// Crates exempt from L4: dev tooling with its own error type.
+const L4_EXEMPT_CRATES: &[&str] = &["lint"];
+
 /// Run every applicable rule on one parsed file.
-pub fn lint_file(path: &str, file: &syn::File, cfg: &Config) -> Vec<Diagnostic> {
-    let krate = crate_of(path);
+pub fn lint_file(path: &str, file: &syn::File) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
     let fns = collect_fns(&file.tokens);
-    if cfg.l3_crates.iter().any(|c| c == krate) {
-        l3_kernel_counters(path, &fns, cfg, &mut diags);
-    }
     // L4 covers every walked crate by default, so a freshly added
     // crate is in scope before anyone remembers it.
-    if !cfg.l4_exempt_crates.iter().any(|c| c == krate) {
-        l4_typed_errors(path, &fns, cfg, &mut diags);
+    if !L4_EXEMPT_CRATES.contains(&crate_of(path)) {
+        l4_typed_errors(path, &fns, &mut diags);
     }
     l6_guard_liveness(path, &fns, &mut diags);
     diags
@@ -48,131 +46,11 @@ fn diag(path: &str, t: &TokenTree, rule: Rule, message: String) -> Diagnostic {
     }
 }
 
-// ---------------------------------------------------------------------------
-// L3 — kernel ↔ observability contract
-// ---------------------------------------------------------------------------
-
-/// A kernel-entry-point naming contract: a `pub fn` whose name matches
-/// `name_prefix` (exactly, or prefix + `_…`) and whose signature
-/// mentions `signature_marker` must increment one of `required_any`.
-pub struct KernelContract {
-    /// Entry-point name prefix (`gridder` matches `gridder_cpu`…).
-    pub name_prefix: &'static str,
-    /// Type that must appear in the argument list for the contract to
-    /// apply (filters out unrelated helpers sharing the prefix).
-    pub signature_marker: &'static str,
-    /// `idg-obs` counter calls, any one of which satisfies the contract.
-    pub required_any: &'static [&'static str],
-}
-
-/// The kernel naming contracts enforced in `crates/kernels`/`crates/gpusim`.
-pub const KERNEL_CONTRACTS: &[KernelContract] = &[
-    KernelContract {
-        name_prefix: "gridder",
-        signature_marker: "KernelData",
-        required_any: &["add_kernel"],
-    },
-    KernelContract {
-        name_prefix: "degridder",
-        signature_marker: "KernelData",
-        required_any: &["add_kernel"],
-    },
-    KernelContract {
-        name_prefix: "fft_subgrids",
-        signature_marker: "SubgridArray",
-        required_any: &["add_subgrids_fft", "add_subgrids_ifft"],
-    },
-    KernelContract {
-        name_prefix: "add_subgrids",
-        signature_marker: "SubgridArray",
-        required_any: &["add_subgrids_added"],
-    },
-    KernelContract {
-        name_prefix: "split_subgrids",
-        signature_marker: "SubgridArray",
-        required_any: &["add_subgrids_split"],
-    },
-    // the pass-level kernel cache: every lookup must surface as a
-    // hit or a miss in the observability counters, or the proxy's
-    // expected-lookup self-validation rots silently
-    KernelContract {
-        name_prefix: "geometry",
-        signature_marker: "GeometryKey",
-        required_any: &["add_cache_hits", "add_cache_misses"],
-    },
-    KernelContract {
-        name_prefix: "phasors",
-        signature_marker: "PhasorKey",
-        required_any: &["add_cache_hits", "add_cache_misses"],
-    },
-    // the fleet health tracker: every job outcome fed to a breaker
-    // must surface in the health counters, or a silent tracker makes
-    // the chaos suite's "breaker observably trips" assertion vacuous
-    KernelContract {
-        name_prefix: "record_outcome",
-        signature_marker: "JobOutcome",
-        required_any: &["add_health_outcomes", "add_breaker_trips"],
-    },
-    // the streaming scheduler: every chunk it runs must surface in
-    // the stream counters, or the soak suite's assertions go blind
-    KernelContract {
-        name_prefix: "run_stream",
-        signature_marker: "Chunk",
-        required_any: &["add_chunks_ingested", "add_backpressure_waits"],
-    },
-];
-
 fn matches_prefix(name: &str, prefix: &str) -> bool {
     name == prefix
         || name
             .strip_prefix(prefix)
             .is_some_and(|r| r.starts_with('_'))
-}
-
-fn l3_kernel_counters(path: &str, fns: &[FnItem], _cfg: &Config, diags: &mut Vec<Diagnostic>) {
-    for f in fns {
-        if !f.is_pub || f.in_test {
-            continue;
-        }
-        let Some(contract) = KERNEL_CONTRACTS.iter().find(|c| {
-            matches_prefix(&f.name, c.name_prefix)
-                && contains_ident(&f.arg_tokens, c.signature_marker)
-        }) else {
-            continue;
-        };
-        let Some(body) = &f.body else { continue };
-        let direct = contract
-            .required_any
-            .iter()
-            .any(|r| contains_ident(&body.tokens, r));
-        // One level of delegation: the body calls a sibling fn in this
-        // file that performs the increment (e.g. a shared `record_*` helper).
-        let delegated = !direct
-            && fns.iter().any(|g| {
-                g.name != f.name
-                    && contains_ident(&body.tokens, &g.name)
-                    && g.body.as_ref().is_some_and(|b| {
-                        contract
-                            .required_any
-                            .iter()
-                            .any(|r| contains_ident(&b.tokens, r))
-                    })
-            });
-        if !direct && !delegated {
-            diags.push(Diagnostic {
-                rule: Rule::L3,
-                path: path.to_string(),
-                line: f.line,
-                column: f.column + 1,
-                message: format!(
-                    "kernel entry point `{}` lacks its idg-obs counter increment (one of [{}]) \
-                     — the analytic≡measured contract of DESIGN.md §8 would rot silently",
-                    f.name,
-                    contract.required_any.join(", ")
-                ),
-            });
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -183,7 +61,7 @@ fn l3_kernel_counters(path: &str, fns: &[FnItem], _cfg: &Config, diags: &mut Vec
 /// `Option`/`bool` from these is error-signaling without an error type.
 const FALLIBLE_VERBS: &[&str] = &["try", "parse", "load", "read", "open", "write", "validate"];
 
-fn l4_typed_errors(path: &str, fns: &[FnItem], _cfg: &Config, diags: &mut Vec<Diagnostic>) {
+fn l4_typed_errors(path: &str, fns: &[FnItem], diags: &mut Vec<Diagnostic>) {
     for f in fns {
         if !f.is_pub || f.in_test || f.ret_tokens.is_empty() {
             continue;
@@ -311,14 +189,14 @@ fn outer_type(ret: &[TokenTree]) -> Outer {
 // L6 — lock discipline
 // ---------------------------------------------------------------------------
 
-/// Guard-producing acquisition methods on the facade primitives.
+/// Guard-producing lock acquisition methods (`Mutex::lock`, and the
+/// `RwLock` pair `clippy.toml` bans).
 const ACQUIRE_METHODS: &[&str] = &["lock", "read", "write"];
 
-/// Kernel entry-point name prefixes (the launch subset of the L3
-/// marker set, [`KERNEL_CONTRACTS`]) that must never run while a lock
-/// guard binding is live: the kernels fan out across rayon workers and
-/// a guard held across the launch serializes — or deadlocks — the
-/// fleet.
+/// Name prefixes of the kernel entry points (`gridder_cpu`,
+/// `fft_subgrids`, …) that must never run while a lock guard binding is
+/// live: the kernels fan out across rayon workers and a guard held
+/// across the launch serializes — or deadlocks — the fleet.
 const LAUNCH_PREFIXES: &[&str] = &[
     "gridder",
     "degridder",
@@ -337,7 +215,7 @@ fn is_method_call(toks: &[TokenTree], i: usize) -> bool {
 }
 
 /// Sub-rule (d): guard liveness across kernel launches. A `let` binding
-/// whose initializer acquires a facade guard keeps it live to the end
+/// whose initializer acquires a lock guard keeps it live to the end
 /// of its scope (or an explicit `drop(name)`); launching a kernel entry
 /// point with any guard live is flagged. `idg_obs::`-qualified counter
 /// calls share the `add_subgrids` prefix but are bookkeeping, not

@@ -1,15 +1,14 @@
-//! Fixture coverage for the rules `idg-lint` carries (L3, L4, L6): one
+//! Fixture coverage for the rules `idg-lint` carries (L4, L6): one
 //! violating and one clean file per rule, asserted down to the exact
-//! `line:column` spans, plus the scoping behavior (L3/L4 crate lists),
+//! `line:column` spans, plus the scoping behavior (the L4 exemption),
 //! the live-workspace meta-check that mirrors the CI gate, and the
 //! manifest check that keeps every crate under `[workspace.lints]`.
 
-use idg_lint::{lint_source, Config, Diagnostic, Rule};
+use idg_lint::{lint_source, Diagnostic, Rule};
 
-/// Lint a fixture as if it lived at `path` in the workspace, under the
-/// committed policy.
+/// Lint a fixture as if it lived at `path` in the workspace.
 fn lint(path: &str, src: &str) -> Vec<Diagnostic> {
-    lint_source(path, src, &Config::workspace()).expect("fixture parses")
+    lint_source(path, src).expect("fixture parses")
 }
 
 /// `(line, column)` spans of one rule's diagnostics, in emission order.
@@ -19,86 +18,6 @@ fn spans(diags: &[Diagnostic], rule: Rule) -> Vec<(usize, usize)> {
         .filter(|d| d.rule == rule)
         .map(|d| (d.line, d.column))
         .collect()
-}
-
-// ---------------------------------------------------------------------------
-// L3 — kernel ↔ observability contract
-// ---------------------------------------------------------------------------
-
-#[test]
-fn l3_fires_on_counterless_kernel_entry_point() {
-    let diags = lint(
-        "crates/kernels/src/fixture.rs",
-        include_str!("fixtures/l3_violating.rs"),
-    );
-    assert_eq!(spans(&diags, Rule::L3), vec![(3, 5)]);
-    assert_eq!(diags.len(), 1);
-    assert!(diags[0].message.contains("gridder_fixture"));
-    assert!(diags[0].message.contains("add_kernel"));
-}
-
-#[test]
-fn l3_applies_only_to_kernel_crates() {
-    let diags = lint(
-        "crates/plan/src/fixture.rs",
-        include_str!("fixtures/l3_violating.rs"),
-    );
-    assert_eq!(diags, vec![]);
-}
-
-#[test]
-fn l3_clean_fixture_passes() {
-    let diags = lint(
-        "crates/kernels/src/fixture.rs",
-        include_str!("fixtures/l3_clean.rs"),
-    );
-    assert_eq!(diags, vec![]);
-}
-
-#[test]
-fn l3_fires_on_counterless_health_entry_point() {
-    // The breaker health tracker is an L3 entry point like any kernel:
-    // outcomes it absorbs must surface in the idg-obs counters.
-    let diags = lint(
-        "crates/gpusim/src/fixture.rs",
-        include_str!("fixtures/l3_health_violating.rs"),
-    );
-    assert_eq!(spans(&diags, Rule::L3), vec![(4, 5)]);
-    assert_eq!(diags.len(), 1);
-    assert!(diags[0].message.contains("record_outcome_fixture"));
-    assert!(diags[0].message.contains("add_health_outcomes"));
-}
-
-#[test]
-fn l3_health_clean_fixture_passes() {
-    let diags = lint(
-        "crates/gpusim/src/fixture.rs",
-        include_str!("fixtures/l3_health_clean.rs"),
-    );
-    assert_eq!(diags, vec![]);
-}
-
-#[test]
-fn l3_fires_on_counterless_stream_entry_point() {
-    // The streaming scheduler is an L3 entry point like any kernel:
-    // chunks it admits must surface in the idg-obs stream counters.
-    let diags = lint(
-        "crates/stream/src/fixture.rs",
-        include_str!("fixtures/l3_stream_violating.rs"),
-    );
-    assert_eq!(spans(&diags, Rule::L3), vec![(4, 5)]);
-    assert_eq!(diags.len(), 1);
-    assert!(diags[0].message.contains("run_stream_fixture"));
-    assert!(diags[0].message.contains("add_chunks_ingested"));
-}
-
-#[test]
-fn l3_stream_clean_fixture_passes() {
-    let diags = lint(
-        "crates/stream/src/fixture.rs",
-        include_str!("fixtures/l3_stream_clean.rs"),
-    );
-    assert_eq!(diags, vec![]);
 }
 
 // ---------------------------------------------------------------------------
@@ -194,8 +113,7 @@ fn diagnostics_render_as_path_line_col_rule() {
 /// `cargo test` too.
 #[test]
 fn live_workspace_has_zero_diagnostics() {
-    let diags =
-        idg_lint::lint_workspace(&workspace_root(), &Config::workspace()).expect("lint pass runs");
+    let diags = idg_lint::lint_workspace(&workspace_root()).expect("lint pass runs");
     assert_eq!(diags, vec![], "workspace drifted");
 }
 
@@ -227,9 +145,8 @@ fn every_crate_manifest_inherits_the_workspace_lints() {
 fn workspace_lint_is_deterministic() {
     let root = idg_lint::find_workspace_root(std::path::Path::new(env!("CARGO_MANIFEST_DIR")))
         .expect("workspace root above crates/lint");
-    let cfg = Config::workspace();
-    let a = idg_lint::lint_workspace(&root, &cfg).expect("first pass");
-    let b = idg_lint::lint_workspace(&root, &cfg).expect("second pass");
+    let a = idg_lint::lint_workspace(&root).expect("first pass");
+    let b = idg_lint::lint_workspace(&root).expect("second pass");
     assert_eq!(a, b);
     let mut sorted = a.clone();
     sorted.sort_by(|x, y| {

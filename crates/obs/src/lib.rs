@@ -57,10 +57,9 @@ pub use chrome::{chrome_trace_json, normalized_events, validate_json};
 pub use counters::{KernelCounters, KernelStage, MetricsSnapshot};
 pub use span::{Clock, Span};
 
-use idg_sync::Mutex;
 use std::cell::RefCell;
 use std::marker::PhantomData;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 /// Everything one session accumulates.
@@ -87,6 +86,8 @@ pub struct Trace {
 /// A handle to one session's recorder: cheap to clone, and the only
 /// thing that has to cross a thread boundary for the other side to
 /// record into the session (see [`current`] and [`Recorder::enter`]).
+/// Every lock of it recovers from poisoning: each record is one push or
+/// addition, so a panic elsewhere leaves the collector consistent.
 #[derive(Clone)]
 pub struct Recorder(Arc<Mutex<Collector>>);
 
@@ -172,7 +173,7 @@ impl Session {
         drop(entered);
         // taken, not unwrapped: a thread that entered the recorder may
         // still hold a clone of the handle
-        let mut c = recorder.0.lock();
+        let mut c = recorder.0.lock().unwrap_or_else(PoisonError::into_inner);
         let metrics = std::mem::take(&mut c.metrics);
         let mut spans = std::mem::take(&mut c.spans);
         spans.push(Span {
@@ -195,7 +196,7 @@ impl Session {
 fn with_collector(f: impl FnOnce(&mut Collector)) {
     let _ = CURRENT.try_with(|c| {
         if let Some(recorder) = c.borrow().as_ref() {
-            f(&mut recorder.0.lock());
+            f(&mut recorder.0.lock().unwrap_or_else(PoisonError::into_inner));
         }
     });
 }
@@ -343,7 +344,7 @@ impl Drop for WallSpanGuard {
         let Some((recorder, begun)) = self.begun.take() else {
             return;
         };
-        let mut c = recorder.0.lock();
+        let mut c = recorder.0.lock().unwrap_or_else(PoisonError::into_inner);
         let span = Span {
             name: self.name.to_string(),
             cat: self.cat.to_string(),

@@ -37,10 +37,10 @@
 #![deny(missing_docs)]
 
 use idg_plan::{Plan, UvExtents};
-use idg_sync::Mutex;
 use idg_types::{IdgError, Observation, Uvw};
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 /// How to bound one ingestion chunk along the time axis.
 ///
@@ -314,7 +314,8 @@ impl StreamScheduler {
         // `fetch_add` hands out each chunk index exactly once, and a
         // slot is written once, by the lane that took its index.
         // `Relaxed` suffices: the index publishes no data; the slots'
-        // locks and the scope's join order the results.
+        // locks and the scope's join order the results. A slot holds
+        // `None` or a whole result, so a poisoned one is recovered.
         let next = AtomicUsize::new(0);
         let slots: Vec<Mutex<Option<Result<T, IdgError>>>> =
             (0..n).map(|_| Mutex::new(None)).collect();
@@ -336,7 +337,7 @@ impl StreamScheduler {
                                     idg_obs::wall_span("chunk", "stage", u32::try_from(job).ok());
                                 exec(&chunks[job])
                             };
-                            *slots[job].lock() = Some(out);
+                            *slots[job].lock().unwrap_or_else(PoisonError::into_inner) = Some(out);
                         }
                     })
                 })
@@ -351,12 +352,15 @@ impl StreamScheduler {
 
         let mut results = Vec::with_capacity(n);
         for (job, slot) in slots.into_iter().enumerate() {
-            let out = slot.into_inner().unwrap_or_else(|| {
-                Err(IdgError::Internal(format!(
-                    "stream scheduler: chunk {job} has no result (its pass panicked, or \
-                     no lane outlived an earlier panic to run it)"
-                )))
-            });
+            let out = slot
+                .into_inner()
+                .unwrap_or_else(PoisonError::into_inner)
+                .unwrap_or_else(|| {
+                    Err(IdgError::Internal(format!(
+                        "stream scheduler: chunk {job} has no result (its pass panicked, or \
+                         no lane outlived an earlier panic to run it)"
+                    )))
+                });
             results.push(out);
         }
         let completed_chunks = results.iter().filter(|r| r.is_ok()).count();

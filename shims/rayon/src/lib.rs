@@ -16,10 +16,9 @@
 //! guarantees for indexed parallel iterators.
 
 // `cargo lint` (DESIGN.md §9) covers the shims too. This one stands in
-// for an external dependency below the `idg-sync` facade, and its
-// `lock().unwrap()` fails only after a worker panic that the thread
-// scope re-raises.
-#![allow(clippy::disallowed_types, clippy::unwrap_used)]
+// for an external dependency, and its `lock().unwrap()` fails only
+// after a worker panic that the thread scope re-raises.
+#![allow(clippy::unwrap_used)]
 
 use std::sync::Mutex;
 
