@@ -24,9 +24,9 @@ fn all_backends_conform_on_all_standard_cases() {
 
 #[test]
 fn reference_backend_is_bit_identical_to_itself() {
-    // Pins harness determinism AND the determinism of the row-parallel
-    // adder/splitter: any nondeterministic reduction order would break
-    // the zero budget.
+    // Pins harness determinism AND the determinism of the band-parallel
+    // adder and the subgrid-parallel splitter: any nondeterministic
+    // reduction order would break the zero budget.
     let cases = standard_cases().expect("standard cases build");
     let reports = run_case(&cases[0]).expect("case runs");
     let reference = &reports[0];

@@ -50,9 +50,9 @@ use std::ops::Range;
 
 /// Effective host memory bandwidth of the host-side adder (option (2)
 /// of Sec. V-C e): subgrids stream back over PCI-e and the host memory
-/// system performs the row-parallel add. The streamed commit in
-/// `idg::Proxy` is modeled at the same figure, so modeled streamed
-/// totals stay comparable to one-shot ones.
+/// system performs the add, parallel over row bands. The streamed
+/// commit in `idg::Proxy` is modeled at the same figure, so modeled
+/// streamed totals stay comparable to one-shot ones.
 pub const HOST_ADDER_BW: f64 = 40e9;
 
 /// Which way the job chain runs.

@@ -7,6 +7,7 @@
 //! `gain`-scaled shifted copy of the PSF, and record the component.
 
 use crate::image::Image;
+use std::ops::Range;
 
 /// Minor-cycle parameters.
 #[derive(Copy, Clone, Debug)]
@@ -81,11 +82,34 @@ pub fn hogbom_clean(
     psf: &Image,
     params: &CleanParams,
 ) -> Vec<CleanComponent> {
+    let size = residual.size();
+    hogbom_clean_over(residual, psf, params, 0..size)
+}
+
+/// The clean window of a `size²` image: the rows, and the columns, the
+/// peak search covers.
+pub(crate) fn clean_window(size: usize, params: &CleanParams) -> Range<usize> {
+    let border = ((size as f32 * params.search_border) as usize).min(size / 2 - 1);
+    border..size - border
+}
+
+/// [`hogbom_clean`]'s body, subtracting the PSF over the rows and
+/// columns in `span` only. The peak search reads the clean window alone,
+/// so any `span` holding the window finds the same components, bit for
+/// bit, and leaves the same window pixels; pixels outside `span` are
+/// not touched.
+pub(crate) fn hogbom_clean_over(
+    residual: &mut Image,
+    psf: &Image,
+    params: &CleanParams,
+    span: Range<usize>,
+) -> Vec<CleanComponent> {
     assert_eq!(residual.size(), psf.size(), "psf/residual size mismatch");
     let size = residual.size();
     let center = size / 2;
-    let border = ((size as f32 * params.search_border) as usize).min(size / 2 - 1);
-    let window = border..size - border;
+    let window = clean_window(size, params);
+    assert!(span.start <= window.start && window.end <= span.end && span.end <= size);
+    let border = window.start;
     let mut components = Vec::new();
 
     let residual = residual.as_mut_slice();
@@ -119,8 +143,9 @@ pub fn hogbom_clean(
 
         // subtract flux × PSF shifted to (px, py): image pixel (y, x)
         // sees PSF pixel (y − py + center, x − px + center)
-        let (y0, y1) = (py.saturating_sub(center), (py + size - center).min(size));
-        let (x0, x1) = (px.saturating_sub(center), (px + size - center).min(size));
+        let clip = |lo: usize, hi: usize| (lo.max(span.start), hi.min(span.end));
+        let (y0, y1) = clip(py.saturating_sub(center), py + size - center);
+        let (x0, x1) = clip(px.saturating_sub(center), px + size - center);
         for y in y0..y1 {
             let row = &mut residual[y * size..][..size];
             let psf_row = &psf[(y + center - py) * size..][x0 + center - px..][..x1 - x0];
@@ -258,6 +283,32 @@ mod tests {
         assert_eq!(got, want, "components differ from the scalar loop");
         assert!(*dirty == expect, "residual differs from the scalar loop");
         got
+    }
+
+    /// Run the window-only minor cycle on a copy of `dirty` and require
+    /// [`hogbom_clean`]'s components bit for bit, its residual inside the
+    /// clean window, and `dirty`'s pixels, untouched, outside it.
+    fn window_only_checked(dirty: &Image, psf: &Image, params: &CleanParams) {
+        let size = dirty.size();
+        let window = clean_window(size, params);
+        let (mut whole, mut windowed) = (dirty.clone(), dirty.clone());
+        let want = hogbom_clean(&mut whole, psf, params);
+        let got = hogbom_clean_over(&mut windowed, psf, params, window.clone());
+        let bits = |comps: &[CleanComponent]| -> Vec<(usize, usize, u32)> {
+            comps.iter().map(|c| (c.x, c.y, c.flux.to_bits())).collect()
+        };
+        assert_eq!(bits(&got), bits(&want), "components");
+        for y in 0..size {
+            for x in 0..size {
+                let inside = window.contains(&y) && window.contains(&x);
+                let expect = if inside {
+                    whole.at(y, x)
+                } else {
+                    dirty.at(y, x)
+                };
+                assert_eq!(windowed.at(y, x).to_bits(), expect.to_bits(), "({x}, {y})");
+            }
+        }
     }
 
     #[test]
@@ -403,6 +454,7 @@ mod tests {
             for (x, y, flux) in corners {
                 let mut dirty = Image::new(size);
                 add_source(&mut dirty, &psf, x, y, flux);
+                window_only_checked(&dirty, &psf, &params);
                 let comps = clean_checked(&mut dirty, &psf, &params);
                 assert_eq!((comps[0].x, comps[0].y), (x, y));
             }
@@ -410,6 +462,7 @@ mod tests {
             for (x, y, flux) in corners {
                 add_source(&mut dirty, &psf, x, y, flux);
             }
+            window_only_checked(&dirty, &psf, &params);
             let comps = clean_checked(&mut dirty, &psf, &params);
             assert!(comps.len() >= 4);
         }
@@ -434,6 +487,7 @@ mod tests {
             let mut dirty = Image::new(32);
             *dirty.at_mut(first.1, first.0) = 1.25;
             *dirty.at_mut(second.1, second.0) = 1.25 * sign;
+            window_only_checked(&dirty, &psf, &params);
             let comps = clean_checked(&mut dirty, &psf, &params);
             assert_eq!((comps[0].x, comps[0].y), first);
             assert_eq!((comps[1].x, comps[1].y), second);
@@ -476,6 +530,7 @@ mod tests {
             threshold: 0.05,
             ..CleanParams::default()
         };
+        window_only_checked(&dirty, &psf, &params);
         let comps = clean_checked(&mut dirty, &psf, &params);
         let flux = total_component_flux(&comps);
         assert!((flux - 6.0).abs() < 0.4, "recovered {flux}");

@@ -12,7 +12,9 @@
 //! paper's kernels end to end and yields the per-stage runtime
 //! distribution of Fig. 9.
 
-use crate::clean::{components_to_image, hogbom_clean, CleanComponent, CleanParams};
+use crate::clean::{
+    clean_window, components_to_image, hogbom_clean_over, CleanComponent, CleanParams,
+};
 use crate::image::{dirty_image, model_grid_into, psf_image_into, Image};
 use idg::telescope::ATerms;
 use idg::types::Grid;
@@ -117,8 +119,10 @@ impl<'a> ImagingCycle<'a> {
             let mut working = dirty_image(&grid, obs, weight);
             residual_rms.push(working.rms_inner(0.1));
 
-            // (2) minor cycles (in place on this cycle's residual map)
-            let new_components = hogbom_clean(&mut working, &psf, clean);
+            // (2) minor cycles (in place on this cycle's residual map,
+            // which is dropped after them: subtract inside the window only)
+            let window = clean_window(working.size(), clean);
+            let new_components = hogbom_clean_over(&mut working, &psf, clean, window);
             if new_components.is_empty() {
                 break;
             }
@@ -174,6 +178,7 @@ impl<'a> ImagingCycle<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::clean::hogbom_clean;
     use crate::image::{model_grid_from_image, psf_image};
     use idg::types::{Complex, Jones, Observation};
     use idg::Backend;
@@ -183,7 +188,8 @@ mod tests {
 
     /// The loop `ImagingCycle::run` ran before the run owned one grid: a
     /// fresh grid per PSF, residual and model grid, from the public
-    /// allocating functions. Test oracle only.
+    /// allocating functions, and CLEAN over the whole image. Test oracle
+    /// only.
     fn allocating_run(
         cycle: &ImagingCycle<'_>,
         visibilities: &[Visibility<f32>],

@@ -3,8 +3,8 @@
 //! The adder adds Fourier-transformed subgrids into the grid. Because
 //! subgrids may overlap, parallelizing over subgrids would need atomics
 //! (the GPU strategy, see `idg-gpusim`); on the CPU the paper instead
-//! parallelizes over *grid rows* so no two threads ever touch the same
-//! pixel (Sec. V-B d). The splitter extracts subgrid regions from the
+//! gives each thread its own grid rows (Sec. V-B d), here bands of one
+//! plane's rows. The splitter extracts subgrid regions from the
 //! (read-only) grid and parallelizes over subgrids.
 //!
 //! Both kernels fold in two index/phase fix-ups so the rest of the
@@ -32,6 +32,9 @@ use crate::cache::{KernelCache, PhasorKey};
 use idg_plan::WorkItem;
 use idg_types::{Cf32, Grid, IdgError, NR_POLARIZATIONS};
 use rayon::prelude::*;
+
+/// Grid rows per adder task (fewer in a plane's last band).
+const BAND_ROWS: usize = 64;
 
 /// The splitter's launch-time shape validation (`check_launch`-style:
 /// typed errors, no entry-point panics; the adder body checks the same
@@ -95,7 +98,7 @@ fn split_run(dst: &mut [Cf32], src: &[Cf32], factors: &[Cf32]) -> bool {
     finite
 }
 
-/// Add Fourier-domain subgrids into the grid (parallel over grid rows).
+/// Add Fourier-domain subgrids into the grid (parallel over row bands).
 ///
 /// `subgrids` must contain the *forward-FFT* of the image-domain subgrids
 /// produced by the gridder, one per work item. The adder body is
@@ -115,10 +118,10 @@ pub fn add_subgrids(
 }
 
 /// The adder body: add `subgrids[i]`, the `4·n²` Fourier-domain pixels
-/// of `items[i]` wherever they live, into the grid (parallel over grid
-/// rows). Each grid row adds its subgrid rows in `items` order, so the
-/// grid's bits depend on that order and on the values only — a streamed
-/// commit adds straight from its chunks' arrays in plan order.
+/// of `items[i]` wherever they live, into the grid (parallel over row
+/// bands of a plane). Each band adds its footprint rows in `items` order,
+/// so the grid's bits depend on that order and on the values only — a
+/// streamed commit adds straight from its chunks' arrays in plan order.
 ///
 /// # Errors
 /// [`IdgError::ShapeMismatch`] when the subgrid count does not match the
@@ -151,34 +154,30 @@ pub fn add_subgrids_from_slices(
     let tables = cache.phasors(PhasorKey::new(n));
     let h = tables.shift.first().copied().unwrap_or(0); // the fftshift's rotation
 
-    // Row index: which (item, j_y) pairs touch each grid row.
-    let mut rows: Vec<Vec<(usize, usize)>> = vec![Vec::new(); gsize];
-    for (i, item) in items.iter().enumerate() {
-        for jy in 0..n {
-            rows[item.coord_y + jy].push((i, jy));
-        }
-    }
-
     idg_obs::add_subgrids_added(items.len() as u64);
     grid.as_mut_slice()
-        .par_chunks_mut(gsize)
+        .chunks_exact_mut(gsize * gsize)
         .enumerate()
-        .for_each(|(row_idx, grid_row)| {
-            let pol = row_idx / gsize;
-            let y = row_idx % gsize;
-            debug_assert!(pol < NR_POLARIZATIONS);
-            for &(item_idx, jy) in &rows[y] {
-                let item = &items[item_idx];
-                let sub = subgrids[item_idx];
-                let sy = tables.shift[jy];
-                let factors = &tables.add[jy * n..jy * n + n];
-                let sub_row = &sub[(pol * n + sy) * n..(pol * n + sy) * n + n];
-                let dst = &mut grid_row[item.coord_x..item.coord_x + n];
-                // dst[jx] += sub_row[shift[jx]]·factors[jx]
-                let (dst_lo, dst_hi) = dst.split_at_mut(n - h);
-                let (f_lo, f_hi) = factors.split_at(n - h);
-                add_run(dst_lo, &sub_row[h..], f_lo);
-                add_run(dst_hi, &sub_row[..h], f_hi);
+        .flat_map(|(pol, plane)| {
+            let bands = plane.chunks_mut(BAND_ROWS * gsize).enumerate();
+            bands.map(move |(b, band)| (pol, b * BAND_ROWS, band))
+        })
+        .into_par_iter()
+        .for_each(|(pol, y0, band)| {
+            let y1 = y0 + band.len() / gsize;
+            for (item, sub) in items.iter().zip(subgrids) {
+                for y in item.coord_y.max(y0)..(item.coord_y + n).min(y1) {
+                    let jy = y - item.coord_y;
+                    let sy = tables.shift[jy];
+                    let factors = &tables.add[jy * n..jy * n + n];
+                    let sub_row = &sub[(pol * n + sy) * n..(pol * n + sy) * n + n];
+                    let dst = &mut band[(y - y0) * gsize + item.coord_x..][..n];
+                    // dst[jx] += sub_row[shift[jx]]·factors[jx]
+                    let (dst_lo, dst_hi) = dst.split_at_mut(n - h);
+                    let (f_lo, f_hi) = factors.split_at(n - h);
+                    add_run(dst_lo, &sub_row[h..], f_lo);
+                    add_run(dst_hi, &sub_row[..h], f_hi);
+                }
             }
         });
     Ok(())
@@ -585,6 +584,115 @@ mod tests {
                 sample_bits(added.as_slice()) == sample_bits(oracle.as_slice()),
                 "adder, n = {n}"
             );
+        }
+    }
+
+    /// The adder body before it walked plane × row bands: a row index of
+    /// `(item, j_y)` pairs, one task per grid row. Its bit-for-bit oracle.
+    fn add_row_indexed(
+        grid: &mut Grid<f32>,
+        items: &[WorkItem],
+        subgrids: &[&[Cf32]],
+        n: usize,
+        tables: &PhasorTables,
+    ) {
+        let gsize = grid.size();
+        let h = tables.shift.first().copied().unwrap_or(0);
+        let mut rows: Vec<Vec<(usize, usize)>> = vec![Vec::new(); gsize];
+        for (i, item) in items.iter().enumerate() {
+            for jy in 0..n {
+                rows[item.coord_y + jy].push((i, jy));
+            }
+        }
+        grid.as_mut_slice()
+            .par_chunks_mut(gsize)
+            .enumerate()
+            .for_each(|(row_idx, grid_row)| {
+                let pol = row_idx / gsize;
+                for &(item_idx, jy) in &rows[row_idx % gsize] {
+                    let item = &items[item_idx];
+                    let sy = tables.shift[jy];
+                    let factors = &tables.add[jy * n..jy * n + n];
+                    let sub_row = &subgrids[item_idx][(pol * n + sy) * n..][..n];
+                    let dst = &mut grid_row[item.coord_x..item.coord_x + n];
+                    let (dst_lo, dst_hi) = dst.split_at_mut(n - h);
+                    let (f_lo, f_hi) = factors.split_at(n - h);
+                    add_run(dst_lo, &sub_row[h..], f_lo);
+                    add_run(dst_hi, &sub_row[..h], f_hi);
+                }
+            });
+    }
+
+    /// A `grid_size²` grid and `count` `n × n` subgrids with every sample
+    /// non-zero and few repeats, seeded so two calls differ.
+    fn patterned(
+        grid_size: usize,
+        count: usize,
+        n: usize,
+        seed: usize,
+    ) -> (Grid<f32>, SubgridArray) {
+        let value = |i: usize| {
+            let k = i * 7 + seed * 13;
+            Cf32::new(
+                (k % 97) as f32 * 0.017 - 0.8,
+                (k % 83) as f32 * -0.023 + 0.9,
+            )
+        };
+        let mut grid = Grid::<f32>::new(grid_size);
+        for (i, c) in grid.as_mut_slice().iter_mut().enumerate() {
+            *c = value(i);
+        }
+        let mut subgrids = SubgridArray::new(count, n);
+        for (i, c) in subgrids.as_mut_slice().iter_mut().enumerate() {
+            *c = value(i + 1);
+        }
+        (grid, subgrids)
+    }
+
+    #[test]
+    fn plane_bands_equal_the_row_indexed_adder_bit_for_bit() {
+        let cache = KernelCache::new();
+        let check =
+            |grid: &Grid<f32>, items: &[WorkItem], slices: &[&[Cf32]], n: usize, case: &str| {
+                let tables = cache.phasors(PhasorKey::new(n));
+                let mut added = grid.clone();
+                add_subgrids_from_slices(&mut added, items, slices, n, &cache).expect("adder run");
+                let mut oracle = grid.clone();
+                add_row_indexed(&mut oracle, items, slices, n, &tables);
+                assert!(
+                    sample_bits(added.as_slice()) == sample_bits(oracle.as_slice()),
+                    "{case}, grid {}, n = {n}",
+                    grid.size()
+                );
+            };
+        for grid_size in [40, 100, 250, 300] {
+            for n in [8, 16, 24, 32] {
+                let far = grid_size - n;
+                // many items on one footprint, footprints across every
+                // band edge (64k − 5) the grid has, and the far corner
+                let mut items = vec![item_at(far / 2, far / 3); 9];
+                items.extend(
+                    (64..far + 5)
+                        .step_by(64)
+                        .map(|e| item_at(e % (far + 1), e - 5)),
+                );
+                items.extend([item_at(0, 0), item_at(far, far), item_at(far / 2, far / 3)]);
+                let (grid, subgrids) = patterned(grid_size, items.len(), n, n);
+                let slices: Vec<&[Cf32]> = subgrids.subgrids().collect();
+                check(&grid, &items, &slices, n, "overlapping items");
+                check(&grid, &[], &[], n, "no items");
+
+                // slices from two arrays, interleaved, as a streamed
+                // commit passes its chunks' subgrids
+                let (_, other) = patterned(grid_size, items.len(), n, n + 1);
+                let mixed: Vec<&[Cf32]> = subgrids
+                    .subgrids()
+                    .zip(other.subgrids())
+                    .enumerate()
+                    .map(|(i, (a, b))| if i % 2 == 0 { a } else { b })
+                    .collect();
+                check(&grid, &items, &mixed, n, "two arrays");
+            }
         }
     }
 

@@ -12,7 +12,7 @@
 //!   degridder (SoA staging, batched sincos via `idg-math` — the
 //!   SVML/VML analogue — and Listing 1's reduction), thread-level
 //!   parallelism over work items with rayon (the OpenMP analogue);
-//! * [`adder`] — the adder (parallel over grid rows, Sec. V-B d) and the
+//! * [`adder`] — the adder (parallel over row bands, Sec. V-B d) and the
 //!   splitter (parallel over subgrids), including the half-pixel phase
 //!   correction that accompanies the `x + 0.5` pixel-center convention;
 //! * [`fft`] — batched subgrid FFTs;

@@ -8,9 +8,9 @@
 //! live in one batch, `idg_kernels::SubgridArray`.
 //!
 //! Both use planar polarization layout `[pol][y][x]`: the adder
-//! parallelizes over grid rows (Sec. V-B d) and the FFT transforms each
-//! polarization plane independently, so planar storage gives both unit
-//! stride.
+//! parallelizes over bands of one plane's rows (Sec. V-B d) and the FFT
+//! transforms each polarization plane independently, so planar storage
+//! gives both unit stride.
 
 use crate::complex::Complex;
 use crate::float::Float;
@@ -85,13 +85,6 @@ impl<T: Float> Grid<T> {
     pub fn row(&self, pol: usize, y: usize) -> &[Complex<T>] {
         let start = self.index(pol, y, 0);
         &self.data[start..start + self.size]
-    }
-
-    /// One row, mutable — the unit of parallelism in the adder.
-    #[inline]
-    pub fn row_mut(&mut self, pol: usize, y: usize) -> &mut [Complex<T>] {
-        let start = self.index(pol, y, 0);
-        &mut self.data[start..start + self.size]
     }
 
     /// Split the full backing store into per-`(pol, y)` rows for parallel
@@ -184,8 +177,6 @@ mod tests {
         let mut g = Grid::<f32>::new(4);
         *g.at_mut(3, 2, 1) = Cf32::new(7.0, 0.0);
         assert_eq!(g.row(3, 2)[1], Cf32::new(7.0, 0.0));
-        g.row_mut(3, 2)[0] = Cf32::new(9.0, 0.0);
-        assert_eq!(g.at(3, 2, 0), Cf32::new(9.0, 0.0));
     }
 
     #[test]
