@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
-# Turn the pair tables of EXPERIMENTS.md's PR 26-33 sections into
-# BENCH_trajectory.jsonl lines, in the layout `tools/bench_pairs.sh
-# --record` writes, plus a "source" field naming the section.
+# Turn the pair tables of the EXPERIMENTS.md sections from "One grid
+# per imaging run" to "A degrid pass reads only the footprints it uses"
+# (the runs made before `--record` existed) into BENCH_trajectory.jsonl
+# lines, in the layout `tools/bench_pairs.sh --record` writes, plus a
+# "source" field naming the section.
 #
 #   tools/backfill_trajectory.sh [EXPERIMENTS.md] > backfill.jsonl
 #
@@ -11,22 +13,22 @@
 # block without that line gets null revs. Seed and seconds come from the
 # block's `pairs N, --seconds S, --seed K` line, else from the last seed
 # and --seconds the section's prose named before the block (null if
-# none). Pairs are the wins column's denominator. Rows before PR 33
-# have no ratio column (10 fields, not 11): their ratio is null.
+# none). Pairs are the wins column's denominator. Older rows have no
+# ratio column (10 fields, not 11): their ratio is null.
 set -euo pipefail
 
 awk '
     function jstr(s) { return s == "" ? "null" : "\"" s "\"" }
     function jnum(s) { return s == "" ? "null" : s }
     /^## / {
-        title = substr($0, 4); pr = ""
-        if (match(title, /ISSUE [0-9]+/)) pr = substr(title, RSTART + 6, RLENGTH - 6) + 0
-        if (title ~ /^A degrid pass reads only the footprints it uses/) pr = 33
-        if (pr < 26 || pr > 33) pr = ""
+        title = substr($0, 4)
+        if (title ~ /^One grid per imaging run/) inside = 1
+        else if (last) inside = 0
+        last = (title ~ /^A degrid pass reads only the footprints it uses/)
         ctx_seed = ""; ctx_secs = ""
         next
     }
-    pr == "" { next }
+    !inside { next }
     /^```text/ { inblock = 1; prev = ""; crev = ""; seed = ctx_seed; secs = ctx_secs; next }
     /^```/ { inblock = 0; next }
     !inblock {
