@@ -152,14 +152,14 @@ fn streamed_degrid_on_uneven_chunks_under_persistent_device_faults_is_bit_identi
     // job too, so both are the reference kernels' prediction; CPU
     // back-ends ignore the fault schedule.
     use idg::gpusim::{FaultConfig, FaultKind, RetryPolicy, TargetedFault};
-    use idg::stream::ChunkedDataset;
+    use idg::stream::chunk_observation;
     use idg::types::FaultSite;
 
     let mut uneven_cases = 0;
     for case in standard_cases().expect("standard cases build") {
         let policy = ChunkPolicy::by_timesteps(2 * case.obs.aterm_interval);
-        let chunks = ChunkedDataset::split(&case.obs, &policy).unwrap();
-        let steps: Vec<usize> = chunks.chunks().iter().map(|c| c.nr_timesteps()).collect();
+        let chunks = chunk_observation(&case.obs, &policy).unwrap();
+        let steps: Vec<usize> = chunks.iter().map(|c| c.nr_timesteps()).collect();
         if steps.len() < 2 || steps[steps.len() - 1] >= steps[0] {
             continue; // a single A-term interval cannot leave a short tail
         }

@@ -1,28 +1,26 @@
 //! Streamed gridding and degridding: chunked ingestion driving the
 //! batch pipeline.
 //!
-//! [`Proxy::grid_streamed`] consumes the observation as a sequence of
-//! bounded time-axis chunks (split by `idg_stream`), plans and executes
-//! each chunk independently on `min(workers, max_inflight)` concurrent
-//! lanes, and commits every chunk's subgrids in a single in-order pass
-//! at the end. The streamed grid is **bit
-//! identical** to the one-shot [`Proxy::grid`] result for every chunk
-//! policy and worker count, because:
+//! [`Proxy::grid_streamed`] plans the observation once, consumes it
+//! as a sequence of bounded time-axis chunks (split by `idg_stream`),
+//! executes each chunk's cut of the one plan independently on
+//! `min(workers, max_inflight)` concurrent lanes, and commits every
+//! subgrid in a single pass over the plan at the end. The streamed
+//! grid is **bit identical** to the one-shot [`Proxy::grid`] result for
+//! every chunk policy and worker count, because:
 //!
-//! 1. chunk boundaries snap to `aterm_interval` multiples, which are
-//!    exactly the boundaries the one-shot planner's accumulation loop
-//!    breaks on, and every chunk plan shares the whole-observation
-//!    [`UvExtents`], so the chunk-local work items are *verbatim* a
-//!    partition of the one-shot plan's items
-//!    (see [`idg_plan::Plan::create_windowed`]);
+//! 1. chunk boundaries snap to `aterm_interval` multiples and no work
+//!    item crosses an A-term boundary, so each item of the one-shot
+//!    plan lies wholly inside the chunk its first time step falls in:
+//!    the chunks' sub-plans are *verbatim* a partition of the plan's
+//!    items (checked for every item before any chunk runs);
 //! 2. each work item's subgrid is produced by the same kernels over the
 //!    same full input buffers (items carry global time offsets);
-//! 3. the commit sorts all items by
-//!    `(baseline_index, channel_offset, time_offset)` — recovering the
-//!    one-shot plan order — and performs **one** adder call straight
-//!    over the chunks' own subgrid arrays, so every f32 accumulation
-//!    happens in the one-shot order. Summing per-chunk grids instead
-//!    would reorder additions (f32 addition is not associative, and
+//! 3. the commit puts every subgrid at its item's one-shot index and
+//!    performs **one** adder call over the plan's items, straight over
+//!    the chunks' own subgrid arrays, so every f32 accumulation happens
+//!    in the one-shot order. Summing per-chunk grids instead would
+//!    reorder additions (f32 addition is not associative, and
 //!    `0.0 + (-0.0)` even flips a sign bit).
 //!
 //! [`Proxy::degrid_streamed`] is the duplex twin. A degrid chunk is
@@ -53,9 +51,9 @@ use crate::report::ExecutionReport;
 use idg_gpusim::{DeferredSubgrids, HOST_ADDER_BW};
 use idg_kernels::{add_subgrids_from_slices, KernelData};
 use idg_perf::gridder_counts;
-use idg_plan::{Plan, UvExtents, WorkItem};
+use idg_plan::{Plan, WorkItem};
 use idg_stream::{
-    plan_chunk, Chunk, ChunkPolicy, ChunkedDataset, CommitLedger, StreamDirection, StreamRun,
+    chunk_observation, Chunk, ChunkPolicy, CommitLedger, StreamDirection, StreamRun,
     StreamScheduler, StreamStats,
 };
 use idg_telescope::ATerms;
@@ -101,13 +99,11 @@ impl StreamConfig {
 
 /// Everything one chunk's pass produced, pending the final commit.
 struct ChunkOutput<P> {
-    /// The chunk-local plan's work items (global time offsets).
-    items: Vec<WorkItem>,
     /// What the commit consumes. Gridding: computed subgrids as ranges
-    /// into `items` ([`DeferredSubgrids`], one entry per job on every
-    /// back-end; CPU-fallback ranges are appended last). Degridding:
-    /// the chunk's time range and its predicted visibility rows, in the
-    /// extent of the chunk's [`ChunkWindow`].
+    /// into the chunk's sub-plan ([`DeferredSubgrids`], one entry per
+    /// job on every back-end; CPU-fallback ranges are appended last).
+    /// Degridding: the chunk's time range and its predicted visibility
+    /// rows, in the extent of the chunk's [`ChunkWindow`].
     payload: P,
     /// The chunk pass's own report: modeled end-to-end time (GPU) or
     /// measured wall (CPU) in `total_seconds`, fallback jobs with
@@ -119,8 +115,9 @@ struct ChunkOutput<P> {
 /// the extent of its [`ChunkWindow`].
 type ChunkRows = (Range<usize>, Vec<Visibility<f32>>);
 
-/// Every chunk's work items and pending payload, in ingestion order.
-type GatheredChunks<P> = Vec<(Vec<WorkItem>, P)>;
+/// Every chunk's one-shot item indices and pending payload, in
+/// ingestion order.
+type GatheredChunks<P> = Vec<(Vec<usize>, P)>;
 
 /// The accounting of one stream's chunk passes, pending the commit.
 struct StreamTotals {
@@ -208,10 +205,37 @@ fn sum_reports(mut a: ExecutionReport, mut b: ExecutionReport) -> ExecutionRepor
     a
 }
 
-/// The one-shot plan's item order: sorting the streamed work items by
-/// `(baseline, channel group, time)` recovers it exactly.
-fn plan_order(item: &WorkItem) -> (usize, usize, usize) {
-    (item.baseline_index, item.channel_offset, item.time_offset)
+/// The chunks' cut of the one-shot `plan`: for each chunk, the sub-plan
+/// of the items whose first time step falls in its time range, and
+/// those items' one-shot indices. Chunks end on A-term multiples and no
+/// item crosses an A-term boundary, so each item also ends inside its
+/// chunk — which a degrid [`ChunkWindow`] relies on; an item that does
+/// not is an [`IdgError::Internal`].
+fn partition(plan: &Plan, chunks: &[Chunk]) -> Result<Vec<(Plan, Vec<usize>)>, IdgError> {
+    chunks
+        .iter()
+        .map(|chunk| {
+            let time = &chunk.time_range;
+            let starts_in = |item: &WorkItem| time.contains(&item.time_offset);
+            let sub = plan.subset(starts_in);
+            if let Some(item) = sub
+                .items
+                .iter()
+                .find(|i| i.time_offset + i.nr_timesteps > time.end)
+            {
+                return Err(IdgError::Internal(format!(
+                    "work item over time steps {}..{} crosses the end of chunk {} ({time:?})",
+                    item.time_offset,
+                    item.time_offset + item.nr_timesteps,
+                    chunk.index
+                )));
+            }
+            let indices = (0..plan.items.len())
+                .filter(|&i| starts_in(&plan.items[i]))
+                .collect();
+            Ok((sub, indices))
+        })
+        .collect()
 }
 
 /// One streamed degrid chunk's window of the observation: the chunk's
@@ -229,8 +253,8 @@ struct ChunkWindow {
 }
 
 impl ChunkWindow {
-    /// The window of `time` over `obs`/`uvw`, for `plan`, a chunk-local
-    /// plan of that time range (global time offsets).
+    /// The window of `time` over `obs`/`uvw`, for `plan`, the chunk's
+    /// sub-plan of that time range (global time offsets).
     fn new(obs: &Observation, uvw: &[Uvw], time: &Range<usize>, plan: &Plan) -> Self {
         let nr_time = obs.nr_timesteps;
         let uvw = (0..obs.nr_baselines())
@@ -264,43 +288,38 @@ impl ChunkWindow {
 }
 
 impl Proxy {
-    /// Drive the observation's chunks through `pass` — one chunk-local
-    /// plan each, against the shared whole-observation uv extents — on
-    /// the stream scheduler. Returns every chunk's work items
+    /// Plan the observation once and drive its chunks through `pass` —
+    /// each over its sub-plan of the one plan — on the stream
+    /// scheduler. Returns the plan, every chunk's one-shot item indices
     /// and pending payload in ingestion order, and the summed reports.
     fn stream_chunks<P: Send>(
         &self,
         config: &StreamConfig,
         uvw: &[Uvw],
         direction: StreamDirection,
-        pass: impl Fn(&Chunk, Plan) -> Result<ChunkOutput<P>, IdgError> + Sync,
-    ) -> Result<(GatheredChunks<P>, StreamTotals), IdgError> {
-        config.policy.validate()?;
+        pass: impl Fn(&Chunk, &Plan) -> Result<ChunkOutput<P>, IdgError> + Sync,
+    ) -> Result<(Plan, GatheredChunks<P>, StreamTotals), IdgError> {
+        let chunks = chunk_observation(&self.obs, &config.policy)?;
         let scheduler = StreamScheduler::new(config.workers, config.max_inflight)?;
-        let chunks = ChunkedDataset::split(&self.obs, &config.policy)?;
-        let extents = UvExtents::compute(&self.obs, uvw)?;
 
         let started = Instant::now();
-        let StreamRun { results, mut stats } = scheduler.run_stream(chunks.chunks(), |chunk| {
-            pass(chunk, plan_chunk(&self.obs, uvw, &extents, chunk)?)
-        })?;
+        let plan = self.plan(uvw)?;
+        let parts = partition(&plan, &chunks)?;
+        let StreamRun { results, mut stats } =
+            scheduler.run_stream(&chunks, |chunk| pass(chunk, &parts[chunk.index].0))?;
         stats.direction = direction;
 
         let mut gathered = Vec::with_capacity(results.len());
         let mut makespans = Vec::with_capacity(results.len());
         let mut summed: Option<ExecutionReport> = None;
-        for result in results {
-            let ChunkOutput {
-                items,
-                payload,
-                report,
-            } = result?;
+        for (result, (_, indices)) in results.into_iter().zip(parts) {
+            let ChunkOutput { payload, report } = result?;
             makespans.push(report.total_seconds);
             summed = Some(match summed {
                 Some(sum) => sum_reports(sum, report),
                 None => report,
             });
-            gathered.push((items, payload));
+            gathered.push((indices, payload));
         }
         let report =
             summed.ok_or_else(|| IdgError::Internal("stream produced no chunks".into()))?;
@@ -310,7 +329,7 @@ impl Proxy {
             stats,
             started,
         };
-        Ok((gathered, totals))
+        Ok((plan, gathered, totals))
     }
 
     /// Grid visibilities through the streaming front-end: chunked
@@ -329,45 +348,40 @@ impl Proxy {
         aterms: &ATerms,
     ) -> Result<(Grid<f32>, ExecutionReport), IdgError> {
         let data = self.gridding_input(uvw, visibilities, aterms)?;
-        let (chunks, totals) =
+        let (plan, chunks, totals) =
             self.stream_chunks(config, uvw, StreamDirection::Gridding, |chunk, plan| {
                 self.run_chunk(&data, chunk, plan)
             })?;
 
-        // every pending subgrid, where its chunk pass left it, beside
-        // its work item
-        let mut slots: Vec<(WorkItem, &[Cf32])> = Vec::new();
-        let mut nr_items = 0;
-        for (items, pending) in &chunks {
-            nr_items += items.len();
+        // every pending subgrid, where its chunk pass left it, at its
+        // item's one-shot index
+        let mut slots: Vec<Option<&[Cf32]>> = vec![None; plan.items.len()];
+        for (indices, pending) in &chunks {
             for (range, subgrids) in pending {
-                slots.extend(
-                    range
-                        .clone()
-                        .zip(subgrids.subgrids())
-                        .map(|(idx, s)| (items[idx], s)),
-                );
+                for (idx, subgrid) in range.clone().zip(subgrids.subgrids()) {
+                    slots[indices[idx]] = Some(subgrid);
+                }
             }
         }
-        if slots.len() != nr_items {
+        let subgrids: Vec<&[Cf32]> = slots.iter().flatten().copied().collect();
+        if subgrids.len() != plan.items.len() {
             return Err(IdgError::Internal(format!(
-                "streamed commit covers {} of {nr_items} work items",
-                slots.len()
+                "streamed commit covers {} of {} work items",
+                subgrids.len(),
+                plan.items.len()
             )));
         }
 
-        // the single in-order commit
-        slots.sort_by_key(|(item, _)| plan_order(item));
-        let (items, subgrids): (Vec<WorkItem>, Vec<&[Cf32]>) = slots.into_iter().unzip();
+        // the single commit, in plan order
         let n = self.obs.subgrid_size;
         let mut grid = Grid::<f32>::new(self.obs.grid_size);
         let t_commit = Instant::now();
         {
             let _span = idg_obs::wall_span("adder", "stage", None);
-            add_subgrids_from_slices(&mut grid, &items, &subgrids, n, &self.cache)?;
+            add_subgrids_from_slices(&mut grid, &plan.items, &subgrids, n, &self.cache)?;
         }
         let commit_wall = t_commit.elapsed().as_secs_f64();
-        let commit_model = (items.len() * 4 * n * n * 8) as f64 / HOST_ADDER_BW;
+        let commit_model = (plan.items.len() * 4 * n * n * 8) as f64 / HOST_ADDER_BW;
         Ok((grid, totals.seal(config, commit_wall, commit_model)))
     }
 
@@ -395,8 +409,8 @@ impl Proxy {
     ///
     /// The returned visibilities are bit-identical to
     /// [`Proxy::degrid`] over the same inputs, for every chunk policy,
-    /// worker count, completion order and fault schedule: the chunk
-    /// plans partition the one-shot plan's items verbatim, the
+    /// worker count, completion order and fault schedule: the chunks'
+    /// sub-plans partition the one-shot plan's items verbatim, the
     /// degridder overwrites disjoint per-item slots (no accumulation on
     /// the read side), and the commit copies each chunk's rows of each
     /// baseline to their place in the observation as one block —
@@ -418,7 +432,7 @@ impl Proxy {
         aterms: &ATerms,
     ) -> Result<(Vec<Visibility<f32>>, ExecutionReport), IdgError> {
         let data = self.degridding_input(grid, uvw, aterms)?;
-        let (chunks, totals) =
+        let (plan, chunks, totals) =
             self.stream_chunks(config, uvw, StreamDirection::Degridding, |chunk, plan| {
                 self.run_degrid_chunk(&data, chunk, plan, grid)
             })?;
@@ -429,27 +443,22 @@ impl Proxy {
         let per_baseline = self.obs.nr_timesteps * nr_chan;
         let mut vis = Visibility::<f32>::zeroed_vec(self.obs.nr_visibilities());
         let mut ledger = CommitLedger::new(chunks.len());
-        let mut committed_vis = 0;
         let t_commit = Instant::now();
         {
             let _span = idg_obs::wall_span("vis_commit", "stage", None);
-            for (index, (items, (time, rows))) in chunks.iter().enumerate() {
+            for (index, (_, (time, rows))) in chunks.iter().enumerate() {
                 ledger.commit(index)?;
                 let block = time.start * nr_chan..time.end * nr_chan;
                 let baselines = vis.chunks_exact_mut(per_baseline);
                 for (dst, src) in baselines.zip(rows.chunks_exact(block.len())) {
                     dst[block.clone()].copy_from_slice(src);
                 }
-                committed_vis += items
-                    .iter()
-                    .map(|i| i.nr_timesteps * i.nr_channels)
-                    .sum::<usize>();
             }
         }
         ledger.finish()?;
         let commit_wall = t_commit.elapsed().as_secs_f64();
         // each predicted visibility is one 4-pol read + write (32 B)
-        let commit_model = (committed_vis * 2 * 32) as f64 / HOST_ADDER_BW;
+        let commit_model = (plan.nr_gridded_visibilities() * 2 * 32) as f64 / HOST_ADDER_BW;
         Ok((vis, totals.seal(config, commit_wall, commit_model)))
     }
 
@@ -468,7 +477,7 @@ impl Proxy {
         })
     }
 
-    /// One chunk's gridding pass over its chunk-local `plan`: the
+    /// One chunk's gridding pass over its sub-plan `plan`: the
     /// back-end's gridder + subgrid FFT, leaving the commit to the
     /// caller. On the device paths, persistently failed jobs are
     /// recomputed on the CPU reference kernels and appended to the
@@ -480,13 +489,13 @@ impl Proxy {
         &self,
         data: &KernelData<'_>,
         chunk: &Chunk,
-        plan: Plan,
+        plan: &Plan,
     ) -> Result<ChunkOutput<DeferredSubgrids>, IdgError> {
         let tag = u32::try_from(chunk.index).ok();
         let (payload, report) = match self.backend {
             Backend::CpuReference | Backend::CpuOptimized => {
                 let mut pending = DeferredSubgrids::new();
-                let [kernel, fft] = self.host_grid_jobs(data, &plan, tag, |range, subgrids| {
+                let [kernel, fft] = self.host_grid_jobs(data, plan, tag, |range, subgrids| {
                     pending.push((range, subgrids));
                     Ok(None)
                 })?;
@@ -499,11 +508,11 @@ impl Proxy {
             Backend::GpuPascal | Backend::GpuFiji => {
                 let (mut pending, totals, fleet) = self.on_device(
                     (),
-                    |e, ()| e.grid_deferred(data, &plan),
-                    |f, ()| f.grid_deferred(data, &plan),
+                    |e, ()| e.grid_deferred(data, plan),
+                    |f, ()| f.grid_deferred(data, plan),
                 )?;
                 let fallback_jobs =
-                    self.cpu_fallback(&plan, &totals.failed_jobs, |range, items| {
+                    self.cpu_fallback(plan, &totals.failed_jobs, |range, items| {
                         pending.push((range, self.reference_subgrids(data, items)?));
                         Ok(())
                     })?;
@@ -511,14 +520,10 @@ impl Proxy {
                 (pending, report)
             }
         };
-        Ok(ChunkOutput {
-            items: plan.items,
-            payload,
-            report,
-        })
+        Ok(ChunkOutput { payload, report })
     }
 
-    /// One chunk's degrid pass over its chunk-local `plan`: the
+    /// One chunk's degrid pass over its sub-plan `plan`: the
     /// one-shot degrid body run over the chunk's [`ChunkWindow`], into
     /// the chunk's own rows, leaving the commit to the caller. Runs on a
     /// scheduler worker thread.
@@ -526,14 +531,13 @@ impl Proxy {
         &self,
         data: &KernelData<'_>,
         chunk: &Chunk,
-        plan: Plan,
+        plan: &Plan,
         grid: &Grid<f32>,
     ) -> Result<ChunkOutput<ChunkRows>, IdgError> {
         let tag = u32::try_from(chunk.index).ok();
-        let window = ChunkWindow::new(data.obs, data.uvw, &chunk.time_range, &plan);
+        let window = ChunkWindow::new(data.obs, data.uvw, &chunk.time_range, plan);
         let (rows, report) = self.degrid_pass(&window.data(data), &window.plan, grid, tag)?;
         Ok(ChunkOutput {
-            items: plan.items,
             payload: (chunk.time_range.clone(), rows),
             report,
         })
@@ -571,12 +575,31 @@ mod tests {
         }
     }
 
+    /// [`dataset`] with baseline 1 moved far off the grid: the plan
+    /// skips all its visibilities. Returns the dataset and that
+    /// baseline's range in the visibility buffer.
+    fn off_grid_dataset() -> (Dataset, Range<usize>) {
+        let mut ds = dataset();
+        let nr_time = ds.obs.nr_timesteps;
+        for c in &mut ds.uvw[nr_time..2 * nr_time] {
+            (c.u, c.v) = (1e9, 1e9);
+        }
+        let per_baseline = nr_time * ds.obs.nr_channels();
+        (ds, per_baseline..2 * per_baseline)
+    }
+
     #[test]
     fn streamed_grid_is_bit_identical_to_one_shot_on_every_backend() {
-        let ds = dataset();
-        for backend in Backend::all() {
+        // the second input's plan skips baseline 1's visibilities: no
+        // chunk may grid them
+        let inputs = [(dataset(), 0..0), off_grid_dataset()];
+        for ((ds, skipped), backend) in inputs
+            .iter()
+            .flat_map(|input| Backend::all().map(|b| (input, b)))
+        {
             let proxy = Proxy::new(backend, ds.obs.clone()).unwrap();
             let plan = proxy.plan(&ds.uvw).unwrap();
+            assert_eq!(plan.skipped_visibilities, skipped.len());
             let (reference, _) = proxy
                 .grid(&plan, &ds.uvw, &ds.visibilities, &ds.aterms)
                 .unwrap();
@@ -591,6 +614,41 @@ mod tests {
             assert_eq!(stats.failed_chunks, 0);
             assert_eq!(stats.inflight_max, 2);
             assert_eq!(stats.backpressure_waits, 4);
+        }
+    }
+
+    #[test]
+    fn chunks_cut_the_one_shot_plan_into_whole_items() {
+        // 48 time steps, A-term interval 8, 40 visibilities per step
+        let ds = dataset();
+        let plan = Plan::create(&ds.obs, &ds.uvw).unwrap();
+        let policies = [
+            ChunkPolicy::by_timesteps(1),        // snaps up to one interval
+            ChunkPolicy::by_timesteps(36),       // 32-step stride, 16-step tail
+            ChunkPolicy::by_visibilities(1_000), // 24-step stride
+        ];
+        for policy in policies {
+            let chunks = chunk_observation(&ds.obs, &policy).unwrap();
+            assert!(chunks.len() > 1, "{policy:?}");
+            let parts = partition(&plan, &chunks).unwrap();
+            // every item lands in exactly one chunk and ends inside it,
+            // and the sub-plans, concatenated in chunk order and put back
+            // at their one-shot indices, rebuild the plan's items
+            let mut rebuilt: Vec<Option<WorkItem>> = vec![None; plan.items.len()];
+            for (chunk, (sub, indices)) in chunks.iter().zip(&parts) {
+                assert_eq!(sub.items.len(), indices.len(), "{policy:?}");
+                assert!(indices.windows(2).all(|w| w[0] < w[1]), "{policy:?}");
+                for (item, &i) in sub.items.iter().zip(indices) {
+                    let (start, end) = (item.time_offset, item.time_offset + item.nr_timesteps);
+                    assert!(chunk.time_range.start <= start && end <= chunk.time_range.end);
+                    assert!(
+                        rebuilt[i].replace(*item).is_none(),
+                        "item {i} in two chunks"
+                    );
+                }
+            }
+            let rebuilt: Option<Vec<WorkItem>> = rebuilt.into_iter().collect();
+            assert_eq!(rebuilt.as_ref(), Some(&plan.items), "{policy:?}");
         }
     }
 
@@ -637,7 +695,7 @@ mod tests {
             let (_, report, trace) = proxy
                 .grid_streamed_observed(&config, &ds.uvw, &ds.visibilities, &ds.aterms)
                 .unwrap();
-            // the chunk plans partition the one-shot plan's items
+            // the chunks' sub-plans partition the one-shot plan's items
             let plan = proxy.plan(&ds.uvw).unwrap();
             assert_eq!(report.launched_items, plan.items.len(), "{backend:?}");
             let metrics = report.metrics.expect("observed run attaches metrics");
@@ -662,17 +720,10 @@ mod tests {
 
     #[test]
     fn streamed_degrid_is_bit_identical_to_one_shot_on_every_backend() {
-        // the second input moves baseline 1 far off the grid: the plan
-        // skips its rows, and the block commit copies them from the chunk
-        // windows all the same — they must read zero
-        let ds = dataset();
-        let mut off_grid = dataset();
-        let nr_time = ds.obs.nr_timesteps;
-        for c in &mut off_grid.uvw[nr_time..2 * nr_time] {
-            (c.u, c.v) = (1e9, 1e9);
-        }
-        let per_baseline = nr_time * ds.obs.nr_channels();
-        let inputs = [(ds, 0..0), (off_grid, per_baseline..2 * per_baseline)];
+        // the second input's plan skips baseline 1's rows, and the
+        // block commit copies them from the chunk windows all the same —
+        // they must read zero
+        let inputs = [(dataset(), 0..0), off_grid_dataset()];
         for ((ds, skipped), backend) in inputs
             .iter()
             .flat_map(|input| Backend::all().map(|b| (input, b)))
@@ -715,7 +766,7 @@ mod tests {
                 .grid(&plan, &ds.uvw, &ds.visibilities, &ds.aterms)
                 .unwrap();
             let data = proxy.degridding_input(&model, &ds.uvw, &ds.aterms).unwrap();
-            let (chunks, _) = proxy
+            let (_, chunks, _) = proxy
                 .stream_chunks(
                     &config,
                     &ds.uvw,

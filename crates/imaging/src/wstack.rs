@@ -77,7 +77,7 @@ pub fn wstack_dirty_image(
 
     let mut grid = Grid::<f32>::new(size);
     for &p in &planes {
-        let sub_plan = plan.subset_for_w_plane(p);
+        let sub_plan = plan.subset(|i| i.w_plane == p);
         grid.clear();
         reports.push(proxy.grid_into(&mut grid, &sub_plan, uvw, visibilities, aterms)?);
 
@@ -272,7 +272,7 @@ mod tests {
         let total: usize = plan
             .w_planes()
             .iter()
-            .map(|p| plan.subset_for_w_plane(*p).nr_subgrids())
+            .map(|&p| plan.subset(|i| i.w_plane == p).nr_subgrids())
             .sum();
         assert_eq!(total, plan.nr_subgrids());
     }

@@ -111,10 +111,10 @@ fn fold_batch(regs: &mut LaneRegs<8>, geo: &LaneRegs<4>, staged: &[StagedVis], a
 
 /// Algorithm 1 over all work items with the thread-per-pixel mapping,
 /// parallel over items with rayon, staging `batch_len` visibilities at a
-/// time; returns the launch's measured op tally, which the caller
-/// records under `KernelStage::Gridder` (lint L3 holds both callers,
-/// [`crate::cpu::gridder_cpu`] and the device model's `gridder_gpu`, to
-/// it).
+/// time; returns the launch's measured op tally, which both callers,
+/// [`crate::cpu::gridder_cpu`] and the device model's `gridder_gpu`,
+/// record under `KernelStage::Gridder` (a dropped record fails
+/// `Proxy::validate_measured` on every clean observed pass).
 ///
 /// Each pixel's value is one chain over all visibilities of its work
 /// item in (timestep, channel) order — see the module doc.

@@ -24,7 +24,8 @@
 //!   record there — rayon workers have no current recorder. It tallies
 //!   [`KernelCounters`] per work item beside its real loops, reduces
 //!   them, and calls [`add_kernel`] once per launch on the calling
-//!   thread (lint L3 checks the call is there).
+//!   thread (a dropped call fails `Proxy::validate_measured` on every
+//!   clean observed pass).
 //!
 //! Observability only *reads* loop trip counts; it never changes what
 //! the numerical pipeline computes or in which order.

@@ -55,11 +55,6 @@ impl EnergyModel {
         seconds * self.host_power_w
     }
 
-    /// Total (device + host) energy, J.
-    pub fn total_energy(&self, seconds: f64, utilization: f64) -> f64 {
-        self.device_energy(seconds, utilization) + self.host_energy(seconds)
-    }
-
     /// Energy efficiency in GFlops/W for a kernel described by `counts`
     /// running `seconds` at `utilization` — the Fig. 15 metric (flops
     /// exclude the sin/cos evaluations).
@@ -136,13 +131,5 @@ mod tests {
         let m = EnergyModel::new(fiji);
         let eff = m.gflops_per_watt(&busy_counts(rate, 1.0), 1.0, 1.0);
         assert!((5.0..25.0).contains(&eff), "FIJI {eff} GFlops/W");
-    }
-
-    #[test]
-    fn energy_scales_linearly_with_time() {
-        let m = EnergyModel::new(Architecture::fiji());
-        let e1 = m.total_energy(1.0, 0.8);
-        let e2 = m.total_energy(2.0, 0.8);
-        assert!((e2 - 2.0 * e1).abs() < 1e-9);
     }
 }

@@ -107,83 +107,10 @@ impl BBox {
     }
 }
 
-/// Per-baseline uv extents over a *whole* observation: the maximum
-/// `hypot(u, v)` baseline length (meters) seen at any time step.
-///
-/// The planner's channel-group split depends on this maximum — a
-/// baseline's frequency smear budget is a function of its longest uv
-/// excursion — so chunked (windowed) planning must evaluate it over
-/// the full observation, not per chunk, or the streamed plan would
-/// group channels differently from the one-shot plan and break the
-/// bit-identity contract. Compute the extents once, then hand the
-/// same value to every [`Plan::create_windowed`] call.
-#[derive(Clone, Debug)]
-pub struct UvExtents {
-    max_len_m: Vec<f64>,
-}
-
-impl UvExtents {
-    /// Scan the full uvw buffer (`[baseline-major][timestep]` layout,
-    /// meters) and record each baseline's maximum uv length.
-    pub fn compute(obs: &Observation, uvw: &[Uvw]) -> Result<UvExtents, IdgError> {
-        let nr_time = obs.nr_timesteps;
-        let expected = obs.nr_baselines() * nr_time;
-        if uvw.len() != expected {
-            return Err(IdgError::ShapeMismatch {
-                what: "uvw",
-                expected,
-                actual: uvw.len(),
-            });
-        }
-        let max_len_m = (0..obs.nr_baselines())
-            .map(|bl_idx| {
-                (0..nr_time)
-                    .map(|t| uvw[bl_idx * nr_time + t])
-                    .map(|u| (u.u as f64).hypot(u.v as f64))
-                    .fold(0.0f64, f64::max)
-            })
-            .collect();
-        Ok(UvExtents { max_len_m })
-    }
-
-    /// Maximum uv length of one baseline, meters.
-    pub fn max_len_m(&self, baseline_index: usize) -> f64 {
-        self.max_len_m[baseline_index]
-    }
-
-    /// Number of baselines covered.
-    pub fn nr_baselines(&self) -> usize {
-        self.max_len_m.len()
-    }
-}
-
 impl Plan {
     /// Build the execution plan for `obs` given uvw coordinates in
     /// `[baseline-major][timestep]` layout, meters.
     pub fn create(obs: &Observation, uvw: &[Uvw]) -> Result<Plan, IdgError> {
-        let extents = UvExtents::compute(obs, uvw)?;
-        Self::create_windowed(obs, uvw, &extents, 0..obs.nr_timesteps)
-    }
-
-    /// Build the plan for one time window `[window.start, window.end)`
-    /// of the observation — the chunk-local planning entry point of
-    /// the streaming front-end (`idg-stream`).
-    ///
-    /// `uvw` is still the *full* buffer (work items carry global time
-    /// offsets), and `extents` must come from [`UvExtents::compute`]
-    /// over the full observation so channel groups match the one-shot
-    /// plan. When the window boundaries are aligned to
-    /// `aterm_interval` multiples, the concatenation of the windowed
-    /// plans (sorted by baseline, channel group, time) is *exactly*
-    /// the one-shot plan: the accumulation loop never crosses an
-    /// A-term boundary, so a window starting on one reproduces the
-    /// same greedy decisions the full run makes there.
-    pub fn create_windowed(
-        obs: &Observation,
-        uvw: &[Uvw],
-        extents: &UvExtents,
-        window: std::ops::Range<usize>,
-    ) -> Result<Plan, IdgError> {
         let _span = idg_obs::wall_span("plan", "stage", None);
         let nr_time = obs.nr_timesteps;
         let expected = obs.nr_baselines() * nr_time;
@@ -193,19 +120,6 @@ impl Plan {
                 expected,
                 actual: uvw.len(),
             });
-        }
-        if extents.nr_baselines() != obs.nr_baselines() {
-            return Err(IdgError::ShapeMismatch {
-                what: "uv extents",
-                expected: obs.nr_baselines(),
-                actual: extents.nr_baselines(),
-            });
-        }
-        if window.start > window.end || window.end > nr_time {
-            return Err(IdgError::InvalidParameter(format!(
-                "plan window {}..{} outside observation 0..{nr_time}",
-                window.start, window.end
-            )));
         }
 
         let baselines = obs.baselines();
@@ -285,10 +199,8 @@ impl Plan {
             // scales with ν): split the band into groups whose smear
             // uses at most half the post-kernel subgrid budget, leaving
             // the rest for time accumulation (Sec. V-A: "having C̃
-            // channels that can be covered by an Ñ × Ñ subgrid"). The
-            // maximum comes from the whole-observation extents so every
-            // window of the same observation groups channels alike.
-            let max_len_m = extents.max_len_m(bl_idx);
+            // channels that can be covered by an Ñ × Ñ subgrid").
+            let max_len_m = max_uv_length(&uvw[bl_idx * nr_time..(bl_idx + 1) * nr_time]);
             let budget_px = (subgrid - kernel) as f64 / 2.0;
             // smear over Δf: max_len·Δf/c·image_size pixels
             let df_budget = if max_len_m > 0.0 {
@@ -310,8 +222,8 @@ impl Plan {
             for &(chan_offset, chan_count) in &channel_groups {
                 let f_lo = obs.frequencies[chan_offset];
                 let f_hi = obs.frequencies[chan_offset + chan_count - 1];
-                let mut t = window.start;
-                while t < window.end {
+                let mut t = 0;
+                while t < nr_time {
                     let t0 = t;
                     let aterm = obs.aterm_index(t0);
                     let wp = w_plane_of(uvw[bl_idx * nr_time + t0]);
@@ -325,7 +237,7 @@ impl Plan {
                     }
 
                     let mut t_end = t0 + 1;
-                    while t_end < window.end
+                    while t_end < nr_time
                         && t_end - t0 < max_t
                         && obs.aterm_index(t_end) == aterm
                         && w_plane_of(uvw[bl_idx * nr_time + t_end]) == wp
@@ -428,22 +340,27 @@ impl Plan {
         planes
     }
 
-    /// The sub-plan containing only the work items of one W-plane —
-    /// W-stacking grids each plane separately and merges in the image
-    /// domain (Sec. III / VI-E).
-    pub fn subset_for_w_plane(&self, w_plane: i32) -> Plan {
+    /// The sub-plan of the work items `keep` admits, in plan order —
+    /// one W-plane's items for W-stacking, which grids each plane
+    /// separately and merges in the image domain (Sec. III / VI-E), or
+    /// one time chunk's items for a streamed pass. Skipped visibilities
+    /// stay with the whole plan.
+    pub fn subset(&self, keep: impl Fn(&WorkItem) -> bool) -> Plan {
         Plan {
-            items: self
-                .items
-                .iter()
-                .filter(|i| i.w_plane == w_plane)
-                .copied()
-                .collect(),
+            items: self.items.iter().filter(|i| keep(i)).copied().collect(),
             skipped_visibilities: 0,
             subgrid_size: self.subgrid_size,
             grid_size: self.grid_size,
         }
     }
+}
+
+/// A baseline's maximum `hypot(u, v)` length over all its time steps,
+/// meters: the planner's channel-group split is a function of it.
+fn max_uv_length(uvw: &[Uvw]) -> f64 {
+    uvw.iter()
+        .map(|u| (u.u as f64).hypot(u.v as f64))
+        .fold(0.0f64, f64::max)
 }
 
 #[cfg(test)]
@@ -841,63 +758,6 @@ mod tests {
             assert_eq!(item.nr_channels, 1);
         }
         assert_strict_containment(&obs, &uvw, &plan);
-    }
-
-    #[test]
-    #[allow(clippy::single_range_in_vec_init)] // vec![0..64] IS one window
-    fn windowed_plans_concatenate_to_the_one_shot_plan() {
-        // The streaming contract at the planner level: windows cut on
-        // A-term boundaries, planned against the shared uv extents,
-        // reproduce the one-shot plan exactly once re-sorted into the
-        // one-shot (baseline, channel group, time) order.
-        let obs = obs_small(); // 64 time steps, aterm_interval 16
-        let uvw = uvw_for(&obs, 2_000.0, 14);
-        let one_shot = Plan::create(&obs, &uvw).unwrap();
-        let extents = UvExtents::compute(&obs, &uvw).unwrap();
-        for windows in [
-            vec![0..16, 16..32, 32..48, 48..64],
-            vec![0..32, 32..64],
-            vec![0..48, 48..64],
-            vec![0..64],
-        ] {
-            let mut items = Vec::new();
-            let mut skipped = 0usize;
-            for w in windows {
-                let p = Plan::create_windowed(&obs, &uvw, &extents, w).unwrap();
-                skipped += p.skipped_visibilities;
-                items.extend(p.items);
-            }
-            items.sort_by_key(|i| (i.baseline_index, i.channel_offset, i.time_offset));
-            assert_eq!(items, one_shot.items);
-            assert_eq!(skipped, one_shot.skipped_visibilities);
-        }
-    }
-
-    #[test]
-    fn windowed_plan_rejects_bad_windows_and_foreign_extents() {
-        let obs = obs_small();
-        let uvw = uvw_for(&obs, 2_000.0, 15);
-        let extents = UvExtents::compute(&obs, &uvw).unwrap();
-        assert!(matches!(
-            Plan::create_windowed(&obs, &uvw, &extents, 0..obs.nr_timesteps + 1),
-            Err(IdgError::InvalidParameter(_))
-        ));
-        #[allow(clippy::reversed_empty_ranges)]
-        let reversed = 8..4;
-        assert!(matches!(
-            Plan::create_windowed(&obs, &uvw, &extents, reversed),
-            Err(IdgError::InvalidParameter(_))
-        ));
-        let foreign = UvExtents {
-            max_len_m: vec![1.0; 3],
-        };
-        assert!(matches!(
-            Plan::create_windowed(&obs, &uvw, &foreign, 0..obs.nr_timesteps),
-            Err(IdgError::ShapeMismatch {
-                what: "uv extents",
-                ..
-            })
-        ));
     }
 
     #[test]

@@ -4,12 +4,12 @@
 //! serving system cannot. This crate is the streaming front-end that
 //! sits between an arriving visibility stream and the batch pipeline:
 //!
-//! - [`ChunkPolicy`] / [`ChunkedDataset`] partition the observation's
-//!   time axis into bounded chunks. Chunk boundaries snap to
-//!   `aterm_interval` multiples, because the planner's greedy
-//!   accumulation never crosses an A-term boundary — so a chunk-local
-//!   plan started on one reproduces exactly the work items the
-//!   one-shot plan emits there (see [`idg_plan::Plan::create_windowed`]).
+//! - [`ChunkPolicy`] / [`chunk_observation`] partition the
+//!   observation's time axis into bounded chunks. Chunk boundaries snap
+//!   to `aterm_interval` multiples, because the planner's greedy
+//!   accumulation never crosses an A-term boundary — so each work item
+//!   of the one-shot plan lies wholly inside the chunk its first time
+//!   step falls in, and the chunks cut that plan into whole items.
 //! - [`StreamScheduler::run_stream`] runs the chunk passes on
 //!   `lanes = min(workers, max_inflight)` threads that each take the
 //!   next chunk index from one shared counter; every chunk's result
@@ -19,12 +19,12 @@
 //! The scheduler is deliberately generic over the per-chunk pass
 //! (`Fn(&Chunk) -> Result<T, IdgError>`): the proxy plugs in CPU
 //! kernels, the single-device GPU executor, or the fleet without this
-//! crate depending on any of them. Bit-identity of the streamed grid
-//! is then the *caller's* obligation — commit every chunk's subgrids
-//! in the one-shot plan order after the stream drains (see
-//! `Proxy::grid_streamed` in `idg`), never by summing per-chunk grids
-//! (f32 addition is order-sensitive and `0.0 + (-0.0)` even flips a
-//! sign bit).
+//! crate depending on any of them, or on the planner. Bit-identity of
+//! the streamed grid is then the *caller's* obligation — commit every
+//! chunk's subgrids in the one-shot plan order after the stream drains
+//! (see `Proxy::grid_streamed` in `idg`), never by summing per-chunk
+//! grids (f32 addition is order-sensitive and `0.0 + (-0.0)` even flips
+//! a sign bit).
 //!
 //! `max_inflight` caps how many chunk passes run at once (`lanes =
 //! min(workers, max_inflight)`) and nothing else: the dataset is
@@ -36,8 +36,7 @@
 
 #![deny(missing_docs)]
 
-use idg_plan::{Plan, UvExtents};
-use idg_types::{IdgError, Observation, Uvw};
+use idg_types::{IdgError, Observation};
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
@@ -48,9 +47,9 @@ use std::sync::{Mutex, PoisonError};
 /// `max_timesteps` time steps *and* at most `max_visibilities`
 /// visibilities (each time step carries `nr_baselines × nr_channels`
 /// of them). The resulting stride additionally snaps **up** to a
-/// whole number of A-term intervals so chunk-local plans stay
-/// bit-compatible with the one-shot plan; a policy tighter than one
-/// interval therefore still yields `aterm_interval`-sized chunks.
+/// whole number of A-term intervals, so every chunk holds whole work
+/// items of the one-shot plan; a policy tighter than one interval
+/// therefore still yields `aterm_interval`-sized chunks.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct ChunkPolicy {
     /// Maximum time steps per chunk (before A-term snapping).
@@ -109,42 +108,11 @@ impl Chunk {
     }
 }
 
-/// The observation's time axis split into policy-bounded,
-/// A-term-aligned chunks: a lossless, order-preserving,
-/// non-overlapping cover of `0..nr_timesteps`.
-#[derive(Clone, Debug)]
-pub struct ChunkedDataset {
-    chunks: Vec<Chunk>,
-}
-
-impl ChunkedDataset {
-    /// Split `obs` under `policy`. The stride is the largest multiple
-    /// of `aterm_interval` within the policy bounds (at least one
-    /// interval); the final chunk keeps whatever remainder is left.
-    pub fn split(obs: &Observation, policy: &ChunkPolicy) -> Result<ChunkedDataset, IdgError> {
-        policy.validate()?;
-        let chunks = chunk_observation(obs, policy)?;
-        Ok(ChunkedDataset { chunks })
-    }
-
-    /// The chunks, in ingestion (time) order.
-    pub fn chunks(&self) -> &[Chunk] {
-        &self.chunks
-    }
-
-    /// Number of chunks.
-    pub fn len(&self) -> usize {
-        self.chunks.len()
-    }
-
-    /// Whether the observation produced no chunks (zero time steps).
-    pub fn is_empty(&self) -> bool {
-        self.chunks.is_empty()
-    }
-}
-
-/// Compute the policy-bounded, A-term-aligned chunk cover of the
-/// observation's time axis (the work behind [`ChunkedDataset::split`]).
+/// Split the observation's time axis under `policy` into a lossless,
+/// order-preserving, non-overlapping cover of `0..nr_timesteps`. The
+/// stride is the largest multiple of `aterm_interval` within the
+/// policy bounds (at least one interval); the final chunk keeps
+/// whatever remainder is left.
 pub fn chunk_observation(obs: &Observation, policy: &ChunkPolicy) -> Result<Vec<Chunk>, IdgError> {
     policy.validate()?;
     let nr_time = obs.nr_timesteps;
@@ -154,8 +122,9 @@ pub fn chunk_observation(obs: &Observation, policy: &ChunkPolicy) -> Result<Vec<
         .checked_div(vis_per_timestep)
         .unwrap_or(usize::MAX);
     let bound = policy.max_timesteps.min(by_vis).max(1);
-    // snap the stride UP to whole A-term intervals: chunk-local plans
-    // must start on the boundaries the one-shot planner breaks on
+    // snap the stride UP to whole A-term intervals: no work item of the
+    // one-shot plan crosses an A-term boundary, so each ends inside the
+    // chunk its first time step falls in
     let aterm = obs.aterm_interval.max(1);
     let stride = if bound < aterm {
         aterm
@@ -173,19 +142,6 @@ pub fn chunk_observation(obs: &Observation, policy: &ChunkPolicy) -> Result<Vec<
         t = end;
     }
     Ok(chunks)
-}
-
-/// Plan one chunk against the shared whole-observation uv extents —
-/// the chunk-local planning entry point the streaming workers call.
-/// Thin delegation to [`Plan::create_windowed`]; `uvw` is the full
-/// buffer and the returned items carry global time offsets.
-pub fn plan_chunk(
-    obs: &Observation,
-    uvw: &[Uvw],
-    extents: &UvExtents,
-    chunk: &Chunk,
-) -> Result<Plan, IdgError> {
-    Plan::create_windowed(obs, uvw, extents, chunk.time_range.clone())
 }
 
 /// Which data direction a streamed pass moved through the pipeline.
@@ -274,16 +230,6 @@ impl StreamScheduler {
             workers,
             max_inflight,
         })
-    }
-
-    /// Worker-thread count.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Cap on chunk passes running at once.
-    pub fn max_inflight(&self) -> usize {
-        self.max_inflight
     }
 
     /// Drive every chunk through `exec` on `min(workers, max_inflight,

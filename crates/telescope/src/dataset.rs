@@ -90,24 +90,6 @@ impl Dataset {
         Ok(Self::simulate(obs, &layout, sky, &IdentityATerm))
     }
 
-    /// uvw of `(baseline_index, timestep)`.
-    #[inline]
-    pub fn uvw_at(&self, baseline_index: usize, timestep: usize) -> Uvw {
-        self.uvw[baseline_index * self.obs.nr_timesteps + timestep]
-    }
-
-    /// Visibility of `(baseline_index, timestep, channel)`.
-    #[inline]
-    pub fn vis_at(
-        &self,
-        baseline_index: usize,
-        timestep: usize,
-        channel: usize,
-    ) -> Visibility<f32> {
-        let nr_chan = self.obs.nr_channels();
-        self.visibilities[(baseline_index * self.obs.nr_timesteps + timestep) * nr_chan + channel]
-    }
-
     /// Total number of visibilities.
     pub fn nr_visibilities(&self) -> usize {
         self.visibilities.len()
@@ -127,20 +109,6 @@ mod tests {
         assert_eq!(ds.uvw.len(), ds.obs.nr_baselines() * ds.obs.nr_timesteps);
         assert_eq!(ds.visibilities.len(), ds.obs.nr_visibilities());
         assert!(ds.aterms.is_identity());
-    }
-
-    #[test]
-    fn indexing_helpers_agree_with_layout() {
-        let ds = Dataset::representative(15, 2).expect("representative dataset");
-        let nr_chan = ds.obs.nr_channels();
-        let bl = 3;
-        let t = 5;
-        let c = 7;
-        assert_eq!(ds.uvw_at(bl, t), ds.uvw[bl * ds.obs.nr_timesteps + t]);
-        assert_eq!(
-            ds.vis_at(bl, t, c).pols,
-            ds.visibilities[(bl * ds.obs.nr_timesteps + t) * nr_chan + c].pols
-        );
     }
 
     #[test]

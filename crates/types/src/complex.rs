@@ -122,15 +122,6 @@ impl<T: Float> Complex<T> {
         self.im = a.im.mul_add(b.re, self.im);
     }
 
-    /// Fused conjugate multiply-accumulate: `self += conj(a) * b`.
-    #[inline(always)]
-    pub fn conj_mul_acc(&mut self, a: Self, b: Self) {
-        self.re = a.re.mul_add(b.re, self.re);
-        self.re = a.im.mul_add(b.im, self.re);
-        self.im = a.re.mul_add(b.im, self.im);
-        self.im = (-a.im).mul_add(b.re, self.im);
-    }
-
     /// Multiplication by `i` (quarter-turn rotation), free of multiplies.
     #[inline(always)]
     pub fn mul_i(self) -> Self {
@@ -308,15 +299,6 @@ mod tests {
         let expect = acc + Cf64::new(1.5, 2.0) * Cf64::new(-0.5, 3.0);
         acc.mul_acc(Cf64::new(1.5, 2.0), Cf64::new(-0.5, 3.0));
         assert!(close(acc, expect, 1e-14));
-    }
-
-    #[test]
-    fn conj_mul_acc_matches_separate_ops() {
-        let mut acc = Cf64::new(0.0, 0.0);
-        let a = Cf64::new(1.5, 2.0);
-        let b = Cf64::new(-0.5, 3.0);
-        acc.conj_mul_acc(a, b);
-        assert!(close(acc, a.conj() * b, 1e-14));
     }
 
     #[test]

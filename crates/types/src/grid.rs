@@ -87,13 +87,6 @@ impl<T: Float> Grid<T> {
         &self.data[start..start + self.size]
     }
 
-    /// Split the full backing store into per-`(pol, y)` rows for parallel
-    /// mutation. Yields `4 * size` disjoint row slices, ordered by
-    /// polarization then row.
-    pub fn rows_mut(&mut self) -> std::slice::ChunksMut<'_, Complex<T>> {
-        self.data.chunks_mut(self.size)
-    }
-
     /// Raw backing store (planar `[pol][y][x]`).
     #[inline]
     pub fn as_slice(&self) -> &[Complex<T>] {
@@ -116,14 +109,6 @@ impl<T: Float> Grid<T> {
         self.data.iter().map(|c| c.norm_sqr().to_f64()).sum()
     }
 
-    /// Fraction of non-zero pixels in polarization 0 — the *uv-coverage*
-    /// discussed in Sec. IV of the paper.
-    pub fn uv_coverage(&self) -> f64 {
-        let plane = self.plane(0);
-        let nz = plane.iter().filter(|c| c.norm_sqr() > T::ZERO).count();
-        nz as f64 / plane.len() as f64
-    }
-
     /// Element-wise accumulate another grid of the same size (used by
     /// `idg-wproj`'s gridder to merge its per-thread partial grids).
     pub fn accumulate(&mut self, other: &Grid<T>) {
@@ -144,7 +129,6 @@ mod tests {
         let g = Grid::<f32>::new(16);
         assert_eq!(g.size(), 16);
         assert_eq!(g.power(), 0.0);
-        assert_eq!(g.uv_coverage(), 0.0);
     }
 
     #[test]
@@ -165,26 +149,10 @@ mod tests {
     }
 
     #[test]
-    fn grid_rows_mut_covers_everything() {
-        let mut g = Grid::<f32>::new(4);
-        let rows: Vec<_> = g.rows_mut().collect();
-        assert_eq!(rows.len(), NR_POLARIZATIONS * 4);
-        assert!(rows.iter().all(|r| r.len() == 4));
-    }
-
-    #[test]
     fn grid_row_matches_at() {
         let mut g = Grid::<f32>::new(4);
         *g.at_mut(3, 2, 1) = Cf32::new(7.0, 0.0);
         assert_eq!(g.row(3, 2)[1], Cf32::new(7.0, 0.0));
-    }
-
-    #[test]
-    fn grid_uv_coverage_counts_nonzero() {
-        let mut g = Grid::<f32>::new(4);
-        *g.at_mut(0, 0, 0) = Cf32::new(1.0, 0.0);
-        *g.at_mut(0, 1, 1) = Cf32::new(0.0, 1.0);
-        assert!((g.uv_coverage() - 2.0 / 16.0).abs() < 1e-12);
     }
 
     #[test]

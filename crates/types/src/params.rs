@@ -83,12 +83,6 @@ impl Observation {
         timestep / self.aterm_interval
     }
 
-    /// Image-domain pixel scale: radians per grid pixel.
-    #[inline]
-    pub fn cell_size(&self) -> f64 {
-        self.image_size / self.grid_size as f64
-    }
-
     /// Map a (u or v) coordinate in *wavelengths* to a fractional grid
     /// pixel coordinate; the grid center (DC) sits at `grid_size/2`.
     #[inline]
@@ -373,11 +367,5 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(obs.frequencies, vec![100e6, 102e6, 104e6, 106e6]);
-    }
-
-    #[test]
-    fn cell_size_relation() {
-        let obs = Observation::builder().build().unwrap();
-        assert!((obs.cell_size() * obs.grid_size as f64 - obs.image_size).abs() < 1e-12);
     }
 }

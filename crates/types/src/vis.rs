@@ -71,17 +71,6 @@ impl Uvw {
         Self { u, v, w }
     }
 
-    /// Scale from meters to wavelengths for a given frequency (Hz).
-    #[inline]
-    pub fn in_wavelengths(self, frequency_hz: f64) -> (f64, f64, f64) {
-        let scale = frequency_hz / crate::params::SPEED_OF_LIGHT;
-        (
-            self.u as f64 * scale,
-            self.v as f64 * scale,
-            self.w as f64 * scale,
-        )
-    }
-
     /// Euclidean length in meters.
     #[inline]
     pub fn length(self) -> f32 {
@@ -231,15 +220,6 @@ mod tests {
             assert!(bl.station1 < bl.station2);
             assert!(seen.insert(*bl));
         }
-    }
-
-    #[test]
-    fn uvw_wavelength_scaling() {
-        let uvw = Uvw::new(299_792_458.0, 0.0, 0.0);
-        let (u, v, w) = uvw.in_wavelengths(2.0); // 2 Hz -> lambda = c/2
-        assert!((u - 2.0).abs() < 1e-6);
-        assert_eq!(v, 0.0);
-        assert_eq!(w, 0.0);
     }
 
     #[test]
