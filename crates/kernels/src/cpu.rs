@@ -41,6 +41,9 @@ struct Scratch {
     chan_phases: Vec<f32>,
     sin: Vec<f32>,
     cos: Vec<f32>,
+    /// The per-channel rotation `e^{−iδ·index}` of the current timestep.
+    rot_sin: Vec<f32>,
+    rot_cos: Vec<f32>,
     /// SoA staging: 4 pols × re/im.
     re: [Vec<f32>; 4],
     im: [Vec<f32>; 4],
@@ -56,6 +59,8 @@ impl Scratch {
             chan_phases: Vec::new(),
             sin: Vec::new(),
             cos: Vec::new(),
+            rot_sin: Vec::new(),
+            rot_cos: Vec::new(),
             re: [Vec::new(), Vec::new(), Vec::new(), Vec::new()],
             im: [Vec::new(), Vec::new(), Vec::new(), Vec::new()],
             d: Vec::new(),
@@ -67,6 +72,8 @@ impl Scratch {
         self.chan_phases.resize(len, 0.0);
         self.sin.resize(len, 0.0);
         self.cos.resize(len, 0.0);
+        self.rot_sin.resize(len, 0.0);
+        self.rot_cos.resize(len, 0.0);
         for p in 0..4 {
             self.re[p].resize(len, 0.0);
             self.im[p].resize(len, 0.0);
@@ -81,6 +88,37 @@ impl Scratch {
 /// batch (48 bytes per visibility) stays L1-resident while every pixel
 /// consumes it. Not part of the bits (see [`crate::gridder`]).
 const VIS_BATCH: usize = 512;
+
+/// Channels between direct sincos anchors when the degridder rotates
+/// phasors across channels: channel `k` of an item is anchored when
+/// `k % REANCHOR == 0`, every other channel is its predecessor times the
+/// item's per-pixel rotation. Chosen from the drift table of
+/// EXPERIMENTS.md ("The host degridder rotates phasors"): above it the
+/// error of a 1024-channel item grows with the run of rotations, below
+/// it the extra anchors cost sincos without buying accuracy.
+const REANCHOR: usize = 32;
+
+/// Relative tolerance of the launch's even-spacing check: channel `c` is
+/// on the grid when `|ν_c − (ν_0 + c·Δν)| ≤ SPACING_TOLERANCE·ν_c`, with
+/// `Δν` the mean step. At 1e-9 the phase the rotation assumes differs
+/// from the channel's own by under 1e-9 of the phase — below f32 rounding.
+const SPACING_TOLERANCE: f64 = 1e-9;
+
+/// `δ`, the phase-scale step between adjacent channels, when the
+/// observation's channels are evenly spaced (within
+/// [`SPACING_TOLERANCE`]); `None` otherwise.
+fn channel_step(frequencies: &[f64]) -> Option<f32> {
+    let (&first, &last) = (frequencies.first()?, frequencies.last()?);
+    let step = (last - first) / (frequencies.len().max(2) - 1) as f64;
+    let on_grid = |(c, f): (usize, &f64)| {
+        (f - (first + c as f64 * step)).abs() <= SPACING_TOLERANCE * f.abs()
+    };
+    frequencies
+        .iter()
+        .enumerate()
+        .all(on_grid)
+        .then(|| f32::from_f64(KernelGeometry::phase_scale(step)))
+}
 
 /// The reduction of Listing 1 over one staged batch: for each of the
 /// four polarisations, `Σₖ (re[p][k] + i·im[p][k]) · (cos[k] + i·sin[k])`
@@ -187,6 +225,11 @@ pub fn gridder_cpu(
 /// per-timestep rows (the plan never assigns one visibility to two
 /// items), so each worker predicts straight into its own slices — no
 /// per-item staging allocation, no sequential scatter afterwards.
+///
+/// When the observation's channels are evenly spaced and an item has at
+/// least three, the phasors of its later channels are rotated from the
+/// first one instead of evaluated (see the module docs): two
+/// `sincos_batch` calls per (item, timestep), plus one per re-anchor.
 pub fn degridder_cpu(
     data: &KernelData<'_>,
     items: &[WorkItem],
@@ -194,6 +237,20 @@ pub fn degridder_cpu(
     vis_out: &mut [Visibility<f32>],
     accuracy: Accuracy,
     cache: &KernelCache,
+) -> Result<(), IdgError> {
+    degrid(data, items, subgrids, vis_out, accuracy, cache, REANCHOR)
+}
+
+/// [`degridder_cpu`] anchoring every `reanchor`-th channel of a rotated
+/// item (the tests measure drift at other intervals).
+fn degrid(
+    data: &KernelData<'_>,
+    items: &[WorkItem],
+    subgrids: &SubgridArray,
+    vis_out: &mut [Visibility<f32>],
+    accuracy: Accuracy,
+    cache: &KernelCache,
+    reanchor: usize,
 ) -> Result<(), IdgError> {
     let row_order = crate::checked_rows(data, items, Some(subgrids))?;
     if vis_out.len() != data.obs.nr_visibilities() {
@@ -215,6 +272,7 @@ pub fn degridder_cpu(
         .iter()
         .map(|f| f32::from_f64(KernelGeometry::phase_scale(*f)))
         .collect();
+    let step = channel_step(&data.obs.frequencies);
 
     // Carve vis_out into one mutable row slice per (item, timestep),
     // bundled per item: `row_order` is sorted by destination offset and
@@ -288,6 +346,8 @@ pub fn degridder_cpu(
             let item_scales = &scales[item.channel_offset..][..item.nr_channels];
             let pixel_re: [&[f32]; 4] = std::array::from_fn(|p| &scr.re[p][..n2]);
             let pixel_im: [&[f32]; 4] = std::array::from_fn(|p| &scr.im[p][..n2]);
+            // fewer than three channels save no sincos by rotating
+            let rotation = step.filter(|_| item.nr_channels >= 3);
 
             for (uvw_m, out_row) in uvw.iter().zip(rows.iter_mut()) {
                 tally.dram_bytes += BYTES_UVW;
@@ -299,18 +359,43 @@ pub fn degridder_cpu(
                 {
                     *ph = uvw_m.u.mul_add(*lf, uvw_m.v.mul_add(*mf, uvw_m.w * nf));
                 }
-                for (scale, out) in item_scales.iter().zip(out_row.iter_mut()) {
-                    // degridding phase = −(scale·index − offset)
-                    for ((cp, ph), offset) in scr.chan_phases[..n2]
-                        .iter_mut()
-                        .zip(&scr.phases[..n2])
-                        .zip(&scr.d[..n2])
-                    {
-                        *cp = (-scale).mul_add(*ph, *offset);
+                if let Some(step) = rotation {
+                    // the phasor one channel on is this one times
+                    // e^{−iδ·index}
+                    for (cp, ph) in scr.chan_phases[..n2].iter_mut().zip(&scr.phases[..n2]) {
+                        *cp = -step * ph;
                     }
-                    sincos_batch(&scr.chan_phases[..n2], &mut scr.sin, &mut scr.cos, accuracy);
+                    let (rs, rc) = (&mut scr.rot_sin, &mut scr.rot_cos);
+                    sincos_batch(&scr.chan_phases[..n2], rs, rc, accuracy);
                     tally.sincos_pairs += n2 as u64;
-                    tally.fmas += n2 as u64; // phase mul_add per pixel
+                    tally.fmas += n2 as u64; // rotation phase per pixel
+                }
+                for (c, (scale, out)) in item_scales.iter().zip(out_row.iter_mut()).enumerate() {
+                    if rotation.is_some() && !c.is_multiple_of(reanchor) {
+                        for ((s, co), (rs, rc)) in scr.sin[..n2]
+                            .iter_mut()
+                            .zip(&mut scr.cos[..n2])
+                            .zip(scr.rot_sin[..n2].iter().zip(&scr.rot_cos[..n2]))
+                        {
+                            let (s0, c0) = (*s, *co);
+                            *co = c0.mul_add(*rc, -(s0 * rs));
+                            *s = s0.mul_add(*rc, c0 * rs);
+                        }
+                        // a complex multiply: 4 real multiplies, 2 fused
+                        tally.fmas += 4 * n2 as u64;
+                    } else {
+                        // degridding phase = −(scale·index − offset)
+                        for ((cp, ph), offset) in scr.chan_phases[..n2]
+                            .iter_mut()
+                            .zip(&scr.phases[..n2])
+                            .zip(&scr.d[..n2])
+                        {
+                            *cp = (-scale).mul_add(*ph, *offset);
+                        }
+                        sincos_batch(&scr.chan_phases[..n2], &mut scr.sin, &mut scr.cos, accuracy);
+                        tally.sincos_pairs += n2 as u64;
+                        tally.fmas += n2 as u64; // phase mul_add per pixel
+                    }
                     let acc = reduce_4pol(&scr.sin[..n2], &scr.cos, pixel_re, pixel_im);
                     // 4 pols × 4 mul_adds, then staged pixel + geometry +
                     // accumulator traffic
@@ -659,6 +744,31 @@ mod tests {
         Dataset::simulate(obs, &layout, sky, &IdentityATerm)
     }
 
+    /// `channels` channels 2 MHz apart from 150 MHz, 4 stations, 16
+    /// timesteps in two A-term intervals, a Gaussian beam; `nudge` Hz
+    /// added to channel 3 (when there is one) takes the channels off
+    /// the even grid.
+    fn channel_dataset(channels: usize, nudge: f64) -> Dataset {
+        let mut obs = Observation::builder()
+            .stations(4)
+            .timesteps(16)
+            .channels(channels, 150e6, 2e6)
+            .grid_size(256)
+            .subgrid_size(16)
+            .kernel_size(5)
+            .aterm_interval(8)
+            .image_size(0.05)
+            .build()
+            .unwrap();
+        if let Some(f) = obs.frequencies.get_mut(3) {
+            *f += nudge;
+        }
+        let layout = Layout::uniform(4, 900.0, 97);
+        let sky = SkyModel::random(&obs, 3, 0.6, 101);
+        let beam = GaussianBeam::new(&obs, 0.8, 103);
+        Dataset::simulate(obs, &layout, sky, &beam)
+    }
+
     fn vis_bits(vis: &[Visibility<f32>]) -> Vec<u32> {
         let samples = vis.iter().flat_map(|v| v.pols);
         samples
@@ -886,11 +996,123 @@ mod tests {
         ]
     }
 
+    /// One baseline of `channels` channels 1 MHz apart from 150 MHz over
+    /// 4 timesteps: short enough that the planner makes it one work item
+    /// carrying every channel.
+    fn one_item_dataset(channels: usize) -> Dataset {
+        let obs = Observation::builder()
+            .stations(2)
+            .timesteps(4)
+            .channels(channels, 150e6, 1e6)
+            .grid_size(256)
+            .subgrid_size(24)
+            .kernel_size(5)
+            .aterm_interval(4)
+            .image_size(0.05)
+            .build()
+            .unwrap();
+        let layout = Layout::uniform(2, 10.0, 107);
+        let sky = SkyModel::random(&obs, 4, 0.6, 109);
+        let beam = GaussianBeam::new(&obs, 0.8, 113);
+        Dataset::simulate(obs, &layout, sky, &beam)
+    }
+
+    /// Relative L2 error of [`degrid`] at `reanchor` against
+    /// `degridder_reference` on the one work item of `ds`.
+    fn rotation_error(ds: &Dataset, reanchor: usize) -> f64 {
+        let plan = Plan::create(&ds.obs, &ds.uvw).unwrap();
+        assert_eq!(plan.items.len(), 1);
+        assert_eq!(plan.items[0].nr_channels, ds.obs.nr_channels());
+        let tp = taper(ds.obs.subgrid_size);
+        let data = KernelData {
+            obs: &ds.obs,
+            uvw: &ds.uvw,
+            visibilities: &ds.visibilities,
+            aterms: &ds.aterms,
+            taper: &tp,
+        };
+        let mut subgrids = SubgridArray::new(1, ds.obs.subgrid_size);
+        gridder_reference(&data, &plan.items, &mut subgrids).expect("kernel run");
+        let mut fast = vec![Visibility::<f32>::zero(); ds.obs.nr_visibilities()];
+        let mut gold = fast.clone();
+        let cache = KernelCache::new();
+        degrid(
+            &data,
+            &plan.items,
+            &subgrids,
+            &mut fast,
+            Accuracy::Medium,
+            &cache,
+            reanchor,
+        )
+        .expect("kernel run");
+        degridder_reference(&data, &plan.items, &subgrids, &mut gold).expect("kernel run");
+        let (mut err, mut norm) = (0.0f64, 0.0f64);
+        for (a, b) in fast
+            .iter()
+            .flat_map(|v| v.pols)
+            .zip(gold.iter().flat_map(|v| v.pols))
+        {
+            err += f64::from((a - b).abs()).powi(2);
+            norm += f64::from(b.abs()).powi(2);
+        }
+        (err / norm).sqrt()
+    }
+
+    #[test]
+    fn rotated_channels_stay_close_to_the_reference() {
+        // The drift table of EXPERIMENTS.md ("The host degridder rotates
+        // phasors"): the error against the f64 reference of one work item
+        // per channel count, anchored every `reanchor` channels (1: a
+        // sincos per channel, the loop before the rotation; MAX: the
+        // first channel only). `--nocapture` prints it. Each pin is the
+        // error at REANCHOR, rounded up.
+        let reanchors = [1, 8, 16, 32, 64, 256, usize::MAX];
+        let pins = [(16, 7e-8), (64, 9e-8), (256, 1e-7), (1024, 1e-7)];
+        let header = reanchors.map(|r| match r {
+            usize::MAX => "    never".to_string(),
+            r => format!("{r:>9}"),
+        });
+        println!("channels / reanchor {}", header.join(""));
+        for (channels, pin) in pins {
+            let ds = one_item_dataset(channels);
+            let errs = reanchors.map(|r| format!("{:>9.2e}", rotation_error(&ds, r)));
+            println!("{channels:>19} {}", errs.join(""));
+            let err = rotation_error(&ds, REANCHOR);
+            assert!(err <= pin, "{channels} channels: {err:.3e} > {pin:.1e}");
+        }
+    }
+
+    #[test]
+    fn per_channel_shapes_keep_their_bits() {
+        // Shapes that keep the direct sincos of every channel: too few
+        // channels to rotate, or channels off the even grid. Their
+        // degridder hashes (Medium = Fast) were taken before the
+        // rotation landed.
+        let cases: [(&str, Dataset, u64); 3] = [
+            ("1 channel", channel_dataset(1, 0.0), 0x64c0_60e3_8cd8_0d71),
+            ("2 channels", channel_dataset(2, 0.0), 0x69f0_20c1_5d77_3241),
+            (
+                "nudged channel",
+                channel_dataset(8, 1e3),
+                0xea9b_9a37_de6c_9d55,
+            ),
+        ];
+        for (name, ds, pinned) in &cases {
+            let [_, dm] = output_hashes(ds, Accuracy::Medium);
+            let [_, df] = output_hashes(ds, Accuracy::Fast);
+            assert_eq!([dm, df], [*pinned; 2], "{name}");
+        }
+    }
+
     #[test]
     fn kernel_outputs_are_pinned_to_the_bit() {
         // [gridder, degridder] hashes at Medium, then at Fast: a
         // tolerance test cannot see a changed summation order, these
-        // can. The degridder constants were computed at 3435907 (the
+        // can. The degridder constants of the multi-channel shapes were
+        // re-blessed when the degridder began rotating phasors across
+        // evenly spaced channels; the 1-channel shape's, which still
+        // takes a sincos per channel, was computed at 3435907 (the
         // per-polarisation reduction and indexed phase loops), before
         // its inner loops were rewritten. The gridder constants are the
         // shared body's (`crate::gridder`, one chain per pixel), blessed
@@ -906,9 +1128,9 @@ mod tests {
                 dataset(0),
                 [
                     0x4554_4d45_202b_8035,
-                    0xf7b5_90d7_ce06_48b5,
+                    0x5911_c7f1_2e91_3a7d,
                     0x4554_4d45_202b_8035,
-                    0xf7b5_90d7_ce06_48b5,
+                    0x5911_c7f1_2e91_3a7d,
                 ],
             ),
             (
@@ -916,9 +1138,9 @@ mod tests {
                 dataset(1),
                 [
                     0xeb0f_c2b4_5983_8675,
-                    0xd5e7_0554_76df_28b1,
+                    0x7e74_e15f_1d51_bc89,
                     0xeb0f_c2b4_5983_8675,
-                    0xd5e7_0554_76df_28b1,
+                    0x7e74_e15f_1d51_bc89,
                 ],
             ),
             (
@@ -926,9 +1148,9 @@ mod tests {
                 sub_lane_dataset(),
                 [
                     0x4d6b_cf29_3575_02c1,
-                    0x3149_0f7c_5d31_62c1,
+                    0x9f07_fa1a_fa0c_bea1,
                     0x4d6b_cf29_3575_02c1,
-                    0x3149_0f7c_5d31_62c1,
+                    0x9f07_fa1a_fa0c_bea1,
                 ],
             ),
             (
@@ -936,9 +1158,9 @@ mod tests {
                 straddling_dataset(),
                 [
                     0xa6af_2725_5332_6509,
-                    0xf62e_0614_f6de_8139,
+                    0xb2dd_f3b5_6570_b549,
                     0xa6af_2725_5332_6509,
-                    0xf62e_0614_f6de_8139,
+                    0xb2dd_f3b5_6570_b549,
                 ],
             ),
             (

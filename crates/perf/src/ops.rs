@@ -131,6 +131,58 @@ pub fn degridder_item_counts(item: &WorkItem, subgrid_size: usize) -> OpCounts {
     }
 }
 
+/// Channels between the host degridder's direct sincos anchors: the
+/// private `REANCHOR` of `idg_kernels::cpu`, mirrored here. The property
+/// test that holds [`cpu_degridder_item_counts`] to the kernel's measured
+/// tally (`tests/props.rs`) fails if the two differ.
+const CPU_REANCHOR: usize = 32;
+
+/// The host degridder's even-spacing tolerance (`idg_kernels::cpu`'s
+/// `SPACING_TOLERANCE`, mirrored like [`CPU_REANCHOR`]): channel `c` is on
+/// the grid when `|ν_c − (ν_0 + c·Δν)| ≤ 1e-9·ν_c`, `Δν` the mean step.
+fn evenly_spaced(frequencies: &[f64]) -> bool {
+    let (Some(&first), Some(&last)) = (frequencies.first(), frequencies.last()) else {
+        return false;
+    };
+    let step = (last - first) / (frequencies.len().max(2) - 1) as f64;
+    let on_grid = |(c, f): (usize, &f64)| (f - (first + c as f64 * step)).abs() <= 1e-9 * f.abs();
+    frequencies.iter().enumerate().all(on_grid)
+}
+
+/// Count one work item of the *host* degridder, `idg_kernels::degridder_cpu`,
+/// in an observation with channel frequencies `frequencies` — what its
+/// measured tally reads, as [`degridder_item_counts`] is for the paper's
+/// kernels and the device models.
+///
+/// An item of at least three channels in an evenly spaced observation
+/// rotates its phasors across channels. Per (timestep, pixel) it
+/// evaluates one sincos per anchor channel (every 32nd, from the first)
+/// and one for the rotation `e^{−iδ·index}`, instead of one per channel.
+/// FMAs per (timestep, pixel): 1 per anchor phase, 1 for the rotation
+/// phase, 4 per rotated channel (a complex multiply) and 16 per channel
+/// for the reduction, so ρ = FMAs / sincos grows with the channel count.
+/// Bytes and visibilities are the paper model's. Any other item takes a
+/// sincos per channel and counts exactly as [`degridder_item_counts`].
+pub fn cpu_degridder_item_counts(
+    item: &WorkItem,
+    subgrid_size: usize,
+    frequencies: &[f64],
+) -> OpCounts {
+    let paper = degridder_item_counts(item, subgrid_size);
+    let channels = item.nr_channels;
+    if channels < 3 || !evenly_spaced(frequencies) {
+        return paper;
+    }
+    let planes = (item.nr_timesteps * subgrid_size * subgrid_size) as u64;
+    let anchors = channels.div_ceil(CPU_REANCHOR) as u64;
+    let (channels, rotated) = (channels as u64, channels as u64 - anchors);
+    OpCounts {
+        sincos_pairs: planes * (anchors + 1),
+        fmas: planes * (anchors + 1 + 4 * rotated + 16 * channels),
+        ..paper
+    }
+}
+
 /// Aggregate gridder counts over a whole plan.
 pub fn gridder_counts(items: &[WorkItem], subgrid_size: usize) -> OpCounts {
     let mut total = OpCounts::default();
@@ -145,6 +197,20 @@ pub fn degridder_counts(items: &[WorkItem], subgrid_size: usize) -> OpCounts {
     let mut total = OpCounts::default();
     for item in items {
         total.add(&degridder_item_counts(item, subgrid_size));
+    }
+    total
+}
+
+/// Aggregate host degridder counts over a whole plan
+/// ([`cpu_degridder_item_counts`]).
+pub fn cpu_degridder_counts(
+    items: &[WorkItem],
+    subgrid_size: usize,
+    frequencies: &[f64],
+) -> OpCounts {
+    let mut total = OpCounts::default();
+    for item in items {
+        total.add(&cpu_degridder_item_counts(item, subgrid_size, frequencies));
     }
     total
 }

@@ -6,7 +6,8 @@
 //! measure at their call sites, for randomly drawn observation shapes.
 
 use idg_perf::{
-    degridder_counts, degridder_item_counts, gridder_counts, gridder_item_counts, OpCounts,
+    cpu_degridder_item_counts, degridder_counts, degridder_item_counts, gridder_counts,
+    gridder_item_counts, OpCounts,
 };
 use idg_types::{Baseline, Observation};
 use proptest::prelude::*;
@@ -168,5 +169,81 @@ proptest! {
         prop_assert_eq!(md.fmas, analytic_d.fmas);
         prop_assert_eq!(md.dram_bytes, analytic_d.dram_bytes);
         prop_assert_eq!(md.shared_bytes, analytic_d.shared_bytes);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+
+    /// The host degridder's closed form against its measured tally, on
+    /// one hand-made work item of 1–64 channels: evenly spaced channels
+    /// (the item rotates phasors from three channels on) or one channel
+    /// nudged off the even grid (a sincos per channel).
+    #[test]
+    fn host_degridder_counts_equal_its_measured_tally(
+        nr_channels in 1usize..65,
+        first_channel in 0usize..4,
+        nr_timesteps in 1usize..9,
+        subgrid_size in (4usize..13).prop_map(|h| 2 * h), // 8..=24, even
+        uneven in (0u8..2).prop_map(|b| b == 1),
+    ) {
+        use idg_kernels::{KernelCache, KernelData, SubgridArray};
+        use idg_telescope::{Dataset, IdentityATerm, Layout, SkyModel};
+
+        let mut obs = Observation::builder()
+            .stations(2)
+            .timesteps(8)
+            .channels(first_channel + nr_channels, 150e6, 1e6)
+            .grid_size(128)
+            .subgrid_size(subgrid_size)
+            .kernel_size(3)
+            .aterm_interval(8)
+            .image_size(0.05)
+            .build()
+            .map_err(|e| proptest::test_runner::TestCaseError::Fail(e.to_string()))?;
+        if uneven {
+            // the last channel: every observation has one, and the item
+            // covers it
+            *obs.frequencies.last_mut().unwrap() += 1e3;
+        }
+        let ds = Dataset::simulate(obs, &Layout::uniform(2, 100.0, 5), SkyModel::empty(), &IdentityATerm);
+        let item = idg_plan::WorkItem {
+            channel_offset: first_channel,
+            ..work_item(nr_timesteps, nr_channels)
+        };
+        let taper = idg_math::spheroidal_2d(subgrid_size);
+        let data = KernelData {
+            obs: &ds.obs,
+            uvw: &ds.uvw,
+            visibilities: &[],
+            aterms: &ds.aterms,
+            taper: &taper,
+        };
+        let subgrids = SubgridArray::new(1, subgrid_size);
+        let mut vis = vec![idg_types::Visibility::<f32>::zero(); ds.obs.nr_visibilities()];
+
+        let session = idg_obs::Session::begin("props");
+        idg_kernels::degridder_cpu(
+            &data,
+            std::slice::from_ref(&item),
+            &subgrids,
+            &mut vis,
+            idg_math::Accuracy::Medium,
+            &KernelCache::new(),
+        )
+        .expect("kernel run");
+        let trace = session.finish();
+
+        let analytic = cpu_degridder_item_counts(&item, subgrid_size, &ds.obs.frequencies);
+        let md = &trace.metrics.degridder;
+        prop_assert_eq!(md.invocations, 1);
+        prop_assert_eq!(md.visibilities, analytic.visibilities);
+        prop_assert_eq!(md.sincos_pairs, analytic.sincos_pairs);
+        prop_assert_eq!(md.fmas, analytic.fmas);
+        prop_assert_eq!(md.dram_bytes, analytic.dram_bytes);
+        prop_assert_eq!(md.shared_bytes, analytic.shared_bytes);
+        // a sincos per channel exactly when the item cannot rotate
+        let per_channel = uneven || nr_channels < 3;
+        prop_assert_eq!(analytic == degridder_item_counts(&item, subgrid_size), per_channel);
     }
 }
