@@ -8,19 +8,31 @@
 //!   the staged visibilities into its own register accumulators, sixteen
 //!   pixels in lockstep. Threads own disjoint subgrids.
 //! * **degridder** — per visibility, the `Ñ²` pixels of the subgrid are
-//!   the elements of three loops that each vectorise: the phases of all
-//!   pixels (zipped slices cut once per item — `check_launch` validated
-//!   the ranges — so no per-element bounds check), one `sincos_batch`
-//!   call (`idg-math`'s SVML/VML analogue), and `reduce_4pol`: Listing
-//!   1's sweep, 16 FMAs per element across 8 accumulators (re/im × 4
-//!   polarisations), every sin/cos load shared by all four
-//!   polarisations. The corrected pixels are staged once per item in
-//!   structure-of-arrays form, real and imaginary parts separated (the
-//!   paper's "load and transpose … into memory-aligned arrays"). The
-//!   reduction's summation order is a contract — it and [`LANES`] decide
-//!   the output's bits (see `reduce_4pol`; the tests pin output hashes
-//!   taken before the loops were fused). Threads own disjoint rows of
-//!   the output buffer, carved before the parallel section.
+//!   the elements of loops that each vectorise: the phasors of all
+//!   pixels, then `reduce_4pol`: Listing 1's sweep, 16 FMAs per element
+//!   across 8 accumulators (re/im × 4 polarisations), every sin/cos load
+//!   shared by all four polarisations. Slices are zipped and cut once per
+//!   item (`check_launch` validated the ranges), so no per-element bounds
+//!   check. A phasor plane is either evaluated — the phases, then one
+//!   `sincos_batch` call (`idg-math`'s SVML/VML analogue) — or *rotated*:
+//!   the phase `−(ν/c)·2π·index + φ₀` is affine in frequency, so across
+//!   evenly spaced channels (checked once per launch, relative tolerance
+//!   1e-9) channel `k + 1`'s phasor is channel `k`'s times
+//!   `e^{−iδ·index}`, one complex multiply per pixel. Per (item,
+//!   timestep) an item of three or more such channels evaluates its first
+//!   channel and the rotation, rotates the rest in place and re-anchors
+//!   with a direct evaluation every `REANCHOR` (32) channels: two sincos
+//!   per pixel and timestep, plus one per re-anchor, instead of one per
+//!   channel. Fewer channels, or channels off the even grid, evaluate
+//!   every channel, bit for bit the loop before the rotation. The
+//!   corrected pixels are staged once per item in structure-of-arrays
+//!   form, real and imaginary parts separated (the paper's "load and
+//!   transpose … into memory-aligned arrays"). The reduction's summation
+//!   order is a contract — it and [`LANES`] decide the output's bits (see
+//!   `reduce_4pol`; the tests pin output hashes, and on the per-channel
+//!   shapes those predate the fused loops and the rotation). Threads own
+//!   disjoint rows of the output buffer, carved before the parallel
+//!   section.
 
 use crate::buffers::SubgridArray;
 use crate::cache::{GeometryKey, KernelCache};

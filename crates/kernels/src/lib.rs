@@ -10,7 +10,8 @@
 //! * [`cpu`] — the optimized CPU kernels of Sec. V-B: single precision,
 //!   the shared gridder at an L1-sized batch, a pixel-vectorized
 //!   degridder (SoA staging, batched sincos via `idg-math` — the
-//!   SVML/VML analogue — and Listing 1's reduction), thread-level
+//!   SVML/VML analogue — with phasors rotated across evenly spaced
+//!   channels, and Listing 1's reduction), thread-level
 //!   parallelism over work items with rayon (the OpenMP analogue);
 //! * [`adder`] — the adder (parallel over row bands, Sec. V-B d) and the
 //!   splitter (parallel over subgrids), including the half-pixel phase

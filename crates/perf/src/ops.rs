@@ -8,6 +8,15 @@
 //! ops / bytes moved, with byte counts itemized per memory level so the
 //! same counts back both Fig. 11 (device memory) and Fig. 13 (shared
 //! memory).
+//!
+//! [`gridder_item_counts`] and [`degridder_item_counts`] are that model:
+//! what the paper's kernels, the device models and the reference kernels
+//! execute, and what every modeled figure is computed from. The host
+//! degridder executes less: across evenly spaced channels it rotates
+//! phasors instead of evaluating them, so its measured tally follows its
+//! own closed form, [`cpu_degridder_item_counts`] — fewer sincos pairs, a
+//! ρ above 17 — and `Proxy` reports that form for `CpuOptimized` degrid
+//! passes. Which model a report carries thus depends on the back-end.
 
 use idg_plan::WorkItem;
 
@@ -294,6 +303,29 @@ mod tests {
             .sum();
         assert_eq!(total.fmas, manual);
         assert_eq!(total.visibilities, (4 + 8 + 12) * 4);
+    }
+
+    #[test]
+    fn host_degridder_rotates_evenly_spaced_channels() {
+        let even: Vec<f64> = (0..40).map(|c| 150e6 + c as f64 * 1e6).collect();
+        let (item, paper) = (item_ch(10, 16), degridder_item_counts(&item_ch(10, 16), 24));
+        let host = cpu_degridder_item_counts(&item, 24, &even);
+        // two sincos per (timestep, pixel), ρ = (2 + 4·15 + 16·16) / 2
+        assert_eq!(host.sincos_pairs, 10 * 24 * 24 * 2);
+        assert_eq!(host.rho(), 159.0);
+        let bytes = |c: OpCounts| (c.dram_bytes, c.shared_bytes, c.visibilities);
+        assert_eq!(bytes(host), bytes(paper));
+        // 40 channels: anchors at 0 and 32
+        let wide = cpu_degridder_item_counts(&item_ch(1, 40), 24, &even);
+        assert_eq!(wide.sincos_pairs, 24 * 24 * 3);
+
+        // a sincos per channel: off the even grid, or under 3 channels
+        let mut uneven = even.clone();
+        uneven[5] += 1e3;
+        assert_eq!(cpu_degridder_item_counts(&item, 24, &uneven), paper);
+        let two = item_ch(10, 2);
+        let paper_two = degridder_item_counts(&two, 24);
+        assert_eq!(cpu_degridder_item_counts(&two, 24, &even), paper_two);
     }
 
     #[test]
