@@ -1096,37 +1096,18 @@ mod tests {
     }
 
     #[test]
-    fn per_channel_shapes_keep_their_bits() {
-        // Shapes that keep the direct sincos of every channel: too few
-        // channels to rotate, or channels off the even grid. Their
-        // degridder hashes (Medium = Fast) were taken before the
-        // rotation landed.
-        let cases: [(&str, Dataset, u64); 3] = [
-            ("1 channel", channel_dataset(1, 0.0), 0x64c0_60e3_8cd8_0d71),
-            ("2 channels", channel_dataset(2, 0.0), 0x69f0_20c1_5d77_3241),
-            (
-                "nudged channel",
-                channel_dataset(8, 1e3),
-                0xea9b_9a37_de6c_9d55,
-            ),
-        ];
-        for (name, ds, pinned) in &cases {
-            let [_, dm] = output_hashes(ds, Accuracy::Medium);
-            let [_, df] = output_hashes(ds, Accuracy::Fast);
-            assert_eq!([dm, df], [*pinned; 2], "{name}");
-        }
-    }
-
-    #[test]
     fn kernel_outputs_are_pinned_to_the_bit() {
         // [gridder, degridder] hashes at Medium, then at Fast: a
         // tolerance test cannot see a changed summation order, these
-        // can. The degridder constants of the multi-channel shapes were
+        // can. The degridder constants of the first four shapes were
         // re-blessed when the degridder began rotating phasors across
-        // evenly spaced channels; the 1-channel shape's, which still
-        // takes a sincos per channel, was computed at 3435907 (the
+        // evenly spaced channels. The last four take a sincos per
+        // channel (one or two channels, or one channel nudged off the
+        // even grid) and keep the bits from before the rotation: the
+        // `8-visibility items` constant was computed at 3435907 (the
         // per-polarisation reduction and indexed phase loops), before
-        // its inner loops were rewritten. The gridder constants are the
+        // its inner loops were rewritten, the other three at the
+        // rotation's parent. The gridder constants are the
         // shared body's (`crate::gridder`, one chain per pixel), blessed
         // when it replaced the visibility-lane form; the device model's
         // own pins (`gpusim/src/kernels.rs`), which predate the lockstep
@@ -1134,7 +1115,7 @@ mod tests {
         // Fast hash alike: they share polynomials and their range
         // reductions round apart a few times per million below
         // |phase| = 100 (`idg_math::sincos`) — never on these shapes.
-        let cases: [(&str, Dataset, [u64; 4]); 5] = [
+        let cases: [(&str, Dataset, [u64; 4]); 8] = [
             (
                 "identity",
                 dataset(0),
@@ -1183,6 +1164,36 @@ mod tests {
                     0x0e8b_57be_885d_a5a1,
                     0xa986_a985_2ef7_8239,
                     0x0e8b_57be_885d_a5a1,
+                ],
+            ),
+            (
+                "1 channel",
+                channel_dataset(1, 0.0),
+                [
+                    0x0c9e_f44a_9144_8c45,
+                    0x64c0_60e3_8cd8_0d71,
+                    0x0c9e_f44a_9144_8c45,
+                    0x64c0_60e3_8cd8_0d71,
+                ],
+            ),
+            (
+                "2 channels",
+                channel_dataset(2, 0.0),
+                [
+                    0x18f6_6430_7c63_7fcd,
+                    0x69f0_20c1_5d77_3241,
+                    0x18f6_6430_7c63_7fcd,
+                    0x69f0_20c1_5d77_3241,
+                ],
+            ),
+            (
+                "channel off the even grid",
+                channel_dataset(8, 1e3),
+                [
+                    0x2922_4ebd_f7ac_a34d,
+                    0xea9b_9a37_de6c_9d55,
+                    0x2922_4ebd_f7ac_a34d,
+                    0xea9b_9a37_de6c_9d55,
                 ],
             ),
         ];
