@@ -9,7 +9,7 @@
 //! resulting dirty image from the f64 reference.
 
 use idg::kernels::{
-    add_subgrids, fft_subgrids, gridder_cpu, gridder_reference, FftNorm, KernelCache, KernelData,
+    add_subgrids, fft_subgrids, gridder_cpu, gridder_reference, FftNorm, KernelData, KernelTables,
     SubgridArray,
 };
 use idg::math::Accuracy;
@@ -26,17 +26,18 @@ fn image_for(
     obs: &Observation,
     accuracy: Option<Accuracy>,
 ) -> (idg_imaging::Image, f64) {
+    let tables = KernelTables::for_observation(obs);
     let mut subgrids = SubgridArray::new(plan.nr_subgrids(), obs.subgrid_size);
     let start = Instant::now();
     match accuracy {
         None => gridder_reference(data, &plan.items, &mut subgrids),
-        Some(acc) => gridder_cpu(data, &plan.items, &mut subgrids, acc, &KernelCache::new()),
+        Some(acc) => gridder_cpu(data, &plan.items, &mut subgrids, acc, &tables),
     }
     .expect("gridder inputs are consistent");
     let kernel_s = start.elapsed().as_secs_f64();
     fft_subgrids(&mut subgrids, Direction::Forward, FftNorm::None);
     let mut grid = Grid::<f32>::new(obs.grid_size);
-    add_subgrids(&mut grid, &plan.items, &subgrids, &KernelCache::new())
+    add_subgrids(&mut grid, &plan.items, &subgrids, &tables)
         .expect("subgrid placement is consistent");
     (
         dirty_image(&grid, obs, plan.nr_gridded_visibilities()),

@@ -91,8 +91,8 @@ pub fn model_cpu_report(
 }
 
 /// The measured host-CPU row printed beside the modeled paper
-/// architectures: one untimed warm-up cycle (kernel cache, first-touch
-/// page faults), then a plain [`Proxy::grid`] + [`Proxy::degrid`] whose
+/// architectures: one untimed warm-up cycle (first-touch page faults),
+/// then a plain [`Proxy::grid`] + [`Proxy::degrid`] whose
 /// reports carry the wall clock of the optimized CPU kernels.
 pub fn host_cpu_run(ds: &Dataset) -> BackendRun {
     let proxy = Proxy::new(Backend::CpuOptimized, ds.obs.clone()).expect("proxy");
@@ -117,7 +117,7 @@ pub fn host_cpu_run(ds: &Dataset) -> BackendRun {
 }
 
 /// Run both passes through the `Proxy` fleet path: two simulated
-/// Pascal devices sharing one kernel cache, with one targeted
+/// Pascal devices sharing one set of kernel tables, with one targeted
 /// allocation OOM on member 0 so the degradation ladder takes at least
 /// one rung per pass. Everything about the run is deterministic — the
 /// fault is pinned to `(job 0, attempt 0, Alloc)` and all timing is

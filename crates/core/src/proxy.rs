@@ -15,7 +15,8 @@ use idg_gpusim::{
 };
 use idg_kernels::{
     add_subgrids, check_launch, check_placement, degridder_cpu, degridder_reference, fft_subgrids,
-    gridder_cpu, gridder_reference, split_subgrids, FftNorm, KernelCache, KernelData, SubgridArray,
+    gridder_cpu, gridder_reference, split_subgrids, FftNorm, KernelData, KernelTables,
+    SubgridArray,
 };
 use idg_math::Accuracy;
 use idg_perf::{cpu_degridder_counts, degridder_counts, gridder_counts, OpCounts};
@@ -23,7 +24,6 @@ use idg_plan::{Plan, WorkItem};
 use idg_telescope::ATerms;
 use idg_types::{Grid, IdgError, Observation, Uvw, Visibility};
 use std::ops::Range;
-use std::sync::Arc;
 use std::time::Instant;
 
 pub mod streaming;
@@ -148,17 +148,19 @@ pub struct Proxy {
     /// [`FleetExecutor`] over `nr_devices` clones of the back-end's
     /// device model instead of a single [`GpuExecutor`].
     pub fleet: Option<FleetConfig>,
-    /// Pass-level kernel cache: geometry planes and adder/splitter
-    /// phasor tables, built on the first pass and reused by every later
-    /// one (shared with GPU executors).
-    cache: Arc<KernelCache>,
+    /// The kernel tables of the observation's subgrid geometry (its
+    /// direction-cosine planes and adder/splitter phasors), built with
+    /// the taper and read by every pass.
+    tables: KernelTables,
 }
 
 impl Proxy {
-    /// Create a proxy; precomputes the prolate-spheroidal taper.
+    /// Create a proxy; precomputes the prolate-spheroidal taper and the
+    /// kernel tables.
     pub fn new(backend: Backend, obs: Observation) -> Result<Self, IdgError> {
         obs.validate()?;
         let taper = idg_math::spheroidal_2d(obs.subgrid_size);
+        let tables = KernelTables::for_observation(&obs);
         Ok(Self {
             backend,
             obs,
@@ -168,13 +170,15 @@ impl Proxy {
             retry_policy: RetryPolicy::default(),
             cpu_fallback: true,
             fleet: None,
-            cache: Arc::new(KernelCache::new()),
+            tables,
         })
     }
 
-    /// The proxy's pass-level kernel cache (hit/miss inspection).
-    pub fn kernel_cache(&self) -> &KernelCache {
-        &self.cache
+    /// The proxy's kernel tables, which every pass reads. The name is
+    /// the repository benchmark's; ROADMAP item 3's benchmark change
+    /// renames it.
+    pub fn kernel_cache(&self) -> &KernelTables {
+        &self.tables
     }
 
     /// Attach a device fault-injection schedule (GPU back-ends; CPU
@@ -238,10 +242,9 @@ impl Proxy {
         self.work_group_size.max(1)
     }
 
-    fn executor(&self) -> Result<GpuExecutor, IdgError> {
-        let executor = GpuExecutor::new(self.device()?, self.job_size())
-            .with_retry_policy(self.retry_policy)
-            .with_cache(Arc::clone(&self.cache));
+    fn executor(&self) -> Result<GpuExecutor<'_>, IdgError> {
+        let executor = GpuExecutor::new(self.device()?, self.job_size(), &self.tables)
+            .with_retry_policy(self.retry_policy);
         Ok(match &self.fault_config {
             Some(f) => executor.with_faults(f.clone()),
             None => executor,
@@ -249,13 +252,14 @@ impl Proxy {
     }
 
     /// Build the fleet executor for `config`, sharing the proxy's
-    /// kernel cache across all members.
-    fn fleet_executor(&self, config: &FleetConfig) -> Result<FleetExecutor, IdgError> {
+    /// kernel tables across all members.
+    fn fleet_executor(&self, config: &FleetConfig) -> Result<FleetExecutor<'_>, IdgError> {
         // `uniform` is the one clamp of the member count: everything
         // below reads the fleet's own members
-        let mut fleet = FleetExecutor::uniform(self.device()?, config.nr_devices, self.job_size())
-            .with_retry_policy(self.retry_policy)
-            .with_cache(Arc::clone(&self.cache));
+        let device = self.device()?;
+        let mut fleet =
+            FleetExecutor::uniform(device, config.nr_devices, self.job_size(), &self.tables)
+                .with_retry_policy(self.retry_policy);
         if let Some(f) = &self.fault_config {
             for member in &mut fleet.members {
                 member.faults = Some(f.clone());
@@ -350,10 +354,10 @@ impl Proxy {
         match self.backend {
             Backend::CpuReference => gridder_reference(data, items, subgrids),
             Backend::CpuOptimized => {
-                gridder_cpu(data, items, subgrids, Accuracy::Medium, &self.cache)
+                gridder_cpu(data, items, subgrids, Accuracy::Medium, &self.tables)
             }
             Backend::GpuPascal | Backend::GpuFiji => {
-                gridder_gpu(data, items, subgrids, &self.device()?, &self.cache).map(|_| ())
+                gridder_gpu(data, items, subgrids, &self.device()?, &self.tables).map(|_| ())
             }
         }
     }
@@ -370,10 +374,10 @@ impl Proxy {
         match self.backend {
             Backend::CpuReference => degridder_reference(data, items, subgrids, vis),
             Backend::CpuOptimized => {
-                degridder_cpu(data, items, subgrids, vis, Accuracy::Medium, &self.cache)
+                degridder_cpu(data, items, subgrids, vis, Accuracy::Medium, &self.tables)
             }
             Backend::GpuPascal | Backend::GpuFiji => {
-                degridder_gpu(data, items, subgrids, vis, &self.device()?, &self.cache).map(|_| ())
+                degridder_gpu(data, items, subgrids, vis, &self.device()?, &self.tables).map(|_| ())
             }
         }
     }
@@ -458,7 +462,7 @@ impl Proxy {
             subgrids.truncate(items.len());
             {
                 let _span = idg_obs::wall_span("splitter", "stage", tag);
-                split_subgrids(grid, items, &mut subgrids, &self.cache)?;
+                split_subgrids(grid, items, &mut subgrids, &self.tables)?;
             }
             let t1 = Instant::now();
             {
@@ -554,7 +558,7 @@ impl Proxy {
         vis: &mut [Visibility<f32>],
     ) -> Result<(), IdgError> {
         let mut subgrids = SubgridArray::new(items.len(), self.obs.subgrid_size);
-        split_subgrids(grid, items, &mut subgrids, &self.cache)?;
+        split_subgrids(grid, items, &mut subgrids, &self.tables)?;
         fft_subgrids(&mut subgrids, Direction::Inverse, FftNorm::None);
         degridder_reference(data, items, &subgrids, vis)
     }
@@ -669,7 +673,7 @@ impl Proxy {
                     let t = Instant::now();
                     {
                         let _span = idg_obs::wall_span("adder", "stage", None);
-                        add_subgrids(grid, &plan.items[range], &subgrids, &self.cache)?;
+                        add_subgrids(grid, &plan.items[range], &subgrids, &self.tables)?;
                     }
                     adder += t.elapsed().as_secs_f64();
                     Ok(Some(subgrids))
@@ -685,7 +689,7 @@ impl Proxy {
                 )?;
                 let fallback_jobs = self.cpu_fallback(plan, &totals.failed_jobs, |_, items| {
                     let subgrids = self.reference_subgrids(&data, items)?;
-                    add_subgrids(grid, items, &subgrids, &self.cache)
+                    add_subgrids(grid, items, &subgrids, &self.tables)
                 })?;
                 Ok(self.device_report(totals, nr_items, fallback_jobs, fleet))
             }
@@ -746,17 +750,15 @@ impl Proxy {
     /// Cross-validate an observed pass, one-shot or streamed: hold its
     /// measured kernel counters to the analytic model the report
     /// already carries — exact integer equality, field by field — and
-    /// its kernel-cache lookups, subgrid FFT/adder/splitter calls,
-    /// fleet health outcomes and stream chunks to their closed forms in
-    /// the launched items, jobs and chunks (as deterministic as the op
-    /// counts).
+    /// its subgrid FFT/adder/splitter calls, fleet health outcomes and
+    /// stream chunks to their closed forms in the launched items, jobs
+    /// and chunks (as deterministic as the op counts).
     ///
     /// Skipped for runs where kernels legitimately execute more than
     /// once per work item: retries and CPU fallbacks re-run them, fault
     /// injection may re-run the compute phase for checksum staging, and
     /// on a fleet member faults, breaker re-dispatches and degraded
-    /// (chunked) jobs all change how often kernels and cache lookups
-    /// run per item.
+    /// (chunked) jobs all change how often kernels run per item.
     fn validate_measured(&self, report: &ExecutionReport) -> Result<(), IdgError> {
         let fleet_perturbed = |f: &FleetStats| {
             f.redispatched_jobs > 0 || f.degradation_steps > 0 || f.breaker_trips > 0
@@ -774,20 +776,6 @@ impl Proxy {
             return Ok(());
         };
         let (items, jobs) = (report.launched_items as u64, report.launched_jobs as u64);
-        // Cache cadence, per job on every back-end. Each job looks its
-        // phasor tables up in the adder/splitter, and its geometry
-        // planes in the kernel on every back-end but the reference one.
-        // The one exception is streamed gridding: a stream defers every
-        // job's subgrids to the single final commit, one phasor lookup.
-        // Degridding splits where it predicts, and a stream's final
-        // visibility commit is plain copies — no lookup.
-        let streamed_gridding = report.stream.is_some() && report.pass == "gridding";
-        let expected_lookups = match (self.backend, streamed_gridding) {
-            (Backend::CpuReference, true) => 1,
-            (Backend::CpuReference, false) => jobs,
-            (_, true) => jobs + 1,
-            (_, false) => 2 * jobs,
-        };
 
         // Every launched item takes one subgrid FFT and one adder call
         // when gridding, one splitter call and one inverse FFT when
@@ -802,7 +790,6 @@ impl Proxy {
         let chunks = report.stream.as_ref().map_or(0, |s| s.nr_chunks as u64);
 
         let (k, analytic) = (metrics.pass_kernel(), &report.counts);
-        let lookups = metrics.cache_hits + metrics.cache_misses;
         let checks = [
             ("visibilities", k.visibilities, analytic.visibilities),
             ("sincos_pairs", k.sincos_pairs, analytic.sincos_pairs),
@@ -810,7 +797,6 @@ impl Proxy {
             ("dram_bytes", k.dram_bytes, analytic.dram_bytes),
             ("shared_bytes", k.shared_bytes, analytic.shared_bytes),
             ("invocations", k.invocations, items),
-            ("cache lookups", lookups, expected_lookups),
             ("subgrids_fft", metrics.subgrids_fft, forward),
             ("subgrids_added", metrics.subgrids_added, forward),
             ("subgrids_ifft", metrics.subgrids_ifft, inverse),
@@ -1449,13 +1435,11 @@ mod tests {
 
     #[test]
     fn observed_multi_job_host_passes_self_validate() {
-        // A host pass runs job by job: its report counts the jobs, and
-        // its kernel-cache lookups come once per job and table, as on the
-        // device (validate_measured holds every observed run to both).
+        // A host pass runs job by job: its report counts the jobs, as on
+        // the device (validate_measured holds every observed run to its
+        // closed forms in them).
         let ds = dataset();
         let config = StreamConfig::new(idg_stream::ChunkPolicy::by_timesteps(16), 2, 2);
-        let lookups =
-            |trace: &idg_obs::Trace| trace.metrics.cache_hits + trace.metrics.cache_misses;
         for backend in [Backend::CpuReference, Backend::CpuOptimized] {
             let mut proxy = Proxy::new(backend, ds.obs.clone()).unwrap();
             proxy.work_group_size = 7;
@@ -1465,38 +1449,26 @@ mod tests {
                 jobs > 2 && !plan.items.len().is_multiple_of(7),
                 "with a short tail job"
             );
-            // the reference kernels look no geometry planes up
-            let per_job = if backend == Backend::CpuReference {
-                1
-            } else {
-                2
-            };
 
-            let (grid, report, trace) = proxy
+            let (grid, report, _) = proxy
                 .grid_observed(&plan, &ds.uvw, &ds.visibilities, &ds.aterms)
                 .unwrap();
             assert_eq!(report.launched_jobs, jobs, "{backend:?}");
-            assert_eq!(lookups(&trace), per_job * jobs as u64, "{backend:?}");
-            let (_, report, trace) = proxy
+            let (_, report, _) = proxy
                 .degrid_observed(&plan, &grid, &ds.uvw, &ds.aterms)
                 .unwrap();
             assert_eq!(report.launched_jobs, jobs, "{backend:?}");
-            assert_eq!(lookups(&trace), per_job * jobs as u64, "{backend:?}");
 
-            // a stream cuts each chunk plan into jobs of its own and
-            // defers every gridding job to one commit
-            let (_, report, trace) = proxy
+            // a stream cuts each chunk plan into jobs of its own
+            let (_, report, _) = proxy
                 .grid_streamed_observed(&config, &ds.uvw, &ds.visibilities, &ds.aterms)
                 .unwrap();
-            let stream_jobs = report.launched_jobs as u64;
-            assert!(stream_jobs >= jobs as u64, "{backend:?}");
-            let kernel_lookups = (per_job - 1) * stream_jobs;
-            assert_eq!(lookups(&trace), kernel_lookups + 1, "{backend:?}");
-            let (_, report, trace) = proxy
+            let stream_jobs = report.launched_jobs;
+            assert!(stream_jobs >= jobs, "{backend:?}");
+            let (_, report, _) = proxy
                 .degrid_streamed_observed(&config, &grid, &ds.uvw, &ds.aterms)
                 .unwrap();
-            assert_eq!(report.launched_jobs as u64, stream_jobs, "{backend:?}");
-            assert_eq!(lookups(&trace), per_job * stream_jobs, "{backend:?}");
+            assert_eq!(report.launched_jobs, stream_jobs, "{backend:?}");
         }
     }
 
@@ -1704,54 +1676,37 @@ mod tests {
 
     #[test]
     fn second_pass_reuses_the_kernel_cache_bit_identically() {
-        // The tables built by the first pass serve every later one: the
-        // second gridding pass reports only cache hits, and its grid is
-        // bit-identical to the first (cached tables hold the very same
-        // values the cold path computed).
+        // The tables built with the proxy serve every pass: a second
+        // gridding pass is bit-identical to the first.
         let ds = dataset();
         let proxy = Proxy::new(Backend::CpuOptimized, ds.obs.clone()).unwrap();
         let plan = proxy.plan(&ds.uvw).unwrap();
 
-        let (first, _, trace1) = proxy
+        let (first, _, _) = proxy
             .grid_observed(&plan, &ds.uvw, &ds.visibilities, &ds.aterms)
             .unwrap();
-        assert_eq!(trace1.metrics.cache_misses, 2, "cold pass builds tables");
-        assert_eq!(trace1.metrics.cache_hits, 0);
-
-        let (second, _, trace2) = proxy
+        let (second, _, _) = proxy
             .grid_observed(&plan, &ds.uvw, &ds.visibilities, &ds.aterms)
             .unwrap();
-        assert_eq!(trace2.metrics.cache_hits, 2, "warm pass reuses tables");
-        assert_eq!(trace2.metrics.cache_misses, 0);
         assert_eq!(first.as_slice(), second.as_slice());
-
-        // the cache itself agrees with the per-session counters
-        assert_eq!(proxy.kernel_cache().misses(), 2);
-        assert_eq!(proxy.kernel_cache().hits(), 2);
     }
 
     #[test]
     fn gpu_passes_share_the_proxy_cache_across_executors() {
-        // Each grid() call builds a fresh GpuExecutor, but the cache is
-        // the proxy's: the second pass is all hits.
+        // Each grid() call builds a fresh GpuExecutor over the proxy's
+        // tables: a multi-job second pass is bit-identical to the first.
         let ds = dataset();
         let mut proxy = Proxy::new(Backend::GpuPascal, ds.obs.clone()).unwrap();
         proxy.work_group_size = 8;
         let plan = proxy.plan(&ds.uvw).unwrap();
-        let jobs = plan.work_groups(8).count() as u64;
-        assert!(jobs > 1);
+        assert!(plan.work_groups(8).count() > 1);
 
-        let (first, _, trace1) = proxy
+        let (first, _, _) = proxy
             .grid_observed(&plan, &ds.uvw, &ds.visibilities, &ds.aterms)
             .unwrap();
-        assert_eq!(trace1.metrics.cache_misses, 2, "one build per table kind");
-        assert_eq!(trace1.metrics.cache_hits, 2 * jobs - 2);
-
-        let (second, _, trace2) = proxy
+        let (second, _, _) = proxy
             .grid_observed(&plan, &ds.uvw, &ds.visibilities, &ds.aterms)
             .unwrap();
-        assert_eq!(trace2.metrics.cache_misses, 0);
-        assert_eq!(trace2.metrics.cache_hits, 2 * jobs);
         assert_eq!(first.as_slice(), second.as_slice());
     }
 
@@ -1796,8 +1751,8 @@ mod tests {
 
     #[test]
     fn observed_clean_fleet_runs_self_validate() {
-        // A fault-free fleet keeps the per-job kernel/cache cadence of
-        // the single-device path, so validate_measured stays armed.
+        // A fault-free fleet keeps the per-job kernel cadence of the
+        // single-device path, so validate_measured stays armed.
         let ds = dataset();
         let mut proxy = Proxy::new(Backend::GpuPascal, ds.obs.clone()).unwrap();
         proxy.work_group_size = 4;

@@ -48,7 +48,7 @@
 
 use super::{Backend, Proxy};
 use crate::report::ExecutionReport;
-use idg_gpusim::{DeferredSubgrids, HOST_ADDER_BW};
+use idg_gpusim::{host_adder_time, DeferredSubgrids, HOST_ADDER_BW};
 use idg_kernels::{add_subgrids_from_slices, KernelData};
 use idg_perf::gridder_counts;
 use idg_plan::{Plan, WorkItem};
@@ -378,10 +378,10 @@ impl Proxy {
         let t_commit = Instant::now();
         {
             let _span = idg_obs::wall_span("adder", "stage", None);
-            add_subgrids_from_slices(&mut grid, &plan.items, &subgrids, n, &self.cache)?;
+            add_subgrids_from_slices(&mut grid, &plan.items, &subgrids, n, &self.tables)?;
         }
         let commit_wall = t_commit.elapsed().as_secs_f64();
-        let commit_model = (plan.items.len() * 4 * n * n * 8) as f64 / HOST_ADDER_BW;
+        let commit_model = host_adder_time(plan.items.len(), n);
         Ok((grid, totals.seal(config, commit_wall, commit_model)))
     }
 

@@ -33,11 +33,10 @@ use crate::fault::{FaultConfig, RetryPolicy};
 use crate::kernels::check_device;
 use crate::pass::{DeviceSlot, Direction, JobRun, Pass, PassTotals, Sink};
 use crate::stream::TraceEntry;
-use idg_kernels::{KernelCache, KernelData, SubgridArray};
+use idg_kernels::{KernelData, KernelTables, SubgridArray};
 use idg_plan::Plan;
 use idg_types::{Grid, IdgError, Visibility};
 use std::ops::Range;
-use std::sync::Arc;
 
 /// Deferred-commit payload of a streamed chunk pass: each entry pairs
 /// a `plan.items` range with the subgrids computed for it, in job
@@ -72,7 +71,7 @@ pub struct GpuRunReport {
 }
 
 /// Drives gridding / degridding passes on a modeled device.
-pub struct GpuExecutor {
+pub struct GpuExecutor<'t> {
     /// The device model.
     pub device: Device,
     /// Work items per work group (kernel launch).
@@ -81,36 +80,28 @@ pub struct GpuExecutor {
     pub faults: Option<FaultConfig>,
     /// Retry policy for transient device faults.
     pub retry: RetryPolicy,
-    /// Pass-level kernel cache (geometry planes, adder/splitter phasor
-    /// tables), shared with the owning proxy so tables persist across
-    /// passes.
-    pub cache: Arc<KernelCache>,
+    /// The kernel tables of the passes' observation (normally the
+    /// owning proxy's).
+    pub tables: &'t KernelTables,
 }
 
-impl GpuExecutor {
-    /// Create an executor with the given work-group granularity (a
-    /// fault-free device; see [`GpuExecutor::with_faults`]). A zero
-    /// group size is clamped to one.
-    pub fn new(device: Device, work_group_size: usize) -> Self {
+impl<'t> GpuExecutor<'t> {
+    /// Create an executor with the given work-group granularity over
+    /// `tables` (a fault-free device; see [`GpuExecutor::with_faults`]).
+    /// A zero group size is clamped to one.
+    pub fn new(device: Device, work_group_size: usize, tables: &'t KernelTables) -> Self {
         Self {
             device,
             work_group_size: work_group_size.max(1),
             faults: None,
             retry: RetryPolicy::default(),
-            cache: Arc::new(KernelCache::new()),
+            tables,
         }
     }
 
     /// Attach a fault-injection schedule to the device model.
     pub fn with_faults(mut self, faults: FaultConfig) -> Self {
         self.faults = Some(faults);
-        self
-    }
-
-    /// Share a pass-level kernel cache (normally the proxy's) instead of
-    /// the executor's own fresh one.
-    pub fn with_cache(mut self, cache: Arc<KernelCache>) -> Self {
-        self.cache = cache;
         self
     }
 
@@ -139,7 +130,7 @@ impl GpuExecutor {
         let w = self.work_group_size;
         // a device that can launch no kernel fails the pass, not every job
         check_device(&self.device, matches!(direction, Direction::Grid(_)))?;
-        let mut pass = Pass::new(data, plan, direction, w, &self.cache, &self.retry)?;
+        let mut pass = Pass::new(data, plan, direction, w, self.tables, &self.retry)?;
         let mut slot = DeviceSlot::new(self.device.clone(), self.faults.clone(), &pass);
         slot.reserve(&pass, w, 3)?;
         for job in 0..pass.nr_jobs() {
@@ -188,9 +179,7 @@ impl GpuExecutor {
     /// `Proxy::grid_streamed` collects every chunk's pending subgrids
     /// and commits them in the one-shot plan order with a single
     /// adder call, which keeps the f32 accumulation order — and so
-    /// every output bit — identical to [`GpuExecutor::grid`]. One
-    /// kernel-cache lookup per job (the gridder geometry); the adder
-    /// phasor lookup happens at the caller's single commit.
+    /// every output bit — identical to [`GpuExecutor::grid`].
     ///
     /// No device-resident grid is modeled, so subgrids always stream
     /// back to the host: the reservation and timing follow the
@@ -279,10 +268,11 @@ mod tests {
     #[test]
     fn full_gridding_pass_produces_grid_and_report() {
         let ds = dataset();
+        let tables = KernelTables::for_observation(&ds.obs);
         let plan = Plan::create(&ds.obs, &ds.uvw).unwrap();
         let taper = idg_math::spheroidal_2d(ds.obs.subgrid_size);
         let data = kernel_data(&ds, &taper);
-        let exec = GpuExecutor::new(Device::pascal(), 8);
+        let exec = GpuExecutor::new(Device::pascal(), 8, &tables);
         let (grid, report) = fresh_grid(&plan, |g| exec.grid(&data, &plan, g)).unwrap();
         assert!(grid.power() > 0.0, "grid received energy");
         assert!(report.totals.makespan > 0.0);
@@ -308,18 +298,19 @@ mod tests {
     fn gpu_grid_matches_cpu_grid() {
         // The executor's grid must equal the pure-CPU pipeline's grid.
         let ds = dataset();
+        let tables = KernelTables::for_observation(&ds.obs);
         let plan = Plan::create(&ds.obs, &ds.uvw).unwrap();
         let taper = idg_math::spheroidal_2d(ds.obs.subgrid_size);
         let data = kernel_data(&ds, &taper);
 
-        let exec = GpuExecutor::new(Device::pascal(), 4);
+        let exec = GpuExecutor::new(Device::pascal(), 4, &tables);
         let (gpu_grid, _) = fresh_grid(&plan, |g| exec.grid(&data, &plan, g)).unwrap();
 
         let mut subgrids = SubgridArray::new(plan.nr_subgrids(), ds.obs.subgrid_size);
         idg_kernels::gridder_reference(&data, &plan.items, &mut subgrids).expect("kernel run");
         fft_subgrids(&mut subgrids, FftDirection::Forward, FftNorm::None);
         let mut cpu_grid = Grid::<f32>::new(ds.obs.grid_size);
-        add_subgrids(&mut cpu_grid, &plan.items, &subgrids, &KernelCache::new()).unwrap();
+        add_subgrids(&mut cpu_grid, &plan.items, &subgrids, &tables).unwrap();
 
         let scale = cpu_grid
             .as_slice()
@@ -337,18 +328,19 @@ mod tests {
         // pipeline (splitter → inverse FFT → reference degridder) on the
         // same model grid.
         let ds = dataset();
+        let tables = KernelTables::for_observation(&ds.obs);
         let plan = Plan::create(&ds.obs, &ds.uvw).unwrap();
         let taper = idg_math::spheroidal_2d(ds.obs.subgrid_size);
         let data = kernel_data(&ds, &taper);
         // build a model grid by gridding the data first
-        let exec = GpuExecutor::new(Device::fiji(), 4);
+        let exec = GpuExecutor::new(Device::fiji(), 4, &tables);
         let (grid, _) = fresh_grid(&plan, |g| exec.grid(&data, &plan, g)).unwrap();
         let (pred, report) = exec.degrid(&data, &plan, &grid).unwrap();
         assert_eq!(report.totals.pass, "degridding");
         assert!(report.totals.dtoh_seconds > 0.0);
 
         let mut subgrids = SubgridArray::new(plan.nr_subgrids(), ds.obs.subgrid_size);
-        split_subgrids(&grid, &plan.items, &mut subgrids, &KernelCache::new()).unwrap();
+        split_subgrids(&grid, &plan.items, &mut subgrids, &tables).unwrap();
         fft_subgrids(&mut subgrids, FftDirection::Inverse, FftNorm::None);
         let mut gold = vec![Visibility::<f32>::zero(); ds.obs.nr_visibilities()];
         idg_kernels::degridder_reference(&data, &plan.items, &subgrids, &mut gold)
@@ -377,13 +369,14 @@ mod tests {
         // memory, subgrids are copied to the host and added there. The
         // result must be identical; the report shows DtoH traffic.
         let ds = dataset();
+        let tables = KernelTables::for_observation(&ds.obs);
         let plan = Plan::create(&ds.obs, &ds.uvw).unwrap();
         let taper = idg_math::spheroidal_2d(ds.obs.subgrid_size);
         let data = kernel_data(&ds, &taper);
         // the grid (4·256²·8 B = 2 MB) doesn't fit, the buffers do
         let mut device = Device::fiji();
         device.arch.mem_size_gb = Some(0.001); // 1 MB device
-        let exec_small = GpuExecutor::new(device, 8);
+        let exec_small = GpuExecutor::new(device, 8, &tables);
         let (grid_fallback, report) =
             fresh_grid(&plan, |g| exec_small.grid(&data, &plan, g)).unwrap();
         assert!(
@@ -391,7 +384,7 @@ mod tests {
             "subgrids streamed to the host"
         );
 
-        let exec_full = GpuExecutor::new(Device::fiji(), 8);
+        let exec_full = GpuExecutor::new(Device::fiji(), 8, &tables);
         let (grid_resident, _) = fresh_grid(&plan, |g| exec_full.grid(&data, &plan, g)).unwrap();
         assert_eq!(grid_fallback.as_slice(), grid_resident.as_slice());
     }
@@ -399,12 +392,13 @@ mod tests {
     #[test]
     fn out_of_memory_is_reported_when_even_buffers_do_not_fit() {
         let ds = dataset();
+        let tables = KernelTables::for_observation(&ds.obs);
         let plan = Plan::create(&ds.obs, &ds.uvw).unwrap();
         let taper = idg_math::spheroidal_2d(ds.obs.subgrid_size);
         let data = kernel_data(&ds, &taper);
         let mut device = Device::fiji();
         device.arch.mem_size_gb = Some(0.0001); // 100 kB device
-        let exec = GpuExecutor::new(device, 8);
+        let exec = GpuExecutor::new(device, 8, &tables);
         assert!(matches!(
             fresh_grid(&plan, |g| exec.grid(&data, &plan, g)),
             Err(IdgError::DeviceOutOfMemory { .. })
@@ -414,15 +408,16 @@ mod tests {
     #[test]
     fn pascal_is_modeled_faster_than_fiji() {
         let ds = dataset();
+        let tables = KernelTables::for_observation(&ds.obs);
         let plan = Plan::create(&ds.obs, &ds.uvw).unwrap();
         let taper = idg_math::spheroidal_2d(ds.obs.subgrid_size);
         let data = kernel_data(&ds, &taper);
         let (_, rp) = fresh_grid(&plan, |g| {
-            GpuExecutor::new(Device::pascal(), 8).grid(&data, &plan, g)
+            GpuExecutor::new(Device::pascal(), 8, &tables).grid(&data, &plan, g)
         })
         .unwrap();
         let (_, rf) = fresh_grid(&plan, |g| {
-            GpuExecutor::new(Device::fiji(), 8).grid(&data, &plan, g)
+            GpuExecutor::new(Device::fiji(), 8, &tables).grid(&data, &plan, g)
         })
         .unwrap();
         assert!(
@@ -440,12 +435,13 @@ mod tests {
         // bit-identical to the fault-free run. The recovery cost shows
         // up as faulted timeline ops, retries, and backoff makespan.
         let ds = dataset();
+        let tables = KernelTables::for_observation(&ds.obs);
         let plan = Plan::create(&ds.obs, &ds.uvw).unwrap();
         let taper = idg_math::spheroidal_2d(ds.obs.subgrid_size);
         let data = kernel_data(&ds, &taper);
 
         let (gold, gold_report) = fresh_grid(&plan, |g| {
-            GpuExecutor::new(Device::pascal(), 4).grid(&data, &plan, g)
+            GpuExecutor::new(Device::pascal(), 4, &tables).grid(&data, &plan, g)
         })
         .unwrap();
 
@@ -469,7 +465,7 @@ mod tests {
                 kind: FaultKind::StreamStall,
             },
         ]);
-        let exec = GpuExecutor::new(Device::pascal(), 4).with_faults(faults);
+        let exec = GpuExecutor::new(Device::pascal(), 4, &tables).with_faults(faults);
         let (grid, report) = fresh_grid(&plan, |g| exec.grid(&data, &plan, g)).unwrap();
 
         assert_eq!(grid.as_slice(), gold.as_slice(), "recovery is exact");
@@ -497,6 +493,7 @@ mod tests {
         // max_attempts, excludes the job's subgrids from the grid, and
         // reports the classified error.
         let ds = dataset();
+        let tables = KernelTables::for_observation(&ds.obs);
         let plan = Plan::create(&ds.obs, &ds.uvw).unwrap();
         let taper = idg_math::spheroidal_2d(ds.obs.subgrid_size);
         let data = kernel_data(&ds, &taper);
@@ -516,7 +513,7 @@ mod tests {
                 })
                 .collect(),
         );
-        let exec = GpuExecutor::new(Device::pascal(), m)
+        let exec = GpuExecutor::new(Device::pascal(), m, &tables)
             .with_faults(faults)
             .with_retry_policy(retry);
         let (grid, report) = fresh_grid(&plan, |g| exec.grid(&data, &plan, g)).unwrap();
@@ -537,7 +534,7 @@ mod tests {
         let full = gridder_counts(&plan.items, plan.subgrid_size());
         assert!(report.totals.counts.visibilities < full.visibilities);
         let (gold, _) = fresh_grid(&plan, |g| {
-            GpuExecutor::new(Device::pascal(), m).grid(&data, &plan, g)
+            GpuExecutor::new(Device::pascal(), m, &tables).grid(&data, &plan, g)
         })
         .unwrap();
         assert_ne!(grid.as_slice(), gold.as_slice());
@@ -546,6 +543,7 @@ mod tests {
     #[test]
     fn injected_oom_is_persistent_and_skips_retry() {
         let ds = dataset();
+        let tables = KernelTables::for_observation(&ds.obs);
         let plan = Plan::create(&ds.obs, &ds.uvw).unwrap();
         let taper = idg_math::spheroidal_2d(ds.obs.subgrid_size);
         let data = kernel_data(&ds, &taper);
@@ -556,7 +554,7 @@ mod tests {
             site: FaultSite::Alloc,
             kind: FaultKind::OutOfMemory,
         }]);
-        let exec = GpuExecutor::new(Device::pascal(), 4).with_faults(faults);
+        let exec = GpuExecutor::new(Device::pascal(), 4, &tables).with_faults(faults);
         let (_, report) = fresh_grid(&plan, |g| exec.grid(&data, &plan, g)).unwrap();
         assert_eq!(report.totals.nr_retries, 0, "OOM is not retried");
         assert_eq!(report.totals.failed_jobs.len(), 1);
@@ -567,10 +565,11 @@ mod tests {
     #[test]
     fn degrid_retries_recover_bit_identical_visibilities() {
         let ds = dataset();
+        let tables = KernelTables::for_observation(&ds.obs);
         let plan = Plan::create(&ds.obs, &ds.uvw).unwrap();
         let taper = idg_math::spheroidal_2d(ds.obs.subgrid_size);
         let data = kernel_data(&ds, &taper);
-        let exec = GpuExecutor::new(Device::pascal(), 4);
+        let exec = GpuExecutor::new(Device::pascal(), 4, &tables);
         let (grid, _) = fresh_grid(&plan, |g| exec.grid(&data, &plan, g)).unwrap();
         let (gold, _) = exec.degrid(&data, &plan, &grid).unwrap();
 
@@ -589,7 +588,7 @@ mod tests {
                 kind: FaultKind::StreamStall,
             },
         ]);
-        let faulty = GpuExecutor::new(Device::pascal(), 4).with_faults(faults);
+        let faulty = GpuExecutor::new(Device::pascal(), 4, &tables).with_faults(faults);
         let (pred, report) = faulty.degrid(&data, &plan, &grid).unwrap();
         assert!(report.totals.complete());
         assert_eq!(report.totals.nr_retries, 2);
@@ -599,10 +598,11 @@ mod tests {
     #[test]
     fn instrumented_pass_emits_one_stage_span_per_engine_per_job() {
         let ds = dataset();
+        let tables = KernelTables::for_observation(&ds.obs);
         let plan = Plan::create(&ds.obs, &ds.uvw).unwrap();
         let taper = idg_math::spheroidal_2d(ds.obs.subgrid_size);
         let data = kernel_data(&ds, &taper);
-        let exec = GpuExecutor::new(Device::pascal(), 8);
+        let exec = GpuExecutor::new(Device::pascal(), 8, &tables);
         let (model, _) = fresh_grid(&plan, |g| exec.grid(&data, &plan, g)).unwrap();
         let nr_jobs = plan.work_groups(8).count();
         assert!(nr_jobs > 1, "want a multi-job schedule");
@@ -668,10 +668,11 @@ mod tests {
     #[test]
     fn degrid_zeroes_and_reports_exhausted_jobs() {
         let ds = dataset();
+        let tables = KernelTables::for_observation(&ds.obs);
         let plan = Plan::create(&ds.obs, &ds.uvw).unwrap();
         let taper = idg_math::spheroidal_2d(ds.obs.subgrid_size);
         let data = kernel_data(&ds, &taper);
-        let exec = GpuExecutor::new(Device::pascal(), 8);
+        let exec = GpuExecutor::new(Device::pascal(), 8, &tables);
         let (grid, _) = fresh_grid(&plan, |g| exec.grid(&data, &plan, g)).unwrap();
 
         // job 1 faults on every attempt and is given up on
@@ -685,7 +686,7 @@ mod tests {
                 })
                 .collect(),
         );
-        let failing = GpuExecutor::new(Device::pascal(), 8).with_faults(faults);
+        let failing = GpuExecutor::new(Device::pascal(), 8, &tables).with_faults(faults);
         let (vis, report) = failing.degrid(&data, &plan, &grid).unwrap();
 
         assert_eq!(report.totals.failed_jobs.len(), 1);
@@ -713,6 +714,7 @@ mod tests {
         // runs its own launch check: a short buffer must be the pass's
         // typed error, not an index panic in the staging copy
         let ds = dataset();
+        let tables = KernelTables::for_observation(&ds.obs);
         let plan = Plan::create(&ds.obs, &ds.uvw).unwrap();
         let taper = idg_math::spheroidal_2d(ds.obs.subgrid_size);
         let data = KernelData {
@@ -725,7 +727,7 @@ mod tests {
             site: FaultSite::HtoD,
             kind: FaultKind::TransferCorruption,
         }]);
-        let exec = GpuExecutor::new(Device::pascal(), 4).with_faults(faults);
+        let exec = GpuExecutor::new(Device::pascal(), 4, &tables).with_faults(faults);
         let mut grid = Grid::new(plan.grid_size());
         assert!(matches!(
             exec.grid(&data, &plan, &mut grid),

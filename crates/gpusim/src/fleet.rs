@@ -37,11 +37,10 @@ use crate::fault::{FaultConfig, RetryPolicy};
 use crate::health::{BreakerConfig, DeviceHealth, JobOutcome};
 use crate::kernels::check_device;
 use crate::pass::{DeviceSlot, Direction, JobRun, Pass, PassTotals, Sink};
-use idg_kernels::{KernelCache, KernelData};
+use idg_kernels::{KernelData, KernelTables};
 use idg_plan::Plan;
 use idg_types::{Grid, IdgError, Visibility};
 use std::collections::VecDeque;
-use std::sync::Arc;
 
 /// Deepest rung of the OOM degradation ladder (see [`level_shape`]).
 const MAX_DEGRADATION_LEVEL: usize = 2;
@@ -134,7 +133,7 @@ impl DeviceState {
 /// Drives gridding / degridding passes across a fleet of modeled
 /// devices (see the module docs for the dispatch and degradation
 /// semantics).
-pub struct FleetExecutor {
+pub struct FleetExecutor<'t> {
     /// The member devices with their fault schedules.
     pub members: Vec<FleetMember>,
     /// Work items per work group (kernel launch) at full strength.
@@ -143,32 +142,42 @@ pub struct FleetExecutor {
     pub retry: RetryPolicy,
     /// Circuit-breaker tuning (shared by members).
     pub breaker: BreakerConfig,
-    /// Pass-level kernel cache, shared with the owning proxy.
-    pub cache: Arc<KernelCache>,
+    /// The kernel tables of the passes' observation, shared by every
+    /// member (normally the owning proxy's).
+    pub tables: &'t KernelTables,
 }
 
-impl FleetExecutor {
-    /// Create a fleet from explicit members. A zero group size is
-    /// clamped to one, as in the single-device executor.
-    pub fn new(members: Vec<FleetMember>, work_group_size: usize) -> Self {
+impl<'t> FleetExecutor<'t> {
+    /// Create a fleet from explicit members over `tables`. A zero group
+    /// size is clamped to one, as in the single-device executor.
+    pub fn new(
+        members: Vec<FleetMember>,
+        work_group_size: usize,
+        tables: &'t KernelTables,
+    ) -> Self {
         Self {
             members,
             work_group_size: work_group_size.max(1),
             retry: RetryPolicy::default(),
             breaker: BreakerConfig::default(),
-            cache: Arc::new(KernelCache::new()),
+            tables,
         }
     }
 
     /// A homogeneous fleet: `nr_devices` fault-free clones of `device`.
-    pub fn uniform(device: Device, nr_devices: usize, work_group_size: usize) -> Self {
+    pub fn uniform(
+        device: Device,
+        nr_devices: usize,
+        work_group_size: usize,
+        tables: &'t KernelTables,
+    ) -> Self {
         let members = (0..nr_devices.max(1))
             .map(|_| FleetMember {
                 device: device.clone(),
                 faults: None,
             })
             .collect();
-        Self::new(members, work_group_size)
+        Self::new(members, work_group_size, tables)
     }
 
     /// Attach a fault schedule to one member (e.g. the chaos lemon). An
@@ -197,12 +206,6 @@ impl FleetExecutor {
     /// Override the retry policy for transient faults.
     pub fn with_retry_policy(mut self, retry: RetryPolicy) -> Self {
         self.retry = retry;
-        self
-    }
-
-    /// Share a pass-level kernel cache (normally the proxy's).
-    pub fn with_cache(mut self, cache: Arc<KernelCache>) -> Self {
-        self.cache = cache;
         self
     }
 
@@ -384,7 +387,7 @@ impl FleetExecutor {
     ) -> Result<(Pass<'a>, FleetRunReport), IdgError> {
         let w = self.work_group_size;
         let gridding = matches!(direction, Direction::Grid(_));
-        let mut pass = Pass::new(data, plan, direction, w, &self.cache, &self.retry)?;
+        let mut pass = Pass::new(data, plan, direction, w, self.tables, &self.retry)?;
         let mut states = self.setup(&pass, gridding)?;
         let redispatched_jobs = self.dispatch(&mut states, &mut pass)?;
         let totals = pass.seal(states.iter_mut().map(|s| &mut s.slot));
@@ -631,12 +634,13 @@ mod tests {
     #[test]
     fn single_member_fleet_matches_the_single_device_executor() {
         let ds = dataset();
+        let tables = KernelTables::for_observation(&ds.obs);
         let plan = Plan::create(&ds.obs, &ds.uvw).unwrap();
         let taper = vec![1.0f32; ds.obs.subgrid_size * ds.obs.subgrid_size];
         let data = kernel_data(&ds, &taper);
 
-        let single = GpuExecutor::new(Device::pascal(), 4);
-        let fleet = FleetExecutor::uniform(Device::pascal(), 1, 4);
+        let single = GpuExecutor::new(Device::pascal(), 4, &tables);
+        let fleet = FleetExecutor::uniform(Device::pascal(), 1, 4, &tables);
         let (model, _) = fresh_grid(&plan, |g| single.grid(&data, &plan, g)).unwrap();
         for kind in PASS_KINDS {
             let (gold, gold_totals) = run_single(&single, kind, &data, &plan, &model);
@@ -679,13 +683,14 @@ mod tests {
     #[test]
     fn clean_multi_device_gridding_is_bit_identical_to_one_device() {
         let ds = dataset();
+        let tables = KernelTables::for_observation(&ds.obs);
         let plan = Plan::create(&ds.obs, &ds.uvw).unwrap();
         let taper = vec![1.0f32; ds.obs.subgrid_size * ds.obs.subgrid_size];
         let data = kernel_data(&ds, &taper);
 
-        let single = GpuExecutor::new(Device::pascal(), 4);
+        let single = GpuExecutor::new(Device::pascal(), 4, &tables);
         let (gold, gold_report) = fresh_grid(&plan, |g| single.grid(&data, &plan, g)).unwrap();
-        let fleet = FleetExecutor::uniform(Device::pascal(), 3, 4);
+        let fleet = FleetExecutor::uniform(Device::pascal(), 3, 4, &tables);
         let (grid, report) = fresh_grid(&plan, |g| fleet.grid(&data, &plan, g)).unwrap();
 
         // f32 accumulation order is pinned by the ordered commit, so
@@ -701,14 +706,15 @@ mod tests {
     #[test]
     fn clean_multi_device_degridding_matches_one_device() {
         let ds = dataset();
+        let tables = KernelTables::for_observation(&ds.obs);
         let plan = Plan::create(&ds.obs, &ds.uvw).unwrap();
         let taper = vec![1.0f32; ds.obs.subgrid_size * ds.obs.subgrid_size];
         let data = kernel_data(&ds, &taper);
-        let single = GpuExecutor::new(Device::pascal(), 4);
+        let single = GpuExecutor::new(Device::pascal(), 4, &tables);
         let (grid, _) = fresh_grid(&plan, |g| single.grid(&data, &plan, g)).unwrap();
 
         let (gold, _) = single.degrid(&data, &plan, &grid).unwrap();
-        let fleet = FleetExecutor::uniform(Device::pascal(), 3, 4);
+        let fleet = FleetExecutor::uniform(Device::pascal(), 3, 4, &tables);
         let (vis, report) = fleet.degrid(&data, &plan, &grid).unwrap();
 
         assert!(report.totals.complete());
@@ -724,15 +730,16 @@ mod tests {
     #[test]
     fn lemon_device_trips_its_breaker_and_the_fleet_still_delivers() {
         let ds = dataset();
+        let tables = KernelTables::for_observation(&ds.obs);
         let plan = Plan::create(&ds.obs, &ds.uvw).unwrap();
         let taper = vec![1.0f32; ds.obs.subgrid_size * ds.obs.subgrid_size];
         let data = kernel_data(&ds, &taper);
 
         let (gold, _) = fresh_grid(&plan, |g| {
-            GpuExecutor::new(Device::pascal(), 1).grid(&data, &plan, g)
+            GpuExecutor::new(Device::pascal(), 1, &tables).grid(&data, &plan, g)
         })
         .unwrap();
-        let fleet = FleetExecutor::uniform(Device::pascal(), 4, 1)
+        let fleet = FleetExecutor::uniform(Device::pascal(), 4, 1, &tables)
             .with_member_faults(1, lemon_faults(8))
             .unwrap()
             .with_breaker(test_breaker());
@@ -758,11 +765,12 @@ mod tests {
     #[test]
     fn targeted_oom_takes_the_degradation_ladder_not_cpu_fallback() {
         let ds = dataset();
+        let tables = KernelTables::for_observation(&ds.obs);
         let plan = Plan::create(&ds.obs, &ds.uvw).unwrap();
         let taper = vec![1.0f32; ds.obs.subgrid_size * ds.obs.subgrid_size];
         let data = kernel_data(&ds, &taper);
 
-        let single = GpuExecutor::new(Device::pascal(), 4);
+        let single = GpuExecutor::new(Device::pascal(), 4, &tables);
         let (model, _) = fresh_grid(&plan, |g| single.grid(&data, &plan, g)).unwrap();
         let oom = FaultConfig::targeted(vec![TargetedFault {
             job: 0,
@@ -770,7 +778,7 @@ mod tests {
             site: FaultSite::Alloc,
             kind: FaultKind::OutOfMemory,
         }]);
-        let fleet = FleetExecutor::uniform(Device::pascal(), 2, 4)
+        let fleet = FleetExecutor::uniform(Device::pascal(), 2, 4, &tables)
             .with_member_faults(0, oom)
             .unwrap();
         // every pass kind resumes the job in half-chunks one rung down
@@ -794,12 +802,13 @@ mod tests {
     #[test]
     fn memory_starved_member_starts_on_a_lower_rung() {
         let ds = dataset();
+        let tables = KernelTables::for_observation(&ds.obs);
         let plan = Plan::create(&ds.obs, &ds.uvw).unwrap();
         let taper = vec![1.0f32; ds.obs.subgrid_size * ds.obs.subgrid_size];
         let data = kernel_data(&ds, &taper);
 
         let (gold, _) = fresh_grid(&plan, |g| {
-            GpuExecutor::new(Device::pascal(), 4).grid(&data, &plan, g)
+            GpuExecutor::new(Device::pascal(), 4, &tables).grid(&data, &plan, g)
         })
         .unwrap();
         // Enough for half-batch buffers (~184 kB at wgs 4) but not the
@@ -818,6 +827,7 @@ mod tests {
                 },
             ],
             4,
+            &tables,
         );
         let (grid, report) = fresh_grid(&plan, |g| fleet.grid(&data, &plan, g)).unwrap();
         assert_bit_identical(&grid, &gold);
@@ -829,11 +839,12 @@ mod tests {
     #[test]
     fn a_member_that_can_launch_no_kernel_starts_dead_and_its_peer_runs_its_jobs() {
         let ds = dataset();
+        let tables = KernelTables::for_observation(&ds.obs);
         let plan = Plan::create(&ds.obs, &ds.uvw).unwrap();
         let taper = vec![1.0f32; ds.obs.subgrid_size * ds.obs.subgrid_size];
         let data = kernel_data(&ds, &taper);
 
-        let single = GpuExecutor::new(Device::pascal(), 4);
+        let single = GpuExecutor::new(Device::pascal(), 4, &tables);
         let (model, _) = fresh_grid(&plan, |g| single.grid(&data, &plan, g)).unwrap();
         let (gold, _) = run_single(&single, "degrid", &data, &plan, &model);
         let mut broken = Device::pascal();
@@ -850,6 +861,7 @@ mod tests {
                 },
             ],
             4,
+            &tables,
         );
         let (out, report) = run_fleet(&fleet, "degrid", &data, &plan, &model);
 
@@ -871,7 +883,8 @@ mod tests {
 
     #[test]
     fn member_fault_index_out_of_range_is_rejected() {
-        let fleet = FleetExecutor::uniform(Device::pascal(), 2, 4);
+        let tables = KernelTables::new(16, 0.05);
+        let fleet = FleetExecutor::uniform(Device::pascal(), 2, 4, &tables);
         assert!(matches!(
             fleet.with_member_faults(2, lemon_faults(1)),
             Err(IdgError::InvalidParameter(msg))
@@ -882,10 +895,11 @@ mod tests {
     #[test]
     fn empty_fleet_is_rejected() {
         let ds = dataset();
+        let tables = KernelTables::for_observation(&ds.obs);
         let plan = Plan::create(&ds.obs, &ds.uvw).unwrap();
         let taper = vec![1.0f32; ds.obs.subgrid_size * ds.obs.subgrid_size];
         let data = kernel_data(&ds, &taper);
-        let fleet = FleetExecutor::new(Vec::new(), 4);
+        let fleet = FleetExecutor::new(Vec::new(), 4, &tables);
         assert!(matches!(
             fresh_grid(&plan, |g| fleet.grid(&data, &plan, g)),
             Err(IdgError::InvalidParameter(_))

@@ -50,10 +50,9 @@
 
 use crate::device::Device;
 use idg_kernels::buffers::{pixel_index, SubgridArray};
-use idg_kernels::cache::{GeometryKey, KernelCache};
 use idg_kernels::geometry::KernelGeometry;
 use idg_kernels::gridder::{cmac, pixel_lane_gridder, thread_pols, LaneRegs, LANES};
-use idg_kernels::{KernelData, BYTES_POL4, BYTES_UVW};
+use idg_kernels::{KernelData, KernelTables, BYTES_POL4, BYTES_UVW};
 use idg_math::{sincos, Accuracy};
 use idg_obs::{KernelCounters, KernelStage};
 use idg_perf::{degridder_counts, gridder_counts, OpCounts};
@@ -108,11 +107,11 @@ pub fn gridder_gpu(
     items: &[WorkItem],
     subgrids: &mut SubgridArray,
     device: &Device,
-    cache: &KernelCache,
+    tables: &KernelTables,
 ) -> Result<OpCounts, IdgError> {
     check_device(device, true)?;
     let batch_size = device.gridder_batch_size();
-    let tally = pixel_lane_gridder(data, items, subgrids, batch_size, Accuracy::Fast, cache)?;
+    let tally = pixel_lane_gridder(data, items, subgrids, batch_size, Accuracy::Fast, tables)?;
     idg_obs::add_kernel(KernelStage::Gridder, &tally);
     Ok(gridder_counts(items, data.obs.subgrid_size))
 }
@@ -129,7 +128,7 @@ pub fn degridder_gpu(
     subgrids: &SubgridArray,
     vis_out: &mut [Visibility<f32>],
     device: &Device,
-    cache: &KernelCache,
+    tables: &KernelTables,
 ) -> Result<OpCounts, IdgError> {
     idg_kernels::check_launch(data, items, Some(subgrids))?;
     check_device(device, false)?;
@@ -147,7 +146,7 @@ pub fn degridder_gpu(
     let nr_time = data.obs.nr_timesteps;
     let nr_chan = data.obs.nr_channels();
     let batch_size = device.degridder_batch_size().min(n2);
-    let planes = cache.geometry(GeometryKey::new(n, geom.image_size));
+    let planes = tables.geometry(data.obs)?;
     let scales: Vec<f32> = data
         .obs
         .frequencies
@@ -206,7 +205,7 @@ pub fn degridder_gpu(
                     let i1 = (i0 + batch_size).min(n2);
                     // pixel role: threads fill the shared batch (second
                     // mapping of Sec. V-C c: collapse y/x, apply Lines 2–3;
-                    // l/m/n come from the cached planes)
+                    // l/m/n come from the shared planes)
                     for (slot, i) in (i0..i1).enumerate() {
                         let (y, x) = (i / n, i % n);
                         let off = (2.0
@@ -328,9 +327,119 @@ mod tests {
         }
     }
 
+    /// Every entry point that reads kernel tables holds them to its own
+    /// launch: tables of another subgrid size are a typed error at each,
+    /// tables of another image size at each that reads the direction
+    /// cosines. The adder and splitter read only the phasor tables, which
+    /// depend on the subgrid size alone, so tables of another image size
+    /// are theirs.
+    #[test]
+    fn tables_of_another_geometry_are_a_typed_error_at_every_entry_point() {
+        use idg_kernels::gridder::pixel_lane_gridder;
+        use idg_kernels::{
+            add_subgrids, add_subgrids_from_slices, degridder_cpu, gridder_cpu, split_subgrids,
+        };
+        let ds = dataset(false);
+        let (obs, n) = (&ds.obs, ds.obs.subgrid_size);
+        let plan = Plan::create(obs, &ds.uvw).unwrap();
+        let taper = idg_math::spheroidal_2d(n);
+        let data = KernelData {
+            obs,
+            uvw: &ds.uvw,
+            visibilities: &ds.visibilities,
+            aterms: &ds.aterms,
+            taper: &taper,
+        };
+        let items = &plan.items;
+        let device = Device::pascal();
+        let subgrids = || SubgridArray::new(items.len(), n);
+        let vis = || vec![Visibility::<f32>::zero(); obs.nr_visibilities()];
+        let grid = || idg_types::Grid::<f32>::new(obs.grid_size);
+        type Launch<'a> = Box<dyn Fn(&KernelTables) -> Result<(), IdgError> + 'a>;
+        // (entry point, reads the direction cosines, launch)
+        let entry_points: [(&str, bool, Launch<'_>); 8] = [
+            (
+                "gridder_cpu",
+                true,
+                Box::new(|t| gridder_cpu(&data, items, &mut subgrids(), Accuracy::Medium, t)),
+            ),
+            (
+                "pixel_lane_gridder",
+                true,
+                Box::new(|t| {
+                    pixel_lane_gridder(&data, items, &mut subgrids(), 64, Accuracy::Fast, t)
+                        .map(drop)
+                }),
+            ),
+            (
+                "gridder_gpu",
+                true,
+                Box::new(|t| gridder_gpu(&data, items, &mut subgrids(), &device, t).map(drop)),
+            ),
+            (
+                "degridder_cpu",
+                true,
+                Box::new(|t| {
+                    degridder_cpu(&data, items, &subgrids(), &mut vis(), Accuracy::Medium, t)
+                }),
+            ),
+            (
+                "degridder_gpu",
+                true,
+                Box::new(|t| {
+                    degridder_gpu(&data, items, &subgrids(), &mut vis(), &device, t).map(drop)
+                }),
+            ),
+            (
+                "add_subgrids",
+                false,
+                Box::new(|t| add_subgrids(&mut grid(), items, &subgrids(), t)),
+            ),
+            (
+                "add_subgrids_from_slices",
+                false,
+                Box::new(|t| {
+                    let subgrids = subgrids();
+                    let slices: Vec<_> = subgrids.subgrids().collect();
+                    add_subgrids_from_slices(&mut grid(), items, &slices, n, t)
+                }),
+            ),
+            (
+                "split_subgrids",
+                false,
+                Box::new(|t| split_subgrids(&grid(), items, &mut subgrids(), t)),
+            ),
+        ];
+        let own = KernelTables::for_observation(obs);
+        let other_size = KernelTables::new(n + 8, obs.image_size);
+        let other_image = KernelTables::new(n, obs.image_size * 1.5);
+        for (name, reads_geometry, launch) in &entry_points {
+            assert_eq!(launch(&own), Ok(()), "{name}: its own tables");
+            assert_eq!(
+                launch(&other_size),
+                Err(IdgError::ShapeMismatch {
+                    what: "kernel tables subgrid size",
+                    expected: n,
+                    actual: n + 8,
+                }),
+                "{name}: tables of another subgrid size"
+            );
+            let result = launch(&other_image);
+            if *reads_geometry {
+                assert!(
+                    matches!(&result, Err(IdgError::InvalidParameter(m)) if m.contains("image size")),
+                    "{name}: tables of another image size: {result:?}"
+                );
+            } else {
+                assert_eq!(result, Ok(()), "{name}: tables of another image size");
+            }
+        }
+    }
+
     #[test]
     fn gpu_gridder_matches_reference_on_both_devices() {
         let ds = dataset(true);
+        let tables = KernelTables::for_observation(&ds.obs);
         let plan = Plan::create(&ds.obs, &ds.uvw).unwrap();
         let taper = idg_math::spheroidal_2d(ds.obs.subgrid_size);
         let data = KernelData {
@@ -345,8 +454,7 @@ mod tests {
 
         for device in [Device::pascal(), Device::fiji()] {
             let mut sim = SubgridArray::new(plan.nr_subgrids(), ds.obs.subgrid_size);
-            let counts =
-                gridder_gpu(&data, &plan.items, &mut sim, &device, &KernelCache::new()).unwrap();
+            let counts = gridder_gpu(&data, &plan.items, &mut sim, &device, &tables).unwrap();
             close_subgrids(&sim, &gold, 5e-4);
             assert_eq!(counts.rho(), 17.0);
             assert!(counts.visibilities > 0);
@@ -356,6 +464,7 @@ mod tests {
     #[test]
     fn gpu_degridder_matches_reference() {
         let ds = dataset(true);
+        let tables = KernelTables::for_observation(&ds.obs);
         let plan = Plan::create(&ds.obs, &ds.uvw).unwrap();
         let taper = idg_math::spheroidal_2d(ds.obs.subgrid_size);
         let data = KernelData {
@@ -373,15 +482,8 @@ mod tests {
 
         let device = Device::pascal();
         let mut sim = vec![Visibility::<f32>::zero(); ds.obs.nr_visibilities()];
-        let counts = degridder_gpu(
-            &data,
-            &plan.items,
-            &subgrids,
-            &mut sim,
-            &device,
-            &KernelCache::new(),
-        )
-        .unwrap();
+        let counts =
+            degridder_gpu(&data, &plan.items, &subgrids, &mut sim, &device, &tables).unwrap();
         assert_eq!(counts.rho(), 17.0);
 
         let scale = gold
@@ -424,14 +526,14 @@ mod tests {
                 ..full
             };
             let mut vis = vec![Visibility::<f32>::zero(); ds.obs.nr_visibilities()];
-            let cache = KernelCache::new();
+            let tables = KernelTables::for_observation(&ds.obs);
             degridder_gpu(
                 &data,
                 &plan.items,
                 &subgrids,
                 &mut vis,
                 &Device::pascal(),
-                &cache,
+                &tables,
             )
             .unwrap();
             vis.iter()
@@ -445,6 +547,7 @@ mod tests {
     #[test]
     fn gpu_gridder_rejects_a_visibility_buffer_of_the_wrong_length() {
         let ds = dataset(false);
+        let tables = KernelTables::for_observation(&ds.obs);
         let plan = Plan::create(&ds.obs, &ds.uvw).unwrap();
         let taper = idg_math::spheroidal_2d(ds.obs.subgrid_size);
         let mut long = ds.visibilities.clone();
@@ -458,13 +561,7 @@ mod tests {
                 taper: &taper,
             };
             let mut sg = SubgridArray::new(plan.nr_subgrids(), ds.obs.subgrid_size);
-            let err = gridder_gpu(
-                &data,
-                &plan.items,
-                &mut sg,
-                &Device::pascal(),
-                &KernelCache::new(),
-            );
+            let err = gridder_gpu(&data, &plan.items, &mut sg, &Device::pascal(), &tables);
             assert_eq!(
                 err.err(),
                 Some(IdgError::ShapeMismatch {
@@ -483,6 +580,7 @@ mod tests {
         // Force multiple batches per work item: shrink shared memory so
         // the staging loop runs several rounds.
         let ds = dataset(false);
+        let tables = KernelTables::for_observation(&ds.obs);
         let plan = Plan::create(&ds.obs, &ds.uvw).unwrap();
         let taper = idg_math::spheroidal_2d(ds.obs.subgrid_size);
         let data = KernelData {
@@ -499,13 +597,14 @@ mod tests {
         let mut gold = SubgridArray::new(plan.nr_subgrids(), ds.obs.subgrid_size);
         gridder_reference(&data, &plan.items, &mut gold).expect("kernel run");
         let mut sim = SubgridArray::new(plan.nr_subgrids(), ds.obs.subgrid_size);
-        gridder_gpu(&data, &plan.items, &mut sim, &tiny, &KernelCache::new()).unwrap();
+        gridder_gpu(&data, &plan.items, &mut sim, &tiny, &tables).unwrap();
         close_subgrids(&sim, &gold, 5e-4);
     }
 
     #[test]
     fn counts_match_perf_formulas() {
         let ds = dataset(false);
+        let tables = KernelTables::for_observation(&ds.obs);
         let plan = Plan::create(&ds.obs, &ds.uvw).unwrap();
         let taper = idg_math::spheroidal_2d(ds.obs.subgrid_size);
         let data = KernelData {
@@ -516,14 +615,7 @@ mod tests {
             taper: &taper,
         };
         let mut sg = SubgridArray::new(plan.nr_subgrids(), ds.obs.subgrid_size);
-        let counts = gridder_gpu(
-            &data,
-            &plan.items,
-            &mut sg,
-            &Device::pascal(),
-            &KernelCache::new(),
-        )
-        .unwrap();
+        let counts = gridder_gpu(&data, &plan.items, &mut sg, &Device::pascal(), &tables).unwrap();
         let expect = idg_perf::gridder_counts(&plan.items, ds.obs.subgrid_size);
         assert_eq!(counts, expect);
     }
@@ -533,6 +625,7 @@ mod tests {
     #[test]
     fn measured_counters_match_analytic_model() {
         let ds = dataset(true);
+        let tables = KernelTables::for_observation(&ds.obs);
         let plan = Plan::create(&ds.obs, &ds.uvw).unwrap();
         let n = ds.obs.subgrid_size;
         let taper = idg_math::spheroidal_2d(n);
@@ -546,14 +639,7 @@ mod tests {
 
         let session = idg_obs::Session::begin("gridding");
         let mut sg = SubgridArray::new(plan.nr_subgrids(), n);
-        gridder_gpu(
-            &data,
-            &plan.items,
-            &mut sg,
-            &Device::pascal(),
-            &KernelCache::new(),
-        )
-        .unwrap();
+        gridder_gpu(&data, &plan.items, &mut sg, &Device::pascal(), &tables).unwrap();
         let mut vis = vec![Visibility::<f32>::zero(); ds.obs.nr_visibilities()];
         degridder_gpu(
             &data,
@@ -561,7 +647,7 @@ mod tests {
             &sg,
             &mut vis,
             &Device::pascal(),
-            &KernelCache::new(),
+            &tables,
         )
         .unwrap();
         let trace = session.finish();
@@ -641,15 +727,15 @@ mod tests {
                     true,
                 ),
             ];
-            let cache = KernelCache::new();
+            let tables = KernelTables::for_observation(&ds.obs);
             let model = idg_types::Grid::<f32>::new(ds.obs.grid_size);
             for (field, device, no_gridder, no_degridder) in cases {
-                let exec = crate::GpuExecutor::new(device.clone(), 4);
+                let exec = crate::GpuExecutor::new(device.clone(), 4, &tables);
                 let mut subgrids = SubgridArray::new(plan.nr_subgrids(), n);
                 let mut vis = vec![Visibility::<f32>::zero(); ds.obs.nr_visibilities()];
-                let gridder = gridder_gpu(&data, &plan.items, &mut subgrids, &device, &cache);
+                let gridder = gridder_gpu(&data, &plan.items, &mut subgrids, &device, &tables);
                 let degridder =
-                    degridder_gpu(&data, &plan.items, &subgrids, &mut vis, &device, &cache);
+                    degridder_gpu(&data, &plan.items, &subgrids, &mut vis, &device, &tables);
                 for (what, result, refused) in [
                     ("gridder_gpu", gridder.map(drop), no_gridder),
                     (
@@ -764,13 +850,13 @@ mod tests {
             aterms: &ds.aterms,
             taper: &taper,
         };
-        let cache = KernelCache::new();
+        let tables = KernelTables::for_observation(&ds.obs);
         let mut gridded = SubgridArray::new(plan.nr_subgrids(), n);
-        gridder_gpu(&data, &plan.items, &mut gridded, device, &cache).unwrap();
+        gridder_gpu(&data, &plan.items, &mut gridded, device, &tables).unwrap();
         let mut gold = SubgridArray::new(plan.nr_subgrids(), n);
         gridder_reference(&data, &plan.items, &mut gold).expect("kernel run");
         let mut predicted = vec![Visibility::<f32>::zero(); ds.obs.nr_visibilities()];
-        degridder_gpu(&data, &plan.items, &gold, &mut predicted, device, &cache).unwrap();
+        degridder_gpu(&data, &plan.items, &gold, &mut predicted, device, &tables).unwrap();
         [
             fnv(gridded.as_slice().iter().copied()),
             fnv(predicted.iter().flat_map(|v| v.pols)),
@@ -817,13 +903,13 @@ mod tests {
                 aterms: &ds.aterms,
                 taper: &taper,
             };
-            let cache = KernelCache::new();
+            let tables = KernelTables::for_observation(&ds.obs);
             let mut host = SubgridArray::new(plan.nr_subgrids(), n);
-            idg_kernels::gridder_cpu(&data, &plan.items, &mut host, Accuracy::Fast, &cache)
+            idg_kernels::gridder_cpu(&data, &plan.items, &mut host, Accuracy::Fast, &tables)
                 .expect("kernel run");
             for device in launch_configurations() {
                 let mut sim = SubgridArray::new(plan.nr_subgrids(), n);
-                gridder_gpu(&data, &plan.items, &mut sim, &device, &cache).unwrap();
+                gridder_gpu(&data, &plan.items, &mut sim, &device, &tables).unwrap();
                 assert_eq!(
                     fnv(host.as_slice().iter().copied()),
                     fnv(sim.as_slice().iter().copied()),

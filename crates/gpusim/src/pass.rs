@@ -16,44 +16,38 @@
 //! slots of one buffer in place, so a streamed degrid chunk is the same
 //! `degrid` pass run over the chunk's own window of the observation.
 //!
-//! The engine owns the **job model** ([`Pass::job_model`], the only
-//! caller of the [`crate::timing`] formulas), the reservation formula
-//! ([`DeviceSlot::reserve`]), the fault/retry loop ([`run_job`]), the
-//! one kernel back-end over staged chunks ([`Pass::run_job_on`]), the
-//! failed-slot zeroing ([`Pass::fail_job`]) and the report seal
-//! ([`Pass::seal`]). What it does *not* own is dispatch: which device a
-//! job runs on, in which order, what happens to a job a device gave up
-//! on, and when a gridding job's subgrids are added onto the caller's
-//! grid ([`Pass::commit`]). The pass allocates no grid: a gridding pass
-//! adds onto the one its caller hands the executor. `GpuExecutor` walks
-//! the jobs sequentially over one [`DeviceSlot`] and commits each job
-//! as it completes; `FleetExecutor` wraps each slot in a health tracker
-//! and a degradation-ladder rung, re-queues failures, and commits every
-//! job in job order after dispatch. A single device is the one-chunk
-//! case of the fleet's ladder chunks, not a fleet of one: it has no
-//! breaker, no ladder and no re-dispatch.
+//! The engine owns the **job model** ([`Pass::job_model`], which prices
+//! every device job from the [`crate::timing`] formulas), the
+//! reservation formula ([`DeviceSlot::reserve`]), the fault/retry loop
+//! ([`run_job`]), the one kernel back-end over staged chunks
+//! ([`Pass::run_job_on`]), the failed-slot zeroing ([`Pass::fail_job`])
+//! and the report seal ([`Pass::seal`]). What it does *not* own is
+//! dispatch: which device a job runs on, in which order, what happens
+//! to a job a device gave up on, and when a gridding job's subgrids are
+//! added onto the caller's grid ([`Pass::commit`]). The pass allocates
+//! no grid: a gridding pass adds onto the one its caller hands the
+//! executor. `GpuExecutor` walks the jobs sequentially over one
+//! [`DeviceSlot`] and commits each job as it completes; `FleetExecutor`
+//! wraps each slot in a health tracker and a degradation-ladder rung,
+//! re-queues failures, and commits every job in job order after
+//! dispatch. A single device is the one-chunk case of the fleet's
+//! ladder chunks, not a fleet of one: it has no breaker, no ladder and
+//! no re-dispatch.
 
 use crate::device::Device;
 use crate::executor::{DeferredSubgrids, JobFailure};
 use crate::fault::{checksum_bytes, FaultConfig, FaultInjector, FaultKind, RetryPolicy};
 use crate::kernels::{degridder_gpu, gridder_gpu};
 use crate::stream::{Engine, FaultPoint, OpStatus, PipelineSim, TraceEntry};
-use crate::timing::{adder_time, kernel_time, subgrid_fft_time, transfer_time};
+use crate::timing::{adder_time, host_adder_time, kernel_time, subgrid_fft_time, transfer_time};
 use idg_fft::Direction as FftDirection;
 use idg_kernels::{
-    add_subgrids, fft_subgrids, split_subgrids, FftNorm, KernelCache, KernelData, SubgridArray,
+    add_subgrids, fft_subgrids, split_subgrids, FftNorm, KernelData, KernelTables, SubgridArray,
 };
 use idg_perf::{degridder_counts, gridder_counts, EnergyModel, OpCounts};
 use idg_plan::{Plan, WorkItem};
 use idg_types::{FaultSite, Grid, IdgError, Visibility};
 use std::ops::Range;
-
-/// Effective host memory bandwidth of the host-side adder (option (2)
-/// of Sec. V-C e): subgrids stream back over PCI-e and the host memory
-/// system performs the add, parallel over row bands. The streamed
-/// commit in `idg::Proxy` is modeled at the same figure, so modeled
-/// streamed totals stay comparable to one-shot ones.
-pub const HOST_ADDER_BW: f64 = 40e9;
 
 /// Which way the job chain runs.
 pub(crate) enum Direction<'a> {
@@ -543,7 +537,7 @@ pub(crate) struct Pass<'a> {
     direction: Direction<'a>,
     work_group_size: usize,
     groups: Vec<&'a [WorkItem]>,
-    cache: &'a KernelCache,
+    tables: &'a KernelTables,
     retry: &'a RetryPolicy,
     /// Computed subgrids per job of a gridding pass, until committed
     /// or handed to the caller.
@@ -569,7 +563,7 @@ impl<'a> Pass<'a> {
         plan: &'a Plan,
         direction: Direction<'a>,
         work_group_size: usize,
-        cache: &'a KernelCache,
+        tables: &'a KernelTables,
         retry: &'a RetryPolicy,
     ) -> Result<Self, IdgError> {
         idg_kernels::check_launch(data, &plan.items, None)?;
@@ -592,7 +586,7 @@ impl<'a> Pass<'a> {
             direction,
             work_group_size,
             groups,
-            cache,
+            tables,
             retry,
             held,
             vis,
@@ -664,7 +658,7 @@ impl<'a> Pass<'a> {
                 let t_out = transfer_time(device, subgrid_bytes);
                 let t_add = match sink {
                     Sink::Defer => 0.0,
-                    Sink::Commit => 2.0 * subgrid_bytes as f64 / HOST_ADDER_BW,
+                    Sink::Commit => host_adder_time(group.len(), n),
                 };
                 JobModel {
                     counts,
@@ -718,7 +712,7 @@ impl<'a> Pass<'a> {
         } = self.job_model(slot, group);
         slot.compute_parts[job] = parts;
 
-        let (data, cache, direction) = (self.data, self.cache, &self.direction);
+        let (data, tables, direction) = (self.data, self.tables, &self.direction);
         let n = self.plan.subgrid_size();
         let (nr_time, nr_chan) = (data.obs.nr_timesteps, data.obs.nr_channels());
         let device = &slot.device;
@@ -743,7 +737,7 @@ impl<'a> Pass<'a> {
                     computed.clear();
                     for r in chunks() {
                         let mut subgrids = SubgridArray::new(r.len(), n);
-                        gridder_gpu(data, &group[r.clone()], &mut subgrids, device, cache)?;
+                        gridder_gpu(data, &group[r.clone()], &mut subgrids, device, tables)?;
                         fft_subgrids(&mut subgrids, FftDirection::Forward, FftNorm::None);
                         computed.push((r, subgrids));
                     }
@@ -753,9 +747,9 @@ impl<'a> Pass<'a> {
                     for r in chunks() {
                         let chunk = &group[r];
                         let mut subgrids = SubgridArray::new(chunk.len(), n);
-                        split_subgrids(grid, chunk, &mut subgrids, cache)?;
+                        split_subgrids(grid, chunk, &mut subgrids, tables)?;
                         fft_subgrids(&mut subgrids, FftDirection::Inverse, FftNorm::None);
-                        degridder_gpu(data, chunk, &subgrids, vis, device, cache)?;
+                        degridder_gpu(data, chunk, &subgrids, vis, device, tables)?;
                     }
                     Ok(Vec::new())
                 }
@@ -803,7 +797,7 @@ impl<'a> Pass<'a> {
     pub(crate) fn commit(&mut self, job: usize, grid: &mut Grid<f32>) -> Result<(), IdgError> {
         let group = self.groups[job];
         for (r, subgrids) in self.held[job].take().into_iter().flatten() {
-            add_subgrids(grid, &group[r], &subgrids, self.cache)?;
+            add_subgrids(grid, &group[r], &subgrids, self.tables)?;
         }
         Ok(())
     }

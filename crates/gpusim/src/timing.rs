@@ -45,6 +45,20 @@ pub fn adder_time(device: &Device, nr_subgrids: usize, n: usize) -> f64 {
     bytes as f64 / (device.arch.mem_bw_gbps * 1e9) / device.scheduling_efficiency
 }
 
+/// Effective host memory bandwidth of the host-side adder (option (2)
+/// of Sec. V-C e): subgrids stream back over PCI-e and the host memory
+/// system performs the add, parallel over row bands.
+pub const HOST_ADDER_BW: f64 = 40e9;
+
+/// Modeled duration of the host-side adder over `nr_subgrids` subgrids
+/// of `n × n`: twice their bytes (subgrid read + grid read-modify-write,
+/// as [`adder_time`] counts them) at [`HOST_ADDER_BW`]. A device pass's
+/// host adder and a streamed pass's single commit both charge it.
+pub fn host_adder_time(nr_subgrids: usize, n: usize) -> f64 {
+    let subgrid_bytes = (nr_subgrids * 4 * n * n * 8) as u64;
+    2.0 * subgrid_bytes as f64 / HOST_ADDER_BW
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

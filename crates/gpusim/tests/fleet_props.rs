@@ -10,7 +10,7 @@
 use idg_gpusim::{
     BreakerConfig, Device, DeviceHealth, FaultConfig, FleetExecutor, GpuExecutor, JobOutcome,
 };
-use idg_kernels::KernelData;
+use idg_kernels::{KernelData, KernelTables};
 use idg_plan::Plan;
 use idg_telescope::{Dataset, IdentityATerm, Layout, SkyModel};
 use idg_types::{Grid, Observation};
@@ -69,6 +69,7 @@ proptest! {
     ) {
         let (ds, plan, taper) = dataset();
         let data = kernel_data(ds, taper);
+        let tables = KernelTables::for_observation(&ds.obs);
         let faults = FaultConfig {
             seed,
             transfer_corruption_rate: corruption,
@@ -77,7 +78,7 @@ proptest! {
             oom_rate: oom,
             ..FaultConfig::default()
         };
-        let fleet = FleetExecutor::uniform(Device::pascal(), nr_devices, wgs)
+        let fleet = FleetExecutor::uniform(Device::pascal(), nr_devices, wgs, &tables)
             .with_member_faults(lemon_slot % nr_devices, faults)
             .unwrap()
             .with_breaker(BreakerConfig {
@@ -111,7 +112,7 @@ proptest! {
         // or dropped commit would move bits.
         if report.totals.complete() {
             let mut gold = Grid::new(plan.grid_size());
-            GpuExecutor::new(Device::pascal(), wgs)
+            GpuExecutor::new(Device::pascal(), wgs, &tables)
                 .grid(&data, plan, &mut gold)
                 .unwrap();
             for (x, y) in grid.as_slice().iter().zip(gold.as_slice()) {

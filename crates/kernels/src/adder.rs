@@ -28,7 +28,7 @@
 //! vectorise.
 
 use crate::buffers::SubgridArray;
-use crate::cache::{KernelCache, PhasorKey};
+use crate::tables::KernelTables;
 use idg_plan::WorkItem;
 use idg_types::{Cf32, Grid, IdgError, NR_POLARIZATIONS};
 use rayon::prelude::*;
@@ -106,15 +106,16 @@ fn split_run(dst: &mut [Cf32], src: &[Cf32], factors: &[Cf32]) -> bool {
 ///
 /// # Errors
 /// [`IdgError::ShapeMismatch`] when the subgrid count does not match the
-/// work items or a subgrid footprint falls outside the grid.
+/// work items, a subgrid footprint falls outside the grid, or `tables`
+/// were built for another subgrid size.
 pub fn add_subgrids(
     grid: &mut Grid<f32>,
     items: &[WorkItem],
     subgrids: &SubgridArray,
-    cache: &KernelCache,
+    tables: &KernelTables,
 ) -> Result<(), IdgError> {
     let slices: Vec<&[Cf32]> = subgrids.subgrids().collect();
-    add_subgrids_from_slices(grid, items, &slices, subgrids.size(), cache)
+    add_subgrids_from_slices(grid, items, &slices, subgrids.size(), tables)
 }
 
 /// The adder body: add `subgrids[i]`, the `4·n²` Fourier-domain pixels
@@ -125,14 +126,14 @@ pub fn add_subgrids(
 ///
 /// # Errors
 /// [`IdgError::ShapeMismatch`] when the subgrid count does not match the
-/// work items, a subgrid is not `4·n²` pixels long, or a footprint falls
-/// outside the grid.
+/// work items, a subgrid is not `4·n²` pixels long, a footprint falls
+/// outside the grid, or `tables` were built for another subgrid size.
 pub fn add_subgrids_from_slices(
     grid: &mut Grid<f32>,
     items: &[WorkItem],
     subgrids: &[&[Cf32]],
     n: usize,
-    cache: &KernelCache,
+    tables: &KernelTables,
 ) -> Result<(), IdgError> {
     let gsize = grid.size();
     if items.len() != subgrids.len() {
@@ -151,7 +152,7 @@ pub fn add_subgrids_from_slices(
         });
     }
     check_placement(gsize, n, items)?;
-    let tables = cache.phasors(PhasorKey::new(n));
+    let tables = tables.phasors(n)?;
     let h = tables.shift.first().copied().unwrap_or(0); // the fftshift's rotation
 
     idg_obs::add_subgrids_added(items.len() as u64);
@@ -198,7 +199,8 @@ pub fn add_subgrids_from_slices(
 ///
 /// # Errors
 /// [`IdgError::ShapeMismatch`] when the subgrid count does not match the
-/// work items or a subgrid footprint falls outside the grid;
+/// work items, a subgrid footprint falls outside the grid, or `tables`
+/// were built for another subgrid size;
 /// [`IdgError::InvalidParameter`] when a footprint holds a non-finite
 /// sample, naming the first such item in `items` order, so the same one
 /// whatever the thread schedule (`subgrids` is written all the same).
@@ -206,11 +208,11 @@ pub fn split_subgrids(
     grid: &Grid<f32>,
     items: &[WorkItem],
     subgrids: &mut SubgridArray,
-    cache: &KernelCache,
+    tables: &KernelTables,
 ) -> Result<(), IdgError> {
     check_subgrids(grid.size(), items, subgrids)?;
     let n = subgrids.size();
-    let tables = cache.phasors(PhasorKey::new(n));
+    let tables = tables.phasors(n)?;
     let h = tables.shift.first().copied().unwrap_or(0); // the fftshift's rotation
 
     idg_obs::add_subgrids_split(items.len() as u64);
@@ -254,9 +256,9 @@ pub fn split_subgrids(
 mod tests {
     use super::*;
     use crate::buffers::pixel_index;
-    use crate::cache::{phase_correction, PhasorTables};
     use crate::fft::{fft_subgrids, FftNorm};
     use crate::reference::{degridder_reference, gridder_reference};
+    use crate::tables::{phase_correction, PhasorTables};
     use crate::KernelData;
     use idg_fft::shift::fftshift_source;
     use idg_fft::Direction;
@@ -318,6 +320,7 @@ mod tests {
     #[test]
     fn single_on_pixel_visibility_lands_exactly() {
         let obs = unit_obs();
+        let tables = KernelTables::for_observation(&obs);
         let (px, py) = (70usize, 45usize);
         let uvw = vec![uvw_at_pixel(&obs, px, py)];
         let vis_val = Cf32::new(0.8, -0.6);
@@ -340,7 +343,7 @@ mod tests {
         fft_subgrids(&mut subgrids, Direction::Forward, FftNorm::None);
 
         let mut grid = Grid::<f32>::new(obs.grid_size);
-        add_subgrids(&mut grid, &items, &subgrids, &KernelCache::new()).expect("adder run");
+        add_subgrids(&mut grid, &items, &subgrids, &tables).expect("adder run");
 
         // the target pixel holds V...
         let got = grid.at(0, py, px);
@@ -367,6 +370,7 @@ mod tests {
     #[test]
     fn single_grid_cell_degrids_exactly() {
         let obs = unit_obs();
+        let tables = KernelTables::for_observation(&obs);
         let (px, py) = (61usize, 77usize);
         let uvw = vec![uvw_at_pixel(&obs, px, py)];
         let visibilities = vec![Visibility::<f32>::zero()];
@@ -387,7 +391,7 @@ mod tests {
         *grid.at_mut(3, py, px) = model_val;
 
         let mut subgrids = SubgridArray::new(1, obs.subgrid_size);
-        split_subgrids(&grid, &items, &mut subgrids, &KernelCache::new()).expect("splitter run");
+        split_subgrids(&grid, &items, &mut subgrids, &tables).expect("splitter run");
         fft_subgrids(&mut subgrids, Direction::Inverse, FftNorm::None);
 
         let mut out = vec![Visibility::<f32>::zero(); 1];
@@ -406,6 +410,7 @@ mod tests {
     #[test]
     fn overlapping_subgrids_accumulate() {
         let obs = unit_obs();
+        let tables = KernelTables::for_observation(&obs);
         let n = obs.subgrid_size;
         let items = [item_at(50, 50), item_at(54, 52)];
         // Fill both subgrids with a DC-only Fourier content: set every
@@ -419,7 +424,7 @@ mod tests {
         }
 
         let mut grid_par = Grid::<f32>::new(obs.grid_size);
-        add_subgrids(&mut grid_par, &items, &subgrids, &KernelCache::new()).expect("adder run");
+        add_subgrids(&mut grid_par, &items, &subgrids, &tables).expect("adder run");
 
         // sequential oracle
         let mut grid_seq = Grid::<f32>::new(obs.grid_size);
@@ -460,12 +465,12 @@ mod tests {
                 );
             }
         }
-        let cache = KernelCache::new();
+        let tables = KernelTables::for_observation(&obs);
         let mut grid = Grid::<f32>::new(obs.grid_size);
-        add_subgrids(&mut grid, &items, &subgrids, &cache).expect("adder run");
+        add_subgrids(&mut grid, &items, &subgrids, &tables).expect("adder run");
 
         let mut recovered = SubgridArray::new(2, n);
-        split_subgrids(&grid, &items, &mut recovered, &cache).expect("splitter run");
+        split_subgrids(&grid, &items, &mut recovered, &tables).expect("splitter run");
 
         // adder scaled by 1/N²; splitter doesn't rescale, so recovered
         // = original / N².
@@ -563,23 +568,23 @@ mod tests {
     #[test]
     fn contiguous_runs_equal_the_shift_table_loops_bit_for_bit() {
         let grid = pattern_grid();
-        let cache = KernelCache::new();
         // even sizes, and an odd one, whose two runs differ in length
         for n in [8, 16, 24, 32, 7] {
-            let tables = cache.phasors(PhasorKey::new(n));
+            let tables = KernelTables::new(n, 0.05);
+            let phasors = tables.phasors(n).unwrap();
             let items = footprints(grid.size(), n);
             let mut split = SubgridArray::new(items.len(), n);
-            split_subgrids(&grid, &items, &mut split, &cache).expect("splitter run");
-            let oracle = split_scalar(&grid, &items, n, &tables);
+            split_subgrids(&grid, &items, &mut split, &tables).expect("splitter run");
+            let oracle = split_scalar(&grid, &items, n, phasors);
             assert!(
                 sample_bits(split.as_slice()) == sample_bits(&oracle),
                 "splitter, n = {n}"
             );
 
             let mut added = grid.clone();
-            add_subgrids(&mut added, &items, &split, &cache).expect("adder run");
+            add_subgrids(&mut added, &items, &split, &tables).expect("adder run");
             let mut oracle = grid.clone();
-            add_scalar(&mut oracle, &items, &split, &tables);
+            add_scalar(&mut oracle, &items, &split, phasors);
             assert!(
                 sample_bits(added.as_slice()) == sample_bits(oracle.as_slice()),
                 "adder, n = {n}"
@@ -651,14 +656,13 @@ mod tests {
 
     #[test]
     fn plane_bands_equal_the_row_indexed_adder_bit_for_bit() {
-        let cache = KernelCache::new();
         let check =
             |grid: &Grid<f32>, items: &[WorkItem], slices: &[&[Cf32]], n: usize, case: &str| {
-                let tables = cache.phasors(PhasorKey::new(n));
+                let tables = KernelTables::new(n, 0.05);
                 let mut added = grid.clone();
-                add_subgrids_from_slices(&mut added, items, slices, n, &cache).expect("adder run");
+                add_subgrids_from_slices(&mut added, items, slices, n, &tables).expect("adder run");
                 let mut oracle = grid.clone();
-                add_row_indexed(&mut oracle, items, slices, n, &tables);
+                add_row_indexed(&mut oracle, items, slices, n, tables.phasors(n).unwrap());
                 assert!(
                     sample_bits(added.as_slice()) == sample_bits(oracle.as_slice()),
                     "{case}, grid {}, n = {n}",
@@ -700,11 +704,11 @@ mod tests {
     fn the_splitter_rejects_the_non_finite_samples_it_reads_and_only_those() {
         let clean = pattern_grid();
         let (n, far) = (8, clean.size() - 1);
-        let cache = KernelCache::new();
+        let tables = KernelTables::new(n, 0.05);
         let items = footprints(clean.size(), n);
         let split = |grid: &Grid<f32>| {
             let mut subgrids = SubgridArray::new(items.len(), n);
-            split_subgrids(grid, &items, &mut subgrids, &cache).map(|()| subgrids)
+            split_subgrids(grid, &items, &mut subgrids, &tables).map(|()| subgrids)
         };
         let expected = split(&clean).expect("clean grid");
 
@@ -747,10 +751,11 @@ mod tests {
     #[test]
     fn adder_count_mismatch_is_a_typed_error() {
         let obs = unit_obs();
+        let tables = KernelTables::for_observation(&obs);
         let mut grid = Grid::<f32>::new(obs.grid_size);
         let subgrids = SubgridArray::new(2, obs.subgrid_size);
         let items = [item_covering(&obs, 40, 40)];
-        let err = add_subgrids(&mut grid, &items, &subgrids, &KernelCache::new())
+        let err = add_subgrids(&mut grid, &items, &subgrids, &tables)
             .expect_err("count mismatch must be rejected");
         assert!(matches!(
             err,
@@ -765,11 +770,12 @@ mod tests {
     #[test]
     fn out_of_grid_placement_is_a_typed_error() {
         let obs = unit_obs();
+        let tables = KernelTables::for_observation(&obs);
         let grid = Grid::<f32>::new(obs.grid_size);
         let mut subgrids = SubgridArray::new(1, obs.subgrid_size);
         // footprint hangs off the right/bottom edge
         let items = [item_covering(&obs, obs.grid_size - 2, obs.grid_size - 2)];
-        let err = split_subgrids(&grid, &items, &mut subgrids, &KernelCache::new())
+        let err = split_subgrids(&grid, &items, &mut subgrids, &tables)
             .expect_err("out-of-grid placement must be rejected");
         assert!(matches!(err, IdgError::ShapeMismatch { .. }));
     }

@@ -35,9 +35,9 @@
 //!   section.
 
 use crate::buffers::SubgridArray;
-use crate::cache::{GeometryKey, KernelCache};
 use crate::geometry::KernelGeometry;
 use crate::gridder::{pixel_lane_gridder, LANES};
+use crate::tables::KernelTables;
 use crate::{KernelData, BYTES_POL4, BYTES_UVW};
 use idg_math::{sincos_batch, Accuracy};
 use idg_obs::{KernelCounters, KernelStage};
@@ -60,7 +60,7 @@ struct Scratch {
     re: [Vec<f32>; 4],
     im: [Vec<f32>; 4],
     /// Per-item phase offsets φ₀ (the only geometry plane that varies
-    /// per item — l/m/n come shared from the [`KernelCache`]).
+    /// per item — l/m/n come shared from the [`KernelTables`]).
     d: Vec<f32>,
 }
 
@@ -224,9 +224,9 @@ pub fn gridder_cpu(
     items: &[WorkItem],
     subgrids: &mut SubgridArray,
     accuracy: Accuracy,
-    cache: &KernelCache,
+    tables: &KernelTables,
 ) -> Result<(), IdgError> {
-    let tally = pixel_lane_gridder(data, items, subgrids, VIS_BATCH, accuracy, cache)?;
+    let tally = pixel_lane_gridder(data, items, subgrids, VIS_BATCH, accuracy, tables)?;
     idg_obs::add_kernel(KernelStage::Gridder, &tally);
     Ok(())
 }
@@ -248,9 +248,9 @@ pub fn degridder_cpu(
     subgrids: &SubgridArray,
     vis_out: &mut [Visibility<f32>],
     accuracy: Accuracy,
-    cache: &KernelCache,
+    tables: &KernelTables,
 ) -> Result<(), IdgError> {
-    degrid(data, items, subgrids, vis_out, accuracy, cache, REANCHOR)
+    degrid(data, items, subgrids, vis_out, accuracy, tables, REANCHOR)
 }
 
 /// [`degridder_cpu`] anchoring every `reanchor`-th channel of a rotated
@@ -261,7 +261,7 @@ fn degrid(
     subgrids: &SubgridArray,
     vis_out: &mut [Visibility<f32>],
     accuracy: Accuracy,
-    cache: &KernelCache,
+    tables: &KernelTables,
     reanchor: usize,
 ) -> Result<(), IdgError> {
     let row_order = crate::checked_rows(data, items, Some(subgrids))?;
@@ -277,7 +277,7 @@ fn degrid(
     let n = geom.subgrid_size;
     let n2 = n * n;
     let nr_time = data.obs.nr_timesteps;
-    let planes = cache.geometry(GeometryKey::new(n, geom.image_size));
+    let planes = tables.geometry(data.obs)?;
     let scales: Vec<f32> = data
         .obs
         .frequencies
@@ -474,6 +474,7 @@ mod tests {
     #[test]
     fn gridder_matches_reference_identity_aterms() {
         let ds = dataset(0);
+        let tables = KernelTables::for_observation(&ds.obs);
         let plan = Plan::create(&ds.obs, &ds.uvw).unwrap();
         let tp = taper(ds.obs.subgrid_size);
         let data = KernelData {
@@ -485,14 +486,7 @@ mod tests {
         };
         let mut fast = SubgridArray::new(plan.nr_subgrids(), ds.obs.subgrid_size);
         let mut gold = SubgridArray::new(plan.nr_subgrids(), ds.obs.subgrid_size);
-        gridder_cpu(
-            &data,
-            &plan.items,
-            &mut fast,
-            Accuracy::Medium,
-            &KernelCache::new(),
-        )
-        .expect("kernel run");
+        gridder_cpu(&data, &plan.items, &mut fast, Accuracy::Medium, &tables).expect("kernel run");
         gridder_reference(&data, &plan.items, &mut gold).expect("kernel run");
         assert_subgrids_close(&fast, &gold, 2e-4);
     }
@@ -500,6 +494,7 @@ mod tests {
     #[test]
     fn gridder_matches_reference_beam_aterms() {
         let ds = dataset(1);
+        let tables = KernelTables::for_observation(&ds.obs);
         let plan = Plan::create(&ds.obs, &ds.uvw).unwrap();
         let tp = taper(ds.obs.subgrid_size);
         let data = KernelData {
@@ -511,14 +506,7 @@ mod tests {
         };
         let mut fast = SubgridArray::new(plan.nr_subgrids(), ds.obs.subgrid_size);
         let mut gold = SubgridArray::new(plan.nr_subgrids(), ds.obs.subgrid_size);
-        gridder_cpu(
-            &data,
-            &plan.items,
-            &mut fast,
-            Accuracy::Medium,
-            &KernelCache::new(),
-        )
-        .expect("kernel run");
+        gridder_cpu(&data, &plan.items, &mut fast, Accuracy::Medium, &tables).expect("kernel run");
         gridder_reference(&data, &plan.items, &mut gold).expect("kernel run");
         assert_subgrids_close(&fast, &gold, 2e-4);
     }
@@ -526,6 +514,7 @@ mod tests {
     #[test]
     fn degridder_matches_reference() {
         let ds = dataset(1);
+        let tables = KernelTables::for_observation(&ds.obs);
         let plan = Plan::create(&ds.obs, &ds.uvw).unwrap();
         let tp = taper(ds.obs.subgrid_size);
         let data = KernelData {
@@ -547,7 +536,7 @@ mod tests {
             &subgrids,
             &mut fast,
             Accuracy::Medium,
-            &KernelCache::new(),
+            &tables,
         )
         .expect("kernel run");
         degridder_reference(&data, &plan.items, &subgrids, &mut gold).expect("kernel run");
@@ -572,6 +561,7 @@ mod tests {
     #[test]
     fn fast_accuracy_stays_close_to_medium() {
         let ds = dataset(0);
+        let tables = KernelTables::for_observation(&ds.obs);
         let plan = Plan::create(&ds.obs, &ds.uvw).unwrap();
         let tp = taper(ds.obs.subgrid_size);
         let data = KernelData {
@@ -583,28 +573,15 @@ mod tests {
         };
         let mut med = SubgridArray::new(plan.nr_subgrids(), ds.obs.subgrid_size);
         let mut fast = SubgridArray::new(plan.nr_subgrids(), ds.obs.subgrid_size);
-        gridder_cpu(
-            &data,
-            &plan.items,
-            &mut med,
-            Accuracy::Medium,
-            &KernelCache::new(),
-        )
-        .expect("kernel run");
-        gridder_cpu(
-            &data,
-            &plan.items,
-            &mut fast,
-            Accuracy::Fast,
-            &KernelCache::new(),
-        )
-        .expect("kernel run");
+        gridder_cpu(&data, &plan.items, &mut med, Accuracy::Medium, &tables).expect("kernel run");
+        gridder_cpu(&data, &plan.items, &mut fast, Accuracy::Fast, &tables).expect("kernel run");
         assert_subgrids_close(&fast, &med, 1e-3);
     }
 
     #[test]
     fn parallel_execution_is_deterministic() {
         let ds = dataset(0);
+        let tables = KernelTables::for_observation(&ds.obs);
         let plan = Plan::create(&ds.obs, &ds.uvw).unwrap();
         let tp = taper(ds.obs.subgrid_size);
         let data = KernelData {
@@ -616,22 +593,8 @@ mod tests {
         };
         let mut a = SubgridArray::new(plan.nr_subgrids(), ds.obs.subgrid_size);
         let mut b = SubgridArray::new(plan.nr_subgrids(), ds.obs.subgrid_size);
-        gridder_cpu(
-            &data,
-            &plan.items,
-            &mut a,
-            Accuracy::Medium,
-            &KernelCache::new(),
-        )
-        .expect("kernel run");
-        gridder_cpu(
-            &data,
-            &plan.items,
-            &mut b,
-            Accuracy::Medium,
-            &KernelCache::new(),
-        )
-        .expect("kernel run");
+        gridder_cpu(&data, &plan.items, &mut a, Accuracy::Medium, &tables).expect("kernel run");
+        gridder_cpu(&data, &plan.items, &mut b, Accuracy::Medium, &tables).expect("kernel run");
         assert_eq!(
             a.as_slice(),
             b.as_slice(),
@@ -642,6 +605,7 @@ mod tests {
     /// Both tail-handling regimes of the optimized kernels against the
     /// reference on the same plan.
     fn assert_tail_conformance(ds: &Dataset) {
+        let tables = KernelTables::for_observation(&ds.obs);
         let plan = Plan::create(&ds.obs, &ds.uvw).unwrap();
         let tp = taper(ds.obs.subgrid_size);
         let data = KernelData {
@@ -653,14 +617,7 @@ mod tests {
         };
         let mut fast = SubgridArray::new(plan.nr_subgrids(), ds.obs.subgrid_size);
         let mut gold = SubgridArray::new(plan.nr_subgrids(), ds.obs.subgrid_size);
-        gridder_cpu(
-            &data,
-            &plan.items,
-            &mut fast,
-            Accuracy::Medium,
-            &KernelCache::new(),
-        )
-        .expect("kernel run");
+        gridder_cpu(&data, &plan.items, &mut fast, Accuracy::Medium, &tables).expect("kernel run");
         gridder_reference(&data, &plan.items, &mut gold).expect("kernel run");
         assert_subgrids_close(&fast, &gold, 2e-4);
 
@@ -672,7 +629,7 @@ mod tests {
             &gold,
             &mut vfast,
             Accuracy::Medium,
-            &KernelCache::new(),
+            &tables,
         )
         .expect("kernel run");
         degridder_reference(&data, &plan.items, &gold, &mut vgold).expect("kernel run");
@@ -812,14 +769,14 @@ mod tests {
             };
             let mut fast = vec![Visibility::<f32>::zero(); ds.obs.nr_visibilities()];
             let mut gold = fast.clone();
-            let cache = KernelCache::new();
+            let tables = KernelTables::for_observation(&ds.obs);
             degridder_cpu(
                 &data,
                 &plan.items,
                 &subgrids,
                 &mut fast,
                 Accuracy::Medium,
-                &cache,
+                &tables,
             )
             .expect("kernel run");
             degridder_reference(&data, &plan.items, &subgrids, &mut gold).expect("kernel run");
@@ -858,8 +815,8 @@ mod tests {
                 })
             };
             let mut subgrids = SubgridArray::new(plan.nr_subgrids(), ds.obs.subgrid_size);
-            let cache = KernelCache::new();
-            let cpu = gridder_cpu(&data, &plan.items, &mut subgrids, Accuracy::Medium, &cache);
+            let tables = KernelTables::for_observation(&ds.obs);
+            let cpu = gridder_cpu(&data, &plan.items, &mut subgrids, Accuracy::Medium, &tables);
             assert!(is_typed(cpu), "gridder_cpu, {what}");
             let reference = gridder_reference(&data, &plan.items, &mut subgrids);
             assert!(is_typed(reference), "gridder_reference, {what}");
@@ -994,13 +951,13 @@ mod tests {
             aterms: &ds.aterms,
             taper: &tp,
         };
-        let cache = KernelCache::new();
+        let tables = KernelTables::for_observation(&ds.obs);
         let mut gridded = SubgridArray::new(plan.nr_subgrids(), ds.obs.subgrid_size);
-        gridder_cpu(&data, &plan.items, &mut gridded, accuracy, &cache).expect("kernel run");
+        gridder_cpu(&data, &plan.items, &mut gridded, accuracy, &tables).expect("kernel run");
         let mut gold = SubgridArray::new(plan.nr_subgrids(), ds.obs.subgrid_size);
         gridder_reference(&data, &plan.items, &mut gold).expect("kernel run");
         let mut predicted = vec![Visibility::<f32>::zero(); ds.obs.nr_visibilities()];
-        degridder_cpu(&data, &plan.items, &gold, &mut predicted, accuracy, &cache)
+        degridder_cpu(&data, &plan.items, &gold, &mut predicted, accuracy, &tables)
             .expect("kernel run");
         [
             fnv(gridded.as_slice().iter().copied()),
@@ -1047,14 +1004,14 @@ mod tests {
         gridder_reference(&data, &plan.items, &mut subgrids).expect("kernel run");
         let mut fast = vec![Visibility::<f32>::zero(); ds.obs.nr_visibilities()];
         let mut gold = fast.clone();
-        let cache = KernelCache::new();
+        let tables = KernelTables::for_observation(&ds.obs);
         degrid(
             &data,
             &plan.items,
             &subgrids,
             &mut fast,
             Accuracy::Medium,
-            &cache,
+            &tables,
             reanchor,
         )
         .expect("kernel run");

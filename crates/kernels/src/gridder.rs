@@ -29,8 +29,8 @@
 //! shared-memory capacity at `Accuracy::Fast` (`--use_fast_math`).
 
 use crate::buffers::{pixel_index, SubgridArray};
-use crate::cache::{GeometryKey, KernelCache};
 use crate::geometry::KernelGeometry;
+use crate::tables::KernelTables;
 use crate::{KernelData, BYTES_POL4, BYTES_UVW};
 use idg_math::{sincos, Accuracy};
 use idg_obs::KernelCounters;
@@ -124,7 +124,7 @@ pub fn pixel_lane_gridder(
     subgrids: &mut SubgridArray,
     batch_len: usize,
     accuracy: Accuracy,
-    cache: &KernelCache,
+    tables: &KernelTables,
 ) -> Result<KernelCounters, IdgError> {
     crate::check_launch(data, items, Some(subgrids))?;
     data.validate_visibilities()?;
@@ -141,8 +141,7 @@ pub fn pixel_lane_gridder(
     let nr_warps = n2.div_ceil(LANES);
     let nr_time = data.obs.nr_timesteps;
     let nr_chan = data.obs.nr_channels();
-    // shared per-pixel direction cosines: one lookup per launch
-    let planes = cache.geometry(GeometryKey::new(n, geom.image_size));
+    let planes = tables.geometry(data.obs)?;
     // per-channel phase scale 2π·ν/c as f32 (phases stay < ~10⁴ rad)
     let scales: Vec<f32> = data
         .obs
@@ -177,7 +176,7 @@ pub fn pixel_lane_gridder(
             // "registers": per-pixel accumulators held across batches
             scr.regs.clear();
             scr.regs.resize(nr_warps, [[0.0; LANES]; 8]);
-            // each thread's pixel geometry: l/m/n from the cached
+            // each thread's pixel geometry: l/m/n from the shared
             // planes, the phase offset per item; dead lanes stay zero
             scr.geo.clear();
             scr.geo.resize(nr_warps, [[0.0; LANES]; 4]);

@@ -18,9 +18,9 @@
 //!   correction that accompanies the `x + 0.5` pixel-center convention;
 //! * [`fft`] — batched subgrid FFTs;
 //! * [`buffers`] — the contiguous subgrid array shared by all stages;
-//! * [`cache`] — the pass-level [`KernelCache`] of item-independent
-//!   geometry planes and adder/splitter phasor tables, shared across
-//!   passes by the proxy.
+//! * [`tables`] — the [`KernelTables`] of one subgrid geometry:
+//!   item-independent direction-cosine planes and adder/splitter phasor
+//!   tables, built once per proxy.
 //!
 //! ## Geometry conventions (shared by every kernel in the workspace)
 //!
@@ -46,20 +46,20 @@
 
 pub mod adder;
 pub mod buffers;
-pub mod cache;
 pub mod cpu;
 pub mod fft;
 pub mod geometry;
 pub mod gridder;
 pub mod reference;
+pub mod tables;
 
 pub use adder::{add_subgrids, add_subgrids_from_slices, check_placement, split_subgrids};
 pub use buffers::SubgridArray;
-pub use cache::{GeometryKey, KernelCache, PhasorKey};
 pub use cpu::{degridder_cpu, gridder_cpu};
 pub use fft::{fft_subgrids, FftNorm};
 pub use geometry::KernelGeometry;
 pub use reference::{degridder_reference, gridder_reference};
+pub use tables::KernelTables;
 
 use idg_telescope::ATerms;
 use idg_types::{Observation, Uvw, Visibility};

@@ -104,10 +104,6 @@ pub struct MetricsSnapshot {
     pub nr_retries: u64,
     /// Jobs re-executed on the CPU fallback path.
     pub fallback_jobs: u64,
-    /// Kernel-cache lookups answered from an already-built table.
-    pub cache_hits: u64,
-    /// Kernel-cache lookups that had to build their table.
-    pub cache_misses: u64,
     /// Job outcomes recorded by per-device health trackers.
     pub health_outcomes: u64,
     /// Circuit-breaker trips (`Closed → Open` transitions).
@@ -176,8 +172,6 @@ impl MetricsSnapshot {
              \x20 \"skipped_visibilities\": {},\n\
              \x20 \"nr_retries\": {},\n\
              \x20 \"fallback_jobs\": {},\n\
-             \x20 \"cache_hits\": {},\n\
-             \x20 \"cache_misses\": {},\n\
              \x20 \"health_outcomes\": {},\n\
              \x20 \"breaker_trips\": {},\n\
              \x20 \"degradation_steps\": {},\n\
@@ -193,8 +187,6 @@ impl MetricsSnapshot {
             self.skipped_visibilities,
             self.nr_retries,
             self.fallback_jobs,
-            self.cache_hits,
-            self.cache_misses,
             self.health_outcomes,
             self.breaker_trips,
             self.degradation_steps,
@@ -252,8 +244,6 @@ mod tests {
         let mut m = MetricsSnapshot::new("gridding");
         m.gridder.sincos_pairs = 42;
         m.nr_retries = 1;
-        m.cache_hits = 3;
-        m.cache_misses = 2;
         m.breaker_trips = 5;
         m.degradation_steps = 7;
         m.chunks_ingested = 9;
@@ -265,8 +255,6 @@ mod tests {
         crate::chrome::validate_json(&j1).expect("snapshot JSON must be valid");
         assert!(j1.contains("\"sincos_pairs\": 42"));
         assert!(j1.contains("\"nr_retries\": 1"));
-        assert!(j1.contains("\"cache_hits\": 3"));
-        assert!(j1.contains("\"cache_misses\": 2"));
         assert!(j1.contains("\"breaker_trips\": 5"));
         assert!(j1.contains("\"degradation_steps\": 7"));
         assert!(j1.contains("\"chunks_ingested\": 9"));

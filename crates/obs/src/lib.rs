@@ -250,16 +250,6 @@ pub fn add_fallback_jobs(n: u64) {
     with_collector(|c| c.metrics.fallback_jobs += n);
 }
 
-/// Record `n` kernel-cache lookups served from an existing table.
-pub fn add_cache_hits(n: u64) {
-    with_collector(|c| c.metrics.cache_hits += n);
-}
-
-/// Record `n` kernel-cache lookups that had to build their table.
-pub fn add_cache_misses(n: u64) {
-    with_collector(|c| c.metrics.cache_misses += n);
-}
-
 /// Record `n` job outcomes observed by per-device health trackers.
 pub fn add_health_outcomes(n: u64) {
     with_collector(|c| c.metrics.health_outcomes += n);

@@ -187,7 +187,7 @@ proptest! {
         subgrid_size in (4usize..13).prop_map(|h| 2 * h), // 8..=24, even
         uneven in (0u8..2).prop_map(|b| b == 1),
     ) {
-        use idg_kernels::{KernelCache, KernelData, SubgridArray};
+        use idg_kernels::{KernelData, KernelTables, SubgridArray};
         use idg_telescope::{Dataset, IdentityATerm, Layout, SkyModel};
 
         let mut obs = Observation::builder()
@@ -229,7 +229,7 @@ proptest! {
             &subgrids,
             &mut vis,
             idg_math::Accuracy::Medium,
-            &KernelCache::new(),
+            &KernelTables::for_observation(&ds.obs),
         )
         .expect("kernel run");
         let trace = session.finish();
