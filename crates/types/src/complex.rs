@@ -54,6 +54,13 @@ impl<T: Float> Complex<T> {
     /// release build the identity loop folds away and no page is faulted
     /// in until it is first read or written; a debug build runs the loop
     /// and touches every page.
+    ///
+    /// Never inlined: the fold is the optimiser's, and inlined into a
+    /// caller it can stop happening when unrelated code in that caller
+    /// changes (`Proxy::grid` once wrote all 134 MB of a 2048² grid that
+    /// way). As a function of its own, the loop folds the same wherever
+    /// it is called from; `idg`'s `lazy_grid` test holds it there.
+    #[inline(never)]
     pub fn zeroed_vec(len: usize) -> Vec<Self> {
         vec![[T::ZERO; 2]; len]
             .into_iter()

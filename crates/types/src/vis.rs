@@ -115,7 +115,9 @@ impl<T: Float> Visibility<T> {
 
     /// `len` zero visibilities, allocated lazily where the allocator can
     /// (as [`Complex::zeroed_vec`]: `Visibility` is `#[repr(C)]` over four
-    /// `Complex`, the layout of `[[T; 2]; 4]`).
+    /// `Complex`, the layout of `[[T; 2]; 4]`). Never inlined, for the
+    /// reason [`Complex::zeroed_vec`] gives.
+    #[inline(never)]
     pub fn zeroed_vec(len: usize) -> Vec<Self> {
         vec![[[T::ZERO; 2]; 4]; len]
             .into_iter()
