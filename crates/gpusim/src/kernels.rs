@@ -330,12 +330,11 @@ mod tests {
     /// Every entry point that reads kernel tables holds them to its own
     /// launch: tables of another subgrid size are a typed error at each,
     /// tables of another image size at each that reads the direction
-    /// cosines. The adder and splitter read only the phasor tables, which
-    /// depend on the subgrid size alone, so tables of another image size
-    /// are theirs.
+    /// cosines (both gridders through `pixel_lane_gridder`). The adder
+    /// and splitter read only the phasor tables, which depend on the
+    /// subgrid size alone, so tables of another image size are theirs.
     #[test]
     fn tables_of_another_geometry_are_a_typed_error_at_every_entry_point() {
-        use idg_kernels::gridder::pixel_lane_gridder;
         use idg_kernels::{
             add_subgrids, add_subgrids_from_slices, degridder_cpu, gridder_cpu, split_subgrids,
         };
@@ -357,19 +356,11 @@ mod tests {
         let grid = || idg_types::Grid::<f32>::new(obs.grid_size);
         type Launch<'a> = Box<dyn Fn(&KernelTables) -> Result<(), IdgError> + 'a>;
         // (entry point, reads the direction cosines, launch)
-        let entry_points: [(&str, bool, Launch<'_>); 8] = [
+        let entry_points: [(&str, bool, Launch<'_>); 7] = [
             (
                 "gridder_cpu",
                 true,
                 Box::new(|t| gridder_cpu(&data, items, &mut subgrids(), Accuracy::Medium, t)),
-            ),
-            (
-                "pixel_lane_gridder",
-                true,
-                Box::new(|t| {
-                    pixel_lane_gridder(&data, items, &mut subgrids(), 64, Accuracy::Fast, t)
-                        .map(drop)
-                }),
             ),
             (
                 "gridder_gpu",
