@@ -11,7 +11,9 @@
 //! whole-observation uv extents, and the single in-order deferred
 //! commit (see `idg::proxy::streaming`); this suite is what pins that
 //! argument against every backend's execution shape — including a
-//! fault-injected fleet, where transient recovery must be exact.
+//! fault-injected fleet, where transient recovery must be exact, and
+//! persistent device faults, whose CPU fallback must land at the failed
+//! job's turn in both passes.
 
 use idg::stream::ChunkPolicy;
 use idg::types::{Grid, Visibility};
@@ -212,6 +214,57 @@ fn streamed_degrid_on_uneven_chunks_under_persistent_device_faults_is_bit_identi
         }
     }
     assert!(uneven_cases >= 2, "the matrix must hold uneven chunks");
+}
+
+#[test]
+fn streamed_grid_with_job_zero_failed_for_good_is_bit_identical() {
+    // The gridding twin: job 0 faults on every attempt, so both passes
+    // re-grid it on the CPU reference kernels. Both must add its
+    // subgrids at job 0's turn — one-shot onto the grid, streamed into
+    // the plan-order commit — or the f32 sums differ. A chunk pass
+    // numbers its jobs from 0, so only a one-chunk stream fails the same
+    // job as the one-shot pass.
+    use idg::gpusim::{FaultConfig, FaultKind, RetryPolicy, TargetedFault};
+    use idg::types::FaultSite;
+
+    let work_group_size = 4;
+    for case in standard_cases().expect("standard cases build") {
+        let ds = case.dataset();
+        for backend in [Backend::GpuPascal, Backend::GpuFiji] {
+            let job_zero_always = (0..RetryPolicy::default().max_attempts)
+                .map(|attempt| TargetedFault {
+                    job: 0,
+                    attempt,
+                    site: FaultSite::Kernel,
+                    kind: FaultKind::KernelFault,
+                })
+                .collect();
+            let mut proxy = Proxy::new(backend, case.obs.clone()).unwrap();
+            proxy.work_group_size = work_group_size;
+            let proxy = proxy.with_faults(FaultConfig::targeted(job_zero_always));
+            let plan = proxy.plan(&ds.uvw).unwrap();
+            let what = format!("grid {} / {backend:?} / job 0 failed", case.name);
+            assert!(
+                plan.work_groups(work_group_size).count() > 1,
+                "{what}: want device jobs after the failed one"
+            );
+
+            let (reference, one_shot) = proxy
+                .grid(&plan, &ds.uvw, &ds.visibilities, &ds.aterms)
+                .unwrap();
+            let one_chunk = ChunkPolicy::by_timesteps(case.obs.nr_timesteps);
+            let config = StreamConfig::new(one_chunk, 2, 2);
+            let (streamed, report) = proxy
+                .grid_streamed(&config, &ds.uvw, &ds.visibilities, &ds.aterms)
+                .unwrap();
+            assert_eq!(report.stream.as_ref().map(|s| s.nr_chunks), Some(1));
+            assert_bit_identical(&reference, &streamed, &what);
+            for (side, r) in [("one-shot", &one_shot), ("streamed", &report)] {
+                let jobs: Vec<usize> = r.fallback_jobs.iter().map(|f| f.job).collect();
+                assert_eq!(jobs, [0], "{what}: {side} fallback jobs");
+            }
+        }
+    }
 }
 
 #[test]

@@ -11,7 +11,7 @@ use idg_fft::Direction;
 use idg_gpusim::kernels::{degridder_gpu, gridder_gpu};
 use idg_gpusim::{
     BreakerConfig, Device, FaultConfig, FleetExecutor, FleetRunReport, GpuExecutor, GpuRunReport,
-    JobFailure, PassTotals, RetryPolicy,
+    GriddedJob, JobFailure, PassTotals, RetryPolicy, Sink,
 };
 use idg_kernels::{
     add_subgrids, check_launch, check_placement, degridder_cpu, degridder_reference, fft_subgrids,
@@ -140,9 +140,13 @@ pub struct Proxy {
     /// Retry policy for transient device faults (GPU back-ends).
     pub retry_policy: RetryPolicy,
     /// Re-execute persistently failed device jobs on the CPU reference
-    /// kernels and merge their outputs (graceful degradation; the
-    /// fallback is flagged in the report). When disabled, a persistent
-    /// device fault fails the whole pass with its classified error.
+    /// kernels (graceful degradation; the fallback is flagged in the
+    /// report). A gridding job is re-gridded at its turn in the job-order
+    /// commit, so its subgrids are added where the device's would have
+    /// been; a degridding job is re-predicted into its own slots. When
+    /// disabled, a persistent device fault fails the whole pass with its
+    /// classified error (see [`Proxy::grid_into`] for what a gridding
+    /// pass has added by then).
     pub cpu_fallback: bool,
     /// Multi-device execution: when set, GPU passes run on a
     /// [`FleetExecutor`] over `nr_devices` clones of the back-end's
@@ -484,20 +488,20 @@ impl Proxy {
     /// Run one device pass on whichever executor the proxy is
     /// configured for — the single device, or the fleet — and split
     /// the result into output, shared totals and (fleet only) the
-    /// multi-device statistics. `grid` is handed to the executor that
-    /// runs: the model grid a degrid pass reads, the grid a gridding
-    /// pass adds onto.
-    fn on_device<G, T>(
+    /// multi-device statistics. `arg` is handed to the executor that
+    /// runs: the model grid a degrid pass reads, the commit closure a
+    /// gridding pass hands its jobs to.
+    fn on_device<A, T>(
         &self,
-        grid: G,
-        single: impl FnOnce(&GpuExecutor, G) -> Result<(T, GpuRunReport), IdgError>,
-        fleet: impl FnOnce(&FleetExecutor, G) -> Result<(T, FleetRunReport), IdgError>,
+        arg: A,
+        single: impl FnOnce(&GpuExecutor, A) -> Result<(T, GpuRunReport), IdgError>,
+        fleet: impl FnOnce(&FleetExecutor, A) -> Result<(T, FleetRunReport), IdgError>,
     ) -> Result<(T, PassTotals, Option<FleetStats>), IdgError> {
         let Some(config) = &self.fleet else {
-            let (out, report) = single(&self.executor()?, grid)?;
+            let (out, report) = single(&self.executor()?, arg)?;
             return Ok((out, report.totals, None));
         };
-        let (out, report) = fleet(&self.fleet_executor(config)?, grid)?;
+        let (out, report) = fleet(&self.fleet_executor(config)?, arg)?;
         let stats = FleetStats {
             nr_devices: report.per_device.len(),
             redispatched_jobs: report.redispatched_jobs,
@@ -508,31 +512,21 @@ impl Proxy {
         Ok((out, report.totals, Some(stats)))
     }
 
-    /// Graceful degradation after a device pass: hand every
-    /// persistently failed job's `plan.items` range and work items to
-    /// `redo`, which re-executes them on the CPU reference kernels and
-    /// merges the result. Returns the jobs that fell back; errors with
-    /// the first failure's classified error when the fallback is
-    /// disabled.
-    fn cpu_fallback(
+    /// Graceful degradation of one job a device pass failed for good:
+    /// run `redo`, which re-executes the job on the CPU reference
+    /// kernels, under a `cpu_fallback` span. Errors with the job's
+    /// classified error when the fallback is disabled.
+    fn fall_back<T>(
         &self,
-        plan: &Plan,
-        failed_jobs: &[JobFailure],
-        mut redo: impl FnMut(Range<usize>, &[WorkItem]) -> Result<(), IdgError>,
-    ) -> Result<Vec<JobFailure>, IdgError> {
-        if failed_jobs.is_empty() {
-            return Ok(Vec::new());
-        }
+        failure: &JobFailure,
+        redo: impl FnOnce() -> Result<T, IdgError>,
+    ) -> Result<T, IdgError> {
         if !self.cpu_fallback {
-            return Err(failed_jobs[0].error.clone());
+            return Err(failure.error.clone());
         }
-        idg_obs::add_fallback_jobs(failed_jobs.len() as u64);
-        for failure in failed_jobs {
-            let _span = idg_obs::wall_span("cpu_fallback", "job", u32::try_from(failure.job).ok());
-            let range = failure.first_item..failure.first_item + failure.nr_items;
-            redo(range.clone(), &plan.items[range])?;
-        }
-        Ok(failed_jobs.to_vec())
+        idg_obs::add_fallback_jobs(1);
+        let _span = idg_obs::wall_span("cpu_fallback", "job", u32::try_from(failure.job).ok());
+        redo()
     }
 
     /// The gridding half of a CPU fallback: `items`' Fourier-domain
@@ -597,12 +591,12 @@ impl Proxy {
     }
 
     /// The report of a pass over `nr_items` work items modeled on the
-    /// device executors, from the totals both executors share.
+    /// device executors, from the totals both executors share. A pass
+    /// that gets here has re-executed every failed job on the CPU.
     fn device_report(
         &self,
         totals: PassTotals,
         nr_items: usize,
-        fallback_jobs: Vec<JobFailure>,
         fleet: Option<FleetStats>,
     ) -> ExecutionReport {
         ExecutionReport {
@@ -613,7 +607,7 @@ impl Proxy {
             host_energy_j: Some(totals.host_energy_j),
             nr_retries: totals.nr_retries,
             backoff_seconds: totals.backoff_seconds,
-            fallback_jobs,
+            fallback_jobs: totals.failed_jobs.clone(),
             fleet,
             ..self.measured_report(
                 totals.pass,
@@ -647,14 +641,18 @@ impl Proxy {
     /// `grid_into`) saves mapping, faulting and unmapping a fresh
     /// grid-sized buffer per pass.
     ///
+    /// # Errors
     /// A grid of the wrong size is an [`IdgError::ShapeMismatch`]; it
     /// and every input error [`Proxy::grid`] returns (non-finite
     /// samples, a plan foreign to the observation) leave `grid`
     /// untouched. A host pass adds job by job but checks its whole plan
     /// first, so a subgrid off the grid leaves it untouched too. A
-    /// device pass checks footprints per job: one that fails part-way
-    /// (that, or a device fault with the CPU fallback disabled) has
-    /// already added its completed jobs.
+    /// device pass checks footprints per job and adds each job in job
+    /// order: one that fails part-way has already added the jobs before
+    /// the failing one. So has one that meets a job the device failed
+    /// for good with `cpu_fallback` off — the pass then returns that
+    /// job's classified device error (on a fleet, the jobs before it are
+    /// added once every device is done).
     pub fn grid_into(
         &self,
         grid: &mut Grid<f32>,
@@ -665,33 +663,61 @@ impl Proxy {
     ) -> Result<ExecutionReport, IdgError> {
         let data = self.gridding_input(uvw, visibilities, aterms)?;
         self.check_grid_size(grid)?;
+        self.grid_pass(&data, plan, Sink::Commit, None, |range, subgrids| {
+            let _span = idg_obs::wall_span("adder", "stage", None);
+            add_subgrids(grid, &plan.items[range], &subgrids, &self.tables)?;
+            Ok(Some(subgrids))
+        })
+    }
+
+    /// The one gridding body, behind [`Proxy::grid_into`] and every
+    /// streamed gridding chunk (the twin of [`Proxy::degrid_pass`]): the
+    /// back-end's gridder → subgrid FFT over `plan`, job by job, handing
+    /// each job's `plan.items` range and Fourier-domain subgrids to
+    /// `commit` in job order. A commit that hands the buffer back has it
+    /// reused by the next host job; on a host back-end the commit's wall
+    /// time is the report's adder column. On the device back-ends `sink`
+    /// picks the modeled adder shape, and a job the device failed for
+    /// good is re-gridded on the CPU reference kernels at its turn, so
+    /// `commit` sees the ranges of a host pass, in the same order. `tag`
+    /// labels the host stage spans (the chunk index of a streamed pass).
+    fn grid_pass(
+        &self,
+        data: &KernelData<'_>,
+        plan: &Plan,
+        sink: Sink,
+        tag: Option<u32>,
+        mut commit: impl FnMut(Range<usize>, SubgridArray) -> Result<Option<SubgridArray>, IdgError>,
+    ) -> Result<ExecutionReport, IdgError> {
         let nr_items = plan.items.len();
         match self.backend {
             Backend::CpuReference | Backend::CpuOptimized => {
                 let mut adder = 0.0;
-                let [kernel, fft] = self.host_grid_jobs(&data, plan, None, |range, subgrids| {
+                let [kernel, fft] = self.host_grid_jobs(data, plan, tag, |range, subgrids| {
                     let t = Instant::now();
-                    {
-                        let _span = idg_obs::wall_span("adder", "stage", None);
-                        add_subgrids(grid, &plan.items[range], &subgrids, &self.tables)?;
-                    }
+                    let spare = commit(range, subgrids);
                     adder += t.elapsed().as_secs_f64();
-                    Ok(Some(subgrids))
+                    spare
                 })?;
                 let counts = gridder_counts(&plan.items, self.obs.subgrid_size);
                 Ok(self.measured_report("gridding", counts, nr_items, [kernel, fft, adder]))
             }
             Backend::GpuPascal | Backend::GpuFiji => {
+                let mut hand_over = |range: Range<usize>, job: GriddedJob<'_>| {
+                    let subgrids = match job {
+                        Ok(subgrids) => subgrids,
+                        Err(failure) => self.fall_back(failure, || {
+                            self.reference_subgrids(data, &plan.items[range.clone()])
+                        })?,
+                    };
+                    commit(range, subgrids).map(drop)
+                };
                 let ((), totals, fleet) = self.on_device(
-                    &mut *grid,
-                    |e, grid| e.grid(&data, plan, grid).map(|report| ((), report)),
-                    |f, grid| f.grid(&data, plan, grid).map(|report| ((), report)),
+                    &mut hand_over,
+                    |e, commit| e.grid(data, plan, sink, commit).map(|r| ((), r)),
+                    |f, commit| f.grid(data, plan, sink, commit).map(|r| ((), r)),
                 )?;
-                let fallback_jobs = self.cpu_fallback(plan, &totals.failed_jobs, |_, items| {
-                    let subgrids = self.reference_subgrids(&data, items)?;
-                    add_subgrids(grid, items, &subgrids, &self.tables)
-                })?;
-                Ok(self.device_report(totals, nr_items, fallback_jobs, fleet))
+                Ok(self.device_report(totals, nr_items, fleet))
             }
         }
     }
@@ -880,11 +906,13 @@ impl Proxy {
                     |e, grid| e.degrid(data, plan, grid),
                     |f, grid| f.degrid(data, plan, grid),
                 )?;
-                let fallback_jobs = self.cpu_fallback(plan, &totals.failed_jobs, |_, items| {
-                    self.reference_predict(data, items, grid, &mut vis)
-                })?;
-                let report = self.device_report(totals, nr_items, fallback_jobs, fleet);
-                Ok((vis, report))
+                for failure in &totals.failed_jobs {
+                    let items = &plan.items[failure.first_item..][..failure.nr_items];
+                    self.fall_back(failure, || {
+                        self.reference_predict(data, items, grid, &mut vis)
+                    })?;
+                }
+                Ok((vis, self.device_report(totals, nr_items, fleet)))
             }
         }
     }

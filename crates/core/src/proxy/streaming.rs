@@ -5,9 +5,12 @@
 //! as a sequence of bounded time-axis chunks (split by `idg_stream`),
 //! executes each chunk's cut of the one plan independently on
 //! `min(workers, max_inflight)` concurrent lanes, and commits every
-//! subgrid in a single pass over the plan at the end. The streamed
-//! grid is **bit identical** to the one-shot [`Proxy::grid`] result for
-//! every chunk policy and worker count, because:
+//! subgrid in a single pass over the plan at the end. A gridding chunk
+//! is the one-shot gridding body (the one behind [`Proxy::grid_into`])
+//! over the chunk's cut, its commit closure holding every job's
+//! subgrids. The streamed grid is **bit identical** to the one-shot
+//! [`Proxy::grid`] result for every chunk policy, worker count and fault
+//! schedule the one-shot pass shares, because:
 //!
 //! 1. chunk boundaries snap to `aterm_interval` multiples and no work
 //!    item crosses an A-term boundary, so each item of the one-shot
@@ -15,7 +18,9 @@
 //!    the chunks' sub-plans are *verbatim* a partition of the plan's
 //!    items (checked for every item before any chunk runs);
 //! 2. each work item's subgrid is produced by the same kernels over the
-//!    same full input buffers (items carry global time offsets);
+//!    same full input buffers (items carry global time offsets) — a
+//!    device job that failed for good by the CPU reference kernels, at
+//!    its turn in job order, in both passes;
 //! 3. the commit puts every subgrid at its item's one-shot index and
 //!    performs **one** adder call over the plan's items, straight over
 //!    the chunks' own subgrid arrays, so every f32 accumulation happens
@@ -43,14 +48,14 @@
 //! a stream holds every job's subgrids until it drains — all 8.6 MB of
 //! them on `ska_dense`, where the one-shot host pass holds one job's —
 //! and the one-shot GPU pass models the paper's device-resident grid
-//! and device adder (Sec. V-C e, `Sink::Commit`), not a deferred host
-//! commit.
+//! and device adder (Sec. V-C e, [`Sink::Commit`]), not a deferred host
+//! commit ([`Sink::Defer`]). The two share the body and differ in that
+//! argument and in their commit closure.
 
-use super::{Backend, Proxy};
+use super::Proxy;
 use crate::report::ExecutionReport;
-use idg_gpusim::{host_adder_time, DeferredSubgrids, HOST_ADDER_BW};
-use idg_kernels::{add_subgrids_from_slices, KernelData};
-use idg_perf::gridder_counts;
+use idg_gpusim::{host_adder_time, Sink, HOST_ADDER_BW};
+use idg_kernels::{add_subgrids_from_slices, KernelData, SubgridArray};
 use idg_plan::{Plan, WorkItem};
 use idg_stream::{
     chunk_observation, Chunk, ChunkPolicy, CommitLedger, StreamDirection, StreamRun,
@@ -100,16 +105,20 @@ impl StreamConfig {
 /// Everything one chunk's pass produced, pending the final commit.
 struct ChunkOutput<P> {
     /// What the commit consumes. Gridding: computed subgrids as ranges
-    /// into the chunk's sub-plan ([`DeferredSubgrids`], one entry per
-    /// job on every back-end; CPU-fallback ranges are appended last).
-    /// Degridding: the chunk's time range and its predicted visibility
-    /// rows, in the extent of the chunk's [`ChunkWindow`].
+    /// into the chunk's sub-plan ([`ChunkSubgrids`], in job order on
+    /// every back-end; a CPU-fallback job's range sits at its job's
+    /// place). Degridding: the chunk's time range and its predicted
+    /// visibility rows, in the extent of the chunk's [`ChunkWindow`].
     payload: P,
     /// The chunk pass's own report: modeled end-to-end time (GPU) or
     /// measured wall (CPU) in `total_seconds`, fallback jobs with
     /// chunk-local indices.
     report: ExecutionReport,
 }
+
+/// A gridding chunk's payload: each job's (or staged chunk's) range of
+/// the chunk's sub-plan with its Fourier-domain subgrids, in job order.
+type ChunkSubgrids = Vec<(Range<usize>, SubgridArray)>;
 
 /// A degrid chunk's payload: its time range and its predicted rows, in
 /// the extent of its [`ChunkWindow`].
@@ -477,49 +486,23 @@ impl Proxy {
         })
     }
 
-    /// One chunk's gridding pass over its sub-plan `plan`: the
-    /// back-end's gridder + subgrid FFT, leaving the commit to the
-    /// caller. On the device paths, persistently failed jobs are
-    /// recomputed on the CPU reference kernels and appended to the
-    /// pending set, so they join the same single in-order commit as the
-    /// device-produced subgrids (the one-shot fallback instead adds
-    /// them after the device pass committed). Runs on a scheduler
-    /// worker thread.
+    /// One chunk's gridding pass over its sub-plan `plan`: the one-shot
+    /// gridding body with a [`Sink::Defer`] sink, holding every job's
+    /// subgrids — a device job that fell back to the CPU at its turn —
+    /// for the caller's single commit. Runs on a scheduler worker
+    /// thread.
     fn run_chunk(
         &self,
         data: &KernelData<'_>,
         chunk: &Chunk,
         plan: &Plan,
-    ) -> Result<ChunkOutput<DeferredSubgrids>, IdgError> {
+    ) -> Result<ChunkOutput<ChunkSubgrids>, IdgError> {
         let tag = u32::try_from(chunk.index).ok();
-        let (payload, report) = match self.backend {
-            Backend::CpuReference | Backend::CpuOptimized => {
-                let mut pending = DeferredSubgrids::new();
-                let [kernel, fft] = self.host_grid_jobs(data, plan, tag, |range, subgrids| {
-                    pending.push((range, subgrids));
-                    Ok(None)
-                })?;
-                let counts = gridder_counts(&plan.items, self.obs.subgrid_size);
-                (
-                    pending,
-                    self.measured_report("gridding", counts, plan.items.len(), [kernel, fft, 0.0]),
-                )
-            }
-            Backend::GpuPascal | Backend::GpuFiji => {
-                let (mut pending, totals, fleet) = self.on_device(
-                    (),
-                    |e, ()| e.grid_deferred(data, plan),
-                    |f, ()| f.grid_deferred(data, plan),
-                )?;
-                let fallback_jobs =
-                    self.cpu_fallback(plan, &totals.failed_jobs, |range, items| {
-                        pending.push((range, self.reference_subgrids(data, items)?));
-                        Ok(())
-                    })?;
-                let report = self.device_report(totals, plan.items.len(), fallback_jobs, fleet);
-                (pending, report)
-            }
-        };
+        let mut payload = ChunkSubgrids::new();
+        let report = self.grid_pass(data, plan, Sink::Defer, tag, |range, subgrids| {
+            payload.push((range, subgrids));
+            Ok(None)
+        })?;
         Ok(ChunkOutput { payload, report })
     }
 
@@ -547,6 +530,7 @@ impl Proxy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Backend;
     use idg_telescope::{Dataset, GaussianBeam, Layout, SkyModel};
 
     fn dataset() -> Dataset {

@@ -31,17 +31,12 @@
 use crate::device::Device;
 use crate::fault::{FaultConfig, RetryPolicy};
 use crate::kernels::check_device;
-use crate::pass::{DeviceSlot, Direction, JobRun, Pass, PassTotals, Sink};
+use crate::pass::{Commit, DeviceSlot, Direction, GriddedJob, JobRun, Pass, PassTotals, Sink};
 use crate::stream::TraceEntry;
-use idg_kernels::{KernelData, KernelTables, SubgridArray};
+use idg_kernels::{KernelData, KernelTables};
 use idg_plan::Plan;
 use idg_types::{Grid, IdgError, Visibility};
 use std::ops::Range;
-
-/// Deferred-commit payload of a streamed chunk pass: each entry pairs
-/// a `plan.items` range with the subgrids computed for it, in job
-/// order, ready for the caller's single in-order adder commit.
-pub type DeferredSubgrids = Vec<(Range<usize>, SubgridArray)>;
 
 /// A job that failed persistently: its outputs are absent from the pass
 /// result and the proxy layer may re-execute it on the CPU backend.
@@ -117,15 +112,15 @@ impl<'t> GpuExecutor<'t> {
     /// give up on a job the moment the device does, fail the pass on an
     /// input error a job's kernels return (an error with no fault site,
     /// such as a non-finite model-grid sample the splitter reads), and
-    /// add each completed gridding job onto `grid` as it completes (jobs
-    /// complete in job order here, so peak memory stays at one job's
+    /// hand each gridding job to `commit` as it completes or fails (jobs
+    /// finish in job order here, so peak memory stays at one job's
     /// subgrids).
     fn run<'a>(
         &'a self,
         data: &'a KernelData<'a>,
         plan: &'a Plan,
         direction: Direction<'a>,
-        mut grid: Option<&mut Grid<f32>>,
+        mut commit: Option<&mut Commit<'_>>,
     ) -> Result<(Pass<'a>, GpuRunReport), IdgError> {
         let w = self.work_group_size;
         // a device that can launch no kernel fails the pass, not every job
@@ -135,13 +130,12 @@ impl<'t> GpuExecutor<'t> {
         slot.reserve(&pass, w, 3)?;
         for job in 0..pass.nr_jobs() {
             match pass.run_job_on(&mut slot, job, (0, 0.0)) {
-                JobRun::Done { .. } => {
-                    if let Some(grid) = grid.as_deref_mut() {
-                        pass.commit(job, grid)?;
-                    }
-                }
+                JobRun::Done { .. } => {}
                 JobRun::Failed { error, .. } if error.fault_site().is_none() => return Err(error),
                 JobRun::Failed { error, attempts } => pass.fail_job(job, error, attempts),
+            }
+            if let Some(commit) = commit.as_deref_mut() {
+                pass.hand_over(job, commit)?;
             }
         }
         let totals = pass.seal([&mut slot]);
@@ -149,50 +143,29 @@ impl<'t> GpuExecutor<'t> {
         Ok((pass, GpuRunReport { totals, timeline }))
     }
 
-    /// Run a full gridding pass: visibilities → subgrids, **added
-    /// onto** `grid` (the caller zeroes it for a fresh grid).
+    /// Run a full gridding pass: visibilities → Fourier-domain subgrids,
+    /// each job handed to `commit` in job order as it completes — its
+    /// `plan.items` range with its subgrids (one call per staged chunk),
+    /// or, for a job that failed persistently, its whole range with its
+    /// [`JobFailure`] (also listed in [`PassTotals::failed_jobs`]).
+    /// `sink` says what the caller does with them and so which adder
+    /// shape of Sec. V-C e the job model charges.
     ///
-    /// Jobs that fail persistently are reported in
-    /// [`PassTotals::failed_jobs`] and their subgrids are absent from
-    /// `grid`; only whole-pass setup failures (the buffer sets not
-    /// fitting in device memory, a launch configuration no kernel can
-    /// run with) error out, before `grid` is touched. Each job's
-    /// subgrids are added as the job completes, so peak memory stays at
+    /// Whole-pass setup failures (the buffer sets not fitting in device
+    /// memory, a launch configuration no kernel can run with) error out
+    /// before `commit` is first called. An input error a job's kernels
+    /// return, or an error `commit` returns, ends the pass at once with
+    /// that error, the earlier jobs handed over. Peak memory stays at
     /// one job's subgrids.
     pub fn grid(
         &self,
         data: &KernelData<'_>,
         plan: &Plan,
-        grid: &mut Grid<f32>,
+        sink: Sink,
+        mut commit: impl FnMut(Range<usize>, GriddedJob<'_>) -> Result<(), IdgError>,
     ) -> Result<GpuRunReport, IdgError> {
-        let (_, report) = self.run(data, plan, Direction::Grid(Sink::Commit), Some(grid))?;
+        let (_, report) = self.run(data, plan, Direction::Grid(sink), Some(&mut commit))?;
         Ok(report)
-    }
-
-    /// Run a gridding pass with *deferred* commits: compute and FFT
-    /// every job's subgrids on the modeled device, but never touch a
-    /// grid — return the subgrids with their `plan.items` ranges
-    /// instead, in job order.
-    ///
-    /// This is the streamed-chunk entry point: chunk passes run
-    /// concurrently, so none of them may own the shared grid;
-    /// `Proxy::grid_streamed` collects every chunk's pending subgrids
-    /// and commits them in the one-shot plan order with a single
-    /// adder call, which keeps the f32 accumulation order — and so
-    /// every output bit — identical to [`GpuExecutor::grid`].
-    ///
-    /// No device-resident grid is modeled, so subgrids always stream
-    /// back to the host: the reservation and timing follow the
-    /// host-adder shape of [`GpuExecutor::grid`] (option (2) of
-    /// Sec. V-C e), with the host-side add itself accounted by the
-    /// caller's commit.
-    pub fn grid_deferred(
-        &self,
-        data: &KernelData<'_>,
-        plan: &Plan,
-    ) -> Result<(DeferredSubgrids, GpuRunReport), IdgError> {
-        let (pass, report) = self.run(data, plan, Direction::Grid(Sink::Defer), None)?;
-        Ok((pass.into_deferred_subgrids(), report))
     }
 
     /// Run a full degridding pass: grid → predicted visibilities, in
@@ -218,9 +191,10 @@ impl<'t> GpuExecutor<'t> {
 mod tests {
     use super::*;
     use crate::fault::{FaultKind, TargetedFault};
+    use crate::pass::add_onto;
     use crate::stream::OpStatus;
     use idg_fft::Direction as FftDirection;
-    use idg_kernels::{add_subgrids, fft_subgrids, split_subgrids, FftNorm};
+    use idg_kernels::{add_subgrids, fft_subgrids, split_subgrids, FftNorm, SubgridArray};
     use idg_perf::gridder_counts;
     use idg_telescope::{Dataset, IdentityATerm, Layout, SkyModel};
     use idg_types::{FaultSite, Observation};
@@ -273,7 +247,10 @@ mod tests {
         let taper = idg_math::spheroidal_2d(ds.obs.subgrid_size);
         let data = kernel_data(&ds, &taper);
         let exec = GpuExecutor::new(Device::pascal(), 8, &tables);
-        let (grid, report) = fresh_grid(&plan, |g| exec.grid(&data, &plan, g)).unwrap();
+        let (grid, report) = fresh_grid(&plan, |g| {
+            exec.grid(&data, &plan, Sink::Commit, add_onto(g, &plan, &tables))
+        })
+        .unwrap();
         assert!(grid.power() > 0.0, "grid received energy");
         assert!(report.totals.makespan > 0.0);
         assert!(report.totals.kernel_seconds > 0.0);
@@ -304,7 +281,10 @@ mod tests {
         let data = kernel_data(&ds, &taper);
 
         let exec = GpuExecutor::new(Device::pascal(), 4, &tables);
-        let (gpu_grid, _) = fresh_grid(&plan, |g| exec.grid(&data, &plan, g)).unwrap();
+        let (gpu_grid, _) = fresh_grid(&plan, |g| {
+            exec.grid(&data, &plan, Sink::Commit, add_onto(g, &plan, &tables))
+        })
+        .unwrap();
 
         let mut subgrids = SubgridArray::new(plan.nr_subgrids(), ds.obs.subgrid_size);
         idg_kernels::gridder_reference(&data, &plan.items, &mut subgrids).expect("kernel run");
@@ -334,7 +314,10 @@ mod tests {
         let data = kernel_data(&ds, &taper);
         // build a model grid by gridding the data first
         let exec = GpuExecutor::new(Device::fiji(), 4, &tables);
-        let (grid, _) = fresh_grid(&plan, |g| exec.grid(&data, &plan, g)).unwrap();
+        let (grid, _) = fresh_grid(&plan, |g| {
+            exec.grid(&data, &plan, Sink::Commit, add_onto(g, &plan, &tables))
+        })
+        .unwrap();
         let (pred, report) = exec.degrid(&data, &plan, &grid).unwrap();
         assert_eq!(report.totals.pass, "degridding");
         assert!(report.totals.dtoh_seconds > 0.0);
@@ -377,15 +360,20 @@ mod tests {
         let mut device = Device::fiji();
         device.arch.mem_size_gb = Some(0.001); // 1 MB device
         let exec_small = GpuExecutor::new(device, 8, &tables);
-        let (grid_fallback, report) =
-            fresh_grid(&plan, |g| exec_small.grid(&data, &plan, g)).unwrap();
+        let (grid_fallback, report) = fresh_grid(&plan, |g| {
+            exec_small.grid(&data, &plan, Sink::Commit, add_onto(g, &plan, &tables))
+        })
+        .unwrap();
         assert!(
             report.totals.dtoh_seconds > 0.0,
             "subgrids streamed to the host"
         );
 
         let exec_full = GpuExecutor::new(Device::fiji(), 8, &tables);
-        let (grid_resident, _) = fresh_grid(&plan, |g| exec_full.grid(&data, &plan, g)).unwrap();
+        let (grid_resident, _) = fresh_grid(&plan, |g| {
+            exec_full.grid(&data, &plan, Sink::Commit, add_onto(g, &plan, &tables))
+        })
+        .unwrap();
         assert_eq!(grid_fallback.as_slice(), grid_resident.as_slice());
     }
 
@@ -400,7 +388,12 @@ mod tests {
         device.arch.mem_size_gb = Some(0.0001); // 100 kB device
         let exec = GpuExecutor::new(device, 8, &tables);
         assert!(matches!(
-            fresh_grid(&plan, |g| exec.grid(&data, &plan, g)),
+            fresh_grid(&plan, |g| exec.grid(
+                &data,
+                &plan,
+                Sink::Commit,
+                add_onto(g, &plan, &tables)
+            )),
             Err(IdgError::DeviceOutOfMemory { .. })
         ));
     }
@@ -413,11 +406,21 @@ mod tests {
         let taper = idg_math::spheroidal_2d(ds.obs.subgrid_size);
         let data = kernel_data(&ds, &taper);
         let (_, rp) = fresh_grid(&plan, |g| {
-            GpuExecutor::new(Device::pascal(), 8, &tables).grid(&data, &plan, g)
+            GpuExecutor::new(Device::pascal(), 8, &tables).grid(
+                &data,
+                &plan,
+                Sink::Commit,
+                add_onto(g, &plan, &tables),
+            )
         })
         .unwrap();
         let (_, rf) = fresh_grid(&plan, |g| {
-            GpuExecutor::new(Device::fiji(), 8, &tables).grid(&data, &plan, g)
+            GpuExecutor::new(Device::fiji(), 8, &tables).grid(
+                &data,
+                &plan,
+                Sink::Commit,
+                add_onto(g, &plan, &tables),
+            )
         })
         .unwrap();
         assert!(
@@ -441,7 +444,12 @@ mod tests {
         let data = kernel_data(&ds, &taper);
 
         let (gold, gold_report) = fresh_grid(&plan, |g| {
-            GpuExecutor::new(Device::pascal(), 4, &tables).grid(&data, &plan, g)
+            GpuExecutor::new(Device::pascal(), 4, &tables).grid(
+                &data,
+                &plan,
+                Sink::Commit,
+                add_onto(g, &plan, &tables),
+            )
         })
         .unwrap();
 
@@ -466,7 +474,10 @@ mod tests {
             },
         ]);
         let exec = GpuExecutor::new(Device::pascal(), 4, &tables).with_faults(faults);
-        let (grid, report) = fresh_grid(&plan, |g| exec.grid(&data, &plan, g)).unwrap();
+        let (grid, report) = fresh_grid(&plan, |g| {
+            exec.grid(&data, &plan, Sink::Commit, add_onto(g, &plan, &tables))
+        })
+        .unwrap();
 
         assert_eq!(grid.as_slice(), gold.as_slice(), "recovery is exact");
         assert!(report.totals.complete());
@@ -516,7 +527,10 @@ mod tests {
         let exec = GpuExecutor::new(Device::pascal(), m, &tables)
             .with_faults(faults)
             .with_retry_policy(retry);
-        let (grid, report) = fresh_grid(&plan, |g| exec.grid(&data, &plan, g)).unwrap();
+        let (grid, report) = fresh_grid(&plan, |g| {
+            exec.grid(&data, &plan, Sink::Commit, add_onto(g, &plan, &tables))
+        })
+        .unwrap();
 
         assert_eq!(report.totals.failed_jobs.len(), 1);
         let failure = &report.totals.failed_jobs[0];
@@ -534,7 +548,12 @@ mod tests {
         let full = gridder_counts(&plan.items, plan.subgrid_size());
         assert!(report.totals.counts.visibilities < full.visibilities);
         let (gold, _) = fresh_grid(&plan, |g| {
-            GpuExecutor::new(Device::pascal(), m, &tables).grid(&data, &plan, g)
+            GpuExecutor::new(Device::pascal(), m, &tables).grid(
+                &data,
+                &plan,
+                Sink::Commit,
+                add_onto(g, &plan, &tables),
+            )
         })
         .unwrap();
         assert_ne!(grid.as_slice(), gold.as_slice());
@@ -555,7 +574,10 @@ mod tests {
             kind: FaultKind::OutOfMemory,
         }]);
         let exec = GpuExecutor::new(Device::pascal(), 4, &tables).with_faults(faults);
-        let (_, report) = fresh_grid(&plan, |g| exec.grid(&data, &plan, g)).unwrap();
+        let (_, report) = fresh_grid(&plan, |g| {
+            exec.grid(&data, &plan, Sink::Commit, add_onto(g, &plan, &tables))
+        })
+        .unwrap();
         assert_eq!(report.totals.nr_retries, 0, "OOM is not retried");
         assert_eq!(report.totals.failed_jobs.len(), 1);
         assert_eq!(report.totals.failed_jobs[0].attempts, 1);
@@ -570,7 +592,10 @@ mod tests {
         let taper = idg_math::spheroidal_2d(ds.obs.subgrid_size);
         let data = kernel_data(&ds, &taper);
         let exec = GpuExecutor::new(Device::pascal(), 4, &tables);
-        let (grid, _) = fresh_grid(&plan, |g| exec.grid(&data, &plan, g)).unwrap();
+        let (grid, _) = fresh_grid(&plan, |g| {
+            exec.grid(&data, &plan, Sink::Commit, add_onto(g, &plan, &tables))
+        })
+        .unwrap();
         let (gold, _) = exec.degrid(&data, &plan, &grid).unwrap();
 
         // corrupt the DtoH transfer of job 0 and stall job 2's kernel
@@ -603,7 +628,10 @@ mod tests {
         let taper = idg_math::spheroidal_2d(ds.obs.subgrid_size);
         let data = kernel_data(&ds, &taper);
         let exec = GpuExecutor::new(Device::pascal(), 8, &tables);
-        let (model, _) = fresh_grid(&plan, |g| exec.grid(&data, &plan, g)).unwrap();
+        let (model, _) = fresh_grid(&plan, |g| {
+            exec.grid(&data, &plan, Sink::Commit, add_onto(g, &plan, &tables))
+        })
+        .unwrap();
         let nr_jobs = plan.work_groups(8).count();
         assert!(nr_jobs > 1, "want a multi-job schedule");
 
@@ -620,12 +648,18 @@ mod tests {
             let session = idg_obs::Session::begin(kind);
             let totals = match kind {
                 "grid" => {
-                    fresh_grid(&plan, |g| exec.grid(&data, &plan, g))
+                    fresh_grid(&plan, |g| {
+                        exec.grid(&data, &plan, Sink::Commit, add_onto(g, &plan, &tables))
+                    })
+                    .unwrap()
+                    .1
+                    .totals
+                }
+                "grid_deferred" => {
+                    exec.grid(&data, &plan, Sink::Defer, |_, _| Ok(()))
                         .unwrap()
-                        .1
                         .totals
                 }
-                "grid_deferred" => exec.grid_deferred(&data, &plan).unwrap().1.totals,
                 _ => exec.degrid(&data, &plan, &model).unwrap().1.totals,
             };
             let trace = session.finish();
@@ -673,7 +707,10 @@ mod tests {
         let taper = idg_math::spheroidal_2d(ds.obs.subgrid_size);
         let data = kernel_data(&ds, &taper);
         let exec = GpuExecutor::new(Device::pascal(), 8, &tables);
-        let (grid, _) = fresh_grid(&plan, |g| exec.grid(&data, &plan, g)).unwrap();
+        let (grid, _) = fresh_grid(&plan, |g| {
+            exec.grid(&data, &plan, Sink::Commit, add_onto(g, &plan, &tables))
+        })
+        .unwrap();
 
         // job 1 faults on every attempt and is given up on
         let faults = FaultConfig::targeted(
@@ -730,7 +767,12 @@ mod tests {
         let exec = GpuExecutor::new(Device::pascal(), 4, &tables).with_faults(faults);
         let mut grid = Grid::new(plan.grid_size());
         assert!(matches!(
-            exec.grid(&data, &plan, &mut grid),
+            exec.grid(
+                &data,
+                &plan,
+                Sink::Commit,
+                add_onto(&mut grid, &plan, &tables)
+            ),
             Err(IdgError::ShapeMismatch {
                 what: "visibilities",
                 ..

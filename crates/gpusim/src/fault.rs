@@ -13,15 +13,16 @@
 //!   **targeted** faults pinned to an exact `(job, attempt, site)`;
 //! * [`FaultInjector`] answers "does this operation fault, and how?"
 //!   and performs the actual bit flips for transfer corruption;
-//! * buffer integrity is enforced by real checksums ([`checksum_cf32`]
-//!   / [`checksum_bytes`], FNV-1a over the raw bits): an injected
-//!   bit flip is *detected*, not assumed — the executor hashes the
-//!   staged copy and compares against the source hash;
+//! * buffer integrity is enforced by real checksums ([`checksum_bytes`],
+//!   FNV-1a over the staged payload's raw bytes): an injected bit flip
+//!   ([`FaultInjector::corrupt_bytes`]) is *detected*, not assumed — the
+//!   executor hashes the staged copy and compares against the source
+//!   hash;
 //! * [`RetryPolicy`] caps re-execution attempts and models capped
 //!   exponential backoff into the pipeline makespan, so execution
 //!   reports show the robustness cost of every recovery.
 
-use idg_types::{Cf32, FaultSite, IdgError};
+use idg_types::{FaultSite, IdgError};
 
 /// The class of an injected fault.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -159,20 +160,6 @@ pub fn checksum_bytes(data: &[u8]) -> u64 {
     h
 }
 
-/// Checksum of a complex buffer's raw bits.
-pub fn checksum_cf32(data: &[Cf32]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for c in data {
-        for bits in [c.re.to_bits(), c.im.to_bits()] {
-            for b in bits.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x1_0000_01b3);
-            }
-        }
-    }
-    h
-}
-
 /// The seeded, deterministic fault layer of the device model.
 #[derive(Clone, Debug)]
 pub struct FaultInjector {
@@ -238,8 +225,10 @@ impl FaultInjector {
         None
     }
 
-    /// Flip one deterministic bit of a raw byte buffer — the modeled
-    /// in-flight corruption for non-complex payloads (uvw coordinates).
+    /// Flip one deterministic bit of a staged transfer payload — the
+    /// modeled in-flight corruption. The flipped position is a function
+    /// of the seed and the `(job, attempt)` point, so runs replay
+    /// identically.
     pub fn corrupt_bytes(&self, buffer: &mut [u8], job: usize, attempt: u32) {
         if buffer.is_empty() {
             return;
@@ -247,24 +236,6 @@ impl FaultInjector {
         let h = splitmix64(self.config.seed ^ splitmix64((job as u64) << 32 | attempt as u64));
         let bit = (h as usize) % (buffer.len() * 8);
         buffer[bit / 8] ^= 1 << (bit % 8);
-    }
-
-    /// Flip one deterministic bit of `buffer` — the modeled in-flight
-    /// corruption. The flipped position is a function of the seed and
-    /// the `(job, attempt)` point, so runs replay identically.
-    pub fn corrupt(&self, buffer: &mut [Cf32], job: usize, attempt: u32) {
-        if buffer.is_empty() {
-            return;
-        }
-        let h = splitmix64(self.config.seed ^ splitmix64((job as u64) << 32 | attempt as u64));
-        let bit = (h as usize) % (buffer.len() * 64);
-        let (idx, part, shift) = (bit / 64, (bit % 64) / 32, bit % 32);
-        let c = &mut buffer[idx];
-        if part == 0 {
-            c.re = f32::from_bits(c.re.to_bits() ^ (1 << shift));
-        } else {
-            c.im = f32::from_bits(c.im.to_bits() ^ (1 << shift));
-        }
     }
 }
 
@@ -372,26 +343,28 @@ mod tests {
     #[test]
     fn corruption_flips_exactly_one_bit_and_checksums_catch_it() {
         let inj = FaultInjector::new(FaultConfig::chaos(11, 1.0));
-        let original = vec![Cf32::new(1.5, -2.5); 64];
-        let before = checksum_cf32(&original);
+        // a staged payload of 64 complex samples, as the executor stages it
+        let original: Vec<u8> = [1.5f32, -2.5]
+            .repeat(64)
+            .iter()
+            .flat_map(|x| x.to_le_bytes())
+            .collect();
+        let before = checksum_bytes(&original);
         let mut corrupted = original.clone();
-        inj.corrupt(&mut corrupted, 0, 0);
-        assert_ne!(checksum_cf32(&corrupted), before, "checksum must differ");
+        inj.corrupt_bytes(&mut corrupted, 0, 0);
+        assert_ne!(checksum_bytes(&corrupted), before, "checksum must differ");
         let flipped: u32 = corrupted
             .iter()
             .zip(&original)
-            .map(|(a, b)| {
-                (a.re.to_bits() ^ b.re.to_bits()).count_ones()
-                    + (a.im.to_bits() ^ b.im.to_bits()).count_ones()
-            })
+            .map(|(a, b)| (a ^ b).count_ones())
             .sum();
         assert_eq!(flipped, 1, "exactly one bit flipped");
         // corruption point is deterministic
         let mut again = original.clone();
-        inj.corrupt(&mut again, 0, 0);
+        inj.corrupt_bytes(&mut again, 0, 0);
         assert_eq!(again, corrupted);
         // empty buffers are a no-op, not a panic
-        inj.corrupt(&mut [], 0, 0);
+        inj.corrupt_bytes(&mut [], 0, 0);
     }
 
     #[test]

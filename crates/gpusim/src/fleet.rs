@@ -20,27 +20,27 @@
 //!   fit even the smallest rung is declared dead. Injected allocation
 //!   faults ([`IdgError::is_degradable`]) take the same ladder and
 //!   then *resume the job's retry loop* past the faulted attempt.
-//! - **Deterministic order-preserving merge.** Gridding jobs may
+//! - **Deterministic order-preserving hand-over.** Gridding jobs may
 //!   finish on any device in any order, but f32 accumulation is not
-//!   associative — so computed subgrids are buffered and committed to
-//!   the master grid strictly in global job order, which makes a
-//!   fleet run bit-identical to the sequential single-device
-//!   reference whatever the fault schedule did to the scheduling.
+//!   associative — so computed subgrids are buffered and handed to the
+//!   caller's commit strictly in global job order, which makes a fleet
+//!   run bit-identical to the sequential single-device reference
+//!   whatever the fault schedule did to the scheduling.
 //!
 //! Everything is measured on the modeled [`crate::PipelineSim`] clocks
 //! (per-device); no wall time enters any decision, so a chaos run
 //! with a given seed and fleet shape replays byte-identically.
 
 use crate::device::Device;
-use crate::executor::DeferredSubgrids;
 use crate::fault::{FaultConfig, RetryPolicy};
 use crate::health::{BreakerConfig, DeviceHealth, JobOutcome};
 use crate::kernels::check_device;
-use crate::pass::{DeviceSlot, Direction, JobRun, Pass, PassTotals, Sink};
+use crate::pass::{DeviceSlot, Direction, GriddedJob, JobRun, Pass, PassTotals, Sink};
 use idg_kernels::{KernelData, KernelTables};
 use idg_plan::Plan;
 use idg_types::{Grid, IdgError, Visibility};
 use std::collections::VecDeque;
+use std::ops::Range;
 
 /// Deepest rung of the OOM degradation ladder (see [`level_shape`]).
 const MAX_DEGRADATION_LEVEL: usize = 2;
@@ -414,44 +414,29 @@ impl<'t> FleetExecutor<'t> {
         Ok((pass, report))
     }
 
-    /// Run a full gridding pass: visibilities → subgrids, **added
-    /// onto** `grid` (the caller zeroes it for a fresh grid).
-    ///
-    /// Jobs the whole fleet failed are reported in
-    /// [`PassTotals::failed_jobs`]; their subgrids are absent from
-    /// `grid`. What is added is **bit-identical** to a fault-free
-    /// single-device pass over the completed jobs, because every job's
-    /// subgrids are held until dispatch ends and then committed in
-    /// global job order, regardless of which device computed what. A
-    /// dispatch error leaves `grid` untouched.
+    /// Run a full gridding pass: visibilities → Fourier-domain subgrids,
+    /// handed to `commit` in global job order once dispatch ends, as
+    /// [`GpuExecutor::grid`](crate::GpuExecutor::grid) hands them: a
+    /// completed job's `plan.items` range with its subgrids (one call
+    /// per staged chunk — a degraded job computed in half-chunks), a
+    /// job the whole fleet failed with its
+    /// [`JobFailure`](crate::JobFailure). The sequence is
+    /// **bit-identical** to a fault-free single-device pass's over the
+    /// completed jobs, regardless of which device computed what. A
+    /// dispatch error returns before `commit` is first called; an error
+    /// `commit` returns ends the hand-over with that error.
     pub fn grid(
         &self,
         data: &KernelData<'_>,
         plan: &Plan,
-        grid: &mut Grid<f32>,
+        sink: Sink,
+        mut commit: impl FnMut(Range<usize>, GriddedJob<'_>) -> Result<(), IdgError>,
     ) -> Result<FleetRunReport, IdgError> {
-        let (mut pass, report) = self.run(data, plan, Direction::Grid(Sink::Commit))?;
+        let (mut pass, report) = self.run(data, plan, Direction::Grid(sink))?;
         for job in 0..pass.nr_jobs() {
-            pass.commit(job, grid)?;
+            pass.hand_over(job, &mut commit)?;
         }
         Ok(report)
-    }
-
-    /// Run a gridding pass across the fleet with *deferred* commits:
-    /// identical dispatch, health gating, and fault machinery to
-    /// [`FleetExecutor::grid`], but instead of merging subgrids into a
-    /// grid the computed `(plan.items range, subgrids)` pairs are
-    /// returned in global job order. The streaming proxy collects
-    /// these across chunk passes and commits everything with one
-    /// adder call in one-shot plan order, so the streamed grid stays
-    /// bit-identical whatever device finished what, when.
-    pub fn grid_deferred(
-        &self,
-        data: &KernelData<'_>,
-        plan: &Plan,
-    ) -> Result<(DeferredSubgrids, FleetRunReport), IdgError> {
-        let (pass, report) = self.run(data, plan, Direction::Grid(Sink::Defer))?;
-        Ok((pass.into_deferred_subgrids(), report))
     }
 
     /// Run a full degridding pass: grid → predicted visibilities, in
@@ -479,6 +464,8 @@ mod tests {
     use crate::executor::GpuExecutor;
     use crate::fault::TargetedFault;
     use crate::fault::{FaultConfig, FaultKind};
+    use crate::pass::add_onto;
+    use idg_kernels::SubgridArray;
     use idg_telescope::{Dataset, IdentityATerm, Layout, SkyModel};
     use idg_types::{FaultSite, Observation};
 
@@ -568,7 +555,7 @@ mod tests {
     /// `plan.items` index followed by its subgrid, in commit order (a
     /// degraded job hands its subgrids back in half-chunk ranges, which
     /// cover the same items in the same order).
-    fn deferred_subgrid_bits(pending: &DeferredSubgrids) -> Vec<u32> {
+    fn deferred_subgrid_bits(pending: &[(Range<usize>, SubgridArray)]) -> Vec<u32> {
         let mut bits = Vec::new();
         for (range, subgrids) in pending {
             for (plane, item) in range.clone().enumerate() {
@@ -577,6 +564,17 @@ mod tests {
             }
         }
         bits
+    }
+
+    /// A commit closure holding every handed-over job's subgrids in
+    /// `pending`, as a stream's chunk pass does.
+    fn hold(
+        pending: &mut Vec<(Range<usize>, SubgridArray)>,
+    ) -> impl FnMut(Range<usize>, GriddedJob<'_>) -> Result<(), IdgError> + '_ {
+        |range, job| {
+            pending.push((range, job.expect("a complete pass")));
+            Ok(())
+        }
     }
 
     /// Run one pass kind on the single-device executor; the output is
@@ -590,11 +588,17 @@ mod tests {
     ) -> (Vec<u32>, PassTotals) {
         match kind {
             "grid" => {
-                let (grid, report) = fresh_grid(plan, |g| exec.grid(data, plan, g)).unwrap();
+                let (grid, report) = fresh_grid(plan, |g| {
+                    exec.grid(data, plan, Sink::Commit, add_onto(g, plan, exec.tables))
+                })
+                .unwrap();
                 (complex_bits(grid.as_slice()), report.totals)
             }
             "grid_deferred" => {
-                let (pending, report) = exec.grid_deferred(data, plan).unwrap();
+                let mut pending = Vec::new();
+                let report = exec
+                    .grid(data, plan, Sink::Defer, hold(&mut pending))
+                    .unwrap();
                 (deferred_subgrid_bits(&pending), report.totals)
             }
             _ => {
@@ -617,11 +621,17 @@ mod tests {
     ) -> (Vec<u32>, FleetRunReport) {
         match kind {
             "grid" => {
-                let (grid, report) = fresh_grid(plan, |g| fleet.grid(data, plan, g)).unwrap();
+                let (grid, report) = fresh_grid(plan, |g| {
+                    fleet.grid(data, plan, Sink::Commit, add_onto(g, plan, fleet.tables))
+                })
+                .unwrap();
                 (complex_bits(grid.as_slice()), report)
             }
             "grid_deferred" => {
-                let (pending, report) = fleet.grid_deferred(data, plan).unwrap();
+                let mut pending = Vec::new();
+                let report = fleet
+                    .grid(data, plan, Sink::Defer, hold(&mut pending))
+                    .unwrap();
                 (deferred_subgrid_bits(&pending), report)
             }
             _ => {
@@ -641,7 +651,10 @@ mod tests {
 
         let single = GpuExecutor::new(Device::pascal(), 4, &tables);
         let fleet = FleetExecutor::uniform(Device::pascal(), 1, 4, &tables);
-        let (model, _) = fresh_grid(&plan, |g| single.grid(&data, &plan, g)).unwrap();
+        let (model, _) = fresh_grid(&plan, |g| {
+            single.grid(&data, &plan, Sink::Commit, add_onto(g, &plan, &tables))
+        })
+        .unwrap();
         for kind in PASS_KINDS {
             let (gold, gold_totals) = run_single(&single, kind, &data, &plan, &model);
             let (out, report) = run_fleet(&fleet, kind, &data, &plan, &model);
@@ -689,9 +702,15 @@ mod tests {
         let data = kernel_data(&ds, &taper);
 
         let single = GpuExecutor::new(Device::pascal(), 4, &tables);
-        let (gold, gold_report) = fresh_grid(&plan, |g| single.grid(&data, &plan, g)).unwrap();
+        let (gold, gold_report) = fresh_grid(&plan, |g| {
+            single.grid(&data, &plan, Sink::Commit, add_onto(g, &plan, &tables))
+        })
+        .unwrap();
         let fleet = FleetExecutor::uniform(Device::pascal(), 3, 4, &tables);
-        let (grid, report) = fresh_grid(&plan, |g| fleet.grid(&data, &plan, g)).unwrap();
+        let (grid, report) = fresh_grid(&plan, |g| {
+            fleet.grid(&data, &plan, Sink::Commit, add_onto(g, &plan, &tables))
+        })
+        .unwrap();
 
         // f32 accumulation order is pinned by the ordered commit, so
         // splitting work across devices must not move a single bit
@@ -711,7 +730,10 @@ mod tests {
         let taper = vec![1.0f32; ds.obs.subgrid_size * ds.obs.subgrid_size];
         let data = kernel_data(&ds, &taper);
         let single = GpuExecutor::new(Device::pascal(), 4, &tables);
-        let (grid, _) = fresh_grid(&plan, |g| single.grid(&data, &plan, g)).unwrap();
+        let (grid, _) = fresh_grid(&plan, |g| {
+            single.grid(&data, &plan, Sink::Commit, add_onto(g, &plan, &tables))
+        })
+        .unwrap();
 
         let (gold, _) = single.degrid(&data, &plan, &grid).unwrap();
         let fleet = FleetExecutor::uniform(Device::pascal(), 3, 4, &tables);
@@ -736,14 +758,22 @@ mod tests {
         let data = kernel_data(&ds, &taper);
 
         let (gold, _) = fresh_grid(&plan, |g| {
-            GpuExecutor::new(Device::pascal(), 1, &tables).grid(&data, &plan, g)
+            GpuExecutor::new(Device::pascal(), 1, &tables).grid(
+                &data,
+                &plan,
+                Sink::Commit,
+                add_onto(g, &plan, &tables),
+            )
         })
         .unwrap();
         let fleet = FleetExecutor::uniform(Device::pascal(), 4, 1, &tables)
             .with_member_faults(1, lemon_faults(8))
             .unwrap()
             .with_breaker(test_breaker());
-        let (grid, report) = fresh_grid(&plan, |g| fleet.grid(&data, &plan, g)).unwrap();
+        let (grid, report) = fresh_grid(&plan, |g| {
+            fleet.grid(&data, &plan, Sink::Commit, add_onto(g, &plan, &tables))
+        })
+        .unwrap();
 
         assert_bit_identical(&grid, &gold);
         assert!(
@@ -771,7 +801,10 @@ mod tests {
         let data = kernel_data(&ds, &taper);
 
         let single = GpuExecutor::new(Device::pascal(), 4, &tables);
-        let (model, _) = fresh_grid(&plan, |g| single.grid(&data, &plan, g)).unwrap();
+        let (model, _) = fresh_grid(&plan, |g| {
+            single.grid(&data, &plan, Sink::Commit, add_onto(g, &plan, &tables))
+        })
+        .unwrap();
         let oom = FaultConfig::targeted(vec![TargetedFault {
             job: 0,
             attempt: 0,
@@ -808,7 +841,12 @@ mod tests {
         let data = kernel_data(&ds, &taper);
 
         let (gold, _) = fresh_grid(&plan, |g| {
-            GpuExecutor::new(Device::pascal(), 4, &tables).grid(&data, &plan, g)
+            GpuExecutor::new(Device::pascal(), 4, &tables).grid(
+                &data,
+                &plan,
+                Sink::Commit,
+                add_onto(g, &plan, &tables),
+            )
         })
         .unwrap();
         // Enough for half-batch buffers (~184 kB at wgs 4) but not the
@@ -829,7 +867,10 @@ mod tests {
             4,
             &tables,
         );
-        let (grid, report) = fresh_grid(&plan, |g| fleet.grid(&data, &plan, g)).unwrap();
+        let (grid, report) = fresh_grid(&plan, |g| {
+            fleet.grid(&data, &plan, Sink::Commit, add_onto(g, &plan, &tables))
+        })
+        .unwrap();
         assert_bit_identical(&grid, &gold);
         assert!(report.totals.complete());
         assert!(report.degradation_steps >= 1);
@@ -845,7 +886,10 @@ mod tests {
         let data = kernel_data(&ds, &taper);
 
         let single = GpuExecutor::new(Device::pascal(), 4, &tables);
-        let (model, _) = fresh_grid(&plan, |g| single.grid(&data, &plan, g)).unwrap();
+        let (model, _) = fresh_grid(&plan, |g| {
+            single.grid(&data, &plan, Sink::Commit, add_onto(g, &plan, &tables))
+        })
+        .unwrap();
         let (gold, _) = run_single(&single, "degrid", &data, &plan, &model);
         let mut broken = Device::pascal();
         broken.degridder_block_size = 0;
@@ -901,7 +945,12 @@ mod tests {
         let data = kernel_data(&ds, &taper);
         let fleet = FleetExecutor::new(Vec::new(), 4, &tables);
         assert!(matches!(
-            fresh_grid(&plan, |g| fleet.grid(&data, &plan, g)),
+            fresh_grid(&plan, |g| fleet.grid(
+                &data,
+                &plan,
+                Sink::Commit,
+                add_onto(g, &plan, &tables)
+            )),
             Err(IdgError::InvalidParameter(_))
         ));
     }

@@ -731,7 +731,8 @@ mod tests {
                     ("gridder_gpu", gridder.map(drop), no_gridder),
                     (
                         "GpuExecutor::grid",
-                        exec.grid(&data, &plan, &mut model.clone()).map(drop),
+                        exec.grid(&data, &plan, crate::Sink::Commit, |_, _| Ok(()))
+                            .map(drop),
                         no_gridder,
                     ),
                     ("degridder_gpu", degridder.map(drop), no_degridder),

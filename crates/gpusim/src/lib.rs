@@ -52,11 +52,11 @@ pub mod stream;
 pub mod timing;
 
 pub use device::Device;
-pub use executor::{DeferredSubgrids, GpuExecutor, GpuRunReport, JobFailure};
+pub use executor::{GpuExecutor, GpuRunReport, JobFailure};
 pub use fault::{FaultConfig, FaultInjector, FaultKind, RetryPolicy, TargetedFault};
 pub use fleet::{DeviceReport, FleetExecutor, FleetMember, FleetRunReport};
 pub use health::{BreakerConfig, BreakerState, DeviceHealth, JobOutcome};
 pub use occupancy::{occupancy, KernelResources, Occupancy};
-pub use pass::PassTotals;
+pub use pass::{GriddedJob, PassTotals, Sink};
 pub use stream::{AttemptOutcome, Engine, FaultPoint, OpStatus, PipelineSim, TraceEntry};
 pub use timing::{host_adder_time, kernel_time, transfer_time, HOST_ADDER_BW};

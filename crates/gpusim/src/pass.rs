@@ -4,17 +4,21 @@
 //! The paper's host code is one triple-buffered HtoD → kernels → DtoH
 //! job chain (Sec. V-C, Fig. 7) run in two directions. A [`Pass`] is
 //! that chain parameterized by a [`Direction`]; a gridding pass also
-//! takes a [`Sink`], three cells in all:
+//! takes a [`Sink`], which picks the modeled adder shape only:
 //!
 //! | direction | pass (both executors) |
 //! |---|---|
-//! | `Grid(Commit)` | `grid` |
-//! | `Grid(Defer)` | `grid_deferred` |
+//! | `Grid(Commit)`, `Grid(Defer)` | `grid` |
 //! | `Degrid(&grid)` | `degrid` |
 //!
-//! A degrid pass needs no sink: its jobs write disjoint visibility
-//! slots of one buffer in place, so a streamed degrid chunk is the same
-//! `degrid` pass run over the chunk's own window of the observation.
+//! A gridding pass hands every job's output to its caller's commit
+//! closure in job order ([`Pass::hand_over`]): the job's `plan.items`
+//! ranges with their subgrids, or its [`JobFailure`]. What the caller
+//! does with them — add them onto a grid at once, or hold them for a
+//! stream's commit — is the caller's. A degrid pass needs no sink: its
+//! jobs write disjoint visibility slots of one buffer in place, so a
+//! streamed degrid chunk is the same `degrid` pass run over the chunk's
+//! own window of the observation.
 //!
 //! The engine owns the **job model** ([`Pass::job_model`], which prices
 //! every device job from the [`crate::timing`] formulas), the
@@ -23,27 +27,24 @@
 //! ([`Pass::run_job_on`]), the failed-slot zeroing ([`Pass::fail_job`])
 //! and the report seal ([`Pass::seal`]). What it does *not* own is
 //! dispatch: which device a job runs on, in which order, what happens
-//! to a job a device gave up on, and when a gridding job's subgrids are
-//! added onto the caller's grid ([`Pass::commit`]). The pass allocates
-//! no grid: a gridding pass adds onto the one its caller hands the
-//! executor. `GpuExecutor` walks the jobs sequentially over one
-//! [`DeviceSlot`] and commits each job as it completes; `FleetExecutor`
+//! to a job a device gave up on, and when a gridding job is handed to
+//! the caller. The pass allocates no grid. `GpuExecutor` walks the jobs
+//! sequentially over one [`DeviceSlot`] and hands each job over as it
+//! completes, so it holds one job's subgrids at a time; `FleetExecutor`
 //! wraps each slot in a health tracker and a degradation-ladder rung,
-//! re-queues failures, and commits every job in job order after
+//! re-queues failures, and hands every job over in job order after
 //! dispatch. A single device is the one-chunk case of the fleet's
 //! ladder chunks, not a fleet of one: it has no breaker, no ladder and
 //! no re-dispatch.
 
 use crate::device::Device;
-use crate::executor::{DeferredSubgrids, JobFailure};
+use crate::executor::JobFailure;
 use crate::fault::{checksum_bytes, FaultConfig, FaultInjector, FaultKind, RetryPolicy};
 use crate::kernels::{degridder_gpu, gridder_gpu};
 use crate::stream::{Engine, FaultPoint, OpStatus, PipelineSim, TraceEntry};
 use crate::timing::{adder_time, host_adder_time, kernel_time, subgrid_fft_time, transfer_time};
 use idg_fft::Direction as FftDirection;
-use idg_kernels::{
-    add_subgrids, fft_subgrids, split_subgrids, FftNorm, KernelData, KernelTables, SubgridArray,
-};
+use idg_kernels::{fft_subgrids, split_subgrids, FftNorm, KernelData, KernelTables, SubgridArray};
 use idg_perf::{degridder_counts, gridder_counts, EnergyModel, OpCounts};
 use idg_plan::{Plan, WorkItem};
 use idg_types::{FaultSite, Grid, IdgError, Visibility};
@@ -58,23 +59,34 @@ pub(crate) enum Direction<'a> {
     Degrid(&'a Grid<f32>),
 }
 
-/// What a finished gridding job's subgrids are for: they are held
-/// until the dispatcher commits them or the caller takes them.
-#[derive(Copy, Clone, PartialEq, Eq)]
-pub(crate) enum Sink {
-    /// The pass ends in the caller's grid, onto which the dispatcher
-    /// adds each job's subgrids in global job order ([`Pass::commit`]).
-    /// A device-resident grid is modeled where it fits.
+/// What the caller of a gridding pass does with the subgrids it is
+/// handed — the one argument that picks the modeled adder shape of
+/// Sec. V-C e. Either way every job reaches the caller's commit closure
+/// in job order; the sink changes only what the job model charges.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum Sink {
+    /// The caller adds each job onto its grid as it is handed over. The
+    /// paper's device-resident grid and device adder (option (1)) are
+    /// modeled where the grid fits; otherwise subgrids stream to the
+    /// host adder while the GPU computes on (option (2), host add time
+    /// charged).
     Commit,
-    /// Hold every job's output and hand it to the caller, who commits
-    /// all chunks of a stream in one-shot plan order. No device-resident
-    /// grid is modeled: buffers-only reservation, gridded subgrids
-    /// stream back over DtoH, no device adder — the host-side commit is
-    /// accounted by the caller.
+    /// The caller holds the subgrids for a commit of its own (a stream
+    /// adds all chunks in one-shot plan order). No device-resident grid
+    /// is modeled: buffers-only reservation, subgrids stream back over
+    /// DtoH, no adder charged — the caller accounts its commit.
     Defer,
 }
 
-/// One gridding job's computed-but-uncommitted output: the subgrids of
+/// One gridding job's output as a pass hands it to its caller: the
+/// subgrids computed for a `plan.items` range, or the failure that left
+/// the job's range without any.
+pub type GriddedJob<'f> = Result<SubgridArray, &'f JobFailure>;
+
+/// The caller's commit closure of a gridding pass.
+pub(crate) type Commit<'c> = dyn FnMut(Range<usize>, GriddedJob<'_>) -> Result<(), IdgError> + 'c;
+
+/// One gridding job's output until it is handed over: the subgrids of
 /// each staged chunk, keyed by the chunk's item range within the group.
 type PendingChunks = Vec<(Range<usize>, SubgridArray)>;
 
@@ -492,8 +504,8 @@ impl DeviceSlot {
     /// sets, replacing any earlier reservation. Preferred: grid + buffer
     /// sets resident on the device. When the grid no longer fits ("when
     /// dealing with large images that no longer fit into GPU device
-    /// memory", Sec. V-C e) — or a gridding pass defers its commits and
-    /// never holds a grid — fall back to the paper's option (2): keep only
+    /// memory", Sec. V-C e) — or a gridding pass's caller defers its
+    /// commit ([`Sink::Defer`]) and no grid is modeled — fall back to the paper's option (2): keep only
     /// the buffers on the device and copy subgrids to the host. Errors
     /// only when even the buffer sets do not fit; the slot then holds
     /// no reservation.
@@ -539,8 +551,8 @@ pub(crate) struct Pass<'a> {
     groups: Vec<&'a [WorkItem]>,
     tables: &'a KernelTables,
     retry: &'a RetryPolicy,
-    /// Computed subgrids per job of a gridding pass, until committed
-    /// or handed to the caller.
+    /// Computed subgrids per job of a gridding pass, until handed to
+    /// the caller.
     held: Vec<Option<PendingChunks>>,
     /// Predicted visibilities of a degridding pass (the extent of
     /// `data.obs`; jobs write their own disjoint slots in place).
@@ -691,7 +703,7 @@ impl<'a> Pass<'a> {
 
     /// Run `job` on `slot` through the fault/retry loop and, when it
     /// completes, charge it to the totals and keep its output (a
-    /// gridding job's subgrids are held for [`Pass::commit`]). `resume`
+    /// gridding job's subgrids are held for [`Pass::hand_over`]). `resume`
     /// is [`run_job`]'s `(first_attempt, not_before)`.
     ///
     /// A job the device gave up on comes back as [`JobRun::Failed`] and
@@ -790,16 +802,31 @@ impl<'a> Pass<'a> {
         result
     }
 
-    /// Add `job`'s held subgrids onto `grid` and free them; a failed
-    /// job holds none. Committing the jobs in job order is the
-    /// `add_subgrids` sequence of one sequential device, whichever
-    /// device computed what, when — f32 addition is not associative.
-    pub(crate) fn commit(&mut self, job: usize, grid: &mut Grid<f32>) -> Result<(), IdgError> {
-        let group = self.groups[job];
-        for (r, subgrids) in self.held[job].take().into_iter().flatten() {
-            add_subgrids(grid, &group[r], &subgrids, self.tables)?;
+    /// Hand `job`'s output to the caller's `commit`: each staged chunk's
+    /// subgrids with its global `plan.items` range, or — for a job no
+    /// device completed — its whole range with its [`JobFailure`]. The
+    /// held subgrids are freed as they go. Handing the jobs over in job
+    /// order gives the caller the `add_subgrids` sequence of one
+    /// sequential device, whichever device computed what, when — f32
+    /// addition is not associative.
+    pub(crate) fn hand_over(
+        &mut self,
+        job: usize,
+        commit: &mut Commit<'_>,
+    ) -> Result<(), IdgError> {
+        let first = job * self.work_group_size;
+        if let Some(chunks) = self.held[job].take() {
+            for (r, subgrids) in chunks {
+                commit(first + r.start..first + r.end, Ok(subgrids))?;
+            }
+            return Ok(());
         }
-        Ok(())
+        match self.totals.failed_jobs.iter().find(|f| f.job == job) {
+            Some(failure) => commit(first..first + failure.nr_items, Err(failure)),
+            None => Err(IdgError::Internal(format!(
+                "gridding job {job} neither completed nor failed"
+            ))),
+        }
     }
 
     /// Record that no device could complete `job`: its work is absent
@@ -859,22 +886,23 @@ impl<'a> Pass<'a> {
         totals.clone()
     }
 
-    /// The held subgrids of a [`Sink::Defer`] gridding pass, flattened
-    /// to global `plan.items` ranges in global job order.
-    pub(crate) fn into_deferred_subgrids(self) -> DeferredSubgrids {
-        let mut out = DeferredSubgrids::new();
-        for (job, chunks) in self.held.into_iter().enumerate() {
-            let first = job * self.work_group_size;
-            for (r, subgrids) in chunks.into_iter().flatten() {
-                out.push((first + r.start..first + r.end, subgrids));
-            }
-        }
-        out
-    }
-
     /// The predicted visibilities of a degridding pass (failed jobs'
     /// slots are zero).
     pub(crate) fn into_vis(self) -> Vec<Visibility<f32>> {
         self.vis
+    }
+}
+
+/// A commit closure that adds every handed-over job's subgrids onto
+/// `grid` and skips a failed job: a gridding pass with no CPU fallback.
+#[cfg(test)]
+pub(crate) fn add_onto<'g>(
+    grid: &'g mut Grid<f32>,
+    plan: &'g Plan,
+    tables: &'g KernelTables,
+) -> impl FnMut(Range<usize>, GriddedJob<'_>) -> Result<(), IdgError> + 'g {
+    move |range, job| match job {
+        Ok(subgrids) => idg_kernels::add_subgrids(grid, &plan.items[range], &subgrids, tables),
+        Err(_) => Ok(()),
     }
 }

@@ -8,14 +8,29 @@
 //! always names the modeled time at which it will admit again.
 
 use idg_gpusim::{
-    BreakerConfig, Device, DeviceHealth, FaultConfig, FleetExecutor, GpuExecutor, JobOutcome,
+    BreakerConfig, Device, DeviceHealth, FaultConfig, FleetExecutor, GpuExecutor, GriddedJob,
+    JobOutcome, Sink,
 };
-use idg_kernels::{KernelData, KernelTables};
+use idg_kernels::{add_subgrids, KernelData, KernelTables};
 use idg_plan::Plan;
 use idg_telescope::{Dataset, IdentityATerm, Layout, SkyModel};
-use idg_types::{Grid, Observation};
+use idg_types::{Grid, IdgError, Observation};
 use proptest::prelude::*;
+use std::ops::Range;
 use std::sync::OnceLock;
+
+/// A commit closure that adds every handed-over job onto `grid` and
+/// skips a failed job.
+fn add_onto<'g>(
+    grid: &'g mut Grid<f32>,
+    plan: &'g Plan,
+    tables: &'g KernelTables,
+) -> impl FnMut(Range<usize>, GriddedJob<'_>) -> Result<(), IdgError> + 'g {
+    move |range, job| match job {
+        Ok(subgrids) => add_subgrids(grid, &plan.items[range], &subgrids, tables),
+        Err(_) => Ok(()),
+    }
+}
 
 /// One small deterministic dataset shared by every proptest case (the
 /// simulation is the expensive part; the fault schedule and fleet
@@ -88,7 +103,9 @@ proptest! {
                 half_open_probes: 1,
             });
         let mut grid = Grid::new(plan.grid_size());
-        let report = fleet.grid(&data, plan, &mut grid).unwrap();
+        let report = fleet
+            .grid(&data, plan, Sink::Commit, add_onto(&mut grid, plan, &tables))
+            .unwrap();
         let nr_jobs = plan.work_groups(wgs).count();
 
         // Exactly-once accounting: completed on some device XOR failed.
@@ -113,7 +130,7 @@ proptest! {
         if report.totals.complete() {
             let mut gold = Grid::new(plan.grid_size());
             GpuExecutor::new(Device::pascal(), wgs, &tables)
-                .grid(&data, plan, &mut gold)
+                .grid(&data, plan, Sink::Commit, add_onto(&mut gold, plan, &tables))
                 .unwrap();
             for (x, y) in grid.as_slice().iter().zip(gold.as_slice()) {
                 prop_assert_eq!(x.re.to_bits(), y.re.to_bits());

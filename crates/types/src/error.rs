@@ -46,17 +46,6 @@ pub enum IdgError {
         /// Observed element count.
         actual: usize,
     },
-    /// A visibility falls outside the representable uv-range of the grid.
-    UvOutOfRange {
-        /// u in wavelengths.
-        u: f64,
-        /// v in wavelengths.
-        v: f64,
-        /// Maximum representable |u|/|v| in wavelengths.
-        max: f64,
-    },
-    /// FFT size not supported by the planner.
-    UnsupportedFftSize(usize),
     /// The device model ran out of (modeled) device memory.
     DeviceOutOfMemory {
         /// Bytes requested.
@@ -160,13 +149,6 @@ impl std::fmt::Display for IdgError {
                     "shape mismatch for {what}: expected {expected}, got {actual}"
                 )
             }
-            IdgError::UvOutOfRange { u, v, max } => {
-                write!(
-                    f,
-                    "uv ({u:.1}, {v:.1}) outside representable range ±{max:.1} wavelengths"
-                )
-            }
-            IdgError::UnsupportedFftSize(n) => write!(f, "unsupported FFT size {n}"),
             IdgError::DeviceOutOfMemory {
                 requested,
                 available,
@@ -208,14 +190,6 @@ mod tests {
             actual: 5,
         };
         assert!(e.to_string().contains("visibilities"));
-        let e = IdgError::UvOutOfRange {
-            u: 1.0,
-            v: 2.0,
-            max: 0.5,
-        };
-        assert!(e.to_string().contains("outside"));
-        let e = IdgError::UnsupportedFftSize(7);
-        assert!(e.to_string().contains('7'));
         let e = IdgError::DeviceOutOfMemory {
             requested: 100,
             available: 50,
