@@ -18,9 +18,9 @@
 //!    the chunks' sub-plans are *verbatim* a partition of the plan's
 //!    items (checked for every item before any chunk runs);
 //! 2. each work item's subgrid is produced by the same kernels over the
-//!    same full input buffers (items carry global time offsets) — a
-//!    device job that failed for good by the CPU reference kernels, at
-//!    its turn in job order, in both passes;
+//!    same full input buffers (items carry global time offsets); a
+//!    device job that failed for good is re-gridded by the CPU reference
+//!    kernels at its turn in job order, in both passes;
 //! 3. the commit puts every subgrid at its item's one-shot index and
 //!    performs **one** adder call over the plan's items, straight over
 //!    the chunks' own subgrid arrays, so every f32 accumulation happens

@@ -505,8 +505,9 @@ impl DeviceSlot {
     /// sets resident on the device. When the grid no longer fits ("when
     /// dealing with large images that no longer fit into GPU device
     /// memory", Sec. V-C e) — or a gridding pass's caller defers its
-    /// commit ([`Sink::Defer`]) and no grid is modeled — fall back to the paper's option (2): keep only
-    /// the buffers on the device and copy subgrids to the host. Errors
+    /// commit ([`Sink::Defer`]) and no grid is modeled — fall back to
+    /// the paper's option (2): keep only the buffers on the device and
+    /// copy subgrids to the host. Errors
     /// only when even the buffer sets do not fit; the slot then holds
     /// no reservation.
     pub(crate) fn reserve(
