@@ -637,11 +637,11 @@ mod tests {
 
         // the three pass kinds and how each one's Compute interval
         // subdivides: the device adder keeps one-shot gridding on the
-        // GPU, deferred gridding ends at the FFT (the caller adds), and
+        // GPU, `Sink::Defer` gridding ends at the FFT (the caller adds), and
         // degridding runs the reverse chain
         let kinds: [(&str, &[&str]); 3] = [
             ("grid", &["gridder", "subgrid_fft", "adder"]),
-            ("grid_deferred", &["gridder", "subgrid_fft"]),
+            ("grid_sink_defer", &["gridder", "subgrid_fft"]),
             ("degrid", &["splitter", "subgrid_ifft", "degridder"]),
         ];
         for (kind, expected_kernels) in kinds {
@@ -655,7 +655,7 @@ mod tests {
                     .1
                     .totals
                 }
-                "grid_deferred" => {
+                "grid_sink_defer" => {
                     exec.grid(&data, &plan, Sink::Defer, |_, _| Ok(()))
                         .unwrap()
                         .totals

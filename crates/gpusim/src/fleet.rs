@@ -540,7 +540,7 @@ mod tests {
     }
 
     /// The three pass kinds every executor offers.
-    const PASS_KINDS: [&str; 3] = ["grid", "grid_deferred", "degrid"];
+    const PASS_KINDS: [&str; 3] = ["grid", "grid_sink_defer", "degrid"];
 
     fn complex_bits<'c>(
         samples: impl IntoIterator<Item = &'c idg_types::Complex<f32>>,
@@ -551,7 +551,7 @@ mod tests {
             .collect()
     }
 
-    /// The output bits of a deferred gridding pass: every work item's
+    /// The output bits of a `Sink::Defer` gridding pass: every work item's
     /// `plan.items` index followed by its subgrid, in commit order (a
     /// degraded job hands its subgrids back in half-chunk ranges, which
     /// cover the same items in the same order).
@@ -594,7 +594,7 @@ mod tests {
                 .unwrap();
                 (complex_bits(grid.as_slice()), report.totals)
             }
-            "grid_deferred" => {
+            "grid_sink_defer" => {
                 let mut pending = Vec::new();
                 let report = exec
                     .grid(data, plan, Sink::Defer, hold(&mut pending))
@@ -627,7 +627,7 @@ mod tests {
                 .unwrap();
                 (complex_bits(grid.as_slice()), report)
             }
-            "grid_deferred" => {
+            "grid_sink_defer" => {
                 let mut pending = Vec::new();
                 let report = fleet
                     .grid(data, plan, Sink::Defer, hold(&mut pending))

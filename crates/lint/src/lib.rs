@@ -1,29 +1,23 @@
-//! # idg-lint — the two workspace invariants no standard tool can state
+//! # idg-lint — the workspace invariant no standard tool can state
 //!
 //! The paper's headline claims rest on numerical discipline (the f32
 //! kernels must track the f64 reference) and on operation accounting
 //! that the observability layer (DESIGN.md §8) validates *at runtime*,
 //! on every clean observed pass. The *static* half is the rules of
 //! DESIGN.md §9 (L3, the kernel↔counter contract, is retired: the
-//! runtime check catches a missing counter call). Four of them are
-//! rustc and clippy lints and are switched on where those tools read
-//! their configuration — L1
-//! panic freedom, L2 numeric discipline and L7 the banned std lock
-//! types in the `cargo lint` alias (`.cargo/config.toml`,
+//! runtime check catches a missing counter call; L6, lock discipline,
+//! is retired with the last lock). Four of them are rustc and clippy
+//! lints and are switched on where those tools read their
+//! configuration — L1 panic freedom, L2 numeric discipline and L7 no
+//! std lock type in the `cargo lint` alias (`.cargo/config.toml`,
 //! `clippy.toml`), L5 as `unsafe_code = "forbid"` in
 //! `[workspace.lints]`. This crate is a `syn`-based pass over every
-//! library source file for the two that are about *this* code base,
+//! library source file for the one that is about *this* code base,
 //! with `file:line:col` diagnostics:
 //!
 //! * **L4 — typed fallibility**: `pub fn`s that fail do so through
 //!   `Result<_, IdgError>` — no foreign error types, no
 //!   `Option`/`bool`-as-error on fallibly-named functions.
-//! * **L6 — lock discipline**: (d) no kernel entry point launched
-//!   while a lock guard binding is live. (Sub-rule (a), `Condvar::wait`
-//!   only inside a predicate re-check loop, has no subject:
-//!   `clippy.toml` bans the std condvar; (b), raw `.lock().unwrap()`
-//!   acquisitions, is `clippy::unwrap_used`; (c), lock order, went
-//!   with the last pair of nested locks.)
 //!
 //! Run as `cargo run -p idg-lint`: exit 1 on any diagnostic. There is
 //! no allowlist; a site that must stay is rewritten or the rule is.
@@ -39,16 +33,12 @@ use std::path::Path;
 pub enum Rule {
     /// Typed fallibility (`Result<_, IdgError>`).
     L4,
-    /// Lock discipline, sub-rule (d): guard liveness across kernel
-    /// launches.
-    L6,
 }
 
 impl std::fmt::Display for Rule {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
             Rule::L4 => "L4",
-            Rule::L6 => "L6",
         })
     }
 }

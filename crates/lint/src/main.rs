@@ -1,5 +1,5 @@
-//! `idg-lint` CLI: the workspace static-analysis gate (rules L4 and
-//! L6(d); the other rules of DESIGN.md §9 are `cargo lint` and rustc).
+//! `idg-lint` CLI: the workspace static-analysis gate (rule L4; the
+//! other rules of DESIGN.md §9 are `cargo lint` and rustc).
 //!
 //! ```text
 //! cargo run -p idg-lint             # CI mode: exit 1 on any diagnostic
@@ -18,7 +18,7 @@ fn main() -> ExitCode {
             "--list" => list = true,
             "--help" | "-h" => {
                 println!(
-                    "idg-lint — workspace static analysis (rules L4, L6; DESIGN.md §9, §13)\n\n\
+                    "idg-lint — workspace static analysis (rule L4; DESIGN.md §9)\n\n\
                      USAGE: cargo run -p idg-lint [-- --list]"
                 );
                 return ExitCode::SUCCESS;

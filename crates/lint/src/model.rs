@@ -8,8 +8,8 @@
 //!   (`#[cfg(test)]` items and `#[test]`/`#[should_panic]` functions),
 //!   so library-only rules never fire inside tests;
 //! * **function items** — every `fn` with its name, visibility,
-//!   signature/return-type token runs and body group, so typed
-//!   fallibility (L4) and guard liveness (L6) can reason per function.
+//!   return-type token run and body group, so typed fallibility (L4)
+//!   can reason per function.
 //!
 //! Attribute groups themselves (`#[derive(...)]`, `#[doc = "..."]`) are
 //! *not* walked as expressions: their tokens are metadata, not code.
@@ -48,8 +48,6 @@ pub struct FnItem {
     pub name: String,
     /// Declared with `pub` (any visibility qualifier counts).
     pub is_pub: bool,
-    /// Tokens of the argument list (inside the parentheses).
-    pub arg_tokens: Vec<TokenTree>,
     /// Tokens after `->` up to the body / `where` / `;` (empty when the
     /// function returns `()` implicitly).
     pub ret_tokens: Vec<TokenTree>,
@@ -178,7 +176,6 @@ fn parse_fn(tokens: &[TokenTree], at: usize, in_test: bool) -> (Option<FnItem>, 
     if args.delimiter != Delimiter::Parenthesis {
         return (None, at + 2);
     }
-    let arg_tokens = args.tokens.clone();
     i += 1;
     // Return type.
     let mut ret_tokens = Vec::new();
@@ -222,7 +219,6 @@ fn parse_fn(tokens: &[TokenTree], at: usize, in_test: bool) -> (Option<FnItem>, 
         Some(FnItem {
             name: name.text.clone(),
             is_pub,
-            arg_tokens,
             ret_tokens,
             body,
             line: span.start().line,

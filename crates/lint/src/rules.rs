@@ -1,12 +1,12 @@
-//! The workspace invariants this crate enforces: L4 and L6 (d).
+//! The workspace invariant this crate enforces: L4.
 //!
-//! Each rule is a pure function from a parsed file to diagnostics. All
-//! rules are test-module-aware: nothing fires inside `#[cfg(test)]`
-//! items or `#[test]`/`#[should_panic]` functions.
+//! The rule is a pure function from a parsed file to diagnostics. It is
+//! test-module-aware: nothing fires inside `#[cfg(test)]` items or
+//! `#[test]`/`#[should_panic]` functions.
 
 use crate::model::{collect_fns, FnItem};
 use crate::{Diagnostic, Rule};
-use syn::{Delimiter, TokenTree};
+use syn::TokenTree;
 
 /// Crates exempt from L4: dev tooling with its own error type.
 const L4_EXEMPT_CRATES: &[&str] = &["lint"];
@@ -20,7 +20,6 @@ pub fn lint_file(path: &str, file: &syn::File) -> Vec<Diagnostic> {
     if !L4_EXEMPT_CRATES.contains(&crate_of(path)) {
         l4_typed_errors(path, &fns, &mut diags);
     }
-    l6_guard_liveness(path, &fns, &mut diags);
     diags
 }
 
@@ -32,17 +31,6 @@ pub fn crate_of(path: &str) -> &str {
         Some("crates") => parts.next().unwrap_or(""),
         Some("src") => "idg-repro",
         _ => "",
-    }
-}
-
-fn diag(path: &str, t: &TokenTree, rule: Rule, message: String) -> Diagnostic {
-    let span = t.span();
-    Diagnostic {
-        rule,
-        path: path.to_string(),
-        line: span.start().line,
-        column: span.start().column + 1,
-        message,
     }
 }
 
@@ -182,152 +170,5 @@ fn outer_type(ret: &[TokenTree]) -> Outer {
             Outer::Result { error_last_ident }
         }
         _ => Outer::Other,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// L6 — lock discipline
-// ---------------------------------------------------------------------------
-
-/// Guard-producing lock acquisition methods (`Mutex::lock`, and the
-/// `RwLock` pair `clippy.toml` bans).
-const ACQUIRE_METHODS: &[&str] = &["lock", "read", "write"];
-
-/// Name prefixes of the kernel entry points (`gridder_cpu`,
-/// `fft_subgrids`, …) that must never run while a lock guard binding is
-/// live: the kernels fan out across rayon workers and a guard held
-/// across the launch serializes — or deadlocks — the fleet.
-const LAUNCH_PREFIXES: &[&str] = &[
-    "gridder",
-    "degridder",
-    "fft_subgrids",
-    "add_subgrids",
-    "split_subgrids",
-];
-
-/// Is `toks[i]` an identifier in method-call position (`.ident(...)`)?
-fn is_method_call(toks: &[TokenTree], i: usize) -> bool {
-    matches!(toks.get(i.wrapping_sub(1)), Some(TokenTree::Punct(p)) if p.ch == '.')
-        && matches!(
-            toks.get(i + 1),
-            Some(TokenTree::Group(g)) if g.delimiter == Delimiter::Parenthesis
-        )
-}
-
-/// Sub-rule (d): guard liveness across kernel launches. A `let` binding
-/// whose initializer acquires a lock guard keeps it live to the end
-/// of its scope (or an explicit `drop(name)`); launching a kernel entry
-/// point with any guard live is flagged. `idg_obs::`-qualified counter
-/// calls share the `add_subgrids` prefix but are bookkeeping, not
-/// launches, and are excluded.
-fn l6_guard_liveness(path: &str, fns: &[FnItem], diags: &mut Vec<Diagnostic>) {
-    for f in fns {
-        if f.in_test {
-            continue;
-        }
-        let Some(body) = &f.body else { continue };
-        scan_guard_scope(&body.tokens, &[], path, diags);
-    }
-}
-
-fn scan_guard_scope(
-    toks: &[TokenTree],
-    live_in: &[String],
-    path: &str,
-    diags: &mut Vec<Diagnostic>,
-) {
-    let mut live: Vec<String> = live_in.to_vec();
-    // A guard binding becomes live at its statement's `;`, not inside
-    // the initializer expression itself.
-    let mut pending: Option<String> = None;
-    let mut skip_fn_body = false;
-    let mut i = 0usize;
-    while i < toks.len() {
-        match &toks[i] {
-            TokenTree::Ident(id) if id.text == "fn" => {
-                skip_fn_body = true;
-                i += 1;
-            }
-            TokenTree::Ident(id) if id.text == "let" => {
-                let mut j = i + 1;
-                if matches!(toks.get(j), Some(TokenTree::Ident(m)) if m.text == "mut") {
-                    j += 1;
-                }
-                if let Some(TokenTree::Ident(name)) = toks.get(j) {
-                    let mut k = j + 1;
-                    while k < toks.len() {
-                        match &toks[k] {
-                            TokenTree::Punct(p) if p.ch == ';' => break,
-                            TokenTree::Ident(m)
-                                if ACQUIRE_METHODS.contains(&m.text.as_str())
-                                    && is_method_call(toks, k) =>
-                            {
-                                pending = Some(name.text.clone());
-                                break;
-                            }
-                            _ => {}
-                        }
-                        k += 1;
-                    }
-                }
-                i += 1;
-            }
-            TokenTree::Ident(id) if id.text == "drop" => {
-                if let Some(TokenTree::Group(g)) = toks.get(i + 1) {
-                    if g.delimiter == Delimiter::Parenthesis {
-                        if let [TokenTree::Ident(name)] = g.tokens.as_slice() {
-                            live.retain(|n| n != &name.text);
-                        }
-                    }
-                }
-                i += 1;
-            }
-            TokenTree::Punct(p) if p.ch == ';' => {
-                if let Some(name) = pending.take() {
-                    live.push(name);
-                }
-                skip_fn_body = false;
-                i += 1;
-            }
-            TokenTree::Group(g) => {
-                if g.delimiter == Delimiter::Brace && skip_fn_body {
-                    skip_fn_body = false;
-                } else {
-                    scan_guard_scope(&g.tokens, &live, path, diags);
-                }
-                i += 1;
-            }
-            TokenTree::Ident(id) => {
-                let launches = LAUNCH_PREFIXES.iter().any(|p| matches_prefix(&id.text, p));
-                let called = matches!(
-                    toks.get(i + 1),
-                    Some(TokenTree::Group(g)) if g.delimiter == Delimiter::Parenthesis
-                );
-                let declared = matches!(toks.get(i.wrapping_sub(1)), Some(TokenTree::Ident(p)) if p.text == "fn");
-                let obs_counter = matches!(
-                    toks.get(i.wrapping_sub(1)),
-                    Some(TokenTree::Punct(p)) if p.ch == ':'
-                ) && matches!(
-                    toks.get(i.wrapping_sub(3)),
-                    Some(TokenTree::Ident(q)) if q.text == "idg_obs"
-                );
-                if launches && called && !declared && !obs_counter {
-                    if let Some(guard) = live.first() {
-                        diags.push(diag(
-                            path,
-                            &toks[i],
-                            Rule::L6,
-                            format!(
-                                "kernel entry `{}` launched while lock guard `{}` is live — \
-                                 release the guard before the launch (DESIGN.md §13)",
-                                id.text, guard
-                            ),
-                        ));
-                    }
-                }
-                i += 1;
-            }
-            _ => i += 1,
-        }
     }
 }

@@ -5,9 +5,9 @@
 //!
 //! * `crates/bench` — the figure/bench harness (binaries, not library;
 //!   also the one package the `cargo lint` alias excludes);
-//! * `shims/*` — offline stand-ins for external dependencies: L4 and
-//!   L6 are about this code base's errors and locks (the clippy half of
-//!   DESIGN.md §9 does cover the shims);
+//! * `shims/*` — offline stand-ins for external dependencies: L4 is
+//!   about this code base's errors (the clippy half of DESIGN.md §9
+//!   does cover the shims);
 //! * `tests/`, `benches/`, `examples/` everywhere.
 
 use crate::LintError;

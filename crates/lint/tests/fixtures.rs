@@ -1,5 +1,5 @@
-//! Fixture coverage for the rules `idg-lint` carries (L4, L6): one
-//! violating and one clean file per rule, asserted down to the exact
+//! Fixture coverage for the rule `idg-lint` carries (L4): one
+//! violating and one clean file, asserted down to the exact
 //! `line:column` spans, plus the scoping behavior (the L4 exemption),
 //! the live-workspace meta-check that mirrors the CI gate, and the
 //! manifest check that keeps every crate under `[workspace.lints]`.
@@ -57,43 +57,13 @@ fn l4_clean_fixture_passes() {
 }
 
 // ---------------------------------------------------------------------------
-// L6 — lock discipline
+// Diagnostic formatting and the live-workspace gate
 // ---------------------------------------------------------------------------
 
 fn workspace_root() -> std::path::PathBuf {
     idg_lint::find_workspace_root(std::path::Path::new(env!("CARGO_MANIFEST_DIR")))
         .expect("workspace root above crates/lint")
 }
-
-#[test]
-fn l6_fires_on_kernel_launch_under_live_guard() {
-    let diags = lint(
-        "crates/kernels/src/fixture.rs",
-        include_str!("fixtures/l6_guard_violating.rs"),
-    );
-    assert_eq!(spans(&diags, Rule::L6), vec![(8, 5), (15, 9)]);
-    assert_eq!(diags.len(), 2);
-    assert!(diags[0].message.contains("gridder_cpu"));
-    assert!(diags[0].message.contains("`st` is live"));
-    assert!(diags[1].message.contains("fft_subgrids"));
-}
-
-#[test]
-fn l6_guard_clean_fixture_passes() {
-    let diags = lint(
-        "crates/kernels/src/fixture.rs",
-        include_str!("fixtures/l6_guard_clean.rs"),
-    );
-    assert_eq!(
-        diags,
-        vec![],
-        "drop/scope-released guards and obs counter calls are legal"
-    );
-}
-
-// ---------------------------------------------------------------------------
-// Diagnostic formatting and the live-workspace gate
-// ---------------------------------------------------------------------------
 
 #[test]
 fn diagnostics_render_as_path_line_col_rule() {

@@ -139,6 +139,50 @@ impl MetricsSnapshot {
         }
     }
 
+    /// Merge another thread's records of the same session into this
+    /// snapshot: every counter is summed except `passes_inflight_max`,
+    /// which keeps the larger. The pattern names every field, so a new
+    /// counter does not compile until it is merged here.
+    pub(crate) fn merge(&mut self, other: MetricsSnapshot) {
+        let MetricsSnapshot {
+            pass: _,
+            gridder,
+            degridder,
+            subgrids_fft,
+            subgrids_ifft,
+            subgrids_added,
+            subgrids_split,
+            planned_items,
+            skipped_visibilities,
+            nr_retries,
+            fallback_jobs,
+            health_outcomes,
+            breaker_trips,
+            degradation_steps,
+            redispatched_jobs,
+            chunks_ingested,
+            backpressure_waits,
+            passes_inflight_max,
+        } = other;
+        self.gridder.add(&gridder);
+        self.degridder.add(&degridder);
+        self.subgrids_fft += subgrids_fft;
+        self.subgrids_ifft += subgrids_ifft;
+        self.subgrids_added += subgrids_added;
+        self.subgrids_split += subgrids_split;
+        self.planned_items += planned_items;
+        self.skipped_visibilities += skipped_visibilities;
+        self.nr_retries += nr_retries;
+        self.fallback_jobs += fallback_jobs;
+        self.health_outcomes += health_outcomes;
+        self.breaker_trips += breaker_trips;
+        self.degradation_steps += degradation_steps;
+        self.redispatched_jobs += redispatched_jobs;
+        self.chunks_ingested += chunks_ingested;
+        self.backpressure_waits += backpressure_waits;
+        self.passes_inflight_max = self.passes_inflight_max.max(passes_inflight_max);
+    }
+
     /// The counters of the kernel that drives the given pass
     /// (`"gridding"` → gridder, `"degridding"` → degridder).
     pub fn pass_kernel(&self) -> &KernelCounters {

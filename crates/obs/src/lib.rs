@@ -1,23 +1,28 @@
 //! Observability layer for the IDG pipeline: structured spans and
 //! self-validating operation counters.
 //!
-//! A [`Session`] owns a recorder, and "observed" is a property of the
-//! threads working for that session, not a mode of the process.
-//! [`Session::begin`] makes the new recorder the calling thread's
-//! *current* one; [`Session::finish`] (or dropping the session)
-//! restores the one that was current before. The recording sites
-//! (`add_*`, [`wall_span`], [`modeled_span`]) are free functions that
-//! record into the calling thread's current recorder and return after
-//! one thread-local read — no lock — when it has none. So:
+//! A [`Session`] is a collector of records, and "observed" is a
+//! property of the threads working for that session, not a mode of the
+//! process. [`Session::begin`] makes the new collector the calling
+//! thread's *current* one, owned by a thread-local; [`Session::finish`]
+//! (or dropping the session) restores the one that was current before.
+//! The recording sites (`add_*`, [`wall_span`], [`modeled_span`]) are
+//! free functions that borrow the calling thread's current collector —
+//! no lock, nothing shared — and return after that one thread-local
+//! read when it has none. So:
 //!
 //! - **who records into a session**: the thread that began it and
 //!   every thread that entered its [`Recorder`], nothing else. A pass
 //!   running unobserved, or under another session, on another thread
 //!   cannot add to it; sessions nest, run concurrently and never wait
 //!   for one another.
-//! - **how the handle crosses a thread boundary**: explicitly. The
-//!   spawning side captures [`current`] and each spawned thread holds
-//!   the guard of [`Recorder::enter`] while it works for the session
+//! - **how records cross a thread boundary**: explicitly, over one
+//!   channel per session. The spawning side captures [`current`]; each
+//!   spawned thread holds the guard of [`Recorder::enter`] while it
+//!   works for the session, which gives it a collector of its own and,
+//!   when dropped (also by a panic's unwind), sends that collector to
+//!   the session. [`Session::finish`] merges what arrived, so the
+//!   spawning side joins its threads first
 //!   (`idg_stream::StreamScheduler::run_stream`, the one spawn site
 //!   that records, does this for its lanes).
 //! - **what a kernel does inside a parallel region**: it does not
@@ -60,10 +65,10 @@ pub use span::{Clock, Span};
 
 use std::cell::RefCell;
 use std::marker::PhantomData;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::time::Instant;
 
-/// Everything one session accumulates.
+/// What one thread records for one session.
 struct Collector {
     start: Instant,
     spans: Vec<Span>,
@@ -76,33 +81,51 @@ struct Collector {
 pub struct Trace {
     /// Label of the pass that was traced (e.g. `"gridding"`).
     pub pass: String,
-    /// All recorded spans in recording order, the closing `pass` span
-    /// last. The order varies between runs wherever several threads
-    /// record; [`normalized_events`] imposes a deterministic one.
+    /// All recorded spans, the closing `pass` span last. Each thread's
+    /// spans are in its recording order; those of the threads that
+    /// entered the session come before the beginning thread's, in the
+    /// order the threads left it, which varies between runs.
+    /// [`normalized_events`] imposes a deterministic order.
     pub spans: Vec<Span>,
     /// Flat per-stage counter snapshot.
     pub metrics: MetricsSnapshot,
 }
 
-/// A handle to one session's recorder: cheap to clone, and the only
-/// thing that has to cross a thread boundary for the other side to
-/// record into the session (see [`current`] and [`Recorder::enter`]).
-/// Every lock of it recovers from poisoning: each record is one push or
-/// addition, so a panic elsewhere leaves the collector consistent.
+/// A handle to one session: cheap to clone, and the only thing that
+/// has to cross a thread boundary for the other side to record into the
+/// session (see [`current`] and [`Recorder::enter`]). It carries the
+/// session's start and the sending end of the channel over which every
+/// thread that entered it hands its collector back.
 #[derive(Clone)]
-pub struct Recorder(Arc<Mutex<Collector>>);
+pub struct Recorder {
+    start: Instant,
+    home: Sender<Collector>,
+}
+
+/// A thread's current collector and the session it records for.
+struct Frame {
+    collector: Collector,
+    home: Sender<Collector>,
+}
 
 thread_local! {
-    /// The recorder this thread records into, if any. Per-thread
-    /// *routing*, not session state: the state lives behind the handle
-    /// and is owned by the [`Session`].
-    static CURRENT: RefCell<Option<Recorder>> = const { RefCell::new(None) };
+    /// The collector this thread records into, if any. Owned by the
+    /// thread: no other thread can reach it until it is sent home.
+    static CURRENT: RefCell<Option<Frame>> = const { RefCell::new(None) };
 }
 
 /// The calling thread's current recorder — what a spawn site captures
 /// so its threads can [`Recorder::enter`] it.
 pub fn current() -> Option<Recorder> {
-    CURRENT.try_with(|c| c.borrow().clone()).ok().flatten()
+    CURRENT
+        .try_with(|c| {
+            c.borrow().as_ref().map(|f| Recorder {
+                start: f.collector.start,
+                home: f.home.clone(),
+            })
+        })
+        .ok()
+        .flatten()
 }
 
 /// Whether the calling thread records into a session — the check every
@@ -113,41 +136,55 @@ pub fn is_active() -> bool {
 }
 
 impl Recorder {
-    /// Make this the calling thread's current recorder until the
-    /// returned guard is dropped, which restores the previous one.
-    /// Guards nest; drop them in reverse order of creation.
+    /// Give the calling thread a fresh collector of this session's
+    /// until the returned guard is dropped, which sends the collector
+    /// to the session and restores the thread's previous one. Guards
+    /// nest; drop them in reverse order of creation.
     pub fn enter(&self) -> Entered {
-        let previous = CURRENT.with(|c| c.replace(Some(self.clone())));
+        let frame = Frame {
+            collector: Collector {
+                start: self.start,
+                spans: Vec::new(),
+                metrics: MetricsSnapshot::default(),
+            },
+            home: self.home.clone(),
+        };
         Entered {
-            previous,
+            previous: CURRENT.with(|c| c.replace(Some(frame))),
             _this_thread: PhantomData,
         }
     }
 }
 
-/// Guard of [`Recorder::enter`]; restores the thread's previous
-/// recorder on drop. Not `Send`: it must be dropped on the thread that
-/// created it.
+/// Guard of [`Recorder::enter`]. Dropping it — also during a panic's
+/// unwind — sends the thread's collector to its session and restores
+/// the thread's previous one. Not `Send`: it must be dropped on the
+/// thread that created it.
 #[must_use = "the recorder is current until the guard is dropped"]
 pub struct Entered {
-    previous: Option<Recorder>,
+    previous: Option<Frame>,
     _this_thread: PhantomData<*const ()>,
 }
 
 impl Drop for Entered {
     fn drop(&mut self) {
         let previous = self.previous.take();
-        let _ = CURRENT.try_with(|c| *c.borrow_mut() = previous);
+        if let Ok(Some(frame)) = CURRENT.try_with(|c| c.replace(previous)) {
+            // a session that already finished takes nothing more
+            let _ = frame.home.send(frame.collector);
+        }
     }
 }
 
-/// An observability session: owns a recorder, which is current on the
-/// thread that began it for as long as the session lives. Dropping it
-/// without calling [`Session::finish`] restores the thread's previous
-/// recorder and discards the collected data.
+/// An observability session: its collector is current on the thread
+/// that began it for as long as the session lives. Dropping it without
+/// calling [`Session::finish`] restores the thread's previous recorder
+/// and discards the collected data.
 pub struct Session {
-    recorder: Recorder,
+    pass: String,
+    start: Instant,
     entered: Entered,
+    arrived: Receiver<Collector>,
 }
 
 impl Session {
@@ -155,39 +192,47 @@ impl Session {
     /// thread. Never blocks: sessions on other threads, and an outer
     /// session on this one, are unaffected.
     pub fn begin(pass: &str) -> Session {
-        let recorder = Recorder(Arc::new(Mutex::new(Collector {
-            start: Instant::now(),
-            spans: Vec::new(),
-            metrics: MetricsSnapshot::new(pass),
-        })));
+        let (home, arrived) = mpsc::channel();
+        let start = Instant::now();
         Session {
-            entered: recorder.enter(),
-            recorder,
+            pass: pass.to_string(),
+            start,
+            entered: Recorder { start, home }.enter(),
+            arrived,
         }
     }
 
     /// Stop recording on this thread (the previous recorder becomes
-    /// current again) and return everything that was collected, plus a
-    /// closing `pass`-category wall span covering the whole session.
+    /// current again) and return everything that was collected — this
+    /// thread's records merged with those of every thread that entered
+    /// the session and has left it — plus a closing `pass`-category wall
+    /// span covering the whole session.
     pub fn finish(self) -> Trace {
-        let Session { recorder, entered } = self;
+        let Session {
+            pass,
+            start,
+            entered,
+            arrived,
+        } = self;
+        // sends this thread's collector after the ones already home
         drop(entered);
-        // taken, not unwrapped: a thread that entered the recorder may
-        // still hold a clone of the handle
-        let mut c = recorder.0.lock().unwrap_or_else(PoisonError::into_inner);
-        let metrics = std::mem::take(&mut c.metrics);
-        let mut spans = std::mem::take(&mut c.spans);
+        let mut spans = Vec::new();
+        let mut metrics = MetricsSnapshot::new(&pass);
+        for collector in arrived.try_iter() {
+            spans.extend(collector.spans);
+            metrics.merge(collector.metrics);
+        }
         spans.push(Span {
-            name: metrics.pass.clone(),
+            name: pass.clone(),
             cat: "pass".to_string(),
             job: None,
             lane: 0,
             clock: Clock::Wall,
             start_us: 0,
-            dur_us: c.start.elapsed().as_micros() as u64,
+            dur_us: start.elapsed().as_micros() as u64,
         });
         Trace {
-            pass: metrics.pass.clone(),
+            pass,
             spans,
             metrics,
         }
@@ -196,8 +241,8 @@ impl Session {
 
 fn with_collector(f: impl FnOnce(&mut Collector)) {
     let _ = CURRENT.try_with(|c| {
-        if let Some(recorder) = c.borrow().as_ref() {
-            f(&mut recorder.0.lock().unwrap_or_else(PoisonError::into_inner));
+        if let Some(frame) = c.borrow_mut().as_mut() {
+            f(&mut frame.collector);
         }
     });
 }
@@ -309,15 +354,15 @@ pub fn modeled_span(name: &str, cat: &str, job: Option<u32>, lane: u32, start_s:
     });
 }
 
-/// Start a wall-clock span in the current session; the span is
-/// recorded — into that session, whatever is current by then — when the
-/// returned guard is dropped. Returns a no-op guard without a session.
+/// Start a wall-clock span; the span is recorded when the returned
+/// guard is dropped, into the session current on the dropping thread.
+/// Returns a no-op guard when the calling thread records into none.
 pub fn wall_span(name: &'static str, cat: &'static str, job: Option<u32>) -> WallSpanGuard {
     WallSpanGuard {
         name,
         cat,
         job,
-        begun: current().map(|recorder| (recorder, Instant::now())),
+        begun: is_active().then(Instant::now),
     }
 }
 
@@ -327,25 +372,25 @@ pub struct WallSpanGuard {
     name: &'static str,
     cat: &'static str,
     job: Option<u32>,
-    begun: Option<(Recorder, Instant)>,
+    begun: Option<Instant>,
 }
 
 impl Drop for WallSpanGuard {
     fn drop(&mut self) {
-        let Some((recorder, begun)) = self.begun.take() else {
+        let Some(begun) = self.begun else {
             return;
         };
-        let mut c = recorder.0.lock().unwrap_or_else(PoisonError::into_inner);
-        let span = Span {
-            name: self.name.to_string(),
-            cat: self.cat.to_string(),
-            job: self.job,
-            lane: 0,
-            clock: Clock::Wall,
-            start_us: begun.duration_since(c.start).as_micros() as u64,
-            dur_us: begun.elapsed().as_micros() as u64,
-        };
-        c.spans.push(span);
+        with_collector(|c| {
+            c.spans.push(Span {
+                name: self.name.to_string(),
+                cat: self.cat.to_string(),
+                job: self.job,
+                lane: 0,
+                clock: Clock::Wall,
+                start_us: begun.duration_since(c.start).as_micros() as u64,
+                dur_us: begun.elapsed().as_micros() as u64,
+            });
+        });
     }
 }
 

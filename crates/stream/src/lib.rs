@@ -12,9 +12,10 @@
 //!   step falls in, and the chunks cut that plan into whole items.
 //! - [`StreamScheduler::run_stream`] runs the chunk passes on
 //!   `lanes = min(workers, max_inflight)` threads that each take the
-//!   next chunk index from one shared counter; every chunk's result
-//!   lands in its own slot exactly once, whatever order the passes
-//!   finish in.
+//!   next chunk index from one shared counter and send each chunk's
+//!   result back over one channel; the caller files every result under
+//!   its chunk index after the lanes join, whatever order the passes
+//!   finished in.
 //!
 //! The scheduler is deliberately generic over the per-chunk pass
 //! (`Fn(&Chunk) -> Result<T, IdgError>`): the proxy plugs in CPU
@@ -28,8 +29,8 @@
 //!
 //! `max_inflight` caps how many chunk passes run at once (`lanes =
 //! min(workers, max_inflight)`) and nothing else: the dataset is
-//! complete in memory and every chunk's output stays in its slot until
-//! the stream drains, so there is no memory for a window to bound.
+//! complete in memory and every chunk's output waits in the channel
+//! until the stream drains, so there is no memory for a window to bound.
 //! `inflight_max = min(max_inflight, n)` and `backpressure_waits =
 //! max(0, n − max_inflight)` are functions of the configuration, kept
 //! because reports, goldens and the benchmark name them.
@@ -39,7 +40,7 @@
 use idg_types::{IdgError, Observation};
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::mpsc;
 
 /// How to bound one ingestion chunk along the time axis.
 ///
@@ -236,13 +237,14 @@ impl StreamScheduler {
     /// chunks.len())` threads.
     ///
     /// Each thread takes the next chunk index from a shared counter
-    /// until the chunks run out, so results are delivered exactly once
-    /// per chunk, in per-chunk slots — completion order never reorders
+    /// until the chunks run out and sends `(index, result)` over one
+    /// channel as each pass ends, so results are delivered exactly once
+    /// per chunk and filed by index — completion order never reorders
     /// them. A chunk whose pass fails does not abort the stream; its
-    /// error is returned in its slot. A pass that panics takes its
-    /// thread with it, not the stream: that chunk's slot (and, once no
-    /// thread is left, every chunk not yet started) reports a typed
-    /// [`IdgError::Internal`].
+    /// error is returned at its index. A pass that panics takes its
+    /// thread with it, not the stream (the lane's earlier results were
+    /// already sent): that chunk (and, once no thread is left, every
+    /// chunk not yet started) reports a typed [`IdgError::Internal`].
     pub fn run_stream<T, F>(&self, chunks: &[Chunk], exec: F) -> Result<StreamRun<T>, IdgError>
     where
         T: Send,
@@ -257,14 +259,12 @@ impl StreamScheduler {
         idg_obs::record_passes_inflight(inflight_max as u64);
         idg_obs::add_backpressure_waits(waits);
 
-        // `fetch_add` hands out each chunk index exactly once, and a
-        // slot is written once, by the lane that took its index.
-        // `Relaxed` suffices: the index publishes no data; the slots'
-        // locks and the scope's join order the results. A slot holds
-        // `None` or a whole result, so a poisoned one is recovered.
+        // `fetch_add` hands out each chunk index exactly once, and the
+        // lane that took an index sends that chunk's result once.
+        // `Relaxed` suffices: the index publishes no data; the channel
+        // and the scope's join order the results.
         let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<Result<T, IdgError>>>> =
-            (0..n).map(|_| Mutex::new(None)).collect();
+        let (sent, arrived) = mpsc::channel();
         // the lanes work for the caller's session, if it has one
         let recorder = idg_obs::current();
 
@@ -283,31 +283,31 @@ impl StreamScheduler {
                                     idg_obs::wall_span("chunk", "stage", u32::try_from(job).ok());
                                 exec(&chunks[job])
                             };
-                            *slots[job].lock().unwrap_or_else(PoisonError::into_inner) = Some(out);
+                            // the receiver lives past the scope
+                            let _ = sent.send((job, out));
                         }
                     })
                 })
                 .collect();
             // An explicit join hands a lane's panic back as `Err` where
             // the scope's implicit one would re-raise it; the dead
-            // lane's chunk is reported from its empty slot below.
+            // lane's chunk is the one no result arrived for.
             for handle in handles {
                 let _ = handle.join();
             }
         });
 
-        let mut results = Vec::with_capacity(n);
-        for (job, slot) in slots.into_iter().enumerate() {
-            let out = slot
-                .into_inner()
-                .unwrap_or_else(PoisonError::into_inner)
-                .unwrap_or_else(|| {
-                    Err(IdgError::Internal(format!(
-                        "stream scheduler: chunk {job} has no result (its pass panicked, or \
-                         no lane outlived an earlier panic to run it)"
-                    )))
-                });
-            results.push(out);
+        // a chunk no result arrived for keeps its typed error
+        let mut results: Vec<Result<T, IdgError>> = (0..n)
+            .map(|job| {
+                Err(IdgError::Internal(format!(
+                    "stream scheduler: chunk {job} has no result (its pass panicked, or \
+                     no lane outlived an earlier panic to run it)"
+                )))
+            })
+            .collect();
+        for (job, out) in arrived.try_iter() {
+            results[job] = out;
         }
         let completed_chunks = results.iter().filter(|r| r.is_ok()).count();
         Ok(StreamRun {
@@ -425,17 +425,37 @@ mod tests {
             session.finish()
         });
 
+        let chunk_spans = |trace: &idg_obs::Trace| {
+            let mut jobs: Vec<Option<u32>> = trace
+                .spans
+                .iter()
+                .filter(|s| s.name == "chunk")
+                .map(|s| s.job)
+                .collect();
+            jobs.sort();
+            jobs
+        };
         assert_eq!(trace.metrics.gridder.invocations, 4);
         assert_eq!(trace.metrics.gridder.sincos_pairs, 28);
         assert_eq!(trace.metrics.chunks_ingested, 4);
-        let mut chunk_spans: Vec<Option<u32>> = trace
-            .spans
-            .iter()
-            .filter(|s| s.name == "chunk")
-            .map(|s| s.job)
-            .collect();
-        chunk_spans.sort();
-        assert_eq!(chunk_spans, [Some(0), Some(1), Some(2), Some(3)]);
+        assert_eq!(chunk_spans(&trace), [Some(0), Some(1), Some(2), Some(3)]);
+
+        // a lane whose pass panics still hands over what it recorded:
+        // chunk 0's tally and `chunk` span arrive with the other passes'
+        let session = Session::begin("gridding");
+        let run = scheduler
+            .run_stream(&chunks, |chunk| {
+                idg_obs::add_kernel(KernelStage::Gridder, &tally);
+                assert_ne!(chunk.index, 0, "chunk 0's pass panics after recording");
+                Ok(chunk.index)
+            })
+            .expect("stream runs");
+        let trace = session.finish();
+        assert!(matches!(run.results[0], Err(IdgError::Internal(_))));
+        assert_eq!(run.stats.completed_chunks, 3);
+        assert_eq!(trace.metrics.gridder.invocations, 4);
+        assert_eq!(trace.metrics.gridder.sincos_pairs, 28);
+        assert_eq!(chunk_spans(&trace), [Some(0), Some(1), Some(2), Some(3)]);
     }
 
     fn internal_message(result: Result<(), IdgError>) -> String {
