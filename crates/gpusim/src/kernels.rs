@@ -49,15 +49,16 @@
 //! `idg-kernels`' reference output).
 
 use crate::device::Device;
-use idg_kernels::buffers::{pixel_index, SubgridArray};
+use idg_kernels::buffers::SubgridArray;
 use idg_kernels::geometry::KernelGeometry;
-use idg_kernels::gridder::{cmac, pixel_lane_gridder, thread_pols, LaneRegs, LANES};
+use idg_kernels::gridder::{cmac, pixel_lane_gridder, thread_pols, LaneRegs, PixelStage, LANES};
+use idg_kernels::tables::GeometryPlanes;
 use idg_kernels::{KernelData, KernelTables, BYTES_POL4, BYTES_UVW};
 use idg_math::{sincos, Accuracy};
 use idg_obs::{KernelCounters, KernelStage};
 use idg_perf::{degridder_counts, gridder_counts, OpCounts};
 use idg_plan::WorkItem;
-use idg_types::{Cf32, IdgError, Jones, Visibility};
+use idg_types::{Cf32, IdgError, Visibility};
 use rayon::prelude::*;
 
 /// Per-worker degridder state, reused across work items.
@@ -70,6 +71,35 @@ struct DegridderScratch {
     /// Shared memory: one batch of corrected pixels and their geometry.
     sh_pix: Vec<[Cf32; 4]>,
     sh_geo: Vec<(f32, f32, f32, f32)>,
+}
+
+/// The pixel role of one batch: pixels `i0..i0 + sh_pix.len()` of
+/// `subgrid` under the forward A-term sandwich and the taper into
+/// `sh_pix`, their l, m, n (from the tables' `planes`) and phase offset
+/// φ₀ into `sh_geo` — a warp of [`LANES`] pixels at a time through
+/// [`PixelStage`].
+fn stage_pixels(
+    stage: &PixelStage<'_>,
+    planes: &GeometryPlanes,
+    subgrid: &[Cf32],
+    i0: usize,
+    sh_pix: &mut [[Cf32; 4]],
+    sh_geo: &mut [(f32, f32, f32, f32)],
+) {
+    let warps = sh_pix.chunks_mut(LANES).zip(sh_geo.chunks_mut(LANES));
+    for (i, (pix, geo)) in (i0..).step_by(LANES).zip(warps) {
+        let px = stage.forward(i, subgrid);
+        let mut off = [0.0; LANES];
+        stage.offsets(i, &mut off);
+        let lmn = planes.lf[i..]
+            .iter()
+            .zip(&planes.mf[i..])
+            .zip(&planes.nf[i..]);
+        for (lane, ((slot, g), ((&l, &m), &n))) in pix.iter_mut().zip(geo).zip(lmn).enumerate() {
+            *slot = std::array::from_fn(|p| Cf32::new(px[2 * p][lane], px[2 * p + 1][lane]));
+            *g = (l, m, n, off[lane]);
+        }
+    }
 }
 
 /// A launch needs a thread to run and shared memory for one staged
@@ -163,20 +193,18 @@ pub fn degridder_gpu(
             DegridderScratch::default,
             |scr, ((s_idx, item), tally_slot)| {
                 let subgrid = subgrids.subgrid(s_idx);
-                let (u0, v0, w0) = geom.subgrid_center_uvw(item);
+                let stage = PixelStage::new(data, planes, &geom, item);
                 let base = item.baseline_index * nr_time + item.time_offset;
                 let item_chan = item.nr_channels;
                 let tc = item.nr_timesteps * item_chan;
                 let nr_warps = tc.div_ceil(LANES);
-                let ap_plane = data.aterms.plane(item.aterm_index, item.baseline.station1);
-                let aq_plane = data.aterms.plane(item.aterm_index, item.baseline.station2);
 
                 // Measured op tally (see `pixel_lane_gridder`). The uvw track and
                 // both A-term planes are read once per item.
                 let mut tally = KernelCounters {
                     invocations: 1,
                     dram_bytes: item.nr_timesteps as u64 * BYTES_UVW
-                        + (ap_plane.len() + aq_plane.len()) as u64 * BYTES_POL4,
+                        + 2 * n2 as u64 * BYTES_POL4,
                     ..KernelCounters::default()
                 };
 
@@ -204,26 +232,9 @@ pub fn degridder_gpu(
                 while i0 < n2 {
                     let i1 = (i0 + batch_size).min(n2);
                     // pixel role: threads fill the shared batch (second
-                    // mapping of Sec. V-C c: collapse y/x, apply Lines 2–3;
-                    // l/m/n come from the shared planes)
-                    for (slot, i) in (i0..i1).enumerate() {
-                        let (y, x) = (i / n, i % n);
-                        let off = (2.0
-                            * std::f64::consts::PI
-                            * (u0 * planes.l[i] + v0 * planes.m[i] + w0 * planes.n_term[i]))
-                            as f32;
-                        scr.sh_geo[slot] = (planes.lf[i], planes.mf[i], planes.nf[i], off);
-                        let raw = Jones::from_pols([
-                            subgrid[pixel_index(n, 0, y, x)],
-                            subgrid[pixel_index(n, 1, y, x)],
-                            subgrid[pixel_index(n, 2, y, x)],
-                            subgrid[pixel_index(n, 3, y, x)],
-                        ]);
-                        scr.sh_pix[slot] = ap_plane[i]
-                            .sandwich(raw, aq_plane[i])
-                            .scale(data.taper[i])
-                            .to_pols();
-                    }
+                    // mapping of Sec. V-C c: collapse y/x, apply Lines 2–3)
+                    let (sh_pix, sh_geo) = (&mut scr.sh_pix[..i1 - i0], &mut scr.sh_geo[..i1 - i0]);
+                    stage_pixels(&stage, planes, subgrid, i0, sh_pix, sh_geo);
                     // each pixel is staged exactly once across batches
                     tally.dram_bytes += (i1 - i0) as u64 * BYTES_POL4;
 
@@ -293,6 +304,7 @@ pub fn degridder_gpu(
 mod tests {
     use super::*;
     use crate::device::Device;
+    use idg_kernels::buffers::pixel_index;
     use idg_kernels::{degridder_reference, gridder_reference};
     use idg_plan::Plan;
     use idg_telescope::{Dataset, GaussianBeam, IdentityATerm, Layout, SkyModel};
@@ -853,6 +865,107 @@ mod tests {
             fnv(gridded.as_slice().iter().copied()),
             fnv(predicted.iter().flat_map(|v| v.pols)),
         ]
+    }
+
+    /// The device degridder's per-pixel staging as it stood, before the
+    /// pixel role ran a warp at a time (the oracle of `stage_pixels`).
+    fn stage_pixels_per_pixel(
+        data: &KernelData<'_>,
+        tables: &KernelTables,
+        item: &WorkItem,
+        subgrid: &[Cf32],
+        i0: usize,
+        sh_pix: &mut [[Cf32; 4]],
+        sh_geo: &mut [(f32, f32, f32, f32)],
+    ) {
+        let geom = KernelGeometry::new(data.obs);
+        let n = geom.subgrid_size;
+        let planes = tables.geometry(data.obs).unwrap();
+        let ap_plane = data.aterms.plane(item.aterm_index, item.baseline.station1);
+        let aq_plane = data.aterms.plane(item.aterm_index, item.baseline.station2);
+        let (u0, v0, w0) = geom.subgrid_center_uvw(item);
+        for (slot, i) in (i0..i0 + sh_pix.len()).enumerate() {
+            let (y, x) = (i / n, i % n);
+            let off = (2.0
+                * std::f64::consts::PI
+                * (u0 * planes.l[i] + v0 * planes.m[i] + w0 * planes.n_term[i]))
+                as f32;
+            sh_geo[slot] = (planes.lf[i], planes.mf[i], planes.nf[i], off);
+            let raw = idg_types::Jones::from_pols([
+                subgrid[pixel_index(n, 0, y, x)],
+                subgrid[pixel_index(n, 1, y, x)],
+                subgrid[pixel_index(n, 2, y, x)],
+                subgrid[pixel_index(n, 3, y, x)],
+            ]);
+            sh_pix[slot] = ap_plane[i]
+                .sandwich(raw, aq_plane[i])
+                .scale(data.taper[i])
+                .to_pols();
+        }
+    }
+
+    #[test]
+    fn lane_pixel_role_equals_the_per_pixel_one_bit_for_bit() {
+        // batches of 256 (PASCAL: warp-aligned), 341 (FIJI) and 5 (every
+        // batch but the first starts mid-warp), on the pinned shapes
+        // plus a 32² subgrid
+        let shapes = pinned_shapes()
+            .into_iter()
+            .chain([("beam, 32^2", shaped(3, 8, 32, true))]);
+        for (what, ds) in shapes {
+            let n2 = ds.obs.subgrid_size * ds.obs.subgrid_size;
+            let tables = KernelTables::for_observation(&ds.obs);
+            let planes = tables.geometry(&ds.obs).unwrap();
+            let geom = KernelGeometry::new(&ds.obs);
+            let plan = Plan::create(&ds.obs, &ds.uvw).unwrap();
+            let taper = idg_math::spheroidal_2d(ds.obs.subgrid_size);
+            let data = KernelData {
+                obs: &ds.obs,
+                uvw: &ds.uvw,
+                visibilities: &ds.visibilities,
+                aterms: &ds.aterms,
+                taper: &taper,
+            };
+            let mut subgrids = SubgridArray::new(plan.nr_subgrids(), ds.obs.subgrid_size);
+            gridder_gpu(
+                &data,
+                &plan.items,
+                &mut subgrids,
+                &Device::pascal(),
+                &tables,
+            )
+            .unwrap();
+            let nan = Cf32::new(f32::NAN, f32::NAN);
+            for device in launch_configurations() {
+                let batch = device.degridder_batch_size().min(n2);
+                for (s_idx, item) in plan.items.iter().enumerate() {
+                    let subgrid = subgrids.subgrid(s_idx);
+                    let stage = PixelStage::new(&data, planes, &geom, item);
+                    for i0 in (0..n2).step_by(batch) {
+                        let len = batch.min(n2 - i0);
+                        let (mut pix, mut geo) =
+                            (vec![[nan; 4]; len], vec![(f32::NAN, 0., 0., 0.); len]);
+                        let (mut pix1, mut geo1) = (pix.clone(), geo.clone());
+                        stage_pixels(&stage, planes, subgrid, i0, &mut pix, &mut geo);
+                        stage_pixels_per_pixel(
+                            &data, &tables, item, subgrid, i0, &mut pix1, &mut geo1,
+                        );
+                        let pix_bits = |v: &[[Cf32; 4]]| {
+                            let flat = v.iter().flatten();
+                            flat.map(|c| (c.re.to_bits(), c.im.to_bits()))
+                                .collect::<Vec<_>>()
+                        };
+                        let geo_bits = |v: &[(f32, f32, f32, f32)]| {
+                            let flat = v.iter().flat_map(|&(l, m, n, off)| [l, m, n, off]);
+                            flat.map(f32::to_bits).collect::<Vec<_>>()
+                        };
+                        let at = format!("{what}, batch {batch}, item {s_idx}, pixel {i0}");
+                        assert_eq!(pix_bits(&pix), pix_bits(&pix1), "{at}");
+                        assert_eq!(geo_bits(&geo), geo_bits(&geo1), "{at}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

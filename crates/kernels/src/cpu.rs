@@ -36,13 +36,13 @@
 
 use crate::buffers::SubgridArray;
 use crate::geometry::KernelGeometry;
-use crate::gridder::{pixel_lane_gridder, LANES};
+use crate::gridder::{pixel_lane_gridder, PixelStage, LANES};
 use crate::tables::KernelTables;
 use crate::{KernelData, BYTES_POL4, BYTES_UVW};
 use idg_math::{sincos_batch, Accuracy};
 use idg_obs::{KernelCounters, KernelStage};
 use idg_plan::WorkItem;
-use idg_types::{Float, IdgError, Jones, Visibility};
+use idg_types::{Cf32, Float, IdgError, Visibility};
 use rayon::prelude::*;
 
 /// Per-worker degridder scratch buffers, reused across work items.
@@ -216,6 +216,23 @@ fn reduce_4pol(sin: &[f32], cos: &[f32], re: [&[f32]; 4], im: [&[f32]; 4]) -> [(
     [(a0r, a0i), (a1r, a1i), (a2r, a2i), (a3r, a3i)]
 }
 
+/// Lines 2–3 of Algorithm 2 for one item: its `n2` pixels of `subgrid`
+/// under the forward A-term sandwich and the taper, staged SoA in
+/// `scr.re`/`scr.im`, and their phase offsets φ₀ in `scr.d` — a warp of
+/// [`LANES`] pixels at a time through [`PixelStage`].
+fn stage_item(stage: &PixelStage<'_>, subgrid: &[Cf32], scr: &mut Scratch, n2: usize) {
+    stage.offsets(0, &mut scr.d[..n2]);
+    for i0 in (0..n2).step_by(LANES) {
+        let live = LANES.min(n2 - i0);
+        let px = stage.forward(i0, subgrid);
+        let planes = scr.re.iter_mut().zip(&mut scr.im);
+        for ((re, im), [pre, pim]) in planes.zip(px.as_chunks::<2>().0) {
+            re[i0..i0 + live].copy_from_slice(&pre[..live]);
+            im[i0..i0 + live].copy_from_slice(&pim[..live]);
+        }
+    }
+}
+
 /// Optimized gridder: [`pixel_lane_gridder`] staging `VIS_BATCH`
 /// visibilities at a time, at the caller's sincos accuracy; numerically
 /// validated against [`crate::gridder_reference`].
@@ -312,46 +329,15 @@ fn degrid(
         .zip(tallies.par_iter_mut())
         .for_each_init(Scratch::new, |scr, (((s_idx, item), mut rows), slot)| {
             scr.resize(n2);
-            let subgrid = subgrids.subgrid(s_idx);
-            let ap_plane = data.aterms.plane(item.aterm_index, item.baseline.station1);
-            let aq_plane = data.aterms.plane(item.aterm_index, item.baseline.station2);
-            let (u0, v0, w0) = geom.subgrid_center_uvw(item);
-
             // Measured op tally (see gridder_cpu): the staging pass
             // reads the subgrid and both A-term planes once.
             let mut tally = KernelCounters {
                 invocations: 1,
-                dram_bytes: (n2 + ap_plane.len() + aq_plane.len()) as u64 * BYTES_POL4,
+                dram_bytes: 3 * n2 as u64 * BYTES_POL4,
                 ..KernelCounters::default()
             };
-
-            // Lines 2–3 of Algorithm 2: forward A-term sandwich + taper,
-            // staged SoA, together with per-pixel geometry (l, m, n, φ₀).
-            for y in 0..n {
-                for x in 0..n {
-                    let i = y * n + x;
-                    scr.d[i] = f32::from_f64(
-                        2.0 * std::f64::consts::PI
-                            * (u0 * planes.l[i] + v0 * planes.m[i] + w0 * planes.n_term[i]),
-                    );
-
-                    let raw = Jones::from_pols([
-                        subgrid[(y) * n + x],
-                        subgrid[(n + y) * n + x],
-                        subgrid[(2 * n + y) * n + x],
-                        subgrid[(3 * n + y) * n + x],
-                    ]);
-                    let taper = data.taper[i];
-                    let px = ap_plane[i]
-                        .sandwich(raw, aq_plane[i])
-                        .scale(taper)
-                        .to_pols();
-                    for p in 0..4 {
-                        scr.re[p][i] = px[p].re;
-                        scr.im[p][i] = px[p].im;
-                    }
-                }
-            }
+            let stage = PixelStage::new(data, planes, &geom, item);
+            stage_item(&stage, subgrids.subgrid(s_idx), scr, n2);
 
             let base = item.baseline_index * nr_time + item.time_offset;
             let uvw = &data.uvw[base..base + item.nr_timesteps];
@@ -873,6 +859,100 @@ mod tests {
             acc[p] = (ar_sum, ai_sum);
         }
         acc
+    }
+
+    /// The scalar per-pixel prologue the lane-wise one replaced, as it
+    /// stood (the oracle of `stage_item`).
+    fn stage_item_per_pixel(
+        data: &KernelData<'_>,
+        item: &WorkItem,
+        subgrid: &[Cf32],
+        scr: &mut Scratch,
+        tables: &KernelTables,
+    ) {
+        let geom = KernelGeometry::new(data.obs);
+        let n = geom.subgrid_size;
+        let planes = tables.geometry(data.obs).unwrap();
+        let ap_plane = data.aterms.plane(item.aterm_index, item.baseline.station1);
+        let aq_plane = data.aterms.plane(item.aterm_index, item.baseline.station2);
+        let (u0, v0, w0) = geom.subgrid_center_uvw(item);
+        for y in 0..n {
+            for x in 0..n {
+                let i = y * n + x;
+                scr.d[i] = f32::from_f64(
+                    2.0 * std::f64::consts::PI
+                        * (u0 * planes.l[i] + v0 * planes.m[i] + w0 * planes.n_term[i]),
+                );
+
+                let raw = idg_types::Jones::from_pols([
+                    subgrid[(y) * n + x],
+                    subgrid[(n + y) * n + x],
+                    subgrid[(2 * n + y) * n + x],
+                    subgrid[(3 * n + y) * n + x],
+                ]);
+                let taper = data.taper[i];
+                let px = ap_plane[i]
+                    .sandwich(raw, aq_plane[i])
+                    .scale(taper)
+                    .to_pols();
+                for p in 0..4 {
+                    scr.re[p][i] = px[p].re;
+                    scr.im[p][i] = px[p].im;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lane_prologue_equals_the_per_pixel_one_bit_for_bit() {
+        for (what, ds) in crate::gridder::tests::stage_cases() {
+            let n2 = ds.obs.subgrid_size * ds.obs.subgrid_size;
+            let tables = KernelTables::for_observation(&ds.obs);
+            let planes = tables.geometry(&ds.obs).unwrap();
+            let geom = KernelGeometry::new(&ds.obs);
+            let plan = Plan::create(&ds.obs, &ds.uvw).unwrap();
+            let tp = taper(ds.obs.subgrid_size);
+            let data = KernelData {
+                obs: &ds.obs,
+                uvw: &ds.uvw,
+                visibilities: &ds.visibilities,
+                aterms: &ds.aterms,
+                taper: &tp,
+            };
+            let mut subgrids = SubgridArray::new(plan.nr_subgrids(), ds.obs.subgrid_size);
+            gridder_cpu(&data, &plan.items, &mut subgrids, Accuracy::Medium, &tables).unwrap();
+            for (s_idx, item) in plan.items.iter().enumerate() {
+                let subgrid = subgrids.subgrid(s_idx);
+                let (mut lane, mut scalar) = (Scratch::new(), Scratch::new());
+                lane.resize(n2);
+                scalar.resize(n2);
+                // every staged value must be written: start from NaN
+                for plane in lane.re.iter_mut().chain(&mut lane.im).chain([&mut lane.d]) {
+                    plane.fill(f32::NAN);
+                }
+                stage_item(
+                    &PixelStage::new(&data, planes, &geom, item),
+                    subgrid,
+                    &mut lane,
+                    n2,
+                );
+                stage_item_per_pixel(&data, item, subgrid, &mut scalar, &tables);
+                let to_bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                for p in 0..4 {
+                    assert_eq!(
+                        to_bits(&lane.re[p]),
+                        to_bits(&scalar.re[p]),
+                        "{what}: re {p}"
+                    );
+                    assert_eq!(
+                        to_bits(&lane.im[p]),
+                        to_bits(&scalar.im[p]),
+                        "{what}: im {p}"
+                    );
+                }
+                assert_eq!(to_bits(&lane.d), to_bits(&scalar.d), "{what}: φ₀");
+            }
+        }
     }
 
     #[test]

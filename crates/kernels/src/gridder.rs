@@ -13,7 +13,17 @@
 //! staged batch broadcasting one visibility at a time to all lanes
 //! (phase, `sincos`, four complex FMAs per lane), and stores them back.
 //! The last warp of a subgrid may be partial; its dead lanes compute on
-//! zeros, are never read back and count nothing.
+//! zeros, are never read back and count nothing. A warp's l, m and n are
+//! constants of the launch; only its phase offsets φ₀ are set per item.
+//!
+//! **The pixel stage runs a warp at a time too.** The epilogue — the
+//! adjoint A-term sandwich and the taper (Line 17 of Algorithm 1) — reads
+//! each warp's accumulator planes as they are and stores sixteen-pixel
+//! runs per polarisation plane; the degridders' prologue (Lines 2–3 of
+//! Algorithm 2) is its mirror image. Both, and every φ₀, go through one
+//! helper, [`PixelStage`]. Each lane runs the per-pixel arithmetic the
+//! scalar stage ran, in its order, so the lane width moves no bit there
+//! either (the scalar stages are kept as test oracles).
 //!
 //! **The chain-order contract (part of the output's bits).** Every pixel
 //! owns one accumulation chain over *all* visibilities of its work item,
@@ -28,9 +38,9 @@
 //! L1-sized batch at the accuracy it is asked for, the device model its
 //! shared-memory capacity at `Accuracy::Fast` (`--use_fast_math`).
 
-use crate::buffers::{pixel_index, SubgridArray};
+use crate::buffers::SubgridArray;
 use crate::geometry::KernelGeometry;
-use crate::tables::KernelTables;
+use crate::tables::{GeometryPlanes, KernelTables};
 use crate::{KernelData, BYTES_POL4, BYTES_UVW};
 use idg_math::{sincos, Accuracy};
 use idg_obs::KernelCounters;
@@ -76,10 +86,153 @@ struct Scratch {
     /// Per warp of pixels: the accumulators (re, im of each polarisation),
     /// held across batches.
     regs: Vec<LaneRegs<8>>,
-    /// Per warp of pixels: l, m, n and the item's phase offset φ₀.
-    geo: Vec<LaneRegs<4>>,
+    /// Per warp of pixels: the item's phase offsets φ₀.
+    off: Vec<[f32; LANES]>,
     /// The staged batch (the device's shared memory).
     staged: Vec<StagedVis>,
+}
+
+/// Pixels `i0..i0 + LANES` of a per-pixel plane as one warp's lanes;
+/// lanes past the plane's end are `T::default()` (zero).
+#[inline(always)]
+fn lanes<T: Copy + Default>(plane: &[T], i0: usize) -> [T; LANES] {
+    let mut out = [T::default(); LANES];
+    for (o, v) in out.iter_mut().zip(plane.get(i0..).unwrap_or_default()) {
+        *o = *v;
+    }
+    out
+}
+
+/// The Jones matrix in lane `lane` of eight lane planes (re, im of xx,
+/// xy, yx, yy — the accumulator order of [`LaneRegs<8>`]).
+#[inline(always)]
+fn jones_at(regs: &LaneRegs<8>, lane: usize) -> Jones<f32> {
+    let [xxr, xxi, xyr, xyi, yxr, yxi, yyr, yyi] = regs;
+    Jones::new(
+        Cf32::new(xxr[lane], xxi[lane]),
+        Cf32::new(xyr[lane], xyi[lane]),
+        Cf32::new(yxr[lane], yxi[lane]),
+        Cf32::new(yyr[lane], yyi[lane]),
+    )
+}
+
+/// The image-domain stage of one work item, a warp of [`LANES`] pixels
+/// at a time: the A-term sandwich and the taper — the gridder's epilogue
+/// ([`Self::adjoint`], Line 17 of Algorithm 1) and the degridders'
+/// prologue ([`Self::forward`], Lines 2–3 of Algorithm 2) — and the
+/// item's phase offsets φ₀ ([`Self::offsets`]), the one geometry plane
+/// that varies per item.
+///
+/// Every lane runs the per-pixel expression of the scalar stage it
+/// replaced, in its order (`Jones::hermitian`, `mul`, `mul`, `scale`
+/// for the gridder; `Jones::sandwich`, `scale` for the degridders; φ₀ in
+/// f64, narrowed once), so its bits are the scalar stage's, whatever the
+/// warp. Dead lanes of a subgrid's last warp compute on zeros and are
+/// never stored.
+pub struct PixelStage<'a> {
+    ap: &'a [Jones<f32>],
+    aq: &'a [Jones<f32>],
+    taper: &'a [f32],
+    planes: &'a GeometryPlanes,
+    center: (f64, f64, f64),
+}
+
+impl<'a> PixelStage<'a> {
+    /// The stage of `item`: its stations' A-term planes, the taper and
+    /// its subgrid's centre `(u₀, v₀, w₀)`; `planes` are the launch's
+    /// direction cosines ([`KernelTables::geometry`]). `item` must have
+    /// passed [`crate::check_launch`].
+    pub fn new(
+        data: &KernelData<'a>,
+        planes: &'a GeometryPlanes,
+        geom: &KernelGeometry,
+        item: &WorkItem,
+    ) -> Self {
+        Self {
+            ap: data.aterms.plane(item.aterm_index, item.baseline.station1),
+            aq: data.aterms.plane(item.aterm_index, item.baseline.station2),
+            taper: data.taper,
+            planes,
+            center: geom.subgrid_center_uvw(item),
+        }
+    }
+
+    /// φ₀ = 2π·(u₀·l + v₀·m + w₀·n) of pixels `i0..`, narrowed to f32,
+    /// into `out` (as many as both hold; the rest of `out` is untouched).
+    #[inline]
+    pub fn offsets(&self, i0: usize, out: &mut [f32]) {
+        let (u0, v0, w0) = self.center;
+        let l = self.planes.l.get(i0..).unwrap_or_default();
+        let m = self.planes.m.get(i0..).unwrap_or_default();
+        let n = self.planes.n_term.get(i0..).unwrap_or_default();
+        for (o, ((l, m), n)) in out.iter_mut().zip(l.iter().zip(m).zip(n)) {
+            *o = f32::from_f64(2.0 * std::f64::consts::PI * (u0 * l + v0 * m + w0 * n));
+        }
+    }
+
+    /// The gridder's epilogue for the warp of pixels `i0..`: the adjoint
+    /// sandwich `A_pᴴ · S · A_q` and the taper of the accumulators `pix`,
+    /// stored as one run of up to [`LANES`] pixels in each polarisation
+    /// plane of `subgrid` (`[pol][y][x]`).
+    #[inline]
+    pub fn adjoint(&self, i0: usize, pix: &LaneRegs<8>, subgrid: &mut [Cf32]) {
+        let mut px = *pix;
+        self.sandwich(i0, &mut px, true);
+        let n2 = self.taper.len();
+        for (plane, [re, im]) in subgrid.chunks_exact_mut(n2).zip(px.as_chunks::<2>().0) {
+            let run = plane.get_mut(i0..).unwrap_or_default();
+            for (out, (re, im)) in run.iter_mut().zip(re.iter().zip(im)) {
+                *out = Cf32::new(*re, *im);
+            }
+        }
+    }
+
+    /// The degridders' prologue for the warp of pixels `i0..`: the raw
+    /// pixels of `subgrid` (`[pol][y][x]`) under the forward sandwich
+    /// `A_p · S · A_qᴴ` and the taper, as eight lane planes (re, im of
+    /// each polarisation).
+    #[inline]
+    pub fn forward(&self, i0: usize, subgrid: &[Cf32]) -> LaneRegs<8> {
+        let mut px = [[0.0; LANES]; 8];
+        let n2 = self.taper.len();
+        for (plane, [re, im]) in subgrid.chunks_exact(n2).zip(px.as_chunks_mut::<2>().0) {
+            let run = plane.get(i0..).unwrap_or_default();
+            for (v, (re, im)) in run.iter().zip(re.iter_mut().zip(im)) {
+                (*re, *im) = (v.re, v.im);
+            }
+        }
+        self.sandwich(i0, &mut px, false);
+        px
+    }
+
+    /// The sandwich and the taper of one warp, in place.
+    #[inline(always)]
+    fn sandwich(&self, i0: usize, pix: &mut LaneRegs<8>, adjoint: bool) {
+        let (ap, aq, taper) = (
+            lanes(self.ap, i0),
+            lanes(self.aq, i0),
+            lanes(self.taper, i0),
+        );
+        let src = *pix;
+        // eight named arrays, as in `fold_batch`
+        let [mut a0r, mut a0i, mut a1r, mut a1i, mut a2r, mut a2i, mut a3r, mut a3i] =
+            [[0.0; LANES]; 8];
+        for lane in 0..LANES {
+            let s = jones_at(&src, lane);
+            let (p, q) = (ap[lane], aq[lane]);
+            let c = if adjoint {
+                p.hermitian().mul(s).mul(q)
+            } else {
+                p.sandwich(s, q)
+            }
+            .scale(taper[lane]);
+            (a0r[lane], a0i[lane]) = (c.xx.re, c.xx.im);
+            (a1r[lane], a1i[lane]) = (c.xy.re, c.xy.im);
+            (a2r[lane], a2i[lane]) = (c.yx.re, c.yx.im);
+            (a3r[lane], a3i[lane]) = (c.yy.re, c.yy.im);
+        }
+        *pix = [a0r, a0i, a1r, a1i, a2r, a2i, a3r, a3i];
+    }
 }
 
 /// One warp of pixels folds one staged batch into its registers — the
@@ -87,8 +240,14 @@ struct Scratch {
 /// arrive as a constant: the lane loop is then straight-line (`sincos` is
 /// `#[inline]` and branchless below `High`) and LLVM vectorises it whole.
 #[inline(always)]
-fn fold_batch(regs: &mut LaneRegs<8>, geo: &LaneRegs<4>, staged: &[StagedVis], accuracy: Accuracy) {
-    let [l, m, nt, off] = geo;
+fn fold_batch(
+    regs: &mut LaneRegs<8>,
+    lmn: &LaneRegs<3>,
+    off: &[f32; LANES],
+    staged: &[StagedVis],
+    accuracy: Accuracy,
+) {
+    let [l, m, nt] = lmn;
     // eight named arrays, as in `reduce_4pol`: staying in registers must
     // not hang on an index loop unrolling
     let [mut a0r, mut a0i, mut a1r, mut a1i, mut a2r, mut a2i, mut a3r, mut a3i] = *regs;
@@ -126,6 +285,28 @@ pub fn pixel_lane_gridder(
     accuracy: Accuracy,
     tables: &KernelTables,
 ) -> Result<KernelCounters, IdgError> {
+    grid_items(data, items, subgrids, batch_len, accuracy, tables, epilogue)
+}
+
+/// The gridder's epilogue: an item's folded accumulators into its
+/// subgrid, a warp at a time through [`PixelStage::adjoint`].
+fn epilogue(stage: &PixelStage<'_>, regs: &[LaneRegs<8>], subgrid: &mut [Cf32]) {
+    for (w, pix) in regs.iter().enumerate() {
+        stage.adjoint(w * LANES, pix, subgrid);
+    }
+}
+
+/// [`pixel_lane_gridder`] with its epilogue given (the tests hand it the
+/// scalar per-pixel one).
+fn grid_items(
+    data: &KernelData<'_>,
+    items: &[WorkItem],
+    subgrids: &mut SubgridArray,
+    batch_len: usize,
+    accuracy: Accuracy,
+    tables: &KernelTables,
+    epilogue: fn(&PixelStage<'_>, &[LaneRegs<8>], &mut [Cf32]),
+) -> Result<KernelCounters, IdgError> {
     crate::check_launch(data, items, Some(subgrids))?;
     data.validate_visibilities()?;
     if batch_len == 0 {
@@ -136,8 +317,7 @@ pub fn pixel_lane_gridder(
     }
 
     let geom = KernelGeometry::new(data.obs);
-    let n = geom.subgrid_size;
-    let n2 = n * n;
+    let n2 = geom.subgrid_size * geom.subgrid_size;
     let nr_warps = n2.div_ceil(LANES);
     let nr_time = data.obs.nr_timesteps;
     let nr_chan = data.obs.nr_channels();
@@ -149,6 +329,17 @@ pub fn pixel_lane_gridder(
         .iter()
         .map(|f| f32::from_f64(KernelGeometry::phase_scale(*f)))
         .collect();
+    // each thread's l, m, n: constants of the launch; dead lanes zero
+    let lmn: Vec<LaneRegs<3>> = (0..nr_warps)
+        .map(|w| {
+            let i0 = w * LANES;
+            [
+                lanes(&planes.lf, i0),
+                lanes(&planes.mf, i0),
+                lanes(&planes.nf, i0),
+            ]
+        })
+        .collect();
 
     // one thread block per work item; blocks are independent
     let mut tallies = vec![KernelCounters::default(); items.len()];
@@ -157,7 +348,7 @@ pub fn pixel_lane_gridder(
         .zip(subgrids.as_mut_slice().par_chunks_exact_mut(4 * n2))
         .zip(tallies.par_iter_mut())
         .for_each_init(Scratch::default, |scr, ((item, subgrid), tally_slot)| {
-            let (u0, v0, w0) = geom.subgrid_center_uvw(item);
+            let stage = PixelStage::new(data, planes, &geom, item);
             let base = item.baseline_index * nr_time + item.time_offset;
             let item_chan = item.nr_channels;
             let tc = item.nr_timesteps * item_chan;
@@ -176,20 +367,11 @@ pub fn pixel_lane_gridder(
             // "registers": per-pixel accumulators held across batches
             scr.regs.clear();
             scr.regs.resize(nr_warps, [[0.0; LANES]; 8]);
-            // each thread's pixel geometry: l/m/n from the shared
-            // planes, the phase offset per item; dead lanes stay zero
-            scr.geo.clear();
-            scr.geo.resize(nr_warps, [[0.0; LANES]; 4]);
-            for i in 0..n2 {
-                let off = f32::from_f64(
-                    2.0 * std::f64::consts::PI
-                        * (u0 * planes.l[i] + v0 * planes.m[i] + w0 * planes.n_term[i]),
-                );
-                let (geo, lane) = (&mut scr.geo[i / LANES], i % LANES);
-                geo[0][lane] = planes.lf[i];
-                geo[1][lane] = planes.mf[i];
-                geo[2][lane] = planes.nf[i];
-                geo[3][lane] = off;
+            // each thread's phase offset, per item; dead lanes stay zero
+            scr.off.clear();
+            scr.off.resize(nr_warps, [0.0; LANES]);
+            for (w, off) in scr.off.iter_mut().enumerate() {
+                stage.offsets(w * LANES, off);
             }
 
             let staged = &mut scr.staged;
@@ -213,11 +395,12 @@ pub fn pixel_lane_gridder(
 
                 // __syncthreads(); every warp of threads iterates the
                 // staged batch, one broadcast element per step
-                for (warp, (regs, geo)) in scr.regs.iter_mut().zip(&scr.geo).enumerate() {
+                let warps = scr.regs.iter_mut().zip(lmn.iter().zip(&scr.off));
+                for (warp, (regs, (lmn, off))) in warps.enumerate() {
                     match accuracy {
-                        Accuracy::Fast => fold_batch(regs, geo, staged, Accuracy::Fast),
-                        Accuracy::Medium => fold_batch(regs, geo, staged, Accuracy::Medium),
-                        Accuracy::High => fold_batch(regs, geo, staged, Accuracy::High),
+                        Accuracy::Fast => fold_batch(regs, lmn, off, staged, Accuracy::Fast),
+                        Accuracy::Medium => fold_batch(regs, lmn, off, staged, Accuracy::Medium),
+                        Accuracy::High => fold_batch(regs, lmn, off, staged, Accuracy::High),
                     }
                     // the threads that exist, each over the whole batch
                     let pairs = (LANES.min(n2 - warp * LANES) * staged.len()) as u64;
@@ -228,24 +411,205 @@ pub fn pixel_lane_gridder(
                 k0 = k1;
             }
 
-            // epilogue: A-term sandwich + taper, coalesced store
-            let ap_plane = data.aterms.plane(item.aterm_index, item.baseline.station1);
-            let aq_plane = data.aterms.plane(item.aterm_index, item.baseline.station2);
-            tally.dram_bytes += (ap_plane.len() + aq_plane.len()) as u64 * BYTES_POL4;
-            for i in 0..n2 {
-                let (y, x) = (i / n, i % n);
-                let pix = Jones::from_pols(thread_pols(&scr.regs, i));
-                let corrected = ap_plane[i]
-                    .hermitian()
-                    .mul(pix)
-                    .mul(aq_plane[i])
-                    .scale(data.taper[i]);
-                for (p, v) in corrected.to_pols().into_iter().enumerate() {
-                    subgrid[pixel_index(n, p, y, x)] = v;
-                }
-                tally.dram_bytes += BYTES_POL4; // output pixel written once
-            }
+            // epilogue: A-term sandwich + taper, coalesced store; both
+            // A-term planes are read and every output pixel written once
+            epilogue(&stage, &scr.regs, subgrid);
+            tally.dram_bytes += 3 * n2 as u64 * BYTES_POL4;
             *tally_slot = tally;
         });
     Ok(tallies.iter().sum())
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+    use crate::buffers::pixel_index;
+    use idg_plan::Plan;
+    use idg_telescope::{
+        ATermModel, Dataset, GaussianBeam, IdentityATerm, Layout, SkyModel, StationGains,
+    };
+    use idg_types::{Complex, Observation};
+
+    /// A direction-dependent beam with polarisation leakage: all four
+    /// entries non-zero, and different per station and interval.
+    struct LeakyBeam;
+
+    impl ATermModel for LeakyBeam {
+        fn evaluate(&self, interval: usize, station: usize, l: f64, m: f64) -> Jones<f64> {
+            let s = (7 * interval + station) as f64;
+            let g = Complex::new((-(l * l + m * m) * 300.0).exp(), 0.1 * (s + 20.0 * l).sin());
+            Jones::new(
+                g,
+                Complex::new(0.12, 0.05 + 0.01 * s) * g,
+                Complex::new(-0.08, 0.03 - 0.5 * m) * g,
+                Complex::new(0.9, -0.1 * s * m) * g,
+            )
+        }
+    }
+
+    /// The pixel-stage test shapes: subgrid sizes 16, 18 (324 pixels: a
+    /// last warp of 4 lanes), 20, 24 and 32; identity, Gaussian-beam,
+    /// station-gain and leaky full-Jones A-terms; items of one
+    /// visibility (one timestep per A-term interval, one channel) and of
+    /// up to 16 × 5 = 80.
+    pub(crate) fn stage_cases() -> Vec<(String, Dataset)> {
+        let mut cases = Vec::new();
+        for subgrid in [16, 18, 20, 24, 32] {
+            for (aterm, kind) in ["identity", "Gaussian beam", "station gains", "leaky beam"]
+                .into_iter()
+                .enumerate()
+            {
+                for (interval, channels) in [(1, 1), (16, 5)] {
+                    let obs = Observation::builder()
+                        .stations(4)
+                        .timesteps(2 * interval)
+                        .channels(channels, 150e6, 2e6)
+                        .grid_size(256)
+                        .subgrid_size(subgrid)
+                        .kernel_size(5)
+                        .aterm_interval(interval)
+                        .image_size(0.05)
+                        .build()
+                        .unwrap();
+                    let seed = (100 * subgrid + 10 * aterm + interval) as u64;
+                    let layout = Layout::uniform(4, 900.0, seed);
+                    let sky = SkyModel::random(&obs, 3, 0.6, seed + 1);
+                    let model: Box<dyn ATermModel> = match aterm {
+                        0 => Box::new(IdentityATerm),
+                        1 => Box::new(GaussianBeam::new(&obs, 0.8, seed + 2)),
+                        2 => Box::new(StationGains::random(4, 2, seed + 3)),
+                        _ => Box::new(LeakyBeam),
+                    };
+                    let what = format!("{subgrid}² pixels, {kind}, {interval}×{channels} vis/item");
+                    cases.push((what, Dataset::simulate(obs, &layout, sky, model.as_ref())));
+                }
+            }
+        }
+        cases
+    }
+
+    /// The scalar per-pixel epilogue the lane-wise one replaced, as it
+    /// stood: gather one `Jones` per pixel, sandwich, taper, scatter its
+    /// four polarisations (the oracle of [`PixelStage::adjoint`]).
+    fn epilogue_per_pixel(stage: &PixelStage<'_>, regs: &[LaneRegs<8>], subgrid: &mut [Cf32]) {
+        let n = stage.taper.len().isqrt();
+        for i in 0..n * n {
+            let (y, x) = (i / n, i % n);
+            let pix = Jones::from_pols(thread_pols(regs, i));
+            let corrected = stage.ap[i]
+                .hermitian()
+                .mul(pix)
+                .mul(stage.aq[i])
+                .scale(stage.taper[i]);
+            for (p, v) in corrected.to_pols().into_iter().enumerate() {
+                subgrid[pixel_index(n, p, y, x)] = v;
+            }
+        }
+    }
+
+    /// The per-pixel φ₀ loop the lane-wise one replaced (the oracle of
+    /// [`PixelStage::offsets`]).
+    pub(crate) fn offsets_per_pixel(stage: &PixelStage<'_>, n2: usize) -> Vec<f32> {
+        let (u0, v0, w0) = stage.center;
+        let planes = stage.planes;
+        (0..n2)
+            .map(|i| {
+                f32::from_f64(
+                    2.0 * std::f64::consts::PI
+                        * (u0 * planes.l[i] + v0 * planes.m[i] + w0 * planes.n_term[i]),
+                )
+            })
+            .collect()
+    }
+
+    fn bits(values: &[Cf32]) -> Vec<(u32, u32)> {
+        values
+            .iter()
+            .map(|c| (c.re.to_bits(), c.im.to_bits()))
+            .collect()
+    }
+
+    #[test]
+    fn lane_epilogue_equals_the_per_pixel_one_bit_for_bit() {
+        for (what, ds) in stage_cases() {
+            let n = ds.obs.subgrid_size;
+            let tables = KernelTables::for_observation(&ds.obs);
+            let plan = Plan::create(&ds.obs, &ds.uvw).unwrap();
+            let taper = idg_math::spheroidal_2d(n);
+            let data = KernelData {
+                obs: &ds.obs,
+                uvw: &ds.uvw,
+                visibilities: &ds.visibilities,
+                aterms: &ds.aterms,
+                taper: &taper,
+            };
+            for accuracy in [Accuracy::Medium, Accuracy::Fast] {
+                let mut lane = SubgridArray::new(plan.nr_subgrids(), n);
+                let mut scalar = SubgridArray::new(plan.nr_subgrids(), n);
+                let lane_tally =
+                    pixel_lane_gridder(&data, &plan.items, &mut lane, 512, accuracy, &tables)
+                        .unwrap();
+                let scalar_tally = grid_items(
+                    &data,
+                    &plan.items,
+                    &mut scalar,
+                    512,
+                    accuracy,
+                    &tables,
+                    epilogue_per_pixel,
+                )
+                .unwrap();
+                let what = format!("{what}, {accuracy:?}");
+                let most = plan
+                    .items
+                    .iter()
+                    .map(|i| i.nr_timesteps * i.nr_channels)
+                    .max();
+                assert!(
+                    matches!(most, Some(1) | Some(17..)),
+                    "{what}: {most:?} vis/item"
+                );
+                assert_eq!(bits(lane.as_slice()), bits(scalar.as_slice()), "{what}");
+                assert_eq!(lane_tally, scalar_tally, "{what}");
+            }
+        }
+    }
+
+    #[test]
+    fn lane_offsets_equal_the_per_pixel_ones_bit_for_bit() {
+        for (what, ds) in stage_cases() {
+            let n2 = ds.obs.subgrid_size * ds.obs.subgrid_size;
+            let tables = KernelTables::for_observation(&ds.obs);
+            let planes = tables.geometry(&ds.obs).unwrap();
+            let geom = KernelGeometry::new(&ds.obs);
+            let plan = Plan::create(&ds.obs, &ds.uvw).unwrap();
+            let taper = idg_math::spheroidal_2d(ds.obs.subgrid_size);
+            let data = KernelData {
+                obs: &ds.obs,
+                uvw: &ds.uvw,
+                visibilities: &ds.visibilities,
+                aterms: &ds.aterms,
+                taper: &taper,
+            };
+            for item in &plan.items {
+                let stage = PixelStage::new(&data, planes, &geom, item);
+                // warp by warp, as the gridder asks, and the whole plane
+                // at once, as the host degridder does
+                let mut warps = vec![0.0f32; n2.next_multiple_of(LANES)];
+                for (w, off) in warps.chunks_exact_mut(LANES).enumerate() {
+                    stage.offsets(w * LANES, off);
+                }
+                let mut whole = vec![0.0f32; n2];
+                stage.offsets(0, &mut whole);
+                let oracle = offsets_per_pixel(&stage, n2);
+                let to_bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(to_bits(&warps[..n2]), to_bits(&oracle), "{what}");
+                assert!(
+                    warps[n2..].iter().all(|x| x.to_bits() == 0),
+                    "{what}: dead lanes"
+                );
+                assert_eq!(to_bits(&whole), to_bits(&oracle), "{what}");
+            }
+        }
+    }
 }
