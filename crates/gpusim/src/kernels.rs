@@ -13,7 +13,8 @@
 //!   the host's `gridder_cpu` runs the same code at another batch length;
 //! * **degridder** — threads take two roles: in the *pixel role* they
 //!   cooperatively produce a batch of corrected pixels (A-term sandwich,
-//!   taper, geometry) in shared memory; in the *visibility role* each
+//!   taper, geometry) in shared memory, a warp at a time through
+//!   `idg-kernels`' [`PixelStage`]; in the *visibility role* each
 //!   thread folds the staged batch into its visibility's register
 //!   accumulators; the role switch repeats per pixel batch.
 //!

@@ -6,7 +6,8 @@
 //! * **gridder** — [`gridder_cpu`] is the workspace's one gridder body,
 //!   [`pixel_lane_gridder`], at the host's batch length: every pixel folds
 //!   the staged visibilities into its own register accumulators, sixteen
-//!   pixels in lockstep. Threads own disjoint subgrids.
+//!   pixels in lockstep, its epilogue (A-term sandwich, taper) sixteen
+//!   pixels at a time too. Threads own disjoint subgrids.
 //! * **degridder** — per visibility, the `Ñ²` pixels of the subgrid are
 //!   the elements of loops that each vectorise: the phasors of all
 //!   pixels, then `reduce_4pol`: Listing 1's sweep, 16 FMAs per element
@@ -25,9 +26,13 @@
 //!   per pixel and timestep, plus one per re-anchor, instead of one per
 //!   channel. Fewer channels, or channels off the even grid, evaluate
 //!   every channel, bit for bit the loop before the rotation. The
-//!   corrected pixels are staged once per item in structure-of-arrays
-//!   form, real and imaginary parts separated (the paper's "load and
-//!   transpose … into memory-aligned arrays"). The reduction's summation
+//!   corrected pixels (forward A-term sandwich, taper) and their phase
+//!   offsets are staged once per item in structure-of-arrays form, real
+//!   and imaginary parts separated (the paper's "load and transpose …
+//!   into memory-aligned arrays"), sixteen pixels at a time through
+//!   [`PixelStage`] — the helper the gridder's epilogue and the device
+//!   degridder's pixel role share — bit for bit the per-pixel loop it
+//!   replaced. The reduction's summation
 //!   order is a contract — it and [`LANES`] decide the output's bits (see
 //!   `reduce_4pol`; the tests pin output hashes, and on the per-channel
 //!   shapes those predate the fused loops and the rotation). Threads own

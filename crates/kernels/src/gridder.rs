@@ -507,21 +507,6 @@ pub(crate) mod tests {
         }
     }
 
-    /// The per-pixel φ₀ loop the lane-wise one replaced (the oracle of
-    /// [`PixelStage::offsets`]).
-    pub(crate) fn offsets_per_pixel(stage: &PixelStage<'_>, n2: usize) -> Vec<f32> {
-        let (u0, v0, w0) = stage.center;
-        let planes = stage.planes;
-        (0..n2)
-            .map(|i| {
-                f32::from_f64(
-                    2.0 * std::f64::consts::PI
-                        * (u0 * planes.l[i] + v0 * planes.m[i] + w0 * planes.n_term[i]),
-                )
-            })
-            .collect()
-    }
-
     fn bits(values: &[Cf32]) -> Vec<(u32, u32)> {
         values
             .iter()
@@ -571,44 +556,6 @@ pub(crate) mod tests {
                 );
                 assert_eq!(bits(lane.as_slice()), bits(scalar.as_slice()), "{what}");
                 assert_eq!(lane_tally, scalar_tally, "{what}");
-            }
-        }
-    }
-
-    #[test]
-    fn lane_offsets_equal_the_per_pixel_ones_bit_for_bit() {
-        for (what, ds) in stage_cases() {
-            let n2 = ds.obs.subgrid_size * ds.obs.subgrid_size;
-            let tables = KernelTables::for_observation(&ds.obs);
-            let planes = tables.geometry(&ds.obs).unwrap();
-            let geom = KernelGeometry::new(&ds.obs);
-            let plan = Plan::create(&ds.obs, &ds.uvw).unwrap();
-            let taper = idg_math::spheroidal_2d(ds.obs.subgrid_size);
-            let data = KernelData {
-                obs: &ds.obs,
-                uvw: &ds.uvw,
-                visibilities: &ds.visibilities,
-                aterms: &ds.aterms,
-                taper: &taper,
-            };
-            for item in &plan.items {
-                let stage = PixelStage::new(&data, planes, &geom, item);
-                // warp by warp, as the gridder asks, and the whole plane
-                // at once, as the host degridder does
-                let mut warps = vec![0.0f32; n2.next_multiple_of(LANES)];
-                for (w, off) in warps.chunks_exact_mut(LANES).enumerate() {
-                    stage.offsets(w * LANES, off);
-                }
-                let mut whole = vec![0.0f32; n2];
-                stage.offsets(0, &mut whole);
-                let oracle = offsets_per_pixel(&stage, n2);
-                let to_bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                assert_eq!(to_bits(&warps[..n2]), to_bits(&oracle), "{what}");
-                assert!(
-                    warps[n2..].iter().all(|x| x.to_bits() == 0),
-                    "{what}: dead lanes"
-                );
-                assert_eq!(to_bits(&whole), to_bits(&oracle), "{what}");
             }
         }
     }
