@@ -10,8 +10,8 @@ use crate::report::{ExecutionReport, FleetStats};
 use idg_fft::Direction;
 use idg_gpusim::kernels::{degridder_gpu, gridder_gpu};
 use idg_gpusim::{
-    BreakerConfig, Device, FaultConfig, FleetExecutor, FleetRunReport, GpuExecutor, GpuRunReport,
-    GriddedJob, JobFailure, PassTotals, RetryPolicy, Sink,
+    BreakerConfig, Device, FaultConfig, FleetExecutor, FleetRunReport, GpuExecutor, GriddedJob,
+    JobFailure, PassTotals, RetryPolicy, Sink,
 };
 use idg_kernels::{
     add_subgrids, check_launch, check_placement, degridder_cpu, degridder_reference, fft_subgrids,
@@ -179,7 +179,7 @@ impl Proxy {
     }
 
     /// The proxy's kernel tables, which every pass reads. The name is
-    /// the repository benchmark's; ROADMAP item 3's benchmark change
+    /// the repository benchmark's; ROADMAP item 1's benchmark change
     /// renames it.
     pub fn kernel_cache(&self) -> &KernelTables {
         &self.tables
@@ -494,12 +494,11 @@ impl Proxy {
     fn on_device<A, T>(
         &self,
         arg: A,
-        single: impl FnOnce(&GpuExecutor, A) -> Result<(T, GpuRunReport), IdgError>,
+        single: impl FnOnce(&GpuExecutor, A) -> Result<(T, PassTotals), IdgError>,
         fleet: impl FnOnce(&FleetExecutor, A) -> Result<(T, FleetRunReport), IdgError>,
     ) -> Result<(T, PassTotals, Option<FleetStats>), IdgError> {
         let Some(config) = &self.fleet else {
-            let (out, report) = single(&self.executor()?, arg)?;
-            return Ok((out, report.totals, None));
+            return single(&self.executor()?, arg).map(|(out, totals)| (out, totals, None));
         };
         let (out, report) = fleet(&self.fleet_executor(config)?, arg)?;
         let stats = FleetStats {
@@ -651,8 +650,7 @@ impl Proxy {
     /// order: one that fails part-way has already added the jobs before
     /// the failing one. So has one that meets a job the device failed
     /// for good with `cpu_fallback` off — the pass then returns that
-    /// job's classified device error (on a fleet, the jobs before it are
-    /// added once every device is done).
+    /// job's classified device error.
     pub fn grid_into(
         &self,
         grid: &mut Grid<f32>,
@@ -714,7 +712,7 @@ impl Proxy {
                 };
                 let ((), totals, fleet) = self.on_device(
                     &mut hand_over,
-                    |e, commit| e.grid(data, plan, sink, commit).map(|r| ((), r)),
+                    |e, commit| e.grid(data, plan, sink, commit).map(|t| ((), t)),
                     |f, commit| f.grid(data, plan, sink, commit).map(|r| ((), r)),
                 )?;
                 Ok(self.device_report(totals, nr_items, fleet))
@@ -1550,20 +1548,31 @@ mod tests {
         use idg_types::FaultSite;
 
         let ds = dataset();
-        let mut proxy = Proxy::new(Backend::GpuFiji, ds.obs.clone()).unwrap();
-        proxy.work_group_size = 4;
-        proxy.cpu_fallback = false;
-        let proxy = proxy.with_faults(FaultConfig::targeted(vec![TargetedFault {
-            job: 0,
-            attempt: 0,
-            site: FaultSite::Alloc,
-            kind: FaultKind::OutOfMemory,
-        }]));
-        let plan = proxy.plan(&ds.uvw).unwrap();
-        assert!(matches!(
-            proxy.grid(&plan, &ds.uvw, &ds.visibilities, &ds.aterms),
-            Err(IdgError::DeviceOutOfMemory { .. })
-        ));
+        // job 0 runs out of memory on its first three attempts: the single
+        // device gives up at once, each fleet member walks its ladder
+        // (one resumed attempt per rung) to death
+        let proxy = || {
+            let mut proxy = Proxy::new(Backend::GpuFiji, ds.obs.clone()).unwrap();
+            proxy.work_group_size = 4;
+            proxy.cpu_fallback = false;
+            proxy.with_faults(FaultConfig::targeted(
+                (0..3)
+                    .map(|attempt| TargetedFault {
+                        job: 0,
+                        attempt,
+                        site: FaultSite::Alloc,
+                        kind: FaultKind::OutOfMemory,
+                    })
+                    .collect(),
+            ))
+        };
+        let plan = proxy().plan(&ds.uvw).unwrap();
+        for proxy in [proxy(), proxy().with_fleet(2)] {
+            assert!(matches!(
+                proxy.grid(&plan, &ds.uvw, &ds.visibilities, &ds.aterms),
+                Err(IdgError::DeviceOutOfMemory { .. })
+            ));
+        }
     }
 
     #[test]

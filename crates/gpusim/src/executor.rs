@@ -7,9 +7,11 @@
 //! Table I machine parameters — the substitution documented in
 //! DESIGN.md.
 //!
-//! The pass itself — job model, kernel back-end, retry loop, report —
-//! lives in the shared pass engine (`pass.rs`); this module is the
-//! sequential single-device dispatcher over it.
+//! The pass itself — job model, kernel back-end, retry loop, the
+//! hand-over of each gridding job at its turn, report — lives in the
+//! shared pass engine (`pass.rs`); this module is the sequential
+//! single-device dispatcher over it. Its jobs are decided in job order,
+//! so each one is handed over as it completes or fails.
 //!
 //! ## Fault tolerance
 //!
@@ -31,8 +33,7 @@
 use crate::device::Device;
 use crate::fault::{FaultConfig, RetryPolicy};
 use crate::kernels::check_device;
-use crate::pass::{Commit, DeviceSlot, Direction, GriddedJob, JobRun, Pass, PassTotals, Sink};
-use crate::stream::TraceEntry;
+use crate::pass::{DeviceSlot, Direction, GriddedJob, JobRun, Pass, PassTotals, Sink};
 use idg_kernels::{KernelData, KernelTables};
 use idg_plan::Plan;
 use idg_types::{Grid, IdgError, Visibility};
@@ -52,17 +53,6 @@ pub struct JobFailure {
     pub error: IdgError,
     /// How many attempts were made before giving up.
     pub attempts: u32,
-}
-
-/// Outcome of one executor pass.
-#[derive(Clone, Debug)]
-pub struct GpuRunReport {
-    /// Counters, modeled stage times, makespan, energy, retries and
-    /// persistently failed jobs.
-    pub totals: PassTotals,
-    /// The per-operation timeline (Fig. 7 material). Faulted attempts
-    /// appear with `OpStatus::Faulted`; retries carry `attempt > 0`.
-    pub timeline: Vec<TraceEntry>,
 }
 
 /// Drives gridding / degridding passes on a modeled device.
@@ -109,38 +99,31 @@ impl<'t> GpuExecutor<'t> {
     /// The sequential dispatcher: reserve the full triple-buffered
     /// shape once (no degradation ladder — a reservation that does not
     /// fit fails the pass), run every job in order on the one device,
-    /// give up on a job the moment the device does, fail the pass on an
-    /// input error a job's kernels return (an error with no fault site,
-    /// such as a non-finite model-grid sample the splitter reads), and
-    /// hand each gridding job to `commit` as it completes or fails (jobs
-    /// finish in job order here, so peak memory stays at one job's
-    /// subgrids).
+    /// give up on a job the moment the device does, and fail the pass on
+    /// an input error a job's kernels return (an error with no fault
+    /// site, such as a non-finite model-grid sample the splitter reads)
+    /// or on an error the commit closure returns.
     fn run<'a>(
         &'a self,
         data: &'a KernelData<'a>,
         plan: &'a Plan,
         direction: Direction<'a>,
-        mut commit: Option<&mut Commit<'_>>,
-    ) -> Result<(Pass<'a>, GpuRunReport), IdgError> {
+    ) -> Result<(Pass<'a>, PassTotals), IdgError> {
         let w = self.work_group_size;
         // a device that can launch no kernel fails the pass, not every job
-        check_device(&self.device, matches!(direction, Direction::Grid(_)))?;
+        check_device(&self.device, matches!(direction, Direction::Grid(..)))?;
         let mut pass = Pass::new(data, plan, direction, w, self.tables, &self.retry)?;
         let mut slot = DeviceSlot::new(self.device.clone(), self.faults.clone(), &pass);
         slot.reserve(&pass, w, 3)?;
         for job in 0..pass.nr_jobs() {
-            match pass.run_job_on(&mut slot, job, (0, 0.0)) {
+            match pass.run_job_on(&mut slot, job, (0, 0.0))? {
                 JobRun::Done { .. } => {}
                 JobRun::Failed { error, .. } if error.fault_site().is_none() => return Err(error),
-                JobRun::Failed { error, attempts } => pass.fail_job(job, error, attempts),
-            }
-            if let Some(commit) = commit.as_deref_mut() {
-                pass.hand_over(job, commit)?;
+                JobRun::Failed { error, attempts } => pass.fail_job(job, error, attempts)?,
             }
         }
-        let totals = pass.seal([&mut slot]);
-        let timeline = slot.pipeline.timeline;
-        Ok((pass, GpuRunReport { totals, timeline }))
+        let totals = pass.seal([&mut slot])?;
+        Ok((pass, totals))
     }
 
     /// Run a full gridding pass: visibilities → Fourier-domain subgrids,
@@ -163,9 +146,9 @@ impl<'t> GpuExecutor<'t> {
         plan: &Plan,
         sink: Sink,
         mut commit: impl FnMut(Range<usize>, GriddedJob<'_>) -> Result<(), IdgError>,
-    ) -> Result<GpuRunReport, IdgError> {
-        let (_, report) = self.run(data, plan, Direction::Grid(sink), Some(&mut commit))?;
-        Ok(report)
+    ) -> Result<PassTotals, IdgError> {
+        let (_, totals) = self.run(data, plan, Direction::Grid(sink, &mut commit))?;
+        Ok(totals)
     }
 
     /// Run a full degridding pass: grid → predicted visibilities, in
@@ -181,9 +164,9 @@ impl<'t> GpuExecutor<'t> {
         data: &KernelData<'_>,
         plan: &Plan,
         grid: &Grid<f32>,
-    ) -> Result<(Vec<Visibility<f32>>, GpuRunReport), IdgError> {
-        let (pass, report) = self.run(data, plan, Direction::Degrid(grid), None)?;
-        Ok((pass.into_vis(), report))
+    ) -> Result<(Vec<Visibility<f32>>, PassTotals), IdgError> {
+        let (pass, totals) = self.run(data, plan, Direction::Degrid(grid))?;
+        Ok((pass.into_vis(), totals))
     }
 }
 
@@ -192,7 +175,6 @@ mod tests {
     use super::*;
     use crate::fault::{FaultKind, TargetedFault};
     use crate::pass::add_onto;
-    use crate::stream::OpStatus;
     use idg_fft::Direction as FftDirection;
     use idg_kernels::{add_subgrids, fft_subgrids, split_subgrids, FftNorm, SubgridArray};
     use idg_perf::gridder_counts;
@@ -252,23 +234,20 @@ mod tests {
         })
         .unwrap();
         assert!(grid.power() > 0.0, "grid received energy");
-        assert!(report.totals.makespan > 0.0);
-        assert!(report.totals.kernel_seconds > 0.0);
+        assert!(report.makespan > 0.0);
+        assert!(report.kernel_seconds > 0.0);
         assert_eq!(
-            report.totals.counts.visibilities as usize,
+            report.counts.visibilities as usize,
             plan.nr_gridded_visibilities()
         );
         // kernel dominates the modeled runtime (Fig. 9 shape)
-        assert!(
-            report.totals.kernel_seconds
-                > 5.0 * (report.totals.fft_seconds + report.totals.adder_seconds)
-        );
+        assert!(report.kernel_seconds > 5.0 * (report.fft_seconds + report.adder_seconds));
         // throughput metric is finite and positive
-        assert!(report.totals.mvis_per_sec() > 0.0);
+        assert!(report.mvis_per_sec() > 0.0);
         // fault-free pass: nothing retried, nothing failed
-        assert_eq!(report.totals.nr_retries, 0);
-        assert_eq!(report.totals.backoff_seconds, 0.0);
-        assert!(report.totals.complete());
+        assert_eq!(report.nr_retries, 0);
+        assert_eq!(report.backoff_seconds, 0.0);
+        assert!(report.complete());
     }
 
     #[test]
@@ -319,8 +298,8 @@ mod tests {
         })
         .unwrap();
         let (pred, report) = exec.degrid(&data, &plan, &grid).unwrap();
-        assert_eq!(report.totals.pass, "degridding");
-        assert!(report.totals.dtoh_seconds > 0.0);
+        assert_eq!(report.pass, "degridding");
+        assert!(report.dtoh_seconds > 0.0);
 
         let mut subgrids = SubgridArray::new(plan.nr_subgrids(), ds.obs.subgrid_size);
         split_subgrids(&grid, &plan.items, &mut subgrids, &tables).unwrap();
@@ -364,10 +343,7 @@ mod tests {
             exec_small.grid(&data, &plan, Sink::Commit, add_onto(g, &plan, &tables))
         })
         .unwrap();
-        assert!(
-            report.totals.dtoh_seconds > 0.0,
-            "subgrids streamed to the host"
-        );
+        assert!(report.dtoh_seconds > 0.0, "subgrids streamed to the host");
 
         let exec_full = GpuExecutor::new(Device::fiji(), 8, &tables);
         let (grid_resident, _) = fresh_grid(&plan, |g| {
@@ -424,10 +400,10 @@ mod tests {
         })
         .unwrap();
         assert!(
-            rp.totals.kernel_seconds < rf.totals.kernel_seconds,
+            rp.kernel_seconds < rf.kernel_seconds,
             "pascal {} vs fiji {}",
-            rp.totals.kernel_seconds,
-            rf.totals.kernel_seconds
+            rp.kernel_seconds,
+            rf.kernel_seconds
         );
     }
 
@@ -474,28 +450,36 @@ mod tests {
             },
         ]);
         let exec = GpuExecutor::new(Device::pascal(), 4, &tables).with_faults(faults);
+        let session = idg_obs::Session::begin("retries");
         let (grid, report) = fresh_grid(&plan, |g| {
             exec.grid(&data, &plan, Sink::Commit, add_onto(g, &plan, &tables))
         })
         .unwrap();
+        let trace = session.finish();
 
         assert_eq!(grid.as_slice(), gold.as_slice(), "recovery is exact");
-        assert!(report.totals.complete());
-        assert_eq!(report.totals.nr_retries, 3);
-        assert!(report.totals.backoff_seconds > 0.0);
+        assert!(report.complete());
+        assert_eq!(report.nr_retries, 3);
+        assert!(report.backoff_seconds > 0.0);
         assert!(
-            report.totals.makespan > gold_report.totals.makespan,
+            report.makespan > gold_report.makespan,
             "recovery costs time"
         );
-        let faulted: Vec<_> = report
-            .timeline
-            .iter()
-            .filter(|t| t.status == OpStatus::Faulted)
-            .collect();
+        // each faulted attempt is one modeled `…!` stage span, and its
+        // job's retry completes that engine's operation after it
+        let stages: Vec<_> = trace.spans.iter().filter(|s| s.cat == "stage").collect();
+        let faulted: Vec<_> = stages.iter().filter(|s| s.name.ends_with('!')).collect();
         assert_eq!(faulted.len(), 3);
-        // the retries appear in the timeline as attempt-1 operations
-        assert!(report.timeline.iter().any(|t| t.job == 0 && t.attempt == 1));
-        assert!(report.timeline.iter().any(|t| t.job == 1 && t.attempt == 1));
+        for f in faulted {
+            let engine = f.name.trim_end_matches('!');
+            assert!(
+                stages
+                    .iter()
+                    .any(|s| s.job == f.job && s.name == engine && s.start_us >= f.end_us()),
+                "job {:?}: no completed {engine} after its faulted attempt",
+                f.job
+            );
+        }
     }
 
     #[test]
@@ -532,21 +516,18 @@ mod tests {
         })
         .unwrap();
 
-        assert_eq!(report.totals.failed_jobs.len(), 1);
-        let failure = &report.totals.failed_jobs[0];
+        assert_eq!(report.failed_jobs.len(), 1);
+        let failure = &report.failed_jobs[0];
         assert_eq!(failure.job, 1);
         assert_eq!(failure.first_item, m);
         assert_eq!(failure.attempts, 3);
         assert!(matches!(failure.error, IdgError::KernelFault { job: 1 }));
-        assert_eq!(
-            report.totals.nr_retries, 2,
-            "two re-enqueues before giving up"
-        );
+        assert_eq!(report.nr_retries, 2, "two re-enqueues before giving up");
 
         // the failed job's visibilities are not counted and its
         // subgrids are absent from the grid
         let full = gridder_counts(&plan.items, plan.subgrid_size());
-        assert!(report.totals.counts.visibilities < full.visibilities);
+        assert!(report.counts.visibilities < full.visibilities);
         let (gold, _) = fresh_grid(&plan, |g| {
             GpuExecutor::new(Device::pascal(), m, &tables).grid(
                 &data,
@@ -578,10 +559,10 @@ mod tests {
             exec.grid(&data, &plan, Sink::Commit, add_onto(g, &plan, &tables))
         })
         .unwrap();
-        assert_eq!(report.totals.nr_retries, 0, "OOM is not retried");
-        assert_eq!(report.totals.failed_jobs.len(), 1);
-        assert_eq!(report.totals.failed_jobs[0].attempts, 1);
-        assert!(!report.totals.failed_jobs[0].error.is_transient());
+        assert_eq!(report.nr_retries, 0, "OOM is not retried");
+        assert_eq!(report.failed_jobs.len(), 1);
+        assert_eq!(report.failed_jobs[0].attempts, 1);
+        assert!(!report.failed_jobs[0].error.is_transient());
     }
 
     #[test]
@@ -615,8 +596,8 @@ mod tests {
         ]);
         let faulty = GpuExecutor::new(Device::pascal(), 4, &tables).with_faults(faults);
         let (pred, report) = faulty.degrid(&data, &plan, &grid).unwrap();
-        assert!(report.totals.complete());
-        assert_eq!(report.totals.nr_retries, 2);
+        assert!(report.complete());
+        assert_eq!(report.nr_retries, 2);
         assert_eq!(pred, gold, "recovered visibilities are bit-identical");
     }
 
@@ -653,14 +634,9 @@ mod tests {
                     })
                     .unwrap()
                     .1
-                    .totals
                 }
-                "grid_sink_defer" => {
-                    exec.grid(&data, &plan, Sink::Defer, |_, _| Ok(()))
-                        .unwrap()
-                        .totals
-                }
-                _ => exec.degrid(&data, &plan, &model).unwrap().1.totals,
+                "grid_sink_defer" => exec.grid(&data, &plan, Sink::Defer, |_, _| Ok(())).unwrap(),
+                _ => exec.degrid(&data, &plan, &model).unwrap().1,
             };
             let trace = session.finish();
 
@@ -726,8 +702,8 @@ mod tests {
         let failing = GpuExecutor::new(Device::pascal(), 8, &tables).with_faults(faults);
         let (vis, report) = failing.degrid(&data, &plan, &grid).unwrap();
 
-        assert_eq!(report.totals.failed_jobs.len(), 1);
-        let failure = &report.totals.failed_jobs[0];
+        assert_eq!(report.failed_jobs.len(), 1);
+        let failure = &report.failed_jobs[0];
         assert_eq!(failure.job, 1);
         // the failed job's slots are zero
         let nr_time = ds.obs.nr_timesteps;

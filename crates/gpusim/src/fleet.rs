@@ -22,10 +22,12 @@
 //!   then *resume the job's retry loop* past the faulted attempt.
 //! - **Deterministic order-preserving hand-over.** Gridding jobs may
 //!   finish on any device in any order, but f32 accumulation is not
-//!   associative — so computed subgrids are buffered and handed to the
-//!   caller's commit strictly in global job order, which makes a fleet
-//!   run bit-identical to the sequential single-device reference
-//!   whatever the fault schedule did to the scheduling.
+//!   associative — so the pass engine hands them to the caller's commit
+//!   strictly in global job order, each as soon as every job before it
+//!   is decided, which makes a fleet run bit-identical to the
+//!   sequential single-device reference whatever the fault schedule did
+//!   to the scheduling. Only the jobs decided behind an undecided one
+//!   (a re-queued job) are held; a clean pass holds one job.
 //!
 //! Everything is measured on the modeled [`crate::PipelineSim`] clocks
 //! (per-device); no wall time enters any decision, so a chaos run
@@ -310,7 +312,8 @@ impl<'t> FleetExecutor<'t> {
     /// is an input error a job's kernels return (such as a non-finite
     /// model-grid sample the splitter reads): no device's failure, it
     /// fails the pass at once, with no breaker outcome and no
-    /// re-dispatch. Returns the number of re-dispatches.
+    /// re-dispatch. So does an error the commit closure returns.
+    /// Returns the number of re-dispatches.
     fn dispatch(&self, states: &mut [DeviceState], pass: &mut Pass<'_>) -> Result<usize, IdgError> {
         let nr_jobs = pass.nr_jobs();
         let nr_members = states.len();
@@ -331,7 +334,7 @@ impl<'t> FleetExecutor<'t> {
                 let error = last_error[job].take().unwrap_or(IdgError::Internal(
                     "no fleet device available for job".to_string(),
                 ));
-                pass.fail_job(job, error, attempts_total[job]);
+                pass.fail_job(job, error, attempts_total[job])?;
                 continue;
             };
             dispatches[job] += 1;
@@ -345,7 +348,7 @@ impl<'t> FleetExecutor<'t> {
             let st = &mut states[d];
             let mut resume = (0u32, wait_until);
             loop {
-                let result = pass.run_job_on(&mut st.slot, job, resume);
+                let result = pass.run_job_on(&mut st.slot, job, resume)?;
                 let now = st.slot.pipeline.makespan();
                 match result {
                     JobRun::Done { attempts } => {
@@ -386,11 +389,11 @@ impl<'t> FleetExecutor<'t> {
         direction: Direction<'a>,
     ) -> Result<(Pass<'a>, FleetRunReport), IdgError> {
         let w = self.work_group_size;
-        let gridding = matches!(direction, Direction::Grid(_));
+        let gridding = matches!(direction, Direction::Grid(..));
         let mut pass = Pass::new(data, plan, direction, w, self.tables, &self.retry)?;
         let mut states = self.setup(&pass, gridding)?;
         let redispatched_jobs = self.dispatch(&mut states, &mut pass)?;
-        let totals = pass.seal(states.iter_mut().map(|s| &mut s.slot));
+        let totals = pass.seal(states.iter_mut().map(|s| &mut s.slot))?;
         let per_device: Vec<DeviceReport> = states
             .iter()
             .map(|s| DeviceReport {
@@ -415,16 +418,18 @@ impl<'t> FleetExecutor<'t> {
     }
 
     /// Run a full gridding pass: visibilities → Fourier-domain subgrids,
-    /// handed to `commit` in global job order once dispatch ends, as
+    /// handed to `commit` in global job order, each job as soon as every
+    /// job before it is decided, as
     /// [`GpuExecutor::grid`](crate::GpuExecutor::grid) hands them: a
     /// completed job's `plan.items` range with its subgrids (one call
     /// per staged chunk — a degraded job computed in half-chunks), a
     /// job the whole fleet failed with its
     /// [`JobFailure`](crate::JobFailure). The sequence is
     /// **bit-identical** to a fault-free single-device pass's over the
-    /// completed jobs, regardless of which device computed what. A
-    /// dispatch error returns before `commit` is first called; an error
-    /// `commit` returns ends the hand-over with that error.
+    /// completed jobs, regardless of which device computed what. A setup
+    /// error returns before `commit` is first called; an input error a
+    /// job's kernels return, or an error `commit` returns, ends dispatch
+    /// at once with that error, the jobs before it handed over.
     pub fn grid(
         &self,
         data: &KernelData<'_>,
@@ -432,10 +437,7 @@ impl<'t> FleetExecutor<'t> {
         sink: Sink,
         mut commit: impl FnMut(Range<usize>, GriddedJob<'_>) -> Result<(), IdgError>,
     ) -> Result<FleetRunReport, IdgError> {
-        let (mut pass, report) = self.run(data, plan, Direction::Grid(sink))?;
-        for job in 0..pass.nr_jobs() {
-            pass.hand_over(job, &mut commit)?;
-        }
+        let (_, report) = self.run(data, plan, Direction::Grid(sink, &mut commit))?;
         Ok(report)
     }
 
@@ -592,21 +594,18 @@ mod tests {
                     exec.grid(data, plan, Sink::Commit, add_onto(g, plan, exec.tables))
                 })
                 .unwrap();
-                (complex_bits(grid.as_slice()), report.totals)
+                (complex_bits(grid.as_slice()), report)
             }
             "grid_sink_defer" => {
                 let mut pending = Vec::new();
                 let report = exec
                     .grid(data, plan, Sink::Defer, hold(&mut pending))
                     .unwrap();
-                (deferred_subgrid_bits(&pending), report.totals)
+                (deferred_subgrid_bits(&pending), report)
             }
             _ => {
                 let (vis, report) = exec.degrid(data, plan, model).unwrap();
-                (
-                    complex_bits(vis.iter().flat_map(|v| &v.pols)),
-                    report.totals,
-                )
+                (complex_bits(vis.iter().flat_map(|v| &v.pols)), report)
             }
         }
     }
@@ -719,7 +718,40 @@ mod tests {
         // jobs spread round-robin across all members
         assert!(report.per_device.iter().all(|d| d.jobs_completed > 0));
         // devices overlap in (modeled) time: the fleet finishes faster
-        assert!(report.totals.makespan < gold_report.totals.makespan);
+        assert!(report.totals.makespan < gold_report.makespan);
+    }
+
+    #[test]
+    fn a_commit_error_ends_fleet_dispatch_at_its_job() {
+        // the pass hands each job over at its turn, so a commit that
+        // refuses job k stops the fleet before it grids job k + 1
+        let ds = dataset();
+        let tables = KernelTables::for_observation(&ds.obs);
+        let plan = Plan::create(&ds.obs, &ds.uvw).unwrap();
+        let taper = vec![1.0f32; ds.obs.subgrid_size * ds.obs.subgrid_size];
+        let data = kernel_data(&ds, &taper);
+        let (wgs, k) = (4, 2);
+        assert!(
+            plan.work_groups(wgs).count() > k + 1,
+            "want jobs after job k"
+        );
+
+        let fleet = FleetExecutor::uniform(Device::pascal(), 2, wgs, &tables);
+        let session = idg_obs::Session::begin("commit_error");
+        let result = fleet.grid(&data, &plan, Sink::Commit, |range, _| {
+            if range.start >= k * wgs {
+                return Err(IdgError::Internal("commit refused".into()));
+            }
+            Ok(())
+        });
+        let trace = session.finish();
+
+        assert!(matches!(result, Err(IdgError::Internal(msg)) if msg == "commit refused"));
+        assert_eq!(
+            trace.metrics.gridder.invocations,
+            ((k + 1) * wgs) as u64,
+            "only jobs 0..=k were gridded"
+        );
     }
 
     #[test]

@@ -52,7 +52,7 @@ pub mod stream;
 pub mod timing;
 
 pub use device::Device;
-pub use executor::{GpuExecutor, GpuRunReport, JobFailure};
+pub use executor::{GpuExecutor, JobFailure};
 pub use fault::{FaultConfig, FaultInjector, FaultKind, RetryPolicy, TargetedFault};
 pub use fleet::{DeviceReport, FleetExecutor, FleetMember, FleetRunReport};
 pub use health::{BreakerConfig, BreakerState, DeviceHealth, JobOutcome};

@@ -4,38 +4,40 @@
 //! The paper's host code is one triple-buffered HtoD → kernels → DtoH
 //! job chain (Sec. V-C, Fig. 7) run in two directions. A [`Pass`] is
 //! that chain parameterized by a [`Direction`]; a gridding pass also
-//! takes a [`Sink`], which picks the modeled adder shape only:
+//! takes a [`Sink`], which picks the modeled adder shape only, and the
+//! caller's commit closure:
 //!
 //! | direction | pass (both executors) |
 //! |---|---|
-//! | `Grid(Commit)`, `Grid(Defer)` | `grid` |
+//! | `Grid(Commit, commit)`, `Grid(Defer, commit)` | `grid` |
 //! | `Degrid(&grid)` | `degrid` |
 //!
-//! A gridding pass hands every job's output to its caller's commit
-//! closure in job order ([`Pass::hand_over`]): the job's `plan.items`
-//! ranges with their subgrids, or its [`JobFailure`]. What the caller
-//! does with them — add them onto a grid at once, or hold them for a
-//! stream's commit — is the caller's. A degrid pass needs no sink: its
-//! jobs write disjoint visibility slots of one buffer in place, so a
-//! streamed degrid chunk is the same `degrid` pass run over the chunk's
-//! own window of the observation.
+//! The pass alone decides when a gridding job reaches the commit
+//! closure ([`Pass::hand_over`]): a job is decided when it completes
+//! ([`Pass::run_job_on`]) or fails for good ([`Pass::fail_job`]), and
+//! each decision hands over every job from the cursor whose turn has
+//! come, in job order — the job's `plan.items` ranges with their
+//! subgrids, or its [`JobFailure`]. So a pass holds only the jobs
+//! decided ahead of an undecided one: one job's subgrids when jobs
+//! finish in order. What the caller does with them — add them onto a
+//! grid at once, or hold them for a stream's commit — is the caller's.
+//! A degrid pass needs no sink: its jobs write disjoint visibility slots
+//! of one buffer in place, so a streamed degrid chunk is the same
+//! `degrid` pass run over the chunk's own window of the observation.
 //!
 //! The engine owns the **job model** ([`Pass::job_model`], which prices
 //! every device job from the [`crate::timing`] formulas), the
 //! reservation formula ([`DeviceSlot::reserve`]), the fault/retry loop
 //! ([`run_job`]), the one kernel back-end over staged chunks
-//! ([`Pass::run_job_on`]), the failed-slot zeroing ([`Pass::fail_job`])
-//! and the report seal ([`Pass::seal`]). What it does *not* own is
-//! dispatch: which device a job runs on, in which order, what happens
-//! to a job a device gave up on, and when a gridding job is handed to
-//! the caller. The pass allocates no grid. `GpuExecutor` walks the jobs
-//! sequentially over one [`DeviceSlot`] and hands each job over as it
-//! completes, so it holds one job's subgrids at a time; `FleetExecutor`
-//! wraps each slot in a health tracker and a degradation-ladder rung,
-//! re-queues failures, and hands every job over in job order after
-//! dispatch. A single device is the one-chunk case of the fleet's
-//! ladder chunks, not a fleet of one: it has no breaker, no ladder and
-//! no re-dispatch.
+//! ([`Pass::run_job_on`]), the failed-slot zeroing ([`Pass::fail_job`]),
+//! the hand-over and the report seal ([`Pass::seal`]). What it does
+//! *not* own is dispatch: which device a job runs on, in which order,
+//! and what happens to a job a device gave up on. The pass allocates no
+//! grid. `GpuExecutor` walks the jobs sequentially over one
+//! [`DeviceSlot`]; `FleetExecutor` wraps each slot in a health tracker
+//! and a degradation-ladder rung and re-queues failures. A single
+//! device is the one-chunk case of the fleet's ladder chunks, not a
+//! fleet of one: it has no breaker, no ladder and no re-dispatch.
 
 use crate::device::Device;
 use crate::executor::JobFailure;
@@ -52,8 +54,9 @@ use std::ops::Range;
 
 /// Which way the job chain runs.
 pub(crate) enum Direction<'a> {
-    /// Visibilities → subgrids (→ grid), ending in the given sink.
-    Grid(Sink),
+    /// Visibilities → subgrids, modeled for the given sink and handed
+    /// to the commit closure job by job.
+    Grid(Sink, &'a mut Commit<'a>),
     /// Model grid → subgrids → predicted visibilities, written in place
     /// into the pass's one visibility buffer.
     Degrid(&'a Grid<f32>),
@@ -87,7 +90,8 @@ pub type GriddedJob<'f> = Result<SubgridArray, &'f JobFailure>;
 pub(crate) type Commit<'c> = dyn FnMut(Range<usize>, GriddedJob<'_>) -> Result<(), IdgError> + 'c;
 
 /// One gridding job's output until it is handed over: the subgrids of
-/// each staged chunk, keyed by the chunk's item range within the group.
+/// each staged chunk, keyed by the chunk's item range within the group
+/// (empty for a degridding job, which writes its visibilities in place).
 type PendingChunks = Vec<(Range<usize>, SubgridArray)>;
 
 /// The modeled totals of one device pass — the part of the report the
@@ -522,7 +526,7 @@ impl DeviceSlot {
         let subgrid_bytes = (staged_items * 4 * n * n * 8) as u64;
         let io_bytes = (staged_items * 512 * 44) as u64; // vis+uvw staging
         let buffers = nr_buffers as u64 * (subgrid_bytes + io_bytes);
-        let deferred = matches!(pass.direction, Direction::Grid(Sink::Defer));
+        let deferred = matches!(pass.direction, Direction::Grid(Sink::Defer, _));
         self.grid_resident = !deferred && self.device.allocate(grid_bytes + buffers).is_ok();
         if self.grid_resident {
             self.reserved = grid_bytes + buffers;
@@ -552,9 +556,11 @@ pub(crate) struct Pass<'a> {
     groups: Vec<&'a [WorkItem]>,
     tables: &'a KernelTables,
     retry: &'a RetryPolicy,
-    /// Computed subgrids per job of a gridding pass, until handed to
-    /// the caller.
-    held: Vec<Option<PendingChunks>>,
+    /// Each decided job from `next` on, until it is handed over: its
+    /// output, or the index of its failure in [`PassTotals::failed_jobs`].
+    decided: Vec<Option<Result<PendingChunks, usize>>>,
+    /// The hand-over cursor: the first job not yet handed over.
+    next: usize,
     /// Predicted visibilities of a degridding pass (the extent of
     /// `data.obs`; jobs write their own disjoint slots in place).
     vis: Vec<Visibility<f32>>,
@@ -581,19 +587,16 @@ impl<'a> Pass<'a> {
     ) -> Result<Self, IdgError> {
         idg_kernels::check_launch(data, &plan.items, None)?;
         let groups: Vec<&[WorkItem]> = plan.work_groups(work_group_size).collect();
-        let gridding = matches!(direction, Direction::Grid(_));
-        if gridding {
+        let gridding = matches!(direction, Direction::Grid(..));
+        let vis = if gridding {
             data.validate_visibilities()?;
-        }
-        let (held, vis) = if gridding {
-            (vec![None; groups.len()], Vec::new())
+            Vec::new()
         } else {
-            (
-                Vec::new(),
-                Visibility::zeroed_vec(data.obs.nr_visibilities()),
-            )
+            Visibility::zeroed_vec(data.obs.nr_visibilities())
         };
         Ok(Self {
+            decided: vec![None; groups.len()],
+            next: 0,
             data,
             plan,
             direction,
@@ -601,7 +604,6 @@ impl<'a> Pass<'a> {
             groups,
             tables,
             retry,
-            held,
             vis,
             retried: RetryStats::default(),
             totals: PassTotals {
@@ -646,7 +648,7 @@ impl<'a> Pass<'a> {
             }
         };
         match self.direction {
-            Direction::Grid(sink) => {
+            Direction::Grid(sink, _) => {
                 let counts = gridder_counts(group, n);
                 let t_in = transfer_time(device, vis_bytes + uvw_bytes);
                 let t_kernel = kernel_time(device, &counts);
@@ -703,9 +705,9 @@ impl<'a> Pass<'a> {
     }
 
     /// Run `job` on `slot` through the fault/retry loop and, when it
-    /// completes, charge it to the totals and keep its output (a
-    /// gridding job's subgrids are held for [`Pass::hand_over`]). `resume`
-    /// is [`run_job`]'s `(first_attempt, not_before)`.
+    /// completes, charge it to the totals and decide it ([`Pass::hand_over`];
+    /// an error is the commit closure's). `resume` is [`run_job`]'s
+    /// `(first_attempt, not_before)`.
     ///
     /// A job the device gave up on comes back as [`JobRun::Failed`] and
     /// leaves no trace in the output; the dispatcher decides whether to
@@ -715,7 +717,7 @@ impl<'a> Pass<'a> {
         slot: &mut DeviceSlot,
         job: usize,
         resume: (u32, f64),
-    ) -> JobRun {
+    ) -> Result<JobRun, IdgError> {
         let group = self.groups[job];
         let JobModel {
             counts,
@@ -742,11 +744,11 @@ impl<'a> Pass<'a> {
         let mut computed = PendingChunks::new();
         let mut backend = |op: JobOp| -> Result<Vec<u8>, IdgError> {
             match (op, direction) {
-                (JobOp::StageInput, Direction::Grid(_)) => {
+                (JobOp::StageInput, Direction::Grid(..)) => {
                     Ok(staged_vis_bytes(data.visibilities, nr_time, nr_chan, group))
                 }
                 (JobOp::StageInput, Direction::Degrid(_)) => Ok(staged_uvw_bytes(data, group)),
-                (JobOp::Compute, Direction::Grid(_)) => {
+                (JobOp::Compute, Direction::Grid(..)) => {
                     computed.clear();
                     for r in chunks() {
                         let mut subgrids = SubgridArray::new(r.len(), n);
@@ -766,7 +768,7 @@ impl<'a> Pass<'a> {
                     }
                     Ok(Vec::new())
                 }
-                (JobOp::StageOutput, Direction::Grid(_)) => Ok(staged_subgrid_bytes(&computed)),
+                (JobOp::StageOutput, Direction::Grid(..)) => Ok(staged_subgrid_bytes(&computed)),
                 (JobOp::StageOutput, Direction::Degrid(_)) => {
                     Ok(staged_vis_bytes(vis, nr_time, nr_chan, group))
                 }
@@ -795,44 +797,22 @@ impl<'a> Pass<'a> {
             totals.adder_seconds += adder;
             totals.htod_seconds += htod;
             totals.dtoh_seconds += dtoh;
-            // the degridder wrote its slots of `vis` in place
-            if matches!(direction, Direction::Grid(_)) {
-                self.held[job] = Some(computed);
-            }
+            self.decided[job] = Some(Ok(computed));
+            self.hand_over()?;
         }
-        result
-    }
-
-    /// Hand `job`'s output to the caller's `commit`: each staged chunk's
-    /// subgrids with its global `plan.items` range, or — for a job no
-    /// device completed — its whole range with its [`JobFailure`]. The
-    /// held subgrids are freed as they go. Handing the jobs over in job
-    /// order gives the caller the `add_subgrids` sequence of one
-    /// sequential device, whichever device computed what, when — f32
-    /// addition is not associative.
-    pub(crate) fn hand_over(
-        &mut self,
-        job: usize,
-        commit: &mut Commit<'_>,
-    ) -> Result<(), IdgError> {
-        let first = job * self.work_group_size;
-        if let Some(chunks) = self.held[job].take() {
-            for (r, subgrids) in chunks {
-                commit(first + r.start..first + r.end, Ok(subgrids))?;
-            }
-            return Ok(());
-        }
-        match self.totals.failed_jobs.iter().find(|f| f.job == job) {
-            Some(failure) => commit(first..first + failure.nr_items, Err(failure)),
-            None => Err(IdgError::Internal(format!(
-                "gridding job {job} neither completed nor failed"
-            ))),
-        }
+        Ok(result)
     }
 
     /// Record that no device could complete `job`: its work is absent
     /// from the result and it is listed in [`PassTotals::failed_jobs`].
-    pub(crate) fn fail_job(&mut self, job: usize, error: IdgError, attempts: u32) {
+    /// The job is decided ([`Pass::hand_over`]; an error is the commit
+    /// closure's).
+    pub(crate) fn fail_job(
+        &mut self,
+        job: usize,
+        error: IdgError,
+        attempts: u32,
+    ) -> Result<(), IdgError> {
         let group = self.groups[job];
         // a faulted attempt may have computed these visibility slots
         // before the chain died — failed jobs leave zeros
@@ -842,6 +822,7 @@ impl<'a> Pass<'a> {
                 self.vis[cols].fill(Visibility::zero());
             }
         }
+        self.decided[job] = Some(Err(self.totals.failed_jobs.len()));
         self.totals.failed_jobs.push(JobFailure {
             job,
             first_item: job * self.work_group_size,
@@ -849,17 +830,55 @@ impl<'a> Pass<'a> {
             error,
             attempts,
         });
+        self.hand_over()
+    }
+
+    /// The one hand-over rule, run each time a job is decided: hand every
+    /// job from the cursor whose turn has come to the caller's commit, in
+    /// job order — each staged chunk's subgrids with its global
+    /// `plan.items` range, or a failed job's whole range with its
+    /// [`JobFailure`] — freeing the held subgrids as they go. Job order
+    /// gives the caller the `add_subgrids` sequence of one sequential
+    /// device, whichever device computed what, when — f32 addition is
+    /// not associative. A degridding pass only moves the cursor.
+    fn hand_over(&mut self) -> Result<(), IdgError> {
+        while let Some(decided) = self.decided.get_mut(self.next).and_then(Option::take) {
+            let first = self.next * self.work_group_size;
+            self.next += 1;
+            let Direction::Grid(_, commit) = &mut self.direction else {
+                continue;
+            };
+            match decided {
+                Ok(chunks) => {
+                    for (r, subgrids) in chunks {
+                        commit(first + r.start..first + r.end, Ok(subgrids))?;
+                    }
+                }
+                Err(failure) => {
+                    let failure = &self.totals.failed_jobs[failure];
+                    commit(first..first + failure.nr_items, Err(failure))?;
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Seal the report after dispatch: fold in the faulted attempts'
     /// engine time, take makespan and energy from the devices'
     /// pipelines (replaying them as modeled spans, device `d` in lanes
     /// `4d..`), and release their reservations. The first device's
-    /// host drives the pass.
+    /// host drives the pass. A dispatch that left a job undecided is an
+    /// [`IdgError::Internal`] naming the first such job.
     pub(crate) fn seal<'s>(
         &mut self,
         slots: impl IntoIterator<Item = &'s mut DeviceSlot>,
-    ) -> PassTotals {
+    ) -> Result<PassTotals, IdgError> {
+        if self.next < self.nr_jobs() {
+            return Err(IdgError::Internal(format!(
+                "device job {} neither completed nor failed",
+                self.next
+            )));
+        }
         let totals = &mut self.totals;
         totals.nr_retries = self.retried.nr_retries;
         totals.backoff_seconds = self.retried.backoff_seconds;
@@ -884,7 +903,7 @@ impl<'a> Pass<'a> {
         if let Some(host) = host {
             totals.host_energy_j = host.host_energy(totals.makespan);
         }
-        totals.clone()
+        Ok(totals.clone())
     }
 
     /// The predicted visibilities of a degridding pass (failed jobs'

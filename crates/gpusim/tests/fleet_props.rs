@@ -3,9 +3,10 @@
 //! Whatever a random fault schedule does to a random fleet shape, two
 //! things must hold: (1) every work group lands in the pass result
 //! *exactly once* — completed on some device XOR reported in
-//! `failed_jobs`, never lost, never double-added — and (2) the
-//! breaker state machine stays live: a breaker that refuses work
-//! always names the modeled time at which it will admit again.
+//! `failed_jobs`, never lost, never double-added — and reaches the
+//! commit closure in item order, and (2) the breaker state machine
+//! stays live: a breaker that refuses work always names the modeled
+//! time at which it will admit again.
 
 use idg_gpusim::{
     BreakerConfig, Device, DeviceHealth, FaultConfig, FleetExecutor, GpuExecutor, GriddedJob,
@@ -103,10 +104,25 @@ proptest! {
                 half_open_probes: 1,
             });
         let mut grid = Grid::new(plan.grid_size());
+        let mut ranges: Vec<Range<usize>> = Vec::new();
+        let (seen, mut add) = (&mut ranges, add_onto(&mut grid, plan, &tables));
         let report = fleet
-            .grid(&data, plan, Sink::Commit, add_onto(&mut grid, plan, &tables))
+            .grid(&data, plan, Sink::Commit, move |range, job| {
+                seen.push(range.clone());
+                add(range, job)
+            })
             .unwrap();
         let nr_jobs = plan.work_groups(wgs).count();
+
+        // In-order hand-over, complete pass or not: the commit closure
+        // sees the plan's items from item 0 on in contiguous, strictly
+        // increasing ranges that end at the last item.
+        prop_assert_eq!(ranges.first().map(|r| r.start), Some(0));
+        prop_assert!(ranges.iter().all(|r| r.start < r.end), "an empty range");
+        for pair in ranges.windows(2) {
+            prop_assert_eq!(pair[0].end, pair[1].start);
+        }
+        prop_assert_eq!(ranges.last().map(|r| r.end), Some(plan.items.len()));
 
         // Exactly-once accounting: completed on some device XOR failed.
         let completed: usize = report.per_device.iter().map(|d| d.jobs_completed).sum();

@@ -729,6 +729,40 @@ mod tests {
         Dataset::simulate(obs, &layout, sky, &beam)
     }
 
+    /// One baseline parked at u = v = 256 m with w = 1 µm on a w-step
+    /// that puts it in w-plane 1, its visibilities purely real. On the
+    /// subgrid's anti-diagonal (l = −m) u₀·l and v₀·m cancel exactly and
+    /// the f32 phase index is exactly 0 (256·m is exact), so the phase
+    /// is −φ₀ itself; and w₀·n there lies far below the rounding of
+    /// v₀·m, so φ₀'s f64 evaluation order decides its bits — and with
+    /// them the imaginary part of every such pixel.
+    fn cancelling_offset_dataset() -> Dataset {
+        let obs = Observation::builder()
+            .stations(2)
+            .timesteps(4)
+            .channels(1, 150e6, 1e6)
+            .grid_size(256)
+            .subgrid_size(16)
+            .kernel_size(5)
+            .aterm_interval(4)
+            .image_size(0.05)
+            .w_step(5e-7)
+            .build()
+            .unwrap();
+        let layout = Layout::uniform(2, 10.0, 127);
+        let sky = SkyModel::random(&obs, 1, 0.6, 131);
+        let mut ds = Dataset::simulate(obs, &layout, sky, &IdentityATerm);
+        ds.uvw.fill(idg_types::Uvw {
+            u: 256.0,
+            v: 256.0,
+            w: 1e-6,
+        });
+        for v in &mut ds.visibilities {
+            v.pols = [Cf32::new(1.0, 0.0); 4];
+        }
+        ds
+    }
+
     fn vis_bits(vis: &[Visibility<f32>]) -> Vec<u32> {
         let samples = vis.iter().flat_map(|v| v.pols);
         samples
@@ -1157,7 +1191,7 @@ mod tests {
         // Fast hash alike: they share polynomials and their range
         // reductions round apart a few times per million below
         // |phase| = 100 (`idg_math::sincos`) — never on these shapes.
-        let cases: [(&str, Dataset, [u64; 4]); 8] = [
+        let cases: [(&str, Dataset, [u64; 4]); 9] = [
             (
                 "identity",
                 dataset(0),
@@ -1236,6 +1270,16 @@ mod tests {
                     0xea9b_9a37_de6c_9d55,
                     0x2922_4ebd_f7ac_a34d,
                     0xea9b_9a37_de6c_9d55,
+                ],
+            ),
+            (
+                "cancelling phase offsets",
+                cancelling_offset_dataset(),
+                [
+                    0xa85e_b578_116b_16e5,
+                    0x0cb4_b907_ab77_ca85,
+                    0xa85e_b578_116b_16e5,
+                    0x0cb4_b907_ab77_ca85,
                 ],
             ),
         ];
