@@ -51,7 +51,7 @@ pub struct BackendRun {
 /// counts (used for the "HASWELL" rows: our host is not a Xeon
 /// E5-2697v3, so the paper-architecture rows are modeled exactly like
 /// the GPU rows; the host-measured row is printed alongside).
-pub fn model_cpu_report(
+fn model_cpu_report(
     arch: &Architecture,
     counts: OpCounts,
     nr_subgrids: usize,

@@ -179,7 +179,7 @@ impl Proxy {
     }
 
     /// The proxy's kernel tables, which every pass reads. The name is
-    /// the repository benchmark's; ROADMAP item 1's benchmark change
+    /// the repository benchmark's; ROADMAP item 1a's benchmark change
     /// renames it.
     pub fn kernel_cache(&self) -> &KernelTables {
         &self.tables
@@ -782,7 +782,9 @@ impl Proxy {
     /// once per work item: retries and CPU fallbacks re-run them, fault
     /// injection may re-run the compute phase for checksum staging, and
     /// on a fleet member faults, breaker re-dispatches and degraded
-    /// (chunked) jobs all change how often kernels run per item.
+    /// (chunked) jobs all change how often kernels run per item. A
+    /// fault schedule perturbs only the GPU back-ends; the CPU
+    /// back-ends ignore it.
     fn validate_measured(&self, report: &ExecutionReport) -> Result<(), IdgError> {
         let fleet_perturbed = |f: &FleetStats| {
             f.redispatched_jobs > 0 || f.degradation_steps > 0 || f.breaker_trips > 0
@@ -791,8 +793,8 @@ impl Proxy {
             .fleet
             .as_ref()
             .is_some_and(|c| !c.member_faults.is_empty());
-        let perturbed = self.fault_config.is_some()
-            || member_faults
+        let on_device = matches!(self.backend, Backend::GpuPascal | Backend::GpuFiji);
+        let perturbed = on_device && (self.fault_config.is_some() || member_faults)
             || report.nr_retries > 0
             || !report.fallback_jobs.is_empty()
             || report.fleet.as_ref().is_some_and(fleet_perturbed);
@@ -1811,12 +1813,19 @@ mod tests {
         // items, jobs or chunks fails it when one off, by name.
         let ds = dataset();
         let host = Proxy::new(Backend::CpuOptimized, ds.obs.clone()).unwrap();
+        // CPU back-ends ignore a fault schedule, so its passes validate.
+        let faulted_host = Proxy::new(Backend::CpuOptimized, ds.obs.clone())
+            .unwrap()
+            .with_faults(FaultConfig::chaos(7, 0.5));
         let mut fleet = Proxy::new(Backend::GpuPascal, ds.obs.clone()).unwrap();
         fleet.work_group_size = 4;
         let fleet = fleet.with_fleet(2);
         let config = StreamConfig::new(idg_stream::ChunkPolicy::by_timesteps(16), 2, 2);
         let plan = host.plan(&ds.uvw).unwrap();
         let (grid, one_shot, _) = host
+            .grid_observed(&plan, &ds.uvw, &ds.visibilities, &ds.aterms)
+            .unwrap();
+        let (_, faulted_one_shot, _) = faulted_host
             .grid_observed(&plan, &ds.uvw, &ds.visibilities, &ds.aterms)
             .unwrap();
         let (_, fleet_pass, _) = fleet
@@ -1840,6 +1849,7 @@ mod tests {
         ];
         let reports = [
             ("host one-shot", &host, one_shot),
+            ("host one-shot with faults", &faulted_host, faulted_one_shot),
             ("fleet", &fleet, fleet_pass),
             ("streamed grid", &host, streamed_grid),
             ("streamed degrid", &host, streamed_degrid),

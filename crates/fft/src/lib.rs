@@ -36,7 +36,7 @@
 
 pub mod bluestein;
 pub mod dft;
-pub mod fft2d;
+mod fft2d;
 pub mod plan;
 pub mod shift;
 

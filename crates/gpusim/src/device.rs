@@ -57,13 +57,8 @@ impl Device {
     }
 
     /// Device memory capacity in bytes.
-    pub fn memory_capacity(&self) -> u64 {
+    fn memory_capacity(&self) -> u64 {
         (self.arch.mem_size_gb.unwrap_or(0.0) * 1e9) as u64
-    }
-
-    /// Bytes currently allocated.
-    pub fn allocated(&self) -> u64 {
-        self.allocated_bytes
     }
 
     /// Model an allocation; fails when device memory is exhausted —
@@ -124,11 +119,11 @@ mod tests {
         let mut d = Device::pascal();
         assert_eq!(d.memory_capacity(), 8_000_000_000);
         d.allocate(6_000_000_000).unwrap();
-        assert_eq!(d.allocated(), 6_000_000_000);
+        assert_eq!(d.allocated_bytes, 6_000_000_000);
         let err = d.allocate(3_000_000_000).unwrap_err();
         assert!(matches!(err, IdgError::DeviceOutOfMemory { .. }));
         d.free(6_000_000_000);
-        assert_eq!(d.allocated(), 0);
+        assert_eq!(d.allocated_bytes, 0);
         d.allocate(7_900_000_000).unwrap();
     }
 

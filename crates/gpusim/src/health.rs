@@ -50,7 +50,7 @@ impl JobOutcome {
     /// `Recovered` is unhealthy by design: a device that recovers from
     /// every fault still pays the retry makespan, and a lemon with a
     /// high *transient* fault rate would otherwise never trip.
-    pub fn is_unhealthy(&self) -> bool {
+    fn is_unhealthy(&self) -> bool {
         !matches!(self, JobOutcome::Clean)
     }
 
@@ -188,7 +188,7 @@ impl DeviceHealth {
     }
 
     /// Unhealthy outcomes currently inside the sliding window.
-    pub fn unhealthy_in_window(&self) -> usize {
+    fn unhealthy_in_window(&self) -> usize {
         self.window.iter().filter(|o| o.is_unhealthy()).count()
     }
 

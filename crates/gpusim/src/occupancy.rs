@@ -46,7 +46,7 @@ impl KernelResources {
 
 /// Per-SM hardware limits.
 #[derive(Copy, Clone, Debug)]
-pub struct SmLimits {
+struct SmLimits {
     /// Maximum resident threads.
     pub max_threads: usize,
     /// Maximum resident blocks.

@@ -133,29 +133,6 @@ pub struct PassTotals {
 }
 
 impl PassTotals {
-    /// Achieved operation rate over kernel busy time, TOps/s — the
-    /// quantity plotted in Fig. 11. Zero (not NaN) for empty passes.
-    pub fn kernel_tops(&self) -> f64 {
-        if self.kernel_seconds <= 0.0 {
-            return 0.0;
-        }
-        self.counts.total_ops() as f64 / self.kernel_seconds / 1e12
-    }
-
-    /// Visibility throughput over the whole pass, MVisibilities/s — the
-    /// Fig. 10 metric. Zero (not NaN) for empty passes.
-    pub fn mvis_per_sec(&self) -> f64 {
-        if self.makespan <= 0.0 {
-            return 0.0;
-        }
-        self.counts.visibilities as f64 / self.makespan / 1e6
-    }
-
-    /// Energy efficiency of the main kernel, GFlops/W (Fig. 15).
-    pub fn gflops_per_watt(&self, model: &EnergyModel) -> f64 {
-        model.gflops_per_watt(&self.counts, self.kernel_seconds, 1.0)
-    }
-
     /// Whether every job's outputs made it into the result.
     pub fn complete(&self) -> bool {
         self.failed_jobs.is_empty()

@@ -131,11 +131,6 @@ impl PipelineSim {
         self.buffer_free = vec![barrier; nr_buffers];
     }
 
-    /// The next job index `submit` would assign.
-    pub fn next_job(&self) -> usize {
-        self.next_job
-    }
-
     /// Submit one job (work group) with the given phase durations;
     /// returns the job's completion time. Zero-duration phases are
     /// scheduled but keep their engines free.
@@ -278,14 +273,6 @@ impl PipelineSim {
     /// The time everything would take without any overlap (serial sum).
     pub fn serial_time(&self) -> f64 {
         self.timeline.iter().map(|t| t.end - t.start).sum()
-    }
-
-    /// Number of operations recorded as faulted.
-    pub fn nr_faulted_ops(&self) -> usize {
-        self.timeline
-            .iter()
-            .filter(|t| t.status == OpStatus::Faulted)
-            .count()
     }
 
     /// Render the Fig. 7-style timeline as ASCII (one row per engine;
@@ -436,7 +423,6 @@ mod tests {
         assert_eq!(sim.compute_busy(), 0.0);
         assert_eq!(sim.serial_time(), 0.0);
         assert!(sim.timeline.is_empty());
-        assert_eq!(sim.nr_faulted_ops(), 0);
         let text = sim.render(40);
         assert_eq!(text.lines().count(), 3);
         assert!(!text.contains("NaN"));
@@ -486,7 +472,6 @@ mod tests {
         assert!((out.end - 1.0).abs() < 1e-12);
         assert_eq!(sim.timeline.len(), 1, "kernel/DtoH not scheduled");
         assert_eq!(sim.timeline[0].status, OpStatus::Faulted);
-        assert_eq!(sim.nr_faulted_ops(), 1);
 
         // the retry reuses the same buffer as soon as the fault ended
         let retry = sim.submit_attempt(0, 1, 0.0, 1.0, 2.0, 0.5, None);

@@ -170,11 +170,6 @@ pub(crate) fn hogbom_clean_over(
     components
 }
 
-/// Total flux of a component list.
-pub fn total_component_flux(components: &[CleanComponent]) -> f64 {
-    components.iter().map(|c| c.flux as f64).sum()
-}
-
 /// Render components into a model image.
 pub fn components_to_image(components: &[CleanComponent], size: usize) -> Image {
     let mut image = Image::new(size);
@@ -187,6 +182,10 @@ pub fn components_to_image(components: &[CleanComponent], size: usize) -> Image 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn total_component_flux(components: &[CleanComponent]) -> f64 {
+        components.iter().map(|c| c.flux as f64).sum()
+    }
 
     /// A synthetic PSF: unit peak with small symmetric sidelobes.
     fn synthetic_psf(size: usize) -> Image {

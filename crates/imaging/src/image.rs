@@ -143,7 +143,7 @@ pub(crate) fn stokes_i(grid: &Grid<f32>) -> impl Fn(usize, usize) -> Cf32 + Sync
 /// The raw Stokes-I image of a grid, `Re F⁻¹(½(XX + YY))`, un-normalized
 /// and *not* fftshifted (image pixel `(y, x)` sits at raw index
 /// `fftshift_source(n, y, x)`; [`finalize`] reads it there).
-pub(crate) fn raw_image(grid: &Grid<f32>) -> Vec<f32> {
+fn raw_image(grid: &Grid<f32>) -> Vec<f32> {
     Fft2d::<f32>::new(grid.size()).inverse_real(stokes_i(grid))
 }
 

@@ -17,11 +17,9 @@
 pub mod clean;
 pub mod cycle;
 pub mod image;
-pub mod mfs;
 pub mod wstack;
 
 pub use clean::{hogbom_clean, CleanComponent, CleanParams};
 pub use cycle::{ImagingCycle, MajorCycleReport};
 pub use image::{beam_weight_image, dirty_image, model_grid_from_image, psf_image, Image};
-pub use mfs::{mfs_dirty_image, MfsReport, Subband};
 pub use wstack::{wstack_dirty_image, WStackReport};

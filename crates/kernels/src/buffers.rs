@@ -34,23 +34,11 @@ impl SubgridArray {
         self.count
     }
 
-    /// Bytes per subgrid (4 polarization planes of complex f32).
-    pub fn bytes_per_subgrid(&self) -> usize {
-        NR_POLARIZATIONS * self.size * self.size * std::mem::size_of::<Cf32>()
-    }
-
     /// One whole subgrid (4 planes), immutable.
     #[inline]
     pub fn subgrid(&self, idx: usize) -> &[Cf32] {
         let n = NR_POLARIZATIONS * self.size * self.size;
         &self.data[idx * n..(idx + 1) * n]
-    }
-
-    /// One whole subgrid (4 planes), mutable.
-    #[inline]
-    pub fn subgrid_mut(&mut self, idx: usize) -> &mut [Cf32] {
-        let n = NR_POLARIZATIONS * self.size * self.size;
-        &mut self.data[idx * n..(idx + 1) * n]
     }
 
     /// Iterate over subgrids mutably (rayon-splittable chunks).
@@ -122,9 +110,8 @@ mod tests {
         assert_eq!(arr.count(), 3);
         assert_eq!(arr.size(), 8);
         assert_eq!(arr.as_slice().len(), 3 * 4 * 64);
-        assert_eq!(arr.bytes_per_subgrid(), 4 * 64 * 8);
 
-        arr.subgrid_mut(1)[pixel_index(8, 2, 3, 4)] = Cf32::new(1.0, -1.0);
+        arr.subgrids_mut().nth(1).unwrap()[pixel_index(8, 2, 3, 4)] = Cf32::new(1.0, -1.0);
         assert_eq!(arr.at(1, 2, 3, 4), Cf32::new(1.0, -1.0));
         assert_eq!(arr.at(0, 2, 3, 4), Cf32::zero());
         assert_eq!(arr.at(2, 2, 3, 4), Cf32::zero());
@@ -145,7 +132,7 @@ mod tests {
     #[test]
     fn clear_and_power() {
         let mut arr = SubgridArray::new(2, 4);
-        arr.subgrid_mut(0)[0] = Cf32::new(3.0, 4.0);
+        arr.as_mut_slice()[0] = Cf32::new(3.0, 4.0);
         assert!((arr.power() - 25.0).abs() < 1e-6);
         arr.clear();
         assert_eq!(arr.power(), 0.0);

@@ -8,7 +8,7 @@
 
 use crate::buffers::SubgridArray;
 use idg_fft::{Direction, Fft2d};
-use idg_types::{Complex, Float};
+use idg_types::Float;
 
 /// Extra normalization applied after the transform.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -41,19 +41,18 @@ pub fn fft_subgrids(array: &mut SubgridArray, direction: Direction, norm: FftNor
     }
 }
 
-/// Total energy helper used by Parseval-style tests.
-pub fn total_power(array: &SubgridArray) -> f64 {
-    array
-        .as_slice()
-        .iter()
-        .map(|c| Complex::norm_sqr(*c) as f64)
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use idg_types::Cf32;
+    use idg_types::{Cf32, Complex};
+
+    fn total_power(array: &SubgridArray) -> f64 {
+        array
+            .as_slice()
+            .iter()
+            .map(|c| Complex::norm_sqr(*c) as f64)
+            .sum()
+    }
 
     fn filled(count: usize, n: usize) -> SubgridArray {
         let mut arr = SubgridArray::new(count, n);

@@ -200,7 +200,7 @@ impl KernelTables {
     }
 
     /// Always 0: nothing is looked up. Kept, with [`KernelTables::misses`],
-    /// only because the repository benchmark reads both; ROADMAP item 3's
+    /// only because the repository benchmark reads both; ROADMAP item 1a's
     /// benchmark change deletes them.
     pub fn hits(&self) -> u64 {
         0

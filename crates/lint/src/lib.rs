@@ -23,8 +23,8 @@
 //! no allowlist; a site that must stay is rewritten or the rule is.
 
 pub mod model;
-pub mod rules;
-pub mod walk;
+mod rules;
+mod walk;
 
 use std::path::Path;
 

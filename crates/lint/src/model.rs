@@ -33,7 +33,7 @@ fn attr_is_test(attr_tokens: &[TokenTree]) -> bool {
 }
 
 /// Recursively search a token run for an identifier.
-pub fn contains_ident(tokens: &[TokenTree], name: &str) -> bool {
+fn contains_ident(tokens: &[TokenTree], name: &str) -> bool {
     tokens.iter().any(|t| match t {
         TokenTree::Ident(i) => i.text == name,
         TokenTree::Group(g) => contains_ident(&g.tokens, name),

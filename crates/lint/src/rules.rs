@@ -25,7 +25,7 @@ pub fn lint_file(path: &str, file: &syn::File) -> Vec<Diagnostic> {
 
 /// The crate directory name a repo-relative source path belongs to
 /// (`crates/<name>/src/...` → `<name>`; the root package → `idg-repro`).
-pub fn crate_of(path: &str) -> &str {
+fn crate_of(path: &str) -> &str {
     let mut parts = path.split('/');
     match parts.next() {
         Some("crates") => parts.next().unwrap_or(""),

@@ -14,7 +14,7 @@ use crate::LintError;
 use std::path::{Path, PathBuf};
 
 /// Crate directories under `crates/` that are exempt from the scan.
-pub const EXEMPT_CRATES: &[&str] = &["bench"];
+const EXEMPT_CRATES: &[&str] = &["bench"];
 
 /// Discover all lintable sources under `root`, returned as
 /// repo-relative, `/`-separated paths in deterministic sorted order.

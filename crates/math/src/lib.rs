@@ -10,7 +10,7 @@
 //!   accuracy settings: *medium* (≈4 ulp, the SVML setting used on
 //!   HASWELL) and *fast* (≈2 ulp, the CUDA `--use_fast_math` setting used
 //!   on PASCAL), plus a libm-backed *high* reference;
-//! * [`spheroidal`] — the prolate-spheroidal tapering function used to
+//! * [`spheroidal_2d`] — the prolate-spheroidal tapering function used to
 //!   suppress aliasing from neighbouring subgrids;
 //! * [`mix`] — the FMA/sincos instruction-mix microkernel behind the
 //!   paper's Fig. 12 (throughput as a function of ρ = #FMA / #sincos).
@@ -20,11 +20,9 @@
 // u32, …) in library code; narrow through `Float::from_f64`/`cast`.
 #![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
 
-pub mod kahan;
 pub mod mix;
 pub mod sincos;
-pub mod spheroidal;
+mod spheroidal;
 
-pub use kahan::{kahan_sum, KahanSum};
 pub use sincos::{sincos, sincos_batch, Accuracy};
-pub use spheroidal::{spheroidal_1d, spheroidal_2d, spheroidal_eta, spheroidal_gridding_eta};
+pub use spheroidal::{spheroidal_2d, spheroidal_eta, spheroidal_gridding_eta};

@@ -201,30 +201,30 @@ pub fn sincos_batch(xs: &[f32], sin_out: &mut [f32], cos_out: &mut [f32], accura
     }
 }
 
-/// Units-in-the-last-place distance between `a` and the exact value `exact`.
-///
-/// Used by the accuracy tests to verify the paper-quoted error bounds
-/// (4 ulp medium, looser fast path).
-pub fn ulp_error(a: f32, exact: f64) -> f64 {
-    // ±0 by bit pattern: everything but the sign bit clear
-    if exact.to_bits() << 1 == 0 {
-        return if a.to_bits() << 1 == 0 {
-            0.0
-        } else {
-            (a.abs() / f32::MIN_POSITIVE) as f64
-        };
-    }
-    let ulp = {
-        let e = (a.abs().max(f32::MIN_POSITIVE)).to_bits();
-        f32::from_bits(e + 1) as f64 - f32::from_bits(e) as f64
-    };
-    ((a as f64) - exact).abs() / ulp
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// Units-in-the-last-place distance between `a` and the exact value `exact`.
+    ///
+    /// Used by the accuracy tests to verify the paper-quoted error bounds
+    /// (4 ulp medium, looser fast path).
+    fn ulp_error(a: f32, exact: f64) -> f64 {
+        // ±0 by bit pattern: everything but the sign bit clear
+        if exact.to_bits() << 1 == 0 {
+            return if a.to_bits() << 1 == 0 {
+                0.0
+            } else {
+                (a.abs() / f32::MIN_POSITIVE) as f64
+            };
+        }
+        let ulp = {
+            let e = (a.abs().max(f32::MIN_POSITIVE)).to_bits();
+            f32::from_bits(e + 1) as f64 - f32::from_bits(e) as f64
+        };
+        ((a as f64) - exact).abs() / ulp
+    }
 
     fn max_ulp_over_range(acc: Accuracy, lo: f32, hi: f32, n: usize) -> (f64, f64) {
         let mut max_s = 0.0f64;

@@ -61,7 +61,7 @@ pub fn spheroidal_eta(eta: f64) -> f64 {
 /// Point `i` sits at `η = 2·(i + 0.5 − n/2)/n ∈ (−1, 1)`, i.e. pixel
 /// centers of an `n`-pixel subgrid axis — the same convention as the
 /// `compute_l` pixel mapping of the kernels.
-pub fn spheroidal_1d(n: usize) -> Vec<f32> {
+fn spheroidal_1d(n: usize) -> Vec<f32> {
     (0..n)
         .map(|i| {
             let eta = 2.0 * (i as f64 + 0.5 - n as f64 / 2.0) / n as f64;

@@ -39,7 +39,7 @@ impl EnergyModel {
     }
 
     /// Device power at utilization `u ∈ [0, 1]`, W.
-    pub fn device_power(&self, utilization: f64) -> f64 {
+    fn device_power(&self, utilization: f64) -> f64 {
         let u = utilization.clamp(0.0, 1.0);
         let idle = self.idle_fraction * self.arch.tdp_w;
         idle + u * (self.arch.tdp_w - idle)

@@ -31,7 +31,7 @@ pub mod roofline;
 
 pub use arch::{ArchKind, Architecture, SincosUnit};
 pub use energy::EnergyModel;
-pub use mix::{attainable_ops_per_sec, mix_curve, modeled_kernel_seconds, IDG_RHO};
+pub use mix::{attainable_ops_per_sec, modeled_kernel_seconds, IDG_RHO};
 pub use ops::{
     cpu_degridder_counts, cpu_degridder_item_counts, degridder_counts, degridder_item_counts,
     gridder_counts, gridder_item_counts, OpCounts,

@@ -81,13 +81,6 @@ pub fn modeled_kernel_seconds(
     t_fma.max(t_sincos).max(t_dram).max(t_shared) / scheduling_efficiency
 }
 
-/// The full Fig. 12 curve: `(ρ, TOps/s)` samples for the standard sweep.
-pub fn mix_curve(arch: &Architecture, rhos: &[f64]) -> Vec<(f64, f64)> {
-    rhos.iter()
-        .map(|&r| (r, attainable_ops_per_sec(arch, r) / 1e12))
-        .collect()
-}
-
 /// The ρ values the paper sweeps (powers of two plus the IDG point).
 pub fn standard_rhos() -> Vec<f64> {
     vec![
@@ -184,17 +177,6 @@ mod tests {
                 );
                 prev = frac;
             }
-        }
-    }
-
-    #[test]
-    fn mix_curve_matches_pointwise() {
-        let a = Architecture::pascal();
-        let rhos = standard_rhos();
-        let curve = mix_curve(&a, &rhos);
-        assert_eq!(curve.len(), rhos.len());
-        for (rho, tops) in curve {
-            assert!((tops * 1e12 - attainable_ops_per_sec(&a, rho)).abs() < 1.0);
         }
     }
 

@@ -22,19 +22,19 @@ use idg_plan::WorkItem;
 
 /// FMAs per sincos pair in the gridder/degridder inner loop
 /// (Algorithm 1's caption).
-pub const FMAS_PER_SINCOS: u64 = 17;
+const FMAS_PER_SINCOS: u64 = 17;
 
 /// Bytes of one 4-polarization complex-f32 visibility.
-pub const BYTES_PER_VISIBILITY: u64 = 4 * 8;
+const BYTES_PER_VISIBILITY: u64 = 4 * 8;
 
 /// Bytes of one uvw coordinate (3 × f32).
-pub const BYTES_PER_UVW: u64 = 12;
+const BYTES_PER_UVW: u64 = 12;
 
 /// Bytes of one complex-f32 subgrid pixel (4 polarizations).
-pub const BYTES_PER_SUBGRID_PIXEL: u64 = 4 * 8;
+const BYTES_PER_SUBGRID_PIXEL: u64 = 4 * 8;
 
 /// Bytes of one sampled A-term entry (2×2 complex f32).
-pub const BYTES_PER_ATERM: u64 = 4 * 8;
+const BYTES_PER_ATERM: u64 = 4 * 8;
 
 /// Operation and byte counters of one kernel execution.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]

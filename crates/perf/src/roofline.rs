@@ -69,7 +69,7 @@ impl Roofline {
     }
 
     /// Bandwidth of the selected memory level, GB/s.
-    pub fn bandwidth_gbps(&self) -> f64 {
+    fn bandwidth_gbps(&self) -> f64 {
         match self.level {
             MemoryLevel::Dram => self.arch.mem_bw_gbps,
             MemoryLevel::Shared => self.arch.shared_bw_gbps,
@@ -85,7 +85,7 @@ impl Roofline {
 
     /// The paper's *modified* ceiling: hardware ceiling additionally
     /// clipped by the ρ = 17 instruction-mix bound (the dashed line).
-    pub fn mix_ceiling(&self, oi: f64) -> f64 {
+    fn mix_ceiling(&self, oi: f64) -> f64 {
         let mix = attainable_ops_per_sec(&self.arch, IDG_RHO) / 1e12;
         self.hardware_ceiling(oi).min(mix)
     }

@@ -80,36 +80,6 @@ impl Layout {
         }
     }
 
-    /// LOFAR-like layout: a handful of tight clusters ("superterp"-style
-    /// core) plus remote stations.
-    pub fn lofar_like(n: usize, seed: u64) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut stations = Vec::with_capacity(n);
-        let n_core = (2 * n) / 3;
-        for _ in 0..n_core {
-            let r = 1500.0 * rng.random::<f64>().sqrt();
-            let theta = rng.random::<f64>() * std::f64::consts::TAU;
-            stations.push(Station {
-                east: r * theta.cos(),
-                north: r * theta.sin(),
-                up: 0.0,
-            });
-        }
-        for _ in n_core..n {
-            let r = rng.random_range(5_000.0..30_000.0f64);
-            let theta = rng.random::<f64>() * std::f64::consts::TAU;
-            stations.push(Station {
-                east: r * theta.cos(),
-                north: r * theta.sin(),
-                up: 0.0,
-            });
-        }
-        Self {
-            name: format!("lofar-like(n={n}, seed={seed})"),
-            stations,
-        }
-    }
-
     /// Uniform random scatter over a disc of radius `radius` m — the
     /// simplest layout for unit tests.
     pub fn uniform(n: usize, radius: f64, seed: u64) -> Self {
@@ -209,14 +179,6 @@ mod tests {
         for s in &l.stations {
             assert!((s.east * s.east + s.north * s.north).sqrt() <= 500.0 + 1e-9);
         }
-    }
-
-    #[test]
-    fn lofar_like_has_remote_stations() {
-        let l = Layout::lofar_like(60, 11);
-        let r = |s: &Station| (s.east * s.east + s.north * s.north).sqrt();
-        assert!(l.stations.iter().any(|s| r(s) > 5_000.0));
-        assert!(l.stations.iter().filter(|s| r(s) < 1_600.0).count() >= 30);
     }
 
     #[test]

@@ -19,7 +19,7 @@ use crate::layout::Layout;
 use idg_types::{Baseline, Observation, Uvw};
 
 /// Sidereal angular rate, rad/s.
-pub const EARTH_ROTATION_RATE: f64 = 7.292_115_9e-5;
+const EARTH_ROTATION_RATE: f64 = 7.292_115_9e-5;
 
 /// Generates per-baseline, per-timestep uvw coordinates.
 #[derive(Clone, Debug)]

@@ -127,7 +127,7 @@ impl<T: Float> Jones<T> {
 
     /// Determinant.
     #[inline]
-    pub fn det(self) -> Complex<T> {
+    fn det(self) -> Complex<T> {
         self.xx * self.yy - self.xy * self.yx
     }
 
@@ -144,11 +144,6 @@ impl<T: Float> Jones<T> {
             yx: -self.yx * inv_d,
             yy: self.xx * inv_d,
         })
-    }
-
-    /// Frobenius norm.
-    pub fn frobenius(self) -> T {
-        (self.xx.norm_sqr() + self.xy.norm_sqr() + self.yx.norm_sqr() + self.yy.norm_sqr()).sqrt()
     }
 
     /// Element-wise sum.
@@ -195,9 +190,13 @@ mod tests {
         )
     }
 
+    fn frobenius(j: J) -> f64 {
+        (j.xx.norm_sqr() + j.xy.norm_sqr() + j.yx.norm_sqr() + j.yy.norm_sqr()).sqrt()
+    }
+
     fn close(a: J, b: J, tol: f64) -> bool {
         let d = J::new(a.xx - b.xx, a.xy - b.xy, a.yx - b.yx, a.yy - b.yy);
-        d.frobenius() <= tol * (1.0 + a.frobenius().max(b.frobenius()))
+        frobenius(d) <= tol * (1.0 + frobenius(a).max(frobenius(b)))
     }
 
     #[test]

@@ -96,16 +96,6 @@ impl Observation {
         (pixel - self.grid_size as f64 / 2.0) / self.image_size
     }
 
-    /// Longest wavelength in the frequency set, meters.
-    pub fn max_wavelength(&self) -> f64 {
-        let f_min = self
-            .frequencies
-            .iter()
-            .copied()
-            .fold(f64::INFINITY, f64::min);
-        SPEED_OF_LIGHT / f_min
-    }
-
     /// Shortest wavelength, meters.
     pub fn min_wavelength(&self) -> f64 {
         let f_max = self.frequencies.iter().copied().fold(0.0f64, f64::max);
@@ -328,7 +318,6 @@ mod tests {
             .channels(2, 100e6, 100e6)
             .build()
             .unwrap();
-        assert!((obs.max_wavelength() - SPEED_OF_LIGHT / 100e6).abs() < 1e-9);
         assert!((obs.min_wavelength() - SPEED_OF_LIGHT / 200e6).abs() < 1e-9);
     }
 

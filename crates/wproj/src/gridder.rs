@@ -53,7 +53,7 @@ impl WKernelCache {
     }
 
     /// The kernel for a given w; `(kernel, conjugate?)`.
-    pub fn lookup(&self, w: f64) -> (&WKernel, bool) {
+    fn lookup(&self, w: f64) -> (&WKernel, bool) {
         let idx = ((w.abs() / self.w_step).round() as usize).min(self.kernels.len() - 1);
         (&self.kernels[idx], w < 0.0)
     }

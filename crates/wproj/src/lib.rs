@@ -10,11 +10,7 @@
 //!   support and oversampled by a configurable factor (8 in the paper's
 //!   tests);
 //! * [`gridder`] — convolutional gridding and degridding with those
-//!   kernels (scalar and rayon-parallel paths);
-//! * [`wstack`] — the W-stacking driver that partitions visibilities
-//!   over w-planes to bound the required kernel support (Sec. III and
-//!   VI-E: "In practice, WPG and IDG are used in conjunction with
-//!   W-stacking").
+//!   kernels (scalar and rayon-parallel paths).
 //!
 //! Unlike IDG, the whole cost of the w correction sits in the size of
 //! these kernels: support scales with the w-range and the kernels must
@@ -26,8 +22,6 @@
 
 pub mod gridder;
 pub mod wkernel;
-pub mod wstack;
 
 pub use gridder::{wpg_degrid, wpg_grid};
 pub use wkernel::WKernel;
-pub use wstack::WStack;

@@ -107,11 +107,6 @@ impl WKernel {
         kernel
     }
 
-    /// Kernel samples per axis (`support × oversampling`).
-    pub fn sampled_size(&self) -> usize {
-        self.support * self.oversampling
-    }
-
     /// Bytes of kernel storage (`(N_W·O)²` complex values).
     pub fn storage_bytes(&self) -> usize {
         self.taps.len() * std::mem::size_of::<Cf64>()
@@ -137,7 +132,7 @@ impl WKernel {
     }
 
     /// Sum of taps for a given sub-pixel offset (≈1 for all offsets).
-    pub fn tap_sum(&self, sub_y: usize, sub_x: usize) -> Cf64 {
+    fn tap_sum(&self, sub_y: usize, sub_x: usize) -> Cf64 {
         self.tap_table(sub_y, sub_x).iter().copied().sum()
     }
 }
@@ -149,7 +144,6 @@ mod tests {
     #[test]
     fn zero_w_kernel_is_real_and_centered() {
         let k = WKernel::compute(8, 8, 0.0, 0.05);
-        assert_eq!(k.sampled_size(), 64);
         // the on-pixel comb's central tap dominates
         let center = k.tap(4, 4, 4, 4);
         for dy in 0..8 {
