@@ -157,8 +157,8 @@ fn soak_degrid_once(nr_timesteps: usize, deadline: Duration) {
             report.fallback_jobs.is_empty(),
             "soak faults are all transient; none may reach the CPU fallback"
         );
+        assert_eq!(report.pass, "degridding");
         let stats = report.stream.expect("streamed pass carries stream stats");
-        assert_eq!(stats.direction, idg::StreamDirection::Degridding);
         assert_eq!(stats.nr_chunks, nr_timesteps / 2);
         assert_eq!(stats.completed_chunks, stats.nr_chunks);
         assert_eq!(stats.failed_chunks, 0);

@@ -58,5 +58,5 @@ pub use idg_telescope as telescope;
 pub use idg_types as types;
 
 pub use idg_plan::{Plan, WorkItem};
-pub use idg_stream::{ChunkPolicy, CommitLedger, StreamDirection, StreamStats};
+pub use idg_stream::{ChunkPolicy, StreamStats};
 pub use idg_types::{Cf32, Complex, Grid, IdgError, Jones, Observation, Uvw, Visibility};

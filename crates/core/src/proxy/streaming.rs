@@ -4,29 +4,30 @@
 //! [`Proxy::grid_streamed`] plans the observation once, consumes it
 //! as a sequence of bounded time-axis chunks (split by `idg_stream`),
 //! executes each chunk's cut of the one plan independently on
-//! `min(workers, max_inflight)` concurrent lanes, and commits every
-//! subgrid in a single pass over the plan at the end. A gridding chunk
-//! is the one-shot gridding body (the one behind [`Proxy::grid_into`])
-//! over the chunk's cut, its commit closure holding every job's
-//! subgrids. The streamed grid is **bit identical** to the one-shot
-//! [`Proxy::grid`] result for every chunk policy, worker count and fault
-//! schedule the one-shot pass shares, because:
+//! `min(workers, max_inflight)` concurrent lanes, and adds each chunk's
+//! subgrids onto the grid at the chunk's turn, in chunk order, while
+//! later chunks run. A gridding chunk is the one-shot gridding body
+//! (the one behind [`Proxy::grid_into`]) over the chunk's cut, its
+//! commit closure holding the chunk's jobs until its turn. The streamed
+//! grid is **bit identical** to the one-shot [`Proxy::grid`] result for
+//! every chunk policy, worker count and fault schedule the one-shot
+//! pass shares, because:
 //!
-//! 1. chunk boundaries snap to `aterm_interval` multiples and no work
-//!    item crosses an A-term boundary, so each item of the one-shot
-//!    plan lies wholly inside the chunk its first time step falls in:
-//!    the chunks' sub-plans are *verbatim* a partition of the plan's
-//!    items (checked for every item before any chunk runs);
+//! 1. chunk boundaries snap to `aterm_interval` multiples, no work item
+//!    crosses an A-term boundary, and the plan orders its items by
+//!    A-term interval: each chunk's sub-plan is *verbatim* one
+//!    contiguous range of the plan's items, and the ranges tile the
+//!    plan in chunk order (checked before any chunk runs);
 //! 2. each work item's subgrid is produced by the same kernels over the
 //!    same full input buffers (items carry global time offsets); a
 //!    device job that failed for good is re-gridded by the CPU reference
 //!    kernels at its turn in job order, in both passes;
-//! 3. the commit puts every subgrid at its item's one-shot index and
-//!    performs **one** adder call over the plan's items, straight over
-//!    the chunks' own subgrid arrays, so every f32 accumulation happens
-//!    in the one-shot order. Summing per-chunk grids instead would
-//!    reorder additions (f32 addition is not associative, and
-//!    `0.0 + (-0.0)` even flips a sign bit).
+//! 3. the scheduler hands chunks over in chunk order and each chunk adds
+//!    its jobs in job order — the adder closure of [`Proxy::grid_into`]
+//!    over the chunk's range of the plan — so every f32 accumulation
+//!    happens in the one-shot plan order. Summing per-chunk grids
+//!    instead would reorder additions (f32 addition is not associative,
+//!    and `0.0 + (-0.0)` even flips a sign bit).
 //!
 //! [`Proxy::degrid_streamed`] is the duplex twin. A degrid chunk is
 //! the one-shot degrid pass (the body behind [`Proxy::degrid`]) run
@@ -34,35 +35,33 @@
 //! `uvw`, its items re-based onto them — so every buffer it allocates
 //! (host job loop, device pass, CPU fallback) holds only its own rows.
 //! The chunk passes flow through the same scheduler, and each chunk's
-//! rows are committed into the caller's buffer exactly once — guarded
-//! by a [`CommitLedger`] — as one contiguous block per baseline.
-//! Because the degridder *overwrites* disjoint per-item visibility
-//! slots (no accumulation anywhere on the read side), chunks cover
-//! disjoint time ranges, no kernel reads a time offset except to index
-//! `uvw`, and a row no work item predicts is zero in the window as in
-//! the one-shot output, the block copies reproduce [`Proxy::degrid`]
-//! bit for bit on every back-end, policy, worker count and fault
-//! schedule, in any order; see DESIGN.md §12.
+//! rows are copied into the caller's buffer at its turn, as one
+//! contiguous block per baseline. Because the degridder *overwrites*
+//! disjoint per-item visibility slots (no accumulation anywhere on the
+//! read side), chunks cover disjoint time ranges, no kernel reads a
+//! time offset except to index `uvw`, and a row no work item predicts
+//! is zero in the window as in the one-shot output, the block copies
+//! reproduce [`Proxy::degrid`] bit for bit on every back-end, policy,
+//! worker count and fault schedule; see DESIGN.md §12.
 //!
-//! One-shot is deliberately *not* the one-chunk stream (DESIGN.md §12):
-//! a stream holds every job's subgrids until it drains — all 8.6 MB of
-//! them on `ska_dense`, where the one-shot host pass holds one job's —
-//! and the one-shot GPU pass models the paper's device-resident grid
-//! and device adder (Sec. V-C e, [`Sink::Commit`]), not a deferred host
+//! A stream holds the chunks that finished ahead of their turn: a
+//! chunk's output waits only for the chunks before it. One-shot is
+//! deliberately *not* the one-chunk stream (DESIGN.md §12): that chunk
+//! would hold every job's subgrids until it ends — all 8.6 MB of them
+//! on `ska_dense`, where the one-shot host pass holds one job's — and
+//! the one-shot GPU pass models the paper's device-resident grid and
+//! device adder (Sec. V-C e, [`Sink::Commit`]), not a deferred host
 //! commit ([`Sink::Defer`]). The two share the body and differ in that
 //! argument and in their commit closure.
 
 use super::Proxy;
 use crate::report::ExecutionReport;
 use idg_gpusim::{host_adder_time, Sink, HOST_ADDER_BW};
-use idg_kernels::{add_subgrids_from_slices, KernelData, SubgridArray};
+use idg_kernels::{add_subgrids, KernelData, SubgridArray};
 use idg_plan::{Plan, WorkItem};
-use idg_stream::{
-    chunk_observation, Chunk, ChunkPolicy, CommitLedger, StreamDirection, StreamRun,
-    StreamScheduler, StreamStats,
-};
+use idg_stream::{chunk_observation, Chunk, ChunkPolicy, StreamScheduler, StreamStats};
 use idg_telescope::ATerms;
-use idg_types::{Cf32, Grid, IdgError, Observation, Uvw, Visibility};
+use idg_types::{Grid, IdgError, Observation, Uvw, Visibility};
 use std::ops::Range;
 use std::time::Instant;
 
@@ -74,9 +73,9 @@ pub struct StreamConfig {
     /// Worker threads executing chunk passes concurrently.
     pub workers: usize,
     /// Cap on chunk passes running at once (`lanes = min(workers,
-    /// max_inflight)`). It bounds concurrency, not memory: every
-    /// chunk's output — its subgrids, or its own visibility rows — is
-    /// held until the commit after the stream drains.
+    /// max_inflight)`). It bounds concurrency, not memory: each chunk's
+    /// output — its subgrids, or its own visibility rows — is held
+    /// until every chunk before it has been committed.
     pub max_inflight: usize,
 }
 
@@ -102,31 +101,64 @@ impl StreamConfig {
     }
 }
 
-/// Everything one chunk's pass produced, pending the final commit.
-struct ChunkOutput<P> {
-    /// What the commit consumes. Gridding: computed subgrids as ranges
-    /// into the chunk's sub-plan ([`ChunkSubgrids`], in job order on
-    /// every back-end; a CPU-fallback job's range sits at its job's
-    /// place). Degridding: the chunk's time range and its predicted
-    /// visibility rows, in the extent of the chunk's [`ChunkWindow`].
-    payload: P,
-    /// The chunk pass's own report: modeled end-to-end time (GPU) or
-    /// measured wall (CPU) in `total_seconds`, fallback jobs with
-    /// chunk-local indices.
-    report: ExecutionReport,
-}
+/// A chunk's pass output: what its commit consumes — gridding, each
+/// job's range of the chunk's sub-plan with its Fourier-domain subgrids
+/// in job order (a CPU-fallback job's range at its job's place);
+/// degridding, its predicted rows in the extent of its [`ChunkWindow`] —
+/// and its own report: modeled end-to-end time (GPU) or measured wall
+/// (CPU) in `total_seconds`, fallback jobs with chunk-local indices.
+type ChunkOutput<P> = (P, ExecutionReport);
 
-/// A gridding chunk's payload: each job's (or staged chunk's) range of
-/// the chunk's sub-plan with its Fourier-domain subgrids, in job order.
+/// A gridding chunk's payload: each job's range of the chunk's sub-plan
+/// with its Fourier-domain subgrids, in job order.
 type ChunkSubgrids = Vec<(Range<usize>, SubgridArray)>;
 
-/// A degrid chunk's payload: its time range and its predicted rows, in
-/// the extent of its [`ChunkWindow`].
-type ChunkRows = (Range<usize>, Vec<Visibility<f32>>);
-
-/// Every chunk's one-shot item indices and pending payload, in
-/// ingestion order.
-type GatheredChunks<P> = Vec<(Vec<usize>, P)>;
+/// The chunks' cut of the one-shot `plan`: for each chunk, the sub-plan
+/// of the items whose first time step falls in its time range, and the
+/// index of its first item in the plan. The plan orders its items by
+/// A-term interval and chunks end on A-term multiples, so each sub-plan
+/// is one contiguous range of the plan's items, the ranges tile the plan
+/// in chunk order, and each item also ends inside its chunk — which a
+/// degrid [`ChunkWindow`] relies on. A cut that breaks any of these is
+/// an [`IdgError::Internal`].
+fn partition(plan: &Plan, chunks: &[Chunk]) -> Result<Vec<(Plan, usize)>, IdgError> {
+    let mut offset = 0;
+    let parts = chunks
+        .iter()
+        .map(|chunk| {
+            let time = &chunk.time_range;
+            let sub = plan.subset(|item| time.contains(&item.time_offset));
+            let first = offset;
+            offset += sub.items.len();
+            if plan.items.get(first..offset) != Some(&sub.items[..]) {
+                return Err(IdgError::Internal(format!(
+                    "chunk {}'s work items are not one range of the plan from item {first}",
+                    chunk.index
+                )));
+            }
+            if let Some(item) = sub
+                .items
+                .iter()
+                .find(|i| i.time_offset + i.nr_timesteps > time.end)
+            {
+                return Err(IdgError::Internal(format!(
+                    "work item over time steps {}..{} crosses the end of chunk {} ({time:?})",
+                    item.time_offset,
+                    item.time_offset + item.nr_timesteps,
+                    chunk.index
+                )));
+            }
+            Ok((sub, first))
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    if offset != plan.items.len() {
+        return Err(IdgError::Internal(format!(
+            "the chunks cover {offset} of the plan's {} work items",
+            plan.items.len()
+        )));
+    }
+    Ok(parts)
+}
 
 /// The accounting of one stream's chunk passes, pending the commit.
 struct StreamTotals {
@@ -140,7 +172,7 @@ struct StreamTotals {
 }
 
 impl StreamTotals {
-    /// Seal the summed report after the final commit: the commit joins
+    /// Seal the summed report after the last chunk's commit: the commits join
     /// the adder/splitter column — its modeled host-bandwidth cost on
     /// modeled back-ends, its measured wall time otherwise — and the
     /// total is the list-scheduled chunk makespans plus the commit
@@ -214,39 +246,6 @@ fn sum_reports(mut a: ExecutionReport, mut b: ExecutionReport) -> ExecutionRepor
     a
 }
 
-/// The chunks' cut of the one-shot `plan`: for each chunk, the sub-plan
-/// of the items whose first time step falls in its time range, and
-/// those items' one-shot indices. Chunks end on A-term multiples and no
-/// item crosses an A-term boundary, so each item also ends inside its
-/// chunk — which a degrid [`ChunkWindow`] relies on; an item that does
-/// not is an [`IdgError::Internal`].
-fn partition(plan: &Plan, chunks: &[Chunk]) -> Result<Vec<(Plan, Vec<usize>)>, IdgError> {
-    chunks
-        .iter()
-        .map(|chunk| {
-            let time = &chunk.time_range;
-            let starts_in = |item: &WorkItem| time.contains(&item.time_offset);
-            let sub = plan.subset(starts_in);
-            if let Some(item) = sub
-                .items
-                .iter()
-                .find(|i| i.time_offset + i.nr_timesteps > time.end)
-            {
-                return Err(IdgError::Internal(format!(
-                    "work item over time steps {}..{} crosses the end of chunk {} ({time:?})",
-                    item.time_offset,
-                    item.time_offset + item.nr_timesteps,
-                    chunk.index
-                )));
-            }
-            let indices = (0..plan.items.len())
-                .filter(|&i| starts_in(&plan.items[i]))
-                .collect();
-            Ok((sub, indices))
-        })
-        .collect()
-}
-
 /// One streamed degrid chunk's window of the observation: the chunk's
 /// timesteps as an observation of their own, its rows of `uvw`, and its
 /// plan with every item's time offset re-based onto the window. A pass
@@ -298,52 +297,68 @@ impl ChunkWindow {
 
 impl Proxy {
     /// Plan the observation once and drive its chunks through `pass` —
-    /// each over its sub-plan of the one plan — on the stream
-    /// scheduler. Returns the plan, every chunk's one-shot item indices
-    /// and pending payload in ingestion order, and the summed reports.
+    /// each over its sub-plan of the one plan — on the stream scheduler,
+    /// handing each chunk's payload to `commit` at its turn, in chunk
+    /// order, with the chunk and its range of the plan's items. The
+    /// first error in chunk order, a pass's or a commit's, ends the
+    /// commits and is the stream's. Returns the report summed over the
+    /// chunks and sealed with the commits' wall time and
+    /// `commit_model(&plan)`, their modeled time.
     fn stream_chunks<P: Send>(
         &self,
         config: &StreamConfig,
         uvw: &[Uvw],
-        direction: StreamDirection,
         pass: impl Fn(&Chunk, &Plan) -> Result<ChunkOutput<P>, IdgError> + Sync,
-    ) -> Result<(Plan, GatheredChunks<P>, StreamTotals), IdgError> {
+        mut commit: impl FnMut(&Chunk, &[WorkItem], P) -> Result<(), IdgError>,
+        commit_model: impl FnOnce(&Plan) -> f64,
+    ) -> Result<ExecutionReport, IdgError> {
         let chunks = chunk_observation(&self.obs, &config.policy)?;
         let scheduler = StreamScheduler::new(config.workers, config.max_inflight)?;
 
         let started = Instant::now();
         let plan = self.plan(uvw)?;
         let parts = partition(&plan, &chunks)?;
-        let StreamRun { results, mut stats } =
-            scheduler.run_stream(&chunks, |chunk| pass(chunk, &parts[chunk.index].0))?;
-        stats.direction = direction;
-
-        let mut gathered = Vec::with_capacity(results.len());
-        let mut makespans = Vec::with_capacity(results.len());
-        let mut summed: Option<ExecutionReport> = None;
-        for (result, (_, indices)) in results.into_iter().zip(parts) {
-            let ChunkOutput { payload, report } = result?;
-            makespans.push(report.total_seconds);
-            summed = Some(match summed {
-                Some(sum) => sum_reports(sum, report),
-                None => report,
-            });
-            gathered.push((indices, payload));
-        }
+        let mut makespans = Vec::with_capacity(chunks.len());
+        let mut commit_wall = 0.0;
+        let mut summed: Result<Option<ExecutionReport>, IdgError> = Ok(None);
+        let stats = scheduler.run_stream(
+            &chunks,
+            |chunk| pass(chunk, &parts[chunk.index].0),
+            |index, result| {
+                let Ok(sum) = &mut summed else { return };
+                let t = Instant::now();
+                let (sub, first) = &parts[index];
+                let items = &plan.items[*first..*first + sub.items.len()];
+                let committed = result.and_then(|(payload, report)| {
+                    commit(&chunks[index], items, payload).map(|()| report)
+                });
+                commit_wall += t.elapsed().as_secs_f64();
+                match committed {
+                    Ok(report) => {
+                        makespans.push(report.total_seconds);
+                        *sum = Some(match sum.take() {
+                            Some(sum) => sum_reports(sum, report),
+                            None => report,
+                        });
+                    }
+                    Err(e) => summed = Err(e),
+                }
+            },
+        );
         let report =
-            summed.ok_or_else(|| IdgError::Internal("stream produced no chunks".into()))?;
+            summed?.ok_or_else(|| IdgError::Internal("stream produced no chunks".into()))?;
         let totals = StreamTotals {
             report,
             makespans,
             stats,
             started,
         };
-        Ok((plan, gathered, totals))
+        Ok(totals.seal(config, commit_wall, commit_model(&plan)))
     }
 
     /// Grid visibilities through the streaming front-end: chunked
-    /// ingestion, a concurrent pass scheduler, and a single deferred
-    /// in-order commit.
+    /// ingestion, a concurrent pass scheduler, and each chunk's commit
+    /// at its turn.
     ///
     /// The returned grid is bit-identical to [`Proxy::grid`] over the
     /// same inputs, for every chunk policy, worker count and completion
@@ -357,41 +372,21 @@ impl Proxy {
         aterms: &ATerms,
     ) -> Result<(Grid<f32>, ExecutionReport), IdgError> {
         let data = self.gridding_input(uvw, visibilities, aterms)?;
-        let (plan, chunks, totals) =
-            self.stream_chunks(config, uvw, StreamDirection::Gridding, |chunk, plan| {
-                self.run_chunk(&data, chunk, plan)
-            })?;
-
-        // every pending subgrid, where its chunk pass left it, at its
-        // item's one-shot index
-        let mut slots: Vec<Option<&[Cf32]>> = vec![None; plan.items.len()];
-        for (indices, pending) in &chunks {
-            for (range, subgrids) in pending {
-                for (idx, subgrid) in range.clone().zip(subgrids.subgrids()) {
-                    slots[indices[idx]] = Some(subgrid);
-                }
-            }
-        }
-        let subgrids: Vec<&[Cf32]> = slots.iter().flatten().copied().collect();
-        if subgrids.len() != plan.items.len() {
-            return Err(IdgError::Internal(format!(
-                "streamed commit covers {} of {} work items",
-                subgrids.len(),
-                plan.items.len()
-            )));
-        }
-
-        // the single commit, in plan order
-        let n = self.obs.subgrid_size;
         let mut grid = Grid::<f32>::new(self.obs.grid_size);
-        let t_commit = Instant::now();
-        {
-            let _span = idg_obs::wall_span("adder", "stage", None);
-            add_subgrids_from_slices(&mut grid, &plan.items, &subgrids, n, &self.tables)?;
-        }
-        let commit_wall = t_commit.elapsed().as_secs_f64();
-        let commit_model = host_adder_time(plan.items.len(), n);
-        Ok((grid, totals.seal(config, commit_wall, commit_model)))
+        let n = self.obs.subgrid_size;
+        let report = self.stream_chunks(
+            config,
+            uvw,
+            |chunk, plan| self.run_chunk(&data, chunk, plan),
+            |chunk, items, jobs| {
+                let _span = idg_obs::wall_span("adder", "stage", u32::try_from(chunk.index).ok());
+                jobs.iter().try_for_each(|(range, subgrids)| {
+                    add_subgrids(&mut grid, &items[range.clone()], subgrids, &self.tables)
+                })
+            },
+            |plan| host_adder_time(plan.items.len(), n),
+        )?;
+        Ok((grid, report))
     }
 
     /// Run [`Proxy::grid_streamed`] under an observability session (the
@@ -413,8 +408,8 @@ impl Proxy {
     /// front-end — the duplex twin of [`Proxy::grid_streamed`]: each
     /// chunk runs the one-shot degrid pass over its own window of the
     /// observation, the chunk passes run across the same scheduler, and
-    /// every chunk's predicted rows are committed into the output
-    /// buffer exactly once.
+    /// each chunk's predicted rows are copied into the output buffer at
+    /// the chunk's turn.
     ///
     /// The returned visibilities are bit-identical to
     /// [`Proxy::degrid`] over the same inputs, for every chunk policy,
@@ -422,10 +417,9 @@ impl Proxy {
     /// sub-plans partition the one-shot plan's items verbatim, the
     /// degridder overwrites disjoint per-item slots (no accumulation on
     /// the read side), and the commit copies each chunk's rows of each
-    /// baseline to their place in the observation as one block —
-    /// guarded by a [`CommitLedger`] so each chunk commits exactly
-    /// once. The returned buffer is the only observation-sized one the
-    /// pass allocates.
+    /// baseline to their place in the observation as one block. The
+    /// returned buffer is the only observation-sized one the pass
+    /// allocates.
     ///
     /// # Errors
     /// Every error of [`Proxy::degrid`], from the chunk pass that meets
@@ -441,34 +435,30 @@ impl Proxy {
         aterms: &ATerms,
     ) -> Result<(Vec<Visibility<f32>>, ExecutionReport), IdgError> {
         let data = self.degridding_input(grid, uvw, aterms)?;
-        let (plan, chunks, totals) =
-            self.stream_chunks(config, uvw, StreamDirection::Degridding, |chunk, plan| {
-                self.run_degrid_chunk(&data, chunk, plan, grid)
-            })?;
-
-        // the exactly-once commit: a chunk's window holds each baseline's
-        // rows of its time range contiguously, as the observation does
         let nr_chan = self.obs.nr_channels();
         let per_baseline = self.obs.nr_timesteps * nr_chan;
         let mut vis = Visibility::<f32>::zeroed_vec(self.obs.nr_visibilities());
-        let mut ledger = CommitLedger::new(chunks.len());
-        let t_commit = Instant::now();
-        {
-            let _span = idg_obs::wall_span("vis_commit", "stage", None);
-            for (index, (_, (time, rows))) in chunks.iter().enumerate() {
-                ledger.commit(index)?;
+        let report = self.stream_chunks(
+            config,
+            uvw,
+            |chunk, plan| self.run_degrid_chunk(&data, chunk, plan, grid),
+            // a chunk's window holds each baseline's rows of its time
+            // range contiguously, as the observation does
+            |chunk, _, rows: Vec<Visibility<f32>>| {
+                let _span =
+                    idg_obs::wall_span("vis_commit", "stage", u32::try_from(chunk.index).ok());
+                let time = &chunk.time_range;
                 let block = time.start * nr_chan..time.end * nr_chan;
                 let baselines = vis.chunks_exact_mut(per_baseline);
                 for (dst, src) in baselines.zip(rows.chunks_exact(block.len())) {
                     dst[block.clone()].copy_from_slice(src);
                 }
-            }
-        }
-        ledger.finish()?;
-        let commit_wall = t_commit.elapsed().as_secs_f64();
-        // each predicted visibility is one 4-pol read + write (32 B)
-        let commit_model = (plan.nr_gridded_visibilities() * 2 * 32) as f64 / HOST_ADDER_BW;
-        Ok((vis, totals.seal(config, commit_wall, commit_model)))
+                Ok(())
+            },
+            // each predicted visibility is one 4-pol read + write (32 B)
+            |plan| (plan.nr_gridded_visibilities() * 2 * 32) as f64 / HOST_ADDER_BW,
+        )?;
+        Ok((vis, report))
     }
 
     /// Run [`Proxy::degrid_streamed`] under an observability session
@@ -489,8 +479,7 @@ impl Proxy {
     /// One chunk's gridding pass over its sub-plan `plan`: the one-shot
     /// gridding body with a [`Sink::Defer`] sink, holding every job's
     /// subgrids — a device job that fell back to the CPU at its turn —
-    /// for the caller's single commit. Runs on a scheduler worker
-    /// thread.
+    /// for the chunk's commit. Runs on a scheduler worker thread.
     fn run_chunk(
         &self,
         data: &KernelData<'_>,
@@ -498,12 +487,12 @@ impl Proxy {
         plan: &Plan,
     ) -> Result<ChunkOutput<ChunkSubgrids>, IdgError> {
         let tag = u32::try_from(chunk.index).ok();
-        let mut payload = ChunkSubgrids::new();
+        let mut jobs = ChunkSubgrids::new();
         let report = self.grid_pass(data, plan, Sink::Defer, tag, |range, subgrids| {
-            payload.push((range, subgrids));
+            jobs.push((range, subgrids));
             Ok(None)
         })?;
-        Ok(ChunkOutput { payload, report })
+        Ok((jobs, report))
     }
 
     /// One chunk's degrid pass over its sub-plan `plan`: the
@@ -516,14 +505,10 @@ impl Proxy {
         chunk: &Chunk,
         plan: &Plan,
         grid: &Grid<f32>,
-    ) -> Result<ChunkOutput<ChunkRows>, IdgError> {
+    ) -> Result<ChunkOutput<Vec<Visibility<f32>>>, IdgError> {
         let tag = u32::try_from(chunk.index).ok();
         let window = ChunkWindow::new(data.obs, data.uvw, &chunk.time_range, plan);
-        let (rows, report) = self.degrid_pass(&window.data(data), &window.plan, grid, tag)?;
-        Ok(ChunkOutput {
-            payload: (chunk.time_range.clone(), rows),
-            report,
-        })
+        self.degrid_pass(&window.data(data), &window.plan, grid, tag)
     }
 }
 
@@ -615,24 +600,28 @@ mod tests {
             let chunks = chunk_observation(&ds.obs, &policy).unwrap();
             assert!(chunks.len() > 1, "{policy:?}");
             let parts = partition(&plan, &chunks).unwrap();
-            // every item lands in exactly one chunk and ends inside it,
-            // and the sub-plans, concatenated in chunk order and put back
-            // at their one-shot indices, rebuild the plan's items
-            let mut rebuilt: Vec<Option<WorkItem>> = vec![None; plan.items.len()];
-            for (chunk, (sub, indices)) in chunks.iter().zip(&parts) {
-                assert_eq!(sub.items.len(), indices.len(), "{policy:?}");
-                assert!(indices.windows(2).all(|w| w[0] < w[1]), "{policy:?}");
-                for (item, &i) in sub.items.iter().zip(indices) {
+            // each chunk's sub-plan is one contiguous range of the plan's
+            // items, the ranges tile the plan in chunk order, and every
+            // item ends inside its chunk
+            let mut next = 0;
+            for (chunk, (sub, first)) in chunks.iter().zip(&parts) {
+                assert_eq!(*first, next, "{policy:?}");
+                next += sub.items.len();
+                assert_eq!(sub.items, plan.items[*first..next], "{policy:?}");
+                for item in &sub.items {
                     let (start, end) = (item.time_offset, item.time_offset + item.nr_timesteps);
                     assert!(chunk.time_range.start <= start && end <= chunk.time_range.end);
-                    assert!(
-                        rebuilt[i].replace(*item).is_none(),
-                        "item {i} in two chunks"
-                    );
                 }
             }
-            let rebuilt: Option<Vec<WorkItem>> = rebuilt.into_iter().collect();
-            assert_eq!(rebuilt.as_ref(), Some(&plan.items), "{policy:?}");
+            assert_eq!(next, plan.items.len(), "{policy:?}");
+
+            // a plan out of A-term-interval order is not cut into ranges
+            let mut reversed = plan.clone();
+            reversed.items.reverse();
+            assert!(matches!(
+                partition(&reversed, &chunks),
+                Err(IdgError::Internal(_))
+            ));
         }
     }
 
@@ -727,7 +716,6 @@ mod tests {
             assert!(streamed[skipped.clone()].iter().all(zero), "{backend:?}");
             assert_eq!(report.pass, "degridding");
             let stats = report.stream.expect("streamed pass reports stream stats");
-            assert_eq!(stats.direction, idg_stream::StreamDirection::Degridding);
             assert_eq!(stats.nr_chunks, 6, "{backend:?}");
             assert_eq!(stats.completed_chunks, 6);
             assert_eq!(stats.failed_chunks, 0);
@@ -750,19 +738,21 @@ mod tests {
                 .grid(&plan, &ds.uvw, &ds.visibilities, &ds.aterms)
                 .unwrap();
             let data = proxy.degridding_input(&model, &ds.uvw, &ds.aterms).unwrap();
-            let (_, chunks, _) = proxy
+            let mut times = Vec::new();
+            proxy
                 .stream_chunks(
                     &config,
                     &ds.uvw,
-                    StreamDirection::Degridding,
                     |chunk, plan| proxy.run_degrid_chunk(&data, chunk, plan, &model),
+                    |chunk, _, rows| {
+                        let time = chunk.time_range.clone();
+                        assert_eq!(rows.len(), time.len() * per_step, "{backend:?}");
+                        times.push(time);
+                        Ok(())
+                    },
+                    |_| 0.0,
                 )
                 .unwrap();
-            let mut times = Vec::new();
-            for (_, (time, rows)) in chunks {
-                assert_eq!(rows.len(), time.len() * per_step, "{backend:?}");
-                times.push(time);
-            }
             assert_eq!(times, [0..32, 32..48], "{backend:?}");
         }
     }

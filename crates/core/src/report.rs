@@ -188,7 +188,7 @@ impl std::fmt::Display for ExecutionReport {
             writeln!(
                 f,
                 "  stream {} ({} chunks on {} workers, window {}), peak inflight {}, {} backpressure waits",
-                s.direction.label(),
+                self.pass,
                 s.nr_chunks,
                 s.nr_workers,
                 s.max_inflight,
@@ -342,8 +342,8 @@ mod tests {
     fn display_reports_stream_stats_only_for_streamed_passes() {
         assert!(!report().to_string().contains("stream"));
         let r = ExecutionReport {
+            pass: "degridding",
             stream: Some(StreamStats {
-                direction: idg_stream::StreamDirection::Degridding,
                 nr_chunks: 4,
                 nr_workers: 2,
                 max_inflight: 2,

@@ -75,7 +75,7 @@ pub enum Sink {
     /// charged).
     Commit,
     /// The caller holds the subgrids for a commit of its own (a stream
-    /// adds all chunks in one-shot plan order). No device-resident grid
+    /// adds each chunk's at the chunk's turn, in plan order). No device-resident grid
     /// is modeled: buffers-only reservation, subgrids stream back over
     /// DtoH, no adder charged — the caller accounts its commit.
     Defer,

@@ -36,10 +36,9 @@ use rayon::prelude::*;
 /// Grid rows per adder task (fewer in a plane's last band).
 const BAND_ROWS: usize = 64;
 
-/// The splitter's launch-time shape validation (`check_launch`-style:
-/// typed errors, no entry-point panics; the adder body checks the same
-/// on its slices): one subgrid per work item, and every item's
-/// footprint inside the grid.
+/// The adder's and splitter's launch-time shape validation
+/// (`check_launch`-style: typed errors, no entry-point panics): one
+/// subgrid per work item, and every item's footprint inside the grid.
 fn check_subgrids(
     grid_size: usize,
     items: &[WorkItem],
@@ -98,11 +97,14 @@ fn split_run(dst: &mut [Cf32], src: &[Cf32], factors: &[Cf32]) -> bool {
     finite
 }
 
-/// Add Fourier-domain subgrids into the grid (parallel over row bands).
+/// Add Fourier-domain subgrids into the grid (parallel over row bands
+/// of a plane).
 ///
 /// `subgrids` must contain the *forward-FFT* of the image-domain subgrids
-/// produced by the gridder, one per work item. The adder body is
-/// [`add_subgrids_from_slices`] over the array's subgrids.
+/// produced by the gridder, one per work item. Each band adds its
+/// footprint rows in `items` order, so the grid's bits depend on that
+/// order and on the values only: adding a plan's items in consecutive
+/// ranges, call after call, gives the bits of one call over the plan.
 ///
 /// # Errors
 /// [`IdgError::ShapeMismatch`] when the subgrid count does not match the
@@ -114,44 +116,9 @@ pub fn add_subgrids(
     subgrids: &SubgridArray,
     tables: &KernelTables,
 ) -> Result<(), IdgError> {
-    let slices: Vec<&[Cf32]> = subgrids.subgrids().collect();
-    add_subgrids_from_slices(grid, items, &slices, subgrids.size(), tables)
-}
-
-/// The adder body: add `subgrids[i]`, the `4·n²` Fourier-domain pixels
-/// of `items[i]` wherever they live, into the grid (parallel over row
-/// bands of a plane). Each band adds its footprint rows in `items` order,
-/// so the grid's bits depend on that order and on the values only — a
-/// streamed commit adds straight from its chunks' arrays in plan order.
-///
-/// # Errors
-/// [`IdgError::ShapeMismatch`] when the subgrid count does not match the
-/// work items, a subgrid is not `4·n²` pixels long, a footprint falls
-/// outside the grid, or `tables` were built for another subgrid size.
-pub fn add_subgrids_from_slices(
-    grid: &mut Grid<f32>,
-    items: &[WorkItem],
-    subgrids: &[&[Cf32]],
-    n: usize,
-    tables: &KernelTables,
-) -> Result<(), IdgError> {
     let gsize = grid.size();
-    if items.len() != subgrids.len() {
-        return Err(IdgError::ShapeMismatch {
-            what: "subgrid count (one per work item)",
-            expected: items.len(),
-            actual: subgrids.len(),
-        });
-    }
-    let pixels = NR_POLARIZATIONS * n * n;
-    if let Some(wrong) = subgrids.iter().find(|s| s.len() != pixels) {
-        return Err(IdgError::ShapeMismatch {
-            what: "subgrid pixels (4 planes of n²)",
-            expected: pixels,
-            actual: wrong.len(),
-        });
-    }
-    check_placement(gsize, n, items)?;
+    check_subgrids(gsize, items, subgrids)?;
+    let n = subgrids.size();
     let tables = tables.phasors(n)?;
     let h = tables.shift.first().copied().unwrap_or(0); // the fftshift's rotation
 
@@ -166,7 +133,7 @@ pub fn add_subgrids_from_slices(
         .into_par_iter()
         .for_each(|(pol, y0, band)| {
             let y1 = y0 + band.len() / gsize;
-            for (item, sub) in items.iter().zip(subgrids) {
+            for (item, sub) in items.iter().zip(subgrids.subgrids()) {
                 for y in item.coord_y.max(y0)..(item.coord_y + n).min(y1) {
                     let jy = y - item.coord_y;
                     let sy = tables.shift[jy];
@@ -656,19 +623,30 @@ mod tests {
 
     #[test]
     fn plane_bands_equal_the_row_indexed_adder_bit_for_bit() {
-        let check =
-            |grid: &Grid<f32>, items: &[WorkItem], slices: &[&[Cf32]], n: usize, case: &str| {
-                let tables = KernelTables::new(n, 0.05);
-                let mut added = grid.clone();
-                add_subgrids_from_slices(&mut added, items, slices, n, &tables).expect("adder run");
-                let mut oracle = grid.clone();
-                add_row_indexed(&mut oracle, items, slices, n, tables.phasors(n).unwrap());
-                assert!(
-                    sample_bits(added.as_slice()) == sample_bits(oracle.as_slice()),
-                    "{case}, grid {}, n = {n}",
-                    grid.size()
-                );
-            };
+        // adds `parts` over consecutive ranges of `items`, call after
+        // call, and holds the grid to the oracle over all their subgrids
+        let check = |grid: &Grid<f32>,
+                     items: &[WorkItem],
+                     parts: &[&SubgridArray],
+                     n: usize,
+                     case: &str| {
+            let tables = KernelTables::new(n, 0.05);
+            let mut added = grid.clone();
+            let mut start = 0;
+            for part in parts {
+                let range = start..start + part.count();
+                add_subgrids(&mut added, &items[range], part, &tables).expect("adder run");
+                start += part.count();
+            }
+            let slices: Vec<&[Cf32]> = parts.iter().flat_map(|p| p.subgrids()).collect();
+            let mut oracle = grid.clone();
+            add_row_indexed(&mut oracle, items, &slices, n, tables.phasors(n).unwrap());
+            assert!(
+                sample_bits(added.as_slice()) == sample_bits(oracle.as_slice()),
+                "{case}, grid {}, n = {n}",
+                grid.size()
+            );
+        };
         for grid_size in [40, 100, 250, 300] {
             for n in [8, 16, 24, 32] {
                 let far = grid_size - n;
@@ -682,20 +660,21 @@ mod tests {
                 );
                 items.extend([item_at(0, 0), item_at(far, far), item_at(far / 2, far / 3)]);
                 let (grid, subgrids) = patterned(grid_size, items.len(), n, n);
-                let slices: Vec<&[Cf32]> = subgrids.subgrids().collect();
-                check(&grid, &items, &slices, n, "overlapping items");
-                check(&grid, &[], &[], n, "no items");
+                check(&grid, &items, &[&subgrids], n, "overlapping items");
+                check(&grid, &[], &[&SubgridArray::new(0, n)], n, "no items");
 
-                // slices from two arrays, interleaved, as a streamed
-                // commit passes its chunks' subgrids
+                // the first items' subgrids from one array and the rest
+                // from another, added in two calls, as a streamed commit
+                // adds its chunks' jobs
                 let (_, other) = patterned(grid_size, items.len(), n, n + 1);
-                let mixed: Vec<&[Cf32]> = subgrids
-                    .subgrids()
-                    .zip(other.subgrids())
-                    .enumerate()
-                    .map(|(i, (a, b))| if i % 2 == 0 { a } else { b })
-                    .collect();
-                check(&grid, &items, &mixed, n, "two arrays");
+                let (k, pixels) = (items.len() / 2, 4 * n * n);
+                let mut head = SubgridArray::new(k, n);
+                head.as_mut_slice()
+                    .copy_from_slice(&subgrids.as_slice()[..k * pixels]);
+                let mut tail = SubgridArray::new(items.len() - k, n);
+                tail.as_mut_slice()
+                    .copy_from_slice(&other.as_slice()[k * pixels..]);
+                check(&grid, &items, &[&head, &tail], n, "two arrays");
             }
         }
     }

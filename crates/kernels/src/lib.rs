@@ -53,7 +53,7 @@ pub mod gridder;
 pub mod reference;
 pub mod tables;
 
-pub use adder::{add_subgrids, add_subgrids_from_slices, check_placement, split_subgrids};
+pub use adder::{add_subgrids, check_placement, split_subgrids};
 pub use buffers::SubgridArray;
 pub use cpu::{degridder_cpu, gridder_cpu};
 pub use fft::{fft_subgrids, FftNorm};

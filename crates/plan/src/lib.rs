@@ -9,9 +9,12 @@
 //! they no longer fit — or `T̃_max` is reached, or the A-term interval or
 //! W-plane changes — the subgrid is finalized and a new one starts.
 //!
-//! The output is a list of [`WorkItem`]s (subgrid metadata). Grouping
-//! `m ≤ n` work items yields the *work groups* in which the kernels
-//! process them (Fig. 6).
+//! The output is a list of [`WorkItem`]s (subgrid metadata), ordered by
+//! A-term interval and, inside one interval, by baseline, channel group
+//! and time: the paper's planner closes a work item at every A-term
+//! boundary, so a time range that ends on A-term boundaries is one
+//! contiguous run of the list. Grouping `m ≤ n` work items yields the
+//! *work groups* in which the kernels process them (Fig. 6).
 
 #![deny(missing_docs)]
 
@@ -61,7 +64,8 @@ impl WorkItem {
 /// The full execution plan for one observation.
 #[derive(Clone, Debug)]
 pub struct Plan {
-    /// All work items, ordered by baseline then time.
+    /// All work items, ordered by A-term interval, then by baseline,
+    /// channel group and time.
     pub items: Vec<WorkItem>,
     /// Number of visibilities that could not be covered (uv outside the
     /// representable grid area); these are dropped, mirroring how real
@@ -288,6 +292,8 @@ impl Plan {
             }
         }
 
+        // stable: each interval keeps its (baseline, channel, time) order
+        items.sort_by_key(|i| i.aterm_index);
         idg_obs::add_planned_items(items.len() as u64);
         idg_obs::add_skipped_visibilities(skipped as u64);
         Ok(Plan {

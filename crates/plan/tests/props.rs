@@ -4,7 +4,9 @@
 //! planner emits must (1) carry an integral, in-bounds subgrid origin
 //! and (2) *cover* its visibilities: the kernel-padded uv pixel box of
 //! every covered (timestep, channel) sample fits inside the placed
-//! subgrid — the planner never silently clips kernel support.
+//! subgrid — the planner never silently clips kernel support. The
+//! items come in A-term-interval order and, inside one interval, in
+//! (baseline, channel group, time) order.
 
 use idg_plan::Plan;
 use idg_telescope::{Layout, UvwGenerator};
@@ -67,6 +69,15 @@ proptest! {
                     }
                 }
             }
+        }
+
+        // order: by A-term interval, then baseline, channel group, time
+        let key = |i: &idg_plan::WorkItem| {
+            (i.aterm_index, i.baseline_index, i.channel_offset, i.time_offset)
+        };
+        for pair in plan.items.windows(2) {
+            prop_assert!(pair[0].aterm_index <= pair[1].aterm_index);
+            prop_assert!(key(&pair[0]) < key(&pair[1]), "{:?} before {:?}", pair[0], pair[1]);
         }
 
         // accounting: covered + skipped = all visibilities

@@ -13,26 +13,28 @@
 //! - [`StreamScheduler::run_stream`] runs the chunk passes on
 //!   `lanes = min(workers, max_inflight)` threads that each take the
 //!   next chunk index from one shared counter and send each chunk's
-//!   result back over one channel; the caller files every result under
-//!   its chunk index after the lanes join, whatever order the passes
-//!   finished in.
+//!   result back over one channel; the calling thread hands every
+//!   result to the caller's commit closure in chunk order, as soon as
+//!   every chunk before it has been handed over, while the lanes run on.
 //!
 //! The scheduler is deliberately generic over the per-chunk pass
 //! (`Fn(&Chunk) -> Result<T, IdgError>`): the proxy plugs in CPU
 //! kernels, the single-device GPU executor, or the fleet without this
 //! crate depending on any of them, or on the planner. Bit-identity of
-//! the streamed grid is then the *caller's* obligation — commit every
-//! chunk's subgrids in the one-shot plan order after the stream drains
-//! (see `Proxy::grid_streamed` in `idg`), never by summing per-chunk
-//! grids (f32 addition is order-sensitive and `0.0 + (-0.0)` even flips
-//! a sign bit).
+//! the streamed grid is then the *caller's* obligation — the planner
+//! orders its items by A-term interval, so each chunk's items are one
+//! contiguous run of the one-shot plan, and committing each chunk's
+//! subgrids at its turn adds them in the one-shot plan order (see
+//! `Proxy::grid_streamed` in `idg`), never by summing per-chunk grids
+//! (f32 addition is order-sensitive and `0.0 + (-0.0)` even flips a
+//! sign bit).
 //!
 //! `max_inflight` caps how many chunk passes run at once (`lanes =
 //! min(workers, max_inflight)`) and nothing else: the dataset is
-//! complete in memory and every chunk's output waits in the channel
-//! until the stream drains, so there is no memory for a window to bound.
-//! `inflight_max = min(max_inflight, n)` and `backpressure_waits =
-//! max(0, n − max_inflight)` are functions of the configuration, kept
+//! complete in memory, and a chunk's output waits only for the chunks
+//! before it, so a stream holds just the chunks that finished out of
+//! order. `inflight_max = min(max_inflight, n)` and `backpressure_waits
+//! = max(0, n − max_inflight)` are functions of the configuration, kept
 //! because reports, goldens and the benchmark name them.
 
 #![deny(missing_docs)]
@@ -145,36 +147,10 @@ pub fn chunk_observation(obs: &Observation, policy: &ChunkPolicy) -> Result<Vec<
     Ok(chunks)
 }
 
-/// Which data direction a streamed pass moved through the pipeline.
-///
-/// The scheduler itself is direction-agnostic — it drives opaque
-/// per-chunk passes — so [`StreamScheduler::run_stream`] tags its
-/// stats [`StreamDirection::Gridding`] and the degrid caller retags
-/// them before publishing the report.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum StreamDirection {
-    /// Visibilities → grid (`Proxy::grid_streamed`).
-    Gridding,
-    /// Model grid → predicted visibilities (`Proxy::degrid_streamed`).
-    Degridding,
-}
-
-impl StreamDirection {
-    /// Human-readable pass label.
-    pub fn label(&self) -> &'static str {
-        match self {
-            StreamDirection::Gridding => "gridding",
-            StreamDirection::Degridding => "degridding",
-        }
-    }
-}
-
 /// Summary of one streamed pass, carried in
 /// `ExecutionReport::stream`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct StreamStats {
-    /// Data direction of the streamed pass.
-    pub direction: StreamDirection,
     /// Chunks the splitter produced (and the scheduler ingested).
     pub nr_chunks: usize,
     /// Worker threads the scheduler ran.
@@ -192,17 +168,6 @@ pub struct StreamStats {
     pub completed_chunks: usize,
     /// Chunks whose pass returned `Err`.
     pub failed_chunks: usize,
-}
-
-/// Everything one [`StreamScheduler::run_stream`] call produced:
-/// per-chunk results in chunk order, plus the scheduling stats.
-#[derive(Debug)]
-pub struct StreamRun<T> {
-    /// `results[i]` is chunk `i`'s pass outcome — exactly one per
-    /// chunk, whatever order the workers finished in.
-    pub results: Vec<Result<T, IdgError>>,
-    /// Scheduling summary.
-    pub stats: StreamStats,
 }
 
 /// Concurrent pass scheduler: `min(workers, max_inflight)` threads
@@ -234,21 +199,28 @@ impl StreamScheduler {
     }
 
     /// Drive every chunk through `exec` on `min(workers, max_inflight,
-    /// chunks.len())` threads.
+    /// chunks.len())` threads, and hand each chunk's `(index, result)`
+    /// to `commit` on the calling thread, in chunk order.
     ///
     /// Each thread takes the next chunk index from a shared counter
     /// until the chunks run out and sends `(index, result)` over one
-    /// channel as each pass ends, so results are delivered exactly once
-    /// per chunk and filed by index — completion order never reorders
-    /// them. A chunk whose pass fails does not abort the stream; its
-    /// error is returned at its index. A pass that panics takes its
-    /// thread with it, not the stream (the lane's earlier results were
-    /// already sent): that chunk (and, once no thread is left, every
-    /// chunk not yet started) reports a typed [`IdgError::Internal`].
-    pub fn run_stream<T, F>(&self, chunks: &[Chunk], exec: F) -> Result<StreamRun<T>, IdgError>
+    /// channel as each pass ends. The calling thread keeps a cursor at
+    /// the first chunk not yet handed over: a result at the cursor goes
+    /// to `commit` at once, with every held result behind it that is now
+    /// next, while the lanes run on; a result ahead of the cursor is held
+    /// until its turn. So `commit` sees each chunk exactly once, in chunk
+    /// order, whatever order the passes finished in. A chunk whose pass
+    /// fails does not abort the stream; its error is handed over at its
+    /// turn. A pass that panics takes its thread with it, not the stream
+    /// (the lane's earlier results were already sent): after the lanes
+    /// join, that chunk (and, once no thread is left, every chunk not
+    /// yet started) is handed over at its turn as a typed
+    /// [`IdgError::Internal`].
+    pub fn run_stream<T, F, C>(&self, chunks: &[Chunk], exec: F, mut commit: C) -> StreamStats
     where
         T: Send,
         F: Fn(&Chunk) -> Result<T, IdgError> + Sync,
+        C: FnMut(usize, Result<T, IdgError>),
     {
         let n = chunks.len();
         let cap = self.max_inflight;
@@ -262,16 +234,29 @@ impl StreamScheduler {
         // `fetch_add` hands out each chunk index exactly once, and the
         // lane that took an index sends that chunk's result once.
         // `Relaxed` suffices: the index publishes no data; the channel
-        // and the scope's join order the results.
+        // orders the results.
         let next = AtomicUsize::new(0);
         let (sent, arrived) = mpsc::channel();
         // the lanes work for the caller's session, if it has one
         let recorder = idg_obs::current();
 
+        // results ahead of the cursor, held until their turn
+        let mut held: Vec<Option<Result<T, IdgError>>> = (0..n).map(|_| None).collect();
+        let mut cursor = 0;
+        let mut completed_chunks = 0;
+        let mut hand_over = |job: usize, out: Result<T, IdgError>| {
+            completed_chunks += usize::from(out.is_ok());
+            commit(job, out);
+        };
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..lanes)
                 .map(|_| {
-                    scope.spawn(|| {
+                    // each lane owns a sender: the channel closes when
+                    // the last lane ends, returning or panicking
+                    let sent = sent.clone();
+                    let (next, recorder) = (&next, &recorder);
+                    let exec = &exec;
+                    scope.spawn(move || {
                         let _entered = recorder.as_ref().map(idg_obs::Recorder::enter);
                         loop {
                             let job = next.fetch_add(1, Ordering::Relaxed);
@@ -283,12 +268,20 @@ impl StreamScheduler {
                                     idg_obs::wall_span("chunk", "stage", u32::try_from(job).ok());
                                 exec(&chunks[job])
                             };
-                            // the receiver lives past the scope
+                            // the receiver lives until every lane ends
                             let _ = sent.send((job, out));
                         }
                     })
                 })
                 .collect();
+            drop(sent);
+            for (job, out) in &arrived {
+                held[job] = Some(out);
+                while let Some(out) = held.get_mut(cursor).and_then(Option::take) {
+                    hand_over(cursor, out);
+                    cursor += 1;
+                }
+            }
             // An explicit join hands a lane's panic back as `Err` where
             // the scope's implicit one would re-raise it; the dead
             // lane's chunk is the one no result arrived for.
@@ -297,84 +290,26 @@ impl StreamScheduler {
             }
         });
 
-        // a chunk no result arrived for keeps its typed error
-        let mut results: Vec<Result<T, IdgError>> = (0..n)
-            .map(|job| {
-                Err(IdgError::Internal(format!(
-                    "stream scheduler: chunk {job} has no result (its pass panicked, or \
-                     no lane outlived an earlier panic to run it)"
-                )))
-            })
-            .collect();
-        for (job, out) in arrived.try_iter() {
-            results[job] = out;
+        // a chunk no result arrived for is handed over as a typed error
+        for (job, out) in held.into_iter().enumerate().skip(cursor) {
+            hand_over(
+                job,
+                out.unwrap_or_else(|| {
+                    Err(IdgError::Internal(format!(
+                        "stream scheduler: chunk {job} has no result (its pass panicked, or \
+                         no lane outlived an earlier panic to run it)"
+                    )))
+                }),
+            );
         }
-        let completed_chunks = results.iter().filter(|r| r.is_ok()).count();
-        Ok(StreamRun {
-            stats: StreamStats {
-                // the scheduler cannot see the pass direction; degrid
-                // callers retag before publishing (see StreamDirection)
-                direction: StreamDirection::Gridding,
-                nr_chunks: n,
-                nr_workers: self.workers,
-                max_inflight: cap,
-                inflight_max,
-                backpressure_waits: waits,
-                completed_chunks,
-                failed_chunks: n - completed_chunks,
-            },
-            results,
-        })
-    }
-}
-
-/// Exactly-once commit bookkeeping for the join phase of a streamed
-/// pass: after the scheduler drains, the caller commits each chunk's
-/// deferred output into the shared result exactly once, in chunk
-/// order. The ledger turns any violation of that discipline — a chunk
-/// committed twice, an unknown chunk index, or a chunk never
-/// committed at all — into a typed [`IdgError::Internal`].
-///
-/// Plain data with no interior synchronization: the commit loop runs
-/// single-threaded after the stream joins.
-#[derive(Clone, Debug)]
-pub struct CommitLedger {
-    committed: Vec<bool>,
-}
-
-impl CommitLedger {
-    /// A ledger expecting exactly one commit for each of `nr_chunks`.
-    pub fn new(nr_chunks: usize) -> CommitLedger {
-        CommitLedger {
-            committed: vec![false; nr_chunks],
-        }
-    }
-
-    /// Record chunk `chunk`'s commit; rejects a second commit of the
-    /// same chunk and indices beyond the ledger.
-    pub fn commit(&mut self, chunk: usize) -> Result<(), IdgError> {
-        let n = self.committed.len();
-        match self.committed.get_mut(chunk) {
-            None => Err(IdgError::Internal(format!(
-                "commit ledger: chunk {chunk} out of range ({n} chunks)"
-            ))),
-            Some(slot) if *slot => Err(IdgError::Internal(format!(
-                "commit ledger: chunk {chunk} committed twice"
-            ))),
-            Some(slot) => {
-                *slot = true;
-                Ok(())
-            }
-        }
-    }
-
-    /// Check that every chunk was committed.
-    pub fn finish(&self) -> Result<(), IdgError> {
-        match self.committed.iter().position(|c| !c) {
-            Some(chunk) => Err(IdgError::Internal(format!(
-                "commit ledger: chunk {chunk} was never committed"
-            ))),
-            None => Ok(()),
+        StreamStats {
+            nr_chunks: n,
+            nr_workers: self.workers,
+            max_inflight: cap,
+            inflight_max,
+            backpressure_waits: waits,
+            completed_chunks,
+            failed_chunks: n - completed_chunks,
         }
     }
 }
@@ -384,6 +319,7 @@ mod tests {
     use super::*;
     use idg_obs::{KernelCounters, KernelStage, Session};
     use std::sync::Barrier;
+    use std::time::Duration;
 
     #[test]
     fn workers_record_into_the_callers_session_and_no_other_thread_does() {
@@ -411,17 +347,19 @@ mod tests {
                 meet.wait();
             });
             let session = Session::begin("gridding");
-            let run = scheduler
-                .run_stream(&chunks, |chunk| {
+            let stats = scheduler.run_stream(
+                &chunks,
+                |chunk| {
                     if chunk.index == 0 {
                         meet.wait();
                         meet.wait();
                     }
                     idg_obs::add_kernel(KernelStage::Gridder, &tally);
                     Ok(chunk.index)
-                })
-                .expect("stream runs");
-            assert_eq!(run.stats.completed_chunks, 4);
+                },
+                |_, _| {},
+            );
+            assert_eq!(stats.completed_chunks, 4);
             session.finish()
         });
 
@@ -443,49 +381,63 @@ mod tests {
         // a lane whose pass panics still hands over what it recorded:
         // chunk 0's tally and `chunk` span arrive with the other passes'
         let session = Session::begin("gridding");
-        let run = scheduler
-            .run_stream(&chunks, |chunk| {
+        let mut results = Vec::new();
+        let stats = scheduler.run_stream(
+            &chunks,
+            |chunk| {
                 idg_obs::add_kernel(KernelStage::Gridder, &tally);
                 assert_ne!(chunk.index, 0, "chunk 0's pass panics after recording");
                 Ok(chunk.index)
-            })
-            .expect("stream runs");
+            },
+            |_, result| results.push(result),
+        );
         let trace = session.finish();
-        assert!(matches!(run.results[0], Err(IdgError::Internal(_))));
-        assert_eq!(run.stats.completed_chunks, 3);
+        assert!(matches!(results[0], Err(IdgError::Internal(_))));
+        assert_eq!(stats.completed_chunks, 3);
         assert_eq!(trace.metrics.gridder.invocations, 4);
         assert_eq!(trace.metrics.gridder.sincos_pairs, 28);
         assert_eq!(chunk_spans(&trace), [Some(0), Some(1), Some(2), Some(3)]);
     }
 
-    fn internal_message(result: Result<(), IdgError>) -> String {
-        match result {
-            Err(IdgError::Internal(message)) => message,
-            other => panic!("expected IdgError::Internal, got {other:?}"),
-        }
-    }
-
     #[test]
-    fn ledger_rejects_a_second_commit_of_the_same_chunk() {
-        let mut ledger = CommitLedger::new(2);
-        ledger.commit(1).expect("first commit of chunk 1");
-        assert!(internal_message(ledger.commit(1)).contains("chunk 1 committed twice"));
-        // the rejected commit changed nothing: chunk 0 is still owed
-        ledger.commit(0).expect("first commit of chunk 0");
-        ledger.finish().expect("both chunks committed once");
-    }
-
-    #[test]
-    fn ledger_rejects_an_out_of_range_chunk() {
-        let mut ledger = CommitLedger::new(2);
-        assert!(internal_message(ledger.commit(2)).contains("chunk 2 out of range (2 chunks)"));
-    }
-
-    #[test]
-    fn ledger_finish_names_the_first_missing_chunk() {
-        let mut ledger = CommitLedger::new(3);
-        ledger.commit(0).expect("first commit of chunk 0");
-        ledger.commit(2).expect("first commit of chunk 2");
-        assert!(internal_message(ledger.finish()).contains("chunk 1 was never committed"));
+    fn a_chunk_is_handed_over_while_later_chunks_run() {
+        // chunk 1's pass waits for chunk 0's commit: a scheduler that
+        // hands results over only after the lanes join never makes that
+        // commit and hangs, so the stream runs on a helper thread under
+        // a deadline
+        let (done, finished) = mpsc::channel();
+        std::thread::spawn(move || {
+            let chunks: Vec<Chunk> = (0..2)
+                .map(|i| Chunk {
+                    index: i,
+                    time_range: i..i + 1,
+                })
+                .collect();
+            let committed = Barrier::new(2);
+            let mut delivered = Vec::new();
+            let stats = StreamScheduler::new(2, 2)
+                .expect("positive parameters")
+                .run_stream(
+                    &chunks,
+                    |chunk| {
+                        if chunk.index == 1 {
+                            committed.wait();
+                        }
+                        Ok(chunk.index)
+                    },
+                    |index, result| {
+                        if index == 0 {
+                            committed.wait();
+                        }
+                        delivered.push((index, result.ok()));
+                    },
+                );
+            let _ = done.send((delivered, stats.completed_chunks));
+        });
+        let (delivered, completed) = finished
+            .recv_timeout(Duration::from_secs(30))
+            .expect("chunk 0 was committed while chunk 1's pass ran");
+        assert_eq!(delivered, [(0, Some(0)), (1, Some(1))]);
+        assert_eq!(completed, 2);
     }
 }

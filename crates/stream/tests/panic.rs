@@ -7,15 +7,19 @@
 //! executes on a helper thread under a deadline, so a regression fails
 //! in bounded time instead of stalling the suite.
 
-use idg_stream::{Chunk, StreamRun, StreamScheduler};
+use idg_stream::{Chunk, StreamScheduler, StreamStats};
 use idg_types::IdgError;
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::time::Duration;
 
 const NR_CHUNKS: usize = 4;
 
+/// The `(index, result)` pairs in the order the commit closure
+/// received them.
+type Delivered = Vec<(usize, Result<usize, IdgError>)>;
+
 /// Stream four chunks whose chunk-0 pass panics.
-fn run_with_panicking_chunk_0(workers: usize, max_inflight: usize) -> StreamRun<usize> {
+fn run_with_panicking_chunk_0(workers: usize, max_inflight: usize) -> (Delivered, StreamStats) {
     let (tx, rx) = mpsc::channel();
     std::thread::spawn(move || {
         let chunks: Vec<Chunk> = (0..NR_CHUNKS)
@@ -24,14 +28,18 @@ fn run_with_panicking_chunk_0(workers: usize, max_inflight: usize) -> StreamRun<
                 time_range: index..index + 1,
             })
             .collect();
-        let run = StreamScheduler::new(workers, max_inflight)
+        let mut delivered = Vec::new();
+        let stats = StreamScheduler::new(workers, max_inflight)
             .expect("positive parameters")
-            .run_stream(&chunks, |chunk| {
-                assert_ne!(chunk.index, 0, "injected panic in chunk 0's pass");
-                Ok(chunk.index)
-            })
-            .expect("a panicking pass is a slot error, not a stream error");
-        let _ = tx.send(run);
+            .run_stream(
+                &chunks,
+                |chunk| {
+                    assert_ne!(chunk.index, 0, "injected panic in chunk 0's pass");
+                    Ok(chunk.index)
+                },
+                |index, result| delivered.push((index, result)),
+            );
+        let _ = tx.send((delivered, stats));
     });
     match rx.recv_timeout(Duration::from_secs(30)) {
         Ok(run) => run,
@@ -48,9 +56,10 @@ fn run_with_panicking_chunk_0(workers: usize, max_inflight: usize) -> StreamRun<
 fn panicking_chunk_is_a_typed_error_in_its_slot_and_the_stream_returns() {
     for (workers, max_inflight) in [(2, 1), (2, 2), (1, 1)] {
         let shape = format!("workers {workers}, max_inflight {max_inflight}");
-        let run = run_with_panicking_chunk_0(workers, max_inflight);
-        assert_eq!(run.results.len(), NR_CHUNKS, "{shape}");
-        for (i, result) in run.results.iter().enumerate() {
+        let (delivered, stats) = run_with_panicking_chunk_0(workers, max_inflight);
+        assert_eq!(delivered.len(), NR_CHUNKS, "{shape}");
+        for (i, (index, result)) in delivered.iter().enumerate() {
+            assert_eq!(*index, i, "{shape}: delivered out of order");
             match result {
                 Ok(v) => assert!(i != 0 && *v == i, "{shape}: slot {i} holds Ok({v})"),
                 Err(IdgError::Internal(message)) => assert!(
@@ -64,7 +73,7 @@ fn panicking_chunk_is_a_typed_error_in_its_slot_and_the_stream_returns() {
         // the panic takes one lane with it; any other keeps pulling
         let lanes = workers.min(max_inflight);
         let completed = if lanes > 1 { NR_CHUNKS - 1 } else { 0 };
-        assert_eq!(run.stats.completed_chunks, completed, "{shape}");
-        assert_eq!(run.stats.failed_chunks, NR_CHUNKS - completed, "{shape}");
+        assert_eq!(stats.completed_chunks, completed, "{shape}");
+        assert_eq!(stats.failed_chunks, NR_CHUNKS - completed, "{shape}");
     }
 }

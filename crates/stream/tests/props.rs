@@ -9,7 +9,9 @@
 //!
 //! **Scheduler exactly-once.** For random chunk counts, worker counts
 //! and `max_inflight` caps, every chunk's pass runs exactly once, its
-//! result (success or failure) lands in its own slot, failures never
+//! result (success or failure) reaches the commit closure exactly once
+//! and in chunk order (chunk 0's pass ends after another where two lanes
+//! run), failures never
 //! abort the stream, no more than `min(workers, max_inflight)` passes
 //! are ever observed running at once, and the two configuration stats
 //! take the closed-form values the crate docs promise.
@@ -18,6 +20,7 @@ use idg_stream::{chunk_observation, Chunk, ChunkPolicy, StreamScheduler};
 use idg_types::{IdgError, Observation};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::{Duration, Instant};
 
 fn observation(
     nr_timesteps: usize,
@@ -127,28 +130,47 @@ fn check_scheduler_contract(
     let scheduler = StreamScheduler::new(workers, max_inflight)
         .map_err(|e| proptest::test_runner::TestCaseError::Fail(e.to_string()))?;
     let executions = AtomicUsize::new(0);
+    let finished = AtomicUsize::new(0);
     let inflight = AtomicUsize::new(0);
     let inflight_peak = AtomicUsize::new(0);
-    let run = scheduler
-        .run_stream(&chunks, |chunk| {
+    // where a second lane can run another chunk, chunk 0's pass ends
+    // after one has ended, so results arrive out of chunk order
+    let late_chunk_0 = workers.min(max_inflight) > 1 && nr_chunks > 1;
+    let mut delivered = Vec::new();
+    let stats = scheduler.run_stream(
+        &chunks,
+        |chunk| {
             executions.fetch_add(1, Ordering::SeqCst);
             let now = inflight.fetch_add(1, Ordering::SeqCst) + 1;
             inflight_peak.fetch_max(now, Ordering::SeqCst);
+            if chunk.index == 0 && late_chunk_0 {
+                let started = Instant::now();
+                while finished.load(Ordering::SeqCst) == 0
+                    && started.elapsed() < Duration::from_secs(10)
+                {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                std::thread::sleep(Duration::from_millis(1));
+            }
             let out = if chunk.index % fail_stride == 0 {
                 Err(IdgError::Internal(format!("injected on {}", chunk.index)))
             } else {
                 Ok(chunk.index)
             };
             inflight.fetch_sub(1, Ordering::SeqCst);
+            finished.fetch_add(1, Ordering::SeqCst);
             out
-        })
-        .map_err(|e| proptest::test_runner::TestCaseError::Fail(e.to_string()))?;
+        },
+        |index, result| delivered.push((index, result)),
+    );
 
-    // exactly once: one execution and one slot per chunk, each
-    // slot holding its own chunk's outcome
+    // exactly once and in order: one execution per chunk, and one
+    // delivery per chunk, in chunk order, each holding its own chunk's
+    // outcome
     prop_assert_eq!(executions.load(Ordering::SeqCst), nr_chunks);
-    prop_assert_eq!(run.results.len(), nr_chunks);
-    for (i, result) in run.results.iter().enumerate() {
+    prop_assert_eq!(delivered.len(), nr_chunks);
+    for (i, (index, result)) in delivered.iter().enumerate() {
+        prop_assert_eq!(*index, i);
         match result {
             Ok(v) => {
                 prop_assert!(i % fail_stride != 0);
@@ -167,7 +189,6 @@ fn check_scheduler_contract(
     }
 
     // failures never abort the stream, and the stats partition it
-    let stats = run.stats;
     prop_assert_eq!(stats.nr_chunks, nr_chunks);
     prop_assert_eq!(stats.completed_chunks + stats.failed_chunks, nr_chunks);
     prop_assert_eq!(stats.failed_chunks, nr_chunks.div_ceil(fail_stride));
