@@ -397,34 +397,27 @@ impl Proxy {
     }
 
     /// The host gridding chain, job by job: each work group of
-    /// [`Proxy::job_size`] items of `plan` runs gridder → subgrid FFT,
-    /// then `commit` takes the job's `plan.items` range and its
-    /// Fourier-domain subgrids. A commit that hands the buffer back has
-    /// it reused by the next job (truncated for the tail job, never
-    /// re-zeroed: the gridder overwrites every sample); one that keeps
-    /// it leaves the next job a fresh buffer. Returns `[kernel, fft]`
-    /// wall-clock seconds; `tag` labels the stage spans (the chunk index
-    /// of a streamed pass).
+    /// [`Proxy::job_size`] items of `plan` runs gridder → subgrid FFT
+    /// through one reused job-sized subgrid buffer (the gridder
+    /// overwrites every sample), then `add` takes the job's `plan.items`
+    /// range and its Fourier-domain subgrids. Returns `[kernel, fft,
+    /// adder]` wall-clock seconds; `tag` labels the stage spans (the
+    /// chunk index of a streamed pass).
     fn host_grid_jobs(
         &self,
         data: &KernelData<'_>,
         plan: &Plan,
         tag: Option<u32>,
-        mut commit: impl FnMut(Range<usize>, SubgridArray) -> Result<Option<SubgridArray>, IdgError>,
-    ) -> Result<[f64; 2], IdgError> {
+        mut add: impl FnMut(Range<usize>, &SubgridArray) -> Result<(), IdgError>,
+    ) -> Result<[f64; 3], IdgError> {
         self.check_plan(data, plan)?;
-        let mut spare: Option<SubgridArray> = None;
-        let mut seconds = [0.0; 2];
+        let job_size = self.job_size();
+        let mut subgrids = SubgridArray::new(plan.items.len().min(job_size), self.obs.subgrid_size);
+        let mut seconds = [0.0; 3];
         let mut first = 0;
-        for items in plan.work_groups(self.job_size()) {
+        for items in plan.work_groups(job_size) {
             let t0 = Instant::now();
-            let mut subgrids = match spare.take() {
-                Some(mut reused) => {
-                    reused.truncate(items.len());
-                    reused
-                }
-                None => SubgridArray::new(items.len(), self.obs.subgrid_size),
-            };
+            subgrids.truncate(items.len());
             {
                 let _span = idg_obs::wall_span("gridder", "stage", tag);
                 self.launch_gridder(data, items, &mut subgrids)?;
@@ -434,10 +427,12 @@ impl Proxy {
                 let _span = idg_obs::wall_span("subgrid_fft", "stage", tag);
                 fft_subgrids(&mut subgrids, Direction::Forward, FftNorm::None);
             }
-            seconds[0] += (t1 - t0).as_secs_f64();
-            seconds[1] += t1.elapsed().as_secs_f64();
-            spare = commit(first..first + items.len(), subgrids)?;
+            let t2 = Instant::now();
+            add(first..first + items.len(), &subgrids)?;
             first += items.len();
+            seconds[0] += (t1 - t0).as_secs_f64();
+            seconds[1] += (t2 - t1).as_secs_f64();
+            seconds[2] += t2.elapsed().as_secs_f64();
         }
         Ok(seconds)
     }
@@ -661,44 +656,37 @@ impl Proxy {
     ) -> Result<ExecutionReport, IdgError> {
         let data = self.gridding_input(uvw, visibilities, aterms)?;
         self.check_grid_size(grid)?;
-        self.grid_pass(&data, plan, Sink::Commit, None, |range, subgrids| {
-            let _span = idg_obs::wall_span("adder", "stage", None);
-            add_subgrids(grid, &plan.items[range], &subgrids, &self.tables)?;
-            Ok(Some(subgrids))
-        })
+        self.grid_pass(grid, &data, plan, Sink::Commit, None)
     }
 
     /// The one gridding body, behind [`Proxy::grid_into`] and every
     /// streamed gridding chunk (the twin of [`Proxy::degrid_pass`]): the
-    /// back-end's gridder → subgrid FFT over `plan`, job by job, handing
-    /// each job's `plan.items` range and Fourier-domain subgrids to
-    /// `commit` in job order. A commit that hands the buffer back has it
-    /// reused by the next host job; on a host back-end the commit's wall
-    /// time is the report's adder column. On the device back-ends `sink`
-    /// picks the modeled adder shape, and a job the device failed for
-    /// good is re-gridded on the CPU reference kernels at its turn, so
-    /// `commit` sees the ranges of a host pass, in the same order. `tag`
-    /// labels the host stage spans (the chunk index of a streamed pass).
+    /// back-end's gridder → subgrid FFT over `plan`, job by job, adding
+    /// each job's subgrids onto `grid` in job order as it is handed over.
+    /// On a host back-end the adds' wall time is the report's adder
+    /// column. On the device back-ends `sink` picks the modeled adder
+    /// shape, and a job the device failed for good is re-gridded on the
+    /// CPU reference kernels at its turn, so the adds run in the order
+    /// of a host pass. `tag` labels the host stage and adder spans (the
+    /// chunk index of a streamed pass).
     fn grid_pass(
         &self,
+        grid: &mut Grid<f32>,
         data: &KernelData<'_>,
         plan: &Plan,
         sink: Sink,
         tag: Option<u32>,
-        mut commit: impl FnMut(Range<usize>, SubgridArray) -> Result<Option<SubgridArray>, IdgError>,
     ) -> Result<ExecutionReport, IdgError> {
         let nr_items = plan.items.len();
+        let mut add = |range: Range<usize>, subgrids: &SubgridArray| {
+            let _span = idg_obs::wall_span("adder", "stage", tag);
+            add_subgrids(grid, &plan.items[range], subgrids, &self.tables)
+        };
         match self.backend {
             Backend::CpuReference | Backend::CpuOptimized => {
-                let mut adder = 0.0;
-                let [kernel, fft] = self.host_grid_jobs(data, plan, tag, |range, subgrids| {
-                    let t = Instant::now();
-                    let spare = commit(range, subgrids);
-                    adder += t.elapsed().as_secs_f64();
-                    spare
-                })?;
+                let seconds = self.host_grid_jobs(data, plan, tag, add)?;
                 let counts = gridder_counts(&plan.items, self.obs.subgrid_size);
-                Ok(self.measured_report("gridding", counts, nr_items, [kernel, fft, adder]))
+                Ok(self.measured_report("gridding", counts, nr_items, seconds))
             }
             Backend::GpuPascal | Backend::GpuFiji => {
                 let mut hand_over = |range: Range<usize>, job: GriddedJob<'_>| {
@@ -708,7 +696,7 @@ impl Proxy {
                             self.reference_subgrids(data, &plan.items[range.clone()])
                         })?,
                     };
-                    commit(range, subgrids).map(drop)
+                    add(range, &subgrids)
                 };
                 let ((), totals, fleet) = self.on_device(
                     &mut hand_over,
@@ -1289,6 +1277,60 @@ mod tests {
                 staged(&poisoned) == staged(&clean),
                 "{label}: degrid_stages"
             );
+        }
+    }
+
+    #[test]
+    fn a_stream_stops_at_its_first_failing_chunk() {
+        // baseline 0 moves to an empty stretch of the grid during chunk 1
+        // (time steps 16..32), so a NaN sample there is read by chunk 1's
+        // footprints alone and fails chunk 1; chunks 2 and 3 never run,
+        // so the session sees two chunk spans
+        let mut ds = dataset_of(64);
+        for c in &mut ds.uvw[16..32] {
+            (c.u, c.v) = (3000.0, 3000.0);
+        }
+        let (size, n) = (ds.obs.grid_size, ds.obs.subgrid_size);
+        let config = StreamConfig::new(idg_stream::ChunkPolicy::by_timesteps(16), 2, 2);
+        let plan = Plan::create(&ds.obs, &ds.uvw).unwrap();
+        let chunk_of = |item: &WorkItem| item.time_offset / 16;
+        let readers = |y: usize, x: usize| {
+            let mut chunks: Vec<usize> = plan
+                .items
+                .iter()
+                .filter(|item| {
+                    (item.coord_y..item.coord_y + n).contains(&y)
+                        && (item.coord_x..item.coord_x + n).contains(&x)
+                })
+                .map(chunk_of)
+                .collect();
+            chunks.dedup();
+            chunks
+        };
+        let (y, x) = (0..size * size)
+            .map(|p| (p / size, p % size))
+            .find(|&(y, x)| readers(y, x) == [1])
+            .expect("a pixel inside chunk 1's footprints alone");
+        let mut poisoned = pattern_grid(size, 1.0);
+        *poisoned.at_mut(0, y, x) = Complex::new(f32::NAN, 0.0);
+        for (label, proxy) in proxies(&ds.obs) {
+            let session = idg_obs::Session::begin("degridding");
+            let result = proxy.degrid_streamed(&config, &poisoned, &ds.uvw, &ds.aterms);
+            let trace = session.finish();
+            let one_shot = proxy.degrid(&plan, &poisoned, &ds.uvw, &ds.aterms);
+            let err = result.err();
+            assert!(
+                matches!(err, Some(IdgError::InvalidParameter(_))),
+                "{label}"
+            );
+            assert_eq!(err, one_shot.err(), "{label}");
+            let chunks: Vec<_> = trace
+                .spans
+                .iter()
+                .filter(|s| s.name == "chunk")
+                .map(|s| s.job)
+                .collect();
+            assert_eq!(chunks, [Some(0), Some(1)], "{label}");
         }
     }
 

@@ -3,13 +3,11 @@
 //!
 //! [`Proxy::grid_streamed`] plans the observation once, consumes it
 //! as a sequence of bounded time-axis chunks (split by `idg_stream`),
-//! executes each chunk's cut of the one plan independently on
-//! `min(workers, max_inflight)` concurrent lanes, and adds each chunk's
-//! subgrids onto the grid at the chunk's turn, in chunk order, while
-//! later chunks run. A gridding chunk is the one-shot gridding body
-//! (the one behind [`Proxy::grid_into`]) over the chunk's cut, its
-//! commit closure holding the chunk's jobs until its turn. The streamed
-//! grid is **bit identical** to the one-shot [`Proxy::grid`] result for
+//! and runs each chunk's cut of the one plan in chunk order on the
+//! calling thread. A gridding chunk is the one-shot gridding body (the
+//! one behind [`Proxy::grid_into`]) over the chunk's cut, adding each
+//! job onto the caller's grid as it is handed over. The streamed grid
+//! is **bit identical** to the one-shot [`Proxy::grid`] result for
 //! every chunk policy, worker count and fault schedule the one-shot
 //! pass shares, because:
 //!
@@ -22,20 +20,19 @@
 //!    same full input buffers (items carry global time offsets); a
 //!    device job that failed for good is re-gridded by the CPU reference
 //!    kernels at its turn in job order, in both passes;
-//! 3. the scheduler hands chunks over in chunk order and each chunk adds
-//!    its jobs in job order — the adder closure of [`Proxy::grid_into`]
-//!    over the chunk's range of the plan — so every f32 accumulation
-//!    happens in the one-shot plan order. Summing per-chunk grids
-//!    instead would reorder additions (f32 addition is not associative,
-//!    and `0.0 + (-0.0)` even flips a sign bit).
+//! 3. the chunks run in chunk order and each adds its jobs in job order
+//!    — the adds of [`Proxy::grid_into`] over the chunk's range of the
+//!    plan — so every f32 accumulation happens in the one-shot plan
+//!    order. Summing per-chunk grids instead would reorder additions
+//!    (f32 addition is not associative, and `0.0 + (-0.0)` even flips a
+//!    sign bit).
 //!
 //! [`Proxy::degrid_streamed`] is the duplex twin. A degrid chunk is
 //! the one-shot degrid pass (the body behind [`Proxy::degrid`]) run
 //! over the chunk's own window of the observation — its timesteps of
 //! `uvw`, its items re-based onto them — so every buffer it allocates
-//! (host job loop, device pass, CPU fallback) holds only its own rows.
-//! The chunk passes flow through the same scheduler, and each chunk's
-//! rows are copied into the caller's buffer at its turn, as one
+//! (host job loop, device pass, CPU fallback) holds only its own rows,
+//! which the chunk then copies into the caller's buffer as one
 //! contiguous block per baseline. Because the degridder *overwrites*
 //! disjoint per-item visibility slots (no accumulation anywhere on the
 //! read side), chunks cover disjoint time ranges, no kernel reads a
@@ -44,22 +41,20 @@
 //! reproduce [`Proxy::degrid`] bit for bit on every back-end, policy,
 //! worker count and fault schedule; see DESIGN.md §12.
 //!
-//! A stream holds the chunks that finished ahead of their turn: a
-//! chunk's output waits only for the chunks before it. One-shot is
-//! deliberately *not* the one-chunk stream (DESIGN.md §12): that chunk
-//! would hold every job's subgrids until it ends — all 8.6 MB of them
-//! on `ska_dense`, where the one-shot host pass holds one job's — and
+//! A stream holds what a one-shot pass holds: one job's subgrids on a
+//! clean gridding pass, one chunk's rows on a degrid pass. One-shot is
+//! still not the one-chunk stream (DESIGN.md §12), for two reasons only:
 //! the one-shot GPU pass models the paper's device-resident grid and
-//! device adder (Sec. V-C e, [`Sink::Commit`]), not a deferred host
-//! commit ([`Sink::Defer`]). The two share the body and differ in that
-//! argument and in their commit closure.
+//! device adder (Sec. V-C e, [`Sink::Commit`]), where a chunk models a
+//! host commit ([`Sink::Defer`]); and a streamed report carries the
+//! stream's stats and its modeled commit.
 
 use super::Proxy;
 use crate::report::ExecutionReport;
 use idg_gpusim::{host_adder_time, Sink, HOST_ADDER_BW};
-use idg_kernels::{add_subgrids, KernelData, SubgridArray};
-use idg_plan::{Plan, WorkItem};
-use idg_stream::{chunk_observation, Chunk, ChunkPolicy, StreamScheduler, StreamStats};
+use idg_kernels::KernelData;
+use idg_plan::Plan;
+use idg_stream::{chunk_observation, Chunk, ChunkPolicy, StreamScheduler};
 use idg_telescope::ATerms;
 use idg_types::{Grid, IdgError, Observation, Uvw, Visibility};
 use std::ops::Range;
@@ -70,12 +65,14 @@ use std::time::Instant;
 pub struct StreamConfig {
     /// Time-axis chunking bounds (A-term snapping applies on top).
     pub policy: ChunkPolicy,
-    /// Worker threads executing chunk passes concurrently.
+    /// With `max_inflight`, sets the lanes of the modeled stream
+    /// (`lanes = min(workers, max_inflight)`) that a device back-end
+    /// list-schedules the chunk makespans onto. The chunks themselves
+    /// run in order on the calling thread whatever its value.
     pub workers: usize,
-    /// Cap on chunk passes running at once (`lanes = min(workers,
-    /// max_inflight)`). It bounds concurrency, not memory: each chunk's
-    /// output — its subgrids, or its own visibility rows — is held
-    /// until every chunk before it has been committed.
+    /// With `workers`, sets the modeled lanes; also the closed form of
+    /// the stream's `inflight_max` and `backpressure_waits`. Changes
+    /// nothing that runs.
     pub max_inflight: usize,
 }
 
@@ -93,35 +90,22 @@ impl StreamConfig {
     }
 
     /// Typed rejection of degenerate configurations: zero-sized chunk
-    /// bounds, zero workers or a zero `max_inflight` would each leave
-    /// the stream unable to make progress.
+    /// bounds, zero workers or a zero `max_inflight` (a stream of no
+    /// lanes).
     pub fn validate(&self) -> Result<(), IdgError> {
         self.policy.validate()?;
         StreamScheduler::new(self.workers, self.max_inflight).map(|_| ())
     }
 }
 
-/// A chunk's pass output: what its commit consumes — gridding, each
-/// job's range of the chunk's sub-plan with its Fourier-domain subgrids
-/// in job order (a CPU-fallback job's range at its job's place);
-/// degridding, its predicted rows in the extent of its [`ChunkWindow`] —
-/// and its own report: modeled end-to-end time (GPU) or measured wall
-/// (CPU) in `total_seconds`, fallback jobs with chunk-local indices.
-type ChunkOutput<P> = (P, ExecutionReport);
-
-/// A gridding chunk's payload: each job's range of the chunk's sub-plan
-/// with its Fourier-domain subgrids, in job order.
-type ChunkSubgrids = Vec<(Range<usize>, SubgridArray)>;
-
 /// The chunks' cut of the one-shot `plan`: for each chunk, the sub-plan
-/// of the items whose first time step falls in its time range, and the
-/// index of its first item in the plan. The plan orders its items by
+/// of the items whose first time step falls in its time range. The plan orders its items by
 /// A-term interval and chunks end on A-term multiples, so each sub-plan
 /// is one contiguous range of the plan's items, the ranges tile the plan
 /// in chunk order, and each item also ends inside its chunk — which a
 /// degrid [`ChunkWindow`] relies on. A cut that breaks any of these is
 /// an [`IdgError::Internal`].
-fn partition(plan: &Plan, chunks: &[Chunk]) -> Result<Vec<(Plan, usize)>, IdgError> {
+fn partition(plan: &Plan, chunks: &[Chunk]) -> Result<Vec<Plan>, IdgError> {
     let mut offset = 0;
     let parts = chunks
         .iter()
@@ -148,7 +132,7 @@ fn partition(plan: &Plan, chunks: &[Chunk]) -> Result<Vec<(Plan, usize)>, IdgErr
                     chunk.index
                 )));
             }
-            Ok((sub, first))
+            Ok(sub)
         })
         .collect::<Result<Vec<_>, _>>()?;
     if offset != plan.items.len() {
@@ -160,48 +144,9 @@ fn partition(plan: &Plan, chunks: &[Chunk]) -> Result<Vec<(Plan, usize)>, IdgErr
     Ok(parts)
 }
 
-/// The accounting of one stream's chunk passes, pending the commit.
-struct StreamTotals {
-    /// The chunk reports summed (fallback indices remapped to
-    /// stream-global ones); sealed by [`StreamTotals::seal`].
-    report: ExecutionReport,
-    /// Per-chunk end-to-end times, in ingestion order.
-    makespans: Vec<f64>,
-    stats: StreamStats,
-    started: Instant,
-}
-
-impl StreamTotals {
-    /// Seal the summed report after the last chunk's commit: the commits join
-    /// the adder/splitter column — its modeled host-bandwidth cost on
-    /// modeled back-ends, its measured wall time otherwise — and the
-    /// total is the list-scheduled chunk makespans plus the commit
-    /// (modeled) or the wall clock since the stream started.
-    fn seal(self, config: &StreamConfig, commit_wall: f64, commit_model: f64) -> ExecutionReport {
-        let mut report = self.report;
-        if report.modeled {
-            let lanes = config.workers.min(config.max_inflight);
-            report.adder_seconds += commit_model;
-            report.total_seconds = stream_makespan(&self.makespans, lanes) + commit_model;
-        } else {
-            report.adder_seconds += commit_wall;
-            report.total_seconds = self.started.elapsed().as_secs_f64();
-        }
-        // per-chunk device breakdowns are not aggregated across the
-        // stream (each chunk ran its own fleet pass); only the scalar
-        // fault-tolerance counters are summed
-        if let Some(fleet) = &mut report.fleet {
-            fleet.per_device.clear();
-        }
-        report.stream = Some(self.stats);
-        report
-    }
-}
-
-/// Deterministic makespan model of the concurrent chunk passes: greedy
-/// list scheduling of the chunk makespans, in ingestion order, onto
-/// `lanes` modeled workers — `min(workers, max_inflight)`, the number
-/// of threads the scheduler runs.
+/// Deterministic makespan model of a stream's chunk passes on the
+/// device: greedy list scheduling of the chunk makespans, in ingestion
+/// order, onto `lanes` modeled lanes — `min(workers, max_inflight)`.
 fn stream_makespan(chunk_makespans: &[f64], lanes: usize) -> f64 {
     let mut lane_busy = vec![0.0f64; lanes.max(1)];
     for &m in chunk_makespans {
@@ -219,7 +164,8 @@ fn stream_makespan(chunk_makespans: &[f64], lanes: usize) -> f64 {
 /// Add chunk report `b` onto the running stream report `a`: stage
 /// seconds, counters, launches, energies and the scalar fault-tolerance
 /// counters are additive across chunk passes; `total_seconds` is not
-/// (chunks overlap) and is set when the stream report is sealed. `b`'s
+/// (modeled chunks overlap on the lanes) and is set when the stream
+/// report is sealed. `b`'s
 /// chunk-local fallback indices become stream-global ones.
 fn sum_reports(mut a: ExecutionReport, mut b: ExecutionReport) -> ExecutionReport {
     for failure in &mut b.fallback_jobs {
@@ -296,20 +242,19 @@ impl ChunkWindow {
 }
 
 impl Proxy {
-    /// Plan the observation once and drive its chunks through `pass` —
-    /// each over its sub-plan of the one plan — on the stream scheduler,
-    /// handing each chunk's payload to `commit` at its turn, in chunk
-    /// order, with the chunk and its range of the plan's items. The
-    /// first error in chunk order, a pass's or a commit's, ends the
-    /// commits and is the stream's. Returns the report summed over the
-    /// chunks and sealed with the commits' wall time and
-    /// `commit_model(&plan)`, their modeled time.
-    fn stream_chunks<P: Send>(
+    /// Plan the observation once and run its chunks through `pass` —
+    /// each over its sub-plan of the one plan, committing its own
+    /// output — in chunk order; the first error ends the stream. Returns
+    /// the chunk reports summed and sealed: on a modeled back-end the
+    /// commits' modeled time `commit_model(&plan)` joins the
+    /// adder/splitter column and the total is the list-scheduled chunk
+    /// makespans plus that commit; on the host the total is the wall
+    /// clock since the stream started.
+    fn stream_chunks(
         &self,
         config: &StreamConfig,
         uvw: &[Uvw],
-        pass: impl Fn(&Chunk, &Plan) -> Result<ChunkOutput<P>, IdgError> + Sync,
-        mut commit: impl FnMut(&Chunk, &[WorkItem], P) -> Result<(), IdgError>,
+        mut pass: impl FnMut(&Chunk, &Plan) -> Result<ExecutionReport, IdgError>,
         commit_model: impl FnOnce(&Plan) -> f64,
     ) -> Result<ExecutionReport, IdgError> {
         let chunks = chunk_observation(&self.obs, &config.policy)?;
@@ -319,50 +264,43 @@ impl Proxy {
         let plan = self.plan(uvw)?;
         let parts = partition(&plan, &chunks)?;
         let mut makespans = Vec::with_capacity(chunks.len());
-        let mut commit_wall = 0.0;
-        let mut summed: Result<Option<ExecutionReport>, IdgError> = Ok(None);
-        let stats = scheduler.run_stream(
-            &chunks,
-            |chunk| pass(chunk, &parts[chunk.index].0),
-            |index, result| {
-                let Ok(sum) = &mut summed else { return };
-                let t = Instant::now();
-                let (sub, first) = &parts[index];
-                let items = &plan.items[*first..*first + sub.items.len()];
-                let committed = result.and_then(|(payload, report)| {
-                    commit(&chunks[index], items, payload).map(|()| report)
-                });
-                commit_wall += t.elapsed().as_secs_f64();
-                match committed {
-                    Ok(report) => {
-                        makespans.push(report.total_seconds);
-                        *sum = Some(match sum.take() {
-                            Some(sum) => sum_reports(sum, report),
-                            None => report,
-                        });
-                    }
-                    Err(e) => summed = Err(e),
-                }
-            },
-        );
-        let report =
-            summed?.ok_or_else(|| IdgError::Internal("stream produced no chunks".into()))?;
-        let totals = StreamTotals {
-            report,
-            makespans,
-            stats,
-            started,
-        };
-        Ok(totals.seal(config, commit_wall, commit_model(&plan)))
+        let mut summed: Option<ExecutionReport> = None;
+        let stats = scheduler.run_stream(&chunks, |chunk| {
+            let report = pass(chunk, &parts[chunk.index])?;
+            makespans.push(report.total_seconds);
+            summed = Some(match summed.take() {
+                Some(sum) => sum_reports(sum, report),
+                None => report,
+            });
+            Ok(())
+        })?;
+        let mut report =
+            summed.ok_or_else(|| IdgError::Internal("stream produced no chunks".into()))?;
+        if report.modeled {
+            let commit = commit_model(&plan);
+            let lanes = config.workers.min(config.max_inflight);
+            report.adder_seconds += commit;
+            report.total_seconds = stream_makespan(&makespans, lanes) + commit;
+        } else {
+            report.total_seconds = started.elapsed().as_secs_f64();
+        }
+        // per-chunk device breakdowns are not aggregated across the
+        // stream (each chunk ran its own fleet pass); only the scalar
+        // fault-tolerance counters are summed
+        if let Some(fleet) = &mut report.fleet {
+            fleet.per_device.clear();
+        }
+        report.stream = Some(stats);
+        Ok(report)
     }
 
     /// Grid visibilities through the streaming front-end: chunked
-    /// ingestion, a concurrent pass scheduler, and each chunk's commit
-    /// at its turn.
+    /// ingestion, each chunk's pass adding its jobs onto the grid, in
+    /// chunk order.
     ///
     /// The returned grid is bit-identical to [`Proxy::grid`] over the
-    /// same inputs, for every chunk policy, worker count and completion
-    /// order (see the module docs for the argument); the report carries
+    /// same inputs, for every chunk policy and worker count (see the
+    /// module docs for the argument); the report carries
     /// the scheduling summary in [`ExecutionReport::stream`].
     pub fn grid_streamed(
         &self,
@@ -377,12 +315,9 @@ impl Proxy {
         let report = self.stream_chunks(
             config,
             uvw,
-            |chunk, plan| self.run_chunk(&data, chunk, plan),
-            |chunk, items, jobs| {
-                let _span = idg_obs::wall_span("adder", "stage", u32::try_from(chunk.index).ok());
-                jobs.iter().try_for_each(|(range, subgrids)| {
-                    add_subgrids(&mut grid, &items[range.clone()], subgrids, &self.tables)
-                })
+            |chunk, plan| {
+                let tag = u32::try_from(chunk.index).ok();
+                self.grid_pass(&mut grid, &data, plan, Sink::Defer, tag)
             },
             |plan| host_adder_time(plan.items.len(), n),
         )?;
@@ -406,25 +341,25 @@ impl Proxy {
 
     /// Predict visibilities from a model grid through the streaming
     /// front-end — the duplex twin of [`Proxy::grid_streamed`]: each
-    /// chunk runs the one-shot degrid pass over its own window of the
-    /// observation, the chunk passes run across the same scheduler, and
-    /// each chunk's predicted rows are copied into the output buffer at
-    /// the chunk's turn.
+    /// chunk, in chunk order, runs the one-shot degrid pass over its own
+    /// window of the observation and copies its predicted rows into the
+    /// output buffer.
     ///
     /// The returned visibilities are bit-identical to
     /// [`Proxy::degrid`] over the same inputs, for every chunk policy,
-    /// worker count, completion order and fault schedule: the chunks'
-    /// sub-plans partition the one-shot plan's items verbatim, the
-    /// degridder overwrites disjoint per-item slots (no accumulation on
-    /// the read side), and the commit copies each chunk's rows of each
-    /// baseline to their place in the observation as one block. The
+    /// worker count and fault schedule: the chunks' sub-plans partition
+    /// the one-shot plan's items verbatim, the degridder overwrites
+    /// disjoint per-item slots (no accumulation on the read side), and
+    /// each chunk copies its rows of each baseline to their place in the
+    /// observation as one block. The
     /// returned buffer is the only observation-sized one the pass
     /// allocates.
     ///
     /// # Errors
-    /// Every error of [`Proxy::degrid`], from the chunk pass that meets
-    /// it: a non-finite model-grid sample fails the pass only if a
-    /// chunk's footprints read it. [`IdgError::InvalidParameter`] for a
+    /// Every error of [`Proxy::degrid`], from the first chunk pass that
+    /// meets it (no later chunk runs): a non-finite model-grid sample
+    /// fails the pass only if a chunk's footprints read it.
+    /// [`IdgError::InvalidParameter`] for a
     /// degenerate [`StreamConfig`]: a zero chunk bound, worker count or
     /// admission window.
     pub fn degrid_streamed(
@@ -441,19 +376,24 @@ impl Proxy {
         let report = self.stream_chunks(
             config,
             uvw,
-            |chunk, plan| self.run_degrid_chunk(&data, chunk, plan, grid),
-            // a chunk's window holds each baseline's rows of its time
-            // range contiguously, as the observation does
-            |chunk, _, rows: Vec<Visibility<f32>>| {
+            |chunk, plan| {
+                let (rows, mut report) = self.run_degrid_chunk(&data, chunk, plan, grid)?;
                 let _span =
                     idg_obs::wall_span("vis_commit", "stage", u32::try_from(chunk.index).ok());
+                let t = Instant::now();
+                // a chunk's window holds each baseline's rows of its time
+                // range contiguously, as the observation does
                 let time = &chunk.time_range;
                 let block = time.start * nr_chan..time.end * nr_chan;
                 let baselines = vis.chunks_exact_mut(per_baseline);
                 for (dst, src) in baselines.zip(rows.chunks_exact(block.len())) {
                     dst[block.clone()].copy_from_slice(src);
                 }
-                Ok(())
+                // a modeled commit joins the column when the stream is sealed
+                if !report.modeled {
+                    report.adder_seconds += t.elapsed().as_secs_f64();
+                }
+                Ok(report)
             },
             // each predicted visibility is one 4-pol read + write (32 B)
             |plan| (plan.nr_gridded_visibilities() * 2 * 32) as f64 / HOST_ADDER_BW,
@@ -476,36 +416,17 @@ impl Proxy {
         })
     }
 
-    /// One chunk's gridding pass over its sub-plan `plan`: the one-shot
-    /// gridding body with a [`Sink::Defer`] sink, holding every job's
-    /// subgrids — a device job that fell back to the CPU at its turn —
-    /// for the chunk's commit. Runs on a scheduler worker thread.
-    fn run_chunk(
-        &self,
-        data: &KernelData<'_>,
-        chunk: &Chunk,
-        plan: &Plan,
-    ) -> Result<ChunkOutput<ChunkSubgrids>, IdgError> {
-        let tag = u32::try_from(chunk.index).ok();
-        let mut jobs = ChunkSubgrids::new();
-        let report = self.grid_pass(data, plan, Sink::Defer, tag, |range, subgrids| {
-            jobs.push((range, subgrids));
-            Ok(None)
-        })?;
-        Ok((jobs, report))
-    }
-
     /// One chunk's degrid pass over its sub-plan `plan`: the
     /// one-shot degrid body run over the chunk's [`ChunkWindow`], into
-    /// the chunk's own rows, leaving the commit to the caller. Runs on a
-    /// scheduler worker thread.
+    /// the chunk's own rows, and its report (fallback jobs with
+    /// chunk-local indices).
     fn run_degrid_chunk(
         &self,
         data: &KernelData<'_>,
         chunk: &Chunk,
         plan: &Plan,
         grid: &Grid<f32>,
-    ) -> Result<ChunkOutput<Vec<Visibility<f32>>>, IdgError> {
+    ) -> Result<(Vec<Visibility<f32>>, ExecutionReport), IdgError> {
         let tag = u32::try_from(chunk.index).ok();
         let window = ChunkWindow::new(data.obs, data.uvw, &chunk.time_range, plan);
         self.degrid_pass(&window.data(data), &window.plan, grid, tag)
@@ -604,10 +525,10 @@ mod tests {
             // items, the ranges tile the plan in chunk order, and every
             // item ends inside its chunk
             let mut next = 0;
-            for (chunk, (sub, first)) in chunks.iter().zip(&parts) {
-                assert_eq!(*first, next, "{policy:?}");
+            for (chunk, sub) in chunks.iter().zip(&parts) {
+                let first = next;
                 next += sub.items.len();
-                assert_eq!(sub.items, plan.items[*first..next], "{policy:?}");
+                assert_eq!(sub.items, plan.items[first..next], "{policy:?}");
                 for item in &sub.items {
                     let (start, end) = (item.time_offset, item.time_offset + item.nr_timesteps);
                     assert!(chunk.time_range.start <= start && end <= chunk.time_range.end);
@@ -743,12 +664,12 @@ mod tests {
                 .stream_chunks(
                     &config,
                     &ds.uvw,
-                    |chunk, plan| proxy.run_degrid_chunk(&data, chunk, plan, &model),
-                    |chunk, _, rows| {
+                    |chunk, plan| {
+                        let (rows, report) = proxy.run_degrid_chunk(&data, chunk, plan, &model)?;
                         let time = chunk.time_range.clone();
                         assert_eq!(rows.len(), time.len() * per_step, "{backend:?}");
                         times.push(time);
-                        Ok(())
+                        Ok(report)
                     },
                     |_| 0.0,
                 )

@@ -74,10 +74,11 @@ pub enum Sink {
     /// host adder while the GPU computes on (option (2), host add time
     /// charged).
     Commit,
-    /// The caller holds the subgrids for a commit of its own (a stream
-    /// adds each chunk's at the chunk's turn, in plan order). No device-resident grid
-    /// is modeled: buffers-only reservation, subgrids stream back over
-    /// DtoH, no adder charged — the caller accounts its commit.
+    /// The caller accounts the commit itself: a streamed chunk adds each
+    /// job onto the caller's host grid as it is handed over, and the
+    /// stream charges the adds once, as a modeled host commit. No
+    /// device-resident grid is modeled: buffers-only reservation,
+    /// subgrids stream back over DtoH, no adder charged.
     Defer,
 }
 

@@ -2,31 +2,23 @@
 //! self-validating operation counters.
 //!
 //! A [`Session`] is a collector of records, and "observed" is a
-//! property of the threads working for that session, not a mode of the
-//! process. [`Session::begin`] makes the new collector the calling
-//! thread's *current* one, owned by a thread-local; [`Session::finish`]
-//! (or dropping the session) restores the one that was current before.
+//! property of the thread that began it, not a mode of the process.
+//! [`Session::begin`] makes the new collector the calling thread's
+//! *current* one, owned by a thread-local; [`Session::finish`] (or
+//! dropping the session) puts back the one that was current before.
 //! The recording sites (`add_*`, [`wall_span`], [`modeled_span`]) are
 //! free functions that borrow the calling thread's current collector —
 //! no lock, nothing shared — and return after that one thread-local
 //! read when it has none. So:
 //!
-//! - **who records into a session**: the thread that began it and
-//!   every thread that entered its [`Recorder`], nothing else. A pass
-//!   running unobserved, or under another session, on another thread
-//!   cannot add to it; sessions nest, run concurrently and never wait
-//!   for one another.
-//! - **how records cross a thread boundary**: explicitly, over one
-//!   channel per session. The spawning side captures [`current`]; each
-//!   spawned thread holds the guard of [`Recorder::enter`] while it
-//!   works for the session, which gives it a collector of its own and,
-//!   when dropped (also by a panic's unwind), sends that collector to
-//!   the session. [`Session::finish`] merges what arrived, so the
-//!   spawning side joins its threads first
-//!   (`idg_stream::StreamScheduler::run_stream`, the one spawn site
-//!   that records, does this for its lanes).
+//! - **who records into a session**: the thread that began it, nothing
+//!   else. A pass running unobserved, or under another session, on
+//!   another thread cannot add to it; sessions nest, run concurrently
+//!   and never wait for one another. Every pass records on its calling
+//!   thread — a streamed pass runs its chunks there too — so no record
+//!   ever crosses a thread boundary.
 //! - **what a kernel does inside a parallel region**: it does not
-//!   record there — rayon workers have no current recorder. It tallies
+//!   record there — rayon workers have no current collector. It tallies
 //!   [`KernelCounters`] per work item beside its real loops, reduces
 //!   them, and calls [`add_kernel`] once per launch on the calling
 //!   thread (a dropped call fails `Proxy::validate_measured` on every
@@ -65,10 +57,9 @@ pub use span::{Clock, Span};
 
 use std::cell::RefCell;
 use std::marker::PhantomData;
-use std::sync::mpsc::{self, Receiver, Sender};
 use std::time::Instant;
 
-/// What one thread records for one session.
+/// What a session records.
 struct Collector {
     start: Instant,
     spans: Vec<Span>,
@@ -81,51 +72,18 @@ struct Collector {
 pub struct Trace {
     /// Label of the pass that was traced (e.g. `"gridding"`).
     pub pass: String,
-    /// All recorded spans, the closing `pass` span last. Each thread's
-    /// spans are in its recording order; those of the threads that
-    /// entered the session come before the beginning thread's, in the
-    /// order the threads left it, which varies between runs.
-    /// [`normalized_events`] imposes a deterministic order.
+    /// All recorded spans in recording order, the closing `pass` span
+    /// last. [`normalized_events`] imposes an order independent of the
+    /// wall clock.
     pub spans: Vec<Span>,
     /// Flat per-stage counter snapshot.
     pub metrics: MetricsSnapshot,
 }
 
-/// A handle to one session: cheap to clone, and the only thing that
-/// has to cross a thread boundary for the other side to record into the
-/// session (see [`current`] and [`Recorder::enter`]). It carries the
-/// session's start and the sending end of the channel over which every
-/// thread that entered it hands its collector back.
-#[derive(Clone)]
-pub struct Recorder {
-    start: Instant,
-    home: Sender<Collector>,
-}
-
-/// A thread's current collector and the session it records for.
-struct Frame {
-    collector: Collector,
-    home: Sender<Collector>,
-}
-
 thread_local! {
     /// The collector this thread records into, if any. Owned by the
-    /// thread: no other thread can reach it until it is sent home.
-    static CURRENT: RefCell<Option<Frame>> = const { RefCell::new(None) };
-}
-
-/// The calling thread's current recorder — what a spawn site captures
-/// so its threads can [`Recorder::enter`] it.
-pub fn current() -> Option<Recorder> {
-    CURRENT
-        .try_with(|c| {
-            c.borrow().as_ref().map(|f| Recorder {
-                start: f.collector.start,
-                home: f.home.clone(),
-            })
-        })
-        .ok()
-        .flatten()
+    /// thread: no other thread can reach it.
+    static CURRENT: RefCell<Option<Collector>> = const { RefCell::new(None) };
 }
 
 /// Whether the calling thread records into a session — the check every
@@ -135,56 +93,17 @@ pub fn is_active() -> bool {
     CURRENT.try_with(|c| c.borrow().is_some()).unwrap_or(false)
 }
 
-impl Recorder {
-    /// Give the calling thread a fresh collector of this session's
-    /// until the returned guard is dropped, which sends the collector
-    /// to the session and restores the thread's previous one. Guards
-    /// nest; drop them in reverse order of creation.
-    pub fn enter(&self) -> Entered {
-        let frame = Frame {
-            collector: Collector {
-                start: self.start,
-                spans: Vec::new(),
-                metrics: MetricsSnapshot::default(),
-            },
-            home: self.home.clone(),
-        };
-        Entered {
-            previous: CURRENT.with(|c| c.replace(Some(frame))),
-            _this_thread: PhantomData,
-        }
-    }
-}
-
-/// Guard of [`Recorder::enter`]. Dropping it — also during a panic's
-/// unwind — sends the thread's collector to its session and restores
-/// the thread's previous one. Not `Send`: it must be dropped on the
-/// thread that created it.
-#[must_use = "the recorder is current until the guard is dropped"]
-pub struct Entered {
-    previous: Option<Frame>,
-    _this_thread: PhantomData<*const ()>,
-}
-
-impl Drop for Entered {
-    fn drop(&mut self) {
-        let previous = self.previous.take();
-        if let Ok(Some(frame)) = CURRENT.try_with(|c| c.replace(previous)) {
-            // a session that already finished takes nothing more
-            let _ = frame.home.send(frame.collector);
-        }
-    }
-}
-
-/// An observability session: its collector is current on the thread
-/// that began it for as long as the session lives. Dropping it without
-/// calling [`Session::finish`] restores the thread's previous recorder
-/// and discards the collected data.
+/// An observability session: its collector is the current one of the
+/// thread that began it for as long as the session lives. Dropping it
+/// without calling [`Session::finish`] puts the thread's previous
+/// collector back and discards the collected data. Sessions on one
+/// thread nest: end them in reverse order of beginning. Not `Send`: it
+/// ends on the thread that began it.
 pub struct Session {
-    pass: String,
-    start: Instant,
-    entered: Entered,
-    arrived: Receiver<Collector>,
+    /// The collector this session displaced, put back when it ends;
+    /// `None` once it has ended.
+    previous: Option<Option<Collector>>,
+    _this_thread: PhantomData<*const ()>,
 }
 
 impl Session {
@@ -192,38 +111,43 @@ impl Session {
     /// thread. Never blocks: sessions on other threads, and an outer
     /// session on this one, are unaffected.
     pub fn begin(pass: &str) -> Session {
-        let (home, arrived) = mpsc::channel();
-        let start = Instant::now();
+        let collector = Collector {
+            start: Instant::now(),
+            spans: Vec::new(),
+            metrics: MetricsSnapshot::new(pass),
+        };
         Session {
-            pass: pass.to_string(),
-            start,
-            entered: Recorder { start, home }.enter(),
-            arrived,
+            previous: Some(CURRENT.with(|c| c.replace(Some(collector)))),
+            _this_thread: PhantomData,
         }
     }
 
-    /// Stop recording on this thread (the previous recorder becomes
-    /// current again) and return everything that was collected — this
-    /// thread's records merged with those of every thread that entered
-    /// the session and has left it — plus a closing `pass`-category wall
-    /// span covering the whole session.
-    pub fn finish(self) -> Trace {
-        let Session {
-            pass,
+    /// Put the displaced collector back, once, and return the one this
+    /// session recorded into.
+    fn end(&mut self) -> Option<Collector> {
+        let previous = self.previous.take()?;
+        CURRENT.try_with(|c| c.replace(previous)).ok().flatten()
+    }
+
+    /// Stop recording on this thread (the previous collector becomes
+    /// current again) and return everything that was collected, plus a
+    /// closing `pass`-category wall span covering the whole session.
+    pub fn finish(mut self) -> Trace {
+        let Some(Collector {
             start,
-            entered,
-            arrived,
-        } = self;
-        // sends this thread's collector after the ones already home
-        drop(entered);
-        let mut spans = Vec::new();
-        let mut metrics = MetricsSnapshot::new(&pass);
-        for collector in arrived.try_iter() {
-            spans.extend(collector.spans);
-            metrics.merge(collector.metrics);
-        }
+            mut spans,
+            metrics,
+        }) = self.end()
+        else {
+            // only a session ended out of nesting order finds none
+            return Trace {
+                pass: String::new(),
+                spans: Vec::new(),
+                metrics: MetricsSnapshot::default(),
+            };
+        };
         spans.push(Span {
-            name: pass.clone(),
+            name: metrics.pass.clone(),
             cat: "pass".to_string(),
             job: None,
             lane: 0,
@@ -232,17 +156,23 @@ impl Session {
             dur_us: start.elapsed().as_micros() as u64,
         });
         Trace {
-            pass,
+            pass: metrics.pass.clone(),
             spans,
             metrics,
         }
     }
 }
 
+impl Drop for Session {
+    fn drop(&mut self) {
+        self.end();
+    }
+}
+
 fn with_collector(f: impl FnOnce(&mut Collector)) {
     let _ = CURRENT.try_with(|c| {
-        if let Some(frame) = c.borrow_mut().as_mut() {
-            f(&mut frame.collector);
+        if let Some(collector) = c.borrow_mut().as_mut() {
+            f(collector);
         }
     });
 }
@@ -250,7 +180,7 @@ fn with_collector(f: impl FnOnce(&mut Collector)) {
 /// Merge a kernel launch's tally (accumulated at the kernel's real
 /// call sites, reduced over its work items) into the current session's
 /// counters. No-op without one. Call it on the launching thread, after
-/// any parallel region: the region's workers have no current recorder.
+/// any parallel region: the region's workers have no current collector.
 pub fn add_kernel(stage: KernelStage, tally: &KernelCounters) {
     with_collector(|c| c.metrics.kernel_mut(stage).add(tally));
 }
@@ -477,24 +407,20 @@ mod tests {
     }
 
     #[test]
-    fn only_threads_that_entered_the_recorder_record_into_the_session() {
+    fn only_the_thread_that_began_the_session_records_into_it() {
         let session = Session::begin("scoped");
-        let recorder = current();
         std::thread::scope(|scope| {
             scope.spawn(|| {
                 assert!(!is_active());
                 add_retries(1);
                 drop(wall_span("stray", "stage", None));
             });
-            scope.spawn(|| {
-                let _entered = recorder.as_ref().map(Recorder::enter);
-                add_retries(10);
-                drop(wall_span("worker", "stage", None));
-            });
         });
+        add_retries(10);
+        drop(wall_span("caller", "stage", None));
         let t = session.finish();
         assert_eq!(t.metrics.nr_retries, 10);
         let names: Vec<_> = t.spans.iter().map(|s| s.name.as_str()).collect();
-        assert_eq!(names, ["worker", "scoped"]);
+        assert_eq!(names, ["caller", "scoped"]);
     }
 }
