@@ -122,10 +122,10 @@ fn same_seed_fleet_runs_are_observationally_deterministic() {
 /// One observed *streamed* fleet gridding pass → (metrics JSON,
 /// normalized trace).
 ///
-/// Which worker thread claims which chunk is a legitimate scheduling
-/// race, so the order spans are *recorded* in differs between same-seed
-/// runs; `normalized_events` orders them by deterministic fields only,
-/// so the sequence must repeat like the counter registers do.
+/// The chunks run in order on the calling thread, so their spans are
+/// recorded in chunk order; `normalized_events` orders them by
+/// deterministic fields only, and the sequence must repeat like the
+/// counter registers do.
 fn observed_streamed_run(seed: u64) -> (String, Vec<String>) {
     let case = &standard_cases().expect("standard cases build")[2];
     let ds = case.dataset();

@@ -187,9 +187,10 @@ impl std::fmt::Display for ExecutionReport {
         if let Some(s) = &self.stream {
             writeln!(
                 f,
-                "  stream {} ({} chunks on {} workers, window {}), peak inflight {}, {} backpressure waits",
+                "  stream {} ({} chunks, {} modeled lanes (workers {}, window {})), peak inflight {}, {} backpressure waits",
                 self.pass,
                 s.nr_chunks,
+                s.nr_workers.min(s.max_inflight),
                 s.nr_workers,
                 s.max_inflight,
                 s.inflight_max,
@@ -356,7 +357,7 @@ mod tests {
         };
         let text = r.to_string();
         assert!(text.contains("stream degridding"));
-        assert!(text.contains("4 chunks on 2 workers"));
+        assert!(text.contains("4 chunks, 2 modeled lanes (workers 2, window 2)"));
         assert!(text.contains("2 backpressure waits"));
     }
 

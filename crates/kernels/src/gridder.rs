@@ -48,8 +48,10 @@ use idg_plan::WorkItem;
 use idg_types::{Cf32, Float, IdgError, Jones, Uvw};
 use rayon::prelude::*;
 
-/// Threads that run in lockstep, one per SIMD lane: one 512-bit or two
-/// 256-bit vectors of f32. Not part of the gridder's bits (see the
+/// Threads that run in lockstep, one per SIMD lane: one 512-bit vector
+/// of f32 on an AVX-512 host (with `.cargo/config.toml`'s
+/// `-prefer-256-bit`; LLVM's own tuning there splits it in two), two
+/// 256-bit vectors on an AVX2 host. Not part of the gridder's bits (see the
 /// module doc; 8, 16 and 32 measure alike, EXPERIMENTS.md "Device-model
 /// kernels") — but the host degridder's `reduce_4pol` splits each sum
 /// into this many partial sums, and *its* bits do depend on it.

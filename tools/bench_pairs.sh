@@ -11,9 +11,13 @@
 # Each side is built once into its own CARGO_TARGET_DIR and run through
 # its *own* `benchmark/run.sh --workload W --seed S --seconds T --trace 0`;
 # pair p runs the parent first when p is odd and the change first when it
-# is even. Everything lands under target/bench_pairs/ (not committed):
-# the parent export, the two target dirs, and every raw result line in
-# runs/<stamp>/<workload>.<side>.jsonl (line p = pair p).
+# is even. The two target dirs and every raw result line land under
+# target/bench_pairs/ (not committed), the lines in
+# runs/<stamp>/<workload>.<side>.jsonl (line p = pair p). The parent is
+# exported outside the working tree, to ${TMPDIR:-/tmp}/idg-bench-pairs/
+# parent-<rev>: cargo reads the .cargo/config.toml of every directory
+# above the one it builds in, so an export inside the tree would build
+# the parent with the change's codegen flags.
 #
 # Printed per workload x end-to-end metric (names, directions and bounds
 # read from BENCHMARK.json): both medians with quartiles, the change of
@@ -68,10 +72,23 @@ change_rev=$(git rev-parse --short=12 HEAD)
 # (the benchmark build rewrites its own lock file; that is not a change)
 git diff --quiet HEAD -- ':!benchmark/Cargo.lock' || change_rev+="+dirty"
 root="$repo/target/bench_pairs"
-parent_src="$root/parent-$rev"
+parent_src=$(realpath -m "${TMPDIR:-/tmp}/idg-bench-pairs/parent-$rev")
 runs="$root/runs/$(date +%Y%m%dT%H%M%S)-$rev-seed$seed"
 mkdir -p "$runs"
 
+# no cargo config above the export but cargo's own home, which both
+# sides read alike
+d=$(dirname "$parent_src")
+while :; do
+    for f in "$d/.cargo/config.toml" "$d/.cargo/config"; do
+        if [[ -f $f && $d/.cargo != "${CARGO_HOME:-$HOME/.cargo}" ]]; then
+            echo "the parent export $parent_src would build with $f; set TMPDIR elsewhere" >&2
+            exit 2
+        fi
+    done
+    [[ $d != / ]] || break
+    d=$(dirname "$d")
+done
 if [[ ! -d $parent_src ]]; then
     mkdir -p "$parent_src.tmp"
     git archive "$rev" | tar -x -C "$parent_src.tmp"
