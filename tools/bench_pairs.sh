@@ -73,9 +73,6 @@ change_rev=$(git rev-parse --short=12 HEAD)
 git diff --quiet HEAD -- ':!benchmark/Cargo.lock' || change_rev+="+dirty"
 root="$repo/target/bench_pairs"
 parent_src=$(realpath -m "${TMPDIR:-/tmp}/idg-bench-pairs/parent-$rev")
-runs="$root/runs/$(date +%Y%m%dT%H%M%S)-$rev-seed$seed"
-mkdir -p "$runs"
-
 # no cargo config above the export but cargo's own home, which both
 # sides read alike
 d=$(dirname "$parent_src")
@@ -89,6 +86,8 @@ while :; do
     [[ $d != / ]] || break
     d=$(dirname "$d")
 done
+runs="$root/runs/$(date +%Y%m%dT%H%M%S)-$rev-seed$seed"
+mkdir -p "$runs"
 if [[ ! -d $parent_src ]]; then
     mkdir -p "$parent_src.tmp"
     git archive "$rev" | tar -x -C "$parent_src.tmp"
