@@ -278,7 +278,7 @@ pub fn stream_degrid_run(ds: &Dataset) -> ExecutionReport {
 /// The `stream_degrid` row of a BENCH_*.json export: the duplex
 /// direction's chunk/worker shape and `max_inflight` stats. Like
 /// the `stream` row, every column is deterministic (modeled makespan,
-/// closed-form scheduler stats), so none carries the `_wall` mask.
+/// closed-form stream stats), so none carries the `_wall` mask.
 pub fn stream_degrid_bench_row(scale: usize, report: &ExecutionReport) -> FigRow {
     let stats = report
         .stream

@@ -174,15 +174,14 @@ fn same_seed_streamed_runs_have_byte_identical_metrics() {
             metrics_a.contains("\"chunks_ingested\""),
             "streaming counters must serialize"
         );
-        assert!(metrics_a.contains("\"backpressure_waits\""));
     }
 }
 
-/// One observed *streamed degrid* fleet pass → metrics JSON only,
-/// under the same lemon-fleet fault schedule as the gridding twin.
-/// Trace interleaving is again a legitimate scheduling race; the
-/// counter registers must still snapshot byte-identically.
-fn observed_streamed_degrid_run(seed: u64) -> String {
+/// One observed *streamed degrid* fleet pass → (metrics JSON,
+/// normalized trace), under the same lemon-fleet fault schedule as the
+/// gridding twin. Its chunks, too, run in order on the calling thread,
+/// the only thread the session records, so both must repeat.
+fn observed_streamed_degrid_run(seed: u64) -> (String, Vec<String>) {
     let case = &standard_cases().expect("standard cases build")[2];
     let ds = case.dataset();
     // model grid from a clean one-shot pass; the chaos is degrid-side
@@ -213,27 +212,30 @@ fn observed_streamed_degrid_run(seed: u64) -> String {
         2,
         2,
     );
-    let (_, report, _) = proxy
+    let (_, report, trace) = proxy
         .degrid_streamed_observed(&config, &model, &ds.uvw, &ds.aterms)
         .unwrap();
     let metrics = report.metrics.expect("observed run must attach metrics");
-    metrics.to_json()
+    (metrics.to_json(), idg_obs::normalized_events(&trace))
 }
 
 #[test]
 fn same_seed_streamed_degrid_runs_have_byte_identical_metrics() {
     for seed in [4242, 17] {
-        let metrics_a = observed_streamed_degrid_run(seed);
-        let metrics_b = observed_streamed_degrid_run(seed);
+        let (metrics_a, events_a) = observed_streamed_degrid_run(seed);
+        let (metrics_b, events_b) = observed_streamed_degrid_run(seed);
         assert_eq!(
             metrics_a, metrics_b,
             "seed {seed}: streamed degrid metrics snapshots must be byte-identical"
+        );
+        assert_eq!(
+            events_a, events_b,
+            "seed {seed}: streamed degrid normalized trace event sequences must match"
         );
         assert!(
             metrics_a.contains("\"chunks_ingested\""),
             "streaming counters must serialize"
         );
-        assert!(metrics_a.contains("\"backpressure_waits\""));
     }
 }
 

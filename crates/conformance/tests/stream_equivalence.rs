@@ -15,9 +15,9 @@
 //! persistent device faults, whose CPU fallback must land at the failed
 //! job's turn in both passes.
 
-use idg::stream::ChunkPolicy;
-use idg::types::{Grid, Visibility};
-use idg::{Backend, Proxy, StreamConfig};
+use idg::stream::{chunk_observation, ChunkPolicy};
+use idg::types::{Grid, Observation, Visibility};
+use idg::{Backend, ExecutionReport, Proxy, StreamConfig};
 use idg_conformance::standard_cases;
 
 fn assert_bit_identical(reference: &Grid<f32>, streamed: &Grid<f32>, what: &str) {
@@ -49,6 +49,30 @@ fn assert_vis_bit_identical(
             );
         }
     }
+}
+
+/// A returned stream's stats: the chunker's count of chunks, no failed
+/// chunk, and the closed forms of the configuration — `inflight_max =
+/// min(max_inflight, nr_chunks)` and `backpressure_waits = max(0,
+/// nr_chunks − max_inflight)`.
+fn assert_closed_form_stats(
+    report: &ExecutionReport,
+    obs: &Observation,
+    config: &StreamConfig,
+    what: &str,
+) {
+    let n = chunk_observation(obs, &config.policy).unwrap().len();
+    let stats = report
+        .stream
+        .as_ref()
+        .expect("streamed pass carries stream stats");
+    assert_eq!(stats.nr_chunks, n, "{what}");
+    assert_eq!(stats.failed_chunks, 0, "{what}");
+    assert_eq!(stats.nr_workers, config.workers, "{what}");
+    assert_eq!(stats.max_inflight, config.max_inflight, "{what}");
+    assert_eq!(stats.inflight_max, config.max_inflight.min(n), "{what}");
+    let waits = n.saturating_sub(config.max_inflight) as u64;
+    assert_eq!(stats.backpressure_waits, waits, "{what}");
 }
 
 /// The chunk policies each (case, backend) pair streams under:
@@ -94,9 +118,7 @@ fn streamed_grids_are_bit_identical_across_backends_cases_policies_and_workers()
                         case.name, backend
                     );
                     assert_bit_identical(&reference, &streamed, &what);
-                    let stats = report.stream.expect("streamed pass carries stream stats");
-                    assert_eq!(stats.failed_chunks, 0, "{what}");
-                    assert_eq!(stats.completed_chunks, stats.nr_chunks, "{what}");
+                    assert_closed_form_stats(&report, &case.obs, &config, &what);
                 }
             }
         }
@@ -133,9 +155,7 @@ fn streamed_degrid_visibilities_are_bit_identical_across_backends_cases_policies
                     );
                     assert_vis_bit_identical(&reference, &streamed, &what);
                     assert_eq!(report.pass, "degridding", "{what}");
-                    let stats = report.stream.expect("streamed pass carries stream stats");
-                    assert_eq!(stats.failed_chunks, 0, "{what}");
-                    assert_eq!(stats.completed_chunks, stats.nr_chunks, "{what}");
+                    assert_closed_form_stats(&report, &case.obs, &config, &what);
                 }
             }
         }
@@ -154,7 +174,6 @@ fn streamed_degrid_on_uneven_chunks_under_persistent_device_faults_is_bit_identi
     // job too, so both are the reference kernels' prediction; CPU
     // back-ends ignore the fault schedule.
     use idg::gpusim::{FaultConfig, FaultKind, RetryPolicy, TargetedFault};
-    use idg::stream::chunk_observation;
     use idg::types::FaultSite;
 
     let mut uneven_cases = 0;
@@ -201,7 +220,7 @@ fn streamed_degrid_on_uneven_chunks_under_persistent_device_faults_is_bit_identi
                     case.name
                 );
                 assert_vis_bit_identical(&reference, &streamed, &what);
-                let all_fell_back = |r: &idg::ExecutionReport| {
+                let all_fell_back = |r: &ExecutionReport| {
                     r.fallback_jobs.len() == r.launched_jobs && r.launched_jobs > 0
                 };
                 if on_device && schedule == "persistent faults" {

@@ -1,5 +1,5 @@
-//! Soak test for the streaming scheduler: many small chunks, run in
-//! order on the calling thread, over a fault-injecting fleet.
+//! Soak test for streamed passes: many small chunks, run in order on
+//! the calling thread, over a fault-injecting fleet.
 //!
 //! What this pins, beyond the per-policy equivalence suite:
 //!
@@ -101,7 +101,6 @@ fn soak_once(nr_timesteps: usize, deadline: Duration) {
         );
         let stats = report.stream.expect("streamed pass carries stream stats");
         assert_eq!(stats.nr_chunks, nr_timesteps / 2);
-        assert_eq!(stats.completed_chunks, stats.nr_chunks);
         assert_eq!(stats.failed_chunks, 0);
         // the closed form of the configured window: min(2, nr_chunks)
         assert_eq!(stats.inflight_max, 2, "admission window must cap inflight");
@@ -159,7 +158,6 @@ fn soak_degrid_once(nr_timesteps: usize, deadline: Duration) {
         assert_eq!(report.pass, "degridding");
         let stats = report.stream.expect("streamed pass carries stream stats");
         assert_eq!(stats.nr_chunks, nr_timesteps / 2);
-        assert_eq!(stats.completed_chunks, stats.nr_chunks);
         assert_eq!(stats.failed_chunks, 0);
         assert_eq!(stats.inflight_max, 2, "admission window must cap inflight");
         assert_eq!(

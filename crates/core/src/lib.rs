@@ -33,12 +33,17 @@
 //! (verified against each other in this crate's tests); the modeled
 //! back-ends additionally report Table-I-derived times and energies,
 //! which is the substitution DESIGN.md documents.
+//!
+//! [`Proxy::grid_streamed`] and [`Proxy::degrid_streamed`] run a pass
+//! over the A-term-aligned time-axis chunks of [`stream`], in chunk
+//! order on the calling thread, bit-identical to the one-shot pass.
 
 #![deny(missing_docs)]
 
 pub mod proxy;
 pub mod report;
 pub mod stages;
+pub mod stream;
 
 pub use proxy::{Backend, FleetConfig, Proxy, StreamConfig};
 pub use report::{ExecutionReport, FleetStats};
@@ -53,10 +58,9 @@ pub use idg_math as math;
 pub use idg_obs as obs;
 pub use idg_perf as perf;
 pub use idg_plan as plan;
-pub use idg_stream as stream;
 pub use idg_telescope as telescope;
 pub use idg_types as types;
 
 pub use idg_plan::{Plan, WorkItem};
-pub use idg_stream::{ChunkPolicy, StreamStats};
 pub use idg_types::{Cf32, Complex, Grid, IdgError, Jones, Observation, Uvw, Visibility};
+pub use stream::{ChunkPolicy, StreamStats};

@@ -909,6 +909,7 @@ impl Proxy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ChunkPolicy;
     use idg_telescope::{Dataset, GaussianBeam, Layout, SkyModel};
     use idg_types::Complex;
 
@@ -1162,7 +1163,7 @@ mod tests {
         // Every degridding entry point rejects a non-finite sample its
         // splitter reads: poison the first item's footprint at its corner
         // and at its centre (another plane), in either component.
-        let config = StreamConfig::new(idg_stream::ChunkPolicy::by_timesteps(8), 2, 2);
+        let config = StreamConfig::new(ChunkPolicy::by_timesteps(8), 2, 2);
         let (first, n) = (plan.items[0], ds.obs.subgrid_size);
         let corner = (0, first.coord_y, first.coord_x);
         let centre = (3, first.coord_y + n / 2, first.coord_x + n / 2);
@@ -1238,7 +1239,7 @@ mod tests {
         // degridding entry point fails or moves a bit
         let ds = dataset();
         let (size, n) = (ds.obs.grid_size, ds.obs.subgrid_size);
-        let config = StreamConfig::new(idg_stream::ChunkPolicy::by_timesteps(8), 2, 2);
+        let config = StreamConfig::new(ChunkPolicy::by_timesteps(8), 2, 2);
         let plan = Plan::create(&ds.obs, &ds.uvw).unwrap();
         let read = |y: usize, x: usize| {
             plan.items.iter().any(|item| {
@@ -1291,7 +1292,7 @@ mod tests {
             (c.u, c.v) = (3000.0, 3000.0);
         }
         let (size, n) = (ds.obs.grid_size, ds.obs.subgrid_size);
-        let config = StreamConfig::new(idg_stream::ChunkPolicy::by_timesteps(16), 2, 2);
+        let config = StreamConfig::new(ChunkPolicy::by_timesteps(16), 2, 2);
         let plan = Plan::create(&ds.obs, &ds.uvw).unwrap();
         let chunk_of = |item: &WorkItem| item.time_offset / 16;
         let readers = |y: usize, x: usize| {
@@ -1341,7 +1342,7 @@ mod tests {
         // rejects a short, long or empty buffer, before it touches the
         // caller's grid
         let ds = dataset();
-        let config = StreamConfig::new(idg_stream::ChunkPolicy::by_timesteps(16), 2, 2);
+        let config = StreamConfig::new(ChunkPolicy::by_timesteps(16), 2, 2);
         let mut long = ds.visibilities.clone();
         long.push(Visibility::zero());
         let g0 = pattern_grid(ds.obs.grid_size, 1.0);
@@ -1509,7 +1510,7 @@ mod tests {
         // the device (validate_measured holds every observed run to its
         // closed forms in them).
         let ds = dataset();
-        let config = StreamConfig::new(idg_stream::ChunkPolicy::by_timesteps(16), 2, 2);
+        let config = StreamConfig::new(ChunkPolicy::by_timesteps(16), 2, 2);
         for backend in [Backend::CpuReference, Backend::CpuOptimized] {
             let mut proxy = Proxy::new(backend, ds.obs.clone()).unwrap();
             proxy.work_group_size = 7;
@@ -1862,7 +1863,7 @@ mod tests {
         let mut fleet = Proxy::new(Backend::GpuPascal, ds.obs.clone()).unwrap();
         fleet.work_group_size = 4;
         let fleet = fleet.with_fleet(2);
-        let config = StreamConfig::new(idg_stream::ChunkPolicy::by_timesteps(16), 2, 2);
+        let config = StreamConfig::new(ChunkPolicy::by_timesteps(16), 2, 2);
         let plan = host.plan(&ds.uvw).unwrap();
         let (grid, one_shot, _) = host
             .grid_observed(&plan, &ds.uvw, &ds.visibilities, &ds.aterms)

@@ -2,7 +2,7 @@
 //! batch pipeline.
 //!
 //! [`Proxy::grid_streamed`] plans the observation once, consumes it
-//! as a sequence of bounded time-axis chunks (split by `idg_stream`),
+//! as a sequence of bounded time-axis chunks (split by [`crate::stream`]),
 //! and runs each chunk's cut of the one plan in chunk order on the
 //! calling thread. A gridding chunk is the one-shot gridding body (the
 //! one behind [`Proxy::grid_into`]) over the chunk's cut, adding each
@@ -51,10 +51,10 @@
 
 use super::Proxy;
 use crate::report::ExecutionReport;
+use crate::stream::{chunk_observation, Chunk, ChunkPolicy, StreamStats};
 use idg_gpusim::{host_adder_time, Sink, HOST_ADDER_BW};
 use idg_kernels::KernelData;
 use idg_plan::Plan;
-use idg_stream::{chunk_observation, Chunk, ChunkPolicy, StreamScheduler};
 use idg_telescope::ATerms;
 use idg_types::{Grid, IdgError, Observation, Uvw, Visibility};
 use std::ops::Range;
@@ -94,7 +94,17 @@ impl StreamConfig {
     /// lanes).
     pub fn validate(&self) -> Result<(), IdgError> {
         self.policy.validate()?;
-        StreamScheduler::new(self.workers, self.max_inflight).map(|_| ())
+        if self.workers == 0 {
+            return Err(IdgError::InvalidParameter(
+                "stream config: workers must be positive".into(),
+            ));
+        }
+        if self.max_inflight == 0 {
+            return Err(IdgError::InvalidParameter(
+                "stream config: max_inflight must be positive".into(),
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -244,7 +254,10 @@ impl ChunkWindow {
 impl Proxy {
     /// Plan the observation once and run its chunks through `pass` —
     /// each over its sub-plan of the one plan, committing its own
-    /// output — in chunk order; the first error ends the stream. Returns
+    /// output — in chunk order on the calling thread, each under a
+    /// `chunk` span; the first error ends the stream: no later chunk
+    /// runs. A pass that panics unwinds to the caller, as a one-shot
+    /// pass does. Returns
     /// the chunk reports summed and sealed: on a modeled back-end the
     /// commits' modeled time `commit_model(&plan)` joins the
     /// adder/splitter column and the total is the list-scheduled chunk
@@ -257,23 +270,24 @@ impl Proxy {
         mut pass: impl FnMut(&Chunk, &Plan) -> Result<ExecutionReport, IdgError>,
         commit_model: impl FnOnce(&Plan) -> f64,
     ) -> Result<ExecutionReport, IdgError> {
+        config.validate()?;
         let chunks = chunk_observation(&self.obs, &config.policy)?;
-        let scheduler = StreamScheduler::new(config.workers, config.max_inflight)?;
 
         let started = Instant::now();
         let plan = self.plan(uvw)?;
         let parts = partition(&plan, &chunks)?;
+        idg_obs::add_chunks_ingested(chunks.len() as u64);
         let mut makespans = Vec::with_capacity(chunks.len());
         let mut summed: Option<ExecutionReport> = None;
-        let stats = scheduler.run_stream(&chunks, |chunk| {
-            let report = pass(chunk, &parts[chunk.index])?;
+        for (chunk, part) in chunks.iter().zip(&parts) {
+            let _span = idg_obs::wall_span("chunk", "stage", u32::try_from(chunk.index).ok());
+            let report = pass(chunk, part)?;
             makespans.push(report.total_seconds);
-            summed = Some(match summed.take() {
+            summed = Some(match summed {
                 Some(sum) => sum_reports(sum, report),
                 None => report,
             });
-            Ok(())
-        })?;
+        }
         let mut report =
             summed.ok_or_else(|| IdgError::Internal("stream produced no chunks".into()))?;
         if report.modeled {
@@ -290,7 +304,15 @@ impl Proxy {
         if let Some(fleet) = &mut report.fleet {
             fleet.per_device.clear();
         }
-        report.stream = Some(stats);
+        let n = chunks.len();
+        report.stream = Some(StreamStats {
+            nr_chunks: n,
+            nr_workers: config.workers,
+            max_inflight: config.max_inflight,
+            inflight_max: config.max_inflight.min(n),
+            backpressure_waits: n.saturating_sub(config.max_inflight) as u64,
+            failed_chunks: 0,
+        });
         Ok(report)
     }
 
@@ -301,7 +323,7 @@ impl Proxy {
     /// The returned grid is bit-identical to [`Proxy::grid`] over the
     /// same inputs, for every chunk policy and worker count (see the
     /// module docs for the argument); the report carries
-    /// the scheduling summary in [`ExecutionReport::stream`].
+    /// the stream's stats in [`ExecutionReport::stream`].
     pub fn grid_streamed(
         &self,
         config: &StreamConfig,
@@ -500,7 +522,6 @@ mod tests {
             assert_bit_identical(&reference, &streamed);
             let stats = report.stream.expect("streamed pass reports stream stats");
             assert_eq!(stats.nr_chunks, 6, "{backend:?}");
-            assert_eq!(stats.completed_chunks, 6);
             assert_eq!(stats.failed_chunks, 0);
             assert_eq!(stats.inflight_max, 2);
             assert_eq!(stats.backpressure_waits, 4);
@@ -594,7 +615,6 @@ mod tests {
             assert_eq!(report.launched_items, plan.items.len(), "{backend:?}");
             let metrics = report.metrics.expect("observed run attaches metrics");
             assert_eq!(metrics.chunks_ingested, 3, "{backend:?}");
-            assert_eq!(metrics.passes_inflight_max, 3);
             assert!(trace
                 .spans
                 .iter()
@@ -638,7 +658,6 @@ mod tests {
             assert_eq!(report.pass, "degridding");
             let stats = report.stream.expect("streamed pass reports stream stats");
             assert_eq!(stats.nr_chunks, 6, "{backend:?}");
-            assert_eq!(stats.completed_chunks, 6);
             assert_eq!(stats.failed_chunks, 0);
             assert_eq!(stats.inflight_max, 2);
             assert_eq!(stats.backpressure_waits, 4);
@@ -693,7 +712,6 @@ mod tests {
                 .unwrap();
             let metrics = report.metrics.expect("observed run attaches metrics");
             assert_eq!(metrics.chunks_ingested, 3, "{backend:?}");
-            assert_eq!(metrics.passes_inflight_max, 3);
             assert!(trace
                 .spans
                 .iter()

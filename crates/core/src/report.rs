@@ -5,10 +5,10 @@
 //! per-stage times (Fig. 9), visibility throughput (Fig. 10), operation
 //! counts and intensities (Figs. 11–13) and energy (Figs. 14–15).
 
+use crate::stream::StreamStats;
 use idg_gpusim::{DeviceReport, JobFailure};
 use idg_obs::MetricsSnapshot;
 use idg_perf::OpCounts;
-use idg_stream::StreamStats;
 
 /// Aggregated multi-device statistics of a fleet pass.
 ///
@@ -350,7 +350,6 @@ mod tests {
                 max_inflight: 2,
                 inflight_max: 2,
                 backpressure_waits: 2,
-                completed_chunks: 4,
                 failed_chunks: 0,
             }),
             ..report()

@@ -118,8 +118,8 @@ impl Proxy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stream::ChunkPolicy;
     use crate::{Backend, StreamConfig};
-    use idg_stream::ChunkPolicy;
     use idg_telescope::{Dataset, Layout, SkyModel};
     use idg_types::Observation;
 

@@ -112,14 +112,8 @@ pub struct MetricsSnapshot {
     pub degradation_steps: u64,
     /// Jobs re-dispatched from a tripped device to a healthy peer.
     pub redispatched_jobs: u64,
-    /// Chunks run by the streaming front-end's scheduler.
+    /// Chunks run by streamed passes.
     pub chunks_ingested: u64,
-    /// `max(0, nr_chunks − max_inflight)` summed over the session's
-    /// scheduler runs: a function of the stream configuration.
-    pub backpressure_waits: u64,
-    /// `min(max_inflight, nr_chunks)` of a scheduler run (max-merged,
-    /// not summed, across the runs in the session).
-    pub passes_inflight_max: u64,
 }
 
 impl MetricsSnapshot {
@@ -176,9 +170,7 @@ impl MetricsSnapshot {
              \x20 \"breaker_trips\": {},\n\
              \x20 \"degradation_steps\": {},\n\
              \x20 \"redispatched_jobs\": {},\n\
-             \x20 \"chunks_ingested\": {},\n\
-             \x20 \"backpressure_waits\": {},\n\
-             \x20 \"passes_inflight_max\": {}\n}}\n",
+             \x20 \"chunks_ingested\": {}\n}}\n",
             self.subgrids_fft,
             self.subgrids_ifft,
             self.subgrids_added,
@@ -192,8 +184,6 @@ impl MetricsSnapshot {
             self.degradation_steps,
             self.redispatched_jobs,
             self.chunks_ingested,
-            self.backpressure_waits,
-            self.passes_inflight_max,
         );
         out
     }
@@ -247,8 +237,6 @@ mod tests {
         m.breaker_trips = 5;
         m.degradation_steps = 7;
         m.chunks_ingested = 9;
-        m.backpressure_waits = 4;
-        m.passes_inflight_max = 2;
         let j1 = m.to_json();
         let j2 = m.to_json();
         assert_eq!(j1, j2);
@@ -258,8 +246,6 @@ mod tests {
         assert!(j1.contains("\"breaker_trips\": 5"));
         assert!(j1.contains("\"degradation_steps\": 7"));
         assert!(j1.contains("\"chunks_ingested\": 9"));
-        assert!(j1.contains("\"backpressure_waits\": 4"));
-        assert!(j1.contains("\"passes_inflight_max\": 2"));
     }
 
     #[test]

@@ -245,22 +245,9 @@ pub fn add_redispatched_jobs(n: u64) {
     with_collector(|c| c.metrics.redispatched_jobs += n);
 }
 
-/// Record `n` chunks run by the streaming scheduler.
+/// Record `n` chunks run by a streamed pass.
 pub fn add_chunks_ingested(n: u64) {
     with_collector(|c| c.metrics.chunks_ingested += n);
-}
-
-/// Record a scheduler run's `max(0, nr_chunks − max_inflight)` (see
-/// `idg_stream::StreamStats::backpressure_waits`).
-pub fn add_backpressure_waits(n: u64) {
-    with_collector(|c| c.metrics.backpressure_waits += n);
-}
-
-/// Record a scheduler run's `min(max_inflight, nr_chunks)` (see
-/// `idg_stream::StreamStats::inflight_max`; max-merged: the snapshot
-/// keeps the largest seen in the session).
-pub fn record_passes_inflight(n: u64) {
-    with_collector(|c| c.metrics.passes_inflight_max = c.metrics.passes_inflight_max.max(n));
 }
 
 /// Record a span with *modeled* time (seconds on the device model's

@@ -38,8 +38,9 @@
 # (no verdict under five pairs; a claim needs ten).
 # With --record FILE, every printed row is also appended to FILE as one
 # JSON line: workload, metric, parent and change revs (the change rev
-# ends "+dirty" when the working tree differs from HEAD), seed, seconds,
-# pairs, both medians and quartiles, ratio, wins and verdict.
+# ends "+dirty" when the working tree differs from HEAD anywhere but in
+# FILE and benchmark/Cargo.lock), seed, seconds, pairs, both medians and
+# quartiles, ratio, wins and verdict.
 # Exit status: 0, or 1 if any run was not `correct` or any row reads
 # `regression`.
 set -euo pipefail
@@ -69,8 +70,12 @@ repo=$(git -C "$(dirname "${BASH_SOURCE[0]}")" rev-parse --show-toplevel)
 cd "$repo"
 rev=$(git rev-parse --short=12 "${parent_rev}^{commit}")
 change_rev=$(git rev-parse --short=12 HEAD)
-# (the benchmark build rewrites its own lock file; that is not a change)
-git diff --quiet HEAD -- ':!benchmark/Cargo.lock' || change_rev+="+dirty"
+# (the benchmark build rewrites its own lock file, and a --record file
+# in the tree grows by this script's own rows; neither is a change)
+unchanged=(':!benchmark/Cargo.lock')
+top=$(realpath "$repo")
+[[ $record != "$top"/* ]] || unchanged+=(":(top,exclude)${record#"$top"/}")
+git diff --quiet HEAD -- "${unchanged[@]}" || change_rev+="+dirty"
 root="$repo/target/bench_pairs"
 parent_src=$(realpath -m "${TMPDIR:-/tmp}/idg-bench-pairs/parent-$rev")
 # no cargo config above the export but cargo's own home, which both
