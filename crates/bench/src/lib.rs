@@ -212,10 +212,11 @@ pub fn streamed_benchmark_dataset(scale: usize) -> Dataset {
 }
 
 /// Run the streamed-ingestion gridding pass on the modeled Pascal
-/// device: one chunk per A-term interval, two workers, at most two
-/// passes at once. Every timing in the report is modeled (the chunk
-/// makespans come from the pipeline clock, the stream makespan from
-/// deterministic list scheduling), and `inflight_max` and
+/// device: one chunk per A-term interval, each the one-shot pass over
+/// its cut of the plan, run one after another (`workers` and
+/// `max_inflight` of 2 change nothing that runs). Every timing in the
+/// report is modeled (each chunk's makespan comes from the pipeline
+/// clock, the stream's is their sum), and `inflight_max` and
 /// `backpressure_waits` are functions of the configuration, so the
 /// whole `stream` row is pinned exactly by the golden suite.
 pub fn stream_run(ds: &Dataset) -> ExecutionReport {
@@ -232,8 +233,8 @@ pub fn stream_run(ds: &Dataset) -> ExecutionReport {
 /// The `stream` row of a BENCH_*.json export: chunk/worker shape and
 /// the two `max_inflight` stats next to the one-shot rows.
 /// Every column is deterministic, so none carries the `_wall` mask
-/// suffix; `makespan_s` is the modeled streamed makespan (overlapped
-/// chunks + the final commit).
+/// suffix; `makespan_s` is the modeled streamed makespan (the sum of
+/// the chunk passes' makespans).
 pub fn stream_bench_row(scale: usize, report: &ExecutionReport) -> FigRow {
     let stats = report
         .stream
@@ -259,7 +260,8 @@ pub fn stream_bench_row(scale: usize, report: &ExecutionReport) -> FigRow {
 /// the modeled Pascal device, splitting a model grid (produced by a
 /// one-shot gridding pass over the same data set) back into predicted
 /// visibilities chunk by chunk. Same chunk policy and window shape;
-/// every timing is modeled, so the row pins exactly.
+/// every timing is modeled (the makespan is the chunk passes' summed),
+/// so the row pins exactly.
 pub fn stream_degrid_run(ds: &Dataset) -> ExecutionReport {
     use idg::{ChunkPolicy, StreamConfig};
 

@@ -101,7 +101,7 @@ fn bench_pass_rows_json_matches_golden_snapshot() {
 #[test]
 fn stream_bench_json_matches_golden_snapshot() {
     // The `stream` and `stream_degrid` rows are entirely modeled and
-    // their backpressure metrics are deterministic by construction, so
+    // their backpressure metrics are closed forms of the configuration, so
     // every column is pinned exactly (their own snapshot file: the
     // one-shot BENCH_*.json goldens predate streaming and stay
     // untouched).
@@ -121,7 +121,7 @@ fn stream_bench_json_matches_golden_snapshot() {
             .unwrap_or_else(|| panic!("{label} row carries backpressure_waits"));
         assert!(
             waits >= 1.0,
-            "{label}: admission window must constrain the stream"
+            "{label}: more chunks than max_inflight must report a backpressure wait"
         );
         assert!(bench_row_value(&masked, label, GOLDEN_SCALE, "makespan_s").is_some());
     }

@@ -241,7 +241,7 @@ fn same_seed_streamed_degrid_runs_have_byte_identical_metrics() {
 
 #[test]
 fn streamed_degrid_entry_points_reject_degenerate_parameters_typed() {
-    // zero chunk bounds, zero workers and a zero admission window must
+    // zero chunk bounds, zero workers and a zero max_inflight must
     // all surface as typed `InvalidParameter` errors — not panics, not
     // silently-empty streams — on both degrid entry points
     use idg::stream::ChunkPolicy;

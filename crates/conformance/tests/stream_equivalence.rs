@@ -8,8 +8,8 @@
 //! rest of the suite checks: streaming is pure re-scheduling of the
 //! same f32 arithmetic, so not a single ULP of drift is tolerated. The
 //! bit-identity rests on A-term-snapped chunk boundaries, the shared
-//! whole-observation uv extents, and the single in-order deferred
-//! commit (see `idg::proxy::streaming`); this suite is what pins that
+//! whole-observation uv extents, and the chunks adding their jobs in
+//! plan order (see `idg::proxy::streaming`); this suite is what pins that
 //! argument against every backend's execution shape — including a
 //! fault-injected fleet, where transient recovery must be exact, and
 //! persistent device faults, whose CPU fallback must land at the failed

@@ -11,7 +11,7 @@ use idg_fft::Direction;
 use idg_gpusim::kernels::{degridder_gpu, gridder_gpu};
 use idg_gpusim::{
     BreakerConfig, Device, FaultConfig, FleetExecutor, FleetRunReport, GpuExecutor, GriddedJob,
-    JobFailure, PassTotals, RetryPolicy, Sink,
+    JobFailure, PassTotals, RetryPolicy,
 };
 use idg_kernels::{
     add_subgrids, check_launch, check_placement, degridder_cpu, degridder_reference, fft_subgrids,
@@ -656,7 +656,7 @@ impl Proxy {
     ) -> Result<ExecutionReport, IdgError> {
         let data = self.gridding_input(uvw, visibilities, aterms)?;
         self.check_grid_size(grid)?;
-        self.grid_pass(grid, &data, plan, Sink::Commit, None)
+        self.grid_pass(grid, &data, plan, None)
     }
 
     /// The one gridding body, behind [`Proxy::grid_into`] and every
@@ -664,17 +664,15 @@ impl Proxy {
     /// back-end's gridder → subgrid FFT over `plan`, job by job, adding
     /// each job's subgrids onto `grid` in job order as it is handed over.
     /// On a host back-end the adds' wall time is the report's adder
-    /// column. On the device back-ends `sink` picks the modeled adder
-    /// shape, and a job the device failed for good is re-gridded on the
-    /// CPU reference kernels at its turn, so the adds run in the order
-    /// of a host pass. `tag` labels the host stage and adder spans (the
+    /// column. On the device back-ends a job the device failed for good
+    /// is re-gridded on the CPU reference kernels at its turn, so the
+    /// adds run in the order of a host pass. `tag` labels the host stage and adder spans (the
     /// chunk index of a streamed pass).
     fn grid_pass(
         &self,
         grid: &mut Grid<f32>,
         data: &KernelData<'_>,
         plan: &Plan,
-        sink: Sink,
         tag: Option<u32>,
     ) -> Result<ExecutionReport, IdgError> {
         let nr_items = plan.items.len();
@@ -700,8 +698,8 @@ impl Proxy {
                 };
                 let ((), totals, fleet) = self.on_device(
                     &mut hand_over,
-                    |e, commit| e.grid(data, plan, sink, commit).map(|t| ((), t)),
-                    |f, commit| f.grid(data, plan, sink, commit).map(|r| ((), r)),
+                    |e, commit| e.grid(data, plan, commit).map(|t| ((), t)),
+                    |f, commit| f.grid(data, plan, commit).map(|r| ((), r)),
                 )?;
                 Ok(self.device_report(totals, nr_items, fleet))
             }

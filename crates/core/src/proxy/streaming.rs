@@ -42,17 +42,16 @@
 //! worker count and fault schedule; see DESIGN.md §12.
 //!
 //! A stream holds what a one-shot pass holds: one job's subgrids on a
-//! clean gridding pass, one chunk's rows on a degrid pass. One-shot is
-//! still not the one-chunk stream (DESIGN.md §12), for two reasons only:
-//! the one-shot GPU pass models the paper's device-resident grid and
-//! device adder (Sec. V-C e, [`Sink::Commit`]), where a chunk models a
-//! host commit ([`Sink::Defer`]); and a streamed report carries the
-//! stream's stats and its modeled commit.
+//! clean gridding pass, one chunk's rows on a degrid pass. Each chunk
+//! is the one-shot pass over its cut of the plan, and the stream's
+//! report is the sum of the chunk passes' reports, its modeled total
+//! the sum of their makespans in chunk order (the chunks run one after
+//! another). One-shot differs from the one-chunk stream only in its
+//! report, which carries no stream stats (DESIGN.md §12).
 
 use super::Proxy;
 use crate::report::ExecutionReport;
 use crate::stream::{chunk_observation, Chunk, ChunkPolicy, StreamStats};
-use idg_gpusim::{host_adder_time, Sink, HOST_ADDER_BW};
 use idg_kernels::KernelData;
 use idg_plan::Plan;
 use idg_telescope::ATerms;
@@ -65,14 +64,15 @@ use std::time::Instant;
 pub struct StreamConfig {
     /// Time-axis chunking bounds (A-term snapping applies on top).
     pub policy: ChunkPolicy,
-    /// With `max_inflight`, sets the lanes of the modeled stream
-    /// (`lanes = min(workers, max_inflight)`) that a device back-end
-    /// list-schedules the chunk makespans onto. The chunks themselves
-    /// run in order on the calling thread whatever its value.
+    /// Reported as [`StreamStats::nr_workers`] and validated positive;
+    /// changes nothing that runs or is modeled (the chunks run in order
+    /// on the calling thread). Kept for the benchmark's callers until
+    /// the benchmark stops reading it, when it goes.
     pub workers: usize,
-    /// With `workers`, sets the modeled lanes; also the closed form of
-    /// the stream's `inflight_max` and `backpressure_waits`. Changes
-    /// nothing that runs.
+    /// The closed form of the stream's `inflight_max` and
+    /// `backpressure_waits`, validated positive; changes nothing that
+    /// runs or is modeled. Kept, like `workers`, until the benchmark
+    /// stops reading it.
     pub max_inflight: usize,
 }
 
@@ -90,8 +90,7 @@ impl StreamConfig {
     }
 
     /// Typed rejection of degenerate configurations: zero-sized chunk
-    /// bounds, zero workers or a zero `max_inflight` (a stream of no
-    /// lanes).
+    /// bounds, zero workers or a zero `max_inflight`.
     pub fn validate(&self) -> Result<(), IdgError> {
         self.policy.validate()?;
         if self.workers == 0 {
@@ -154,29 +153,11 @@ fn partition(plan: &Plan, chunks: &[Chunk]) -> Result<Vec<Plan>, IdgError> {
     Ok(parts)
 }
 
-/// Deterministic makespan model of a stream's chunk passes on the
-/// device: greedy list scheduling of the chunk makespans, in ingestion
-/// order, onto `lanes` modeled lanes — `min(workers, max_inflight)`.
-fn stream_makespan(chunk_makespans: &[f64], lanes: usize) -> f64 {
-    let mut lane_busy = vec![0.0f64; lanes.max(1)];
-    for &m in chunk_makespans {
-        let mut earliest = 0usize;
-        for (i, &t) in lane_busy.iter().enumerate() {
-            if t < lane_busy[earliest] {
-                earliest = i;
-            }
-        }
-        lane_busy[earliest] += m;
-    }
-    lane_busy.iter().fold(0.0f64, |a, &b| a.max(b))
-}
-
-/// Add chunk report `b` onto the running stream report `a`: stage
-/// seconds, counters, launches, energies and the scalar fault-tolerance
-/// counters are additive across chunk passes; `total_seconds` is not
-/// (modeled chunks overlap on the lanes) and is set when the stream
-/// report is sealed. `b`'s
-/// chunk-local fallback indices become stream-global ones.
+/// Add chunk report `b` onto the running stream report `a`: the total,
+/// stage seconds, counters, launches, energies and the scalar
+/// fault-tolerance counters are additive across chunk passes, which run
+/// one after another. `b`'s chunk-local fallback indices become
+/// stream-global ones.
 fn sum_reports(mut a: ExecutionReport, mut b: ExecutionReport) -> ExecutionReport {
     for failure in &mut b.fallback_jobs {
         failure.job += a.launched_jobs;
@@ -185,6 +166,7 @@ fn sum_reports(mut a: ExecutionReport, mut b: ExecutionReport) -> ExecutionRepor
     a.counts.add(&b.counts);
     a.launched_items += b.launched_items;
     a.launched_jobs += b.launched_jobs;
+    a.total_seconds += b.total_seconds;
     a.kernel_seconds += b.kernel_seconds;
     a.fft_seconds += b.fft_seconds;
     a.adder_seconds += b.adder_seconds;
@@ -257,18 +239,14 @@ impl Proxy {
     /// output — in chunk order on the calling thread, each under a
     /// `chunk` span; the first error ends the stream: no later chunk
     /// runs. A pass that panics unwinds to the caller, as a one-shot
-    /// pass does. Returns
-    /// the chunk reports summed and sealed: on a modeled back-end the
-    /// commits' modeled time `commit_model(&plan)` joins the
-    /// adder/splitter column and the total is the list-scheduled chunk
-    /// makespans plus that commit; on the host the total is the wall
-    /// clock since the stream started.
+    /// pass does. Returns the chunk reports summed in chunk order, so a
+    /// modeled total is the sum of the chunk makespans; on the host the
+    /// total is the wall clock since the stream started.
     fn stream_chunks(
         &self,
         config: &StreamConfig,
         uvw: &[Uvw],
         mut pass: impl FnMut(&Chunk, &Plan) -> Result<ExecutionReport, IdgError>,
-        commit_model: impl FnOnce(&Plan) -> f64,
     ) -> Result<ExecutionReport, IdgError> {
         config.validate()?;
         let chunks = chunk_observation(&self.obs, &config.policy)?;
@@ -277,12 +255,10 @@ impl Proxy {
         let plan = self.plan(uvw)?;
         let parts = partition(&plan, &chunks)?;
         idg_obs::add_chunks_ingested(chunks.len() as u64);
-        let mut makespans = Vec::with_capacity(chunks.len());
         let mut summed: Option<ExecutionReport> = None;
         for (chunk, part) in chunks.iter().zip(&parts) {
             let _span = idg_obs::wall_span("chunk", "stage", u32::try_from(chunk.index).ok());
             let report = pass(chunk, part)?;
-            makespans.push(report.total_seconds);
             summed = Some(match summed {
                 Some(sum) => sum_reports(sum, report),
                 None => report,
@@ -290,12 +266,7 @@ impl Proxy {
         }
         let mut report =
             summed.ok_or_else(|| IdgError::Internal("stream produced no chunks".into()))?;
-        if report.modeled {
-            let commit = commit_model(&plan);
-            let lanes = config.workers.min(config.max_inflight);
-            report.adder_seconds += commit;
-            report.total_seconds = stream_makespan(&makespans, lanes) + commit;
-        } else {
+        if !report.modeled {
             report.total_seconds = started.elapsed().as_secs_f64();
         }
         // per-chunk device breakdowns are not aggregated across the
@@ -333,16 +304,10 @@ impl Proxy {
     ) -> Result<(Grid<f32>, ExecutionReport), IdgError> {
         let data = self.gridding_input(uvw, visibilities, aterms)?;
         let mut grid = Grid::<f32>::new(self.obs.grid_size);
-        let n = self.obs.subgrid_size;
-        let report = self.stream_chunks(
-            config,
-            uvw,
-            |chunk, plan| {
-                let tag = u32::try_from(chunk.index).ok();
-                self.grid_pass(&mut grid, &data, plan, Sink::Defer, tag)
-            },
-            |plan| host_adder_time(plan.items.len(), n),
-        )?;
+        let report = self.stream_chunks(config, uvw, |chunk, plan| {
+            let tag = u32::try_from(chunk.index).ok();
+            self.grid_pass(&mut grid, &data, plan, tag)
+        })?;
         Ok((grid, report))
     }
 
@@ -382,8 +347,8 @@ impl Proxy {
     /// meets it (no later chunk runs): a non-finite model-grid sample
     /// fails the pass only if a chunk's footprints read it.
     /// [`IdgError::InvalidParameter`] for a
-    /// degenerate [`StreamConfig`]: a zero chunk bound, worker count or
-    /// admission window.
+    /// degenerate [`StreamConfig`]: a zero chunk bound, `workers` or
+    /// `max_inflight`.
     pub fn degrid_streamed(
         &self,
         config: &StreamConfig,
@@ -395,31 +360,24 @@ impl Proxy {
         let nr_chan = self.obs.nr_channels();
         let per_baseline = self.obs.nr_timesteps * nr_chan;
         let mut vis = Visibility::<f32>::zeroed_vec(self.obs.nr_visibilities());
-        let report = self.stream_chunks(
-            config,
-            uvw,
-            |chunk, plan| {
-                let (rows, mut report) = self.run_degrid_chunk(&data, chunk, plan, grid)?;
-                let _span =
-                    idg_obs::wall_span("vis_commit", "stage", u32::try_from(chunk.index).ok());
-                let t = Instant::now();
-                // a chunk's window holds each baseline's rows of its time
-                // range contiguously, as the observation does
-                let time = &chunk.time_range;
-                let block = time.start * nr_chan..time.end * nr_chan;
-                let baselines = vis.chunks_exact_mut(per_baseline);
-                for (dst, src) in baselines.zip(rows.chunks_exact(block.len())) {
-                    dst[block.clone()].copy_from_slice(src);
-                }
-                // a modeled commit joins the column when the stream is sealed
-                if !report.modeled {
-                    report.adder_seconds += t.elapsed().as_secs_f64();
-                }
-                Ok(report)
-            },
-            // each predicted visibility is one 4-pol read + write (32 B)
-            |plan| (plan.nr_gridded_visibilities() * 2 * 32) as f64 / HOST_ADDER_BW,
-        )?;
+        let report = self.stream_chunks(config, uvw, |chunk, plan| {
+            let (rows, mut report) = self.run_degrid_chunk(&data, chunk, plan, grid)?;
+            let _span = idg_obs::wall_span("vis_commit", "stage", u32::try_from(chunk.index).ok());
+            let t = Instant::now();
+            // a chunk's window holds each baseline's rows of its time
+            // range contiguously, as the observation does
+            let time = &chunk.time_range;
+            let block = time.start * nr_chan..time.end * nr_chan;
+            let baselines = vis.chunks_exact_mut(per_baseline);
+            for (dst, src) in baselines.zip(rows.chunks_exact(block.len())) {
+                dst[block.clone()].copy_from_slice(src);
+            }
+            // a modeled chunk reports its one-shot pass alone
+            if !report.modeled {
+                report.adder_seconds += t.elapsed().as_secs_f64();
+            }
+            Ok(report)
+        })?;
         Ok((vis, report))
     }
 
@@ -680,18 +638,13 @@ mod tests {
             let data = proxy.degridding_input(&model, &ds.uvw, &ds.aterms).unwrap();
             let mut times = Vec::new();
             proxy
-                .stream_chunks(
-                    &config,
-                    &ds.uvw,
-                    |chunk, plan| {
-                        let (rows, report) = proxy.run_degrid_chunk(&data, chunk, plan, &model)?;
-                        let time = chunk.time_range.clone();
-                        assert_eq!(rows.len(), time.len() * per_step, "{backend:?}");
-                        times.push(time);
-                        Ok(report)
-                    },
-                    |_| 0.0,
-                )
+                .stream_chunks(&config, &ds.uvw, |chunk, plan| {
+                    let (rows, report) = proxy.run_degrid_chunk(&data, chunk, plan, &model)?;
+                    let time = chunk.time_range.clone();
+                    assert_eq!(rows.len(), time.len() * per_step, "{backend:?}");
+                    times.push(time);
+                    Ok(report)
+                })
                 .unwrap();
             assert_eq!(times, [0..32, 32..48], "{backend:?}");
         }
@@ -742,13 +695,88 @@ mod tests {
     }
 
     #[test]
-    fn modeled_stream_makespan_overlaps_chunks_across_lanes() {
-        // two equal chunks on two lanes finish in one chunk's time
-        let span = stream_makespan(&[1.0, 1.0], 2);
-        assert!((span - 1.0).abs() < 1e-12);
-        // one lane serializes them
-        assert!((stream_makespan(&[1.0, 1.0], 1) - 2.0).abs() < 1e-12);
-        // list scheduling packs the short chunks behind the long one
-        assert!((stream_makespan(&[3.0, 1.0, 1.0, 1.0], 2) - 3.0).abs() < 1e-12);
+    fn modeled_streamed_report_is_the_sum_of_one_shot_chunk_passes() {
+        // each chunk is the one-shot pass over its cut of the plan, and
+        // the chunks run one after another: the stream's report is their
+        // reports summed in chunk order, to the bit
+        let ds = dataset();
+        let config = StreamConfig::new(ChunkPolicy::by_timesteps(16), 2, 2);
+        let chunks = chunk_observation(&ds.obs, &config.policy).unwrap();
+        assert_eq!(chunks.len(), 3);
+        let device = || Proxy::new(Backend::GpuPascal, ds.obs.clone()).unwrap();
+        let proxies = [("single", device()), ("fleet", device().with_fleet(2))];
+        for ((shape, proxy), direction) in proxies
+            .iter()
+            .flat_map(|p| ["gridding", "degridding"].map(|d| (p, d)))
+        {
+            let plan = proxy.plan(&ds.uvw).unwrap();
+            let (model, _) = proxy
+                .grid(&plan, &ds.uvw, &ds.visibilities, &ds.aterms)
+                .unwrap();
+            let one_shot = |sub: &Plan| match direction {
+                "gridding" => {
+                    proxy
+                        .grid(sub, &ds.uvw, &ds.visibilities, &ds.aterms)
+                        .unwrap()
+                        .1
+                }
+                _ => proxy.degrid(sub, &model, &ds.uvw, &ds.aterms).unwrap().1,
+            };
+            let streamed = match direction {
+                "gridding" => {
+                    proxy
+                        .grid_streamed(&config, &ds.uvw, &ds.visibilities, &ds.aterms)
+                        .unwrap()
+                        .1
+                }
+                _ => {
+                    proxy
+                        .degrid_streamed(&config, &model, &ds.uvw, &ds.aterms)
+                        .unwrap()
+                        .1
+                }
+            };
+            let mut seconds = [0.0f64; 5];
+            let mut energy = [0.0f64; 2];
+            let mut counts = idg_perf::OpCounts::default();
+            let (mut items, mut jobs) = (0, 0);
+            for chunk in &chunks {
+                let time = &chunk.time_range;
+                let r = one_shot(&plan.subset(|item| time.contains(&item.time_offset)));
+                let parts = [
+                    r.total_seconds,
+                    r.kernel_seconds,
+                    r.fft_seconds,
+                    r.adder_seconds,
+                    r.transfer_seconds,
+                ];
+                for (sum, part) in seconds.iter_mut().zip(parts) {
+                    *sum += part;
+                }
+                energy[0] += r.device_energy_j.unwrap();
+                energy[1] += r.host_energy_j.unwrap();
+                counts.add(&r.counts);
+                items += r.launched_items;
+                jobs += r.launched_jobs;
+            }
+            let got = [
+                streamed.total_seconds,
+                streamed.kernel_seconds,
+                streamed.fft_seconds,
+                streamed.adder_seconds,
+                streamed.transfer_seconds,
+            ];
+            let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let tag = (shape, direction);
+            assert_eq!(bits(&got), bits(&seconds), "{tag:?}: stage seconds");
+            let got_energy = [
+                streamed.device_energy_j.unwrap(),
+                streamed.host_energy_j.unwrap(),
+            ];
+            assert_eq!(bits(&got_energy), bits(&energy), "{tag:?}: energies");
+            assert_eq!(streamed.counts, counts, "{tag:?}");
+            assert_eq!(streamed.launched_items, items, "{tag:?}");
+            assert_eq!(streamed.launched_jobs, jobs, "{tag:?}");
+        }
     }
 }

@@ -84,8 +84,9 @@ pub struct ExecutionReport {
     /// existing consumers are unaffected.
     pub metrics: Option<MetricsSnapshot>,
     /// Chunked-ingestion summary when the pass was streamed
-    /// ([`crate::Proxy::grid_streamed`]): chunk/worker counts and the
-    /// two `max_inflight` stats. `None` for one-shot passes.
+    /// ([`crate::Proxy::grid_streamed`] or
+    /// [`crate::Proxy::degrid_streamed`]): the chunk count and the
+    /// configuration's closed forms. `None` for one-shot passes.
     pub stream: Option<StreamStats>,
 }
 
@@ -187,10 +188,9 @@ impl std::fmt::Display for ExecutionReport {
         if let Some(s) = &self.stream {
             writeln!(
                 f,
-                "  stream {} ({} chunks, {} modeled lanes (workers {}, window {})), peak inflight {}, {} backpressure waits",
+                "  stream {} ({} chunks, workers {}, window {}), peak inflight {}, {} backpressure waits",
                 self.pass,
                 s.nr_chunks,
-                s.nr_workers.min(s.max_inflight),
                 s.nr_workers,
                 s.max_inflight,
                 s.inflight_max,
@@ -356,7 +356,7 @@ mod tests {
         };
         let text = r.to_string();
         assert!(text.contains("stream degridding"));
-        assert!(text.contains("4 chunks, 2 modeled lanes (workers 2, window 2)"));
+        assert!(text.contains("4 chunks, workers 2, window 2)"));
         assert!(text.contains("2 backpressure waits"));
     }
 

@@ -119,20 +119,21 @@ pub fn chunk_observation(obs: &Observation, policy: &ChunkPolicy) -> Result<Vec<
 
 /// Summary of one streamed pass, carried in
 /// [`crate::ExecutionReport::stream`]: the chunk count and functions of
-/// it and the [`crate::StreamConfig`].
+/// it and the [`crate::StreamConfig`]. Only `nr_chunks` describes what
+/// ran; the other fields restate the configuration, change nothing that
+/// runs or is modeled, and stay only while the benchmark reads them.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct StreamStats {
-    /// Chunks the splitter produced, each run once.
+    /// Chunks the splitter produced, each run once, in order.
     pub nr_chunks: usize,
-    /// The configured `workers`: with `max_inflight`, the modeled
-    /// lanes (`min(nr_workers, max_inflight)`).
+    /// The configured `workers`.
     pub nr_workers: usize,
-    /// The configured `max_inflight`: with `nr_workers`, the modeled
-    /// lanes.
+    /// The configured `max_inflight`.
     pub max_inflight: usize,
-    /// `min(max_inflight, nr_chunks)`.
+    /// `min(max_inflight, nr_chunks)`, a closed form: one chunk is in
+    /// flight at a time.
     pub inflight_max: usize,
-    /// `max(0, nr_chunks − max_inflight)`.
+    /// `max(0, nr_chunks − max_inflight)`, a closed form: nothing waits.
     pub backpressure_waits: u64,
     /// Always 0: the first failing chunk pass ends the stream with its
     /// error and no stats.

@@ -33,7 +33,7 @@
 use crate::device::Device;
 use crate::fault::{FaultConfig, RetryPolicy};
 use crate::kernels::check_device;
-use crate::pass::{DeviceSlot, Direction, GriddedJob, JobRun, Pass, PassTotals, Sink};
+use crate::pass::{DeviceSlot, Direction, GriddedJob, JobRun, Pass, PassTotals};
 use idg_kernels::{KernelData, KernelTables};
 use idg_plan::Plan;
 use idg_types::{Grid, IdgError, Visibility};
@@ -131,8 +131,8 @@ impl<'t> GpuExecutor<'t> {
     /// `plan.items` range with its subgrids (one call per staged chunk),
     /// or, for a job that failed persistently, its whole range with its
     /// [`JobFailure`] (also listed in [`PassTotals::failed_jobs`]).
-    /// `sink` says what the caller does with them and so which adder
-    /// shape of Sec. V-C e the job model charges.
+    /// The job model charges the device adder where the grid fits in
+    /// device memory and the host adder where it does not (Sec. V-C e).
     ///
     /// Whole-pass setup failures (the buffer sets not fitting in device
     /// memory, a launch configuration no kernel can run with) error out
@@ -144,10 +144,9 @@ impl<'t> GpuExecutor<'t> {
         &self,
         data: &KernelData<'_>,
         plan: &Plan,
-        sink: Sink,
         mut commit: impl FnMut(Range<usize>, GriddedJob<'_>) -> Result<(), IdgError>,
     ) -> Result<PassTotals, IdgError> {
-        let (_, totals) = self.run(data, plan, Direction::Grid(sink, &mut commit))?;
+        let (_, totals) = self.run(data, plan, Direction::Grid(&mut commit))?;
         Ok(totals)
     }
 
@@ -230,7 +229,7 @@ mod tests {
         let data = kernel_data(&ds, &taper);
         let exec = GpuExecutor::new(Device::pascal(), 8, &tables);
         let (grid, report) = fresh_grid(&plan, |g| {
-            exec.grid(&data, &plan, Sink::Commit, add_onto(g, &plan, &tables))
+            exec.grid(&data, &plan, add_onto(g, &plan, &tables))
         })
         .unwrap();
         assert!(grid.power() > 0.0, "grid received energy");
@@ -259,7 +258,7 @@ mod tests {
 
         let exec = GpuExecutor::new(Device::pascal(), 4, &tables);
         let (gpu_grid, _) = fresh_grid(&plan, |g| {
-            exec.grid(&data, &plan, Sink::Commit, add_onto(g, &plan, &tables))
+            exec.grid(&data, &plan, add_onto(g, &plan, &tables))
         })
         .unwrap();
 
@@ -292,7 +291,7 @@ mod tests {
         // build a model grid by gridding the data first
         let exec = GpuExecutor::new(Device::fiji(), 4, &tables);
         let (grid, _) = fresh_grid(&plan, |g| {
-            exec.grid(&data, &plan, Sink::Commit, add_onto(g, &plan, &tables))
+            exec.grid(&data, &plan, add_onto(g, &plan, &tables))
         })
         .unwrap();
         let (pred, report) = exec.degrid(&data, &plan, &grid).unwrap();
@@ -338,14 +337,14 @@ mod tests {
         device.arch.mem_size_gb = Some(0.001); // 1 MB device
         let exec_small = GpuExecutor::new(device, 8, &tables);
         let (grid_fallback, report) = fresh_grid(&plan, |g| {
-            exec_small.grid(&data, &plan, Sink::Commit, add_onto(g, &plan, &tables))
+            exec_small.grid(&data, &plan, add_onto(g, &plan, &tables))
         })
         .unwrap();
         assert!(report.dtoh_seconds > 0.0, "subgrids streamed to the host");
 
         let exec_full = GpuExecutor::new(Device::fiji(), 8, &tables);
         let (grid_resident, _) = fresh_grid(&plan, |g| {
-            exec_full.grid(&data, &plan, Sink::Commit, add_onto(g, &plan, &tables))
+            exec_full.grid(&data, &plan, add_onto(g, &plan, &tables))
         })
         .unwrap();
         assert_eq!(grid_fallback.as_slice(), grid_resident.as_slice());
@@ -365,7 +364,6 @@ mod tests {
             fresh_grid(&plan, |g| exec.grid(
                 &data,
                 &plan,
-                Sink::Commit,
                 add_onto(g, &plan, &tables)
             )),
             Err(IdgError::DeviceOutOfMemory { .. })
@@ -383,7 +381,6 @@ mod tests {
             GpuExecutor::new(Device::pascal(), 8, &tables).grid(
                 &data,
                 &plan,
-                Sink::Commit,
                 add_onto(g, &plan, &tables),
             )
         })
@@ -392,7 +389,6 @@ mod tests {
             GpuExecutor::new(Device::fiji(), 8, &tables).grid(
                 &data,
                 &plan,
-                Sink::Commit,
                 add_onto(g, &plan, &tables),
             )
         })
@@ -421,7 +417,6 @@ mod tests {
             GpuExecutor::new(Device::pascal(), 4, &tables).grid(
                 &data,
                 &plan,
-                Sink::Commit,
                 add_onto(g, &plan, &tables),
             )
         })
@@ -450,7 +445,7 @@ mod tests {
         let exec = GpuExecutor::new(Device::pascal(), 4, &tables).with_faults(faults);
         let session = idg_obs::Session::begin("retries");
         let (grid, report) = fresh_grid(&plan, |g| {
-            exec.grid(&data, &plan, Sink::Commit, add_onto(g, &plan, &tables))
+            exec.grid(&data, &plan, add_onto(g, &plan, &tables))
         })
         .unwrap();
         let trace = session.finish();
@@ -510,7 +505,7 @@ mod tests {
             .with_faults(faults)
             .with_retry_policy(retry);
         let (grid, report) = fresh_grid(&plan, |g| {
-            exec.grid(&data, &plan, Sink::Commit, add_onto(g, &plan, &tables))
+            exec.grid(&data, &plan, add_onto(g, &plan, &tables))
         })
         .unwrap();
 
@@ -530,7 +525,6 @@ mod tests {
             GpuExecutor::new(Device::pascal(), m, &tables).grid(
                 &data,
                 &plan,
-                Sink::Commit,
                 add_onto(g, &plan, &tables),
             )
         })
@@ -554,7 +548,7 @@ mod tests {
         }]);
         let exec = GpuExecutor::new(Device::pascal(), 4, &tables).with_faults(faults);
         let (_, report) = fresh_grid(&plan, |g| {
-            exec.grid(&data, &plan, Sink::Commit, add_onto(g, &plan, &tables))
+            exec.grid(&data, &plan, add_onto(g, &plan, &tables))
         })
         .unwrap();
         assert_eq!(report.nr_retries, 0, "OOM is not retried");
@@ -572,7 +566,7 @@ mod tests {
         let data = kernel_data(&ds, &taper);
         let exec = GpuExecutor::new(Device::pascal(), 4, &tables);
         let (grid, _) = fresh_grid(&plan, |g| {
-            exec.grid(&data, &plan, Sink::Commit, add_onto(g, &plan, &tables))
+            exec.grid(&data, &plan, add_onto(g, &plan, &tables))
         })
         .unwrap();
         let (gold, _) = exec.degrid(&data, &plan, &grid).unwrap();
@@ -607,33 +601,37 @@ mod tests {
         let taper = idg_math::spheroidal_2d(ds.obs.subgrid_size);
         let data = kernel_data(&ds, &taper);
         let exec = GpuExecutor::new(Device::pascal(), 8, &tables);
+        // the grid (4·256²·8 B = 2 MB) doesn't fit, the buffers do
+        let mut small = Device::fiji();
+        small.arch.mem_size_gb = Some(0.001); // 1 MB device
+        let exec_small = GpuExecutor::new(small, 8, &tables);
         let (model, _) = fresh_grid(&plan, |g| {
-            exec.grid(&data, &plan, Sink::Commit, add_onto(g, &plan, &tables))
+            exec.grid(&data, &plan, add_onto(g, &plan, &tables))
         })
         .unwrap();
         let nr_jobs = plan.work_groups(8).count();
         assert!(nr_jobs > 1, "want a multi-job schedule");
 
         // the three pass kinds and how each one's Compute interval
-        // subdivides: the device adder keeps one-shot gridding on the
-        // GPU, `Sink::Defer` gridding ends at the FFT (the caller adds), and
-        // degridding runs the reverse chain
+        // subdivides: the device adder keeps gridding on the GPU where
+        // the grid fits, gridding on a device it does not fit ends at
+        // the FFT (the host adds), and degridding runs the reverse chain
         let kinds: [(&str, &[&str]); 3] = [
             ("grid", &["gridder", "subgrid_fft", "adder"]),
-            ("grid_sink_defer", &["gridder", "subgrid_fft"]),
+            ("grid_host_adder", &["gridder", "subgrid_fft"]),
             ("degrid", &["splitter", "subgrid_ifft", "degridder"]),
         ];
         for (kind, expected_kernels) in kinds {
             let session = idg_obs::Session::begin(kind);
             let totals = match kind {
-                "grid" => {
+                "grid" | "grid_host_adder" => {
+                    let exec = if kind == "grid" { &exec } else { &exec_small };
                     fresh_grid(&plan, |g| {
-                        exec.grid(&data, &plan, Sink::Commit, add_onto(g, &plan, &tables))
+                        exec.grid(&data, &plan, add_onto(g, &plan, &tables))
                     })
                     .unwrap()
                     .1
                 }
-                "grid_sink_defer" => exec.grid(&data, &plan, Sink::Defer, |_, _| Ok(())).unwrap(),
                 _ => exec.degrid(&data, &plan, &model).unwrap().1,
             };
             let trace = session.finish();
@@ -682,7 +680,7 @@ mod tests {
         let data = kernel_data(&ds, &taper);
         let exec = GpuExecutor::new(Device::pascal(), 8, &tables);
         let (grid, _) = fresh_grid(&plan, |g| {
-            exec.grid(&data, &plan, Sink::Commit, add_onto(g, &plan, &tables))
+            exec.grid(&data, &plan, add_onto(g, &plan, &tables))
         })
         .unwrap();
 
@@ -741,12 +739,7 @@ mod tests {
         let exec = GpuExecutor::new(Device::pascal(), 4, &tables).with_faults(faults);
         let mut grid = Grid::new(plan.grid_size());
         assert!(matches!(
-            exec.grid(
-                &data,
-                &plan,
-                Sink::Commit,
-                add_onto(&mut grid, &plan, &tables)
-            ),
+            exec.grid(&data, &plan, add_onto(&mut grid, &plan, &tables)),
             Err(IdgError::ShapeMismatch {
                 what: "visibilities",
                 ..

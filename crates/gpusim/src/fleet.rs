@@ -37,7 +37,7 @@ use crate::device::Device;
 use crate::fault::{FaultConfig, RetryPolicy};
 use crate::health::{BreakerConfig, DeviceHealth, JobOutcome};
 use crate::kernels::check_device;
-use crate::pass::{DeviceSlot, Direction, GriddedJob, JobRun, Pass, PassTotals, Sink};
+use crate::pass::{DeviceSlot, Direction, GriddedJob, JobRun, Pass, PassTotals};
 use idg_kernels::{KernelData, KernelTables};
 use idg_plan::Plan;
 use idg_types::{Grid, IdgError, Visibility};
@@ -434,10 +434,9 @@ impl<'t> FleetExecutor<'t> {
         &self,
         data: &KernelData<'_>,
         plan: &Plan,
-        sink: Sink,
         mut commit: impl FnMut(Range<usize>, GriddedJob<'_>) -> Result<(), IdgError>,
     ) -> Result<FleetRunReport, IdgError> {
-        let (_, report) = self.run(data, plan, Direction::Grid(sink, &mut commit))?;
+        let (_, report) = self.run(data, plan, Direction::Grid(&mut commit))?;
         Ok(report)
     }
 
@@ -541,8 +540,10 @@ mod tests {
         }
     }
 
-    /// The three pass kinds every executor offers.
-    const PASS_KINDS: [&str; 3] = ["grid", "grid_sink_defer", "degrid"];
+    /// The pass kinds both executors are held to: gridding added onto a
+    /// grid, gridding with every handed-over job held as it arrives
+    /// (pinning the hand-over itself), and degridding.
+    const PASS_KINDS: [&str; 3] = ["grid", "grid_handover", "degrid"];
 
     fn complex_bits<'c>(
         samples: impl IntoIterator<Item = &'c idg_types::Complex<f32>>,
@@ -553,11 +554,11 @@ mod tests {
             .collect()
     }
 
-    /// The output bits of a `Sink::Defer` gridding pass: every work item's
+    /// What a gridding pass hands over, as bits: every work item's
     /// `plan.items` index followed by its subgrid, in commit order (a
     /// degraded job hands its subgrids back in half-chunk ranges, which
     /// cover the same items in the same order).
-    fn deferred_subgrid_bits(pending: &[(Range<usize>, SubgridArray)]) -> Vec<u32> {
+    fn handed_over_subgrid_bits(pending: &[(Range<usize>, SubgridArray)]) -> Vec<u32> {
         let mut bits = Vec::new();
         for (range, subgrids) in pending {
             for (plane, item) in range.clone().enumerate() {
@@ -569,7 +570,7 @@ mod tests {
     }
 
     /// A commit closure holding every handed-over job's subgrids in
-    /// `pending`, as a stream's chunk pass does.
+    /// `pending`.
     fn hold(
         pending: &mut Vec<(Range<usize>, SubgridArray)>,
     ) -> impl FnMut(Range<usize>, GriddedJob<'_>) -> Result<(), IdgError> + '_ {
@@ -591,17 +592,15 @@ mod tests {
         match kind {
             "grid" => {
                 let (grid, report) = fresh_grid(plan, |g| {
-                    exec.grid(data, plan, Sink::Commit, add_onto(g, plan, exec.tables))
+                    exec.grid(data, plan, add_onto(g, plan, exec.tables))
                 })
                 .unwrap();
                 (complex_bits(grid.as_slice()), report)
             }
-            "grid_sink_defer" => {
+            "grid_handover" => {
                 let mut pending = Vec::new();
-                let report = exec
-                    .grid(data, plan, Sink::Defer, hold(&mut pending))
-                    .unwrap();
-                (deferred_subgrid_bits(&pending), report)
+                let report = exec.grid(data, plan, hold(&mut pending)).unwrap();
+                (handed_over_subgrid_bits(&pending), report)
             }
             _ => {
                 let (vis, report) = exec.degrid(data, plan, model).unwrap();
@@ -621,17 +620,15 @@ mod tests {
         match kind {
             "grid" => {
                 let (grid, report) = fresh_grid(plan, |g| {
-                    fleet.grid(data, plan, Sink::Commit, add_onto(g, plan, fleet.tables))
+                    fleet.grid(data, plan, add_onto(g, plan, fleet.tables))
                 })
                 .unwrap();
                 (complex_bits(grid.as_slice()), report)
             }
-            "grid_sink_defer" => {
+            "grid_handover" => {
                 let mut pending = Vec::new();
-                let report = fleet
-                    .grid(data, plan, Sink::Defer, hold(&mut pending))
-                    .unwrap();
-                (deferred_subgrid_bits(&pending), report)
+                let report = fleet.grid(data, plan, hold(&mut pending)).unwrap();
+                (handed_over_subgrid_bits(&pending), report)
             }
             _ => {
                 let (vis, report) = fleet.degrid(data, plan, model).unwrap();
@@ -651,7 +648,7 @@ mod tests {
         let single = GpuExecutor::new(Device::pascal(), 4, &tables);
         let fleet = FleetExecutor::uniform(Device::pascal(), 1, 4, &tables);
         let (model, _) = fresh_grid(&plan, |g| {
-            single.grid(&data, &plan, Sink::Commit, add_onto(g, &plan, &tables))
+            single.grid(&data, &plan, add_onto(g, &plan, &tables))
         })
         .unwrap();
         for kind in PASS_KINDS {
@@ -659,7 +656,7 @@ mod tests {
             let (out, report) = run_fleet(&fleet, kind, &data, &plan, &model);
 
             // one job model: outputs AND modeled accounting agree to
-            // the last bit, whatever the sink
+            // the last bit, whether the subgrids are added or held
             assert_eq!(out, gold, "{kind}: output bits");
             let totals = &report.totals;
             assert!(totals.complete(), "{kind}");
@@ -702,12 +699,12 @@ mod tests {
 
         let single = GpuExecutor::new(Device::pascal(), 4, &tables);
         let (gold, gold_report) = fresh_grid(&plan, |g| {
-            single.grid(&data, &plan, Sink::Commit, add_onto(g, &plan, &tables))
+            single.grid(&data, &plan, add_onto(g, &plan, &tables))
         })
         .unwrap();
         let fleet = FleetExecutor::uniform(Device::pascal(), 3, 4, &tables);
         let (grid, report) = fresh_grid(&plan, |g| {
-            fleet.grid(&data, &plan, Sink::Commit, add_onto(g, &plan, &tables))
+            fleet.grid(&data, &plan, add_onto(g, &plan, &tables))
         })
         .unwrap();
 
@@ -738,7 +735,7 @@ mod tests {
 
         let fleet = FleetExecutor::uniform(Device::pascal(), 2, wgs, &tables);
         let session = idg_obs::Session::begin("commit_error");
-        let result = fleet.grid(&data, &plan, Sink::Commit, |range, _| {
+        let result = fleet.grid(&data, &plan, |range, _| {
             if range.start >= k * wgs {
                 return Err(IdgError::Internal("commit refused".into()));
             }
@@ -763,7 +760,7 @@ mod tests {
         let data = kernel_data(&ds, &taper);
         let single = GpuExecutor::new(Device::pascal(), 4, &tables);
         let (grid, _) = fresh_grid(&plan, |g| {
-            single.grid(&data, &plan, Sink::Commit, add_onto(g, &plan, &tables))
+            single.grid(&data, &plan, add_onto(g, &plan, &tables))
         })
         .unwrap();
 
@@ -793,7 +790,6 @@ mod tests {
             GpuExecutor::new(Device::pascal(), 1, &tables).grid(
                 &data,
                 &plan,
-                Sink::Commit,
                 add_onto(g, &plan, &tables),
             )
         })
@@ -803,7 +799,7 @@ mod tests {
             .unwrap()
             .with_breaker(test_breaker());
         let (grid, report) = fresh_grid(&plan, |g| {
-            fleet.grid(&data, &plan, Sink::Commit, add_onto(g, &plan, &tables))
+            fleet.grid(&data, &plan, add_onto(g, &plan, &tables))
         })
         .unwrap();
 
@@ -834,7 +830,7 @@ mod tests {
 
         let single = GpuExecutor::new(Device::pascal(), 4, &tables);
         let (model, _) = fresh_grid(&plan, |g| {
-            single.grid(&data, &plan, Sink::Commit, add_onto(g, &plan, &tables))
+            single.grid(&data, &plan, add_onto(g, &plan, &tables))
         })
         .unwrap();
         let oom = FaultConfig::targeted(vec![TargetedFault {
@@ -876,7 +872,6 @@ mod tests {
             GpuExecutor::new(Device::pascal(), 4, &tables).grid(
                 &data,
                 &plan,
-                Sink::Commit,
                 add_onto(g, &plan, &tables),
             )
         })
@@ -900,7 +895,7 @@ mod tests {
             &tables,
         );
         let (grid, report) = fresh_grid(&plan, |g| {
-            fleet.grid(&data, &plan, Sink::Commit, add_onto(g, &plan, &tables))
+            fleet.grid(&data, &plan, add_onto(g, &plan, &tables))
         })
         .unwrap();
         assert_bit_identical(&grid, &gold);
@@ -919,7 +914,7 @@ mod tests {
 
         let single = GpuExecutor::new(Device::pascal(), 4, &tables);
         let (model, _) = fresh_grid(&plan, |g| {
-            single.grid(&data, &plan, Sink::Commit, add_onto(g, &plan, &tables))
+            single.grid(&data, &plan, add_onto(g, &plan, &tables))
         })
         .unwrap();
         let (gold, _) = run_single(&single, "degrid", &data, &plan, &model);
@@ -980,7 +975,6 @@ mod tests {
             fresh_grid(&plan, |g| fleet.grid(
                 &data,
                 &plan,
-                Sink::Commit,
                 add_onto(g, &plan, &tables)
             )),
             Err(IdgError::InvalidParameter(_))

@@ -57,6 +57,6 @@ pub use fault::{FaultConfig, FaultInjector, FaultKind, RetryPolicy, TargetedFaul
 pub use fleet::{DeviceReport, FleetExecutor, FleetMember, FleetRunReport};
 pub use health::{BreakerConfig, BreakerState, DeviceHealth, JobOutcome};
 pub use occupancy::{occupancy, KernelResources, Occupancy};
-pub use pass::{GriddedJob, PassTotals, Sink};
+pub use pass::{GriddedJob, PassTotals};
 pub use stream::{AttemptOutcome, Engine, FaultPoint, OpStatus, PipelineSim, TraceEntry};
-pub use timing::{host_adder_time, kernel_time, transfer_time, HOST_ADDER_BW};
+pub use timing::{kernel_time, transfer_time};

@@ -4,12 +4,11 @@
 //! The paper's host code is one triple-buffered HtoD → kernels → DtoH
 //! job chain (Sec. V-C, Fig. 7) run in two directions. A [`Pass`] is
 //! that chain parameterized by a [`Direction`]; a gridding pass also
-//! takes a [`Sink`], which picks the modeled adder shape only, and the
-//! caller's commit closure:
+//! takes the caller's commit closure:
 //!
 //! | direction | pass (both executors) |
 //! |---|---|
-//! | `Grid(Commit, commit)`, `Grid(Defer, commit)` | `grid` |
+//! | `Grid(commit)` | `grid` |
 //! | `Degrid(&grid)` | `degrid` |
 //!
 //! The pass alone decides when a gridding job reaches the commit
@@ -19,11 +18,12 @@
 //! come, in job order — the job's `plan.items` ranges with their
 //! subgrids, or its [`JobFailure`]. So a pass holds only the jobs
 //! decided ahead of an undecided one: one job's subgrids when jobs
-//! finish in order. What the caller does with them — add them onto a
-//! grid at once, or hold them for a stream's commit — is the caller's.
-//! A degrid pass needs no sink: its jobs write disjoint visibility slots
-//! of one buffer in place, so a streamed degrid chunk is the same
-//! `degrid` pass run over the chunk's own window of the observation.
+//! finish in order. What the caller does with them is the caller's; a
+//! streamed gridding chunk is the same `grid` pass over the chunk's cut
+//! of the plan. A degrid pass hands nothing over: its jobs write
+//! disjoint visibility slots of one buffer in place, so a streamed
+//! degrid chunk is the same `degrid` pass run over the chunk's own
+//! window of the observation.
 //!
 //! The engine owns the **job model** ([`Pass::job_model`], which prices
 //! every device job from the [`crate::timing`] formulas), the
@@ -54,32 +54,11 @@ use std::ops::Range;
 
 /// Which way the job chain runs.
 pub(crate) enum Direction<'a> {
-    /// Visibilities → subgrids, modeled for the given sink and handed
-    /// to the commit closure job by job.
-    Grid(Sink, &'a mut Commit<'a>),
+    /// Visibilities → subgrids, handed to the commit closure job by job.
+    Grid(&'a mut Commit<'a>),
     /// Model grid → subgrids → predicted visibilities, written in place
     /// into the pass's one visibility buffer.
     Degrid(&'a Grid<f32>),
-}
-
-/// What the caller of a gridding pass does with the subgrids it is
-/// handed — the one argument that picks the modeled adder shape of
-/// Sec. V-C e. Either way every job reaches the caller's commit closure
-/// in job order; the sink changes only what the job model charges.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum Sink {
-    /// The caller adds each job onto its grid as it is handed over. The
-    /// paper's device-resident grid and device adder (option (1)) are
-    /// modeled where the grid fits; otherwise subgrids stream to the
-    /// host adder while the GPU computes on (option (2), host add time
-    /// charged).
-    Commit,
-    /// The caller accounts the commit itself: a streamed chunk adds each
-    /// job onto the caller's host grid as it is handed over, and the
-    /// stream charges the adds once, as a modeled host commit. No
-    /// device-resident grid is modeled: buffers-only reservation,
-    /// subgrids stream back over DtoH, no adder charged.
-    Defer,
 }
 
 /// One gridding job's output as a pass hands it to its caller: the
@@ -486,12 +465,10 @@ impl DeviceSlot {
     /// sets, replacing any earlier reservation. Preferred: grid + buffer
     /// sets resident on the device. When the grid no longer fits ("when
     /// dealing with large images that no longer fit into GPU device
-    /// memory", Sec. V-C e) — or a gridding pass's caller defers its
-    /// commit ([`Sink::Defer`]) and no grid is modeled — fall back to
-    /// the paper's option (2): keep only the buffers on the device and
-    /// copy subgrids to the host. Errors
-    /// only when even the buffer sets do not fit; the slot then holds
-    /// no reservation.
+    /// memory", Sec. V-C e) — fall back to the paper's option (2): keep
+    /// only the buffers on the device and copy subgrids to the host.
+    /// Errors only when even the buffer sets do not fit; the slot then
+    /// holds no reservation.
     pub(crate) fn reserve(
         &mut self,
         pass: &Pass<'_>,
@@ -504,8 +481,7 @@ impl DeviceSlot {
         let subgrid_bytes = (staged_items * 4 * n * n * 8) as u64;
         let io_bytes = (staged_items * 512 * 44) as u64; // vis+uvw staging
         let buffers = nr_buffers as u64 * (subgrid_bytes + io_bytes);
-        let deferred = matches!(pass.direction, Direction::Grid(Sink::Defer, _));
-        self.grid_resident = !deferred && self.device.allocate(grid_bytes + buffers).is_ok();
+        self.grid_resident = self.device.allocate(grid_bytes + buffers).is_ok();
         if self.grid_resident {
             self.reserved = grid_bytes + buffers;
         } else {
@@ -626,7 +602,7 @@ impl<'a> Pass<'a> {
             }
         };
         match self.direction {
-            Direction::Grid(sink, _) => {
+            Direction::Grid(_) => {
                 let counts = gridder_counts(group, n);
                 let t_in = transfer_time(device, vis_bytes + uvw_bytes);
                 let t_kernel = kernel_time(device, &counts);
@@ -645,14 +621,10 @@ impl<'a> Pass<'a> {
                     };
                 }
                 // option (2): subgrids stream to the host (DtoH engine),
-                // which adds them while the GPU computes on — unless the
-                // caller commits them itself
+                // which adds them while the GPU computes on
                 let subgrid_bytes = (group.len() * 4 * n * n * 8) as u64;
                 let t_out = transfer_time(device, subgrid_bytes);
-                let t_add = match sink {
-                    Sink::Defer => 0.0,
-                    Sink::Commit => host_adder_time(group.len(), n),
-                };
+                let t_add = host_adder_time(group.len(), n);
                 JobModel {
                     counts,
                     times: (t_in, t_kernel + t_fft, t_out),
@@ -823,7 +795,7 @@ impl<'a> Pass<'a> {
         while let Some(decided) = self.decided.get_mut(self.next).and_then(Option::take) {
             let first = self.next * self.work_group_size;
             self.next += 1;
-            let Direction::Grid(_, commit) = &mut self.direction else {
+            let Direction::Grid(commit) = &mut self.direction else {
                 continue;
             };
             match decided {

@@ -52,8 +52,8 @@ pub const HOST_ADDER_BW: f64 = 40e9;
 
 /// Modeled duration of the host-side adder over `nr_subgrids` subgrids
 /// of `n × n`: twice their bytes (subgrid read + grid read-modify-write,
-/// as [`adder_time`] counts them) at [`HOST_ADDER_BW`]. A device pass's
-/// host adder and a streamed pass's single commit both charge it.
+/// as [`adder_time`] counts them) at [`HOST_ADDER_BW`], charged to each
+/// gridding job of a device pass whose grid does not fit on the device.
 pub fn host_adder_time(nr_subgrids: usize, n: usize) -> f64 {
     let subgrid_bytes = (nr_subgrids * 4 * n * n * 8) as u64;
     2.0 * subgrid_bytes as f64 / HOST_ADDER_BW

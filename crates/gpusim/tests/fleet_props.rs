@@ -10,7 +10,7 @@
 
 use idg_gpusim::{
     BreakerConfig, Device, DeviceHealth, FaultConfig, FleetExecutor, GpuExecutor, GriddedJob,
-    JobOutcome, Sink,
+    JobOutcome,
 };
 use idg_kernels::{add_subgrids, KernelData, KernelTables};
 use idg_plan::Plan;
@@ -107,7 +107,7 @@ proptest! {
         let mut ranges: Vec<Range<usize>> = Vec::new();
         let (seen, mut add) = (&mut ranges, add_onto(&mut grid, plan, &tables));
         let report = fleet
-            .grid(&data, plan, Sink::Commit, move |range, job| {
+            .grid(&data, plan, move |range, job| {
                 seen.push(range.clone());
                 add(range, job)
             })
@@ -146,7 +146,7 @@ proptest! {
         if report.totals.complete() {
             let mut gold = Grid::new(plan.grid_size());
             GpuExecutor::new(Device::pascal(), wgs, &tables)
-                .grid(&data, plan, Sink::Commit, add_onto(&mut gold, plan, &tables))
+                .grid(&data, plan, add_onto(&mut gold, plan, &tables))
                 .unwrap();
             for (x, y) in grid.as_slice().iter().zip(gold.as_slice()) {
                 prop_assert_eq!(x.re.to_bits(), y.re.to_bits());
